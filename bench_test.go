@@ -757,3 +757,70 @@ func BenchmarkEvaluateSparse(b *testing.B) {
 		flow.EvaluateInto(ws, r)
 	}
 }
+
+// sparseEngine builds the GenerateSparse scale-ladder instance with J
+// commodities and an engine on it at the CI scale-smoke step size, run
+// a few iterations past the all-rejected start.
+func sparseEngine(b *testing.B, commodities int) *gradient.Engine {
+	b.Helper()
+	p, err := randnet.GenerateSparse(randnet.Config{
+		Seed: 13, Nodes: 48, Layers: 6, Commodities: commodities,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x, err := transform.Build(p, transform.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := gradient.New(x, gradient.Config{Eta: 0.005, Workers: 1})
+	for i := 0; i < 20; i++ {
+		eng.Step()
+	}
+	return eng
+}
+
+// memberEdges is Σ_j member edges, the unit Step's cost is linear in.
+func memberEdges(x *transform.Extended) int {
+	n := 0
+	for j := range x.Sub {
+		n += x.Sub[j].NumEdges()
+	}
+	return n
+}
+
+// BenchmarkStepSparse prices one single-worker Engine.Step — forecast,
+// marginal/tag sweep, Γ — on the scale ladder. ns/member-edge is the
+// complexity check: it should not move between the rungs.
+func BenchmarkStepSparse(b *testing.B) {
+	for _, rung := range []struct {
+		name string
+		j    int
+	}{{"J=1k", 1000}, {"J=10k", 10000}} {
+		b.Run(rung.name, func(b *testing.B) {
+			eng := sparseEngine(b, rung.j)
+			edges := memberEdges(eng.X)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.Step()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges), "ns/member-edge")
+		})
+	}
+}
+
+// BenchmarkStationaritySparse prices the periodic convergence test of
+// the solve loops at J=1k: Theorem 2's residuals on the engine's own
+// workspaces, forecast included (a Step in between invalidates it).
+func BenchmarkStationaritySparse(b *testing.B) {
+	eng := sparseEngine(b, 1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		eng.Step()
+		b.StartTimer()
+		eng.Stationarity()
+	}
+}

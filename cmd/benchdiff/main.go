@@ -77,9 +77,11 @@ func main() {
 //
 //	BenchmarkName-8   123   45678 ns/op   90 B/op   12 allocs/op
 //
-// The GOMAXPROCS suffix, B/op and allocs/op are optional.
+// The GOMAXPROCS suffix, B/op and allocs/op are optional, and custom
+// b.ReportMetric columns (which go test prints between ns/op and B/op)
+// are skipped.
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op)?(?:\s+([0-9.]+) allocs/op)?`)
+	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+[0-9.e+-]+ [^\sB]\S*)*(?:\s+([0-9.]+) B/op)?(?:\s+([0-9.]+) allocs/op)?`)
 
 // parseBench extracts benchmark results from `go test -bench` output.
 func parseBench(r io.Reader) (map[string]Bench, error) {

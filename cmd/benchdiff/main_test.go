@@ -15,6 +15,7 @@ pkg: repro
 BenchmarkFlowEvaluate-8            	     100	     12345 ns/op	    2048 B/op	      30 allocs/op
 BenchmarkMarginalCostWave-8        	      50	     23456.5 ns/op
 BenchmarkTransformBuild            	      10	    111222 ns/op	   99999 B/op	     500 allocs/op
+BenchmarkStepSparse/J=1k-2         	     300	    364287 ns/op	        26.02 ns/member-edge	       0 B/op	       0 allocs/op
 PASS
 ok  	repro	1.234s
 `
@@ -24,8 +25,12 @@ func TestParseBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("parsed %d benchmarks, want 3: %+v", len(got), got)
+	if len(got) != 4 {
+		t.Fatalf("parsed %d benchmarks, want 4: %+v", len(got), got)
+	}
+	// A custom metric column between ns/op and B/op is skipped.
+	if ss := got["BenchmarkStepSparse/J=1k"]; ss.NsPerOp != 364287 || ss.AllocsPerOp != 0 {
+		t.Fatalf("StepSparse/J=1k = %+v", ss)
 	}
 	fe := got["BenchmarkFlowEvaluate"]
 	if fe.NsPerOp != 12345 || fe.AllocsPerOp != 30 {

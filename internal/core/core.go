@@ -291,8 +291,7 @@ func solveGradient(p *stream.Problem, x *transform.Extended, opts Options, targe
 			break
 		}
 		if opts.StationaryTol > 0 && i%50 == 49 {
-			rep := gradient.CheckStationarity(flow.Evaluate(eng.Routing()))
-			if rep.MaxUsedGap <= opts.StationaryTol {
+			if eng.Stationarity().MaxUsedGap <= opts.StationaryTol {
 				break
 			}
 		}

@@ -341,7 +341,7 @@ func (rt *Runtime) computeRho(st *nodeState, j int) {
 			cs.tagged = true
 			break
 		}
-		// Scale-corrected improper-link test (see gradient.ComputeTags):
+		// Scale-corrected improper-link test (see gradient's tagNode):
 		// compare marginal costs per source unit.
 		if cs.rho > cs.beta[e]*cs.rhoIn[e] || cs.t == 0 {
 			continue

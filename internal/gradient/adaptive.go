@@ -82,6 +82,7 @@ type AdaptiveEngine struct {
 	u, uProposed *flow.Usage
 	spare        *flow.Routing
 	arena        *arena
+	admitted     []float64 // behind StepInfo.Admitted
 
 	// Backtracks counts rejected steps (η halvings).
 	Backtracks int
@@ -101,6 +102,7 @@ func NewAdaptive(x *transform.Extended, cfg AdaptiveConfig) *AdaptiveEngine {
 		uProposed: flow.NewUsage(x),
 		spare:     flow.NewZero(x),
 		arena:     newArena(x, cfg.Workers),
+		admitted:  make([]float64, x.NumCommodities()),
 	}
 	flow.EvaluateInto(e.u, r)
 	e.lastCost = e.u.TotalCost()
@@ -130,7 +132,7 @@ func (e *AdaptiveEngine) Step() StepInfo {
 	u := e.u
 
 	next := e.spare
-	e.arena.runWave(u, e.eta, !e.cfg.DisableBlocking, false, rec, next)
+	e.arena.runWave(u, e.eta, !e.cfg.DisableBlocking, rec, next)
 
 	flow.EvaluateInto(e.uProposed, next)
 	cost := e.uProposed.TotalCost()
@@ -161,10 +163,10 @@ func (e *AdaptiveEngine) Step() StepInfo {
 		Utility:   u.Utility(),
 		Cost:      u.TotalCost(),
 	}
-	info.Admitted = make([]float64, e.X.NumCommodities())
-	for j := range info.Admitted {
-		info.Admitted[j] = u.AdmittedRate(j)
+	for j := range e.admitted {
+		e.admitted[j] = u.AdmittedRate(j)
 	}
+	info.Admitted = e.admitted
 	info.Feasible, _ = u.Feasible()
 	e.iter++
 	rec.SetEta(e.eta)

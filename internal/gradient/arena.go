@@ -3,126 +3,149 @@ package gradient
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/flow"
 	"repro/internal/obs"
 	"repro/internal/transform"
 )
 
-// waveWorkspace is one commodity's scratch for the marginal→tag→update
-// chain of a single iteration, allocated once per engine and zeroed in
-// place each step by the *Into wave functions.
-type waveWorkspace struct {
-	m      Marginals
-	depth  []int
+// waveScratch is one worker's buffers for the sweep→update chain of one
+// commodity at a time, sized for the largest member subgraph. Nothing
+// in it outlives the commodity it was filled for — the wave's only
+// per-commodity output is the new φ row — so a worker reuses the same
+// few cache lines for every commodity it runs.
+type waveScratch struct {
+	rho    []float64
+	linkD  []float64
 	tagged []bool
 
-	// Per-commodity results of the last wave, reduced in fixed j order
-	// by runWave so the totals are independent of worker scheduling.
-	messages    int
-	rounds      int
-	taggedCount int
+	// Totals over the commodities this worker ran in the current wave.
+	// Integer and duration sums, so the reduction over workers does not
+	// depend on which worker ran what.
+	ntagged          int
+	marginal, update time.Duration
 }
 
-// arena owns the per-commodity workspaces and the worker pool that runs
+// arena owns one engine's wave workspaces and the worker pool that runs
 // the §5 waves. The paper's protocol phases are independent across
 // commodities — each commodity's marginal-cost wave reads only the
-// shared (read-only) usage and writes only its own φ row — so the pool
-// parallelizes them without changing a single bit of the trajectory:
-// every commodity computes in its own workspace, and the
-// messages/rounds/tag-count reduction happens afterwards in commodity
-// order.
+// shared (read-only) usage and node prices and writes only its own φ
+// row — so the pool parallelizes them without changing a single bit of
+// the trajectory.
 type arena struct {
-	ws      []waveWorkspace
-	workers int
+	x *transform.Extended
+	// price is ε·D'_n at the global operating point per extended node,
+	// refilled from the forecast at the start of every wave.
+	price   []float64
+	scratch []waveScratch // one per worker
+	cursor  atomic.Int64  // next commodity for the pool to claim
+
+	// messages and rounds are what one marginal-cost wave costs the
+	// distributed protocol: one ρ broadcast per member edge, and as many
+	// sequential rounds as the deepest member DAG. Topology constants.
+	messages, rounds int
 }
 
 func newArena(x *transform.Extended, workers int) *arena {
-	a := &arena{ws: make([]waveWorkspace, x.NumCommodities()), workers: workers}
-	for j := range a.ws {
-		nn, ne := x.Sub[j].NumNodes(), x.Sub[j].NumEdges()
-		a.ws[j] = waveWorkspace{
-			m:      Marginals{Rho: make([]float64, nn), LinkD: make([]float64, ne)},
-			depth:  make([]int, nn),
-			tagged: make([]bool, nn),
+	a := &arena{x: x, price: make([]float64, x.G.NumNodes())}
+	maxN, maxE := 0, 0
+	for j := range x.Sub {
+		sg := &x.Sub[j]
+		maxN, maxE = max(maxN, sg.NumNodes()), max(maxE, sg.NumEdges())
+		a.messages += sg.NumEdges()
+		a.rounds = max(a.rounds, sg.Depth())
+	}
+	a.scratch = make([]waveScratch, max(1, min(workers, len(x.Sub))))
+	for i := range a.scratch {
+		a.scratch[i] = waveScratch{
+			rho:    make([]float64, maxN),
+			linkD:  make([]float64, maxE),
+			tagged: make([]bool, maxN),
 		}
 	}
 	return a
 }
 
-// runWave executes the marginal-cost wave, the loop-freedom tagging
-// protocol (when blocking is true), and the routing update Γ for every
-// commodity against the evaluated usage u, writing each commodity's new
-// φ row into next (after seeding it with the current row, so next is a
-// full routing even though the engine double-buffers instead of
-// cloning). With workers > 1 commodities are processed concurrently by
-// a bounded pool; the returned totals (messages, the max of the wave
-// depths, tag count) are reduced in fixed commodity order afterwards,
-// so the results are bitwise-identical to the sequential execution.
-// Tag counting is skipped unless countTags is set (it is only consumed
-// by the recorder).
-func (a *arena) runWave(u *flow.Usage, eta float64, blocking, countTags bool, rec *obs.Recorder, next *flow.Routing) (messages, maxRounds, taggedCount int) {
-	nc := len(a.ws)
-	if workers := min(a.workers, nc); workers > 1 {
-		var idx atomic.Int64
+// runWave executes, for every commodity against the evaluated usage u,
+// the marginal-cost sweep with the loop-freedom tags (when blocking is
+// true) and the routing update Γ, writing each commodity's new φ row
+// into next (after seeding it with the current row, so next is a full
+// routing even though the engine double-buffers instead of cloning).
+// With more than one worker commodities are processed concurrently by a
+// bounded pool; no floating-point value crosses between commodities, so
+// the result is bitwise-identical to the sequential execution. It
+// returns the number of tagged nodes and, with a recorder attached,
+// observes the wave's two phases once each: the time spent in the phase
+// summed over commodities and workers.
+func (a *arena) runWave(u *flow.Usage, eta float64, blocking bool, rec *obs.Recorder, next *flow.Routing) (ntagged int) {
+	fillNodePrices(u, a.price)
+	timed := rec.Enabled()
+	if len(a.scratch) > 1 {
+		a.cursor.Store(0)
 		var wg sync.WaitGroup
-		wg.Add(workers)
-		for i := 0; i < workers; i++ {
+		wg.Add(len(a.scratch))
+		for i := range a.scratch {
+			w := &a.scratch[i]
 			go func() {
 				defer wg.Done()
-				for {
-					j := int(idx.Add(1)) - 1
-					if j >= nc {
-						return
-					}
-					a.runOne(j, u, eta, blocking, countTags, rec, next)
-				}
+				a.work(w, &a.cursor, u, eta, blocking, timed, next)
 			}()
 		}
 		wg.Wait()
 	} else {
-		for j := 0; j < nc; j++ {
-			a.runOne(j, u, eta, blocking, countTags, rec, next)
-		}
+		a.work(&a.scratch[0], nil, u, eta, blocking, timed, next)
 	}
-	for j := 0; j < nc; j++ {
-		w := &a.ws[j]
-		messages += w.messages
-		if w.rounds > maxRounds {
-			maxRounds = w.rounds
-		}
-		taggedCount += w.taggedCount
+	var marginal, update time.Duration
+	for i := range a.scratch {
+		w := &a.scratch[i]
+		ntagged += w.ntagged
+		marginal += w.marginal
+		update += w.update
 	}
-	return messages, maxRounds, taggedCount
+	rec.ObservePhase(obs.PhaseMarginal, marginal)
+	rec.ObservePhase(obs.PhaseUpdate, update)
+	return ntagged
 }
 
-// runOne executes one commodity's wave chain into its workspace slot.
-// A named method rather than a closure so the sequential path stays
-// allocation-free (a closure shared with the goroutine launch would
-// escape to the heap on every Step).
-func (a *arena) runOne(j int, u *flow.Usage, eta float64, blocking, countTags bool, rec *obs.Recorder, next *flow.Routing) {
-	w := &a.ws[j]
-	tm := rec.StartPhase(obs.PhaseMarginal)
-	ComputeMarginalsInto(u, j, &w.m, w.depth)
-	tm.Done()
+// work runs the wave chain of the commodities one worker gets: those it
+// claims from cursor, or all of them in order when cursor is nil (the
+// single-worker path, which stays free of atomics and allocation). When
+// timed it reads the clock twice per commodity — after the sweep and
+// after the update, each interval running from the previous reading —
+// and accumulates into w; the histograms are fed once per wave, not
+// once per commodity.
+func (a *arena) work(w *waveScratch, cursor *atomic.Int64, u *flow.Usage, eta float64, blocking, timed bool, next *flow.Routing) {
+	w.ntagged, w.marginal, w.update = 0, 0, 0
 	var tagged []bool
-	w.taggedCount = 0
 	if blocking {
-		tt := rec.StartPhase(obs.PhaseTagging)
-		tagged = ComputeTagsInto(u, j, &w.m, eta, w.tagged)
-		tt.Done()
-		if countTags {
-			for _, tag := range tagged {
-				if tag {
-					w.taggedCount++
-				}
-			}
+		tagged = w.tagged
+	}
+	var start time.Time
+	var last time.Duration
+	if timed {
+		start = time.Now()
+	}
+	for j := 0; ; j++ {
+		if cursor != nil {
+			j = int(cursor.Add(1)) - 1
+		}
+		if j >= len(a.x.Sub) {
+			return
+		}
+		w.ntagged += sweep(u, j, a.price, w.rho, w.linkD, tagged, eta)
+		if timed {
+			now := time.Since(start)
+			w.marginal += now - last
+			last = now
+		}
+		row := next.Phi[j]
+		copy(row, u.R.Phi[j])
+		gamma(u, j, w.linkD, tagged, eta, row)
+		if timed {
+			now := time.Since(start)
+			w.update += now - last
+			last = now
 		}
 	}
-	tu := rec.StartPhase(obs.PhaseUpdate)
-	copy(next.Phi[j], u.R.Phi[j])
-	ApplyGamma(u, j, &w.m, tagged, eta, next)
-	tu.Done()
-	w.messages = w.m.Messages
-	w.rounds = w.m.Rounds
 }

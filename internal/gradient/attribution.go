@@ -70,12 +70,19 @@ const (
 )
 
 // Attribute explains commodity j at the evaluated operating point u.
-// Cost: one marginal-cost wave (O(member edges)).
+// Cost: pricing every node plus one marginal-cost wave; AttributeAll
+// prices the nodes once for all commodities.
 func Attribute(u *flow.Usage, j int) Attribution {
+	return attribute(u, j, nodePrices(u))
+}
+
+// attribute is Attribute against precomputed node prices
+// (fillNodePrices): O(member edges).
+func attribute(u *flow.Usage, j int, price []float64) Attribution {
 	x := u.R.X
 	c := &x.Commodities[j]
 	sg := &x.Sub[j]
-	m := ComputeMarginals(u, j)
+	m := marginalsAt(u, j, price)
 	a := u.AdmittedRate(j)
 
 	at := Attribution{
@@ -109,7 +116,7 @@ func Attribute(u *flow.Usage, j int) Attribution {
 		bn := BindingNode{
 			Node:        node,
 			Utilization: u.FNode[node] / capacity,
-			Price:       x.PenaltyDeriv(node, u.FNode[node]),
+			Price:       price[node],
 		}
 		if worst == nil || bn.Price > worst.Price {
 			w := bn
@@ -137,8 +144,9 @@ func Attribute(u *flow.Usage, j int) Attribution {
 // AttributeAll runs Attribute for every commodity.
 func AttributeAll(u *flow.Usage) []Attribution {
 	out := make([]Attribution, u.R.X.NumCommodities())
+	price := nodePrices(u)
 	for j := range out {
-		out[j] = Attribute(u, j)
+		out[j] = attribute(u, j, price)
 	}
 	return out
 }

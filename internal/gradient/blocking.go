@@ -1,16 +1,13 @@
 package gradient
 
-import (
-	"repro/internal/flow"
-)
-
-// ComputeTags runs the §5 loop-freedom tagging protocol for commodity
-// j: node l attaches a tag to its rho broadcast when it has a
-// downstream link (l,m) (φ_lm(j) > 0) that is *improper*
-// (∂A/∂r_l ≤ ∂A/∂r_m) and will not be emptied this iteration
-// (condition 18), or when any downstream neighbor's broadcast was
-// already tagged. The update Γ then refuses to raise φ_ik(j) from zero
-// toward any tagged node k (the blocked set B_i(j)).
+// tagNode evaluates the §5 loop-freedom tagging protocol at one node l
+// of one commodity, given its member out-edges and the values its
+// heads have already broadcast: node l attaches a tag to its rho
+// broadcast when it has a downstream link (l,m) (φ_lm(j) > 0) that is
+// *improper* (∂A/∂r_l ≤ ∂A/∂r_m) and will not be emptied this
+// iteration (condition 18), or when any downstream neighbor's broadcast
+// was already tagged. The update Γ then refuses to raise φ_ik(j) from
+// zero toward any tagged node k (the blocked set B_i(j)).
 //
 // One deliberate deviation from the text (documented in DESIGN.md §6):
 // the paper prints the improper-link test as ∂A/∂r_l ≤ ∂A/∂r_m,
@@ -28,51 +25,33 @@ import (
 // cannot form even without blocking; the protocol is implemented
 // faithfully anyway, and Config.DisableBlocking ablates it (bench
 // BenchmarkBlockingAblation).
-func ComputeTags(u *flow.Usage, j int, m *Marginals, eta float64) []bool {
-	return ComputeTagsInto(u, j, m, eta, make([]bool, u.R.X.Sub[j].NumNodes()))
-}
-
-// ComputeTagsInto is the workspace form of ComputeTags: tagged (with
-// capacity for the commodity's member node count, local indexing) is
-// resliced, zeroed, refilled, and returned.
-func ComputeTagsInto(u *flow.Usage, j int, m *Marginals, eta float64, tagged []bool) []bool {
-	x := u.R.X
-	sg := &x.Sub[j]
-	tagged = tagged[:sg.NumNodes()]
-	clear(tagged)
-	phi := u.R.Phi[j]
-	for _, l := range sg.RevTopo() {
-		if l == sg.Sink {
+//
+// rhoL and t are the node's own ρ and traffic; phi, beta, head, linkD
+// are indexed by local edge, rho and tagged by local node.
+func tagNode(outs []int32, phi, beta []float64, head []int32, rho, linkD []float64, tagged []bool, rhoL, t, eta float64) bool {
+	for _, le := range outs {
+		if phi[le] <= 0 {
 			continue
 		}
-		t := u.T[j][l]
-		for _, le := range sg.Out(l) {
-			if phi[le] <= 0 {
-				continue
-			}
-			head := sg.Head[le]
-			if tagged[head] {
-				tagged[l] = true
-				break
-			}
-			// Improper link: routing positive fraction toward a node
-			// whose marginal cost per source unit is no better than
-			// ours (the β factor converts both sides to source units;
-			// see the doc comment above).
-			if m.Rho[l] > sg.Beta[le]*m.Rho[head] {
-				continue
-			}
-			// Condition (18): the improper link survives this
-			// iteration's update. With t = 0 the update empties every
-			// non-best link outright, so nothing survives.
-			if t == 0 {
-				continue
-			}
-			if phi[le] >= eta/t*(m.LinkD[le]-m.Rho[l]) {
-				tagged[l] = true
-				break
-			}
+		h := head[le]
+		if tagged[h] {
+			return true
+		}
+		// Improper link: routing positive fraction toward a node whose
+		// marginal cost per source unit is no better than ours (the β
+		// factor converts both sides to source units; see above).
+		if rhoL > beta[le]*rho[h] {
+			continue
+		}
+		// Condition (18): the improper link survives this iteration's
+		// update. With t = 0 the update empties every non-best link
+		// outright, so nothing survives.
+		if t == 0 {
+			continue
+		}
+		if phi[le] >= eta/t*(linkD[le]-rhoL) {
+			return true
 		}
 	}
-	return tagged
+	return false
 }

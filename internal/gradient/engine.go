@@ -62,10 +62,13 @@ type Stats struct {
 // utility-versus-iteration curve of Figure 4.
 type StepInfo struct {
 	Iteration int
-	Utility   float64   // Σ_j U_j(a_j)
-	Cost      float64   // A = Y + εD
-	Admitted  []float64 // a_j per commodity
-	Feasible  bool      // f_i ≤ C_i at every node
+	Utility   float64 // Σ_j U_j(a_j)
+	Cost      float64 // A = Y + εD
+	// Admitted is a_j per commodity. It aliases a buffer the engine
+	// overwrites on its next Step; callers that keep a StepInfo across
+	// steps copy it (Engine.Run's trace does).
+	Admitted []float64
+	Feasible bool // f_i ≤ C_i at every node
 }
 
 // Engine runs the gradient-based algorithm synchronously.
@@ -74,12 +77,15 @@ type Engine struct {
 	R   *flow.Routing
 	cfg Config
 
-	// Iteration workspaces, allocated once: the evaluated usage, the
-	// spare routing Step swaps with R (double-buffering in place of the
-	// old per-step Clone), and the per-commodity wave arena.
-	u     *flow.Usage
-	spare *flow.Routing
-	arena *arena
+	// Iteration workspaces, allocated once: the evaluated usage (current
+	// for R while forecasted is set), the spare routing Step swaps with R
+	// (double-buffering in place of the old per-step Clone), the wave
+	// arena, and the buffer behind StepInfo.Admitted.
+	u          *flow.Usage
+	forecasted bool
+	spare      *flow.Routing
+	arena      *arena
+	admitted   []float64
 
 	stats Stats
 	iter  int
@@ -100,6 +106,7 @@ func (e *Engine) initWorkspace() {
 	e.u = flow.NewUsage(e.X)
 	e.spare = flow.NewZero(e.X)
 	e.arena = newArena(e.X, e.cfg.Workers)
+	e.admitted = make([]float64, e.X.NumCommodities())
 }
 
 // NewFrom starts from an explicit routing set (used for warm starts in
@@ -133,46 +140,64 @@ func (e *Engine) Stats() Stats { return e.stats }
 // until the next Step; callers that need a durable snapshot Clone it.
 func (e *Engine) Routing() *flow.Routing { return e.R }
 
-// Step executes one full iteration — forecast, marginal-cost wave,
+// Usage returns the flows the current routing induces, evaluated in the
+// engine's own workspace: no allocation, and no work when that
+// workspace already holds them (nothing has stepped since a convergence
+// check or an earlier call put them there). The result is overwritten
+// by the next Step; Solution returns a durable copy.
+func (e *Engine) Usage() *flow.Usage {
+	if !e.forecasted {
+		tf := e.cfg.Recorder.StartPhase(obs.PhaseForecast)
+		flow.EvaluateInto(e.u, e.R)
+		tf.Done()
+		e.forecasted = true
+	}
+	return e.u
+}
+
+// Stationarity evaluates Theorem 2's conditions (CheckStationarity) at
+// the current routing on the engine's workspaces, allocating nothing.
+// The forecast it needs is kept for the next Step.
+func (e *Engine) Stationarity() StationarityReport {
+	return e.arena.stationarity(e.Usage())
+}
+
+// Step executes one full iteration — forecast, marginal-cost wave with
 // tagging, routing update — and returns the pre-update measurements.
 // All iteration state lives in workspaces allocated at construction, so
-// the steady-state step performs no heap allocation beyond the returned
-// Admitted slice.
+// the steady-state step performs no heap allocation.
 func (e *Engine) Step() StepInfo {
 	rec := e.cfg.Recorder
-	tf := rec.StartPhase(obs.PhaseForecast)
-	flow.EvaluateInto(e.u, e.R)
-	tf.Done()
-	u := e.u
+	u := e.Usage()
 	info := e.measure(u)
 
 	next := e.spare
-	msgs, maxRounds, iterTagged := e.arena.runWave(u, e.cfg.Eta, !e.cfg.DisableBlocking, rec.Enabled(), rec, next)
+	iterTagged := e.arena.runWave(u, e.cfg.Eta, !e.cfg.DisableBlocking, rec, next)
 	e.spare, e.R = e.R, next
+	e.forecasted = false
 	// Forecast wave mirrors the marginal wave downstream: same message
 	// count, same depth.
-	iterMessages := 2 * msgs
+	iterMessages, iterRounds := 2*e.arena.messages, 2*e.arena.rounds
 	e.stats.Messages += iterMessages
-	e.stats.Rounds += 2 * maxRounds
+	e.stats.Rounds += iterRounds
 	e.stats.Iterations++
 	e.iter++
 	rec.Iteration("gradient", info.Iteration, info.Utility, info.Cost, info.Admitted, info.Feasible)
-	rec.Protocol("gradient", info.Iteration, iterMessages, 2*maxRounds)
+	rec.Protocol("gradient", info.Iteration, iterMessages, iterRounds)
 	rec.Blocking("gradient", info.Iteration, iterTagged)
 	return info
 }
 
 func (e *Engine) measure(u *flow.Usage) StepInfo {
-	admitted := make([]float64, e.X.NumCommodities())
-	for j := range admitted {
-		admitted[j] = u.AdmittedRate(j)
+	for j := range e.admitted {
+		e.admitted[j] = u.AdmittedRate(j)
 	}
 	feasible, _ := u.Feasible()
 	return StepInfo{
 		Iteration: e.iter,
 		Utility:   u.Utility(),
 		Cost:      u.TotalCost(),
-		Admitted:  admitted,
+		Admitted:  e.admitted,
 		Feasible:  feasible,
 	}
 }
@@ -221,6 +246,7 @@ func (e *Engine) Run(maxIters int, stop func(StepInfo) bool) ([]StepInfo, error)
 	var det DivergenceDetector
 	for i := 0; i < maxIters; i++ {
 		info := e.Step()
+		info.Admitted = append([]float64(nil), info.Admitted...)
 		trace = append(trace, info)
 		if err := det.Observe(info); err != nil {
 			e.cfg.Recorder.Divergence("gradient", info.Iteration, err.Error())

@@ -388,7 +388,7 @@ func TestUtilityApproachesLambdaNeverExceeds(t *testing.T) {
 
 func TestBlockingScaleCorrectness(t *testing.T) {
 	// Regression for the shrinkage-aware improper-link test (see
-	// ComputeTags): on this deep instance the verbatim (unscaled)
+	// tagNode): on this deep instance the verbatim (unscaled)
 	// comparison permanently tags the routes commodity S2 needs and the
 	// iteration pins at ≈61% of the optimum; the scale-corrected test
 	// must reach what the no-blocking ablation reaches.

@@ -43,8 +43,8 @@ type Marginals struct {
 	// ∂A_i/∂f_e·c_e(j) + β_e(j)·Rho[head(e)], per member edge.
 	LinkD []float64
 	// Rounds is the number of sequential message-exchange steps the
-	// upstream wave needs: the depth of the member DAG below each node,
-	// maximized — the L in the paper's O(L) analysis.
+	// upstream wave needs: the depth of the member DAG — the L in the
+	// paper's O(L) analysis.
 	Rounds int
 	// Messages counts the rho broadcasts the wave sends (one per member
 	// edge, tail <- head).
@@ -52,67 +52,85 @@ type Marginals struct {
 }
 
 // ComputeMarginals runs the marginal-cost wave for commodity j on the
-// evaluated usage u. Nodes are processed in reverse topological order
-// of the member DAG, which is exactly the order in which the
-// distributed protocol's "wait for all downstream values" rule fires.
-// It allocates fresh buffers per call; iteration loops reuse a
-// workspace through ComputeMarginalsInto.
+// evaluated usage u: the allocating, single-commodity diagnostic form
+// of the sweep the engines run every iteration (tagging off). It prices
+// every extended node first, so callers after all commodities at once
+// use CheckStationarity or AttributeAll, which price the nodes once.
 func ComputeMarginals(u *flow.Usage, j int) *Marginals {
+	return marginalsAt(u, j, nodePrices(u))
+}
+
+// marginalsAt is ComputeMarginals against precomputed node prices.
+func marginalsAt(u *flow.Usage, j int, price []float64) *Marginals {
 	sg := &u.R.X.Sub[j]
 	m := &Marginals{
-		Rho:   make([]float64, sg.NumNodes()),
-		LinkD: make([]float64, sg.NumEdges()),
+		Rho:      make([]float64, sg.NumNodes()),
+		LinkD:    make([]float64, sg.NumEdges()),
+		Rounds:   sg.Depth(),
+		Messages: sg.NumEdges(),
 	}
-	ComputeMarginalsInto(u, j, m, make([]int, sg.NumNodes()))
+	sweep(u, j, price, m.Rho, m.LinkD, nil, 0)
 	return m
 }
 
-// ComputeMarginalsInto runs the marginal-cost wave into the
-// preallocated m, using depth as scratch for the per-node wave-round
-// counters. m.Rho and depth need capacity for the commodity's member
-// node count, m.LinkD for its member edge count (a workspace sized for
-// the largest commodity serves all of them — the buffers are resliced
-// to this commodity's sizes). All buffers are zeroed and refilled; the
-// result is bit-identical to ComputeMarginals.
-func ComputeMarginalsInto(u *flow.Usage, j int, m *Marginals, depth []int) {
+// sweep is the one upstream pass of an iteration over commodity j: the
+// marginal-cost wave of eqs. 9–13 and, when tagged is non-nil, the
+// loop-freedom tags of eq. 18 (see tagNode), both in reverse
+// topological order of the member DAG — exactly the order in which the
+// distributed protocol's "wait for all downstream values" rule fires.
+// A node's tag needs only its own ρ, just computed, and its heads' ρ
+// and tags, visited earlier, so the two protocols share the visit.
+//
+// price[n] is ε·D'_n at the global operating point for every extended
+// node (nodePrices): it depends on the node alone, not on the commodity
+// or the edge, so it is computed once per iteration instead of once per
+// member edge. rho and tagged (local node indexing) and linkD (local
+// edge indexing) are fully overwritten; sweep returns the number of
+// tagged nodes.
+//
+// The wave sends one ρ broadcast per member edge and takes as many
+// sequential rounds as the member DAG is deep; both are constants of
+// the topology (Subgraph.NumEdges, Subgraph.Depth), not recounted here.
+func sweep(u *flow.Usage, j int, price, rho, linkD []float64, tagged []bool, eta float64) (ntagged int) {
 	x := u.R.X
 	sg := &x.Sub[j]
-	nn, ne := sg.NumNodes(), sg.NumEdges()
-	m.Rho = m.Rho[:nn]
-	m.LinkD = m.LinkD[:ne]
-	depth = depth[:nn]
-	clear(m.Rho)
-	clear(m.LinkD)
-	clear(depth)
-	m.Rounds, m.Messages = 0, 0
-	phi := u.R.Phi[j]
-	beta := sg.Beta
+	phi, t, fe := u.R.Phi[j], u.T[j], u.FEdge[j]
+	beta, cost, head, nodes := sg.Beta, sg.Cost, sg.Head, sg.Nodes
+	sink, diff := sg.Sink, sg.DiffLink
 	for _, ln := range sg.RevTopo() {
-		if ln == sg.Sink {
-			m.Rho[ln] = 0 // convention ∂A/∂r_j(j) = 0
+		if ln == sink {
+			rho[ln] = 0 // convention ∂A/∂r_j(j) = 0
+			if tagged != nil {
+				tagged[ln] = false
+			}
 			continue
 		}
-		var (
-			rho    float64
-			rounds int
-		)
-		n := sg.Nodes[ln]
-		for _, le := range sg.Out(ln) {
-			head := sg.Head[le]
-			d := marginalCostPerUnit(u, j, sg, n, le) + beta[le]*m.Rho[head]
-			m.LinkD[le] = d
-			rho += phi[le] * d
-			m.Messages++ // head broadcasts rho to this tail
-			if depth[head]+1 > rounds {
-				rounds = depth[head] + 1
+		// ∂A_i/∂f_e·c_e(j), the direct cost of one more unit over edge e
+		// at its tail i: from eq. 11, ∂A_i/∂f_e is the barrier derivative
+		// ε·D'_i(f_i) everywhere except on a difference link, where the
+		// utility-loss derivative U'_j(λ_j − f_e) joins it.
+		outs := sg.Out(ln)
+		p := price[nodes[ln]]
+		r := 0.0
+		for _, le := range outs {
+			var loss float64
+			if le == diff {
+				loss = x.Commodities[j].Loss.Deriv(fe[le])
+			}
+			d := (p+loss)*cost[le] + beta[le]*rho[head[le]]
+			linkD[le] = d
+			r += phi[le] * d
+		}
+		rho[ln] = r
+		if tagged != nil {
+			tag := tagNode(outs, phi, beta, head, rho, linkD, tagged, r, t[ln], eta)
+			tagged[ln] = tag
+			if tag {
+				ntagged++
 			}
 		}
-		m.Rho[ln] = rho
-		depth[ln] = rounds
-		if rounds > m.Rounds {
-			m.Rounds = rounds
-		}
 	}
+	return ntagged
 }
 
 // RhoAt reads Rho by extended node ID (zero for non-member nodes).
@@ -131,19 +149,4 @@ func (m *Marginals) LinkDAt(sg *transform.Subgraph, e graph.EdgeID) float64 {
 		return m.LinkD[le]
 	}
 	return 0
-}
-
-// marginalCostPerUnit is ∂A_i/∂f_e·c_e(j): the direct cost of pushing
-// one more unit of commodity j over member edge le at its tail i (the
-// extended node n). From eq. 11, ∂A_i/∂f_e is the barrier derivative
-// ε·D'_i(f_i) everywhere except on a difference link, where it is the
-// utility-loss derivative U'_j(λ_j − f_e).
-func marginalCostPerUnit(u *flow.Usage, j int, sg *transform.Subgraph, n graph.NodeID, le int32) float64 {
-	x := u.R.X
-	var loss float64
-	if le == sg.DiffLink {
-		loss = x.LossDeriv(j, x.Commodities[j].DiffLink, u.FEdge[j][le])
-	}
-	dAdf := x.PenaltyDeriv(n, u.FNode[n]) + loss
-	return dAdf * sg.Cost[le]
 }

@@ -132,16 +132,19 @@ func TestAdaptiveParallelTrajectoryIdentical(t *testing.T) {
 	}
 }
 
-// TestStepSteadyStateAllocs pins the workspace-arena contract: with
-// observability off and a single worker, the only steady-state Step
-// allocation is the Admitted slice in the returned StepInfo.
+// TestStepSteadyStateAllocs pins the workspace contract of the iterate
+// layer: with observability off and a single worker, neither Step nor
+// the periodic convergence test on the engine's workspaces allocates.
 func TestStepSteadyStateAllocs(t *testing.T) {
 	x := buildInstance(t, randnet.Config{Seed: 2, Nodes: 40, Commodities: 3})
 	e := New(x, Config{Workers: 1})
 	for i := 0; i < 10; i++ {
 		e.Step() // warm up past any lazy growth
 	}
-	if allocs := testing.AllocsPerRun(100, func() { e.Step() }); allocs > 1 {
-		t.Fatalf("Step allocates %v objects per run in steady state, want <= 1", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { e.Step() }); allocs != 0 {
+		t.Fatalf("Step allocates %v objects per run in steady state, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { e.Step(); e.Stationarity() }); allocs != 0 {
+		t.Fatalf("Step + Stationarity allocate %v objects per run, want 0", allocs)
 	}
 }

@@ -1,19 +1,41 @@
 package gradient
 
 import (
-	"math"
-
+	"repro/internal/flow"
+	"repro/internal/graph"
 	"repro/internal/transform"
 )
+
+// fillNodePrices sets price[n] = ε·D'_n(f_n + External_n) for every
+// extended node of the evaluated usage u: the barrier's shadow price at
+// the global operating point (a shard's own flow plus what the other
+// shards route through the node), zero at uncapacitated nodes. This is
+// the ∂A_i/∂f_e of eq. 11 off the difference links, a property of the
+// node alone, so the marginal wave, the stationarity check and the
+// bottleneck attribution all read it from one vector instead of
+// recomputing it per member edge.
+func fillNodePrices(u *flow.Usage, price []float64) {
+	x := u.R.X
+	for n, f := range u.FNode {
+		price[n] = x.PenaltyDeriv(graph.NodeID(n), f)
+	}
+}
+
+// nodePrices is fillNodePrices into a fresh vector.
+func nodePrices(u *flow.Usage) []float64 {
+	price := make([]float64, len(u.FNode))
+	fillNodePrices(u, price)
+	return price
+}
 
 // ShadowPrices fills price[i] = ε·D'_i(F_i) for each node of the merged
 // global usage vector — the same per-node shadow price the attribution
 // ρ-wave reports for binding resources (Attribute's BindingNode.Price),
 // rederived by a price-exchange coordinator at the merged operating
 // point F instead of a single engine's local usage. Uncapacitated nodes
-// price at zero. The computation deliberately bypasses
-// transform.PenaltyDeriv: F is already the global total, so no External
-// term may be added on top.
+// price at zero. F is already the global total, so this is
+// transform.ShadowPrice, the External-free form of the PenaltyDeriv
+// fillNodePrices uses.
 //
 // price and merged must have equal length (at most x.SharedNodes when
 // called on cross-shard state).
@@ -22,11 +44,6 @@ func ShadowPrices(x *transform.Extended, merged, price []float64) {
 		panic("gradient: ShadowPrices length mismatch")
 	}
 	for i, f := range merged {
-		c := x.Capacity[i]
-		if math.IsInf(c, 1) {
-			price[i] = 0
-			continue
-		}
-		price[i] = x.Epsilon * x.Penalty.Deriv(f, c)
+		price[i] = x.ShadowPrice(graph.NodeID(i), f)
 	}
 }

@@ -35,43 +35,55 @@ const (
 	MinPhi     = 1e-6
 )
 
-// CheckStationarity evaluates Theorem 2's conditions on the current
-// flows. Engines can call it periodically to implement convergence
-// detection that is grounded in the paper's optimality theory rather
-// than in utility deltas.
+// CheckStationarity evaluates Theorem 2's conditions on the evaluated
+// flows u, in freshly allocated workspaces. Iteration loops ask their
+// engine instead (Engine.Stationarity), which runs the same check on
+// the workspaces it already owns; this form serves one-off diagnostics
+// on a usage that no engine holds.
 func CheckStationarity(u *flow.Usage) StationarityReport {
-	x := u.R.X
+	return newArena(u.R.X, 1).stationarity(u)
+}
+
+// stationarity runs the convergence test on the arena's workspaces: the
+// node prices, then per commodity the marginal sweep (tagging off) and
+// the residuals of eqs. 12 and 13. It allocates nothing, so convergence
+// detection grounded in the paper's optimality theory rather than in
+// utility deltas costs an iteration loop about one extra wave.
+func (a *arena) stationarity(u *flow.Usage) StationarityReport {
+	fillNodePrices(u, a.price)
+	rho, linkD := a.scratch[0].rho, a.scratch[0].linkD
 	rep := StationarityReport{WorstNode: graph.Invalid, WorstCommodity: -1}
-	for j := range x.Commodities {
-		m := ComputeMarginals(u, j)
-		sg := &x.Sub[j]
+	for j := range a.x.Sub {
+		sweep(u, j, a.price, rho, linkD, nil, 0)
+		sg := &a.x.Sub[j]
+		phi, t := u.R.Phi[j], u.T[j]
 		// Member nodes in ascending local index — the same ascending
 		// global-ID order the dense full-graph scan visited, since
 		// non-member nodes carried no traffic and were skipped.
 		for ln := int32(0); ln < int32(sg.NumNodes()); ln++ {
-			if ln == sg.Sink || u.T[j][ln] <= MinTraffic {
+			if ln == sg.Sink || t[ln] <= MinTraffic {
 				continue
 			}
 			outs := sg.Out(ln)
 			minD := math.Inf(1)
 			for _, le := range outs {
-				if m.LinkD[le] < minD {
-					minD = m.LinkD[le]
+				if linkD[le] < minD {
+					minD = linkD[le]
 				}
 			}
 			if math.IsInf(minD, 1) {
 				continue
 			}
 			for _, le := range outs {
-				if u.R.Phi[j][le] > MinPhi {
-					gap := (m.LinkD[le] - minD) / (1 + minD)
+				if phi[le] > MinPhi {
+					gap := (linkD[le] - minD) / (1 + minD)
 					if gap > rep.MaxUsedGap {
 						rep.MaxUsedGap = gap
 						rep.WorstNode = sg.Nodes[ln]
 						rep.WorstCommodity = j
 					}
 				}
-				if viol := (m.Rho[ln] - m.LinkD[le]) / (1 + m.Rho[ln]); viol > rep.MaxSufficientViolation {
+				if viol := (rho[ln] - linkD[le]) / (1 + rho[ln]); viol > rep.MaxSufficientViolation {
 					rep.MaxSufficientViolation = viol
 				}
 			}

@@ -54,3 +54,33 @@ func TestStationarityZeroGapAtFixedPoint(t *testing.T) {
 		t.Fatalf("sufficient-condition violation %g at the fixed point", rep.MaxSufficientViolation)
 	}
 }
+
+// TestEngineStationarityMatchesCheck: the engine's in-place convergence
+// test reports exactly what CheckStationarity reports on a fresh
+// evaluation, and interleaving it with Steps — each check leaves its
+// forecast behind for the next Step to reuse — does not move the
+// trajectory.
+func TestEngineStationarityMatchesCheck(t *testing.T) {
+	x := randomExtended(t, 31)
+	checked, plain := New(x, Config{Workers: 1}), New(x, Config{Workers: 1})
+	for i := 0; i < 120; i++ {
+		checked.Step()
+		plain.Step()
+		if i%7 != 0 {
+			continue
+		}
+		got := checked.Stationarity()
+		if want := CheckStationarity(flow.Evaluate(plain.Routing())); got != want {
+			t.Fatalf("iteration %d: engine reports %+v, CheckStationarity %+v", i, got, want)
+		}
+		if again := checked.Stationarity(); again != got {
+			t.Fatalf("iteration %d: repeated check moved: %+v then %+v", i, got, again)
+		}
+	}
+	for j := range x.Sub {
+		if k := sameBits(checked.R.Phi[j], plain.R.Phi[j]); k >= 0 {
+			t.Fatalf("commodity %d: φ[%d] = %v with interleaved checks, %v without",
+				j, k, checked.R.Phi[j][k], plain.R.Phi[j][k])
+		}
+	}
+}

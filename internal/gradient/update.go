@@ -7,11 +7,10 @@ import (
 	"repro/internal/transform"
 )
 
-// ApplyGamma performs the §5 routing update Γ (eqs. 14–17) for
-// commodity j, writing the new routing variables into next (which may
-// alias u's routing for in-place update only if callers do not need the
-// old values; the engine always passes a clone). tagged uses commodity
-// j's local node indexing, as returned by ComputeTags.
+// gamma performs the §5 routing update Γ (eqs. 14–17) for commodity j,
+// writing the new routing variables of every node that has a choice
+// into next, whose row the caller has seeded with the current one.
+// tagged uses commodity j's local node indexing (nil: blocking off).
 //
 // At each node the fraction routed over every non-best unblocked link
 // decreases by Δ = min(φ, η·a/t) where a is the link's marginal excess
@@ -19,30 +18,35 @@ import (
 // the best link (eq. 17). When t_i(j) = 0 the step η·a/t is unbounded
 // and the update shifts the full fraction — the limit Gallager's
 // analysis prescribes (DESIGN.md §6).
-func ApplyGamma(u *flow.Usage, j int, m *Marginals, tagged []bool, eta float64, next *flow.Routing) {
+//
+// Only Subgraph.Branch nodes are visited. At a node with a single
+// member out-edge the update is the identity: that edge is the best
+// link and receives φ + 0, or — when it is blocked or its marginal is
+// not finite — updateNode returns before writing; either way the
+// seeded value stands. Nodes update independently (each reads the old
+// row and writes only its own out-edges), so the visiting order is
+// immaterial.
+func gamma(u *flow.Usage, j int, linkD []float64, tagged []bool, eta float64, next []float64) {
 	sg := &u.R.X.Sub[j]
-	for _, ln := range sg.Topo {
-		if ln == sg.Sink {
-			continue
-		}
-		updateNode(u, j, sg, m, tagged, eta, next, ln)
+	phi, t := u.R.Phi[j], u.T[j]
+	for _, ln := range sg.Branch() {
+		updateNode(sg, phi, linkD, tagged, eta, next, sg.Out(ln), t[ln])
 	}
 }
 
-func updateNode(u *flow.Usage, j int, sg *transform.Subgraph, m *Marginals, tagged []bool, eta float64, next *flow.Routing, ln int32) {
-	phi := u.R.Phi[j]
-
+// updateNode applies Γ at one node: outs are its member out-edges, t
+// its traffic t_i(j).
+func updateNode(sg *transform.Subgraph, phi, linkD []float64, tagged []bool, eta float64, next []float64, outs []int32, t float64) {
 	// Find the best (minimum-marginal) unblocked out-link; ties break
 	// toward the lowest edge ID for determinism. A node k is blocked
 	// (k ∈ B_i(j)) when φ_ik = 0 and k's broadcast was tagged.
 	best := int32(-1)
 	bestD := math.Inf(1)
-	outs := sg.Out(ln)
 	for _, le := range outs {
 		if blocked(phi, sg, tagged, le) {
 			continue
 		}
-		if d := m.LinkD[le]; d < bestD {
+		if d := linkD[le]; d < bestD {
 			bestD = d
 			best = le
 		}
@@ -51,27 +55,26 @@ func updateNode(u *flow.Usage, j int, sg *transform.Subgraph, m *Marginals, tagg
 		return // node carries no commodity-j traffic options
 	}
 
-	t := u.T[j][ln]
 	moved := 0.0
 	for _, le := range outs {
 		if le == best {
 			continue
 		}
 		if blocked(phi, sg, tagged, le) {
-			next.Phi[j][le] = 0 // eq. 14
+			next[le] = 0 // eq. 14
 			continue
 		}
-		a := m.LinkD[le] - bestD // eq. 15
+		a := linkD[le] - bestD // eq. 15
 		var delta float64
 		if t > 0 {
 			delta = math.Min(phi[le], eta*a/t) // eq. 16
 		} else {
 			delta = phi[le] // t → 0 limit: empty every non-best link
 		}
-		next.Phi[j][le] = phi[le] - delta
+		next[le] = phi[le] - delta
 		moved += delta
 	}
-	next.Phi[j][best] = phi[best] + moved // eq. 17
+	next[best] = phi[best] + moved // eq. 17
 }
 
 // blocked reports whether member edge le's head is in the tail's

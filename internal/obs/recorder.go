@@ -9,14 +9,13 @@ import (
 // Phase names one timed section of gradient.Engine.Step.
 type Phase int
 
-// The four phases of a §5 iteration.
+// The three phases of a §5 iteration.
 const (
 	// PhaseForecast is the flow-forecast wave (flow.Evaluate).
 	PhaseForecast Phase = iota
-	// PhaseMarginal is the upstream marginal-cost wave.
+	// PhaseMarginal is the upstream marginal-cost wave, including the
+	// loop-freedom tags that ride on its broadcasts.
 	PhaseMarginal
-	// PhaseTagging is the loop-freedom tag computation.
-	PhaseTagging
 	// PhaseUpdate is the Γ routing update.
 	PhaseUpdate
 
@@ -34,8 +33,6 @@ func (p Phase) String() string {
 		return "forecast"
 	case PhaseMarginal:
 		return "marginal"
-	case PhaseTagging:
-		return "tagging"
 	case PhaseUpdate:
 		return "update"
 	}
@@ -626,16 +623,25 @@ func (r *Recorder) StartPhase(p Phase) PhaseTiming {
 	return PhaseTiming{r: r, p: p, start: time.Now()}
 }
 
-// Done records the elapsed wall-clock into the phase histogram, and —
-// when a tracer is attached — into the current iteration's phase
-// accumulator so the next TraceSample carries the split.
+// Done records the elapsed wall-clock as one observation of the phase.
 func (t PhaseTiming) Done() {
-	if t.r == nil {
+	if t.r != nil {
+		t.r.ObservePhase(t.p, time.Since(t.start))
+	}
+}
+
+// ObservePhase records d into the phase histogram, and — when a tracer
+// is attached — into the current iteration's phase accumulator so the
+// next TraceSample carries the split. Callers that time a phase in
+// pieces (the per-commodity waves, possibly on several workers) sum the
+// pieces themselves and observe once per iteration.
+func (r *Recorder) ObservePhase(p Phase, d time.Duration) {
+	if r == nil {
 		return
 	}
-	sec := time.Since(t.start).Seconds()
-	t.r.phase[t.p].Observe(sec)
-	if t.r.tracer != nil {
-		t.r.phaseAcc[t.p].Add(sec)
+	sec := d.Seconds()
+	r.phase[p].Observe(sec)
+	if r.tracer != nil {
+		r.phaseAcc[p].Add(sec)
 	}
 }

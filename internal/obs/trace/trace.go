@@ -37,7 +37,7 @@ type Sample struct {
 	// Admitted is a_j per commodity.
 	Admitted []float64 `json:"admitted"`
 	// PhaseSeconds is the iteration's wall-clock split across the Step
-	// phases, indexed by obs.Phase (forecast, marginal, tagging, update).
+	// phases, indexed by obs.Phase (forecast, marginal — tags included — and update).
 	PhaseSeconds [obs.NumPhases]float64 `json:"phaseSeconds"`
 }
 

@@ -982,8 +982,7 @@ func (s *Server) solveOnce() {
 			break
 		}
 		if s.opts.StationaryTol > 0 && i%stationaryEvery == stationaryEvery-1 {
-			rep := gradient.CheckStationarity(flow.Evaluate(eng.Routing()))
-			if rep.MaxUsedGap <= s.opts.StationaryTol {
+			if eng.Stationarity().MaxUsedGap <= s.opts.StationaryTol {
 				converged = true
 				break
 			}
@@ -999,7 +998,7 @@ func (s *Server) solveOnce() {
 	}
 	it.End()
 
-	u := eng.Solution()
+	u := eng.Usage() // the engine is done stepping; no copy needed
 	feasible, _ := u.Feasible()
 	snap := &Snapshot{
 		Rev:          rev,

@@ -166,17 +166,16 @@ type Coordinator struct {
 	parts   [][]float64 // merge scratch, one entry per built runner
 }
 
-// runner is one solver shard: its own subset transform, workspace and
-// engine. All fields are touched only by the coordinator (sequentially)
-// or by the runner's own advance goroutine (exclusively), never both at
-// once.
+// runner is one solver shard: its own subset transform and engine (the
+// engine owns the usage workspace). All fields are touched only by the
+// coordinator (sequentially) or by the runner's own advance goroutine
+// (exclusively), never both at once.
 type runner struct {
 	id  int
 	cfg *Config
 
 	x   *transform.Extended
 	eng *gradient.Engine
-	u   *flow.Usage
 
 	names []string
 	local map[string]int
@@ -216,7 +215,7 @@ func (c *Coordinator) Shards() int { return c.cfg.Shards }
 func (c *Coordinator) Clear(p *stream.Problem) {
 	c.p = p
 	for _, r := range c.runners {
-		r.x, r.eng, r.u = nil, nil, nil
+		r.x, r.eng = nil, nil
 		r.names = r.names[:0]
 		r.local = nil
 		clear(r.own)
@@ -316,7 +315,7 @@ func (r *runner) rebuild(p *stream.Problem, subset []int) (warm bool, err error)
 	r.diverged, r.divergeErr = false, nil
 
 	if len(x.Commodities) == 0 {
-		r.x, r.eng, r.u = x, nil, nil
+		r.x, r.eng = x, nil
 		clear(r.own)
 		r.utility = 0
 		r.stationary = true
@@ -338,7 +337,6 @@ func (r *runner) rebuild(p *stream.Problem, subset []int) (warm bool, err error)
 		r.eng = gradient.New(x, gcfg)
 	}
 	r.x = x
-	r.u = flow.NewUsage(x)
 	r.stationary = false
 	r.warm = warm
 	return warm, nil
@@ -462,7 +460,10 @@ func (c *Coordinator) advanceAll(ctx context.Context) (stepped bool) {
 // advance runs up to ExchangeEvery gradient iterations against the
 // shard's current external-usage vector, refreshing its usage summary.
 // A shard that is already stationary and whose external usage has not
-// moved since skips entirely.
+// moved since skips entirely. The flows are forecast once per routing:
+// the engine keeps the evaluation this advance ends on for the check
+// the next one starts with (FNode does not depend on External; a
+// rebuild installs a new engine and with it a new forecast).
 func (r *runner) advance(ctx context.Context) (stepped bool) {
 	if r.eng == nil || r.diverged {
 		return false
@@ -471,15 +472,11 @@ func (r *runner) advance(ctx context.Context) (stepped bool) {
 		return false
 	}
 	tol := r.cfg.StationaryTol
-	r.evaluate()
-	if tol > 0 {
-		rep := gradient.CheckStationarity(r.u)
-		if rep.MaxUsedGap <= tol {
-			r.stationary = true
-			r.extMoved = false
-			r.capture()
-			return false
-		}
+	if tol > 0 && r.eng.Stationarity().MaxUsedGap <= tol {
+		r.stationary = true
+		r.extMoved = false
+		r.capture()
+		return false
 	}
 	r.stationary = false
 	n := r.cfg.ExchangeEvery
@@ -505,32 +502,20 @@ func (r *runner) advance(ctx context.Context) (stepped bool) {
 			break
 		}
 	}
-	r.evaluate()
 	r.extMoved = false
 	r.capture()
 	return stepped
 }
 
-// evaluate refreshes the runner's usage workspace from the engine's
-// current routing. The workspace is rebuilt alongside the engine, so a
-// shape mismatch means a stale workspace survived a rebuild race; it
-// is recovered by reallocating (flow.ErrWorkspaceShape is typed for
-// exactly this), not by crashing the shard.
-func (r *runner) evaluate() {
-	if err := flow.TryEvaluateInto(r.u, r.eng.Routing()); err != nil {
-		r.cfg.Logf("shard %d: stale usage workspace, reallocating: %v", r.id, err)
-		r.u = flow.NewUsage(r.eng.X)
-		flow.EvaluateInto(r.u, r.eng.Routing())
-	}
-}
-
 // capture refreshes the runner's usage summary — shared-prefix flow,
-// utility, per-commodity admitted rates — from the current evaluation.
+// utility, per-commodity admitted rates — from the engine's evaluation
+// of its current routing.
 func (r *runner) capture() {
-	r.u.SharedUsage(r.own)
-	r.utility = r.u.Utility()
+	u := r.eng.Usage()
+	u.SharedUsage(r.own)
+	r.utility = u.Utility()
 	for j := range r.admitted {
-		r.admitted[j] = r.u.AdmittedRate(j)
+		r.admitted[j] = u.AdmittedRate(j)
 	}
 }
 
@@ -649,10 +634,10 @@ func (c *Coordinator) Explain() []core.CommodityExplain {
 	}
 	byName := make(map[string]core.CommodityExplain)
 	for _, r := range c.runners {
-		if r.eng == nil || r.u == nil {
+		if r.eng == nil {
 			continue
 		}
-		for _, ce := range core.Explain(c.p, r.x, r.u) {
+		for _, ce := range core.Explain(c.p, r.x, r.eng.Usage()) {
 			byName[ce.Name] = ce
 		}
 	}

@@ -22,7 +22,6 @@ package transform
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/stream"
@@ -267,151 +266,15 @@ func Build(p *stream.Problem, opts Options) (*Extended, error) {
 	// links use β=1, c=1 so the difference-link usage equals the
 	// rejected rate.
 	x.Sub = make([]Subgraph, j)
+	b := newBuilder(x.G, p.Commodities, order)
 	for ci, gi := range order {
-		if err := buildSubgraph(x, ci, p.Commodities[gi], procHalf, wireHalf); err != nil {
+		if err := b.build(&x.Commodities[ci], p.Commodities[gi], procHalf, wireHalf); err != nil {
 			return nil, err
 		}
+		b.commit(&x.Sub[ci])
 	}
+	b.carve(x.Sub)
 	return x, nil
-}
-
-// buildSubgraph assembles commodity ci's Subgraph from the stream
-// commodity's edge map: candidate member edges in ascending global
-// order, the reach/co-reach trim (edges that cannot carry dummy→sink
-// flow are dropped — flow routed onto them would strand at a dead end
-// and violate flow balance), then local topo order and CSR adjacency.
-// Cost is O(k log k) in the commodity's own edge count.
-func buildSubgraph(x *Extended, ci int, sc *stream.Commodity, procHalf, wireHalf []graph.EdgeID) error {
-	xc := &x.Commodities[ci]
-
-	phys := make([]graph.EdgeID, 0, len(sc.Edges))
-	for e := range sc.Edges {
-		phys = append(phys, e)
-	}
-	sort.Slice(phys, func(a, b int) bool { return phys[a] < phys[b] })
-
-	// Candidate member edges in ascending extended-ID order: the
-	// (procHalf, wireHalf) pairs follow physical edge order, and the
-	// dummy links have the largest IDs of all.
-	ne := 2*len(phys) + 2
-	s := Subgraph{
-		Edges: make([]graph.EdgeID, 0, ne),
-		Beta:  make([]float64, 0, ne),
-		Cost:  make([]float64, 0, ne),
-	}
-	for _, e := range phys {
-		params := sc.Edges[e]
-		s.Edges = append(s.Edges, procHalf[e], wireHalf[e])
-		s.Beta = append(s.Beta, params.Beta, 1)
-		s.Cost = append(s.Cost, params.Cost, 1)
-	}
-	s.Edges = append(s.Edges, xc.InputLink, xc.DiffLink)
-	s.Beta = append(s.Beta, 1, 1)
-	s.Cost = append(s.Cost, 1, 1)
-
-	if err := finishSubgraph(x, ci, &s); err != nil {
-		return err
-	}
-	x.Sub[ci] = s
-	return nil
-}
-
-// finishSubgraph derives everything past the (Edges, Beta, Cost)
-// candidate arrays: node set, endpoints, trim, final compaction, topo
-// order, CSR, and the distinguished local indexes.
-func finishSubgraph(x *Extended, ci int, s *Subgraph) error {
-	xc := &x.Commodities[ci]
-	s.indexNodes(x.G)
-	s.buildCSR()
-
-	// Trim: keep only edges whose tail is reachable from the dummy and
-	// whose head co-reaches the sink, walking local adjacency only.
-	dummy := s.LocalNode(xc.Dummy)
-	sink := s.LocalNode(xc.Sink)
-	if dummy < 0 || sink < 0 {
-		return fmt.Errorf("transform: commodity %q: dummy or sink not in member subgraph", xc.Name)
-	}
-	reach := s.reachable(dummy, s.Out, s.Head)
-	coreach := s.reachable(sink, s.In, s.Tail)
-	kept := 0
-	for le := range s.Edges {
-		if reach[s.Tail[le]] && coreach[s.Head[le]] {
-			kept++
-		}
-	}
-	if kept != len(s.Edges) {
-		edges := make([]graph.EdgeID, 0, kept)
-		beta := make([]float64, 0, kept)
-		cost := make([]float64, 0, kept)
-		for le := range s.Edges {
-			if reach[s.Tail[le]] && coreach[s.Head[le]] {
-				edges = append(edges, s.Edges[le])
-				beta = append(beta, s.Beta[le])
-				cost = append(cost, s.Cost[le])
-			}
-		}
-		s.Edges, s.Beta, s.Cost = edges, beta, cost
-		s.indexNodes(x.G)
-		s.buildCSR()
-	}
-
-	if err := s.topoSort(); err != nil {
-		return fmt.Errorf("transform: commodity %q: %w", xc.Name, err)
-	}
-
-	s.Dummy = s.LocalNode(xc.Dummy)
-	s.Source = s.LocalNode(xc.Source)
-	s.Sink = s.LocalNode(xc.Sink)
-	s.InputLink = s.LocalEdge(xc.InputLink)
-	s.DiffLink = s.LocalEdge(xc.DiffLink)
-	if s.Dummy < 0 || s.Source < 0 || s.Sink < 0 || s.InputLink < 0 || s.DiffLink < 0 {
-		return fmt.Errorf("transform: commodity %q: dummy links trimmed away (sink unreachable?)", xc.Name)
-	}
-	return nil
-}
-
-// indexNodes (re)derives the sorted member node set and the local
-// Tail/Head arrays from the current edge list.
-func (s *Subgraph) indexNodes(g *graph.Graph) {
-	ends := make([]graph.NodeID, 0, 2*len(s.Edges))
-	for _, ge := range s.Edges {
-		ed := g.Edge(ge)
-		ends = append(ends, ed.From, ed.To)
-	}
-	sort.Slice(ends, func(a, b int) bool { return ends[a] < ends[b] })
-	s.Nodes = s.Nodes[:0]
-	for i, n := range ends {
-		if i == 0 || n != ends[i-1] {
-			s.Nodes = append(s.Nodes, n)
-		}
-	}
-	s.Tail = make([]int32, len(s.Edges))
-	s.Head = make([]int32, len(s.Edges))
-	for le, ge := range s.Edges {
-		ed := g.Edge(ge)
-		s.Tail[le] = s.LocalNode(ed.From)
-		s.Head[le] = s.LocalNode(ed.To)
-	}
-}
-
-// reachable runs a DFS from start over adj (Out with Head, or In with
-// Tail for the co-reachability direction).
-func (s *Subgraph) reachable(start int32, adj func(int32) []int32, to []int32) []bool {
-	seen := make([]bool, len(s.Nodes))
-	stack := []int32{start}
-	seen[start] = true
-	for len(stack) > 0 {
-		l := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, le := range adj(l) {
-			v := to[le]
-			if !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	return seen
 }
 
 // MemberEdge reports whether extended edge e is usable by commodity j
@@ -479,20 +342,27 @@ func (x *Extended) PenaltyValue(i graph.NodeID, z float64) float64 {
 	return x.Epsilon * x.Penalty.Value(z, c)
 }
 
+// ShadowPrice returns ε·D'_i(z) for node i at a usage z that already
+// is the global total — no External term is added — and zero for
+// uncapacitated nodes: the barrier's congestion price.
+func (x *Extended) ShadowPrice(i graph.NodeID, z float64) float64 {
+	c := x.Capacity[i]
+	if math.IsInf(c, 1) {
+		return 0
+	}
+	return x.Epsilon * x.Penalty.Deriv(z, c)
+}
+
 // PenaltyDeriv returns ε·D'_i(z + External_i) for node i, zero for
 // uncapacitated nodes. This is the ∂A_i/∂f_ik of eq. (11) for
 // non-difference links; under sharding it is the external-price term of
 // the marginal wave — congestion priced at global, not shard-local,
 // usage.
 func (x *Extended) PenaltyDeriv(i graph.NodeID, z float64) float64 {
-	c := x.Capacity[i]
-	if math.IsInf(c, 1) {
-		return 0
-	}
 	if int(i) < len(x.External) {
 		z += x.External[i]
 	}
-	return x.Epsilon * x.Penalty.Deriv(z, c)
+	return x.ShadowPrice(i, z)
 }
 
 // SetExternal installs ext (length ≤ SharedNodes; usually exactly

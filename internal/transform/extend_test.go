@@ -409,3 +409,79 @@ func equalEdges(a, b []graph.EdgeID) bool {
 	}
 	return true
 }
+
+// TestBranchAndDepthConstants checks the two topology constants Build
+// precomputes for the solver against their definitions: Branch is the
+// Topo subsequence of nodes with two or more member out-edges, Depth
+// the longest member path in edges.
+func TestBranchAndDepthConstants(t *testing.T) {
+	p, err := randnet.Generate(randnet.Config{Seed: 3, Nodes: 18, Commodities: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse, err := randnet.GenerateSparse(randnet.Config{Seed: 13, Nodes: 48, Layers: 6, Commodities: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []*Extended{mustBuild(t, p, Options{}), mustBuild(t, sparse, Options{}), mustBuild(t, twoPathProblem(t), Options{})} {
+		for j := range x.Sub {
+			sg := &x.Sub[j]
+			var want []int32
+			longest := make([]int, sg.NumNodes())
+			depth := 0
+			for _, l := range sg.Topo {
+				if len(sg.Out(l)) >= 2 {
+					want = append(want, l)
+				}
+				for _, le := range sg.Out(l) {
+					if h := sg.Head[le]; longest[l]+1 > longest[h] {
+						longest[h] = longest[l] + 1
+						depth = max(depth, longest[h])
+					}
+				}
+			}
+			got := sg.Branch()
+			if len(got) != len(want) {
+				t.Fatalf("commodity %d: branch list %v, want %v", j, got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("commodity %d: branch list %v, want %v", j, got, want)
+				}
+			}
+			if sg.Depth() != depth {
+				t.Fatalf("commodity %d: Depth() = %d, longest path has %d edges", j, sg.Depth(), depth)
+			}
+			if len(sg.Out(sg.Dummy)) != 2 || len(sg.Out(sg.Sink)) != 0 {
+				t.Fatalf("commodity %d: dummy has %d out-edges, sink %d", j, len(sg.Out(sg.Dummy)), len(sg.Out(sg.Sink)))
+			}
+		}
+	}
+}
+
+// TestSubgraphSlabsAreClipped: the per-commodity arrays share slabs, so
+// every one of them must be clipped to its own length — an append
+// through one may not run into its neighbour.
+func TestSubgraphSlabsAreClipped(t *testing.T) {
+	p, err := randnet.Generate(randnet.Config{Seed: 3, Nodes: 18, Commodities: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := mustBuild(t, p, Options{})
+	for j := range x.Sub {
+		sg := &x.Sub[j]
+		for name, spare := range map[string]int{
+			"Nodes": cap(sg.Nodes) - len(sg.Nodes), "Edges": cap(sg.Edges) - len(sg.Edges),
+			"Beta": cap(sg.Beta) - len(sg.Beta), "Cost": cap(sg.Cost) - len(sg.Cost),
+			"Tail": cap(sg.Tail) - len(sg.Tail), "Head": cap(sg.Head) - len(sg.Head),
+			"Topo": cap(sg.Topo) - len(sg.Topo), "RevTopo": cap(sg.RevTopo()) - len(sg.RevTopo()),
+			"Branch":   cap(sg.Branch()) - len(sg.Branch()),
+			"outEdges": cap(sg.outEdges) - len(sg.outEdges), "inEdges": cap(sg.inEdges) - len(sg.inEdges),
+			"outIdx": cap(sg.outIdx) - len(sg.outIdx), "inIdx": cap(sg.inIdx) - len(sg.inIdx),
+		} {
+			if spare != 0 {
+				t.Fatalf("commodity %d: %s has %d spare capacity into the shared slab", j, name, spare)
+			}
+		}
+	}
+}

@@ -1,9 +1,12 @@
 package transform
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/stream"
 )
 
 // Subgraph is one commodity's member subgraph in compact local indexing:
@@ -27,6 +30,11 @@ import (
 // ascending global edge-ID order, matching a filtered G.Out scan.
 // Floating-point accumulation over (Topo, Out) is therefore
 // bit-identical to the dense-table scan it replaced.
+//
+// Storage: the slices below are carved from a few flat slabs Build
+// allocates per Extended (see builder), one contiguous block per
+// commodity, so a sweep over commodities streams through memory
+// instead of chasing a dozen small allocations each.
 type Subgraph struct {
 	// Nodes maps local node index → extended-graph node ID, strictly
 	// ascending. Only nodes incident to a surviving member edge appear.
@@ -47,9 +55,12 @@ type Subgraph struct {
 
 	// Topo is the member-DAG topological order over local node indexes
 	// (see the determinism contract above). revTopo caches its reverse
-	// for the upstream marginal wave.
+	// for the upstream marginal wave. branch is the Topo subsequence of
+	// nodes with two or more member out-edges: the only nodes where the
+	// routing update Γ has a choice to make.
 	Topo    []int32
 	revTopo []int32
+	branch  []int32
 
 	// CSR adjacency over local indexes: the out-edges of local node l
 	// are outEdges[outIdx[l]:outIdx[l+1]], ascending (global) edge
@@ -66,6 +77,8 @@ type Subgraph struct {
 	// Local edge indexes of the dummy input and difference links.
 	InputLink int32
 	DiffLink  int32
+	// depth is the longest member path in edges (see Depth).
+	depth int32
 }
 
 // NumNodes reports the member node count.
@@ -92,6 +105,12 @@ func (s *Subgraph) In(l int32) []int32 {
 // the upstream marginal-cost wave. Callers must not modify it.
 func (s *Subgraph) RevTopo() []int32 { return s.revTopo }
 
+// Branch returns, in Topo order, the local nodes with two or more
+// member out-edges. At every other node the routing fraction is pinned
+// (one out-edge carries everything, the sink none), so the update Γ
+// visits only these. Callers must not modify the slice.
+func (s *Subgraph) Branch() []int32 { return s.branch }
+
 // LocalNode returns the local index of extended node n, or -1 when n is
 // not a member node. O(log member nodes).
 func (s *Subgraph) LocalNode(n graph.NodeID) int32 {
@@ -113,24 +132,9 @@ func (s *Subgraph) LocalEdge(e graph.EdgeID) int32 {
 }
 
 // Depth returns the number of edges on the longest member path — the L
-// in the paper's O(L) message-round analysis, computed locally in
-// O(member edges).
-func (s *Subgraph) Depth() int {
-	depth := make([]int32, len(s.Nodes))
-	best := int32(0)
-	for _, l := range s.Topo {
-		for _, le := range s.Out(l) {
-			h := s.Head[le]
-			if d := depth[l] + 1; d > depth[h] {
-				depth[h] = d
-				if d > best {
-					best = d
-				}
-			}
-		}
-	}
-	return int(best)
-}
+// in the paper's O(L) message-round analysis. A topology constant,
+// computed once by Build.
+func (s *Subgraph) Depth() int { return int(s.depth) }
 
 // Bytes reports the heap footprint of this subgraph's arrays — the
 // per-commodity build memory the streamopt_build_bytes gauge surfaces.
@@ -142,18 +146,156 @@ func (s *Subgraph) Bytes() int64 {
 	)
 	n := int64(len(s.Nodes))*idSize + int64(len(s.Edges))*idSize
 	n += int64(len(s.Beta)+len(s.Cost)) * f64Size
-	n += int64(len(s.Tail)+len(s.Head)+len(s.Topo)+len(s.revTopo)) * i32Size
+	n += int64(len(s.Tail)+len(s.Head)+len(s.Topo)+len(s.revTopo)+len(s.branch)) * i32Size
 	n += int64(len(s.outIdx)+len(s.outEdges)+len(s.inIdx)+len(s.inEdges)) * i32Size
 	return n
+}
+
+// builder assembles every Subgraph of one Build. Each commodity is
+// worked out in scratch buffers reused from one commodity to the next
+// (the member arrays of s plus the sort, mark and counter buffers),
+// then appended in its final compact form to four staging slabs; carve
+// hands the finished slabs out as the Subgraph slices. A Build thus
+// makes a handful of large allocations instead of a dozen small ones
+// per commodity, and each commodity's arrays end up contiguous.
+type builder struct {
+	g *graph.Graph
+
+	s     Subgraph       // the commodity under construction
+	phys  []graph.EdgeID // its physical edges, sorted
+	ends  []graph.NodeID // edge endpoints, sorted to derive Nodes
+	mark  []bool         // reach | coreach marks of the trim
+	stack []int32        // DFS stack, then the topo sort's heap frontier
+	count []int32        // CSR cursors, then indegrees, then path depths
+
+	// Staged results: per commodity one block in each slab, in the
+	// order commit appends and carve takes them, sized by dims.
+	i32   []int32
+	f64   []float64
+	nodes []graph.NodeID
+	edges []graph.EdgeID
+	dims  []subgraphDims
+}
+
+type subgraphDims struct{ nodes, edges, branch int }
+
+// newBuilder sizes the staging slabs for the listed commodities. The
+// edge-indexed estimate (two extended edges per physical edge plus the
+// two dummy links) is exact unless the trim drops something; nodes are
+// bounded through nn ≤ ne+1, which holds for any subgraph whose every
+// node lies on a dummy→sink path.
+func newBuilder(g *graph.Graph, cs []*stream.Commodity, order []int) *builder {
+	ne := 0
+	for _, gi := range order {
+		ne += 2*len(cs[gi].Edges) + 2
+	}
+	nn := ne + len(order)
+	return &builder{
+		g:     g,
+		i32:   make([]int32, 0, 5*nn+4*ne),
+		f64:   make([]float64, 0, 2*ne),
+		nodes: make([]graph.NodeID, 0, nn),
+		edges: make([]graph.EdgeID, 0, ne),
+		dims:  make([]subgraphDims, 0, len(order)),
+	}
+}
+
+// build assembles one commodity's Subgraph in the scratch b.s from the
+// stream commodity's edge map: candidate member edges in ascending
+// global order, the reach/co-reach trim (edges that cannot carry
+// dummy→sink flow are dropped — flow routed onto them would strand at
+// a dead end and violate flow balance), then local topo order, CSR
+// adjacency and the distinguished local indexes. Cost is O(k log k) in
+// the commodity's own edge count.
+func (b *builder) build(xc *Commodity, sc *stream.Commodity, procHalf, wireHalf []graph.EdgeID) error {
+	s := &b.s
+
+	// Candidate member edges in ascending extended-ID order: the
+	// (procHalf, wireHalf) pairs follow physical edge order, and the
+	// dummy links have the largest IDs of all.
+	b.phys = b.phys[:0]
+	for e := range sc.Edges {
+		b.phys = append(b.phys, e)
+	}
+	slices.Sort(b.phys)
+	s.Edges, s.Beta, s.Cost = s.Edges[:0], s.Beta[:0], s.Cost[:0]
+	for _, e := range b.phys {
+		params := sc.Edges[e]
+		s.Edges = append(s.Edges, procHalf[e], wireHalf[e])
+		s.Beta = append(s.Beta, params.Beta, 1)
+		s.Cost = append(s.Cost, params.Cost, 1)
+	}
+	s.Edges = append(s.Edges, xc.InputLink, xc.DiffLink)
+	s.Beta = append(s.Beta, 1, 1)
+	s.Cost = append(s.Cost, 1, 1)
+
+	b.indexNodes()
+	b.buildCSR()
+	dummy := s.LocalNode(xc.Dummy)
+	sink := s.LocalNode(xc.Sink)
+	if dummy < 0 || sink < 0 {
+		return fmt.Errorf("transform: commodity %q: dummy or sink not in member subgraph", xc.Name)
+	}
+	b.trim(dummy, sink)
+	if err := b.topoSort(); err != nil {
+		return fmt.Errorf("transform: commodity %q: %w", xc.Name, err)
+	}
+
+	s.Dummy = s.LocalNode(xc.Dummy)
+	s.Source = s.LocalNode(xc.Source)
+	s.Sink = s.LocalNode(xc.Sink)
+	s.InputLink = s.LocalEdge(xc.InputLink)
+	s.DiffLink = s.LocalEdge(xc.DiffLink)
+	if s.Dummy < 0 || s.Source < 0 || s.Sink < 0 || s.InputLink < 0 || s.DiffLink < 0 {
+		return fmt.Errorf("transform: commodity %q: dummy links trimmed away (sink unreachable?)", xc.Name)
+	}
+	return nil
+}
+
+// resized returns s with length n, reusing its backing array when it is
+// large enough. The contents are unspecified.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// indexNodes (re)derives the sorted member node set and the local
+// Tail/Head arrays from the current edge list.
+func (b *builder) indexNodes() {
+	s := &b.s
+	b.ends = b.ends[:0]
+	for _, ge := range s.Edges {
+		ed := b.g.Edge(ge)
+		b.ends = append(b.ends, ed.From, ed.To)
+	}
+	slices.Sort(b.ends)
+	s.Nodes = s.Nodes[:0]
+	for i, n := range b.ends {
+		if i == 0 || n != b.ends[i-1] {
+			s.Nodes = append(s.Nodes, n)
+		}
+	}
+	s.Tail = resized(s.Tail, len(s.Edges))
+	s.Head = resized(s.Head, len(s.Edges))
+	for le, ge := range s.Edges {
+		ed := b.g.Edge(ge)
+		s.Tail[le] = s.LocalNode(ed.From)
+		s.Head[le] = s.LocalNode(ed.To)
+	}
 }
 
 // buildCSR fills the CSR adjacency from Tail/Head. Edges are processed
 // in ascending local (= global) order, so each per-node list comes out
 // ascending.
-func (s *Subgraph) buildCSR() {
+func (b *builder) buildCSR() {
+	s := &b.s
 	nn, ne := len(s.Nodes), len(s.Edges)
-	s.outIdx = make([]int32, nn+1)
-	s.inIdx = make([]int32, nn+1)
+	s.outIdx = resized(s.outIdx, nn+1)
+	s.inIdx = resized(s.inIdx, nn+1)
+	clear(s.outIdx)
+	clear(s.inIdx)
 	for le := 0; le < ne; le++ {
 		s.outIdx[s.Tail[le]+1]++
 		s.inIdx[s.Head[le]+1]++
@@ -162,10 +304,12 @@ func (s *Subgraph) buildCSR() {
 		s.outIdx[l+1] += s.outIdx[l]
 		s.inIdx[l+1] += s.inIdx[l]
 	}
-	s.outEdges = make([]int32, ne)
-	s.inEdges = make([]int32, ne)
-	outNext := append([]int32(nil), s.outIdx[:nn]...)
-	inNext := append([]int32(nil), s.inIdx[:nn]...)
+	s.outEdges = resized(s.outEdges, ne)
+	s.inEdges = resized(s.inEdges, ne)
+	b.count = resized(b.count, 2*nn)
+	outNext, inNext := b.count[:nn], b.count[nn:]
+	copy(outNext, s.outIdx)
+	copy(inNext, s.inIdx)
 	for le := 0; le < ne; le++ {
 		t, h := s.Tail[le], s.Head[le]
 		s.outEdges[outNext[t]] = int32(le)
@@ -175,26 +319,75 @@ func (s *Subgraph) buildCSR() {
 	}
 }
 
-// topoSort computes Topo/revTopo with Kahn's algorithm and a min-heap
-// frontier over local indexes. Local index order is global node-ID
-// order, so min-local-first equals the min-global-ID-first tie-break of
-// graph.TopoSortFiltered. Returns graph.ErrCycle on a cyclic member
-// subgraph.
-func (s *Subgraph) topoSort() error {
+// reachable marks in seen the nodes a DFS from start reaches over adj
+// (Out with Head, or In with Tail for the co-reachability direction).
+func (b *builder) reachable(seen []bool, start int32, adj func(int32) []int32, to []int32) {
+	clear(seen)
+	b.stack = append(b.stack[:0], start)
+	seen[start] = true
+	for len(b.stack) > 0 {
+		l := b.stack[len(b.stack)-1]
+		b.stack = b.stack[:len(b.stack)-1]
+		for _, le := range adj(l) {
+			v := to[le]
+			if !seen[v] {
+				seen[v] = true
+				b.stack = append(b.stack, v)
+			}
+		}
+	}
+}
+
+// trim drops the edges that cannot carry dummy→sink flow — those whose
+// tail is not reachable from the dummy or whose head does not co-reach
+// the sink — compacting Edges/Beta/Cost in place and re-deriving the
+// node set and adjacency when anything went.
+func (b *builder) trim(dummy, sink int32) {
+	s := &b.s
 	nn := len(s.Nodes)
-	indeg := make([]int32, nn)
+	b.mark = resized(b.mark, 2*nn)
+	reach, coreach := b.mark[:nn], b.mark[nn:]
+	b.reachable(reach, dummy, s.Out, s.Head)
+	b.reachable(coreach, sink, s.In, s.Tail)
+	kept := 0
+	for le := range s.Edges {
+		if reach[s.Tail[le]] && coreach[s.Head[le]] {
+			s.Edges[kept], s.Beta[kept], s.Cost[kept] = s.Edges[le], s.Beta[le], s.Cost[le]
+			kept++
+		}
+	}
+	if kept == len(s.Edges) {
+		return
+	}
+	s.Edges, s.Beta, s.Cost = s.Edges[:kept], s.Beta[:kept], s.Cost[:kept]
+	b.indexNodes()
+	b.buildCSR()
+}
+
+// topoSort computes Topo/revTopo with Kahn's algorithm and a min-heap
+// frontier over local indexes, then the two topology constants the
+// solver reads off them: the branch list and the longest-path depth.
+// Local index order is global node-ID order, so min-local-first equals
+// the min-global-ID-first tie-break of graph.TopoSortFiltered. Returns
+// graph.ErrCycle on a cyclic member subgraph.
+func (b *builder) topoSort() error {
+	s := &b.s
+	nn := len(s.Nodes)
+	b.count = resized(b.count, nn)
+	indeg := b.count
+	clear(indeg)
 	for _, h := range s.Head {
 		indeg[h]++
 	}
 	// An ascending array satisfies the heap property, so the initial
 	// frontier needs no sift-up pass.
-	var frontier int32Heap
+	frontier := int32Heap(b.stack[:0])
 	for l := 0; l < nn; l++ {
 		if indeg[l] == 0 {
 			frontier = append(frontier, int32(l))
 		}
 	}
-	s.Topo = make([]int32, 0, nn)
+	s.Topo = s.Topo[:0]
 	for len(frontier) > 0 {
 		l := frontier.pop()
 		s.Topo = append(s.Topo, l)
@@ -206,14 +399,96 @@ func (s *Subgraph) topoSort() error {
 			}
 		}
 	}
+	b.stack = frontier
 	if len(s.Topo) != nn {
 		return graph.ErrCycle
 	}
-	s.revTopo = make([]int32, nn)
+	s.revTopo = resized(s.revTopo, nn)
 	for i, l := range s.Topo {
 		s.revTopo[nn-1-i] = l
 	}
+
+	depth := indeg // all zero once every node has been popped
+	s.branch, s.depth = s.branch[:0], 0
+	for _, l := range s.Topo {
+		outs := s.Out(l)
+		if len(outs) >= 2 {
+			s.branch = append(s.branch, l)
+		}
+		for _, le := range outs {
+			h := s.Head[le]
+			if d := depth[l] + 1; d > depth[h] {
+				depth[h] = d
+				s.depth = max(s.depth, d)
+			}
+		}
+	}
 	return nil
+}
+
+// commit stages the finished commodity: its scalars go to dst now, its
+// arrays to the slabs, hot wave arrays first in each block.
+func (b *builder) commit(dst *Subgraph) {
+	s := &b.s
+	*dst = Subgraph{
+		Dummy: s.Dummy, Source: s.Source, Sink: s.Sink,
+		InputLink: s.InputLink, DiffLink: s.DiffLink, depth: s.depth,
+	}
+	b.dims = append(b.dims, subgraphDims{len(s.Nodes), len(s.Edges), len(s.branch)})
+	b.i32 = append(b.i32, s.revTopo...)
+	b.i32 = append(b.i32, s.outIdx...)
+	b.i32 = append(b.i32, s.outEdges...)
+	b.i32 = append(b.i32, s.Head...)
+	b.i32 = append(b.i32, s.branch...)
+	b.i32 = append(b.i32, s.Topo...)
+	b.i32 = append(b.i32, s.Tail...)
+	b.i32 = append(b.i32, s.inIdx...)
+	b.i32 = append(b.i32, s.inEdges...)
+	b.f64 = append(b.f64, s.Cost...)
+	b.f64 = append(b.f64, s.Beta...)
+	b.nodes = append(b.nodes, s.Nodes...)
+	b.edges = append(b.edges, s.Edges...)
+}
+
+// carve fits the staged slabs to their contents and slices every
+// committed commodity's arrays out of them, in commit's order.
+func (b *builder) carve(sub []Subgraph) {
+	i32, f64 := fitted(b.i32), fitted(b.f64)
+	nodes, edges := fitted(b.nodes), fitted(b.edges)
+	for j, d := range b.dims {
+		s := &sub[j]
+		s.revTopo = take(&i32, d.nodes)
+		s.outIdx = take(&i32, d.nodes+1)
+		s.outEdges = take(&i32, d.edges)
+		s.Head = take(&i32, d.edges)
+		s.branch = take(&i32, d.branch)
+		s.Topo = take(&i32, d.nodes)
+		s.Tail = take(&i32, d.edges)
+		s.inIdx = take(&i32, d.nodes+1)
+		s.inEdges = take(&i32, d.edges)
+		s.Cost = take(&f64, d.edges)
+		s.Beta = take(&f64, d.edges)
+		s.Nodes = take(&nodes, d.nodes)
+		s.Edges = take(&edges, d.edges)
+	}
+}
+
+// fitted returns s without spare capacity, copying only when the
+// staging estimate overshot: the slabs live as long as the Extended
+// (the server's history ring keeps several), so slack is not free.
+func fitted[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
+}
+
+// take cuts the next n elements off the front of *slab, capacity
+// clipped so an append through the result cannot reach its neighbour.
+func take[T any](slab *[]T, n int) []T {
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
 }
 
 // int32Heap is a binary min-heap of local indexes backing the local
