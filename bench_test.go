@@ -20,7 +20,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/loadgen"
 	"repro/internal/obs/span"
-	"repro/internal/placement"
 	"repro/internal/qsim"
 	"repro/internal/randnet"
 	"repro/internal/refopt"
@@ -433,45 +432,6 @@ func BenchmarkDecomposePaths(b *testing.B) {
 	}
 }
 
-// --- Operator placement (the §2 assumption, built) ---
-
-func BenchmarkPlacementSearch(b *testing.B) {
-	servers := make([]stream.ServerSpec, 8)
-	for i := range servers {
-		servers[i] = stream.ServerSpec{
-			Name:     string(rune('a' + i)),
-			Capacity: float64(10 + 10*i),
-		}
-	}
-	streams := []stream.StreamSpec{
-		{
-			Name:    "s1",
-			MaxRate: 60,
-			Utility: utility.Linear{Slope: 1},
-			Tasks: []stream.Task{
-				{Name: "A", Beta: 1, Cost: 1},
-				{Name: "B", Beta: 0.5, Cost: 2},
-				{Name: "C", Beta: 1, Cost: 1},
-			},
-		},
-		{
-			Name:    "s2",
-			MaxRate: 40,
-			Utility: utility.Linear{Slope: 1},
-			Tasks: []stream.Task{
-				{Name: "D", Beta: 2, Cost: 1},
-				{Name: "E", Beta: 1, Cost: 1},
-			},
-		},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := placement.Place(servers, streams, placement.Config{Seed: int64(i), Replication: 2, SwapBudget: 30}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Decision-lifecycle tracing (internal/obs/span) ---
 
 // BenchmarkDecisionSpan prices one traced decision: a root span with
@@ -570,6 +530,10 @@ func BenchmarkServerMutation(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
+	// Close lets the parked loop run one drained solve; keep it out of
+	// the measurement (at -benchtime=1x it was 2 000 of 2 300 allocs/op,
+	// or none, depending on whether the loop had been scheduled yet).
+	defer b.StopTimer()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -602,6 +566,10 @@ func BenchmarkServerMutationJournaled(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
+	// Close lets the parked loop run one drained solve; keep it out of
+	// the measurement (at -benchtime=1x it was 2 000 of 2 300 allocs/op,
+	// or none, depending on whether the loop had been scheduled yet).
+	defer b.StopTimer()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -99,9 +99,9 @@ func main() {
 	flag.IntVar(&cfg.workers, "workers", 0, "worker-pool bound for the per-commodity gradient waves (0 = GOMAXPROCS)")
 	flag.Float64Var(&cfg.stationaryTol, "stationary-tol", 1e-3, "Theorem-2 stationarity tolerance ending a solve early (<0 disables)")
 	flag.DurationVar(&cfg.debounce, "debounce", 25*time.Millisecond, "mutation coalescing window before a re-solve")
-	flag.IntVar(&cfg.shards, "shards", 1, "solver shards commodities are partitioned across (1 = single engine)")
+	flag.IntVar(&cfg.shards, "shards", 1, "solver shards commodities are partitioned across (1 = one shard owns every commodity, nothing to exchange)")
 	flag.Uint64Var(&cfg.placementSalt, "placement-salt", 0, "consistent-hash salt for commodity→shard placement")
-	flag.IntVar(&cfg.priceExchangeEvry, "price-exchange-every", 25, "gradient iterations each shard runs between price-exchange rounds")
+	flag.IntVar(&cfg.priceExchangeEvry, "price-exchange-every", 25, "gradient iterations each shard runs between stationarity checks and price-exchange rounds")
 	flag.Float64Var(&cfg.priceDamping, "price-damping", 0.5, "damping γ ∈ (0,1] of the external-usage exchange update")
 	flag.StringVar(&cfg.eventsOut, "events-out", "", "write solver/server JSONL events to this file")
 	flag.Int64Var(&cfg.eventsMaxBytes, "events-max-bytes", 0, "rotate -events-out once it exceeds this size, keeping one predecessor (0 = unbounded)")

@@ -9,9 +9,12 @@
 // benchmark. ns/op at -benchtime=1x is noisy, so its default tolerance
 // is generous (a 4× slowdown fails, anything less passes); allocs/op is
 // near-deterministic and gets a tight default. New benchmarks are
-// reported but never fail; benchmarks that vanished from the run warn.
-// -warn-only downgrades regressions to warnings (exit 0) for PR builds,
-// while nightly runs keep the hard gate.
+// reported but never fail. A baselined benchmark missing from the run
+// counts as a regression, so a deleted or renamed benchmark cannot
+// leave the gate silently: the change that removes it also removes its
+// baseline entry (or reruns -update). -warn-only downgrades regressions
+// to warnings (exit 0) for PR builds, while nightly runs keep the hard
+// gate.
 package main
 
 import (
@@ -178,11 +181,17 @@ func realMain(cfg cliConfig) (int, error) {
 		}
 		fmt.Fprintf(w, "%-34s %14.0f %14.0f %8.2f  %s\n", name, ref.NsPerOp, cur.NsPerOp, ratio, status)
 	}
+	var missing []string
 	for name := range base.Benchmarks {
 		if _, ok := run[name]; !ok {
-			fmt.Fprintf(cfg.stderr, "benchdiff: warning: %s in baseline but missing from run\n", name)
+			missing = append(missing, name)
 		}
 	}
+	sort.Strings(missing)
+	for _, name := range missing {
+		fmt.Fprintf(cfg.stderr, "benchdiff: REGRESSION: %s in baseline but missing from run\n", name)
+	}
+	regressions += len(missing)
 
 	if regressions > 0 {
 		fmt.Fprintf(cfg.stderr, "benchdiff: %d regression(s) beyond tolerance\n", regressions)

@@ -120,18 +120,50 @@ func TestNewAndMissingBenchmarks(t *testing.T) {
 	baseline := filepath.Join(t.TempDir(), "base.json")
 	run(t, cliConfig{baseline: baseline, update: true}, sampleRun)
 
-	// Rename one benchmark: the new name is informational, the old one
-	// warns, and neither fails the build.
+	extra := sampleRun + "BenchmarkBrandNew-8 \t 10 \t 5 ns/op\n"
 	renamed := strings.Replace(sampleRun, "BenchmarkFlowEvaluate-8", "BenchmarkFlowEvaluateV2-8", 1)
-	code, out := run(t, cliConfig{baseline: baseline, tolerance: 3, allocTol: 0.25}, renamed)
-	if code != 0 {
-		t.Fatalf("exit %d, want 0:\n%s", code, out)
+	twoGone := strings.Replace(
+		strings.Replace(sampleRun, "BenchmarkTransformBuild ", "BenchmarkTransformBuildV2 ", 1),
+		"BenchmarkFlowEvaluate-8", "BenchmarkFlowEvaluateV2-8", 1)
+	const gone = "BenchmarkFlowEvaluate in baseline but missing from run"
+
+	cases := []struct {
+		name     string
+		input    string
+		warnOnly bool
+		code     int
+		want     []string // in this order
+	}{
+		// A new name is informational and never fails the build.
+		{"new only", extra, false, 0, []string{"new (not in baseline)", "within tolerance"}},
+		// A baselined name that vanished (here: renamed) is a regression,
+		// or the gate would silently stop covering it.
+		{"renamed", renamed, false, 1, []string{"new (not in baseline)", gone, "1 regression(s)"}},
+		{"renamed, warn-only", renamed, true, 0, []string{gone, "not failing the build"}},
+		// Several vanished names print sorted, not in map order.
+		{"two gone", twoGone, false, 1, []string{gone, "BenchmarkTransformBuild in baseline", "2 regression(s)"}},
 	}
-	if !strings.Contains(out, "new (not in baseline)") {
-		t.Fatalf("new benchmark not flagged:\n%s", out)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			code, out := run(t, cliConfig{baseline: baseline, tolerance: 3, allocTol: 0.25, warnOnly: tc.warnOnly}, tc.input)
+			if code != tc.code {
+				t.Fatalf("exit %d, want %d:\n%s", code, tc.code, out)
+			}
+			at := 0
+			for _, want := range tc.want {
+				i := strings.Index(out[at:], want)
+				if i < 0 {
+					t.Fatalf("missing %q (after offset %d):\n%s", want, at, out)
+				}
+				at += i + len(want)
+			}
+		})
 	}
-	if !strings.Contains(out, "missing from run") {
-		t.Fatalf("vanished benchmark not warned:\n%s", out)
+
+	// -update is the fix: the baseline then names exactly what ran.
+	run(t, cliConfig{baseline: baseline, update: true}, renamed)
+	if code, out := run(t, cliConfig{baseline: baseline, tolerance: 3, allocTol: 0.25}, renamed); code != 0 {
+		t.Fatalf("after -update exit %d, want 0:\n%s", code, out)
 	}
 }
 

@@ -6,10 +6,11 @@
 // the streamopt_decision_latency_seconds histogram, per-commodity
 // admitted rates, and the most recent admitted↔rejected flips with the
 // trace ID of the mutation batch that caused each one (paste it into
-// /debug/spans?trace=… to see the full decision lifecycle). Against a
-// sharded daemon (admissiond -shards N) it adds a per-shard table:
-// advance rate, last-solve latency, gradient iterations, owned
-// commodities, and price-exchange staleness per solver shard.
+// /debug/spans?trace=… to see the full decision lifecycle), and a
+// per-shard table — one row per solver shard of admissiond -shards N,
+// a single row by default: advance rate, last-solve latency, gradient
+// iterations, owned commodities, build footprint, and price-exchange
+// staleness.
 //
 //	go run ./cmd/admissiond -addr :8080 &
 //	go run ./cmd/streamtop -addr localhost:8080 -interval 1s
@@ -172,15 +173,8 @@ func render(client *http.Client, base string, cfg cliConfig, prevGen int64, prev
 			fmtBytes(metrics.value("streamopt_journal_unsynced_bytes")),
 			metrics.sum("streamopt_capture_total"))
 	}
-	// Sparse-subgraph build footprint (unsharded daemons publish the
-	// unlabeled gauge; sharded daemons report per shard in the table,
-	// so an exact-key check keeps this line off a sharded frame).
-	if _, ok := metrics["streamopt_build_bytes"]; ok {
-		fmt.Fprintf(&b, "build      %s resident (%s/commodity)\n",
-			fmtBytes(metrics.value("streamopt_build_bytes")),
-			fmtBytes(metrics.value("streamopt_build_bytes_per_commodity")))
-	}
-	// Per-shard solver view (present when the daemon runs -shards > 1).
+	// Per-shard solver view, one row per shard (a -shards 1 daemon has
+	// one); the BUILD column is the sparse-subgraph build footprint.
 	if metrics.has("streamopt_shard_commodities") {
 		writeShardTable(&b, metrics, prevMetrics, prevAt)
 	}
@@ -218,8 +212,8 @@ func render(client *http.Client, base string, cfg cliConfig, prevGen int64, prev
 	return b.String(), adm.Generation, metrics, nil
 }
 
-// writeShardTable renders the dual-decomposition view of a sharded
-// daemon: the coordinator's exchange totals, then one row per solver
+// writeShardTable renders the solver view of the daemon's shard
+// coordinator: its exchange totals, then one row per solver
 // shard with its advance rate since the previous frame, last-solve
 // latency, gradient iterations, owned commodities, and how stale its
 // latest price-exchange round is.

@@ -443,8 +443,8 @@ func Explain(p *stream.Problem, x *transform.Extended, u *flow.Usage) []Commodit
 	return out
 }
 
-// resourceName maps an extended node back to an original server or
-// link name (the same mapping UsageReport uses).
+// resourceName maps an extended node back to the original server or
+// link it stands for; ok is false for dummy-layer nodes.
 func resourceName(p *stream.Problem, x *transform.Extended, n graph.NodeID) (name, kind string, ok bool) {
 	switch x.Kinds[n] {
 	case transform.Proc:
@@ -459,69 +459,34 @@ func resourceName(p *stream.Problem, x *transform.Extended, n graph.NodeID) (nam
 
 // UsageReport maps a flow evaluation back onto the original network:
 // one entry per server (extended Proc node) and per link (extended
-// Bandwidth node), with capacity, usage, and utilization. The admission
-// server publishes this per snapshot; Solve embeds it in Result.Usage.
+// Bandwidth node), with capacity, usage, and utilization. Solve embeds
+// it in Result.Usage.
 func UsageReport(p *stream.Problem, x *transform.Extended, u *flow.Usage) []NodeUsage {
-	var usage []NodeUsage
-	for n := 0; n < x.G.NumNodes(); n++ {
-		node := graph.NodeID(n)
-		switch x.Kinds[n] {
-		case transform.Proc:
-			usage = append(usage, NodeUsage{
-				Name:        x.Names[n],
-				Kind:        "server",
-				Capacity:    x.Capacity[n],
-				Usage:       u.FNode[n],
-				Utilization: u.FNode[n] / x.Capacity[n],
-			})
-		case transform.Bandwidth:
-			orig := x.OrigEdge[x.G.Out(node)[0]]
-			edge := p.Net.G.Edge(orig)
-			usage = append(usage, NodeUsage{
-				Name:        p.Net.Names[edge.From] + "->" + p.Net.Names[edge.To],
-				Kind:        "link",
-				Capacity:    x.Capacity[n],
-				Usage:       u.FNode[n],
-				Utilization: u.FNode[n] / x.Capacity[n],
-			})
-		}
-	}
-	return usage
+	return UsageReportShared(p, x, u.FNode[:x.SharedNodes])
 }
 
-// UsageReportShared is UsageReport over a merged shared-usage vector: a
-// sharded solve has no single flow evaluation covering every commodity,
-// but the Proc and Bandwidth nodes all live in the shared node prefix,
-// so the per-resource report is assembled from the coordinator's merged
-// global usage instead of a Usage's FNode. x may be any shard's build
-// over the same network (the prefix layout is identical across subset
-// builds); merged must have length x.SharedNodes.
-func UsageReportShared(p *stream.Problem, x *transform.Extended, merged []float64) []NodeUsage {
-	var usage []NodeUsage
-	for n := 0; n < len(merged); n++ {
-		node := graph.NodeID(n)
-		switch x.Kinds[n] {
-		case transform.Proc:
-			usage = append(usage, NodeUsage{
-				Name:        x.Names[n],
-				Kind:        "server",
-				Capacity:    x.Capacity[n],
-				Usage:       merged[n],
-				Utilization: merged[n] / x.Capacity[n],
-			})
-		case transform.Bandwidth:
-			orig := x.OrigEdge[x.G.Out(node)[0]]
-			edge := p.Net.G.Edge(orig)
-			usage = append(usage, NodeUsage{
-				Name:        p.Net.Names[edge.From] + "->" + p.Net.Names[edge.To],
-				Kind:        "link",
-				Capacity:    x.Capacity[n],
-				Usage:       merged[n],
-				Utilization: merged[n] / x.Capacity[n],
-			})
+// UsageReportShared is the per-resource report over a usage vector on
+// the shared node prefix, where every Proc and Bandwidth node lives: a
+// flow evaluation's FNode prefix, or the shard coordinator's merged
+// global usage (the admission server publishes that per snapshot). x
+// may be any build over the same network — the prefix layout is
+// identical across subset builds; usage must not exceed x.SharedNodes.
+func UsageReportShared(p *stream.Problem, x *transform.Extended, usage []float64) []NodeUsage {
+	var report []NodeUsage
+	for n, f := range usage {
+		name, kind, ok := resourceName(p, x, graph.NodeID(n))
+		if !ok {
+			continue
 		}
+		report = append(report, NodeUsage{
+			Name:        name,
+			Kind:        kind,
+			Capacity:    x.Capacity[n],
+			Usage:       f,
+			Utilization: f / x.Capacity[n],
+		})
 	}
-	return usage
+	return report
 }
 
 // collectPrices maps the reference optimum's positive shadow prices
@@ -532,18 +497,8 @@ func collectPrices(p *stream.Problem, x *transform.Extended, ref *refopt.Result)
 		if price <= 1e-9 {
 			continue
 		}
-		node := graph.NodeID(n)
-		switch x.Kinds[n] {
-		case transform.Proc:
-			prices = append(prices, ResourcePrice{Name: x.Names[n], Kind: "server", Price: price})
-		case transform.Bandwidth:
-			orig := x.OrigEdge[x.G.Out(node)[0]]
-			edge := p.Net.G.Edge(orig)
-			prices = append(prices, ResourcePrice{
-				Name:  p.Net.Names[edge.From] + "->" + p.Net.Names[edge.To],
-				Kind:  "link",
-				Price: price,
-			})
+		if name, kind, ok := resourceName(p, x, graph.NodeID(n)); ok {
+			prices = append(prices, ResourcePrice{Name: name, Kind: kind, Price: price})
 		}
 	}
 	sort.Slice(prices, func(a, b int) bool { return prices[a].Price > prices[b].Price })

@@ -104,7 +104,7 @@ func TestRoundsMatchMemberDepth(t *testing.T) {
 	x := buildRandom(t, 7, 5, 20, 2)
 	depth := 0
 	for j := range x.Commodities {
-		l, err := x.G.LongestPathLen(func(e graph.EdgeID) bool { return x.MemberEdge(j, e) })
+		l, err := x.G.LongestPathLen(func(e graph.EdgeID) bool { return x.Sub[j].LocalEdge(e) >= 0 })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,7 +59,7 @@ func TestDecomposePathsAreConnected(t *testing.T) {
 			}
 			for i := 0; i+1 < len(p.Nodes); i++ {
 				e := x.G.EdgeBetween(p.Nodes[i], p.Nodes[i+1])
-				if e == graph.Invalid || !x.MemberEdge(j, e) {
+				if e == graph.Invalid || x.Sub[j].LocalEdge(e) < 0 {
 					t.Fatalf("path hop %d→%d not a member edge", p.Nodes[i], p.Nodes[i+1])
 				}
 			}
@@ -130,10 +130,10 @@ func TestQuickDecomposeCoversAllEdgesWithinBound(t *testing.T) {
 				for i := 0; i+1 < len(p.Nodes); i++ {
 					e := x.G.EdgeBetween(p.Nodes[i], p.Nodes[i+1])
 					rebuilt[e] += carried
-					carried *= x.EdgeBeta(j, e)
+					carried *= x.Sub[j].Beta[x.Sub[j].LocalEdge(e)]
 				}
 			}
-			for _, e := range x.MemberEdges(j) {
+			for _, e := range x.Sub[j].Edges {
 				tail := x.G.Edge(e).From
 				want := u.TAt(j, tail) * rt.At(j, e)
 				if math.Abs(rebuilt[e]-want) > 1e-6*(1+want) {

@@ -40,7 +40,7 @@ func denseEvaluate(t *testing.T, r *Routing) *denseUsage {
 		d.FEdge[j] = make([]float64, ne)
 		d.Arrive[j] = make([]float64, ne)
 		c := &x.Commodities[j]
-		topo, err := x.G.TopoSortFiltered(func(e graph.EdgeID) bool { return x.MemberEdge(j, e) })
+		topo, err := x.G.TopoSortFiltered(func(e graph.EdgeID) bool { return x.Sub[j].LocalEdge(e) >= 0 })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,16 +51,17 @@ func denseEvaluate(t *testing.T, r *Routing) *denseUsage {
 				continue
 			}
 			for _, e := range x.G.Out(n) {
-				if !x.MemberEdge(j, e) {
+				le := x.Sub[j].LocalEdge(e)
+				if le < 0 {
 					continue
 				}
 				p := r.At(j, e)
 				if p == 0 {
 					continue
 				}
-				f := tn * p * x.EdgeCost(j, e)
+				f := tn * p * x.Sub[j].Cost[le]
 				d.FEdge[j][e] = f
-				a := tn * p * x.EdgeBeta(j, e)
+				a := tn * p * x.Sub[j].Beta[le]
 				d.Arrive[j][e] = a
 				d.T[j][x.G.Edge(e).To] += a
 				d.FNode[n] += f

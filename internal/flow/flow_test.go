@@ -81,7 +81,7 @@ func TestInitialInteriorUniform(t *testing.T) {
 	src := x.Commodities[0].Source
 	var phis []float64
 	for _, e := range x.G.Out(src) {
-		if x.MemberEdge(0, e) {
+		if x.Sub[0].LocalEdge(e) >= 0 {
 			phis = append(phis, r.At(0, e))
 		}
 	}
@@ -109,7 +109,7 @@ func TestValidateCatchesBadRouting(t *testing.T) {
 	// SetAt must refuse it outright.
 	r = NewInitial(x)
 	for e := 0; e < x.G.NumEdges(); e++ {
-		if !x.MemberEdge(0, graph.EdgeID(e)) {
+		if x.Sub[0].LocalEdge(graph.EdgeID(e)) < 0 {
 			func() {
 				defer func() {
 					if recover() == nil {
@@ -138,7 +138,7 @@ func setSplit(x *transform.Extended, r *Routing, admit, viaA float64) {
 func memberOuts(x *transform.Extended, j int, n graph.NodeID) []graph.EdgeID {
 	var outs []graph.EdgeID
 	for _, e := range x.G.Out(n) {
-		if x.MemberEdge(j, e) {
+		if x.Sub[j].LocalEdge(e) >= 0 {
 			outs = append(outs, e)
 		}
 	}

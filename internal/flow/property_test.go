@@ -51,7 +51,7 @@ func randomRouting(x *transform.Extended, r *rand.Rand) *Routing {
 			}
 			var outs []graph.EdgeID
 			for _, e := range x.G.Out(node) {
-				if x.MemberEdge(j, e) {
+				if x.Sub[j].LocalEdge(e) >= 0 {
 					outs = append(outs, e)
 				}
 			}
@@ -94,13 +94,13 @@ func TestQuickFlowConservation(t *testing.T) {
 				}
 				out := 0.0
 				for _, e := range x.G.Out(node) {
-					if x.MemberEdge(j, e) {
+					if x.Sub[j].LocalEdge(e) >= 0 {
 						out += u.TAt(j, node) * rt.At(j, e)
 					}
 				}
 				in := 0.0
 				for _, e := range x.G.In(node) {
-					if x.MemberEdge(j, e) {
+					if x.Sub[j].LocalEdge(e) >= 0 {
 						in += u.ArriveAt(j, e)
 					}
 				}

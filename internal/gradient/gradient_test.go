@@ -84,7 +84,7 @@ func TestMarginalMatchesFiniteDifference(t *testing.T) {
 	src := c.Source
 	var srcOuts []graph.EdgeID
 	for _, e := range x.G.Out(src) {
-		if x.MemberEdge(0, e) {
+		if x.Sub[0].LocalEdge(e) >= 0 {
 			srcOuts = append(srcOuts, e)
 		}
 	}
@@ -96,7 +96,7 @@ func TestMarginalMatchesFiniteDifference(t *testing.T) {
 
 	const h = 1e-7
 	base := u.TotalCost()
-	for _, e := range x.MemberEdges(0) {
+	for _, e := range x.Sub[0].Edges {
 		tail := x.G.Edge(e).From
 		ti := u.TAt(0, tail)
 		if ti == 0 {
@@ -134,7 +134,7 @@ func TestRhoZeroAtSinkAndCompositionality(t *testing.T) {
 		}
 		sum, any := 0.0, false
 		for _, e := range x.G.Out(node) {
-			if x.MemberEdge(0, e) {
+			if x.Sub[0].LocalEdge(e) >= 0 {
 				sum += r.At(0, e) * m.LinkDAt(sg, e)
 				any = true
 			}

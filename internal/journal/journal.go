@@ -123,10 +123,9 @@ type SolverParams struct {
 
 	// Shard topology of the recording server: shard count, placement
 	// salt, and the price-exchange cadence/damping of the dual
-	// decomposition. Zero on single-engine servers (and on journals
-	// from before sharding existed — the omitted fields decode to the
-	// unsharded defaults), so replay re-boots every run with the
-	// topology that recorded it.
+	// decomposition, so replay re-boots every run with the topology
+	// that recorded it. Omitted fields (older journals) decode to one
+	// shard at the default cadence.
 	Shards             int     `json:"shards,omitempty"`
 	PlacementSalt      uint64  `json:"placementSalt,omitempty"`
 	PriceExchangeEvery int     `json:"priceExchangeEvery,omitempty"`

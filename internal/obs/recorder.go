@@ -471,28 +471,18 @@ func (r *Recorder) ShardAdvance(shard int, seconds float64, iterations, commodit
 		"shard", label).Set(unixSeconds)
 }
 
-// BuildFootprint records the resident bytes of the latest extended-
-// problem build (transform.Extended.BuildBytes: graph, shared tables,
-// and the per-commodity sparse subgraphs). shard < 0 means an
-// unsharded build and sets only the total; a sharded deployment calls
+// BuildFootprint records the resident bytes of a shard's latest
+// extended-problem build (transform.Extended.BuildBytes: graph, shared
+// tables, and the per-commodity sparse subgraphs). The coordinator calls
 // this once per shard rebuild and the per-shard series add up to the
-// fleet's solver memory footprint.
-func (r *Recorder) BuildFootprint(shard int, bytes int64, commodities int) {
+// solver's memory footprint.
+func (r *Recorder) BuildFootprint(shard int, bytes int64) {
 	if r == nil {
 		return
 	}
-	if shard >= 0 {
-		r.reg.Gauge("streamopt_build_bytes",
-			"Bytes held by the latest extended-problem build (sparse per-commodity subgraphs included).",
-			"shard", strconv.Itoa(shard)).Set(float64(bytes))
-		return
-	}
 	r.reg.Gauge("streamopt_build_bytes",
-		"Bytes held by the latest extended-problem build (sparse per-commodity subgraphs included).").Set(float64(bytes))
-	if commodities > 0 {
-		r.reg.Gauge("streamopt_build_bytes_per_commodity",
-			"Average build bytes per commodity of the latest extended-problem build.").Set(float64(bytes) / float64(commodities))
-	}
+		"Bytes held by the latest extended-problem build (sparse per-commodity subgraphs included).",
+		"shard", strconv.Itoa(shard)).Set(float64(bytes))
 }
 
 // PriceExchange records one completed coordinator round of the sharded

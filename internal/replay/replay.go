@@ -172,9 +172,9 @@ func verifyRun(runIdx int, run []journal.Record, opts Options, rep *Report, logf
 		MaxIters:      sp.MaxIters,
 		StationaryTol: sp.StationaryTol,
 		Workers:       workers,
-		// Recorded shard topology: a sharded run replays against the
-		// identical partition and exchange cadence; zero fields re-boot
-		// the single-engine path.
+		// Recorded shard topology: a run replays against the identical
+		// partition and exchange cadence; zero fields (a journal from
+		// before they were recorded at one shard) take the defaults.
 		Shards:             sp.Shards,
 		PlacementSalt:      sp.PlacementSalt,
 		PriceExchangeEvery: sp.PriceExchangeEvery,

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"repro/internal/journal"
+	"repro/internal/obs/span"
+	"repro/internal/obs/trace"
 	"repro/internal/server"
 	"repro/internal/stream"
 	"repro/internal/utility"
@@ -173,12 +175,24 @@ func TestVerifyCleanRecording(t *testing.T) {
 	}
 }
 
-// TestVerifyShardedRecording journals a 4-shard server's run and
-// replays it: the restart checkpoint carries the shard count, placement
-// salt, and price-exchange cadence, so the verifier re-boots the
-// identical partition and the dual-decomposition trajectory reproduces
-// every digest bit-for-bit.
+// TestVerifyShardedRecording: a recording replays clean at every shard
+// count. The one-shard server records with the iteration trace ring and
+// span tracing on — its lone shard's engine then feeds the recorder —
+// and must still replay, uninstrumented, to the same digests.
 func TestVerifyShardedRecording(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		shards int
+		traced bool
+	}{
+		{"shards=1 traced", 1, true},
+		{"shards=4", 4, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testVerifyShardedRecording(t, tc.shards, tc.traced) })
+	}
+}
+
+func testVerifyShardedRecording(t *testing.T, shards int, traced bool) {
 	dir := t.TempDir()
 	spec, err := json.Marshal(map[string]any{
 		"name": "c2", "source": "a", "sink": "t2", "maxRate": 4.0,
@@ -198,8 +212,12 @@ func TestVerifyShardedRecording(t *testing.T) {
 	opts := serverOptions()
 	opts.Journal = jw
 	opts.CheckpointEvery = 2
-	opts.Shards = 4
+	opts.Shards = shards
 	opts.PlacementSalt = 7
+	if traced {
+		opts.Trace = trace.New(64, 1)
+		opts.Spans = span.New(256, nil)
+	}
 	s, err := server.New(toyProblem(t), opts)
 	if err != nil {
 		t.Fatal(err)

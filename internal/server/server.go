@@ -18,7 +18,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log"
 	"sort"
@@ -27,15 +26,12 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/flow"
-	"repro/internal/gradient"
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/obs/trace"
 	"repro/internal/shard"
 	"repro/internal/stream"
-	"repro/internal/transform"
 )
 
 // Options configures the service. The zero value is usable: paper
@@ -50,30 +46,33 @@ type Options struct {
 	MaxIters      int     // default 4000
 	StationaryTol float64 // default 1e-3; <0 disables early stopping
 	// Workers bounds the solver's per-commodity wave pool
-	// (gradient.Config.Workers); 0 means GOMAXPROCS (divided across
-	// shards when Shards > 1).
+	// (gradient.Config.Workers); 0 means GOMAXPROCS divided across the
+	// shards.
 	Workers int
 
-	// Shards, when > 1, partitions commodities across that many
-	// independent solver shards coupled by a periodic price-exchange
-	// round (dual decomposition; see internal/shard). Each shard owns
-	// its own extended problem and engine and solves only its commodity
-	// subset against a damped estimate of the other shards' usage; a
+	// Shards partitions commodities across that many independent solver
+	// shards coupled by a periodic price-exchange round (dual
+	// decomposition; see internal/shard). Each shard owns its own
+	// extended problem and engine and solves only its commodity subset
+	// against a damped estimate of the other shards' usage; a
 	// coordinator merges per-shard usage into global congestion state
 	// and rederives the barrier shadow prices between rounds. Shards ≤ 1
-	// (the default) keeps the single-engine path, bit-for-bit identical
-	// to previous releases.
+	// (the default) is the same coordinator with one shard, which owns
+	// every commodity and has nobody to exchange with: the plain
+	// unsharded solve.
 	Shards int
 	// PlacementSalt seeds the consistent-hash commodity→shard placement.
 	// Recorded in the journal so replay re-boots with the identical
 	// partition.
 	PlacementSalt uint64
 	// PriceExchangeEvery is how many gradient iterations each shard runs
-	// between price-exchange rounds. Default 25. Only used when
-	// Shards > 1.
+	// between price-exchange rounds. Each round begins with the shard's
+	// stationarity check, so with one shard this is simply how often the
+	// solve tests for convergence. Default 25.
 	PriceExchangeEvery int
 	// PriceDamping is the γ of the damped external-usage update in
-	// (0, 1]; default 0.5. Only used when Shards > 1.
+	// (0, 1]; default 0.5. Without a second shard there is no external
+	// usage to damp.
 	PriceDamping float64
 
 	// Debounce is how long the solver waits after a mutation for more
@@ -160,13 +159,11 @@ func (o *Options) setDefaults() {
 	if o.StationaryTol == 0 {
 		o.StationaryTol = 1e-3
 	}
-	if o.Shards > 1 {
-		if o.PriceExchangeEvery <= 0 {
-			o.PriceExchangeEvery = 25
-		}
-		if o.PriceDamping <= 0 || o.PriceDamping > 1 {
-			o.PriceDamping = 0.5
-		}
+	if o.PriceExchangeEvery <= 0 {
+		o.PriceExchangeEvery = 25
+	}
+	if o.PriceDamping <= 0 || o.PriceDamping > 1 {
+		o.PriceDamping = 0.5
 	}
 	if o.Debounce == 0 {
 		o.Debounce = 25 * time.Millisecond
@@ -234,12 +231,6 @@ type Snapshot struct {
 	// operating point: binding resources with shadow prices and the
 	// marginal-utility-vs-path-cost gap (served on GET /explain).
 	Explain []core.CommodityExplain `json:"explain,omitempty"`
-
-	// routing seeds the next warm start; problem is the clone this
-	// snapshot was solved on. Both are private to the solver loop and
-	// never mutated after the solve.
-	routing *flow.Routing
-	problem *stream.Problem
 }
 
 // Server is the admission service. Create with New, mutate through the
@@ -253,11 +244,11 @@ type Server struct {
 	rev         int64           // bumped per accepted mutation
 	pending     []*decision     // traced mutations awaiting a snapshot; under mu
 	journalMuts int             // mutations journaled since boot; drives periodic checkpoints
-	shardDirty  []bool          // shards the pending batch invalidates; under mu; nil unless sharded
+	shardDirty  []bool          // shards the pending batch invalidates; under mu
 
-	// coord owns the solver shards and their price exchange when
-	// opts.Shards > 1; solver-goroutine only (mutations touch shardDirty,
-	// never the coordinator). Nil in single-engine mode.
+	// coord owns the solver shards, their engines and warm-start state,
+	// and the price exchange between them; solver-goroutine only
+	// (mutations touch shardDirty, never the coordinator).
 	coord *shard.Coordinator
 
 	snap atomic.Pointer[Snapshot]
@@ -328,9 +319,9 @@ func rejected(admitted, offered float64) bool {
 // phaseTee implements obs.Tracer: it sums the per-phase wall-clock of
 // every iteration (fed by the recorder's StartPhase/Done hooks) so the
 // solve's iterate span can carry the aggregate split, then forwards the
-// sample to the user's trace ring. Solver-goroutine only — engines call
-// TraceIteration from Step, and solveOnce drains between solves on the
-// same goroutine.
+// sample to the user's trace ring. Solver-goroutine only — a lone shard
+// steps on the solver goroutine, where solveOnce also drains between
+// solves; concurrent shards do not feed it (see shard.New).
 type phaseTee struct {
 	next  obs.Tracer
 	phase [obs.NumPhases]float64
@@ -374,29 +365,22 @@ func New(p *stream.Problem, opts Options) (*Server, error) {
 		cancel:  cancel,
 		done:    make(chan struct{}),
 	}
-	if opts.Shards > 1 {
-		// Sharded mode: commodities are partitioned across independent
-		// solver shards; all shards start dirty so the first solve builds
-		// everything. Shard engines do not feed the iteration tracer —
-		// they step concurrently, and the phase tee is single-goroutine.
-		s.coord = shard.New(shard.Config{
-			Shards:        opts.Shards,
-			Salt:          opts.PlacementSalt,
-			Epsilon:       opts.Epsilon,
-			Eta:           opts.Eta,
-			MaxIters:      opts.MaxIters,
-			StationaryTol: opts.StationaryTol,
-			Workers:       opts.Workers,
-			ExchangeEvery: opts.PriceExchangeEvery,
-			Damping:       opts.PriceDamping,
-			Recorder:      opts.Recorder,
-			Logf:          opts.Logf,
-		})
-		s.shardDirty = make([]bool, opts.Shards)
-		for i := range s.shardDirty {
-			s.shardDirty[i] = true
-		}
-	}
+	s.coord = shard.New(shard.Config{
+		Shards:        opts.Shards,
+		Salt:          opts.PlacementSalt,
+		Epsilon:       opts.Epsilon,
+		Eta:           opts.Eta,
+		MaxIters:      opts.MaxIters,
+		StationaryTol: opts.StationaryTol,
+		Workers:       opts.Workers,
+		ExchangeEvery: opts.PriceExchangeEvery,
+		Damping:       opts.PriceDamping,
+		Recorder:      opts.Recorder,
+		Logf:          opts.Logf,
+	})
+	// All shards start dirty so the first solve builds everything.
+	s.shardDirty = make([]bool, s.coord.Shards())
+	s.markDirtyLocked(nil)
 	if opts.Trace != nil || opts.Spans != nil {
 		// Attach before the solver loop starts so every iteration of
 		// every generation can be sampled. The tee keeps the per-solve
@@ -433,10 +417,9 @@ func New(p *stream.Problem, opts Options) (*Server, error) {
 					MaxIters:      opts.MaxIters,
 					StationaryTol: opts.StationaryTol,
 					Workers:       opts.Workers,
-					// Shard topology: zero for single-engine servers
-					// (omitted from the record, keeping old journals
-					// byte-compatible), recorded otherwise so replay
-					// re-boots with the identical partition.
+					// Shard topology and exchange cadence, so replay
+					// re-boots with the identical partition and checks
+					// stationarity at the same iterations.
 					Shards:             opts.Shards,
 					PlacementSalt:      opts.PlacementSalt,
 					PriceExchangeEvery: opts.PriceExchangeEvery,
@@ -515,10 +498,9 @@ type ingress struct {
 // when journaling is on, keeping the disabled path allocation-free);
 // it is ignored when Journal is nil.
 //
-// touched names the commodities the mutation affects, so sharded
-// servers rebuild only their owner shards; nil means network-wide
-// (capacity/bandwidth changes shift every shard's barrier) and dirties
-// all shards. Ignored in single-engine mode.
+// touched names the commodities the mutation affects, so only their
+// owner shards are rebuilt; nil means network-wide (capacity/bandwidth
+// changes shift every shard's barrier) and dirties all shards.
 func (s *Server) mutate(ing ingress, kind, target string, payload []byte, touched []string, fn func(p *stream.Problem) error) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -539,12 +521,9 @@ func (s *Server) mutate(ing ingress, kind, target string, payload []byte, touche
 }
 
 // markDirtyLocked records which shards the accepted mutation
-// invalidates, for the next sharded solve's incremental Apply. Callers
-// hold s.mu; a single-engine server has no dirty set to maintain.
+// invalidates, for the next solve's incremental rebuild. Callers hold
+// s.mu (or, in New, are the only goroutine).
 func (s *Server) markDirtyLocked(touched []string) {
-	if s.coord == nil {
-		return
-	}
 	if touched == nil {
 		for i := range s.shardDirty {
 			s.shardDirty[i] = true
@@ -552,7 +531,7 @@ func (s *Server) markDirtyLocked(touched []string) {
 		return
 	}
 	for _, name := range touched {
-		s.shardDirty[shard.Place(name, s.opts.PlacementSalt, s.opts.Shards)] = true
+		s.shardDirty[shard.Place(name, s.opts.PlacementSalt, len(s.shardDirty))] = true
 	}
 }
 
@@ -879,16 +858,14 @@ func (s *Server) debounce() {
 }
 
 // solveOnce clones the desired problem, takes the pending traced
-// mutations it will incorporate, re-solves (warm when the extended
-// topology is unchanged), and publishes a new snapshot. The solve's
-// phases — build, engine init (warm-or-cold), iterate, publish — are
-// child spans of a "solve" span parented to the first coalesced
+// mutations it will incorporate, has the coordinator rebuild the shards
+// the batch dirtied (warm where the extended topology is unchanged) and
+// run price-exchange rounds until the decomposition converges, and
+// publishes a new snapshot stitched from the per-shard results. The
+// solve's phases — build, engine init (warm-or-cold), iterate, publish —
+// are child spans of a "solve" span parented to the first coalesced
 // mutation's decision trace.
 func (s *Server) solveOnce() {
-	if s.coord != nil {
-		s.solveOnceSharded()
-		return
-	}
 	s.mu.Lock()
 	p := s.problem.Clone()
 	rev := s.rev
@@ -896,6 +873,8 @@ func (s *Server) solveOnce() {
 	// incorporate all of them: take the whole batch.
 	batch := s.pending
 	s.pending = nil
+	dirty := s.shardDirty
+	s.shardDirty = make([]bool, len(dirty))
 	s.mu.Unlock()
 
 	tr := s.opts.Spans
@@ -908,6 +887,7 @@ func (s *Server) solveOnce() {
 		solveSpan = tr.Start("solve", parent)
 		solveSpan.SetAttrInt("rev", rev)
 		solveSpan.SetAttrInt("mutations_coalesced", int64(len(batch)))
+		solveSpan.SetAttrInt("shards", int64(len(dirty)))
 		for _, d := range batch {
 			d.coalesce.SetAttrInt("mutations_coalesced", int64(len(batch)))
 			d.coalesce.End()
@@ -923,24 +903,25 @@ func (s *Server) solveOnce() {
 	if len(p.Commodities) == 0 {
 		// Nothing to admit: publish an empty snapshot so readers see
 		// the departure take effect.
+		s.coord.Clear(p)
 		s.publish(&Snapshot{
 			Rev: rev, Warm: false, Converged: true, Feasible: true,
 			SolveSeconds: time.Since(start).Seconds(),
-			problem:      p,
-		}, false, 0, batch, solveSpan)
+		}, batch, solveSpan)
 		return
 	}
 
 	bs := tr.Start("build", solveSpan.Context())
-	x, err := transform.Build(p, transform.Options{Epsilon: s.opts.Epsilon})
+	err := s.coord.Build(p, dirty)
 	bs.End()
-	if err == nil {
-		s.opts.Recorder.BuildFootprint(-1, x.BuildBytes(), len(p.Commodities))
-	}
 	if err != nil {
 		// Mutations are validated before acceptance, so this is a bug,
-		// not an operator error; keep the last good snapshot and log.
+		// not an operator error; keep the last good snapshot, log, and
+		// have the next solve rebuild every shard.
 		s.opts.Logf("server: transform failed at rev %d: %v", rev, err)
+		s.mu.Lock()
+		s.markDirtyLocked(nil)
+		s.mu.Unlock()
 		solveSpan.SetAttr("error", err.Error())
 		solveSpan.End()
 		for _, d := range batch {
@@ -950,9 +931,8 @@ func (s *Server) solveOnce() {
 		return
 	}
 
-	cfg := gradient.Config{Eta: s.opts.Eta, Workers: s.opts.Workers, Recorder: s.opts.Recorder}
 	es := tr.Start("engine_init", solveSpan.Context())
-	eng, warm := s.newEngine(x, cfg)
+	warm, fallback := s.coord.Bind()
 	startKind := "cold"
 	if warm {
 		startKind = "warm"
@@ -960,154 +940,35 @@ func (s *Server) solveOnce() {
 	es.SetAttr("start", startKind)
 	es.End()
 	solveSpan.SetAttr("start", startKind)
+	if fallback != nil {
+		s.maybeCapture("cold_fallback", fallback.Error())
+	}
 
 	if s.phases != nil {
 		s.phases.take() // discard any leftovers from an aborted solve
 	}
 	it := tr.Start("iterate", solveSpan.Context())
-	iterations, converged, drained := 0, false, false
-	var det gradient.DivergenceDetector
-	const stationaryEvery = 25
-	for i := 0; i < s.opts.MaxIters; i++ {
-		if s.ctx.Err() != nil {
-			drained = true
-			break // drain: publish what we have and let loop exit
-		}
-		info := eng.Step()
-		iterations++
-		if err := det.Observe(info); err != nil {
-			s.opts.Recorder.Divergence("server", info.Iteration, err.Error())
-			s.opts.Logf("server: solve diverged at rev %d: %v", rev, err)
-			s.maybeCapture("divergence", fmt.Sprintf("rev %d: %v", rev, err))
-			break
-		}
-		if s.opts.StationaryTol > 0 && i%stationaryEvery == stationaryEvery-1 {
-			if eng.Stationarity().MaxUsedGap <= s.opts.StationaryTol {
-				converged = true
-				break
-			}
-		}
-	}
-	it.SetAttrInt("iterations", int64(iterations))
-	it.SetAttrBool("converged", converged)
-	if it != nil && s.phases != nil {
-		// Aggregate per-phase split from the recorder's phase hooks.
-		for ph, sec := range s.phases.take() {
-			it.SetAttrFloat("phase_"+obs.Phase(ph).String()+"_s", sec)
-		}
-	}
-	it.End()
-
-	u := eng.Usage() // the engine is done stepping; no copy needed
-	feasible, _ := u.Feasible()
-	snap := &Snapshot{
-		Rev:          rev,
-		Warm:         warm,
-		Iterations:   iterations,
-		Converged:    converged,
-		Drained:      drained,
-		SolveSeconds: time.Since(start).Seconds(),
-		Utility:      u.Utility(),
-		Feasible:     feasible,
-		Usage:        core.UsageReport(p, x, u),
-		Explain:      core.Explain(p, x, u),
-		routing:      eng.Routing(),
-		problem:      p,
-	}
-	for j := range x.Commodities {
-		c := &x.Commodities[j]
-		a := u.AdmittedRate(j)
-		snap.Commodities = append(snap.Commodities, CommodityStatus{
-			Name:     c.Name,
-			Offered:  c.MaxRate,
-			Admitted: a,
-			Utility:  c.Utility.Value(a),
-		})
-	}
-	s.publish(snap, warm, iterations, batch, solveSpan)
-}
-
-// solveOnceSharded is solveOnce for a sharded server: instead of one
-// engine over the full problem, the coordinator rebuilds the shards the
-// batch dirtied (warm where topology allows) and runs price-exchange
-// rounds until the decomposition converges. The snapshot is stitched
-// from the per-shard results — one immutable global view under the
-// same generation counter, history ring, flip detection, and journal
-// digests as the single-engine path.
-func (s *Server) solveOnceSharded() {
-	s.mu.Lock()
-	p := s.problem.Clone()
-	rev := s.rev
-	batch := s.pending
-	s.pending = nil
-	dirty := s.shardDirty
-	s.shardDirty = make([]bool, s.opts.Shards)
-	s.mu.Unlock()
-
-	tr := s.opts.Spans
-	var solveSpan *span.Active
-	if tr != nil {
-		parent := span.Context{}
-		if len(batch) > 0 {
-			parent = batch[0].root.Context()
-		}
-		solveSpan = tr.Start("solve", parent)
-		solveSpan.SetAttrInt("rev", rev)
-		solveSpan.SetAttrInt("mutations_coalesced", int64(len(batch)))
-		solveSpan.SetAttrInt("shards", int64(s.opts.Shards))
-		for _, d := range batch {
-			d.coalesce.SetAttrInt("mutations_coalesced", int64(len(batch)))
-			d.coalesce.End()
-			if d != batch[0] {
-				d.root.SetAttr("solve_trace", solveSpan.Context().TraceHex())
-			}
-		}
-	}
-
-	start := time.Now()
-	if len(p.Commodities) == 0 {
-		s.coord.Clear(p)
-		s.publish(&Snapshot{
-			Rev: rev, Warm: false, Converged: true, Feasible: true,
-			SolveSeconds: time.Since(start).Seconds(),
-			problem:      p,
-		}, false, 0, batch, solveSpan)
-		return
-	}
-
-	bs := tr.Start("build", solveSpan.Context())
-	warm, err := s.coord.Apply(p, dirty)
-	bs.End()
-	if err != nil {
-		// Mutations are validated before acceptance, so this is a bug,
-		// not an operator error; keep the last good snapshot and log.
-		s.opts.Logf("server: sharded build failed at rev %d: %v", rev, err)
-		solveSpan.SetAttr("error", err.Error())
-		solveSpan.End()
-		for _, d := range batch {
-			d.root.SetAttr("error", err.Error())
-			d.root.End()
-		}
-		return
-	}
-	startKind := "cold"
-	if warm {
-		startKind = "warm"
-	}
-	solveSpan.SetAttr("start", startKind)
-
-	it := tr.Start("iterate", solveSpan.Context())
 	res := s.coord.Solve(s.ctx)
 	it.SetAttrInt("iterations", int64(res.Iterations))
 	it.SetAttrInt("rounds", int64(res.Rounds))
 	it.SetAttrBool("converged", res.Converged)
+	if it != nil && s.phases != nil {
+		// Aggregate per-phase split from the recorder's phase hooks;
+		// nothing feeds them while several shards step concurrently.
+		for ph, sec := range s.phases.take() {
+			if sec > 0 {
+				it.SetAttrFloat("phase_"+obs.Phase(ph).String()+"_s", sec)
+			}
+		}
+	}
 	it.End()
 	if res.Err != nil {
 		s.opts.Recorder.Divergence("server", res.Iterations, res.Err.Error())
-		s.opts.Logf("server: sharded solve diverged at rev %d: %v", rev, res.Err)
+		s.opts.Logf("server: solve diverged at rev %d: %v", rev, res.Err)
 		s.maybeCapture("divergence", fmt.Sprintf("rev %d: %v", rev, res.Err))
 	}
 
+	states := s.coord.Commodities()
 	snap := &Snapshot{
 		Rev:          rev,
 		Warm:         warm,
@@ -1117,43 +978,19 @@ func (s *Server) solveOnceSharded() {
 		SolveSeconds: time.Since(start).Seconds(),
 		Utility:      res.Utility,
 		Feasible:     res.Feasible,
+		Commodities:  make([]CommodityStatus, len(states)),
 		Usage:        s.coord.UsageReport(),
 		Explain:      s.coord.Explain(),
-		problem:      p,
 	}
-	for gi, cs := range s.coord.Commodities() {
-		snap.Commodities = append(snap.Commodities, CommodityStatus{
+	for gi, cs := range states {
+		snap.Commodities[gi] = CommodityStatus{
 			Name:     cs.Name,
 			Offered:  cs.Offered,
 			Admitted: cs.Admitted,
 			Utility:  p.Commodities[gi].Utility.Value(cs.Admitted),
-		})
-	}
-	s.publish(snap, warm, res.Iterations, batch, solveSpan)
-}
-
-// newEngine warm-starts from the previous snapshot's routing when it
-// rebinds onto x, and cold-starts otherwise — expected whenever the
-// topology changed (errors.Is flow.ErrTopologyChanged), logged loudly
-// when it didn't.
-func (s *Server) newEngine(x *transform.Extended, cfg gradient.Config) (*gradient.Engine, bool) {
-	prev := s.snap.Load()
-	if prev != nil && prev.routing != nil {
-		eng, err := gradient.NewFrom(x, prev.routing, cfg)
-		if err == nil {
-			return eng, true
-		}
-		if errors.Is(err, flow.ErrTopologyChanged) || errors.Is(err, flow.ErrWorkspaceShape) {
-			// Both mean the previous routing's shape no longer fits the
-			// rebuilt problem (membership or workspace rows changed) —
-			// recoverable by starting cold.
-			s.opts.Logf("server: cold start (expected): %v", err)
-		} else {
-			s.opts.Logf("server: warm start failed unexpectedly, falling back to cold: %v", err)
-			s.maybeCapture("cold_fallback", err.Error())
 		}
 	}
-	return gradient.New(x, cfg), false
+	s.publish(snap, batch, solveSpan)
 }
 
 // publish assigns the next generation, swaps the snapshot in, appends
@@ -1162,14 +999,14 @@ func (s *Server) newEngine(x *transform.Extended, cfg gradient.Config) (*gradien
 // admission flips), and closes the decision lifecycle: every mutation
 // in the incorporated batch observes streamopt_decision_latency_seconds
 // and ends its root span stamped with the generation that answered it.
-func (s *Server) publish(snap *Snapshot, warm bool, iterations int, batch []*decision, solveSpan *span.Active) {
+func (s *Server) publish(snap *Snapshot, batch []*decision, solveSpan *span.Active) {
 	ps := s.opts.Spans.Start("publish", solveSpan.Context())
 	prev := s.snap.Load()
 	snap.Generation = s.gen.Add(1)
 	s.snap.Store(snap)
 	s.recordHistory(snap)
 	rec := s.opts.Recorder
-	rec.ServerSolve(snap.Generation, warm, snap.SolveSeconds, snap.Utility, iterations)
+	rec.ServerSolve(snap.Generation, snap.Warm, snap.SolveSeconds, snap.Utility, snap.Iterations)
 	for _, ce := range snap.Explain {
 		bottleneck, price := "", 0.0
 		if len(ce.Binding) > 0 {

@@ -38,9 +38,9 @@ func churnProblem(t *testing.T) *stream.Problem {
 }
 
 // TestShardedServerMatchesSingle boots the same problem into a
-// 4-shard and a single-engine server and compares the first published
+// 4-shard and a one-shard server and compares the first published
 // snapshot: the dual decomposition must land within 0.1% of the
-// single-engine utility.
+// undecomposed utility.
 func TestShardedServerMatchesSingle(t *testing.T) {
 	p := churnProblem(t)
 	var got [2]*Snapshot
@@ -63,7 +63,7 @@ func TestShardedServerMatchesSingle(t *testing.T) {
 	}
 	rel := math.Abs(got[1].Utility-got[0].Utility) / math.Abs(got[0].Utility)
 	if rel > 1e-3 {
-		t.Fatalf("sharded utility %.9f vs single-engine %.9f (rel %.2e > 0.1%%)",
+		t.Fatalf("sharded utility %.9f vs one-shard %.9f (rel %.2e > 0.1%%)",
 			got[1].Utility, got[0].Utility, rel)
 	}
 	if len(got[1].Commodities) != len(got[0].Commodities) {
@@ -81,7 +81,7 @@ func TestShardedServerMatchesSingle(t *testing.T) {
 // in between. Ownership follows the consistent hash, so each departure
 // and arrival lands on its owner shard (dirtying only that shard) while
 // the others keep their engines; the final state — identical to the
-// initial problem — must re-converge to the single-engine utility.
+// initial problem — must re-converge to the pre-churn utility.
 func TestShardedFlashCrowdChurn(t *testing.T) {
 	p := churnProblem(t)
 	const shards = 4

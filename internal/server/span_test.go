@@ -16,10 +16,15 @@ import (
 
 // startTracedServer is startServer with decision-span tracing enabled.
 func startTracedServer(t *testing.T, rec *obs.Recorder, spanCap int) (*Server, *span.Tracer, *httptest.Server) {
+	return startTracedShardedServer(t, rec, spanCap, 1)
+}
+
+func startTracedShardedServer(t *testing.T, rec *obs.Recorder, spanCap, shards int) (*Server, *span.Tracer, *httptest.Server) {
 	t.Helper()
 	tr := span.New(spanCap, rec)
 	opts := testOptions(rec)
 	opts.Spans = tr
+	opts.Shards = shards
 	s, err := New(toyProblem(t), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -39,10 +44,17 @@ const clientTraceparent = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-
 // TestDecisionLifecycleSpans is the acceptance demo as a test: POST a
 // rate mutation carrying a W3C traceparent, then read back the full
 // ingress → coalesce → solve-phases → publish tree from /debug/spans
-// under the client's trace ID, with decision latency populated.
+// under the client's trace ID, with decision latency populated. The
+// tree has the same stages at every shard count.
 func TestDecisionLifecycleSpans(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testDecisionLifecycleSpans(t, shards) })
+	}
+}
+
+func testDecisionLifecycleSpans(t *testing.T, shards int) {
 	rec := obs.NewRecorder(obs.NewRegistry(), nil)
-	s, _, ts := startTracedServer(t, rec, 256)
+	s, _, ts := startTracedShardedServer(t, rec, 256, shards)
 
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
@@ -50,7 +62,7 @@ func TestDecisionLifecycleSpans(t *testing.T) {
 	}
 
 	req, err := http.NewRequest("PATCH", ts.URL+"/v1/commodities/c1",
-		strings.NewReader(`{"maxRate": 5}`))
+		strings.NewReader(`{"maxRate": 12}`)) // past capacity: the re-solve has to move
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +136,17 @@ func TestDecisionLifecycleSpans(t *testing.T) {
 	if byName["solve"].Attrs["mutations_coalesced"] == "" {
 		t.Error("solve span missing mutations_coalesced attr")
 	}
-	if byName["iterate"].Attrs["iterations"] == "" {
-		t.Error("iterate span missing iterations attr")
+	it := byName["iterate"].Attrs
+	if it["iterations"] == "" || it["rounds"] == "" {
+		t.Errorf("iterate span attrs = %v, want iterations and rounds", it)
+	}
+	// The per-phase split comes from the engine's recorder hooks, which
+	// only a lone shard feeds.
+	if _, ok := it["phase_marginal_s"]; ok != (shards == 1) {
+		t.Errorf("iterate span phase split present = %v at %d shards: %v", ok, shards, it)
+	}
+	if got := byName["solve"].Attrs["shards"]; got != fmt.Sprint(shards) {
+		t.Errorf("solve span shards = %q, want %d", got, shards)
 	}
 	if st := byName["engine_init"].Attrs["start"]; st != "warm" && st != "cold" {
 		t.Errorf("engine_init start = %q, want warm|cold", st)

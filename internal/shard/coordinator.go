@@ -154,13 +154,18 @@ type Result struct {
 }
 
 // Coordinator owns N solver shards and runs the dual-decomposition
-// price exchange between them. It is not safe for concurrent use; the
-// admission server drives it from its single solver goroutine.
+// price exchange between them. With one shard it is the plain unsharded
+// solver: the exchange has no partner, external usage stays zero, and a
+// round is a stationarity check followed, unless it holds, by
+// ExchangeEvery gradient iterations. It is not safe for concurrent use;
+// the admission server drives it from its single solver goroutine.
 type Coordinator struct {
 	cfg     Config
 	p       *stream.Problem
 	runners []*runner
-	shared  int // shared node prefix length; 0 until first build
+	rebuilt []*runner      // built by the last Build, awaiting Bind
+	wg      sync.WaitGroup // fanOut's join; a field so a round allocates nothing
+	shared  int            // shared node prefix length; 0 until first build
 	merged  []float64
 	prices  []float64
 	parts   [][]float64 // merge scratch, one entry per built runner
@@ -168,17 +173,26 @@ type Coordinator struct {
 
 // runner is one solver shard: its own subset transform and engine (the
 // engine owns the usage workspace). All fields are touched only by the
-// coordinator (sequentially) or by the runner's own advance goroutine
+// coordinator (sequentially) or by the runner's own fanOut goroutine
 // (exclusively), never both at once.
 type runner struct {
 	id  int
 	cfg *Config
+	// engRec is what the engine reports iterations and phase timings to:
+	// the coordinator's Recorder when this is the only runner, nil when
+	// several step concurrently (the server's per-solve phase aggregate
+	// and the iteration trace are single-goroutine).
+	engRec *obs.Recorder
 
 	x   *transform.Extended
 	eng *gradient.Engine
+	// global[j] is local commodity j's index in the applied problem's
+	// commodity list, ascending; results stitch back through it.
+	global []int
 
-	names []string
-	local map[string]int
+	next     *transform.Extended // built, not yet bound
+	buildErr error
+	fallback error // unexpected warm-start failure of the last bind
 
 	ext      []float64 // damped external usage, installed on x.External
 	own      []float64 // shared usage after the last advance
@@ -191,7 +205,7 @@ type runner struct {
 	extMoved   bool
 	diverged   bool
 	divergeErr error
-	warm       bool // last rebuild warm-started
+	warm       bool // last bind warm-started
 	stepped    bool // last advance performed ≥1 iteration
 	seconds    float64
 }
@@ -204,11 +218,33 @@ func New(cfg Config) *Coordinator {
 	for i := 0; i < cfg.Shards; i++ {
 		c.runners = append(c.runners, &runner{id: i, cfg: &c.cfg})
 	}
+	if len(c.runners) == 1 {
+		c.runners[0].engRec = cfg.Recorder
+	}
 	return c
 }
 
 // Shards returns the shard count.
 func (c *Coordinator) Shards() int { return c.cfg.Shards }
+
+// fanOut runs fn once per runner in rs and returns when all are done:
+// the first on the caller's goroutine, the others each on their own.
+// Each runner touches only its own state, so the join is the only
+// synchronization; callers read the results sequentially afterwards.
+func (c *Coordinator) fanOut(rs []*runner, fn func(*runner)) {
+	if len(rs) == 0 {
+		return
+	}
+	for _, r := range rs[1:] {
+		c.wg.Add(1)
+		go func(r *runner) {
+			defer c.wg.Done()
+			fn(r)
+		}(r)
+	}
+	fn(rs[0])
+	c.wg.Wait()
+}
 
 // Clear drops every shard's engine and subset — the zero-commodity
 // state. The next Apply rebuilds dirty shards from scratch.
@@ -216,8 +252,7 @@ func (c *Coordinator) Clear(p *stream.Problem) {
 	c.p = p
 	for _, r := range c.runners {
 		r.x, r.eng = nil, nil
-		r.names = r.names[:0]
-		r.local = nil
+		r.global = nil
 		clear(r.own)
 		clear(r.ext)
 		r.admitted = r.admitted[:0]
@@ -235,111 +270,139 @@ func (c *Coordinator) Clear(p *stream.Problem) {
 // (dirty[i] true means shard i's commodity set or the shared network
 // parameters changed since its extended problem was built). It returns
 // whether every rebuild warm-started from the shard's previous routing.
-// Clean shards keep their engines and warm state untouched.
+// Clean shards keep their engines and warm state untouched. Apply is
+// Build followed by Bind; the server calls the two itself to time them
+// and to see an unexpected warm-start fallback.
 func (c *Coordinator) Apply(p *stream.Problem, dirty []bool) (warm bool, err error) {
-	c.p = p
-	subsets := make([][]int, c.cfg.Shards)
-	for gi := range p.Commodities {
-		s := Place(p.Commodities[gi].Name, c.cfg.Salt, c.cfg.Shards)
-		subsets[s] = append(subsets[s], gi)
+	if err := c.Build(p, dirty); err != nil {
+		return false, err
 	}
-	// Rebuild dirty shards concurrently: each rebuild only reads the
-	// shared problem and writes its own runner, and subset builds are
-	// the dominant cost of a topology change at large commodity counts.
-	warms := make([]bool, len(c.runners))
-	errs := make([]error, len(c.runners))
-	var wg sync.WaitGroup
-	for i, r := range c.runners {
-		if i < len(dirty) && !dirty[i] {
-			warms[i] = true
-			continue
-		}
-		wg.Add(1)
-		go func(i int, r *runner) {
-			defer wg.Done()
-			warms[i], errs[i] = r.rebuild(p, subsets[i])
-		}(i, r)
-	}
-	wg.Wait()
-	warm = true
-	for i := range c.runners {
-		if errs[i] != nil {
-			return false, errs[i]
-		}
-		if !warms[i] {
-			warm = false
-		}
-	}
-	if c.shared == 0 {
-		for _, r := range c.runners {
-			if r.x != nil {
-				c.shared = r.x.SharedNodes
-				break
-			}
-		}
-		c.merged = make([]float64, c.shared)
-		c.prices = make([]float64, c.shared)
-	}
+	warm, _ = c.Bind() // an unexpected fallback is logged; Bind's caller decides the rest
 	return warm, nil
 }
 
-// rebuild reconstructs the shard's extended problem over subset and
-// rebinds the previous routing onto it when the subset topology allows
-// a warm start.
-func (r *runner) rebuild(p *stream.Problem, subset []int) (warm bool, err error) {
-	if subset == nil {
-		subset = []int{}
+// Build is Apply's first phase: it places p's commodities and runs the
+// subset transform of every dirty shard, concurrently — each build only
+// reads the shared problem and writes its own runner, and subset builds
+// are the dominant cost of a topology change at large commodity counts.
+// Engines are untouched until Bind.
+func (c *Coordinator) Build(p *stream.Problem, dirty []bool) error {
+	c.p = p
+	n := len(c.runners)
+	subsets := make([][]int, n)
+	for i := range subsets {
+		subsets[i] = make([]int, 0, len(p.Commodities)/n+1)
 	}
-	x, err := transform.Build(p, transform.Options{
+	for gi := range p.Commodities {
+		s := Place(p.Commodities[gi].Name, c.cfg.Salt, n)
+		subsets[s] = append(subsets[s], gi)
+	}
+	c.rebuilt = c.rebuilt[:0]
+	for i, r := range c.runners {
+		// Clean shards take the fresh indices too: an arrival or departure
+		// on another shard shifts the global position of commodities this
+		// one owns without touching its engine.
+		r.global = subsets[i]
+		if i < len(dirty) && !dirty[i] {
+			continue
+		}
+		c.rebuilt = append(c.rebuilt, r)
+	}
+	c.fanOut(c.rebuilt, func(r *runner) { r.build(p) })
+	for _, r := range c.rebuilt {
+		if r.buildErr != nil {
+			c.rebuilt = c.rebuilt[:0]
+			return r.buildErr
+		}
+	}
+	if c.shared == 0 && len(c.rebuilt) > 0 {
+		c.shared = c.rebuilt[0].next.SharedNodes
+		c.merged = make([]float64, c.shared)
+		c.prices = make([]float64, c.shared)
+	}
+	return nil
+}
+
+// Bind is Apply's second phase: every shard Build rebuilt gets an engine
+// on its new extended problem, rebound from its previous routing when
+// the subset topology allows a warm start and cold otherwise. fallback
+// is the first warm start that failed for any other reason — already
+// recovered by starting cold, returned so the caller can capture it.
+func (c *Coordinator) Bind() (warm bool, fallback error) {
+	c.fanOut(c.rebuilt, (*runner).bind)
+	warm = true
+	for _, r := range c.rebuilt {
+		if !r.warm {
+			warm = false
+		}
+		if fallback == nil {
+			fallback = r.fallback
+		}
+	}
+	c.rebuilt = c.rebuilt[:0]
+	return warm, fallback
+}
+
+// build constructs the shard's extended problem over its commodities.
+func (r *runner) build(p *stream.Problem) {
+	r.next, r.buildErr = transform.Build(p, transform.Options{
 		Penalty:     r.cfg.Penalty,
 		Epsilon:     r.cfg.Epsilon,
-		Commodities: subset,
+		Commodities: r.global,
 	})
-	if err != nil {
-		return false, err
+	if r.buildErr == nil {
+		r.cfg.Recorder.BuildFootprint(r.id, r.next.BuildBytes())
 	}
-	r.cfg.Recorder.BuildFootprint(r.id, x.BuildBytes(), len(subset))
+}
+
+// newFrom is gradient.NewFrom; a variable so tests can force the
+// warm-start failure paths.
+var newFrom = gradient.NewFrom
+
+// bind installs the extended problem build produced and starts an
+// engine on it.
+func (r *runner) bind() {
+	x := r.next
+	r.next = nil
 	if r.ext == nil {
 		r.ext = make([]float64, x.SharedNodes)
 		r.own = make([]float64, x.SharedNodes)
 	}
 	x.SetExternal(r.ext)
-
-	r.names = r.names[:0]
-	r.local = make(map[string]int, len(x.Commodities))
-	for j := range x.Commodities {
-		r.names = append(r.names, x.Commodities[j].Name)
-		r.local[x.Commodities[j].Name] = j
-	}
+	r.x = x
 	r.admitted = make([]float64, len(x.Commodities))
-	r.diverged, r.divergeErr = false, nil
+	r.diverged, r.divergeErr, r.fallback = false, nil, nil
 
 	if len(x.Commodities) == 0 {
-		r.x, r.eng = x, nil
+		r.eng = nil
 		clear(r.own)
 		r.utility = 0
 		r.stationary = true
 		r.warm = true
-		return true, nil
+		return
 	}
 
-	gcfg := gradient.Config{Eta: r.cfg.Eta, Workers: r.cfg.Workers}
-	warm = false
+	gcfg := gradient.Config{Eta: r.cfg.Eta, Workers: r.cfg.Workers, Recorder: r.engRec}
+	r.warm = false
 	if r.eng != nil {
-		eng, err := gradient.NewFrom(x, r.eng.Routing(), gcfg)
-		if err == nil {
-			r.eng, warm = eng, true
-		} else if !errors.Is(err, flow.ErrTopologyChanged) {
+		eng, err := newFrom(x, r.eng.Routing(), gcfg)
+		switch {
+		case err == nil:
+			r.eng, r.warm = eng, true
+		case errors.Is(err, flow.ErrTopologyChanged), errors.Is(err, flow.ErrWorkspaceShape):
+			// The previous routing's shape no longer fits the rebuilt
+			// problem (membership or workspace rows changed): starting
+			// cold is the expected recovery.
+			r.cfg.Logf("shard %d: cold start (expected): %v", r.id, err)
+		default:
 			r.cfg.Logf("shard %d: warm start failed unexpectedly, falling back to cold: %v", r.id, err)
+			r.fallback = err
 		}
 	}
-	if !warm {
+	if !r.warm {
 		r.eng = gradient.New(x, gcfg)
 	}
-	r.x = x
 	r.stationary = false
-	r.warm = warm
-	return warm, nil
 }
 
 // Solve runs price-exchange rounds until every shard is stationary and
@@ -356,8 +419,8 @@ func (c *Coordinator) Solve(ctx context.Context) Result {
 		r.seconds = 0
 		r.det = gradient.DivergenceDetector{}
 		if r.diverged {
-			// Retry a previously diverged shard, mirroring the
-			// single-engine server's per-solve fresh detector.
+			// Every solve retries a previously diverged shard with a
+			// fresh detector.
 			r.diverged = false
 			r.stationary = false
 		}
@@ -375,12 +438,9 @@ func (c *Coordinator) Solve(ctx context.Context) Result {
 	}
 
 	maxRounds := 8*(c.cfg.MaxIters/c.cfg.ExchangeEvery+1) + 256
-	for {
-		if ctx.Err() != nil {
-			res.Drained = true
-			break
-		}
-		stepped := c.advanceAll(ctx)
+	advance := func(r *runner) { r.advance(ctx) } // one closure per solve, not per round
+	for ctx.Err() == nil {
+		stepped := c.advanceAll(advance)
 		res.Rounds++
 		c.merge(anyX)
 		moved, maxDelta := c.updateExternals(anyX)
@@ -414,12 +474,14 @@ func (c *Coordinator) Solve(ctx context.Context) Result {
 		}
 	}
 
+	res.Drained = !res.Converged && ctx.Err() != nil
+
 	for _, r := range c.runners {
 		res.Iterations += r.iters
 		res.Utility += r.utility
 		res.Shards = append(res.Shards, ShardStatus{
 			Shard:       r.id,
-			Commodities: len(r.names),
+			Commodities: len(r.global),
 			Iterations:  r.iters,
 			Warm:        r.warm,
 			Stationary:  r.stationary,
@@ -430,41 +492,38 @@ func (c *Coordinator) Solve(ctx context.Context) Result {
 	return res
 }
 
-// advanceAll runs every shard's advance concurrently and reports
-// whether any shard performed at least one gradient iteration. Each
-// runner touches only its own state, so the only synchronization needed
-// is the join; the subsequent merge reads the results sequentially in
-// shard order.
-func (c *Coordinator) advanceAll(ctx context.Context) (stepped bool) {
-	var wg sync.WaitGroup
-	for _, r := range c.runners {
-		wg.Add(1)
-		go func(r *runner) {
-			defer wg.Done()
-			start := time.Now()
-			r.stepped = r.advance(ctx)
-			r.seconds += time.Since(start).Seconds()
-		}(r)
-	}
-	wg.Wait()
+// advanceAll runs one advance per shard (see fanOut) and reports
+// whether any shard performed at least one gradient iteration; the
+// subsequent merge reads the results sequentially in shard order.
+func (c *Coordinator) advanceAll(advance func(*runner)) (stepped bool) {
+	c.fanOut(c.runners, advance)
 	now := float64(time.Now().UnixNano()) / 1e9
 	for _, r := range c.runners {
 		if r.stepped {
 			stepped = true
 		}
-		c.cfg.Recorder.ShardAdvance(r.id, r.seconds, r.iters, len(r.names), r.stepped, now)
+		c.cfg.Recorder.ShardAdvance(r.id, r.seconds, r.iters, len(r.global), r.stepped, now)
 	}
 	return stepped
 }
 
-// advance runs up to ExchangeEvery gradient iterations against the
-// shard's current external-usage vector, refreshing its usage summary.
-// A shard that is already stationary and whose external usage has not
-// moved since skips entirely. The flows are forecast once per routing:
-// the engine keeps the evaluation this advance ends on for the check
-// the next one starts with (FNode does not depend on External; a
-// rebuild installs a new engine and with it a new forecast).
-func (r *runner) advance(ctx context.Context) (stepped bool) {
+// advance is one timed step of the shard.
+func (r *runner) advance(ctx context.Context) {
+	start := time.Now()
+	r.stepped = r.step(ctx)
+	r.seconds += time.Since(start).Seconds()
+}
+
+// step checks Theorem-2 stationarity and, unless it holds, runs up to
+// ExchangeEvery gradient iterations against the shard's current
+// external-usage vector, refreshing its usage summary. The check comes
+// first, so a solve that begins stationary costs no iteration. A shard
+// that is already stationary and whose external usage has not moved
+// since skips entirely. The flows are forecast once per routing: the
+// engine keeps the evaluation this step ends on for the check the next
+// one starts with (FNode does not depend on External; a rebuild
+// installs a new engine and with it a new forecast).
+func (r *runner) step(ctx context.Context) (stepped bool) {
 	if r.eng == nil || r.diverged {
 		return false
 	}
@@ -600,21 +659,20 @@ func (c *Coordinator) Commodities() []CommodityState {
 	if c.p == nil {
 		return nil
 	}
-	out := make([]CommodityState, 0, len(c.p.Commodities))
-	for gi := range c.p.Commodities {
-		cm := c.p.Commodities[gi]
-		st := CommodityState{Name: cm.Name, Offered: cm.MaxRate}
-		r := c.runners[Place(cm.Name, c.cfg.Salt, c.cfg.Shards)]
-		if j, ok := r.local[cm.Name]; ok && j < len(r.admitted) {
-			st.Admitted = r.admitted[j]
+	out := make([]CommodityState, len(c.p.Commodities))
+	for gi, cm := range c.p.Commodities {
+		out[gi] = CommodityState{Name: cm.Name, Offered: cm.MaxRate}
+	}
+	for _, r := range c.runners {
+		for j, a := range r.admitted {
+			out[r.global[j]].Admitted = a
 		}
-		out = append(out, st)
 	}
 	return out
 }
 
 // UsageReport maps the merged global usage back onto the original
-// network — the sharded equivalent of core.UsageReport.
+// network.
 func (c *Coordinator) UsageReport() []core.NodeUsage {
 	for _, r := range c.runners {
 		if r.x != nil {
@@ -632,19 +690,13 @@ func (c *Coordinator) Explain() []core.CommodityExplain {
 	if c.p == nil {
 		return nil
 	}
-	byName := make(map[string]core.CommodityExplain)
+	out := make([]core.CommodityExplain, len(c.p.Commodities))
 	for _, r := range c.runners {
 		if r.eng == nil {
 			continue
 		}
-		for _, ce := range core.Explain(c.p, r.x, r.eng.Usage()) {
-			byName[ce.Name] = ce
-		}
-	}
-	out := make([]core.CommodityExplain, 0, len(c.p.Commodities))
-	for gi := range c.p.Commodities {
-		if ce, ok := byName[c.p.Commodities[gi].Name]; ok {
-			out = append(out, ce)
+		for j, ce := range core.Explain(c.p, r.x, r.eng.Usage()) {
+			out[r.global[j]] = ce
 		}
 	}
 	return out

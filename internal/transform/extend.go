@@ -100,16 +100,16 @@ type Extended struct {
 	// External[i] is flow through shared node i contributed by
 	// commodities outside this build (other shards). The barrier is
 	// evaluated at own + external usage, so the marginal wave prices
-	// congestion at the global operating point. Nil (the single-shard
-	// case) means zero external flow everywhere and leaves every code
-	// path bitwise-identical to an unsharded build.
+	// congestion at the global operating point. Nil means zero external
+	// flow everywhere, and so does the all-zero vector a lone shard
+	// holds: f + 0 is f bit for bit.
 	External []float64
 
 	// Sub[j] is commodity j's member subgraph in compact local
 	// indexing: parameters, topo order, and adjacency over only the
 	// edges the commodity can use, trimmed to dummy→sink paths. This is
-	// the only per-commodity representation; global-indexed queries go
-	// through MemberEdge/MemberEdges/EdgeBeta/EdgeCost.
+	// the only per-commodity representation; a global edge ID maps into
+	// it through Sub[j].LocalEdge.
 	Sub []Subgraph
 
 	// OrigNode maps extended node -> original node (graph.Invalid for
@@ -275,36 +275,6 @@ func Build(p *stream.Problem, opts Options) (*Extended, error) {
 	}
 	b.carve(x.Sub)
 	return x, nil
-}
-
-// MemberEdge reports whether extended edge e is usable by commodity j
-// (trimmed to edges on some dummy→sink path). O(log member edges);
-// hot loops iterate Sub[j] locally instead of probing this.
-func (x *Extended) MemberEdge(j int, e graph.EdgeID) bool {
-	return x.Sub[j].LocalEdge(e) >= 0
-}
-
-// MemberEdges returns commodity j's member edges as ascending extended
-// edge IDs. The slice aliases the subgraph's local→global map; callers
-// must not modify it.
-func (x *Extended) MemberEdges(j int) []graph.EdgeID { return x.Sub[j].Edges }
-
-// EdgeBeta returns β_e(j), zero when e is not a member edge of j.
-// O(log member edges); hot loops read Sub[j].Beta locally.
-func (x *Extended) EdgeBeta(j int, e graph.EdgeID) float64 {
-	if le := x.Sub[j].LocalEdge(e); le >= 0 {
-		return x.Sub[j].Beta[le]
-	}
-	return 0
-}
-
-// EdgeCost returns c_e(j), zero when e is not a member edge of j.
-// O(log member edges); hot loops read Sub[j].Cost locally.
-func (x *Extended) EdgeCost(j int, e graph.EdgeID) float64 {
-	if le := x.Sub[j].LocalEdge(e); le >= 0 {
-		return x.Sub[j].Cost[le]
-	}
-	return 0
 }
 
 // BuildBytes reports the total heap footprint of the per-commodity

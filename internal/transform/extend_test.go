@@ -105,14 +105,15 @@ func TestBandwidthNodes(t *testing.T) {
 			t.Fatalf("bandwidth node %q capacity %g, want %g", x.Names[n], x.Capacity[n], p.Net.Bandwidth[orig])
 		}
 		// The wire half transfers one-for-one: β = c = 1.
-		if x.EdgeBeta(0, out) != 1 || x.EdgeCost(0, out) != 1 {
-			t.Fatalf("wire half beta=%g cost=%g, want 1,1", x.EdgeBeta(0, out), x.EdgeCost(0, out))
+		sg := &x.Sub[0]
+		if le := sg.LocalEdge(out); sg.Beta[le] != 1 || sg.Cost[le] != 1 {
+			t.Fatalf("wire half beta=%g cost=%g, want 1,1", sg.Beta[le], sg.Cost[le])
 		}
 		// The processing half inherits the original parameters.
 		edge := og.Edge(orig)
 		want := p.Commodities[0].Edges[orig]
-		if x.EdgeBeta(0, in) != want.Beta || x.EdgeCost(0, in) != want.Cost {
-			t.Fatalf("proc half (%d,%d) beta=%g cost=%g, want %+v", edge.From, edge.To, x.EdgeBeta(0, in), x.EdgeCost(0, in), want)
+		if le := sg.LocalEdge(in); sg.Beta[le] != want.Beta || sg.Cost[le] != want.Cost {
+			t.Fatalf("proc half (%d,%d) beta=%g cost=%g, want %+v", edge.From, edge.To, sg.Beta[le], sg.Cost[le], want)
 		}
 	}
 	if count != og.NumEdges() {
@@ -139,8 +140,8 @@ func TestDummyNodes(t *testing.T) {
 		}
 		// Both dummy links carry flow one-for-one.
 		for _, e := range []graph.EdgeID{c.InputLink, c.DiffLink} {
-			if x.EdgeBeta(j, e) != 1 || x.EdgeCost(j, e) != 1 {
-				t.Fatalf("dummy link beta=%g cost=%g, want 1,1", x.EdgeBeta(j, e), x.EdgeCost(j, e))
+			if le := x.Sub[j].LocalEdge(e); x.Sub[j].Beta[le] != 1 || x.Sub[j].Cost[le] != 1 {
+				t.Fatalf("dummy link beta=%g cost=%g, want 1,1", x.Sub[j].Beta[le], x.Sub[j].Cost[le])
 			}
 		}
 	}
@@ -204,7 +205,7 @@ func TestMemberSubgraphsAreDAGs(t *testing.T) {
 	p := twoPathProblem(t)
 	x := mustBuild(t, p, Options{})
 	for j := range x.Commodities {
-		if !x.G.IsAcyclic(func(e graph.EdgeID) bool { return x.MemberEdge(j, e) }) {
+		if !x.G.IsAcyclic(func(e graph.EdgeID) bool { return x.Sub[j].LocalEdge(e) >= 0 }) {
 			t.Fatalf("commodity %d member subgraph cyclic", j)
 		}
 		if len(x.Sub[j].Topo) != x.Sub[j].NumNodes() {
@@ -238,7 +239,7 @@ func TestTrimDropsDeadEnds(t *testing.T) {
 	// Find the proc half of the dead-end edge: src -> bw:src>b.
 	deadEnds := 0
 	for e := 0; e < x.G.NumEdges(); e++ {
-		if x.OrigEdge[e] == e3 && x.MemberEdge(0, graph.EdgeID(e)) {
+		if x.OrigEdge[e] == e3 && x.Sub[0].LocalEdge(graph.EdgeID(e)) >= 0 {
 			deadEnds++
 		}
 	}
@@ -280,12 +281,12 @@ func TestSubgraphAdjacencyMatchesFilteredScan(t *testing.T) {
 			node := graph.NodeID(n)
 			var wantOut, wantIn []graph.EdgeID
 			for _, e := range x.G.Out(node) {
-				if x.MemberEdge(j, e) {
+				if x.Sub[j].LocalEdge(e) >= 0 {
 					wantOut = append(wantOut, e)
 				}
 			}
 			for _, e := range x.G.In(node) {
-				if x.MemberEdge(j, e) {
+				if x.Sub[j].LocalEdge(e) >= 0 {
 					wantIn = append(wantIn, e)
 				}
 			}
@@ -334,10 +335,6 @@ func TestLocalGlobalRoundTrip(t *testing.T) {
 		}
 		for e := 0; e < x.G.NumEdges(); e++ {
 			le := sg.LocalEdge(graph.EdgeID(e))
-			member := x.MemberEdge(j, graph.EdgeID(e))
-			if (le >= 0) != member {
-				t.Fatalf("commodity %d edge %d: LocalEdge = %d, MemberEdge = %v", j, e, le, member)
-			}
 			if le >= 0 && sg.Edges[le] != graph.EdgeID(e) {
 				t.Fatalf("commodity %d edge %d: round trip gives %d", j, e, sg.Edges[le])
 			}
@@ -358,7 +355,7 @@ func TestLocalTopoMatchesFilteredSort(t *testing.T) {
 	x := mustBuild(t, p, Options{})
 	for j := range x.Commodities {
 		sg := &x.Sub[j]
-		full, err := x.G.TopoSortFiltered(func(e graph.EdgeID) bool { return x.MemberEdge(j, e) })
+		full, err := x.G.TopoSortFiltered(func(e graph.EdgeID) bool { return x.Sub[j].LocalEdge(e) >= 0 })
 		if err != nil {
 			t.Fatal(err)
 		}
