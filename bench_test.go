@@ -8,7 +8,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -278,7 +277,15 @@ func BenchmarkEvaluate(b *testing.B) {
 // many-commodity instance (8 commodities, the E6 shape). Trajectories
 // are identical across worker counts (see internal/gradient's
 // determinism tests); only the wall clock may differ, and only on
-// multi-core hardware.
+// multi-core hardware. The worker set is fixed, not derived from the
+// host, so every host produces the entries the baseline gates.
+//
+// One op is 100 Steps after one untimed Step. The regression gate runs
+// at -benchtime=1x, where a single parallel Step reads anywhere from
+// workers+1 allocations (the pool's goroutine closures and WaitGroup)
+// to twice that, depending on whether the runtime's per-P goroutine and
+// sudog caches happen to hit — no ±25% gate on a count of 5 survives
+// that. Over 100 Steps the misses are noise on 100·(workers+1).
 func BenchmarkStepParallel(b *testing.B) {
 	p, err := randnet.Generate(randnet.Config{Seed: 5, Nodes: 32, Layers: 4, Commodities: 8})
 	if err != nil {
@@ -288,16 +295,15 @@ func BenchmarkStepParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	workerCounts := []int{1, 4}
-	if n := runtime.GOMAXPROCS(0); n != 1 && n != 4 {
-		workerCounts = append(workerCounts, n)
-	}
-	for _, workers := range workerCounts {
+	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			eng := gradient.New(x, gradient.Config{Eta: 0.04, Workers: workers})
+			eng.Step()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.Step()
+				for k := 0; k < 100; k++ {
+					eng.Step()
+				}
 			}
 		})
 	}
@@ -391,8 +397,10 @@ func BenchmarkE8FailureRecovery(b *testing.B) {
 func BenchmarkAdaptiveEngine(b *testing.B) {
 	x := paperInstance(b)
 	for i := 0; i < b.N; i++ {
-		eng := gradient.NewAdaptive(x, gradient.AdaptiveConfig{})
-		eng.Run(500)
+		eng := gradient.New(x, gradient.Config{Backtrack: true})
+		for k := 0; k < 500; k++ {
+			eng.Step()
+		}
 	}
 }
 

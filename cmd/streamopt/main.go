@@ -255,9 +255,10 @@ func writeTrace(path string, trace []core.TracePoint) error {
 	return f.Close()
 }
 
-// replayInQsim re-solves with the gradient engine (the queue simulator
-// needs the routing variables, which core.Solve does not expose) and
-// replays the plan under Poisson arrivals.
+// replayInQsim re-solves with the gradient engine in the step mode
+// -alg names (the queue simulator needs the routing variables, which
+// core.Solve does not expose) and replays the plan under Poisson
+// arrivals.
 func replayInQsim(p *stream.Problem, cfg cliConfig, rec *obs.Recorder) error {
 	if cfg.alg != string(core.Gradient) && cfg.alg != string(core.GradientAdaptive) {
 		return fmt.Errorf("-validate supports the gradient algorithms, not %q", cfg.alg)
@@ -270,7 +271,7 @@ func replayInQsim(p *stream.Problem, cfg cliConfig, rec *obs.Recorder) error {
 	if iters <= 0 {
 		iters = 5000
 	}
-	eng := gradient.New(x, gradient.Config{Eta: cfg.eta})
+	eng := gradient.New(x, gradient.Config{Eta: cfg.eta, Backtrack: cfg.alg == string(core.GradientAdaptive)})
 	if _, err := eng.Run(iters, nil); err != nil {
 		return err
 	}

@@ -52,8 +52,10 @@ func TestEndToEndAllSolversAgree(t *testing.T) {
 	}
 	fixed := eng.Solution().Utility()
 
-	ad := gradient.NewAdaptive(x, gradient.AdaptiveConfig{})
-	ad.Run(5000)
+	ad := gradient.New(x, gradient.Config{Backtrack: true})
+	if _, err := ad.Run(5000, nil); err != nil {
+		t.Fatal(err)
+	}
 	adaptive := ad.Solution().Utility()
 
 	rt := dist.New(x, gradient.Config{Eta: 0.04})
@@ -146,12 +148,15 @@ func TestEndToEndPenaltyFamiliesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := gradient.NewAdaptive(x, gradient.AdaptiveConfig{})
-		last := eng.Run(8000)
-		if !last.Feasible {
+		eng := gradient.New(x, gradient.Config{Backtrack: true})
+		if _, err := eng.Run(8000, nil); err != nil {
+			t.Fatal(err)
+		}
+		last := eng.Usage()
+		if ok, _ := last.Feasible(); !ok {
 			t.Fatalf("%s: infeasible fixed point", pen.Name())
 		}
-		results[pen.Name()] = last.Utility
+		results[pen.Name()] = last.Utility()
 	}
 	a, b := results["reciprocal"], results["log"]
 	if math.Abs(a-b) > 0.15*(1+math.Max(a, b)) {

@@ -43,8 +43,9 @@ const (
 	// GradientDistributed runs the same algorithm as message-passing
 	// actors on the simulated network, with measured protocol costs.
 	GradientDistributed Algorithm = "gradient-dist"
-	// GradientAdaptive runs the gradient algorithm under backtracking
-	// step-size control (no η tuning required; cost is monotone).
+	// GradientAdaptive is the same engine with backtracking step
+	// control on (gradient.Config.Backtrack): no η tuning required, and
+	// the cost is monotone.
 	GradientAdaptive Algorithm = "gradient-adaptive"
 	// BackPressure is the §6 baseline from the authors' earlier work.
 	BackPressure Algorithm = "backpressure"
@@ -251,10 +252,8 @@ func SolveExtended(p *stream.Problem, x *transform.Extended, opts Options) (*Res
 	}
 
 	switch opts.Algorithm {
-	case Gradient:
+	case Gradient, GradientAdaptive:
 		return res, solveGradient(p, x, opts, target, res)
-	case GradientAdaptive:
-		return res, solveAdaptive(p, x, opts, target, res)
 	case GradientDistributed:
 		return res, solveDistributed(p, x, opts, target, res)
 	case BackPressure:
@@ -273,9 +272,19 @@ func gradientDefaults(opts *Options) {
 	}
 }
 
+// solveGradient runs the synchronous engine in either step mode:
+// opts.Algorithm picks fixed η or backtracking, everything else — the
+// trace, divergence detection, the early stops, the protocol accounting
+// — is one loop.
 func solveGradient(p *stream.Problem, x *transform.Extended, opts Options, target float64, res *Result) error {
 	gradientDefaults(&opts)
-	eng := gradient.New(x, gradient.Config{Eta: opts.Eta, DisableBlocking: opts.DisableBlocking, Workers: opts.Workers, Recorder: opts.Recorder})
+	eng := gradient.New(x, gradient.Config{
+		Eta:             opts.Eta,
+		Backtrack:       opts.Algorithm == GradientAdaptive,
+		DisableBlocking: opts.DisableBlocking,
+		Workers:         opts.Workers,
+		Recorder:        opts.Recorder,
+	})
 	var det gradient.DivergenceDetector
 	for i := 0; i < opts.MaxIters; i++ {
 		info := eng.Step()
@@ -283,7 +292,7 @@ func solveGradient(p *stream.Problem, x *transform.Extended, opts Options, targe
 			Iteration: info.Iteration, Utility: info.Utility, Cost: info.Cost,
 		})
 		if err := det.Observe(info); err != nil {
-			opts.Recorder.Divergence(string(Gradient), info.Iteration, err.Error())
+			opts.Recorder.Divergence(string(opts.Algorithm), info.Iteration, err.Error())
 			return err
 		}
 		if res.ReachedTargetAt < 0 && info.Utility >= target {
@@ -300,29 +309,6 @@ func solveGradient(p *stream.Problem, x *transform.Extended, opts Options, targe
 	res.Iterations = st.Iterations
 	res.Messages = st.Messages
 	res.Rounds = st.Rounds
-	finishFromUsage(p, x, eng.Solution(), res, opts.Explain)
-	return nil
-}
-
-func solveAdaptive(p *stream.Problem, x *transform.Extended, opts Options, target float64, res *Result) error {
-	gradientDefaults(&opts)
-	eng := gradient.NewAdaptive(x, gradient.AdaptiveConfig{
-		InitialEta:      opts.Eta,
-		DisableBlocking: opts.DisableBlocking,
-		Workers:         opts.Workers,
-		Recorder:        opts.Recorder,
-	})
-	for i := 0; i < opts.MaxIters; i++ {
-		info := eng.Step()
-		recordTrace(res, opts, i, opts.MaxIters, TracePoint{
-			Iteration: info.Iteration, Utility: info.Utility, Cost: info.Cost,
-		})
-		res.Iterations++
-		if res.ReachedTargetAt < 0 && info.Utility >= target {
-			res.ReachedTargetAt = info.Iteration
-			break
-		}
-	}
 	finishFromUsage(p, x, eng.Solution(), res, opts.Explain)
 	return nil
 }

@@ -5,8 +5,10 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/gradient"
 	"repro/internal/randnet"
 	"repro/internal/stream"
+	"repro/internal/utility"
 )
 
 func figure1(t *testing.T) *stream.Problem {
@@ -162,26 +164,6 @@ func TestUsageReport(t *testing.T) {
 	}
 }
 
-func TestSolveAdaptive(t *testing.T) {
-	res, err := Solve(figure1(t), Options{
-		Algorithm:     GradientAdaptive,
-		MaxIters:      3000,
-		WithReference: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Utility <= 0 || res.Utility > res.ReferenceUtility+1e-6 {
-		t.Fatalf("adaptive utility %g vs reference %g", res.Utility, res.ReferenceUtility)
-	}
-	// Monotone cost by construction.
-	for i := 1; i < len(res.Trace); i++ {
-		if res.Trace[i].Cost > res.Trace[i-1].Cost+1e-9 {
-			t.Fatalf("adaptive cost rose at trace index %d", i)
-		}
-	}
-}
-
 func TestUnknownAlgorithm(t *testing.T) {
 	_, err := Solve(figure1(t), Options{Algorithm: "simulated-annealing"})
 	if !errors.Is(err, ErrUnknownAlgorithm) {
@@ -270,19 +252,41 @@ func TestSolveExplain(t *testing.T) {
 	}
 }
 
+// nanBarrier makes every cost NaN, the one state the iteration cannot
+// recover from in either step mode.
+type nanBarrier struct{ utility.Reciprocal }
+
+func (nanBarrier) Value(z, c float64) float64 { return math.NaN() }
+
+// TestStationaryTolStopsEarly holds both step modes of the one gradient
+// loop to the same contract: Theorem 2 stationarity ends the run early,
+// the protocol accounting is filled in, and divergence is an error.
 func TestStationaryTolStopsEarly(t *testing.T) {
-	res, err := Solve(figure1(t), Options{
-		MaxIters:      50000,
-		Eta:           0.2,
-		StationaryTol: 0.05,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations >= 50000 {
-		t.Fatal("stationarity detection never fired")
-	}
-	if res.Utility <= 0 {
-		t.Fatalf("stopped at utility %g", res.Utility)
+	for _, alg := range []Algorithm{Gradient, GradientAdaptive} {
+		t.Run(string(alg), func(t *testing.T) {
+			res, err := Solve(figure1(t), Options{
+				Algorithm:     alg,
+				MaxIters:      50000,
+				Eta:           0.2,
+				StationaryTol: 0.05,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Iterations >= 50000 {
+				t.Fatal("stationarity detection never fired")
+			}
+			if res.Utility <= 0 {
+				t.Fatalf("stopped at utility %g", res.Utility)
+			}
+			if res.Messages == 0 || res.Rounds == 0 {
+				t.Fatalf("protocol accounting empty: %d messages, %d rounds", res.Messages, res.Rounds)
+			}
+
+			_, err = Solve(figure1(t), Options{Algorithm: alg, MaxIters: 500, Penalty: nanBarrier{}})
+			if !errors.Is(err, gradient.ErrDiverged) {
+				t.Fatalf("NaN cost: err = %v, want ErrDiverged", err)
+			}
+		})
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/flow"
+	"repro/internal/obs"
 	"repro/internal/randnet"
 	"repro/internal/refopt"
 	"repro/internal/transform"
@@ -13,7 +15,7 @@ func TestAdaptiveCostMonotone(t *testing.T) {
 	// The accept/reject rule makes the cost non-increasing by
 	// construction; verify over a real trajectory.
 	x := randomExtended(t, 13)
-	e := NewAdaptive(x, AdaptiveConfig{})
+	e := New(x, Config{Backtrack: true})
 	prev := math.Inf(1)
 	for i := 0; i < 800; i++ {
 		info := e.Step()
@@ -26,24 +28,35 @@ func TestAdaptiveCostMonotone(t *testing.T) {
 
 func TestAdaptiveSurvivesHostileInitialEta(t *testing.T) {
 	// A wildly too-large initial η must be tamed by backtracking and
-	// still converge near the fixed-η optimum.
+	// still converge near the fixed-η optimum. The recorder's η gauge
+	// and backtrack counter must follow the engine's own.
 	x := randomExtended(t, 17)
 	ref, err := refopt.Solve(x, refopt.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewAdaptive(x, AdaptiveConfig{InitialEta: 50})
-	last := e.Run(6000)
-	if e.Backtracks == 0 {
+	rec := obs.NewRecorder(nil, nil)
+	e := New(x, Config{Eta: 50, Backtrack: true, Recorder: rec})
+	if _, err := e.Run(6000, nil); err != nil {
+		t.Fatal(err)
+	}
+	if e.Backtracks() == 0 {
 		t.Fatal("hostile eta never backtracked")
 	}
 	if e.Eta() >= 50 {
 		t.Fatalf("eta did not shrink: %g", e.Eta())
 	}
-	if last.Utility < 0.80*ref.Utility {
-		t.Fatalf("adaptive converged to %g, reference %g", last.Utility, ref.Utility)
+	if got := rec.Registry().Gauge("streamopt_eta", "").Value(); got != e.Eta() {
+		t.Fatalf("streamopt_eta = %g, engine eta %g", got, e.Eta())
 	}
-	if !last.Feasible {
+	if got := rec.Registry().Counter("streamopt_adaptive_backtracks_total", "").Value(); got != uint64(e.Backtracks()) {
+		t.Fatalf("streamopt_adaptive_backtracks_total = %d, engine counted %d", got, e.Backtracks())
+	}
+	last := e.Usage()
+	if last.Utility() < 0.80*ref.Utility {
+		t.Fatalf("adaptive converged to %g, reference %g", last.Utility(), ref.Utility)
+	}
+	if ok, _ := last.Feasible(); !ok {
 		t.Fatal("adaptive final point infeasible")
 	}
 }
@@ -58,11 +71,13 @@ func TestAdaptiveMatchesFixedEtaQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive := NewAdaptive(x, AdaptiveConfig{})
-	lastAdaptive := adaptive.Run(4000)
+	adaptive := New(x, Config{Backtrack: true})
+	if _, err := adaptive.Run(4000, nil); err != nil {
+		t.Fatal(err)
+	}
 	fixedU := traceFixed[len(traceFixed)-1].Utility
-	if lastAdaptive.Utility < 0.95*fixedU {
-		t.Fatalf("adaptive %g well below tuned fixed %g", lastAdaptive.Utility, fixedU)
+	if got := adaptive.Usage().Utility(); got < 0.95*fixedU {
+		t.Fatalf("adaptive %g well below tuned fixed %g", got, fixedU)
 	}
 }
 
@@ -80,23 +95,79 @@ func TestAdaptiveEtaGrowsOnEasyInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewAdaptive(x, AdaptiveConfig{InitialEta: 0.001})
-	e.Run(2000)
+	e := New(x, Config{Eta: 0.001, Backtrack: true})
+	if _, err := e.Run(2000, nil); err != nil {
+		t.Fatal(err)
+	}
 	if e.Eta() <= 0.001 {
 		t.Fatalf("eta never grew: %g", e.Eta())
 	}
 }
 
-func TestAdaptiveDefaults(t *testing.T) {
-	cfg := AdaptiveConfig{}
-	cfg.setDefaults()
-	if cfg.InitialEta != 0.04 || cfg.Shrink != 0.5 || cfg.Grow != 1.05 || cfg.GrowAfter != 20 {
-		t.Fatalf("unexpected defaults: %+v", cfg)
+// TestBacktrackingMatchesReferenceLoop pins Config.Backtrack to the
+// rule the separate adaptive engine applied, written out here on top of
+// the fixed-η path: a one-step fixed engine warm-started from the
+// current routing proposes, and the loop below accepts, rejects, grows
+// and shrinks. φ bits, the η sequence and the backtrack count must
+// agree at every step.
+func TestBacktrackingMatchesReferenceLoop(t *testing.T) {
+	instances := []struct {
+		name string
+		x    *transform.Extended
+	}{
+		{"E4", buildInstance(t, randnet.Config{Seed: 2, Nodes: 40, Commodities: 3})},
+		{"E6", buildInstance(t, randnet.Config{Seed: 5, Nodes: 32, Layers: 4, Commodities: 8})},
+		{"seed13", randomExtended(t, 13)},
+		{"seed17", randomExtended(t, 17)},
+		{"seed23", randomExtended(t, 23)},
 	}
-	// Degenerate values fall back too.
-	cfg = AdaptiveConfig{Shrink: 2, Grow: 0.5}
-	cfg.setDefaults()
-	if cfg.Shrink != 0.5 || cfg.Grow != 1.05 {
-		t.Fatalf("degenerate values not corrected: %+v", cfg)
+	for _, in := range instances {
+		for _, eta0 := range []float64{0.04, 50} {
+			for _, workers := range []int{1, 4} {
+				e := New(in.x, Config{Eta: eta0, Backtrack: true, Workers: workers})
+
+				r := flow.NewInitial(in.x)
+				eta, descents, backtracks := eta0, 0, 0
+				cost := flow.Evaluate(r).TotalCost()
+				for i := 0; i < 300; i++ {
+					e.Step()
+
+					proposer, err := NewFrom(in.x, r, Config{Eta: eta, Workers: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					proposer.Step()
+					if c := proposer.Usage().TotalCost(); c <= cost+1e-12 {
+						r, cost = proposer.Routing(), c
+						if descents++; descents >= 20 {
+							descents = 0
+							if eta*1.05 <= 1 {
+								eta *= 1.05
+							}
+						}
+					} else {
+						backtracks++
+						descents = 0
+						if eta*0.5 >= 1e-5 {
+							eta *= 0.5
+						}
+					}
+
+					if e.Eta() != eta || e.Backtracks() != backtracks {
+						t.Fatalf("%s eta0=%g workers=%d step %d: eta %v backtracks %d, reference %v %d",
+							in.name, eta0, workers, i, e.Eta(), e.Backtracks(), eta, backtracks)
+					}
+					for j := range r.Phi {
+						if k := sameBits(e.Routing().Phi[j], r.Phi[j]); k >= 0 {
+							t.Fatalf("%s eta0=%g workers=%d step %d: φ[%d][%d] = %v, reference %v",
+								in.name, eta0, workers, i, j, k, e.Routing().Phi[j][k], r.Phi[j][k])
+						}
+					}
+				}
+				if eta0 == 50 && backtracks == 0 {
+					t.Fatalf("%s: hostile eta never backtracked; the test exercised one branch only", in.name)
+				}
+			}
+		}
 	}
 }

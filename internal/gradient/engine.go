@@ -15,8 +15,17 @@ import (
 type Config struct {
 	// Eta is the scale factor η of Γ (eq. 16). §6 uses 0.04 for the
 	// headline experiment; larger values converge faster but may
-	// oscillate. Zero or negative means 0.04.
+	// oscillate. Zero or negative means 0.04. With Backtrack set it is
+	// only the initial step.
 	Eta float64
+	// Backtrack turns on step control. §5 leaves η open ("it is
+	// possible to choose a η much larger to expedite the convergence")
+	// and §6 shows both ways of guessing wrong (experiment T2), so the
+	// engine can choose: a step that raises the cost A = Y + εD is
+	// rolled back and η halves; η grows by 5% after 20 descents in a
+	// row, within [1e-5, 1]. The rule reads only the cost sum the §5
+	// waves already carry. Off (the default) is the paper's fixed η.
+	Backtrack bool
 	// DisableBlocking turns the loop-freedom tagging protocol off.
 	// Safe here because member subgraphs are DAGs; exists for the
 	// ablation benches.
@@ -59,7 +68,9 @@ type Stats struct {
 
 // StepInfo reports the state measured at the start of an iteration
 // (before the routing update), so a trace of StepInfo values is the
-// utility-versus-iteration curve of Figure 4.
+// utility-versus-iteration curve of Figure 4. That holds in both step
+// modes: under Config.Backtrack it is the point the proposed step was
+// judged against, not the outcome of the accept/reject decision.
 type StepInfo struct {
 	Iteration int
 	Utility   float64 // Σ_j U_j(a_j)
@@ -87,26 +98,50 @@ type Engine struct {
 	arena      *arena
 	admitted   []float64
 
+	// Step control. eta is the current step scale (cfg.Eta for good
+	// without Backtrack). proposed, allocated only under Backtrack, is
+	// the usage workspace the proposed routing is forecast into.
+	eta        float64
+	proposed   *flow.Usage
+	descents   int // accepted steps since η last changed
+	backtracks int
+
 	stats Stats
 	iter  int
 }
 
+// The backtracking rule's constants: the factor η shrinks by on a
+// rejected step, the factor it grows by after growAfter accepted steps
+// in a row, and the range it stays in.
+const (
+	etaShrink = 0.5
+	etaGrow   = 1.05
+	growAfter = 20
+	etaMin    = 1e-5
+	etaMax    = 1.0
+)
+
 // New prepares an engine from the paper-faithful initial routing
 // (everything rejected; see flow.NewInitial).
 func New(x *transform.Extended, cfg Config) *Engine {
+	return newEngine(x, flow.NewInitial(x), cfg)
+}
+
+func newEngine(x *transform.Extended, r *flow.Routing, cfg Config) *Engine {
 	cfg.setDefaults()
 	cfg.Recorder.SetEta(cfg.Eta)
 	cfg.Recorder.SetWorkers(cfg.Workers)
-	e := &Engine{X: x, R: flow.NewInitial(x), cfg: cfg}
-	e.initWorkspace()
+	e := &Engine{
+		X: x, R: r, cfg: cfg, eta: cfg.Eta,
+		u:        flow.NewUsage(x),
+		spare:    flow.NewZero(x),
+		arena:    newArena(x, cfg.Workers),
+		admitted: make([]float64, x.NumCommodities()),
+	}
+	if cfg.Backtrack {
+		e.proposed = flow.NewUsage(x)
+	}
 	return e
-}
-
-func (e *Engine) initWorkspace() {
-	e.u = flow.NewUsage(e.X)
-	e.spare = flow.NewZero(e.X)
-	e.arena = newArena(e.X, e.cfg.Workers)
-	e.admitted = make([]float64, e.X.NumCommodities())
 }
 
 // NewFrom starts from an explicit routing set (used for warm starts in
@@ -120,20 +155,23 @@ func (e *Engine) initWorkspace() {
 // elements changed) and a cold start is the expected recovery; false
 // means a real bug worth surfacing.
 func NewFrom(x *transform.Extended, r *flow.Routing, cfg Config) (*Engine, error) {
-	cfg.setDefaults()
 	bound, err := r.Rebind(x)
 	if err != nil {
 		return nil, fmt.Errorf("gradient: warm start: %w", err)
 	}
-	cfg.Recorder.SetEta(cfg.Eta)
-	cfg.Recorder.SetWorkers(cfg.Workers)
-	e := &Engine{X: x, R: bound, cfg: cfg}
-	e.initWorkspace()
-	return e, nil
+	return newEngine(x, bound, cfg), nil
 }
 
 // Stats returns protocol accounting accumulated so far.
 func (e *Engine) Stats() Stats { return e.stats }
+
+// Eta reports the current step scale: Config.Eta, or wherever
+// backtracking has moved it.
+func (e *Engine) Eta() float64 { return e.eta }
+
+// Backtracks counts the steps rejected so far (always zero without
+// Config.Backtrack).
+func (e *Engine) Backtracks() int { return e.backtracks }
 
 // Routing exposes the current routing variables (not a copy). The
 // engine double-buffers its routing, so the returned set is only valid
@@ -164,17 +202,23 @@ func (e *Engine) Stationarity() StationarityReport {
 
 // Step executes one full iteration — forecast, marginal-cost wave with
 // tagging, routing update — and returns the pre-update measurements.
-// All iteration state lives in workspaces allocated at construction, so
-// the steady-state step performs no heap allocation.
+// Under Config.Backtrack the update is a proposal: it is kept only if
+// it does not raise the cost, and η adapts either way. All iteration
+// state lives in workspaces allocated at construction, so the
+// steady-state step performs no heap allocation.
 func (e *Engine) Step() StepInfo {
 	rec := e.cfg.Recorder
 	u := e.Usage()
 	info := e.measure(u)
 
 	next := e.spare
-	iterTagged := e.arena.runWave(u, e.cfg.Eta, !e.cfg.DisableBlocking, rec, next)
-	e.spare, e.R = e.R, next
-	e.forecasted = false
+	iterTagged := e.arena.runWave(u, e.eta, !e.cfg.DisableBlocking, rec, next)
+	if e.cfg.Backtrack {
+		e.backtrack(next, info.Cost)
+	} else {
+		e.spare, e.R = e.R, next
+		e.forecasted = false
+	}
 	// Forecast wave mirrors the marginal wave downstream: same message
 	// count, same depth.
 	iterMessages, iterRounds := 2*e.arena.messages, 2*e.arena.rounds
@@ -182,10 +226,52 @@ func (e *Engine) Step() StepInfo {
 	e.stats.Rounds += iterRounds
 	e.stats.Iterations++
 	e.iter++
-	rec.Iteration("gradient", info.Iteration, info.Utility, info.Cost, info.Admitted, info.Feasible)
-	rec.Protocol("gradient", info.Iteration, iterMessages, iterRounds)
-	rec.Blocking("gradient", info.Iteration, iterTagged)
+	alg := e.alg()
+	rec.Iteration(alg, info.Iteration, info.Utility, info.Cost, info.Admitted, info.Feasible)
+	rec.Protocol(alg, info.Iteration, iterMessages, iterRounds)
+	rec.Blocking(alg, info.Iteration, iterTagged)
 	return info
+}
+
+// backtrack forecasts the proposed routing next and keeps it only if it
+// does not raise cost, the cost at the current routing; η grows after a
+// run of kept steps and halves on a rejected one. Either way e.u ends
+// up holding the forecast of the routing the engine now has — a kept
+// proposal's workspace is swapped in with it — so the next Step
+// evaluates nothing: one forecast per step, as in fixed mode.
+func (e *Engine) backtrack(next *flow.Routing, cost float64) {
+	rec := e.cfg.Recorder
+	tf := rec.StartPhase(obs.PhaseForecast)
+	flow.EvaluateInto(e.proposed, next)
+	tf.Done()
+	if e.proposed.TotalCost() <= cost+1e-12 {
+		e.spare, e.R = e.R, next
+		e.u, e.proposed = e.proposed, e.u
+		e.descents++
+		if e.descents >= growAfter {
+			e.descents = 0
+			if grown := e.eta * etaGrow; grown <= etaMax {
+				e.eta = grown
+			}
+		}
+	} else {
+		e.backtracks++
+		rec.Backtrack()
+		e.descents = 0
+		if shrunk := e.eta * etaShrink; shrunk >= etaMin {
+			e.eta = shrunk
+		}
+	}
+	rec.SetEta(e.eta)
+}
+
+// alg labels the engine's events with the step mode, under the names
+// core.Algorithm gives the two.
+func (e *Engine) alg() string {
+	if e.cfg.Backtrack {
+		return "gradient-adaptive"
+	}
+	return "gradient"
 }
 
 func (e *Engine) measure(u *flow.Usage) StepInfo {
@@ -249,7 +335,7 @@ func (e *Engine) Run(maxIters int, stop func(StepInfo) bool) ([]StepInfo, error)
 		info.Admitted = append([]float64(nil), info.Admitted...)
 		trace = append(trace, info)
 		if err := det.Observe(info); err != nil {
-			e.cfg.Recorder.Divergence("gradient", info.Iteration, err.Error())
+			e.cfg.Recorder.Divergence(e.alg(), info.Iteration, err.Error())
 			return trace, err
 		}
 		if stop != nil && stop(info) {

@@ -116,8 +116,8 @@ func TestParallelTrajectoryIdenticalAcrossSeeds(t *testing.T) {
 // divergence.
 func TestAdaptiveParallelTrajectoryIdentical(t *testing.T) {
 	x := buildInstance(t, randnet.Config{Seed: 3, Nodes: 24, Commodities: 4})
-	seq := NewAdaptive(x, AdaptiveConfig{Workers: 1})
-	par := NewAdaptive(x, AdaptiveConfig{Workers: 4})
+	seq := New(x, Config{Backtrack: true, Workers: 1})
+	par := New(x, Config{Backtrack: true, Workers: 4})
 	for i := 0; i < 200; i++ {
 		si, pi := seq.Step(), par.Step()
 		if si.Utility != pi.Utility || si.Cost != pi.Cost || si.Feasible != pi.Feasible {
@@ -127,8 +127,8 @@ func TestAdaptiveParallelTrajectoryIdentical(t *testing.T) {
 			t.Fatalf("iteration %d: eta %v vs %v", i, par.Eta(), seq.Eta())
 		}
 	}
-	if seq.Backtracks != par.Backtracks {
-		t.Fatalf("backtracks %d vs %d", par.Backtracks, seq.Backtracks)
+	if seq.Backtracks() != par.Backtracks() {
+		t.Fatalf("backtracks %d vs %d", par.Backtracks(), seq.Backtracks())
 	}
 }
 
@@ -146,5 +146,17 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { e.Step(); e.Stationarity() }); allocs != 0 {
 		t.Fatalf("Step + Stationarity allocate %v objects per run, want 0", allocs)
+	}
+	// Backtracking swaps between two usage workspaces; it allocates
+	// neither on a kept step nor on a rejected one (η 50 forces both).
+	b := New(x, Config{Eta: 50, Backtrack: true, Workers: 1})
+	for i := 0; i < 10; i++ {
+		b.Step()
+	}
+	if allocs := testing.AllocsPerRun(100, func() { b.Step() }); allocs != 0 {
+		t.Fatalf("backtracking Step allocates %v objects per run, want 0", allocs)
+	}
+	if b.Backtracks() == 0 || b.Backtracks() == b.Stats().Iterations {
+		t.Fatalf("%d of %d steps rejected; want both branches measured", b.Backtracks(), b.Stats().Iterations)
 	}
 }

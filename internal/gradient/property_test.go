@@ -144,8 +144,11 @@ func TestQuickAdmissionWithinOffered(t *testing.T) {
 func TestQuickStationaryPointSatisfiesOptimalityCondition(t *testing.T) {
 	f := func(seed int64) bool {
 		x := randomExtended(t, seed)
-		eng := NewAdaptive(x, AdaptiveConfig{})
-		eng.Run(4000)
+		eng := New(x, Config{Backtrack: true})
+		if _, err := eng.Run(4000, nil); err != nil {
+			t.Log(err)
+			return false
+		}
 		u := flow.Evaluate(eng.Routing())
 		for j := range x.Commodities {
 			m := ComputeMarginals(u, j)

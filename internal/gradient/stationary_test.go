@@ -8,11 +8,15 @@ import (
 
 func TestStationarityImprovesWithConvergence(t *testing.T) {
 	x := randomExtended(t, 29)
-	eng := NewAdaptive(x, AdaptiveConfig{})
+	eng := New(x, Config{Backtrack: true})
 
-	eng.Run(50)
+	if _, err := eng.Run(50, nil); err != nil {
+		t.Fatal(err)
+	}
 	early := CheckStationarity(flow.Evaluate(eng.Routing()))
-	eng.Run(8000)
+	if _, err := eng.Run(8000, nil); err != nil {
+		t.Fatal(err)
+	}
 	late := CheckStationarity(flow.Evaluate(eng.Routing()))
 
 	if late.MaxUsedGap >= early.MaxUsedGap {

@@ -6,12 +6,6 @@ import "errors"
 // (or subgraph) that contains a directed cycle.
 var ErrCycle = errors.New("graph: cycle detected")
 
-// TopoSort returns a topological order of all nodes, or ErrCycle.
-func (g *Graph) TopoSort() ([]NodeID, error) {
-	keep := func(EdgeID) bool { return true }
-	return g.TopoSortFiltered(keep)
-}
-
 // TopoSortFiltered returns a topological order of all nodes considering
 // only edges for which keep(e) is true. It returns ErrCycle when the
 // kept subgraph is cyclic. Kahn's algorithm; ties broken by node ID so
@@ -40,7 +34,7 @@ func (g *Graph) TopoSortFiltered(keep func(EdgeID) bool) ([]NodeID, error) {
 			initial = append(initial, NodeID(i))
 		}
 	}
-	var freed nodeMinHeap
+	var freed minHeap[NodeID]
 	next := 0
 	order := make([]NodeID, 0, n)
 	for next < len(initial) || len(freed) > 0 {
@@ -69,11 +63,12 @@ func (g *Graph) TopoSortFiltered(keep func(EdgeID) bool) ([]NodeID, error) {
 	return order, nil
 }
 
-// nodeMinHeap is a binary min-heap of node IDs backing the topological
-// sort's deterministic min-ID-first frontier.
-type nodeMinHeap []NodeID
+// minHeap is a binary min-heap of node IDs or local node indexes: the
+// deterministic min-first frontier of both topological sorts
+// (TopoSortFiltered, SubDAG.Topo).
+type minHeap[T NodeID | int32] []T
 
-func (h *nodeMinHeap) push(v NodeID) {
+func (h *minHeap[T]) push(v T) {
 	*h = append(*h, v)
 	s := *h
 	i := len(s) - 1
@@ -87,7 +82,7 @@ func (h *nodeMinHeap) push(v NodeID) {
 	}
 }
 
-func (h *nodeMinHeap) pop() NodeID {
+func (h *minHeap[T]) pop() T {
 	s := *h
 	top := s[0]
 	last := len(s) - 1
@@ -117,52 +112,6 @@ func (h *nodeMinHeap) pop() NodeID {
 func (g *Graph) IsAcyclic(keep func(EdgeID) bool) bool {
 	_, err := g.TopoSortFiltered(keep)
 	return err == nil
-}
-
-// ReachableFrom returns the set of nodes reachable from src (inclusive)
-// following edges for which keep is true.
-func (g *Graph) ReachableFrom(src NodeID, keep func(EdgeID) bool) []bool {
-	seen := make([]bool, g.NumNodes())
-	stack := []NodeID{src}
-	seen[src] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.out[u] {
-			if !keep(e) {
-				continue
-			}
-			v := g.edges[e].To
-			if !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	return seen
-}
-
-// CoReachableTo returns the set of nodes from which dst is reachable
-// (inclusive) following edges for which keep is true.
-func (g *Graph) CoReachableTo(dst NodeID, keep func(EdgeID) bool) []bool {
-	seen := make([]bool, g.NumNodes())
-	stack := []NodeID{dst}
-	seen[dst] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.in[u] {
-			if !keep(e) {
-				continue
-			}
-			v := g.edges[e].From
-			if !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	return seen
 }
 
 // LongestPathLen returns the number of edges on the longest path in the

@@ -16,6 +16,50 @@ func mustEdge(t *testing.T, g *Graph, from, to NodeID) EdgeID {
 	return e
 }
 
+func all(EdgeID) bool { return true }
+
+// indexed indexes the edges of g that keep admits.
+func indexed(g *Graph, keep func(EdgeID) bool) *SubDAG {
+	var edges []EdgeID
+	for e := 0; e < g.NumEdges(); e++ {
+		if keep(EdgeID(e)) {
+			edges = append(edges, EdgeID(e))
+		}
+	}
+	ix := new(SubDAG)
+	ix.Index(g, edges)
+	return ix
+}
+
+// reach runs SubDAG.Reach from node n over the kept edges and scatters
+// the marks to full graph width. n itself always counts, member of the
+// index or not.
+func reach(g *Graph, keep func(EdgeID) bool, n NodeID, forward bool) []bool {
+	ix := indexed(g, keep)
+	out := make([]bool, g.NumNodes())
+	out[n] = true
+	for l, seen := range ix.Reach(nil, ix.LocalNode(n), forward) {
+		if seen {
+			out[ix.Nodes[l]] = true
+		}
+	}
+	return out
+}
+
+// hasPath is the reachability oracle: plain recursion over Graph.Out,
+// exponential in general and fine on the small DAGs it is asked about.
+func hasPath(g *Graph, from, to NodeID) bool {
+	if from == to {
+		return true
+	}
+	for _, e := range g.Out(from) {
+		if hasPath(g, g.Edge(e).To, to) {
+			return true
+		}
+	}
+	return false
+}
+
 // diamond builds 0 -> {1,2} -> 3.
 func diamond(t *testing.T) *Graph {
 	t.Helper()
@@ -118,7 +162,7 @@ func TestDegreesAndAdjacency(t *testing.T) {
 
 func TestTopoSortDiamond(t *testing.T) {
 	g := diamond(t)
-	order, err := g.TopoSort()
+	order, err := g.TopoSortFiltered(all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +184,7 @@ func TestTopoSortDetectsCycle(t *testing.T) {
 	mustEdge(t, g, 0, 1)
 	mustEdge(t, g, 1, 2)
 	mustEdge(t, g, 2, 0)
-	if _, err := g.TopoSort(); !errors.Is(err, ErrCycle) {
+	if _, err := g.TopoSortFiltered(all); !errors.Is(err, ErrCycle) {
 		t.Fatalf("err = %v, want ErrCycle", err)
 	}
 }
@@ -162,12 +206,12 @@ func TestTopoSortFilteredBreaksCycle(t *testing.T) {
 
 func TestTopoSortDeterministic(t *testing.T) {
 	g := diamond(t)
-	first, err := g.TopoSort()
+	first, err := g.TopoSortFiltered(all)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		again, err := g.TopoSort()
+		again, err := g.TopoSortFiltered(all)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +225,6 @@ func TestTopoSortDeterministic(t *testing.T) {
 
 func TestIsAcyclic(t *testing.T) {
 	g := diamond(t)
-	all := func(EdgeID) bool { return true }
 	if !g.IsAcyclic(all) {
 		t.Fatal("diamond reported cyclic")
 	}
@@ -194,8 +237,7 @@ func TestIsAcyclic(t *testing.T) {
 func TestReachability(t *testing.T) {
 	g := diamond(t)
 	extra := g.AddNode() // disconnected node 4
-	all := func(EdgeID) bool { return true }
-	fromZero := g.ReachableFrom(0, all)
+	fromZero := reach(g, all, 0, true)
 	for n := NodeID(0); n <= 3; n++ {
 		if !fromZero[n] {
 			t.Fatalf("node %d not reachable from 0", n)
@@ -204,7 +246,7 @@ func TestReachability(t *testing.T) {
 	if fromZero[extra] {
 		t.Fatal("disconnected node reported reachable")
 	}
-	toSink := g.CoReachableTo(3, all)
+	toSink := reach(g, all, 3, false)
 	for n := NodeID(0); n <= 3; n++ {
 		if !toSink[n] {
 			t.Fatalf("node %d not co-reachable to 3", n)
@@ -219,7 +261,7 @@ func TestReachabilityRespectsFilter(t *testing.T) {
 	g := diamond(t)
 	// Drop both edges into node 3.
 	keep := func(e EdgeID) bool { return g.Edge(e).To != 3 }
-	r := g.ReachableFrom(0, keep)
+	r := reach(g, keep, 0, true)
 	if r[3] {
 		t.Fatal("node 3 reachable despite filtered edges")
 	}
@@ -236,7 +278,6 @@ func TestLongestPathLen(t *testing.T) {
 	mustEdge(t, g, 2, 3)
 	mustEdge(t, g, 0, 4)
 	mustEdge(t, g, 4, 3)
-	all := func(EdgeID) bool { return true }
 	l, err := g.LongestPathLen(all)
 	if err != nil {
 		t.Fatal(err)
@@ -251,53 +292,8 @@ func TestLongestPathLenCycle(t *testing.T) {
 	g.AddNodes(2)
 	mustEdge(t, g, 0, 1)
 	mustEdge(t, g, 1, 0)
-	all := func(EdgeID) bool { return true }
 	if _, err := g.LongestPathLen(all); !errors.Is(err, ErrCycle) {
 		t.Fatalf("err = %v, want ErrCycle", err)
-	}
-}
-
-func TestEnumeratePathsDiamond(t *testing.T) {
-	g := diamond(t)
-	all := func(EdgeID) bool { return true }
-	paths := g.EnumeratePaths(0, 3, all, 0)
-	if len(paths) != 2 {
-		t.Fatalf("got %d paths, want 2: %v", len(paths), paths)
-	}
-	for _, p := range paths {
-		if p[0] != 0 || p[len(p)-1] != 3 {
-			t.Fatalf("path %v does not go 0->3", p)
-		}
-		if _, ok := g.PathEdges(p); !ok {
-			t.Fatalf("path %v not edge-connected", p)
-		}
-	}
-}
-
-func TestEnumeratePathsLimit(t *testing.T) {
-	g := diamond(t)
-	all := func(EdgeID) bool { return true }
-	paths := g.EnumeratePaths(0, 3, all, 1)
-	if len(paths) != 1 {
-		t.Fatalf("got %d paths, want 1 (limit)", len(paths))
-	}
-}
-
-func TestEnumeratePathsNoPath(t *testing.T) {
-	g := diamond(t)
-	all := func(EdgeID) bool { return true }
-	if paths := g.EnumeratePaths(3, 0, all, 0); len(paths) != 0 {
-		t.Fatalf("got %d paths from 3 to 0, want 0", len(paths))
-	}
-}
-
-func TestPathEdgesRejectsBrokenPath(t *testing.T) {
-	g := diamond(t)
-	if _, ok := g.PathEdges(Path{0, 3}); ok {
-		t.Fatal("PathEdges accepted a non-adjacent pair")
-	}
-	if _, ok := g.PathEdges(Path{2}); !ok {
-		t.Fatal("single-node path should be valid")
 	}
 }
 
@@ -341,7 +337,7 @@ func TestQuickTopoSortValidOnRandomDAGs(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomDAG(r, 2+r.Intn(30), 0.3)
-		order, err := g.TopoSort()
+		order, err := g.TopoSortFiltered(all)
 		if err != nil {
 			return false
 		}
@@ -366,16 +362,13 @@ func TestQuickTopoSortValidOnRandomDAGs(t *testing.T) {
 }
 
 func TestQuickReachabilityAgreesWithPaths(t *testing.T) {
-	all := func(EdgeID) bool { return true }
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomDAG(r, 2+r.Intn(10), 0.35)
 		src := NodeID(r.Intn(g.NumNodes()))
-		reach := g.ReachableFrom(src, all)
+		got := reach(g, all, src, true)
 		for n := 0; n < g.NumNodes(); n++ {
-			paths := g.EnumeratePaths(src, NodeID(n), all, 1)
-			hasPath := len(paths) > 0 || NodeID(n) == src
-			if reach[n] != hasPath {
+			if got[n] != hasPath(g, src, NodeID(n)) {
 				return false
 			}
 		}
@@ -387,14 +380,13 @@ func TestQuickReachabilityAgreesWithPaths(t *testing.T) {
 }
 
 func TestQuickCoReachableIsReverseReachable(t *testing.T) {
-	all := func(EdgeID) bool { return true }
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomDAG(r, 2+r.Intn(20), 0.3)
 		dst := NodeID(r.Intn(g.NumNodes()))
-		co := g.CoReachableTo(dst, all)
+		co := reach(g, all, dst, false)
 		for n := 0; n < g.NumNodes(); n++ {
-			fwd := g.ReachableFrom(NodeID(n), all)
+			fwd := reach(g, all, NodeID(n), true)
 			if co[n] != fwd[dst] {
 				return false
 			}
@@ -466,7 +458,7 @@ func TestQuickTopoSortMatchesReference(t *testing.T) {
 			kept[e] = r.Float64() < 0.5
 		}
 		for _, keep := range []func(EdgeID) bool{
-			func(EdgeID) bool { return true },
+			all,
 			func(e EdgeID) bool { return kept[e] },
 		} {
 			want, err1 := referenceTopoSort(g, keep)
@@ -489,6 +481,85 @@ func TestQuickTopoSortMatchesReference(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickSubDAGMatchesFilteredGraph pins the sparse index to the
+// filtered full-graph view it stands in for, on random edge subsets of
+// random graphs, cyclic ones included, through one SubDAG reused for
+// every case: Topo is the member subsequence of TopoSortFiltered (the
+// order solver trajectories depend on bitwise), Out and In are the
+// filtered Graph.Out and Graph.In scans, and the local↔global maps
+// invert each other.
+func TestQuickSubDAGMatchesFilteredGraph(t *testing.T) {
+	var ix SubDAG
+	var order []int32
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		g := randomDAG(r, 2+r.Intn(40), 0.3)
+		if r.Intn(4) == 0 {
+			// A back edge or two: cycles, unless it duplicates.
+			_, _ = g.AddEdge(NodeID(r.Intn(g.NumNodes())), NodeID(r.Intn(g.NumNodes())))
+		}
+		var edges []EdgeID
+		for e := 0; e < g.NumEdges(); e++ {
+			if r.Float64() < 0.5 {
+				edges = append(edges, EdgeID(e))
+			}
+		}
+		ix.Index(g, edges)
+		keep := func(e EdgeID) bool { return ix.LocalEdge(e) >= 0 }
+
+		for l, n := range ix.Nodes {
+			if ix.LocalNode(n) != int32(l) {
+				return false
+			}
+			for _, side := range []struct {
+				local []int32
+				full  []EdgeID
+			}{{ix.Out(int32(l)), g.Out(n)}, {ix.In(int32(l)), g.In(n)}} {
+				i := 0
+				for _, e := range side.full {
+					if !keep(e) {
+						continue
+					}
+					if i >= len(side.local) || ix.Edges[side.local[i]] != e {
+						return false
+					}
+					i++
+				}
+				if i != len(side.local) {
+					return false
+				}
+			}
+		}
+		for le, e := range edges {
+			ed := g.Edge(e)
+			if ix.LocalEdge(e) != int32(le) || ix.Nodes[ix.Tail[le]] != ed.From || ix.Nodes[ix.Head[le]] != ed.To {
+				return false
+			}
+		}
+
+		full, errFull := g.TopoSortFiltered(keep)
+		var err error
+		order, err = ix.Topo(order)
+		if errFull != nil || err != nil {
+			return errors.Is(errFull, ErrCycle) && errors.Is(err, ErrCycle)
+		}
+		i := 0
+		for _, n := range full {
+			if ix.LocalNode(n) < 0 {
+				continue
+			}
+			if i >= len(order) || ix.Nodes[order[i]] != n {
+				return false
+			}
+			i++
+		}
+		return i == len(order)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

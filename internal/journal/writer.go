@@ -102,7 +102,6 @@ type Writer struct {
 
 	mRecords  *obs.Counter
 	mBytes    *obs.Counter
-	mFsyncs   *obs.Counter
 	mSegment  *obs.Gauge
 	mLagBytes *obs.Gauge
 	mLagRecs  *obs.Gauge
@@ -143,7 +142,6 @@ func Create(dir string, opts Options) (*Writer, error) {
 	if reg := opts.Registry; reg != nil {
 		w.mRecords = reg.Counter("streamopt_journal_records_total", "Records appended to the flight-recorder journal.")
 		w.mBytes = reg.Counter("streamopt_journal_bytes_total", "Bytes appended to the flight-recorder journal.")
-		w.mFsyncs = reg.Counter("streamopt_journal_fsyncs_total", "Journal fsync calls.")
 		w.mSegment = reg.Gauge("streamopt_journal_segment", "Current journal segment index.")
 		w.mLagBytes = reg.Gauge("streamopt_journal_unsynced_bytes", "Journal bytes appended but not yet fsynced.")
 		w.mLagRecs = reg.Gauge("streamopt_journal_unsynced_records", "Journal records appended but not yet fsynced.")
@@ -281,8 +279,7 @@ func (w *Writer) syncLocked() error {
 	}
 	w.lagBytes, w.lagRecs = 0, 0
 	w.lastSync = time.Now()
-	if w.mFsyncs != nil {
-		w.mFsyncs.Inc()
+	if w.mLagBytes != nil {
 		w.mLagBytes.Set(0)
 		w.mLagRecs.Set(0)
 	}

@@ -77,16 +77,10 @@ type Recorder struct {
 	cost       *Gauge
 	feasible   *Gauge
 	messages   *Counter
-	rounds     *Counter
-	tagged     *Counter
 	backtracks *Counter
 	eta        *Gauge
 	workers    *Gauge
 	diverged   *Counter
-
-	qsimQueue     *Gauge
-	qsimDelivered *Gauge
-	qsimDropped   *Gauge
 
 	srvGeneration *Gauge
 	srvUtility    *Gauge
@@ -94,7 +88,6 @@ type Recorder struct {
 	srvCold       *Counter
 	srvWarmLat    *Histogram
 	srvColdLat    *Histogram
-	srvMutations  *Counter
 
 	traceSamples *Gauge
 	attributions *Counter
@@ -106,9 +99,6 @@ type Recorder struct {
 
 	lgEpochs    *Counter
 	lgMutations *Counter
-	lgActive    *Gauge
-	lgOffered   *Gauge
-	lgAdmFrac   *Gauge
 
 	phase [numPhases]*Histogram
 	// phaseAcc accumulates the current iteration's per-phase seconds for
@@ -131,15 +121,10 @@ func NewRecorder(reg *Registry, sink Sink) *Recorder {
 	r.cost = reg.Gauge("streamopt_cost", "Cost A = Y + epsilon*D at the latest iteration.")
 	r.feasible = reg.Gauge("streamopt_feasible", "1 when the latest iterate satisfies every capacity constraint.")
 	r.messages = reg.Counter("streamopt_protocol_messages_total", "Protocol messages exchanged.")
-	r.rounds = reg.Counter("streamopt_protocol_rounds_total", "Sequential protocol message rounds.")
-	r.tagged = reg.Counter("streamopt_blocking_tagged_total", "Loop-freedom tags raised.")
 	r.backtracks = reg.Counter("streamopt_adaptive_backtracks_total", "Adaptive step-size rollbacks.")
 	r.eta = reg.Gauge("streamopt_eta", "Current gradient step scale.")
 	r.workers = reg.Gauge("streamopt_step_workers", "Worker-pool bound for the per-commodity Step waves.")
 	r.diverged = reg.Counter("streamopt_divergence_total", "Trajectories declared diverged.")
-	r.qsimQueue = reg.Gauge("streamopt_qsim_queued", "Total queued work at the latest sampled tick.")
-	r.qsimDelivered = reg.Gauge("streamopt_qsim_delivered_total", "Cumulative qsim sink deliveries (sink units).")
-	r.qsimDropped = reg.Gauge("streamopt_qsim_dropped_total", "Cumulative qsim admission drops (source units).")
 	r.srvGeneration = reg.Gauge("streamopt_server_generation", "Latest published admission-server snapshot generation.")
 	r.srvUtility = reg.Gauge("streamopt_server_utility", "Total utility of the latest published snapshot.")
 	r.srvWarm = reg.Counter("streamopt_server_solves_total", "Admission-server re-solves by start kind.", "start", "warm")
@@ -148,7 +133,6 @@ func NewRecorder(reg *Registry, sink Sink) *Recorder {
 		"Wall-clock time of one admission-server re-solve.", DefaultTimeBuckets, "start", "warm")
 	r.srvColdLat = reg.Histogram("streamopt_server_solve_seconds",
 		"Wall-clock time of one admission-server re-solve.", DefaultTimeBuckets, "start", "cold")
-	r.srvMutations = reg.Counter("streamopt_server_mutations_total", "Accepted admission-server problem mutations.")
 	r.traceSamples = reg.Gauge("streamopt_trace_samples", "Samples currently held by the solver trace ring.")
 	r.attributions = reg.Counter("streamopt_attributions_total", "Per-commodity bottleneck attributions published.")
 	r.decisionLat = reg.Histogram("streamopt_decision_latency_seconds",
@@ -160,9 +144,6 @@ func NewRecorder(reg *Registry, sink Sink) *Recorder {
 	r.spans = reg.Counter("streamopt_spans_total", "Decision-lifecycle spans finished.")
 	r.lgEpochs = reg.Counter("streamopt_loadgen_epochs_total", "Load-generator virtual-clock epochs driven.")
 	r.lgMutations = reg.Counter("streamopt_loadgen_mutations_total", "Mutations applied by the load-generator driver.")
-	r.lgActive = reg.Gauge("streamopt_loadgen_active", "Commodities active in the driven scenario at the latest epoch.")
-	r.lgOffered = reg.Gauge("streamopt_loadgen_offered", "Total offered load Σλ_j of the driven scenario at the latest epoch.")
-	r.lgAdmFrac = reg.Gauge("streamopt_loadgen_admitted_fraction", "Σ admitted / Σ offered observed at the latest epoch.")
 	if dr, ok := sink.(dropReporting); ok {
 		dr.SetDropCounter(reg.Counter("streamopt_events_dropped_total",
 			"Events lost to sink write errors."))
@@ -267,17 +248,15 @@ func (r *Recorder) Protocol(alg string, iter, messages, rounds int) {
 		return
 	}
 	r.messages.Add(messages)
-	r.rounds.Add(rounds)
 	r.emit(Event{Type: EventProtocol, Alg: alg, Iter: iter, Messages: messages, Rounds: rounds})
 }
 
-// Blocking records loop-freedom tagging activity; tagged may be zero
-// (counted in metrics, no event emitted to keep files small).
+// Blocking records loop-freedom tagging activity; an iteration that
+// tagged nothing emits no event, to keep files small.
 func (r *Recorder) Blocking(alg string, iter, tagged int) {
 	if r == nil || tagged == 0 {
 		return
 	}
-	r.tagged.Add(tagged)
 	r.emit(Event{Type: EventBlocking, Alg: alg, Iter: iter, Tagged: tagged})
 }
 
@@ -321,7 +300,6 @@ func (r *Recorder) ServerMutation(kind, target string) {
 	if r == nil {
 		return
 	}
-	r.srvMutations.Inc()
 	r.emit(Event{Type: EventServerMutation, Alg: "server", Kind: kind, Target: target})
 }
 
@@ -352,18 +330,13 @@ func (r *Recorder) ServerSolve(generation int64, warm bool, seconds, utility flo
 // published operating point: the admitted rate, the marginal-utility-
 // vs-path-cost gap, and the top binding resource with its shadow price
 // (empty bottleneck means the commodity is not capacity-limited). It
-// updates per-commodity gauges and emits an "attribution" event.
+// counts the attribution and emits an "attribution" event; the numbers
+// themselves are served by /v1/explain, not as per-commodity series.
 func (r *Recorder) Attribution(generation int64, commodity string, admitted, gap float64, bottleneck string, price float64) {
 	if r == nil {
 		return
 	}
 	r.attributions.Inc()
-	r.reg.Gauge("streamopt_commodity_gap",
-		"Marginal-utility-vs-path-cost gap per commodity at the latest published solution.",
-		"commodity", commodity).Set(gap)
-	r.reg.Gauge("streamopt_bottleneck_price",
-		"Shadow price of the top binding resource per commodity (0 when unconstrained).",
-		"commodity", commodity).Set(price)
 	r.emit(Event{
 		Type: EventAttribution, Alg: "server", Generation: generation,
 		Commodity: commodity, Rate: admitted, Gap: gap,
@@ -531,11 +504,6 @@ func (r *Recorder) LoadgenEpoch(epoch, active, mutations int, offered, utility, 
 	}
 	r.lgEpochs.Inc()
 	r.lgMutations.Add(mutations)
-	r.lgActive.Set(float64(active))
-	r.lgOffered.Set(offered)
-	if admittedFrac == admittedFrac { // not NaN
-		r.lgAdmFrac.Set(admittedFrac)
-	}
 	r.emit(Event{
 		Type: EventLoadgenEpoch, Alg: "loadgen", Epoch: epoch,
 		Active: active, Mutations: mutations, Offered: offered,
@@ -575,9 +543,6 @@ func (r *Recorder) QsimTick(tick int, queued, delivered, dropped float64) {
 	if r == nil {
 		return
 	}
-	r.qsimQueue.Set(queued)
-	r.qsimDelivered.Add(delivered)
-	r.qsimDropped.Add(dropped)
 	r.emit(Event{
 		Type: EventQsimTick, Alg: "qsim", Iter: tick, Tick: tick,
 		Queued: queued, Delivered: delivered, Dropped: dropped,

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/utility"
@@ -233,9 +234,10 @@ func (p *Problem) ValidateSubset(incl []int) error {
 	if len(p.Commodities) == 0 {
 		return fmt.Errorf("%w: no commodities", errValidate)
 	}
+	var v commodityView // one set of buffers for every commodity
 	if incl == nil {
 		for _, c := range p.Commodities {
-			if err := p.validateCommodity(c); err != nil {
+			if err := p.validateCommodity(&v, c); err != nil {
 				return err
 			}
 		}
@@ -245,32 +247,63 @@ func (p *Problem) ValidateSubset(incl []int) error {
 		if gi < 0 || gi >= len(p.Commodities) {
 			return fmt.Errorf("%w: commodity index %d out of range [0,%d)", errValidate, gi, len(p.Commodities))
 		}
-		if err := p.validateCommodity(p.Commodities[gi]); err != nil {
+		if err := p.validateCommodity(&v, p.Commodities[gi]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (p *Problem) validateCommodity(c *Commodity) error {
-	g := p.Net.G
-	ci := indexCommodity(g, c)
-	if _, err := ci.topo(); err != nil {
+// commodityView is one commodity's subgraph G_j laid out for the §2
+// checks: the shared sparse index over its member edges, their
+// topological order, and the member nodes reachable from the source —
+// each worked out once per commodity. Validation and potential sweeps
+// walk these arrays, so checking a commodity costs O(k log k) in its
+// own edge count instead of O(n+m) full-graph passes, and the buffers
+// are reused from one commodity to the next.
+type commodityView struct {
+	ix    graph.SubDAG
+	edges []graph.EdgeID // member edges, ascending
+	order []int32        // topological order, local node indexes
+	reach []bool         // reachable from the source, per local node
+
+	pot      []float64 // node potentials g_n(j), per local node
+	assigned []bool    // potential fixed by an in-edge already
+}
+
+// load points the view at commodity c. It returns graph.ErrCycle when
+// G_j is cyclic.
+func (v *commodityView) load(g *graph.Graph, c *Commodity) error {
+	v.edges = v.edges[:0]
+	for e := range c.Edges {
+		v.edges = append(v.edges, e)
+	}
+	slices.Sort(v.edges)
+	v.ix.Index(g, v.edges)
+	var err error
+	if v.order, err = v.ix.Topo(v.order); err != nil {
+		return err
+	}
+	v.reach = v.ix.Reach(v.reach, v.ix.LocalNode(c.Source), true)
+	return nil
+}
+
+func (p *Problem) validateCommodity(v *commodityView, c *Commodity) error {
+	if err := v.load(p.Net.G, c); err != nil {
 		return fmt.Errorf("%w: commodity %q subgraph is cyclic", errValidate, c.Name)
 	}
-	for le, e := range ci.edges {
-		if p.Net.Kinds[ci.nodes[ci.tail[le]]] == Sink {
+	ix := &v.ix
+	for le, e := range ix.Edges {
+		if tail := ix.Nodes[ix.Tail[le]]; p.Net.Kinds[tail] == Sink {
 			return fmt.Errorf("%w: commodity %q: edge %d leaves sink %q",
-				errValidate, c.Name, e, p.Net.name(ci.nodes[ci.tail[le]]))
+				errValidate, c.Name, e, p.Net.name(tail))
 		}
 	}
-	sink := ci.localNode(c.SinkID)
-	reach := ci.reachableFrom(ci.localNode(c.Source))
-	if sink < 0 || !reach[sink] {
+	if sink := ix.LocalNode(c.SinkID); sink < 0 || !v.reach[sink] {
 		return fmt.Errorf("%w: commodity %q: sink %q unreachable from source %q",
 			errValidate, c.Name, p.Net.name(c.SinkID), p.Net.name(c.Source))
 	}
-	if _, _, err := ci.potentials(p, c); err != nil {
+	if err := v.potentials(p, c); err != nil {
 		return fmt.Errorf("%w: commodity %q: %v", errValidate, c.Name, err)
 	}
 	if err := utility.Validate(c.Utility, c.MaxRate); err != nil {
@@ -286,19 +319,20 @@ func (p *Problem) validateCommodity(c *Commodity) error {
 // sparse local index of the commodity's subgraph and scatters into the
 // full-width result, so it costs O(member), not O(n+m).
 func (p *Problem) Potentials(c *Commodity) ([]float64, error) {
-	g := p.Net.G
-	ci := indexCommodity(g, c)
-	local, reach, err := ci.potentials(p, c)
-	if err != nil {
+	var v commodityView
+	if err := v.load(p.Net.G, c); err != nil {
 		return nil, err
 	}
-	pot := make([]float64, g.NumNodes())
+	if err := v.potentials(p, c); err != nil {
+		return nil, err
+	}
+	pot := make([]float64, p.Net.G.NumNodes())
 	for i := range pot {
 		pot[i] = 1
 	}
-	for l, n := range ci.nodes {
-		if reach[l] {
-			pot[n] = local[l]
+	for l, n := range v.ix.Nodes {
+		if v.reach[l] {
+			pot[n] = v.pot[l]
 		}
 	}
 	return pot, nil

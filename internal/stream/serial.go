@@ -316,7 +316,7 @@ func (p *Problem) AddCommodityFromJSON(data []byte) (*Commodity, error) {
 			return nil, err
 		}
 	}
-	if err := p.validateCommodity(c); err != nil {
+	if err := p.validateCommodity(new(commodityView), c); err != nil {
 		return nil, err
 	}
 	return c, nil

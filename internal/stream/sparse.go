@@ -1,222 +1,39 @@
 package stream
 
-import (
-	"fmt"
-	"sort"
-
-	"repro/internal/graph"
-)
-
-// commodityIndex is a sparse local view of one commodity's subgraph
-// G_j: sorted member edge/node lists with local endpoints and CSR
-// out-adjacency. Validation and potential sweeps walk these arrays, so
-// checking a commodity costs O(k log k) in its own edge count instead
-// of O(n+m) full-graph passes — the difference between O(Σ member) and
-// O(J·(n+m)) when validating many commodities.
-type commodityIndex struct {
-	edges []graph.EdgeID // ascending
-	nodes []graph.NodeID // ascending, endpoints of edges
-	tail  []int32        // local tail per local edge
-	head  []int32        // local head per local edge
-
-	outIdx   []int32
-	outEdges []int32
-}
-
-func indexCommodity(g *graph.Graph, c *Commodity) *commodityIndex {
-	ci := &commodityIndex{edges: make([]graph.EdgeID, 0, len(c.Edges))}
-	for e := range c.Edges {
-		ci.edges = append(ci.edges, e)
-	}
-	sort.Slice(ci.edges, func(a, b int) bool { return ci.edges[a] < ci.edges[b] })
-
-	ends := make([]graph.NodeID, 0, 2*len(ci.edges))
-	for _, e := range ci.edges {
-		ed := g.Edge(e)
-		ends = append(ends, ed.From, ed.To)
-	}
-	sort.Slice(ends, func(a, b int) bool { return ends[a] < ends[b] })
-	for i, n := range ends {
-		if i == 0 || n != ends[i-1] {
-			ci.nodes = append(ci.nodes, n)
-		}
-	}
-
-	ci.tail = make([]int32, len(ci.edges))
-	ci.head = make([]int32, len(ci.edges))
-	for le, e := range ci.edges {
-		ed := g.Edge(e)
-		ci.tail[le] = ci.localNode(ed.From)
-		ci.head[le] = ci.localNode(ed.To)
-	}
-
-	nn := len(ci.nodes)
-	ci.outIdx = make([]int32, nn+1)
-	for _, t := range ci.tail {
-		ci.outIdx[t+1]++
-	}
-	for l := 0; l < nn; l++ {
-		ci.outIdx[l+1] += ci.outIdx[l]
-	}
-	ci.outEdges = make([]int32, len(ci.edges))
-	next := append([]int32(nil), ci.outIdx[:nn]...)
-	for le := range ci.edges {
-		t := ci.tail[le]
-		ci.outEdges[next[t]] = int32(le)
-		next[t]++
-	}
-	return ci
-}
-
-func (ci *commodityIndex) localNode(n graph.NodeID) int32 {
-	i := sort.Search(len(ci.nodes), func(i int) bool { return ci.nodes[i] >= n })
-	if i < len(ci.nodes) && ci.nodes[i] == n {
-		return int32(i)
-	}
-	return -1
-}
-
-func (ci *commodityIndex) out(l int32) []int32 {
-	return ci.outEdges[ci.outIdx[l]:ci.outIdx[l+1]]
-}
-
-// topo returns the member nodes in topological order (local indexes),
-// min-node-ID-first like graph.TopoSortFiltered restricted to the
-// member edges, or graph.ErrCycle.
-func (ci *commodityIndex) topo() ([]int32, error) {
-	nn := len(ci.nodes)
-	indeg := make([]int32, nn)
-	for _, h := range ci.head {
-		indeg[h]++
-	}
-	var frontier minHeap32
-	for l := 0; l < nn; l++ {
-		if indeg[l] == 0 {
-			frontier = append(frontier, int32(l))
-		}
-	}
-	order := make([]int32, 0, nn)
-	for len(frontier) > 0 {
-		l := frontier.pop()
-		order = append(order, l)
-		for _, le := range ci.out(l) {
-			h := ci.head[le]
-			indeg[h]--
-			if indeg[h] == 0 {
-				frontier.push(h)
-			}
-		}
-	}
-	if len(order) != nn {
-		return nil, graph.ErrCycle
-	}
-	return order, nil
-}
-
-// reachableFrom marks the member nodes reachable from start (inclusive)
-// over member edges.
-func (ci *commodityIndex) reachableFrom(start int32) []bool {
-	seen := make([]bool, len(ci.nodes))
-	if start < 0 {
-		return seen
-	}
-	seen[start] = true
-	stack := []int32{start}
-	for len(stack) > 0 {
-		l := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, le := range ci.out(l) {
-			h := ci.head[le]
-			if !seen[h] {
-				seen[h] = true
-				stack = append(stack, h)
-			}
-		}
-	}
-	return seen
-}
+import "fmt"
 
 // potentials computes the node potentials g_n(j) over the member nodes
-// (local indexing), assigning each reachable node on its first in-edge
-// in topo/edge order and checking Property 1 on every later in-edge —
-// the same visit order as a full-graph filtered sweep, so the assigned
-// products are identical.
-func (ci *commodityIndex) potentials(p *Problem, c *Commodity) ([]float64, []bool, error) {
-	order, err := ci.topo()
-	if err != nil {
-		return nil, nil, err
+// of the loaded commodity into v.pot (local indexing), assigning each
+// reachable node on its first in-edge in topo/edge order and checking
+// Property 1 on every later in-edge — the same visit order as a
+// full-graph filtered sweep, so the assigned products are identical.
+func (v *commodityView) potentials(p *Problem, c *Commodity) error {
+	ix := &v.ix
+	v.pot, v.assigned = v.pot[:0], v.assigned[:0]
+	for range ix.Nodes {
+		v.pot, v.assigned = append(v.pot, 1), append(v.assigned, false)
 	}
-	pot := make([]float64, len(ci.nodes))
-	for i := range pot {
-		pot[i] = 1
-	}
-	src := ci.localNode(c.Source)
-	reach := ci.reachableFrom(src)
-	assigned := make([]bool, len(ci.nodes))
-	if src >= 0 {
-		assigned[src] = true // g_{s_j}(j) = 1 by definition
+	if src := ix.LocalNode(c.Source); src >= 0 {
+		v.assigned[src] = true // g_{s_j}(j) = 1 by definition
 	}
 	const tol = 1e-9
-	for _, u := range order {
-		if !reach[u] {
+	for _, u := range v.order {
+		if !v.reach[u] {
 			continue
 		}
-		for _, le := range ci.out(u) {
-			v := ci.head[le]
-			want := pot[u] * c.Edges[ci.edges[le]].Beta
-			if assigned[v] {
-				if relDiff(pot[v], want) > tol {
-					return nil, nil, fmt.Errorf("property 1 violated at node %q: potentials %g vs %g",
-						p.Net.name(ci.nodes[v]), pot[v], want)
+		for _, le := range ix.Out(u) {
+			h := ix.Head[le]
+			want := v.pot[u] * c.Edges[ix.Edges[le]].Beta
+			if v.assigned[h] {
+				if relDiff(v.pot[h], want) > tol {
+					return fmt.Errorf("property 1 violated at node %q: potentials %g vs %g",
+						p.Net.name(ix.Nodes[h]), v.pot[h], want)
 				}
 				continue
 			}
-			pot[v] = want
-			assigned[v] = true
+			v.pot[h] = want
+			v.assigned[h] = true
 		}
 	}
-	return pot, reach, nil
-}
-
-// minHeap32 is a binary min-heap of local node indexes.
-type minHeap32 []int32
-
-func (h *minHeap32) push(v int32) {
-	*h = append(*h, v)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent] <= s[i] {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-}
-
-func (h *minHeap32) pop() int32 {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(s) && s[l] < s[min] {
-			min = l
-		}
-		if r < len(s) && s[r] < s[min] {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return top
+	return nil
 }

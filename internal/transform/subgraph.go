@@ -3,7 +3,6 @@ package transform
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/stream"
@@ -113,23 +112,11 @@ func (s *Subgraph) Branch() []int32 { return s.branch }
 
 // LocalNode returns the local index of extended node n, or -1 when n is
 // not a member node. O(log member nodes).
-func (s *Subgraph) LocalNode(n graph.NodeID) int32 {
-	i := sort.Search(len(s.Nodes), func(i int) bool { return s.Nodes[i] >= n })
-	if i < len(s.Nodes) && s.Nodes[i] == n {
-		return int32(i)
-	}
-	return -1
-}
+func (s *Subgraph) LocalNode(n graph.NodeID) int32 { return graph.Local(s.Nodes, n) }
 
 // LocalEdge returns the local index of extended edge e, or -1 when e is
 // not a member edge. O(log member edges).
-func (s *Subgraph) LocalEdge(e graph.EdgeID) int32 {
-	i := sort.Search(len(s.Edges), func(i int) bool { return s.Edges[i] >= e })
-	if i < len(s.Edges) && s.Edges[i] == e {
-		return int32(i)
-	}
-	return -1
-}
+func (s *Subgraph) LocalEdge(e graph.EdgeID) int32 { return graph.Local(s.Edges, e) }
 
 // Depth returns the number of edges on the longest member path — the L
 // in the paper's O(L) message-round analysis. A topology constant,
@@ -153,20 +140,22 @@ func (s *Subgraph) Bytes() int64 {
 
 // builder assembles every Subgraph of one Build. Each commodity is
 // worked out in scratch buffers reused from one commodity to the next
-// (the member arrays of s plus the sort, mark and counter buffers),
-// then appended in its final compact form to four staging slabs; carve
-// hands the finished slabs out as the Subgraph slices. A Build thus
-// makes a handful of large allocations instead of a dozen small ones
-// per commodity, and each commodity's arrays end up contiguous.
+// (the shared index ix, the arrays of s, the sort, mark and depth
+// buffers), then appended in its final compact form to four
+// staging slabs; carve hands the finished slabs out as the Subgraph
+// slices. A Build thus makes a handful of large allocations instead of
+// a dozen small ones per commodity, and each commodity's arrays end up
+// contiguous.
 type builder struct {
 	g *graph.Graph
 
-	s     Subgraph       // the commodity under construction
+	ix    graph.SubDAG   // the member subgraph's structure
+	s     Subgraph       // Beta, Cost and the orders of the commodity under construction
 	phys  []graph.EdgeID // its physical edges, sorted
-	ends  []graph.NodeID // edge endpoints, sorted to derive Nodes
-	mark  []bool         // reach | coreach marks of the trim
-	stack []int32        // DFS stack, then the topo sort's heap frontier
-	count []int32        // CSR cursors, then indegrees, then path depths
+	ext   []graph.EdgeID // its candidate, then surviving, extended edges
+	reach []bool         // the trim's marks: reachable from the dummy,
+	back  []bool         // and reaching the sink
+	depth []int32        // longest path to each node
 
 	// Staged results: per commodity one block in each slab, in the
 	// order commit appends and carve takes them, sized by dims.
@@ -200,15 +189,15 @@ func newBuilder(g *graph.Graph, cs []*stream.Commodity, order []int) *builder {
 	}
 }
 
-// build assembles one commodity's Subgraph in the scratch b.s from the
-// stream commodity's edge map: candidate member edges in ascending
-// global order, the reach/co-reach trim (edges that cannot carry
-// dummy→sink flow are dropped — flow routed onto them would strand at
-// a dead end and violate flow balance), then local topo order, CSR
-// adjacency and the distinguished local indexes. Cost is O(k log k) in
-// the commodity's own edge count.
+// build assembles one commodity's Subgraph in the scratch b.ix and b.s
+// from the stream commodity's edge map: candidate member edges in
+// ascending global order, the reach/co-reach trim (edges that cannot
+// carry dummy→sink flow are dropped — flow routed onto them would
+// strand at a dead end and violate flow balance), then local topo
+// order, CSR adjacency and the distinguished local indexes. Cost is
+// O(k log k) in the commodity's own edge count.
 func (b *builder) build(xc *Commodity, sc *stream.Commodity, procHalf, wireHalf []graph.EdgeID) error {
-	s := &b.s
+	s, ix := &b.s, &b.ix
 
 	// Candidate member edges in ascending extended-ID order: the
 	// (procHalf, wireHalf) pairs follow physical edge order, and the
@@ -218,21 +207,20 @@ func (b *builder) build(xc *Commodity, sc *stream.Commodity, procHalf, wireHalf 
 		b.phys = append(b.phys, e)
 	}
 	slices.Sort(b.phys)
-	s.Edges, s.Beta, s.Cost = s.Edges[:0], s.Beta[:0], s.Cost[:0]
+	b.ext, s.Beta, s.Cost = b.ext[:0], s.Beta[:0], s.Cost[:0]
 	for _, e := range b.phys {
 		params := sc.Edges[e]
-		s.Edges = append(s.Edges, procHalf[e], wireHalf[e])
+		b.ext = append(b.ext, procHalf[e], wireHalf[e])
 		s.Beta = append(s.Beta, params.Beta, 1)
 		s.Cost = append(s.Cost, params.Cost, 1)
 	}
-	s.Edges = append(s.Edges, xc.InputLink, xc.DiffLink)
+	b.ext = append(b.ext, xc.InputLink, xc.DiffLink)
 	s.Beta = append(s.Beta, 1, 1)
 	s.Cost = append(s.Cost, 1, 1)
 
-	b.indexNodes()
-	b.buildCSR()
-	dummy := s.LocalNode(xc.Dummy)
-	sink := s.LocalNode(xc.Sink)
+	ix.Index(b.g, b.ext)
+	dummy := ix.LocalNode(xc.Dummy)
+	sink := ix.LocalNode(xc.Sink)
 	if dummy < 0 || sink < 0 {
 		return fmt.Errorf("transform: commodity %q: dummy or sink not in member subgraph", xc.Name)
 	}
@@ -241,11 +229,11 @@ func (b *builder) build(xc *Commodity, sc *stream.Commodity, procHalf, wireHalf 
 		return fmt.Errorf("transform: commodity %q: %w", xc.Name, err)
 	}
 
-	s.Dummy = s.LocalNode(xc.Dummy)
-	s.Source = s.LocalNode(xc.Source)
-	s.Sink = s.LocalNode(xc.Sink)
-	s.InputLink = s.LocalEdge(xc.InputLink)
-	s.DiffLink = s.LocalEdge(xc.DiffLink)
+	s.Dummy = ix.LocalNode(xc.Dummy)
+	s.Source = ix.LocalNode(xc.Source)
+	s.Sink = ix.LocalNode(xc.Sink)
+	s.InputLink = ix.LocalEdge(xc.InputLink)
+	s.DiffLink = ix.LocalEdge(xc.DiffLink)
 	if s.Dummy < 0 || s.Source < 0 || s.Sink < 0 || s.InputLink < 0 || s.DiffLink < 0 {
 		return fmt.Errorf("transform: commodity %q: dummy links trimmed away (sink unreachable?)", xc.Name)
 	}
@@ -261,164 +249,56 @@ func resized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// indexNodes (re)derives the sorted member node set and the local
-// Tail/Head arrays from the current edge list.
-func (b *builder) indexNodes() {
-	s := &b.s
-	b.ends = b.ends[:0]
-	for _, ge := range s.Edges {
-		ed := b.g.Edge(ge)
-		b.ends = append(b.ends, ed.From, ed.To)
-	}
-	slices.Sort(b.ends)
-	s.Nodes = s.Nodes[:0]
-	for i, n := range b.ends {
-		if i == 0 || n != b.ends[i-1] {
-			s.Nodes = append(s.Nodes, n)
-		}
-	}
-	s.Tail = resized(s.Tail, len(s.Edges))
-	s.Head = resized(s.Head, len(s.Edges))
-	for le, ge := range s.Edges {
-		ed := b.g.Edge(ge)
-		s.Tail[le] = s.LocalNode(ed.From)
-		s.Head[le] = s.LocalNode(ed.To)
-	}
-}
-
-// buildCSR fills the CSR adjacency from Tail/Head. Edges are processed
-// in ascending local (= global) order, so each per-node list comes out
-// ascending.
-func (b *builder) buildCSR() {
-	s := &b.s
-	nn, ne := len(s.Nodes), len(s.Edges)
-	s.outIdx = resized(s.outIdx, nn+1)
-	s.inIdx = resized(s.inIdx, nn+1)
-	clear(s.outIdx)
-	clear(s.inIdx)
-	for le := 0; le < ne; le++ {
-		s.outIdx[s.Tail[le]+1]++
-		s.inIdx[s.Head[le]+1]++
-	}
-	for l := 0; l < nn; l++ {
-		s.outIdx[l+1] += s.outIdx[l]
-		s.inIdx[l+1] += s.inIdx[l]
-	}
-	s.outEdges = resized(s.outEdges, ne)
-	s.inEdges = resized(s.inEdges, ne)
-	b.count = resized(b.count, 2*nn)
-	outNext, inNext := b.count[:nn], b.count[nn:]
-	copy(outNext, s.outIdx)
-	copy(inNext, s.inIdx)
-	for le := 0; le < ne; le++ {
-		t, h := s.Tail[le], s.Head[le]
-		s.outEdges[outNext[t]] = int32(le)
-		outNext[t]++
-		s.inEdges[inNext[h]] = int32(le)
-		inNext[h]++
-	}
-}
-
-// reachable marks in seen the nodes a DFS from start reaches over adj
-// (Out with Head, or In with Tail for the co-reachability direction).
-func (b *builder) reachable(seen []bool, start int32, adj func(int32) []int32, to []int32) {
-	clear(seen)
-	b.stack = append(b.stack[:0], start)
-	seen[start] = true
-	for len(b.stack) > 0 {
-		l := b.stack[len(b.stack)-1]
-		b.stack = b.stack[:len(b.stack)-1]
-		for _, le := range adj(l) {
-			v := to[le]
-			if !seen[v] {
-				seen[v] = true
-				b.stack = append(b.stack, v)
-			}
-		}
-	}
-}
-
 // trim drops the edges that cannot carry dummy→sink flow — those whose
 // tail is not reachable from the dummy or whose head does not co-reach
-// the sink — compacting Edges/Beta/Cost in place and re-deriving the
-// node set and adjacency when anything went.
+// the sink — compacting the edge list and Beta/Cost in place and
+// re-indexing when anything went.
 func (b *builder) trim(dummy, sink int32) {
-	s := &b.s
-	nn := len(s.Nodes)
-	b.mark = resized(b.mark, 2*nn)
-	reach, coreach := b.mark[:nn], b.mark[nn:]
-	b.reachable(reach, dummy, s.Out, s.Head)
-	b.reachable(coreach, sink, s.In, s.Tail)
+	s, ix := &b.s, &b.ix
+	b.reach = ix.Reach(b.reach, dummy, true)
+	b.back = ix.Reach(b.back, sink, false)
 	kept := 0
-	for le := range s.Edges {
-		if reach[s.Tail[le]] && coreach[s.Head[le]] {
-			s.Edges[kept], s.Beta[kept], s.Cost[kept] = s.Edges[le], s.Beta[le], s.Cost[le]
+	for le, e := range b.ext {
+		if b.reach[ix.Tail[le]] && b.back[ix.Head[le]] {
+			b.ext[kept], s.Beta[kept], s.Cost[kept] = e, s.Beta[le], s.Cost[le]
 			kept++
 		}
 	}
-	if kept == len(s.Edges) {
+	if kept == len(b.ext) {
 		return
 	}
-	s.Edges, s.Beta, s.Cost = s.Edges[:kept], s.Beta[:kept], s.Cost[:kept]
-	b.indexNodes()
-	b.buildCSR()
+	b.ext, s.Beta, s.Cost = b.ext[:kept], s.Beta[:kept], s.Cost[:kept]
+	ix.Index(b.g, b.ext)
 }
 
-// topoSort computes Topo/revTopo with Kahn's algorithm and a min-heap
-// frontier over local indexes, then the two topology constants the
-// solver reads off them: the branch list and the longest-path depth.
-// Local index order is global node-ID order, so min-local-first equals
-// the min-global-ID-first tie-break of graph.TopoSortFiltered. Returns
-// graph.ErrCycle on a cyclic member subgraph.
+// topoSort computes Topo/revTopo from the shared index, then the two
+// topology constants the solver reads off them: the branch list and the
+// longest-path depth. Returns graph.ErrCycle on a cyclic member
+// subgraph.
 func (b *builder) topoSort() error {
-	s := &b.s
-	nn := len(s.Nodes)
-	b.count = resized(b.count, nn)
-	indeg := b.count
-	clear(indeg)
-	for _, h := range s.Head {
-		indeg[h]++
+	s, ix := &b.s, &b.ix
+	var err error
+	if s.Topo, err = ix.Topo(s.Topo); err != nil {
+		return err
 	}
-	// An ascending array satisfies the heap property, so the initial
-	// frontier needs no sift-up pass.
-	frontier := int32Heap(b.stack[:0])
-	for l := 0; l < nn; l++ {
-		if indeg[l] == 0 {
-			frontier = append(frontier, int32(l))
-		}
-	}
-	s.Topo = s.Topo[:0]
-	for len(frontier) > 0 {
-		l := frontier.pop()
-		s.Topo = append(s.Topo, l)
-		for _, le := range s.Out(l) {
-			h := s.Head[le]
-			indeg[h]--
-			if indeg[h] == 0 {
-				frontier.push(h)
-			}
-		}
-	}
-	b.stack = frontier
-	if len(s.Topo) != nn {
-		return graph.ErrCycle
-	}
+	nn := len(s.Topo)
 	s.revTopo = resized(s.revTopo, nn)
 	for i, l := range s.Topo {
 		s.revTopo[nn-1-i] = l
 	}
 
-	depth := indeg // all zero once every node has been popped
+	b.depth = resized(b.depth, nn)
+	clear(b.depth)
 	s.branch, s.depth = s.branch[:0], 0
 	for _, l := range s.Topo {
-		outs := s.Out(l)
+		outs := ix.Out(l)
 		if len(outs) >= 2 {
 			s.branch = append(s.branch, l)
 		}
 		for _, le := range outs {
-			h := s.Head[le]
-			if d := depth[l] + 1; d > depth[h] {
-				depth[h] = d
+			h := ix.Head[le]
+			if d := b.depth[l] + 1; d > b.depth[h] {
+				b.depth[h] = d
 				s.depth = max(s.depth, d)
 			}
 		}
@@ -429,25 +309,25 @@ func (b *builder) topoSort() error {
 // commit stages the finished commodity: its scalars go to dst now, its
 // arrays to the slabs, hot wave arrays first in each block.
 func (b *builder) commit(dst *Subgraph) {
-	s := &b.s
+	s, ix := &b.s, &b.ix
 	*dst = Subgraph{
 		Dummy: s.Dummy, Source: s.Source, Sink: s.Sink,
 		InputLink: s.InputLink, DiffLink: s.DiffLink, depth: s.depth,
 	}
-	b.dims = append(b.dims, subgraphDims{len(s.Nodes), len(s.Edges), len(s.branch)})
+	b.dims = append(b.dims, subgraphDims{len(ix.Nodes), len(ix.Edges), len(s.branch)})
 	b.i32 = append(b.i32, s.revTopo...)
-	b.i32 = append(b.i32, s.outIdx...)
-	b.i32 = append(b.i32, s.outEdges...)
-	b.i32 = append(b.i32, s.Head...)
+	b.i32 = append(b.i32, ix.OutIdx...)
+	b.i32 = append(b.i32, ix.OutEdges...)
+	b.i32 = append(b.i32, ix.Head...)
 	b.i32 = append(b.i32, s.branch...)
 	b.i32 = append(b.i32, s.Topo...)
-	b.i32 = append(b.i32, s.Tail...)
-	b.i32 = append(b.i32, s.inIdx...)
-	b.i32 = append(b.i32, s.inEdges...)
+	b.i32 = append(b.i32, ix.Tail...)
+	b.i32 = append(b.i32, ix.InIdx...)
+	b.i32 = append(b.i32, ix.InEdges...)
 	b.f64 = append(b.f64, s.Cost...)
 	b.f64 = append(b.f64, s.Beta...)
-	b.nodes = append(b.nodes, s.Nodes...)
-	b.edges = append(b.edges, s.Edges...)
+	b.nodes = append(b.nodes, ix.Nodes...)
+	b.edges = append(b.edges, ix.Edges...)
 }
 
 // carve fits the staged slabs to their contents and slices every
@@ -489,48 +369,4 @@ func take[T any](slab *[]T, n int) []T {
 	out := (*slab)[:n:n]
 	*slab = (*slab)[n:]
 	return out
-}
-
-// int32Heap is a binary min-heap of local indexes backing the local
-// topological sort's deterministic min-first frontier.
-type int32Heap []int32
-
-func (h *int32Heap) push(v int32) {
-	*h = append(*h, v)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent] <= s[i] {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-}
-
-func (h *int32Heap) pop() int32 {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(s) && s[l] < s[min] {
-			min = l
-		}
-		if r < len(s) && s[r] < s[min] {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return top
 }
