@@ -202,15 +202,6 @@ func (u *Usage) TAt(j int, n graph.NodeID) float64 {
 	return 0
 }
 
-// FEdgeAt returns commodity j's resource usage on extended edge e, zero
-// when e is not a member edge. O(log member edges).
-func (u *Usage) FEdgeAt(j int, e graph.EdgeID) float64 {
-	if le := u.R.X.Sub[j].LocalEdge(e); le >= 0 {
-		return u.FEdge[j][le]
-	}
-	return 0
-}
-
 // ArriveAt returns the flow commodity j delivers to the head of
 // extended edge e, zero when e is not a member edge. O(log member
 // edges).

@@ -3,7 +3,6 @@ package gradient
 import (
 	"repro/internal/flow"
 	"repro/internal/graph"
-	"repro/internal/transform"
 )
 
 // fillNodePrices sets price[n] = ε·D'_n(f_n + External_n) for every
@@ -26,24 +25,4 @@ func nodePrices(u *flow.Usage) []float64 {
 	price := make([]float64, len(u.FNode))
 	fillNodePrices(u, price)
 	return price
-}
-
-// ShadowPrices fills price[i] = ε·D'_i(F_i) for each node of the merged
-// global usage vector — the same per-node shadow price the attribution
-// ρ-wave reports for binding resources (Attribute's BindingNode.Price),
-// rederived by a price-exchange coordinator at the merged operating
-// point F instead of a single engine's local usage. Uncapacitated nodes
-// price at zero. F is already the global total, so this is
-// transform.ShadowPrice, the External-free form of the PenaltyDeriv
-// fillNodePrices uses.
-//
-// price and merged must have equal length (at most x.SharedNodes when
-// called on cross-shard state).
-func ShadowPrices(x *transform.Extended, merged, price []float64) {
-	if len(price) != len(merged) {
-		panic("gradient: ShadowPrices length mismatch")
-	}
-	for i, f := range merged {
-		price[i] = x.ShadowPrice(graph.NodeID(i), f)
-	}
 }

@@ -48,8 +48,6 @@ import (
 	"hash/crc32"
 	"math"
 	"sort"
-
-	"repro/internal/stream"
 )
 
 // Version is the on-disk format version stamped into segment headers.
@@ -64,21 +62,6 @@ const (
 	KindCheckpoint Kind = "checkpoint"
 	KindMutation   Kind = "mutation"
 	KindDigest     Kind = "digest"
-)
-
-// Mutation operation names. These match the `kind` labels
-// internal/server feeds the obs recorder, so a journal and an event
-// stream from the same run agree on vocabulary.
-const (
-	OpAddCommodity    = "add_commodity"
-	OpRemoveCommodity = "remove_commodity"
-	OpSetRate         = "set_rate"
-	OpSetRates        = "set_rates"
-	OpSetUtility      = "set_utility"
-	OpSetCapacity     = "set_capacity"
-	OpSetBandwidth    = "set_bandwidth"
-	OpScaleCapacity   = "scale_capacity"
-	OpScaleBandwidth  = "scale_bandwidth"
 )
 
 // Record is one journal entry. Exactly one of Header, Checkpoint,
@@ -143,13 +126,6 @@ type Checkpoint struct {
 	Solver  *SolverParams   `json:"solver,omitempty"` // set on restart checkpoints
 }
 
-// Mutation is one accepted mutation batch.
-type Mutation struct {
-	Op      string          `json:"op"`
-	Target  string          `json:"target,omitempty"`
-	Payload json.RawMessage `json:"payload,omitempty"`
-}
-
 // Flip is one admitted↔rejected transition a generation caused, in
 // snapshot commodity order.
 type Flip struct {
@@ -177,41 +153,6 @@ type Digest struct {
 	Flips        []Flip  `json:"flips,omitempty"`
 }
 
-// Mutation payload shapes. internal/server marshals these when
-// journaling is on; Apply and the replay driver decode them.
-
-// RatePayload carries OpSetRate.
-type RatePayload struct {
-	Rate float64 `json:"rate"`
-}
-
-// RatesPayload carries OpSetRates. Go's JSON encoder writes map keys
-// sorted, so the recorded bytes are deterministic for a given batch.
-type RatesPayload struct {
-	Rates map[string]float64 `json:"rates"`
-}
-
-// CapacityPayload carries OpSetCapacity.
-type CapacityPayload struct {
-	Capacity float64 `json:"capacity"`
-}
-
-// ScalePayload carries OpScaleCapacity.
-type ScalePayload struct {
-	Factor float64 `json:"factor"`
-}
-
-// LinkPayload carries OpSetBandwidth (Bandwidth set) and
-// OpScaleBandwidth (Factor set). The endpoints live in the payload —
-// not parsed out of the "from->to" target label — so names containing
-// "->" cannot corrupt a replay.
-type LinkPayload struct {
-	From      string  `json:"from"`
-	To        string  `json:"to"`
-	Bandwidth float64 `json:"bandwidth,omitempty"`
-	Factor    float64 `json:"factor,omitempty"`
-}
-
 // AdmittedEntry is one commodity's admitted rate, input to
 // AdmittedHash.
 type AdmittedEntry struct {
@@ -235,97 +176,6 @@ func AdmittedHash(entries []AdmittedEntry) string {
 		_, _ = h.Write(buf[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// Apply replays one recorded mutation against a problem — the exact
-// operation internal/server performed when it accepted the record.
-// Recovery uses it to roll a checkpoint forward; mutations were
-// validated before they were journaled, so an error here means the
-// journal does not match the checkpoint (corruption or version skew).
-func Apply(p *stream.Problem, m *Mutation) error {
-	if m == nil {
-		return fmt.Errorf("journal: nil mutation")
-	}
-	switch m.Op {
-	case OpAddCommodity:
-		_, err := p.AddCommodityFromJSON(m.Payload)
-		return err
-	case OpRemoveCommodity:
-		if !p.RemoveCommodity(m.Target) {
-			return fmt.Errorf("journal: unknown commodity %q", m.Target)
-		}
-		return nil
-	case OpSetRate:
-		var pl RatePayload
-		if err := json.Unmarshal(m.Payload, &pl); err != nil {
-			return fmt.Errorf("journal: %s payload: %w", m.Op, err)
-		}
-		return p.SetMaxRate(m.Target, pl.Rate)
-	case OpSetRates:
-		var pl RatesPayload
-		if err := json.Unmarshal(m.Payload, &pl); err != nil {
-			return fmt.Errorf("journal: %s payload: %w", m.Op, err)
-		}
-		names := make([]string, 0, len(pl.Rates))
-		for name := range pl.Rates {
-			names = append(names, name)
-		}
-		sort.Strings(names) // same order server.SetMaxRates applies
-		for _, name := range names {
-			if err := p.SetMaxRate(name, pl.Rates[name]); err != nil {
-				return err
-			}
-		}
-		return nil
-	case OpSetUtility:
-		u, err := stream.ParseUtilityJSON(m.Payload)
-		if err != nil {
-			return err
-		}
-		return p.SetUtility(m.Target, u)
-	case OpSetCapacity:
-		var pl CapacityPayload
-		if err := json.Unmarshal(m.Payload, &pl); err != nil {
-			return fmt.Errorf("journal: %s payload: %w", m.Op, err)
-		}
-		return p.Net.SetCapacity(m.Target, pl.Capacity)
-	case OpScaleCapacity:
-		var pl ScalePayload
-		if err := json.Unmarshal(m.Payload, &pl); err != nil {
-			return fmt.Errorf("journal: %s payload: %w", m.Op, err)
-		}
-		id, ok := p.Net.NodeByName(m.Target)
-		if !ok {
-			return fmt.Errorf("journal: unknown node %q", m.Target)
-		}
-		return p.Net.SetCapacity(m.Target, p.Net.Capacity[id]*pl.Factor)
-	case OpSetBandwidth:
-		var pl LinkPayload
-		if err := json.Unmarshal(m.Payload, &pl); err != nil {
-			return fmt.Errorf("journal: %s payload: %w", m.Op, err)
-		}
-		return p.Net.SetBandwidth(pl.From, pl.To, pl.Bandwidth)
-	case OpScaleBandwidth:
-		var pl LinkPayload
-		if err := json.Unmarshal(m.Payload, &pl); err != nil {
-			return fmt.Errorf("journal: %s payload: %w", m.Op, err)
-		}
-		f, ok := p.Net.NodeByName(pl.From)
-		if !ok {
-			return fmt.Errorf("journal: unknown node %q", pl.From)
-		}
-		t, ok := p.Net.NodeByName(pl.To)
-		if !ok {
-			return fmt.Errorf("journal: unknown node %q", pl.To)
-		}
-		e := p.Net.G.EdgeBetween(f, t)
-		if e < 0 {
-			return fmt.Errorf("journal: no link (%s,%s)", pl.From, pl.To)
-		}
-		return p.Net.SetBandwidth(pl.From, pl.To, p.Net.Bandwidth[e]*pl.Factor)
-	default:
-		return fmt.Errorf("journal: unknown mutation op %q", m.Op)
-	}
 }
 
 // Framing constants.

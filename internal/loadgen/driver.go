@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -35,19 +37,12 @@ func (o Observation) AdmittedFrac() float64 {
 
 // Backend is where compiled events land. Two implementations: InProc
 // (a *server.Server in the same process — deterministic tests,
-// throughput benchmarks) and HTTP (a live admissiond). Mutations
-// return the server revision they produced, so the driver can wait for
-// the snapshot that incorporates them.
+// throughput benchmarks) and HTTP (a live admissiond).
 type Backend interface {
-	AddCommodity(spec []byte) (int64, error)
-	RemoveCommodity(name string) (int64, error)
-	// SetRates applies a whole epoch's rate changes as one mutation
-	// batch: one solver wake however many commodities moved.
-	SetRates(rates map[string]float64) (int64, error)
-	SetCapacity(node string, capacity float64) (int64, error)
-	ScaleCapacity(node string, factor float64) (int64, error)
-	SetBandwidth(from, to string, bandwidth float64) (int64, error)
-	ScaleBandwidth(from, to string, factor float64) (int64, error)
+	// Apply issues one mutation and returns the server revision it
+	// produced, so the driver can wait for the snapshot that
+	// incorporates it.
+	Apply(m journal.Mutation) (int64, error)
 	// Observe is the latest published snapshot (zero Observation
 	// before the first publish).
 	Observe() (Observation, error)
@@ -60,23 +55,7 @@ type Backend interface {
 // sockets, fully deterministic under test.
 type InProc struct{ S *server.Server }
 
-func (b InProc) AddCommodity(spec []byte) (int64, error) { return b.S.AddCommodityJSON(spec) }
-func (b InProc) RemoveCommodity(name string) (int64, error) {
-	return b.S.RemoveCommodity(name)
-}
-func (b InProc) SetRates(rates map[string]float64) (int64, error) { return b.S.SetMaxRates(rates) }
-func (b InProc) SetCapacity(node string, c float64) (int64, error) {
-	return b.S.SetCapacity(node, c)
-}
-func (b InProc) ScaleCapacity(node string, f float64) (int64, error) {
-	return b.S.ScaleCapacity(node, f)
-}
-func (b InProc) SetBandwidth(from, to string, bw float64) (int64, error) {
-	return b.S.SetBandwidth(from, to, bw)
-}
-func (b InProc) ScaleBandwidth(from, to string, f float64) (int64, error) {
-	return b.S.ScaleBandwidth(from, to, f)
-}
+func (b InProc) Apply(m journal.Mutation) (int64, error) { return b.S.Apply(m) }
 
 func (b InProc) Observe() (Observation, error) {
 	if snap := b.S.Snapshot(); snap != nil {
@@ -150,32 +129,52 @@ func (b HTTP) do(method, path string, body []byte) (int64, error) {
 	return out.Rev, nil
 }
 
-func (b HTTP) AddCommodity(spec []byte) (int64, error) { return b.do("POST", "/v1/commodities", spec) }
-func (b HTTP) RemoveCommodity(name string) (int64, error) {
-	return b.do("DELETE", "/v1/commodities/"+name, nil)
+// Apply is the REST client encoder, the mirror of the routes in
+// internal/server/http.go: each op becomes its method, path and body.
+// Names are escaped per path segment, since internal/stream places no
+// restriction on them.
+func (b HTTP) Apply(m journal.Mutation) (int64, error) {
+	commodity := "/v1/commodities/" + url.PathEscape(m.Target)
+	capacity := "/v1/nodes/" + url.PathEscape(m.Target) + "/capacity"
+	switch m.Op {
+	case journal.OpAddCommodity:
+		return b.do("POST", "/v1/commodities", m.Payload)
+	case journal.OpRemoveCommodity:
+		return b.do("DELETE", commodity, nil)
+	case journal.OpSetRate:
+		pl, err := journal.Decode[journal.RatePayload](&m)
+		return b.send(err, "PATCH", commodity, map[string]any{"maxRate": pl.Rate})
+	case journal.OpSetRates:
+		pl, err := journal.Decode[journal.RatesPayload](&m)
+		return b.send(err, "POST", "/v1/rates", pl)
+	case journal.OpSetUtility:
+		return b.send(nil, "PATCH", commodity, map[string]any{"utility": m.Payload})
+	case journal.OpSetCapacity:
+		pl, err := journal.Decode[journal.CapacityPayload](&m)
+		return b.send(err, "POST", capacity, pl)
+	case journal.OpScaleCapacity:
+		pl, err := journal.Decode[journal.ScalePayload](&m)
+		return b.send(err, "POST", capacity, map[string]any{"scale": pl.Factor})
+	case journal.OpSetBandwidth, journal.OpScaleBandwidth:
+		// The route takes exactly one of the two; the op left the other zero.
+		pl, err := journal.Decode[journal.LinkPayload](&m)
+		path := "/v1/links/" + url.PathEscape(pl.From) + "/" + url.PathEscape(pl.To) + "/bandwidth"
+		return b.send(err, "POST", path, map[string]any{"bandwidth": pl.Bandwidth, "scale": pl.Factor})
+	}
+	return 0, fmt.Errorf("loadgen: no route for mutation op %q", m.Op)
 }
-func (b HTTP) SetRates(rates map[string]float64) (int64, error) {
-	body, err := json.Marshal(map[string]any{"rates": rates})
+
+// send issues one mutation with body as its JSON, unless decoding the
+// mutation's operands already failed with err.
+func (b HTTP) send(err error, method, path string, body any) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return b.do("POST", "/v1/rates", body)
-}
-func (b HTTP) SetCapacity(node string, c float64) (int64, error) {
-	body, _ := json.Marshal(map[string]float64{"capacity": c})
-	return b.do("POST", "/v1/nodes/"+node+"/capacity", body)
-}
-func (b HTTP) ScaleCapacity(node string, f float64) (int64, error) {
-	body, _ := json.Marshal(map[string]float64{"scale": f})
-	return b.do("POST", "/v1/nodes/"+node+"/capacity", body)
-}
-func (b HTTP) SetBandwidth(from, to string, bw float64) (int64, error) {
-	body, _ := json.Marshal(map[string]float64{"bandwidth": bw})
-	return b.do("POST", "/v1/links/"+from+"/"+to+"/bandwidth", body)
-}
-func (b HTTP) ScaleBandwidth(from, to string, f float64) (int64, error) {
-	body, _ := json.Marshal(map[string]float64{"scale": f})
-	return b.do("POST", "/v1/links/"+from+"/"+to+"/bandwidth", body)
+	data, err := json.Marshal(body)
+	if err != nil {
+		return 0, err
+	}
+	return b.do(method, path, data)
 }
 
 func (b HTTP) Observe() (Observation, error) {
@@ -310,7 +309,7 @@ func Run(c *Compiled, be Backend, opts DriverOptions) (*RunResult, error) {
 			if len(rates) == 0 {
 				return nil
 			}
-			rev, err := be.SetRates(rates)
+			rev, err := be.Apply(journal.SetRates(rates))
 			if err != nil {
 				return err
 			}
@@ -325,8 +324,7 @@ func Run(c *Compiled, be Backend, opts DriverOptions) (*RunResult, error) {
 		epochStart := time.Now()
 		for ; cursor < len(c.Events) && c.Events[cursor].Epoch == epoch; cursor++ {
 			e := c.Events[cursor]
-			var rev int64
-			var err error
+			var m journal.Mutation
 			switch e.Kind {
 			case "rate":
 				// Batched; flushed before any non-rate event so the
@@ -334,38 +332,33 @@ func Run(c *Compiled, be Backend, opts DriverOptions) (*RunResult, error) {
 				rates[e.Commodity] = e.Rate
 				continue
 			case "arrive":
-				if err = flushRates(); err == nil {
-					if rev, err = be.AddCommodity(e.Spec); err == nil {
-						offered[e.Commodity] = e.Rate
-					}
-				}
+				m = journal.AddCommodity(e.Spec)
 			case "depart":
-				if err = flushRates(); err == nil {
-					if rev, err = be.RemoveCommodity(e.Commodity); err == nil {
-						delete(offered, e.Commodity)
-					}
-				}
+				m = journal.RemoveCommodity(e.Commodity)
 			case "scale_capacity":
-				if err = flushRates(); err == nil {
-					rev, err = be.ScaleCapacity(e.Node, e.Factor)
-				}
+				m = journal.ScaleCapacity(e.Node, e.Factor)
 			case "set_capacity":
-				if err = flushRates(); err == nil {
-					rev, err = be.SetCapacity(e.Node, e.Value)
-				}
+				m = journal.SetCapacity(e.Node, e.Value)
 			case "scale_bandwidth":
-				if err = flushRates(); err == nil {
-					rev, err = be.ScaleBandwidth(e.From, e.To, e.Factor)
-				}
+				m = journal.ScaleBandwidth(e.From, e.To, e.Factor)
 			case "set_bandwidth":
-				if err = flushRates(); err == nil {
-					rev, err = be.SetBandwidth(e.From, e.To, e.Value)
-				}
+				m = journal.SetBandwidth(e.From, e.To, e.Value)
 			default:
-				err = fmt.Errorf("loadgen: unknown event kind %q", e.Kind)
+				return nil, fmt.Errorf("loadgen: epoch %d seq %d: unknown event kind %q", e.Epoch, e.Seq, e.Kind)
+			}
+			err := flushRates()
+			var rev int64
+			if err == nil {
+				rev, err = be.Apply(m)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("loadgen: epoch %d seq %d: %w", e.Epoch, e.Seq, err)
+			}
+			switch e.Kind {
+			case "arrive":
+				offered[e.Commodity] = e.Rate
+			case "depart":
+				delete(offered, e.Commodity)
 			}
 			if rev > 0 {
 				lastRev = rev

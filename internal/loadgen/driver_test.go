@@ -1,9 +1,16 @@
 package loadgen
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -154,5 +161,85 @@ func TestDriverThroughput(t *testing.T) {
 	}
 	if res.MutationsPerSec < 10000 {
 		t.Fatalf("driver sustained %.0f mutations/sec, want ≥ 10000", res.MutationsPerSec)
+	}
+}
+
+// TestHTTPBackendMirrorsTheRoutes drives all nine ops through the REST
+// client encoder against a live handler and checks /v1/problem after
+// each against journal.Apply of the same mutation on a mirror problem.
+// The commodity's name needs escaping in a URL path: unescaped, its
+// PATCH and DELETE address a commodity named "q".
+func TestHTTPBackendMirrorsTheRoutes(t *testing.T) {
+	c, err := Compile(loadScenario(t, "churn.json"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const name = "q?x/y z"
+	var spec map[string]any
+	for _, e := range c.Events {
+		if e.Kind == "arrive" {
+			if err := json.Unmarshal(e.Spec, &spec); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	spec["name"] = name
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := c.Base.Net
+	link := net.G.Edge(0)
+	from, to := net.Names[link.From], net.Names[link.To]
+	node := fmt.Sprint(spec["source"])
+
+	srv, err := server.New(c.Base, testServerOptions(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler(nil))
+	defer ts.Close()
+	be := HTTP{Base: ts.URL}
+
+	mirror := c.Base.Clone()
+	for i, m := range []journal.Mutation{
+		journal.AddCommodity(specJSON),
+		journal.SetRate(name, 9),
+		journal.SetRates(map[string]float64{name: 7}),
+		journal.SetUtility(name, []byte(`{"type":"log","weight":2}`)),
+		journal.SetCapacity(node, 50),
+		journal.ScaleCapacity(node, 0.5),
+		journal.SetBandwidth(from, to, 40),
+		journal.ScaleBandwidth(from, to, 0.25),
+		journal.RemoveCommodity(name),
+	} {
+		rev, err := be.Apply(m)
+		if err != nil {
+			t.Fatalf("%s: %v", m.Op, err)
+		}
+		if rev != int64(i+1) {
+			t.Fatalf("%s: rev %d, want %d", m.Op, rev, i+1)
+		}
+		if err := journal.Apply(mirror, &m); err != nil {
+			t.Fatalf("%s on the mirror: %v", m.Op, err)
+		}
+		want, err := mirror.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(ts.URL + "/v1/problem")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("after %s /v1/problem differs from the mirror:\n%s\n%s", m.Op, got, want)
+		}
 	}
 }

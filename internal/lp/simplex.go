@@ -42,9 +42,6 @@ func NewProblem(n int) *Problem {
 	return &Problem{numVars: n, objective: make([]float64, n)}
 }
 
-// NumVars reports the number of variables.
-func (p *Problem) NumVars() int { return p.numVars }
-
 // SetObjective sets the coefficient of x_v in the maximized objective.
 func (p *Problem) SetObjective(v int, coeff float64) error {
 	if v < 0 || v >= p.numVars {

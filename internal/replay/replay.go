@@ -224,7 +224,7 @@ func verifyRun(runIdx int, run []journal.Record, opts Options, rep *Report, logf
 			queue = queue[1:]
 			switch q.Kind {
 			case journal.KindMutation:
-				got, err := applyMutation(srv, q.Mutation)
+				got, err := srv.Apply(*q.Mutation)
 				if err != nil {
 					structural(Mismatch{Rev: q.Rev, Field: "apply", Recorded: "applies cleanly",
 						Replayed: fmt.Sprintf("%s %s: %v", q.Mutation.Op, q.Mutation.Target, err)})
@@ -401,55 +401,4 @@ func flipsString(fs []journal.Flip) string {
 	}
 	b, _ := json.Marshal(fs)
 	return string(b)
-}
-
-// applyMutation maps one recorded mutation onto the server's API,
-// returning the revision the server assigned.
-func applyMutation(srv *server.Server, m *journal.Mutation) (int64, error) {
-	switch m.Op {
-	case journal.OpAddCommodity:
-		return srv.AddCommodityJSON(m.Payload)
-	case journal.OpRemoveCommodity:
-		return srv.RemoveCommodity(m.Target)
-	case journal.OpSetRate:
-		var pl journal.RatePayload
-		if err := json.Unmarshal(m.Payload, &pl); err != nil {
-			return 0, err
-		}
-		return srv.SetMaxRate(m.Target, pl.Rate)
-	case journal.OpSetRates:
-		var pl journal.RatesPayload
-		if err := json.Unmarshal(m.Payload, &pl); err != nil {
-			return 0, err
-		}
-		return srv.SetMaxRates(pl.Rates)
-	case journal.OpSetUtility:
-		return srv.SetUtilityJSON(m.Target, m.Payload)
-	case journal.OpSetCapacity:
-		var pl journal.CapacityPayload
-		if err := json.Unmarshal(m.Payload, &pl); err != nil {
-			return 0, err
-		}
-		return srv.SetCapacity(m.Target, pl.Capacity)
-	case journal.OpScaleCapacity:
-		var pl journal.ScalePayload
-		if err := json.Unmarshal(m.Payload, &pl); err != nil {
-			return 0, err
-		}
-		return srv.ScaleCapacity(m.Target, pl.Factor)
-	case journal.OpSetBandwidth:
-		var pl journal.LinkPayload
-		if err := json.Unmarshal(m.Payload, &pl); err != nil {
-			return 0, err
-		}
-		return srv.SetBandwidth(pl.From, pl.To, pl.Bandwidth)
-	case journal.OpScaleBandwidth:
-		var pl journal.LinkPayload
-		if err := json.Unmarshal(m.Payload, &pl); err != nil {
-			return 0, err
-		}
-		return srv.ScaleBandwidth(pl.From, pl.To, pl.Factor)
-	default:
-		return 0, fmt.Errorf("unknown mutation op %q", m.Op)
-	}
 }

@@ -2,6 +2,9 @@ package replay
 
 import (
 	"encoding/json"
+	"net/http/httptest"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -172,6 +175,66 @@ func TestVerifyCleanRecording(t *testing.T) {
 	}
 	if rep.Truncated {
 		t.Fatal("clean recording reported truncated")
+	}
+}
+
+// TestVerifyJournalFromBeforeServerApply replays a journal recorded at
+// the last commit whose server wrote each op's payload by hand (PR 15:
+// `cmd/loadgen -scenario examples/scenarios/churn.json -run -journal`,
+// one shard): arrivals, departures, rate batches and scale_capacity
+// faults. Every mutation now goes through Server.Apply and
+// journal.Apply; the record format and the trajectory must not have
+// moved.
+func TestVerifyJournalFromBeforeServerApply(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// Digests compare floats bit for bit, and compilers for other
+		// architectures may fuse the solver's multiply-adds.
+		t.Skip("journal was recorded on amd64")
+	}
+	rep, err := Verify("testdata/churn-parent", Options{Timeout: waitBudget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range rep.Mismatches {
+		t.Errorf("mismatch: %s", m)
+	}
+	if rep.Mutations != 30 || rep.Digests != 25 || rep.Truncated {
+		t.Fatalf("replayed %d mutations, %d digests (truncated %v); the recording holds 30 and 25",
+			rep.Mutations, rep.Digests, rep.Truncated)
+	}
+}
+
+// TestVerifyTwoFieldPatch: a PATCH that sets rate and utility commits
+// as one group but journals one record per revision, and the periodic
+// checkpoint that falls due inside the group (CheckpointEvery is 2, the
+// rate is the second journaled mutation) is written at the group's last
+// revision — the only one whose state the server holds. The recording
+// must replay clean, checkpoint bytes included.
+func TestVerifyTwoFieldPatch(t *testing.T) {
+	dir := t.TempDir()
+	record(t, dir, toyProblem(t), func(s *server.Server) {
+		if _, err := s.SetMaxRate("c1", 6); err != nil {
+			t.Fatal(err)
+		}
+		waitNext(t, s)
+		req := httptest.NewRequest("PATCH", "/v1/commodities/c1",
+			strings.NewReader(`{"maxRate":4,"utility":{"type":"log","weight":2}}`))
+		w := httptest.NewRecorder()
+		s.Handler(nil).ServeHTTP(w, req)
+		if w.Code != 200 {
+			t.Fatalf("PATCH = %d: %s", w.Code, w.Body)
+		}
+		waitNext(t, s)
+	})
+	rep, err := Verify(dir, Options{Timeout: waitBudget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range rep.Mismatches {
+		t.Errorf("mismatch: %s", m)
+	}
+	if rep.Mutations != 3 || rep.CheckpointsVerified != 1 {
+		t.Fatalf("replayed %d mutations, verified %d checkpoints; want 3 and 1", rep.Mutations, rep.CheckpointsVerified)
 	}
 }
 

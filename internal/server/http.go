@@ -9,11 +9,12 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
+	"repro/internal/stream"
 )
 
 // Handler returns the service's HTTP API. Reads are served lock-free
@@ -219,80 +220,47 @@ func (s *Server) Handler(reg *obs.Registry) http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/commodities", func(w http.ResponseWriter, r *http.Request) {
-		body, err := readBody(w, r)
-		if err != nil {
-			return
+		if body, err := readBody(w, r); err == nil {
+			s.commit(w, r, http.StatusCreated, nil, journal.AddCommodity(body))
 		}
-		rev, err := s.addCommodityJSON(ingressFrom(r), body)
-		if err != nil {
-			writeError(w, statusForMutation(err), err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, map[string]any{"rev": rev})
 	})
 
 	mux.HandleFunc("DELETE /v1/commodities/{name}", func(w http.ResponseWriter, r *http.Request) {
-		rev, err := s.removeCommodity(ingressFrom(r), r.PathValue("name"))
-		if err != nil {
-			writeError(w, statusForMutation(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"rev": rev})
+		s.commit(w, r, http.StatusOK, nil, journal.RemoveCommodity(r.PathValue("name")))
 	})
 
 	mux.HandleFunc("PATCH /v1/commodities/{name}", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
-		body, err := readBody(w, r)
-		if err != nil {
-			return
-		}
 		var patch struct {
 			MaxRate *float64        `json:"maxRate"`
 			Utility json.RawMessage `json:"utility"`
 		}
-		if err := json.Unmarshal(body, &patch); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &patch) {
 			return
 		}
-		if patch.MaxRate == nil && patch.Utility == nil {
+		// Both fields commit together or not at all.
+		var ms []journal.Mutation
+		if patch.MaxRate != nil {
+			ms = append(ms, journal.SetRate(name, *patch.MaxRate))
+		}
+		if patch.Utility != nil {
+			ms = append(ms, journal.SetUtility(name, patch.Utility))
+		}
+		if len(ms) == 0 {
 			writeError(w, http.StatusBadRequest, errors.New("patch must set maxRate and/or utility"))
 			return
 		}
-		ing := ingressFrom(r)
-		var rev int64
-		if patch.MaxRate != nil {
-			if rev, err = s.setMaxRate(ing, name, *patch.MaxRate); err != nil {
-				writeError(w, statusForMutation(err), err)
-				return
-			}
-		}
-		if patch.Utility != nil {
-			if rev, err = s.setUtilityJSON(ing, name, patch.Utility); err != nil {
-				writeError(w, statusForMutation(err), err)
-				return
-			}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"rev": rev})
+		s.commit(w, r, http.StatusOK, nil, ms...)
 	})
 
 	mux.HandleFunc("POST /v1/rates", func(w http.ResponseWriter, r *http.Request) {
-		body, err := readBody(w, r)
-		if err != nil {
-			return
-		}
 		var in struct {
 			Rates map[string]float64 `json:"rates"`
 		}
-		if err := json.Unmarshal(body, &in); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &in) {
 			return
 		}
-		rev, err := s.setMaxRates(ingressFrom(r), in.Rates)
-		if err != nil {
-			writeError(w, statusForMutation(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"rev": rev, "applied": len(in.Rates)})
+		s.commit(w, r, http.StatusOK, map[string]any{"applied": len(in.Rates)}, journal.SetRates(in.Rates))
 	})
 
 	mux.HandleFunc("POST /v1/nodes/{name}/capacity", func(w http.ResponseWriter, r *http.Request) {
@@ -301,19 +269,11 @@ func (s *Server) Handler(reg *obs.Registry) http.Handler {
 		if !ok {
 			return
 		}
-		ing := ingressFrom(r)
-		var rev int64
-		var err error
+		m := journal.SetCapacity(name, abs)
 		if scale != 0 {
-			rev, err = s.scaleCapacity(ing, name, scale)
-		} else {
-			rev, err = s.setCapacity(ing, name, abs)
+			m = journal.ScaleCapacity(name, scale)
 		}
-		if err != nil {
-			writeError(w, statusForMutation(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"rev": rev})
+		s.commit(w, r, http.StatusOK, nil, m)
 	})
 
 	mux.HandleFunc("POST /v1/links/{from}/{to}/bandwidth", func(w http.ResponseWriter, r *http.Request) {
@@ -322,22 +282,31 @@ func (s *Server) Handler(reg *obs.Registry) http.Handler {
 		if !ok {
 			return
 		}
-		ing := ingressFrom(r)
-		var rev int64
-		var err error
+		m := journal.SetBandwidth(from, to, abs)
 		if scale != 0 {
-			rev, err = s.scaleBandwidth(ing, from, to, scale)
-		} else {
-			rev, err = s.setBandwidth(ing, from, to, abs)
+			m = journal.ScaleBandwidth(from, to, scale)
 		}
-		if err != nil {
-			writeError(w, statusForMutation(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"rev": rev})
+		s.commit(w, r, http.StatusOK, nil, m)
 	})
 
 	return s.instrument(mux)
+}
+
+// commit is how every mutation route writes: the mutations its body
+// decoded to go through mutate as one all-or-nothing group under the
+// request's ingress, and the answer is {"rev": …} (plus the route's
+// extra reply fields) with the given status, or the error envelope.
+func (s *Server) commit(w http.ResponseWriter, r *http.Request, status int, reply map[string]any, ms ...journal.Mutation) {
+	rev, err := s.mutate(ingressFrom(r), ms...)
+	if err != nil {
+		writeError(w, statusForMutation(err), err)
+		return
+	}
+	if reply == nil {
+		reply = map[string]any{}
+	}
+	reply["rev"] = rev
+	writeJSON(w, status, reply)
 }
 
 // ingressKey carries the request's ingress through the context from the
@@ -424,17 +393,12 @@ func (h *HTTPServer) Close() error { return h.http.Close() }
 // exactly one of an absolute value or a multiplicative scale (the E8
 // failure-injection idiom, e.g. {"scale": 0.25} cuts to a quarter).
 func parseResize(w http.ResponseWriter, r *http.Request) (abs, scale float64, ok bool) {
-	body, err := readBody(w, r)
-	if err != nil {
-		return 0, 0, false
-	}
 	var in struct {
 		Capacity  float64 `json:"capacity"`
 		Bandwidth float64 `json:"bandwidth"`
 		Scale     float64 `json:"scale"`
 	}
-	if err := json.Unmarshal(body, &in); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &in) {
 		return 0, 0, false
 	}
 	abs = in.Capacity
@@ -458,6 +422,18 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 		return nil, err
 	}
 	return body, nil
+}
+
+// decodeBody reads the request body as JSON into v, answering 400
+// itself when it cannot.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	body, err := readBody(w, r)
+	if err == nil {
+		if err = json.Unmarshal(body, v); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+		}
+	}
+	return err == nil
 }
 
 // HistoryEntry is one retained generation in the GET /history response,
@@ -515,15 +491,14 @@ func (s *Server) historyDiffs() []HistoryEntry {
 }
 
 // statusForMutation maps a rejected mutation to its HTTP status:
-// unknown targets (commodities, nodes, links) → 404, duplicate names
-// and already-claimed resources → 409, every other validation failure
+// targets that do not exist (commodities, nodes, links) → 404, duplicate
+// names and already-claimed sinks → 409, every other validation failure
 // → 400.
 func statusForMutation(err error) int {
-	msg := err.Error()
 	switch {
-	case strings.Contains(msg, "unknown"):
+	case errors.Is(err, stream.ErrNotFound):
 		return http.StatusNotFound
-	case strings.Contains(msg, "duplicate"), strings.Contains(msg, "already"):
+	case errors.Is(err, stream.ErrConflict):
 		return http.StatusConflict
 	}
 	return http.StatusBadRequest

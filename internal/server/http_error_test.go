@@ -12,10 +12,15 @@ import (
 // malformed input → 400 invalid_argument, unknown targets → 404
 // not_found, duplicate names and claimed resources → 409 conflict.
 func TestErrorEnvelope(t *testing.T) {
-	_, ts := startServer(t, nil)
+	s, ts := startServer(t, nil)
 	base := ts.URL
 
-	// toyProblem has commodity c1 (a→t1), servers a/b, sinks t1/t2.
+	// toyProblem has commodity c1 (a→t1), servers a/b, sinks t1/t2. A
+	// second commodity is named to look like an error message: the status
+	// must come from the error's class, never from its text.
+	if _, err := s.AddCommodityJSON([]byte(`{"name":"unknown-7","source":"a","sink":"t2","maxRate":1,"utility":{"type":"linear","slope":1},"edges":[{"from":"a","to":"b","beta":1,"cost":1},{"from":"b","to":"t2","beta":1,"cost":1}]}`)); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name     string
 		method   string
@@ -44,6 +49,8 @@ func TestErrorEnvelope(t *testing.T) {
 		{"capacity no value", "POST", "/v1/nodes/a/capacity", `{}`, 400, "invalid_argument"},
 		{"capacity both values", "POST", "/v1/nodes/a/capacity", `{"capacity":5,"scale":2}`, 400, "invalid_argument"},
 		{"bandwidth unknown link", "POST", "/v1/links/a/ghost/bandwidth", `{"bandwidth":5}`, 404, "not_found"},
+		{"patch unknown utility type", "PATCH", "/v1/commodities/c1", `{"utility":{"type":"bogus"}}`, 400, "invalid_argument"},
+		{"patch negative rate, unknown in the name", "PATCH", "/v1/commodities/unknown-7", `{"maxRate":-3}`, 400, "invalid_argument"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

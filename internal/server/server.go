@@ -17,10 +17,8 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,10 +54,9 @@ type Options struct {
 	// extended problem and engine and solves only its commodity subset
 	// against a damped estimate of the other shards' usage; a
 	// coordinator merges per-shard usage into global congestion state
-	// and rederives the barrier shadow prices between rounds. Shards ≤ 1
-	// (the default) is the same coordinator with one shard, which owns
-	// every commodity and has nobody to exchange with: the plain
-	// unsharded solve.
+	// between rounds. Shards ≤ 1 (the default) is the same coordinator
+	// with one shard, which owns every commodity and has nobody to
+	// exchange with: the plain unsharded solve.
 	Shards int
 	// PlacementSalt seeds the consistent-hash commodity→shard placement.
 	// Recorded in the journal so replay re-boots with the identical
@@ -487,34 +484,51 @@ type ingress struct {
 	at time.Time
 }
 
-// mutate applies fn transactionally: it runs against a clone of the
-// desired problem, and only a nil error swaps the clone in, bumps the
-// revision, opens the decision's trace, journals the mutation, and
-// wakes the solver. A failed mutation leaves no trace. Registering the
-// decision under mu is what makes attribution exact: the solver also
+// Apply is the write path: every change to the desired problem — from
+// the typed methods below, the HTTP routes, the load driver, the replay
+// verifier — is one journal.Mutation through here. It returns the
+// revision the mutation produced, or the unchanged revision and an error
+// when journal.Apply rejects it.
+func (s *Server) Apply(m journal.Mutation) (int64, error) {
+	return s.mutate(ingress{}, m)
+}
+
+// mutate applies ms transactionally, all or nothing: journal.Apply runs
+// them in order against a clone of the desired problem, and only when
+// every one succeeds is the clone swapped in. Each mutation then takes
+// its own revision, marks the shards it touches, opens its decision's
+// trace and is journaled — one record per revision — before one solver
+// wake for the group. A rejected group leaves no trace. Registering the
+// decisions under mu is what makes attribution exact: the solver also
 // captures (problem, rev, pending) under mu, so a decision is always
 // either in the batch of the solve that saw its revision, or still
-// pending. payload is the journal payload (callers marshal it only
-// when journaling is on, keeping the disabled path allocation-free);
-// it is ignored when Journal is nil.
-//
-// touched names the commodities the mutation affects, so only their
-// owner shards are rebuilt; nil means network-wide (capacity/bandwidth
-// changes shift every shard's barrier) and dirties all shards.
-func (s *Server) mutate(ing ingress, kind, target string, payload []byte, touched []string, fn func(p *stream.Problem) error) (int64, error) {
+// pending.
+func (s *Server) mutate(ing ingress, ms ...journal.Mutation) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	next := s.problem.Clone()
-	if err := fn(next); err != nil {
-		return s.rev, err
+	for i := range ms {
+		if err := journal.Apply(next, &ms[i]); err != nil {
+			return s.rev, err
+		}
 	}
 	s.problem = next
-	s.rev++
-	s.markDirtyLocked(touched)
-	s.opts.Recorder.ServerMutation(kind, target)
-	s.trackDecisionLocked(ing, kind, target)
-	if s.opts.Journal != nil {
-		s.journalMutationLocked(ing, kind, target, payload)
+	journaled := s.journalMuts
+	for _, m := range ms {
+		s.rev++
+		// Only the owner shards of the touched commodities rebuild; a
+		// network-wide mutation (nil) dirties all of them.
+		s.markDirtyLocked(m.Touches())
+		s.opts.Recorder.ServerMutation(m.Op, m.Target)
+		s.trackDecisionLocked(ing, m.Op, m.Target)
+		if s.opts.Journal != nil {
+			s.journalMutationLocked(ing, m)
+		}
+	}
+	// The periodic checkpoint waits for the end of the group: only there
+	// is s.problem the state at s.rev.
+	if every := s.opts.CheckpointEvery; every > 0 && s.journalMuts/every > journaled/every {
+		s.journalCheckpointLocked()
 	}
 	s.signal()
 	return s.rev, nil
@@ -536,40 +550,41 @@ func (s *Server) markDirtyLocked(touched []string) {
 }
 
 // journalMutationLocked appends one accepted mutation to the flight
-// recorder and writes the periodic full checkpoint when due. Journal
-// errors are logged, not propagated: the mutation was already applied,
-// and losing observability must not fail admission. Callers hold s.mu,
-// which orders records by revision.
-func (s *Server) journalMutationLocked(ing ingress, op, target string, payload []byte) {
+// recorder, encoding its payload first if a constructor left that for
+// now. Journal errors are logged, not propagated: the mutation was
+// already applied, and losing observability must not fail admission.
+// Callers hold s.mu, which orders records by revision.
+func (s *Server) journalMutationLocked(ing ingress, m journal.Mutation) {
 	trace := ing.tc.TraceHex()
 	if n := len(s.pending); n > 0 && s.pending[n-1].rev == s.rev {
 		trace = s.pending[n-1].root.Context().TraceHex()
 	}
-	err := s.opts.Journal.Append(journal.Record{
-		Kind:     journal.KindMutation,
-		Rev:      s.rev,
-		Trace:    trace,
-		Mutation: &journal.Mutation{Op: op, Target: target, Payload: payload},
-	})
+	err := m.Encode()
+	if err == nil {
+		err = s.opts.Journal.Append(journal.Record{Kind: journal.KindMutation, Rev: s.rev, Trace: trace, Mutation: &m})
+	}
 	if err != nil {
 		s.opts.Logf("server: journal append failed at rev %d: %v", s.rev, err)
 		return
 	}
 	s.journalMuts++
-	if s.opts.CheckpointEvery > 0 && s.journalMuts%s.opts.CheckpointEvery == 0 {
-		pj, err := s.problem.MarshalJSON()
-		if err != nil {
-			s.opts.Logf("server: journal checkpoint marshal failed at rev %d: %v", s.rev, err)
-			return
-		}
-		err = s.opts.Journal.Append(journal.Record{
-			Kind:       journal.KindCheckpoint,
-			Rev:        s.rev,
-			Checkpoint: &journal.Checkpoint{Problem: pj},
-		})
-		if err != nil {
-			s.opts.Logf("server: journal checkpoint failed at rev %d: %v", s.rev, err)
-		}
+}
+
+// journalCheckpointLocked writes the periodic full checkpoint of the
+// desired problem at the current revision. Callers hold s.mu.
+func (s *Server) journalCheckpointLocked() {
+	pj, err := s.problem.MarshalJSON()
+	if err != nil {
+		s.opts.Logf("server: journal checkpoint marshal failed at rev %d: %v", s.rev, err)
+		return
+	}
+	err = s.opts.Journal.Append(journal.Record{
+		Kind:       journal.KindCheckpoint,
+		Rev:        s.rev,
+		Checkpoint: &journal.Checkpoint{Problem: pj},
+	})
+	if err != nil {
+		s.opts.Logf("server: journal checkpoint failed at rev %d: %v", s.rev, err)
 	}
 }
 
@@ -612,178 +627,58 @@ func (s *Server) trackDecisionLocked(ing ingress, kind, target string) {
 // schema's JSON form (see internal/stream). The extended topology
 // changes, so the next solve cold-starts.
 func (s *Server) AddCommodityJSON(spec []byte) (int64, error) {
-	return s.addCommodityJSON(ingress{}, spec)
-}
-
-func (s *Server) addCommodityJSON(ing ingress, spec []byte) (int64, error) {
-	var meta struct {
-		Name string `json:"name"`
-	}
-	_ = json.Unmarshal(spec, &meta) // best-effort label; full parse validates
-	return s.mutate(ing, "add_commodity", meta.Name, spec, []string{meta.Name}, func(p *stream.Problem) error {
-		_, err := p.AddCommodityFromJSON(spec)
-		return err
-	})
+	return s.Apply(journal.AddCommodity(spec))
 }
 
 // RemoveCommodity ends a commodity's session.
 func (s *Server) RemoveCommodity(name string) (int64, error) {
-	return s.removeCommodity(ingress{}, name)
-}
-
-func (s *Server) removeCommodity(ing ingress, name string) (int64, error) {
-	return s.mutate(ing, "remove_commodity", name, nil, []string{name}, func(p *stream.Problem) error {
-		if !p.RemoveCommodity(name) {
-			return fmt.Errorf("server: unknown commodity %q", name)
-		}
-		return nil
-	})
+	return s.Apply(journal.RemoveCommodity(name))
 }
 
 // SetMaxRate updates a commodity's offered rate λ_j. Same topology, so
 // the next solve warm-starts.
 func (s *Server) SetMaxRate(name string, rate float64) (int64, error) {
-	return s.setMaxRate(ingress{}, name, rate)
-}
-
-func (s *Server) setMaxRate(ing ingress, name string, rate float64) (int64, error) {
-	var payload []byte
-	if s.opts.Journal != nil {
-		payload, _ = json.Marshal(journal.RatePayload{Rate: rate})
-	}
-	return s.mutate(ing, "set_rate", name, payload, []string{name}, func(p *stream.Problem) error {
-		return p.SetMaxRate(name, rate)
-	})
+	return s.Apply(journal.SetRate(name, rate))
 }
 
 // SetMaxRates updates many commodities' offered rates in one mutation:
 // one problem clone, one revision bump, one solver wake for the whole
 // batch. This is the load-driver hot path — per-commodity SetMaxRate
 // costs a full problem clone each, so an epoch's worth of rate updates
-// goes through here. All-or-nothing: any unknown commodity or invalid
-// rate rejects the entire batch. Names are applied in sorted order so
-// the first error is deterministic.
+// goes through here. All-or-nothing: an empty batch, any unknown
+// commodity or any invalid rate rejects the entire batch.
 func (s *Server) SetMaxRates(rates map[string]float64) (int64, error) {
-	return s.setMaxRates(ingress{}, rates)
-}
-
-func (s *Server) setMaxRates(ing ingress, rates map[string]float64) (int64, error) {
-	if len(rates) == 0 {
-		return s.Rev(), fmt.Errorf("server: empty rate batch")
-	}
-	names := make([]string, 0, len(rates))
-	for name := range rates {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var payload []byte
-	if s.opts.Journal != nil {
-		payload, _ = json.Marshal(journal.RatesPayload{Rates: rates})
-	}
-	return s.mutate(ing, "set_rates", fmt.Sprintf("batch:%d", len(rates)), payload, names, func(p *stream.Problem) error {
-		for _, name := range names {
-			if err := p.SetMaxRate(name, rates[name]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	return s.Apply(journal.SetRates(rates))
 }
 
 // SetUtilityJSON replaces a commodity's utility function (its admission
 // weight/priority) from the schema's utility JSON form.
 func (s *Server) SetUtilityJSON(name string, spec []byte) (int64, error) {
-	return s.setUtilityJSON(ingress{}, name, spec)
-}
-
-func (s *Server) setUtilityJSON(ing ingress, name string, spec []byte) (int64, error) {
-	return s.mutate(ing, "set_utility", name, spec, []string{name}, func(p *stream.Problem) error {
-		u, err := stream.ParseUtilityJSON(spec)
-		if err != nil {
-			return err
-		}
-		return p.SetUtility(name, u)
-	})
+	return s.Apply(journal.SetUtility(name, spec))
 }
 
 // SetCapacity changes a processing node's capacity — the failure/
 // recovery injection primitive (E8 semantics: cut to a fraction, later
 // restore).
 func (s *Server) SetCapacity(node string, capacity float64) (int64, error) {
-	return s.setCapacity(ingress{}, node, capacity)
-}
-
-func (s *Server) setCapacity(ing ingress, node string, capacity float64) (int64, error) {
-	var payload []byte
-	if s.opts.Journal != nil {
-		payload, _ = json.Marshal(journal.CapacityPayload{Capacity: capacity})
-	}
-	return s.mutate(ing, "set_capacity", node, payload, nil, func(p *stream.Problem) error {
-		return p.Net.SetCapacity(node, capacity)
-	})
+	return s.Apply(journal.SetCapacity(node, capacity))
 }
 
 // SetBandwidth changes a link's bandwidth.
 func (s *Server) SetBandwidth(from, to string, bandwidth float64) (int64, error) {
-	return s.setBandwidth(ingress{}, from, to, bandwidth)
-}
-
-func (s *Server) setBandwidth(ing ingress, from, to string, bandwidth float64) (int64, error) {
-	var payload []byte
-	if s.opts.Journal != nil {
-		payload, _ = json.Marshal(journal.LinkPayload{From: from, To: to, Bandwidth: bandwidth})
-	}
-	return s.mutate(ing, "set_bandwidth", from+"->"+to, payload, nil, func(p *stream.Problem) error {
-		return p.Net.SetBandwidth(from, to, bandwidth)
-	})
+	return s.Apply(journal.SetBandwidth(from, to, bandwidth))
 }
 
 // ScaleCapacity multiplies a node's capacity by factor — the E8
 // failure-injection idiom (0.25 models a three-quarter outage, a later
 // 4.0 restores it).
 func (s *Server) ScaleCapacity(node string, factor float64) (int64, error) {
-	return s.scaleCapacity(ingress{}, node, factor)
-}
-
-func (s *Server) scaleCapacity(ing ingress, node string, factor float64) (int64, error) {
-	var payload []byte
-	if s.opts.Journal != nil {
-		payload, _ = json.Marshal(journal.ScalePayload{Factor: factor})
-	}
-	return s.mutate(ing, "scale_capacity", node, payload, nil, func(p *stream.Problem) error {
-		id, ok := p.Net.NodeByName(node)
-		if !ok {
-			return fmt.Errorf("server: unknown node %q", node)
-		}
-		return p.Net.SetCapacity(node, p.Net.Capacity[id]*factor)
-	})
+	return s.Apply(journal.ScaleCapacity(node, factor))
 }
 
 // ScaleBandwidth multiplies a link's bandwidth by factor.
 func (s *Server) ScaleBandwidth(from, to string, factor float64) (int64, error) {
-	return s.scaleBandwidth(ingress{}, from, to, factor)
-}
-
-func (s *Server) scaleBandwidth(ing ingress, from, to string, factor float64) (int64, error) {
-	var payload []byte
-	if s.opts.Journal != nil {
-		payload, _ = json.Marshal(journal.LinkPayload{From: from, To: to, Factor: factor})
-	}
-	return s.mutate(ing, "scale_bandwidth", from+"->"+to, payload, nil, func(p *stream.Problem) error {
-		f, ok := p.Net.NodeByName(from)
-		if !ok {
-			return fmt.Errorf("server: unknown node %q", from)
-		}
-		t, ok := p.Net.NodeByName(to)
-		if !ok {
-			return fmt.Errorf("server: unknown node %q", to)
-		}
-		e := p.Net.G.EdgeBetween(f, t)
-		if e < 0 {
-			return fmt.Errorf("server: no link (%s,%s)", from, to)
-		}
-		return p.Net.SetBandwidth(from, to, p.Net.Bandwidth[e]*factor)
-	})
+	return s.Apply(journal.ScaleBandwidth(from, to, factor))
 }
 
 // loop is the solver goroutine: wait for a mutation, coalesce the

@@ -92,29 +92,6 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// UsageSummary is the message a shard sends the coordinator after an
-// advance: flow through the shared node prefix plus solve accounting.
-// Together with PriceUpdate it is the entire shard boundary — nothing
-// else crosses it, so a future multi-process deployment serializes
-// exactly these two shapes.
-type UsageSummary struct {
-	Shard      int       `json:"shard"`
-	Usage      []float64 `json:"usage"`
-	Utility    float64   `json:"utility"`
-	Iterations int       `json:"iterations"`
-	Stationary bool      `json:"stationary"`
-}
-
-// PriceUpdate is the message the coordinator broadcasts after merging
-// usage summaries: the damped external-usage vector the shard must
-// price its barrier against, and the barrier shadow prices
-// ε·D'_i(F_i) at the merged operating point.
-type PriceUpdate struct {
-	Round    int       `json:"round"`
-	External []float64 `json:"external"`
-	Prices   []float64 `json:"prices"`
-}
-
 // ShardStatus is one shard's slice of a Result.
 type ShardStatus struct {
 	Shard       int     `json:"shard"`
@@ -167,7 +144,6 @@ type Coordinator struct {
 	wg      sync.WaitGroup // fanOut's join; a field so a round allocates nothing
 	shared  int            // shared node prefix length; 0 until first build
 	merged  []float64
-	prices  []float64
 	parts   [][]float64 // merge scratch, one entry per built runner
 }
 
@@ -260,10 +236,7 @@ func (c *Coordinator) Clear(p *stream.Problem) {
 		r.stationary = true
 		r.diverged, r.divergeErr = false, nil
 	}
-	if c.merged != nil {
-		clear(c.merged)
-		clear(c.prices)
-	}
+	clear(c.merged)
 }
 
 // Apply installs a new desired problem and rebuilds the dirty shards
@@ -318,7 +291,6 @@ func (c *Coordinator) Build(p *stream.Problem, dirty []bool) error {
 	if c.shared == 0 && len(c.rebuilt) > 0 {
 		c.shared = c.rebuilt[0].next.SharedNodes
 		c.merged = make([]float64, c.shared)
-		c.prices = make([]float64, c.shared)
 	}
 	return nil
 }
@@ -442,7 +414,7 @@ func (c *Coordinator) Solve(ctx context.Context) Result {
 	for ctx.Err() == nil {
 		stepped := c.advanceAll(advance)
 		res.Rounds++
-		c.merge(anyX)
+		c.merge()
 		moved, maxDelta := c.updateExternals(anyX)
 		c.cfg.Recorder.PriceExchange(c.cfg.Shards, maxDelta)
 
@@ -578,23 +550,9 @@ func (r *runner) capture() {
 	}
 }
 
-// Summaries returns the latest per-shard usage messages (aliasing the
-// runners' buffers; callers must not retain them across rounds).
-func (c *Coordinator) Summaries() []UsageSummary {
-	out := make([]UsageSummary, 0, len(c.runners))
-	for _, r := range c.runners {
-		out = append(out, UsageSummary{
-			Shard: r.id, Usage: r.own, Utility: r.utility,
-			Iterations: r.iters, Stationary: r.stationary,
-		})
-	}
-	return out
-}
-
-// merge folds the per-shard usage summaries into the global congestion
-// view and rederives the barrier shadow prices at the merged operating
-// point, in fixed shard order for a deterministic reduction.
-func (c *Coordinator) merge(anyX *transform.Extended) {
+// merge folds the per-shard shared-prefix usage into the global
+// congestion view, in fixed shard order for a deterministic reduction.
+func (c *Coordinator) merge() {
 	c.parts = c.parts[:0]
 	for _, r := range c.runners {
 		if r.own != nil {
@@ -602,7 +560,6 @@ func (c *Coordinator) merge(anyX *transform.Extended) {
 		}
 	}
 	flow.MergeShared(c.merged, c.parts...)
-	gradient.ShadowPrices(anyX, c.merged, c.prices)
 }
 
 // updateExternals applies the damped update
@@ -640,17 +597,6 @@ func (c *Coordinator) updateExternals(anyX *transform.Extended) (moved bool, max
 		}
 	}
 	return moved, maxDelta
-}
-
-// Prices returns a copy of the barrier shadow prices λ_i = ε·D'_i(F_i)
-// at the latest merged operating point.
-func (c *Coordinator) Prices() []float64 {
-	return append([]float64(nil), c.prices...)
-}
-
-// Merged returns a copy of the latest merged global usage.
-func (c *Coordinator) Merged() []float64 {
-	return append([]float64(nil), c.merged...)
 }
 
 // Commodities stitches per-commodity admission state back into the

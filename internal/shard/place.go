@@ -5,17 +5,16 @@
 // node-usage sums inside the barrier penalties ε·D_i — so each shard
 // can run the paper's gradient algorithm on its own commodity subset
 // against a fixed estimate of everyone else's usage, and a coordinator
-// closes the loop: it merges per-shard usage summaries into global
-// congestion state, rederives the barrier shadow prices ε·D'_i at the
-// merged operating point, and feeds each shard a damped external-usage
-// update. The fixed point of that exchange is a stationary point of
-// the undecomposed objective, so the sharded solve converges to the
-// unsharded optimum within tolerance.
+// closes the loop: it merges per-shard usage into global congestion
+// state and feeds each shard a damped external-usage update, which the
+// shard's engine folds into its barrier shadow prices ε·D'_i. The fixed
+// point of that exchange is a stationary point of the undecomposed
+// objective, so the sharded solve converges to the unsharded optimum
+// within tolerance.
 //
-// The shard boundary is deliberately message-shaped: the only state
-// crossing it is usage vectors over the shared node prefix and the
-// derived price vectors, the clean seam for a later multi-process
-// deployment.
+// The shard boundary is two flat vectors over the shared node prefix:
+// a shard's own usage up, the damped usage of everyone else down.
+// Nothing else crosses it.
 package shard
 
 // Place returns the shard owning a commodity under jump consistent

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -15,6 +16,16 @@ import (
 // utility, capacity and membership updates between solves. None of the
 // methods are safe for concurrent use with each other; callers
 // serialize externally.
+
+// ErrNotFound and ErrConflict classify a rejected mutation for callers
+// that answer differently by cause (the HTTP API's 404 and 409): the
+// commodity, node or link it names does not exist, or the name or sink
+// it claims is taken. Test with errors.Is; every other rejection is a
+// malformed or out-of-range value.
+var (
+	ErrNotFound = errors.New("not found")
+	ErrConflict = errors.New("conflict")
+)
 
 // Clone returns a deep copy of the network: the graph, every attribute
 // slice, and the name index are fresh allocations, so no mutation of
@@ -85,7 +96,7 @@ func (p *Problem) RemoveCommodity(name string) bool {
 func (p *Problem) SetMaxRate(name string, rate float64) error {
 	c, ok := p.CommodityByName(name)
 	if !ok {
-		return fmt.Errorf("stream: unknown commodity %q", name)
+		return fmt.Errorf("stream: commodity %q: %w", name, ErrNotFound)
 	}
 	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
 		return fmt.Errorf("stream: commodity %q: max rate must be positive and finite, got %g", name, rate)
@@ -99,7 +110,7 @@ func (p *Problem) SetMaxRate(name string, rate float64) error {
 func (p *Problem) SetUtility(name string, u utility.Function) error {
 	c, ok := p.CommodityByName(name)
 	if !ok {
-		return fmt.Errorf("stream: unknown commodity %q", name)
+		return fmt.Errorf("stream: commodity %q: %w", name, ErrNotFound)
 	}
 	if u == nil {
 		return fmt.Errorf("stream: commodity %q: nil utility", name)
@@ -118,7 +129,7 @@ func (p *Problem) SetUtility(name string, u utility.Function) error {
 func (n *Network) SetCapacity(name string, capacity float64) error {
 	id, ok := n.byName[name]
 	if !ok {
-		return fmt.Errorf("stream: unknown node %q", name)
+		return fmt.Errorf("stream: node %q: %w", name, ErrNotFound)
 	}
 	if n.Kinds[id] != Processing {
 		return fmt.Errorf("stream: node %q is a sink, not a processing node", name)
@@ -130,20 +141,29 @@ func (n *Network) SetCapacity(name string, capacity float64) error {
 	return nil
 }
 
-// SetBandwidth updates a link's bandwidth B_ik, identified by endpoint
-// names.
-func (n *Network) SetBandwidth(from, to string, bandwidth float64) error {
+// LinkByName finds a link by its endpoint names.
+func (n *Network) LinkByName(from, to string) (graph.EdgeID, error) {
 	f, ok := n.byName[from]
 	if !ok {
-		return fmt.Errorf("stream: unknown node %q", from)
+		return graph.Invalid, fmt.Errorf("stream: node %q: %w", from, ErrNotFound)
 	}
 	t, ok := n.byName[to]
 	if !ok {
-		return fmt.Errorf("stream: unknown node %q", to)
+		return graph.Invalid, fmt.Errorf("stream: node %q: %w", to, ErrNotFound)
 	}
 	e := n.G.EdgeBetween(f, t)
 	if e < 0 {
-		return fmt.Errorf("stream: no link (%s,%s)", from, to)
+		return graph.Invalid, fmt.Errorf("stream: link (%s,%s): %w", from, to, ErrNotFound)
+	}
+	return e, nil
+}
+
+// SetBandwidth updates a link's bandwidth B_ik, identified by endpoint
+// names.
+func (n *Network) SetBandwidth(from, to string, bandwidth float64) error {
+	e, err := n.LinkByName(from, to)
+	if err != nil {
+		return err
 	}
 	if bandwidth <= 0 || math.IsNaN(bandwidth) || math.IsInf(bandwidth, 0) {
 		return fmt.Errorf("stream: link (%s,%s): bandwidth must be positive and finite, got %g", from, to, bandwidth)

@@ -175,10 +175,10 @@ func (p *Problem) AddCommodity(name string, source, sink graph.NodeID, maxRate f
 	}
 	for _, c := range p.Commodities {
 		if c.Name == name {
-			return nil, fmt.Errorf("stream: duplicate commodity name %q", name)
+			return nil, fmt.Errorf("stream: duplicate commodity name %q: %w", name, ErrConflict)
 		}
 		if c.SinkID == sink {
-			return nil, fmt.Errorf("stream: commodity %q: sink %q already used by %q", name, p.Net.name(sink), c.Name)
+			return nil, fmt.Errorf("stream: commodity %q: sink %q already used by %q: %w", name, p.Net.name(sink), c.Name, ErrConflict)
 		}
 	}
 	c := &Commodity{

@@ -142,38 +142,8 @@ func ParseProblem(data []byte) (*Problem, error) {
 	}
 	p := NewProblem(net)
 	for _, cj := range in.Commodities {
-		src, ok := net.NodeByName(cj.Source)
-		if !ok {
-			return nil, fmt.Errorf("stream: commodity %q: unknown source %q", cj.Name, cj.Source)
-		}
-		dst, ok := net.NodeByName(cj.Sink)
-		if !ok {
-			return nil, fmt.Errorf("stream: commodity %q: unknown sink %q", cj.Name, cj.Sink)
-		}
-		u, err := parseUtility(cj.Utility)
-		if err != nil {
-			return nil, fmt.Errorf("stream: commodity %q: %w", cj.Name, err)
-		}
-		c, err := p.AddCommodity(cj.Name, src, dst, cj.MaxRate, u)
-		if err != nil {
+		if _, err := p.addCommodityJSON(cj); err != nil {
 			return nil, err
-		}
-		for _, ej := range cj.Edges {
-			from, ok := net.NodeByName(ej.From)
-			if !ok {
-				return nil, fmt.Errorf("stream: commodity %q: unknown node %q", cj.Name, ej.From)
-			}
-			to, ok := net.NodeByName(ej.To)
-			if !ok {
-				return nil, fmt.Errorf("stream: commodity %q: unknown node %q", cj.Name, ej.To)
-			}
-			e := net.G.EdgeBetween(from, to)
-			if e < 0 {
-				return nil, fmt.Errorf("stream: commodity %q: no link (%s,%s)", cj.Name, ej.From, ej.To)
-			}
-			if err := p.SetEdge(c, e, EdgeParams{Beta: ej.Beta, Cost: ej.Cost}); err != nil {
-				return nil, err
-			}
 		}
 	}
 	// A commodity-free instance is a legal live-server starting state
@@ -283,13 +253,28 @@ func (p *Problem) AddCommodityFromJSON(data []byte) (*Commodity, error) {
 	if err := json.Unmarshal(data, &cj); err != nil {
 		return nil, fmt.Errorf("stream: parse commodity: %w", err)
 	}
+	c, err := p.addCommodityJSON(cj)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.validateCommodity(new(commodityView), c); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// addCommodityJSON registers one decoded commodity — source, sink,
+// rate, utility, per-edge parameters — without the structural
+// validation its two callers run differently: ParseProblem once over
+// the whole problem, AddCommodityFromJSON on the new commodity alone.
+func (p *Problem) addCommodityJSON(cj commodityJSON) (*Commodity, error) {
 	src, ok := p.Net.NodeByName(cj.Source)
 	if !ok {
-		return nil, fmt.Errorf("stream: commodity %q: unknown source %q", cj.Name, cj.Source)
+		return nil, fmt.Errorf("stream: commodity %q: source %q: %w", cj.Name, cj.Source, ErrNotFound)
 	}
 	dst, ok := p.Net.NodeByName(cj.Sink)
 	if !ok {
-		return nil, fmt.Errorf("stream: commodity %q: unknown sink %q", cj.Name, cj.Sink)
+		return nil, fmt.Errorf("stream: commodity %q: sink %q: %w", cj.Name, cj.Sink, ErrNotFound)
 	}
 	u, err := parseUtility(cj.Utility)
 	if err != nil {
@@ -302,22 +287,19 @@ func (p *Problem) AddCommodityFromJSON(data []byte) (*Commodity, error) {
 	for _, ej := range cj.Edges {
 		from, ok := p.Net.NodeByName(ej.From)
 		if !ok {
-			return nil, fmt.Errorf("stream: commodity %q: unknown node %q", cj.Name, ej.From)
+			return nil, fmt.Errorf("stream: commodity %q: node %q: %w", cj.Name, ej.From, ErrNotFound)
 		}
 		to, ok := p.Net.NodeByName(ej.To)
 		if !ok {
-			return nil, fmt.Errorf("stream: commodity %q: unknown node %q", cj.Name, ej.To)
+			return nil, fmt.Errorf("stream: commodity %q: node %q: %w", cj.Name, ej.To, ErrNotFound)
 		}
 		e := p.Net.G.EdgeBetween(from, to)
 		if e < 0 {
-			return nil, fmt.Errorf("stream: commodity %q: no link (%s,%s)", cj.Name, ej.From, ej.To)
+			return nil, fmt.Errorf("stream: commodity %q: link (%s,%s): %w", cj.Name, ej.From, ej.To, ErrNotFound)
 		}
 		if err := p.SetEdge(c, e, EdgeParams{Beta: ej.Beta, Cost: ej.Cost}); err != nil {
 			return nil, err
 		}
-	}
-	if err := p.validateCommodity(new(commodityView), c); err != nil {
-		return nil, err
 	}
 	return c, nil
 }
