@@ -15,7 +15,15 @@
 //	# solver introspection
 //	curl localhost:8080/explain?commodity=S1   # bottleneck attribution
 //	curl localhost:8080/history                # generation-over-generation diffs
-//	curl localhost:8080/debug/trace            # sampled per-iteration solver state
+//	curl localhost:8080/debug/spans            # where each decision's latency went
+//
+// The daemon reports a solve per price-exchange round (the
+// streamopt_shard_* series) and per decision (the span tree), the same
+// way at every -shards value. For per-iteration convergence curves,
+// solve the served instance offline:
+//
+//	curl -s localhost:8080/v1/problem > live.json
+//	go run ./cmd/streamopt -in live.json -trace-out trace.jsonl
 //
 // Without -in, a random instance is generated (-gen-seed, -gen-nodes,
 // -gen-commodities), which is handy for demos and smoke tests.
@@ -34,7 +42,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
-	"repro/internal/obs/trace"
 	"repro/internal/randnet"
 	"repro/internal/server"
 	"repro/internal/stream"
@@ -62,8 +69,6 @@ type cliConfig struct {
 
 	eventsOut      string
 	eventsMaxBytes int64
-	traceCap       int
-	traceStride    int
 	spanCap        int
 	historyCap     int
 
@@ -105,8 +110,6 @@ func main() {
 	flag.Float64Var(&cfg.priceDamping, "price-damping", 0.5, "damping γ ∈ (0,1] of the external-usage exchange update")
 	flag.StringVar(&cfg.eventsOut, "events-out", "", "write solver/server JSONL events to this file")
 	flag.Int64Var(&cfg.eventsMaxBytes, "events-max-bytes", 0, "rotate -events-out once it exceeds this size, keeping one predecessor (0 = unbounded)")
-	flag.IntVar(&cfg.traceCap, "trace-cap", 4096, "iteration-trace ring capacity served on /debug/trace (0 disables tracing)")
-	flag.IntVar(&cfg.traceStride, "trace-stride", 10, "keep every k-th iteration in the trace ring")
 	flag.IntVar(&cfg.spanCap, "span-cap", span.DefaultCapacity, "decision-lifecycle span ring capacity served on /debug/spans (0 disables span tracing)")
 	flag.IntVar(&cfg.historyCap, "history-cap", 64, "snapshot generations retained for /history (<0 disables)")
 	flag.StringVar(&cfg.journalDir, "journal-dir", "", "flight-recorder journal directory (empty disables journaling; recovers state from an existing journal)")
@@ -198,11 +201,6 @@ func realMain(cfg cliConfig) error {
 	rec := obs.NewRecorder(obs.NewRegistry(), sink)
 	defer rec.Close()
 
-	var ring *trace.Ring
-	if cfg.traceCap > 0 {
-		ring = trace.New(cfg.traceCap, cfg.traceStride)
-	}
-
 	var spans *span.Tracer
 	if cfg.spanCap > 0 {
 		spans = span.New(cfg.spanCap, rec)
@@ -244,7 +242,6 @@ func realMain(cfg cliConfig) error {
 		PriceDamping:       cfg.priceDamping,
 		Debounce:           cfg.debounce,
 		Recorder:           rec,
-		Trace:              ring,
 		Spans:              spans,
 		HistoryCap:         cfg.historyCap,
 		Journal:            jw,

@@ -44,8 +44,6 @@ func TestAdmissiondEndToEnd(t *testing.T) {
 			stationaryTol: 1e-3,
 			debounce:      2 * time.Millisecond,
 			eventsOut:     events,
-			traceCap:      1024,
-			traceStride:   2,
 			spanCap:       512,
 			historyCap:    16,
 			ready:         func(a string) { addrCh <- a },
@@ -233,24 +231,6 @@ func TestAdmissiondEndToEnd(t *testing.T) {
 		t.Fatalf("GET /history: err %v, %d generations", err, len(hist.Generations))
 	}
 
-	// /debug/trace serves the sampled iteration ring.
-	resp, err = http.Get(base + "/debug/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tr struct {
-		Stride  int              `json:"stride"`
-		Samples []map[string]any `json:"samples"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&tr)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /debug/trace: status %d err %v", resp.StatusCode, err)
-	}
-	if tr.Stride != 2 || len(tr.Samples) == 0 {
-		t.Fatalf("trace ring empty or misconfigured: stride %d, %d samples", tr.Stride, len(tr.Samples))
-	}
-
 	// Metrics are served from the same listener and count the solves.
 	resp, err = http.Get(base + "/metrics")
 	if err != nil {
@@ -265,6 +245,9 @@ func TestAdmissiondEndToEnd(t *testing.T) {
 		`streamopt_server_solves_total{start="cold"}`,
 		`streamopt_server_solves_total{start="warm"}`,
 		"streamopt_server_generation",
+		// The daemon's engines run recorder-free: solves are counted per
+		// round and per decision, never per iteration.
+		"streamopt_iterations_total 0\n",
 	} {
 		if !strings.Contains(prom.String(), want) {
 			t.Fatalf("metrics missing %q", want)
@@ -293,11 +276,8 @@ func TestAdmissiondEndToEnd(t *testing.T) {
 	if !strings.Contains(string(evData), `"type":"server_mutation"`) {
 		t.Fatalf("events file has no server_mutation records:\n%.500s", evData)
 	}
-	if !strings.Contains(string(evData), `"type":"attribution"`) {
-		t.Fatalf("events file has no attribution records:\n%.500s", evData)
-	}
-	if !strings.Contains(string(evData), `"type":"server_trace"`) {
-		t.Fatalf("events file has no server_trace records:\n%.500s", evData)
+	if strings.Contains(string(evData), `"type":"iteration"`) {
+		t.Fatalf("events file has per-iteration records; serving engines must run recorder-free")
 	}
 	if !strings.Contains(string(evData), `"type":"span"`) {
 		t.Fatalf("events file has no span records:\n%.500s", evData)

@@ -10,7 +10,9 @@
 // per-shard table — one row per solver shard of admissiond -shards N,
 // a single row by default: advance rate, last-solve latency, gradient
 // iterations, owned commodities, build footprint, and price-exchange
-// staleness.
+// staleness. That table is the daemon's whole view of a solve in
+// progress: it reports per exchange round, never per iteration, so the
+// columns fill the same way at every shard count.
 //
 //	go run ./cmd/admissiond -addr :8080 &
 //	go run ./cmd/streamtop -addr localhost:8080 -interval 1s

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/span"
-	"repro/internal/obs/trace"
 	"repro/internal/randnet"
 	"repro/internal/server"
 )
@@ -56,7 +55,6 @@ func run() error {
 	s, err := server.New(p, server.Options{
 		Debounce: 5 * time.Millisecond,
 		Recorder: rec,
-		Trace:    trace.New(2048, 5),
 		Spans:    span.New(1024, rec),
 	})
 	if err != nil {

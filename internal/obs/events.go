@@ -40,13 +40,6 @@ const (
 	// published snapshot generation, whether it warm-started, its
 	// wall-clock, and the utility it settled at.
 	EventServerSolve EventType = "server_solve"
-	// EventAttribution is one commodity's bottleneck attribution at a
-	// published solution: admitted rate, marginal-utility gap, and the
-	// top binding resource with its shadow price.
-	EventAttribution EventType = "attribution"
-	// EventServerTrace reports the solver trace ring's occupancy when a
-	// snapshot is published.
-	EventServerTrace EventType = "server_trace"
 	// EventSpan is one finished decision-lifecycle span (see
 	// internal/obs/span): trace/span/parent IDs, name, duration, attrs.
 	EventSpan EventType = "span"
@@ -115,18 +108,6 @@ type Event struct {
 	Target     string  `json:"target,omitempty"`
 	Seconds    float64 `json:"seconds,omitempty"`
 
-	// Attribution fields.
-	Commodity  string  `json:"commodity,omitempty"`
-	Rate       float64 `json:"rate,omitempty"` // admitted rate a_j
-	Gap        float64 `json:"gap,omitempty"`  // U'_j(a_j) − path cost
-	Bottleneck string  `json:"bottleneck,omitempty"`
-	Price      float64 `json:"price,omitempty"`
-
-	// Trace-ring fields.
-	Samples  int `json:"samples,omitempty"`
-	TraceCap int `json:"trace_cap,omitempty"`
-	Stride   int `json:"stride,omitempty"`
-
 	// Span fields (also Seconds for the duration). Trace doubles as the
 	// request trace ID on http_request and admission_flip events.
 	Trace  string            `json:"trace,omitempty"`
@@ -141,9 +122,12 @@ type Event struct {
 	Route  string `json:"route,omitempty"`
 	Code   int    `json:"code,omitempty"`
 
-	// Admission-flip fields (also Generation, Commodity, Rate, Trace):
-	// To is the new state, "admitted" or "rejected".
-	To string `json:"to,omitempty"`
+	// Admission-flip fields (also Generation, Trace): the commodity, its
+	// admitted rate a_j at the flip, and the new state, "admitted" or
+	// "rejected".
+	Commodity string  `json:"commodity,omitempty"`
+	Rate      float64 `json:"rate,omitempty"`
+	To        string  `json:"to,omitempty"`
 
 	// Load-generator fields (loadgen_epoch, loadgen_summary,
 	// saturation_point; also Utility, Seconds).

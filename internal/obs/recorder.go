@@ -2,7 +2,6 @@ package obs
 
 import (
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -22,10 +21,6 @@ const (
 	numPhases
 )
 
-// NumPhases is the number of timed Step phases; TraceSample.PhaseSeconds
-// is indexed by Phase.
-const NumPhases = int(numPhases)
-
 // String names the phase for metric labels.
 func (p Phase) String() string {
 	switch p {
@@ -39,38 +34,14 @@ func (p Phase) String() string {
 	return "unknown"
 }
 
-// TraceSample is the per-iteration solver state handed to a Tracer:
-// one row of the convergence trace, including how the iteration's
-// wall-clock split across the Step phases. Admitted aliases the
-// engine's buffer and is only valid during the TraceIteration call;
-// tracers that retain samples must copy it.
-type TraceSample struct {
-	Iter         int
-	Utility      float64
-	Cost         float64
-	Eta          float64
-	Feasible     bool
-	Admitted     []float64
-	PhaseSeconds [NumPhases]float64
-}
-
-// Tracer consumes per-iteration samples (see internal/obs/trace for the
-// bounded ring implementation). Implementations must be safe for use
-// from the solver goroutine; TraceIteration is called once per engine
-// iteration on an enabled recorder with a tracer attached.
-type Tracer interface {
-	TraceIteration(TraceSample)
-}
-
 // Recorder is the handle the optimizer loops thread through their
 // configs. A nil *Recorder is valid and means "observability off":
 // every method nil-checks and returns, costing one predicted branch on
 // the hot path and zero allocations (see recorder_test.go).
 type Recorder struct {
-	reg    *Registry
-	sink   Sink
-	tracer Tracer
-	start  time.Time
+	reg   *Registry
+	sink  Sink
+	start time.Time
 
 	iterations *Counter
 	utility    *Gauge
@@ -89,9 +60,6 @@ type Recorder struct {
 	srvWarmLat    *Histogram
 	srvColdLat    *Histogram
 
-	traceSamples *Gauge
-	attributions *Counter
-
 	decisionLat  *Histogram
 	flipAdmitted *Counter
 	flipRejected *Counter
@@ -101,12 +69,6 @@ type Recorder struct {
 	lgMutations *Counter
 
 	phase [numPhases]*Histogram
-	// phaseAcc accumulates the current iteration's per-phase seconds for
-	// the tracer; swapped to zero when Iteration fires a TraceSample.
-	phaseAcc [numPhases]Gauge
-
-	mu       sync.Mutex
-	admitted []*Gauge // per-commodity, grown on demand
 }
 
 // NewRecorder builds an enabled recorder. reg may be nil (a fresh
@@ -133,8 +95,6 @@ func NewRecorder(reg *Registry, sink Sink) *Recorder {
 		"Wall-clock time of one admission-server re-solve.", DefaultTimeBuckets, "start", "warm")
 	r.srvColdLat = reg.Histogram("streamopt_server_solve_seconds",
 		"Wall-clock time of one admission-server re-solve.", DefaultTimeBuckets, "start", "cold")
-	r.traceSamples = reg.Gauge("streamopt_trace_samples", "Samples currently held by the solver trace ring.")
-	r.attributions = reg.Counter("streamopt_attributions_total", "Per-commodity bottleneck attributions published.")
 	r.decisionLat = reg.Histogram("streamopt_decision_latency_seconds",
 		"Mutation received to first published snapshot containing it.", DefaultTimeBuckets)
 	r.flipAdmitted = reg.Counter("streamopt_admission_flips_total",
@@ -154,16 +114,6 @@ func NewRecorder(reg *Registry, sink Sink) *Recorder {
 			DefaultTimeBuckets, "phase", p.String())
 	}
 	return r
-}
-
-// SetTracer attaches a per-iteration tracer (e.g. a trace.Ring). It
-// must be called before the instrumented solve starts; a nil recorder
-// ignores the call. Passing nil detaches.
-func (r *Recorder) SetTracer(t Tracer) {
-	if r == nil {
-		return
-	}
-	r.tracer = t
 }
 
 // Registry exposes the underlying registry (nil for a nil recorder).
@@ -200,8 +150,9 @@ var (
 
 func init() { *ptrue = true }
 
-// Iteration records one optimizer iteration. admitted is read
-// synchronously and not retained.
+// Iteration records one optimizer iteration. admitted goes to the event
+// sink only (read synchronously, not retained): per-commodity rates are
+// not metric series.
 func (r *Recorder) Iteration(alg string, iter int, utility, cost float64, admitted []float64, feasible bool) {
 	if r == nil {
 		return
@@ -215,27 +166,6 @@ func (r *Recorder) Iteration(alg string, iter int, utility, cost float64, admitt
 		fp, fv = ptrue, 1
 	}
 	r.feasible.Set(fv)
-	r.mu.Lock()
-	for len(r.admitted) < len(admitted) {
-		r.admitted = append(r.admitted, r.reg.Gauge(
-			"streamopt_admitted_rate", "Admitted rate per commodity (source units).",
-			"commodity", strconv.Itoa(len(r.admitted))))
-	}
-	gauges := r.admitted
-	r.mu.Unlock()
-	for j, a := range admitted {
-		gauges[j].Set(a)
-	}
-	if r.tracer != nil {
-		s := TraceSample{
-			Iter: iter, Utility: utility, Cost: cost,
-			Eta: r.eta.Value(), Feasible: feasible, Admitted: admitted,
-		}
-		for p := range s.PhaseSeconds {
-			s.PhaseSeconds[p] = r.phaseAcc[p].Swap(0)
-		}
-		r.tracer.TraceIteration(s)
-	}
 	r.emit(Event{
 		Type: EventIteration, Alg: alg, Iter: iter,
 		Utility: utility, Cost: cost, Admitted: admitted, Feasible: fp,
@@ -323,38 +253,6 @@ func (r *Recorder) ServerSolve(generation int64, warm bool, seconds, utility flo
 	r.emit(Event{
 		Type: EventServerSolve, Alg: "server", Iter: iterations,
 		Generation: generation, Start: start, Seconds: seconds, Utility: utility,
-	})
-}
-
-// Attribution records one commodity's bottleneck attribution at a
-// published operating point: the admitted rate, the marginal-utility-
-// vs-path-cost gap, and the top binding resource with its shadow price
-// (empty bottleneck means the commodity is not capacity-limited). It
-// counts the attribution and emits an "attribution" event; the numbers
-// themselves are served by /v1/explain, not as per-commodity series.
-func (r *Recorder) Attribution(generation int64, commodity string, admitted, gap float64, bottleneck string, price float64) {
-	if r == nil {
-		return
-	}
-	r.attributions.Inc()
-	r.emit(Event{
-		Type: EventAttribution, Alg: "server", Generation: generation,
-		Commodity: commodity, Rate: admitted, Gap: gap,
-		Bottleneck: bottleneck, Price: price,
-	})
-}
-
-// ServerTrace records the state of the solver trace ring when a
-// snapshot is published: how many samples it holds out of its capacity,
-// at which sampling stride.
-func (r *Recorder) ServerTrace(generation int64, samples, capacity, stride int) {
-	if r == nil {
-		return
-	}
-	r.traceSamples.Set(float64(samples))
-	r.emit(Event{
-		Type: EventServerTrace, Alg: "server", Generation: generation,
-		Samples: samples, TraceCap: capacity, Stride: stride,
 	})
 }
 
@@ -585,18 +483,12 @@ func (t PhaseTiming) Done() {
 	}
 }
 
-// ObservePhase records d into the phase histogram, and — when a tracer
-// is attached — into the current iteration's phase accumulator so the
-// next TraceSample carries the split. Callers that time a phase in
-// pieces (the per-commodity waves, possibly on several workers) sum the
-// pieces themselves and observe once per iteration.
+// ObservePhase records d into the phase histogram. Callers that time a
+// phase in pieces (the per-commodity waves, possibly on several workers)
+// sum the pieces themselves and observe once per iteration.
 func (r *Recorder) ObservePhase(p Phase, d time.Duration) {
 	if r == nil {
 		return
 	}
-	sec := d.Seconds()
-	r.phase[p].Observe(sec)
-	if r.tracer != nil {
-		r.phaseAcc[p].Add(sec)
-	}
+	r.phase[p].Observe(d.Seconds())
 }

@@ -100,8 +100,13 @@ func TestRecorderEventsAndMetrics(t *testing.T) {
 	if got := reg.Gauge("streamopt_utility", "").Value(); got != 11 {
 		t.Fatalf("utility gauge = %g, want 11", got)
 	}
-	if got := reg.Gauge("streamopt_admitted_rate", "", "commodity", "0").Value(); got != 1.5 {
-		t.Fatalf("admitted[0] gauge = %g, want 1.5", got)
+	// Admitted rates ride the iteration event, not J metric series.
+	var prom strings.Builder
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(prom.String(), `commodity="`) {
+		t.Fatalf("per-commodity series in the exposition:\n%s", prom.String())
 	}
 	if got := reg.Counter("streamopt_protocol_messages_total", "").Value(); got != 20 {
 		t.Fatalf("messages counter = %d, want 20", got)

@@ -64,11 +64,6 @@ func (g *Gauge) Add(delta float64) {
 // Value reads the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Swap stores v and returns the previous value atomically.
-func (g *Gauge) Swap(v float64) float64 {
-	return math.Float64frombits(g.bits.Swap(math.Float64bits(v)))
-}
-
 // Histogram accumulates observations into fixed buckets (cumulative,
 // Prometheus-style: bucket i counts observations ≤ Buckets[i], with an
 // implicit +Inf bucket at the end). Safe for concurrent use.

@@ -12,11 +12,11 @@
 // between root start and root end IS the decision latency the
 // streamopt_decision_latency_seconds histogram measures.
 //
-// The design constraint mirrors internal/obs and internal/obs/trace: a
-// nil *Tracer is a valid, inert tracer. Every method on a nil *Tracer
-// or nil *Active is a nil-check and a return — zero allocations, no
-// clock reads — so the disabled path costs nothing on the solver loop
-// (asserted by TestNilTracerAllocates and BenchmarkDecisionSpan).
+// The design constraint mirrors internal/obs: a nil *Tracer is a valid,
+// inert tracer. Every method on a nil *Tracer or nil *Active is a
+// nil-check and a return — zero allocations, no clock reads — so the
+// disabled path costs nothing on the solver loop (asserted by
+// TestNilTracerAllocates and BenchmarkDecisionSpan).
 package span
 
 import (

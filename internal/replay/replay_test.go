@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"repro/internal/journal"
+	"repro/internal/obs"
 	"repro/internal/obs/span"
-	"repro/internal/obs/trace"
 	"repro/internal/server"
 	"repro/internal/stream"
 	"repro/internal/utility"
@@ -239,9 +239,9 @@ func TestVerifyTwoFieldPatch(t *testing.T) {
 }
 
 // TestVerifyShardedRecording: a recording replays clean at every shard
-// count. The one-shard server records with the iteration trace ring and
-// span tracing on — its lone shard's engine then feeds the recorder —
-// and must still replay, uninstrumented, to the same digests.
+// count. The one-shard server records with span tracing and a recorder
+// on and must still replay, uninstrumented, to the same digests:
+// observing a solve never changes it.
 func TestVerifyShardedRecording(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -278,8 +278,8 @@ func testVerifyShardedRecording(t *testing.T, shards int, traced bool) {
 	opts.Shards = shards
 	opts.PlacementSalt = 7
 	if traced {
-		opts.Trace = trace.New(64, 1)
-		opts.Spans = span.New(256, nil)
+		opts.Recorder = obs.NewRecorder(nil, nil)
+		opts.Spans = span.New(256, opts.Recorder)
 	}
 	s, err := server.New(toyProblem(t), opts)
 	if err != nil {

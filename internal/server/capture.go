@@ -15,13 +15,13 @@ import (
 
 // Anomaly-triggered diagnostics capture. When the server detects a
 // decision-latency SLO breach, an unexpected warm-start fallback, or a
-// solver divergence, it dumps a bundle — journal tail, span ring,
-// iteration trace samples, heap and goroutine profiles — into a
-// timestamped subdirectory of Options.CaptureDir. The dump runs on its
-// own goroutine (the solver never blocks on profile serialization), at
-// most one at a time, rate-limited by CaptureMinInterval, and writes
-// through a temp directory renamed into place so readers never see a
-// half-written bundle.
+// solver divergence, it dumps a bundle — journal tail, span ring, heap
+// and goroutine profiles — into a timestamped subdirectory of
+// Options.CaptureDir. The dump runs on its own goroutine (the solver
+// never blocks on profile serialization), at most one at a time,
+// rate-limited by CaptureMinInterval, and writes through a temp
+// directory renamed into place so readers never see a half-written
+// bundle.
 
 // captureTailRecords bounds the journal records dumped into a bundle.
 const captureTailRecords = 256
@@ -125,20 +125,6 @@ func (s *Server) writeBundle(seq int64, reason, detail string, gen, rev int64) (
 			enc := json.NewEncoder(f)
 			for _, sp := range tr.Spans(span.Filter{}) {
 				if err := enc.Encode(sp); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return "", err
-		}
-	}
-	if ring := s.opts.Trace; ring != nil {
-		err := writeFile("trace.jsonl", func(f *os.File) error {
-			enc := json.NewEncoder(f)
-			for _, sample := range ring.Samples() {
-				if err := enc.Encode(sample); err != nil {
 					return err
 				}
 			}

@@ -40,7 +40,6 @@ import (
 //	GET    /v1/problem                     current problem (schema JSON)
 //	GET    /explain?commodity=NAME|IDX     bottleneck attribution (all when omitted)
 //	GET    /history                        generation-over-generation diffs (since/limit filters)
-//	GET    /debug/trace                    sampled per-iteration solver trace
 //	GET    /debug/spans                    decision-lifecycle spans (trace/commodity/min_ms filters)
 //	GET    /debug/bundles                  anomaly-capture diagnostics bundles (404 when capture is off)
 //	POST   /v1/commodities                 admit a commodity (schema JSON)
@@ -193,20 +192,6 @@ func (s *Server) Handler(reg *obs.Registry) http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"dir": s.opts.CaptureDir, "bundles": bundles})
-	})
-
-	mux.HandleFunc("GET /debug/trace", func(w http.ResponseWriter, _ *http.Request) {
-		t := s.opts.Trace
-		if t == nil {
-			writeError(w, http.StatusNotFound, errors.New("tracing not enabled (Options.Trace)"))
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"capacity": t.Cap(),
-			"stride":   t.Stride(),
-			"seen":     t.Seen(),
-			"samples":  t.Samples(),
-		})
 	})
 
 	mux.HandleFunc("GET /v1/problem", func(w http.ResponseWriter, _ *http.Request) {

@@ -1,18 +1,22 @@
 // Package server is the streaming admission service: a long-running
-// process that owns a mutable stream.Problem, accepts commodity
+// process that owns the desired stream.Problem, accepts commodity
 // arrivals/departures, offered-rate and utility updates, and node/link
 // capacity changes (failure injection), and keeps the joint
 // admission-control + routing solution converged by re-solving with the
 // paper's gradient algorithm — warm-started from the previous routing
 // whenever the topology allows it.
 //
-// Concurrency model: mutations edit a private Problem under a mutex and
-// wake the solver goroutine; the solver clones the problem (so later
-// mutations never alias an in-flight solve), converges, and publishes
-// an immutable Snapshot through an atomic pointer. Reads are lock-free
-// and always see a complete snapshot — never a torn one — even while
-// the next solve runs. Bursts of mutations are coalesced by a debounce
-// window so N rapid-fire updates cost one re-solve, not N.
+// Concurrency model: an installed Problem is immutable. A mutation
+// applies to a clone of the desired problem and, under a mutex, swaps
+// the clone in and wakes the solver goroutine; nothing ever edits a
+// problem once Server.problem points at it. The solver and GET
+// /v1/problem therefore take the pointer under the mutex and read the
+// problem outside it — later mutations replace the pointer, they never
+// alias an in-flight solve or marshal. The solver converges and
+// publishes an immutable Snapshot through an atomic pointer. Reads are
+// lock-free and always see a complete snapshot — never a torn one — even
+// while the next solve runs. Bursts of mutations are coalesced by a
+// debounce window so N rapid-fire updates cost one re-solve, not N.
 package server
 
 import (
@@ -27,7 +31,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
-	"repro/internal/obs/trace"
 	"repro/internal/shard"
 	"repro/internal/stream"
 )
@@ -82,22 +85,19 @@ type Options struct {
 	MaxDebounce time.Duration
 
 	// Recorder streams solve latencies, warm/cold restart counts, the
-	// generation counter and the admitted-utility gauge through
-	// internal/obs. Nil disables (zero overhead).
+	// generation counter, the admitted-utility gauge and the per-round
+	// shard series through internal/obs. The solver engines never see it:
+	// a solve is observed per price-exchange round, not per iteration, at
+	// every shard count. Nil disables (zero overhead).
 	Recorder *obs.Recorder
-	// Trace, when non-nil, receives sampled per-iteration solver state
-	// (utility, cost, step size, per-phase timings) across solves; the
-	// ring is served on GET /debug/trace. Requires a Recorder — one is
-	// created on a private registry if none was given.
-	Trace *trace.Ring
 	// Spans, when non-nil, traces the decision lifecycle: a root
 	// "decision" span per accepted mutation (adopting the client's W3C
 	// traceparent at HTTP ingress), children covering the coalescing
 	// wait and the solve phases, closed at snapshot publish. The ring is
-	// served on GET /debug/spans; finished spans also flow through the
-	// Recorder's event sink as "span" JSONL records. Like Trace, it
-	// requires a Recorder — one is created on a private registry if none
-	// was given. Nil disables (zero overhead on every path).
+	// served on GET /debug/spans; a tracer built over a Recorder
+	// (span.New's emitter) also writes finished spans to its event sink
+	// as "span" JSONL records. Nil disables (zero overhead on every
+	// path).
 	Spans *span.Tracer
 	// HistoryCap bounds the retained snapshot generations served on
 	// GET /history. Default 64; <0 disables history.
@@ -127,9 +127,9 @@ type Options struct {
 	SLO time.Duration
 	// CaptureDir, when non-empty, enables anomaly-triggered diagnostics
 	// bundles: on an SLO breach, an unexpected warm-start fallback, or
-	// a solver divergence, the server dumps the journal tail, span
-	// ring, iteration trace, and heap/goroutine profiles into a
-	// timestamped subdirectory, atomically (write to tmp, rename).
+	// a solver divergence, the server dumps the journal tail, span ring
+	// and heap/goroutine profiles into a timestamped subdirectory,
+	// atomically (write to tmp, rename).
 	CaptureDir string
 	// CaptureMinInterval rate-limits captures. Default 30s.
 	CaptureMinInterval time.Duration
@@ -179,9 +179,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.CaptureMinInterval <= 0 {
 		o.CaptureMinInterval = 30 * time.Second
-	}
-	if (o.Trace != nil || o.Spans != nil) && o.Recorder == nil {
-		o.Recorder = obs.NewRecorder(obs.NewRegistry(), nil)
 	}
 	if o.Logf == nil {
 		o.Logf = log.Printf
@@ -237,7 +234,7 @@ type Server struct {
 	opts Options
 
 	mu          sync.Mutex
-	problem     *stream.Problem // desired state; edited under mu
+	problem     *stream.Problem // desired state; replaced under mu, never edited
 	rev         int64           // bumped per accepted mutation
 	pending     []*decision     // traced mutations awaiting a snapshot; under mu
 	journalMuts int             // mutations journaled since boot; drives periodic checkpoints
@@ -260,10 +257,6 @@ type Server struct {
 	flips    []AdmissionFlip // ring of recent transitions, cap FlipCap
 	flipNext int
 	flipFull bool
-
-	// phases aggregates the recorder's per-phase hooks across one solve
-	// for the iterate span; solver-goroutine only.
-	phases *phaseTee
 
 	// Anomaly-capture state: a busy flag so overlapping triggers don't
 	// stack bundle writers, the last capture time for rate limiting,
@@ -313,33 +306,6 @@ func rejected(admitted, offered float64) bool {
 	return admitted < 1e-9 || admitted < 0.01*offered
 }
 
-// phaseTee implements obs.Tracer: it sums the per-phase wall-clock of
-// every iteration (fed by the recorder's StartPhase/Done hooks) so the
-// solve's iterate span can carry the aggregate split, then forwards the
-// sample to the user's trace ring. Solver-goroutine only — a lone shard
-// steps on the solver goroutine, where solveOnce also drains between
-// solves; concurrent shards do not feed it (see shard.New).
-type phaseTee struct {
-	next  obs.Tracer
-	phase [obs.NumPhases]float64
-}
-
-func (t *phaseTee) TraceIteration(s obs.TraceSample) {
-	for p, sec := range s.PhaseSeconds {
-		t.phase[p] += sec
-	}
-	if t.next != nil {
-		t.next.TraceIteration(s)
-	}
-}
-
-// take returns and resets the accumulated per-phase seconds.
-func (t *phaseTee) take() [obs.NumPhases]float64 {
-	ph := t.phase
-	t.phase = [obs.NumPhases]float64{}
-	return ph
-}
-
 // New starts the solver loop over an initial problem (which may have
 // zero commodities — the service then idles until the first arrival).
 // The problem is cloned; the caller's copy stays untouched.
@@ -378,17 +344,6 @@ func New(p *stream.Problem, opts Options) (*Server, error) {
 	// All shards start dirty so the first solve builds everything.
 	s.shardDirty = make([]bool, s.coord.Shards())
 	s.markDirtyLocked(nil)
-	if opts.Trace != nil || opts.Spans != nil {
-		// Attach before the solver loop starts so every iteration of
-		// every generation can be sampled. The tee keeps the per-solve
-		// phase aggregate for the iterate span and forwards to the
-		// user's trace ring, if any.
-		s.phases = &phaseTee{}
-		if opts.Trace != nil {
-			s.phases.next = opts.Trace
-		}
-		opts.Recorder.SetTracer(s.phases)
-	}
 	if len(p.Commodities) > 0 {
 		s.rev = 1
 		s.signal()
@@ -458,12 +413,14 @@ func (s *Server) Rev() int64 {
 	return s.rev
 }
 
-// ProblemJSON serializes the current desired problem (the mutable
-// state, not the last-solved clone).
+// ProblemJSON serializes the current desired problem (not the last-
+// solved one). Installed problems are immutable, so only the pointer
+// read holds the write-path mutex; the O(J) marshal runs outside it.
 func (s *Server) ProblemJSON() ([]byte, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.problem.MarshalJSON()
+	p := s.problem
+	s.mu.Unlock()
+	return p.MarshalJSON()
 }
 
 // signal wakes the solver; non-blocking because wake is 1-buffered and
@@ -752,7 +709,8 @@ func (s *Server) debounce() {
 	}
 }
 
-// solveOnce clones the desired problem, takes the pending traced
+// solveOnce takes the desired problem (by pointer — installed problems
+// are immutable, see the package comment) and the pending traced
 // mutations it will incorporate, has the coordinator rebuild the shards
 // the batch dirtied (warm where the extended topology is unchanged) and
 // run price-exchange rounds until the decomposition converges, and
@@ -762,7 +720,7 @@ func (s *Server) debounce() {
 // mutation's decision trace.
 func (s *Server) solveOnce() {
 	s.mu.Lock()
-	p := s.problem.Clone()
+	p := s.problem
 	rev := s.rev
 	// Every pending decision has rev ≤ s.rev, so this solve will
 	// incorporate all of them: take the whole batch.
@@ -839,23 +797,11 @@ func (s *Server) solveOnce() {
 		s.maybeCapture("cold_fallback", fallback.Error())
 	}
 
-	if s.phases != nil {
-		s.phases.take() // discard any leftovers from an aborted solve
-	}
 	it := tr.Start("iterate", solveSpan.Context())
 	res := s.coord.Solve(s.ctx)
 	it.SetAttrInt("iterations", int64(res.Iterations))
 	it.SetAttrInt("rounds", int64(res.Rounds))
 	it.SetAttrBool("converged", res.Converged)
-	if it != nil && s.phases != nil {
-		// Aggregate per-phase split from the recorder's phase hooks;
-		// nothing feeds them while several shards step concurrently.
-		for ph, sec := range s.phases.take() {
-			if sec > 0 {
-				it.SetAttrFloat("phase_"+obs.Phase(ph).String()+"_s", sec)
-			}
-		}
-	}
 	it.End()
 	if res.Err != nil {
 		s.opts.Recorder.Divergence("server", res.Iterations, res.Err.Error())
@@ -890,10 +836,10 @@ func (s *Server) solveOnce() {
 
 // publish assigns the next generation, swaps the snapshot in, appends
 // it to the history ring, emits the generation's observability events
-// (solve summary, per-commodity attribution, trace fill level,
-// admission flips), and closes the decision lifecycle: every mutation
-// in the incorporated batch observes streamopt_decision_latency_seconds
-// and ends its root span stamped with the generation that answered it.
+// (solve summary, admission flips), and closes the decision lifecycle:
+// every mutation in the incorporated batch observes
+// streamopt_decision_latency_seconds and ends its root span stamped with
+// the generation that answered it.
 func (s *Server) publish(snap *Snapshot, batch []*decision, solveSpan *span.Active) {
 	ps := s.opts.Spans.Start("publish", solveSpan.Context())
 	prev := s.snap.Load()
@@ -902,17 +848,6 @@ func (s *Server) publish(snap *Snapshot, batch []*decision, solveSpan *span.Acti
 	s.recordHistory(snap)
 	rec := s.opts.Recorder
 	rec.ServerSolve(snap.Generation, snap.Warm, snap.SolveSeconds, snap.Utility, snap.Iterations)
-	for _, ce := range snap.Explain {
-		bottleneck, price := "", 0.0
-		if len(ce.Binding) > 0 {
-			bottleneck = ce.Binding[0].Name
-			price = ce.Binding[0].Price
-		}
-		rec.Attribution(snap.Generation, ce.Name, ce.Admitted, ce.Gap, bottleneck, price)
-	}
-	if t := s.opts.Trace; t != nil {
-		rec.ServerTrace(snap.Generation, t.Len(), t.Cap(), t.Stride())
-	}
 
 	trigger := ""
 	if len(batch) > 0 {

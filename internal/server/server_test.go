@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -433,4 +434,68 @@ func TestCloseDrainsInFlightSolve(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close did not drain the in-flight solve")
 	}
+}
+
+// stallingUtility is a log utility the problem schema cannot serialize:
+// Problem.MarshalJSON asks for its Name to say so, and the first such
+// call after arm parks until release — a marshal of a large instance,
+// held in flight for as long as the test needs.
+type stallingUtility struct {
+	utility.Log
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (u *stallingUtility) Name() string {
+	if u.armed.CompareAndSwap(true, false) {
+		close(u.entered)
+		<-u.release
+	}
+	return "stalling"
+}
+
+// TestProblemJSONDoesNotBlockMutations: GET /v1/problem holds the
+// write-path mutex only to read the installed problem's pointer, so a
+// mutation is accepted while the O(J) marshal is still running.
+func TestProblemJSONDoesNotBlockMutations(t *testing.T) {
+	u := &stallingUtility{
+		Log:     utility.Log{Weight: 2, Scale: 1},
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	p := toyProblem(t)
+	p.Commodities[0].Utility = u
+	s, err := New(p, testOptions(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	if _, err := s.WaitForGeneration(1, waitBudget); err != nil {
+		t.Fatal(err)
+	}
+
+	u.armed.Store(true)
+	marshalled := make(chan struct{})
+	go func() {
+		defer close(marshalled)
+		_, _ = s.ProblemJSON() // errors: the utility is not serializable
+	}()
+	<-u.entered
+
+	accepted := make(chan error, 1)
+	go func() {
+		_, err := s.SetMaxRate("c1", 5)
+		accepted <- err
+	}()
+	select {
+	case err := <-accepted:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("SetMaxRate blocked behind an in-flight ProblemJSON marshal")
+	}
+	close(u.release)
+	<-marshalled
 }

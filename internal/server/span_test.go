@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 )
@@ -140,11 +141,6 @@ func testDecisionLifecycleSpans(t *testing.T, shards int) {
 	if it["iterations"] == "" || it["rounds"] == "" {
 		t.Errorf("iterate span attrs = %v, want iterations and rounds", it)
 	}
-	// The per-phase split comes from the engine's recorder hooks, which
-	// only a lone shard feeds.
-	if _, ok := it["phase_marginal_s"]; ok != (shards == 1) {
-		t.Errorf("iterate span phase split present = %v at %d shards: %v", ok, shards, it)
-	}
 	if got := byName["solve"].Attrs["shards"]; got != fmt.Sprint(shards) {
 		t.Errorf("solve span shards = %q, want %d", got, shards)
 	}
@@ -160,6 +156,115 @@ func testDecisionLifecycleSpans(t *testing.T, shards int) {
 	if !strings.Contains(metrics.String(), "streamopt_decision_latency_seconds_count") ||
 		strings.Contains(metrics.String(), "streamopt_decision_latency_seconds_count 0\n") {
 		t.Error("decision latency histogram not populated")
+	}
+}
+
+// observe runs one mutation script against a traced, recorded server at
+// the given shard count and returns what an operator can see of it: the
+// attribute keys of every span name, the metric families exposed, and
+// the per-iteration counter.
+func observe(t *testing.T, shards int) (spanAttrs map[string]map[string]bool, families map[string]bool, iterations uint64) {
+	t.Helper()
+	rec := obs.NewRecorder(obs.NewRegistry(), nil)
+	s, tr, _ := startTracedShardedServer(t, rec, 1024, shards)
+	snap, err := s.WaitForGeneration(1, waitBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A warm re-solve, a cold one (arrival), a network-wide change and a
+	// departure; each waits for its snapshot so nothing coalesces.
+	const c2 = `{"name":"c2","source":"a","sink":"t2","maxRate":4,"utility":{"type":"log","weight":2,"scale":1},` +
+		`"edges":[{"from":"a","to":"b","beta":1,"cost":1},{"from":"b","to":"t2","beta":1,"cost":1}]}`
+	for _, m := range []journal.Mutation{
+		journal.SetRate("c1", 12),
+		journal.AddCommodity([]byte(c2)),
+		journal.SetCapacity("b", 6),
+		journal.RemoveCommodity("c2"),
+	} {
+		if _, err := s.Apply(m); err != nil {
+			t.Fatal(err)
+		}
+		if snap, err = s.WaitForGeneration(snap.Generation+1, waitBudget); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	spanAttrs = map[string]map[string]bool{}
+	for _, sp := range tr.Spans(span.Filter{}) {
+		keys := spanAttrs[sp.Name]
+		if keys == nil {
+			keys = map[string]bool{}
+			spanAttrs[sp.Name] = keys
+		}
+		for k := range sp.Attrs {
+			keys[k] = true
+		}
+	}
+	var metrics strings.Builder
+	if err := rec.Registry().WritePrometheus(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	families = map[string]bool{}
+	for _, line := range strings.Split(metrics.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families[strings.Fields(rest)[0]] = true
+		}
+	}
+	return spanAttrs, families, rec.Registry().Counter("streamopt_iterations_total", "").Value()
+}
+
+// TestObservationShardCountInvariant: what the daemon shows of a solve —
+// span names, the attribute keys of each, metric families — does not
+// depend on the shard count, and no per-iteration series moves: the
+// engines run recorder-free whether one runner steps or four.
+func TestObservationShardCountInvariant(t *testing.T) {
+	spans1, families1, iters1 := observe(t, 1)
+	spans4, families4, iters4 := observe(t, 4)
+	for _, name := range []string{"decision", "ingress", "coalesce", "solve", "build", "engine_init", "iterate", "publish"} {
+		if spans1[name] == nil {
+			t.Errorf("no %q span at 1 shard", name)
+		}
+	}
+	if got, want := fmt.Sprint(spans4), fmt.Sprint(spans1); got != want {
+		t.Errorf("span names / attribute keys differ by shard count:\n 1 shard:  %s\n 4 shards: %s", want, got)
+	}
+	if got, want := fmt.Sprint(families4), fmt.Sprint(families1); got != want {
+		t.Errorf("metric families differ by shard count:\n 1 shard:  %s\n 4 shards: %s", want, got)
+	}
+	if iters1 != 0 || iters4 != 0 {
+		t.Errorf("streamopt_iterations_total = %d (1 shard), %d (4 shards); serving engines must not feed the recorder", iters1, iters4)
+	}
+}
+
+// TestSpansWithoutRecorder: span tracing alone conjures no Recorder, and
+// /debug/spans serves the decision tree all the same.
+func TestSpansWithoutRecorder(t *testing.T) {
+	s, _, ts := startTracedServer(t, nil, 256)
+	if s.opts.Recorder != nil {
+		t.Fatal("Options{Spans: t} created a Recorder the caller did not pass")
+	}
+	first, err := s.WaitForGeneration(1, waitBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SetMaxRate("c1", 6); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WaitForGeneration(first.Generation+1, waitBudget); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := doReq(t, "GET", ts.URL+"/debug/spans?name=iterate", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /debug/spans status = %d: %s", resp.StatusCode, body)
+	}
+	var page struct {
+		Spans []span.Span `json:"spans"`
+	}
+	if err := json.Unmarshal(body, &page); err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Spans) < 2 {
+		t.Fatalf("got %d iterate spans, want one per solve (≥ 2)", len(page.Spans))
 	}
 }
 

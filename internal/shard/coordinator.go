@@ -154,11 +154,6 @@ type Coordinator struct {
 type runner struct {
 	id  int
 	cfg *Config
-	// engRec is what the engine reports iterations and phase timings to:
-	// the coordinator's Recorder when this is the only runner, nil when
-	// several step concurrently (the server's per-solve phase aggregate
-	// and the iteration trace are single-goroutine).
-	engRec *obs.Recorder
 
 	x   *transform.Extended
 	eng *gradient.Engine
@@ -193,9 +188,6 @@ func New(cfg Config) *Coordinator {
 	c := &Coordinator{cfg: cfg}
 	for i := 0; i < cfg.Shards; i++ {
 		c.runners = append(c.runners, &runner{id: i, cfg: &c.cfg})
-	}
-	if len(c.runners) == 1 {
-		c.runners[0].engRec = cfg.Recorder
 	}
 	return c
 }
@@ -354,7 +346,10 @@ func (r *runner) bind() {
 		return
 	}
 
-	gcfg := gradient.Config{Eta: r.cfg.Eta, Workers: r.cfg.Workers, Recorder: r.engRec}
+	// No Recorder: engines step unobserved at every shard count; what a
+	// solve reports is the coordinator's per-round ShardAdvance and
+	// PriceExchange.
+	gcfg := gradient.Config{Eta: r.cfg.Eta, Workers: r.cfg.Workers}
 	r.warm = false
 	if r.eng != nil {
 		eng, err := newFrom(x, r.eng.Routing(), gcfg)

@@ -10,12 +10,12 @@ import (
 )
 
 // This file holds the deep-copy and in-place mutation surface the
-// admission server (internal/server) edits problems through: the server
-// owns one mutable Problem under a lock, Clones it per solve so the
-// solver never aliases the copy being edited, and applies rate,
-// utility, capacity and membership updates between solves. None of the
-// methods are safe for concurrent use with each other; callers
-// serialize externally.
+// admission server (internal/server) edits problems through: each
+// accepted mutation Clones the desired problem, applies its rate,
+// utility, capacity or membership update to the clone and installs it;
+// an installed problem is never edited again, so the solver reads it
+// without a copy. None of the methods are safe for concurrent use with
+// each other; callers serialize externally.
 
 // ErrNotFound and ErrConflict classify a rejected mutation for callers
 // that answer differently by cause (the HTTP API's 404 and 409): the
