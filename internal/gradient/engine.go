@@ -162,6 +162,19 @@ func NewFrom(x *transform.Extended, r *flow.Routing, cfg Config) (*Engine, error
 	return newEngine(x, bound, cfg), nil
 }
 
+// Restart makes the engine what NewFrom(e.X, e.Routing(), cfg) would
+// return, without the copies: for after e.X was reparameterized in
+// place (transform.Extended.Reparameterize). The routing carries over,
+// its forecast under the old parameters is dropped, and step control
+// and the counters start again, so the trajectory from here is the one
+// a rebuilt, rebound engine would take, bit for bit, in both step modes.
+func (e *Engine) Restart() {
+	e.forecasted = false
+	e.eta, e.descents, e.backtracks = e.cfg.Eta, 0, 0
+	e.stats, e.iter = Stats{}, 0
+	e.cfg.Recorder.SetEta(e.eta)
+}
+
 // Stats returns protocol accounting accumulated so far.
 func (e *Engine) Stats() Stats { return e.stats }
 

@@ -162,9 +162,9 @@ func Decode[T any](m *Mutation) (T, error) {
 }
 
 // Touches names the commodities the mutation changes — the unit of
-// dirty tracking: only the solver shards that own one of them rebuild.
-// nil means network-wide: a capacity or bandwidth change shifts every
-// shard's barrier.
+// dirty tracking: only the solver shards that own one of them are
+// brought up to date by the next solve. nil means network-wide: a
+// capacity or bandwidth change shifts every shard's barrier.
 func (m *Mutation) Touches() []string {
 	switch m.Op {
 	case OpAddCommodity, OpRemoveCommodity, OpSetRate, OpSetUtility:
@@ -184,10 +184,12 @@ func (m *Mutation) Touches() []string {
 }
 
 // Apply performs one mutation on a problem. It is the only definition
-// of the nine ops: the live server runs it on a clone of its desired
-// problem, and recovery runs it to roll a checkpoint forward, so the
-// two cannot drift. On error the problem may be partly changed; callers
-// that need all-or-nothing apply to a Clone and swap on success.
+// of the nine ops: the live server runs it on the next version of its
+// desired problem (stream.Problem.NewVersion, whose setters copy what
+// they write), and recovery runs it in place to roll a checkpoint
+// forward, so the two cannot drift. On error the problem may be partly
+// changed; callers that need all-or-nothing apply to a NewVersion or a
+// Clone and swap on success.
 // Recorded mutations were validated before they were journaled, so an
 // error from recovery means the journal does not match the checkpoint
 // (corruption or version skew).

@@ -103,7 +103,9 @@ func Compile(sc *Scenario, scale float64) (*Compiled, error) {
 		cl, hasClass := sc.class(co.Class)
 		for i := 0; i < co.Count; i++ {
 			m := &member{name: fmt.Sprintf("%s-%d", co.Name, i+1)}
-			tmpl.Commodities[k].Name = m.name
+			if err := tmpl.RenameCommodity(tmpl.Commodities[k].Name, m.name); err != nil {
+				return nil, fmt.Errorf("loadgen: scenario %q: cohort %q: %w", sc.Name, co.Name, err)
+			}
 			if hasClass {
 				alpha, shift := cl.Alpha, cl.Shift
 				if alpha == 0 {

@@ -103,15 +103,25 @@ func record(t *testing.T, dir string, p *stream.Problem, mutate func(s *server.S
 	}
 }
 
-// waitNext waits for the generation after the current snapshot's.
+// waitNext waits for the snapshot that answers the mutation just made:
+// the first whose Rev covers the server's. It may already be out — a
+// re-solve that only reparameterizes a shard can publish before the
+// caller gets here — so "the generation after the current one" would
+// wait for a solve nobody asked for.
 func waitNext(t *testing.T, s *server.Server) {
 	t.Helper()
-	gen := int64(0)
-	if snap := s.Snapshot(); snap != nil {
-		gen = snap.Generation
-	}
-	if _, err := s.WaitForGeneration(gen+1, waitBudget); err != nil {
-		t.Fatal(err)
+	rev := s.Rev()
+	for {
+		gen := int64(0)
+		if snap := s.Snapshot(); snap != nil {
+			if snap.Rev >= rev {
+				return
+			}
+			gen = snap.Generation
+		}
+		if _, err := s.WaitForGeneration(gen+1, waitBudget); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -113,6 +114,38 @@ func TestServerJournalsTrajectory(t *testing.T) {
 	c, _ := recd.Problem.CommodityByName("c1")
 	if c.MaxRate != 4 {
 		t.Fatalf("recovered MaxRate = %v", c.MaxRate)
+	}
+}
+
+// A generation is visible only once everything it writes is written: a
+// reader that sees generation g (without WaitForGeneration's 1 ms poll
+// to hide behind) finds g's digest the newest journal record and g the
+// newest history entry, so the solver is idle when a waiter acts.
+func TestSnapshotVisibleAfterItsDigest(t *testing.T) {
+	s, jw, _ := startJournaledServer(t, testOptions(nil))
+	seen, err := s.WaitForGeneration(1, waitBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 25; i++ {
+		if _, err := s.SetMaxRate("c1", 3+float64(i%5)); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(waitBudget)
+		for s.Snapshot().Generation == seen.Generation {
+			if time.Now().After(deadline) {
+				t.Fatalf("no generation after %d", seen.Generation)
+			}
+			runtime.Gosched()
+		}
+		seen = s.Snapshot()
+		tail := jw.Tail(1)
+		if len(tail) != 1 || tail[0].Kind != journal.KindDigest || tail[0].Digest.Generation != seen.Generation {
+			t.Fatalf("generation %d visible, newest journal record %+v", seen.Generation, tail)
+		}
+		if h := s.History(); len(h) == 0 || h[len(h)-1] != seen {
+			t.Fatalf("generation %d visible, not yet in the history ring", seen.Generation)
+		}
 	}
 }
 

@@ -6,13 +6,19 @@
 // paper's gradient algorithm — warm-started from the previous routing
 // whenever the topology allows it.
 //
-// Concurrency model: an installed Problem is immutable. A mutation
-// applies to a clone of the desired problem and, under a mutex, swaps
-// the clone in and wakes the solver goroutine; nothing ever edits a
-// problem once Server.problem points at it. The solver and GET
+// Concurrency model: an installed Problem is immutable, and the desired
+// state is a chain of versions of it. A mutation, under a mutex, derives
+// the next version from the installed one (stream.Problem.NewVersion: it
+// shares the network and every commodity the mutation does not write,
+// and copies the struct or vector it does write first), applies itself
+// to that, swaps it in and wakes the solver goroutine; nothing ever
+// edits a problem once Server.problem points at it, nor anything an
+// installed problem shares with its successors. The solver and GET
 // /v1/problem therefore take the pointer under the mutex and read the
 // problem outside it — later mutations replace the pointer, they never
-// alias an in-flight solve or marshal. The solver converges and
+// alias an in-flight solve or marshal — and a mutation costs what it
+// touches plus one pointer per commodity, not a copy of the problem.
+// The solver converges and
 // publishes an immutable Snapshot through an atomic pointer. Reads are
 // lock-free and always see a complete snapshot — never a torn one — even
 // while the next solve runs. Bursts of mutations are coalesced by a
@@ -308,7 +314,9 @@ func rejected(admitted, offered float64) bool {
 
 // New starts the solver loop over an initial problem (which may have
 // zero commodities — the service then idles until the first arrival).
-// The problem is cloned; the caller's copy stays untouched.
+// The server never writes p: its first version shares p's network and
+// commodities rather than copying them, so the caller must not edit p in
+// place while the server runs (Clone it first to keep editing a copy).
 func New(p *stream.Problem, opts Options) (*Server, error) {
 	opts.setDefaults()
 	if p == nil {
@@ -322,7 +330,7 @@ func New(p *stream.Problem, opts Options) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:    opts,
-		problem: p.Clone(),
+		problem: p.NewVersion(),
 		wake:    make(chan struct{}, 1),
 		ctx:     ctx,
 		cancel:  cancel,
@@ -451,8 +459,8 @@ func (s *Server) Apply(m journal.Mutation) (int64, error) {
 }
 
 // mutate applies ms transactionally, all or nothing: journal.Apply runs
-// them in order against a clone of the desired problem, and only when
-// every one succeeds is the clone swapped in. Each mutation then takes
+// them in order against a new version of the desired problem, and only
+// when every one succeeds is that version swapped in. Each mutation then takes
 // its own revision, marks the shards it touches, opens its decision's
 // trace and is journaled — one record per revision — before one solver
 // wake for the group. A rejected group leaves no trace. Registering the
@@ -463,7 +471,7 @@ func (s *Server) Apply(m journal.Mutation) (int64, error) {
 func (s *Server) mutate(ing ingress, ms ...journal.Mutation) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	next := s.problem.Clone()
+	next := s.problem.NewVersion()
 	for i := range ms {
 		if err := journal.Apply(next, &ms[i]); err != nil {
 			return s.rev, err
@@ -599,11 +607,10 @@ func (s *Server) SetMaxRate(name string, rate float64) (int64, error) {
 }
 
 // SetMaxRates updates many commodities' offered rates in one mutation:
-// one problem clone, one revision bump, one solver wake for the whole
-// batch. This is the load-driver hot path — per-commodity SetMaxRate
-// costs a full problem clone each, so an epoch's worth of rate updates
-// goes through here. All-or-nothing: an empty batch, any unknown
-// commodity or any invalid rate rejects the entire batch.
+// one problem version, one revision bump, one journal record, one
+// solver wake for the whole batch, where per-commodity SetMaxRate calls
+// pay each of those per commodity. All-or-nothing: an empty batch, any
+// unknown commodity or any invalid rate rejects the entire batch.
 func (s *Server) SetMaxRates(rates map[string]float64) (int64, error) {
 	return s.Apply(journal.SetRates(rates))
 }
@@ -711,9 +718,10 @@ func (s *Server) debounce() {
 
 // solveOnce takes the desired problem (by pointer — installed problems
 // are immutable, see the package comment) and the pending traced
-// mutations it will incorporate, has the coordinator rebuild the shards
-// the batch dirtied (warm where the extended topology is unchanged) and
-// run price-exchange rounds until the decomposition converges, and
+// mutations it will incorporate, has the coordinator bring the shards
+// the batch dirtied up to it (in place where only parameters moved, by a
+// rebuild that warm-starts where the extended topology allows) and run
+// price-exchange rounds until the decomposition converges, and
 // publishes a new snapshot stitched from the per-shard results. The
 // solve's phases — build, engine init (warm-or-cold), iterate, publish —
 // are child spans of a "solve" span parented to the first coalesced
@@ -834,17 +842,23 @@ func (s *Server) solveOnce() {
 	s.publish(snap, batch, solveSpan)
 }
 
-// publish assigns the next generation, swaps the snapshot in, appends
-// it to the history ring, emits the generation's observability events
-// (solve summary, admission flips), and closes the decision lifecycle:
-// every mutation in the incorporated batch observes
-// streamopt_decision_latency_seconds and ends its root span stamped with
-// the generation that answered it.
+// publish assigns the next generation, appends the snapshot to the
+// history ring, emits the generation's observability events (solve
+// summary, admission flips), journals its digest, swaps the snapshot in,
+// and closes the decision lifecycle: every mutation in the incorporated
+// batch observes streamopt_decision_latency_seconds and ends its root
+// span stamped with the generation that answered it.
+//
+// The swap comes after everything the generation writes or allocates: a
+// client that waits for a generation and then acts finds the solver
+// idle, and the digest of generation g precedes in the journal every
+// mutation sent in answer to g. (With the digest appended after the
+// swap, a waiter that was faster than the ~0.3 ms of diff + digest at
+// J=1k raced it.)
 func (s *Server) publish(snap *Snapshot, batch []*decision, solveSpan *span.Active) {
 	ps := s.opts.Spans.Start("publish", solveSpan.Context())
 	prev := s.snap.Load()
 	snap.Generation = s.gen.Add(1)
-	s.snap.Store(snap)
 	s.recordHistory(snap)
 	rec := s.opts.Recorder
 	rec.ServerSolve(snap.Generation, snap.Warm, snap.SolveSeconds, snap.Utility, snap.Iterations)
@@ -869,6 +883,7 @@ func (s *Server) publish(snap *Snapshot, batch []*decision, solveSpan *span.Acti
 			s.opts.Logf("server: journal digest failed at generation %d: %v", snap.Generation, err)
 		}
 	}
+	s.snap.Store(snap)
 
 	maxLat := 0.0
 	for _, d := range batch {

@@ -157,11 +157,16 @@ type runner struct {
 
 	x   *transform.Extended
 	eng *gradient.Engine
+	// rebuildOnly turns the reparameterizing path off; tests set it to
+	// compare that path against a full rebuild.
+	rebuildOnly bool
 	// global[j] is local commodity j's index in the applied problem's
 	// commodity list, ascending; results stitch back through it.
 	global []int
 
-	next     *transform.Extended // built, not yet bound
+	// next is what the last build left for bind: a rebuilt extended
+	// problem, or nil when x only needs reparameterizing to p.
+	next     *transform.Extended
 	buildErr error
 	fallback error // unexpected warm-start failure of the last bind
 
@@ -231,13 +236,24 @@ func (c *Coordinator) Clear(p *stream.Problem) {
 	clear(c.merged)
 }
 
-// Apply installs a new desired problem and rebuilds the dirty shards
-// (dirty[i] true means shard i's commodity set or the shared network
-// parameters changed since its extended problem was built). It returns
-// whether every rebuild warm-started from the shard's previous routing.
-// Clean shards keep their engines and warm state untouched. Apply is
-// Build followed by Bind; the server calls the two itself to time them
-// and to see an unexpected warm-start fallback.
+// Apply installs a new desired problem and brings the dirty shards up
+// to it (dirty[i] true means shard i's commodity set or the shared
+// network parameters changed since its extended problem was built). It
+// returns whether every dirty shard kept or warm-started from its
+// previous routing. Clean shards keep their engines and warm state
+// untouched. Apply is Build followed by Bind; the server calls the two
+// itself to time them and to see an unexpected warm-start fallback.
+//
+// What a dirty shard costs depends on what moved, found by comparing p
+// with what the shard's extended problem was built from, never from the
+// name of a mutation: offered rates, utilities, capacities and
+// bandwidths are written into the extended problem in place and the
+// engine keeps its routing and workspaces; an arrival, a departure or a
+// commodity with a different subgraph runs the subset transform again.
+// The two are indistinguishable from outside but for their cost. A
+// *stream.Commodity handed to Build must not be edited afterwards — a
+// changed commodity is a new value, as stream.NewVersion and Clone both
+// make it.
 func (c *Coordinator) Apply(p *stream.Problem, dirty []bool) (warm bool, err error) {
 	if err := c.Build(p, dirty); err != nil {
 		return false, err
@@ -246,11 +262,12 @@ func (c *Coordinator) Apply(p *stream.Problem, dirty []bool) (warm bool, err err
 	return warm, nil
 }
 
-// Build is Apply's first phase: it places p's commodities and runs the
-// subset transform of every dirty shard, concurrently — each build only
-// reads the shared problem and writes its own runner, and subset builds
-// are the dominant cost of a topology change at large commodity counts.
-// Engines are untouched until Bind.
+// Build is Apply's first phase: it places p's commodities and, for every
+// dirty shard concurrently, validates the parameters that moved or runs
+// the subset transform — each only reads the shared problem and writes
+// its own runner, and subset builds are the dominant cost of a topology
+// change at large commodity counts. Engines and the extended problems
+// they run on are untouched until Bind.
 func (c *Coordinator) Build(p *stream.Problem, dirty []bool) error {
 	c.p = p
 	n := len(c.runners)
@@ -287,13 +304,15 @@ func (c *Coordinator) Build(p *stream.Problem, dirty []bool) error {
 	return nil
 }
 
-// Bind is Apply's second phase: every shard Build rebuilt gets an engine
-// on its new extended problem, rebound from its previous routing when
-// the subset topology allows a warm start and cold otherwise. fallback
-// is the first warm start that failed for any other reason — already
-// recovered by starting cold, returned so the caller can capture it.
+// Bind is Apply's second phase. A shard whose parameters alone moved has
+// them installed and its engine restarted on the routing it holds. A
+// shard Build rebuilt gets an engine on its new extended problem,
+// rebound from its previous routing when the subset topology allows a
+// warm start and cold otherwise. fallback is the first warm start that
+// failed for any other reason — already recovered by starting cold,
+// returned so the caller can capture it.
 func (c *Coordinator) Bind() (warm bool, fallback error) {
-	c.fanOut(c.rebuilt, (*runner).bind)
+	c.fanOut(c.rebuilt, func(r *runner) { r.bind(c.p) })
 	warm = true
 	for _, r := range c.rebuilt {
 		if !r.warm {
@@ -307,8 +326,17 @@ func (c *Coordinator) Bind() (warm bool, fallback error) {
 	return warm, fallback
 }
 
-// build constructs the shard's extended problem over its commodities.
+// build prepares the shard's extended problem over its commodities in
+// p: nothing but the validation Build would have run when the one it has
+// differs from that in parameters alone, a new one otherwise.
 func (r *runner) build(p *stream.Problem) {
+	r.next = nil
+	if r.x != nil && !r.rebuildOnly {
+		var same bool
+		if same, r.buildErr = r.x.ParametersOnly(p, r.global); same {
+			return
+		}
+	}
 	r.next, r.buildErr = transform.Build(p, transform.Options{
 		Penalty:     r.cfg.Penalty,
 		Epsilon:     r.cfg.Epsilon,
@@ -323,9 +351,21 @@ func (r *runner) build(p *stream.Problem) {
 // warm-start failure paths.
 var newFrom = gradient.NewFrom
 
-// bind installs the extended problem build produced and starts an
-// engine on it.
-func (r *runner) bind() {
+// bind brings the shard's engine up to p: on the extended problem it
+// has, reparameterized, when build left it at that, else on the one
+// build produced.
+func (r *runner) bind(p *stream.Problem) {
+	r.diverged, r.divergeErr, r.fallback = false, nil, nil
+	if r.next == nil {
+		r.x.Reparameterize(p, r.global)
+		clear(r.admitted)
+		r.warm = true
+		if r.eng != nil {
+			r.eng.Restart()
+			r.stationary = false
+		}
+		return
+	}
 	x := r.next
 	r.next = nil
 	if r.ext == nil {
@@ -335,7 +375,6 @@ func (r *runner) bind() {
 	x.SetExternal(r.ext)
 	r.x = x
 	r.admitted = make([]float64, len(x.Commodities))
-	r.diverged, r.divergeErr, r.fallback = false, nil, nil
 
 	if len(x.Commodities) == 0 {
 		r.eng = nil

@@ -14,3 +14,13 @@ func StubWarmStart(fn func(*transform.Extended, *flow.Routing, gradient.Config) 
 	newFrom = fn
 	return func() { newFrom = prev }
 }
+
+// RebuildOnly makes every dirty shard of c run the subset transform and
+// rebind, whatever moved — the path reparameterizing in place stands in
+// for, and so the reference the patched-equals-rebuilt test compares it
+// against.
+func (c *Coordinator) RebuildOnly() {
+	for _, r := range c.runners {
+		r.rebuildOnly = true
+	}
+}

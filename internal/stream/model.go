@@ -8,6 +8,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 
@@ -47,6 +48,12 @@ type Network struct {
 	Bandwidth []float64 // per edge
 
 	byName map[string]graph.NodeID
+
+	// Set on the network of a Problem.NewVersion: the topology (G, Names,
+	// Kinds, byName) and, until this network writes one, the Capacity and
+	// Bandwidth vectors belong to an older version too. Writers copy what
+	// is shared first.
+	sharedTopology, sharedCapacity, sharedBandwidth bool
 }
 
 // NewNetwork returns an empty network.
@@ -69,6 +76,7 @@ func (n *Network) AddSink(name string) (graph.NodeID, error) {
 }
 
 func (n *Network) addNode(name string, kind NodeKind, capacity float64) (graph.NodeID, error) {
+	n.ownTopology()
 	if _, ok := n.byName[name]; ok {
 		return graph.Invalid, fmt.Errorf("stream: duplicate node name %q", name)
 	}
@@ -92,6 +100,7 @@ func (n *Network) AddLink(from, to graph.NodeID, bandwidth float64) (graph.EdgeI
 	if n.G.HasNode(from) && n.Kinds[from] == Sink {
 		return graph.Invalid, fmt.Errorf("stream: sink %q cannot have outgoing links", n.name(from))
 	}
+	n.ownTopology()
 	e, err := n.G.AddEdge(from, to)
 	if err != nil {
 		return graph.Invalid, err
@@ -143,11 +152,53 @@ func (c *Commodity) UsesEdge(e graph.EdgeID) bool {
 	return ok
 }
 
+// SortedEdges appends the edges of the commodity's subgraph to buf[:0]
+// in ascending edge-ID order — the deterministic walk of Edges that
+// validation, the transform and the JSON encoding share.
+func (c *Commodity) SortedEdges(buf []graph.EdgeID) []graph.EdgeID {
+	buf = buf[:0]
+	for e := range c.Edges {
+		buf = append(buf, e)
+	}
+	slices.Sort(buf)
+	return buf
+}
+
+// SameStructure reports whether o is c up to its offered rate and
+// utility: the same name, source, sink and per-edge parameters, hence
+// the same subgraph G_j and the same §3 transform of it.
+func (c *Commodity) SameStructure(o *Commodity) bool {
+	if c.Name != o.Name || c.Source != o.Source || c.SinkID != o.SinkID || len(c.Edges) != len(o.Edges) {
+		return false
+	}
+	for e, params := range c.Edges {
+		if other, ok := o.Edges[e]; !ok || other != params {
+			return false
+		}
+	}
+	return true
+}
+
 // Problem is a complete problem instance: the network plus the
 // commodities to be admitted, routed, and allocated.
+//
+// Commodities is written only by the methods of this package
+// (AddCommodity, RemoveCommodity and the setters in clone.go), which
+// keep the name and sink indexes below in step with it.
 type Problem struct {
 	Net         *Network
 	Commodities []*Commodity
+
+	// byName and bySink map a commodity's name and its sink to its
+	// position in Commodities. Versions share them (sharedIndex) until
+	// membership changes.
+	byName      map[string]int
+	bySink      map[graph.NodeID]int
+	sharedIndex bool
+	// shared marks a NewVersion: the *Commodity values belong to an older
+	// version too, so a setter replaces the one it is about to write with
+	// a copy. The Commodities slice itself is always this problem's own.
+	shared bool
 }
 
 // NewProblem wraps a network into an empty problem.
@@ -173,13 +224,15 @@ func (p *Problem) AddCommodity(name string, source, sink graph.NodeID, maxRate f
 	if u == nil {
 		return nil, fmt.Errorf("stream: commodity %q: nil utility", name)
 	}
-	for _, c := range p.Commodities {
-		if c.Name == name {
-			return nil, fmt.Errorf("stream: duplicate commodity name %q: %w", name, ErrConflict)
-		}
-		if c.SinkID == sink {
-			return nil, fmt.Errorf("stream: commodity %q: sink %q already used by %q: %w", name, p.Net.name(sink), c.Name, ErrConflict)
-		}
+	// The earliest commodity in conflict decides the error, its name
+	// before its sink.
+	dup, taken := p.byName[name]
+	user, used := p.bySink[sink]
+	if taken && (!used || dup <= user) {
+		return nil, fmt.Errorf("stream: duplicate commodity name %q: %w", name, ErrConflict)
+	}
+	if used {
+		return nil, fmt.Errorf("stream: commodity %q: sink %q already used by %q: %w", name, p.Net.name(sink), p.Commodities[user].Name, ErrConflict)
 	}
 	c := &Commodity{
 		Name:    name,
@@ -189,12 +242,27 @@ func (p *Problem) AddCommodity(name string, source, sink graph.NodeID, maxRate f
 		Utility: u,
 		Edges:   make(map[graph.EdgeID]EdgeParams),
 	}
+	p.ownIndex()
+	p.byName[name], p.bySink[sink] = len(p.Commodities), len(p.Commodities)
 	p.Commodities = append(p.Commodities, c)
 	return c, nil
 }
 
+// ownIndex makes the name and sink indexes this problem's own, before a
+// change of membership or of a name writes them.
+func (p *Problem) ownIndex() {
+	switch {
+	case p.byName == nil:
+		p.byName, p.bySink = make(map[string]int), make(map[graph.NodeID]int)
+	case p.sharedIndex:
+		p.byName, p.bySink = maps.Clone(p.byName), maps.Clone(p.bySink)
+	}
+	p.sharedIndex = false
+}
+
 // SetEdge attaches edge e to commodity c's subgraph with the given
-// parameters.
+// parameters. It writes c's own Edges map, so it is for a commodity this
+// problem created with AddCommodity, not one a NewVersion inherited.
 func (p *Problem) SetEdge(c *Commodity, e graph.EdgeID, params EdgeParams) error {
 	if int(e) < 0 || int(e) >= p.Net.G.NumEdges() {
 		return fmt.Errorf("stream: commodity %q: unknown edge %d", c.Name, e)
@@ -274,11 +342,7 @@ type commodityView struct {
 // load points the view at commodity c. It returns graph.ErrCycle when
 // G_j is cyclic.
 func (v *commodityView) load(g *graph.Graph, c *Commodity) error {
-	v.edges = v.edges[:0]
-	for e := range c.Edges {
-		v.edges = append(v.edges, e)
-	}
-	slices.Sort(v.edges)
+	v.edges = c.SortedEdges(v.edges)
 	v.ix.Index(g, v.edges)
 	var err error
 	if v.order, err = v.ix.Topo(v.order); err != nil {
@@ -306,6 +370,14 @@ func (p *Problem) validateCommodity(v *commodityView, c *Commodity) error {
 	if err := v.potentials(p, c); err != nil {
 		return fmt.Errorf("%w: commodity %q: %v", errValidate, c.Name, err)
 	}
+	return c.ValidateUtility()
+}
+
+// ValidateUtility checks that the commodity's utility is concave and
+// increasing on [0, λ_j] — the one check of Validate that a change of
+// parameters (offered rate, utility) can break; the others depend on
+// the subgraph alone.
+func (c *Commodity) ValidateUtility() error {
 	if err := utility.Validate(c.Utility, c.MaxRate); err != nil {
 		return fmt.Errorf("%w: commodity %q: %v", errValidate, c.Name, err)
 	}

@@ -75,31 +75,12 @@ func (p *Problem) MarshalJSON() ([]byte, error) {
 			Bandwidth: p.Net.Bandwidth[e],
 		})
 	}
+	var edges []graph.EdgeID // one buffer for every commodity
 	for _, c := range p.Commodities {
-		uj, err := marshalUtility(c.Utility)
+		edges = c.SortedEdges(edges)
+		cj, err := p.commodityJSON(c, edges)
 		if err != nil {
-			return nil, fmt.Errorf("commodity %q: %w", c.Name, err)
-		}
-		cj := commodityJSON{
-			Name:    c.Name,
-			Source:  p.Net.Names[c.Source],
-			Sink:    p.Net.Names[c.SinkID],
-			MaxRate: c.MaxRate,
-			Utility: uj,
-		}
-		// Deterministic edge order: by edge ID.
-		for e := 0; e < g.NumEdges(); e++ {
-			params, ok := c.Edges[graph.EdgeID(e)]
-			if !ok {
-				continue
-			}
-			edge := g.Edge(graph.EdgeID(e))
-			cj.Edges = append(cj.Edges, edgeParamJSON{
-				From: p.Net.Names[edge.From],
-				To:   p.Net.Names[edge.To],
-				Beta: params.Beta,
-				Cost: params.Cost,
-			})
+			return nil, err
 		}
 		out.Commodities = append(out.Commodities, cj)
 	}
@@ -201,11 +182,22 @@ func (p *Problem) MarshalCommodityJSON(name string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("stream: unknown commodity %q", name)
 	}
+	cj, err := p.commodityJSON(c, c.SortedEdges(nil))
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(cj)
+}
+
+// commodityJSON is c in the schema's form, its edges in the order given:
+// c.SortedEdges, ascending edge ID. Walking the commodity's own edges is
+// O(k log k) in their number, where probing c.Edges once per network
+// edge made a whole-problem marshal O(J·|E|).
+func (p *Problem) commodityJSON(c *Commodity, edges []graph.EdgeID) (commodityJSON, error) {
 	uj, err := marshalUtility(c.Utility)
 	if err != nil {
-		return nil, fmt.Errorf("commodity %q: %w", c.Name, err)
+		return commodityJSON{}, fmt.Errorf("commodity %q: %w", c.Name, err)
 	}
-	g := p.Net.G
 	cj := commodityJSON{
 		Name:    c.Name,
 		Source:  p.Net.Names[c.Source],
@@ -213,12 +205,11 @@ func (p *Problem) MarshalCommodityJSON(name string) ([]byte, error) {
 		MaxRate: c.MaxRate,
 		Utility: uj,
 	}
-	for e := 0; e < g.NumEdges(); e++ {
-		params, ok := c.Edges[graph.EdgeID(e)]
-		if !ok {
-			continue
-		}
-		edge := g.Edge(graph.EdgeID(e))
+	if len(edges) > 0 { // none encodes as null, not []
+		cj.Edges = make([]edgeParamJSON, 0, len(edges))
+	}
+	for _, e := range edges {
+		edge, params := p.Net.G.Edge(e), c.Edges[e]
 		cj.Edges = append(cj.Edges, edgeParamJSON{
 			From: p.Net.Names[edge.From],
 			To:   p.Net.Names[edge.To],
@@ -226,7 +217,7 @@ func (p *Problem) MarshalCommodityJSON(name string) ([]byte, error) {
 			Cost: params.Cost,
 		})
 	}
-	return json.Marshal(cj)
+	return cj, nil
 }
 
 // ParseUtilityJSON decodes one utility spec from the same JSON form the
@@ -247,7 +238,8 @@ func ParseUtilityJSON(data []byte) (utility.Function, error) {
 // utility, per-edge parameters), and validates it against the §2
 // structural assumptions. On error the problem may hold the partially
 // added commodity; callers that need transactional semantics apply this
-// to a Clone and swap on success (internal/server does exactly that).
+// to a NewVersion or a Clone and swap on success (internal/server does
+// exactly that).
 func (p *Problem) AddCommodityFromJSON(data []byte) (*Commodity, error) {
 	var cj commodityJSON
 	if err := json.Unmarshal(data, &cj); err != nil {

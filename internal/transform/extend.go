@@ -120,6 +120,11 @@ type Extended struct {
 	OrigNode []graph.NodeID
 	OrigEdge []graph.EdgeID
 	Wire     []bool
+
+	// src[j] is the stream commodity Commodities[j] was built from (or
+	// last reparameterized to): what ParametersOnly compares a later
+	// problem's commodities against.
+	src []*stream.Commodity
 }
 
 // Options configures the transformation.
@@ -246,6 +251,7 @@ func Build(p *stream.Problem, opts Options) (*Extended, error) {
 		if err != nil {
 			return nil, err
 		}
+		x.src = append(x.src, c)
 		x.Commodities = append(x.Commodities, Commodity{
 			Name:      c.Name,
 			Dummy:     d,
@@ -275,6 +281,87 @@ func Build(p *stream.Problem, opts Options) (*Extended, error) {
 	}
 	b.carve(x.Sub)
 	return x, nil
+}
+
+// ParametersOnly reports whether Build(p, Options{Commodities: incl})
+// would differ from x in parameters alone — capacities, bandwidths,
+// offered rates, utilities — so that Reparameterize can stand in for
+// it: the same network topology and, position by position, commodities
+// with the structure x was built from. A commodity that is the very
+// *stream.Commodity x was built from counts as untouched (problem
+// versions replace a commodity they change, see stream.NewVersion);
+// any other is compared field by field. When it returns true the error
+// is what Build's validation would have said of the changed parameters.
+func (x *Extended) ParametersOnly(p *stream.Problem, incl []int) (bool, error) {
+	if len(incl) != len(x.src) || !x.sameNetwork(p.Net) {
+		return false, nil
+	}
+	var invalid error
+	for j, gi := range incl {
+		if gi < 0 || gi >= len(p.Commodities) {
+			return false, nil // Build names the bad index
+		}
+		c := p.Commodities[gi]
+		if c == x.src[j] {
+			continue
+		}
+		if !c.SameStructure(x.src[j]) {
+			return false, nil
+		}
+		if invalid == nil {
+			invalid = c.ValidateUtility()
+		}
+	}
+	return true, invalid
+}
+
+// sameNetwork reports whether net has the topology x's shared node
+// prefix was laid out from: the same nodes by name and kind, the same
+// links in the same order.
+func (x *Extended) sameNetwork(net *stream.Network) bool {
+	n, m := net.G.NumNodes(), net.G.NumEdges()
+	if n+m != x.SharedNodes || 2*m+2*len(x.Commodities) != x.G.NumEdges() {
+		return false
+	}
+	for i := 0; i < n; i++ {
+		if net.Names[i] != x.Names[i] || (net.Kinds[i] == stream.Sink) != (x.Kinds[i] == SinkNode) {
+			return false
+		}
+	}
+	for e := 0; e < m; e++ {
+		// Link e became (from, n_ik) and (n_ik, to), in that order.
+		link := net.G.Edge(graph.EdgeID(e))
+		if x.G.Edge(graph.EdgeID(2*e)).From != link.From || x.G.Edge(graph.EdgeID(2*e+1)).To != link.To {
+			return false
+		}
+	}
+	return true
+}
+
+// Reparameterize makes x what Build(p, Options{Commodities: incl})
+// would return, in place, given that ParametersOnly(p, incl) said the
+// two differ in parameters alone: node capacities and link bandwidths,
+// each commodity's offered rate, utility and loss, and the positions
+// Subset echoes. Everything a routing or a workspace is shaped by stays.
+func (x *Extended) Reparameterize(p *stream.Problem, incl []int) {
+	n := p.Net.G.NumNodes()
+	for i, kind := range p.Net.Kinds {
+		if kind != stream.Sink {
+			x.Capacity[i] = p.Net.Capacity[i]
+		}
+	}
+	copy(x.Capacity[n:x.SharedNodes], p.Net.Bandwidth)
+	copy(x.Subset, incl)
+	for j, gi := range incl {
+		c := p.Commodities[gi]
+		if c == x.src[j] {
+			continue
+		}
+		x.src[j] = c
+		xc := &x.Commodities[j]
+		xc.MaxRate, xc.Utility = c.MaxRate, c.Utility
+		xc.Loss = utility.Loss{U: c.Utility, Lambda: c.MaxRate}
+	}
 }
 
 // BuildBytes reports the total heap footprint of the per-commodity

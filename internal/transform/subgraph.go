@@ -2,7 +2,6 @@ package transform
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/stream"
@@ -202,11 +201,7 @@ func (b *builder) build(xc *Commodity, sc *stream.Commodity, procHalf, wireHalf 
 	// Candidate member edges in ascending extended-ID order: the
 	// (procHalf, wireHalf) pairs follow physical edge order, and the
 	// dummy links have the largest IDs of all.
-	b.phys = b.phys[:0]
-	for e := range sc.Edges {
-		b.phys = append(b.phys, e)
-	}
-	slices.Sort(b.phys)
+	b.phys = sc.SortedEdges(b.phys)
 	b.ext, s.Beta, s.Cost = b.ext[:0], s.Beta[:0], s.Cost[:0]
 	for _, e := range b.phys {
 		params := sc.Edges[e]
