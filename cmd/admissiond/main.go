@@ -98,7 +98,7 @@ func main() {
 	flag.Int64Var(&cfg.genSeed, "gen-seed", 1, "seed for the generated instance when -in is absent")
 	flag.IntVar(&cfg.genNodes, "gen-nodes", 24, "processing nodes for the generated instance")
 	flag.IntVar(&cfg.genComms, "gen-commodities", 3, "commodities for the generated instance")
-	flag.Float64Var(&cfg.eta, "eta", 0.04, "gradient step scale η")
+	flag.Float64Var(&cfg.eta, "eta", 0.04, "gradient step scale η: where step control starts a cold solve")
 	flag.Float64Var(&cfg.eps, "eps", 0.2, "penalty coefficient ε")
 	flag.IntVar(&cfg.iters, "iters", 4000, "per-solve iteration budget")
 	flag.IntVar(&cfg.workers, "workers", 0, "worker-pool bound for the per-commodity gradient waves (0 = GOMAXPROCS)")

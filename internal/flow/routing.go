@@ -53,22 +53,27 @@ func NewZero(x *transform.Extended) *Routing {
 func NewInitial(x *transform.Extended) *Routing {
 	r := NewZero(x)
 	for j := range x.Commodities {
-		sg := &x.Sub[j]
-		for l := int32(0); l < int32(sg.NumNodes()); l++ {
-			if l == sg.Sink {
-				continue
-			}
-			if l == sg.Dummy {
-				r.Phi[j][sg.DiffLink] = 1
-				continue
-			}
-			outs := sg.Out(l)
-			for _, le := range outs {
-				r.Phi[j][le] = 1 / float64(len(outs))
-			}
-		}
+		r.initialRow(j)
 	}
 	return r
+}
+
+// initialRow writes NewInitial's row for commodity j over a zero row.
+func (r *Routing) initialRow(j int) {
+	sg := &r.X.Sub[j]
+	for l := int32(0); l < int32(sg.NumNodes()); l++ {
+		if l == sg.Sink {
+			continue
+		}
+		if l == sg.Dummy {
+			r.Phi[j][sg.DiffLink] = 1
+			continue
+		}
+		outs := sg.Out(l)
+		for _, le := range outs {
+			r.Phi[j][le] = 1 / float64(len(outs))
+		}
+	}
 }
 
 // At returns φ for commodity j on extended edge e, zero when e is not a
@@ -142,6 +147,50 @@ func (r *Routing) Rebind(x *transform.Extended) (*Routing, error) {
 		copy(c.Phi[j], r.Phi[j])
 	}
 	return c, nil
+}
+
+// Carry is the warm start across a change of membership: a routing on
+// x in which every commodity x continues from r's problem
+// (transform.Extended.Continues) keeps its row, its dummy split moved by
+// HoldAdmitted from the old offered rate to the new one, and every other
+// commodity starts from NewInitial's row. The result is valid and
+// loop-free wherever r is. It wraps ErrTopologyChanged when x continues
+// none of r's commodities.
+func (r *Routing) Carry(x *transform.Extended) (*Routing, error) {
+	from := x.Continues(r.X)
+	c := NewZero(x)
+	carried := 0
+	for j, k := range from {
+		if k < 0 {
+			c.initialRow(j)
+			continue
+		}
+		copy(c.Phi[j], r.Phi[k])
+		c.HoldAdmitted(j, r.X.Commodities[k].MaxRate, x.Commodities[j].MaxRate)
+		carried++
+	}
+	if carried == 0 {
+		return nil, fmt.Errorf("%w: none of %d commodities continues one of the routing's %d",
+			ErrTopologyChanged, len(from), r.X.NumCommodities())
+	}
+	return c, nil
+}
+
+// HoldAdmitted moves commodity j's dummy split for a change of its
+// offered rate λ from one value to another in rate space rather than in
+// φ: the admitted rate a_j = from·φ_in stays what it was when the new λ
+// still covers it and becomes λ when it does not. Left alone, φ_in would
+// scale a_j — and the commodity's flow at every node — by to/from; held,
+// no node carries more of the commodity than before, and when a_j < λ an
+// optimal routing stays optimal (the §3 transform makes a_j the decision
+// and λ only its bound).
+func (r *Routing) HoldAdmitted(j int, from, to float64) {
+	if to == from || to <= 0 {
+		return
+	}
+	sg := &r.X.Sub[j]
+	in := min(from*r.Phi[j][sg.InputLink]/to, 1)
+	r.Phi[j][sg.InputLink], r.Phi[j][sg.DiffLink] = in, 1-in
 }
 
 // Validate checks the §4 routing-decision conditions: φ ≥ 0 and finite,

@@ -98,11 +98,9 @@ type Engine struct {
 	arena      *arena
 	admitted   []float64
 
-	// Step control. eta is the current step scale (cfg.Eta for good
-	// without Backtrack). proposed, allocated only under Backtrack, is
-	// the usage workspace the proposed routing is forecast into.
+	// Step control: eta is the current step scale (cfg.Eta for good
+	// without Backtrack).
 	eta        float64
-	proposed   *flow.Usage
 	descents   int // accepted steps since η last changed
 	backtracks int
 
@@ -131,17 +129,13 @@ func newEngine(x *transform.Extended, r *flow.Routing, cfg Config) *Engine {
 	cfg.setDefaults()
 	cfg.Recorder.SetEta(cfg.Eta)
 	cfg.Recorder.SetWorkers(cfg.Workers)
-	e := &Engine{
+	return &Engine{
 		X: x, R: r, cfg: cfg, eta: cfg.Eta,
 		u:        flow.NewUsage(x),
 		spare:    flow.NewZero(x),
 		arena:    newArena(x, cfg.Workers),
 		admitted: make([]float64, x.NumCommodities()),
 	}
-	if cfg.Backtrack {
-		e.proposed = flow.NewUsage(x)
-	}
-	return e
 }
 
 // NewFrom starts from an explicit routing set (used for warm starts in
@@ -162,17 +156,31 @@ func NewFrom(x *transform.Extended, r *flow.Routing, cfg Config) (*Engine, error
 	return newEngine(x, bound, cfg), nil
 }
 
+// Carry is NewFrom for a rebuilt problem whose commodities need not all
+// be the routing's: the routing is carried onto x row by row
+// (flow.Routing.Carry), so the commodities x continues start where they
+// were, in rate space, and new ones start from flow.NewInitial's row.
+// The error wraps flow.ErrTopologyChanged when nothing carries over.
+func Carry(x *transform.Extended, r *flow.Routing, cfg Config) (*Engine, error) {
+	carried, err := r.Carry(x)
+	if err != nil {
+		return nil, fmt.Errorf("gradient: warm start: %w", err)
+	}
+	return newEngine(x, carried, cfg), nil
+}
+
 // Restart makes the engine what NewFrom(e.X, e.Routing(), cfg) would
-// return, without the copies: for after e.X was reparameterized in
-// place (transform.Extended.Reparameterize). The routing carries over,
-// its forecast under the old parameters is dropped, and step control
-// and the counters start again, so the trajectory from here is the one
-// a rebuilt, rebound engine would take, bit for bit, in both step modes.
+// return with cfg.Eta set to e.Eta(), without the copies: for after e.X
+// was reparameterized in place (transform.Extended.Reparameterize). The
+// routing carries over, its forecast under the old parameters is
+// dropped, the counters start again and so does Backtrack's run of
+// descents, but the step scale stays where step control has moved it.
+// The trajectory from here is the one a rebuilt, rebound engine started
+// at that η would take, bit for bit, in both step modes.
 func (e *Engine) Restart() {
 	e.forecasted = false
-	e.eta, e.descents, e.backtracks = e.cfg.Eta, 0, 0
+	e.descents, e.backtracks = 0, 0
 	e.stats, e.iter = Stats{}, 0
-	e.cfg.Recorder.SetEta(e.eta)
 }
 
 // Stats returns protocol accounting accumulated so far.
@@ -246,20 +254,22 @@ func (e *Engine) Step() StepInfo {
 	return info
 }
 
-// backtrack forecasts the proposed routing next and keeps it only if it
-// does not raise cost, the cost at the current routing; η grows after a
-// run of kept steps and halves on a rejected one. Either way e.u ends
-// up holding the forecast of the routing the engine now has — a kept
-// proposal's workspace is swapped in with it — so the next Step
-// evaluates nothing: one forecast per step, as in fixed mode.
+// backtrack forecasts the proposed routing next into the engine's one
+// usage workspace and keeps it only if it does not raise cost, the cost
+// at the current routing; η grows after a run of kept steps and halves
+// on a rejected one. A kept proposal keeps its forecast too, so the next
+// Step evaluates nothing; a rejected one leaves the workspace holding
+// flows of a routing the engine does not have, and the next Step
+// forecasts the current routing again. One forecast per accepted step,
+// as in fixed mode, and a second workspace saved for the price of one
+// extra forecast per rejection.
 func (e *Engine) backtrack(next *flow.Routing, cost float64) {
 	rec := e.cfg.Recorder
 	tf := rec.StartPhase(obs.PhaseForecast)
-	flow.EvaluateInto(e.proposed, next)
+	flow.EvaluateInto(e.u, next)
 	tf.Done()
-	if e.proposed.TotalCost() <= cost+1e-12 {
+	if e.u.TotalCost() <= cost+1e-12 {
 		e.spare, e.R = e.R, next
-		e.u, e.proposed = e.proposed, e.u
 		e.descents++
 		if e.descents >= growAfter {
 			e.descents = 0
@@ -268,6 +278,7 @@ func (e *Engine) backtrack(next *flow.Routing, cost float64) {
 			}
 		}
 	} else {
+		e.forecasted = false
 		e.backtracks++
 		rec.Backtrack()
 		e.descents = 0

@@ -16,8 +16,9 @@ import (
 // the engine on it walks the trajectory of the path it stands in for —
 // Build on the new problem, then NewFrom with the old routing — bit for
 // bit: every StepInfo, the routing, η and the backtrack count, at fixed
-// η and under Backtrack (which has moved η and its counters by the time
-// of the change, so a Restart that kept them would diverge from there).
+// η and under Backtrack. Step control has moved η and its counters by
+// the time of the change; a Restart keeps that η and drops the counters,
+// which is what NewFrom gives when started at the η the engine reached.
 func TestRestartMatchesRebuildAndRebind(t *testing.T) {
 	for _, cfg := range []Config{
 		{Eta: 0.04, Workers: 1},
@@ -104,7 +105,9 @@ func TestRestartMatchesRebuildAndRebind(t *testing.T) {
 				}
 				kept.X.Reparameterize(p, all)
 				kept.Restart()
-				if rebuilt, err = NewFrom(build(p), rebuilt.Routing(), cfg); err != nil {
+				carried := cfg
+				carried.Eta = rebuilt.Eta()
+				if rebuilt, err = NewFrom(build(p), rebuilt.Routing(), carried); err != nil {
 					t.Fatal(err)
 				}
 				step(60)

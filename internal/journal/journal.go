@@ -103,6 +103,10 @@ type SolverParams struct {
 	// Workers is informational: PR 4 guarantees bitwise-identical
 	// trajectories at any worker count.
 	Workers int `json:"workers,omitempty"`
+	// Serving records the serving step mode (shard.Config.Serving).
+	// Omitted — every journal from before the mode existed — means the
+	// paper mode.
+	Serving bool `json:"serving,omitempty"`
 
 	// Shard topology of the recording server: shard count, placement
 	// salt, and the price-exchange cadence/damping of the dual

@@ -172,6 +172,7 @@ func verifyRun(runIdx int, run []journal.Record, opts Options, rep *Report, logf
 		MaxIters:      sp.MaxIters,
 		StationaryTol: sp.StationaryTol,
 		Workers:       workers,
+		PaperMode:     !sp.Serving,
 		// Recorded shard topology: a run replays against the identical
 		// partition and exchange cadence; zero fields (a journal from
 		// before they were recorded at one shard) take the defaults.

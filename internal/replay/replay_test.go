@@ -249,23 +249,28 @@ func TestVerifyTwoFieldPatch(t *testing.T) {
 }
 
 // TestVerifyShardedRecording: a recording replays clean at every shard
-// count. The one-shard server records with span tracing and a recorder
-// on and must still replay, uninstrumented, to the same digests:
-// observing a solve never changes it.
+// count, in the step mode it recorded — the serving mode servers run by
+// default, or the paper mode, which replays only if the replaying server
+// boots it too. The one-shard server records with span tracing and a
+// recorder on and must still replay, uninstrumented, to the same
+// digests: observing a solve never changes it.
 func TestVerifyShardedRecording(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		shards int
 		traced bool
+		paper  bool
 	}{
-		{"shards=1 traced", 1, true},
-		{"shards=4", 4, false},
+		{"shards=1 traced", 1, true, false},
+		{"shards=4", 4, false, false},
+		{"shards=1 paper", 1, false, true},
+		{"shards=4 paper", 4, false, true},
 	} {
-		t.Run(tc.name, func(t *testing.T) { testVerifyShardedRecording(t, tc.shards, tc.traced) })
+		t.Run(tc.name, func(t *testing.T) { testVerifyShardedRecording(t, tc.shards, tc.traced, tc.paper) })
 	}
 }
 
-func testVerifyShardedRecording(t *testing.T, shards int, traced bool) {
+func testVerifyShardedRecording(t *testing.T, shards int, traced, paper bool) {
 	dir := t.TempDir()
 	spec, err := json.Marshal(map[string]any{
 		"name": "c2", "source": "a", "sink": "t2", "maxRate": 4.0,
@@ -287,6 +292,7 @@ func testVerifyShardedRecording(t *testing.T, shards int, traced bool) {
 	opts.CheckpointEvery = 2
 	opts.Shards = shards
 	opts.PlacementSalt = 7
+	opts.PaperMode = paper
 	if traced {
 		opts.Recorder = obs.NewRecorder(nil, nil)
 		opts.Spans = span.New(256, opts.Recorder)
@@ -319,6 +325,13 @@ func testVerifyShardedRecording(t *testing.T, shards int, traced bool) {
 	}
 	if err := jw.Close(); err != nil {
 		t.Fatal(err)
+	}
+	log, err := journal.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp := log.Records[0].Checkpoint.Solver; sp.Serving == paper {
+		t.Fatalf("boot checkpoint records serving %v for a server in paper mode %v", sp.Serving, paper)
 	}
 
 	rep, err := Verify(dir, Options{Timeout: waitBudget})

@@ -3,8 +3,9 @@
 // arrivals/departures, offered-rate and utility updates, and node/link
 // capacity changes (failure injection), and keeps the joint
 // admission-control + routing solution converged by re-solving with the
-// paper's gradient algorithm — warm-started from the previous routing
-// whenever the topology allows it.
+// paper's gradient algorithm — warm-started from the previous routing,
+// commodity by commodity across arrivals and departures in the serving
+// step mode it runs by default (shard.Config.Serving).
 //
 // Concurrency model: an installed Problem is immutable, and the desired
 // state is a chain of versions of it. A mutation, under a mutex, derives
@@ -45,7 +46,8 @@ import (
 // defaults for the solver, a 25 ms debounce window, no observability.
 type Options struct {
 	// Solver knobs (see core.Options): penalty coefficient ε, step
-	// scale η, per-solve iteration budget, and the Theorem-2
+	// scale η (in the serving mode, where step control starts a cold
+	// solve), per-solve iteration budget, and the Theorem-2
 	// stationarity tolerance that ends a solve early once the routing
 	// is optimal within tolerance.
 	Epsilon       float64 // default 0.2
@@ -56,6 +58,12 @@ type Options struct {
 	// (gradient.Config.Workers); 0 means GOMAXPROCS divided across the
 	// shards.
 	Workers int
+	// PaperMode solves as §5 states it — fixed η, the loop-freedom tags,
+	// φ carried as it is across a decision and a cold start whenever the
+	// commodity set changed — instead of in the serving step mode
+	// (shard.Config.Serving), which is the default. Journals record the
+	// mode and replay boots the one they recorded.
+	PaperMode bool
 
 	// Shards partitions commodities across that many independent solver
 	// shards coupled by a periodic price-exchange round (dual
@@ -346,6 +354,7 @@ func New(p *stream.Problem, opts Options) (*Server, error) {
 		Workers:       opts.Workers,
 		ExchangeEvery: opts.PriceExchangeEvery,
 		Damping:       opts.PriceDamping,
+		Serving:       !opts.PaperMode,
 		Recorder:      opts.Recorder,
 		Logf:          opts.Logf,
 	})
@@ -377,6 +386,7 @@ func New(p *stream.Problem, opts Options) (*Server, error) {
 					MaxIters:      opts.MaxIters,
 					StationaryTol: opts.StationaryTol,
 					Workers:       opts.Workers,
+					Serving:       !opts.PaperMode,
 					// Shard topology and exchange cadence, so replay
 					// re-boots with the identical partition and checks
 					// stationarity at the same iterations.
@@ -590,7 +600,8 @@ func (s *Server) trackDecisionLocked(ing ingress, kind, target string) {
 
 // AddCommodityJSON admits a new commodity described in the problem
 // schema's JSON form (see internal/stream). The extended topology
-// changes, so the next solve cold-starts.
+// changes: the next solve starts the newcomer cold and, in the serving
+// mode, every other commodity where it was.
 func (s *Server) AddCommodityJSON(spec []byte) (int64, error) {
 	return s.Apply(journal.AddCommodity(spec))
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/stream"
 	"repro/internal/utility"
@@ -85,7 +86,12 @@ const waitBudget = 20 * time.Second
 // startServer spins up the service plus an httptest front end.
 func startServer(t *testing.T, rec *obs.Recorder) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := New(toyProblem(t), testOptions(rec))
+	return startServerWith(t, rec, testOptions(rec))
+}
+
+func startServerWith(t *testing.T, rec *obs.Recorder, opts Options) (*Server, *httptest.Server) {
+	t.Helper()
+	s, err := New(toyProblem(t), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +210,15 @@ func TestRateUpdateProducesNewWarmGeneration(t *testing.T) {
 }
 
 // TestCommodityArrivalAndDepartureColdStart drives the membership
-// endpoints: a POSTed arrival changes the extended topology, so the
-// next solve cold-starts; a departure shrinks the admitted set again.
+// endpoints in the paper mode: a POSTed arrival changes the extended
+// topology, so the next solve cold-starts; a departure shrinks the
+// admitted set again. (The serving mode keeps the commodities that stay
+// warm: TestSurvivorsStayWarm.)
 func TestCommodityArrivalAndDepartureColdStart(t *testing.T) {
 	rec := obs.NewRecorder(obs.NewRegistry(), nil)
-	s, ts := startServer(t, rec)
+	opts := testOptions(rec)
+	opts.PaperMode = true
+	s, ts := startServerWith(t, rec, opts)
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
 		t.Fatal(err)
@@ -257,6 +267,53 @@ func TestCommodityArrivalAndDepartureColdStart(t *testing.T) {
 	}
 	if len(snap2.Commodities) != 1 {
 		t.Fatalf("want 1 commodity after departure, got %+v", snap2.Commodities)
+	}
+}
+
+// TestSurvivorsStayWarm: in the serving mode, the default, a decision
+// that changes the commodity set carries the routing of every commodity
+// it leaves in place, so an arrival, and a departure and an arrival
+// coalesced into one decision, both publish warm.
+func TestSurvivorsStayWarm(t *testing.T) {
+	s, _ := startServer(t, nil)
+	first, err := s.WaitForGeneration(1, waitBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := func(name string) []byte {
+		b, err := json.Marshal(map[string]any{
+			"name": name, "source": "a", "sink": "t2", "maxRate": 4.0,
+			"utility": map[string]any{"type": "log", "weight": 2.0, "scale": 1.0},
+			"edges": []map[string]any{
+				{"from": "a", "to": "b", "beta": 1, "cost": 1},
+				{"from": "b", "to": "t2", "beta": 1, "cost": 1},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if _, err := s.AddCommodityJSON(spec("c2")); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.WaitForGeneration(first.Generation+1, waitBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !snap.Warm || len(snap.Commodities) != 2 {
+		t.Fatalf("arrival: warm %v, %d commodities; want warm, 2", snap.Warm, len(snap.Commodities))
+	}
+	// c3 takes the sink c2 gives up, in the same decision.
+	if _, err := s.mutate(ingress{}, journal.RemoveCommodity("c2"), journal.AddCommodity(spec("c3"))); err != nil {
+		t.Fatal(err)
+	}
+	snap, err = s.WaitForGeneration(snap.Generation+1, waitBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !snap.Warm || len(snap.Commodities) != 2 || snap.Commodities[1].Name != "c3" {
+		t.Fatalf("departure + arrival: warm %v, commodities %+v; want warm, c1 and c3", snap.Warm, snap.Commodities)
 	}
 }
 

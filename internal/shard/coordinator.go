@@ -48,6 +48,19 @@ type Config struct {
 	// UsageTol·max(1, C_i) counts as settled. 0 → 1e-4.
 	UsageTol float64
 
+	// Serving selects the step mode the admission server runs by
+	// default; false keeps the paper's: fixed η, the loop-freedom tags,
+	// and a warm start that carries φ as it is and only onto an
+	// identically shaped problem. A serving engine backtracks
+	// (gradient.Config.Backtrack) and keeps the η it has learned from one
+	// decision to the next, runs without the tags (member subgraphs are
+	// DAGs), and warm-starts in rate space: a new offered rate moves only
+	// the commodity's dummy split (flow.Routing.HoldAdmitted), and a
+	// shard rebuilt for an arrival or a departure keeps the routing of
+	// every commodity it continues (gradient.Carry) instead of starting
+	// all of them cold.
+	Serving bool
+
 	// Recorder receives the streamopt_shard_* metrics. Nil disables.
 	Recorder *obs.Recorder
 	// Logf receives warm-start fallback and divergence diagnostics.
@@ -307,10 +320,11 @@ func (c *Coordinator) Build(p *stream.Problem, dirty []bool) error {
 // Bind is Apply's second phase. A shard whose parameters alone moved has
 // them installed and its engine restarted on the routing it holds. A
 // shard Build rebuilt gets an engine on its new extended problem,
-// rebound from its previous routing when the subset topology allows a
-// warm start and cold otherwise. fallback is the first warm start that
-// failed for any other reason — already recovered by starting cold,
-// returned so the caller can capture it.
+// warm-started from its previous routing when the subset topology allows
+// it (the paper mode) or when it continues at least one of its
+// commodities (the serving mode), and cold otherwise. fallback is the
+// first warm start that failed for any other reason — already recovered
+// by starting cold, returned so the caller can capture it.
 func (c *Coordinator) Bind() (warm bool, fallback error) {
 	c.fanOut(c.rebuilt, func(r *runner) { r.bind(c.p) })
 	warm = true
@@ -347,9 +361,10 @@ func (r *runner) build(p *stream.Problem) {
 	}
 }
 
-// newFrom is gradient.NewFrom; a variable so tests can force the
-// warm-start failure paths.
-var newFrom = gradient.NewFrom
+// newFrom and carry are gradient.NewFrom and gradient.Carry, the warm
+// starts of the paper and the serving mode; variables so tests can force
+// the warm-start failure paths.
+var newFrom, carry = gradient.NewFrom, gradient.Carry
 
 // bind brings the shard's engine up to p: on the extended problem it
 // has, reparameterized, when build left it at that, else on the one
@@ -357,6 +372,12 @@ var newFrom = gradient.NewFrom
 func (r *runner) bind(p *stream.Problem) {
 	r.diverged, r.divergeErr, r.fallback = false, nil, nil
 	if r.next == nil {
+		if r.cfg.Serving && r.eng != nil {
+			// Before Reparameterize overwrites the rates they move from.
+			for j, gi := range r.global {
+				r.eng.Routing().HoldAdmitted(j, r.x.Commodities[j].MaxRate, p.Commodities[gi].MaxRate)
+			}
+		}
 		r.x.Reparameterize(p, r.global)
 		clear(r.admitted)
 		r.warm = true
@@ -389,9 +410,19 @@ func (r *runner) bind(p *stream.Problem) {
 	// solve reports is the coordinator's per-round ShardAdvance and
 	// PriceExchange.
 	gcfg := gradient.Config{Eta: r.cfg.Eta, Workers: r.cfg.Workers}
+	warmStart := newFrom
+	if r.cfg.Serving {
+		gcfg.Backtrack, gcfg.DisableBlocking = true, true
+		warmStart = carry
+	}
 	r.warm = false
 	if r.eng != nil {
-		eng, err := newFrom(x, r.eng.Routing(), gcfg)
+		// A warm start goes on at the step scale the last engine reached
+		// (with a fixed η, the one configured); a cold one begins at
+		// Config.Eta.
+		wcfg := gcfg
+		wcfg.Eta = r.eng.Eta()
+		eng, err := warmStart(x, r.eng.Routing(), wcfg)
 		switch {
 		case err == nil:
 			r.eng, r.warm = eng, true

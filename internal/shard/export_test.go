@@ -6,13 +6,13 @@ import (
 	"repro/internal/transform"
 )
 
-// StubWarmStart replaces the warm-start constructor (gradient.NewFrom)
-// until the returned restore function runs, so external tests can force
-// the fallback paths on a real server.
+// StubWarmStart replaces the warm-start constructors (gradient.NewFrom
+// and gradient.Carry) until the returned restore function runs, so
+// external tests can force the fallback paths on a real server.
 func StubWarmStart(fn func(*transform.Extended, *flow.Routing, gradient.Config) (*gradient.Engine, error)) (restore func()) {
-	prev := newFrom
-	newFrom = fn
-	return func() { newFrom = prev }
+	prevFrom, prevCarry := newFrom, carry
+	newFrom, carry = fn, fn
+	return func() { newFrom, carry = prevFrom, prevCarry }
 }
 
 // RebuildOnly makes every dirty shard of c run the subset transform and

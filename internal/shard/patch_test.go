@@ -29,7 +29,12 @@ type twin struct {
 
 func newTwin(t *testing.T, p *stream.Problem, shards int) *twin {
 	t.Helper()
-	cfg := Config{Shards: shards, Salt: 7, Eta: 0.01, MaxIters: 300}
+	return newTwinWith(t, p, Config{Shards: shards, Salt: 7, Eta: 0.01, MaxIters: 300})
+}
+
+func newTwinWith(t *testing.T, p *stream.Problem, cfg Config) *twin {
+	t.Helper()
+	shards := cfg.Shards
 	tw := &twin{t: t, shards: shards, salt: cfg.Salt, patched: New(cfg), rebuilt: New(cfg), p: p}
 	tw.rebuilt.RebuildOnly()
 	all := make([]bool, shards)
@@ -99,6 +104,19 @@ func (tw *twin) apply(label string, dirty []bool) {
 	if !reflect.DeepEqual(tw.patched.Explain(), tw.rebuilt.Explain()) {
 		tw.t.Fatalf("%s: explanations differ", label)
 	}
+	for i, r := range tw.patched.runners {
+		if pe, re := r.eta(), tw.rebuilt.runners[i].eta(); pe != re {
+			tw.t.Fatalf("%s: shard %d at η %v patched, %v rebuilt", label, i, pe, re)
+		}
+	}
+}
+
+// eta is the step scale the shard's engine has reached, 0 without one.
+func (r *runner) eta() float64 {
+	if r.eng == nil {
+		return 0
+	}
+	return r.eng.Eta()
 }
 
 // kept reports, per shard, whether the patched coordinator still runs

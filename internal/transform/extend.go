@@ -22,6 +22,7 @@ package transform
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/stream"
@@ -362,6 +363,45 @@ func (x *Extended) Reparameterize(p *stream.Problem, incl []int) {
 		xc.MaxRate, xc.Utility = c.MaxRate, c.Utility
 		xc.Loss = utility.Loss{U: c.Utility, Lambda: c.MaxRate}
 	}
+}
+
+// Continues maps each commodity of x to the commodity of prev it
+// continues, or -1 where it continues none: the same name, built from
+// the same *stream.Commodity or one of the same structure, on the same
+// network. Such a pair has member subgraphs laid out alike — local
+// edges in the same order, the dummy links last — so a routing row of
+// the one is a routing row of the other, whatever their positions: a
+// departure or an arrival elsewhere moves a commodity's dummy node and
+// links, never its layout.
+func (x *Extended) Continues(prev *Extended) []int {
+	out := make([]int, len(x.Commodities))
+	for j := range out {
+		out[j] = -1
+	}
+	m2 := x.G.NumEdges() - 2*len(x.Commodities)
+	if x.SharedNodes != prev.SharedNodes || prev.G.NumEdges()-2*len(prev.Commodities) != m2 {
+		return out
+	}
+	for e := 0; e < m2; e++ {
+		if x.G.Edge(graph.EdgeID(e)) != prev.G.Edge(graph.EdgeID(e)) {
+			return out
+		}
+	}
+	at := make(map[string]int, len(prev.Commodities))
+	for k := range prev.Commodities {
+		at[prev.Commodities[k].Name] = k
+	}
+	for j := range out {
+		k, ok := at[x.Commodities[j].Name]
+		if !ok || (x.src[j] != prev.src[k] && !x.src[j].SameStructure(prev.src[k])) {
+			continue
+		}
+		// Same structure, same trim: the check is a guard, not a search.
+		if a, b := x.Sub[j].Edges, prev.Sub[k].Edges; len(a) == len(b) && slices.Equal(a[:len(a)-2], b[:len(b)-2]) {
+			out[j] = k
+		}
+	}
+	return out
 }
 
 // BuildBytes reports the total heap footprint of the per-commodity

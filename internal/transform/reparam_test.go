@@ -1,7 +1,9 @@
 package transform
 
 import (
+	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/randnet"
@@ -130,6 +132,65 @@ func TestParametersOnlyRefusesStructure(t *testing.T) {
 		p := base.Clone()
 		if only, _ := x.ParametersOnly(p, restructure(p)); only {
 			t.Errorf("%s passed for a change of parameters", name)
+		}
+	}
+}
+
+// TestContinues: a commodity continues its namesake in an earlier build
+// when it is the same *stream.Commodity or one of the same structure,
+// whatever position either holds — after a departure ahead of it, or a
+// departure and re-arrival that moves it last — and not when an edge
+// parameter changed; the pairs it reports have member subgraphs laid out
+// alike.
+func TestContinues(t *testing.T) {
+	base, err := randnet.Generate(randnet.Config{Seed: 5, Nodes: 32, Layers: 4, Commodities: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := mustBuild(t, base, Options{})
+	spec := func(name string, costScale float64) []byte {
+		t.Helper()
+		b, err := base.MarshalCommodityJSON(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c map[string]any
+		if err := json.Unmarshal(b, &c); err != nil {
+			t.Fatal(err)
+		}
+		edge := c["edges"].([]any)[0].(map[string]any)
+		edge["cost"] = costScale * edge["cost"].(float64)
+		if b, err = json.Marshal(c); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	name := func(i int) string { return base.Commodities[i].Name }
+
+	p := base.NewVersion()
+	p.RemoveCommodity(name(0))
+	for _, back := range []struct {
+		i     int
+		scale float64
+	}{{2, 1}, {5, 1.5}} {
+		p.RemoveCommodity(name(back.i))
+		if _, err := p.AddCommodityFromJSON(spec(name(back.i), back.scale)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x := mustBuild(t, p, Options{})
+	want := map[string]int{}
+	for k := 1; k < len(base.Commodities); k++ {
+		want[name(k)] = k
+	}
+	want[name(5)] = -1
+	for j, k := range x.Continues(prev) {
+		n := x.Commodities[j].Name
+		if k != want[n] {
+			t.Errorf("%s continues %d, want %d", n, k, want[n])
+		}
+		if k >= 0 && !slices.Equal(x.Sub[j].Beta, prev.Sub[k].Beta) {
+			t.Errorf("%s: member edges laid out unlike those of the commodity it continues", n)
 		}
 	}
 }
