@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/backpressure"
-	"repro/internal/dist"
 	"repro/internal/experiments"
 	"repro/internal/flow"
 	"repro/internal/gradient"
@@ -227,17 +226,6 @@ func BenchmarkGradientIteration(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.Step()
-	}
-}
-
-func BenchmarkDistIteration(b *testing.B) {
-	x := paperInstance(b)
-	rt := dist.New(x, gradient.Config{Eta: 0.04})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rt.Step(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

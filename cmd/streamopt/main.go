@@ -1,8 +1,9 @@
 // Command streamopt solves a stream-processing resource-management
 // problem instance (JSON, see internal/stream's schema or cmd/netgen)
-// with the paper's gradient algorithm, the back-pressure baseline, or
-// the LP reference optimum, and prints admission rates, utility, and
-// resource allocations.
+// with the paper's gradient algorithm (fixed η, or -alg
+// gradient-adaptive for backtracking step control) or the LP reference
+// optimum, and prints admission rates, utility, and resource
+// allocations. The back-pressure baseline is run by cmd/experiments.
 //
 //	go run ./cmd/netgen -seed 42 > instance.json
 //	go run ./cmd/streamopt -in instance.json -alg gradient -ref
@@ -54,7 +55,7 @@ type cliConfig struct {
 func main() {
 	var cfg cliConfig
 	flag.StringVar(&cfg.in, "in", "", "problem JSON (required)")
-	flag.StringVar(&cfg.alg, "alg", "gradient", "algorithm: gradient | gradient-adaptive | gradient-dist | backpressure | reference")
+	flag.StringVar(&cfg.alg, "alg", "gradient", "algorithm: gradient | gradient-adaptive | reference")
 	flag.IntVar(&cfg.iters, "iters", 0, "iteration budget (0 = algorithm default)")
 	flag.Float64Var(&cfg.eta, "eta", 0.04, "gradient step scale η")
 	flag.Float64Var(&cfg.eps, "eps", 0.2, "penalty coefficient ε")

@@ -52,12 +52,26 @@ func TestRealMainReference(t *testing.T) {
 	}
 }
 
-func TestRealMainBackPressure(t *testing.T) {
-	cfg := base(writeInstance(t), "backpressure", 500)
+// TestRealMainTrace: -trace -sample prints every sample-th iteration and
+// the last one.
+func TestRealMainTrace(t *testing.T) {
+	cfg := base(writeInstance(t), "gradient", 500)
 	cfg.trace = true
 	cfg.sample = 100
-	if err := realMain(cfg); err != nil {
-		t.Fatal(err)
+	out := captureStdout(t, func() error { return realMain(cfg) })
+	_, table, ok := strings.Cut(out, "\niter")
+	if !ok {
+		t.Fatalf("no trace table:\n%s", out)
+	}
+	var iters []int
+	for _, line := range strings.Split(table, "\n")[1:] {
+		var it int
+		if _, err := fmt.Sscanf(line, "%d", &it); err == nil {
+			iters = append(iters, it)
+		}
+	}
+	if fmt.Sprint(iters) != "[0 100 200 300 400 499]" {
+		t.Fatalf("traced iterations %v, want [0 100 200 300 400 499]", iters)
 	}
 }
 
@@ -81,10 +95,10 @@ func TestRealMainValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// -validate is gradient-only.
-	cfg = base(path, "backpressure", 100)
+	cfg = base(path, "reference", 0)
 	cfg.validate = true
 	if err := realMain(cfg); err == nil {
-		t.Fatal("-validate accepted for backpressure")
+		t.Fatal("-validate accepted for reference")
 	}
 	// The replay validates the plan -alg asked for: backtracking tames
 	// a hostile -eta that fixed-η iteration turns into a plan admitting
@@ -200,7 +214,7 @@ func TestRealMainExplain(t *testing.T) {
 		}
 	}
 
-	// Non-gradient algorithms have no flow evaluation to attribute.
+	// The reference has no flow evaluation to attribute.
 	cfg = base(writeInstance(t), "reference", 0)
 	cfg.explain = true
 	out = captureStdout(t, func() error { return realMain(cfg) })

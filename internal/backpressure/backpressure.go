@@ -134,35 +134,10 @@ func New(x *transform.Extended, cfg Config) *Engine {
 		for ln, n := range sg.Nodes {
 			e.at[n] = append(e.at[n], visit{j: int32(j), ln: int32(ln)})
 		}
-		e.gSink[j] = sinkPotential(x, j)
+		e.gSink[j] = sg.SinkPotential()
 		e.weight[j] = x.Commodities[j].Utility.Deriv(0)
 	}
 	return e
-}
-
-// sinkPotential computes g_sink(j): the β path-product from the dummy
-// node to the sink over member edges (well defined by Property 1).
-func sinkPotential(x *transform.Extended, j int) float64 {
-	sg := &x.Sub[j]
-	g := make([]float64, sg.NumNodes())
-	g[sg.Dummy] = 1
-	for _, ln := range sg.Topo {
-		if g[ln] == 0 {
-			continue
-		}
-		for _, le := range sg.Out(ln) {
-			if le == sg.DiffLink {
-				continue
-			}
-			if head := sg.Head[le]; g[head] == 0 {
-				g[head] = g[ln] * sg.Beta[le]
-			}
-		}
-	}
-	if g[sg.Sink] == 0 {
-		return 1
-	}
-	return g[sg.Sink]
 }
 
 // transfer is one candidate (commodity, edge) move considered by a

@@ -1,11 +1,10 @@
 // Package core is the public face of the library: it joins the model
 // (internal/stream), the §3 transformation (internal/transform), the
-// paper's gradient algorithm (internal/gradient, and its message-
-// passing twin internal/dist), the back-pressure baseline
-// (internal/backpressure) and the LP reference optimum
-// (internal/refopt) behind one Solve call that returns admitted rates,
-// per-node allocations on the original network, and a convergence
-// trace.
+// paper's gradient algorithm (internal/gradient) in either step mode and
+// the LP reference optimum (internal/refopt) behind one Solve call that
+// returns admitted rates, per-node allocations on the original network,
+// and a convergence trace. The back-pressure baseline of §6 is not a
+// solver here: internal/experiments runs it against this one.
 //
 // Quick start:
 //
@@ -20,8 +19,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/backpressure"
-	"repro/internal/dist"
 	"repro/internal/flow"
 	"repro/internal/gradient"
 	"repro/internal/graph"
@@ -40,15 +37,10 @@ const (
 	// Gradient is the paper's §5 distributed gradient-based algorithm
 	// (synchronous engine).
 	Gradient Algorithm = "gradient"
-	// GradientDistributed runs the same algorithm as message-passing
-	// actors on the simulated network, with measured protocol costs.
-	GradientDistributed Algorithm = "gradient-dist"
 	// GradientAdaptive is the same engine with backtracking step
 	// control on (gradient.Config.Backtrack): no η tuning required, and
 	// the cost is monotone.
 	GradientAdaptive Algorithm = "gradient-adaptive"
-	// BackPressure is the §6 baseline from the authors' earlier work.
-	BackPressure Algorithm = "backpressure"
 	// Reference solves the exact optimum by linear programming (PWL
 	// approximation for concave utilities).
 	Reference Algorithm = "reference"
@@ -63,15 +55,11 @@ type Options struct {
 	Epsilon float64         // penalty coefficient ε; default 0.2
 	Penalty utility.Penalty // barrier family; default reciprocal
 
-	// Iteration budget; default 5000 for gradient, 200000 for
-	// back-pressure (the §6 scale difference).
+	// Iteration budget; default 5000.
 	MaxIters int
-	// SampleEvery keeps every k-th trace point (and always the last);
-	// default keeps all for gradient, every 100th for back-pressure.
+	// SampleEvery keeps every k-th trace point (and always the last
+	// iteration run); default keeps all.
 	SampleEvery int
-	// StopAtFraction, when positive, computes the reference optimum and
-	// stops as soon as utility reaches the fraction (e.g. 0.95).
-	StopAtFraction float64
 	// StationaryTol, when positive, stops the gradient algorithms once
 	// Theorem 2's necessary optimality condition holds within the
 	// tolerance (gradient.CheckStationarity's MaxUsedGap), checked
@@ -87,15 +75,10 @@ type Options struct {
 	// is identical for any value.
 	Workers int
 
-	// Back-pressure knobs ([6]).
-	BufferCap float64
-	Damping   float64
-
 	// Reference knobs.
 	Segments int
 
-	// WithReference also computes the LP optimum for comparison even
-	// when not needed for stopping.
+	// WithReference also computes the LP optimum for comparison.
 	WithReference bool
 
 	// Recorder, when non-nil, streams per-iteration metrics and JSONL
@@ -106,8 +89,8 @@ type Options struct {
 	// Explain, when true, attaches a per-commodity bottleneck
 	// attribution (Result.Explain) derived from the final flow
 	// evaluation: binding resources with shadow prices and the
-	// marginal-utility-vs-path-cost gap. Gradient-family algorithms
-	// only (the others do not expose a flow evaluation).
+	// marginal-utility-vs-path-cost gap. Gradient algorithms only (the
+	// reference exposes no flow evaluation).
 	Explain bool
 }
 
@@ -115,7 +98,7 @@ type Options struct {
 type TracePoint struct {
 	Iteration int
 	Utility   float64
-	Cost      float64 // A = Y + εD; zero for algorithms without it
+	Cost      float64 // A = Y + εD
 }
 
 // NodeUsage reports one original-network element's allocation.
@@ -178,16 +161,13 @@ type Result struct {
 	Iterations int
 	// ReferenceUtility is the LP optimum when computed (else NaN).
 	ReferenceUtility float64
-	// ReachedTargetAt is the first iteration whose utility reached
-	// StopAtFraction×reference (-1 when not applicable or never).
-	ReachedTargetAt int
 	// Trace samples the convergence curve.
 	Trace []TracePoint
 	// Usage reports per-server and per-link allocations on the
-	// original network (not populated for Reference/BackPressure).
+	// original network (not populated for Reference).
 	Usage []NodeUsage
-	// Messages and Rounds are protocol costs (gradient accounting or
-	// simnet measurements; back-pressure buffer exchanges).
+	// Messages and Rounds are the §5 protocol's costs as the engine
+	// accounts them (gradient.Stats).
 	Messages int
 	Rounds   int
 	// Prices lists resources with positive shadow price at the LP
@@ -206,6 +186,14 @@ var ErrUnknownAlgorithm = errors.New("core: unknown algorithm")
 // Solve validates and transforms the problem, runs the selected
 // algorithm, and assembles the report.
 func Solve(p *stream.Problem, opts Options) (*Result, error) {
+	if opts.Algorithm == "" {
+		opts.Algorithm = Gradient
+	}
+	switch opts.Algorithm {
+	case Gradient, GradientAdaptive, Reference:
+	default:
+		return nil, fmt.Errorf("%w: %q", ErrUnknownAlgorithm, opts.Algorithm)
+	}
 	x, err := transform.Build(p, transform.Options{
 		Penalty: opts.Penalty,
 		Epsilon: opts.Epsilon,
@@ -213,71 +201,38 @@ func Solve(p *stream.Problem, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return SolveExtended(p, x, opts)
-}
 
-// SolveExtended runs on an already-built extended problem; callers that
-// sweep algorithm parameters over one instance use this to avoid
-// rebuilding (and re-validating) the transformation.
-func SolveExtended(p *stream.Problem, x *transform.Extended, opts Options) (*Result, error) {
-	if opts.Algorithm == "" {
-		opts.Algorithm = Gradient
-	}
-
-	res := &Result{
-		Algorithm:        opts.Algorithm,
-		ReferenceUtility: math.NaN(),
-		ReachedTargetAt:  -1,
-	}
+	res := &Result{Algorithm: opts.Algorithm, ReferenceUtility: math.NaN()}
 	for _, c := range x.Commodities {
 		res.Commodities = append(res.Commodities, c.Name)
 	}
-
-	target := math.Inf(1)
-	if opts.StopAtFraction > 0 || opts.WithReference || opts.Algorithm == Reference {
+	if opts.WithReference || opts.Algorithm == Reference {
 		ref, err := refopt.Solve(x, refopt.Options{Segments: opts.Segments})
 		if err != nil {
 			return nil, err
 		}
 		res.ReferenceUtility = ref.Utility
 		res.Prices = collectPrices(p, x, ref)
-		if opts.StopAtFraction > 0 {
-			target = opts.StopAtFraction * ref.Utility
-		}
 		if opts.Algorithm == Reference {
 			res.Utility = ref.Utility
 			res.Admitted = ref.Admitted
 			return res, nil
 		}
 	}
-
-	switch opts.Algorithm {
-	case Gradient, GradientAdaptive:
-		return res, solveGradient(p, x, opts, target, res)
-	case GradientDistributed:
-		return res, solveDistributed(p, x, opts, target, res)
-	case BackPressure:
-		return res, solveBackPressure(x, opts, target, res)
-	default:
-		return nil, fmt.Errorf("%w: %q", ErrUnknownAlgorithm, opts.Algorithm)
-	}
+	return res, solveGradient(p, x, opts, res)
 }
 
-func gradientDefaults(opts *Options) {
+// solveGradient runs the synchronous engine in either step mode:
+// opts.Algorithm picks fixed η or backtracking, everything else — the
+// trace, divergence detection, the early stop, the protocol accounting
+// — is one loop.
+func solveGradient(p *stream.Problem, x *transform.Extended, opts Options, res *Result) error {
 	if opts.MaxIters <= 0 {
 		opts.MaxIters = 5000
 	}
 	if opts.SampleEvery <= 0 {
 		opts.SampleEvery = 1
 	}
-}
-
-// solveGradient runs the synchronous engine in either step mode:
-// opts.Algorithm picks fixed η or backtracking, everything else — the
-// trace, divergence detection, the early stops, the protocol accounting
-// — is one loop.
-func solveGradient(p *stream.Problem, x *transform.Extended, opts Options, target float64, res *Result) error {
-	gradientDefaults(&opts)
 	eng := gradient.New(x, gradient.Config{
 		Eta:             opts.Eta,
 		Backtrack:       opts.Algorithm == GradientAdaptive,
@@ -286,18 +241,16 @@ func solveGradient(p *stream.Problem, x *transform.Extended, opts Options, targe
 		Recorder:        opts.Recorder,
 	})
 	var det gradient.DivergenceDetector
+	var last TracePoint
 	for i := 0; i < opts.MaxIters; i++ {
 		info := eng.Step()
-		recordTrace(res, opts, i, opts.MaxIters, TracePoint{
-			Iteration: info.Iteration, Utility: info.Utility, Cost: info.Cost,
-		})
+		last = TracePoint{Iteration: info.Iteration, Utility: info.Utility, Cost: info.Cost}
+		if i%opts.SampleEvery == 0 {
+			res.Trace = append(res.Trace, last)
+		}
 		if err := det.Observe(info); err != nil {
 			opts.Recorder.Divergence(string(opts.Algorithm), info.Iteration, err.Error())
 			return err
-		}
-		if res.ReachedTargetAt < 0 && info.Utility >= target {
-			res.ReachedTargetAt = info.Iteration
-			break
 		}
 		if opts.StationaryTol > 0 && i%50 == 49 {
 			if eng.Stationarity().MaxUsedGap <= opts.StationaryTol {
@@ -305,96 +258,26 @@ func solveGradient(p *stream.Problem, x *transform.Extended, opts Options, targe
 			}
 		}
 	}
+	// The last iteration run is always sampled, whether the budget or the
+	// stationarity test ended the loop.
+	if res.Trace[len(res.Trace)-1].Iteration != last.Iteration {
+		res.Trace = append(res.Trace, last)
+	}
 	st := eng.Stats()
 	res.Iterations = st.Iterations
 	res.Messages = st.Messages
 	res.Rounds = st.Rounds
-	finishFromUsage(p, x, eng.Solution(), res, opts.Explain)
-	return nil
-}
-
-func solveDistributed(p *stream.Problem, x *transform.Extended, opts Options, target float64, res *Result) error {
-	gradientDefaults(&opts)
-	rt := dist.New(x, gradient.Config{Eta: opts.Eta, DisableBlocking: opts.DisableBlocking, Recorder: opts.Recorder})
-	var det gradient.DivergenceDetector
-	for i := 0; i < opts.MaxIters; i++ {
-		info, err := rt.Step()
-		if err != nil {
-			return err
-		}
-		res.Messages += rt.LastMessages
-		res.Rounds += rt.LastRounds
-		res.Iterations++
-		recordTrace(res, opts, i, opts.MaxIters, TracePoint{
-			Iteration: info.Iteration, Utility: info.Utility, Cost: info.Cost,
-		})
-		if err := det.Observe(info); err != nil {
-			opts.Recorder.Divergence(string(GradientDistributed), info.Iteration, err.Error())
-			return err
-		}
-		if res.ReachedTargetAt < 0 && info.Utility >= target {
-			res.ReachedTargetAt = info.Iteration
-			break
-		}
-	}
-	finishFromUsage(p, x, flow.Evaluate(rt.Routing()), res, opts.Explain)
-	return nil
-}
-
-func solveBackPressure(x *transform.Extended, opts Options, target float64, res *Result) error {
-	if opts.MaxIters <= 0 {
-		opts.MaxIters = 200000
-	}
-	if opts.SampleEvery <= 0 {
-		opts.SampleEvery = 100
-	}
-	eng := backpressure.New(x, backpressure.Config{
-		BufferCap: opts.BufferCap,
-		Damping:   opts.Damping,
-		Recorder:  opts.Recorder,
-	})
-	var last backpressure.StepInfo
-	for i := 0; i < opts.MaxIters; i++ {
-		last = eng.Step()
-		res.Iterations++
-		recordTrace(res, opts, i, opts.MaxIters, TracePoint{
-			Iteration: last.Iteration, Utility: last.Cumulative,
-		})
-		if res.ReachedTargetAt < 0 && last.Cumulative >= target {
-			res.ReachedTargetAt = last.Iteration
-			break
-		}
-	}
-	res.Utility = last.Cumulative
-	res.Admitted = make([]float64, x.NumCommodities())
-	for j := range res.Admitted {
-		res.Admitted[j] = eng.AverageRate(j)
-	}
-	res.Messages = eng.TotalMessages()
-	res.Rounds = res.Iterations // O(1) exchange rounds per iteration
-	return nil
-}
-
-// recordTrace appends a sample obeying SampleEvery, always keeping the
-// final iteration.
-func recordTrace(res *Result, opts Options, i, maxIters int, tp TracePoint) {
-	if i%opts.SampleEvery == 0 || i == maxIters-1 {
-		res.Trace = append(res.Trace, tp)
-	}
-}
-
-// finishFromUsage fills utility, admitted rates and the original-graph
-// usage report from a final flow evaluation.
-func finishFromUsage(p *stream.Problem, x *transform.Extended, u *flow.Usage, res *Result, explain bool) {
+	u := eng.Solution()
 	res.Utility = u.Utility()
 	res.Admitted = make([]float64, x.NumCommodities())
 	for j := range res.Admitted {
 		res.Admitted[j] = u.AdmittedRate(j)
 	}
 	res.Usage = UsageReport(p, x, u)
-	if explain {
+	if opts.Explain {
 		res.Explain = Explain(p, x, u)
 	}
+	return nil
 }
 
 // Explain maps gradient.AttributeAll back onto the original network:

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/gradient"
-	"repro/internal/randnet"
 	"repro/internal/stream"
 	"repro/internal/utility"
 )
@@ -71,68 +70,6 @@ func TestGradientNeverBeatsReference(t *testing.T) {
 	}
 	if grad.Utility < 0.85*ref.Utility {
 		t.Fatalf("gradient %g below 85%% of reference %g", grad.Utility, ref.Utility)
-	}
-}
-
-func TestStopAtFraction(t *testing.T) {
-	res, err := Solve(figure1(t), Options{
-		MaxIters:       20000,
-		Eta:            0.2,
-		StopAtFraction: 0.9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ReachedTargetAt < 0 {
-		t.Fatal("target never reached")
-	}
-	if res.Iterations >= 20000 {
-		t.Fatal("did not stop early")
-	}
-	if math.IsNaN(res.ReferenceUtility) {
-		t.Fatal("reference not recorded")
-	}
-}
-
-func TestSolveBackPressure(t *testing.T) {
-	res, err := Solve(figure1(t), Options{
-		Algorithm: BackPressure,
-		MaxIters:  20000,
-		Damping:   0.25,
-		BufferCap: 2000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Utility <= 0 {
-		t.Fatalf("utility = %g", res.Utility)
-	}
-	if res.Rounds != res.Iterations {
-		t.Fatalf("back-pressure rounds %d != iterations %d (O(1) claim)", res.Rounds, res.Iterations)
-	}
-	if res.Messages == 0 {
-		t.Fatal("no messages counted")
-	}
-}
-
-func TestSolveDistributedMatchesGradient(t *testing.T) {
-	p, err := randnet.Generate(randnet.Config{Seed: 4, Nodes: 16, Layers: 4, Commodities: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := Solve(p, Options{MaxIters: 300, Eta: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Solve(p, Options{Algorithm: GradientDistributed, MaxIters: 300, Eta: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(a.Utility-b.Utility) > 1e-6*(1+a.Utility) {
-		t.Fatalf("engine %g vs actors %g", a.Utility, b.Utility)
-	}
-	if a.Messages != b.Messages {
-		t.Fatalf("message accounting %d vs measured %d", a.Messages, b.Messages)
 	}
 }
 
@@ -260,7 +197,8 @@ func (nanBarrier) Value(z, c float64) float64 { return math.NaN() }
 
 // TestStationaryTolStopsEarly holds both step modes of the one gradient
 // loop to the same contract: Theorem 2 stationarity ends the run early,
-// the protocol accounting is filled in, and divergence is an error.
+// the trace still ends where the run stopped, the protocol accounting is
+// filled in, and divergence is an error.
 func TestStationaryTolStopsEarly(t *testing.T) {
 	for _, alg := range []Algorithm{Gradient, GradientAdaptive} {
 		t.Run(string(alg), func(t *testing.T) {
@@ -269,12 +207,16 @@ func TestStationaryTolStopsEarly(t *testing.T) {
 				MaxIters:      50000,
 				Eta:           0.2,
 				StationaryTol: 0.05,
+				SampleEvery:   1000,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Iterations >= 50000 {
 				t.Fatal("stationarity detection never fired")
+			}
+			if n := len(res.Trace); n < 2 || res.Trace[n-1].Iteration != res.Iterations-1 {
+				t.Fatalf("trace %+v does not end at the last iteration run (%d)", res.Trace, res.Iterations-1)
 			}
 			if res.Utility <= 0 {
 				t.Fatalf("stopped at utility %g", res.Utility)

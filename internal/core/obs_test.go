@@ -9,10 +9,10 @@ import (
 	"repro/internal/obs"
 )
 
-// TestSolveWithRecorder runs every iterative algorithm with an enabled
+// TestSolveWithRecorder runs both gradient step modes with an enabled
 // recorder and checks that iteration events and metrics come out.
 func TestSolveWithRecorder(t *testing.T) {
-	for _, alg := range []Algorithm{Gradient, GradientAdaptive, GradientDistributed, BackPressure} {
+	for _, alg := range []Algorithm{Gradient, GradientAdaptive} {
 		t.Run(string(alg), func(t *testing.T) {
 			var buf bytes.Buffer
 			rec := obs.NewRecorder(obs.NewRegistry(), obs.NewJSONLSink(&buf))

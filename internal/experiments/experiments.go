@@ -12,7 +12,6 @@ import (
 	"math"
 
 	"repro/internal/backpressure"
-	"repro/internal/dist"
 	"repro/internal/gradient"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -241,9 +240,9 @@ func RunT2(seed int64, etas []float64, scale Scale) ([]T2Row, error) {
 type T3Row struct {
 	Layers         int
 	Depth          int // longest member path in the extended graph
-	GradRoundsIter int // measured simnet rounds per gradient iteration
+	GradRoundsIter int // 2·Depth: the forecast wave down, the marginal wave up
 	BPRoundsIter   int // always 1: one buffer exchange round
-	GradMsgsIter   int
+	GradMsgsIter   int // 2·|member edges|: one message per member edge per wave
 	BPMsgsIter     int
 	// Iterations to a feasible point at 90% of the LP optimum.
 	GradIters90 int
@@ -281,18 +280,19 @@ func RunT3(seed int64, layerSweep []int, scale Scale) ([]T3Row, error) {
 				depth = l
 			}
 		}
-		rt := dist.New(x, gradient.Config{Eta: 0.04, Recorder: scale.Rec})
-		if _, err := rt.Step(); err != nil {
-			return nil, err
-		}
+		// Rounds and messages per iteration are topology constants the
+		// engine accounts as it steps (gradient.Stats).
+		probe := gradient.New(x, gradient.Config{Eta: 0.04, Recorder: scale.Rec})
+		probe.Step()
+		st := probe.Stats()
 		bp := backpressure.New(x, backpressure.Config{Recorder: scale.Rec})
 		bpInfo := bp.Step()
 		row := T3Row{
 			Layers:          layers,
 			Depth:           depth,
-			GradRoundsIter:  rt.LastRounds,
+			GradRoundsIter:  st.Rounds,
 			BPRoundsIter:    1,
-			GradMsgsIter:    rt.LastMessages,
+			GradMsgsIter:    st.Messages,
 			BPMsgsIter:      bpInfo.Messages,
 			GradIters90:     -1,
 			BPIters90:       -1,

@@ -134,6 +134,10 @@ func TestQuickDeliveredMatchesPotential(t *testing.T) {
 			c := &x.Commodities[j]
 			// g_sink from the member subgraph, dummy links excluded.
 			g := potentials(x, j)
+			if got := x.Sub[j].SinkPotential(); got != g[c.Sink] {
+				t.Logf("seed %d commodity %d: SinkPotential %g, oracle %g", seed, j, got, g[c.Sink])
+				return false
+			}
 			want := g[c.Sink] * u.AdmittedRate(j)
 			got := u.DeliveredRate(j)
 			if math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {

@@ -1,6 +1,7 @@
 package gradient
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -260,23 +261,72 @@ func TestSplitsMatchBarrierOptimum(t *testing.T) {
 	}
 }
 
+// TestStatsAccounting pins the per-iteration protocol cost T3 reports:
+// one message per member edge in each of the two waves, and two waves
+// as deep as the deepest commodity's longest member path. The oracle
+// walks the full extended graph (graph.LongestPathLen over member edges)
+// rather than reading the Subgraph's own Depth and NumEdges.
 func TestStatsAccounting(t *testing.T) {
-	x := twoPath(t, 20, utility.Linear{Slope: 1})
-	e := New(x, Config{})
-	e.Step()
-	s := e.Stats()
-	if s.Iterations != 1 {
-		t.Fatalf("iterations = %d, want 1", s.Iterations)
+	type instance struct {
+		name string
+		x    *transform.Extended
+		// want pins the hand-counted cost where there is one (messages,
+		// rounds); zero leaves the oracle alone to decide.
+		want [2]int
 	}
-	// Member edges for the single commodity: 4 physical edges × 2
-	// halves + 2 dummy links = 10; messages = 2 waves × 10.
-	if s.Messages != 20 {
-		t.Fatalf("messages = %d, want 20", s.Messages)
+	// twoPath's one commodity: 4 physical edges × 2 halves + 2 dummy
+	// links = 10 member edges; the longest member path
+	// dummy→src→bw→mid→bw→sink has 5.
+	cases := []instance{{"two-path", twoPath(t, 20, utility.Linear{Slope: 1}), [2]int{20, 10}}}
+	// T3's depth sweep: two commodities on layered networks.
+	for _, seed := range []int64{1, 2, 3, 7} {
+		for _, layers := range []int{3, 6, 9, 12, 18, 24} {
+			p, err := randnet.Generate(randnet.Config{
+				Seed: seed, Nodes: max(40, 2*layers), Layers: layers, Commodities: 2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, err := transform.Build(p, transform.Options{Epsilon: 0.2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, instance{name: fmt.Sprintf("seed=%d/layers=%d", seed, layers), x: x})
+		}
 	}
-	// Longest member path: dummy→src→bw→mid→bw→sink = 5 edges; two
-	// waves per iteration.
-	if s.Rounds != 10 {
-		t.Fatalf("rounds = %d, want 10", s.Rounds)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			x := tc.x
+			members, depth := 0, 0
+			for j := range x.Sub {
+				member := func(e graph.EdgeID) bool { return x.Sub[j].LocalEdge(e) >= 0 }
+				for e := 0; e < x.G.NumEdges(); e++ {
+					if member(graph.EdgeID(e)) {
+						members++
+					}
+				}
+				l, err := x.G.LongestPathLen(member)
+				if err != nil {
+					t.Fatal(err)
+				}
+				depth = max(depth, l)
+			}
+			if tc.want != [2]int{} && tc.want != [2]int{2 * members, 2 * depth} {
+				t.Fatalf("oracle counts (%d, %d), hand count %v", 2*members, 2*depth, tc.want)
+			}
+			e := New(x, Config{})
+			e.Step()
+			s := e.Stats()
+			if s.Iterations != 1 {
+				t.Fatalf("iterations = %d, want 1", s.Iterations)
+			}
+			if s.Messages != 2*members {
+				t.Fatalf("messages = %d, want 2 waves × %d member edges", s.Messages, members)
+			}
+			if s.Rounds != 2*depth {
+				t.Fatalf("rounds = %d, want 2 waves × depth %d", s.Rounds, depth)
+			}
+		})
 	}
 }
 

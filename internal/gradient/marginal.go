@@ -18,11 +18,13 @@
 // indexing (transform.Subgraph), so one commodity's wave costs O(its
 // member edges) in both time and memory.
 //
-// The synchronous engine is deterministic and exactly equivalent to
-// the message-passing execution in internal/dist (tests in that
-// package assert trajectory equality); it also accounts for the
-// messages and rounds the distributed protocol would need, supporting
-// the paper's O(L)-vs-O(1) message-cost discussion in §6.
+// The synchronous engine is deterministic. Every node's wave step waits
+// for all of its inputs, so the protocol's result is a function of
+// topology and state alone and one synchronous sweep per wave computes
+// it. The engine also accounts for the messages and rounds the
+// distributed protocol needs (one message per member edge per wave, as
+// many rounds as the deepest member path), supporting the paper's
+// O(L)-vs-O(1) message-cost discussion in §6.
 package gradient
 
 import (

@@ -19,7 +19,6 @@ import (
 	"repro/internal/flow"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/transform"
 )
 
 // Arrivals selects the source arrival process.
@@ -237,37 +236,13 @@ func Run(r *flow.Routing, cfg Config) (*Result, error) {
 		// Delivered is counted in sink units; convert to source units
 		// with the potentials so it is comparable to admitted rates.
 		for j := 0; j < nc; j++ {
-			if g := sinkPotential(x, j); g > 0 {
+			if g := x.Sub[j].SinkPotential(); g > 0 {
 				res.Delivered[j] /= g
 			}
 		}
 	}
 	cfg.Recorder.QsimSummary(cfg.Ticks, res.AvgQueue, res.PeakQueue, res.AvgDelayTicks)
 	return res, nil
-}
-
-// sinkPotential is the β path product from dummy to sink (Property 1).
-func sinkPotential(x *transform.Extended, j int) float64 {
-	sg := &x.Sub[j]
-	g := make([]float64, sg.NumNodes())
-	g[sg.Dummy] = 1
-	for _, ln := range sg.Topo {
-		if g[ln] == 0 {
-			continue
-		}
-		for _, le := range sg.Out(ln) {
-			if le == sg.DiffLink {
-				continue
-			}
-			if head := sg.Head[le]; g[head] == 0 {
-				g[head] = g[ln] * sg.Beta[le]
-			}
-		}
-	}
-	if g[sg.Sink] == 0 {
-		return 1
-	}
-	return g[sg.Sink]
 }
 
 // poisson draws a Poisson(mean) sample. For large means it uses the
@@ -293,11 +268,4 @@ func poisson(rng *rand.Rand, mean float64) float64 {
 		}
 		k++
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -122,6 +122,32 @@ func (s *Subgraph) LocalEdge(e graph.EdgeID) int32 { return graph.Local(s.Edges,
 // computed once by Build.
 func (s *Subgraph) Depth() int { return int(s.depth) }
 
+// SinkPotential is g_sink: the β path product from the dummy node to the
+// sink over member edges, the difference link excluded (path-independent
+// by Property 1). One source unit admitted arrives as SinkPotential sink
+// units; a sink the walk never reaches reports 1.
+func (s *Subgraph) SinkPotential() float64 {
+	g := make([]float64, s.NumNodes())
+	g[s.Dummy] = 1
+	for _, ln := range s.Topo {
+		if g[ln] == 0 {
+			continue
+		}
+		for _, le := range s.Out(ln) {
+			if le == s.DiffLink {
+				continue
+			}
+			if head := s.Head[le]; g[head] == 0 {
+				g[head] = g[ln] * s.Beta[le]
+			}
+		}
+	}
+	if g[s.Sink] == 0 {
+		return 1
+	}
+	return g[s.Sink]
+}
+
 // Bytes reports the heap footprint of this subgraph's arrays — the
 // per-commodity build memory the streamopt_build_bytes gauge surfaces.
 func (s *Subgraph) Bytes() int64 {
