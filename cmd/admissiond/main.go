@@ -81,7 +81,7 @@ type cliConfig struct {
 	runtimeSample   time.Duration
 
 	// flagSet names the flags the operator passed explicitly; journal
-	// recovery only adopts recorded shard topology for flags absent
+	// recovery only adopts recorded solver settings for flags absent
 	// from it.
 	flagSet map[string]bool
 
@@ -111,7 +111,7 @@ func main() {
 	flag.StringVar(&cfg.eventsOut, "events-out", "", "write solver/server JSONL events to this file")
 	flag.Int64Var(&cfg.eventsMaxBytes, "events-max-bytes", 0, "rotate -events-out once it exceeds this size, keeping one predecessor (0 = unbounded)")
 	flag.IntVar(&cfg.spanCap, "span-cap", span.DefaultCapacity, "decision-lifecycle span ring capacity served on /debug/spans (0 disables span tracing)")
-	flag.IntVar(&cfg.historyCap, "history-cap", 64, "snapshot generations retained for /history (<0 disables)")
+	flag.IntVar(&cfg.historyCap, "history-cap", 64, "generations retained for /history and /v1/flips (<0 disables both)")
 	flag.StringVar(&cfg.journalDir, "journal-dir", "", "flight-recorder journal directory (empty disables journaling; recovers state from an existing journal)")
 	flag.IntVar(&cfg.checkpointEvery, "checkpoint-every", 256, "full problem checkpoint cadence in accepted mutations (<0 disables periodic checkpoints)")
 	flag.Int64Var(&cfg.segmentBytes, "segment-bytes", 64<<20, "journal segment rotation threshold in bytes")
@@ -141,10 +141,39 @@ func loadProblem(cfg cliConfig) (*stream.Problem, error) {
 	})
 }
 
+// recordedFlags pairs every flag whose value the journal's restart
+// checkpoint records with the server option it sets.
+var recordedFlags = map[string]func(o, rec *server.Options){
+	"eps":                  func(o, rec *server.Options) { o.Epsilon = rec.Epsilon },
+	"eta":                  func(o, rec *server.Options) { o.Eta = rec.Eta },
+	"iters":                func(o, rec *server.Options) { o.MaxIters = rec.MaxIters },
+	"stationary-tol":       func(o, rec *server.Options) { o.StationaryTol = rec.StationaryTol },
+	"workers":              func(o, rec *server.Options) { o.Workers = rec.Workers },
+	"shards":               func(o, rec *server.Options) { o.Shards = rec.Shards },
+	"placement-salt":       func(o, rec *server.Options) { o.PlacementSalt = rec.PlacementSalt },
+	"price-exchange-every": func(o, rec *server.Options) { o.PriceExchangeEvery = rec.PriceExchangeEvery },
+	"price-damping":        func(o, rec *server.Options) { o.PriceDamping = rec.PriceDamping },
+}
+
 func realMain(cfg cliConfig) error {
 	p, err := loadProblem(cfg)
 	if err != nil {
 		return err
+	}
+	opts := server.Options{
+		Epsilon:            cfg.eps,
+		Eta:                cfg.eta,
+		MaxIters:           cfg.iters,
+		Workers:            cfg.workers,
+		StationaryTol:      cfg.stationaryTol,
+		Shards:             cfg.shards,
+		PlacementSalt:      cfg.placementSalt,
+		PriceExchangeEvery: cfg.priceExchangeEvry,
+		PriceDamping:       cfg.priceDamping,
+		Debounce:           cfg.debounce,
+		HistoryCap:         cfg.historyCap,
+		CheckpointEvery:    cfg.checkpointEvery,
+		SLO:                time.Duration(cfg.sloMS * float64(time.Millisecond)),
 	}
 
 	// An existing journal overrides -in/-gen-*: the daemon resumes the
@@ -164,28 +193,21 @@ func realMain(cfg cliConfig) error {
 			fmt.Fprintf(os.Stderr,
 				"admissiond: recovered from journal %s (checkpoint rev %d + %d mutations, torn tail: %v)\n",
 				cfg.journalDir, recd.CheckpointRev, recd.MutationsApplied, recd.Log.Truncated)
-			// Shard topology follows the journal like the problem does:
-			// a daemon journaled with -shards 4 reboots sharded without
-			// the operator re-passing the flags. Explicit flags win, so
-			// a recovery can still deliberately re-shard.
-			if s := recd.Solver; s != nil && s.Shards > 1 {
-				if !cfg.flagSet["shards"] {
-					cfg.shards = s.Shards
+			// The solver follows the journal like the problem does: a
+			// daemon journaled with -shards 4 -iters 400 reboots that way
+			// without the operator re-passing the flags. Explicit flags
+			// win, so a recovery can still deliberately re-shard.
+			if recd.Solver != nil {
+				recorded := server.SolverOptions(recd.Solver)
+				for name, adopt := range recordedFlags {
+					if !cfg.flagSet[name] {
+						adopt(&opts, &recorded)
+					}
 				}
-				if !cfg.flagSet["placement-salt"] {
-					cfg.placementSalt = s.PlacementSalt
-				}
-				if !cfg.flagSet["price-exchange-every"] && s.PriceExchangeEvery > 0 {
-					cfg.priceExchangeEvry = s.PriceExchangeEvery
-				}
-				if !cfg.flagSet["price-damping"] && s.PriceDamping > 0 {
-					cfg.priceDamping = s.PriceDamping
-				}
-				if cfg.shards > 1 {
-					fmt.Fprintf(os.Stderr,
-						"admissiond: restored shard topology from journal (%d shards, salt %d, exchange every %d, damping %g)\n",
-						cfg.shards, cfg.placementSalt, cfg.priceExchangeEvry, cfg.priceDamping)
-				}
+				fmt.Fprintf(os.Stderr,
+					"admissiond: restored solver settings from journal (eps %g, eta %g, iters %d, stationary-tol %g, shards %d, salt %d, exchange every %d, damping %g)\n",
+					opts.Epsilon, opts.Eta, opts.MaxIters, opts.StationaryTol,
+					max(opts.Shards, 1), opts.PlacementSalt, opts.PriceExchangeEvery, opts.PriceDamping)
 			}
 		}
 	}
@@ -230,25 +252,8 @@ func realMain(cfg cliConfig) error {
 		defer stopSampler()
 	}
 
-	s, err := server.New(p, server.Options{
-		Epsilon:            cfg.eps,
-		Eta:                cfg.eta,
-		MaxIters:           cfg.iters,
-		Workers:            cfg.workers,
-		StationaryTol:      cfg.stationaryTol,
-		Shards:             cfg.shards,
-		PlacementSalt:      cfg.placementSalt,
-		PriceExchangeEvery: cfg.priceExchangeEvry,
-		PriceDamping:       cfg.priceDamping,
-		Debounce:           cfg.debounce,
-		Recorder:           rec,
-		Spans:              spans,
-		HistoryCap:         cfg.historyCap,
-		Journal:            jw,
-		CheckpointEvery:    cfg.checkpointEvery,
-		SLO:                time.Duration(cfg.sloMS * float64(time.Millisecond)),
-		CaptureDir:         cfg.captureDir,
-	})
+	opts.Recorder, opts.Spans, opts.Journal, opts.CaptureDir = rec, spans, jw, cfg.captureDir
+	s, err := server.New(p, opts)
 	if err != nil {
 		if jw != nil {
 			_ = jw.Close()

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/randnet"
 )
 
@@ -525,4 +526,74 @@ func TestAdmissiondShardTopologyRecovery(t *testing.T) {
 		t.Fatalf("recovered shard count = %q, want 2 (topology not restored from journal)", got)
 	}
 	shutdown(stop, errCh)
+}
+
+// TestAdmissiondSolverSettingsRecovery journals a daemon started with
+// non-default solver flags at one shard, then reboots it the way an
+// operator would after a crash, with only -journal-dir: the new restart
+// checkpoint must record the solver the first boot ran, not the flag
+// defaults.
+func TestAdmissiondSolverSettingsRecovery(t *testing.T) {
+	p, err := randnet.Generate(randnet.Config{Seed: 7, Nodes: 10, Commodities: 2, Layers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := p.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := filepath.Join(t.TempDir(), "instance.json")
+	if err := os.WriteFile(in, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jdir := filepath.Join(t.TempDir(), "journal")
+
+	// run boots the daemon with the flag defaults plus the flags named in
+	// set, and shuts it down as soon as it serves: the restart checkpoint
+	// is written at boot.
+	run := func(set map[string]bool, edit func(*cliConfig)) {
+		t.Helper()
+		cfg := cliConfig{
+			addr: "127.0.0.1:0", eta: 0.04, eps: 0.2, iters: 4000, stationaryTol: 1e-3,
+			debounce: 2 * time.Millisecond, shards: 1, priceExchangeEvry: 25, priceDamping: 0.5,
+			journalDir: jdir, checkpointEvery: 256, fsync: "interval", flagSet: set,
+		}
+		edit(&cfg)
+		stop := make(chan struct{})
+		cfg.ready = func(string) { close(stop) }
+		cfg.stop = stop
+		errCh := make(chan error, 1)
+		go func() { errCh <- realMain(cfg) }()
+		select {
+		case err := <-errCh:
+			if err != nil {
+				t.Fatalf("daemon exited with error: %v", err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("daemon never exited")
+		}
+	}
+	run(map[string]bool{"in": true, "shards": true, "iters": true, "eps": true, "price-exchange-every": true, "journal-dir": true},
+		func(c *cliConfig) { c.in, c.shards, c.iters, c.eps, c.priceExchangeEvry = in, 1, 123, 0.1, 10 })
+	run(map[string]bool{"journal-dir": true}, func(*cliConfig) {})
+
+	log, err := journal.ReadDir(jdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var boots []*journal.SolverParams
+	for _, r := range log.Records {
+		if r.Kind == journal.KindCheckpoint && r.Checkpoint.Restart {
+			boots = append(boots, r.Checkpoint.Solver)
+		}
+	}
+	if len(boots) != 2 {
+		t.Fatalf("journal holds %d restart checkpoints, want 2", len(boots))
+	}
+	if first := *boots[0]; first.MaxIters != 123 || first.Epsilon != 0.1 || first.PriceExchangeEvery != 10 {
+		t.Fatalf("first boot recorded %+v", first)
+	}
+	if *boots[1] != *boots[0] {
+		t.Fatalf("recovered boot recorded %+v, want the recording's %+v", *boots[1], *boots[0])
+	}
 }

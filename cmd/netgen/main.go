@@ -14,6 +14,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -61,6 +63,11 @@ func realMain(out io.Writer, seed int64, nodes, commodities, layers int, sparse 
 	if err != nil {
 		return err
 	}
-	_, err = out.Write(append(data, '\n'))
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, data, "", "  "); err != nil {
+		return err
+	}
+	buf.WriteByte('\n')
+	_, err = out.Write(buf.Bytes())
 	return err
 }

@@ -25,27 +25,23 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/core"
-	"repro/internal/gradient"
 	"repro/internal/obs"
-	"repro/internal/qsim"
 	"repro/internal/stream"
-	"repro/internal/transform"
 )
 
 // cliConfig carries every flag so tests can drive realMain directly.
 type cliConfig struct {
-	in       string
-	alg      string
-	iters    int
-	eta      float64
-	eps      float64
-	workers  int
-	ref      bool
-	topN     int
-	trace    bool
-	sample   int
-	validate bool
-	explain  bool
+	in      string
+	alg     string
+	iters   int
+	eta     float64
+	eps     float64
+	workers int
+	ref     bool
+	topN    int
+	trace   bool
+	sample  int
+	explain bool
 
 	metricsAddr string
 	eventsOut   string
@@ -64,7 +60,6 @@ func main() {
 	flag.IntVar(&cfg.topN, "top", 10, "show the N most utilized resources")
 	flag.BoolVar(&cfg.trace, "trace", false, "print the convergence trace")
 	flag.IntVar(&cfg.sample, "sample", 0, "trace sampling stride (0 = default)")
-	flag.BoolVar(&cfg.validate, "validate", false, "replay the solution in the queue simulator (gradient algorithms only)")
 	flag.BoolVar(&cfg.explain, "explain", false, "print per-commodity bottleneck attribution (gradient algorithms only)")
 	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while solving (e.g. :9090)")
 	flag.StringVar(&cfg.eventsOut, "events-out", "", "write per-iteration JSONL events to this file")
@@ -126,11 +121,6 @@ func realMain(cfg cliConfig) error {
 	})
 	if err != nil {
 		return err
-	}
-	if cfg.validate {
-		if err := replayInQsim(p, cfg, rec); err != nil {
-			return err
-		}
 	}
 
 	fmt.Printf("algorithm:  %s\n", res.Algorithm)
@@ -254,40 +244,4 @@ func writeTrace(path string, trace []core.TracePoint) error {
 		}
 	}
 	return f.Close()
-}
-
-// replayInQsim re-solves with the gradient engine in the step mode
-// -alg names (the queue simulator needs the routing variables, which
-// core.Solve does not expose) and replays the plan under Poisson
-// arrivals.
-func replayInQsim(p *stream.Problem, cfg cliConfig, rec *obs.Recorder) error {
-	if cfg.alg != string(core.Gradient) && cfg.alg != string(core.GradientAdaptive) {
-		return fmt.Errorf("-validate supports the gradient algorithms, not %q", cfg.alg)
-	}
-	x, err := transform.Build(p, transform.Options{Epsilon: cfg.eps})
-	if err != nil {
-		return err
-	}
-	iters := cfg.iters
-	if iters <= 0 {
-		iters = 5000
-	}
-	eng := gradient.New(x, gradient.Config{Eta: cfg.eta, Backtrack: cfg.alg == string(core.GradientAdaptive)})
-	if _, err := eng.Run(iters, nil); err != nil {
-		return err
-	}
-	res, err := qsim.Run(eng.Routing(), qsim.Config{
-		Ticks: 6000, Arrivals: qsim.Poisson, Seed: 1, Recorder: rec,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println("\nqueue-simulator replay (Poisson arrivals, 6000 ticks):")
-	for j := range x.Commodities {
-		fmt.Printf("  %s: delivered %.3f/tick, dropped %.3f/tick\n",
-			x.Commodities[j].Name, res.Delivered[j], res.Dropped[j])
-	}
-	fmt.Printf("  queues: avg %.1f, peak %.1f; mean sojourn %.1f ticks\n",
-		res.AvgQueue, res.PeakQueue, res.AvgDelayTicks)
-	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -84,43 +83,6 @@ func TestRealMainErrors(t *testing.T) {
 	}
 	if err := realMain(base(writeInstance(t), "quantum", 10)); err == nil {
 		t.Fatal("unknown algorithm accepted")
-	}
-}
-
-func TestRealMainValidate(t *testing.T) {
-	path := writeInstance(t)
-	cfg := base(path, "gradient", 500)
-	cfg.validate = true
-	if err := realMain(cfg); err != nil {
-		t.Fatal(err)
-	}
-	// -validate is gradient-only.
-	cfg = base(path, "reference", 0)
-	cfg.validate = true
-	if err := realMain(cfg); err == nil {
-		t.Fatal("-validate accepted for reference")
-	}
-	// The replay validates the plan -alg asked for: backtracking tames
-	// a hostile -eta that fixed-η iteration turns into a plan admitting
-	// nothing, so the simulator must deliver what the solve admitted.
-	cfg = base(path, "gradient-adaptive", 500)
-	cfg.eta = 50
-	cfg.validate = true
-	out := captureStdout(t, func() error { return realMain(cfg) })
-	var delivered, dropped, admitted float64
-	for _, name := range []string{"S1", "S2"} {
-		var d, a float64
-		for _, line := range strings.Split(out, "\n") {
-			if _, err := fmt.Sscanf(line, "  "+name+": delivered %f/tick, dropped %f/tick", &d, &dropped); err == nil {
-				delivered += d
-			}
-			if _, err := fmt.Sscanf(line, name+" %f", &a); err == nil {
-				admitted += a
-			}
-		}
-	}
-	if admitted <= 0 || math.Abs(delivered-admitted) > 0.05*admitted {
-		t.Fatalf("replay delivered %g/tick of the %g admitted by -alg gradient-adaptive -eta 50\n%s", delivered, admitted, out)
 	}
 }
 

@@ -29,10 +29,6 @@ const (
 	// EventBlocking reports loop-freedom tagging activity: how many
 	// (commodity, node) pairs were blocked this iteration.
 	EventBlocking EventType = "blocking"
-	// EventQsimTick is a sampled queue-simulator tick summary.
-	EventQsimTick EventType = "qsim_tick"
-	// EventQsimSummary is the end-of-run queue-simulator report.
-	EventQsimSummary EventType = "qsim_summary"
 	// EventServerMutation is one accepted admission-server mutation
 	// (commodity added/removed, rate/utility/capacity/bandwidth change).
 	EventServerMutation EventType = "server_mutation"
@@ -92,14 +88,6 @@ type Event struct {
 
 	// Divergence detail.
 	Reason string `json:"reason,omitempty"`
-
-	// Qsim fields (tick summaries and final report).
-	Tick       int     `json:"tick,omitempty"`
-	Queued     float64 `json:"queued,omitempty"`
-	Delivered  float64 `json:"delivered,omitempty"`
-	Dropped    float64 `json:"dropped,omitempty"`
-	PeakQueue  float64 `json:"peak_queue,omitempty"`
-	DelayTicks float64 `json:"delay_ticks,omitempty"`
 
 	// Admission-server fields.
 	Generation int64   `json:"generation,omitempty"`

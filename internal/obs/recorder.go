@@ -435,30 +435,6 @@ func (r *Recorder) SaturationPoint(scale, offered, utility, admittedFrac, meanLa
 	})
 }
 
-// QsimTick records one sampled queue-simulator tick: total queued work
-// and this tick's delivered/dropped amounts.
-func (r *Recorder) QsimTick(tick int, queued, delivered, dropped float64) {
-	if r == nil {
-		return
-	}
-	r.emit(Event{
-		Type: EventQsimTick, Alg: "qsim", Iter: tick, Tick: tick,
-		Queued: queued, Delivered: delivered, Dropped: dropped,
-	})
-}
-
-// QsimSummary records the end-of-run queue report (stability signal:
-// avg/peak queue and Little's-law delay).
-func (r *Recorder) QsimSummary(ticks int, avgQueue, peakQueue, delayTicks float64) {
-	if r == nil {
-		return
-	}
-	r.emit(Event{
-		Type: EventQsimSummary, Alg: "qsim", Iter: ticks, Tick: ticks,
-		Queued: avgQueue, PeakQueue: peakQueue, DelayTicks: delayTicks,
-	})
-}
-
 // PhaseTiming is an in-flight phase stopwatch. The zero value (from a
 // nil recorder) is inert.
 type PhaseTiming struct {

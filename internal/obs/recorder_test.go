@@ -24,8 +24,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Divergence("gradient", 5, "NaN")
 	r.SetEta(0.04)
 	r.Backtrack()
-	r.QsimTick(1, 2, 3, 4)
-	r.QsimSummary(100, 1, 2, 3)
 	tm := r.StartPhase(PhaseForecast)
 	tm.Done()
 	if r.Registry() != nil {
@@ -61,7 +59,6 @@ func TestRecorderEventsAndMetrics(t *testing.T) {
 	r.Protocol("gradient", 1, 20, 4)
 	r.Blocking("gradient", 1, 2)
 	r.Divergence("gradient", 1, "cost non-finite")
-	r.QsimTick(10, 5, 1, 0.5)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +72,8 @@ func TestRecorderEventsAndMetrics(t *testing.T) {
 		}
 		events = append(events, e)
 	}
-	if len(events) != 6 {
-		t.Fatalf("got %d events, want 6", len(events))
+	if len(events) != 5 {
+		t.Fatalf("got %d events, want 5", len(events))
 	}
 	it := events[0]
 	if it.Type != EventIteration || it.Utility != 10.5 || it.Cost != 3.25 ||

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/flow"
 	"repro/internal/graph"
-	"repro/internal/obs"
 )
 
 // Arrivals selects the source arrival process.
@@ -43,9 +42,6 @@ type Config struct {
 	Arrivals Arrivals
 	// Seed drives the arrival randomness (Poisson only).
 	Seed int64
-	// Recorder, when non-nil, receives sampled tick summaries (queue
-	// lengths, deliveries, drops) and a final stability report.
-	Recorder *obs.Recorder
 }
 
 func (c *Config) setDefaults() {
@@ -127,7 +123,6 @@ func Run(r *flow.Routing, cfg Config) (*Result, error) {
 	measured := 0
 
 	for tick := 0; tick < cfg.Ticks; tick++ {
-		tickDelivered, tickDropped := 0.0, 0.0
 		// Arrivals + admission at the dummies.
 		for j := 0; j < nc; j++ {
 			c := &x.Commodities[j]
@@ -139,7 +134,6 @@ func Run(r *flow.Routing, cfg Config) (*Result, error) {
 			admitted := amount * r.Phi[j][sg.InputLink]
 			dropped := amount - admitted
 			q[j][sg.Source] += admitted
-			tickDropped += dropped
 			if tick >= cfg.Warmup {
 				res.Dropped[j] += dropped
 			}
@@ -186,7 +180,6 @@ func Run(r *flow.Routing, cfg Config) (*Result, error) {
 					head := sg.Head[le]
 					out := xfer * sg.Beta[le]
 					if head == sg.Sink {
-						tickDelivered += out
 						if tick >= cfg.Warmup {
 							res.Delivered[v.j] += out
 						}
@@ -217,7 +210,6 @@ func Run(r *flow.Routing, cfg Config) (*Result, error) {
 			measured++
 			if sampleEvery := cfg.Ticks / 100; sampleEvery == 0 || tick%max(1, sampleEvery) == 0 {
 				res.QueueTrace = append(res.QueueTrace, total)
-				cfg.Recorder.QsimTick(tick, total, tickDelivered, tickDropped)
 			}
 		}
 	}
@@ -241,7 +233,6 @@ func Run(r *flow.Routing, cfg Config) (*Result, error) {
 			}
 		}
 	}
-	cfg.Recorder.QsimSummary(cfg.Ticks, res.AvgQueue, res.PeakQueue, res.AvgDelayTicks)
 	return res, nil
 }
 

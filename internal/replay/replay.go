@@ -161,31 +161,19 @@ func verifyRun(runIdx int, run []journal.Record, opts Options, rep *Report, logf
 	if sp == nil {
 		return fmt.Errorf("restart checkpoint lacks solver parameters")
 	}
-	workers := sp.Workers
+	// The recorded solver, shard topology included: a run replays against
+	// the identical partition and exchange cadence; zero fields (a journal
+	// from before they were recorded at one shard) take the defaults.
+	so := server.SolverOptions(sp)
 	if opts.Workers > 0 {
-		workers = opts.Workers
+		so.Workers = opts.Workers
 	}
 	gate := make(chan struct{})
-	srv, err := server.New(p, server.Options{
-		Epsilon:       sp.Epsilon,
-		Eta:           sp.Eta,
-		MaxIters:      sp.MaxIters,
-		StationaryTol: sp.StationaryTol,
-		Workers:       workers,
-		PaperMode:     !sp.Serving,
-		// Recorded shard topology: a run replays against the identical
-		// partition and exchange cadence; zero fields (a journal from
-		// before they were recorded at one shard) take the defaults.
-		Shards:             sp.Shards,
-		PlacementSalt:      sp.PlacementSalt,
-		PriceExchangeEvery: sp.PriceExchangeEvery,
-		PriceDamping:       sp.PriceDamping,
-		Debounce:           -1, // replay batches by recorded revision, not wall-clock
-		HistoryCap:         -1,
-		FlipCap:            -1,
-		SolveGate:          gate,
-		Logf:               func(string, ...any) {},
-	})
+	so.Debounce = -1 // replay batches by recorded revision, not wall-clock
+	so.HistoryCap = -1
+	so.SolveGate = gate
+	so.Logf = func(string, ...any) {}
+	srv, err := server.New(p, so)
 	if err != nil {
 		return err
 	}
@@ -244,13 +232,6 @@ func verifyRun(runIdx int, run []journal.Record, opts Options, rep *Report, logf
 				if err != nil {
 					return err
 				}
-				// The journal stores the problem compacted (json.Marshal
-				// compacts embedded RawMessage); canonicalize both sides.
-				var buf bytes.Buffer
-				if err := json.Compact(&buf, got); err != nil {
-					return err
-				}
-				got = buf.Bytes()
 				if !bytes.Equal(got, q.Checkpoint.Problem) {
 					structural(Mismatch{Rev: q.Rev, Field: "checkpoint_problem",
 						Recorded: fmt.Sprintf("%d bytes", len(q.Checkpoint.Problem)),

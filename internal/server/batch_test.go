@@ -69,7 +69,7 @@ func TestSetMaxRatesBatchIsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"maxRate": 8`) {
+	if !strings.Contains(string(data), `"maxRate":8`) {
 		t.Fatal("failed batch leaked a rate change into the problem")
 	}
 }

@@ -19,12 +19,16 @@ import (
 // and goroutine profiles — into a timestamped subdirectory of
 // Options.CaptureDir. The dump runs on its own goroutine (the solver
 // never blocks on profile serialization), at most one at a time,
-// rate-limited by CaptureMinInterval, and writes through a temp
+// rate-limited by captureMinInterval, and writes through a temp
 // directory renamed into place so readers never see a half-written
 // bundle.
 
-// captureTailRecords bounds the journal records dumped into a bundle.
-const captureTailRecords = 256
+// captureTailRecords bounds the journal records dumped into a bundle;
+// captureMinInterval is the least time between two captures.
+const (
+	captureTailRecords = 256
+	captureMinInterval = 30 * time.Second
+)
 
 // BundleInfo describes one finished capture bundle, as listed by
 // GET /debug/bundles.
@@ -40,14 +44,14 @@ type BundleInfo struct {
 
 // maybeCapture fires a diagnostics dump for the named reason unless
 // capture is disabled, another dump is in flight, or one finished less
-// than CaptureMinInterval ago. Never blocks the caller.
+// than captureMinInterval ago. Never blocks the caller.
 func (s *Server) maybeCapture(reason, detail string) {
 	if s.opts.CaptureDir == "" {
 		return
 	}
 	now := time.Now().UnixNano()
 	last := s.captureLast.Load()
-	if last != 0 && now-last < int64(s.opts.CaptureMinInterval) {
+	if last != 0 && now-last < int64(captureMinInterval) {
 		return
 	}
 	if !s.captureBusy.CompareAndSwap(false, true) {

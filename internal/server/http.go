@@ -37,7 +37,7 @@ import (
 //	GET    /v1/snapshot                    full converged snapshot
 //	GET    /v1/admitted                    per-commodity admitted rates
 //	GET    /v1/usage                       per-server/link utilization
-//	GET    /v1/flips                       recent admitted↔rejected transitions
+//	GET    /v1/flips                       admitted↔rejected transitions of the retained generations
 //	GET    /v1/problem                     current problem (schema JSON)
 //	GET    /explain?commodity=NAME|IDX     bottleneck attribution (all when omitted)
 //	GET    /history                        generation-over-generation diffs (since/limit filters)
@@ -441,27 +441,28 @@ type HistoryEntry struct {
 	DeltaAdmitted map[string]float64 `json:"deltaAdmitted,omitempty"`
 }
 
-// historyDiffs renders the snapshot history ring as generation-over-
-// generation diffs, oldest first.
+// historyDiffs renders the generation ring as generation-over-generation
+// diffs, oldest first.
 func (s *Server) historyDiffs() []HistoryEntry {
-	snaps := s.History()
-	out := make([]HistoryEntry, 0, len(snaps))
-	var prev *Snapshot
-	for _, snap := range snaps {
+	gens := s.History()
+	out := make([]HistoryEntry, 0, len(gens))
+	var prev *GenerationRecord
+	for i := range gens {
+		g := &gens[i]
 		e := HistoryEntry{
-			Generation:   snap.Generation,
-			Rev:          snap.Rev,
-			Warm:         snap.Warm,
-			Iterations:   snap.Iterations,
-			SolveSeconds: snap.SolveSeconds,
-			Utility:      snap.Utility,
-			Admitted:     make(map[string]float64, len(snap.Commodities)),
+			Generation:   g.Generation,
+			Rev:          g.Rev,
+			Warm:         g.Warm,
+			Iterations:   g.Iterations,
+			SolveSeconds: g.SolveSeconds,
+			Utility:      g.Utility,
+			Admitted:     make(map[string]float64, len(g.Commodities)),
 		}
-		for _, c := range snap.Commodities {
+		for _, c := range g.Commodities {
 			e.Admitted[c.Name] = c.Admitted
 		}
 		if prev != nil {
-			e.DeltaUtility = snap.Utility - prev.Utility
+			e.DeltaUtility = g.Utility - prev.Utility
 			e.DeltaAdmitted = make(map[string]float64, len(e.Admitted))
 			for name, rate := range e.Admitted {
 				e.DeltaAdmitted[name] = rate
@@ -471,7 +472,7 @@ func (s *Server) historyDiffs() []HistoryEntry {
 			}
 		}
 		out = append(out, e)
-		prev = snap
+		prev = g
 	}
 	return out
 }

@@ -3,7 +3,9 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -142,23 +144,26 @@ func TestHistoryEndpoint(t *testing.T) {
 	}
 }
 
-// TestHistoryRingBounded drives more generations than HistoryCap and
-// checks only the newest survive, oldest-first.
+// TestHistoryRingBounded drives more generations than HistoryCap, each
+// one flipping c1's admission, and checks only the newest survive,
+// oldest-first — in /history and in /v1/flips alike.
 func TestHistoryRingBounded(t *testing.T) {
 	opts := testOptions(nil)
 	opts.HistoryCap = 3
-	s, err := New(toyProblem(t), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s, ts := startServerWith(t, nil, opts)
 	gen, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
 	last := gen.Generation
 	for i := 0; i < 5; i++ {
-		if _, err := s.SetMaxRate("c1", 3+float64(i)); err != nil {
+		// Offering far beyond the chain's capacity of 10 rejects c1
+		// (admitted < 1% of offered); offering 3 admits it again.
+		rate := 3.0
+		if i%2 == 0 {
+			rate = 1e6
+		}
+		if _, err := s.SetMaxRate("c1", rate); err != nil {
 			t.Fatal(err)
 		}
 		snap, err := s.WaitForGeneration(last+1, waitBudget)
@@ -178,6 +183,74 @@ func TestHistoryRingBounded(t *testing.T) {
 	for i := 1; i < len(hist); i++ {
 		if hist[i].Generation <= hist[i-1].Generation {
 			t.Fatal("history ring not oldest-first after wraparound")
+		}
+	}
+
+	resp, body := doReq(t, http.MethodGet, ts.URL+"/v1/flips", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/flips status %d", resp.StatusCode)
+	}
+	var page struct {
+		Flips []AdmissionFlip `json:"flips"`
+	}
+	if err := json.Unmarshal(body, &page); err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Flips) != len(hist) {
+		t.Fatalf("/v1/flips = %+v, want one flip per retained generation", page.Flips)
+	}
+	for i, f := range page.Flips {
+		// The ring keeps the last three toggles: rejected, admitted, rejected.
+		wantAdmitted := i%2 == 1
+		if f.Generation != hist[i].Generation || f.Commodity != "c1" || f.Admitted != wantAdmitted {
+			t.Fatalf("flip %d = %+v, want c1 admitted=%v at generation %d",
+				i, f, wantAdmitted, hist[i].Generation)
+		}
+	}
+}
+
+// TestHistoryDoesNotPinSnapshots: the generation ring keeps what /history
+// and /v1/flips render, never the snapshot itself, so a superseded
+// snapshot (its Explain and Usage with it) is collected while its
+// generation is still retained.
+func TestHistoryDoesNotPinSnapshots(t *testing.T) {
+	s, err := New(toyProblem(t), testOptions(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	freed := make(chan struct{})
+	func() {
+		first, err := s.WaitForGeneration(1, waitBudget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(first, func(*Snapshot) { close(freed) })
+	}()
+	last := int64(1)
+	for i := 0; i < 3; i++ {
+		if _, err := s.SetMaxRate("c1", 3+float64(i)); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := s.WaitForGeneration(last+1, waitBudget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = snap.Generation
+	}
+	if h := s.History(); len(h) == 0 || h[0].Generation != 1 {
+		t.Fatalf("generation 1 no longer retained: %d generations", len(h))
+	}
+	deadline := time.Now().Add(waitBudget)
+	for {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("generation 1's snapshot was never collected: the history ring pins it")
 		}
 	}
 }

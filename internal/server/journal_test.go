@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -117,6 +118,18 @@ func TestServerJournalsTrajectory(t *testing.T) {
 	}
 }
 
+// SolverOptions inverts what New records: every solver field of Options
+// survives the trip through the restart checkpoint's parameters.
+func TestSolverOptionsRoundTrip(t *testing.T) {
+	want := Options{
+		Epsilon: 0.1, Eta: 0.03, MaxIters: 123, StationaryTol: 5e-3, Workers: 3, PaperMode: true,
+		Shards: 4, PlacementSalt: 7, PriceExchangeEvery: 10, PriceDamping: 0.25,
+	}
+	if got := SolverOptions(want.solverParams()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("SolverOptions(solverParams(%+v)) = %+v", want, got)
+	}
+}
+
 // A generation is visible only once everything it writes is written: a
 // reader that sees generation g (without WaitForGeneration's 1 ms poll
 // to hide behind) finds g's digest the newest journal record and g the
@@ -143,7 +156,7 @@ func TestSnapshotVisibleAfterItsDigest(t *testing.T) {
 		if len(tail) != 1 || tail[0].Kind != journal.KindDigest || tail[0].Digest.Generation != seen.Generation {
 			t.Fatalf("generation %d visible, newest journal record %+v", seen.Generation, tail)
 		}
-		if h := s.History(); len(h) == 0 || h[len(h)-1] != seen {
+		if h := s.History(); len(h) == 0 || h[len(h)-1].Generation != seen.Generation {
 			t.Fatalf("generation %d visible, not yet in the history ring", seen.Generation)
 		}
 	}

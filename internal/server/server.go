@@ -91,12 +91,10 @@ type Options struct {
 
 	// Debounce is how long the solver waits after a mutation for more
 	// mutations before re-solving; bursts within the window coalesce
-	// into one solve. Default 25 ms; <0 disables (solve immediately).
+	// into one solve. Under a continuous mutation stream the wait stops
+	// at 20×Debounce, so the snapshot never goes stale indefinitely.
+	// Default 25 ms; <0 disables (solve immediately).
 	Debounce time.Duration
-	// MaxDebounce caps the total coalescing wait under a continuous
-	// mutation stream so the snapshot never goes stale indefinitely.
-	// Default 20×Debounce.
-	MaxDebounce time.Duration
 
 	// Recorder streams solve latencies, warm/cold restart counts, the
 	// generation counter, the admitted-utility gauge and the per-round
@@ -113,12 +111,11 @@ type Options struct {
 	// as "span" JSONL records. Nil disables (zero overhead on every
 	// path).
 	Spans *span.Tracer
-	// HistoryCap bounds the retained snapshot generations served on
-	// GET /history. Default 64; <0 disables history.
+	// HistoryCap bounds the generation ring that GET /history and
+	// GET /v1/flips read: the last HistoryCap published generations'
+	// scalars, admitted rates and admission flips. Default 64; <0
+	// disables both views.
 	HistoryCap int
-	// FlipCap bounds the recent admitted↔rejected transition ring
-	// served on GET /v1/flips. Default 256; <0 disables.
-	FlipCap int
 	// Logf receives warm-start fallback diagnostics and solve errors.
 	// Nil means log.Printf.
 	Logf func(format string, args ...any)
@@ -143,10 +140,8 @@ type Options struct {
 	// bundles: on an SLO breach, an unexpected warm-start fallback, or
 	// a solver divergence, the server dumps the journal tail, span ring
 	// and heap/goroutine profiles into a timestamped subdirectory,
-	// atomically (write to tmp, rename).
+	// atomically (write to tmp, rename), at most one every 30 s.
 	CaptureDir string
-	// CaptureMinInterval rate-limits captures. Default 30s.
-	CaptureMinInterval time.Duration
 
 	// SolveGate, when non-nil, makes solving externally clocked: after
 	// each wake+debounce the solver loop blocks until it receives a
@@ -155,6 +150,42 @@ type Options struct {
 	// regardless of wall-clock batching. Production servers leave it
 	// nil.
 	SolveGate <-chan struct{}
+}
+
+// SolverOptions returns the Options a restart checkpoint's solver
+// parameters describe, the inverse of what New records there: replay
+// and a daemon recovering from its journal boot the solver the recording
+// ran, shard topology and exchange cadence included.
+func SolverOptions(sp *journal.SolverParams) Options {
+	return Options{
+		Epsilon:            sp.Epsilon,
+		Eta:                sp.Eta,
+		MaxIters:           sp.MaxIters,
+		StationaryTol:      sp.StationaryTol,
+		Workers:            sp.Workers,
+		PaperMode:          !sp.Serving,
+		Shards:             sp.Shards,
+		PlacementSalt:      sp.PlacementSalt,
+		PriceExchangeEvery: sp.PriceExchangeEvery,
+		PriceDamping:       sp.PriceDamping,
+	}
+}
+
+// solverParams is what New records of o in the restart checkpoint;
+// SolverOptions maps it back.
+func (o *Options) solverParams() *journal.SolverParams {
+	return &journal.SolverParams{
+		Epsilon:            o.Epsilon,
+		Eta:                o.Eta,
+		MaxIters:           o.MaxIters,
+		StationaryTol:      o.StationaryTol,
+		Workers:            o.Workers,
+		Serving:            !o.PaperMode,
+		Shards:             o.Shards,
+		PlacementSalt:      o.PlacementSalt,
+		PriceExchangeEvery: o.PriceExchangeEvery,
+		PriceDamping:       o.PriceDamping,
+	}
 }
 
 func (o *Options) setDefaults() {
@@ -179,20 +210,11 @@ func (o *Options) setDefaults() {
 	if o.Debounce == 0 {
 		o.Debounce = 25 * time.Millisecond
 	}
-	if o.MaxDebounce <= 0 {
-		o.MaxDebounce = 20 * o.Debounce
-	}
 	if o.HistoryCap == 0 {
 		o.HistoryCap = 64
 	}
-	if o.FlipCap == 0 {
-		o.FlipCap = 256
-	}
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 256
-	}
-	if o.CaptureMinInterval <= 0 {
-		o.CaptureMinInterval = 30 * time.Second
 	}
 	if o.Logf == nil {
 		o.Logf = log.Printf
@@ -262,15 +284,8 @@ type Server struct {
 	snap atomic.Pointer[Snapshot]
 	gen  atomic.Int64
 
-	histMu   sync.Mutex
-	hist     []*Snapshot // ring of recent generations, cap HistoryCap
-	histNext int
-	histFull bool
-
-	flipMu   sync.Mutex
-	flips    []AdmissionFlip // ring of recent transitions, cap FlipCap
-	flipNext int
-	flipFull bool
+	histMu sync.Mutex
+	hist   []GenerationRecord // the last HistoryCap generations, oldest first
 
 	// Anomaly-capture state: a busy flag so overlapping triggers don't
 	// stack bundle writers, the last capture time for rate limiting,
@@ -380,21 +395,7 @@ func New(p *stream.Problem, opts Options) (*Server, error) {
 			Checkpoint: &journal.Checkpoint{
 				Problem: pj,
 				Restart: true,
-				Solver: &journal.SolverParams{
-					Epsilon:       opts.Epsilon,
-					Eta:           opts.Eta,
-					MaxIters:      opts.MaxIters,
-					StationaryTol: opts.StationaryTol,
-					Workers:       opts.Workers,
-					Serving:       !opts.PaperMode,
-					// Shard topology and exchange cadence, so replay
-					// re-boots with the identical partition and checks
-					// stationarity at the same iterations.
-					Shards:             opts.Shards,
-					PlacementSalt:      opts.PlacementSalt,
-					PriceExchangeEvery: opts.PriceExchangeEvery,
-					PriceDamping:       opts.PriceDamping,
-				},
+				Solver:  opts.solverParams(),
 			},
 		}
 		if err := opts.Journal.Append(rec); err != nil {
@@ -701,14 +702,14 @@ func (s *Server) abandonPending() {
 }
 
 // debounce waits until mutations stop arriving for Debounce (or
-// MaxDebounce total), so a burst of rate updates triggers one re-solve.
+// 20×Debounce in total), so a burst of rate updates triggers one re-solve.
 func (s *Server) debounce() {
 	if s.opts.Debounce <= 0 {
 		return
 	}
 	quiet := time.NewTimer(s.opts.Debounce)
 	defer quiet.Stop()
-	most := time.NewTimer(s.opts.MaxDebounce)
+	most := time.NewTimer(20 * s.opts.Debounce)
 	defer most.Stop()
 	for {
 		select {
@@ -853,9 +854,9 @@ func (s *Server) solveOnce() {
 	s.publish(snap, batch, solveSpan)
 }
 
-// publish assigns the next generation, appends the snapshot to the
-// history ring, emits the generation's observability events (solve
-// summary, admission flips), journals its digest, swaps the snapshot in,
+// publish assigns the next generation, emits its observability events
+// (solve summary, admission flips), appends its record to the generation
+// ring, journals its digest, swaps the snapshot in,
 // and closes the decision lifecycle: every mutation in the incorporated
 // batch observes streamopt_decision_latency_seconds and ends its root
 // span stamped with the generation that answered it.
@@ -870,7 +871,6 @@ func (s *Server) publish(snap *Snapshot, batch []*decision, solveSpan *span.Acti
 	ps := s.opts.Spans.Start("publish", solveSpan.Context())
 	prev := s.snap.Load()
 	snap.Generation = s.gen.Add(1)
-	s.recordHistory(snap)
 	rec := s.opts.Recorder
 	rec.ServerSolve(snap.Generation, snap.Warm, snap.SolveSeconds, snap.Utility, snap.Iterations)
 
@@ -879,10 +879,24 @@ func (s *Server) publish(snap *Snapshot, batch []*decision, solveSpan *span.Acti
 		trigger = batch[0].root.Context().TraceHex()
 	}
 	var flips []AdmissionFlip
-	if prev != nil && (s.opts.FlipCap >= 0 || s.opts.Journal != nil) {
+	if prev != nil && (s.opts.HistoryCap >= 0 || s.opts.Journal != nil || rec != nil) {
 		flips = DiffFlips(prev, snap)
 	}
-	s.recordFlips(flips, trigger)
+	now := time.Now()
+	for i := range flips {
+		flips[i].Trace, flips[i].At = trigger, now
+		rec.AdmissionFlip(snap.Generation, flips[i].Commodity, flips[i].Admitted, flips[i].Rate, trigger)
+	}
+	s.recordGeneration(GenerationRecord{
+		Generation:   snap.Generation,
+		Rev:          snap.Rev,
+		Warm:         snap.Warm,
+		Iterations:   snap.Iterations,
+		SolveSeconds: snap.SolveSeconds,
+		Utility:      snap.Utility,
+		Commodities:  snap.Commodities,
+		Flips:        flips,
+	})
 	if s.opts.Journal != nil {
 		err := s.opts.Journal.Append(journal.Record{
 			Kind:   journal.KindDigest,
@@ -971,82 +985,55 @@ func (snap *Snapshot) JournalDigest(flips []AdmissionFlip) *journal.Digest {
 	return d
 }
 
-// recordFlips records pre-computed transitions — to the bounded ring
-// served on GET /v1/flips, the streamopt_admission_flips_total counter,
-// and the event sink — attributed to the triggering batch's trace ID.
-func (s *Server) recordFlips(flips []AdmissionFlip, trigger string) {
-	if s.opts.FlipCap < 0 || len(flips) == 0 {
-		return
-	}
-	now := time.Now()
-	for _, f := range flips {
-		f.Trace = trigger
-		f.At = now
-		s.appendFlip(f)
-		s.opts.Recorder.AdmissionFlip(f.Generation, f.Commodity, f.Admitted, f.Rate, trigger)
-	}
+// GenerationRecord is what the generation ring keeps of one published
+// snapshot: the scalars GET /history renders, the admitted rates (the
+// snapshot's own Commodities slice, shared, since it is immutable) and
+// the admission flips publish diffed for it. It never holds the
+// *Snapshot, so a retired generation's Explain and Usage are garbage as
+// soon as no reader holds the snapshot itself.
+type GenerationRecord struct {
+	Generation   int64
+	Rev          int64
+	Warm         bool
+	Iterations   int
+	SolveSeconds float64
+	Utility      float64
+	Commodities  []CommodityStatus
+	Flips        []AdmissionFlip
 }
 
-// appendFlip adds one transition to the bounded flip ring.
-func (s *Server) appendFlip(f AdmissionFlip) {
-	s.flipMu.Lock()
-	defer s.flipMu.Unlock()
-	if s.flips == nil {
-		s.flips = make([]AdmissionFlip, s.opts.FlipCap)
-	}
-	s.flips[s.flipNext] = f
-	s.flipNext++
-	if s.flipNext == len(s.flips) {
-		s.flipNext = 0
-		s.flipFull = true
-	}
-}
-
-// Flips returns the retained admission transitions, oldest first.
-func (s *Server) Flips() []AdmissionFlip {
-	s.flipMu.Lock()
-	defer s.flipMu.Unlock()
-	if s.flips == nil {
-		return nil
-	}
-	var out []AdmissionFlip
-	if s.flipFull {
-		out = append(out, s.flips[s.flipNext:]...)
-	}
-	out = append(out, s.flips[:s.flipNext]...)
-	return out
-}
-
-// recordHistory appends the snapshot to the bounded generation ring.
-func (s *Server) recordHistory(snap *Snapshot) {
+// recordGeneration appends one generation to the ring, dropping the
+// oldest once it holds HistoryCap.
+func (s *Server) recordGeneration(g GenerationRecord) {
 	if s.opts.HistoryCap < 0 {
 		return
 	}
 	s.histMu.Lock()
 	defer s.histMu.Unlock()
 	if s.hist == nil {
-		s.hist = make([]*Snapshot, s.opts.HistoryCap)
+		s.hist = make([]GenerationRecord, 0, s.opts.HistoryCap)
 	}
-	s.hist[s.histNext] = snap
-	s.histNext++
-	if s.histNext == len(s.hist) {
-		s.histNext = 0
-		s.histFull = true
+	if len(s.hist) == s.opts.HistoryCap {
+		copy(s.hist, s.hist[1:])
+		s.hist = s.hist[:len(s.hist)-1]
 	}
+	s.hist = append(s.hist, g)
 }
 
-// History returns the retained snapshot generations, oldest first.
-func (s *Server) History() []*Snapshot {
+// History returns the retained generations, oldest first.
+func (s *Server) History() []GenerationRecord {
 	s.histMu.Lock()
 	defer s.histMu.Unlock()
-	if s.hist == nil {
-		return nil
+	return append([]GenerationRecord(nil), s.hist...)
+}
+
+// Flips returns the admission transitions of the retained generations,
+// oldest first.
+func (s *Server) Flips() []AdmissionFlip {
+	var out []AdmissionFlip
+	for _, g := range s.History() {
+		out = append(out, g.Flips...)
 	}
-	var out []*Snapshot
-	if s.histFull {
-		out = append(out, s.hist[s.histNext:]...)
-	}
-	out = append(out, s.hist[:s.histNext]...)
 	return out
 }
 

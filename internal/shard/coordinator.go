@@ -13,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/stream"
 	"repro/internal/transform"
-	"repro/internal/utility"
 )
 
 // Config tunes a sharded solve. The zero value of the solver knobs
@@ -27,11 +26,11 @@ type Config struct {
 	Salt uint64
 
 	// Solver knobs, matching server.Options / core.Options semantics.
-	Epsilon       float64         // barrier coefficient ε; 0 → 0.2
-	Penalty       utility.Penalty // barrier family; nil → reciprocal
-	Eta           float64         // step scale η; 0 → 0.04
-	MaxIters      int             // per-shard per-solve budget; 0 → 4000
-	StationaryTol float64         // Theorem-2 tolerance; 0 → 1e-3, <0 disables
+	// The barrier is the reciprocal one.
+	Epsilon       float64 // barrier coefficient ε; 0 → 0.2
+	Eta           float64 // step scale η; 0 → 0.04
+	MaxIters      int     // per-shard per-solve budget; 0 → 4000
+	StationaryTol float64 // Theorem-2 tolerance; 0 → 1e-3, <0 disables
 	// Workers bounds each shard engine's wave pool. 0 → GOMAXPROCS
 	// divided across shards (every value yields the same trajectory).
 	Workers int
@@ -43,10 +42,6 @@ type Config struct {
 	// ext ← ext + γ·(target − ext); 0 → 0.5. Values in (0,1] keep the
 	// exchange a contraction toward the global fixed point.
 	Damping float64
-	// UsageTol is the relative per-node settle tolerance on external
-	// usage: a round whose damped updates all fall below
-	// UsageTol·max(1, C_i) counts as settled. 0 → 1e-4.
-	UsageTol float64
 
 	// Serving selects the step mode the admission server runs by
 	// default; false keeps the paper's: fixed η, the loop-freedom tags,
@@ -89,9 +84,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.Damping <= 0 || c.Damping > 1 {
 		c.Damping = 0.5
-	}
-	if c.UsageTol <= 0 {
-		c.UsageTol = 1e-4
 	}
 	if c.Workers <= 0 {
 		w := runtime.GOMAXPROCS(0) / c.Shards
@@ -352,7 +344,6 @@ func (r *runner) build(p *stream.Problem) {
 		}
 	}
 	r.next, r.buildErr = transform.Build(p, transform.Options{
-		Penalty:     r.cfg.Penalty,
 		Epsilon:     r.cfg.Epsilon,
 		Commodities: r.global,
 	})
@@ -627,6 +618,11 @@ func (c *Coordinator) merge() {
 	flow.MergeShared(c.merged, c.parts...)
 }
 
+// usageTol is the relative per-node settle tolerance on external usage:
+// a round whose damped updates all fall below usageTol·max(1, C_i)
+// counts as settled.
+const usageTol = 1e-4
+
 // updateExternals applies the damped update
 // ext_s ← ext_s + γ·((F − own_s) − ext_s) per shard and reports whether
 // any per-node change exceeded the settle tolerance (relative to the
@@ -656,7 +652,7 @@ func (c *Coordinator) updateExternals(anyX *transform.Extended) (moved bool, max
 		if shardMax > maxDelta {
 			maxDelta = shardMax
 		}
-		if shardMax > c.cfg.UsageTol {
+		if shardMax > usageTol {
 			r.extMoved = true
 			moved = true
 		}

@@ -56,7 +56,8 @@ type edgeParamJSON struct {
 	Cost float64 `json:"cost"`
 }
 
-// MarshalJSON implements json.Marshaler for Problem.
+// MarshalJSON implements json.Marshaler for Problem. The encoding is
+// compact; cmd/netgen indents it for people to read.
 func (p *Problem) MarshalJSON() ([]byte, error) {
 	out := problemJSON{}
 	g := p.Net.G
@@ -84,7 +85,7 @@ func (p *Problem) MarshalJSON() ([]byte, error) {
 		}
 		out.Commodities = append(out.Commodities, cj)
 	}
-	return json.MarshalIndent(out, "", "  ")
+	return json.Marshal(out)
 }
 
 // ParseProblem decodes a problem from its JSON form and validates it.

@@ -341,7 +341,7 @@ func TestMarshalWalksOwnEdgesInEdgeIDOrder(t *testing.T) {
 			t.Fatalf("MarshalCommodityJSON(%q):\n%s\nwant\n%s", c.Name, got, want)
 		}
 	}
-	want, err := json.MarshalIndent(whole, "", "  ")
+	want, err := json.Marshal(whole)
 	if err != nil {
 		t.Fatal(err)
 	}
