@@ -589,13 +589,14 @@ func shardedInstance(b *testing.B) *stream.Problem {
 }
 
 // BenchmarkShardedSolve prices a full cold sharded solve: subset
-// builds on all four shards plus the price-exchange rounds to
-// convergence. Compare with BenchmarkE7ColdStart for the single-engine
-// cost of the same kind of work.
+// builds on all four shards plus their turns to convergence, under a
+// budget summed over shards (4 × 12000, the per-shard work of a single
+// engine's 12000). Compare with BenchmarkE7ColdStart for the
+// single-engine cost of the same kind of work.
 func BenchmarkShardedSolve(b *testing.B) {
 	p := shardedInstance(b)
 	coord := shard.New(shard.Config{
-		Shards: 4, Salt: 7, Eta: 0.04, MaxIters: 12000, StationaryTol: 1e-4,
+		Shards: 4, Salt: 7, Eta: 0.04, MaxIters: 48000, StationaryTol: 1e-4,
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -610,16 +611,15 @@ func BenchmarkShardedSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkPriceExchange prices one coordinator round at a stationary
-// point — per-shard stationarity checks, the shared-usage merge, shadow
-// prices, and the damped external update — i.e. the pure coordination
-// overhead a sharded deployment pays per exchange, with no gradient
-// steps mixed in.
+// BenchmarkPriceExchange prices one sweep of shard turns at a
+// stationary point — per-shard stationarity checks, and after each turn
+// the shared-usage merge and the exact external-usage install — i.e.
+// the pure coordination overhead a sharded deployment pays per sweep,
+// with no gradient steps mixed in.
 func BenchmarkPriceExchange(b *testing.B) {
 	p := shardedInstance(b)
 	coord := shard.New(shard.Config{
-		Shards: 4, Salt: 7, Eta: 0.04, MaxIters: 12000, StationaryTol: 1e-4,
-		ExchangeEvery: 1,
+		Shards: 4, Salt: 7, Eta: 0.04, MaxIters: 48000, StationaryTol: 1e-4,
 	})
 	if _, err := coord.Apply(p, nil); err != nil {
 		b.Fatal(err)
@@ -630,8 +630,8 @@ func BenchmarkPriceExchange(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Already stationary: Solve runs exactly one exchange round and
-		// observes convergence.
+		// Already stationary: Solve runs exactly one sweep and observes
+		// convergence.
 		if res := coord.Solve(context.Background()); !res.Converged {
 			b.Fatal("stationary solve did not converge in one round")
 		}

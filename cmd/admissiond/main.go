@@ -17,7 +17,7 @@
 //	curl localhost:8080/history                # generation-over-generation diffs
 //	curl localhost:8080/debug/spans            # where each decision's latency went
 //
-// The daemon reports a solve per price-exchange round (the
+// The daemon reports a solve per sweep of shard turns (the
 // streamopt_shard_* series) and per decision (the span tree), the same
 // way at every -shards value. For per-iteration convergence curves,
 // solve the served instance offline:
@@ -62,10 +62,8 @@ type cliConfig struct {
 	stationaryTol float64
 	debounce      time.Duration
 
-	shards            int
-	placementSalt     uint64
-	priceExchangeEvry int
-	priceDamping      float64
+	shards        int
+	placementSalt uint64
 
 	eventsOut      string
 	eventsMaxBytes int64
@@ -100,14 +98,12 @@ func main() {
 	flag.IntVar(&cfg.genComms, "gen-commodities", 3, "commodities for the generated instance")
 	flag.Float64Var(&cfg.eta, "eta", 0.04, "gradient step scale η: where step control starts a cold solve")
 	flag.Float64Var(&cfg.eps, "eps", 0.2, "penalty coefficient ε")
-	flag.IntVar(&cfg.iters, "iters", 4000, "per-solve iteration budget")
+	flag.IntVar(&cfg.iters, "iters", 4000, "per-solve iteration budget, summed over shards")
 	flag.IntVar(&cfg.workers, "workers", 0, "worker-pool bound for the per-commodity gradient waves (0 = GOMAXPROCS)")
 	flag.Float64Var(&cfg.stationaryTol, "stationary-tol", 1e-3, "Theorem-2 stationarity tolerance ending a solve early (<0 disables)")
 	flag.DurationVar(&cfg.debounce, "debounce", 25*time.Millisecond, "mutation coalescing window before a re-solve")
-	flag.IntVar(&cfg.shards, "shards", 1, "solver shards commodities are partitioned across (1 = one shard owns every commodity, nothing to exchange)")
+	flag.IntVar(&cfg.shards, "shards", 1, "solver shards commodities are partitioned across; they take turns (1 = one shard owns every commodity, nothing to exchange)")
 	flag.Uint64Var(&cfg.placementSalt, "placement-salt", 0, "consistent-hash salt for commodity→shard placement")
-	flag.IntVar(&cfg.priceExchangeEvry, "price-exchange-every", 25, "gradient iterations each shard runs between stationarity checks and price-exchange rounds")
-	flag.Float64Var(&cfg.priceDamping, "price-damping", 0.5, "damping γ ∈ (0,1] of the external-usage exchange update")
 	flag.StringVar(&cfg.eventsOut, "events-out", "", "write solver/server JSONL events to this file")
 	flag.Int64Var(&cfg.eventsMaxBytes, "events-max-bytes", 0, "rotate -events-out once it exceeds this size, keeping one predecessor (0 = unbounded)")
 	flag.IntVar(&cfg.spanCap, "span-cap", span.DefaultCapacity, "decision-lifecycle span ring capacity served on /debug/spans (0 disables span tracing)")
@@ -144,15 +140,13 @@ func loadProblem(cfg cliConfig) (*stream.Problem, error) {
 // recordedFlags pairs every flag whose value the journal's restart
 // checkpoint records with the server option it sets.
 var recordedFlags = map[string]func(o, rec *server.Options){
-	"eps":                  func(o, rec *server.Options) { o.Epsilon = rec.Epsilon },
-	"eta":                  func(o, rec *server.Options) { o.Eta = rec.Eta },
-	"iters":                func(o, rec *server.Options) { o.MaxIters = rec.MaxIters },
-	"stationary-tol":       func(o, rec *server.Options) { o.StationaryTol = rec.StationaryTol },
-	"workers":              func(o, rec *server.Options) { o.Workers = rec.Workers },
-	"shards":               func(o, rec *server.Options) { o.Shards = rec.Shards },
-	"placement-salt":       func(o, rec *server.Options) { o.PlacementSalt = rec.PlacementSalt },
-	"price-exchange-every": func(o, rec *server.Options) { o.PriceExchangeEvery = rec.PriceExchangeEvery },
-	"price-damping":        func(o, rec *server.Options) { o.PriceDamping = rec.PriceDamping },
+	"eps":            func(o, rec *server.Options) { o.Epsilon = rec.Epsilon },
+	"eta":            func(o, rec *server.Options) { o.Eta = rec.Eta },
+	"iters":          func(o, rec *server.Options) { o.MaxIters = rec.MaxIters },
+	"stationary-tol": func(o, rec *server.Options) { o.StationaryTol = rec.StationaryTol },
+	"workers":        func(o, rec *server.Options) { o.Workers = rec.Workers },
+	"shards":         func(o, rec *server.Options) { o.Shards = rec.Shards },
+	"placement-salt": func(o, rec *server.Options) { o.PlacementSalt = rec.PlacementSalt },
 }
 
 func realMain(cfg cliConfig) error {
@@ -161,19 +155,17 @@ func realMain(cfg cliConfig) error {
 		return err
 	}
 	opts := server.Options{
-		Epsilon:            cfg.eps,
-		Eta:                cfg.eta,
-		MaxIters:           cfg.iters,
-		Workers:            cfg.workers,
-		StationaryTol:      cfg.stationaryTol,
-		Shards:             cfg.shards,
-		PlacementSalt:      cfg.placementSalt,
-		PriceExchangeEvery: cfg.priceExchangeEvry,
-		PriceDamping:       cfg.priceDamping,
-		Debounce:           cfg.debounce,
-		HistoryCap:         cfg.historyCap,
-		CheckpointEvery:    cfg.checkpointEvery,
-		SLO:                time.Duration(cfg.sloMS * float64(time.Millisecond)),
+		Epsilon:         cfg.eps,
+		Eta:             cfg.eta,
+		MaxIters:        cfg.iters,
+		Workers:         cfg.workers,
+		StationaryTol:   cfg.stationaryTol,
+		Shards:          cfg.shards,
+		PlacementSalt:   cfg.placementSalt,
+		Debounce:        cfg.debounce,
+		HistoryCap:      cfg.historyCap,
+		CheckpointEvery: cfg.checkpointEvery,
+		SLO:             time.Duration(cfg.sloMS * float64(time.Millisecond)),
 	}
 
 	// An existing journal overrides -in/-gen-*: the daemon resumes the
@@ -205,9 +197,9 @@ func realMain(cfg cliConfig) error {
 					}
 				}
 				fmt.Fprintf(os.Stderr,
-					"admissiond: restored solver settings from journal (eps %g, eta %g, iters %d, stationary-tol %g, shards %d, salt %d, exchange every %d, damping %g)\n",
+					"admissiond: restored solver settings from journal (eps %g, eta %g, iters %d, stationary-tol %g, shards %d, salt %d)\n",
 					opts.Epsilon, opts.Eta, opts.MaxIters, opts.StationaryTol,
-					max(opts.Shards, 1), opts.PlacementSalt, opts.PriceExchangeEvery, opts.PriceDamping)
+					max(opts.Shards, 1), opts.PlacementSalt)
 			}
 		}
 	}

@@ -444,22 +444,20 @@ func TestAdmissiondShardTopologyRecovery(t *testing.T) {
 		errCh = make(chan error, 1)
 		go func() {
 			errCh <- realMain(cliConfig{
-				in:                in,
-				addr:              "127.0.0.1:0",
-				eta:               0.04,
-				eps:               0.2,
-				iters:             2000,
-				stationaryTol:     1e-3,
-				debounce:          2 * time.Millisecond,
-				shards:            shards,
-				placementSalt:     3,
-				priceExchangeEvry: 25,
-				priceDamping:      0.5,
-				journalDir:        jdir,
-				checkpointEvery:   4,
-				fsync:             "interval",
-				ready:             func(a string) { addrCh <- a },
-				stop:              stop,
+				in:              in,
+				addr:            "127.0.0.1:0",
+				eta:             0.04,
+				eps:             0.2,
+				iters:           2000,
+				stationaryTol:   1e-3,
+				debounce:        2 * time.Millisecond,
+				shards:          shards,
+				placementSalt:   3,
+				journalDir:      jdir,
+				checkpointEvery: 4,
+				fsync:           "interval",
+				ready:           func(a string) { addrCh <- a },
+				stop:            stop,
 			})
 		}()
 		select {
@@ -555,7 +553,7 @@ func TestAdmissiondSolverSettingsRecovery(t *testing.T) {
 		t.Helper()
 		cfg := cliConfig{
 			addr: "127.0.0.1:0", eta: 0.04, eps: 0.2, iters: 4000, stationaryTol: 1e-3,
-			debounce: 2 * time.Millisecond, shards: 1, priceExchangeEvry: 25, priceDamping: 0.5,
+			debounce: 2 * time.Millisecond, shards: 1,
 			journalDir: jdir, checkpointEvery: 256, fsync: "interval", flagSet: set,
 		}
 		edit(&cfg)
@@ -573,8 +571,8 @@ func TestAdmissiondSolverSettingsRecovery(t *testing.T) {
 			t.Fatal("daemon never exited")
 		}
 	}
-	run(map[string]bool{"in": true, "shards": true, "iters": true, "eps": true, "price-exchange-every": true, "journal-dir": true},
-		func(c *cliConfig) { c.in, c.shards, c.iters, c.eps, c.priceExchangeEvry = in, 1, 123, 0.1, 10 })
+	run(map[string]bool{"in": true, "shards": true, "iters": true, "eps": true, "stationary-tol": true, "journal-dir": true},
+		func(c *cliConfig) { c.in, c.shards, c.iters, c.eps, c.stationaryTol = in, 1, 123, 0.1, 5e-3 })
 	run(map[string]bool{"journal-dir": true}, func(*cliConfig) {})
 
 	log, err := journal.ReadDir(jdir)
@@ -590,7 +588,7 @@ func TestAdmissiondSolverSettingsRecovery(t *testing.T) {
 	if len(boots) != 2 {
 		t.Fatalf("journal holds %d restart checkpoints, want 2", len(boots))
 	}
-	if first := *boots[0]; first.MaxIters != 123 || first.Epsilon != 0.1 || first.PriceExchangeEvery != 10 {
+	if first := *boots[0]; first.MaxIters != 123 || first.Epsilon != 0.1 || first.StationaryTol != 5e-3 {
 		t.Fatalf("first boot recorded %+v", first)
 	}
 	if *boots[1] != *boots[0] {

@@ -9,9 +9,9 @@
 // /debug/spans?trace=… to see the full decision lifecycle), and a
 // per-shard table — one row per solver shard of admissiond -shards N,
 // a single row by default: advance rate, last-solve latency, gradient
-// iterations, owned commodities, build footprint, and price-exchange
-// staleness. That table is the daemon's whole view of a solve in
-// progress: it reports per exchange round, never per iteration, so the
+// iterations, owned commodities, build footprint, and the staleness of
+// its latest turn. That table is the daemon's whole view of a solve in
+// progress: it reports per shard turn, never per iteration, so the
 // columns fill the same way at every shard count.
 //
 //	go run ./cmd/admissiond -addr :8080 &
@@ -215,10 +215,10 @@ func render(client *http.Client, base string, cfg cliConfig, prevGen int64, prev
 }
 
 // writeShardTable renders the solver view of the daemon's shard
-// coordinator: its exchange totals, then one row per solver
+// coordinator: its sweep totals, then one row per solver
 // shard with its advance rate since the previous frame, last-solve
 // latency, gradient iterations, owned commodities, and how stale its
-// latest price-exchange round is.
+// latest turn is.
 func writeShardTable(b *strings.Builder, metrics, prev metricSet, prevAt time.Time) {
 	shards := metrics.labels("streamopt_shard_commodities", "shard")
 	if len(shards) == 0 {

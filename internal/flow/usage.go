@@ -290,7 +290,7 @@ func (u *Usage) Feasible() (ok bool, slack float64) {
 // SharedUsage copies this routing set's flow through the shared node
 // prefix (originals + bandwidth nodes) into dst, which must have length
 // X.SharedNodes. This is the usage summary a shard reports to the
-// price-exchange coordinator: dummy-node flow is shard-private and
+// shard coordinator: dummy-node flow is shard-private and
 // uncapacitated, so it never crosses the boundary.
 func (u *Usage) SharedUsage(dst []float64) {
 	if len(dst) != u.R.X.SharedNodes {

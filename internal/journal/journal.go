@@ -108,13 +108,16 @@ type SolverParams struct {
 	// paper mode.
 	Serving bool `json:"serving,omitempty"`
 
-	// Shard topology of the recording server: shard count, placement
-	// salt, and the price-exchange cadence/damping of the dual
-	// decomposition, so replay re-boots every run with the topology
-	// that recorded it. Omitted fields (older journals) decode to one
-	// shard at the default cadence.
-	Shards             int     `json:"shards,omitempty"`
-	PlacementSalt      uint64  `json:"placementSalt,omitempty"`
+	// Shard topology of the recording server: shard count and placement
+	// salt, so replay re-boots every run with the partition that
+	// recorded it. Omitted fields (older journals) decode to one shard.
+	Shards        int    `json:"shards,omitempty"`
+	PlacementSalt uint64 `json:"placementSalt,omitempty"`
+	// PriceExchangeEvery and PriceDamping are what journals recorded
+	// before shards took turns: the cadence and γ of the damped Jacobi
+	// exchange. New journals leave both out. They still decode and the
+	// solver ignores them; replay reads PriceDamping only to refuse a
+	// multi-shard run recorded under that exchange.
 	PriceExchangeEvery int     `json:"priceExchangeEvery,omitempty"`
 	PriceDamping       float64 `json:"priceDamping,omitempty"`
 }

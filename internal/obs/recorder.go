@@ -313,8 +313,8 @@ func (r *Recorder) AdmissionFlip(generation int64, commodity string, admitted bo
 	})
 }
 
-// ShardAdvance records one solver shard's state after a price-exchange
-// round: cumulative solve seconds and iterations for the current solve,
+// ShardAdvance records one solver shard's state after its turn:
+// cumulative solve seconds and iterations for the current solve,
 // the commodity count it owns, and — when the shard actually stepped —
 // its advance counter. The last-exchange timestamp feeds streamtop's
 // staleness column.
@@ -325,7 +325,7 @@ func (r *Recorder) ShardAdvance(shard int, seconds float64, iterations, commodit
 	label := strconv.Itoa(shard)
 	if stepped {
 		r.reg.Counter("streamopt_shard_solves_total",
-			"Price-exchange rounds in which this shard advanced its gradient engine.",
+			"Turns in which this shard advanced its gradient engine.",
 			"shard", label).Inc()
 	}
 	r.reg.Gauge("streamopt_shard_solve_seconds",
@@ -338,7 +338,7 @@ func (r *Recorder) ShardAdvance(shard int, seconds float64, iterations, commodit
 		"Commodities currently placed on this shard.",
 		"shard", label).Set(float64(commodities))
 	r.reg.Gauge("streamopt_shard_last_exchange_unix",
-		"Unix time of this shard's latest price-exchange round.",
+		"Unix time of this shard's latest turn.",
 		"shard", label).Set(unixSeconds)
 }
 
@@ -356,9 +356,10 @@ func (r *Recorder) BuildFootprint(shard int, bytes int64) {
 		"shard", strconv.Itoa(shard)).Set(float64(bytes))
 }
 
-// PriceExchange records one completed coordinator round of the sharded
-// solve: the shard count and the largest damped external-usage update
-// (relative to capacity scale) the round applied.
+// PriceExchange records one completed sweep of the sharded solve, in
+// which every shard took a turn: the shard count and the largest exact
+// external-usage update (relative to capacity scale) the sweep
+// installed.
 func (r *Recorder) PriceExchange(shards int, maxDelta float64) {
 	if r == nil {
 		return
@@ -366,9 +367,9 @@ func (r *Recorder) PriceExchange(shards int, maxDelta float64) {
 	r.reg.Gauge("streamopt_shard_count",
 		"Solver shards the admission service is partitioned across.").Set(float64(shards))
 	r.reg.Counter("streamopt_shard_exchange_rounds_total",
-		"Price-exchange rounds run by the shard coordinator.").Inc()
+		"Sweeps of shard turns run by the shard coordinator.").Inc()
 	r.reg.Gauge("streamopt_shard_price_delta",
-		"Largest relative external-usage update of the latest exchange round.").Set(maxDelta)
+		"Largest relative exact external-usage update of the latest sweep of shard turns.").Set(maxDelta)
 }
 
 // HTTPRequest records one served admission-API request: the per-route

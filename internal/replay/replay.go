@@ -161,9 +161,15 @@ func verifyRun(runIdx int, run []journal.Record, opts Options, rep *Report, logf
 	if sp == nil {
 		return fmt.Errorf("restart checkpoint lacks solver parameters")
 	}
+	if sp.Shards > 1 && sp.PriceDamping != 0 {
+		// One shard has no partner to exchange with, so a one-shard
+		// journal replays whatever damping it recorded.
+		return fmt.Errorf("restart checkpoint records %d shards under the retired damped Jacobi exchange (damping %g); shards now take turns, so this run's trajectory cannot be replayed",
+			sp.Shards, sp.PriceDamping)
+	}
 	// The recorded solver, shard topology included: a run replays against
-	// the identical partition and exchange cadence; zero fields (a journal
-	// from before they were recorded at one shard) take the defaults.
+	// the identical partition; zero fields (a journal from before they
+	// were recorded at one shard) take the defaults.
 	so := server.SolverOptions(sp)
 	if opts.Workers > 0 {
 		so.Workers = opts.Workers

@@ -654,3 +654,41 @@ func TestVerifyRejectsHeadlessJournal(t *testing.T) {
 		t.Fatal("headless journal verified without error")
 	}
 }
+
+// TestVerifyNamesRetiredJacobiExchange: a multi-shard run recorded under
+// the damped Jacobi exchange (its restart checkpoint records a price
+// damping) fails with an error naming that exchange, not with a
+// mismatch at whichever generation first drifts.
+func TestVerifyNamesRetiredJacobiExchange(t *testing.T) {
+	dir := t.TempDir()
+	w, err := journal.Create(dir, journal.Options{Fsync: journal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pj, err := toyProblem(t).MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.Append(journal.Record{
+		Kind: journal.KindCheckpoint,
+		Rev:  1,
+		Checkpoint: &journal.Checkpoint{
+			Problem: pj,
+			Restart: true,
+			Solver: &journal.SolverParams{
+				Epsilon: 0.2, Eta: 0.04, MaxIters: 4000, StationaryTol: 1e-3, Serving: true,
+				Shards: 4, PlacementSalt: 7, PriceExchangeEvery: 25, PriceDamping: 0.5,
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Verify(dir, Options{Timeout: waitBudget})
+	if err == nil || !strings.Contains(err.Error(), "damped Jacobi exchange") {
+		t.Fatalf("Verify = %v, want an error naming the damped Jacobi exchange", err)
+	}
+}

@@ -123,7 +123,7 @@ func TestServerJournalsTrajectory(t *testing.T) {
 func TestSolverOptionsRoundTrip(t *testing.T) {
 	want := Options{
 		Epsilon: 0.1, Eta: 0.03, MaxIters: 123, StationaryTol: 5e-3, Workers: 3, PaperMode: true,
-		Shards: 4, PlacementSalt: 7, PriceExchangeEvery: 10, PriceDamping: 0.25,
+		Shards: 4, PlacementSalt: 7,
 	}
 	if got := SolverOptions(want.solverParams()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("SolverOptions(solverParams(%+v)) = %+v", want, got)

@@ -55,8 +55,7 @@ type Options struct {
 	MaxIters      int     // default 4000
 	StationaryTol float64 // default 1e-3; <0 disables early stopping
 	// Workers bounds the solver's per-commodity wave pool
-	// (gradient.Config.Workers); 0 means GOMAXPROCS divided across the
-	// shards.
+	// (gradient.Config.Workers); 0 means GOMAXPROCS.
 	Workers int
 	// PaperMode solves as §5 states it — fixed η, the loop-freedom tags,
 	// φ carried as it is across a decision and a cold start whenever the
@@ -65,29 +64,19 @@ type Options struct {
 	// mode and replay boots the one they recorded.
 	PaperMode bool
 
-	// Shards partitions commodities across that many independent solver
-	// shards coupled by a periodic price-exchange round (dual
-	// decomposition; see internal/shard). Each shard owns its own
-	// extended problem and engine and solves only its commodity subset
-	// against a damped estimate of the other shards' usage; a
-	// coordinator merges per-shard usage into global congestion state
-	// between rounds. Shards ≤ 1 (the default) is the same coordinator
-	// with one shard, which owns every commodity and has nobody to
-	// exchange with: the plain unsharded solve.
+	// Shards partitions commodities across that many solver shards
+	// that take turns (see internal/shard). Each shard owns its own
+	// extended problem and engine and steps only its commodity subset,
+	// against the exact usage of the other shards, which the
+	// coordinator merges and installs after every turn. MaxIters bounds
+	// a solve's iterations summed over shards. Shards ≤ 1 (the default)
+	// is the same coordinator with one shard, which owns every commodity
+	// and has nobody to exchange with: the plain unsharded solve.
 	Shards int
 	// PlacementSalt seeds the consistent-hash commodity→shard placement.
 	// Recorded in the journal so replay re-boots with the identical
 	// partition.
 	PlacementSalt uint64
-	// PriceExchangeEvery is how many gradient iterations each shard runs
-	// between price-exchange rounds. Each round begins with the shard's
-	// stationarity check, so with one shard this is simply how often the
-	// solve tests for convergence. Default 25.
-	PriceExchangeEvery int
-	// PriceDamping is the γ of the damped external-usage update in
-	// (0, 1]; default 0.5. Without a second shard there is no external
-	// usage to damp.
-	PriceDamping float64
 
 	// Debounce is how long the solver waits after a mutation for more
 	// mutations before re-solving; bursts within the window coalesce
@@ -97,10 +86,10 @@ type Options struct {
 	Debounce time.Duration
 
 	// Recorder streams solve latencies, warm/cold restart counts, the
-	// generation counter, the admitted-utility gauge and the per-round
+	// generation counter, the admitted-utility gauge and the per-turn
 	// shard series through internal/obs. The solver engines never see it:
-	// a solve is observed per price-exchange round, not per iteration, at
-	// every shard count. Nil disables (zero overhead).
+	// a solve is observed per shard turn, not per iteration, at every
+	// shard count. Nil disables (zero overhead).
 	Recorder *obs.Recorder
 	// Spans, when non-nil, traces the decision lifecycle: a root
 	// "decision" span per accepted mutation (adopting the client's W3C
@@ -155,19 +144,17 @@ type Options struct {
 // SolverOptions returns the Options a restart checkpoint's solver
 // parameters describe, the inverse of what New records there: replay
 // and a daemon recovering from its journal boot the solver the recording
-// ran, shard topology and exchange cadence included.
+// ran, shard topology included.
 func SolverOptions(sp *journal.SolverParams) Options {
 	return Options{
-		Epsilon:            sp.Epsilon,
-		Eta:                sp.Eta,
-		MaxIters:           sp.MaxIters,
-		StationaryTol:      sp.StationaryTol,
-		Workers:            sp.Workers,
-		PaperMode:          !sp.Serving,
-		Shards:             sp.Shards,
-		PlacementSalt:      sp.PlacementSalt,
-		PriceExchangeEvery: sp.PriceExchangeEvery,
-		PriceDamping:       sp.PriceDamping,
+		Epsilon:       sp.Epsilon,
+		Eta:           sp.Eta,
+		MaxIters:      sp.MaxIters,
+		StationaryTol: sp.StationaryTol,
+		Workers:       sp.Workers,
+		PaperMode:     !sp.Serving,
+		Shards:        sp.Shards,
+		PlacementSalt: sp.PlacementSalt,
 	}
 }
 
@@ -175,16 +162,14 @@ func SolverOptions(sp *journal.SolverParams) Options {
 // SolverOptions maps it back.
 func (o *Options) solverParams() *journal.SolverParams {
 	return &journal.SolverParams{
-		Epsilon:            o.Epsilon,
-		Eta:                o.Eta,
-		MaxIters:           o.MaxIters,
-		StationaryTol:      o.StationaryTol,
-		Workers:            o.Workers,
-		Serving:            !o.PaperMode,
-		Shards:             o.Shards,
-		PlacementSalt:      o.PlacementSalt,
-		PriceExchangeEvery: o.PriceExchangeEvery,
-		PriceDamping:       o.PriceDamping,
+		Epsilon:       o.Epsilon,
+		Eta:           o.Eta,
+		MaxIters:      o.MaxIters,
+		StationaryTol: o.StationaryTol,
+		Workers:       o.Workers,
+		Serving:       !o.PaperMode,
+		Shards:        o.Shards,
+		PlacementSalt: o.PlacementSalt,
 	}
 }
 
@@ -200,12 +185,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.StationaryTol == 0 {
 		o.StationaryTol = 1e-3
-	}
-	if o.PriceExchangeEvery <= 0 {
-		o.PriceExchangeEvery = 25
-	}
-	if o.PriceDamping <= 0 || o.PriceDamping > 1 {
-		o.PriceDamping = 0.5
 	}
 	if o.Debounce == 0 {
 		o.Debounce = 25 * time.Millisecond
@@ -277,7 +256,7 @@ type Server struct {
 	shardDirty  []bool          // shards the pending batch invalidates; under mu
 
 	// coord owns the solver shards, their engines and warm-start state,
-	// and the price exchange between them; solver-goroutine only
+	// and the turns they take; solver-goroutine only
 	// (mutations touch shardDirty, never the coordinator).
 	coord *shard.Coordinator
 
@@ -367,8 +346,6 @@ func New(p *stream.Problem, opts Options) (*Server, error) {
 		MaxIters:      opts.MaxIters,
 		StationaryTol: opts.StationaryTol,
 		Workers:       opts.Workers,
-		ExchangeEvery: opts.PriceExchangeEvery,
-		Damping:       opts.PriceDamping,
 		Serving:       !opts.PaperMode,
 		Recorder:      opts.Recorder,
 		Logf:          opts.Logf,
@@ -732,8 +709,8 @@ func (s *Server) debounce() {
 // are immutable, see the package comment) and the pending traced
 // mutations it will incorporate, has the coordinator bring the shards
 // the batch dirtied up to it (in place where only parameters moved, by a
-// rebuild that warm-starts where the extended topology allows) and run
-// price-exchange rounds until the decomposition converges, and
+// rebuild that warm-starts where the extended topology allows) and take
+// turns until every shard is stationary, and
 // publishes a new snapshot stitched from the per-shard results. The
 // solve's phases — build, engine init (warm-or-cold), iterate, publish —
 // are child spans of a "solve" span parented to the first coalesced

@@ -39,7 +39,7 @@ func churnProblem(t *testing.T) *stream.Problem {
 
 // TestShardedServerMatchesSingle boots the same problem into a
 // 4-shard and a one-shard server and compares the first published
-// snapshot: the dual decomposition must land within 0.1% of the
+// snapshot: the shards taking turns must land within 0.1% of the
 // undecomposed utility.
 func TestShardedServerMatchesSingle(t *testing.T) {
 	p := churnProblem(t)

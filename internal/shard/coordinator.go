@@ -29,19 +29,12 @@ type Config struct {
 	// The barrier is the reciprocal one.
 	Epsilon       float64 // barrier coefficient ε; 0 → 0.2
 	Eta           float64 // step scale η; 0 → 0.04
-	MaxIters      int     // per-shard per-solve budget; 0 → 4000
+	MaxIters      int     // per-solve budget, summed over shards; 0 → 4000
 	StationaryTol float64 // Theorem-2 tolerance; 0 → 1e-3, <0 disables
-	// Workers bounds each shard engine's wave pool. 0 → GOMAXPROCS
-	// divided across shards (every value yields the same trajectory).
+	// Workers bounds each shard engine's wave pool. 0 → GOMAXPROCS:
+	// shards take turns, so the one engine stepping has every P (every
+	// value yields the same trajectory).
 	Workers int
-
-	// ExchangeEvery is how many gradient iterations a shard runs
-	// between price-exchange rounds. 0 → 25.
-	ExchangeEvery int
-	// Damping is the γ of the damped external-usage update
-	// ext ← ext + γ·(target − ext); 0 → 0.5. Values in (0,1] keep the
-	// exchange a contraction toward the global fixed point.
-	Damping float64
 
 	// Serving selects the step mode the admission server runs by
 	// default; false keeps the paper's: fixed η, the loop-freedom tags,
@@ -79,18 +72,8 @@ func (c *Config) setDefaults() {
 	if c.StationaryTol == 0 {
 		c.StationaryTol = 1e-3
 	}
-	if c.ExchangeEvery <= 0 {
-		c.ExchangeEvery = 25
-	}
-	if c.Damping <= 0 || c.Damping > 1 {
-		c.Damping = 0.5
-	}
 	if c.Workers <= 0 {
-		w := runtime.GOMAXPROCS(0) / c.Shards
-		if w < 1 {
-			w = 1
-		}
-		c.Workers = w
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -120,7 +103,8 @@ type Result struct {
 	// Utility is Σ_j U_j(a_j) over all shards.
 	Utility float64
 	// Iterations is the total gradient iterations across shards this
-	// solve; Rounds the price-exchange rounds.
+	// solve, at most Config.MaxIters; Rounds the sweeps in which every
+	// shard took one turn.
 	Iterations int
 	Rounds     int
 	// Converged means every shard reached Theorem-2 stationarity and
@@ -135,18 +119,19 @@ type Result struct {
 	Shards []ShardStatus
 }
 
-// Coordinator owns N solver shards and runs the dual-decomposition
-// price exchange between them. With one shard it is the plain unsharded
-// solver: the exchange has no partner, external usage stays zero, and a
-// round is a stationarity check followed, unless it holds, by
-// ExchangeEvery gradient iterations. It is not safe for concurrent use;
-// the admission server drives it from its single solver goroutine.
+// Coordinator owns N solver shards and has them take turns on the one
+// objective they share: each shard steps its own commodities against
+// the exact usage of all the others. With one shard it is the plain
+// unsharded solver: external usage stays zero, and a turn is a
+// stationarity check followed, unless it holds, by exchangeEvery
+// gradient iterations. It is not safe for concurrent use; the admission
+// server drives it from its single solver goroutine.
 type Coordinator struct {
 	cfg     Config
 	p       *stream.Problem
 	runners []*runner
 	rebuilt []*runner      // built by the last Build, awaiting Bind
-	wg      sync.WaitGroup // fanOut's join; a field so a round allocates nothing
+	wg      sync.WaitGroup // fanOut's join
 	shared  int            // shared node prefix length; 0 until first build
 	merged  []float64
 	parts   [][]float64 // merge scratch, one entry per built runner
@@ -175,7 +160,7 @@ type runner struct {
 	buildErr error
 	fallback error // unexpected warm-start failure of the last bind
 
-	ext      []float64 // damped external usage, installed on x.External
+	ext      []float64 // the other shards' usage, installed on x.External
 	own      []float64 // shared usage after the last advance
 	admitted []float64 // a_j per local commodity after the last advance
 	utility  float64
@@ -187,7 +172,6 @@ type runner struct {
 	diverged   bool
 	divergeErr error
 	warm       bool // last bind warm-started
-	stepped    bool // last advance performed ≥1 iteration
 	seconds    float64
 }
 
@@ -398,8 +382,8 @@ func (r *runner) bind(p *stream.Problem) {
 	}
 
 	// No Recorder: engines step unobserved at every shard count; what a
-	// solve reports is the coordinator's per-round ShardAdvance and
-	// PriceExchange.
+	// solve reports is the coordinator's per-turn ShardAdvance and
+	// per-sweep PriceExchange.
 	gcfg := gradient.Config{Eta: r.cfg.Eta, Workers: r.cfg.Workers}
 	warmStart := newFrom
 	if r.cfg.Serving {
@@ -433,13 +417,21 @@ func (r *runner) bind(p *stream.Problem) {
 	r.stationary = false
 }
 
-// Solve runs price-exchange rounds until every shard is stationary and
-// the external-usage exchange has settled, the per-shard iteration
-// budgets are exhausted, or ctx is cancelled (drain). The whole round
-// structure is deterministic: shards advance in parallel but merge in
-// fixed shard order, so a given (shard state, mutation batch) always
-// produces the identical trajectory — the property replay verification
-// depends on.
+// exchangeEvery is how many gradient iterations a shard's turn runs at
+// most: its external usage is fixed for that long, and with one shard it
+// is how often a solve tests for stationarity.
+const exchangeEvery = 25
+
+// Solve has the shards take turns until every shard is stationary and
+// the external usage has settled, the solve's iteration budget
+// (Config.MaxIters, summed over shards) is spent, or ctx is cancelled
+// (drain). In a turn one shard steps against the exact usage of all the
+// others; its usage is then merged and installed as external usage on
+// every shard before the next one moves. That is block coordinate
+// descent on the one objective every shard's engine descends, and
+// sequential in fixed shard order, so a given (shard state, mutation
+// batch) always produces the identical trajectory — the property replay
+// verification depends on.
 func (c *Coordinator) Solve(ctx context.Context) Result {
 	res := Result{}
 	for _, r := range c.runners {
@@ -465,13 +457,24 @@ func (c *Coordinator) Solve(ctx context.Context) Result {
 		return res
 	}
 
-	maxRounds := 8*(c.cfg.MaxIters/c.cfg.ExchangeEvery+1) + 256
-	advance := func(r *runner) { r.advance(ctx) } // one closure per solve, not per round
+	spent := 0
 	for ctx.Err() == nil {
-		stepped := c.advanceAll(advance)
+		// A sweep that steps spends budget; one that does not leaves every
+		// shard's usage, and so every installed external usage, as it was,
+		// and ends the solve. No round cap is needed.
+		stepped, moved, maxDelta := false, false, 0.0
+		for _, r := range c.runners {
+			n := r.advance(ctx, min(exchangeEvery, c.cfg.MaxIters-spent))
+			spent += n
+			stepped = stepped || n > 0
+			c.cfg.Recorder.ShardAdvance(r.id, r.seconds, r.iters, len(r.global), n > 0,
+				float64(time.Now().UnixNano())/1e9)
+			c.merge()
+			m, d := c.updateExternals(anyX)
+			moved = moved || m
+			maxDelta = max(maxDelta, d)
+		}
 		res.Rounds++
-		c.merge()
-		moved, maxDelta := c.updateExternals(anyX)
 		c.cfg.Recorder.PriceExchange(c.cfg.Shards, maxDelta)
 
 		allStationary, anyDiverged := true, false
@@ -495,10 +498,7 @@ func (c *Coordinator) Solve(ctx context.Context) Result {
 			break
 		}
 		if !stepped && !moved {
-			break // budgets exhausted and exchange frozen
-		}
-		if res.Rounds >= maxRounds {
-			break
+			break // budget spent and external usage settled
 		}
 	}
 
@@ -520,68 +520,43 @@ func (c *Coordinator) Solve(ctx context.Context) Result {
 	return res
 }
 
-// advanceAll runs one advance per shard (see fanOut) and reports
-// whether any shard performed at least one gradient iteration; the
-// subsequent merge reads the results sequentially in shard order.
-func (c *Coordinator) advanceAll(advance func(*runner)) (stepped bool) {
-	c.fanOut(c.runners, advance)
-	now := float64(time.Now().UnixNano()) / 1e9
-	for _, r := range c.runners {
-		if r.stepped {
-			stepped = true
-		}
-		c.cfg.Recorder.ShardAdvance(r.id, r.seconds, r.iters, len(r.global), r.stepped, now)
-	}
-	return stepped
-}
-
-// advance is one timed step of the shard.
-func (r *runner) advance(ctx context.Context) {
+// advance is one timed turn of the shard: step with at most n
+// iterations. It returns the iterations run.
+func (r *runner) advance(ctx context.Context, n int) int {
 	start := time.Now()
-	r.stepped = r.step(ctx)
+	n = r.step(ctx, n)
 	r.seconds += time.Since(start).Seconds()
+	return n
 }
 
-// step checks Theorem-2 stationarity and, unless it holds, runs up to
-// ExchangeEvery gradient iterations against the shard's current
-// external-usage vector, refreshing its usage summary. The check comes
-// first, so a solve that begins stationary costs no iteration. A shard
-// that is already stationary and whose external usage has not moved
-// since skips entirely. The flows are forecast once per routing: the
-// engine keeps the evaluation this step ends on for the check the next
-// one starts with (FNode does not depend on External; a rebuild
-// installs a new engine and with it a new forecast).
-func (r *runner) step(ctx context.Context) (stepped bool) {
+// step checks Theorem-2 stationarity and, unless it holds, runs up to n
+// gradient iterations against the shard's current external-usage
+// vector, refreshing its usage summary. The check comes first, so a
+// solve that begins stationary costs no iteration. A shard that is
+// already stationary and whose external usage has not moved since skips
+// entirely. The flows are forecast once per routing: the engine keeps
+// the evaluation this step ends on for the check the next one starts
+// with (FNode does not depend on External; a rebuild installs a new
+// engine and with it a new forecast).
+func (r *runner) step(ctx context.Context, n int) (iters int) {
 	if r.eng == nil || r.diverged {
-		return false
+		return 0
 	}
 	if r.stationary && !r.extMoved {
-		return false
+		return 0
 	}
+	r.extMoved = false
 	tol := r.cfg.StationaryTol
 	if tol > 0 && r.eng.Stationarity().MaxUsedGap <= tol {
 		r.stationary = true
-		r.extMoved = false
 		r.capture()
-		return false
+		return 0
 	}
 	r.stationary = false
-	n := r.cfg.ExchangeEvery
-	if left := r.cfg.MaxIters - r.iters; left < n {
-		n = left
-	}
-	if n <= 0 {
-		r.extMoved = false
-		r.capture()
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			break
-		}
+	for iters < n && ctx.Err() == nil {
 		info := r.eng.Step()
 		r.iters++
-		stepped = true
+		iters++
 		if err := r.det.Observe(info); err != nil {
 			r.diverged = true
 			r.divergeErr = err
@@ -589,9 +564,8 @@ func (r *runner) step(ctx context.Context) (stepped bool) {
 			break
 		}
 	}
-	r.extMoved = false
 	r.capture()
-	return stepped
+	return iters
 }
 
 // capture refreshes the runner's usage summary — shared-prefix flow,
@@ -619,16 +593,15 @@ func (c *Coordinator) merge() {
 }
 
 // usageTol is the relative per-node settle tolerance on external usage:
-// a round whose damped updates all fall below usageTol·max(1, C_i)
-// counts as settled.
+// a sweep whose updates all fall below usageTol·max(1, C_i) counts as
+// settled.
 const usageTol = 1e-4
 
-// updateExternals applies the damped update
-// ext_s ← ext_s + γ·((F − own_s) − ext_s) per shard and reports whether
-// any per-node change exceeded the settle tolerance (relative to the
-// node's capacity scale).
+// updateExternals installs the exact external usage ext_s = max(0,
+// F − own_s) on every shard and reports whether any per-node change
+// exceeded the settle tolerance (relative to the node's capacity scale),
+// and the largest such change.
 func (c *Coordinator) updateExternals(anyX *transform.Extended) (moved bool, maxDelta float64) {
-	γ := c.cfg.Damping
 	for _, r := range c.runners {
 		if r.ext == nil {
 			continue
@@ -639,8 +612,8 @@ func (c *Coordinator) updateExternals(anyX *transform.Extended) (moved bool, max
 			if target < 0 {
 				target = 0
 			}
-			d := γ * (target - r.ext[i])
-			r.ext[i] += d
+			d := target - r.ext[i]
+			r.ext[i] = target
 			scale := 1.0
 			if cc := anyX.Capacity[i]; cc > 1 && !isInf(cc) {
 				scale = cc

@@ -1,20 +1,19 @@
 // Package shard horizontally partitions the admission problem's
-// commodities across independent solver shards coupled only by a
-// periodic price-exchange round (dual decomposition). Per-commodity
+// commodities across solver shards that take turns. Per-commodity
 // routing variables couple solely through shared capacity rows — the
 // node-usage sums inside the barrier penalties ε·D_i — so each shard
 // can run the paper's gradient algorithm on its own commodity subset
-// against a fixed estimate of everyone else's usage, and a coordinator
-// closes the loop: it merges per-shard usage into global congestion
-// state and feeds each shard a damped external-usage update, which the
-// shard's engine folds into its barrier shadow prices ε·D'_i. The fixed
-// point of that exchange is a stationary point of the undecomposed
-// objective, so the sharded solve converges to the unsharded optimum
-// within tolerance.
+// against everyone else's usage held fixed, which its engine folds into
+// its barrier shadow prices ε·D'_i. A coordinator advances the shards
+// one at a time in fixed order and, after each turn, merges per-shard
+// usage into global congestion state and installs every shard's exact
+// external usage. That is block coordinate descent on the one convex
+// objective of the undecomposed problem, so the sharded solve heads for
+// the unsharded optimum; it needs no damping.
 //
 // The shard boundary is two flat vectors over the shared node prefix:
-// a shard's own usage up, the damped usage of everyone else down.
-// Nothing else crosses it.
+// a shard's own usage up, the usage of everyone else down. Nothing else
+// crosses it.
 package shard
 
 // Place returns the shard owning a commodity under jump consistent
