@@ -8,6 +8,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -753,16 +754,53 @@ func memberEdges(x *transform.Extended) int {
 	return n
 }
 
+// servingShardEngine is one shard of the admission server's J=10k
+// deployment as it steps: shard 0 of 4 (placement salt 7) of the
+// scale-ladder instance, external usage at a quarter of every capacity
+// standing in for the other three shards, and the serving step mode —
+// backtracking, no tags — run a few iterations past the cold start.
+func servingShardEngine(b *testing.B) *gradient.Engine {
+	b.Helper()
+	p := scale10kInstance(b)
+	var incl []int
+	for gi := range p.Commodities {
+		if shard.Place(p.Commodities[gi].Name, 7, 4) == 0 {
+			incl = append(incl, gi)
+		}
+	}
+	x, err := transform.Build(p, transform.Options{Commodities: incl})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ext := make([]float64, x.SharedNodes)
+	for n, c := range x.Capacity[:x.SharedNodes] {
+		if !math.IsInf(c, 1) {
+			ext[n] = c / 4
+		}
+	}
+	x.SetExternal(ext)
+	eng := gradient.New(x, gradient.Config{Eta: 0.04, Backtrack: true, DisableBlocking: true, Workers: 1})
+	for i := 0; i < 20; i++ {
+		eng.Step()
+	}
+	return eng
+}
+
 // BenchmarkStepSparse prices one single-worker Engine.Step — forecast,
 // marginal/tag sweep, Γ — on the scale ladder. ns/member-edge is the
-// complexity check: it should not move between the rungs.
+// complexity check: it should not move between the rungs. The serving
+// rung is the step the admission server runs (servingShardEngine).
 func BenchmarkStepSparse(b *testing.B) {
 	for _, rung := range []struct {
 		name string
-		j    int
-	}{{"J=1k", 1000}, {"J=10k", 10000}} {
+		eng  func(*testing.B) *gradient.Engine
+	}{
+		{"J=1k", func(b *testing.B) *gradient.Engine { return sparseEngine(b, 1000) }},
+		{"J=10k", func(b *testing.B) *gradient.Engine { return sparseEngine(b, 10000) }},
+		{"serving", servingShardEngine},
+	} {
 		b.Run(rung.name, func(b *testing.B) {
-			eng := sparseEngine(b, rung.j)
+			eng := rung.eng(b)
 			edges := memberEdges(eng.X)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -126,13 +126,13 @@ func TestSparseEvaluateMatchesDenseReferenceBitwise(t *testing.T) {
 						}
 					}
 					for le, e := range sg.Edges {
-						if u.FEdge[j][le] != d.FEdge[j][e] {
+						if f := u.EdgeFlow(j, int32(le)); f != d.FEdge[j][e] {
 							t.Fatalf("frac %g commodity %d edge %d: f %v vs dense %v",
-								frac, j, e, u.FEdge[j][le], d.FEdge[j][e])
+								frac, j, e, f, d.FEdge[j][e])
 						}
-						if u.Arrive[j][le] != d.Arrive[j][e] {
+						if a := u.ArriveAt(j, e); a != d.Arrive[j][e] {
 							t.Fatalf("frac %g commodity %d edge %d: arrive %v vs dense %v",
-								frac, j, e, u.Arrive[j][le], d.Arrive[j][e])
+								frac, j, e, a, d.Arrive[j][e])
 						}
 					}
 					// Non-member rows of the dense reference must be
@@ -148,6 +148,38 @@ func TestSparseEvaluateMatchesDenseReferenceBitwise(t *testing.T) {
 					if got := u.AdmittedRate(j); got != wantAdmitted {
 						t.Fatalf("frac %g commodity %d: admitted %v, dense %v", frac, j, got, wantAdmitted)
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestFNodeIsEdgeFlowSumBitwise: FNode is Σ EdgeFlow added in the
+// forward sweep's order — commodity, then tail in topo order, then
+// out-edge — bit for bit, on every parity instance and several
+// routings. Edges the sweep skipped contribute EdgeFlow's exact 0.
+func TestFNodeIsEdgeFlowSumBitwise(t *testing.T) {
+	for name, x := range parityInstances(t) {
+		t.Run(name, func(t *testing.T) {
+			for _, frac := range []float64{0, 0.3, 0.75, 1} {
+				r := NewInitial(x)
+				for j := range x.Commodities {
+					c := &x.Commodities[j]
+					r.SetAt(j, c.InputLink, frac)
+					r.SetAt(j, c.DiffLink, 1-frac)
+				}
+				u := Evaluate(r)
+				sum := make([]float64, x.G.NumNodes())
+				for j := range x.Commodities {
+					sg := &x.Sub[j]
+					for _, ln := range sg.Topo {
+						for _, le := range sg.Out(ln) {
+							sum[sg.Nodes[ln]] += u.EdgeFlow(j, le)
+						}
+					}
+				}
+				if !sameBits(sum, u.FNode) {
+					t.Fatalf("frac %g: Σ EdgeFlow in sweep order differs from FNode", frac)
 				}
 			}
 		})

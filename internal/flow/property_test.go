@@ -212,7 +212,7 @@ func TestQuickFNodeAggregation(t *testing.T) {
 		for j := range x.Commodities {
 			sg := &x.Sub[j]
 			for le, e := range sg.Edges {
-				sum[x.G.Edge(e).From] += u.FEdge[j][le]
+				sum[x.G.Edge(e).From] += u.EdgeFlow(j, int32(le))
 			}
 		}
 		for n := range sum {

@@ -11,63 +11,52 @@ import (
 
 // Usage is the traffic and resource state induced by a routing set:
 // the unique solution of the flow-balance equations (eq. 3) plus the
-// resource usage rates of eqs. (4)–(5). Per-commodity rows use the
-// commodity's Subgraph local indexing (T by local node, FEdge/Arrive by
-// local edge); only FNode spans the full extended node range, because
-// it accumulates cross-commodity flow at shared nodes.
+// resource usage rates of eqs. (4)–(5). It stores what the solver reads
+// on every iteration: T, per commodity in the commodity's Subgraph
+// local node indexing, and FNode, which spans the full extended node
+// range because it accumulates cross-commodity flow at shared nodes.
+// Per-edge quantities are derived from T and the routing on demand
+// (EdgeFlow, ArriveAt), bit for bit what the forward sweep computed.
 type Usage struct {
 	R *Routing
 	// T[j][ln] is t_n(j): the expected commodity-j traffic rate at
 	// member node ln (local index), in node-local input units.
 	T [][]float64
-	// FEdge[j][le] is node-resource usage from the tail of member edge
-	// le by commodity j: t_i(j)·φ_e(j)·c_e(j) (eq. 4 per commodity).
-	FEdge [][]float64
-	// Arrive[j][le] is the flow delivered to the head of member edge le:
-	// t_i(j)·φ_e(j)·β_e(j).
-	Arrive [][]float64
-	// FNode[n] is f_n = Σ_e Σ_j FEdge over e ∈ out(n) (eq. 5), indexed
-	// by extended node ID.
+	// FNode[n] is f_n = Σ_e Σ_j EdgeFlow over e ∈ out(n) (eq. 5),
+	// indexed by extended node ID.
 	FNode []float64
 
-	// Flat backing arrays of the row slices above (tBack is Σ member
-	// nodes, feBack and arBack are Σ member edges). EvaluateInto zeroes
-	// them with single clear() passes instead of reallocating; they are
-	// nil for a Usage assembled by hand, in which case EvaluateInto
-	// falls back to row-by-row clearing.
-	tBack, feBack, arBack []float64
+	// x is the extended problem NewUsage sized the workspace for, and
+	// tBack the flat backing array of the T rows (Σ member nodes), which
+	// EvaluateInto zeroes with one clear() instead of reallocating. Both
+	// are nil for a Usage assembled by hand, in which case EvaluateInto
+	// checks the shape on every call and clears row by row.
+	x     *transform.Extended
+	tBack []float64
 }
 
 // NewUsage allocates a reusable evaluation workspace for the extended
-// problem x: per-commodity rows sized by each commodity's member node
-// and edge counts (sliced from one flat array per field, so repeated
-// EvaluateInto calls touch contiguous memory and allocate nothing),
-// plus a full-width FNode accumulator. Total memory is O(Σ member),
-// not O(J·(n+m)).
+// problem x: per-commodity T rows sized by each commodity's member node
+// count (sliced from one flat array, so repeated EvaluateInto calls
+// touch contiguous memory and allocate nothing), plus a full-width
+// FNode accumulator. Total memory is O(Σ member nodes), not O(J·n).
 func NewUsage(x *transform.Extended) *Usage {
 	nc := x.NumCommodities()
-	totalN, totalE := 0, 0
+	totalN := 0
 	for j := 0; j < nc; j++ {
 		totalN += x.Sub[j].NumNodes()
-		totalE += x.Sub[j].NumEdges()
 	}
 	u := &Usage{
-		T:      make([][]float64, nc),
-		FEdge:  make([][]float64, nc),
-		Arrive: make([][]float64, nc),
-		FNode:  make([]float64, x.G.NumNodes()),
-		tBack:  make([]float64, totalN),
-		feBack: make([]float64, totalE),
-		arBack: make([]float64, totalE),
+		T:     make([][]float64, nc),
+		FNode: make([]float64, x.G.NumNodes()),
+		x:     x,
+		tBack: make([]float64, totalN),
 	}
-	offN, offE := 0, 0
+	off := 0
 	for j := 0; j < nc; j++ {
-		endN := offN + x.Sub[j].NumNodes()
-		endE := offE + x.Sub[j].NumEdges()
-		u.T[j] = u.tBack[offN:endN:endN]
-		u.FEdge[j] = u.feBack[offE:endE:endE]
-		u.Arrive[j] = u.arBack[offE:endE:endE]
-		offN, offE = endN, endE
+		end := off + x.Sub[j].NumNodes()
+		u.T[j] = u.tBack[off:end:end]
+		off = end
 	}
 	return u
 }
@@ -88,20 +77,23 @@ func shapeErr(format string, args ...any) error {
 }
 
 // checkShape verifies that u was allocated for x's per-commodity member
-// sizes. O(commodities).
+// sizes: at once when NewUsage sized u for x itself (an extended
+// problem's shapes never change after Build), in O(commodities)
+// otherwise.
 func (u *Usage) checkShape(x *transform.Extended) error {
+	if u.x == x {
+		return nil
+	}
 	nc, nn := x.NumCommodities(), x.G.NumNodes()
-	if len(u.T) != nc || len(u.FEdge) != nc || len(u.Arrive) != nc {
+	if len(u.T) != nc {
 		return shapeErr("workspace has %d commodity rows, problem has %d", len(u.T), nc)
 	}
 	if len(u.FNode) != nn {
 		return shapeErr("workspace FNode spans %d nodes, problem has %d", len(u.FNode), nn)
 	}
 	for j := 0; j < nc; j++ {
-		sg := &x.Sub[j]
-		if len(u.T[j]) != sg.NumNodes() || len(u.FEdge[j]) != sg.NumEdges() || len(u.Arrive[j]) != sg.NumEdges() {
-			return shapeErr("commodity %d rows sized (%d nodes, %d edges), member subgraph has (%d, %d)",
-				j, len(u.T[j]), len(u.FEdge[j]), sg.NumNodes(), sg.NumEdges())
+		if n := x.Sub[j].NumNodes(); len(u.T[j]) != n {
+			return shapeErr("commodity %d row sized for %d nodes, member subgraph has %d", j, len(u.T[j]), n)
 		}
 	}
 	return nil
@@ -150,25 +142,23 @@ func TryEvaluateInto(u *Usage, r *Routing) error {
 // position, ascending edge) order the dense filtered scan used, so
 // floating-point accumulation — and therefore whole solver
 // trajectories — stays bitwise-identical to the dense representation.
+// The per-edge terms it adds, (t·φ)·c into FNode and (t·φ)·β into the
+// head's T, are what EdgeFlow and arrive recompute.
 func evaluateInto(u *Usage, r *Routing) {
 	x := r.X
 	nc := x.NumCommodities()
 	if u.tBack != nil {
 		clear(u.tBack)
-		clear(u.feBack)
-		clear(u.arBack)
 	} else {
 		for j := 0; j < nc; j++ {
 			clear(u.T[j])
-			clear(u.FEdge[j])
-			clear(u.Arrive[j])
 		}
 	}
 	clear(u.FNode)
 	u.R = r
 	for j := 0; j < nc; j++ {
 		sg := &x.Sub[j]
-		t, fe, ar := u.T[j], u.FEdge[j], u.Arrive[j]
+		t := u.T[j]
 		cost, beta, phi := sg.Cost, sg.Beta, r.Phi[j]
 		t[sg.Dummy] = x.Commodities[j].MaxRate // r_i(j) of eq. 2
 		for _, ln := range sg.Topo {
@@ -182,15 +172,42 @@ func evaluateInto(u *Usage, r *Routing) {
 				if p == 0 {
 					continue
 				}
-				f := tn * p * cost[le]
-				fe[le] = f
-				a := tn * p * beta[le]
-				ar[le] = a
-				t[sg.Head[le]] += a
-				u.FNode[n] += f
+				// The conversions round each product before it is added
+				// (no fused multiply-add), so EdgeFlow and arrive
+				// reproduce the terms exactly on every platform.
+				t[sg.Head[le]] += float64(tn * p * beta[le])
+				u.FNode[n] += float64(tn * p * cost[le])
 			}
 		}
 	}
+}
+
+// EdgeFlow returns the node-resource usage commodity j puts on member
+// edge le (local index) at its tail: t_i(j)·φ_e(j)·c_e(j), eq. 4 per
+// commodity, with the forward sweep's association and its zeros — 0
+// wherever the sweep added nothing (t_i(j) = 0, φ_e(j) = 0, or a tail
+// at the sink). O(1).
+func (u *Usage) EdgeFlow(j int, le int32) float64 {
+	sg := &u.R.X.Sub[j]
+	return u.perEdge(j, sg, le, sg.Cost)
+}
+
+// arrive is EdgeFlow's twin for the flow member edge le delivers to its
+// head, t_i(j)·φ_e(j)·β_e(j).
+func (u *Usage) arrive(j int, le int32) float64 {
+	sg := &u.R.X.Sub[j]
+	return u.perEdge(j, sg, le, sg.Beta)
+}
+
+// perEdge is (t_tail·φ_e)·k_e as the forward sweep computed it, or 0
+// where the sweep skipped the edge.
+func (u *Usage) perEdge(j int, sg *transform.Subgraph, le int32, k []float64) float64 {
+	tail := sg.Tail[le]
+	tn, p := u.T[j][tail], u.R.Phi[j][le]
+	if tn == 0 || p == 0 || tail == sg.Sink {
+		return 0
+	}
+	return tn * p * k[le]
 }
 
 // TAt returns t_n(j) for extended node n, zero when n is not a member
@@ -207,7 +224,7 @@ func (u *Usage) TAt(j int, n graph.NodeID) float64 {
 // edges).
 func (u *Usage) ArriveAt(j int, e graph.EdgeID) float64 {
 	if le := u.R.X.Sub[j].LocalEdge(e); le >= 0 {
-		return u.Arrive[j][le]
+		return u.arrive(j, le)
 	}
 	return 0
 }
@@ -240,16 +257,19 @@ func (u *Usage) UtilityLoss() float64 {
 	total := 0.0
 	for j := range x.Commodities {
 		c := &x.Commodities[j]
-		total += x.LossValue(j, c.DiffLink, u.FEdge[j][x.Sub[j].DiffLink])
+		total += x.LossValue(j, c.DiffLink, u.EdgeFlow(j, x.Sub[j].DiffLink))
 	}
 	return total
 }
 
-// PenaltyCost returns ε·D = Σ_i ε·D_i(f_i).
+// PenaltyCost returns ε·D = Σ_i ε·D_i(f_i), summed in ascending node
+// order over the shared prefix, which holds every capacitated node
+// (every other term is +0).
 func (u *Usage) PenaltyCost() float64 {
+	x := u.R.X
 	total := 0.0
-	for n, f := range u.FNode {
-		total += u.R.X.PenaltyValue(graph.NodeID(n), f)
+	for n, f := range u.FNode[:x.SharedNodes] {
+		total += x.PenaltyValue(graph.NodeID(n), f)
 	}
 	return total
 }
@@ -266,10 +286,18 @@ func (u *Usage) TotalCost() float64 {
 // check is at the global operating point: own flow plus the external
 // usage installed on the extended problem (nil External adds nothing).
 func (u *Usage) Feasible() (ok bool, slack float64) {
+	return feasible(u.R.X, u.FNode, u.R.X.External)
+}
+
+// feasible is the one feasibility loop: f_i = usage_i + ext_i against
+// C_i at every capacitated node of x that usage covers, in ascending
+// order. The capacitated nodes all lie in the shared prefix, so the
+// loop stops there. ext may be shorter than usage or nil; it adds
+// nothing where it has no entry.
+func feasible(x *transform.Extended, usage, ext []float64) (ok bool, slack float64) {
 	ok, slack = true, 1.0
-	ext := u.R.X.External
-	for n, f := range u.FNode {
-		c := u.R.X.Capacity[n]
+	for n, f := range usage[:min(len(usage), x.SharedNodes)] {
+		c := x.Capacity[n]
 		if math.IsInf(c, 1) {
 			continue
 		}
@@ -319,21 +347,7 @@ func MergeShared(dst []float64, parts ...[]float64) {
 // against the shared-prefix capacities of x (same tolerance and slack
 // convention as Usage.Feasible, restricted to the shared nodes).
 func FeasibleShared(x *transform.Extended, merged []float64) (ok bool, slack float64) {
-	ok, slack = true, 1.0
-	for n, f := range merged {
-		c := x.Capacity[n]
-		if math.IsInf(c, 1) {
-			continue
-		}
-		s := (c - f) / c
-		if s < slack {
-			slack = s
-		}
-		if f > c+1e-9 {
-			ok = false
-		}
-	}
-	return ok, slack
+	return feasible(x, merged, nil)
 }
 
 // DeliveredRate returns the flow arriving at commodity j's sink through
@@ -346,7 +360,7 @@ func (u *Usage) DeliveredRate(j int) float64 {
 		if le == sg.DiffLink {
 			continue
 		}
-		total += u.Arrive[j][le]
+		total += u.arrive(j, le)
 	}
 	return total
 }

@@ -54,11 +54,13 @@ func assertUsageBitwiseEqual(t *testing.T, got, want *Usage) {
 		if !sameBits(got.T[j], want.T[j]) {
 			t.Fatalf("T[%d] differs", j)
 		}
-		if !sameBits(got.FEdge[j], want.FEdge[j]) {
-			t.Fatalf("FEdge[%d] differs", j)
-		}
-		if !sameBits(got.Arrive[j], want.Arrive[j]) {
-			t.Fatalf("Arrive[%d] differs", j)
+		for le, e := range want.R.X.Sub[j].Edges {
+			if got.EdgeFlow(j, int32(le)) != want.EdgeFlow(j, int32(le)) {
+				t.Fatalf("EdgeFlow(%d, %d) differs", j, le)
+			}
+			if got.ArriveAt(j, e) != want.ArriveAt(j, e) {
+				t.Fatalf("ArriveAt(%d, %d) differs", j, e)
+			}
 		}
 	}
 }

@@ -36,7 +36,8 @@ type waveScratch struct {
 type arena struct {
 	x *transform.Extended
 	// price is ε·D'_n at the global operating point per extended node,
-	// refilled from the forecast at the start of every wave.
+	// zero at every uncapacitated one: the engine writes it when it
+	// evaluates a routing (evaluate), the stationarity check refills it.
 	price   []float64
 	scratch []waveScratch // one per worker
 	cursor  atomic.Int64  // next commodity for the pool to claim
@@ -77,9 +78,9 @@ func newArena(x *transform.Extended, workers int) *arena {
 // the result is bitwise-identical to the sequential execution. It
 // returns the number of tagged nodes and, with a recorder attached,
 // observes the wave's two phases once each: the time spent in the phase
-// summed over commodities and workers.
+// summed over commodities and workers. a.price must hold u's node
+// prices.
 func (a *arena) runWave(u *flow.Usage, eta float64, blocking bool, rec *obs.Recorder, next *flow.Routing) (ntagged int) {
-	fillNodePrices(u, a.price)
 	timed := rec.Enabled()
 	if len(a.scratch) > 1 {
 		a.cursor.Store(0)

@@ -96,7 +96,7 @@ func attribute(u *flow.Usage, j int, price []float64) Attribution {
 	at.Gap = at.MarginalUtility - at.PathCost
 
 	// Walk the capacitated member nodes carrying commodity-j flow; a
-	// node's commodity-j throughput is Σ_{e∈out(n)} FEdge[j][e].
+	// node's commodity-j throughput is Σ_{e∈out(n)} EdgeFlow(j, e).
 	// (Ascending local index = ascending global ID; non-member nodes
 	// carry no commodity-j flow, so restricting the walk loses nothing.)
 	var worst *BindingNode
@@ -108,7 +108,7 @@ func attribute(u *flow.Usage, j int, price []float64) Attribution {
 		}
 		used := 0.0
 		for _, le := range sg.Out(ln) {
-			used += u.FEdge[j][le]
+			used += u.EdgeFlow(j, le)
 		}
 		if used <= minFlow {
 			continue

@@ -98,6 +98,16 @@ type Engine struct {
 	arena      *arena
 	admitted   []float64
 
+	// The carried evaluation: while carried is set, cost and feasible
+	// are A and f ≤ C of the usage in u, and arena.price holds its node
+	// prices, all under the External installed when they were made. The
+	// backtrack that accepts a routing computes them (it has to judge
+	// it anyway), so the next Step reads them instead of walking the
+	// nodes again. carried implies forecasted.
+	carried  bool
+	cost     float64
+	feasible bool
+
 	// Step control: eta is the current step scale (cfg.Eta for good
 	// without Backtrack).
 	eta        float64
@@ -178,10 +188,19 @@ func Carry(x *transform.Extended, r *flow.Routing, cfg Config) (*Engine, error) 
 // The trajectory from here is the one a rebuilt, rebound engine started
 // at that η would take, bit for bit, in both step modes.
 func (e *Engine) Restart() {
-	e.forecasted = false
+	e.forecasted, e.carried = false, false
 	e.descents, e.backtracks = 0, 0
 	e.stats, e.iter = Stats{}, 0
 }
+
+// ExternalChanged tells the engine that e.X.External may have been
+// rewritten since it last stepped. The flows of its routing stand — they
+// do not depend on External — but the cost, feasibility and node prices
+// it carried from its last accepted step were taken at the old global
+// operating point and are dropped. Whoever rewrites External in place
+// between steps calls it before the next one; a coordinator calls it at
+// the start of every turn.
+func (e *Engine) ExternalChanged() { e.carried = false }
 
 // Stats returns protocol accounting accumulated so far.
 func (e *Engine) Stats() Stats { return e.stats }
@@ -234,6 +253,7 @@ func (e *Engine) Step() StepInfo {
 
 	next := e.spare
 	iterTagged := e.arena.runWave(u, e.eta, !e.cfg.DisableBlocking, rec, next)
+	e.carried = false
 	if e.cfg.Backtrack {
 		e.backtrack(next, info.Cost)
 	} else {
@@ -255,21 +275,25 @@ func (e *Engine) Step() StepInfo {
 }
 
 // backtrack forecasts the proposed routing next into the engine's one
-// usage workspace and keeps it only if it does not raise cost, the cost
-// at the current routing; η grows after a run of kept steps and halves
-// on a rejected one. A kept proposal keeps its forecast too, so the next
-// Step evaluates nothing; a rejected one leaves the workspace holding
-// flows of a routing the engine does not have, and the next Step
-// forecasts the current routing again. One forecast per accepted step,
-// as in fixed mode, and a second workspace saved for the price of one
+// usage workspace, evaluates it in one node pass (evaluate),
+// and keeps it only if it does not raise cost, the cost at the current
+// routing; η grows after a run of kept steps and halves on a rejected
+// one. A kept proposal keeps its forecast and its evaluation — cost,
+// feasibility, node prices — so the next Step computes none of them
+// again; a rejected one leaves the workspace and the prices holding a
+// routing the engine does not have, and the next Step forecasts and
+// prices the current routing again. One forecast and one node pass per
+// accepted step, and a second workspace saved for the price of one
 // extra forecast per rejection.
 func (e *Engine) backtrack(next *flow.Routing, cost float64) {
 	rec := e.cfg.Recorder
 	tf := rec.StartPhase(obs.PhaseForecast)
 	flow.EvaluateInto(e.u, next)
 	tf.Done()
-	if e.u.TotalCost() <= cost+1e-12 {
+	proposed, feasible := evaluate(e.u, e.arena.price)
+	if proposed <= cost+1e-12 {
 		e.spare, e.R = e.R, next
+		e.carried, e.cost, e.feasible = true, proposed, feasible
 		e.descents++
 		if e.descents >= growAfter {
 			e.descents = 0
@@ -298,17 +322,22 @@ func (e *Engine) alg() string {
 	return "gradient"
 }
 
+// measure reads the StepInfo of the routing u holds and leaves its
+// node prices in the arena for the wave: from the carried evaluation
+// when there is one, from one evaluate pass otherwise.
 func (e *Engine) measure(u *flow.Usage) StepInfo {
 	for j := range e.admitted {
 		e.admitted[j] = u.AdmittedRate(j)
 	}
-	feasible, _ := u.Feasible()
+	if !e.carried {
+		e.cost, e.feasible = evaluate(u, e.arena.price)
+	}
 	return StepInfo{
 		Iteration: e.iter,
 		Utility:   u.Utility(),
-		Cost:      u.TotalCost(),
+		Cost:      e.cost,
 		Admitted:  e.admitted,
-		Feasible:  feasible,
+		Feasible:  e.feasible,
 	}
 }
 

@@ -96,9 +96,12 @@ func marginalsAt(u *flow.Usage, j int, price []float64) *Marginals {
 func sweep(u *flow.Usage, j int, price, rho, linkD []float64, tagged []bool, eta float64) (ntagged int) {
 	x := u.R.X
 	sg := &x.Sub[j]
-	phi, t, fe := u.R.Phi[j], u.T[j], u.FEdge[j]
+	phi, t := u.R.Phi[j], u.T[j]
 	beta, cost, head, nodes := sg.Beta, sg.Cost, sg.Head, sg.Nodes
 	sink, diff := sg.Sink, sg.DiffLink
+	// U'_j(λ_j − f_e) on the difference link reads only the forecast, so
+	// it is evaluated once per commodity, not inside the edge loop.
+	diffLoss := x.Commodities[j].Loss.Deriv(u.EdgeFlow(j, diff))
 	for _, ln := range sg.RevTopo() {
 		if ln == sink {
 			rho[ln] = 0 // convention ∂A/∂r_j(j) = 0
@@ -117,7 +120,7 @@ func sweep(u *flow.Usage, j int, price, rho, linkD []float64, tagged []bool, eta
 		for _, le := range outs {
 			var loss float64
 			if le == diff {
-				loss = x.Commodities[j].Loss.Deriv(fe[le])
+				loss = diffLoss
 			}
 			d := (p+loss)*cost[le] + beta[le]*rho[head[le]]
 			linkD[le] = d

@@ -22,8 +22,8 @@ const minRate = 1e-3
 // needed. The JSON encoding is canonical: compiling the same scenario
 // at the same scale always produces byte-identical streams.
 type Event struct {
-	Epoch int    `json:"epoch"`
-	Seq   int    `json:"seq"`
+	Epoch int `json:"epoch"`
+	Seq   int `json:"seq"`
 	// Kind is one of "arrive", "rate", "depart", "scale_capacity",
 	// "set_capacity", "scale_bandwidth", "set_bandwidth".
 	Kind      string  `json:"kind"`

@@ -81,8 +81,8 @@ type CohortSpec struct {
 	Count int    `json:"count"`
 	// Class names a ClassSpec; empty keeps the generated template's
 	// utility (linear slope 1, the paper's max-throughput objective).
-	Class   string         `json:"class,omitempty"`
-	Arrival ArrivalSpec    `json:"arrival"`
+	Class   string      `json:"class,omitempty"`
+	Arrival ArrivalSpec `json:"arrival"`
 	// Departure is optional; absent means members stay until the
 	// horizon ends.
 	Departure *DepartureSpec `json:"departure,omitempty"`

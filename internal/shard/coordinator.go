@@ -537,11 +537,15 @@ func (r *runner) advance(ctx context.Context, n int) int {
 // entirely. The flows are forecast once per routing: the engine keeps
 // the evaluation this step ends on for the check the next one starts
 // with (FNode does not depend on External; a rebuild installs a new
-// engine and with it a new forecast).
+// engine and with it a new forecast). What does depend on External —
+// the cost, feasibility and node prices the engine carries from its
+// last accepted step — is dropped first: updateExternals rewrites ext
+// after every turn, by however little.
 func (r *runner) step(ctx context.Context, n int) (iters int) {
 	if r.eng == nil || r.diverged {
 		return 0
 	}
+	r.eng.ExternalChanged()
 	if r.stationary && !r.extMoved {
 		return 0
 	}

@@ -322,3 +322,72 @@ func TestServingRunsWithoutTags(t *testing.T) {
 		t.Fatalf("serving mode reaches utility %v in %d iterations, a tagged engine %v", got, res.Iterations, trapped)
 	}
 }
+
+// TestTurnStartDropsCarriedEvaluation: a serving engine carries the
+// cost, feasibility and node prices of its last accepted step into the
+// next one, and they were taken at the external usage installed then.
+// Every turn rewrites the other shards' external usage, so a turn must
+// start by dropping them (runner.step's Engine.ExternalChanged). At two
+// shards a solve must therefore equal, bit for bit, the same turns
+// driven one iteration at a time with the carried evaluation dropped
+// before every iteration — routing, utility and admitted rates per
+// shard.
+func TestTurnStartDropsCarriedEvaluation(t *testing.T) {
+	p, err := randnet.GenerateSparse(randnet.Config{Seed: 13, Nodes: 48, Layers: 6, Commodities: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stationarity checks off: every turn spends its 25 iterations.
+	cfg := Config{Shards: 2, Salt: 7, Eta: 0.5, MaxIters: 300, StationaryTol: -1, Workers: 1, Serving: true}
+	got, want := New(cfg), New(cfg)
+	for _, c := range []*Coordinator{got, want} {
+		if _, err := c.Apply(p, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := got.Solve(context.Background())
+	if res.Err != nil || res.Iterations != cfg.MaxIters {
+		t.Fatalf("solve: %d iterations, err %v", res.Iterations, res.Err)
+	}
+
+	// Solve's sweeps, written out with every iteration its own step.
+	ctx := context.Background()
+	anyX := want.runners[0].x
+	for spent := 0; spent < cfg.MaxIters; {
+		for _, r := range want.runners {
+			n := min(exchangeEvery, cfg.MaxIters-spent)
+			for i := 0; i < n; i++ {
+				r.eng.ExternalChanged()
+				r.advance(ctx, 1)
+			}
+			spent += n
+			want.merge()
+			want.updateExternals(anyX)
+		}
+	}
+
+	rejected := 0
+	for s, g := range got.runners {
+		w := want.runners[s]
+		if g.eng == nil || w.eng == nil {
+			t.Fatalf("shard %d has no engine", s)
+		}
+		rejected += w.eng.Backtracks()
+		if g.utility != w.utility {
+			t.Fatalf("shard %d: utility %v, one-step turns %v", s, g.utility, w.utility)
+		}
+		for j := range w.admitted {
+			if g.admitted[j] != w.admitted[j] {
+				t.Fatalf("shard %d commodity %d: admitted %v, one-step turns %v", s, j, g.admitted[j], w.admitted[j])
+			}
+		}
+		for j, row := range w.eng.Routing().Phi {
+			if !slices.Equal(g.eng.Routing().Phi[j], row) {
+				t.Fatalf("shard %d commodity %d: routing differs from the one-step turns", s, j)
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no step was rejected; the case needs step control to have acted")
+	}
+}

@@ -90,7 +90,10 @@ type Extended struct {
 	// M bandwidth nodes, in identical ID order regardless of which
 	// commodity subset was built. Dummy nodes (per-commodity,
 	// uncapacitated) follow and differ between subset builds, so
-	// cross-shard usage exchange is defined over [0, SharedNodes).
+	// cross-shard usage exchange is defined over [0, SharedNodes). Every
+	// capacitated node lies in the prefix: a sum over the barrier terms
+	// walks it and skips the +Inf capacities (sinks), whose terms are
+	// exactly zero.
 	SharedNodes int
 
 	// Subset, when non-nil, maps local commodity index -> index into
@@ -465,8 +468,11 @@ func (x *Extended) PenaltyDeriv(i graph.NodeID, z float64) float64 {
 // SetExternal installs ext (length ≤ SharedNodes; usually exactly
 // SharedNodes) as the external-usage vector the barrier adds to own
 // flow. The slice is retained, not copied, so a coordinator can update
-// it in place between solve rounds as long as no wave is running. Nil
-// restores the unsharded behaviour.
+// it in place between solve rounds as long as no wave is running; after
+// such a rewrite it calls gradient.Engine.ExternalChanged on every
+// engine bound to x before that engine's next Step, or the engine keeps
+// the cost, feasibility and node prices it took under the old values.
+// Nil restores the unsharded behaviour.
 func (x *Extended) SetExternal(ext []float64) { x.External = ext }
 
 // LossValue returns Y_(i,k)(z): the utility loss when edge e carries z,
