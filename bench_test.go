@@ -18,6 +18,7 @@ import (
 	"repro/internal/gradient"
 	"repro/internal/journal"
 	"repro/internal/loadgen"
+	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/qsim"
 	"repro/internal/randnet"
@@ -436,32 +437,39 @@ func BenchmarkDecomposePaths(b *testing.B) {
 // mutation. The ring is sized so the bench wraps it, covering the
 // steady-state (evicting) path.
 func BenchmarkDecisionSpan(b *testing.B) {
-	tr := span.New(1024, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		root := tr.Start("decision", span.Context{})
-		solve := tr.Start("solve", root.Context())
-		solve.SetAttrInt("mutations_coalesced", 1)
-		solve.End()
-		root.SetAttrInt("generation", int64(i))
-		root.End()
-	}
+	benchDecisionSpan(b, span.New(1024, nil))
+}
+
+// BenchmarkDecisionSpanRecorded is BenchmarkDecisionSpan over the
+// daemon's emitter, an obs.Recorder (no sink): the difference is the
+// cost of observing each span into streamopt_stage_seconds.
+func BenchmarkDecisionSpanRecorded(b *testing.B) {
+	benchDecisionSpan(b, span.New(1024, obs.NewRecorder(nil, nil)))
 }
 
 // BenchmarkDecisionSpanNil is the disabled path — a nil tracer must
 // stay ≤1 alloc/op (it is in fact 0; benchdiff gates regressions).
 func BenchmarkDecisionSpanNil(b *testing.B) {
-	var tr *span.Tracer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	benchDecisionSpan(b, nil)
+}
+
+// benchDecisionSpan times decisions after one untimed one, so that even
+// a -benchtime=1x run prices the steady state: a recorder's stage
+// histograms are registered on a stage's first span, not on every one.
+func benchDecisionSpan(b *testing.B, tr *span.Tracer) {
+	decide := func(generation int) {
 		root := tr.Start("decision", span.Context{})
 		solve := tr.Start("solve", root.Context())
 		solve.SetAttrInt("mutations_coalesced", 1)
 		solve.End()
-		root.SetAttrInt("generation", int64(i))
+		root.SetAttrInt("generation", int64(generation))
 		root.End()
+	}
+	decide(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decide(i)
 	}
 }
 

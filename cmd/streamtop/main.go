@@ -2,9 +2,10 @@
 // admissiond (or any server exposing the internal/server API plus
 // /metrics). Each refresh it shows the live decision pipeline at a
 // glance: snapshot generation and generation rate, total utility,
-// warm/cold solve counts, decision-latency quantiles estimated from
-// the streamopt_decision_latency_seconds histogram, per-commodity
-// admitted rates, and the most recent admitted↔rejected flips with the
+// warm/cold solve counts, decision-latency quantiles and one p50/p99
+// row per lifecycle stage, estimated from the span-fed
+// streamopt_stage_seconds{stage} histogram, per-commodity admitted
+// rates, and the most recent admitted↔rejected flips with the
 // trace ID of the mutation batch that caused each one (paste it into
 // /debug/spans?trace=… to see the full decision lifecycle), and a
 // per-shard table — one row per solver shard of admissiond -shards N,
@@ -147,14 +148,14 @@ func render(client *http.Client, base string, cfg cliConfig, prevGen int64, prev
 	fmt.Fprintf(&b, "generation %d%s   utility %.4f   solves %.0f (warm %.0f / cold %.0f)\n",
 		adm.Generation, genRate, adm.Utility, warm+cold, warm, cold)
 
-	count := metrics.value("streamopt_decision_latency_seconds_count")
-	buckets := metrics.histogram("streamopt_decision_latency_seconds_bucket")
+	count, buckets := metrics.stage("decision")
 	fmt.Fprintf(&b, "decisions %.0f   latency p50 %s  p95 %s  p99 %s   spans %.0f\n",
 		count,
 		fmtDur(quantile(buckets, count, 0.50)),
 		fmtDur(quantile(buckets, count, 0.95)),
 		fmtDur(quantile(buckets, count, 0.99)),
-		metrics.value("streamopt_spans_total"))
+		metrics.sum("streamopt_stage_seconds_count"))
+	writeStageTable(&b, metrics)
 
 	// Runtime telemetry (present when the daemon runs the sampler).
 	if metrics.has("streamopt_go_goroutines") {
@@ -212,6 +213,22 @@ func render(client *http.Client, base string, cfg cliConfig, prevGen int64, prev
 		}
 	}
 	return b.String(), adm.Generation, metrics, nil
+}
+
+// writeStageTable renders one row per decision-lifecycle stage — the
+// span names, as the daemon labels streamopt_stage_seconds — with its
+// count and p50/p99 latency.
+func writeStageTable(b *strings.Builder, metrics metricSet) {
+	stages := metrics.labels("streamopt_stage_seconds_count", "stage")
+	if len(stages) == 0 {
+		return
+	}
+	fmt.Fprintf(b, "%-12s %8s %10s %10s\n", "STAGE", "COUNT", "P50", "P99")
+	for _, stage := range stages {
+		count, buckets := metrics.stage(stage)
+		fmt.Fprintf(b, "%-12s %8.0f %10s %10s\n", stage, count,
+			fmtDur(quantile(buckets, count, 0.50)), fmtDur(quantile(buckets, count, 0.99)))
+	}
 }
 
 // writeShardTable renders the solver view of the daemon's shard
@@ -325,17 +342,26 @@ func (m metricSet) sum(family string) float64 {
 	return total
 }
 
+// stage reads one decision-lifecycle stage of the span-fed
+// streamopt_stage_seconds: its observation count and its buckets.
+func (m metricSet) stage(name string) (float64, []bucket) {
+	sel := `stage="` + name + `"`
+	return m.value("streamopt_stage_seconds_count{" + sel + "}"),
+		m.histogram("streamopt_stage_seconds_bucket", sel)
+}
+
 // bucket is one cumulative histogram bucket.
 type bucket struct {
 	le  float64
 	cum float64
 }
 
-// histogram collects the le buckets of one family, sorted ascending
-// (+Inf last).
-func (m metricSet) histogram(family string) []bucket {
+// histogram collects the le buckets of one labeled series of a family,
+// selected by its other labels verbatim as exposed (`stage="iterate"`),
+// sorted ascending (+Inf last).
+func (m metricSet) histogram(family, selector string) []bucket {
 	var out []bucket
-	prefix := family + `{le="`
+	prefix := family + "{" + selector + `,le="`
 	for k, v := range m {
 		if !strings.HasPrefix(k, prefix) {
 			continue

@@ -15,9 +15,10 @@ func TestParseMetrics(t *testing.T) {
 # TYPE streamopt_utility gauge
 streamopt_utility 42.5
 streamopt_server_solves_total{start="warm"} 7
-streamopt_decision_latency_seconds_bucket{le="0.01"} 3
-streamopt_decision_latency_seconds_bucket{le="+Inf"} 5
-streamopt_decision_latency_seconds_count 5
+streamopt_stage_seconds_bucket{stage="decision",le="0.01"} 3
+streamopt_stage_seconds_bucket{stage="decision",le="+Inf"} 5
+streamopt_stage_seconds_count{stage="decision"} 5
+streamopt_stage_seconds_bucket{stage="iterate",le="0.001"} 2
 
 garbage line without value
 `
@@ -28,7 +29,7 @@ garbage line without value
 	if got := m.value(`streamopt_server_solves_total{start="warm"}`); got != 7 {
 		t.Errorf("warm solves = %v, want 7", got)
 	}
-	buckets := m.histogram("streamopt_decision_latency_seconds_bucket")
+	buckets := m.histogram("streamopt_stage_seconds_bucket", `stage="decision"`)
 	if len(buckets) != 2 {
 		t.Fatalf("buckets = %d, want 2", len(buckets))
 	}
@@ -154,10 +155,13 @@ func TestRealMainAgainstFakeServer(t *testing.T) {
 		_, _ = w.Write([]byte(
 			"streamopt_server_solves_total{start=\"warm\"} 2\n" +
 				"streamopt_server_solves_total{start=\"cold\"} 1\n" +
-				"streamopt_decision_latency_seconds_bucket{le=\"0.05\"} 4\n" +
-				"streamopt_decision_latency_seconds_bucket{le=\"+Inf\"} 4\n" +
-				"streamopt_decision_latency_seconds_count 4\n" +
-				"streamopt_spans_total 17\n" +
+				"streamopt_stage_seconds_bucket{stage=\"decision\",le=\"0.05\"} 4\n" +
+				"streamopt_stage_seconds_bucket{stage=\"decision\",le=\"+Inf\"} 4\n" +
+				"streamopt_stage_seconds_count{stage=\"decision\"} 4\n" +
+				"streamopt_stage_seconds_bucket{stage=\"iterate\",le=\"0.001\"} 9\n" +
+				"streamopt_stage_seconds_bucket{stage=\"iterate\",le=\"0.004\"} 13\n" +
+				"streamopt_stage_seconds_bucket{stage=\"iterate\",le=\"+Inf\"} 13\n" +
+				"streamopt_stage_seconds_count{stage=\"iterate\"} 13\n" +
 				"streamopt_go_goroutines 23\n" +
 				"streamopt_go_heap_alloc_bytes 3145728\n" +
 				"streamopt_go_gcs_total 5\n" +
@@ -191,7 +195,10 @@ func TestRealMainAgainstFakeServer(t *testing.T) {
 		"utility 12.5",
 		"solves 3 (warm 2 / cold 1)",
 		"decisions 4",
-		"spans 17",
+		"latency p50 25.0ms",
+		"spans 17", // summed across stages
+		"STAGE",
+		"iterate            13      722µs      3.9ms", // one row per stage
 		"S1",
 		"rejected",
 		"0af7651916cd43dd8448eb211c80319c",

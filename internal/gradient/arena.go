@@ -3,10 +3,8 @@ package gradient
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/flow"
-	"repro/internal/obs"
 	"repro/internal/transform"
 )
 
@@ -20,11 +18,10 @@ type waveScratch struct {
 	linkD  []float64
 	tagged []bool
 
-	// Totals over the commodities this worker ran in the current wave.
-	// Integer and duration sums, so the reduction over workers does not
-	// depend on which worker ran what.
-	ntagged          int
-	marginal, update time.Duration
+	// ntagged totals the nodes this worker tagged in the current wave;
+	// an integer sum, so the reduction over workers does not depend on
+	// which worker ran what.
+	ntagged int
 }
 
 // arena owns one engine's wave workspaces and the worker pool that runs
@@ -76,12 +73,9 @@ func newArena(x *transform.Extended, workers int) *arena {
 // With more than one worker commodities are processed concurrently by a
 // bounded pool; no floating-point value crosses between commodities, so
 // the result is bitwise-identical to the sequential execution. It
-// returns the number of tagged nodes and, with a recorder attached,
-// observes the wave's two phases once each: the time spent in the phase
-// summed over commodities and workers. a.price must hold u's node
+// returns the number of tagged nodes. a.price must hold u's node
 // prices.
-func (a *arena) runWave(u *flow.Usage, eta float64, blocking bool, rec *obs.Recorder, next *flow.Routing) (ntagged int) {
-	timed := rec.Enabled()
+func (a *arena) runWave(u *flow.Usage, eta float64, blocking bool, next *flow.Routing) (ntagged int) {
 	if len(a.scratch) > 1 {
 		a.cursor.Store(0)
 		var wg sync.WaitGroup
@@ -90,42 +84,27 @@ func (a *arena) runWave(u *flow.Usage, eta float64, blocking bool, rec *obs.Reco
 			w := &a.scratch[i]
 			go func() {
 				defer wg.Done()
-				a.work(w, &a.cursor, u, eta, blocking, timed, next)
+				a.work(w, &a.cursor, u, eta, blocking, next)
 			}()
 		}
 		wg.Wait()
 	} else {
-		a.work(&a.scratch[0], nil, u, eta, blocking, timed, next)
+		a.work(&a.scratch[0], nil, u, eta, blocking, next)
 	}
-	var marginal, update time.Duration
 	for i := range a.scratch {
-		w := &a.scratch[i]
-		ntagged += w.ntagged
-		marginal += w.marginal
-		update += w.update
+		ntagged += a.scratch[i].ntagged
 	}
-	rec.ObservePhase(obs.PhaseMarginal, marginal)
-	rec.ObservePhase(obs.PhaseUpdate, update)
 	return ntagged
 }
 
 // work runs the wave chain of the commodities one worker gets: those it
 // claims from cursor, or all of them in order when cursor is nil (the
-// single-worker path, which stays free of atomics and allocation). When
-// timed it reads the clock twice per commodity — after the sweep and
-// after the update, each interval running from the previous reading —
-// and accumulates into w; the histograms are fed once per wave, not
-// once per commodity.
-func (a *arena) work(w *waveScratch, cursor *atomic.Int64, u *flow.Usage, eta float64, blocking, timed bool, next *flow.Routing) {
-	w.ntagged, w.marginal, w.update = 0, 0, 0
+// single-worker path, which stays free of atomics and allocation).
+func (a *arena) work(w *waveScratch, cursor *atomic.Int64, u *flow.Usage, eta float64, blocking bool, next *flow.Routing) {
+	w.ntagged = 0
 	var tagged []bool
 	if blocking {
 		tagged = w.tagged
-	}
-	var start time.Time
-	var last time.Duration
-	if timed {
-		start = time.Now()
 	}
 	for j := 0; ; j++ {
 		if cursor != nil {
@@ -135,18 +114,8 @@ func (a *arena) work(w *waveScratch, cursor *atomic.Int64, u *flow.Usage, eta fl
 			return
 		}
 		w.ntagged += sweep(u, j, a.price, w.rho, w.linkD, tagged, eta)
-		if timed {
-			now := time.Since(start)
-			w.marginal += now - last
-			last = now
-		}
 		row := next.Phi[j]
 		copy(row, u.R.Phi[j])
 		gamma(u, j, w.linkD, tagged, eta, row)
-		if timed {
-			now := time.Since(start)
-			w.update += now - last
-			last = now
-		}
 	}
 }

@@ -36,9 +36,9 @@ type Config struct {
 	// means GOMAXPROCS. Any value produces the same trajectory bit for
 	// bit; Workers: 1 runs the waves inline.
 	Workers int
-	// Recorder, when non-nil, receives per-iteration events, metrics,
-	// and per-phase wall-clock timings. Nil (the default) costs nothing
-	// on the hot path.
+	// Recorder, when non-nil, receives per-iteration events and
+	// metrics. Nil (the default) costs nothing on the hot path. The
+	// engine reads no clock; /debug/pprof shows where a step's time goes.
 	Recorder *obs.Recorder
 }
 
@@ -225,9 +225,7 @@ func (e *Engine) Routing() *flow.Routing { return e.R }
 // by the next Step; Solution returns a durable copy.
 func (e *Engine) Usage() *flow.Usage {
 	if !e.forecasted {
-		tf := e.cfg.Recorder.StartPhase(obs.PhaseForecast)
 		flow.EvaluateInto(e.u, e.R)
-		tf.Done()
 		e.forecasted = true
 	}
 	return e.u
@@ -252,7 +250,7 @@ func (e *Engine) Step() StepInfo {
 	info := e.measure(u)
 
 	next := e.spare
-	iterTagged := e.arena.runWave(u, e.eta, !e.cfg.DisableBlocking, rec, next)
+	iterTagged := e.arena.runWave(u, e.eta, !e.cfg.DisableBlocking, next)
 	e.carried = false
 	if e.cfg.Backtrack {
 		e.backtrack(next, info.Cost)
@@ -287,9 +285,7 @@ func (e *Engine) Step() StepInfo {
 // extra forecast per rejection.
 func (e *Engine) backtrack(next *flow.Routing, cost float64) {
 	rec := e.cfg.Recorder
-	tf := rec.StartPhase(obs.PhaseForecast)
 	flow.EvaluateInto(e.u, next)
-	tf.Done()
 	proposed, feasible := evaluate(e.u, e.arena.price)
 	if proposed <= cost+1e-12 {
 		e.spare, e.R = e.R, next

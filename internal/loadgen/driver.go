@@ -240,9 +240,9 @@ func waitForRev(be Backend, rev int64, timeout time.Duration) (Observation, erro
 
 // DriverOptions tunes Run.
 type DriverOptions struct {
-	// Recorder streams per-epoch progress (loadgen_epoch events, the
-	// streamopt_loadgen_* gauges), per-sync decision latencies, and the
-	// run summary. Nil disables.
+	// Recorder streams per-epoch progress (loadgen_epoch events, which
+	// carry each synced epoch's latency in their seconds field, and the
+	// streamopt_loadgen_* counters) and the run summary. Nil disables.
 	Recorder *obs.Recorder
 	// SyncEvery makes the driver block for the snapshot incorporating
 	// the epoch's mutations every N mutating epochs, measuring
@@ -389,11 +389,10 @@ func Run(c *Compiled, be Backend, opts DriverOptions) (*RunResult, error) {
 				sample.Utility = o.Utility
 				sample.AdmittedFrac = o.AdmittedFrac()
 				res.Final = o
-				opts.Recorder.DecisionLatency(sample.LatencySeconds)
 			}
 		}
 		opts.Recorder.LoadgenEpoch(epoch, sample.Active, sample.Mutations,
-			sample.Offered, sample.Utility, sample.AdmittedFrac)
+			sample.Offered, sample.LatencySeconds, sample.Utility, sample.AdmittedFrac)
 		res.Samples = append(res.Samples, sample)
 	}
 	// Final barrier: the run only counts as done once a published

@@ -27,11 +27,12 @@ func testServerOptions(rec *obs.Recorder) server.Options {
 
 // The CI smoke test: drive the bundled flash-crowd scenario against an
 // in-process server and check the whole pipeline — every compiled
-// mutation applies, snapshots incorporate them, and per-decision
-// latency lands in the existing histogram/metrics pipeline.
+// mutation applies, snapshots incorporate them, and each synced epoch's
+// latency rides that epoch's own loadgen_epoch event.
 func TestDriveFlashCrowdInProcess(t *testing.T) {
 	reg := obs.NewRegistry()
-	rec := obs.NewRecorder(reg, nil)
+	var events bytes.Buffer
+	rec := obs.NewRecorder(reg, obs.NewJSONLSink(&events))
 	c, err := Compile(loadScenario(t, "flashcrowd.json"), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -68,11 +69,35 @@ func TestDriveFlashCrowdInProcess(t *testing.T) {
 	if measured == 0 {
 		t.Fatal("no epoch measured a decision latency")
 	}
-	// Latency flows through the same histogram the server's decision
-	// spans feed — one pipeline for live and generated load.
-	hist := reg.Histogram("streamopt_decision_latency_seconds", "", nil)
-	if hist.Count() == 0 {
-		t.Fatal("decision latency histogram is empty")
+	// The driver's sync latency is its own number (epoch start to a
+	// published snapshot), reported on its own event, not mixed into
+	// the server's stage histograms.
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	epochSeconds := map[int]float64{}
+	dec := json.NewDecoder(&events)
+	for dec.More() {
+		var e obs.Event
+		if err := dec.Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Type == obs.EventLoadgenEpoch {
+			epochSeconds[e.Epoch] = e.Seconds
+		}
+	}
+	if len(epochSeconds) != c.Scenario.Epochs {
+		t.Fatalf("%d loadgen_epoch events, want %d", len(epochSeconds), c.Scenario.Epochs)
+	}
+	for _, s := range res.Samples {
+		want := max(s.LatencySeconds, 0) // an unsynced epoch's event has none
+		if got := epochSeconds[s.Epoch]; got != want {
+			t.Fatalf("epoch %d event seconds = %g, want %g (sample latency %g)",
+				s.Epoch, got, want, s.LatencySeconds)
+		}
 	}
 	if got := reg.Counter("streamopt_loadgen_mutations_total", "").Value(); got != uint64(res.Mutations) {
 		t.Fatalf("loadgen mutations counter = %d, want %d", got, res.Mutations)

@@ -49,7 +49,8 @@ const (
 	EventAdmissionFlip EventType = "admission_flip"
 	// EventLoadgenEpoch is one virtual-clock epoch of a load-generator
 	// run: active commodities, total offered load, mutations applied,
-	// and the snapshot utility/admitted fraction observed at epoch end.
+	// the driver's sync latency in Seconds (synced epochs only), and
+	// the snapshot utility/admitted fraction observed at epoch end.
 	EventLoadgenEpoch EventType = "loadgen_epoch"
 	// EventLoadgenSummary is the end-of-run load-generator report:
 	// epochs driven, mutations applied, wall-clock, and throughput.

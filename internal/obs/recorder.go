@@ -2,37 +2,9 @@ package obs
 
 import (
 	"strconv"
+	"sync"
 	"time"
 )
-
-// Phase names one timed section of gradient.Engine.Step.
-type Phase int
-
-// The three phases of a §5 iteration.
-const (
-	// PhaseForecast is the flow-forecast wave (flow.Evaluate).
-	PhaseForecast Phase = iota
-	// PhaseMarginal is the upstream marginal-cost wave, including the
-	// loop-freedom tags that ride on its broadcasts.
-	PhaseMarginal
-	// PhaseUpdate is the Γ routing update.
-	PhaseUpdate
-
-	numPhases
-)
-
-// String names the phase for metric labels.
-func (p Phase) String() string {
-	switch p {
-	case PhaseForecast:
-		return "forecast"
-	case PhaseMarginal:
-		return "marginal"
-	case PhaseUpdate:
-		return "update"
-	}
-	return "unknown"
-}
 
 // Recorder is the handle the optimizer loops thread through their
 // configs. A nil *Recorder is valid and means "observability off":
@@ -57,18 +29,16 @@ type Recorder struct {
 	srvUtility    *Gauge
 	srvWarm       *Counter
 	srvCold       *Counter
-	srvWarmLat    *Histogram
-	srvColdLat    *Histogram
 
-	decisionLat  *Histogram
 	flipAdmitted *Counter
 	flipRejected *Counter
-	spans        *Counter
 
 	lgEpochs    *Counter
 	lgMutations *Counter
 
-	phase [numPhases]*Histogram
+	// stages caches streamopt_stage_seconds by span name (string →
+	// *Histogram), so observing a span costs no registry lookup.
+	stages sync.Map
 }
 
 // NewRecorder builds an enabled recorder. reg may be nil (a fresh
@@ -91,27 +61,15 @@ func NewRecorder(reg *Registry, sink Sink) *Recorder {
 	r.srvUtility = reg.Gauge("streamopt_server_utility", "Total utility of the latest published snapshot.")
 	r.srvWarm = reg.Counter("streamopt_server_solves_total", "Admission-server re-solves by start kind.", "start", "warm")
 	r.srvCold = reg.Counter("streamopt_server_solves_total", "Admission-server re-solves by start kind.", "start", "cold")
-	r.srvWarmLat = reg.Histogram("streamopt_server_solve_seconds",
-		"Wall-clock time of one admission-server re-solve.", DefaultTimeBuckets, "start", "warm")
-	r.srvColdLat = reg.Histogram("streamopt_server_solve_seconds",
-		"Wall-clock time of one admission-server re-solve.", DefaultTimeBuckets, "start", "cold")
-	r.decisionLat = reg.Histogram("streamopt_decision_latency_seconds",
-		"Mutation received to first published snapshot containing it.", DefaultTimeBuckets)
 	r.flipAdmitted = reg.Counter("streamopt_admission_flips_total",
 		"Commodities crossing the admitted/rejected boundary between generations.", "to", "admitted")
 	r.flipRejected = reg.Counter("streamopt_admission_flips_total",
 		"Commodities crossing the admitted/rejected boundary between generations.", "to", "rejected")
-	r.spans = reg.Counter("streamopt_spans_total", "Decision-lifecycle spans finished.")
 	r.lgEpochs = reg.Counter("streamopt_loadgen_epochs_total", "Load-generator virtual-clock epochs driven.")
 	r.lgMutations = reg.Counter("streamopt_loadgen_mutations_total", "Mutations applied by the load-generator driver.")
 	if dr, ok := sink.(dropReporting); ok {
 		dr.SetDropCounter(reg.Counter("streamopt_events_dropped_total",
 			"Events lost to sink write errors."))
-	}
-	for p := Phase(0); p < numPhases; p++ {
-		r.phase[p] = reg.Histogram("streamopt_step_phase_seconds",
-			"Wall-clock time of one gradient.Engine.Step phase.",
-			DefaultTimeBuckets, "phase", p.String())
 	}
 	return r
 }
@@ -123,9 +81,6 @@ func (r *Recorder) Registry() *Registry {
 	}
 	return r.reg
 }
-
-// Enabled reports whether the recorder records anything.
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // Close flushes and closes the sink, if any.
 func (r *Recorder) Close() error {
@@ -243,10 +198,8 @@ func (r *Recorder) ServerSolve(generation int64, warm bool, seconds, utility flo
 	if warm {
 		start = "warm"
 		r.srvWarm.Inc()
-		r.srvWarmLat.Observe(seconds)
 	} else {
 		r.srvCold.Inc()
-		r.srvColdLat.Observe(seconds)
 	}
 	r.srvGeneration.Set(float64(generation))
 	r.srvUtility.Set(utility)
@@ -256,15 +209,17 @@ func (r *Recorder) ServerSolve(generation int64, warm bool, seconds, utility flo
 	})
 }
 
-// Span exports one finished decision-lifecycle span as a JSONL event;
-// it is the span.Emitter implementation a span.Tracer is built over, so
-// spans ride the same sink (and rotation, and drop accounting) as every
-// other event.
+// Span exports one finished decision-lifecycle span: it observes the
+// span's duration into streamopt_stage_seconds{stage=<name>} and emits
+// it as a JSONL event. It is the span.Emitter implementation a
+// span.Tracer is built over, so the span tree is the one source of
+// every stage latency the daemon reports, and spans ride the same sink
+// (and rotation, and drop accounting) as every other event.
 func (r *Recorder) Span(trace, spanID, parent, name string, seconds float64, attrs map[string]string) {
 	if r == nil {
 		return
 	}
-	r.spans.Inc()
+	r.stage(name).Observe(seconds)
 	r.emit(Event{
 		Type: EventSpan, Alg: "server",
 		Trace: trace, Span: spanID, Parent: parent, Name: name,
@@ -272,13 +227,16 @@ func (r *Recorder) Span(trace, spanID, parent, name string, seconds float64, att
 	})
 }
 
-// DecisionLatency records one mutation's ingress-to-published-snapshot
-// latency — the end-to-end number the span tree decomposes.
-func (r *Recorder) DecisionLatency(seconds float64) {
-	if r == nil {
-		return
+// stage returns the streamopt_stage_seconds histogram of one span name.
+func (r *Recorder) stage(name string) *Histogram {
+	if h, ok := r.stages.Load(name); ok {
+		return h.(*Histogram)
 	}
-	r.decisionLat.Observe(seconds)
+	h := r.reg.Histogram("streamopt_stage_seconds",
+		"Wall-clock time of one decision-lifecycle stage, by span name.",
+		DefaultTimeBuckets, "stage", name)
+	r.stages.Store(name, h)
+	return h
 }
 
 // Capture records one anomaly-triggered diagnostics bundle: a counter
@@ -394,10 +352,12 @@ func (r *Recorder) HTTPRequest(route, method, path string, code int, seconds flo
 
 // LoadgenEpoch records one virtual-clock epoch of a load-generator run:
 // how many commodities are active, the total offered load, how many
-// mutations the epoch applied, and the snapshot utility and admitted
-// fraction observed at epoch end (NaN admitted fraction is skipped —
-// no snapshot yet).
-func (r *Recorder) LoadgenEpoch(epoch, active, mutations int, offered, utility, admittedFrac float64) {
+// mutations the epoch applied, the driver's sync latency (epoch start
+// to a published snapshot incorporating the epoch; negative when the
+// epoch did not sync, and then left out of the event), and the
+// snapshot utility and admitted fraction observed at epoch end (NaN
+// admitted fraction is skipped — no snapshot yet).
+func (r *Recorder) LoadgenEpoch(epoch, active, mutations int, offered, seconds, utility, admittedFrac float64) {
 	if r == nil {
 		return
 	}
@@ -406,7 +366,7 @@ func (r *Recorder) LoadgenEpoch(epoch, active, mutations int, offered, utility, 
 	r.emit(Event{
 		Type: EventLoadgenEpoch, Alg: "loadgen", Epoch: epoch,
 		Active: active, Mutations: mutations, Offered: offered,
-		Utility: utility, AdmittedFrac: admittedFrac,
+		Seconds: max(seconds, 0), Utility: utility, AdmittedFrac: admittedFrac,
 	})
 }
 
@@ -434,38 +394,4 @@ func (r *Recorder) SaturationPoint(scale, offered, utility, admittedFrac, meanLa
 		Offered: offered, Utility: utility, AdmittedFrac: admittedFrac,
 		Seconds: meanLatency, P95Seconds: p95Latency,
 	})
-}
-
-// PhaseTiming is an in-flight phase stopwatch. The zero value (from a
-// nil recorder) is inert.
-type PhaseTiming struct {
-	r     *Recorder
-	p     Phase
-	start time.Time
-}
-
-// StartPhase begins timing one Step phase; call Done on the result.
-// On a nil recorder this is two instructions and no clock read.
-func (r *Recorder) StartPhase(p Phase) PhaseTiming {
-	if r == nil {
-		return PhaseTiming{}
-	}
-	return PhaseTiming{r: r, p: p, start: time.Now()}
-}
-
-// Done records the elapsed wall-clock as one observation of the phase.
-func (t PhaseTiming) Done() {
-	if t.r != nil {
-		t.r.ObservePhase(t.p, time.Since(t.start))
-	}
-}
-
-// ObservePhase records d into the phase histogram. Callers that time a
-// phase in pieces (the per-commodity waves, possibly on several workers)
-// sum the pieces themselves and observe once per iteration.
-func (r *Recorder) ObservePhase(p Phase, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.phase[p].Observe(d.Seconds())
 }

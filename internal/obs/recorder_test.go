@@ -9,23 +9,21 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // TestNilRecorderIsSafe calls every method on a nil recorder.
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
-	if r.Enabled() {
-		t.Fatal("nil recorder must report disabled")
-	}
 	r.Iteration("gradient", 0, 1, 2, []float64{3}, true)
 	r.Protocol("dist", 0, 10, 2)
 	r.Blocking("gradient", 0, 1)
 	r.Divergence("gradient", 5, "NaN")
 	r.SetEta(0.04)
 	r.Backtrack()
-	tm := r.StartPhase(PhaseForecast)
-	tm.Done()
+	r.Span("t", "s", "", "solve", 0.25, nil)
+	r.LoadgenEpoch(1, 2, 3, 4, 0.5, 6, 0.7)
 	if r.Registry() != nil {
 		t.Fatal("nil recorder must have nil registry")
 	}
@@ -40,8 +38,7 @@ func TestDisabledRecorderAllocates(t *testing.T) {
 	var r *Recorder
 	admitted := []float64{1, 2, 3}
 	allocs := testing.AllocsPerRun(1000, func() {
-		tm := r.StartPhase(PhaseForecast)
-		tm.Done()
+		r.Span("t", "s", "", "iterate", 0.25, nil)
 		r.Iteration("gradient", 1, 2, 3, admitted, true)
 		r.Protocol("gradient", 1, 4, 2)
 		r.Blocking("gradient", 1, 0)
@@ -113,14 +110,42 @@ func TestRecorderEventsAndMetrics(t *testing.T) {
 	}
 }
 
-func TestPhaseTimingObserves(t *testing.T) {
+// TestSpanObservesStage pins the one stage vocabulary: a finished span
+// lands in streamopt_stage_seconds under its own name, and observing a
+// stage already seen allocates nothing beyond the event.
+func TestSpanObservesStage(t *testing.T) {
 	r := NewRecorder(nil, nil)
-	tm := r.StartPhase(PhaseMarginal)
-	tm.Done()
-	h := r.Registry().Histogram("streamopt_step_phase_seconds", "", DefaultTimeBuckets,
-		"phase", "marginal")
-	if h.Count() != 1 {
-		t.Fatalf("phase histogram count = %d, want 1", h.Count())
+	r.Span("t", "a", "", "iterate", 0.5, nil)
+	r.Span("t", "b", "a", "iterate", 0.25, nil)
+	r.Span("t", "c", "", "publish", 1e-3, nil)
+	reg := r.Registry()
+	h := reg.Histogram("streamopt_stage_seconds", "", nil, "stage", "iterate")
+	if h.Count() != 2 || h.Sum() != 0.75 {
+		t.Fatalf("iterate stage: count %d sum %g, want 2 and 0.75", h.Count(), h.Sum())
+	}
+	if got := reg.Histogram("streamopt_stage_seconds", "", nil, "stage", "publish").Count(); got != 1 {
+		t.Fatalf("publish stage count = %d, want 1", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.Span("t", "d", "", "iterate", 0.1, nil) }); allocs != 0 {
+		t.Fatalf("observing a known stage allocated %v times, want 0", allocs)
+	}
+
+	// Spans end on several goroutines (the HTTP handler ends ingress,
+	// the solver the rest), which may meet a stage's first span
+	// together: every observation still lands in the one series.
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				r.Span("t", "e", "", "coalesce", 1e-3, nil)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := reg.Histogram("streamopt_stage_seconds", "", nil, "stage", "coalesce").Count(); got != 400 {
+		t.Fatalf("coalesce stage count = %d, want 400", got)
 	}
 }
 

@@ -1,8 +1,9 @@
-// Package obs is the observability layer for the optimizer loops: a
-// stdlib-only metrics registry (counters, gauges, fixed-bucket
-// histograms) with Prometheus-text and expvar exposition, a structured
-// JSONL event system with pluggable sinks, and wall-clock phase timing
-// helpers for gradient.Engine.Step.
+// Package obs is the observability layer for the optimizer loops and
+// the admission server: a stdlib-only metrics registry (counters,
+// gauges, fixed-bucket histograms) with Prometheus-text and expvar
+// exposition, and a structured JSONL event system with pluggable sinks.
+// Stage latencies come from one place, the decision-lifecycle spans
+// (internal/obs/span) a Recorder observes into streamopt_stage_seconds.
 //
 // The design constraint is that the *disabled* path must be free: a nil
 // *Recorder is a valid recorder whose every method is a nil-check and a
@@ -76,7 +77,7 @@ type Histogram struct {
 }
 
 // DefaultTimeBuckets spans 1µs to ~16s in powers of four, a good fit
-// for per-phase wall-clock timings of the optimizer iterations.
+// for decision stages, from a µs build patch to a seconds-long solve.
 var DefaultTimeBuckets = []float64{
 	1e-6, 4e-6, 16e-6, 64e-6, 256e-6, 1e-3, 4e-3, 16e-3, 64e-3, 256e-3, 1, 4, 16,
 }

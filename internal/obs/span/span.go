@@ -9,8 +9,10 @@
 // and the root closes when the first snapshot containing the mutation
 // publishes — so `GET /debug/spans?trace=...` returns the full
 // ingress→coalesce→solve→publish tree for any request, and the gap
-// between root start and root end IS the decision latency the
-// streamopt_decision_latency_seconds histogram measures.
+// between root start and root end IS the decision latency. Spans are
+// also the one source of stage latencies on /metrics: the emitter the
+// daemon builds its tracer over (obs.Recorder) observes every finished
+// span into streamopt_stage_seconds{stage=<span name>}.
 //
 // The design constraint mirrors internal/obs: a nil *Tracer is a valid,
 // inert tracer. Every method on a nil *Tracer or nil *Active is a

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime/pprof"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -73,6 +74,31 @@ func (s *Server) maybeCapture(reason, detail string) {
 		s.opts.Recorder.Capture(reason, name)
 		s.opts.Logf("server: captured diagnostics bundle %s (%s)", name, reason)
 	}()
+}
+
+// lastCaptureSeq returns the highest sequence number among the
+// cap-NNNNNN-<reason> bundles already in dir, 0 when there are none (or
+// no dir). A server starts its own numbering after it, so one that
+// boots into a capture directory an earlier process wrote — a daemon
+// recovering into the same -journal-dir — never renames a new bundle
+// onto an old one.
+func lastCaptureSeq(dir string) int64 {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return 0
+	}
+	var last int64
+	for _, e := range entries {
+		rest, ok := strings.CutPrefix(e.Name(), "cap-")
+		if !ok {
+			continue
+		}
+		digits, _, _ := strings.Cut(rest, "-")
+		if n, err := strconv.ParseInt(digits, 10, 64); err == nil {
+			last = max(last, n)
+		}
+	}
+	return last
 }
 
 // writeBundle assembles one bundle in a temp directory and renames it

@@ -2,11 +2,13 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -281,6 +283,62 @@ func TestAnomalyCaptureOnSLOBreach(t *testing.T) {
 	}
 	if len(out.Bundles) == 0 || out.Bundles[0].Reason != "slo_breach" {
 		t.Fatalf("listed bundles = %+v", out.Bundles)
+	}
+}
+
+// TestCaptureSequenceSurvivesRestart: a server that boots into a
+// capture directory an earlier server wrote (a daemon recovering into
+// the same -journal-dir) numbers its bundles after the ones already
+// there, instead of renaming its first bundle onto cap-000001-<reason>.
+func TestCaptureSequenceSurvivesRestart(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "bundles")
+	for boot := 1; boot <= 2; boot++ {
+		failed := make(chan string, 1)
+		opts := testOptions(nil)
+		opts.SLO = time.Nanosecond // every decision breaches
+		opts.CaptureDir = dir
+		opts.Logf = func(format string, args ...any) {
+			if msg := fmt.Sprintf(format, args...); strings.Contains(msg, "capture") && strings.Contains(msg, "failed") {
+				select {
+				case failed <- msg:
+				default:
+				}
+			}
+		}
+		s, err := New(toyProblem(t), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.WaitForGeneration(1, waitBudget); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.SetMaxRate("c1", float64(3+boot)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.WaitForGeneration(2, waitBudget); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(waitBudget)
+		for {
+			bundles, err := s.Bundles()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(bundles) == boot {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("boot %d: bundles %+v, want %d", boot, bundles, boot)
+			}
+			select {
+			case msg := <-failed:
+				t.Fatalf("boot %d: %s", boot, msg)
+			case <-time.After(5 * time.Millisecond):
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -338,6 +338,9 @@ func New(p *stream.Problem, opts Options) (*Server, error) {
 		cancel:  cancel,
 		done:    make(chan struct{}),
 	}
+	if opts.CaptureDir != "" {
+		s.captureSeq.Store(lastCaptureSeq(opts.CaptureDir))
+	}
 	s.coord = shard.New(shard.Config{
 		Shards:        opts.Shards,
 		Salt:          opts.PlacementSalt,
@@ -835,8 +838,8 @@ func (s *Server) solveOnce() {
 // (solve summary, admission flips), appends its record to the generation
 // ring, journals its digest, swaps the snapshot in,
 // and closes the decision lifecycle: every mutation in the incorporated
-// batch observes streamopt_decision_latency_seconds and ends its root
-// span stamped with the generation that answered it.
+// batch ends its root span, stamped with the generation that answered
+// it (the recorder observes it as streamopt_stage_seconds{stage="decision"}).
 //
 // The swap comes after everything the generation writes or allocates: a
 // client that waits for a generation and then acts finds the solver
@@ -893,7 +896,6 @@ func (s *Server) publish(snap *Snapshot, batch []*decision, solveSpan *span.Acti
 		if lat > maxLat {
 			maxLat = lat
 		}
-		rec.DecisionLatency(lat)
 		d.root.SetAttrInt("generation", snap.Generation)
 		d.root.SetAttrFloat("decision_latency_s", lat)
 		d.root.End()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -55,7 +56,7 @@ func TestDecisionLifecycleSpans(t *testing.T) {
 
 func testDecisionLifecycleSpans(t *testing.T, shards int) {
 	rec := obs.NewRecorder(obs.NewRegistry(), nil)
-	s, _, ts := startTracedShardedServer(t, rec, 256, shards)
+	s, tr, ts := startTracedShardedServer(t, rec, 256, shards)
 
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
@@ -148,14 +149,49 @@ func testDecisionLifecycleSpans(t *testing.T, shards int) {
 		t.Errorf("engine_init start = %q, want warm|cold", st)
 	}
 
-	// The decision-latency histogram saw the decision.
-	var metrics strings.Builder
-	if err := rec.Registry().WritePrometheus(&metrics); err != nil {
+	// Every stage latency on /metrics comes from the span tree: once the
+	// solver loop has stopped (no span can still be ending), the stage
+	// labels are exactly the finished span names, each counted once per
+	// span, and none of the retired latency families is exposed.
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(metrics.String(), "streamopt_decision_latency_seconds_count") ||
-		strings.Contains(metrics.String(), "streamopt_decision_latency_seconds_count 0\n") {
-		t.Error("decision latency histogram not populated")
+	finished := map[string]uint64{}
+	for _, sp := range tr.Spans(span.Filter{}) {
+		finished[sp.Name]++
+	}
+	if _, n := tr.Stats(); n != uint64(tr.Len()) {
+		t.Fatalf("%d spans finished but the ring holds %d; size it to hold them all", n, tr.Len())
+	}
+	resp, metrics := doReq(t, "GET", ts.URL+"/metrics", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics status = %d", resp.StatusCode)
+	}
+	stages := map[string]uint64{}
+	for _, line := range strings.Split(string(metrics), "\n") {
+		rest, ok := strings.CutPrefix(line, `streamopt_stage_seconds_count{stage="`)
+		if !ok {
+			continue
+		}
+		name, count, _ := strings.Cut(rest, `"} `)
+		n, err := strconv.ParseUint(count, 10, 64)
+		if err != nil {
+			t.Fatalf("bad stage count line %q: %v", line, err)
+		}
+		stages[name] = n
+	}
+	if got, want := fmt.Sprint(stages), fmt.Sprint(finished); got != want {
+		t.Errorf("streamopt_stage_seconds counts = %s, want the finished spans %s", got, want)
+	}
+	for _, family := range []string{
+		"streamopt_step_phase_seconds",
+		"streamopt_server_solve_seconds",
+		"streamopt_decision_latency_seconds",
+		"streamopt_spans_total",
+	} {
+		if strings.Contains(string(metrics), family) {
+			t.Errorf("retired family %s is still exposed", family)
+		}
 	}
 }
 
