@@ -2,8 +2,8 @@
 // generates) a stream-processing problem instance, keeps the joint
 // admission-control + routing solution converged as commodities
 // arrive, change their offered rates, and depart, and serves the JSON
-// API of internal/server plus live /metrics, /debug/vars and
-// /debug/pprof on one listener.
+// API of internal/server plus live /metrics and /debug/pprof on one
+// listener.
 //
 //	go run ./cmd/netgen -seed 42 > instance.json
 //	go run ./cmd/admissiond -in instance.json -addr :8080
@@ -258,7 +258,7 @@ func realMain(cfg cliConfig) error {
 		_ = s.Close()
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "admissiond: serving admission API, /metrics, /debug/vars, /debug/pprof on %s\n", h.Addr())
+	fmt.Fprintf(os.Stderr, "admissiond: serving admission API, /metrics, /debug/pprof on %s\n", h.Addr())
 	if cfg.ready != nil {
 		cfg.ready(h.Addr())
 	}

@@ -24,7 +24,7 @@ func main() {
 		run         = flag.String("run", "", "experiment to run (default all): "+strings.Join(experiments.Names(), ","))
 		seed        = flag.Int64("seed", 2, "instance seed")
 		quick       = flag.Bool("quick", false, "reduced iteration budgets")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while experiments run (e.g. :9090)")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address while experiments run (e.g. :9090)")
 		eventsOut   = flag.String("events-out", "", "write per-iteration JSONL events to this file")
 	)
 	flag.Parse()
@@ -56,7 +56,7 @@ func realMain(run string, seed int64, quick bool, metricsAddr, eventsOut string)
 				return err
 			}
 			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "experiments: serving /metrics, /debug/vars, /debug/pprof on %s\n", srv.Addr())
+			fmt.Fprintf(os.Stderr, "experiments: serving /metrics, /debug/pprof on %s\n", srv.Addr())
 		}
 		scale.Rec = rec
 	}

@@ -75,7 +75,7 @@ func main() {
 	flag.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-sync snapshot wait bound")
 	flag.DurationVar(&cfg.debounce, "debounce", 25*time.Millisecond, "in-process server solve debounce (-1ns: solve immediately)")
 	flag.IntVar(&cfg.iters, "iters", 0, "in-process server per-solve iteration budget (0: server default)")
-	flag.StringVar(&cfg.jsonlOut, "events-out", "", "append driver/analyzer obs events as JSONL to this file")
+	flag.StringVar(&cfg.jsonlOut, "events-out", "", "write the in-process server's obs events (server_solve, admission_flip, ...) as JSONL to this file")
 	flag.StringVar(&cfg.out, "out", "", "write the result/report here instead of stdout")
 	flag.StringVar(&cfg.journal, "journal", "", "record the -run through a flight-recorder journal in this directory (in-process only; verify with cmd/replay)")
 	flag.Parse()
@@ -164,7 +164,7 @@ func realMain(stdout io.Writer, cfg config) error {
 		if err != nil {
 			return err
 		}
-		res, err := loadgen.Run(c, be, driverOptions(cfg, rec))
+		res, err := loadgen.Run(c, be, driverOptions(cfg))
 		cleanup() // close the server (and seal the journal) before reporting
 		if err != nil {
 			return err
@@ -177,10 +177,9 @@ func realMain(stdout io.Writer, cfg config) error {
 			return err
 		}
 		opts := loadgen.SweepOptions{
-			Scales:   scales,
-			Server:   serverOptions(cfg, rec),
-			Driver:   driverOptions(cfg, rec),
-			Recorder: rec,
+			Scales: scales,
+			Server: serverOptions(cfg, rec),
+			Driver: driverOptions(cfg),
 		}
 		if cfg.target != "" {
 			opts.Backend = func(*loadgen.Compiled) (loadgen.Backend, func(), error) {
@@ -208,9 +207,8 @@ func serverOptions(cfg config, rec *obs.Recorder) server.Options {
 	}
 }
 
-func driverOptions(cfg config, rec *obs.Recorder) loadgen.DriverOptions {
+func driverOptions(cfg config) loadgen.DriverOptions {
 	return loadgen.DriverOptions{
-		Recorder:    rec,
 		SyncEvery:   cfg.sync,
 		SyncTimeout: cfg.timeout,
 		RealTime:    cfg.realtime,

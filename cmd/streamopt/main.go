@@ -9,11 +9,10 @@
 //	go run ./cmd/streamopt -in instance.json -alg gradient -ref
 //
 // With -metrics-addr the solve is observable live: /metrics serves
-// Prometheus text, /debug/vars serves expvar JSON, and /debug/pprof
-// serves runtime profiles while the iteration runs. -events-out writes
-// one JSON event per iteration (see internal/obs for the schema), and
-// -trace-out writes the convergence trace as JSONL instead of
-// interleaving it with the report on stdout.
+// Prometheus text and /debug/pprof serves runtime profiles while the
+// iteration runs. -events-out writes one JSON event per iteration (see
+// internal/obs for the schema), and -trace-out writes the convergence
+// trace as JSONL instead of interleaving it with the report on stdout.
 package main
 
 import (
@@ -61,7 +60,7 @@ func main() {
 	flag.BoolVar(&cfg.trace, "trace", false, "print the convergence trace")
 	flag.IntVar(&cfg.sample, "sample", 0, "trace sampling stride (0 = default)")
 	flag.BoolVar(&cfg.explain, "explain", false, "print per-commodity bottleneck attribution (gradient algorithms only)")
-	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while solving (e.g. :9090)")
+	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "serve /metrics and /debug/pprof on this address while solving (e.g. :9090)")
 	flag.StringVar(&cfg.eventsOut, "events-out", "", "write per-iteration JSONL events to this file")
 	flag.StringVar(&cfg.traceOut, "trace-out", "", "write the convergence trace as JSONL to this file")
 	flag.Parse()
@@ -104,7 +103,7 @@ func realMain(cfg cliConfig) error {
 				return err
 			}
 			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "streamopt: serving /metrics, /debug/vars, /debug/pprof on %s\n", srv.Addr())
+			fmt.Fprintf(os.Stderr, "streamopt: serving /metrics, /debug/pprof on %s\n", srv.Addr())
 		}
 	}
 

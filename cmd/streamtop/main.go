@@ -10,10 +10,10 @@
 // /debug/spans?trace=… to see the full decision lifecycle), and a
 // per-shard table — one row per solver shard of admissiond -shards N,
 // a single row by default: advance rate, last-solve latency, gradient
-// iterations, owned commodities, build footprint, and the staleness of
-// its latest turn. That table is the daemon's whole view of a solve in
-// progress: it reports per shard turn, never per iteration, so the
-// columns fill the same way at every shard count.
+// iterations, owned commodities and build footprint. That table is the
+// daemon's whole view of a solve in progress: it reports per shard
+// turn, never per iteration, so the columns fill the same way at every
+// shard count.
 //
 //	go run ./cmd/admissiond -addr :8080 &
 //	go run ./cmd/streamtop -addr localhost:8080 -interval 1s
@@ -234,20 +234,19 @@ func writeStageTable(b *strings.Builder, metrics metricSet) {
 // writeShardTable renders the solver view of the daemon's shard
 // coordinator: its sweep totals, then one row per solver
 // shard with its advance rate since the previous frame, last-solve
-// latency, gradient iterations, owned commodities, and how stale its
-// latest turn is.
+// latency, gradient iterations and owned commodities. The shard count
+// is the number of streamopt_shard_commodities series.
 func writeShardTable(b *strings.Builder, metrics, prev metricSet, prevAt time.Time) {
 	shards := metrics.labels("streamopt_shard_commodities", "shard")
 	if len(shards) == 0 {
 		return
 	}
-	fmt.Fprintf(b, "shards     %.0f shards   exchange rounds %.0f   price Δ %.2e\n",
-		metrics.value("streamopt_shard_count"),
+	fmt.Fprintf(b, "shards     %d shards   exchange rounds %.0f   price Δ %.2e\n",
+		len(shards),
 		metrics.value("streamopt_shard_exchange_rounds_total"),
 		metrics.value("streamopt_shard_price_delta"))
-	fmt.Fprintf(b, "%-6s %8s %10s %12s %10s %10s %12s\n",
-		"SHARD", "COMMOD", "SOLVE/S", "LAST-SOLVE", "ITERS", "BUILD", "STALENESS")
-	now := float64(time.Now().UnixNano()) / 1e9
+	fmt.Fprintf(b, "%-6s %8s %10s %12s %10s %10s\n",
+		"SHARD", "COMMOD", "SOLVE/S", "LAST-SOLVE", "ITERS", "BUILD")
 	for _, id := range shards {
 		key := func(family string) string { return family + `{shard="` + id + `"}` }
 		rate := "-"
@@ -257,18 +256,13 @@ func writeShardTable(b *strings.Builder, metrics, prev metricSet, prevAt time.Ti
 				rate = fmt.Sprintf("%.2f", d/dt)
 			}
 		}
-		stale := "-"
-		if ts := metrics.value(key("streamopt_shard_last_exchange_unix")); ts > 0 {
-			stale = fmtAge(now - ts)
-		}
-		fmt.Fprintf(b, "%-6s %8.0f %10s %12s %10.0f %10s %12s\n",
+		fmt.Fprintf(b, "%-6s %8.0f %10s %12s %10.0f %10s\n",
 			id,
 			metrics.value(key("streamopt_shard_commodities")),
 			rate,
 			fmtDur(metrics.value(key("streamopt_shard_solve_seconds"))),
 			metrics.value(key("streamopt_shard_iterations")),
-			fmtBytes(metrics.value(key("streamopt_build_bytes"))),
-			stale)
+			fmtBytes(metrics.value(key("streamopt_build_bytes"))))
 	}
 }
 
@@ -456,24 +450,6 @@ func fmtDur(sec float64) string {
 		return fmt.Sprintf("%.1fms", sec*1e3)
 	default:
 		return fmt.Sprintf("%.2fs", sec)
-	}
-}
-
-// fmtAge renders an elapsed age in seconds human-scaled (ms/s/m/h) —
-// for staleness figures that can grow far past the latency range
-// fmtDur targets.
-func fmtAge(sec float64) string {
-	switch {
-	case math.IsNaN(sec) || sec < 0:
-		return "-"
-	case sec < 1:
-		return fmt.Sprintf("%.0fms", sec*1e3)
-	case sec < 60:
-		return fmt.Sprintf("%.1fs", sec)
-	case sec < 3600:
-		return fmt.Sprintf("%.1fm", sec/60)
-	default:
-		return fmt.Sprintf("%.1fh", sec/3600)
 	}
 }
 

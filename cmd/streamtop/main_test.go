@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -84,25 +83,6 @@ streamopt_other 1
 	}
 }
 
-func TestFmtAge(t *testing.T) {
-	cases := []struct {
-		sec  float64
-		want string
-	}{
-		{math.NaN(), "-"},
-		{-2, "-"},
-		{0.25, "250ms"},
-		{3.5, "3.5s"},
-		{90, "1.5m"},
-		{7200, "2.0h"},
-	}
-	for _, c := range cases {
-		if got := fmtAge(c.sec); got != c.want {
-			t.Errorf("fmtAge(%v) = %q, want %q", c.sec, got, c.want)
-		}
-	}
-}
-
 func TestFmtDur(t *testing.T) {
 	cases := []struct {
 		sec  float64
@@ -133,27 +113,21 @@ func TestRealMainAgainstFakeServer(t *testing.T) {
 		_, _ = w.Write([]byte(`{"flips":[{"generation":3,"commodity":"S2","admitted":false,
 			"rate":0,"offered":20,"trace":"0af7651916cd43dd8448eb211c80319c"}]}`))
 	})
-	exchangeUnix := time.Now().Unix() - 3
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		_, _ = fmt.Fprintf(w,
-			"streamopt_shard_count 2\n"+
-				"streamopt_shard_exchange_rounds_total 40\n"+
-				"streamopt_shard_price_delta 1.25e-05\n"+
-				"streamopt_shard_commodities{shard=\"0\"} 3\n"+
-				"streamopt_shard_commodities{shard=\"1\"} 1\n"+
-				"streamopt_shard_solves_total{shard=\"0\"} 12\n"+
-				"streamopt_shard_solves_total{shard=\"1\"} 9\n"+
-				"streamopt_shard_solve_seconds{shard=\"0\"} 0.0421\n"+
-				"streamopt_shard_solve_seconds{shard=\"1\"} 0.0007\n"+
-				"streamopt_shard_iterations{shard=\"0\"} 350\n"+
-				"streamopt_shard_iterations{shard=\"1\"} 125\n"+
-				"streamopt_build_bytes{shard=\"0\"} 1048576\n"+
-				"streamopt_build_bytes{shard=\"1\"} 524288\n"+
-				"streamopt_shard_last_exchange_unix{shard=\"0\"} %d\n"+
-				"streamopt_shard_last_exchange_unix{shard=\"1\"} %d\n",
-			exchangeUnix, exchangeUnix)
 		_, _ = w.Write([]byte(
-			"streamopt_server_solves_total{start=\"warm\"} 2\n" +
+			"streamopt_shard_exchange_rounds_total 40\n" +
+				"streamopt_shard_price_delta 1.25e-05\n" +
+				"streamopt_shard_commodities{shard=\"0\"} 3\n" +
+				"streamopt_shard_commodities{shard=\"1\"} 1\n" +
+				"streamopt_shard_solves_total{shard=\"0\"} 12\n" +
+				"streamopt_shard_solves_total{shard=\"1\"} 9\n" +
+				"streamopt_shard_solve_seconds{shard=\"0\"} 0.0421\n" +
+				"streamopt_shard_solve_seconds{shard=\"1\"} 0.0007\n" +
+				"streamopt_shard_iterations{shard=\"0\"} 350\n" +
+				"streamopt_shard_iterations{shard=\"1\"} 125\n" +
+				"streamopt_build_bytes{shard=\"0\"} 1048576\n" +
+				"streamopt_build_bytes{shard=\"1\"} 524288\n" +
+				"streamopt_server_solves_total{start=\"warm\"} 2\n" +
 				"streamopt_server_solves_total{start=\"cold\"} 1\n" +
 				"streamopt_stage_seconds_bucket{stage=\"decision\",le=\"0.05\"} 4\n" +
 				"streamopt_stage_seconds_bucket{stage=\"decision\",le=\"+Inf\"} 4\n" +
@@ -213,7 +187,6 @@ func TestRealMainAgainstFakeServer(t *testing.T) {
 		"SHARD",
 		"BUILD",
 		"1.0MiB", // shard 0 subset build footprint
-		"STALENESS",
 		"42.1ms", // shard 0 last-solve latency
 		"0.00",   // static solves_total → zero advance rate on frame 2
 	} {

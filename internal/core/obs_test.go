@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -62,5 +63,30 @@ func TestSolveWithRecorder(t *testing.T) {
 func TestSolveWithoutRecorderStillWorks(t *testing.T) {
 	if _, err := Solve(figure1(t), Options{MaxIters: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSolveExposesEngineFamiliesOnly: a solve through core.Solve
+// registers the engine's set and nothing of the server's or the load
+// driver's.
+func TestSolveExposesEngineFamiliesOnly(t *testing.T) {
+	rec := obs.NewRecorder(obs.NewRegistry(), nil)
+	if _, err := Solve(figure1(t), Options{Algorithm: GradientAdaptive, MaxIters: 20, Recorder: rec}); err != nil {
+		t.Fatal(err)
+	}
+	var prom strings.Builder
+	if err := rec.Registry().WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	var families []string
+	for _, line := range strings.Split(prom.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families = append(families, strings.Fields(rest)[0])
+		}
+	}
+	want := "streamopt_iterations_total streamopt_utility streamopt_cost streamopt_feasible " +
+		"streamopt_protocol_messages_total streamopt_adaptive_backtracks_total streamopt_eta"
+	if got := strings.Join(families, " "); got != want {
+		t.Fatalf("core.Solve exposes %s\nwant %s", got, want)
 	}
 }

@@ -62,12 +62,10 @@ func NewUsage(x *transform.Extended) *Usage {
 }
 
 // ErrWorkspaceShape is wrapped by the error EvaluateInto panics with
-// (and TryEvaluateInto returns) when a workspace does not match the
-// routing's extended problem — wrong commodity count, node count, or
-// per-commodity member row sizes. Callers that reuse workspaces across
-// rebuilds (the admission server's solve loop, shard runners) match it
-// with errors.Is and recover by allocating a fresh workspace with
-// NewUsage, the same cold-fallback shape as flow.ErrTopologyChanged.
+// when a workspace does not match the routing's extended problem —
+// wrong commodity count, node count, or per-commodity member row sizes.
+// The engines own their workspace, sized by NewUsage for the problem
+// they were built on, so a mismatch is a programming error.
 var ErrWorkspaceShape = errors.New("flow: usage workspace shape mismatch")
 
 // shapeErr builds the detailed ErrWorkspaceShape wrapper.
@@ -115,25 +113,12 @@ func Evaluate(r *Routing) *Usage {
 // problem (per-commodity member-sized rows plus the full-width FNode
 // accumulator). The workspace is zeroed and refilled; the result is
 // bit-identical to Evaluate(r). After the call u.R is r. A mismatched
-// workspace panics with an error wrapping ErrWorkspaceShape; callers
-// that want to recover instead use TryEvaluateInto.
+// workspace panics with an error wrapping ErrWorkspaceShape.
 func EvaluateInto(u *Usage, r *Routing) {
 	if err := u.checkShape(r.X); err != nil {
 		panic(err)
 	}
 	evaluateInto(u, r)
-}
-
-// TryEvaluateInto is EvaluateInto returning the shape mismatch as an
-// error (wrapping ErrWorkspaceShape) instead of panicking, for callers
-// with a recovery path — e.g. falling back to a freshly allocated
-// workspace after an extended problem was rebuilt underneath them.
-func TryEvaluateInto(u *Usage, r *Routing) error {
-	if err := u.checkShape(r.X); err != nil {
-		return err
-	}
-	evaluateInto(u, r)
-	return nil
 }
 
 // evaluateInto is the shape-checked forward sweep. Per commodity it

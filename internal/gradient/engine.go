@@ -138,7 +138,6 @@ func New(x *transform.Extended, cfg Config) *Engine {
 func newEngine(x *transform.Extended, r *flow.Routing, cfg Config) *Engine {
 	cfg.setDefaults()
 	cfg.Recorder.SetEta(cfg.Eta)
-	cfg.Recorder.SetWorkers(cfg.Workers)
 	return &Engine{
 		X: x, R: r, cfg: cfg, eta: cfg.Eta,
 		u:        flow.NewUsage(x),

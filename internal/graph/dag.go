@@ -107,36 +107,3 @@ func (h *minHeap[T]) pop() T {
 	}
 	return top
 }
-
-// IsAcyclic reports whether the kept subgraph has no directed cycle.
-func (g *Graph) IsAcyclic(keep func(EdgeID) bool) bool {
-	_, err := g.TopoSortFiltered(keep)
-	return err == nil
-}
-
-// LongestPathLen returns the number of edges on the longest path in the
-// kept subgraph, which must be acyclic (ErrCycle otherwise). This is
-// the quantity L in the paper's O(L) message-round analysis (§6).
-func (g *Graph) LongestPathLen(keep func(EdgeID) bool) (int, error) {
-	order, err := g.TopoSortFiltered(keep)
-	if err != nil {
-		return 0, err
-	}
-	depth := make([]int, g.NumNodes())
-	best := 0
-	for _, u := range order {
-		for _, e := range g.out[u] {
-			if !keep(e) {
-				continue
-			}
-			v := g.edges[e].To
-			if d := depth[u] + 1; d > depth[v] {
-				depth[v] = d
-				if d > best {
-					best = d
-				}
-			}
-		}
-	}
-	return best, nil
-}

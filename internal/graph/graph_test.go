@@ -223,17 +223,6 @@ func TestTopoSortDeterministic(t *testing.T) {
 	}
 }
 
-func TestIsAcyclic(t *testing.T) {
-	g := diamond(t)
-	if !g.IsAcyclic(all) {
-		t.Fatal("diamond reported cyclic")
-	}
-	mustEdge(t, g, 3, 0)
-	if g.IsAcyclic(all) {
-		t.Fatal("cycle not detected")
-	}
-}
-
 func TestReachability(t *testing.T) {
 	g := diamond(t)
 	extra := g.AddNode() // disconnected node 4
@@ -267,33 +256,6 @@ func TestReachabilityRespectsFilter(t *testing.T) {
 	}
 	if !r[1] || !r[2] {
 		t.Fatal("nodes 1,2 should stay reachable")
-	}
-}
-
-func TestLongestPathLen(t *testing.T) {
-	g := New(5, 5)
-	g.AddNodes(5)
-	mustEdge(t, g, 0, 1)
-	mustEdge(t, g, 1, 2)
-	mustEdge(t, g, 2, 3)
-	mustEdge(t, g, 0, 4)
-	mustEdge(t, g, 4, 3)
-	l, err := g.LongestPathLen(all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l != 3 {
-		t.Fatalf("LongestPathLen = %d, want 3", l)
-	}
-}
-
-func TestLongestPathLenCycle(t *testing.T) {
-	g := New(2, 2)
-	g.AddNodes(2)
-	mustEdge(t, g, 0, 1)
-	mustEdge(t, g, 1, 0)
-	if _, err := g.LongestPathLen(all); !errors.Is(err, ErrCycle) {
-		t.Fatalf("err = %v, want ErrCycle", err)
 	}
 }
 

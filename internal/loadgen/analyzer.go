@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -67,9 +66,6 @@ type SweepOptions struct {
 	// Driver configures each run; SyncEvery defaults to 1 so every
 	// mutating epoch contributes a latency sample.
 	Driver DriverOptions
-	// Recorder receives a saturation_point event per scale. Nil
-	// disables.
-	Recorder *obs.Recorder
 	// Backend, when non-nil, supplies the backend for each scale (e.g.
 	// an HTTP target); the default builds a fresh in-process server
 	// per scale from the compiled base problem.
@@ -111,8 +107,6 @@ func Sweep(sc *Scenario, opts SweepOptions) (*Report, error) {
 		pt := reduce(res, scale)
 		pt.EventStreamSHA256 = hash
 		rep.Points = append(rep.Points, pt)
-		opts.Recorder.SaturationPoint(pt.Scale, pt.Offered, pt.Utility,
-			pt.AdmittedFrac, pt.MeanLatency, pt.P95Latency)
 	}
 	rep.Knee = findKnee(rep.Points)
 	return rep, nil

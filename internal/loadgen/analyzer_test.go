@@ -53,7 +53,7 @@ func TestSweepFindsKneeOnBundledScenarios(t *testing.T) {
 			sc := loadScenario(t, name)
 			rep, err := Sweep(sc, SweepOptions{
 				Scales: []float64{0.25, 1, 4, 10},
-				Server: testServerOptions(nil),
+				Server: testServerOptions(),
 				Driver: DriverOptions{SyncEvery: 1, SyncTimeout: 30 * time.Second},
 			})
 			if err != nil {

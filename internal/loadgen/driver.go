@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/journal"
-	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -240,10 +239,6 @@ func waitForRev(be Backend, rev int64, timeout time.Duration) (Observation, erro
 
 // DriverOptions tunes Run.
 type DriverOptions struct {
-	// Recorder streams per-epoch progress (loadgen_epoch events, which
-	// carry each synced epoch's latency in their seconds field, and the
-	// streamopt_loadgen_* counters) and the run summary. Nil disables.
-	Recorder *obs.Recorder
 	// SyncEvery makes the driver block for the snapshot incorporating
 	// the epoch's mutations every N mutating epochs, measuring
 	// ingest-to-publish latency. 0 means sync only once at the end
@@ -391,8 +386,6 @@ func Run(c *Compiled, be Backend, opts DriverOptions) (*RunResult, error) {
 				res.Final = o
 			}
 		}
-		opts.Recorder.LoadgenEpoch(epoch, sample.Active, sample.Mutations,
-			sample.Offered, sample.LatencySeconds, sample.Utility, sample.AdmittedFrac)
 		res.Samples = append(res.Samples, sample)
 	}
 	// Final barrier: the run only counts as done once a published
@@ -408,7 +401,6 @@ func Run(c *Compiled, be Backend, opts DriverOptions) (*RunResult, error) {
 	if res.Seconds > 0 {
 		res.MutationsPerSec = float64(res.Mutations) / res.Seconds
 	}
-	opts.Recorder.LoadgenSummary(c.Scenario.Epochs, res.Mutations, res.Seconds, res.MutationsPerSec)
 	return res, nil
 }
 

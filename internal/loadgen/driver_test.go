@@ -11,15 +11,13 @@ import (
 	"time"
 
 	"repro/internal/journal"
-	"repro/internal/obs"
 	"repro/internal/server"
 )
 
-func testServerOptions(rec *obs.Recorder) server.Options {
+func testServerOptions() server.Options {
 	return server.Options{
 		Debounce:   -1, // solve immediately: deterministic generations
 		MaxIters:   200,
-		Recorder:   rec,
 		HistoryCap: -1,
 		Logf:       func(string, ...any) {},
 	}
@@ -27,24 +25,21 @@ func testServerOptions(rec *obs.Recorder) server.Options {
 
 // The CI smoke test: drive the bundled flash-crowd scenario against an
 // in-process server and check the whole pipeline — every compiled
-// mutation applies, snapshots incorporate them, and each synced epoch's
-// latency rides that epoch's own loadgen_epoch event.
+// mutation applies, snapshots incorporate them, and synced epochs
+// carry the driver's decision latency in their samples (the one record
+// of it: -out writes RunResult as is).
 func TestDriveFlashCrowdInProcess(t *testing.T) {
-	reg := obs.NewRegistry()
-	var events bytes.Buffer
-	rec := obs.NewRecorder(reg, obs.NewJSONLSink(&events))
 	c, err := Compile(loadScenario(t, "flashcrowd.json"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(c.Base, testServerOptions(rec))
+	srv, err := server.New(c.Base, testServerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
 	res, err := Run(c, InProc{S: srv}, DriverOptions{
-		Recorder:    rec,
 		SyncEvery:   1,
 		SyncTimeout: 30 * time.Second,
 	})
@@ -69,42 +64,6 @@ func TestDriveFlashCrowdInProcess(t *testing.T) {
 	if measured == 0 {
 		t.Fatal("no epoch measured a decision latency")
 	}
-	// The driver's sync latency is its own number (epoch start to a
-	// published snapshot), reported on its own event, not mixed into
-	// the server's stage histograms.
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	epochSeconds := map[int]float64{}
-	dec := json.NewDecoder(&events)
-	for dec.More() {
-		var e obs.Event
-		if err := dec.Decode(&e); err != nil {
-			t.Fatal(err)
-		}
-		if e.Type == obs.EventLoadgenEpoch {
-			epochSeconds[e.Epoch] = e.Seconds
-		}
-	}
-	if len(epochSeconds) != c.Scenario.Epochs {
-		t.Fatalf("%d loadgen_epoch events, want %d", len(epochSeconds), c.Scenario.Epochs)
-	}
-	for _, s := range res.Samples {
-		want := max(s.LatencySeconds, 0) // an unsynced epoch's event has none
-		if got := epochSeconds[s.Epoch]; got != want {
-			t.Fatalf("epoch %d event seconds = %g, want %g (sample latency %g)",
-				s.Epoch, got, want, s.LatencySeconds)
-		}
-	}
-	if got := reg.Counter("streamopt_loadgen_mutations_total", "").Value(); got != uint64(res.Mutations) {
-		t.Fatalf("loadgen mutations counter = %d, want %d", got, res.Mutations)
-	}
-	if got := reg.Counter("streamopt_loadgen_epochs_total", "").Value(); got != uint64(c.Scenario.Epochs) {
-		t.Fatalf("loadgen epochs counter = %d, want %d", got, c.Scenario.Epochs)
-	}
 	// During the burst the offered load must actually surge.
 	var peak float64
 	for _, s := range res.Samples {
@@ -125,7 +84,7 @@ func TestDriverIsReproducible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := server.New(c.Base, testServerOptions(nil))
+		srv, err := server.New(c.Base, testServerOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +178,7 @@ func TestHTTPBackendMirrorsTheRoutes(t *testing.T) {
 	from, to := net.Names[link.From], net.Names[link.To]
 	node := fmt.Sprint(spec["source"])
 
-	srv, err := server.New(c.Base, testServerOptions(nil))
+	srv, err := server.New(c.Base, testServerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,18 +47,6 @@ const (
 	// boundary between consecutive snapshot generations, attributed to
 	// the trace ID of the mutation batch that triggered the re-solve.
 	EventAdmissionFlip EventType = "admission_flip"
-	// EventLoadgenEpoch is one virtual-clock epoch of a load-generator
-	// run: active commodities, total offered load, mutations applied,
-	// the driver's sync latency in Seconds (synced epochs only), and
-	// the snapshot utility/admitted fraction observed at epoch end.
-	EventLoadgenEpoch EventType = "loadgen_epoch"
-	// EventLoadgenSummary is the end-of-run load-generator report:
-	// epochs driven, mutations applied, wall-clock, and throughput.
-	EventLoadgenSummary EventType = "loadgen_summary"
-	// EventSaturationPoint is one offered-load sweep point from the
-	// saturation analyzer: scale factor, mean offered load, achieved
-	// utility, admitted fraction, and decision-latency stats.
-	EventSaturationPoint EventType = "saturation_point"
 	// EventCapture is one anomaly-triggered diagnostics bundle dump:
 	// Reason names the trigger (slo_breach, cold_fallback, divergence),
 	// Name the bundle directory written.
@@ -117,17 +105,6 @@ type Event struct {
 	Commodity string  `json:"commodity,omitempty"`
 	Rate      float64 `json:"rate,omitempty"`
 	To        string  `json:"to,omitempty"`
-
-	// Load-generator fields (loadgen_epoch, loadgen_summary,
-	// saturation_point; also Utility, Seconds).
-	Epoch        int     `json:"epoch,omitempty"`
-	Active       int     `json:"active,omitempty"`
-	Offered      float64 `json:"offered,omitempty"`
-	Mutations    int     `json:"mutations,omitempty"`
-	Scale        float64 `json:"scale,omitempty"`
-	AdmittedFrac float64 `json:"admitted_frac,omitempty"`
-	MutPerSec    float64 `json:"mut_per_sec,omitempty"`
-	P95Seconds   float64 `json:"p95_seconds,omitempty"`
 }
 
 // Sink consumes events. Implementations must be safe for concurrent
@@ -135,13 +112,6 @@ type Event struct {
 type Sink interface {
 	Emit(Event)
 	Close() error
-}
-
-// dropReporting is implemented by sinks that can lose events and count
-// the losses; NewRecorder wires a registry counter
-// (streamopt_events_dropped_total) into any such sink it is given.
-type dropReporting interface {
-	SetDropCounter(*Counter)
 }
 
 // JSONLSink writes one JSON object per line to an io.Writer. Events
@@ -198,7 +168,7 @@ func NewRotatingFileSink(path string, maxBytes int64) (*JSONLSink, error) {
 }
 
 // SetDropCounter mirrors future drops into a registry counter
-// (idempotent; called by NewRecorder).
+// (idempotent; NewRecorder wires streamopt_events_dropped_total in).
 func (s *JSONLSink) SetDropCounter(c *Counter) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -242,7 +212,8 @@ func (s *JSONLSink) Emit(e Event) {
 
 // rotate moves the current file to path+".1" and starts a fresh one.
 // On failure the sink goes dead and subsequent emits count as drops —
-// better a bounded gap in the event stream than unbounded disk growth.
+// better a bounded gap in the event stream than unbounded disk growth,
+// and never a fresh file truncating the one that could not be moved.
 // Callers hold s.mu.
 func (s *JSONLSink) rotate() {
 	if s.buf != nil {
@@ -251,11 +222,12 @@ func (s *JSONLSink) rotate() {
 	if s.c != nil {
 		_ = s.c.Close()
 	}
-	_ = os.Rename(s.path, s.path+".1")
+	s.w, s.buf, s.c = nil, nil, nil
+	if err := os.Rename(s.path, s.path+".1"); err != nil {
+		return
+	}
 	f, err := os.Create(s.path)
 	if err != nil {
-		s.w, s.buf, s.c = nil, nil, nil
-		s.drop()
 		return
 	}
 	s.buf = bufio.NewWriterSize(f, 1<<16)
@@ -277,38 +249,6 @@ func (s *JSONLSink) Close() error {
 		}
 	}
 	s.w, s.buf, s.c = nil, nil, nil
-	return err
-}
-
-// MultiSink fans one event out to several sinks.
-type MultiSink []Sink
-
-// Emit forwards to every sink.
-func (m MultiSink) Emit(e Event) {
-	for _, s := range m {
-		s.Emit(e)
-	}
-}
-
-// SetDropCounter forwards the drop counter to every member sink that
-// counts drops, so a MultiSink wired into a recorder still reports
-// streamopt_events_dropped_total.
-func (m MultiSink) SetDropCounter(c *Counter) {
-	for _, s := range m {
-		if dr, ok := s.(dropReporting); ok {
-			dr.SetDropCounter(c)
-		}
-	}
-}
-
-// Close closes every sink, returning the first error.
-func (m MultiSink) Close() error {
-	var err error
-	for _, s := range m {
-		if cerr := s.Close(); err == nil {
-			err = cerr
-		}
-	}
 	return err
 }
 

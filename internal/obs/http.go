@@ -1,47 +1,11 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
-
-// expvarOnce guards the one-time expvar publication: expvar.Publish
-// panics on duplicate names, and tests may start several servers.
-var expvarOnce sync.Once
-
-// publishExpvar mirrors the registry under expvar ("streamopt" key in
-// /debug/vars) as a JSON object {metricKey: value}.
-func publishExpvar(reg *Registry) {
-	expvarOnce.Do(func() {
-		expvar.Publish("streamopt", expvar.Func(func() any {
-			out := make(map[string]any)
-			for _, family := range reg.snapshot() {
-				for _, m := range family {
-					key := m.family
-					if m.labels != "" {
-						key += "{" + m.labels + "}"
-					}
-					switch m.kind {
-					case "counter":
-						out[key] = m.counter.Value()
-					case "gauge":
-						out[key] = m.gauge.Value()
-					case "histogram":
-						out[key] = map[string]any{
-							"count": m.hist.Count(),
-							"sum":   m.hist.Sum(),
-						}
-					}
-				}
-			}
-			return out
-		}))
-	})
-}
 
 // Server is a live exposition endpoint bound to one registry.
 type Server struct {
@@ -52,18 +16,15 @@ type Server struct {
 // Attach mounts the exposition endpoints on an existing mux:
 //
 //	/metrics       Prometheus text format
-//	/debug/vars    expvar JSON (registry mirrored under "streamopt")
 //	/debug/pprof/  runtime profiles (CPU, heap, mutex, ...)
 //
 // This is how processes that already own an HTTP listener (the
 // admission server) expose the registry without a second port.
 func Attach(mux *http.ServeMux, reg *Registry) {
-	publishExpvar(reg)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = reg.WritePrometheus(w)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

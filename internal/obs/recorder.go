@@ -10,11 +10,30 @@ import (
 // configs. A nil *Recorder is valid and means "observability off":
 // every method nil-checks and returns, costing one predicted branch on
 // the hot path and zero allocations (see recorder_test.go).
+//
+// A registry holds only the series its process writes: each role's
+// set (engine, server) is registered at that role's first write, all
+// of it at once, so a counter reads 0 from then until its first
+// increment; later writes go through cached pointers.
 type Recorder struct {
 	reg   *Registry
 	sink  Sink
 	start time.Time
 
+	engineOnce sync.Once
+	engine     *engineMetrics
+	serverOnce sync.Once
+	server     *serverMetrics
+
+	// stages caches streamopt_stage_seconds by span name (string →
+	// *Histogram), so observing a span costs no registry lookup.
+	stages sync.Map
+}
+
+// engineMetrics is what an observed optimizer loop writes: the §6
+// trajectory (utility, cost, feasibility), the protocol's message
+// count, and the step controller's state.
+type engineMetrics struct {
 	iterations *Counter
 	utility    *Gauge
 	cost       *Gauge
@@ -22,56 +41,72 @@ type Recorder struct {
 	messages   *Counter
 	backtracks *Counter
 	eta        *Gauge
-	workers    *Gauge
-	diverged   *Counter
+}
 
-	srvGeneration *Gauge
-	srvUtility    *Gauge
-	srvWarm       *Counter
-	srvCold       *Counter
-
+// serverMetrics is what an admission server writes per published
+// generation.
+type serverMetrics struct {
+	generation   *Gauge
+	utility      *Gauge
+	warm, cold   *Counter
 	flipAdmitted *Counter
 	flipRejected *Counter
-
-	lgEpochs    *Counter
-	lgMutations *Counter
-
-	// stages caches streamopt_stage_seconds by span name (string →
-	// *Histogram), so observing a span costs no registry lookup.
-	stages sync.Map
 }
 
 // NewRecorder builds an enabled recorder. reg may be nil (a fresh
 // registry is created); sink may be nil (metrics only, no events).
+// It registers nothing but, for a sink that can lose events,
+// streamopt_events_dropped_total.
 func NewRecorder(reg *Registry, sink Sink) *Recorder {
 	if reg == nil {
 		reg = NewRegistry()
 	}
-	r := &Recorder{reg: reg, sink: sink, start: time.Now()}
-	r.iterations = reg.Counter("streamopt_iterations_total", "Optimizer iterations executed.")
-	r.utility = reg.Gauge("streamopt_utility", "Total utility at the latest iteration.")
-	r.cost = reg.Gauge("streamopt_cost", "Cost A = Y + epsilon*D at the latest iteration.")
-	r.feasible = reg.Gauge("streamopt_feasible", "1 when the latest iterate satisfies every capacity constraint.")
-	r.messages = reg.Counter("streamopt_protocol_messages_total", "Protocol messages exchanged.")
-	r.backtracks = reg.Counter("streamopt_adaptive_backtracks_total", "Adaptive step-size rollbacks.")
-	r.eta = reg.Gauge("streamopt_eta", "Current gradient step scale.")
-	r.workers = reg.Gauge("streamopt_step_workers", "Worker-pool bound for the per-commodity Step waves.")
-	r.diverged = reg.Counter("streamopt_divergence_total", "Trajectories declared diverged.")
-	r.srvGeneration = reg.Gauge("streamopt_server_generation", "Latest published admission-server snapshot generation.")
-	r.srvUtility = reg.Gauge("streamopt_server_utility", "Total utility of the latest published snapshot.")
-	r.srvWarm = reg.Counter("streamopt_server_solves_total", "Admission-server re-solves by start kind.", "start", "warm")
-	r.srvCold = reg.Counter("streamopt_server_solves_total", "Admission-server re-solves by start kind.", "start", "cold")
-	r.flipAdmitted = reg.Counter("streamopt_admission_flips_total",
-		"Commodities crossing the admitted/rejected boundary between generations.", "to", "admitted")
-	r.flipRejected = reg.Counter("streamopt_admission_flips_total",
-		"Commodities crossing the admitted/rejected boundary between generations.", "to", "rejected")
-	r.lgEpochs = reg.Counter("streamopt_loadgen_epochs_total", "Load-generator virtual-clock epochs driven.")
-	r.lgMutations = reg.Counter("streamopt_loadgen_mutations_total", "Mutations applied by the load-generator driver.")
-	if dr, ok := sink.(dropReporting); ok {
-		dr.SetDropCounter(reg.Counter("streamopt_events_dropped_total",
+	if js, ok := sink.(*JSONLSink); ok {
+		js.SetDropCounter(reg.Counter("streamopt_events_dropped_total",
 			"Events lost to sink write errors."))
 	}
-	return r
+	return &Recorder{reg: reg, sink: sink, start: time.Now()}
+}
+
+func (r *Recorder) engineSet() *engineMetrics {
+	r.engineOnce.Do(func() {
+		reg := r.reg
+		r.engine = &engineMetrics{
+			iterations: reg.Counter("streamopt_iterations_total", "Optimizer iterations executed."),
+			utility:    reg.Gauge("streamopt_utility", "Total utility at the latest iteration."),
+			cost:       reg.Gauge("streamopt_cost", "Cost A = Y + epsilon*D at the latest iteration."),
+			feasible:   reg.Gauge("streamopt_feasible", "1 when the latest iterate satisfies every capacity constraint."),
+			messages:   reg.Counter("streamopt_protocol_messages_total", "Protocol messages exchanged."),
+			backtracks: reg.Counter("streamopt_adaptive_backtracks_total", "Adaptive step-size rollbacks."),
+			eta:        reg.Gauge("streamopt_eta", "Current gradient step scale."),
+		}
+	})
+	return r.engine
+}
+
+func (r *Recorder) serverSet() *serverMetrics {
+	r.serverOnce.Do(func() {
+		reg := r.reg
+		const solves = "Admission-server re-solves by start kind."
+		const flips = "Commodities crossing the admitted/rejected boundary between generations."
+		r.server = &serverMetrics{
+			generation:   reg.Gauge("streamopt_server_generation", "Latest published admission-server snapshot generation."),
+			utility:      reg.Gauge("streamopt_server_utility", "Total utility of the latest published snapshot."),
+			warm:         reg.Counter("streamopt_server_solves_total", solves, "start", "warm"),
+			cold:         reg.Counter("streamopt_server_solves_total", solves, "start", "cold"),
+			flipAdmitted: reg.Counter("streamopt_admission_flips_total", flips, "to", "admitted"),
+			flipRejected: reg.Counter("streamopt_admission_flips_total", flips, "to", "rejected"),
+		}
+		r.divergence()
+	})
+	return r.server
+}
+
+// divergence is streamopt_divergence_total, which engines and the
+// server both write; the server set registers it with the rest, an
+// engine at its first divergence.
+func (r *Recorder) divergence() *Counter {
+	return r.reg.Counter("streamopt_divergence_total", "Trajectories declared diverged.")
 }
 
 // Registry exposes the underlying registry (nil for a nil recorder).
@@ -112,15 +147,16 @@ func (r *Recorder) Iteration(alg string, iter int, utility, cost float64, admitt
 	if r == nil {
 		return
 	}
-	r.iterations.Inc()
-	r.utility.Set(utility)
-	r.cost.Set(cost)
+	m := r.engineSet()
+	m.iterations.Inc()
+	m.utility.Set(utility)
+	m.cost.Set(cost)
 	fp := pfalse
 	fv := 0.0
 	if feasible {
 		fp, fv = ptrue, 1
 	}
-	r.feasible.Set(fv)
+	m.feasible.Set(fv)
 	r.emit(Event{
 		Type: EventIteration, Alg: alg, Iter: iter,
 		Utility: utility, Cost: cost, Admitted: admitted, Feasible: fp,
@@ -132,7 +168,7 @@ func (r *Recorder) Protocol(alg string, iter, messages, rounds int) {
 	if r == nil {
 		return
 	}
-	r.messages.Add(messages)
+	r.engineSet().messages.Add(messages)
 	r.emit(Event{Type: EventProtocol, Alg: alg, Iter: iter, Messages: messages, Rounds: rounds})
 }
 
@@ -150,7 +186,7 @@ func (r *Recorder) Divergence(alg string, iter int, reason string) {
 	if r == nil {
 		return
 	}
-	r.diverged.Inc()
+	r.divergence().Inc()
 	r.emit(Event{Type: EventDivergence, Alg: alg, Iter: iter, Reason: reason})
 }
 
@@ -159,15 +195,7 @@ func (r *Recorder) SetEta(eta float64) {
 	if r == nil {
 		return
 	}
-	r.eta.Set(eta)
-}
-
-// SetWorkers publishes the engine's per-commodity wave worker bound.
-func (r *Recorder) SetWorkers(n int) {
-	if r == nil {
-		return
-	}
-	r.workers.Set(float64(n))
+	r.engineSet().eta.Set(eta)
 }
 
 // Backtrack counts one adaptive step rollback.
@@ -175,7 +203,7 @@ func (r *Recorder) Backtrack() {
 	if r == nil {
 		return
 	}
-	r.backtracks.Inc()
+	r.engineSet().backtracks.Inc()
 }
 
 // ServerMutation records one accepted admission-server mutation. kind
@@ -194,15 +222,16 @@ func (r *Recorder) ServerSolve(generation int64, warm bool, seconds, utility flo
 	if r == nil {
 		return
 	}
+	m := r.serverSet()
 	start := "cold"
 	if warm {
 		start = "warm"
-		r.srvWarm.Inc()
+		m.warm.Inc()
 	} else {
-		r.srvCold.Inc()
+		m.cold.Inc()
 	}
-	r.srvGeneration.Set(float64(generation))
-	r.srvUtility.Set(utility)
+	m.generation.Set(float64(generation))
+	m.utility.Set(utility)
 	r.emit(Event{
 		Type: EventServerSolve, Alg: "server", Iter: iterations,
 		Generation: generation, Start: start, Seconds: seconds, Utility: utility,
@@ -258,12 +287,13 @@ func (r *Recorder) AdmissionFlip(generation int64, commodity string, admitted bo
 	if r == nil {
 		return
 	}
+	m := r.serverSet()
 	to := "rejected"
 	if admitted {
 		to = "admitted"
-		r.flipAdmitted.Inc()
+		m.flipAdmitted.Inc()
 	} else {
-		r.flipRejected.Inc()
+		m.flipRejected.Inc()
 	}
 	r.emit(Event{
 		Type: EventAdmissionFlip, Alg: "server", Generation: generation,
@@ -272,19 +302,19 @@ func (r *Recorder) AdmissionFlip(generation int64, commodity string, admitted bo
 }
 
 // ShardAdvance records one solver shard's state after its turn:
-// cumulative solve seconds and iterations for the current solve,
-// the commodity count it owns, and — when the shard actually stepped —
-// its advance counter. The last-exchange timestamp feeds streamtop's
-// staleness column.
-func (r *Recorder) ShardAdvance(shard int, seconds float64, iterations, commodities int, stepped bool, unixSeconds float64) {
+// cumulative solve seconds and iterations for the current solve, the
+// commodity count it owns, and — when the shard actually stepped — its
+// advance counter.
+func (r *Recorder) ShardAdvance(shard int, seconds float64, iterations, commodities int, stepped bool) {
 	if r == nil {
 		return
 	}
 	label := strconv.Itoa(shard)
+	solves := r.reg.Counter("streamopt_shard_solves_total",
+		"Turns in which this shard advanced its gradient engine.",
+		"shard", label)
 	if stepped {
-		r.reg.Counter("streamopt_shard_solves_total",
-			"Turns in which this shard advanced its gradient engine.",
-			"shard", label).Inc()
+		solves.Inc()
 	}
 	r.reg.Gauge("streamopt_shard_solve_seconds",
 		"Wall-clock seconds this shard spent advancing in the current solve.",
@@ -295,9 +325,6 @@ func (r *Recorder) ShardAdvance(shard int, seconds float64, iterations, commodit
 	r.reg.Gauge("streamopt_shard_commodities",
 		"Commodities currently placed on this shard.",
 		"shard", label).Set(float64(commodities))
-	r.reg.Gauge("streamopt_shard_last_exchange_unix",
-		"Unix time of this shard's latest turn.",
-		"shard", label).Set(unixSeconds)
 }
 
 // BuildFootprint records the resident bytes of a shard's latest
@@ -315,15 +342,12 @@ func (r *Recorder) BuildFootprint(shard int, bytes int64) {
 }
 
 // PriceExchange records one completed sweep of the sharded solve, in
-// which every shard took a turn: the shard count and the largest exact
-// external-usage update (relative to capacity scale) the sweep
-// installed.
-func (r *Recorder) PriceExchange(shards int, maxDelta float64) {
+// which every shard took a turn: the largest exact external-usage
+// update (relative to capacity scale) the sweep installed.
+func (r *Recorder) PriceExchange(maxDelta float64) {
 	if r == nil {
 		return
 	}
-	r.reg.Gauge("streamopt_shard_count",
-		"Solver shards the admission service is partitioned across.").Set(float64(shards))
 	r.reg.Counter("streamopt_shard_exchange_rounds_total",
 		"Sweeps of shard turns run by the shard coordinator.").Inc()
 	r.reg.Gauge("streamopt_shard_price_delta",
@@ -347,51 +371,5 @@ func (r *Recorder) HTTPRequest(route, method, path string, code int, seconds flo
 		Type: EventHTTPRequest, Alg: "server",
 		Route: route, Method: method, Path: path, Code: code,
 		Seconds: seconds, Trace: traceID,
-	})
-}
-
-// LoadgenEpoch records one virtual-clock epoch of a load-generator run:
-// how many commodities are active, the total offered load, how many
-// mutations the epoch applied, the driver's sync latency (epoch start
-// to a published snapshot incorporating the epoch; negative when the
-// epoch did not sync, and then left out of the event), and the
-// snapshot utility and admitted fraction observed at epoch end (NaN
-// admitted fraction is skipped — no snapshot yet).
-func (r *Recorder) LoadgenEpoch(epoch, active, mutations int, offered, seconds, utility, admittedFrac float64) {
-	if r == nil {
-		return
-	}
-	r.lgEpochs.Inc()
-	r.lgMutations.Add(mutations)
-	r.emit(Event{
-		Type: EventLoadgenEpoch, Alg: "loadgen", Epoch: epoch,
-		Active: active, Mutations: mutations, Offered: offered,
-		Seconds: max(seconds, 0), Utility: utility, AdmittedFrac: admittedFrac,
-	})
-}
-
-// LoadgenSummary records the end-of-run load-generator report.
-func (r *Recorder) LoadgenSummary(epochs, mutations int, seconds, mutPerSec float64) {
-	if r == nil {
-		return
-	}
-	r.emit(Event{
-		Type: EventLoadgenSummary, Alg: "loadgen", Epoch: epochs,
-		Mutations: mutations, Seconds: seconds, MutPerSec: mutPerSec,
-	})
-}
-
-// SaturationPoint records one offered-load sweep point from the
-// saturation analyzer: the scenario scale factor, the mean offered
-// load it produced, and the achieved utility, admitted fraction, and
-// decision-latency stats measured there.
-func (r *Recorder) SaturationPoint(scale, offered, utility, admittedFrac, meanLatency, p95Latency float64) {
-	if r == nil {
-		return
-	}
-	r.emit(Event{
-		Type: EventSaturationPoint, Alg: "loadgen", Scale: scale,
-		Offered: offered, Utility: utility, AdmittedFrac: admittedFrac,
-		Seconds: meanLatency, P95Seconds: p95Latency,
 	})
 }

@@ -23,7 +23,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.SetEta(0.04)
 	r.Backtrack()
 	r.Span("t", "s", "", "solve", 0.25, nil)
-	r.LoadgenEpoch(1, 2, 3, 4, 0.5, 6, 0.7)
 	if r.Registry() != nil {
 		t.Fatal("nil recorder must have nil registry")
 	}
@@ -201,10 +200,117 @@ func TestServeEndpoints(t *testing.T) {
 	if out := get("/metrics"); !strings.Contains(out, "streamopt_iterations_total 3") {
 		t.Errorf("/metrics missing counter:\n%s", out)
 	}
-	if out := get("/debug/vars"); !strings.Contains(out, "streamopt") {
-		t.Errorf("/debug/vars missing registry mirror:\n%s", out)
-	}
 	if out := get("/debug/pprof/cmdline"); out == "" {
 		t.Error("/debug/pprof/cmdline empty")
+	}
+	// /metrics is the registry's one encoding: no expvar mirror.
+	resp, err := http.Get("http://" + srv.Addr() + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /debug/vars: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// families lists the metric families a registry exposes, in order.
+func families(t *testing.T, reg *Registry) []string {
+	t.Helper()
+	var prom strings.Builder
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, line := range strings.Split(prom.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			out = append(out, strings.Fields(rest)[0])
+		}
+	}
+	return out
+}
+
+// TestRolesRegisterAtFirstWrite: a recorder registers nothing until a
+// role writes, and then that role's whole set, so its counters read 0
+// before their first increment and no other role's series appear.
+func TestRolesRegisterAtFirstWrite(t *testing.T) {
+	r := NewRecorder(nil, nil)
+	if got := families(t, r.Registry()); len(got) != 0 {
+		t.Fatalf("fresh recorder exposes %v, want nothing", got)
+	}
+
+	r.SetEta(0.04)
+	engine := []string{
+		"streamopt_iterations_total", "streamopt_utility", "streamopt_cost", "streamopt_feasible",
+		"streamopt_protocol_messages_total", "streamopt_adaptive_backtracks_total", "streamopt_eta",
+	}
+	if got := families(t, r.Registry()); strings.Join(got, " ") != strings.Join(engine, " ") {
+		t.Fatalf("after one engine write: %v, want %v", got, engine)
+	}
+
+	r.ServerSolve(1, false, 0.1, 2.5, 10)
+	server := []string{
+		"streamopt_server_generation", "streamopt_server_utility", "streamopt_server_solves_total",
+		"streamopt_admission_flips_total", "streamopt_divergence_total",
+	}
+	if got := families(t, r.Registry()); strings.Join(got, " ") != strings.Join(append(engine, server...), " ") {
+		t.Fatalf("after one server write: %v, want %v", got, append(engine, server...))
+	}
+	reg := r.Registry()
+	for _, c := range []struct {
+		name, k, v string
+		want       uint64
+	}{
+		{"streamopt_server_solves_total", "start", "cold", 1},
+		{"streamopt_server_solves_total", "start", "warm", 0},
+		{"streamopt_admission_flips_total", "to", "admitted", 0},
+		{"streamopt_admission_flips_total", "to", "rejected", 0},
+	} {
+		if got := reg.Counter(c.name, "", c.k, c.v).Value(); got != c.want {
+			t.Errorf("%s{%s=%q} = %d, want %d", c.name, c.k, c.v, got, c.want)
+		}
+	}
+
+	// Writers on several goroutines may meet a role's first write
+	// together: every write still lands in the one set.
+	r = NewRecorder(nil, nil)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				r.Backtrack()
+				r.ServerSolve(int64(i), true, 0, 0, 0)
+			}
+		}()
+	}
+	wg.Wait()
+	reg = r.Registry()
+	if got := reg.Counter("streamopt_adaptive_backtracks_total", "").Value(); got != 400 {
+		t.Errorf("backtracks = %d, want 400", got)
+	}
+	if got := reg.Counter("streamopt_server_solves_total", "", "start", "warm").Value(); got != 400 {
+		t.Errorf("warm solves = %d, want 400", got)
+	}
+}
+
+// TestEnabledRecorderPerIterationAllocs: with the engine set registered,
+// a metrics-only recorder's per-iteration writes are cached-pointer
+// updates — no registry lookup, no allocation.
+func TestEnabledRecorderPerIterationAllocs(t *testing.T) {
+	r := NewRecorder(nil, nil)
+	admitted := []float64{1, 2, 3}
+	allocs := testing.AllocsPerRun(1000, func() {
+		r.Iteration("gradient", 1, 2, 3, admitted, true)
+		r.Protocol("gradient", 1, 4, 2)
+		r.SetEta(0.04)
+		r.Backtrack()
+	})
+	if allocs != 0 {
+		t.Fatalf("metrics-only recorder allocated %v per iteration, want 0", allocs)
+	}
+	if got := r.Registry().Counter("streamopt_iterations_total", "").Value(); got != 1001 {
+		t.Fatalf("iterations counter = %d, want 1001", got)
 	}
 }

@@ -1,7 +1,7 @@
 // Package obs is the observability layer for the optimizer loops and
 // the admission server: a stdlib-only metrics registry (counters,
-// gauges, fixed-bucket histograms) with Prometheus-text and expvar
-// exposition, and a structured JSONL event system with pluggable sinks.
+// gauges, fixed-bucket histograms) with Prometheus-text exposition,
+// and a structured JSONL event system with pluggable sinks.
 // Stage latencies come from one place, the decision-lifecycle spans
 // (internal/obs/span) a Recorder observes into streamopt_stage_seconds.
 //

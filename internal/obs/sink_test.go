@@ -40,17 +40,6 @@ func TestSinkCountsDroppedEvents(t *testing.T) {
 	}
 }
 
-// TestMultiSinkForwardsDropCounter: a MultiSink in front of a lossy
-// JSONL sink still reports drops through the recorder's counter.
-func TestMultiSinkForwardsDropCounter(t *testing.T) {
-	lossy := NewJSONLSink(&failAfter{})
-	rec := NewRecorder(NewRegistry(), MultiSink{lossy})
-	rec.Iteration("gradient", 0, 1, 2, nil, true)
-	if got := rec.Registry().Counter("streamopt_events_dropped_total", "").Value(); got != 1 {
-		t.Fatalf("dropped counter through MultiSink = %d, want 1", got)
-	}
-}
-
 // TestRotatingFileSink caps the live file and keeps exactly one rotated
 // predecessor, with every surviving line valid JSONL.
 func TestRotatingFileSink(t *testing.T) {
@@ -144,5 +133,42 @@ func TestRotatedStreamStaysParseable(t *testing.T) {
 		if iters[k] != iters[k-1]+1 {
 			t.Fatalf("gap at rotation boundary: %d then %d", iters[k-1], iters[k])
 		}
+	}
+}
+
+// TestRotationRenameFailureGoesDead: when the live file cannot be moved
+// aside, the sink keeps what it wrote and counts every later event as a
+// drop, instead of truncating the file with a fresh one.
+func TestRotationRenameFailureGoesDead(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ev.jsonl")
+	// A non-empty directory at the rotation target makes os.Rename fail.
+	if err := os.MkdirAll(filepath.Join(path+".1", "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	sink, err := NewRotatingFileSink(path, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total = 5
+	for i := 0; i < total; i++ {
+		sink.Emit(Event{Type: EventIteration, Iter: i, Utility: float64(i)})
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	for i, line := range lines {
+		var e Event
+		if err := json.Unmarshal([]byte(line), &e); err != nil || e.Iter != i {
+			t.Fatalf("line %d = %q (err %v), want iteration %d", i, line, err, i)
+		}
+	}
+	if len(lines) < 2 || uint64(len(lines))+sink.Drops() != total {
+		t.Fatalf("%d lines kept and %d drops counted, want every one of %d events accounted for",
+			len(lines), sink.Drops(), total)
 	}
 }

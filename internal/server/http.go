@@ -20,8 +20,7 @@ import (
 // Handler returns the service's HTTP API. Reads are served lock-free
 // from the latest snapshot; writes apply to the next problem version
 // and only commit on success. When reg is non-nil the obs exposition
-// endpoints (/metrics, /debug/vars, /debug/pprof) are mounted on the
-// same mux.
+// endpoints (/metrics, /debug/pprof) are mounted on the same mux.
 //
 // Every request passes through the metrics middleware: per-route
 // streamopt_http_requests_total{route,code} and latency histograms,

@@ -607,12 +607,6 @@ func (s *Server) SetMaxRates(rates map[string]float64) (int64, error) {
 	return s.Apply(journal.SetRates(rates))
 }
 
-// SetUtilityJSON replaces a commodity's utility function (its admission
-// weight/priority) from the schema's utility JSON form.
-func (s *Server) SetUtilityJSON(name string, spec []byte) (int64, error) {
-	return s.Apply(journal.SetUtility(name, spec))
-}
-
 // SetCapacity changes a processing node's capacity — the failure/
 // recovery injection primitive (E8 semantics: cut to a fraction, later
 // restore).

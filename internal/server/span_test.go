@@ -197,9 +197,8 @@ func testDecisionLifecycleSpans(t *testing.T, shards int) {
 
 // observe runs one mutation script against a traced, recorded server at
 // the given shard count and returns what an operator can see of it: the
-// attribute keys of every span name, the metric families exposed, and
-// the per-iteration counter.
-func observe(t *testing.T, shards int) (spanAttrs map[string]map[string]bool, families map[string]bool, iterations uint64) {
+// attribute keys of every span name and the metric families exposed.
+func observe(t *testing.T, shards int) (spanAttrs map[string]map[string]bool, families map[string]bool) {
 	t.Helper()
 	rec := obs.NewRecorder(obs.NewRegistry(), nil)
 	s, tr, _ := startTracedShardedServer(t, rec, 1024, shards)
@@ -246,16 +245,16 @@ func observe(t *testing.T, shards int) (spanAttrs map[string]map[string]bool, fa
 			families[strings.Fields(rest)[0]] = true
 		}
 	}
-	return spanAttrs, families, rec.Registry().Counter("streamopt_iterations_total", "").Value()
+	return spanAttrs, families
 }
 
 // TestObservationShardCountInvariant: what the daemon shows of a solve —
 // span names, the attribute keys of each, metric families — does not
-// depend on the shard count, and no per-iteration series moves: the
+// depend on the shard count, and no per-iteration series exists: the
 // engines run recorder-free whether one runner steps or four.
 func TestObservationShardCountInvariant(t *testing.T) {
-	spans1, families1, iters1 := observe(t, 1)
-	spans4, families4, iters4 := observe(t, 4)
+	spans1, families1 := observe(t, 1)
+	spans4, families4 := observe(t, 4)
 	for _, name := range []string{"decision", "ingress", "coalesce", "solve", "build", "engine_init", "iterate", "publish"} {
 		if spans1[name] == nil {
 			t.Errorf("no %q span at 1 shard", name)
@@ -267,8 +266,8 @@ func TestObservationShardCountInvariant(t *testing.T) {
 	if got, want := fmt.Sprint(families4), fmt.Sprint(families1); got != want {
 		t.Errorf("metric families differ by shard count:\n 1 shard:  %s\n 4 shards: %s", want, got)
 	}
-	if iters1 != 0 || iters4 != 0 {
-		t.Errorf("streamopt_iterations_total = %d (1 shard), %d (4 shards); serving engines must not feed the recorder", iters1, iters4)
+	if families1["streamopt_iterations_total"] || families4["streamopt_iterations_total"] {
+		t.Error("streamopt_iterations_total exposed; serving engines must not feed the recorder")
 	}
 }
 

@@ -80,16 +80,6 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// ShardStatus is one shard's slice of a Result.
-type ShardStatus struct {
-	Shard       int     `json:"shard"`
-	Commodities int     `json:"commodities"`
-	Iterations  int     `json:"iterations"`
-	Warm        bool    `json:"warm"`
-	Stationary  bool    `json:"stationary"`
-	Utility     float64 `json:"utility"`
-}
-
 // CommodityState is one commodity's admission outcome, stitched back
 // into global commodity order.
 type CommodityState struct {
@@ -115,8 +105,7 @@ type Result struct {
 	// Feasible is f_i ≤ C_i at the merged global usage.
 	Feasible bool
 	// Err is the first shard divergence observed, if any.
-	Err    error
-	Shards []ShardStatus
+	Err error
 }
 
 // Coordinator owns N solver shards and has them take turns on the one
@@ -401,10 +390,10 @@ func (r *runner) bind(p *stream.Problem) {
 		switch {
 		case err == nil:
 			r.eng, r.warm = eng, true
-		case errors.Is(err, flow.ErrTopologyChanged), errors.Is(err, flow.ErrWorkspaceShape):
+		case errors.Is(err, flow.ErrTopologyChanged):
 			// The previous routing's shape no longer fits the rebuilt
-			// problem (membership or workspace rows changed): starting
-			// cold is the expected recovery.
+			// problem (membership changed): starting cold is the
+			// expected recovery.
 			r.cfg.Logf("shard %d: cold start (expected): %v", r.id, err)
 		default:
 			r.cfg.Logf("shard %d: warm start failed unexpectedly, falling back to cold: %v", r.id, err)
@@ -467,15 +456,14 @@ func (c *Coordinator) Solve(ctx context.Context) Result {
 			n := r.advance(ctx, min(exchangeEvery, c.cfg.MaxIters-spent))
 			spent += n
 			stepped = stepped || n > 0
-			c.cfg.Recorder.ShardAdvance(r.id, r.seconds, r.iters, len(r.global), n > 0,
-				float64(time.Now().UnixNano())/1e9)
+			c.cfg.Recorder.ShardAdvance(r.id, r.seconds, r.iters, len(r.global), n > 0)
 			c.merge()
 			m, d := c.updateExternals(anyX)
 			moved = moved || m
 			maxDelta = max(maxDelta, d)
 		}
 		res.Rounds++
-		c.cfg.Recorder.PriceExchange(c.cfg.Shards, maxDelta)
+		c.cfg.Recorder.PriceExchange(maxDelta)
 
 		allStationary, anyDiverged := true, false
 		for _, r := range c.runners {
@@ -507,14 +495,6 @@ func (c *Coordinator) Solve(ctx context.Context) Result {
 	for _, r := range c.runners {
 		res.Iterations += r.iters
 		res.Utility += r.utility
-		res.Shards = append(res.Shards, ShardStatus{
-			Shard:       r.id,
-			Commodities: len(r.global),
-			Iterations:  r.iters,
-			Warm:        r.warm,
-			Stationary:  r.stationary,
-			Utility:     r.utility,
-		})
 	}
 	res.Feasible, _ = flow.FeasibleShared(anyX, c.merged)
 	return res
