@@ -44,6 +44,16 @@ func TestEndToEndAllSolversAgree(t *testing.T) {
 		t.Fatalf("reference optimum %g outside the expected band for seed 2", ref.Utility)
 	}
 
+	// §6's criterion: the fixed-η gradient reaches 95% of the optimum
+	// in about 1 000 iterations on this instance.
+	_, hit, err := gradient.New(x, gradient.Config{Eta: 0.04}).RunToTarget(ref.Utility, 0.95, 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit < 0 {
+		t.Fatalf("gradient never reached 95%% of the optimum %g in 20000 iterations", ref.Utility)
+	}
+
 	// Gradient in both step modes must land in the same neighborhood
 	// below the LP optimum.
 	eng := gradient.New(x, gradient.Config{Eta: 0.04})

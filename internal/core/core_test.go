@@ -57,19 +57,36 @@ func TestSolveReference(t *testing.T) {
 }
 
 func TestGradientNeverBeatsReference(t *testing.T) {
-	ref, err := Solve(figure1(t), Options{Algorithm: Reference})
+	// The second case is the quickstart's shape: task B filters its
+	// stream, E expands it, under a tight barrier.
+	filtered, err := stream.Figure1(stream.Figure1Config{
+		ServerCapacity: 10, Bandwidth: 40, MaxRate1: 20, MaxRate2: 20,
+		TaskBeta: map[string]float64{"B": 0.5, "E": 2},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grad, err := Solve(figure1(t), Options{MaxIters: 4000, Eta: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grad.Utility > ref.Utility+1e-6 {
-		t.Fatalf("gradient %g exceeds reference %g", grad.Utility, ref.Utility)
-	}
-	if grad.Utility < 0.85*ref.Utility {
-		t.Fatalf("gradient %g below 85%% of reference %g", grad.Utility, ref.Utility)
+	for _, tc := range []struct {
+		p    *stream.Problem
+		opts Options
+	}{
+		{figure1(t), Options{MaxIters: 4000, Eta: 0.2}},
+		{filtered, Options{MaxIters: 4000, Eta: 0.05, Epsilon: 0.05}},
+	} {
+		ref, err := Solve(tc.p, Options{Algorithm: Reference, Epsilon: tc.opts.Epsilon})
+		if err != nil {
+			t.Fatal(err)
+		}
+		grad, err := Solve(tc.p, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grad.Utility > ref.Utility+1e-6 {
+			t.Fatalf("gradient %g exceeds reference %g", grad.Utility, ref.Utility)
+		}
+		if grad.Utility < 0.85*ref.Utility {
+			t.Fatalf("gradient %g below 85%% of reference %g", grad.Utility, ref.Utility)
+		}
 	}
 }
 

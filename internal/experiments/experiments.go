@@ -3,8 +3,7 @@
 // experiments in DESIGN.md §5: F4 (the convergence figure), T1
 // (iterations to 95%), T2 (η sweep), T3 (message rounds vs depth), T4
 // (ε sweep), E5 (concave utilities), E6 (shrinkage ablation), and E7
-// (dynamic tracking). cmd/experiments prints them; bench_test.go times
-// them.
+// (dynamic tracking). cmd/experiments prints them.
 package experiments
 
 import (

@@ -56,17 +56,26 @@ func TestRunF4Shape(t *testing.T) {
 
 func TestRunF4GradientFasterThanBP(t *testing.T) {
 	// The headline claim: gradient reaches 95% far sooner (when both
-	// reach it within budget).
+	// reach it within budget). On seed 2 back-pressure gets there too
+	// (measured: iteration 32 207 against gradient's 559).
 	sc := Scale{GradIters: 4000, BPIters: 120000, Nodes: 24, Commodities: 2}
-	res, err := RunF4(1, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GradHit95 < 0 {
-		t.Skip("gradient did not reach 95% within reduced budget")
-	}
-	if res.BPHit95 > 0 && res.BPHit95 <= res.GradHit95 {
-		t.Fatalf("BP hit 95%% at %d, not slower than gradient %d", res.BPHit95, res.GradHit95)
+	for _, tc := range []struct {
+		seed   int64
+		bpHits bool
+	}{{1, false}, {2, true}} {
+		res, err := RunF4(tc.seed, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.GradHit95 < 0 {
+			t.Fatalf("seed %d: gradient did not reach 95%% within %d iterations", tc.seed, sc.GradIters)
+		}
+		if tc.bpHits && res.BPHit95 < 0 {
+			t.Fatalf("seed %d: back-pressure did not reach 95%% within %d iterations", tc.seed, sc.BPIters)
+		}
+		if res.BPHit95 > 0 && res.BPHit95 <= res.GradHit95 {
+			t.Fatalf("seed %d: BP hit 95%% at %d, not slower than gradient %d", tc.seed, res.BPHit95, res.GradHit95)
+		}
 	}
 }
 

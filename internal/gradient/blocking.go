@@ -23,8 +23,8 @@ package gradient
 //
 // In this system every commodity's member subgraph is a DAG, so loops
 // cannot form even without blocking; the protocol is implemented
-// faithfully anyway, and Config.DisableBlocking ablates it (bench
-// BenchmarkBlockingAblation).
+// faithfully anyway, and Config.DisableBlocking ablates it
+// (TestBlockingAblationSameOptimumOnDAG).
 //
 // rhoL and t are the node's own ρ and traffic; phi, beta, head, linkD
 // are indexed by local edge, rho and tagged by local node.

@@ -1,6 +1,7 @@
 package gradient
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/randnet"
@@ -158,5 +159,23 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	}
 	if b.Backtracks() == 0 || b.Backtracks() == b.Stats().Iterations {
 		t.Fatalf("%d of %d steps rejected; want both branches measured", b.Backtracks(), b.Stats().Iterations)
+	}
+	// The server's serving step: backtracking without the tags, priced
+	// against the external usage of the other shards, carrying each
+	// accepted routing's evaluation into the next step.
+	sx := buildInstance(t, randnet.Config{Seed: 2, Nodes: 40, Commodities: 3})
+	ext := make([]float64, sx.SharedNodes)
+	for n, c := range sx.Capacity[:sx.SharedNodes] {
+		if !math.IsInf(c, 1) {
+			ext[n] = c / 4
+		}
+	}
+	sx.SetExternal(ext)
+	s := New(sx, Config{Eta: 0.04, Backtrack: true, DisableBlocking: true, Workers: 1})
+	for i := 0; i < 10; i++ {
+		s.Step()
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.Step() }); allocs != 0 {
+		t.Fatalf("serving Step allocates %v objects per run, want 0", allocs)
 	}
 }

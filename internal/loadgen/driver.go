@@ -89,10 +89,10 @@ func observe(snap *server.Snapshot) Observation {
 type HTTP struct {
 	Base   string // e.g. "http://localhost:8080"
 	Client *http.Client
-	// Poll is the snapshot-poll interval for WaitForGeneration;
-	// default 10 ms.
-	Poll time.Duration
 }
+
+// httpPoll is how often HTTP.WaitForGeneration reads the snapshot.
+const httpPoll = 10 * time.Millisecond
 
 func (b HTTP) client() *http.Client {
 	if b.Client != nil {
@@ -196,10 +196,6 @@ func (b HTTP) Observe() (Observation, error) {
 }
 
 func (b HTTP) WaitForGeneration(gen int64, timeout time.Duration) (Observation, error) {
-	poll := b.Poll
-	if poll <= 0 {
-		poll = 10 * time.Millisecond
-	}
 	deadline := time.Now().Add(timeout)
 	for {
 		o, err := b.Observe()
@@ -212,7 +208,7 @@ func (b HTTP) WaitForGeneration(gen int64, timeout time.Duration) (Observation, 
 		if time.Now().After(deadline) {
 			return Observation{}, fmt.Errorf("loadgen: timeout waiting for generation %d (at %d)", gen, o.Generation)
 		}
-		time.Sleep(poll)
+		time.Sleep(httpPoll)
 	}
 }
 

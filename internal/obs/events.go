@@ -118,9 +118,10 @@ type Sink interface {
 // that cannot be encoded or written are dropped — observability must
 // never fail the solve — but, unlike silent best-effort logging, every
 // drop is counted (Drops, and the streamopt_events_dropped_total
-// counter when the sink is attached to a recorder). File-backed sinks
-// can additionally rotate when a size cap is reached, so long soaks do
-// not grow an unbounded events file.
+// counter when the sink is attached to a recorder), buffered events a
+// failed flush loses included. File-backed sinks can additionally
+// rotate when a size cap is reached, so long soaks do not grow an
+// unbounded events file.
 type JSONLSink struct {
 	mu      sync.Mutex
 	w       io.Writer // nil after an unrecoverable rotation failure
@@ -128,6 +129,9 @@ type JSONLSink struct {
 	c       io.Closer
 	enc     *json.Encoder // bound to scratch
 	scratch bytes.Buffer
+	// buffered counts the whole events sitting in buf: Emit flushes only
+	// at event boundaries, so a failed flush loses exactly these.
+	buffered int
 
 	// Rotation state (zero maxBytes disables).
 	path     string
@@ -178,12 +182,26 @@ func (s *JSONLSink) SetDropCounter(c *Counter) {
 // Drops reports how many events were lost to encode or write errors.
 func (s *JSONLSink) Drops() uint64 { return s.drops.Load() }
 
-// drop counts one lost event; callers hold s.mu.
-func (s *JSONLSink) drop() {
-	s.drops.Add(1)
+// drop counts n lost events; callers hold s.mu.
+func (s *JSONLSink) drop(n int) {
+	s.drops.Add(uint64(n))
 	if s.counter != nil {
-		s.counter.Inc()
+		s.counter.Add(n)
 	}
+}
+
+// flush writes out the buffered events, counting them all as drops if
+// the write fails; callers hold s.mu.
+func (s *JSONLSink) flush() error {
+	if s.buf == nil {
+		return nil
+	}
+	err := s.buf.Flush()
+	if err != nil {
+		s.drop(s.buffered)
+	}
+	s.buffered = 0
+	return err
 }
 
 // Emit encodes the event as one line.
@@ -191,19 +209,29 @@ func (s *JSONLSink) Emit(e Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.w == nil {
-		s.drop()
+		s.drop(1)
 		return
 	}
 	s.scratch.Reset()
 	if err := s.enc.Encode(e); err != nil {
-		s.drop()
+		s.drop(1)
 		return
 	}
-	n, err := s.w.Write(s.scratch.Bytes())
+	line := s.scratch.Bytes()
+	if s.buf != nil && s.buf.Available() < len(line) {
+		// Flush before the buffer would split this line, so a flush
+		// always carries whole events. After a failed flush bufio
+		// refuses every later write, and each counts below.
+		_ = s.flush()
+	}
+	n, err := s.w.Write(line)
 	s.written += int64(n)
 	if err != nil {
-		s.drop()
+		s.drop(1)
 		return
+	}
+	if s.buf != nil && s.buf.Buffered() > 0 {
+		s.buffered++
 	}
 	if s.maxBytes > 0 && s.written >= s.maxBytes {
 		s.rotate()
@@ -216,9 +244,7 @@ func (s *JSONLSink) Emit(e Event) {
 // and never a fresh file truncating the one that could not be moved.
 // Callers hold s.mu.
 func (s *JSONLSink) rotate() {
-	if s.buf != nil {
-		_ = s.buf.Flush()
-	}
+	_ = s.flush()
 	if s.c != nil {
 		_ = s.c.Close()
 	}
@@ -239,10 +265,7 @@ func (s *JSONLSink) rotate() {
 func (s *JSONLSink) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var err error
-	if s.buf != nil {
-		err = s.buf.Flush()
-	}
+	err := s.flush()
 	if s.c != nil {
 		if cerr := s.c.Close(); err == nil {
 			err = cerr

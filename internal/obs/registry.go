@@ -8,8 +8,7 @@
 // The design constraint is that the *disabled* path must be free: a nil
 // *Recorder is a valid recorder whose every method is a nil-check and a
 // return, so the hot per-iteration loops pay nothing when observability
-// is off (asserted by TestDisabledRecorderAllocates in this package and
-// by the BenchmarkF4* benches staying at seed numbers).
+// is off (asserted by TestDisabledRecorderAllocates in this package).
 package obs
 
 import (

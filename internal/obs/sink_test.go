@@ -40,6 +40,26 @@ func TestSinkCountsDroppedEvents(t *testing.T) {
 	}
 }
 
+// TestFileSinkCountsBufferedDrops: a file sink whose every write fails
+// (/dev/full answers ENOSPC) loses the events in its buffer too, and
+// counts each of them.
+func TestFileSinkCountsBufferedDrops(t *testing.T) {
+	sink, err := NewFileSink("/dev/full")
+	if err != nil {
+		t.Skipf("no /dev/full here: %v", err)
+	}
+	const total = 2000
+	for i := 0; i < total; i++ {
+		sink.Emit(Event{Type: EventIteration, Iter: i, Utility: float64(i)})
+	}
+	if err := sink.Close(); err == nil {
+		t.Fatal("Close reported no error for a sink that wrote nothing")
+	}
+	if got := sink.Drops(); got != total {
+		t.Fatalf("sink drops = %d, want every one of %d events", got, total)
+	}
+}
+
 // TestRotatingFileSink caps the live file and keeps exactly one rotated
 // predecessor, with every surviving line valid JSONL.
 func TestRotatingFileSink(t *testing.T) {

@@ -18,7 +18,7 @@
 // inert tracer. Every method on a nil *Tracer or nil *Active is a
 // nil-check and a return — zero allocations, no clock reads — so the
 // disabled path costs nothing on the solver loop (asserted by
-// TestNilTracerAllocates and BenchmarkDecisionSpan).
+// TestNilTracerAllocates).
 package span
 
 import (
