@@ -138,7 +138,7 @@ func servingShardEngine(b *testing.B) *gradient.Engine {
 		}
 	}
 	x.SetExternal(ext)
-	eng := gradient.New(x, gradient.Config{Eta: 0.04, Backtrack: true, DisableBlocking: true, Workers: 1})
+	eng := gradient.New(x, gradient.Config{Eta: 0.04, Backtrack: true, DisableBlocking: true, Momentum: shard.ServingMomentum, Workers: 1})
 	for i := 0; i < 20; i++ {
 		eng.Step()
 	}

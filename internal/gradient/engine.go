@@ -26,6 +26,14 @@ type Config struct {
 	// row, within [1e-5, 1]. The rule reads only the cost sum the §5
 	// waves already carry. Off (the default) is the paper's fixed η.
 	Backtrack bool
+	// Momentum is the heavy-ball coefficient μ: each branch node's
+	// proposal gains μ·(φ_k − φ_{k−1}), projected back onto its simplex,
+	// except at a node where Γ's step turns against the last one (see
+	// heavyBall). The history restarts on a rejected step, on Restart,
+	// and in every new engine. Zero (the default) is the paper's step;
+	// the admission server's serving mode sets 0.9 (shard.Config). Meant
+	// for DisableBlocking: the tags do not see the term.
+	Momentum float64
 	// DisableBlocking turns the loop-freedom tagging protocol off.
 	// Safe here because member subgraphs are DAGs; exists for the
 	// ablation benches.
@@ -108,6 +116,10 @@ type Engine struct {
 	cost     float64
 	feasible bool
 
+	// heavy is set while the arena's prev slab holds the routing
+	// accepted before R, so the next wave adds the heavy-ball term.
+	heavy bool
+
 	// Step control: eta is the current step scale (cfg.Eta for good
 	// without Backtrack).
 	eta        float64
@@ -142,7 +154,7 @@ func newEngine(x *transform.Extended, r *flow.Routing, cfg Config) *Engine {
 		X: x, R: r, cfg: cfg, eta: cfg.Eta,
 		u:        flow.NewUsage(x),
 		spare:    flow.NewZero(x),
-		arena:    newArena(x, cfg.Workers),
+		arena:    newArena(x, cfg.Workers, cfg.Momentum > 0),
 		admitted: make([]float64, x.NumCommodities()),
 	}
 }
@@ -169,7 +181,9 @@ func NewFrom(x *transform.Extended, r *flow.Routing, cfg Config) (*Engine, error
 // be the routing's: the routing is carried onto x row by row
 // (flow.Routing.Carry), so the commodities x continues start where they
 // were, in rate space, and new ones start from flow.NewInitial's row.
-// The error wraps flow.ErrTopologyChanged when nothing carries over.
+// Like every new engine it starts without momentum: the heavy-ball
+// history begins at the carried routing. The error wraps
+// flow.ErrTopologyChanged when nothing carries over.
 func Carry(x *transform.Extended, r *flow.Routing, cfg Config) (*Engine, error) {
 	carried, err := r.Carry(x)
 	if err != nil {
@@ -184,10 +198,11 @@ func Carry(x *transform.Extended, r *flow.Routing, cfg Config) (*Engine, error) 
 // routing carries over, its forecast under the old parameters is
 // dropped, the counters start again and so does Backtrack's run of
 // descents, but the step scale stays where step control has moved it.
-// The trajectory from here is the one a rebuilt, rebound engine started
-// at that η would take, bit for bit, in both step modes.
+// The momentum resets too: the last step was taken under the old
+// parameters. The trajectory from here is the one a rebuilt, rebound
+// engine started at that η would take, bit for bit, in both step modes.
 func (e *Engine) Restart() {
-	e.forecasted, e.carried = false, false
+	e.forecasted, e.carried, e.heavy = false, false, false
 	e.descents, e.backtracks = 0, 0
 	e.stats, e.iter = Stats{}, 0
 }
@@ -196,9 +211,11 @@ func (e *Engine) Restart() {
 // rewritten since it last stepped. The flows of its routing stand — they
 // do not depend on External — but the cost, feasibility and node prices
 // it carried from its last accepted step were taken at the old global
-// operating point and are dropped. Whoever rewrites External in place
-// between steps calls it before the next one; a coordinator calls it at
-// the start of every turn.
+// operating point and are dropped. The momentum is kept: the routing's
+// last step is still its last step, and a coordinator's turns would
+// otherwise restart it every 25 iterations. Whoever rewrites External
+// in place between steps calls it before the next one; a coordinator
+// calls it at the start of every turn.
 func (e *Engine) ExternalChanged() { e.carried = false }
 
 // Stats returns protocol accounting accumulated so far.
@@ -249,12 +266,16 @@ func (e *Engine) Step() StepInfo {
 	info := e.measure(u)
 
 	next := e.spare
-	iterTagged := e.arena.runWave(u, e.eta, !e.cfg.DisableBlocking, next)
+	mu := 0.0
+	if e.heavy {
+		mu = e.cfg.Momentum
+	}
+	iterTagged := e.arena.runWave(u, e.eta, mu, !e.cfg.DisableBlocking, next)
 	e.carried = false
 	if e.cfg.Backtrack {
 		e.backtrack(next, info.Cost)
 	} else {
-		e.spare, e.R = e.R, next
+		e.accept(next)
 		e.forecasted = false
 	}
 	// Forecast wave mirrors the marginal wave downstream: same message
@@ -279,15 +300,16 @@ func (e *Engine) Step() StepInfo {
 // feasibility, node prices — so the next Step computes none of them
 // again; a rejected one leaves the workspace and the prices holding a
 // routing the engine does not have, and the next Step forecasts and
-// prices the current routing again. One forecast and one node pass per
-// accepted step, and a second workspace saved for the price of one
-// extra forecast per rejection.
+// prices the current routing again and steps it without momentum (a
+// rejection restarts the heavy-ball history). One forecast and one node
+// pass per accepted step, and a second workspace saved for the price of
+// one extra forecast per rejection.
 func (e *Engine) backtrack(next *flow.Routing, cost float64) {
 	rec := e.cfg.Recorder
 	flow.EvaluateInto(e.u, next)
 	proposed, feasible := evaluate(e.u, e.arena.price)
 	if proposed <= cost+1e-12 {
-		e.spare, e.R = e.R, next
+		e.accept(next)
 		e.carried, e.cost, e.feasible = true, proposed, feasible
 		e.descents++
 		if e.descents >= growAfter {
@@ -297,7 +319,7 @@ func (e *Engine) backtrack(next *flow.Routing, cost float64) {
 			}
 		}
 	} else {
-		e.forecasted = false
+		e.forecasted, e.heavy = false, false
 		e.backtracks++
 		rec.Backtrack()
 		e.descents = 0
@@ -306,6 +328,16 @@ func (e *Engine) backtrack(next *flow.Routing, cost float64) {
 		}
 	}
 	rec.SetEta(e.eta)
+}
+
+// accept makes the proposal next the engine's routing, and the one it
+// replaces the heavy-ball φ_{k−1}.
+func (e *Engine) accept(next *flow.Routing) {
+	e.spare, e.R = e.R, next
+	if e.arena.cur != nil {
+		e.arena.accept()
+		e.heavy = true
+	}
 }
 
 // alg labels the engine's events with the step mode, under the names

@@ -160,9 +160,10 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	if b.Backtracks() == 0 || b.Backtracks() == b.Stats().Iterations {
 		t.Fatalf("%d of %d steps rejected; want both branches measured", b.Backtracks(), b.Stats().Iterations)
 	}
-	// The server's serving step: backtracking without the tags, priced
-	// against the external usage of the other shards, carrying each
-	// accepted routing's evaluation into the next step.
+	// The server's serving step: backtracking without the tags and with
+	// the heavy-ball term, priced against the external usage of the
+	// other shards, carrying each accepted routing's evaluation into the
+	// next step.
 	sx := buildInstance(t, randnet.Config{Seed: 2, Nodes: 40, Commodities: 3})
 	ext := make([]float64, sx.SharedNodes)
 	for n, c := range sx.Capacity[:sx.SharedNodes] {
@@ -171,7 +172,7 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	sx.SetExternal(ext)
-	s := New(sx, Config{Eta: 0.04, Backtrack: true, DisableBlocking: true, Workers: 1})
+	s := New(sx, Config{Eta: 0.04, Backtrack: true, DisableBlocking: true, Momentum: 0.9, Workers: 1})
 	for i := 0; i < 10; i++ {
 		s.Step()
 	}

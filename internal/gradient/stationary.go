@@ -41,7 +41,7 @@ const (
 // the workspaces it already owns; this form serves one-off diagnostics
 // on a usage that no engine holds.
 func CheckStationarity(u *flow.Usage) StationarityReport {
-	return newArena(u.R.X, 1).stationarity(u)
+	return newArena(u.R.X, 1, false).stationarity(u)
 }
 
 // stationarity runs the convergence test on the arena's workspaces: the

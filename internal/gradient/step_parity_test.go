@@ -21,6 +21,11 @@ import (
 // fresh forecast. It is kept here, test-side, as the oracle the carried
 // evaluation, the capacitated-node walks and the hoisted derivative are
 // compared against bit for bit (the kernel_parity_test.go pattern).
+//
+// With mu > 0 it also takes the heavy-ball step its own way: it keeps
+// the whole previous routing instead of the engine's branch-only slabs,
+// and adds the term, applies the restart rule and projects in a
+// separate pass over each row after Γ.
 
 type refStepper struct {
 	x          *transform.Extended
@@ -29,6 +34,13 @@ type refStepper struct {
 	descents   int
 	backtracks int
 	iter       int
+
+	mu    float64
+	prev  *flow.Routing // the routing accepted before r, while heavy
+	heavy bool
+	// Node updates that took the term, that restarted, and that the
+	// projection clipped: the μ case needs all three.
+	pushed, restarted, clipped int
 }
 
 // refSweep is sweep with tagging off and Loss.Deriv inside the edge
@@ -80,10 +92,14 @@ func (s *refStepper) step() StepInfo {
 		sg := &x.Sub[j]
 		rho, linkD := make([]float64, sg.NumNodes()), make([]float64, sg.NumEdges())
 		refSweep(u, j, price, rho, linkD)
-		gamma(u, j, linkD, nil, s.eta, next.Phi[j])
+		gamma(u, j, linkD, nil, s.eta, 0, nil, nil, next.Phi[j])
+		if s.heavy {
+			s.heavyBall(j, next.Phi[j])
+		}
 	}
 	if flow.Evaluate(next).TotalCost() <= info.Cost+1e-12 {
-		s.r = next
+		s.prev, s.r = s.r, next
+		s.heavy = s.mu > 0
 		s.descents++
 		if s.descents >= growAfter {
 			s.descents = 0
@@ -92,6 +108,7 @@ func (s *refStepper) step() StepInfo {
 			}
 		}
 	} else {
+		s.heavy = false
 		s.backtracks++
 		s.descents = 0
 		if shrunk := s.eta * etaShrink; shrunk >= etaMin {
@@ -102,9 +119,66 @@ func (s *refStepper) step() StepInfo {
 	return info
 }
 
+// heavyBall moves commodity j's Γ row next by mu·(φ_k − φ_{k−1}) at
+// every branch node whose Γ step does not turn against its last one,
+// then projects that node's out-edges back onto their simplex.
+func (s *refStepper) heavyBall(j int, next []float64) {
+	sg := &s.x.Sub[j]
+	phi, prev := s.r.Phi[j], s.prev.Phi[j]
+	for _, ln := range sg.Branch() {
+		outs := sg.Out(ln)
+		turn := 0.0
+		for _, le := range outs {
+			turn += (next[le] - phi[le]) * (phi[le] - prev[le])
+		}
+		if turn < 0 {
+			s.restarted++
+			continue
+		}
+		s.pushed++
+		for _, le := range outs {
+			next[le] += s.mu * (phi[le] - prev[le])
+		}
+		if refProject(next, outs) {
+			s.clipped++
+		}
+	}
+}
+
+// refProject is the simplex projection written over explicit index
+// sets: negatives out of the set, their mass taken evenly from the
+// members left, until the set stops shrinking. It reports whether it
+// clipped anything.
+func refProject(v []float64, outs []int32) (clipped bool) {
+	set := append([]int32(nil), outs...)
+	for {
+		var keep []int32
+		lost := 0.0
+		for _, i := range set {
+			if v[i] < 0 {
+				lost += -v[i]
+				v[i] = 0
+			} else if v[i] > 0 {
+				keep = append(keep, i)
+			}
+		}
+		if lost == 0 {
+			return clipped
+		}
+		clipped = true
+		for _, i := range keep {
+			v[i] -= lost / float64(len(keep))
+		}
+		set = keep
+	}
+}
+
 // restart is Engine.Restart's effect on the reference: the counters
-// start again, η and the routing stay.
-func (s *refStepper) restart() { s.descents, s.backtracks, s.iter = 0, 0, 0 }
+// and the momentum start again, η and the routing stay.
+func (s *refStepper) restart() {
+	s.descents, s.backtracks, s.iter = 0, 0, 0
+	s.heavy = false
+}
 
 func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
@@ -115,7 +189,8 @@ func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bi
 // step scale large enough to be rejected, external usage rewritten in
 // place between turns of 25 steps the way a coordinator rewrites it
 // (with the turn-start Engine.ExternalChanged it makes), and a
-// reparameterization followed by Engine.Restart.
+// reparameterization followed by Engine.Restart. It does so without
+// momentum and with the serving mode's heavy-ball μ 0.9.
 func TestServingStepMatchesReferenceStep(t *testing.T) {
 	sparse, err := randnet.GenerateSparse(randnet.Config{Seed: 13, Nodes: 48, Layers: 6, Commodities: 1200})
 	if err != nil {
@@ -145,11 +220,18 @@ func TestServingStepMatchesReferenceStep(t *testing.T) {
 	}
 	setExternal(0)
 
-	for _, workers := range []int{1, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, tc := range []struct {
+		mu      float64
+		workers int
+	}{{0, 1}, {0, 2}, {0.9, 1}, {0.9, 2}} {
+		name := fmt.Sprintf("workers=%d", tc.workers)
+		if tc.mu > 0 {
+			name = fmt.Sprintf("mu=%v,workers=%d", tc.mu, tc.workers)
+		}
+		t.Run(name, func(t *testing.T) {
 			const eta0 = 0.5
-			eng := New(x, Config{Eta: eta0, Backtrack: true, DisableBlocking: true, Workers: workers})
-			ref := &refStepper{x: x, r: flow.NewInitial(x), eta: eta0}
+			eng := New(x, Config{Eta: eta0, Backtrack: true, DisableBlocking: true, Momentum: tc.mu, Workers: tc.workers})
+			ref := &refStepper{x: x, r: flow.NewInitial(x), eta: eta0, mu: tc.mu}
 			accepted, infeasible, step := 0, 0, 0
 			turns := func(n int) {
 				t.Helper()
@@ -217,6 +299,10 @@ func TestServingStepMatchesReferenceStep(t *testing.T) {
 
 			if accepted == 0 || rejected == 0 {
 				t.Fatalf("%d accepted and %d rejected steps: the case needs both", accepted, rejected)
+			}
+			if tc.mu > 0 && (ref.pushed == 0 || ref.restarted == 0 || ref.clipped == 0) {
+				t.Fatalf("heavy-ball node updates: %d pushed, %d restarted, %d clipped; the case needs all three",
+					ref.pushed, ref.restarted, ref.clipped)
 			}
 			t.Logf("%d steps: %d accepted, %d rejected, %d measured infeasible", step, accepted, rejected, infeasible)
 

@@ -26,11 +26,76 @@ import (
 // seeded value stands. Nodes update independently (each reads the old
 // row and writes only its own out-edges), so the visiting order is
 // immaterial.
-func gamma(u *flow.Usage, j int, linkD []float64, tagged []bool, eta float64, next []float64) {
+//
+// prev and cur, when non-nil, are commodity j's heavy-ball slots (the
+// arena's branch-only layout): each node's φ_k goes into cur, and with
+// mu > 0 its proposal moves by heavyBall's term in the same pass.
+func gamma(u *flow.Usage, j int, linkD []float64, tagged []bool, eta, mu float64, prev, cur, next []float64) {
 	sg := &u.R.X.Sub[j]
 	phi, t := u.R.Phi[j], u.T[j]
+	k := 0
 	for _, ln := range sg.Branch() {
-		updateNode(sg, phi, linkD, tagged, eta, next, sg.Out(ln), t[ln])
+		outs := sg.Out(ln)
+		updateNode(sg, phi, linkD, tagged, eta, next, outs, t[ln])
+		if cur != nil {
+			heavyBall(phi, prev[k:k+len(outs)], cur[k:k+len(outs)], mu, next, outs)
+			k += len(outs)
+		}
+	}
+}
+
+// heavyBall records φ_k at one node's out-edges outs into cur and, with
+// mu > 0, adds Polyak's heavy-ball term mu·(φ_k − φ_{k−1}) (prev holds
+// φ_{k−1}) to Γ's proposal in next, projected back onto the node's
+// simplex. A node whose proposal turns against its last step,
+// ⟨Γ(φ_k) − φ_k, φ_k − φ_{k−1}⟩ < 0, restarts on Γ's proposal alone
+// (O'Donoghue & Candès's gradient restart, applied per node).
+func heavyBall(phi, prev, cur []float64, mu float64, next []float64, outs []int32) {
+	for i, le := range outs {
+		cur[i] = phi[le]
+	}
+	if mu == 0 {
+		return
+	}
+	dot := 0.0
+	for i, le := range outs {
+		dot += (next[le] - phi[le]) * (phi[le] - prev[i])
+	}
+	if dot < 0 {
+		return
+	}
+	for i, le := range outs {
+		next[le] += mu * (phi[le] - prev[i])
+	}
+	project(next, outs)
+}
+
+// project replaces v's entries at idx by their Euclidean projection
+// onto the simplex {x ≥ 0, Σx = Σ v[idx]} (Michelot 1986): zero the
+// negative entries and take the mass that adds evenly from the
+// positive ones, until none is negative. Every pass but the last zeroes
+// at least one entry, so it ends; nonnegative input is left as it is.
+func project(v []float64, idx []int32) {
+	for {
+		deficit, pos := 0.0, 0
+		for _, i := range idx {
+			switch x := v[i]; {
+			case x < 0:
+				deficit -= x
+				v[i] = 0
+			case x > 0:
+				pos++
+			}
+		}
+		if deficit == 0 {
+			return
+		}
+		d := deficit / float64(pos)
+		for _, i := range idx {
+			if v[i] > 0 {
+				v[i] -= d
+			}
+		}
 	}
 }
 

@@ -107,6 +107,10 @@ type SolverParams struct {
 	// Omitted — every journal from before the mode existed — means the
 	// paper mode.
 	Serving bool `json:"serving,omitempty"`
+	// Momentum is the serving step's heavy-ball coefficient
+	// (shard.Config.Momentum). Omitted — a paper-mode run, or a serving
+	// one recorded before the step had momentum — means none.
+	Momentum float64 `json:"momentum,omitempty"`
 
 	// Shard topology of the recording server: shard count and placement
 	// salt, so replay re-boots every run with the partition that

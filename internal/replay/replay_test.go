@@ -1,8 +1,11 @@
 package replay
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -80,11 +83,16 @@ func serverOptions() server.Options {
 // and returns the journal writer closed.
 func record(t *testing.T, dir string, p *stream.Problem, mutate func(s *server.Server)) {
 	t.Helper()
+	recordWith(t, dir, p, serverOptions(), mutate)
+}
+
+// recordWith is record with the server's options given.
+func recordWith(t *testing.T, dir string, p *stream.Problem, opts server.Options, mutate func(s *server.Server)) {
+	t.Helper()
 	jw, err := journal.Create(dir, journal.Options{Fsync: journal.FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := serverOptions()
 	opts.Journal = jw
 	opts.CheckpointEvery = 2
 	s, err := server.New(p, opts)
@@ -185,6 +193,72 @@ func TestVerifyCleanRecording(t *testing.T) {
 	}
 	if rep.Truncated {
 		t.Fatal("clean recording reported truncated")
+	}
+}
+
+// A serving run records its heavy-ball μ on the restart checkpoint. One
+// recorded without it — every serving journal from before the step had
+// momentum — boots a server without momentum (server.SolverOptions), so
+// both replay bitwise.
+func TestVerifyMomentumRecordings(t *testing.T) {
+	noMomentum := server.SolverOptions(&journal.SolverParams{
+		Epsilon: 0.2, Eta: 0.04, MaxIters: 1500, StationaryTol: 1e-3, Serving: true,
+	})
+	noMomentum.Debounce, noMomentum.Logf = 2*time.Millisecond, func(string, ...any) {}
+	for _, tc := range []struct {
+		name string
+		opts server.Options
+		mu   float64
+	}{
+		{"mu=0", noMomentum, 0},
+		{"mu=0.9", serverOptions(), 0.9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			recordWith(t, dir, toyProblem(t), tc.opts, func(s *server.Server) {
+				for _, rate := range []float64{4, 9, 6} {
+					if _, err := s.SetMaxRate("c1", rate); err != nil {
+						t.Fatal(err)
+					}
+					waitNext(t, s)
+				}
+				if _, err := s.SetCapacity("b", 6); err != nil {
+					t.Fatal(err)
+				}
+				waitNext(t, s)
+			})
+
+			segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+			if err != nil || len(segs) != 1 {
+				t.Fatalf("segments %v, %v", segs, err)
+			}
+			raw, err := os.ReadFile(segs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := bytes.Contains(raw, []byte(`"momentum":`)); got != (tc.mu > 0) {
+				t.Fatalf("journal has a momentum field: %v, want %v", got, tc.mu > 0)
+			}
+			log, err := journal.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			boot := log.Records[0].Checkpoint
+			if boot == nil || !boot.Restart || boot.Solver == nil || !boot.Solver.Serving || boot.Solver.Momentum != tc.mu {
+				t.Fatalf("boot checkpoint %+v, want a serving restart at μ %v", boot, tc.mu)
+			}
+
+			rep, err := Verify(dir, Options{Timeout: waitBudget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range rep.Mismatches {
+				t.Errorf("mismatch: %s", m)
+			}
+			if rep.Digests < 5 {
+				t.Fatalf("Digests = %d, want >= 5", rep.Digests)
+			}
+		})
 	}
 }
 

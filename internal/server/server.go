@@ -63,6 +63,12 @@ type Options struct {
 	// (shard.Config.Serving), which is the default. Journals record the
 	// mode and replay boots the one they recorded.
 	PaperMode bool
+	// momentum is the serving step's heavy-ball coefficient μ
+	// (shard.Config.Momentum): 0 means shard.ServingMomentum, <0 off. No
+	// caller sets it; SolverOptions restores it from a journal, so a
+	// serving run recorded before the step had momentum replays
+	// without it.
+	momentum float64
 
 	// Shards partitions commodities across that many solver shards
 	// that take turns (see internal/shard). Each shard owns its own
@@ -146,22 +152,27 @@ type Options struct {
 // and a daemon recovering from its journal boot the solver the recording
 // ran, shard topology included.
 func SolverOptions(sp *journal.SolverParams) Options {
-	return Options{
+	o := Options{
 		Epsilon:       sp.Epsilon,
 		Eta:           sp.Eta,
 		MaxIters:      sp.MaxIters,
 		StationaryTol: sp.StationaryTol,
 		Workers:       sp.Workers,
 		PaperMode:     !sp.Serving,
+		momentum:      sp.Momentum,
 		Shards:        sp.Shards,
 		PlacementSalt: sp.PlacementSalt,
 	}
+	if sp.Serving && sp.Momentum == 0 {
+		o.momentum = -1
+	}
+	return o
 }
 
 // solverParams is what New records of o in the restart checkpoint;
 // SolverOptions maps it back.
 func (o *Options) solverParams() *journal.SolverParams {
-	return &journal.SolverParams{
+	sp := &journal.SolverParams{
 		Epsilon:       o.Epsilon,
 		Eta:           o.Eta,
 		MaxIters:      o.MaxIters,
@@ -171,6 +182,10 @@ func (o *Options) solverParams() *journal.SolverParams {
 		Shards:        o.Shards,
 		PlacementSalt: o.PlacementSalt,
 	}
+	if !o.PaperMode {
+		sp.Momentum = max(o.momentum, 0)
+	}
+	return sp
 }
 
 func (o *Options) setDefaults() {
@@ -179,6 +194,9 @@ func (o *Options) setDefaults() {
 	}
 	if o.Eta <= 0 {
 		o.Eta = 0.04
+	}
+	if o.momentum == 0 {
+		o.momentum = shard.ServingMomentum
 	}
 	if o.MaxIters <= 0 {
 		o.MaxIters = 4000
@@ -350,6 +368,7 @@ func New(p *stream.Problem, opts Options) (*Server, error) {
 		StationaryTol: opts.StationaryTol,
 		Workers:       opts.Workers,
 		Serving:       !opts.PaperMode,
+		Momentum:      opts.momentum,
 		Recorder:      opts.Recorder,
 		Logf:          opts.Logf,
 	})

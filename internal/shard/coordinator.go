@@ -48,6 +48,11 @@ type Config struct {
 	// every commodity it continues (gradient.Carry) instead of starting
 	// all of them cold.
 	Serving bool
+	// Momentum is a serving engine's heavy-ball coefficient μ
+	// (gradient.Config.Momentum): 0 → ServingMomentum, <0 off; the paper
+	// mode ignores it. Each bind restarts it, since a restarted or new
+	// engine has no last step; a turn start does not.
+	Momentum float64
 
 	// Recorder receives the streamopt_shard_* metrics. Nil disables.
 	Recorder *obs.Recorder
@@ -55,6 +60,11 @@ type Config struct {
 	// Nil discards.
 	Logf func(format string, args ...any)
 }
+
+// ServingMomentum is the serving step's heavy-ball coefficient. It cuts
+// the iterations a cold J=10k engine needs to reach Theorem 2's
+// tolerance by about two thirds (EXPERIMENTS.md).
+const ServingMomentum = 0.9
 
 func (c *Config) setDefaults() {
 	if c.Shards < 1 {
@@ -65,6 +75,9 @@ func (c *Config) setDefaults() {
 	}
 	if c.Eta <= 0 {
 		c.Eta = 0.04
+	}
+	if c.Momentum == 0 {
+		c.Momentum = ServingMomentum
 	}
 	if c.MaxIters <= 0 {
 		c.MaxIters = 4000
@@ -377,6 +390,7 @@ func (r *runner) bind(p *stream.Problem) {
 	warmStart := newFrom
 	if r.cfg.Serving {
 		gcfg.Backtrack, gcfg.DisableBlocking = true, true
+		gcfg.Momentum = max(r.cfg.Momentum, 0)
 		warmStart = carry
 	}
 	r.warm = false
