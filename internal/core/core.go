@@ -68,8 +68,7 @@ type Options struct {
 	StationaryTol float64
 
 	// Gradient knobs (§5).
-	Eta             float64 // step scale η; default 0.04
-	DisableBlocking bool
+	Eta float64 // step scale η; default 0.04
 	// Workers bounds the engine's per-commodity wave pool
 	// (gradient.Config.Workers); zero means GOMAXPROCS. The trajectory
 	// is identical for any value.
@@ -234,11 +233,10 @@ func solveGradient(p *stream.Problem, x *transform.Extended, opts Options, res *
 		opts.SampleEvery = 1
 	}
 	eng := gradient.New(x, gradient.Config{
-		Eta:             opts.Eta,
-		Backtrack:       opts.Algorithm == GradientAdaptive,
-		DisableBlocking: opts.DisableBlocking,
-		Workers:         opts.Workers,
-		Recorder:        opts.Recorder,
+		Eta:       opts.Eta,
+		Backtrack: opts.Algorithm == GradientAdaptive,
+		Workers:   opts.Workers,
+		Recorder:  opts.Recorder,
 	})
 	var det gradient.DivergenceDetector
 	var last TracePoint

@@ -28,9 +28,7 @@ type Usage struct {
 
 	// x is the extended problem NewUsage sized the workspace for, and
 	// tBack the flat backing array of the T rows (Σ member nodes), which
-	// EvaluateInto zeroes with one clear() instead of reallocating. Both
-	// are nil for a Usage assembled by hand, in which case EvaluateInto
-	// checks the shape on every call and clears row by row.
+	// EvaluateInto zeroes with one clear() instead of reallocating.
 	x     *transform.Extended
 	tBack []float64
 }
@@ -132,13 +130,7 @@ func EvaluateInto(u *Usage, r *Routing) {
 func evaluateInto(u *Usage, r *Routing) {
 	x := r.X
 	nc := x.NumCommodities()
-	if u.tBack != nil {
-		clear(u.tBack)
-	} else {
-		for j := 0; j < nc; j++ {
-			clear(u.T[j])
-		}
-	}
+	clear(u.tBack)
 	clear(u.FNode)
 	u.R = r
 	for j := 0; j < nc; j++ {

@@ -17,6 +17,10 @@ type waveScratch struct {
 	rho    []float64
 	linkD  []float64
 	tagged []bool
+	// prev holds the commodity's φ_{k−1} row while the wave adds the
+	// heavy-ball term (mu > 0): the engine's spare routing holds it on
+	// entry, and seeding the new row overwrites it.
+	prev []float64
 
 	// ntagged totals the nodes this worker tagged in the current wave;
 	// an integer sum, so the reduction over workers does not depend on
@@ -43,39 +47,16 @@ type arena struct {
 	// distributed protocol: one ρ broadcast per member edge, and as many
 	// sequential rounds as the deepest member DAG. Topology constants.
 	messages, rounds int
-
-	// The heavy-ball state (Config.Momentum), nil without momentum. It
-	// covers branch-node out-edges only, the one place a row can move:
-	// commodity j's slots are [branchOff[j], branchOff[j+1]), the member
-	// out-edges of its Branch nodes in order. prev holds φ_{k−1} there;
-	// the wave writes the φ_k it reads into cur, and the engine swaps
-	// the two when it accepts the step.
-	branchOff []int32
-	prev, cur []float64
 }
 
-func newArena(x *transform.Extended, workers int, momentum bool) *arena {
+func newArena(x *transform.Extended, workers int) *arena {
 	a := &arena{x: x, price: make([]float64, x.G.NumNodes())}
-	if momentum {
-		a.branchOff = make([]int32, len(x.Sub)+1)
-	}
 	maxN, maxE := 0, 0
 	for j := range x.Sub {
 		sg := &x.Sub[j]
 		maxN, maxE = max(maxN, sg.NumNodes()), max(maxE, sg.NumEdges())
 		a.messages += sg.NumEdges()
 		a.rounds = max(a.rounds, sg.Depth())
-		if momentum {
-			n := a.branchOff[j]
-			for _, ln := range sg.Branch() {
-				n += int32(len(sg.Out(ln)))
-			}
-			a.branchOff[j+1] = n
-		}
-	}
-	if momentum {
-		a.prev = make([]float64, a.branchOff[len(x.Sub)])
-		a.cur = make([]float64, len(a.prev))
 	}
 	a.scratch = make([]waveScratch, max(1, min(workers, len(x.Sub))))
 	for i := range a.scratch {
@@ -83,6 +64,7 @@ func newArena(x *transform.Extended, workers int, momentum bool) *arena {
 			rho:    make([]float64, maxN),
 			linkD:  make([]float64, maxE),
 			tagged: make([]bool, maxN),
+			prev:   make([]float64, maxE),
 		}
 	}
 	return a
@@ -90,11 +72,11 @@ func newArena(x *transform.Extended, workers int, momentum bool) *arena {
 
 // runWave executes, for every commodity against the evaluated usage u,
 // the marginal-cost sweep with the loop-freedom tags (when blocking is
-// true) and the routing update Γ, plus the heavy-ball term mu·(φ_k −
-// φ_{k−1}) when the arena keeps momentum state (mu 0: Γ alone, φ_k
-// still recorded), writing each commodity's new φ row into next (after
-// seeding it with the current row, so next is a full routing even
-// though the engine double-buffers instead of cloning).
+// true) and the routing update Γ, plus, with mu > 0, the heavy-ball
+// term mu·(φ_k − φ_{k−1}), writing each commodity's new φ row into next
+// (after seeding it with the current row, so next is a full routing
+// even though the engine double-buffers instead of cloning). With
+// mu > 0, next must hold φ_{k−1} on entry.
 // With more than one worker commodities are processed concurrently by a
 // bounded pool; no floating-point value crosses between commodities, so
 // the result is bitwise-identical to the sequential execution. It
@@ -140,15 +122,12 @@ func (a *arena) work(w *waveScratch, cursor *atomic.Int64, u *flow.Usage, eta, m
 		}
 		w.ntagged += sweep(u, j, a.price, w.rho, w.linkD, tagged, eta)
 		row := next.Phi[j]
-		copy(row, u.R.Phi[j])
-		var prev, cur []float64
-		if a.cur != nil {
-			lo, hi := a.branchOff[j], a.branchOff[j+1]
-			prev, cur = a.prev[lo:hi], a.cur[lo:hi]
+		var prev []float64
+		if mu > 0 {
+			prev = w.prev[:len(row)]
+			copy(prev, row)
 		}
-		gamma(u, j, w.linkD, tagged, eta, mu, prev, cur, row)
+		copy(row, u.R.Phi[j])
+		gamma(u, j, w.linkD, tagged, eta, mu, prev, row)
 	}
 }
-
-// accept makes the φ_k the last wave recorded the φ_{k−1} of the next.
-func (a *arena) accept() { a.prev, a.cur = a.cur, a.prev }

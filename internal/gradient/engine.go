@@ -35,8 +35,8 @@ type Config struct {
 	// for DisableBlocking: the tags do not see the term.
 	Momentum float64
 	// DisableBlocking turns the loop-freedom tagging protocol off.
-	// Safe here because member subgraphs are DAGs; exists for the
-	// ablation benches.
+	// Safe here because member subgraphs are DAGs. The serving mode sets
+	// it (shard.Config.Serving); the blocking tests ablate it.
 	DisableBlocking bool
 	// Workers bounds the worker pool that runs the per-commodity §5
 	// waves concurrently (the phases are independent across commodities,
@@ -116,8 +116,8 @@ type Engine struct {
 	cost     float64
 	feasible bool
 
-	// heavy is set while the arena's prev slab holds the routing
-	// accepted before R, so the next wave adds the heavy-ball term.
+	// heavy is set while spare holds the routing accepted before R (the
+	// one accept replaced), so the next wave adds the heavy-ball term.
 	heavy bool
 
 	// Step control: eta is the current step scale (cfg.Eta for good
@@ -127,7 +127,6 @@ type Engine struct {
 	backtracks int
 
 	stats Stats
-	iter  int
 }
 
 // The backtracking rule's constants: the factor η shrinks by on a
@@ -154,7 +153,7 @@ func newEngine(x *transform.Extended, r *flow.Routing, cfg Config) *Engine {
 		X: x, R: r, cfg: cfg, eta: cfg.Eta,
 		u:        flow.NewUsage(x),
 		spare:    flow.NewZero(x),
-		arena:    newArena(x, cfg.Workers, cfg.Momentum > 0),
+		arena:    newArena(x, cfg.Workers),
 		admitted: make([]float64, x.NumCommodities()),
 	}
 }
@@ -204,7 +203,7 @@ func Carry(x *transform.Extended, r *flow.Routing, cfg Config) (*Engine, error) 
 func (e *Engine) Restart() {
 	e.forecasted, e.carried, e.heavy = false, false, false
 	e.descents, e.backtracks = 0, 0
-	e.stats, e.iter = Stats{}, 0
+	e.stats = Stats{}
 }
 
 // ExternalChanged tells the engine that e.X.External may have been
@@ -284,7 +283,6 @@ func (e *Engine) Step() StepInfo {
 	e.stats.Messages += iterMessages
 	e.stats.Rounds += iterRounds
 	e.stats.Iterations++
-	e.iter++
 	alg := e.alg()
 	rec.Iteration(alg, info.Iteration, info.Utility, info.Cost, info.Admitted, info.Feasible)
 	rec.Protocol(alg, info.Iteration, iterMessages, iterRounds)
@@ -331,13 +329,10 @@ func (e *Engine) backtrack(next *flow.Routing, cost float64) {
 }
 
 // accept makes the proposal next the engine's routing, and the one it
-// replaces the heavy-ball φ_{k−1}.
+// replaces the spare: the heavy-ball φ_{k−1} of the next step.
 func (e *Engine) accept(next *flow.Routing) {
 	e.spare, e.R = e.R, next
-	if e.arena.cur != nil {
-		e.arena.accept()
-		e.heavy = true
-	}
+	e.heavy = e.cfg.Momentum > 0
 }
 
 // alg labels the engine's events with the step mode, under the names
@@ -360,7 +355,7 @@ func (e *Engine) measure(u *flow.Usage) StepInfo {
 		e.cost, e.feasible = evaluate(u, e.arena.price)
 	}
 	return StepInfo{
-		Iteration: e.iter,
+		Iteration: e.stats.Iterations,
 		Utility:   u.Utility(),
 		Cost:      e.cost,
 		Admitted:  e.admitted,

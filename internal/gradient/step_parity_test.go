@@ -92,7 +92,7 @@ func (s *refStepper) step() StepInfo {
 		sg := &x.Sub[j]
 		rho, linkD := make([]float64, sg.NumNodes()), make([]float64, sg.NumEdges())
 		refSweep(u, j, price, rho, linkD)
-		gamma(u, j, linkD, nil, s.eta, 0, nil, nil, next.Phi[j])
+		gamma(u, j, linkD, nil, s.eta, 0, nil, next.Phi[j])
 		if s.heavy {
 			s.heavyBall(j, next.Phi[j])
 		}

@@ -27,45 +27,36 @@ import (
 // row and writes only its own out-edges), so the visiting order is
 // immaterial.
 //
-// prev and cur, when non-nil, are commodity j's heavy-ball slots (the
-// arena's branch-only layout): each node's φ_k goes into cur, and with
-// mu > 0 its proposal moves by heavyBall's term in the same pass.
-func gamma(u *flow.Usage, j int, linkD []float64, tagged []bool, eta, mu float64, prev, cur, next []float64) {
+// prev, with mu > 0, is commodity j's φ_{k−1} row, and each node's
+// proposal moves by heavyBall's term in the same pass.
+func gamma(u *flow.Usage, j int, linkD []float64, tagged []bool, eta, mu float64, prev, next []float64) {
 	sg := &u.R.X.Sub[j]
 	phi, t := u.R.Phi[j], u.T[j]
-	k := 0
 	for _, ln := range sg.Branch() {
 		outs := sg.Out(ln)
 		updateNode(sg, phi, linkD, tagged, eta, next, outs, t[ln])
-		if cur != nil {
-			heavyBall(phi, prev[k:k+len(outs)], cur[k:k+len(outs)], mu, next, outs)
-			k += len(outs)
+		if mu > 0 {
+			heavyBall(phi, prev, mu, next, outs)
 		}
 	}
 }
 
-// heavyBall records φ_k at one node's out-edges outs into cur and, with
-// mu > 0, adds Polyak's heavy-ball term mu·(φ_k − φ_{k−1}) (prev holds
-// φ_{k−1}) to Γ's proposal in next, projected back onto the node's
-// simplex. A node whose proposal turns against its last step,
-// ⟨Γ(φ_k) − φ_k, φ_k − φ_{k−1}⟩ < 0, restarts on Γ's proposal alone
-// (O'Donoghue & Candès's gradient restart, applied per node).
-func heavyBall(phi, prev, cur []float64, mu float64, next []float64, outs []int32) {
-	for i, le := range outs {
-		cur[i] = phi[le]
-	}
-	if mu == 0 {
-		return
-	}
+// heavyBall adds Polyak's heavy-ball term mu·(φ_k − φ_{k−1}) (prev
+// holds φ_{k−1}) at one node's out-edges outs to Γ's proposal in next,
+// projected back onto the node's simplex. A node whose proposal turns
+// against its last step, ⟨Γ(φ_k) − φ_k, φ_k − φ_{k−1}⟩ < 0, restarts on
+// Γ's proposal alone (O'Donoghue & Candès's gradient restart, applied
+// per node).
+func heavyBall(phi, prev []float64, mu float64, next []float64, outs []int32) {
 	dot := 0.0
-	for i, le := range outs {
-		dot += (next[le] - phi[le]) * (phi[le] - prev[i])
+	for _, le := range outs {
+		dot += (next[le] - phi[le]) * (phi[le] - prev[le])
 	}
 	if dot < 0 {
 		return
 	}
-	for i, le := range outs {
-		next[le] += mu * (phi[le] - prev[i])
+	for _, le := range outs {
+		next[le] += mu * (phi[le] - prev[le])
 	}
 	project(next, outs)
 }

@@ -316,7 +316,7 @@ func TestShadowPricePredictsCapacityValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.Net.Capacity[x.OrigNode[best]] += h
+	q.Net.Capacity[best] += h
 	xq, err := transform.Build(q, transform.Options{})
 	if err != nil {
 		t.Fatal(err)

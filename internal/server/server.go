@@ -279,7 +279,6 @@ type Server struct {
 	coord *shard.Coordinator
 
 	snap atomic.Pointer[Snapshot]
-	gen  atomic.Int64
 
 	histMu sync.Mutex
 	hist   []GenerationRecord // the last HistoryCap generations, oldest first
@@ -863,7 +862,10 @@ func (s *Server) solveOnce() {
 func (s *Server) publish(snap *Snapshot, batch []*decision, solveSpan *span.Active) {
 	ps := s.opts.Spans.Start("publish", solveSpan.Context())
 	prev := s.snap.Load()
-	snap.Generation = s.gen.Add(1)
+	snap.Generation = 1
+	if prev != nil {
+		snap.Generation = prev.Generation + 1
+	}
 	rec := s.opts.Recorder
 	rec.ServerSolve(snap.Generation, snap.Warm, snap.SolveSeconds, snap.Utility, snap.Iterations)
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -490,6 +491,55 @@ func TestCloseDrainsInFlightSolve(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close did not drain the in-flight solve")
+	}
+}
+
+// TestDrainedSnapshotReadsTheEngines closes the server inside the
+// debounce window of a rate cut, so the solve that answers it is drained
+// before any shard takes a turn. That snapshot must still report what
+// the engines hold: c1's admitted rate at its new offered rate (the
+// serving warm start holds it there, flow.Routing.HoldAdmitted), a
+// utility equal to the admitted rate it sums, and no admission flip.
+func TestDrainedSnapshotReadsTheEngines(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			opts := testOptions(nil)
+			opts.Shards, opts.PlacementSalt = shards, 7
+			opts.Debounce = 300 * time.Millisecond
+			s, err := New(toyProblem(t), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.WaitForGeneration(1, waitBudget); err != nil {
+				_ = s.Close()
+				t.Fatal(err)
+			}
+			if _, err := s.SetMaxRate("c1", 6); err != nil {
+				_ = s.Close()
+				t.Fatal(err)
+			}
+			// Let the solver take the wake-up into its debounce: a close
+			// that races the wake-up may skip the solve altogether.
+			time.Sleep(5 * time.Millisecond)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			snap := s.Snapshot()
+			if snap.Generation != 2 || !snap.Drained {
+				t.Fatalf("generation %d drained %v: the close missed the debounce window", snap.Generation, snap.Drained)
+			}
+			c := snap.Commodities[0]
+			if c.Offered != 6 || math.Abs(c.Admitted-6) > 1e-9 {
+				t.Fatalf("c1 admitted %v of %v offered, want the new rate held", c.Admitted, c.Offered)
+			}
+			if math.Abs(snap.Utility-c.Admitted) > 1e-9 {
+				t.Fatalf("utility %v, admitted rates sum to %v", snap.Utility, c.Admitted)
+			}
+			if flips := s.Flips(); len(flips) != 0 {
+				t.Fatalf("flips %+v, want none", flips)
+			}
+		})
 	}
 }
 

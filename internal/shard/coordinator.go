@@ -162,10 +162,12 @@ type runner struct {
 	buildErr error
 	fallback error // unexpected warm-start failure of the last bind
 
-	ext      []float64 // the other shards' usage, installed on x.External
-	own      []float64 // shared usage after the last advance
-	admitted []float64 // a_j per local commodity after the last advance
-	utility  float64
+	ext []float64 // the other shards' usage, installed on x.External
+	// own is the shared usage after the shard's last turn. It is a copy,
+	// not a read of the engine, because a parameter-only rebind changes
+	// the engine's flows and the other shards must see the pre-change
+	// usage until this shard's own turn.
+	own []float64
 
 	iters      int // iterations this solve
 	det        gradient.DivergenceDetector
@@ -219,8 +221,6 @@ func (c *Coordinator) Clear(p *stream.Problem) {
 		r.global = nil
 		clear(r.own)
 		clear(r.ext)
-		r.admitted = r.admitted[:0]
-		r.utility = 0
 		r.stationary = true
 		r.diverged, r.divergeErr = false, nil
 	}
@@ -356,7 +356,6 @@ func (r *runner) bind(p *stream.Problem) {
 			}
 		}
 		r.x.Reparameterize(p, r.global)
-		clear(r.admitted)
 		r.warm = true
 		if r.eng != nil {
 			r.eng.Restart()
@@ -372,12 +371,10 @@ func (r *runner) bind(p *stream.Problem) {
 	}
 	x.SetExternal(r.ext)
 	r.x = x
-	r.admitted = make([]float64, len(x.Commodities))
 
 	if len(x.Commodities) == 0 {
 		r.eng = nil
 		clear(r.own)
-		r.utility = 0
 		r.stationary = true
 		r.warm = true
 		return
@@ -508,7 +505,9 @@ func (c *Coordinator) Solve(ctx context.Context) Result {
 
 	for _, r := range c.runners {
 		res.Iterations += r.iters
-		res.Utility += r.utility
+		if r.eng != nil {
+			res.Utility += r.eng.Usage().Utility()
+		}
 	}
 	res.Feasible, _ = flow.FeasibleShared(anyX, c.merged)
 	return res
@@ -566,17 +565,9 @@ func (r *runner) step(ctx context.Context, n int) (iters int) {
 	return iters
 }
 
-// capture refreshes the runner's usage summary — shared-prefix flow,
-// utility, per-commodity admitted rates — from the engine's evaluation
-// of its current routing.
-func (r *runner) capture() {
-	u := r.eng.Usage()
-	u.SharedUsage(r.own)
-	r.utility = u.Utility()
-	for j := range r.admitted {
-		r.admitted[j] = u.AdmittedRate(j)
-	}
-}
+// capture refreshes the runner's shared-prefix usage from the engine's
+// evaluation of its current routing.
+func (r *runner) capture() { r.eng.Usage().SharedUsage(r.own) }
 
 // merge folds the per-shard shared-prefix usage into the global
 // congestion view, in fixed shard order for a deterministic reduction.
@@ -642,8 +633,12 @@ func (c *Coordinator) Commodities() []CommodityState {
 		out[gi] = CommodityState{Name: cm.Name, Offered: cm.MaxRate}
 	}
 	for _, r := range c.runners {
-		for j, a := range r.admitted {
-			out[r.global[j]].Admitted = a
+		if r.eng == nil {
+			continue
+		}
+		u := r.eng.Usage()
+		for j, gi := range r.global {
+			out[gi].Admitted = u.AdmittedRate(j)
 		}
 	}
 	return out

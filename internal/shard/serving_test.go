@@ -373,12 +373,13 @@ func TestTurnStartDropsCarriedEvaluation(t *testing.T) {
 			t.Fatalf("shard %d has no engine", s)
 		}
 		rejected += w.eng.Backtracks()
-		if g.utility != w.utility {
-			t.Fatalf("shard %d: utility %v, one-step turns %v", s, g.utility, w.utility)
+		gu, wu := g.eng.Usage(), w.eng.Usage()
+		if gu.Utility() != wu.Utility() {
+			t.Fatalf("shard %d: utility %v, one-step turns %v", s, gu.Utility(), wu.Utility())
 		}
-		for j := range w.admitted {
-			if g.admitted[j] != w.admitted[j] {
-				t.Fatalf("shard %d commodity %d: admitted %v, one-step turns %v", s, j, g.admitted[j], w.admitted[j])
+		for j := range w.global {
+			if gu.AdmittedRate(j) != wu.AdmittedRate(j) {
+				t.Fatalf("shard %d commodity %d: admitted %v, one-step turns %v", s, j, gu.AdmittedRate(j), wu.AdmittedRate(j))
 			}
 		}
 		for j, row := range w.eng.Routing().Phi {

@@ -96,11 +96,6 @@ type Extended struct {
 	// exactly zero.
 	SharedNodes int
 
-	// Subset, when non-nil, maps local commodity index -> index into
-	// the source Problem's commodity list (Options.Commodities echoed
-	// back). Nil for a full build.
-	Subset []int
-
 	// External[i] is flow through shared node i contributed by
 	// commodities outside this build (other shards). The barrier is
 	// evaluated at own + external usage, so the marginal wave prices
@@ -116,14 +111,10 @@ type Extended struct {
 	// it through Sub[j].LocalEdge.
 	Sub []Subgraph
 
-	// OrigNode maps extended node -> original node (graph.Invalid for
-	// bandwidth and dummy nodes). OrigEdge maps extended edge -> the
-	// original physical edge it derives from (graph.Invalid for dummy
-	// links); Wire marks the (n_ik, k) half whose flow is the physical
-	// wire flow.
-	OrigNode []graph.NodeID
+	// OrigEdge maps extended edge -> the original physical edge it
+	// derives from (graph.Invalid for dummy links). Original nodes keep
+	// their IDs.
 	OrigEdge []graph.EdgeID
-	Wire     []bool
 
 	// src[j] is the stream commodity Commodities[j] was built from (or
 	// last reparameterized to): what ParametersOnly compares a later
@@ -185,25 +176,20 @@ func Build(p *stream.Problem, opts Options) (*Extended, error) {
 		Epsilon:     opts.Epsilon,
 		SharedNodes: n + m,
 	}
-	if incl != nil {
-		x.Subset = append([]int(nil), incl...)
-	}
 
-	addNode := func(name string, kind NodeKind, capacity float64, orig graph.NodeID) graph.NodeID {
+	addNode := func(name string, kind NodeKind, capacity float64) graph.NodeID {
 		id := x.G.AddNode()
 		x.Names = append(x.Names, name)
 		x.Kinds = append(x.Kinds, kind)
 		x.Capacity = append(x.Capacity, capacity)
-		x.OrigNode = append(x.OrigNode, orig)
 		return id
 	}
-	addEdge := func(from, to graph.NodeID, orig graph.EdgeID, wire bool) (graph.EdgeID, error) {
+	addEdge := func(from, to graph.NodeID, orig graph.EdgeID) (graph.EdgeID, error) {
 		e, err := x.G.AddEdge(from, to)
 		if err != nil {
 			return graph.Invalid, err
 		}
 		x.OrigEdge = append(x.OrigEdge, orig)
-		x.Wire = append(x.Wire, wire)
 		return e, nil
 	}
 
@@ -215,7 +201,7 @@ func Build(p *stream.Problem, opts Options) (*Extended, error) {
 			kind = SinkNode
 			capacity = math.Inf(1)
 		}
-		addNode(p.Net.Names[i], kind, capacity, graph.NodeID(i))
+		addNode(p.Net.Names[i], kind, capacity)
 	}
 
 	// Bandwidth nodes: one per physical edge, capacity B_ik.
@@ -225,12 +211,12 @@ func Build(p *stream.Problem, opts Options) (*Extended, error) {
 	for e := 0; e < m; e++ {
 		edge := og.Edge(graph.EdgeID(e))
 		name := fmt.Sprintf("bw:%s>%s", p.Net.Names[edge.From], p.Net.Names[edge.To])
-		bwNode[e] = addNode(name, Bandwidth, p.Net.Bandwidth[e], graph.Invalid)
+		bwNode[e] = addNode(name, Bandwidth, p.Net.Bandwidth[e])
 		var err error
-		if procHalf[e], err = addEdge(edge.From, bwNode[e], graph.EdgeID(e), false); err != nil {
+		if procHalf[e], err = addEdge(edge.From, bwNode[e], graph.EdgeID(e)); err != nil {
 			return nil, err
 		}
-		if wireHalf[e], err = addEdge(bwNode[e], edge.To, graph.EdgeID(e), true); err != nil {
+		if wireHalf[e], err = addEdge(bwNode[e], edge.To, graph.EdgeID(e)); err != nil {
 			return nil, err
 		}
 	}
@@ -246,12 +232,12 @@ func Build(p *stream.Problem, opts Options) (*Extended, error) {
 	// Dummy nodes and links: one super-source per included commodity.
 	for _, gi := range order {
 		c := p.Commodities[gi]
-		d := addNode("dummy:"+c.Name, Dummy, math.Inf(1), graph.Invalid)
-		input, err := addEdge(d, c.Source, graph.Invalid, false)
+		d := addNode("dummy:"+c.Name, Dummy, math.Inf(1))
+		input, err := addEdge(d, c.Source, graph.Invalid)
 		if err != nil {
 			return nil, err
 		}
-		diff, err := addEdge(d, c.SinkID, graph.Invalid, false)
+		diff, err := addEdge(d, c.SinkID, graph.Invalid)
 		if err != nil {
 			return nil, err
 		}
@@ -345,8 +331,8 @@ func (x *Extended) sameNetwork(net *stream.Network) bool {
 // Reparameterize makes x what Build(p, Options{Commodities: incl})
 // would return, in place, given that ParametersOnly(p, incl) said the
 // two differ in parameters alone: node capacities and link bandwidths,
-// each commodity's offered rate, utility and loss, and the positions
-// Subset echoes. Everything a routing or a workspace is shaped by stays.
+// and each commodity's offered rate, utility and loss. Everything a
+// routing or a workspace is shaped by stays.
 func (x *Extended) Reparameterize(p *stream.Problem, incl []int) {
 	n := p.Net.G.NumNodes()
 	for i, kind := range p.Net.Kinds {
@@ -355,7 +341,6 @@ func (x *Extended) Reparameterize(p *stream.Problem, incl []int) {
 		}
 	}
 	copy(x.Capacity[n:x.SharedNodes], p.Net.Bandwidth)
-	copy(x.Subset, incl)
 	for j, gi := range incl {
 		c := p.Commodities[gi]
 		if c == x.src[j] {

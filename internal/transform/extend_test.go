@@ -68,9 +68,6 @@ func TestBuildPreservesOriginalNodeIDs(t *testing.T) {
 	p := twoPathProblem(t)
 	x := mustBuild(t, p, Options{})
 	for i := 0; i < p.Net.G.NumNodes(); i++ {
-		if x.OrigNode[i] != graph.NodeID(i) {
-			t.Fatalf("node %d maps to %d", i, x.OrigNode[i])
-		}
 		if x.Names[i] != p.Net.Names[i] {
 			t.Fatalf("node %d renamed %q -> %q", i, p.Net.Names[i], x.Names[i])
 		}
@@ -95,9 +92,6 @@ func TestBandwidthNodes(t *testing.T) {
 		in, out := x.G.In(node)[0], x.G.Out(node)[0]
 		if x.OrigEdge[in] != x.OrigEdge[out] {
 			t.Fatalf("bandwidth node %q spans different original edges", x.Names[n])
-		}
-		if x.Wire[in] || !x.Wire[out] {
-			t.Fatalf("bandwidth node %q wire marking wrong", x.Names[n])
 		}
 		// Capacity equals the original bandwidth.
 		orig := x.OrigEdge[in]

@@ -61,9 +61,6 @@ func TestReparameterizeMatchesBuild(t *testing.T) {
 			if !reflect.DeepEqual(x.Commodities, want.Commodities) {
 				t.Errorf("commodities differ from a build's:\n%+v\n%+v", x.Commodities, want.Commodities)
 			}
-			if !reflect.DeepEqual(x.Subset, want.Subset) {
-				t.Errorf("subset %v, a build has %v", x.Subset, want.Subset)
-			}
 			if !reflect.DeepEqual(x.Sub, want.Sub) {
 				t.Error("subgraphs differ from a build's")
 			}
