@@ -100,8 +100,8 @@ func TestRestartMatchesRebuildAndRebind(t *testing.T) {
 				if err := change(p); err != nil {
 					t.Fatal(err)
 				}
-				if only, err := kept.X.ParametersOnly(p, all); !only || err != nil {
-					t.Fatalf("change %d: ParametersOnly = %v, %v", i, only, err)
+				if ch, err := kept.X.Changes(p, all); ch != transform.Parameters || err != nil {
+					t.Fatalf("change %d: Changes = %v, %v", i, ch, err)
 				}
 				kept.X.Reparameterize(p, all)
 				kept.Restart()

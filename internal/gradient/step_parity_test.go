@@ -288,8 +288,8 @@ func TestServingStepMatchesReferenceStep(t *testing.T) {
 			if err := p.SetMaxRate(c.Name, c.MaxRate*1.5); err != nil {
 				t.Fatal(err)
 			}
-			if same, err := x.ParametersOnly(p, subset); !same || err != nil {
-				t.Fatalf("ParametersOnly = %v, %v", same, err)
+			if ch, err := x.Changes(p, subset); ch != transform.Parameters || err != nil {
+				t.Fatalf("Changes = %v, %v", ch, err)
 			}
 			x.Reparameterize(p, subset)
 			eng.Restart()

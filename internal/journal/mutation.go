@@ -161,28 +161,6 @@ func Decode[T any](m *Mutation) (T, error) {
 	return v, nil
 }
 
-// Touches names the commodities the mutation changes — the unit of
-// dirty tracking: only the solver shards that own one of them are
-// brought up to date by the next solve. nil means network-wide: a
-// capacity or bandwidth change shifts every shard's barrier.
-func (m *Mutation) Touches() []string {
-	switch m.Op {
-	case OpAddCommodity, OpRemoveCommodity, OpSetRate, OpSetUtility:
-		return []string{m.Target}
-	case OpSetRates:
-		pl, err := Decode[RatesPayload](m)
-		if err != nil {
-			return nil
-		}
-		names := make([]string, 0, len(pl.Rates))
-		for name := range pl.Rates {
-			names = append(names, name)
-		}
-		return names
-	}
-	return nil
-}
-
 // Apply performs one mutation on a problem. It is the only definition
 // of the nine ops: the live server runs it on the next version of its
 // desired problem (stream.Problem.NewVersion, whose setters copy what

@@ -5,25 +5,21 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"testing"
 
 	"repro/internal/journal"
-	"repro/internal/shard"
 )
 
 // TestRoutesApplyTheirMutation holds the write path to its one
 // definition. For each of the nine ops: issuing it through its REST
 // route must leave /v1/problem byte-equal to journal.Apply of the op's
-// constructor on a clone of the prior problem, and must dirty exactly
-// the shards shard.Place assigns to what the mutation Touches — every
-// shard for the four network-wide ops.
+// constructor on a clone of the prior problem. Which shards a mutation
+// changes is the coordinator's to find (shard's
+// TestOnlyChangedShardsRebind).
 func TestRoutesApplyTheirMutation(t *testing.T) {
-	const shards, salt = 4, 7
 	opts := testOptions(nil)
-	opts.Shards, opts.PlacementSalt = shards, salt
-	// No token is ever sent: the solver stays parked, so shardDirty is
-	// what the mutations left there.
+	// No token is ever sent: the solver stays parked, and only the write
+	// path runs.
 	opts.SolveGate = make(chan struct{})
 	s, err := New(toyProblem(t), opts)
 	if err != nil {
@@ -56,9 +52,6 @@ func TestRoutesApplyTheirMutation(t *testing.T) {
 			s.mu.Lock()
 			want := s.problem.Clone()
 			rev := s.rev
-			for k := range s.shardDirty {
-				s.shardDirty[k] = false
-			}
 			s.mu.Unlock()
 			if err := journal.Apply(want, &tc.m); err != nil {
 				t.Fatal(err)
@@ -66,14 +59,6 @@ func TestRoutesApplyTheirMutation(t *testing.T) {
 			wantJSON, err := want.MarshalJSON()
 			if err != nil {
 				t.Fatal(err)
-			}
-			wantDirty := make([]bool, shards)
-			touches := tc.m.Touches()
-			for k := range wantDirty {
-				wantDirty[k] = touches == nil
-			}
-			for _, name := range touches {
-				wantDirty[shard.Place(name, salt, shards)] = true
 			}
 
 			var body any
@@ -96,12 +81,6 @@ func TestRoutesApplyTheirMutation(t *testing.T) {
 			}
 			if !bytes.Equal(got, wantJSON) {
 				t.Fatalf("problem after the route differs from journal.Apply on the prior problem:\n%s\n%s", got, wantJSON)
-			}
-			s.mu.Lock()
-			gotDirty := append([]bool(nil), s.shardDirty...)
-			s.mu.Unlock()
-			if !reflect.DeepEqual(gotDirty, wantDirty) {
-				t.Fatalf("dirty shards %v, want %v (touches %v)", gotDirty, wantDirty, touches)
 			}
 		})
 	}

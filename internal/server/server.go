@@ -271,11 +271,9 @@ type Server struct {
 	rev         int64           // bumped per accepted mutation
 	pending     []*decision     // traced mutations awaiting a snapshot; under mu
 	journalMuts int             // mutations journaled since boot; drives periodic checkpoints
-	shardDirty  []bool          // shards the pending batch invalidates; under mu
 
 	// coord owns the solver shards, their engines and warm-start state,
-	// and the turns they take; solver-goroutine only
-	// (mutations touch shardDirty, never the coordinator).
+	// and the turns they take; solver-goroutine only.
 	coord *shard.Coordinator
 
 	snap atomic.Pointer[Snapshot]
@@ -371,9 +369,6 @@ func New(p *stream.Problem, opts Options) (*Server, error) {
 		Recorder:      opts.Recorder,
 		Logf:          opts.Logf,
 	})
-	// All shards start dirty so the first solve builds everything.
-	s.shardDirty = make([]bool, s.coord.Shards())
-	s.markDirtyLocked(nil)
 	if len(p.Commodities) > 0 {
 		s.rev = 1
 		s.signal()
@@ -470,9 +465,9 @@ func (s *Server) Apply(m journal.Mutation) (int64, error) {
 // mutate applies ms transactionally, all or nothing: journal.Apply runs
 // them in order against a new version of the desired problem, and only
 // when every one succeeds is that version swapped in. Each mutation then takes
-// its own revision, marks the shards it touches, opens its decision's
-// trace and is journaled — one record per revision — before one solver
-// wake for the group. A rejected group leaves no trace. Registering the
+// its own revision, opens its decision's trace and is journaled — one
+// record per revision — before one solver wake for the group. A rejected
+// group leaves no trace. Registering the
 // decisions under mu is what makes attribution exact: the solver also
 // captures (problem, rev, pending) under mu, so a decision is always
 // either in the batch of the solve that saw its revision, or still
@@ -490,9 +485,6 @@ func (s *Server) mutate(ing ingress, ms ...journal.Mutation) (int64, error) {
 	journaled := s.journalMuts
 	for _, m := range ms {
 		s.rev++
-		// Only the owner shards of the touched commodities rebuild; a
-		// network-wide mutation (nil) dirties all of them.
-		s.markDirtyLocked(m.Touches())
 		s.opts.Recorder.ServerMutation(m.Op, m.Target)
 		s.trackDecisionLocked(ing, m.Op, m.Target)
 		if s.opts.Journal != nil {
@@ -506,21 +498,6 @@ func (s *Server) mutate(ing ingress, ms ...journal.Mutation) (int64, error) {
 	}
 	s.signal()
 	return s.rev, nil
-}
-
-// markDirtyLocked records which shards the accepted mutation
-// invalidates, for the next solve's incremental rebuild. Callers hold
-// s.mu (or, in New, are the only goroutine).
-func (s *Server) markDirtyLocked(touched []string) {
-	if touched == nil {
-		for i := range s.shardDirty {
-			s.shardDirty[i] = true
-		}
-		return
-	}
-	for _, name := range touched {
-		s.shardDirty[shard.Place(name, s.opts.PlacementSalt, len(s.shardDirty))] = true
-	}
 }
 
 // journalMutationLocked appends one accepted mutation to the flight
@@ -723,7 +700,7 @@ func (s *Server) debounce() {
 // solveOnce takes the desired problem (by pointer — installed problems
 // are immutable, see the package comment) and the pending traced
 // mutations it will incorporate, has the coordinator bring the shards
-// the batch dirtied up to it (in place where only parameters moved, by a
+// the batch changed up to it (in place where only parameters moved, by a
 // rebuild that warm-starts where the extended topology allows) and take
 // turns until every shard is stationary, and
 // publishes a new snapshot stitched from the per-shard results. The
@@ -738,8 +715,6 @@ func (s *Server) solveOnce() {
 	// incorporate all of them: take the whole batch.
 	batch := s.pending
 	s.pending = nil
-	dirty := s.shardDirty
-	s.shardDirty = make([]bool, len(dirty))
 	s.mu.Unlock()
 
 	tr := s.opts.Spans
@@ -752,7 +727,7 @@ func (s *Server) solveOnce() {
 		solveSpan = tr.Start("solve", parent)
 		solveSpan.SetAttrInt("rev", rev)
 		solveSpan.SetAttrInt("mutations_coalesced", int64(len(batch)))
-		solveSpan.SetAttrInt("shards", int64(len(dirty)))
+		solveSpan.SetAttrInt("shards", int64(s.coord.Shards()))
 		for _, d := range batch {
 			d.coalesce.SetAttrInt("mutations_coalesced", int64(len(batch)))
 			d.coalesce.End()
@@ -777,16 +752,13 @@ func (s *Server) solveOnce() {
 	}
 
 	bs := tr.Start("build", solveSpan.Context())
-	err := s.coord.Build(p, dirty)
+	err := s.coord.Build(p, nil)
 	bs.End()
 	if err != nil {
 		// Mutations are validated before acceptance, so this is a bug,
-		// not an operator error; keep the last good snapshot, log, and
-		// have the next solve rebuild every shard.
+		// not an operator error; keep the last good snapshot and log. The
+		// next solve compares every shard with its problem again.
 		s.opts.Logf("server: transform failed at rev %d: %v", rev, err)
-		s.mu.Lock()
-		s.markDirtyLocked(nil)
-		s.mu.Unlock()
 		solveSpan.SetAttr("error", err.Error())
 		solveSpan.End()
 		for _, d := range batch {

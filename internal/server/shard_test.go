@@ -1,10 +1,12 @@
 package server
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/randnet"
 	"repro/internal/shard"
 	"repro/internal/stream"
@@ -79,7 +81,7 @@ func TestShardedServerMatchesSingle(t *testing.T) {
 // TestShardedFlashCrowdChurn drives a 4-shard server through a flash
 // crowd: half the commodities depart, then re-arrive, with a rate spike
 // in between. Ownership follows the consistent hash, so each departure
-// and arrival lands on its owner shard (dirtying only that shard) while
+// and arrival lands on its owner shard (changing only that shard) while
 // the others keep their engines; the final state — identical to the
 // initial problem — must re-converge to the pre-churn utility.
 func TestShardedFlashCrowdChurn(t *testing.T) {
@@ -218,4 +220,66 @@ func TestShardedZeroCommodities(t *testing.T) {
 	if len(snap.Commodities) != 1 || snap.Utility <= 0 {
 		t.Fatalf("recovered snapshot = %d commodities, utility=%v", len(snap.Commodities), snap.Utility)
 	}
+}
+
+// TestMislabeledArrivalPublishes: an add_commodity mutation's Target is
+// a label, and nothing ties it to the name in its payload. An arrival
+// labeled with a name another shard owns must still land on the
+// payload's owner shard and publish, with the commodity at its offered
+// rate, not take the solver down.
+func TestMislabeledArrivalPublishes(t *testing.T) {
+	p := churnProblem(t)
+	const shards = 4
+	name := p.Commodities[0].Name
+	spec, err := p.MarshalCommodityJSON(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	label := ""
+	for i := 0; label == ""; i++ {
+		if l := fmt.Sprintf("label%d", i); shard.Place(l, 7, shards) != shard.Place(name, 7, shards) {
+			label = l
+		}
+	}
+
+	s, err := New(p, shardedOptions(shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// published waits for the first snapshot that incorporates rev.
+	published := func(rev int64) *Snapshot {
+		t.Helper()
+		for gen := int64(1); ; gen++ {
+			snap, err := s.WaitForGeneration(gen, waitBudget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Rev >= rev {
+				return snap
+			}
+			gen = snap.Generation
+		}
+	}
+	rev, err := s.RemoveCommodity(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	published(rev)
+
+	m := journal.AddCommodity(spec)
+	m.Target = label
+	if rev, err = s.Apply(m); err != nil {
+		t.Fatal(err)
+	}
+	snap := published(rev)
+	for _, c := range snap.Commodities {
+		if c.Name == name {
+			if c.Offered != p.Commodities[0].MaxRate {
+				t.Fatalf("%s offered %v, want %v", name, c.Offered, p.Commodities[0].MaxRate)
+			}
+			return
+		}
+	}
+	t.Fatalf("the snapshot after the arrival does not list %s", name)
 }

@@ -171,9 +171,18 @@ func TestVersionIsolation(t *testing.T) {
 
 				touched, network := 0, false
 				for i := range group {
-					names := group[i].Touches()
-					touched += len(names)
-					network = network || names == nil
+					switch m := &group[i]; m.Op {
+					case journal.OpSetRates:
+						pl, err := journal.Decode[journal.RatesPayload](m)
+						if err != nil {
+							t.Fatal(err)
+						}
+						touched += len(pl.Rates)
+					case journal.OpAddCommodity, journal.OpRemoveCommodity, journal.OpSetRate, journal.OpSetUtility:
+						touched++ // the one commodity its target names
+					default:
+						network = true
+					}
 				}
 				if len(after.Commodities) == len(before.p.Commodities) {
 					copied := 0

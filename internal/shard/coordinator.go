@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -132,17 +131,13 @@ type Coordinator struct {
 	cfg     Config
 	p       *stream.Problem
 	runners []*runner
-	rebuilt []*runner      // built by the last Build, awaiting Bind
-	wg      sync.WaitGroup // fanOut's join
-	shared  int            // shared node prefix length; 0 until first build
-	merged  []float64
+	changed []*runner   // changed by the last Build's problem, awaiting Bind
+	merged  []float64   // shared-prefix usage; nil until the first Build
 	parts   [][]float64 // merge scratch, one entry per built runner
 }
 
 // runner is one solver shard: its own subset transform and engine (the
-// engine owns the usage workspace). All fields are touched only by the
-// coordinator (sequentially) or by the runner's own fanOut goroutine
-// (exclusively), never both at once.
+// engine owns the usage workspace).
 type runner struct {
 	id  int
 	cfg *Config
@@ -158,9 +153,7 @@ type runner struct {
 
 	// next is what the last build left for bind: a rebuilt extended
 	// problem, or nil when x only needs reparameterizing to p.
-	next     *transform.Extended
-	buildErr error
-	fallback error // unexpected warm-start failure of the last bind
+	next *transform.Extended
 
 	ext []float64 // the other shards' usage, installed on x.External
 	// own is the shared usage after the shard's last turn. It is a copy,
@@ -175,7 +168,6 @@ type runner struct {
 	extMoved   bool
 	diverged   bool
 	divergeErr error
-	warm       bool // last bind warm-started
 	seconds    float64
 }
 
@@ -193,27 +185,8 @@ func New(cfg Config) *Coordinator {
 // Shards returns the shard count.
 func (c *Coordinator) Shards() int { return c.cfg.Shards }
 
-// fanOut runs fn once per runner in rs and returns when all are done:
-// the first on the caller's goroutine, the others each on their own.
-// Each runner touches only its own state, so the join is the only
-// synchronization; callers read the results sequentially afterwards.
-func (c *Coordinator) fanOut(rs []*runner, fn func(*runner)) {
-	if len(rs) == 0 {
-		return
-	}
-	for _, r := range rs[1:] {
-		c.wg.Add(1)
-		go func(r *runner) {
-			defer c.wg.Done()
-			fn(r)
-		}(r)
-	}
-	fn(rs[0])
-	c.wg.Wait()
-}
-
 // Clear drops every shard's engine and subset — the zero-commodity
-// state. The next Apply rebuilds dirty shards from scratch.
+// state. The next Apply rebuilds every shard it examines.
 func (c *Coordinator) Clear(p *stream.Problem) {
 	c.p = p
 	for _, r := range c.runners {
@@ -227,24 +200,25 @@ func (c *Coordinator) Clear(p *stream.Problem) {
 	clear(c.merged)
 }
 
-// Apply installs a new desired problem and brings the dirty shards up
-// to it (dirty[i] true means shard i's commodity set or the shared
-// network parameters changed since its extended problem was built). It
-// returns whether every dirty shard kept or warm-started from its
-// previous routing. Clean shards keep their engines and warm state
-// untouched. Apply is Build followed by Bind; the server calls the two
-// itself to time them and to see an unexpected warm-start fallback.
+// Apply installs a new desired problem and brings every shard it
+// changes up to it. dirty[i] false promises that shard i is unchanged and
+// spares it the comparison; nil examines every shard. It returns whether
+// every changed shard kept or warm-started from its previous routing.
+// Unchanged shards keep their engines and warm state untouched. Apply is
+// Build followed by Bind; the server calls the two itself to time them
+// and to see an unexpected warm-start fallback.
 //
-// What a dirty shard costs depends on what moved, found by comparing p
-// with what the shard's extended problem was built from, never from the
-// name of a mutation: offered rates, utilities, capacities and
-// bandwidths are written into the extended problem in place and the
-// engine keeps its routing and workspaces; an arrival, a departure or a
-// commodity with a different subgraph runs the subset transform again.
-// The two are indistinguishable from outside but for their cost. A
-// *stream.Commodity handed to Build must not be edited afterwards — a
-// changed commodity is a new value, as stream.NewVersion and Clone both
-// make it.
+// What a shard costs depends on what moved, found by comparing p with
+// what the shard's extended problem was built from
+// (transform.Extended.Changes), never from the name of a mutation: a
+// shard handed the very commodities and network vectors it has is left
+// alone; offered rates, utilities, capacities and bandwidths are written
+// into the extended problem in place and the engine keeps its routing
+// and workspaces; an arrival, a departure or a commodity with a
+// different subgraph runs the subset transform again. The last two are
+// indistinguishable from outside but for their cost. A problem handed to
+// Build must not be edited afterwards — a changed problem is a new
+// value, as stream.NewVersion and Clone both make it.
 func (c *Coordinator) Apply(p *stream.Problem, dirty []bool) (warm bool, err error) {
 	if err := c.Build(p, dirty); err != nil {
 		return false, err
@@ -253,12 +227,10 @@ func (c *Coordinator) Apply(p *stream.Problem, dirty []bool) (warm bool, err err
 	return warm, nil
 }
 
-// Build is Apply's first phase: it places p's commodities and, for every
-// dirty shard concurrently, validates the parameters that moved or runs
-// the subset transform — each only reads the shared problem and writes
-// its own runner, and subset builds are the dominant cost of a topology
-// change at large commodity counts. Engines and the extended problems
-// they run on are untouched until Bind.
+// Build is Apply's first phase: it places p's commodities and, shard by
+// shard, finds what p changes and validates the parameters that moved or
+// runs the subset transform. Engines and the extended problems they run
+// on are untouched until Bind.
 func (c *Coordinator) Build(p *stream.Problem, dirty []bool) error {
 	c.p = p
 	n := len(c.runners)
@@ -270,27 +242,26 @@ func (c *Coordinator) Build(p *stream.Problem, dirty []bool) error {
 		s := Place(p.Commodities[gi].Name, c.cfg.Salt, n)
 		subsets[s] = append(subsets[s], gi)
 	}
-	c.rebuilt = c.rebuilt[:0]
+	c.changed = c.changed[:0]
 	for i, r := range c.runners {
-		// Clean shards take the fresh indices too: an arrival or departure
-		// on another shard shifts the global position of commodities this
-		// one owns without touching its engine.
+		// Unchanged shards take the fresh indices too: an arrival or
+		// departure on another shard shifts the global position of
+		// commodities this one owns without touching its engine.
 		r.global = subsets[i]
 		if i < len(dirty) && !dirty[i] {
 			continue
 		}
-		c.rebuilt = append(c.rebuilt, r)
-	}
-	c.fanOut(c.rebuilt, func(r *runner) { r.build(p) })
-	for _, r := range c.rebuilt {
-		if r.buildErr != nil {
-			c.rebuilt = c.rebuilt[:0]
-			return r.buildErr
+		changed, err := r.build(p)
+		if err != nil {
+			c.changed = c.changed[:0]
+			return err
+		}
+		if changed {
+			c.changed = append(c.changed, r)
 		}
 	}
-	if c.shared == 0 && len(c.rebuilt) > 0 {
-		c.shared = c.rebuilt[0].next.SharedNodes
-		c.merged = make([]float64, c.shared)
+	if c.merged == nil && len(c.changed) > 0 {
+		c.merged = make([]float64, c.changed[0].next.SharedNodes)
 	}
 	return nil
 }
@@ -304,38 +275,41 @@ func (c *Coordinator) Build(p *stream.Problem, dirty []bool) error {
 // first warm start that failed for any other reason — already recovered
 // by starting cold, returned so the caller can capture it.
 func (c *Coordinator) Bind() (warm bool, fallback error) {
-	c.fanOut(c.rebuilt, func(r *runner) { r.bind(c.p) })
 	warm = true
-	for _, r := range c.rebuilt {
-		if !r.warm {
-			warm = false
-		}
+	for _, r := range c.changed {
+		w, err := r.bind(c.p)
+		warm = warm && w
 		if fallback == nil {
-			fallback = r.fallback
+			fallback = err
 		}
 	}
-	c.rebuilt = c.rebuilt[:0]
+	c.changed = c.changed[:0]
 	return warm, fallback
 }
 
 // build prepares the shard's extended problem over its commodities in
-// p: nothing but the validation Build would have run when the one it has
-// differs from that in parameters alone, a new one otherwise.
-func (r *runner) build(p *stream.Problem) {
+// p and reports whether bind has anything to do: nothing when p changes
+// none of it, nothing but the validation Build would have run when it
+// differs in parameters alone, a new one otherwise.
+func (r *runner) build(p *stream.Problem) (changed bool, err error) {
 	r.next = nil
-	if r.x != nil && !r.rebuildOnly {
-		var same bool
-		if same, r.buildErr = r.x.ParametersOnly(p, r.global); same {
-			return
+	if r.x != nil {
+		change, err := r.x.Changes(p, r.global)
+		switch {
+		case change == transform.Unchanged:
+			return false, nil
+		case change == transform.Parameters && !r.rebuildOnly:
+			return true, err
 		}
 	}
-	r.next, r.buildErr = transform.Build(p, transform.Options{
+	if r.next, err = transform.Build(p, transform.Options{
 		Epsilon:     r.cfg.Epsilon,
 		Commodities: r.global,
-	})
-	if r.buildErr == nil {
-		r.cfg.Recorder.BuildFootprint(r.id, r.next.BuildBytes())
+	}); err != nil {
+		return false, err
 	}
+	r.cfg.Recorder.BuildFootprint(r.id, r.next.BuildBytes())
+	return true, nil
 }
 
 // newFrom and carry are gradient.NewFrom and gradient.Carry, the warm
@@ -345,9 +319,11 @@ var newFrom, carry = gradient.NewFrom, gradient.Carry
 
 // bind brings the shard's engine up to p: on the extended problem it
 // has, reparameterized, when build left it at that, else on the one
-// build produced.
-func (r *runner) bind(p *stream.Problem) {
-	r.diverged, r.divergeErr, r.fallback = false, nil, nil
+// build produced. It reports whether the shard kept or warm-started
+// from its routing, and an unexpected warm-start failure it recovered
+// from by starting cold.
+func (r *runner) bind(p *stream.Problem) (warm bool, fallback error) {
+	r.diverged, r.divergeErr = false, nil
 	if r.next == nil {
 		if r.cfg.Serving && r.eng != nil {
 			// Before Reparameterize overwrites the rates they move from.
@@ -356,12 +332,11 @@ func (r *runner) bind(p *stream.Problem) {
 			}
 		}
 		r.x.Reparameterize(p, r.global)
-		r.warm = true
 		if r.eng != nil {
 			r.eng.Restart()
 			r.stationary = false
 		}
-		return
+		return true, nil
 	}
 	x := r.next
 	r.next = nil
@@ -376,8 +351,7 @@ func (r *runner) bind(p *stream.Problem) {
 		r.eng = nil
 		clear(r.own)
 		r.stationary = true
-		r.warm = true
-		return
+		return true, nil
 	}
 
 	// No Recorder: engines step unobserved at every shard count; what a
@@ -390,7 +364,6 @@ func (r *runner) bind(p *stream.Problem) {
 		gcfg.Momentum = max(r.cfg.Momentum, 0)
 		warmStart = carry
 	}
-	r.warm = false
 	if r.eng != nil {
 		// A warm start goes on at the step scale the last engine reached
 		// (with a fixed η, the one configured); a cold one begins at
@@ -400,7 +373,7 @@ func (r *runner) bind(p *stream.Problem) {
 		eng, err := warmStart(x, r.eng.Routing(), wcfg)
 		switch {
 		case err == nil:
-			r.eng, r.warm = eng, true
+			r.eng, warm = eng, true
 		case errors.Is(err, flow.ErrTopologyChanged):
 			// The previous routing's shape no longer fits the rebuilt
 			// problem (membership changed): starting cold is the
@@ -408,13 +381,14 @@ func (r *runner) bind(p *stream.Problem) {
 			r.cfg.Logf("shard %d: cold start (expected): %v", r.id, err)
 		default:
 			r.cfg.Logf("shard %d: warm start failed unexpectedly, falling back to cold: %v", r.id, err)
-			r.fallback = err
+			fallback = err
 		}
 	}
-	if !r.warm {
+	if !warm {
 		r.eng = gradient.New(x, gcfg)
 	}
 	r.stationary = false
+	return warm, fallback
 }
 
 // exchangeEvery is how many gradient iterations a shard's turn runs at

@@ -15,8 +15,8 @@ func StubWarmStart(fn func(*transform.Extended, *flow.Routing, gradient.Config) 
 	return func() { newFrom, carry = prevFrom, prevCarry }
 }
 
-// RebuildOnly makes every dirty shard of c run the subset transform and
-// rebind, whatever moved — the path reparameterizing in place stands in
+// RebuildOnly makes every shard of c whose problem changed run the
+// subset transform and rebind, whatever moved — the path reparameterizing in place stands in
 // for, and so the reference the patched-equals-rebuilt test compares it
 // against.
 func (c *Coordinator) RebuildOnly() {

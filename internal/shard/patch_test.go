@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gradient"
 	"repro/internal/journal"
 	"repro/internal/randnet"
 	"repro/internal/stream"
@@ -17,14 +18,16 @@ import (
 )
 
 // twin drives one decision after another through a coordinator that
-// reparameterizes shards in place and one forced to rebuild every dirty
-// shard, and fails on the first difference between what the two report.
+// reparameterizes shards in place and one forced to rebuild every shard
+// whose problem changed, and fails on the first difference between what
+// the two report.
 type twin struct {
 	t                *testing.T
 	shards           int
 	salt             uint64
 	patched, rebuilt *Coordinator
 	p                *stream.Problem
+	warm             bool // what the last Apply returned, the same on both
 }
 
 func newTwin(t *testing.T, p *stream.Problem, shards int) *twin {
@@ -37,58 +40,45 @@ func newTwinWith(t *testing.T, p *stream.Problem, cfg Config) *twin {
 	shards := cfg.Shards
 	tw := &twin{t: t, shards: shards, salt: cfg.Salt, patched: New(cfg), rebuilt: New(cfg), p: p}
 	tw.rebuilt.RebuildOnly()
-	all := make([]bool, shards)
-	for i := range all {
-		all[i] = true
-	}
-	tw.apply("boot", all)
+	tw.apply("boot")
 	return tw
 }
 
 // decide applies ms to the next version of the problem, the way the
-// server's write path does, dirties the shards they touch and solves on
-// both coordinators. It returns the patched coordinator's extended
+// server's write path does, and has both coordinators find the shards it
+// changed and solve. It returns the patched coordinator's extended
 // problems before and after, per shard, for callers that assert which
 // path a shard took.
 func (tw *twin) decide(label string, ms ...journal.Mutation) (before, after []*transform.Extended) {
 	tw.t.Helper()
 	next := tw.p.NewVersion()
-	dirty := make([]bool, tw.shards)
 	for i := range ms {
 		if err := journal.Apply(next, &ms[i]); err != nil {
 			tw.t.Fatalf("%s: %v", label, err)
-		}
-		touched := ms[i].Touches()
-		for _, name := range touched {
-			dirty[Place(name, tw.salt, tw.shards)] = true
-		}
-		if touched == nil {
-			for s := range dirty {
-				dirty[s] = true
-			}
 		}
 	}
 	tw.p = next
 	for _, r := range tw.patched.runners {
 		before = append(before, r.x)
 	}
-	tw.apply(label, dirty)
+	tw.apply(label)
 	for _, r := range tw.patched.runners {
 		after = append(after, r.x)
 	}
 	return before, after
 }
 
-func (tw *twin) apply(label string, dirty []bool) {
+func (tw *twin) apply(label string) {
 	tw.t.Helper()
-	pw, perr := tw.patched.Apply(tw.p, dirty)
-	rw, rerr := tw.rebuilt.Apply(tw.p, dirty)
+	pw, perr := tw.patched.Apply(tw.p, nil)
+	rw, rerr := tw.rebuilt.Apply(tw.p, nil)
 	if perr != nil || rerr != nil {
 		tw.t.Fatalf("%s: apply: patched %v, rebuilt %v", label, perr, rerr)
 	}
 	if pw != rw {
 		tw.t.Fatalf("%s: warm %v patched, %v rebuilt", label, pw, rw)
 	}
+	tw.warm = pw
 	pr, rr := tw.patched.Solve(context.Background()), tw.rebuilt.Solve(context.Background())
 	// DeepEqual on floats is equality of values, which for the finite
 	// numbers here is equality of bits.
@@ -240,10 +230,9 @@ func TestPatchedEqualsRebuilt(t *testing.T) {
 			if stayed[Place(last, tw.salt, shards)] {
 				t.Error("a changed edge parameter was taken for a change of rate")
 			}
-			for _, r := range tw.patched.runners {
-				if r.id == Place(last, tw.salt, shards) && !r.warm {
-					t.Error("the rebuild on an unchanged edge set did not warm-start")
-				}
+			// Only the owner shard rebound, so its start is the decision's.
+			if !tw.warm {
+				t.Error("the rebuild on an unchanged edge set did not warm-start")
 			}
 		})
 	}
@@ -285,8 +274,8 @@ func TestRateThatInvalidatesUtilityFailsTheBuild(t *testing.T) {
 	if err := bad.SetMaxRate(victim, 20); err != nil {
 		t.Fatal(err)
 	}
-	_, perr := tw.patched.Apply(bad, []bool{true})
-	_, rerr := tw.rebuilt.Apply(bad, []bool{true})
+	_, perr := tw.patched.Apply(bad, nil)
+	_, rerr := tw.rebuilt.Apply(bad, nil)
 	if perr == nil || rerr == nil || perr.Error() != rerr.Error() {
 		t.Fatalf("patched: %v\nrebuilt: %v", perr, rerr)
 	}
@@ -297,4 +286,111 @@ func TestRateThatInvalidatesUtilityFailsTheBuild(t *testing.T) {
 		t.Fatalf("the failed build left offered rate %v in the shard", got)
 	}
 	tw.decide("recovery", journal.SetRate(victim, 9))
+}
+
+// TestOnlyChangedShardsRebind: the coordinator alone finds which shards
+// a problem version changed. For each of the nine ops, applied to a new
+// version at four shards and handed to Build with no hint, exactly the
+// shards that own a commodity the op names are brought up to it — every
+// shard for the four network ops — and every other shard keeps its
+// engine, with the iterations and the η it had. A version that changes
+// nothing rebinds no shard.
+func TestOnlyChangedShardsRebind(t *testing.T) {
+	const shards, salt = 4, 7
+	p, err := randnet.Generate(randnet.Config{Seed: 5, Nodes: 32, Layers: 4, Commodities: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var name []string
+	for _, cm := range p.Commodities {
+		name = append(name, cm.Name)
+	}
+	arrival, err := p.MarshalCommodityJSON(name[7])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var node string
+	for i, kind := range p.Net.Kinds {
+		if kind == stream.Processing {
+			node = p.Net.Names[i]
+			break
+		}
+	}
+	link := p.Net.G.Edge(0)
+	from, to := p.Net.Names[link.From], p.Net.Names[link.To]
+	rates := map[string]float64{name[1]: 0.8 * p.Commodities[1].MaxRate, name[2]: 1.2 * p.Commodities[2].MaxRate}
+
+	p = p.NewVersion()
+	p.RemoveCommodity(name[7])
+	c := New(Config{Shards: shards, Salt: salt, MaxIters: 200, Serving: true})
+	if _, err := c.Apply(p, nil); err != nil {
+		t.Fatal(err)
+	}
+	c.Solve(context.Background())
+
+	for _, step := range []struct {
+		m      journal.Mutation
+		owners []string // nil: every shard
+	}{
+		{journal.AddCommodity(arrival), []string{name[7]}},
+		{journal.RemoveCommodity(name[0]), []string{name[0]}},
+		{journal.SetRate(name[3], 2), []string{name[3]}},
+		{journal.SetRates(rates), []string{name[1], name[2]}},
+		{journal.SetUtility(name[4], []byte(`{"type":"log","weight":2,"scale":1}`)), []string{name[4]}},
+		{journal.SetCapacity(node, 3), nil},
+		{journal.ScaleCapacity(node, 2), nil},
+		{journal.SetBandwidth(from, to, 3), nil},
+		{journal.ScaleBandwidth(from, to, 0.5), nil},
+	} {
+		t.Run(step.m.Op, func(t *testing.T) {
+			owner := make([]bool, shards)
+			for s := range owner {
+				owner[s] = step.owners == nil
+			}
+			for _, n := range step.owners {
+				owner[Place(n, salt, shards)] = true
+			}
+			next := p.NewVersion()
+			if err := journal.Apply(next, &step.m); err != nil {
+				t.Fatal(err)
+			}
+			p = next
+			type engine struct {
+				eng   *gradient.Engine
+				stats gradient.Stats
+				eta   float64
+			}
+			before := make([]engine, shards)
+			for s, r := range c.runners {
+				if r.eng != nil {
+					before[s] = engine{r.eng, r.eng.Stats(), r.eng.Eta()}
+				}
+			}
+			if err := c.Build(p, nil); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]bool, shards)
+			for _, r := range c.changed {
+				got[r.id] = true
+			}
+			if !slices.Equal(got, owner) {
+				t.Fatalf("shards brought up to the version %v, want %v", got, owner)
+			}
+			c.Bind()
+			for s, r := range c.runners {
+				if owner[s] {
+					continue
+				}
+				if r.eng != before[s].eng || (r.eng != nil && (r.eng.Stats() != before[s].stats || r.eng.Eta() != before[s].eta)) {
+					t.Errorf("shard %d: an unchanged shard's engine moved", s)
+				}
+			}
+			c.Solve(context.Background())
+
+			if err := c.Build(p.NewVersion(), nil); err != nil || len(c.changed) != 0 {
+				t.Fatalf("a version that changes nothing: %d shards to rebind, %v", len(c.changed), err)
+			}
+			c.Bind()
+		})
+	}
 }

@@ -117,9 +117,11 @@ type Extended struct {
 	OrigEdge []graph.EdgeID
 
 	// src[j] is the stream commodity Commodities[j] was built from (or
-	// last reparameterized to): what ParametersOnly compares a later
-	// problem's commodities against.
-	src []*stream.Commodity
+	// last reparameterized to), and capacity and bandwidth the network
+	// vectors: what Changes compares a later problem against, by
+	// identity first.
+	src                 []*stream.Commodity
+	capacity, bandwidth []float64
 }
 
 // Options configures the transformation.
@@ -175,6 +177,8 @@ func Build(p *stream.Problem, opts Options) (*Extended, error) {
 		Penalty:     opts.Penalty,
 		Epsilon:     opts.Epsilon,
 		SharedNodes: n + m,
+		capacity:    p.Net.Capacity,
+		bandwidth:   p.Net.Bandwidth,
 	}
 
 	addNode := func(name string, kind NodeKind, capacity float64) graph.NodeID {
@@ -273,36 +277,63 @@ func Build(p *stream.Problem, opts Options) (*Extended, error) {
 	return x, nil
 }
 
-// ParametersOnly reports whether Build(p, Options{Commodities: incl})
-// would differ from x in parameters alone — capacities, bandwidths,
-// offered rates, utilities — so that Reparameterize can stand in for
-// it: the same network topology and, position by position, commodities
-// with the structure x was built from. A commodity that is the very
-// *stream.Commodity x was built from counts as untouched (problem
-// versions replace a commodity they change, see stream.NewVersion);
-// any other is compared field by field. When it returns true the error
-// is what Build's validation would have said of the changed parameters.
-func (x *Extended) ParametersOnly(p *stream.Problem, incl []int) (bool, error) {
+// Change is what a problem changes for an extended problem, as Changes
+// finds it.
+type Change int
+
+const (
+	// Unchanged: the problem hands x exactly what x was built or last
+	// reparameterized from.
+	Unchanged Change = iota
+	// Parameters: capacities, bandwidths, offered rates or utilities
+	// moved and nothing else, so Reparameterize can stand in for Build.
+	Parameters
+	// Structure: anything else; only Build will do.
+	Structure
+)
+
+// Changes compares p, restricted to incl, with what x was built or last
+// reparameterized from, in one walk. It is Unchanged when p holds, by
+// identity, the capacity and bandwidth vectors and, position by
+// position, the very *stream.Commodity values x was built from: a
+// problem version shares them until a setter writes one
+// (stream.NewVersion). It is Parameters when the network has the same
+// topology and every other commodity has the same structure as its
+// predecessor; then the error is what Build's validation would have said
+// of the changed parameters. Anything else is Structure. An edit made in
+// place to the problem x was built or reparameterized from is invisible
+// to it: hand Changes a new version or a Clone.
+func (x *Extended) Changes(p *stream.Problem, incl []int) (Change, error) {
 	if len(incl) != len(x.src) || !x.sameNetwork(p.Net) {
-		return false, nil
+		return Structure, nil
+	}
+	change := Unchanged
+	if !sameVector(p.Net.Capacity, x.capacity) || !sameVector(p.Net.Bandwidth, x.bandwidth) {
+		change = Parameters
 	}
 	var invalid error
 	for j, gi := range incl {
 		if gi < 0 || gi >= len(p.Commodities) {
-			return false, nil // Build names the bad index
+			return Structure, nil // Build names the bad index
 		}
 		c := p.Commodities[gi]
 		if c == x.src[j] {
 			continue
 		}
 		if !c.SameStructure(x.src[j]) {
-			return false, nil
+			return Structure, nil
 		}
+		change = Parameters
 		if invalid == nil {
 			invalid = c.ValidateUtility()
 		}
 	}
-	return true, invalid
+	return change, invalid
+}
+
+// sameVector reports whether a and b are one vector, not two equal ones.
+func sameVector(a, b []float64) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // sameNetwork reports whether net has the topology x's shared node
@@ -329,8 +360,8 @@ func (x *Extended) sameNetwork(net *stream.Network) bool {
 }
 
 // Reparameterize makes x what Build(p, Options{Commodities: incl})
-// would return, in place, given that ParametersOnly(p, incl) said the
-// two differ in parameters alone: node capacities and link bandwidths,
+// would return, in place, given that Changes(p, incl) said the two
+// differ in parameters alone: node capacities and link bandwidths,
 // and each commodity's offered rate, utility and loss. Everything a
 // routing or a workspace is shaped by stays.
 func (x *Extended) Reparameterize(p *stream.Problem, incl []int) {
@@ -341,6 +372,7 @@ func (x *Extended) Reparameterize(p *stream.Problem, incl []int) {
 		}
 	}
 	copy(x.Capacity[n:x.SharedNodes], p.Net.Bandwidth)
+	x.capacity, x.bandwidth = p.Net.Capacity, p.Net.Bandwidth
 	for j, gi := range incl {
 		c := p.Commodities[gi]
 		if c == x.src[j] {

@@ -13,9 +13,10 @@ import (
 
 // TestReparameterizeMatchesBuild: for every change of parameters alone —
 // made on a shared version, where untouched commodities keep their
-// pointers, and on a deep Clone, where nothing does — ParametersOnly
-// says so, and Reparameterize leaves x with the capacities, commodities
-// and subset positions a Build of the changed problem has.
+// pointers, and on a deep Clone, where nothing does — Changes says so,
+// and Reparameterize leaves x with the capacities, commodities and
+// subset positions a Build of the changed problem has, and with nothing
+// left to change.
 func TestReparameterizeMatchesBuild(t *testing.T) {
 	base, err := randnet.Generate(randnet.Config{Seed: 5, Nodes: 32, Layers: 4, Commodities: 8})
 	if err != nil {
@@ -50,10 +51,13 @@ func TestReparameterizeMatchesBuild(t *testing.T) {
 				t.Fatal("remove failed")
 			}
 			shifted := []int{0, 2, 3, 5}
-			if only, err := x.ParametersOnly(p, shifted); !only || err != nil {
-				t.Fatalf("ParametersOnly = %v, %v", only, err)
+			if ch, err := x.Changes(p, shifted); ch != Parameters || err != nil {
+				t.Fatalf("Changes = %v, %v", ch, err)
 			}
 			x.Reparameterize(p, shifted)
+			if ch, err := x.Changes(p, shifted); ch != Unchanged || err != nil {
+				t.Fatalf("after Reparameterize: Changes = %v, %v", ch, err)
+			}
 			want := mustBuild(t, p, Options{Commodities: shifted})
 			if !reflect.DeepEqual(x.Capacity, want.Capacity) {
 				t.Error("capacities differ from a build's")
@@ -78,8 +82,10 @@ func TestParametersOnlyRefusesStructure(t *testing.T) {
 	}
 	incl := []int{1, 3, 4, 6}
 	x := mustBuild(t, base, Options{Commodities: incl})
-	if only, err := x.ParametersOnly(base, incl); !only || err != nil {
-		t.Fatalf("the problem x was built from: ParametersOnly = %v, %v", only, err)
+	for name, p := range map[string]*stream.Problem{"the problem x was built from": base, "a version of it": base.NewVersion()} {
+		if ch, err := x.Changes(p, incl); ch != Unchanged || err != nil {
+			t.Fatalf("%s: Changes = %v, %v", name, ch, err)
+		}
 	}
 	cases := map[string]func(p *stream.Problem) []int{
 		"another subset":     func(*stream.Problem) []int { return []int{1, 3, 4, 7} },
@@ -127,7 +133,7 @@ func TestParametersOnlyRefusesStructure(t *testing.T) {
 	}
 	for name, restructure := range cases {
 		p := base.Clone()
-		if only, _ := x.ParametersOnly(p, restructure(p)); only {
+		if ch, _ := x.Changes(p, restructure(p)); ch != Structure {
 			t.Errorf("%s passed for a change of parameters", name)
 		}
 	}
