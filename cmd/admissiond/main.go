@@ -104,7 +104,7 @@ func main() {
 	flag.DurationVar(&cfg.debounce, "debounce", 25*time.Millisecond, "mutation coalescing window before a re-solve")
 	flag.IntVar(&cfg.shards, "shards", 1, "solver shards commodities are partitioned across; they take turns (1 = one shard owns every commodity, nothing to exchange)")
 	flag.Uint64Var(&cfg.placementSalt, "placement-salt", 0, "consistent-hash salt for commodity→shard placement")
-	flag.StringVar(&cfg.eventsOut, "events-out", "", "write solver/server JSONL events to this file")
+	flag.StringVar(&cfg.eventsOut, "events-out", "", "write server JSONL events to this file")
 	flag.Int64Var(&cfg.eventsMaxBytes, "events-max-bytes", 0, "rotate -events-out once it exceeds this size, keeping one predecessor (0 = unbounded)")
 	flag.IntVar(&cfg.spanCap, "span-cap", span.DefaultCapacity, "decision-lifecycle span ring capacity served on /debug/spans (0 disables span tracing)")
 	flag.IntVar(&cfg.historyCap, "history-cap", 64, "generations retained for /history and /v1/flips (<0 disables both)")

@@ -16,49 +16,25 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/experiments"
-	"repro/internal/obs"
 )
 
 func main() {
 	var (
-		run         = flag.String("run", "", "experiment to run (default all): "+strings.Join(experiments.Names(), ","))
-		seed        = flag.Int64("seed", 2, "instance seed")
-		quick       = flag.Bool("quick", false, "reduced iteration budgets")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address while experiments run (e.g. :9090)")
-		eventsOut   = flag.String("events-out", "", "write per-iteration JSONL events to this file")
+		run   = flag.String("run", "", "experiment to run (default all): "+strings.Join(experiments.Names(), ","))
+		seed  = flag.Int64("seed", 2, "instance seed")
+		quick = flag.Bool("quick", false, "reduced iteration budgets")
 	)
 	flag.Parse()
-	if err := realMain(*run, *seed, *quick, *metricsAddr, *eventsOut); err != nil {
+	if err := realMain(*run, *seed, *quick); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func realMain(run string, seed int64, quick bool, metricsAddr, eventsOut string) error {
+func realMain(run string, seed int64, quick bool) error {
 	scale := experiments.DefaultScale()
 	if quick {
 		scale = experiments.Scale{GradIters: 3000, BPIters: 30000}
-	}
-	if metricsAddr != "" || eventsOut != "" {
-		var sink obs.Sink
-		if eventsOut != "" {
-			fs, err := obs.NewFileSink(eventsOut)
-			if err != nil {
-				return err
-			}
-			sink = fs
-		}
-		rec := obs.NewRecorder(obs.NewRegistry(), sink)
-		defer rec.Close()
-		if metricsAddr != "" {
-			srv, err := obs.Serve(metricsAddr, rec.Registry())
-			if err != nil {
-				return err
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "experiments: serving /metrics, /debug/pprof on %s\n", srv.Addr())
-		}
-		scale.Rec = rec
 	}
 	if run != "" && !experiments.ValidName(run) {
 		return fmt.Errorf("unknown experiment %q (have %s)", run, strings.Join(experiments.Names(), ","))

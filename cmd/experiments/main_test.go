@@ -1,52 +1,16 @@
 package main
 
-import (
-	"bufio"
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-
-	"repro/internal/obs"
-)
+import "testing"
 
 func TestRealMainRejectsUnknownExperiment(t *testing.T) {
-	if err := realMain("F99", 1, true, "", ""); err == nil {
+	if err := realMain("F99", 1, true); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
 func TestRealMainRunsT3Quick(t *testing.T) {
 	// T3 is the cheapest experiment: a single iteration per depth.
-	if err := realMain("T3", 3, true, "", ""); err != nil {
+	if err := realMain("T3", 3, true); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRealMainEventsOut(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "events.jsonl")
-	if err := realMain("T3", 3, true, "", path); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	lines := 0
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var e obs.Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("invalid event line %q: %v", sc.Text(), err)
-		}
-		lines++
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if lines == 0 {
-		t.Fatal("no events written")
 	}
 }

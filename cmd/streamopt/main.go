@@ -8,11 +8,10 @@
 //	go run ./cmd/netgen -seed 42 > instance.json
 //	go run ./cmd/streamopt -in instance.json -alg gradient -ref
 //
-// With -metrics-addr the solve is observable live: /metrics serves
-// Prometheus text and /debug/pprof serves runtime profiles while the
-// iteration runs. -events-out writes one JSON event per iteration (see
-// internal/obs for the schema), and -trace-out writes the convergence
-// trace as JSONL instead of interleaving it with the report on stdout.
+// A solve is observed through what it returns: the report's protocol
+// line carries the messages and rounds, -trace prints the convergence
+// trace (Figure 4's utility-versus-iteration curve) after the report,
+// and -trace-out writes it as JSONL instead.
 package main
 
 import (
@@ -24,7 +23,6 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/stream"
 )
 
@@ -42,9 +40,7 @@ type cliConfig struct {
 	sample  int
 	explain bool
 
-	metricsAddr string
-	eventsOut   string
-	traceOut    string
+	traceOut string
 }
 
 func main() {
@@ -60,8 +56,6 @@ func main() {
 	flag.BoolVar(&cfg.trace, "trace", false, "print the convergence trace")
 	flag.IntVar(&cfg.sample, "sample", 0, "trace sampling stride (0 = default)")
 	flag.BoolVar(&cfg.explain, "explain", false, "print per-commodity bottleneck attribution (gradient algorithms only)")
-	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "serve /metrics and /debug/pprof on this address while solving (e.g. :9090)")
-	flag.StringVar(&cfg.eventsOut, "events-out", "", "write per-iteration JSONL events to this file")
 	flag.StringVar(&cfg.traceOut, "trace-out", "", "write the convergence trace as JSONL to this file")
 	flag.Parse()
 	if err := realMain(cfg); err != nil {
@@ -83,30 +77,6 @@ func realMain(cfg cliConfig) error {
 		return err
 	}
 
-	// Observability: a recorder exists only when asked for, so the
-	// default path keeps the engines' zero-overhead nil recorder.
-	var rec *obs.Recorder
-	if cfg.metricsAddr != "" || cfg.eventsOut != "" {
-		var sink obs.Sink
-		if cfg.eventsOut != "" {
-			fs, err := obs.NewFileSink(cfg.eventsOut)
-			if err != nil {
-				return err
-			}
-			sink = fs
-		}
-		rec = obs.NewRecorder(obs.NewRegistry(), sink)
-		defer rec.Close()
-		if cfg.metricsAddr != "" {
-			srv, err := obs.Serve(cfg.metricsAddr, rec.Registry())
-			if err != nil {
-				return err
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "streamopt: serving /metrics, /debug/pprof on %s\n", srv.Addr())
-		}
-	}
-
 	res, err := core.Solve(p, core.Options{
 		Algorithm:     core.Algorithm(cfg.alg),
 		MaxIters:      cfg.iters,
@@ -115,7 +85,6 @@ func realMain(cfg cliConfig) error {
 		Workers:       cfg.workers,
 		WithReference: cfg.ref,
 		SampleEvery:   cfg.sample,
-		Recorder:      rec,
 		Explain:       cfg.explain,
 	})
 	if err != nil {

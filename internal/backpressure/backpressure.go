@@ -31,7 +31,6 @@ import (
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/transform"
 )
 
@@ -52,9 +51,6 @@ type Config struct {
 	// is what makes the baseline need the ~100× more iterations §6
 	// reports. Set to 1 for the undamped greedy variant.
 	Damping float64
-	// Recorder, when non-nil, receives per-iteration events and message
-	// counts. Nil (the default) costs nothing on the hot path.
-	Recorder *obs.Recorder
 }
 
 func (c *Config) setDefaults(x *transform.Extended) {
@@ -268,18 +264,12 @@ func (e *Engine) Step() StepInfo {
 		e.totalDelivered[j] += delivered[j]
 		cum += e.weight[j] * e.totalDelivered[j]
 	}
-	info := StepInfo{
+	return StepInfo{
 		Iteration:  e.iter - 1,
 		Delivered:  delivered,
 		Cumulative: cum / float64(e.iter),
 		Messages:   messages,
 	}
-	// The buffer-based scheme never exceeds capacities by construction,
-	// so the iterate is always feasible; "utility" is the cumulative
-	// delivered utility §6 plots.
-	e.cfg.Recorder.Iteration("backpressure", info.Iteration, info.Cumulative, 0, info.Delivered, true)
-	e.cfg.Recorder.Protocol("backpressure", info.Iteration, messages, 1)
-	return info
 }
 
 // Run executes n iterations, recording every sampleEvery-th StepInfo

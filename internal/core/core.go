@@ -22,7 +22,6 @@ import (
 	"repro/internal/flow"
 	"repro/internal/gradient"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/refopt"
 	"repro/internal/stream"
 	"repro/internal/transform"
@@ -79,11 +78,6 @@ type Options struct {
 
 	// WithReference also computes the LP optimum for comparison.
 	WithReference bool
-
-	// Recorder, when non-nil, streams per-iteration metrics and JSONL
-	// events from the selected solver (see internal/obs). Nil — the
-	// default — adds no per-iteration work or allocations.
-	Recorder *obs.Recorder
 
 	// Explain, when true, attaches a per-commodity bottleneck
 	// attribution (Result.Explain) derived from the final flow
@@ -236,7 +230,6 @@ func solveGradient(p *stream.Problem, x *transform.Extended, opts Options, res *
 		Eta:       opts.Eta,
 		Backtrack: opts.Algorithm == GradientAdaptive,
 		Workers:   opts.Workers,
-		Recorder:  opts.Recorder,
 	})
 	var det gradient.DivergenceDetector
 	var last TracePoint
@@ -247,7 +240,6 @@ func solveGradient(p *stream.Problem, x *transform.Extended, opts Options, res *
 			res.Trace = append(res.Trace, last)
 		}
 		if err := det.Observe(info); err != nil {
-			opts.Recorder.Divergence(string(opts.Algorithm), info.Iteration, err.Error())
 			return err
 		}
 		if opts.StationaryTol > 0 && i%50 == 49 {

@@ -13,7 +13,6 @@ import (
 	"repro/internal/backpressure"
 	"repro/internal/gradient"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/randnet"
 	"repro/internal/refopt"
 	"repro/internal/stream"
@@ -31,10 +30,6 @@ type Scale struct {
 	// Nodes and Commodities override the instance size (0 = §6's 40/3).
 	Nodes       int
 	Commodities int
-	// Rec, when non-nil, streams per-iteration metrics and events from
-	// every engine the experiments construct, so a full paper-scale run
-	// is observable live (cmd/experiments -metrics-addr / -events-out).
-	Rec *obs.Recorder
 }
 
 // DefaultScale is the full §6 configuration.
@@ -116,7 +111,7 @@ func RunF4(seed int64, scale Scale) (*F4Result, error) {
 		GradHit95: -1, BPHit95: -1, GradHit90: -1, BPHit90: -1,
 	}
 
-	eng := gradient.New(x, gradient.Config{Eta: 0.04, Recorder: scale.Rec})
+	eng := gradient.New(x, gradient.Config{Eta: 0.04})
 	for i := 0; i < scale.GradIters; i++ {
 		info := eng.Step()
 		if logSampled(i) || i == scale.GradIters-1 {
@@ -130,7 +125,7 @@ func RunF4(seed int64, scale Scale) (*F4Result, error) {
 		}
 	}
 
-	bp := backpressure.New(x, backpressure.Config{Recorder: scale.Rec})
+	bp := backpressure.New(x, backpressure.Config{})
 	for i := 0; i < scale.BPIters; i++ {
 		info := bp.Step()
 		if logSampled(i) || i == scale.BPIters-1 {
@@ -207,7 +202,7 @@ func RunT2(seed int64, etas []float64, scale Scale) ([]T2Row, error) {
 	}
 	rows := make([]T2Row, 0, len(etas))
 	for _, eta := range etas {
-		eng := gradient.New(x, gradient.Config{Eta: eta, Recorder: scale.Rec})
+		eng := gradient.New(x, gradient.Config{Eta: eta})
 		row := T2Row{Eta: eta, Hit95: -1}
 		final := 0.0
 		var det gradient.DivergenceDetector
@@ -281,10 +276,10 @@ func RunT3(seed int64, layerSweep []int, scale Scale) ([]T3Row, error) {
 		}
 		// Rounds and messages per iteration are topology constants the
 		// engine accounts as it steps (gradient.Stats).
-		probe := gradient.New(x, gradient.Config{Eta: 0.04, Recorder: scale.Rec})
+		probe := gradient.New(x, gradient.Config{Eta: 0.04})
 		probe.Step()
 		st := probe.Stats()
-		bp := backpressure.New(x, backpressure.Config{Recorder: scale.Rec})
+		bp := backpressure.New(x, backpressure.Config{})
 		bpInfo := bp.Step()
 		row := T3Row{
 			Layers:          layers,
@@ -304,7 +299,7 @@ func RunT3(seed int64, layerSweep []int, scale Scale) ([]T3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng := gradient.New(x, gradient.Config{Eta: 0.04, Recorder: scale.Rec})
+		eng := gradient.New(x, gradient.Config{Eta: 0.04})
 		if _, hit, err := eng.RunToTarget(ref.Utility, 0.90, scale.GradIters); err == nil && hit >= 0 {
 			row.GradIters90 = hit
 			row.GradTotalRounds = hit * row.GradRoundsIter
@@ -353,7 +348,7 @@ func RunT4(seed int64, epsilons []float64, scale Scale) ([]T4Row, error) {
 		// iteration needs proportionally more steps to settle; scale
 		// the budget by 0.2/ε relative to the §6 baseline.
 		iters := int(float64(scale.GradIters) * math.Max(1, 0.2/eps))
-		eng := gradient.New(x, gradient.Config{Eta: 0.04, Recorder: scale.Rec})
+		eng := gradient.New(x, gradient.Config{Eta: 0.04})
 		if _, err := eng.Run(iters, nil); err != nil {
 			return nil, err
 		}
@@ -486,7 +481,7 @@ func RunE5(seed int64, scale Scale) (*E5Result, error) {
 	// them the effective step η·a — are an order of magnitude larger
 	// than in the linear experiments; η scales down accordingly
 	// (§5's stability condition).
-	eng := gradient.New(x, gradient.Config{Eta: 0.01, Recorder: scale.Rec})
+	eng := gradient.New(x, gradient.Config{Eta: 0.01})
 	if _, err := eng.Run(scale.GradIters, nil); err != nil {
 		return nil, err
 	}
@@ -594,7 +589,7 @@ func RunE6(seed int64, gammas []float64, scale Scale) ([]E6Row, error) {
 		if iters > 400000 {
 			iters = 400000
 		}
-		eng := gradient.New(x, gradient.Config{Eta: 0.04 * math.Pow(4, -gamma), Recorder: scale.Rec})
+		eng := gradient.New(x, gradient.Config{Eta: 0.04 * math.Pow(4, -gamma)})
 		if _, err := eng.Run(iters, nil); err != nil {
 			return nil, err
 		}
@@ -649,13 +644,13 @@ func RunE7(seed int64, epochs, iterBudget int, scale Scale) ([]E7Epoch, error) {
 		if err != nil {
 			return nil, err
 		}
-		cold := gradient.New(x, gradient.Config{Eta: 0.04, Recorder: scale.Rec})
+		cold := gradient.New(x, gradient.Config{Eta: 0.04})
 		if warm == nil {
-			warm = gradient.New(x, gradient.Config{Eta: 0.04, Recorder: scale.Rec})
+			warm = gradient.New(x, gradient.Config{Eta: 0.04})
 		} else {
 			// Carry the routing across the rate change. The topology is
 			// identical, so routing vectors are index-compatible.
-			warm, err = gradient.NewFrom(x, warm.Routing(), gradient.Config{Eta: 0.04, Recorder: scale.Rec})
+			warm, err = gradient.NewFrom(x, warm.Routing(), gradient.Config{Eta: 0.04})
 			if err != nil {
 				return nil, err
 			}

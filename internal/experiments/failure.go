@@ -63,7 +63,7 @@ func runE8One(seed int64, eps float64, scale Scale) (*E8Row, error) {
 	}
 
 	// Converge on the healthy network.
-	pre := gradient.New(x, gradient.Config{Eta: 0.04, Recorder: scale.Rec})
+	pre := gradient.New(x, gradient.Config{Eta: 0.04})
 	if _, err := pre.Run(scale.GradIters, nil); err != nil {
 		return nil, err
 	}
@@ -115,12 +115,12 @@ func runE8One(seed int64, eps float64, scale Scale) (*E8Row, error) {
 	// 85% target keeps the large-ε rows meaningful (the ε = 0.5 barrier
 	// plateau sits below 90% of the LP optimum, see T4).
 	budget := int(float64(scale.GradIters) * math.Max(1, 0.2/eps))
-	warm, err := gradient.NewFrom(xf, pre.Routing(), gradient.Config{Eta: 0.04, Recorder: scale.Rec})
+	warm, err := gradient.NewFrom(xf, pre.Routing(), gradient.Config{Eta: 0.04})
 	if err != nil {
 		return nil, err
 	}
 	row.FeasibleIters, row.RecoverIters = runToFeasibleTarget(warm, 0.85*ref.Utility, budget)
-	cold := gradient.New(xf, gradient.Config{Eta: 0.04, Recorder: scale.Rec})
+	cold := gradient.New(xf, gradient.Config{Eta: 0.04})
 	_, row.ColdIters = runToFeasibleTarget(cold, 0.85*ref.Utility, budget)
 	return row, nil
 }

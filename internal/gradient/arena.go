@@ -21,11 +21,6 @@ type waveScratch struct {
 	// heavy-ball term (mu > 0): the engine's spare routing holds it on
 	// entry, and seeding the new row overwrites it.
 	prev []float64
-
-	// ntagged totals the nodes this worker tagged in the current wave;
-	// an integer sum, so the reduction over workers does not depend on
-	// which worker ran what.
-	ntagged int
 }
 
 // arena owns one engine's wave workspaces and the worker pool that runs
@@ -79,10 +74,9 @@ func newArena(x *transform.Extended, workers int) *arena {
 // mu > 0, next must hold φ_{k−1} on entry.
 // With more than one worker commodities are processed concurrently by a
 // bounded pool; no floating-point value crosses between commodities, so
-// the result is bitwise-identical to the sequential execution. It
-// returns the number of tagged nodes. a.price must hold u's node
-// prices.
-func (a *arena) runWave(u *flow.Usage, eta, mu float64, blocking bool, next *flow.Routing) (ntagged int) {
+// the result is bitwise-identical to the sequential execution.
+// a.price must hold u's node prices.
+func (a *arena) runWave(u *flow.Usage, eta, mu float64, blocking bool, next *flow.Routing) {
 	if len(a.scratch) > 1 {
 		a.cursor.Store(0)
 		var wg sync.WaitGroup
@@ -98,17 +92,12 @@ func (a *arena) runWave(u *flow.Usage, eta, mu float64, blocking bool, next *flo
 	} else {
 		a.work(&a.scratch[0], nil, u, eta, mu, blocking, next)
 	}
-	for i := range a.scratch {
-		ntagged += a.scratch[i].ntagged
-	}
-	return ntagged
 }
 
 // work runs the wave chain of the commodities one worker gets: those it
 // claims from cursor, or all of them in order when cursor is nil (the
 // single-worker path, which stays free of atomics and allocation).
 func (a *arena) work(w *waveScratch, cursor *atomic.Int64, u *flow.Usage, eta, mu float64, blocking bool, next *flow.Routing) {
-	w.ntagged = 0
 	var tagged []bool
 	if blocking {
 		tagged = w.tagged
@@ -120,7 +109,7 @@ func (a *arena) work(w *waveScratch, cursor *atomic.Int64, u *flow.Usage, eta, m
 		if j >= len(a.x.Sub) {
 			return
 		}
-		w.ntagged += sweep(u, j, a.price, w.rho, w.linkD, tagged, eta)
+		sweep(u, j, a.price, w.rho, w.linkD, tagged, eta)
 		row := next.Phi[j]
 		var prev []float64
 		if mu > 0 {

@@ -7,7 +7,6 @@ import (
 	"runtime"
 
 	"repro/internal/flow"
-	"repro/internal/obs"
 	"repro/internal/transform"
 )
 
@@ -44,10 +43,6 @@ type Config struct {
 	// means GOMAXPROCS. Any value produces the same trajectory bit for
 	// bit; Workers: 1 runs the waves inline.
 	Workers int
-	// Recorder, when non-nil, receives per-iteration events and
-	// metrics. Nil (the default) costs nothing on the hot path. The
-	// engine reads no clock; /debug/pprof shows where a step's time goes.
-	Recorder *obs.Recorder
 }
 
 func (c *Config) setDefaults() {
@@ -148,7 +143,6 @@ func New(x *transform.Extended, cfg Config) *Engine {
 
 func newEngine(x *transform.Extended, r *flow.Routing, cfg Config) *Engine {
 	cfg.setDefaults()
-	cfg.Recorder.SetEta(cfg.Eta)
 	return &Engine{
 		X: x, R: r, cfg: cfg, eta: cfg.Eta,
 		u:        flow.NewUsage(x),
@@ -260,7 +254,6 @@ func (e *Engine) Stationarity() StationarityReport {
 // state lives in workspaces allocated at construction, so the
 // steady-state step performs no heap allocation.
 func (e *Engine) Step() StepInfo {
-	rec := e.cfg.Recorder
 	u := e.Usage()
 	info := e.measure(u)
 
@@ -269,7 +262,7 @@ func (e *Engine) Step() StepInfo {
 	if e.heavy {
 		mu = e.cfg.Momentum
 	}
-	iterTagged := e.arena.runWave(u, e.eta, mu, !e.cfg.DisableBlocking, next)
+	e.arena.runWave(u, e.eta, mu, !e.cfg.DisableBlocking, next)
 	e.carried = false
 	if e.cfg.Backtrack {
 		e.backtrack(next, info.Cost)
@@ -279,14 +272,9 @@ func (e *Engine) Step() StepInfo {
 	}
 	// Forecast wave mirrors the marginal wave downstream: same message
 	// count, same depth.
-	iterMessages, iterRounds := 2*e.arena.messages, 2*e.arena.rounds
-	e.stats.Messages += iterMessages
-	e.stats.Rounds += iterRounds
+	e.stats.Messages += 2 * e.arena.messages
+	e.stats.Rounds += 2 * e.arena.rounds
 	e.stats.Iterations++
-	alg := e.alg()
-	rec.Iteration(alg, info.Iteration, info.Utility, info.Cost, info.Admitted, info.Feasible)
-	rec.Protocol(alg, info.Iteration, iterMessages, iterRounds)
-	rec.Blocking(alg, info.Iteration, iterTagged)
 	return info
 }
 
@@ -303,7 +291,6 @@ func (e *Engine) Step() StepInfo {
 // pass per accepted step, and a second workspace saved for the price of
 // one extra forecast per rejection.
 func (e *Engine) backtrack(next *flow.Routing, cost float64) {
-	rec := e.cfg.Recorder
 	flow.EvaluateInto(e.u, next)
 	proposed, feasible := evaluate(e.u, e.arena.price)
 	if proposed <= cost+1e-12 {
@@ -319,13 +306,11 @@ func (e *Engine) backtrack(next *flow.Routing, cost float64) {
 	} else {
 		e.forecasted, e.heavy = false, false
 		e.backtracks++
-		rec.Backtrack()
 		e.descents = 0
 		if shrunk := e.eta * etaShrink; shrunk >= etaMin {
 			e.eta = shrunk
 		}
 	}
-	rec.SetEta(e.eta)
 }
 
 // accept makes the proposal next the engine's routing, and the one it
@@ -333,15 +318,6 @@ func (e *Engine) backtrack(next *flow.Routing, cost float64) {
 func (e *Engine) accept(next *flow.Routing) {
 	e.spare, e.R = e.R, next
 	e.heavy = e.cfg.Momentum > 0
-}
-
-// alg labels the engine's events with the step mode, under the names
-// core.Algorithm gives the two.
-func (e *Engine) alg() string {
-	if e.cfg.Backtrack {
-		return "gradient-adaptive"
-	}
-	return "gradient"
 }
 
 // measure reads the StepInfo of the routing u holds and leaves its
@@ -410,7 +386,6 @@ func (e *Engine) Run(maxIters int, stop func(StepInfo) bool) ([]StepInfo, error)
 		info.Admitted = append([]float64(nil), info.Admitted...)
 		trace = append(trace, info)
 		if err := det.Observe(info); err != nil {
-			e.cfg.Recorder.Divergence(e.alg(), info.Iteration, err.Error())
 			return trace, err
 		}
 		if stop != nil && stop(info) {

@@ -235,24 +235,17 @@ func checkKernelParity(t *testing.T, x *transform.Extended, start *flow.Routing,
 			if blocking {
 				tagged = tagBuf[:sg.NumNodes()]
 			}
-			ntagged := sweep(ref.u, j, price, rho, linkD, tagged, eta)
+			sweep(ref.u, j, price, rho, linkD, tagged, eta)
 			if k := sameBits(rho, ref.m[j].rho); k >= 0 {
 				t.Fatalf("iteration %d commodity %d: rho[%d] = %v, reference %v", i, j, k, rho[k], ref.m[j].rho[k])
 			}
 			if k := sameBits(linkD, ref.m[j].linkD); k >= 0 {
 				t.Fatalf("iteration %d commodity %d: linkD[%d] = %v, reference %v", i, j, k, linkD[k], ref.m[j].linkD[k])
 			}
-			count := 0
 			for ln := range tagged {
 				if tagged[ln] != ref.tagged[j][ln] {
 					t.Fatalf("iteration %d commodity %d: tag of local node %d = %v, reference %v", i, j, ln, tagged[ln], ref.tagged[j][ln])
 				}
-				if tagged[ln] {
-					count++
-				}
-			}
-			if ntagged != count {
-				t.Fatalf("iteration %d commodity %d: sweep counted %d tags, vector has %d", i, j, ntagged, count)
 			}
 			if sg.NumEdges() != ref.m[j].messages || sg.Depth() != ref.m[j].rounds {
 				t.Fatalf("commodity %d: topology constants (%d messages, %d rounds), reference wave counted (%d, %d)",

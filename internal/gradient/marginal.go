@@ -87,13 +87,12 @@ func marginalsAt(u *flow.Usage, j int, price []float64) *Marginals {
 // node (nodePrices): it depends on the node alone, not on the commodity
 // or the edge, so it is computed once per iteration instead of once per
 // member edge. rho and tagged (local node indexing) and linkD (local
-// edge indexing) are fully overwritten; sweep returns the number of
-// tagged nodes.
+// edge indexing) are fully overwritten.
 //
 // The wave sends one ρ broadcast per member edge and takes as many
 // sequential rounds as the member DAG is deep; both are constants of
 // the topology (Subgraph.NumEdges, Subgraph.Depth), not recounted here.
-func sweep(u *flow.Usage, j int, price, rho, linkD []float64, tagged []bool, eta float64) (ntagged int) {
+func sweep(u *flow.Usage, j int, price, rho, linkD []float64, tagged []bool, eta float64) {
 	x := u.R.X
 	sg := &x.Sub[j]
 	phi, t := u.R.Phi[j], u.T[j]
@@ -128,14 +127,9 @@ func sweep(u *flow.Usage, j int, price, rho, linkD []float64, tagged []bool, eta
 		}
 		rho[ln] = r
 		if tagged != nil {
-			tag := tagNode(outs, phi, beta, head, rho, linkD, tagged, r, t[ln], eta)
-			tagged[ln] = tag
-			if tag {
-				ntagged++
-			}
+			tagged[ln] = tagNode(outs, phi, beta, head, rho, linkD, tagged, r, t[ln], eta)
 		}
 	}
-	return ntagged
 }
 
 // RhoAt reads Rho by extended node ID (zero for non-member nodes).

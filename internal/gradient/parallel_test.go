@@ -134,7 +134,7 @@ func TestAdaptiveParallelTrajectoryIdentical(t *testing.T) {
 }
 
 // TestStepSteadyStateAllocs pins the workspace contract of the iterate
-// layer: with observability off and a single worker, neither Step nor
+// layer: with a single worker, neither Step nor
 // the periodic convergence test on the engine's workspaces allocates.
 func TestStepSteadyStateAllocs(t *testing.T) {
 	x := buildInstance(t, randnet.Config{Seed: 2, Nodes: 40, Commodities: 3})

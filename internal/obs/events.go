@@ -14,21 +14,11 @@ import (
 // EventType tags one JSONL record.
 type EventType string
 
-// Event types emitted by the instrumented loops.
+// Event types emitted by the admission server.
 const (
-	// EventIteration is one optimizer iteration: utility, cost, admitted
-	// rates and feasibility (the Figure 4/6 trajectory data).
-	EventIteration EventType = "iteration"
-	// EventProtocol reports the distributed-protocol cost of one
-	// iteration: messages exchanged and sequential rounds (§6's O(L)
-	// discussion).
-	EventProtocol EventType = "protocol"
-	// EventDivergence is emitted when a gradient trajectory is declared
-	// diverged (NaN or sustained non-finite cost).
+	// EventDivergence is emitted when a solve's gradient trajectory is
+	// declared diverged (NaN or sustained non-finite cost).
 	EventDivergence EventType = "divergence"
-	// EventBlocking reports loop-freedom tagging activity: how many
-	// (commodity, node) pairs were blocked this iteration.
-	EventBlocking EventType = "blocking"
 	// EventServerMutation is one accepted admission-server mutation
 	// (commodity added/removed, rate/utility/capacity/bandwidth change).
 	EventServerMutation EventType = "server_mutation"
@@ -62,23 +52,11 @@ type Event struct {
 	Alg  string    `json:"alg,omitempty"`
 	Iter int       `json:"iter"`
 
-	// Iteration fields.
-	Utility  float64   `json:"utility,omitempty"`
-	Cost     float64   `json:"cost,omitempty"`
-	Admitted []float64 `json:"admitted,omitempty"`
-	Feasible *bool     `json:"feasible,omitempty"`
-
-	// Protocol fields.
-	Messages int `json:"messages,omitempty"`
-	Rounds   int `json:"rounds,omitempty"`
-
-	// Blocking fields.
-	Tagged int `json:"tagged,omitempty"`
-
-	// Divergence detail.
+	// Divergence and capture detail.
 	Reason string `json:"reason,omitempty"`
 
 	// Admission-server fields.
+	Utility    float64 `json:"utility,omitempty"`
 	Generation int64   `json:"generation,omitempty"`
 	Start      string  `json:"start,omitempty"` // "warm" | "cold"
 	Kind       string  `json:"kind,omitempty"`  // mutation kind

@@ -18,11 +18,7 @@ import (
 // after the last scrape, so exposition is always under write pressure.
 func TestConcurrentExpositionWhileWritersHot(t *testing.T) {
 	reg := NewRegistry()
-	srv, err := Serve("127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serveAttached(t, reg)
 
 	// Pre-register one of each kind so every scrape must see them.
 	reg.Counter("race_iters_total", "writes under scrape").Add(1)
@@ -53,7 +49,7 @@ func TestConcurrentExpositionWhileWritersHot(t *testing.T) {
 	}
 
 	scrape := func(path, want string) error {
-		resp, err := http.Get("http://" + srv.Addr() + path)
+		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			return err
 		}

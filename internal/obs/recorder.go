@@ -6,41 +6,26 @@ import (
 	"time"
 )
 
-// Recorder is the handle the optimizer loops thread through their
-// configs. A nil *Recorder is valid and means "observability off":
-// every method nil-checks and returns, costing one predicted branch on
-// the hot path and zero allocations (see recorder_test.go).
+// Recorder is the handle the admission server threads through its
+// options. A nil *Recorder is valid and means "observability off":
+// every method nil-checks and returns, costing one predicted branch and
+// zero allocations (see recorder_test.go).
 //
-// A registry holds only the series its process writes: each role's
-// set (engine, server) is registered at that role's first write, all
-// of it at once, so a counter reads 0 from then until its first
-// increment; later writes go through cached pointers.
+// A registry holds only the series its process writes: the server's
+// per-generation set is registered at its first write, all of it at
+// once, so a counter reads 0 from then until its first increment; later
+// writes go through cached pointers.
 type Recorder struct {
 	reg   *Registry
 	sink  Sink
 	start time.Time
 
-	engineOnce sync.Once
-	engine     *engineMetrics
 	serverOnce sync.Once
 	server     *serverMetrics
 
 	// stages caches streamopt_stage_seconds by span name (string →
 	// *Histogram), so observing a span costs no registry lookup.
 	stages sync.Map
-}
-
-// engineMetrics is what an observed optimizer loop writes: the §6
-// trajectory (utility, cost, feasibility), the protocol's message
-// count, and the step controller's state.
-type engineMetrics struct {
-	iterations *Counter
-	utility    *Gauge
-	cost       *Gauge
-	feasible   *Gauge
-	messages   *Counter
-	backtracks *Counter
-	eta        *Gauge
 }
 
 // serverMetrics is what an admission server writes per published
@@ -51,6 +36,7 @@ type serverMetrics struct {
 	warm, cold   *Counter
 	flipAdmitted *Counter
 	flipRejected *Counter
+	divergence   *Counter
 }
 
 // NewRecorder builds an enabled recorder. reg may be nil (a fresh
@@ -68,22 +54,6 @@ func NewRecorder(reg *Registry, sink Sink) *Recorder {
 	return &Recorder{reg: reg, sink: sink, start: time.Now()}
 }
 
-func (r *Recorder) engineSet() *engineMetrics {
-	r.engineOnce.Do(func() {
-		reg := r.reg
-		r.engine = &engineMetrics{
-			iterations: reg.Counter("streamopt_iterations_total", "Optimizer iterations executed."),
-			utility:    reg.Gauge("streamopt_utility", "Total utility at the latest iteration."),
-			cost:       reg.Gauge("streamopt_cost", "Cost A = Y + epsilon*D at the latest iteration."),
-			feasible:   reg.Gauge("streamopt_feasible", "1 when the latest iterate satisfies every capacity constraint."),
-			messages:   reg.Counter("streamopt_protocol_messages_total", "Protocol messages exchanged."),
-			backtracks: reg.Counter("streamopt_adaptive_backtracks_total", "Adaptive step-size rollbacks."),
-			eta:        reg.Gauge("streamopt_eta", "Current gradient step scale."),
-		}
-	})
-	return r.engine
-}
-
 func (r *Recorder) serverSet() *serverMetrics {
 	r.serverOnce.Do(func() {
 		reg := r.reg
@@ -96,17 +66,10 @@ func (r *Recorder) serverSet() *serverMetrics {
 			cold:         reg.Counter("streamopt_server_solves_total", solves, "start", "cold"),
 			flipAdmitted: reg.Counter("streamopt_admission_flips_total", flips, "to", "admitted"),
 			flipRejected: reg.Counter("streamopt_admission_flips_total", flips, "to", "rejected"),
+			divergence:   reg.Counter("streamopt_divergence_total", "Trajectories declared diverged."),
 		}
-		r.divergence()
 	})
 	return r.server
-}
-
-// divergence is streamopt_divergence_total, which engines and the
-// server both write; the server set registers it with the rest, an
-// engine at its first divergence.
-func (r *Recorder) divergence() *Counter {
-	return r.reg.Counter("streamopt_divergence_total", "Trajectories declared diverged.")
 }
 
 // Registry exposes the underlying registry (nil for a nil recorder).
@@ -133,77 +96,14 @@ func (r *Recorder) emit(e Event) {
 	r.sink.Emit(e)
 }
 
-var (
-	ptrue  = new(bool)
-	pfalse = new(bool)
-)
-
-func init() { *ptrue = true }
-
-// Iteration records one optimizer iteration. admitted goes to the event
-// sink only (read synchronously, not retained): per-commodity rates are
-// not metric series.
-func (r *Recorder) Iteration(alg string, iter int, utility, cost float64, admitted []float64, feasible bool) {
+// Divergence records a server solve whose trajectory was declared
+// diverged after iter iterations.
+func (r *Recorder) Divergence(iter int, reason string) {
 	if r == nil {
 		return
 	}
-	m := r.engineSet()
-	m.iterations.Inc()
-	m.utility.Set(utility)
-	m.cost.Set(cost)
-	fp := pfalse
-	fv := 0.0
-	if feasible {
-		fp, fv = ptrue, 1
-	}
-	m.feasible.Set(fv)
-	r.emit(Event{
-		Type: EventIteration, Alg: alg, Iter: iter,
-		Utility: utility, Cost: cost, Admitted: admitted, Feasible: fp,
-	})
-}
-
-// Protocol records the distributed message cost of one iteration.
-func (r *Recorder) Protocol(alg string, iter, messages, rounds int) {
-	if r == nil {
-		return
-	}
-	r.engineSet().messages.Add(messages)
-	r.emit(Event{Type: EventProtocol, Alg: alg, Iter: iter, Messages: messages, Rounds: rounds})
-}
-
-// Blocking records loop-freedom tagging activity; an iteration that
-// tagged nothing emits no event, to keep files small.
-func (r *Recorder) Blocking(alg string, iter, tagged int) {
-	if r == nil || tagged == 0 {
-		return
-	}
-	r.emit(Event{Type: EventBlocking, Alg: alg, Iter: iter, Tagged: tagged})
-}
-
-// Divergence records a trajectory declared diverged.
-func (r *Recorder) Divergence(alg string, iter int, reason string) {
-	if r == nil {
-		return
-	}
-	r.divergence().Inc()
-	r.emit(Event{Type: EventDivergence, Alg: alg, Iter: iter, Reason: reason})
-}
-
-// SetEta publishes the adaptive controller's current step scale.
-func (r *Recorder) SetEta(eta float64) {
-	if r == nil {
-		return
-	}
-	r.engineSet().eta.Set(eta)
-}
-
-// Backtrack counts one adaptive step rollback.
-func (r *Recorder) Backtrack() {
-	if r == nil {
-		return
-	}
-	r.engineSet().backtracks.Inc()
+	r.serverSet().divergence.Inc()
+	r.emit(Event{Type: EventDivergence, Alg: "server", Iter: iter, Reason: reason})
 }
 
 // ServerMutation records one accepted admission-server mutation. kind

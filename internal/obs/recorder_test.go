@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,13 +17,15 @@ import (
 // TestNilRecorderIsSafe calls every method on a nil recorder.
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
-	r.Iteration("gradient", 0, 1, 2, []float64{3}, true)
-	r.Protocol("dist", 0, 10, 2)
-	r.Blocking("gradient", 0, 1)
-	r.Divergence("gradient", 5, "NaN")
-	r.SetEta(0.04)
-	r.Backtrack()
+	r.ServerMutation("set_rate", "c1")
+	r.ServerSolve(1, true, 0.1, 2.5, 10)
+	r.AdmissionFlip(1, "c1", true, 3, "")
+	r.Divergence(5, "NaN")
 	r.Span("t", "s", "", "solve", 0.25, nil)
+	r.ShardAdvance(0, 0.1, 10, 3, true)
+	r.BuildFootprint(0, 1<<20)
+	r.PriceExchange(0.01)
+	r.HTTPRequest("/v1/admitted", "GET", "/v1/admitted", 200, 1e-3, "")
 	if r.Registry() != nil {
 		t.Fatal("nil recorder must have nil registry")
 	}
@@ -32,29 +35,24 @@ func TestNilRecorderIsSafe(t *testing.T) {
 }
 
 // TestDisabledRecorderAllocates pins the acceptance criterion: the
-// disabled (nil) recorder adds zero allocations per iteration.
+// disabled (nil) recorder adds zero allocations per publish.
 func TestDisabledRecorderAllocates(t *testing.T) {
 	var r *Recorder
-	admitted := []float64{1, 2, 3}
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.Span("t", "s", "", "iterate", 0.25, nil)
-		r.Iteration("gradient", 1, 2, 3, admitted, true)
-		r.Protocol("gradient", 1, 4, 2)
-		r.Blocking("gradient", 1, 0)
+		r.ServerSolve(1, true, 0.1, 2.5, 10)
+		r.AdmissionFlip(1, "c1", false, 0, "")
+		r.Divergence(1, "NaN")
 	})
 	if allocs != 0 {
-		t.Fatalf("nil recorder allocated %v per iteration, want 0", allocs)
+		t.Fatalf("nil recorder allocated %v per publish, want 0", allocs)
 	}
 }
 
 func TestRecorderEventsAndMetrics(t *testing.T) {
 	var buf bytes.Buffer
 	r := NewRecorder(nil, NewJSONLSink(&buf))
-	r.Iteration("gradient", 0, 10.5, 3.25, []float64{1, 2}, true)
-	r.Iteration("gradient", 1, 11, 3, []float64{1.5, 2}, false)
-	r.Protocol("gradient", 1, 20, 4)
-	r.Blocking("gradient", 1, 2)
-	r.Divergence("gradient", 1, "cost non-finite")
+	r.Divergence(1, "cost non-finite")
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -68,43 +66,13 @@ func TestRecorderEventsAndMetrics(t *testing.T) {
 		}
 		events = append(events, e)
 	}
-	if len(events) != 5 {
-		t.Fatalf("got %d events, want 5", len(events))
+	if len(events) != 1 {
+		t.Fatalf("got %d events, want 1", len(events))
 	}
-	it := events[0]
-	if it.Type != EventIteration || it.Utility != 10.5 || it.Cost != 3.25 ||
-		len(it.Admitted) != 2 || it.Feasible == nil || !*it.Feasible {
-		t.Fatalf("bad iteration event: %+v", it)
+	if e := events[0]; e.Type != EventDivergence || e.Alg != "server" || e.Iter != 1 || e.Reason == "" {
+		t.Fatalf("bad divergence event: %+v", e)
 	}
-	if events[1].Feasible == nil || *events[1].Feasible {
-		t.Fatalf("second iteration should be infeasible: %+v", events[1])
-	}
-	if events[2].Type != EventProtocol || events[2].Messages != 20 || events[2].Rounds != 4 {
-		t.Fatalf("bad protocol event: %+v", events[2])
-	}
-	if events[4].Type != EventDivergence || events[4].Reason == "" {
-		t.Fatalf("bad divergence event: %+v", events[4])
-	}
-
-	reg := r.Registry()
-	if got := reg.Counter("streamopt_iterations_total", "").Value(); got != 2 {
-		t.Fatalf("iterations counter = %d, want 2", got)
-	}
-	if got := reg.Gauge("streamopt_utility", "").Value(); got != 11 {
-		t.Fatalf("utility gauge = %g, want 11", got)
-	}
-	// Admitted rates ride the iteration event, not J metric series.
-	var prom strings.Builder
-	if err := reg.WritePrometheus(&prom); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(prom.String(), `commodity="`) {
-		t.Fatalf("per-commodity series in the exposition:\n%s", prom.String())
-	}
-	if got := reg.Counter("streamopt_protocol_messages_total", "").Value(); got != 20 {
-		t.Fatalf("messages counter = %d, want 20", got)
-	}
-	if got := reg.Counter("streamopt_divergence_total", "").Value(); got != 1 {
+	if got := r.Registry().Counter("streamopt_divergence_total", "").Value(); got != 1 {
 		t.Fatalf("divergence counter = %d, want 1", got)
 	}
 }
@@ -155,7 +123,7 @@ func TestFileSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRecorder(nil, sink)
-	r.Iteration("gradient", 0, 1, 2, nil, true)
+	r.ServerSolve(1, true, 0.1, 2.5, 10)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -167,22 +135,29 @@ func TestFileSink(t *testing.T) {
 	if err := json.Unmarshal(bytes.TrimSpace(data), &e); err != nil {
 		t.Fatalf("file sink wrote invalid JSON %q: %v", data, err)
 	}
-	if e.Type != EventIteration {
-		t.Fatalf("event type = %q, want iteration", e.Type)
+	if e.Type != EventServerSolve {
+		t.Fatalf("event type = %q, want server_solve", e.Type)
 	}
+}
+
+// serveAttached serves the Attach endpoints of reg on a test listener,
+// the way the admission server mounts them on its own mux.
+func serveAttached(t *testing.T, reg *Registry) *httptest.Server {
+	t.Helper()
+	mux := http.NewServeMux()
+	Attach(mux, reg)
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	return srv
 }
 
 func TestServeEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("streamopt_iterations_total", "iterations").Add(3)
-	srv, err := Serve("127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	reg.Counter("exposition_test_total", "a test counter").Add(3)
+	srv := serveAttached(t, reg)
 
 	get := func(path string) string {
-		resp, err := http.Get("http://" + srv.Addr() + path)
+		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
@@ -197,14 +172,14 @@ func TestServeEndpoints(t *testing.T) {
 		return string(body)
 	}
 
-	if out := get("/metrics"); !strings.Contains(out, "streamopt_iterations_total 3") {
+	if out := get("/metrics"); !strings.Contains(out, "exposition_test_total 3") {
 		t.Errorf("/metrics missing counter:\n%s", out)
 	}
 	if out := get("/debug/pprof/cmdline"); out == "" {
 		t.Error("/debug/pprof/cmdline empty")
 	}
 	// /metrics is the registry's one encoding: no expvar mirror.
-	resp, err := http.Get("http://" + srv.Addr() + "/debug/vars")
+	resp, err := http.Get(srv.URL + "/debug/vars")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,22 +205,13 @@ func families(t *testing.T, reg *Registry) []string {
 	return out
 }
 
-// TestRolesRegisterAtFirstWrite: a recorder registers nothing until a
-// role writes, and then that role's whole set, so its counters read 0
-// before their first increment and no other role's series appear.
+// TestRolesRegisterAtFirstWrite: a recorder registers nothing until
+// the server's first write, and then the server's whole set, so its
+// counters read 0 before their first increment.
 func TestRolesRegisterAtFirstWrite(t *testing.T) {
 	r := NewRecorder(nil, nil)
 	if got := families(t, r.Registry()); len(got) != 0 {
 		t.Fatalf("fresh recorder exposes %v, want nothing", got)
-	}
-
-	r.SetEta(0.04)
-	engine := []string{
-		"streamopt_iterations_total", "streamopt_utility", "streamopt_cost", "streamopt_feasible",
-		"streamopt_protocol_messages_total", "streamopt_adaptive_backtracks_total", "streamopt_eta",
-	}
-	if got := families(t, r.Registry()); strings.Join(got, " ") != strings.Join(engine, " ") {
-		t.Fatalf("after one engine write: %v, want %v", got, engine)
 	}
 
 	r.ServerSolve(1, false, 0.1, 2.5, 10)
@@ -253,8 +219,8 @@ func TestRolesRegisterAtFirstWrite(t *testing.T) {
 		"streamopt_server_generation", "streamopt_server_utility", "streamopt_server_solves_total",
 		"streamopt_admission_flips_total", "streamopt_divergence_total",
 	}
-	if got := families(t, r.Registry()); strings.Join(got, " ") != strings.Join(append(engine, server...), " ") {
-		t.Fatalf("after one server write: %v, want %v", got, append(engine, server...))
+	if got := families(t, r.Registry()); strings.Join(got, " ") != strings.Join(server, " ") {
+		t.Fatalf("after one server write: %v, want %v", got, server)
 	}
 	reg := r.Registry()
 	for _, c := range []struct {
@@ -270,8 +236,11 @@ func TestRolesRegisterAtFirstWrite(t *testing.T) {
 			t.Errorf("%s{%s=%q} = %d, want %d", c.name, c.k, c.v, got, c.want)
 		}
 	}
+	if got := reg.Counter("streamopt_divergence_total", "").Value(); got != 0 {
+		t.Errorf("streamopt_divergence_total = %d, want 0", got)
+	}
 
-	// Writers on several goroutines may meet a role's first write
+	// Writers on several goroutines may meet the set's first write
 	// together: every write still lands in the one set.
 	r = NewRecorder(nil, nil)
 	var wg sync.WaitGroup
@@ -280,37 +249,34 @@ func TestRolesRegisterAtFirstWrite(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.Backtrack()
+				r.AdmissionFlip(int64(i), "c1", true, 1, "")
 				r.ServerSolve(int64(i), true, 0, 0, 0)
 			}
 		}()
 	}
 	wg.Wait()
 	reg = r.Registry()
-	if got := reg.Counter("streamopt_adaptive_backtracks_total", "").Value(); got != 400 {
-		t.Errorf("backtracks = %d, want 400", got)
+	if got := reg.Counter("streamopt_admission_flips_total", "", "to", "admitted").Value(); got != 400 {
+		t.Errorf("admitted flips = %d, want 400", got)
 	}
 	if got := reg.Counter("streamopt_server_solves_total", "", "start", "warm").Value(); got != 400 {
 		t.Errorf("warm solves = %d, want 400", got)
 	}
 }
 
-// TestEnabledRecorderPerIterationAllocs: with the engine set registered,
-// a metrics-only recorder's per-iteration writes are cached-pointer
+// TestEnabledRecorderPerPublishAllocs: with the server set registered,
+// a metrics-only recorder's per-publish writes are cached-pointer
 // updates — no registry lookup, no allocation.
-func TestEnabledRecorderPerIterationAllocs(t *testing.T) {
+func TestEnabledRecorderPerPublishAllocs(t *testing.T) {
 	r := NewRecorder(nil, nil)
-	admitted := []float64{1, 2, 3}
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.Iteration("gradient", 1, 2, 3, admitted, true)
-		r.Protocol("gradient", 1, 4, 2)
-		r.SetEta(0.04)
-		r.Backtrack()
+		r.ServerSolve(1, true, 0.1, 2.5, 10)
+		r.AdmissionFlip(1, "c1", true, 3, "")
 	})
 	if allocs != 0 {
-		t.Fatalf("metrics-only recorder allocated %v per iteration, want 0", allocs)
+		t.Fatalf("metrics-only recorder allocated %v per publish, want 0", allocs)
 	}
-	if got := r.Registry().Counter("streamopt_iterations_total", "").Value(); got != 1001 {
-		t.Fatalf("iterations counter = %d, want 1001", got)
+	if got := r.Registry().Counter("streamopt_server_solves_total", "", "start", "warm").Value(); got != 1001 {
+		t.Fatalf("warm solves counter = %d, want 1001", got)
 	}
 }

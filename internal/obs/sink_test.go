@@ -29,7 +29,7 @@ func TestSinkCountsDroppedEvents(t *testing.T) {
 	sink := NewJSONLSink(&failAfter{ok: 2})
 	rec := NewRecorder(NewRegistry(), sink)
 	for i := 0; i < 5; i++ {
-		rec.Iteration("gradient", i, 1, 2, nil, true)
+		rec.ServerSolve(int64(i), true, 0.1, 2.5, 10)
 	}
 	if got := sink.Drops(); got != 3 {
 		t.Fatalf("sink drops = %d, want 3", got)
@@ -50,7 +50,7 @@ func TestFileSinkCountsBufferedDrops(t *testing.T) {
 	}
 	const total = 2000
 	for i := 0; i < total; i++ {
-		sink.Emit(Event{Type: EventIteration, Iter: i, Utility: float64(i)})
+		sink.Emit(Event{Type: EventServerSolve, Iter: i, Utility: float64(i)})
 	}
 	if err := sink.Close(); err == nil {
 		t.Fatal("Close reported no error for a sink that wrote nothing")
@@ -70,7 +70,7 @@ func TestRotatingFileSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		sink.Emit(Event{Type: EventIteration, Iter: i, Utility: float64(i)})
+		sink.Emit(Event{Type: EventServerSolve, Iter: i, Utility: float64(i)})
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestRotatedStreamStaysParseable(t *testing.T) {
 	}
 	const total = 200
 	for i := 0; i < total; i++ {
-		sink.Emit(Event{Type: EventIteration, Iter: i})
+		sink.Emit(Event{Type: EventServerSolve, Iter: i})
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestRotationRenameFailureGoesDead(t *testing.T) {
 	}
 	const total = 5
 	for i := 0; i < total; i++ {
-		sink.Emit(Event{Type: EventIteration, Iter: i, Utility: float64(i)})
+		sink.Emit(Event{Type: EventServerSolve, Iter: i, Utility: float64(i)})
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)

@@ -788,7 +788,7 @@ func (s *Server) solveOnce() {
 	it.SetAttrBool("converged", res.Converged)
 	it.End()
 	if res.Err != nil {
-		s.opts.Recorder.Divergence("server", res.Iterations, res.Err.Error())
+		s.opts.Recorder.Divergence(res.Iterations, res.Err.Error())
 		s.opts.Logf("server: solve diverged at rev %d: %v", rev, res.Err)
 		s.maybeCapture("divergence", fmt.Sprintf("rev %d: %v", rev, res.Err))
 	}
@@ -820,17 +820,19 @@ func (s *Server) solveOnce() {
 
 // publish assigns the next generation, emits its observability events
 // (solve summary, admission flips), appends its record to the generation
-// ring, journals its digest, swaps the snapshot in,
-// and closes the decision lifecycle: every mutation in the incorporated
-// batch ends its root span, stamped with the generation that answered
-// it (the recorder observes it as streamopt_stage_seconds{stage="decision"}).
+// ring, journals its digest, closes the decision lifecycle — every
+// mutation in the incorporated batch ends its root span, stamped with
+// the generation that answered it (the recorder observes it as
+// streamopt_stage_seconds{stage="decision"}), then the publish and
+// solve spans end — and swaps the snapshot in.
 //
 // The swap comes after everything the generation writes or allocates: a
 // client that waits for a generation and then acts finds the solver
-// idle, and the digest of generation g precedes in the journal every
-// mutation sent in answer to g. (With the digest appended after the
-// swap, a waiter that was faster than the ~0.3 ms of diff + digest at
-// J=1k raced it.)
+// idle, its spans finished, and the digest of generation g precedes in
+// the journal every mutation sent in answer to g. (With the digest
+// appended after the swap, a waiter that was faster than the ~0.3 ms of
+// diff + digest at J=1k raced it.) Only the SLO check, which may write
+// a capture bundle, runs after the swap.
 func (s *Server) publish(snap *Snapshot, batch []*decision, solveSpan *span.Active) {
 	ps := s.opts.Spans.Start("publish", solveSpan.Context())
 	prev := s.snap.Load()
@@ -875,8 +877,6 @@ func (s *Server) publish(snap *Snapshot, batch []*decision, solveSpan *span.Acti
 			s.opts.Logf("server: journal digest failed at generation %d: %v", snap.Generation, err)
 		}
 	}
-	s.snap.Store(snap)
-
 	maxLat := 0.0
 	for _, d := range batch {
 		lat := time.Since(d.received).Seconds()
@@ -887,13 +887,15 @@ func (s *Server) publish(snap *Snapshot, batch []*decision, solveSpan *span.Acti
 		d.root.SetAttrFloat("decision_latency_s", lat)
 		d.root.End()
 	}
+	ps.End()
+	solveSpan.SetAttrInt("generation", snap.Generation)
+	solveSpan.End()
+	s.snap.Store(snap)
+
 	if s.opts.SLO > 0 && maxLat > s.opts.SLO.Seconds() {
 		s.maybeCapture("slo_breach", fmt.Sprintf(
 			"decision latency %.3fs over SLO %v at generation %d", maxLat, s.opts.SLO, snap.Generation))
 	}
-	ps.End()
-	solveSpan.SetAttrInt("generation", snap.Generation)
-	solveSpan.End()
 }
 
 // DiffFlips returns the admitted↔rejected transitions between two

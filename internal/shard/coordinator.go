@@ -354,9 +354,8 @@ func (r *runner) bind(p *stream.Problem) (warm bool, fallback error) {
 		return true, nil
 	}
 
-	// No Recorder: engines step unobserved at every shard count; what a
-	// solve reports is the coordinator's per-turn ShardAdvance and
-	// per-sweep PriceExchange.
+	// Engines step unobserved: what a solve reports is the
+	// coordinator's per-turn ShardAdvance and per-sweep PriceExchange.
 	gcfg := gradient.Config{Eta: r.cfg.Eta, Workers: r.cfg.Workers}
 	warmStart := newFrom
 	if r.cfg.Serving {
