@@ -65,10 +65,8 @@ type cliConfig struct {
 	shards        int
 	placementSalt uint64
 
-	eventsOut      string
-	eventsMaxBytes int64
-	spanCap        int
-	historyCap     int
+	spanCap    int
+	historyCap int
 
 	journalDir      string
 	checkpointEvery int
@@ -104,8 +102,6 @@ func main() {
 	flag.DurationVar(&cfg.debounce, "debounce", 25*time.Millisecond, "mutation coalescing window before a re-solve")
 	flag.IntVar(&cfg.shards, "shards", 1, "solver shards commodities are partitioned across; they take turns (1 = one shard owns every commodity, nothing to exchange)")
 	flag.Uint64Var(&cfg.placementSalt, "placement-salt", 0, "consistent-hash salt for commodity→shard placement")
-	flag.StringVar(&cfg.eventsOut, "events-out", "", "write server JSONL events to this file")
-	flag.Int64Var(&cfg.eventsMaxBytes, "events-max-bytes", 0, "rotate -events-out once it exceeds this size, keeping one predecessor (0 = unbounded)")
 	flag.IntVar(&cfg.spanCap, "span-cap", span.DefaultCapacity, "decision-lifecycle span ring capacity served on /debug/spans (0 disables span tracing)")
 	flag.IntVar(&cfg.historyCap, "history-cap", 64, "generations retained for /history and /v1/flips (<0 disables both)")
 	flag.StringVar(&cfg.journalDir, "journal-dir", "", "flight-recorder journal directory (empty disables journaling; recovers state from an existing journal)")
@@ -204,16 +200,7 @@ func realMain(cfg cliConfig) error {
 		}
 	}
 
-	var sink obs.Sink
-	if cfg.eventsOut != "" {
-		fs, err := obs.NewRotatingFileSink(cfg.eventsOut, cfg.eventsMaxBytes)
-		if err != nil {
-			return err
-		}
-		sink = fs
-	}
-	rec := obs.NewRecorder(obs.NewRegistry(), sink)
-	defer rec.Close()
+	rec := obs.NewRecorder(obs.NewRegistry())
 
 	var spans *span.Tracer
 	if cfg.spanCap > 0 {

@@ -31,7 +31,6 @@ func TestAdmissiondEndToEnd(t *testing.T) {
 	if err := os.WriteFile(in, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	events := filepath.Join(t.TempDir(), "events.jsonl")
 
 	addrCh := make(chan string, 1)
 	stop := make(chan struct{})
@@ -45,7 +44,6 @@ func TestAdmissiondEndToEnd(t *testing.T) {
 			iters:         2000,
 			stationaryTol: 1e-3,
 			debounce:      2 * time.Millisecond,
-			eventsOut:     events,
 			spanCap:       512,
 			historyCap:    16,
 			ready:         func(a string) { addrCh <- a },
@@ -268,27 +266,6 @@ func TestAdmissiondEndToEnd(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon did not shut down")
-	}
-
-	// The JSONL event stream recorded server solves.
-	evData, err := os.ReadFile(events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(evData), `"type":"server_solve"`) {
-		t.Fatalf("events file has no server_solve records:\n%.500s", evData)
-	}
-	if !strings.Contains(string(evData), `"type":"server_mutation"`) {
-		t.Fatalf("events file has no server_mutation records:\n%.500s", evData)
-	}
-	if strings.Contains(string(evData), `"type":"iteration"`) {
-		t.Fatalf("events file has per-iteration records; serving engines must run recorder-free")
-	}
-	if !strings.Contains(string(evData), `"type":"span"`) {
-		t.Fatalf("events file has no span records:\n%.500s", evData)
-	}
-	if !strings.Contains(string(evData), `"type":"http_request"`) {
-		t.Fatalf("events file has no http_request records:\n%.500s", evData)
 	}
 }
 

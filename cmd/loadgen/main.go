@@ -37,7 +37,6 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/loadgen"
-	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -55,7 +54,6 @@ type config struct {
 	timeout  time.Duration
 	debounce time.Duration
 	iters    int
-	jsonlOut string
 	out      string
 	journal  string
 }
@@ -75,7 +73,6 @@ func main() {
 	flag.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-sync snapshot wait bound")
 	flag.DurationVar(&cfg.debounce, "debounce", 25*time.Millisecond, "in-process server solve debounce (-1ns: solve immediately)")
 	flag.IntVar(&cfg.iters, "iters", 0, "in-process server per-solve iteration budget (0: server default)")
-	flag.StringVar(&cfg.jsonlOut, "events-out", "", "write the in-process server's obs events (server_solve, admission_flip, ...) as JSONL to this file")
 	flag.StringVar(&cfg.out, "out", "", "write the result/report here instead of stdout")
 	flag.StringVar(&cfg.journal, "journal", "", "record the -run through a flight-recorder journal in this directory (in-process only; verify with cmd/replay)")
 	flag.Parse()
@@ -120,16 +117,6 @@ func realMain(stdout io.Writer, cfg config) error {
 		out = f
 	}
 
-	var rec *obs.Recorder
-	if cfg.jsonlOut != "" {
-		sink, err := obs.NewFileSink(cfg.jsonlOut)
-		if err != nil {
-			return err
-		}
-		defer sink.Close()
-		rec = obs.NewRecorder(obs.NewRegistry(), sink)
-	}
-
 	switch {
 	case cfg.events:
 		c, err := loadgen.Compile(sc, cfg.scale)
@@ -160,7 +147,7 @@ func realMain(stdout io.Writer, cfg config) error {
 		if err != nil {
 			return err
 		}
-		be, cleanup, err := backend(cfg, c, rec)
+		be, cleanup, err := backend(cfg, c)
 		if err != nil {
 			return err
 		}
@@ -178,7 +165,7 @@ func realMain(stdout io.Writer, cfg config) error {
 		}
 		opts := loadgen.SweepOptions{
 			Scales: scales,
-			Server: serverOptions(cfg, rec),
+			Server: serverOptions(cfg),
 			Driver: driverOptions(cfg),
 		}
 		if cfg.target != "" {
@@ -199,11 +186,10 @@ func realMain(stdout io.Writer, cfg config) error {
 	}
 }
 
-func serverOptions(cfg config, rec *obs.Recorder) server.Options {
+func serverOptions(cfg config) server.Options {
 	return server.Options{
 		Debounce: cfg.debounce,
 		MaxIters: cfg.iters,
-		Recorder: rec,
 	}
 }
 
@@ -215,14 +201,14 @@ func driverOptions(cfg config) loadgen.DriverOptions {
 	}
 }
 
-func backend(cfg config, c *loadgen.Compiled, rec *obs.Recorder) (loadgen.Backend, func(), error) {
+func backend(cfg config, c *loadgen.Compiled) (loadgen.Backend, func(), error) {
 	if cfg.target != "" {
 		if cfg.journal != "" {
 			return nil, nil, fmt.Errorf("-journal records the in-process server; it cannot be combined with -target")
 		}
 		return loadgen.HTTP{Base: cfg.target}, func() {}, nil
 	}
-	opts := serverOptions(cfg, rec)
+	opts := serverOptions(cfg)
 	var jw *journal.Writer
 	if cfg.journal != "" {
 		// Stamp the compiled stream's identity into the journal header

@@ -51,7 +51,7 @@ func run() error {
 		return err
 	}
 
-	rec := obs.NewRecorder(obs.NewRegistry(), nil)
+	rec := obs.NewRecorder(obs.NewRegistry())
 	s, err := server.New(p, server.Options{
 		Debounce: 5 * time.Millisecond,
 		Recorder: rec,

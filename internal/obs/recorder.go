@@ -3,7 +3,6 @@ package obs
 import (
 	"strconv"
 	"sync"
-	"time"
 )
 
 // Recorder is the handle the admission server threads through its
@@ -16,9 +15,7 @@ import (
 // once, so a counter reads 0 from then until its first increment; later
 // writes go through cached pointers.
 type Recorder struct {
-	reg   *Registry
-	sink  Sink
-	start time.Time
+	reg *Registry
 
 	serverOnce sync.Once
 	server     *serverMetrics
@@ -40,18 +37,12 @@ type serverMetrics struct {
 }
 
 // NewRecorder builds an enabled recorder. reg may be nil (a fresh
-// registry is created); sink may be nil (metrics only, no events).
-// It registers nothing but, for a sink that can lose events,
-// streamopt_events_dropped_total.
-func NewRecorder(reg *Registry, sink Sink) *Recorder {
+// registry is created). It registers nothing.
+func NewRecorder(reg *Registry) *Recorder {
 	if reg == nil {
 		reg = NewRegistry()
 	}
-	if js, ok := sink.(*JSONLSink); ok {
-		js.SetDropCounter(reg.Counter("streamopt_events_dropped_total",
-			"Events lost to sink write errors."))
-	}
-	return &Recorder{reg: reg, sink: sink, start: time.Now()}
+	return &Recorder{reg: reg}
 }
 
 func (r *Recorder) serverSet() *serverMetrics {
@@ -80,80 +71,40 @@ func (r *Recorder) Registry() *Registry {
 	return r.reg
 }
 
-// Close flushes and closes the sink, if any.
-func (r *Recorder) Close() error {
-	if r == nil || r.sink == nil {
-		return nil
-	}
-	return r.sink.Close()
-}
-
-func (r *Recorder) emit(e Event) {
-	if r.sink == nil {
-		return
-	}
-	e.TMs = sinceMs(r.start)
-	r.sink.Emit(e)
-}
-
 // Divergence records a server solve whose trajectory was declared
-// diverged after iter iterations.
-func (r *Recorder) Divergence(iter int, reason string) {
+// diverged.
+func (r *Recorder) Divergence() {
 	if r == nil {
 		return
 	}
 	r.serverSet().divergence.Inc()
-	r.emit(Event{Type: EventDivergence, Alg: "server", Iter: iter, Reason: reason})
-}
-
-// ServerMutation records one accepted admission-server mutation. kind
-// names the operation ("add_commodity", "set_rate", ...); target the
-// commodity/node/link it hit.
-func (r *Recorder) ServerMutation(kind, target string) {
-	if r == nil {
-		return
-	}
-	r.emit(Event{Type: EventServerMutation, Alg: "server", Kind: kind, Target: target})
 }
 
 // ServerSolve records one converged admission-server re-solve and the
 // snapshot it published.
-func (r *Recorder) ServerSolve(generation int64, warm bool, seconds, utility float64, iterations int) {
+func (r *Recorder) ServerSolve(generation int64, warm bool, utility float64) {
 	if r == nil {
 		return
 	}
 	m := r.serverSet()
-	start := "cold"
 	if warm {
-		start = "warm"
 		m.warm.Inc()
 	} else {
 		m.cold.Inc()
 	}
 	m.generation.Set(float64(generation))
 	m.utility.Set(utility)
-	r.emit(Event{
-		Type: EventServerSolve, Alg: "server", Iter: iterations,
-		Generation: generation, Start: start, Seconds: seconds, Utility: utility,
-	})
 }
 
-// Span exports one finished decision-lifecycle span: it observes the
-// span's duration into streamopt_stage_seconds{stage=<name>} and emits
-// it as a JSONL event. It is the span.Emitter implementation a
-// span.Tracer is built over, so the span tree is the one source of
-// every stage latency the daemon reports, and spans ride the same sink
-// (and rotation, and drop accounting) as every other event.
-func (r *Recorder) Span(trace, spanID, parent, name string, seconds float64, attrs map[string]string) {
+// Span observes one finished decision-lifecycle span's duration into
+// streamopt_stage_seconds{stage=<name>}. It is the span.Emitter
+// implementation a span.Tracer is built over, so the span tree is the
+// one source of every stage latency the daemon reports.
+func (r *Recorder) Span(name string, seconds float64) {
 	if r == nil {
 		return
 	}
 	r.stage(name).Observe(seconds)
-	r.emit(Event{
-		Type: EventSpan, Alg: "server",
-		Trace: trace, Span: spanID, Parent: parent, Name: name,
-		Seconds: seconds, Attrs: attrs,
-	})
 }
 
 // stage returns the streamopt_stage_seconds histogram of one span name.
@@ -168,37 +119,29 @@ func (r *Recorder) stage(name string) *Histogram {
 	return h
 }
 
-// Capture records one anomaly-triggered diagnostics bundle: a counter
-// labelled by the trigger reason (slo_breach, cold_fallback,
-// divergence) and a structured event naming the bundle directory.
-func (r *Recorder) Capture(reason, bundle string) {
+// Capture records one anomaly-triggered diagnostics bundle in a
+// counter labelled by the trigger reason (slo_breach, cold_fallback,
+// divergence).
+func (r *Recorder) Capture(reason string) {
 	if r == nil {
 		return
 	}
 	r.reg.Counter("streamopt_capture_total",
 		"Anomaly-triggered diagnostics bundles written.", "reason", reason).Inc()
-	r.emit(Event{Type: EventCapture, Alg: "server", Reason: reason, Name: bundle})
 }
 
 // AdmissionFlip records one commodity crossing the admitted↔rejected
-// boundary at a published generation, attributed to the triggering
-// mutation batch's trace ID (may be empty when untraced).
-func (r *Recorder) AdmissionFlip(generation int64, commodity string, admitted bool, rate float64, traceID string) {
+// boundary at a published generation, in the direction it crossed.
+func (r *Recorder) AdmissionFlip(admitted bool) {
 	if r == nil {
 		return
 	}
 	m := r.serverSet()
-	to := "rejected"
 	if admitted {
-		to = "admitted"
 		m.flipAdmitted.Inc()
 	} else {
 		m.flipRejected.Inc()
 	}
-	r.emit(Event{
-		Type: EventAdmissionFlip, Alg: "server", Generation: generation,
-		Commodity: commodity, Rate: rate, To: to, Trace: traceID,
-	})
 }
 
 // ShardAdvance records one solver shard's state after its turn:
@@ -255,9 +198,8 @@ func (r *Recorder) PriceExchange(maxDelta float64) {
 }
 
 // HTTPRequest records one served admission-API request: the per-route
-// counter and latency histogram, plus a structured request-log event
-// (method/path/status/duration/trace ID) through the sink.
-func (r *Recorder) HTTPRequest(route, method, path string, code int, seconds float64, traceID string) {
+// counter and latency histogram.
+func (r *Recorder) HTTPRequest(route string, code int, seconds float64) {
 	if r == nil {
 		return
 	}
@@ -267,9 +209,4 @@ func (r *Recorder) HTTPRequest(route, method, path string, code int, seconds flo
 	r.reg.Histogram("streamopt_http_request_seconds",
 		"Admission-API request latency by route pattern.",
 		DefaultTimeBuckets, "route", route).Observe(seconds)
-	r.emit(Event{
-		Type: EventHTTPRequest, Alg: "server",
-		Route: route, Method: method, Path: path, Code: code,
-		Seconds: seconds, Trace: traceID,
-	})
 }

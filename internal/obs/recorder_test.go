@@ -1,14 +1,9 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -17,20 +12,16 @@ import (
 // TestNilRecorderIsSafe calls every method on a nil recorder.
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
-	r.ServerMutation("set_rate", "c1")
-	r.ServerSolve(1, true, 0.1, 2.5, 10)
-	r.AdmissionFlip(1, "c1", true, 3, "")
-	r.Divergence(5, "NaN")
-	r.Span("t", "s", "", "solve", 0.25, nil)
+	r.ServerSolve(1, true, 2.5)
+	r.AdmissionFlip(true)
+	r.Divergence()
+	r.Span("solve", 0.25)
 	r.ShardAdvance(0, 0.1, 10, 3, true)
 	r.BuildFootprint(0, 1<<20)
 	r.PriceExchange(0.01)
-	r.HTTPRequest("/v1/admitted", "GET", "/v1/admitted", 200, 1e-3, "")
+	r.HTTPRequest("/v1/admitted", 200, 1e-3)
 	if r.Registry() != nil {
 		t.Fatal("nil recorder must have nil registry")
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -39,10 +30,10 @@ func TestNilRecorderIsSafe(t *testing.T) {
 func TestDisabledRecorderAllocates(t *testing.T) {
 	var r *Recorder
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.Span("t", "s", "", "iterate", 0.25, nil)
-		r.ServerSolve(1, true, 0.1, 2.5, 10)
-		r.AdmissionFlip(1, "c1", false, 0, "")
-		r.Divergence(1, "NaN")
+		r.Span("iterate", 0.25)
+		r.ServerSolve(1, true, 2.5)
+		r.AdmissionFlip(false)
+		r.Divergence()
 	})
 	if allocs != 0 {
 		t.Fatalf("nil recorder allocated %v per publish, want 0", allocs)
@@ -50,28 +41,8 @@ func TestDisabledRecorderAllocates(t *testing.T) {
 }
 
 func TestRecorderEventsAndMetrics(t *testing.T) {
-	var buf bytes.Buffer
-	r := NewRecorder(nil, NewJSONLSink(&buf))
-	r.Divergence(1, "cost non-finite")
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var events []Event
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		var e Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("invalid JSONL line %q: %v", sc.Text(), err)
-		}
-		events = append(events, e)
-	}
-	if len(events) != 1 {
-		t.Fatalf("got %d events, want 1", len(events))
-	}
-	if e := events[0]; e.Type != EventDivergence || e.Alg != "server" || e.Iter != 1 || e.Reason == "" {
-		t.Fatalf("bad divergence event: %+v", e)
-	}
+	r := NewRecorder(nil)
+	r.Divergence()
 	if got := r.Registry().Counter("streamopt_divergence_total", "").Value(); got != 1 {
 		t.Fatalf("divergence counter = %d, want 1", got)
 	}
@@ -79,12 +50,12 @@ func TestRecorderEventsAndMetrics(t *testing.T) {
 
 // TestSpanObservesStage pins the one stage vocabulary: a finished span
 // lands in streamopt_stage_seconds under its own name, and observing a
-// stage already seen allocates nothing beyond the event.
+// stage already seen allocates nothing.
 func TestSpanObservesStage(t *testing.T) {
-	r := NewRecorder(nil, nil)
-	r.Span("t", "a", "", "iterate", 0.5, nil)
-	r.Span("t", "b", "a", "iterate", 0.25, nil)
-	r.Span("t", "c", "", "publish", 1e-3, nil)
+	r := NewRecorder(nil)
+	r.Span("iterate", 0.5)
+	r.Span("iterate", 0.25)
+	r.Span("publish", 1e-3)
 	reg := r.Registry()
 	h := reg.Histogram("streamopt_stage_seconds", "", nil, "stage", "iterate")
 	if h.Count() != 2 || h.Sum() != 0.75 {
@@ -93,7 +64,7 @@ func TestSpanObservesStage(t *testing.T) {
 	if got := reg.Histogram("streamopt_stage_seconds", "", nil, "stage", "publish").Count(); got != 1 {
 		t.Fatalf("publish stage count = %d, want 1", got)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { r.Span("t", "d", "", "iterate", 0.1, nil) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { r.Span("iterate", 0.1) }); allocs != 0 {
 		t.Fatalf("observing a known stage allocated %v times, want 0", allocs)
 	}
 
@@ -106,37 +77,13 @@ func TestSpanObservesStage(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.Span("t", "e", "", "coalesce", 1e-3, nil)
+				r.Span("coalesce", 1e-3)
 			}
 		}()
 	}
 	wg.Wait()
 	if got := reg.Histogram("streamopt_stage_seconds", "", nil, "stage", "coalesce").Count(); got != 400 {
 		t.Fatalf("coalesce stage count = %d, want 400", got)
-	}
-}
-
-func TestFileSink(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ev.jsonl")
-	sink, err := NewFileSink(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRecorder(nil, sink)
-	r.ServerSolve(1, true, 0.1, 2.5, 10)
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var e Event
-	if err := json.Unmarshal(bytes.TrimSpace(data), &e); err != nil {
-		t.Fatalf("file sink wrote invalid JSON %q: %v", data, err)
-	}
-	if e.Type != EventServerSolve {
-		t.Fatalf("event type = %q, want server_solve", e.Type)
 	}
 }
 
@@ -209,12 +156,12 @@ func families(t *testing.T, reg *Registry) []string {
 // the server's first write, and then the server's whole set, so its
 // counters read 0 before their first increment.
 func TestRolesRegisterAtFirstWrite(t *testing.T) {
-	r := NewRecorder(nil, nil)
+	r := NewRecorder(nil)
 	if got := families(t, r.Registry()); len(got) != 0 {
 		t.Fatalf("fresh recorder exposes %v, want nothing", got)
 	}
 
-	r.ServerSolve(1, false, 0.1, 2.5, 10)
+	r.ServerSolve(1, false, 2.5)
 	server := []string{
 		"streamopt_server_generation", "streamopt_server_utility", "streamopt_server_solves_total",
 		"streamopt_admission_flips_total", "streamopt_divergence_total",
@@ -242,15 +189,15 @@ func TestRolesRegisterAtFirstWrite(t *testing.T) {
 
 	// Writers on several goroutines may meet the set's first write
 	// together: every write still lands in the one set.
-	r = NewRecorder(nil, nil)
+	r = NewRecorder(nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.AdmissionFlip(int64(i), "c1", true, 1, "")
-				r.ServerSolve(int64(i), true, 0, 0, 0)
+				r.AdmissionFlip(true)
+				r.ServerSolve(int64(i), true, 0)
 			}
 		}()
 	}
@@ -268,10 +215,10 @@ func TestRolesRegisterAtFirstWrite(t *testing.T) {
 // a metrics-only recorder's per-publish writes are cached-pointer
 // updates — no registry lookup, no allocation.
 func TestEnabledRecorderPerPublishAllocs(t *testing.T) {
-	r := NewRecorder(nil, nil)
+	r := NewRecorder(nil)
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.ServerSolve(1, true, 0.1, 2.5, 10)
-		r.AdmissionFlip(1, "c1", true, 3, "")
+		r.ServerSolve(1, true, 2.5)
+		r.AdmissionFlip(true)
 	})
 	if allocs != 0 {
 		t.Fatalf("metrics-only recorder allocated %v per publish, want 0", allocs)

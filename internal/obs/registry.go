@@ -1,7 +1,8 @@
-// Package obs is the observability layer for the optimizer loops and
-// the admission server: a stdlib-only metrics registry (counters,
-// gauges, fixed-bucket histograms) with Prometheus-text exposition,
-// and a structured JSONL event system with pluggable sinks.
+// Package obs is the admission server's observability layer: a
+// stdlib-only metrics registry (counters, gauges, fixed-bucket
+// histograms) with Prometheus-text exposition. The server's durable
+// record of each decision is its journal (internal/journal), not this
+// package.
 // Stage latencies come from one place, the decision-lifecycle spans
 // (internal/obs/span) a Recorder observes into streamopt_stage_seconds.
 //

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -38,26 +37,12 @@ func TestRuntimeSampler(t *testing.T) {
 	stop() // idempotent
 }
 
-type memSink struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-func (m *memSink) Emit(e Event) {
-	m.mu.Lock()
-	m.events = append(m.events, e)
-	m.mu.Unlock()
-}
-
-func (m *memSink) Close() error { return nil }
-
 func TestRecorderCapture(t *testing.T) {
 	reg := NewRegistry()
-	sink := &memSink{}
-	rec := NewRecorder(reg, sink)
-	rec.Capture("slo_breach", "bundles/cap-000001")
-	rec.Capture("slo_breach", "bundles/cap-000002")
-	rec.Capture("divergence", "bundles/cap-000003")
+	rec := NewRecorder(reg)
+	rec.Capture("slo_breach")
+	rec.Capture("slo_breach")
+	rec.Capture("divergence")
 
 	if v := reg.Counter("streamopt_capture_total", "", "reason", "slo_breach").Value(); v != 2 {
 		t.Fatalf("slo_breach count = %v", v)
@@ -65,14 +50,7 @@ func TestRecorderCapture(t *testing.T) {
 	if v := reg.Counter("streamopt_capture_total", "", "reason", "divergence").Value(); v != 1 {
 		t.Fatalf("divergence count = %v", v)
 	}
-	if len(sink.events) != 3 {
-		t.Fatalf("emitted %d events", len(sink.events))
-	}
-	e := sink.events[0]
-	if e.Type != EventCapture || e.Reason != "slo_breach" || e.Name != "bundles/cap-000001" {
-		t.Fatalf("event = %+v", e)
-	}
 
 	var nilRec *Recorder
-	nilRec.Capture("slo_breach", "x") // must not panic
+	nilRec.Capture("slo_breach") // must not panic
 }

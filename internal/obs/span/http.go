@@ -8,13 +8,13 @@ import (
 )
 
 // Attach mounts the span exposition on an existing mux, the way
-// obs.Attach mounts /metrics (the span ring cannot live in obs itself —
-// span imports obs for the sink machinery):
+// obs.Attach mounts /metrics:
 //
 //	GET /debug/spans                 all retained spans, oldest first
 //	  ?trace=<32 hex>                one decision lifecycle's span tree
 //	  ?name=<span name>              e.g. name=solve
-//	  ?commodity=<name>              spans annotated with that commodity
+//	  ?target=<target>               spans whose target attribute is this
+//	                                 commodity, node or from->to link
 //	  ?min_ms=<float>                spans at least this long
 //
 // The response is {"capacity","retained","started","finished","spans"}.
@@ -66,10 +66,10 @@ func Handler(t *Tracer) http.HandlerFunc {
 		q := r.URL.Query()
 		for key := range q {
 			switch key {
-			case "trace", "name", "commodity", "min_ms":
+			case "trace", "name", "target", "min_ms":
 			default:
 				badRequest(w, "unknown query parameter "+strconv.Quote(key)+
-					" (want trace, name, commodity, min_ms)")
+					" (want trace, name, target, min_ms)")
 				return
 			}
 		}
@@ -81,8 +81,8 @@ func Handler(t *Tracer) http.HandlerFunc {
 			badRequest(w, "trace must be 32 lowercase hex characters")
 			return
 		}
-		if c := q.Get("commodity"); c != "" {
-			f.AttrKey, f.AttrVal = "commodity", c
+		if c := q.Get("target"); c != "" {
+			f.AttrKey, f.AttrVal = "target", c
 		}
 		if ms := q.Get("min_ms"); ms != "" {
 			v, err := strconv.ParseFloat(ms, 64)

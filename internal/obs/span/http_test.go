@@ -40,7 +40,7 @@ func TestHandlerNilTracer(t *testing.T) {
 func TestHandlerFilters(t *testing.T) {
 	tr := New(16, nil)
 	a := tr.Start("decision", Context{})
-	a.SetAttr("commodity", "S1")
+	a.SetAttr("target", "S1")
 	a.End()
 	b := tr.StartAt("solve", a.Context(), time.Now().Add(-time.Second))
 	b.End()
@@ -64,13 +64,16 @@ func TestHandlerFilters(t *testing.T) {
 	if _, p := getSpans(t, mux, "/debug/spans?name=solve"); len(p.Spans) != 1 {
 		t.Errorf("name filter returned %d spans, want 1", len(p.Spans))
 	}
-	if _, p := getSpans(t, mux, "/debug/spans?commodity=S1"); len(p.Spans) != 1 {
-		t.Errorf("commodity filter returned %d spans, want 1", len(p.Spans))
+	if _, p := getSpans(t, mux, "/debug/spans?target=S1"); len(p.Spans) != 1 {
+		t.Errorf("target filter returned %d spans, want 1", len(p.Spans))
 	}
 	if _, p := getSpans(t, mux, "/debug/spans?min_ms=500"); len(p.Spans) != 1 {
 		t.Errorf("min_ms filter returned %d spans, want 1", len(p.Spans))
 	}
 
+	if code, _ := getSpans(t, mux, "/debug/spans?commodity=S1"); code != http.StatusBadRequest {
+		t.Errorf("unknown commodity parameter status = %d, want 400", code)
+	}
 	if code, _ := getSpans(t, mux, "/debug/spans?min_ms=banana"); code != http.StatusBadRequest {
 		t.Errorf("bad min_ms status = %d, want 400", code)
 	}

@@ -1,6 +1,6 @@
 // Package span is the decision-lifecycle tracer: cheap hierarchical
-// spans with W3C trace-context interop, a bounded in-memory ring of
-// finished spans, and JSONL export through the obs sink machinery.
+// spans with W3C trace-context interop and a bounded in-memory ring of
+// finished spans.
 //
 // The admission server uses it to tie one HTTP mutation to the solve
 // generation that incorporated it: a root "decision" span opens at
@@ -175,19 +175,19 @@ type Span struct {
 	Name   string `json:"name"`
 	// StartUnixMs is the wall-clock start in Unix milliseconds;
 	// DurationMs the span's length. Milliseconds suit the decision
-	// timescale (solves are ms to seconds); the JSONL export carries
-	// full float seconds.
+	// timescale (solves are ms to seconds); the Emitter receives full
+	// float seconds.
 	StartUnixMs int64             `json:"startUnixMs"`
 	DurationMs  float64           `json:"durationMs"`
 	Attrs       map[string]string `json:"attrs,omitempty"`
 }
 
-// Emitter receives every finished span for export; *obs.Recorder
-// implements it (Recorder.Span), routing spans as JSONL events through
-// whatever sink the recorder owns. A nil-pointer Recorder inside the
+// Emitter receives the name and duration of every finished span;
+// *obs.Recorder implements it (Recorder.Span), observing the duration
+// into streamopt_stage_seconds. A nil-pointer Recorder inside the
 // interface is fine — its method nil-checks.
 type Emitter interface {
-	Span(trace, span, parent, name string, seconds float64, attrs map[string]string)
+	Span(name string, seconds float64)
 }
 
 // Tracer issues spans and retains the last Cap finished ones in a ring.
@@ -367,7 +367,7 @@ func (a *Active) End() {
 	}
 	t.mu.Unlock()
 	if t.em != nil {
-		t.em.Span(s.Trace, s.ID, s.Parent, s.Name, dur.Seconds(), s.Attrs)
+		t.em.Span(s.Name, dur.Seconds())
 	}
 }
 

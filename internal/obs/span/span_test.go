@@ -2,6 +2,7 @@ package span
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -109,16 +110,18 @@ func FuzzParseTraceparent(f *testing.F) {
 	})
 }
 
-// collectEmitter records every exported span.
+// collectEmitter records the name and duration of every finished span.
 type collectEmitter struct {
-	mu    sync.Mutex
-	spans []Span
+	mu      sync.Mutex
+	names   []string
+	seconds []float64
 }
 
-func (e *collectEmitter) Span(trace, span, parent, name string, seconds float64, attrs map[string]string) {
+func (e *collectEmitter) Span(name string, seconds float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.spans = append(e.spans, Span{Trace: trace, ID: span, Parent: parent, Name: name, DurationMs: seconds * 1e3, Attrs: attrs})
+	e.names = append(e.names, name)
+	e.seconds = append(e.seconds, seconds)
 }
 
 func TestSpanLifecycle(t *testing.T) {
@@ -175,10 +178,14 @@ func TestSpanLifecycle(t *testing.T) {
 		t.Error("attribute set after End leaked")
 	}
 	em.mu.Lock()
-	exported := len(em.spans)
-	em.mu.Unlock()
-	if exported != 2 {
-		t.Errorf("emitter saw %d spans, want 2", exported)
+	defer em.mu.Unlock()
+	if len(em.names) != 2 || em.names[0] != "solve" || em.names[1] != "decision" {
+		t.Fatalf("emitter saw %v, want [solve decision]", em.names)
+	}
+	for i, sec := range em.seconds {
+		if math.Abs(sec*1e3-spans[i].DurationMs) > 1e-9 {
+			t.Errorf("emitted %s duration %gs, ring has %gms", em.names[i], sec, spans[i].DurationMs)
+		}
 	}
 }
 

@@ -368,7 +368,7 @@ func testVerifyShardedRecording(t *testing.T, shards int, traced, paper bool) {
 	opts.PlacementSalt = 7
 	opts.PaperMode = paper
 	if traced {
-		opts.Recorder = obs.NewRecorder(nil, nil)
+		opts.Recorder = obs.NewRecorder(nil)
 		opts.Spans = span.New(256, opts.Recorder)
 	}
 	s, err := server.New(toyProblem(t), opts)

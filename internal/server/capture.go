@@ -71,7 +71,7 @@ func (s *Server) maybeCapture(reason, detail string) {
 			s.opts.Logf("server: capture %q failed: %v", reason, err)
 			return
 		}
-		s.opts.Recorder.Capture(reason, name)
+		s.opts.Recorder.Capture(reason)
 		s.opts.Logf("server: captured diagnostics bundle %s (%s)", name, reason)
 	}()
 }

@@ -8,9 +8,11 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
@@ -23,12 +25,11 @@ import (
 // endpoints (/metrics, /debug/pprof) are mounted on the same mux.
 //
 // Every request passes through the metrics middleware: per-route
-// streamopt_http_requests_total{route,code} and latency histograms,
-// plus a structured request-log event (method/path/status/duration/
-// trace ID) through the recorder's sink. Mutation routes honor the W3C
-// `traceparent` header: when span tracing is on (Options.Spans), the
-// accepted mutation's decision trace continues the client's trace, and
-// the full ingress→coalesce→solve→publish tree is queryable on
+// streamopt_http_requests_total{route,code} and latency histograms.
+// Mutation routes honor the W3C `traceparent` header: when span tracing
+// is on (Options.Spans), the accepted mutation's decision trace
+// continues the client's trace, and the full
+// ingress→coalesce→solve→publish tree is queryable on
 // GET /debug/spans?trace=<id>.
 //
 //	GET    /healthz                        liveness (alias /v1/healthz)
@@ -127,17 +128,20 @@ func (s *Server) Handler(reg *obs.Registry) http.Handler {
 			})
 			return
 		}
-		idx, idxErr := strconv.Atoi(q)
-		for j, ce := range snap.Explain {
-			if ce.Name == q || (idxErr == nil && j == idx) {
-				writeJSON(w, http.StatusOK, map[string]any{
-					"generation": snap.Generation,
-					"explain":    ce,
-				})
-				return
-			}
+		// A name match wins; the index is the fallback, so a commodity
+		// named "0" is found by its name.
+		j := slices.IndexFunc(snap.Explain, func(ce core.CommodityExplain) bool { return ce.Name == q })
+		if idx, err := strconv.Atoi(q); j < 0 && err == nil && idx >= 0 && idx < len(snap.Explain) {
+			j = idx
 		}
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown commodity %q", q))
+		if j < 0 {
+			writeError(w, http.StatusNotFound, fmt.Errorf("unknown commodity %q", q))
+			return
+		}
+		writeJSON(w, http.StatusOK, map[string]any{
+			"generation": snap.Generation,
+			"explain":    snap.Explain[j],
+		})
 	})
 
 	mux.HandleFunc("GET /history", func(w http.ResponseWriter, r *http.Request) {
@@ -325,10 +329,9 @@ func (w *statusWriter) WriteHeader(code int) {
 // parses the W3C traceparent header once and stashes the resulting
 // ingress in the request context, then records per-route request
 // counters and latency histograms (streamopt_http_requests_total,
-// streamopt_http_request_seconds) and emits one http_request event per
-// served request through the recorder's sink. The route label is the
-// mux pattern (e.g. "PATCH /v1/commodities/{name}"), not the raw path,
-// so label cardinality stays bounded.
+// streamopt_http_request_seconds). The route label is the mux pattern
+// (e.g. "PATCH /v1/commodities/{name}"), not the raw path, so label
+// cardinality stays bounded.
 func (s *Server) instrument(mux *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -345,8 +348,7 @@ func (s *Server) instrument(mux *http.ServeMux) http.Handler {
 		if route == "" {
 			route = "unmatched"
 		}
-		s.opts.Recorder.HTTPRequest(route, r.Method, r.URL.Path, sw.code,
-			time.Since(start).Seconds(), ing.tc.TraceHex())
+		s.opts.Recorder.HTTPRequest(route, sw.code, time.Since(start).Seconds())
 	})
 }
 

@@ -14,7 +14,7 @@ import (
 // parameter contract: malformed or unknown filters on GET /history and
 // GET /debug/spans answer 400, never a silently unfiltered 200.
 func TestQueryParamValidation(t *testing.T) {
-	rec := obs.NewRecorder(nil, nil)
+	rec := obs.NewRecorder(nil)
 	tracer := span.New(64, nil)
 	opts := testOptions(rec)
 	opts.Spans = tracer
@@ -89,7 +89,7 @@ func TestQueryParamValidation(t *testing.T) {
 // TestHistoryFilters drives a few generations and checks since/limit
 // semantics.
 func TestHistoryFilters(t *testing.T) {
-	rec := obs.NewRecorder(nil, nil)
+	rec := obs.NewRecorder(nil)
 	s, err := New(toyProblem(t), testOptions(rec))
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ type explainResponse struct {
 // checks the attribution names a binding resource with a positive
 // shadow price — the acceptance criterion for /explain.
 func TestExplainEndpoint(t *testing.T) {
-	rec := obs.NewRecorder(obs.NewRegistry(), nil)
+	rec := obs.NewRecorder(obs.NewRegistry())
 	s, ts := startServer(t, rec)
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
@@ -82,6 +82,33 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 	if len(all.Explain) != 1 {
 		t.Fatalf("explain-all entries = %d, want 1", len(all.Explain))
+	}
+
+	// A commodity named "0": its name wins over c1's index 0.
+	spec, err := json.Marshal(map[string]any{
+		"name": "0", "source": "a", "sink": "t2", "maxRate": 4.0,
+		"utility": map[string]any{"type": "linear", "slope": 1.0},
+		"edges": []map[string]any{
+			{"from": "a", "to": "b", "beta": 1, "cost": 1},
+			{"from": "b", "to": "t2", "beta": 1, "cost": 1},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AddCommodityJSON(spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WaitForGeneration(snap.Generation+1, waitBudget); err != nil {
+		t.Fatal(err)
+	}
+	resp, body = doReq(t, http.MethodGet, ts.URL+"/explain?commodity=0", nil)
+	var named explainResponse
+	if err := json.Unmarshal(body, &named); resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("GET /explain?commodity=0 status %d (%v): %s", resp.StatusCode, err, body)
+	}
+	if named.Explain.Name != "0" {
+		t.Fatalf("explain?commodity=0 answered %q, want the commodity named \"0\"", named.Explain.Name)
 	}
 
 	// Unknown commodity: 404.

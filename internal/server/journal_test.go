@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/obs"
+	"repro/internal/obs/span"
 )
 
 // startJournaledServer builds a server writing through a journal in a
@@ -38,7 +40,7 @@ func startJournaledServer(t *testing.T, opts Options) (*Server, *journal.Writer,
 }
 
 func TestServerJournalsTrajectory(t *testing.T) {
-	rec := obs.NewRecorder(nil, nil)
+	rec := obs.NewRecorder(nil)
 	s, jw, dir := startJournaledServer(t, testOptions(rec))
 
 	first, err := s.WaitForGeneration(1, waitBudget)
@@ -122,6 +124,54 @@ func TestServerJournalsTrajectory(t *testing.T) {
 
 // SolverOptions inverts what New records: every solver field of Options
 // survives the trip through the restart checkpoint's parameters.
+// TestJournalCarriesClientTrace: the journal is the durable record of
+// a decision, so a client's traceparent reaches both the mutation it
+// sent and the digest of the generation that answered it, and the
+// digest's clock reads at or after the mutation's.
+func TestJournalCarriesClientTrace(t *testing.T) {
+	opts := testOptions(nil)
+	opts.Spans = span.New(256, nil)
+	s, jw, _ := startJournaledServer(t, opts)
+	ts := httptest.NewServer(s.Handler(nil))
+	t.Cleanup(ts.Close)
+	first, err := s.WaitForGeneration(1, waitBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	req, err := http.NewRequest("PATCH", ts.URL+"/v1/commodities/c1", strings.NewReader(`{"maxRate": 4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("traceparent", clientTraceparent)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("PATCH status = %d", resp.StatusCode)
+	}
+	snap, err := s.WaitForGeneration(first.Generation+1, waitBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tail := jw.Tail(2)
+	if len(tail) != 2 || tail[0].Kind != journal.KindMutation || tail[1].Kind != journal.KindDigest ||
+		tail[1].Digest.Generation != snap.Generation {
+		t.Fatalf("journal tail = %+v, want the mutation and the digest of generation %d", tail, snap.Generation)
+	}
+	const wantTrace = "0af7651916cd43dd8448eb211c80319c"
+	mut, dig := tail[0], tail[1]
+	if mut.Trace != wantTrace || dig.Trace != wantTrace {
+		t.Errorf("mutation trace %q, digest trace %q, want the client's %s", mut.Trace, dig.Trace, wantTrace)
+	}
+	if dig.MonoNanos < mut.MonoNanos {
+		t.Errorf("digest clock %d ns before its mutation's %d ns", dig.MonoNanos, mut.MonoNanos)
+	}
+}
+
 func TestSolverOptionsRoundTrip(t *testing.T) {
 	want := Options{
 		Epsilon: 0.1, Eta: 0.03, MaxIters: 123, StationaryTol: 5e-3, Workers: 3, PaperMode: true,
@@ -165,7 +215,7 @@ func TestSnapshotVisibleAfterItsDigest(t *testing.T) {
 }
 
 func TestServerPeriodicCheckpoints(t *testing.T) {
-	rec := obs.NewRecorder(nil, nil)
+	rec := obs.NewRecorder(nil)
 	opts := testOptions(rec)
 	opts.CheckpointEvery = 2
 	s, jw, dir := startJournaledServer(t, opts)
@@ -207,7 +257,7 @@ func TestServerPeriodicCheckpoints(t *testing.T) {
 }
 
 func TestAnomalyCaptureOnSLOBreach(t *testing.T) {
-	rec := obs.NewRecorder(nil, nil)
+	rec := obs.NewRecorder(nil)
 	opts := testOptions(rec)
 	opts.SLO = time.Nanosecond // every decision breaches
 	opts.CaptureDir = filepath.Join(t.TempDir(), "bundles")
@@ -343,7 +393,7 @@ func TestCaptureSequenceSurvivesRestart(t *testing.T) {
 }
 
 func TestBundlesEndpointDisabled(t *testing.T) {
-	rec := obs.NewRecorder(nil, nil)
+	rec := obs.NewRecorder(nil)
 	s, ts := startServer(t, rec)
 	_ = s
 	resp, err := http.Get(ts.URL + "/debug/bundles")

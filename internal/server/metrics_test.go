@@ -16,7 +16,7 @@ import (
 // recorder-free), the load driver's counters, a workers echo or the
 // retired per-sweep shard gauges — is there at all.
 func TestMetricsExposeOnlyWhatTheServerWrites(t *testing.T) {
-	rec := obs.NewRecorder(obs.NewRegistry(), nil)
+	rec := obs.NewRecorder(obs.NewRegistry())
 	s, _, ts := startTracedShardedServer(t, rec, 256, 2)
 	scrape := func() string {
 		t.Helper()

@@ -91,9 +91,9 @@ type Options struct {
 	// Default 25 ms; <0 disables (solve immediately).
 	Debounce time.Duration
 
-	// Recorder streams solve latencies, warm/cold restart counts, the
-	// generation counter, the admitted-utility gauge and the per-turn
-	// shard series through internal/obs. The solver engines never see it:
+	// Recorder writes warm/cold restart counts, the generation counter,
+	// the admitted-utility gauge and the per-turn shard series to the
+	// internal/obs registry. The solver engines never see it:
 	// a solve is observed per shard turn, not per iteration, at every
 	// shard count. Nil disables (zero overhead).
 	Recorder *obs.Recorder
@@ -102,8 +102,8 @@ type Options struct {
 	// traceparent at HTTP ingress), children covering the coalescing
 	// wait and the solve phases, closed at snapshot publish. The ring is
 	// served on GET /debug/spans; a tracer built over a Recorder
-	// (span.New's emitter) also writes finished spans to its event sink
-	// as "span" JSONL records. Nil disables (zero overhead on every
+	// (span.New's emitter) also observes each finished span into
+	// streamopt_stage_seconds. Nil disables (zero overhead on every
 	// path).
 	Spans *span.Tracer
 	// HistoryCap bounds the generation ring that GET /history and
@@ -485,7 +485,6 @@ func (s *Server) mutate(ing ingress, ms ...journal.Mutation) (int64, error) {
 	journaled := s.journalMuts
 	for _, m := range ms {
 		s.rev++
-		s.opts.Recorder.ServerMutation(m.Op, m.Target)
 		s.trackDecisionLocked(ing, m.Op, m.Target)
 		if s.opts.Journal != nil {
 			s.journalMutationLocked(ing, m)
@@ -788,7 +787,7 @@ func (s *Server) solveOnce() {
 	it.SetAttrBool("converged", res.Converged)
 	it.End()
 	if res.Err != nil {
-		s.opts.Recorder.Divergence(res.Iterations, res.Err.Error())
+		s.opts.Recorder.Divergence()
 		s.opts.Logf("server: solve diverged at rev %d: %v", rev, res.Err)
 		s.maybeCapture("divergence", fmt.Sprintf("rev %d: %v", rev, res.Err))
 	}
@@ -818,8 +817,8 @@ func (s *Server) solveOnce() {
 	s.publish(snap, batch, solveSpan)
 }
 
-// publish assigns the next generation, emits its observability events
-// (solve summary, admission flips), appends its record to the generation
+// publish assigns the next generation, records its metrics (solve
+// summary, admission flips), appends its record to the generation
 // ring, journals its digest, closes the decision lifecycle — every
 // mutation in the incorporated batch ends its root span, stamped with
 // the generation that answered it (the recorder observes it as
@@ -841,7 +840,7 @@ func (s *Server) publish(snap *Snapshot, batch []*decision, solveSpan *span.Acti
 		snap.Generation = prev.Generation + 1
 	}
 	rec := s.opts.Recorder
-	rec.ServerSolve(snap.Generation, snap.Warm, snap.SolveSeconds, snap.Utility, snap.Iterations)
+	rec.ServerSolve(snap.Generation, snap.Warm, snap.Utility)
 
 	trigger := ""
 	if len(batch) > 0 {
@@ -854,7 +853,7 @@ func (s *Server) publish(snap *Snapshot, batch []*decision, solveSpan *span.Acti
 	now := time.Now()
 	for i := range flips {
 		flips[i].Trace, flips[i].At = trigger, now
-		rec.AdmissionFlip(snap.Generation, flips[i].Commodity, flips[i].Admitted, flips[i].Rate, trigger)
+		rec.AdmissionFlip(flips[i].Admitted)
 	}
 	s.recordGeneration(GenerationRecord{
 		Generation:   snap.Generation,

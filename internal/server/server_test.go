@@ -139,7 +139,7 @@ func doReq(t *testing.T, method, url string, body any) (*http.Response, []byte) 
 // a new snapshot generation with a changed admitted rate, solved from a
 // warm start, with the obs counters distinguishing warm from cold.
 func TestRateUpdateProducesNewWarmGeneration(t *testing.T) {
-	rec := obs.NewRecorder(obs.NewRegistry(), nil)
+	rec := obs.NewRecorder(obs.NewRegistry())
 	s, ts := startServer(t, rec)
 
 	first, err := s.WaitForGeneration(1, waitBudget)
@@ -216,7 +216,7 @@ func TestRateUpdateProducesNewWarmGeneration(t *testing.T) {
 // admitted set again. (The serving mode keeps the commodities that stay
 // warm: TestSurvivorsStayWarm.)
 func TestCommodityArrivalAndDepartureColdStart(t *testing.T) {
-	rec := obs.NewRecorder(obs.NewRegistry(), nil)
+	rec := obs.NewRecorder(obs.NewRegistry())
 	opts := testOptions(rec)
 	opts.PaperMode = true
 	s, ts := startServerWith(t, rec, opts)

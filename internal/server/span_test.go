@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -55,7 +56,7 @@ func TestDecisionLifecycleSpans(t *testing.T) {
 }
 
 func testDecisionLifecycleSpans(t *testing.T, shards int) {
-	rec := obs.NewRecorder(obs.NewRegistry(), nil)
+	rec := obs.NewRecorder(obs.NewRegistry())
 	s, tr, ts := startTracedShardedServer(t, rec, 256, shards)
 
 	first, err := s.WaitForGeneration(1, waitBudget)
@@ -135,6 +136,15 @@ func testDecisionLifecycleSpans(t *testing.T, shards int) {
 	if dec.Attrs["kind"] != "set_rate" {
 		t.Errorf("decision kind = %q, want set_rate", dec.Attrs["kind"])
 	}
+	// ?target= finds the root by the commodity it hit.
+	resp, body = doReq(t, "GET", ts.URL+"/debug/spans?target=c1&name=decision", nil)
+	page.Spans = nil
+	if err := json.Unmarshal(body, &page); resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("GET /debug/spans?target=c1 status = %d (%v): %s", resp.StatusCode, err, body)
+	}
+	if !slices.ContainsFunc(page.Spans, func(sp span.Span) bool { return sp.ID == dec.ID && sp.Trace == wantTrace }) {
+		t.Errorf("?target=c1 misses the decision root %s of trace %s: %+v", dec.ID, wantTrace, page.Spans)
+	}
 	if byName["solve"].Attrs["mutations_coalesced"] == "" {
 		t.Error("solve span missing mutations_coalesced attr")
 	}
@@ -200,7 +210,7 @@ func testDecisionLifecycleSpans(t *testing.T, shards int) {
 // attribute keys of every span name and the metric families exposed.
 func observe(t *testing.T, shards int) (spanAttrs map[string]map[string]bool, families map[string]bool) {
 	t.Helper()
-	rec := obs.NewRecorder(obs.NewRegistry(), nil)
+	rec := obs.NewRecorder(obs.NewRegistry())
 	s, tr, _ := startTracedShardedServer(t, rec, 1024, shards)
 	snap, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
@@ -307,7 +317,7 @@ func TestSpansWithoutRecorder(t *testing.T) {
 // traceparent still gets a full decision tree under a server-minted
 // trace ID.
 func TestUntracedMutationStartsFreshTrace(t *testing.T) {
-	rec := obs.NewRecorder(obs.NewRegistry(), nil)
+	rec := obs.NewRecorder(obs.NewRegistry())
 	s, tr, ts := startTracedServer(t, rec, 256)
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
@@ -372,7 +382,7 @@ func TestHealthAndReadyEndpoints(t *testing.T) {
 // in-memory ring and the /v1/flips endpoint, including the triggering
 // trace ID.
 func TestAdmissionFlips(t *testing.T) {
-	rec := obs.NewRecorder(obs.NewRegistry(), nil)
+	rec := obs.NewRecorder(obs.NewRegistry())
 	s, _, ts := startTracedServer(t, rec, 256)
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
@@ -464,26 +474,16 @@ func TestAdmissionFlips(t *testing.T) {
 	}
 }
 
-// TestHTTPMiddlewareMetrics checks the per-route counters, latency
-// histograms and request-log events the middleware produces.
+// TestHTTPMiddlewareMetrics checks the per-route counters and latency
+// histograms the middleware produces.
 func TestHTTPMiddlewareMetrics(t *testing.T) {
-	var buf syncBuffer
-	rec := obs.NewRecorder(obs.NewRegistry(), obs.NewJSONLSink(&buf))
+	rec := obs.NewRecorder(obs.NewRegistry())
 	s, ts := startServer(t, rec)
 	if _, err := s.WaitForGeneration(1, waitBudget); err != nil {
 		t.Fatal(err)
 	}
 
-	req, err := http.NewRequest("GET", ts.URL+"/v1/admitted", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("traceparent", clientTraceparent)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	resp, _ := doReq(t, "GET", ts.URL+"/v1/admitted", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /v1/admitted = %d", resp.StatusCode)
 	}
@@ -508,56 +508,13 @@ func TestHTTPMiddlewareMetrics(t *testing.T) {
 			t.Errorf("metrics missing %s", want)
 		}
 	}
-
-	// The sink saw http_request events, the traced one carrying the
-	// client's trace ID.
-	var sawTraced bool
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if line == "" {
-			continue
-		}
-		var ev struct {
-			Type  string `json:"type"`
-			Route string `json:"route"`
-			Trace string `json:"trace"`
-			Code  int    `json:"code"`
-		}
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("bad event line %q: %v", line, err)
-		}
-		if ev.Type == "http_request" && ev.Route == "GET /v1/admitted" &&
-			ev.Trace == "0af7651916cd43dd8448eb211c80319c" && ev.Code == 200 {
-			sawTraced = true
-		}
-	}
-	if !sawTraced {
-		t.Errorf("no traced http_request event in sink:\n%s", buf.String())
-	}
-}
-
-// syncBuffer is a strings.Builder safe for the sink's concurrent Emit.
-type syncBuffer struct {
-	mu sync.Mutex
-	b  strings.Builder
-}
-
-func (s *syncBuffer) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
-}
-
-func (s *syncBuffer) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.String()
 }
 
 // TestWaitForGenerationTimeoutReturnsLatest pins the audited contract:
 // on timeout the call reports the newest published snapshot alongside
 // the error, so callers can degrade to stale-but-consistent data.
 func TestWaitForGenerationTimeoutReturnsLatest(t *testing.T) {
-	rec := obs.NewRecorder(obs.NewRegistry(), nil)
+	rec := obs.NewRecorder(obs.NewRegistry())
 	s, _ := startServer(t, rec)
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
@@ -579,7 +536,7 @@ func TestWaitForGenerationTimeoutReturnsLatest(t *testing.T) {
 // publishes; under -race (CI runs this package with -count=5) it
 // doubles as the publish/wait memory-safety check.
 func TestWaitForGenerationPublishRace(t *testing.T) {
-	rec := obs.NewRecorder(obs.NewRegistry(), nil)
+	rec := obs.NewRecorder(obs.NewRegistry())
 	s, _ := startServer(t, rec)
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
