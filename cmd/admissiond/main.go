@@ -105,7 +105,7 @@ func main() {
 	flag.IntVar(&cfg.spanCap, "span-cap", span.DefaultCapacity, "decision-lifecycle span ring capacity served on /debug/spans (0 disables span tracing)")
 	flag.IntVar(&cfg.historyCap, "history-cap", 64, "generations retained for /history and /v1/flips (<0 disables both)")
 	flag.StringVar(&cfg.journalDir, "journal-dir", "", "flight-recorder journal directory (empty disables journaling; recovers state from an existing journal)")
-	flag.IntVar(&cfg.checkpointEvery, "checkpoint-every", 256, "full problem checkpoint cadence in accepted mutations (<0 disables periodic checkpoints)")
+	flag.IntVar(&cfg.checkpointEvery, "checkpoint-every", 256, "full problem checkpoint cadence in accepted mutations, written in the background: a checkpoint lands after its revision's mutation, recovery and replay key it by revision (<0 disables periodic checkpoints)")
 	flag.Int64Var(&cfg.segmentBytes, "segment-bytes", 64<<20, "journal segment rotation threshold in bytes")
 	flag.StringVar(&cfg.fsync, "fsync", "interval", "journal durability policy: interval, always, or never")
 	flag.Float64Var(&cfg.sloMS, "slo-ms", 0, "decision-latency SLO in milliseconds; a breaching batch triggers a diagnostics capture (0 disables)")

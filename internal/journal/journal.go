@@ -33,6 +33,16 @@
 //     iterations, convergence, utility, a hash of the admitted set,
 //     and the admission flips it caused.
 //
+// A restart checkpoint opens a run; revisions restart with each run.
+// Within a run, mutations lie in revision order. A periodic checkpoint
+// is marshalled and appended in the background, so the checkpoint at
+// rev M lands after mutation M, anywhere later within its run — after
+// mutations M+1…M+k and their digests, too. Readers therefore key
+// checkpoints by revision, never by position: Recover starts from the
+// newest run's highest-revision checkpoint and applies that run's
+// mutations of higher revision, and replay checks a checkpoint right
+// after it applies the mutation of that revision.
+//
 // Because the solver is bitwise-deterministic (PR 4), replaying the
 // mutations of a journal through a fresh server — one solve per
 // recorded digest — must reproduce every digest exactly; internal/

@@ -214,15 +214,16 @@ func readSegment(path string) (recs []Record, torn *tear, err error) {
 	return recs, nil, nil
 }
 
-// Recovered is the reconstructed server state after a crash: the last
-// checkpoint rolled forward through every later journaled mutation.
+// Recovered is the reconstructed server state after a crash: the
+// newest run's latest checkpoint rolled forward through every later
+// mutation of that run.
 type Recovered struct {
 	Log *Log
 	// Problem is the desired problem at the journal tail — what the
 	// crashed server held under its mutex, minus any unsynced loss.
 	Problem *stream.Problem
-	// Rev is the revision of Problem (the last checkpoint's or last
-	// mutation's revision, whichever is later).
+	// Rev is the revision of Problem (the checkpoint's or the last
+	// applied mutation's revision, whichever is later).
 	Rev int64
 	// CheckpointRev and MutationsApplied describe the roll-forward.
 	CheckpointRev    int64
@@ -235,36 +236,50 @@ type Recovered struct {
 }
 
 // Recover reads the journal and rebuilds the problem the server should
-// boot with: parse the newest checkpoint, then Apply every mutation
-// journaled after it. The caller starts a fresh server over the result
-// and keeps appending to the same directory; the server's boot
-// checkpoint (Restart=true) marks the epoch boundary for replay.
+// boot with. Revisions restart with every server run, so it reads only
+// the newest run: the records from the last restart checkpoint on (the
+// whole journal if none is marked). Within that run mutations lie in
+// revision order, but a periodic checkpoint at rev M is written in the
+// background and may land after mutations M+1…M+k; so Recover parses
+// the run's checkpoint with the highest revision and applies every
+// mutation of the run whose revision is higher, wherever it sits in
+// the file. The caller starts a fresh server over the result and keeps
+// appending to the same directory; the server's boot checkpoint
+// (Restart=true) opens the next run.
 func Recover(dir string) (*Recovered, error) {
 	log, err := ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	cpIdx := -1
+	run := log.Records
 	var solver *SolverParams
 	for i, r := range log.Records {
-		if r.Kind == KindCheckpoint {
-			cpIdx = i
-			if r.Checkpoint.Solver != nil {
-				solver = r.Checkpoint.Solver
-			}
+		if r.Kind != KindCheckpoint {
+			continue
+		}
+		if r.Checkpoint.Restart {
+			run = log.Records[i:]
+		}
+		if r.Checkpoint.Solver != nil {
+			solver = r.Checkpoint.Solver
 		}
 	}
-	if cpIdx < 0 {
+	var cp *Record
+	for i, r := range run {
+		if r.Kind == KindCheckpoint && (cp == nil || r.Rev > cp.Rev) {
+			cp = &run[i]
+		}
+	}
+	if cp == nil {
 		return nil, fmt.Errorf("journal: no checkpoint in %s", dir)
 	}
-	cp := log.Records[cpIdx]
 	p, err := stream.ParseProblem(cp.Checkpoint.Problem)
 	if err != nil {
 		return nil, fmt.Errorf("journal: checkpoint at rev %d: %w", cp.Rev, err)
 	}
 	out := &Recovered{Log: log, Problem: p, Rev: cp.Rev, CheckpointRev: cp.Rev, Solver: solver}
-	for _, r := range log.Records[cpIdx+1:] {
-		if r.Kind != KindMutation {
+	for _, r := range run {
+		if r.Kind != KindMutation || r.Rev <= cp.Rev {
 			continue
 		}
 		if err := Apply(p, r.Mutation); err != nil {

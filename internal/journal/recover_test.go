@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/stream"
 )
 
 // writeJournal records a checkpoint of the toy problem plus mutations,
@@ -421,5 +423,153 @@ func TestHasJournal(t *testing.T) {
 	ok, err = HasJournal(dir)
 	if err != nil || !ok {
 		t.Fatalf("after Create: HasJournal = %v, %v", ok, err)
+	}
+}
+
+// lateRun builds one server run the way the background checkpoint
+// writer can leave it: a restart checkpoint of boot at bootRev, six
+// mutations at bootRev+1…bootRev+6 in revision order, and the periodic
+// checkpoint at bootRev+3 landing after the mutations at bootRev+4 and
+// bootRev+5. The mutations mix absolute and relative writes, so a
+// recovery that skips or repeats one shows in the problem's bytes.
+func lateRun(t *testing.T, boot *stream.Problem, bootRev int64) []Record {
+	t.Helper()
+	muts := []Mutation{
+		SetRate("c1", 3),
+		ScaleCapacity("a", 0.5),
+		SetCapacity("b", 7),
+		ScaleBandwidth("a", "b", 0.5),
+		SetRate("c1", 5),
+		ScaleCapacity("b", 0.5),
+	}
+	p, err := stream.ParseProblem(mustJSON(t, boot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []Record{{Kind: KindCheckpoint, Rev: bootRev, Checkpoint: &Checkpoint{Problem: mustJSON(t, p), Restart: true}}}
+	var late Record
+	for i := range muts {
+		m := muts[i]
+		if err := m.Encode(); err != nil {
+			t.Fatal(err)
+		}
+		if err := Apply(p, &m); err != nil {
+			t.Fatal(err)
+		}
+		rev := bootRev + int64(i) + 1
+		recs = append(recs, Record{Kind: KindMutation, Rev: rev, Mutation: &m})
+		switch i {
+		case 2:
+			late = Record{Kind: KindCheckpoint, Rev: rev, Checkpoint: &Checkpoint{Problem: mustJSON(t, p)}}
+		case 4:
+			recs = append(recs, late)
+		}
+	}
+	return recs
+}
+
+// rollForward is what recovery of recs must yield: the newest run's
+// restart checkpoint with that run's mutations applied in order, no
+// periodic checkpoint consulted. It returns the canonical JSON.
+func rollForward(t *testing.T, recs []Record) []byte {
+	t.Helper()
+	var p *stream.Problem
+	for _, r := range recs {
+		switch {
+		case r.Kind == KindCheckpoint && r.Checkpoint.Restart:
+			var err error
+			if p, err = stream.ParseProblem(r.Checkpoint.Problem); err != nil {
+				t.Fatal(err)
+			}
+		case r.Kind == KindMutation:
+			if err := Apply(p, r.Mutation); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return mustJSON(t, p)
+}
+
+// copyJournal writes recs through a fresh writer and returns the
+// directory.
+func copyJournal(t *testing.T, recs []Record) string {
+	t.Helper()
+	dir := t.TempDir()
+	w, err := Create(dir, Options{Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CopyTo(w, recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// twoRuns is two server runs of lateRun: the second boots from the
+// first's final state, with revisions restarting at 1. The first run
+// ends with a periodic checkpoint at rev 7, above every revision the
+// second run reaches.
+func twoRuns(t *testing.T) []Record {
+	t.Helper()
+	first := lateRun(t, toyProblem(t), 1)
+	end, err := stream.ParseProblem(rollForward(t, first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first = append(first, Record{Kind: KindCheckpoint, Rev: 7, Checkpoint: &Checkpoint{Problem: mustJSON(t, end)}})
+	return append(first, lateRun(t, end, 1)...)
+}
+
+// TestRecoverLateCheckpoint: the checkpoint at rev 4 lands after the
+// mutations at revs 5 and 6. Recovery starts from it and still applies
+// them, then rev 7.
+func TestRecoverLateCheckpoint(t *testing.T) {
+	recs := lateRun(t, toyProblem(t), 1)
+	rec, err := Recover(copyJournal(t, recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.CheckpointRev != 4 || rec.MutationsApplied != 3 || rec.Rev != 7 {
+		t.Fatalf("recovered cpRev=%d rev=%d applied=%d, want 4, 7, 3", rec.CheckpointRev, rec.Rev, rec.MutationsApplied)
+	}
+	if got, want := mustJSON(t, rec.Problem), rollForward(t, recs); string(got) != string(want) {
+		t.Fatalf("recovered problem\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestRecoverIgnoresEarlierRunsCheckpoints: revisions restart with each
+// run, so the first run's checkpoint at rev 7 outranks every checkpoint
+// of the second by revision, yet it must not govern the second run.
+func TestRecoverIgnoresEarlierRunsCheckpoints(t *testing.T) {
+	recs := twoRuns(t)
+	rec, err := Recover(copyJournal(t, recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.CheckpointRev != 4 || rec.MutationsApplied != 3 || rec.Rev != 7 {
+		t.Fatalf("recovered cpRev=%d rev=%d applied=%d, want 4, 7, 3", rec.CheckpointRev, rec.Rev, rec.MutationsApplied)
+	}
+	if got, want := mustJSON(t, rec.Problem), rollForward(t, recs); string(got) != string(want) {
+		t.Fatalf("recovered problem\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestRecoverEveryPrefix cuts the two-run journal after every record —
+// what a crash can leave — and checks that recovery always equals the
+// newest run's boot checkpoint rolled forward through that prefix's
+// mutations alone.
+func TestRecoverEveryPrefix(t *testing.T) {
+	recs := twoRuns(t)
+	for n := 1; n <= len(recs); n++ {
+		rec, err := Recover(copyJournal(t, recs[:n]))
+		if err != nil {
+			t.Fatalf("cut after record %d: %v", n, err)
+		}
+		if got, want := mustJSON(t, rec.Problem), rollForward(t, recs[:n]); string(got) != string(want) {
+			t.Fatalf("cut after record %d (%s rev %d): recovered\n%s\nwant\n%s", n, recs[n-1].Kind, recs[n-1].Rev, got, want)
+		}
 	}
 }

@@ -78,8 +78,9 @@ func (o *Options) setDefaults() {
 }
 
 // Writer appends framed records to the journal directory. Safe for
-// concurrent use: the server appends mutations under its own mutex and
-// digests from the solver goroutine.
+// concurrent use: the server appends mutations under its own mutex,
+// digests from the solver goroutine and periodic checkpoints from its
+// checkpoint goroutine.
 type Writer struct {
 	dir   string
 	opts  Options
@@ -174,7 +175,7 @@ func (w *Writer) openSegmentLocked() error {
 	if w.mSegment != nil {
 		w.mSegment.Set(float64(w.seg))
 	}
-	if err := w.appendLocked(&Record{
+	hdr := Record{
 		Kind: KindHeader,
 		Header: &Header{
 			Version:   Version,
@@ -182,7 +183,12 @@ func (w *Writer) openSegmentLocked() error {
 			Segment:   w.seg,
 			StreamSHA: w.opts.StreamSHA,
 		},
-	}); err != nil {
+	}
+	frame, err := w.frame(&hdr)
+	if err != nil {
+		return err
+	}
+	if err := w.writeLocked(&hdr, frame); err != nil {
 		return err
 	}
 	// Make the new segment's existence durable: fsync the directory so
@@ -195,8 +201,16 @@ func (w *Writer) openSegmentLocked() error {
 }
 
 // Append stamps and writes one record, applying the fsync policy and
-// rotating segments as configured.
+// rotating segments as configured. The record is stamped and framed
+// (JSON, CRC) before the writer's lock is taken, so a large checkpoint
+// encoding on one goroutine does not hold up the small appends of
+// another; under the lock Append only buffers, rotates and syncs.
+// Records land in the order their appends take the lock.
 func (w *Writer) Append(rec Record) error {
+	frame, err := w.frame(&rec)
+	if err != nil {
+		return err
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -213,22 +227,23 @@ func (w *Writer) Append(rec Record) error {
 			return err
 		}
 	}
-	return w.appendLocked(&rec)
+	return w.writeLocked(&rec, frame)
 }
 
-// appendLocked frames and buffers one record, then applies the fsync
-// policy.
-func (w *Writer) appendLocked(rec *Record) error {
+// frame stamps the record's zero clocks and encodes it as one frame.
+func (w *Writer) frame(rec *Record) ([]byte, error) {
 	if rec.WallUnixNano == 0 {
 		rec.WallUnixNano = time.Now().UnixNano()
 	}
 	if rec.MonoNanos == 0 {
 		rec.MonoNanos = time.Since(w.birth).Nanoseconds()
 	}
-	frame, err := encodeFrame(rec)
-	if err != nil {
-		return err
-	}
+	return encodeFrame(rec)
+}
+
+// writeLocked buffers one framed record, then applies the fsync
+// policy.
+func (w *Writer) writeLocked(rec *Record, frame []byte) error {
 	if _, err := w.buf.Write(frame); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}

@@ -15,12 +15,13 @@
 // captured), every comparison is exact — a mismatch means the journal
 // and the code disagree, not that timing drifted. Periodic non-restart
 // checkpoints double as cross-checks: the replayed problem's canonical
-// JSON must equal the recorded checkpoint bytes. They queue alongside
-// mutations and are checked only once a flush passes their revision:
-// checkpoints are journaled at mutation acceptance while digests land
-// from the solver goroutine, so a checkpoint at rev M may precede the
-// digest of a solve that captured rev N < M in file order, and eager
-// verification would push the replayed state past that solve.
+// JSON must equal the recorded checkpoint bytes. Mutations lie in
+// revision order, but the server writes a periodic checkpoint in the
+// background, so the checkpoint at rev M lands after mutation M,
+// anywhere later within its run; the verifier keys checkpoints by
+// revision and checks each right after it applies mutation M. A
+// checkpoint whose revision no mutation of its run reaches is a
+// structural mismatch (checkpoint_unverified).
 package replay
 
 import (
@@ -198,54 +199,60 @@ func verifyRun(runIdx int, run []journal.Record, opts Options, rep *Report, logf
 		rep.Mismatches = append(rep.Mismatches, m)
 	}
 
+	// The run's periodic checkpoints by revision: each is checked when
+	// the mutation of its revision applies, wherever it sits in the run.
+	checkpoints := map[int64]json.RawMessage{}
+	for _, r := range run[1:] {
+		if r.Kind == journal.KindCheckpoint {
+			checkpoints[r.Rev] = r.Checkpoint.Problem
+		}
+	}
 	var (
-		queue    []journal.Record // mutations and checkpoints not yet reached by a flush
+		queue    []journal.Record // mutations not yet reached by a flush
 		prevSnap *server.Snapshot
 		prevWall int64
 	)
-	// flush walks the queue — mutations and periodic checkpoints, in
-	// journal order — applying and verifying every record with revision
-	// ≤ rev. Checkpoints are journaled under the server mutex at
-	// mutation acceptance, while digests land later from the solver
-	// goroutine, so a checkpoint at rev M can precede the digest of a
-	// solve that captured rev N < M in file order; verifying the
-	// checkpoint only when a flush passes rev M keeps the replayed
-	// state from running ahead of the solve boundaries. A returned
-	// errDiverged means a mismatch was already recorded and the run is
-	// over; any other error is operational.
+	// flush applies every queued mutation with revision ≤ rev, in
+	// journal order, and checks each periodic checkpoint right after
+	// the mutation of its revision. Digests land from the solver
+	// goroutine while mutations are journaled at acceptance, so the
+	// queue stops at the digest's revision and the replayed state never
+	// runs ahead of the solve boundaries. A returned errDiverged means
+	// a mismatch was already recorded and the run is over; any other
+	// error is operational.
 	flush := func(rev int64) error {
 		for len(queue) > 0 && queue[0].Rev <= rev {
 			q := queue[0]
 			queue = queue[1:]
-			switch q.Kind {
-			case journal.KindMutation:
-				got, err := srv.Apply(*q.Mutation)
-				if err != nil {
-					structural(Mismatch{Rev: q.Rev, Field: "apply", Recorded: "applies cleanly",
-						Replayed: fmt.Sprintf("%s %s: %v", q.Mutation.Op, q.Mutation.Target, err)})
-					return errDiverged
-				}
-				if got != q.Rev {
-					structural(Mismatch{Rev: q.Rev, Field: "apply",
-						Recorded: fmt.Sprintf("rev %d (%s %s)", q.Rev, q.Mutation.Op, q.Mutation.Target),
-						Replayed: fmt.Sprintf("rev drift: replayed rev %d", got)})
-					return errDiverged
-				}
-				rep.Mutations++
-
-			case journal.KindCheckpoint:
-				got, err := srv.ProblemJSON()
-				if err != nil {
-					return err
-				}
-				if !bytes.Equal(got, q.Checkpoint.Problem) {
-					structural(Mismatch{Rev: q.Rev, Field: "checkpoint_problem",
-						Recorded: fmt.Sprintf("%d bytes", len(q.Checkpoint.Problem)),
-						Replayed: fmt.Sprintf("%d bytes (differs)", len(got))})
-					return errDiverged
-				}
-				rep.CheckpointsVerified++
+			got, err := srv.Apply(*q.Mutation)
+			if err != nil {
+				structural(Mismatch{Rev: q.Rev, Field: "apply", Recorded: "applies cleanly",
+					Replayed: fmt.Sprintf("%s %s: %v", q.Mutation.Op, q.Mutation.Target, err)})
+				return errDiverged
 			}
+			if got != q.Rev {
+				structural(Mismatch{Rev: q.Rev, Field: "apply",
+					Recorded: fmt.Sprintf("rev %d (%s %s)", q.Rev, q.Mutation.Op, q.Mutation.Target),
+					Replayed: fmt.Sprintf("rev drift: replayed rev %d", got)})
+				return errDiverged
+			}
+			rep.Mutations++
+			cp, ok := checkpoints[q.Rev]
+			if !ok {
+				continue
+			}
+			delete(checkpoints, q.Rev)
+			pj, err := srv.ProblemJSON()
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(pj, cp) {
+				structural(Mismatch{Rev: q.Rev, Field: "checkpoint_problem",
+					Recorded: fmt.Sprintf("%d bytes", len(cp)),
+					Replayed: fmt.Sprintf("%d bytes (differs)", len(pj))})
+				return errDiverged
+			}
+			rep.CheckpointsVerified++
 		}
 		return nil
 	}
@@ -259,12 +266,6 @@ func verifyRun(runIdx int, run []journal.Record, opts Options, rep *Report, logf
 		}
 		switch r.Kind {
 		case journal.KindMutation:
-			queue = append(queue, r)
-
-		case journal.KindCheckpoint:
-			if r.Checkpoint.Restart {
-				continue // the boot checkpoint that opened this run
-			}
 			queue = append(queue, r)
 
 		case journal.KindDigest:
@@ -312,18 +313,27 @@ func verifyRun(runIdx int, run []journal.Record, opts Options, rep *Report, logf
 	}
 	// Records journaled after the last digest were never solved for in
 	// the recording: apply the mutations (they must still apply —
-	// recovery depends on it) and cross-check any queued checkpoints,
-	// but there is no digest to verify against. Flush past every
-	// revision — the run's last record is usually a digest whose rev
-	// trails the mutations journaled during that final solve.
-	if len(queue) > 0 {
-		before := rep.Mutations
-		err := flush(math.MaxInt64)
-		rep.UnverifiedTailMutations += rep.Mutations - before
+	// recovery depends on it) and cross-check their checkpoints, but
+	// there is no digest to verify against. Flush past every revision —
+	// the run's last record is usually a digest whose rev trails the
+	// mutations journaled during that final solve.
+	before := rep.Mutations
+	err = flush(math.MaxInt64)
+	rep.UnverifiedTailMutations += rep.Mutations - before
+	if err != nil {
 		if err == errDiverged {
 			return nil
 		}
 		return err
+	}
+	// A checkpoint left over names a revision no mutation of the run
+	// reached: the journal claims a state the run never had.
+	for _, r := range run[1:] {
+		if _, ok := checkpoints[r.Rev]; ok && r.Kind == journal.KindCheckpoint {
+			structural(Mismatch{Rev: r.Rev, Field: "checkpoint_unverified",
+				Recorded: fmt.Sprintf("checkpoint at rev %d", r.Rev),
+				Replayed: fmt.Sprintf("no mutation of the run reaches rev %d", r.Rev)})
+		}
 	}
 	return nil
 }

@@ -497,12 +497,12 @@ func TestVerifyPinpointsCorruptedDigest(t *testing.T) {
 }
 
 // TestVerifyCheckpointDuringSolve reproduces the live interleaving
-// where a periodic checkpoint is journaled (under the server mutex, at
-// mutation acceptance) before the digest of a solve that captured an
-// earlier revision lands from the solver goroutine. The verifier must
-// not let the checkpoint drag the replayed state past the solve
-// boundary: the digest still has to verify against the revision its
-// solve captured.
+// where a periodic checkpoint lands (the server's checkpoint goroutine
+// writes it after the mutation of its revision) before the digest of a
+// solve that captured an earlier revision lands from the solver
+// goroutine. The verifier must not let the checkpoint drag the
+// replayed state past the solve boundary: the digest still has to
+// verify against the revision its solve captured.
 func TestVerifyCheckpointDuringSolve(t *testing.T) {
 	dir := t.TempDir()
 	record(t, dir, toyProblem(t), func(s *server.Server) {
@@ -519,39 +519,24 @@ func TestVerifyCheckpointDuringSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := log.Records
-	// The serialized recording holds ..., digest(N), mutation(M),
-	// checkpoint(M), ... with N < M. Hoist the mutation+checkpoint pair
-	// ahead of the digest — a legal interleaving of the live server
-	// (the mutation arrived, and checkpointed, while the rev-N solve
-	// was still in flight).
-	cp := -1
-	for i, r := range recs {
-		if r.Kind == journal.KindCheckpoint && !r.Checkpoint.Restart {
-			cp = i
-			break
-		}
-	}
-	if cp < 2 || recs[cp-1].Kind != journal.KindMutation || recs[cp-1].Rev != recs[cp].Rev ||
-		recs[cp-2].Kind != journal.KindDigest || recs[cp-2].Rev >= recs[cp].Rev {
+	// The recording holds ..., digest(N), mutation(M), ... with N < M,
+	// and checkpoint(M) somewhere after mutation(M). Hoist the
+	// mutation+checkpoint pair ahead of the digest — a legal
+	// interleaving of the live server (the mutation arrived, and
+	// checkpointed, while the rev-N solve was still in flight).
+	cp, mut := firstCheckpoint(t, recs)
+	if mut < 1 || recs[mut-1].Kind != journal.KindDigest || recs[mut-1].Rev >= recs[cp].Rev {
 		t.Fatalf("recording shape unexpected around first periodic checkpoint (index %d)", cp)
 	}
-	reordered := append([]journal.Record(nil), recs[:cp-2]...)
-	reordered = append(reordered, recs[cp-1], recs[cp], recs[cp-2])
-	reordered = append(reordered, recs[cp+1:]...)
-
-	raced := t.TempDir()
-	w, err := journal.Create(raced, journal.Options{Fsync: journal.FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := journal.CopyTo(w, reordered); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	reordered := append([]journal.Record(nil), recs[:mut-1]...)
+	reordered = append(reordered, recs[mut], recs[cp], recs[mut-1])
+	for i := mut + 1; i < len(recs); i++ {
+		if i != cp {
+			reordered = append(reordered, recs[i])
+		}
 	}
 
-	rep, err := Verify(raced, Options{Timeout: waitBudget})
+	rep, err := Verify(copyJournal(t, reordered), Options{Timeout: waitBudget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,6 +548,115 @@ func TestVerifyCheckpointDuringSolve(t *testing.T) {
 	}
 	if rep.CheckpointsVerified < 1 {
 		t.Fatalf("CheckpointsVerified = %d, want >= 1", rep.CheckpointsVerified)
+	}
+}
+
+// firstCheckpoint returns the index of the first periodic checkpoint in
+// recs and of the mutation at its revision.
+func firstCheckpoint(t *testing.T, recs []journal.Record) (cp, mut int) {
+	t.Helper()
+	cp, mut = -1, -1
+	for i, r := range recs {
+		if r.Kind == journal.KindCheckpoint && !r.Checkpoint.Restart {
+			cp = i
+			break
+		}
+	}
+	if cp < 0 {
+		t.Fatal("recording holds no periodic checkpoint")
+	}
+	for i, r := range recs {
+		if r.Kind == journal.KindMutation && r.Rev == recs[cp].Rev {
+			mut = i
+		}
+	}
+	if mut < 0 {
+		t.Fatalf("no mutation at the checkpoint's rev %d", recs[cp].Rev)
+	}
+	return cp, mut
+}
+
+// copyJournal writes recs through a fresh writer and returns the
+// directory.
+func copyJournal(t *testing.T, recs []journal.Record) string {
+	t.Helper()
+	dir := t.TempDir()
+	w, err := journal.Create(dir, journal.Options{Fsync: journal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := journal.CopyTo(w, recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// lateCheckpointRecording records three rate changes at checkpoint
+// cadence 2 and moves the first periodic checkpoint to the end of its
+// run, after every later mutation and digest: the latest a background
+// checkpoint can land. It returns the records and the checkpoint's
+// index among them.
+func lateCheckpointRecording(t *testing.T) ([]journal.Record, int) {
+	t.Helper()
+	dir := t.TempDir()
+	record(t, dir, toyProblem(t), func(s *server.Server) {
+		for _, rate := range []float64{4, 6, 5} {
+			if _, err := s.SetMaxRate("c1", rate); err != nil {
+				t.Fatal(err)
+			}
+			waitNext(t, s)
+		}
+	})
+	log, err := journal.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, _ := firstCheckpoint(t, log.Records)
+	recs := append([]journal.Record(nil), log.Records[:cp]...)
+	recs = append(recs, log.Records[cp+1:]...)
+	return append(recs, log.Records[cp]), len(recs)
+}
+
+// TestVerifyLateCheckpoint: a checkpoint at rev M that lands after
+// mutations M+1… and their digests is still checked against the state
+// right after mutation M.
+func TestVerifyLateCheckpoint(t *testing.T) {
+	recs, _ := lateCheckpointRecording(t)
+	rep, err := Verify(copyJournal(t, recs), Options{Timeout: waitBudget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Ok() {
+		for _, m := range rep.Mismatches {
+			t.Errorf("mismatch: %s", m)
+		}
+		t.Fatal("late checkpoint broke verification")
+	}
+	if rep.CheckpointsVerified != 1 {
+		t.Fatalf("CheckpointsVerified = %d, want 1", rep.CheckpointsVerified)
+	}
+}
+
+// TestVerifyFlagsOrphanCheckpoint: a periodic checkpoint whose rev no
+// mutation of its run reaches claims a state the run never had; it is
+// a structural mismatch, not a silent skip.
+func TestVerifyFlagsOrphanCheckpoint(t *testing.T) {
+	recs, cp := lateCheckpointRecording(t)
+	orphan := recs[cp]
+	orphan.Rev = 1000
+	recs[cp] = orphan
+	rep, err := Verify(copyJournal(t, recs), Options{Timeout: waitBudget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Mismatches) != 1 || rep.Mismatches[0].Field != "checkpoint_unverified" || rep.Mismatches[0].Rev != 1000 {
+		t.Fatalf("mismatches = %+v, want one checkpoint_unverified at rev 1000", rep.Mismatches)
+	}
+	if rep.CheckpointsVerified != 0 {
+		t.Fatalf("CheckpointsVerified = %d, want 0", rep.CheckpointsVerified)
 	}
 }
 
@@ -608,18 +702,7 @@ func TestVerifyTailMutations(t *testing.T) {
 		recs := append([]journal.Record(nil), log.Records[:lastDigest]...)
 		recs = append(recs, muts...)
 		recs = append(recs, log.Records[lastDigest:]...)
-		out := t.TempDir()
-		w, err := journal.Create(out, journal.Options{Fsync: journal.FsyncNever})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := journal.CopyTo(w, recs); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return out
+		return copyJournal(t, recs)
 	}
 
 	good := makeTail(

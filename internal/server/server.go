@@ -14,10 +14,11 @@
 // and copies the struct or vector it does write first), applies itself
 // to that, swaps it in and wakes the solver goroutine; nothing ever
 // edits a problem once Server.problem points at it, nor anything an
-// installed problem shares with its successors. The solver and GET
-// /v1/problem therefore take the pointer under the mutex and read the
-// problem outside it — later mutations replace the pointer, they never
-// alias an in-flight solve or marshal — and a mutation costs what it
+// installed problem shares with its successors. The solver, GET
+// /v1/problem and the periodic journal checkpoint therefore take the
+// pointer under the mutex and read the problem outside it — later
+// mutations replace the pointer, they never alias an in-flight solve or
+// marshal — and a mutation costs what it
 // touches plus one pointer per commodity, not a copy of the problem.
 // The solver converges and
 // publishes an immutable Snapshot through an atomic pointer. Reads are
@@ -124,7 +125,10 @@ type Options struct {
 	Journal *journal.Writer
 	// CheckpointEvery is the periodic-checkpoint cadence in accepted
 	// mutations. Default 256; <0 disables periodic checkpoints (the
-	// boot checkpoint is always written).
+	// boot checkpoint is always written). A periodic checkpoint is
+	// marshalled and appended in the background: it lands after the
+	// mutation of its revision, possibly after later ones too, and
+	// journal.Recover and replay key it by revision.
 	CheckpointEvery int
 
 	// SLO, when >0, is the decision-latency objective: a published
@@ -271,6 +275,11 @@ type Server struct {
 	rev         int64           // bumped per accepted mutation
 	pending     []*decision     // traced mutations awaiting a snapshot; under mu
 	journalMuts int             // mutations journaled since boot; drives periodic checkpoints
+	// checkpoints queues due periodic checkpoints, in revision order, to
+	// the goroutine that writes them; sent to and closed under mu. Nil
+	// when periodic checkpoints are off and once Close has begun.
+	checkpoints   chan checkpoint
+	checkpointing chan struct{} // closed when the checkpoint goroutine exits
 
 	// coord owns the solver shards, their engines and warm-start state,
 	// and the turns they take; solver-goroutine only.
@@ -293,6 +302,23 @@ type Server struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 }
+
+// checkpoint is one due periodic checkpoint: an installed version and
+// its revision. Installed versions are immutable, so the checkpoint
+// goroutine marshals it while later mutations install their own.
+type checkpoint struct {
+	p   *stream.Problem
+	rev int64
+}
+
+// checkpointQueue bounds the due checkpoints waiting for the writer. A
+// full queue holds the next one's mutation until a slot frees up: no
+// due checkpoint is dropped.
+const checkpointQueue = 4
+
+// marshalCheckpoint encodes a periodic checkpoint's problem; a variable
+// so tests can hold a checkpoint mid-marshal.
+var marshalCheckpoint = (*stream.Problem).MarshalJSON
 
 // decision is one traced mutation in flight: accepted (rev bumped) but
 // not yet incorporated into a published snapshot. The root span opened
@@ -399,6 +425,11 @@ func New(p *stream.Problem, opts Options) (*Server, error) {
 			cancel()
 			return nil, err
 		}
+		if opts.CheckpointEvery > 0 {
+			s.checkpoints = make(chan checkpoint, checkpointQueue)
+			s.checkpointing = make(chan struct{})
+			go s.writeCheckpoints(s.checkpoints)
+		}
 	}
 	go s.loop()
 	return s, nil
@@ -406,10 +437,21 @@ func New(p *stream.Problem, opts Options) (*Server, error) {
 
 // Close stops the solver loop, draining an in-flight solve: the loop
 // notices the cancellation at the next iteration boundary, publishes
-// what it has, and exits. Close blocks until then.
+// what it has, and exits. It also writes every periodic checkpoint that
+// fell due before Close began; none falls due after. Close blocks until
+// both are done.
 func (s *Server) Close() error {
+	s.mu.Lock()
+	if s.checkpoints != nil {
+		close(s.checkpoints)
+		s.checkpoints = nil
+	}
+	s.mu.Unlock()
 	s.cancel()
 	<-s.done
+	if s.checkpointing != nil {
+		<-s.checkpointing
+	}
 	return nil
 }
 
@@ -491,9 +533,10 @@ func (s *Server) mutate(ing ingress, ms ...journal.Mutation) (int64, error) {
 		}
 	}
 	// The periodic checkpoint waits for the end of the group: only there
-	// is s.problem the state at s.rev.
-	if every := s.opts.CheckpointEvery; every > 0 && s.journalMuts/every > journaled/every {
-		s.journalCheckpointLocked()
+	// is s.problem the state at s.rev. The mutex only orders it; the
+	// checkpoint goroutine marshals and appends it.
+	if every := s.opts.CheckpointEvery; s.checkpoints != nil && s.journalMuts/every > journaled/every {
+		s.checkpoints <- checkpoint{p: s.problem, rev: s.rev}
 	}
 	s.signal()
 	return s.rev, nil
@@ -520,21 +563,28 @@ func (s *Server) journalMutationLocked(ing ingress, m journal.Mutation) {
 	s.journalMuts++
 }
 
-// journalCheckpointLocked writes the periodic full checkpoint of the
-// desired problem at the current revision. Callers hold s.mu.
-func (s *Server) journalCheckpointLocked() {
-	pj, err := s.problem.MarshalJSON()
-	if err != nil {
-		s.opts.Logf("server: journal checkpoint marshal failed at rev %d: %v", s.rev, err)
-		return
-	}
-	err = s.opts.Journal.Append(journal.Record{
-		Kind:       journal.KindCheckpoint,
-		Rev:        s.rev,
-		Checkpoint: &journal.Checkpoint{Problem: pj},
-	})
-	if err != nil {
-		s.opts.Logf("server: journal checkpoint failed at rev %d: %v", s.rev, err)
+// writeCheckpoints is the checkpoint goroutine: it writes the periodic
+// full checkpoints mutate queues, one at a time in revision order, off
+// the mutex, until Close closes the queue. Each lands in the journal
+// after the mutation of its revision and perhaps after later ones;
+// journal.Recover and replay key it by revision. Errors are logged:
+// a lost checkpoint costs recovery time, not admission.
+func (s *Server) writeCheckpoints(q <-chan checkpoint) {
+	defer close(s.checkpointing)
+	for cp := range q {
+		pj, err := marshalCheckpoint(cp.p)
+		if err != nil {
+			s.opts.Logf("server: journal checkpoint marshal failed at rev %d: %v", cp.rev, err)
+			continue
+		}
+		err = s.opts.Journal.Append(journal.Record{
+			Kind:       journal.KindCheckpoint,
+			Rev:        cp.rev,
+			Checkpoint: &journal.Checkpoint{Problem: pj},
+		})
+		if err != nil {
+			s.opts.Logf("server: journal checkpoint failed at rev %d: %v", cp.rev, err)
+		}
 	}
 }
 
