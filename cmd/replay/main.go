@@ -1,12 +1,12 @@
 // Command replay verifies a flight-recorder journal: it loads each
 // run's restart checkpoint, re-drives the recorded mutations through
-// an in-proc admission server at max (or recorded wall-clock) speed,
-// and checks the replayed decision trajectory — utility per
-// generation, admitted-set hashes, flip sequences — against the
-// recorded digests.
+// an in-proc admission server with the recorded solver settings, as
+// fast as it can, and checks the replayed decision trajectory —
+// utility per generation, admitted-set hashes, flip sequences —
+// against the recorded digests.
 //
 //	go run ./cmd/replay -journal journaldir
-//	go run ./cmd/replay -journal journaldir -speed 1 -out report.json
+//	go run ./cmd/replay -journal journaldir -out report.json
 //
 // Exit status: 0 clean, 1 trajectory mismatches (the report pinpoints
 // each diverging generation), 2 unreadable or structurally invalid
@@ -26,8 +26,6 @@ import (
 
 type cliConfig struct {
 	journal string
-	workers int
-	speed   float64
 	timeout time.Duration
 	out     string
 	quiet   bool
@@ -39,8 +37,6 @@ type cliConfig struct {
 func main() {
 	var cfg cliConfig
 	flag.StringVar(&cfg.journal, "journal", "", "journal directory to verify (required)")
-	flag.IntVar(&cfg.workers, "workers", 0, "override the recorded solver worker bound (0 = as recorded)")
-	flag.Float64Var(&cfg.speed, "speed", 0, "replay pacing against recorded wall-clock (1 = real time, 2 = double speed, 0 = max speed)")
 	flag.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-solve replay timeout")
 	flag.StringVar(&cfg.out, "out", "", "write the JSON report to this file as well as stdout")
 	flag.BoolVar(&cfg.quiet, "quiet", false, "suppress progress lines")
@@ -58,11 +54,7 @@ func realMain(cfg cliConfig) (int, error) {
 	if cfg.journal == "" {
 		return 0, fmt.Errorf("-journal is required")
 	}
-	opts := replay.Options{
-		Workers: cfg.workers,
-		Speed:   cfg.speed,
-		Timeout: cfg.timeout,
-	}
+	opts := replay.Options{Timeout: cfg.timeout}
 	if !cfg.quiet {
 		opts.Logf = func(format string, args ...any) {
 			fmt.Fprintf(cfg.stderr, format+"\n", args...)

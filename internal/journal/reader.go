@@ -235,34 +235,43 @@ type Recovered struct {
 	Solver *SolverParams
 }
 
+// Runs splits the records at restart checkpoints: one run per server
+// boot, each opening with its restart checkpoint. Records before the
+// first restart checkpoint form a leading run that does not open with
+// one. Revisions restart with every run.
+func (l *Log) Runs() [][]Record {
+	var runs [][]Record
+	start := 0
+	for i, r := range l.Records {
+		if i > start && r.Kind == KindCheckpoint && r.Checkpoint.Restart {
+			runs = append(runs, l.Records[start:i:i])
+			start = i
+		}
+	}
+	if start < len(l.Records) {
+		runs = append(runs, l.Records[start:])
+	}
+	return runs
+}
+
 // Recover reads the journal and rebuilds the problem the server should
 // boot with. Revisions restart with every server run, so it reads only
-// the newest run: the records from the last restart checkpoint on (the
-// whole journal if none is marked). Within that run mutations lie in
-// revision order, but a periodic checkpoint at rev M is written in the
-// background and may land after mutations M+1…M+k; so Recover parses
-// the run's checkpoint with the highest revision and applies every
-// mutation of the run whose revision is higher, wherever it sits in
-// the file. The caller starts a fresh server over the result and keeps
-// appending to the same directory; the server's boot checkpoint
-// (Restart=true) opens the next run.
+// the last of Log.Runs (the whole journal if no restart is marked).
+// Within that run mutations lie in revision order, but a periodic
+// checkpoint at rev M is written in the background and may land after
+// mutations M+1…M+k; so Recover parses the run's checkpoint with the
+// highest revision and applies every mutation of the run whose revision
+// is higher, wherever it sits in the file. The caller starts a fresh
+// server over the result and keeps appending to the same directory; the
+// server's boot checkpoint (Restart=true) opens the next run.
 func Recover(dir string) (*Recovered, error) {
 	log, err := ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	run := log.Records
-	var solver *SolverParams
-	for i, r := range log.Records {
-		if r.Kind != KindCheckpoint {
-			continue
-		}
-		if r.Checkpoint.Restart {
-			run = log.Records[i:]
-		}
-		if r.Checkpoint.Solver != nil {
-			solver = r.Checkpoint.Solver
-		}
+	var run []Record
+	if runs := log.Runs(); len(runs) > 0 {
+		run = runs[len(runs)-1]
 	}
 	var cp *Record
 	for i, r := range run {
@@ -276,6 +285,10 @@ func Recover(dir string) (*Recovered, error) {
 	p, err := stream.ParseProblem(cp.Checkpoint.Problem)
 	if err != nil {
 		return nil, fmt.Errorf("journal: checkpoint at rev %d: %w", cp.Rev, err)
+	}
+	var solver *SolverParams
+	if run[0].Kind == KindCheckpoint {
+		solver = run[0].Checkpoint.Solver
 	}
 	out := &Recovered{Log: log, Problem: p, Rev: cp.Rev, CheckpointRev: cp.Rev, Solver: solver}
 	for _, r := range run {

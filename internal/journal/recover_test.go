@@ -573,3 +573,51 @@ func TestRecoverEveryPrefix(t *testing.T) {
 		}
 	}
 }
+
+// TestRunsSplitAtRestartCheckpoints: records before the first restart
+// checkpoint form a leading run that does not open with one, each
+// restart checkpoint opens the next run, and Recover reads only the
+// last.
+func TestRunsSplitAtRestartCheckpoints(t *testing.T) {
+	runs := twoRuns(t)
+	lead := lateRun(t, toyProblem(t), 1)[1:4] // a run cut off its restart checkpoint
+	recs := append(append([]Record{}, lead...), runs...)
+	dir := copyJournal(t, recs)
+	log, err := ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := log.Runs()
+	if len(got) != 3 {
+		t.Fatalf("%d runs, want 3", len(got))
+	}
+	// twoRuns' second run is one lateRun: a restart checkpoint, six
+	// mutations and the late checkpoint.
+	for i, want := range []int{len(lead), len(runs) - 8, 8} {
+		if len(got[i]) != want {
+			t.Fatalf("run %d holds %d records, want %d", i, len(got[i]), want)
+		}
+		if restart := got[i][0].Kind == KindCheckpoint && got[i][0].Checkpoint.Restart; restart != (i > 0) {
+			t.Fatalf("run %d opens with a restart checkpoint: %v", i, restart)
+		}
+	}
+	rec, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.CheckpointRev != 4 || rec.MutationsApplied != 3 || rec.Rev != 7 {
+		t.Fatalf("recovered cpRev=%d rev=%d applied=%d, want 4, 7, 3", rec.CheckpointRev, rec.Rev, rec.MutationsApplied)
+	}
+	if got, want := mustJSON(t, rec.Problem), rollForward(t, runs); string(got) != string(want) {
+		t.Fatalf("recovered problem\n%s\nwant\n%s", got, want)
+	}
+
+	// With no restart marked, the whole journal is one run.
+	log, err = ReadDir(copyJournal(t, lead))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := log.Runs(); len(got) != 1 || len(got[0]) != len(lead) {
+		t.Fatalf("unmarked journal splits into %d runs", len(got))
+	}
+}

@@ -56,9 +56,6 @@ type Options struct {
 	FsyncEvery time.Duration
 	// StreamSHA is stamped into every segment header (see Header).
 	StreamSHA string
-	// TailRecords bounds the in-memory ring of recent records served
-	// by Tail for diagnostics bundles. Default 256; <0 disables.
-	TailRecords int
 	// Registry, when non-nil, receives the journal gauges/counters
 	// (streamopt_journal_*): appended records/bytes, fsyncs, current
 	// segment, and the unsynced lag behind the last fsync.
@@ -72,15 +69,15 @@ func (o *Options) setDefaults() {
 	if o.FsyncEvery <= 0 {
 		o.FsyncEvery = 100 * time.Millisecond
 	}
-	if o.TailRecords == 0 {
-		o.TailRecords = 256
-	}
 }
 
 // Writer appends framed records to the journal directory. Safe for
 // concurrent use: the server appends mutations under its own mutex,
 // digests from the solver goroutine and periodic checkpoints from its
-// checkpoint goroutine.
+// checkpoint goroutine. It keeps nothing it has written: it holds only
+// the open segment's 64 KiB write buffer, and every reader (ReadDir,
+// Recover, replay, whoever follows a capture bundle's pointer) finds
+// the records on disk.
 type Writer struct {
 	dir   string
 	opts  Options
@@ -96,10 +93,6 @@ type Writer struct {
 	lagRecs  int
 	lastSync time.Time
 	closed   bool
-
-	tail     []Record
-	tailNext int
-	tailFull bool
 
 	mRecords  *obs.Counter
 	mBytes    *obs.Counter
@@ -136,9 +129,6 @@ func Create(dir string, opts Options) (*Writer, error) {
 		birth:    time.Now(),
 		seg:      next - 1, // openSegment increments
 		lastSync: time.Now(),
-	}
-	if opts.TailRecords > 0 {
-		w.tail = make([]Record, opts.TailRecords)
 	}
 	if reg := opts.Registry; reg != nil {
 		w.mRecords = reg.Counter("streamopt_journal_records_total", "Records appended to the flight-recorder journal.")
@@ -188,7 +178,7 @@ func (w *Writer) openSegmentLocked() error {
 	if err != nil {
 		return err
 	}
-	if err := w.writeLocked(&hdr, frame); err != nil {
+	if err := w.writeLocked(frame); err != nil {
 		return err
 	}
 	// Make the new segment's existence durable: fsync the directory so
@@ -227,7 +217,7 @@ func (w *Writer) Append(rec Record) error {
 			return err
 		}
 	}
-	return w.writeLocked(&rec, frame)
+	return w.writeLocked(frame)
 }
 
 // frame stamps the record's zero clocks and encodes it as one frame.
@@ -243,21 +233,13 @@ func (w *Writer) frame(rec *Record) ([]byte, error) {
 
 // writeLocked buffers one framed record, then applies the fsync
 // policy.
-func (w *Writer) writeLocked(rec *Record, frame []byte) error {
+func (w *Writer) writeLocked(frame []byte) error {
 	if _, err := w.buf.Write(frame); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	w.segSize += int64(len(frame))
 	w.lagBytes += int64(len(frame))
 	w.lagRecs++
-	if w.tail != nil {
-		w.tail[w.tailNext] = *rec
-		w.tailNext++
-		if w.tailNext == len(w.tail) {
-			w.tailNext = 0
-			w.tailFull = true
-		}
-	}
 	if w.mRecords != nil {
 		w.mRecords.Inc()
 		w.mBytes.Add(len(frame))
@@ -301,39 +283,11 @@ func (w *Writer) syncLocked() error {
 	return nil
 }
 
-// Lag reports the bytes and records appended since the last fsync —
-// the most that a crash right now would lose.
-func (w *Writer) Lag() (bytes int64, records int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.lagBytes, w.lagRecs
-}
-
 // Segment reports the current segment index.
 func (w *Writer) Segment() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.seg
-}
-
-// Tail returns up to n of the most recently appended records, oldest
-// first — the in-memory ring diagnostics bundles dump without touching
-// the disk files.
-func (w *Writer) Tail(n int) []Record {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.tail == nil || n <= 0 {
-		return nil
-	}
-	var out []Record
-	if w.tailFull {
-		out = append(out, w.tail[w.tailNext:]...)
-	}
-	out = append(out, w.tail[:w.tailNext]...)
-	if len(out) > n {
-		out = out[len(out)-n:]
-	}
-	return out
 }
 
 // Close syncs and closes the current segment. The writer is unusable

@@ -3,13 +3,16 @@
 // trajectory — utility per generation, admitted sets, flip sequences —
 // against the recorded digests, bit for bit.
 //
-// The journal partitions into runs at restart checkpoints (one per
-// server boot). For each run the verifier starts a cold server with
-// the recorded solver parameters and an external solve gate, then
-// walks the run's records in file order: mutations queue up; a digest
-// record flushes every queued mutation with revision ≤ the digest's,
-// admits exactly one solve through the gate, and compares the
-// published snapshot's digest to the recorded one. Because the solver
+// The journal partitions into runs at restart checkpoints, one per
+// server boot (journal.Log.Runs, the partition journal.Recover reads
+// too); a journal that does not begin with one is refused. For each
+// run the verifier starts a cold server with the recorded solver
+// parameters, worker count included, and an external solve gate that
+// alone clocks its solves, then walks the run's records in file order
+// as fast as it can: mutations queue up; a digest record flushes every
+// queued mutation with revision ≤ the digest's, admits exactly one
+// solve through the gate, and compares the published snapshot's digest
+// to the recorded one. Because the solver
 // is bitwise-deterministic and the gate reproduces the live run's
 // solve boundaries (each digest names the revision its solve
 // captured), every comparison is exact — a mismatch means the journal
@@ -37,15 +40,9 @@ import (
 	"repro/internal/stream"
 )
 
-// Options tunes a verification.
+// Options tunes a verification. Nothing here can change the verdict:
+// a run replays with the solver it recorded, at full speed.
 type Options struct {
-	// Workers overrides the recorded worker-pool bound (0 keeps the
-	// recording's; the trajectory is identical either way — PR 4).
-	Workers int
-	// Speed paces the replay against the recorded wall-clock: 1 plays
-	// mutations in real recorded time, 2 at double speed, 0 (default)
-	// as fast as possible.
-	Speed float64
 	// Timeout bounds each replayed solve. Default 30s.
 	Timeout time.Duration
 	// Logf receives progress; nil is silent.
@@ -114,9 +111,12 @@ func Verify(dir string, opts Options) (*Report, error) {
 	start := time.Now()
 	rep := &Report{Dir: dir, StreamSHA: log.StreamSHA(), Truncated: log.Truncated}
 
-	runs, err := splitRuns(log.Records)
-	if err != nil {
-		return nil, err
+	runs := log.Runs()
+	if len(runs) == 0 {
+		return nil, fmt.Errorf("journal holds no records")
+	}
+	if r := runs[0][0]; r.Kind != journal.KindCheckpoint || !r.Checkpoint.Restart {
+		return nil, fmt.Errorf("journal does not begin with a restart checkpoint (first record: %s rev %d)", r.Kind, r.Rev)
 	}
 	rep.Runs = len(runs)
 	for i, run := range runs {
@@ -127,25 +127,6 @@ func Verify(dir string, opts Options) (*Report, error) {
 	}
 	rep.Seconds = time.Since(start).Seconds()
 	return rep, nil
-}
-
-// splitRuns partitions the record stream at restart checkpoints. Every
-// journal written through server.New begins with one.
-func splitRuns(recs []journal.Record) ([][]journal.Record, error) {
-	var runs [][]journal.Record
-	for _, r := range recs {
-		if r.Kind == journal.KindCheckpoint && r.Checkpoint.Restart {
-			runs = append(runs, nil)
-		}
-		if len(runs) == 0 {
-			return nil, fmt.Errorf("journal does not begin with a restart checkpoint (first record: %s rev %d)", r.Kind, r.Rev)
-		}
-		runs[len(runs)-1] = append(runs[len(runs)-1], r)
-	}
-	if len(runs) == 0 {
-		return nil, fmt.Errorf("journal holds no records")
-	}
-	return runs, nil
 }
 
 // verifyRun replays one server lifetime. Structural failures (a
@@ -172,11 +153,7 @@ func verifyRun(runIdx int, run []journal.Record, opts Options, rep *Report, logf
 	// the identical partition; zero fields (a journal from before they
 	// were recorded at one shard) take the defaults.
 	so := server.SolverOptions(sp)
-	if opts.Workers > 0 {
-		so.Workers = opts.Workers
-	}
 	gate := make(chan struct{})
-	so.Debounce = -1 // replay batches by recorded revision, not wall-clock
 	so.HistoryCap = -1
 	so.SolveGate = gate
 	so.Logf = func(string, ...any) {}
@@ -210,7 +187,6 @@ func verifyRun(runIdx int, run []journal.Record, opts Options, rep *Report, logf
 	var (
 		queue    []journal.Record // mutations not yet reached by a flush
 		prevSnap *server.Snapshot
-		prevWall int64
 	)
 	// flush applies every queued mutation with revision ≤ rev, in
 	// journal order, and checks each periodic checkpoint right after
@@ -258,12 +234,6 @@ func verifyRun(runIdx int, run []journal.Record, opts Options, rep *Report, logf
 	}
 
 	for _, r := range run {
-		if opts.Speed > 0 && r.WallUnixNano > 0 {
-			if prevWall > 0 && r.WallUnixNano > prevWall {
-				time.Sleep(time.Duration(float64(r.WallUnixNano-prevWall) / opts.Speed))
-			}
-			prevWall = r.WallUnixNano
-		}
 		switch r.Kind {
 		case journal.KindMutation:
 			queue = append(queue, r)
@@ -284,9 +254,8 @@ func verifyRun(runIdx int, run []journal.Record, opts Options, rep *Report, logf
 				}
 				return err
 			}
-			// One recorded digest = one solve: wake the loop, admit one
-			// solve through the gate, wait for the generation.
-			srv.Kick()
+			// One recorded digest = one solve: admit one solve through
+			// the gate, wait for the generation.
 			select {
 			case gate <- struct{}{}:
 			case <-time.After(opts.Timeout):

@@ -747,30 +747,36 @@ func TestVerifyTailMutations(t *testing.T) {
 	}
 }
 
-// TestVerifyMultiRun records two server lifetimes into the same
-// journal directory — the second boots from recovered state — and
-// verifies both runs replay cleanly.
-func TestVerifyMultiRun(t *testing.T) {
+// multiRun records n server lifetimes into one journal directory, each
+// booting from the state the journal recovers to and changing c1's
+// rate once.
+func multiRun(t *testing.T, n int) string {
+	t.Helper()
 	dir := t.TempDir()
-	record(t, dir, toyProblem(t), func(s *server.Server) {
-		if _, err := s.SetMaxRate("c1", 4); err != nil {
-			t.Fatal(err)
+	p := toyProblem(t)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			recd, err := journal.Recover(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p = recd.Problem
 		}
-		waitNext(t, s)
-	})
-
-	recd, err := journal.Recover(dir)
-	if err != nil {
-		t.Fatal(err)
+		record(t, dir, p, func(s *server.Server) {
+			if _, err := s.SetMaxRate("c1", float64(4+3*i)); err != nil {
+				t.Fatal(err)
+			}
+			waitNext(t, s)
+		})
 	}
-	record(t, dir, recd.Problem, func(s *server.Server) {
-		if _, err := s.SetMaxRate("c1", 7); err != nil {
-			t.Fatal(err)
-		}
-		waitNext(t, s)
-	})
+	return dir
+}
 
-	rep, err := Verify(dir, Options{Timeout: waitBudget})
+// TestVerifyMultiRun records three server lifetimes into the same
+// journal directory — each later one boots from recovered state — and
+// verifies every run replays cleanly.
+func TestVerifyMultiRun(t *testing.T) {
+	rep, err := Verify(multiRun(t, 3), Options{Timeout: waitBudget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -780,8 +786,43 @@ func TestVerifyMultiRun(t *testing.T) {
 		}
 		t.Fatal("multi-run replay diverged")
 	}
-	if rep.Runs != 2 {
-		t.Fatalf("Runs = %d, want 2", rep.Runs)
+	if rep.Runs != 3 {
+		t.Fatalf("Runs = %d, want 3", rep.Runs)
+	}
+}
+
+// TestRecordsBeforeTheFirstRestart: records ahead of the first restart
+// checkpoint form a leading run. Verify refuses the journal, since that
+// run has no boot to replay from; Recover reads only the last run, so it
+// recovers what the journal without them does.
+func TestRecordsBeforeTheFirstRestart(t *testing.T) {
+	dir := multiRun(t, 2)
+	log, err := journal.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lead := journal.Record{Kind: journal.KindMutation, Rev: 2, Mutation: &journal.Mutation{
+		Op: journal.OpSetRate, Target: "c1", Payload: []byte(`{"rate":4}`),
+	}}
+	headless := copyJournal(t, append([]journal.Record{lead}, log.Records...))
+
+	const want = "journal does not begin with a restart checkpoint (first record: mutation rev 2)"
+	if _, err := Verify(headless, Options{Timeout: waitBudget}); err == nil || err.Error() != want {
+		t.Fatalf("Verify = %v, want %q", err, want)
+	}
+	got, err := journal.Recover(headless)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := journal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, _ := got.Problem.MarshalJSON()
+	cleanJSON, _ := clean.Problem.MarshalJSON()
+	if got.Rev != clean.Rev || got.MutationsApplied != clean.MutationsApplied || !bytes.Equal(gotJSON, cleanJSON) {
+		t.Fatalf("recovered rev %d (+%d mutations), want rev %d (+%d) and the same problem",
+			got.Rev, got.MutationsApplied, clean.Rev, clean.MutationsApplied)
 	}
 }
 

@@ -11,36 +11,44 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/obs/span"
 )
 
 // Anomaly-triggered diagnostics capture. When the server detects a
 // decision-latency SLO breach, an unexpected warm-start fallback, or a
-// solver divergence, it dumps a bundle — journal tail, span ring, heap
-// and goroutine profiles — into a timestamped subdirectory of
-// Options.CaptureDir. The dump runs on its own goroutine (the solver
-// never blocks on profile serialization), at most one at a time,
+// solver divergence, it dumps a bundle — span ring, heap and goroutine
+// profiles, and a pointer into the journal — into a timestamped
+// subdirectory of Options.CaptureDir. The bundle copies no journal
+// records: it syncs the journal, so every record up to the anomaly is
+// on disk, and names the journal directory and the segment then open;
+// journal.ReadDir or cmd/replay read the records there. The dump runs
+// on its own goroutine (the solver never blocks on profile
+// serialization), at most one at a time,
 // rate-limited by captureMinInterval, and writes through a temp
 // directory renamed into place so readers never see a half-written
 // bundle.
 
-// captureTailRecords bounds the journal records dumped into a bundle;
 // captureMinInterval is the least time between two captures.
-const (
-	captureTailRecords = 256
-	captureMinInterval = 30 * time.Second
-)
+const captureMinInterval = 30 * time.Second
 
 // BundleInfo describes one finished capture bundle, as listed by
 // GET /debug/bundles.
 type BundleInfo struct {
-	Name       string    `json:"name"`
-	Reason     string    `json:"reason"`
-	Detail     string    `json:"detail,omitempty"`
-	Generation int64     `json:"generation"`
-	Rev        int64     `json:"rev"`
-	At         time.Time `json:"at"`
-	Files      []string  `json:"files"`
+	Name       string `json:"name"`
+	Reason     string `json:"reason"`
+	Detail     string `json:"detail,omitempty"`
+	Generation int64  `json:"generation"`
+	Rev        int64  `json:"rev"`
+	// JournalDir and JournalSegment, set when the server journals, say
+	// where the records up to the anomaly are: the journal directory and
+	// the file name of the segment open when the bundle was written,
+	// synced first. The digest of Generation lies in that segment or an
+	// earlier one.
+	JournalDir     string    `json:"journalDir,omitempty"`
+	JournalSegment string    `json:"journalSegment,omitempty"`
+	At             time.Time `json:"at"`
+	Files          []string  `json:"files"`
 }
 
 // maybeCapture fires a diagnostics dump for the named reason unless
@@ -137,18 +145,10 @@ func (s *Server) writeBundle(seq int64, reason, detail string, gen, rev int64) (
 	}
 
 	if w := s.opts.Journal; w != nil {
-		err := writeFile("journal-tail.jsonl", func(f *os.File) error {
-			enc := json.NewEncoder(f)
-			for _, r := range w.Tail(captureTailRecords) {
-				if err := enc.Encode(r); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
+		if err := w.Sync(); err != nil {
 			return "", err
 		}
+		info.JournalDir, info.JournalSegment = w.Dir(), journal.SegmentName(w.Segment())
 	}
 	if tr := s.opts.Spans; tr != nil {
 		err := writeFile("spans.jsonl", func(f *os.File) error {

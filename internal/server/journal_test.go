@@ -39,6 +39,20 @@ func startJournaledServer(t *testing.T, opts Options) (*Server, *journal.Writer,
 	return s, jw, dir
 }
 
+// newestRecords syncs the journal and reads its newest n records back
+// from disk, oldest first.
+func newestRecords(t *testing.T, jw *journal.Writer, n int) []journal.Record {
+	t.Helper()
+	if err := jw.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := journal.ReadDir(jw.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return log.Records[max(0, len(log.Records)-n):]
+}
+
 func TestServerJournalsTrajectory(t *testing.T) {
 	rec := obs.NewRecorder(nil)
 	s, jw, dir := startJournaledServer(t, testOptions(rec))
@@ -157,7 +171,7 @@ func TestJournalCarriesClientTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tail := jw.Tail(2)
+	tail := newestRecords(t, jw, 2)
 	if len(tail) != 2 || tail[0].Kind != journal.KindMutation || tail[1].Kind != journal.KindDigest ||
 		tail[1].Digest.Generation != snap.Generation {
 		t.Fatalf("journal tail = %+v, want the mutation and the digest of generation %d", tail, snap.Generation)
@@ -204,7 +218,7 @@ func TestSnapshotVisibleAfterItsDigest(t *testing.T) {
 			runtime.Gosched()
 		}
 		seen = s.Snapshot()
-		tail := jw.Tail(1)
+		tail := newestRecords(t, jw, 1)
 		if len(tail) != 1 || tail[0].Kind != journal.KindDigest || tail[0].Digest.Generation != seen.Generation {
 			t.Fatalf("generation %d visible, newest journal record %+v", seen.Generation, tail)
 		}
@@ -261,7 +275,7 @@ func TestAnomalyCaptureOnSLOBreach(t *testing.T) {
 	opts := testOptions(rec)
 	opts.SLO = time.Nanosecond // every decision breaches
 	opts.CaptureDir = filepath.Join(t.TempDir(), "bundles")
-	s, _, _ := startJournaledServer(t, opts)
+	s, jw, _ := startJournaledServer(t, opts)
 	h, err := s.Serve("127.0.0.1:0", rec.Registry())
 	if err != nil {
 		t.Fatal(err)
@@ -298,19 +312,43 @@ func TestAnomalyCaptureOnSLOBreach(t *testing.T) {
 	if b.Reason != "slo_breach" {
 		t.Fatalf("bundle reason = %q", b.Reason)
 	}
-	for _, want := range []string{"journal-tail.jsonl", "heap.pprof", "goroutine.pprof", "meta.json"} {
-		found := false
-		for _, f := range b.Files {
-			if f == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("bundle lacks %s (has %v)", want, b.Files)
-		}
-		if _, err := os.Stat(filepath.Join(opts.CaptureDir, b.Name, want)); err != nil {
+	// The bundle copies no journal records: it names where they are.
+	want := []string{"heap.pprof", "goroutine.pprof", "meta.json"}
+	if !reflect.DeepEqual(b.Files, want) {
+		t.Fatalf("bundle files = %v, want %v", b.Files, want)
+	}
+	for _, f := range want {
+		if _, err := os.Stat(filepath.Join(opts.CaptureDir, b.Name, f)); err != nil {
 			t.Fatalf("bundle file missing on disk: %v", err)
 		}
+	}
+	if b.JournalDir != jw.Dir() || b.JournalSegment == "" {
+		t.Fatalf("bundle journal = %q segment %q, want %q and a segment", b.JournalDir, b.JournalSegment, jw.Dir())
+	}
+	// The named segment of the closed journal holds the digest of the
+	// bundle's generation: read that segment alone.
+	_ = s.Close()
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.ReadFile(filepath.Join(b.JournalDir, b.JournalSegment))
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone := t.TempDir()
+	if err := os.WriteFile(filepath.Join(alone, b.JournalSegment), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	log, err := journal.ReadDir(alone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, r := range log.Records {
+		found = found || r.Kind == journal.KindDigest && r.Digest.Generation == b.Generation
+	}
+	if !found {
+		t.Fatalf("segment %s holds no digest of generation %d", b.JournalSegment, b.Generation)
 	}
 
 	// Counted and listable.

@@ -137,14 +137,17 @@ type Options struct {
 	SLO time.Duration
 	// CaptureDir, when non-empty, enables anomaly-triggered diagnostics
 	// bundles: on an SLO breach, an unexpected warm-start fallback, or
-	// a solver divergence, the server dumps the journal tail, span ring
-	// and heap/goroutine profiles into a timestamped subdirectory,
-	// atomically (write to tmp, rename), at most one every 30 s.
+	// a solver divergence, the server dumps the span ring and
+	// heap/goroutine profiles into a timestamped subdirectory,
+	// atomically (write to tmp, rename), at most one every 30 s. With a
+	// Journal the bundle syncs it and names its directory and current
+	// segment instead of copying records.
 	CaptureDir string
 
-	// SolveGate, when non-nil, makes solving externally clocked: after
-	// each wake+debounce the solver loop blocks until it receives a
-	// token, and each token admits exactly one solve. The replay
+	// SolveGate, when non-nil, makes solving externally clocked: one
+	// token is one solve of whatever the problem is then, even if no
+	// mutation arrived since the last one, and nothing else starts a
+	// solve; mutations' wakes and Debounce are ignored. The replay
 	// verifier uses this to force one solve per recorded digest
 	// regardless of wall-clock batching. Production servers leave it
 	// nil.
@@ -676,34 +679,26 @@ func (s *Server) ScaleBandwidth(from, to string, factor float64) (int64, error) 
 }
 
 // loop is the solver goroutine: wait for a mutation, coalesce the
-// burst, solve, publish, repeat.
+// burst, solve, publish, repeat. A gated server waits for a gate token
+// instead and solves at once: its wake channel is never read.
 func (s *Server) loop() {
 	defer close(s.done)
 	defer s.abandonPending()
+	wake, gate := s.wake, s.opts.SolveGate
+	if gate != nil {
+		wake = nil
+	}
 	for {
 		select {
 		case <-s.ctx.Done():
 			return
-		case <-s.wake:
-		}
-		s.debounce()
-		if s.opts.SolveGate != nil {
-			select {
-			case <-s.ctx.Done():
-				return
-			case <-s.opts.SolveGate:
-			}
+		case <-gate:
+		case <-wake:
+			s.debounce()
 		}
 		s.solveOnce()
 	}
 }
-
-// Kick wakes the solver loop as if a mutation had arrived, without
-// changing any state. Paired with SolveGate it lets an external clock
-// (the replay verifier) drive solves one at a time: Kick, then send a
-// gate token, then wait for the generation. Extra kicks are harmless —
-// the wake channel is 1-buffered and solves happen only on gate tokens.
-func (s *Server) Kick() { s.signal() }
 
 // abandonPending closes the spans of decisions the server shut down
 // before answering, so a drained close leaves no dangling spans.

@@ -606,3 +606,60 @@ func TestProblemJSONDoesNotBlockMutations(t *testing.T) {
 	close(u.release)
 	<-marshalled
 }
+
+// TestSolveGateClocksTheLoop: a gated server solves once per token and
+// never without one. A token with no mutation since the last solve still
+// solves, publishing the next generation at the same revision; mutations
+// with no token publish nothing.
+func TestSolveGateClocksTheLoop(t *testing.T) {
+	gate := make(chan struct{})
+	opts := testOptions(nil)
+	opts.SolveGate = gate
+	s, err := New(toyProblem(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	// quiet waits out several debounces and checks nothing published
+	// past generation gen.
+	quiet := func(gen int64) {
+		t.Helper()
+		time.Sleep(20 * opts.Debounce)
+		if snap := s.Snapshot(); snap != nil && snap.Generation != gen {
+			t.Fatalf("generation %d published without a token (want %d)", snap.Generation, gen)
+		}
+	}
+	token := func(gen, rev int64) {
+		t.Helper()
+		select {
+		case gate <- struct{}{}:
+		case <-time.After(waitBudget):
+			t.Fatalf("gate token for generation %d not taken", gen)
+		}
+		snap, err := s.WaitForGeneration(gen, waitBudget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Generation != gen || snap.Rev != rev {
+			t.Fatalf("token published generation %d at rev %d, want %d at rev %d", snap.Generation, snap.Rev, gen, rev)
+		}
+		quiet(gen)
+	}
+
+	quiet(0) // the boot problem waits for a token too
+	for i := 0; i < 2; i++ {
+		if _, err := s.SetMaxRate("c1", float64(3+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	quiet(0)
+	token(1, 3)
+	// Nothing changed since: each token solves the same revision again.
+	token(2, 3)
+	token(3, 3)
+	if _, err := s.SetMaxRate("c1", 5); err != nil {
+		t.Fatal(err)
+	}
+	quiet(3)
+	token(4, 4)
+}

@@ -233,7 +233,7 @@ func TestMutationAllocatesWhatItTouches(t *testing.T) {
 		}
 		// The solver stays parked at a gate nobody opens, so the only
 		// allocations are the write path's.
-		s, err := New(p, Options{Debounce: -1, SolveGate: make(chan struct{}), Logf: func(string, ...any) {}})
+		s, err := New(p, Options{SolveGate: make(chan struct{}), Logf: func(string, ...any) {}})
 		if err != nil {
 			t.Fatal(err)
 		}
