@@ -145,10 +145,15 @@ func servingShardEngine(b *testing.B) *gradient.Engine {
 	return eng
 }
 
-// BenchmarkStepSparse prices one single-worker Engine.Step — forecast,
-// marginal/tag sweep, Γ — on the scale ladder. ns/member-edge is the
-// complexity check: it should not move between the rungs. The serving
-// rung is the step the admission server runs (servingShardEngine).
+// BenchmarkStepSparse prices one single-worker Engine.Step — one pass
+// per commodity (marginal/tag sweep, Γ, the forecast and measures of
+// the new row) and one node pass — on the scale ladder. ns/member-edge
+// is the complexity check: it should not move between the rungs. The
+// serving rung is the step the admission server runs
+// (servingShardEngine). Its backtracking engine settles after about
+// 2 000 steps and then rejects every step, each of which forecasts the
+// routing again; keep -benchtime at a few hundred iterations to price
+// accepted steps.
 func BenchmarkStepSparse(b *testing.B) {
 	for _, rung := range []struct {
 		name string

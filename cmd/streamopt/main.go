@@ -50,7 +50,7 @@ func main() {
 	flag.IntVar(&cfg.iters, "iters", 0, "iteration budget (0 = algorithm default)")
 	flag.Float64Var(&cfg.eta, "eta", 0.04, "gradient step scale η")
 	flag.Float64Var(&cfg.eps, "eps", 0.2, "penalty coefficient ε")
-	flag.IntVar(&cfg.workers, "workers", 0, "worker-pool bound for the per-commodity gradient waves (0 = GOMAXPROCS)")
+	flag.IntVar(&cfg.workers, "workers", 0, "worker-pool bound for the per-commodity gradient waves (0 = 1)")
 	flag.BoolVar(&cfg.ref, "ref", false, "also compute the LP reference optimum")
 	flag.IntVar(&cfg.topN, "top", 10, "show the N most utilized resources")
 	flag.BoolVar(&cfg.trace, "trace", false, "print the convergence trace")

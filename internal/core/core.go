@@ -69,7 +69,7 @@ type Options struct {
 	// Gradient knobs (§5).
 	Eta float64 // step scale η; default 0.04
 	// Workers bounds the engine's per-commodity wave pool
-	// (gradient.Config.Workers); zero means GOMAXPROCS. The trajectory
+	// (gradient.Config.Workers); zero means 1. The trajectory
 	// is identical for any value.
 	Workers int
 

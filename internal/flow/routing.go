@@ -98,6 +98,12 @@ func (r *Routing) SetAt(j int, e graph.EdgeID, v float64) {
 	r.Phi[j][le] = v
 }
 
+// AdmittedRate returns a_j: the rate commodity j's dummy node sends
+// into the real network over the input link.
+func (r *Routing) AdmittedRate(j int) float64 {
+	return r.X.Commodities[j].MaxRate * r.Phi[j][r.X.Sub[j].InputLink]
+}
+
 // Clone deep-copies the routing set.
 func (r *Routing) Clone() *Routing {
 	c := NewZero(r.X)

@@ -26,11 +26,8 @@ type Usage struct {
 	// indexed by extended node ID.
 	FNode []float64
 
-	// x is the extended problem NewUsage sized the workspace for, and
-	// tBack the flat backing array of the T rows (Σ member nodes), which
-	// EvaluateInto zeroes with one clear() instead of reallocating.
-	x     *transform.Extended
-	tBack []float64
+	// x is the extended problem NewUsage sized the workspace for.
+	x *transform.Extended
 }
 
 // NewUsage allocates a reusable evaluation workspace for the extended
@@ -48,12 +45,12 @@ func NewUsage(x *transform.Extended) *Usage {
 		T:     make([][]float64, nc),
 		FNode: make([]float64, x.G.NumNodes()),
 		x:     x,
-		tBack: make([]float64, totalN),
 	}
+	back := make([]float64, totalN)
 	off := 0
 	for j := 0; j < nc; j++ {
 		end := off + x.Sub[j].NumNodes()
-		u.T[j] = u.tBack[off:end:end]
+		u.T[j] = back[off:end:end]
 		off = end
 	}
 	return u
@@ -119,42 +116,57 @@ func EvaluateInto(u *Usage, r *Routing) {
 	evaluateInto(u, r)
 }
 
-// evaluateInto is the shape-checked forward sweep. Per commodity it
-// walks the member subgraph in local topo order, scattering node usage
-// into the shared FNode accumulator in exactly the (commodity, topo
-// position, ascending edge) order the dense filtered scan used, so
-// floating-point accumulation — and therefore whole solver
-// trajectories — stays bitwise-identical to the dense representation.
-// The per-edge terms it adds, (t·φ)·c into FNode and (t·φ)·β into the
-// head's T, are what EdgeFlow and arrive recompute.
+// evaluateInto is the shape-checked forward sweep: ForecastRow for
+// every commodity in order, into a cleared FNode.
 func evaluateInto(u *Usage, r *Routing) {
-	x := r.X
-	nc := x.NumCommodities()
-	clear(u.tBack)
 	clear(u.FNode)
 	u.R = r
-	for j := 0; j < nc; j++ {
-		sg := &x.Sub[j]
-		t := u.T[j]
-		cost, beta, phi := sg.Cost, sg.Beta, r.Phi[j]
-		t[sg.Dummy] = x.Commodities[j].MaxRate // r_i(j) of eq. 2
-		for _, ln := range sg.Topo {
-			tn := t[ln]
-			if tn == 0 || ln == sg.Sink {
+	for j := range r.X.Sub {
+		u.ForecastRow(r, j)
+	}
+}
+
+// ForecastRow is the forward sweep of one commodity, the one kernel
+// every forecast runs: it overwrites T[j] with commodity j's traffic
+// under r's row j, walking the member subgraph in local topo order,
+// and adds the row's node usage into the shared FNode accumulator in
+// exactly the (commodity, topo position, ascending edge) order the
+// dense filtered scan used, so floating-point accumulation — and
+// therefore whole solver trajectories — stays bitwise-identical to the
+// dense representation. The per-edge terms it adds, (t·φ)·c into FNode
+// and (t·φ)·β into the head's T, are what EdgeFlow and arrive
+// recompute.
+//
+// It reads no other row of T and leaves u.R alone, so a caller can
+// forecast a routing row by row while T's other rows still hold an
+// older one: clear FNode before the first row, set u.R = r after the
+// last (EvaluateInto does both). u must come from NewUsage for r.X.
+func (u *Usage) ForecastRow(r *Routing, j int) {
+	x := r.X
+	sg := &x.Sub[j]
+	t := u.T[j]
+	clear(t)
+	cost, beta, head, nodes, phi := sg.Cost, sg.Beta, sg.Head, sg.Nodes, r.Phi[j]
+	outIdx, outEdges := sg.CSR()
+	fnode := u.FNode
+	sink := sg.Sink
+	t[sg.Dummy] = x.Commodities[j].MaxRate // r_i(j) of eq. 2
+	for _, ln := range sg.Topo {
+		tn := t[ln]
+		if tn == 0 || ln == sink {
+			continue
+		}
+		n := nodes[ln]
+		for _, le := range outEdges[outIdx[ln]:outIdx[ln+1]] {
+			p := phi[le]
+			if p == 0 {
 				continue
 			}
-			n := sg.Nodes[ln]
-			for _, le := range sg.Out(ln) {
-				p := phi[le]
-				if p == 0 {
-					continue
-				}
-				// The conversions round each product before it is added
-				// (no fused multiply-add), so EdgeFlow and arrive
-				// reproduce the terms exactly on every platform.
-				t[sg.Head[le]] += float64(tn * p * beta[le])
-				u.FNode[n] += float64(tn * p * cost[le])
-			}
+			// The conversions round each product before it is added
+			// (no fused multiply-add), so EdgeFlow and arrive
+			// reproduce the terms exactly on every platform.
+			t[head[le]] += float64(tn * p * beta[le])
+			fnode[n] += float64(tn * p * cost[le])
 		}
 	}
 }
@@ -166,21 +178,21 @@ func evaluateInto(u *Usage, r *Routing) {
 // at the sink). O(1).
 func (u *Usage) EdgeFlow(j int, le int32) float64 {
 	sg := &u.R.X.Sub[j]
-	return u.perEdge(j, sg, le, sg.Cost)
+	return u.perEdge(u.R, j, sg, le, sg.Cost)
 }
 
 // arrive is EdgeFlow's twin for the flow member edge le delivers to its
 // head, t_i(j)·φ_e(j)·β_e(j).
 func (u *Usage) arrive(j int, le int32) float64 {
 	sg := &u.R.X.Sub[j]
-	return u.perEdge(j, sg, le, sg.Beta)
+	return u.perEdge(u.R, j, sg, le, sg.Beta)
 }
 
-// perEdge is (t_tail·φ_e)·k_e as the forward sweep computed it, or 0
-// where the sweep skipped the edge.
-func (u *Usage) perEdge(j int, sg *transform.Subgraph, le int32, k []float64) float64 {
+// perEdge is (t_tail·φ_e)·k_e as the forward sweep of r's row j
+// computed it, or 0 where the sweep skipped the edge.
+func (u *Usage) perEdge(r *Routing, j int, sg *transform.Subgraph, le int32, k []float64) float64 {
 	tail := sg.Tail[le]
-	tn, p := u.T[j][tail], u.R.Phi[j][le]
+	tn, p := u.T[j][tail], r.Phi[j][le]
 	if tn == 0 || p == 0 || tail == sg.Sink {
 		return 0
 	}
@@ -208,10 +220,7 @@ func (u *Usage) ArriveAt(j int, e graph.EdgeID) float64 {
 
 // AdmittedRate returns a_j: the rate the dummy node sends into the real
 // network over the input link.
-func (u *Usage) AdmittedRate(j int) float64 {
-	x := u.R.X
-	return x.Commodities[j].MaxRate * u.R.Phi[j][x.Sub[j].InputLink]
-}
+func (u *Usage) AdmittedRate(j int) float64 { return u.R.AdmittedRate(j) }
 
 // RejectedRate returns λ_j − a_j, the flow on the difference link.
 func (u *Usage) RejectedRate(j int) float64 {
@@ -230,13 +239,20 @@ func (u *Usage) Utility() float64 {
 
 // UtilityLoss returns Y = Σ_j Y_j(λ_j − a_j).
 func (u *Usage) UtilityLoss() float64 {
-	x := u.R.X
 	total := 0.0
-	for j := range x.Commodities {
-		c := &x.Commodities[j]
-		total += x.LossValue(j, c.DiffLink, u.EdgeFlow(j, x.Sub[j].DiffLink))
+	for j := range u.R.X.Commodities {
+		total += u.RowLoss(u.R, j)
 	}
 	return total
+}
+
+// RowLoss returns Y_j(λ_j − a_j), commodity j's operand of UtilityLoss,
+// for routing r, whose row j T[j] must hold the forecast of (after
+// ForecastRow(r, j), or EvaluateInto with r).
+func (u *Usage) RowLoss(r *Routing, j int) float64 {
+	x := r.X
+	sg := &x.Sub[j]
+	return x.LossValue(j, x.Commodities[j].DiffLink, u.perEdge(r, j, sg, sg.DiffLink, sg.Cost))
 }
 
 // PenaltyCost returns ε·D = Σ_i ε·D_i(f_i), summed in ascending node

@@ -10,30 +10,32 @@ import (
 
 // waveScratch is one worker's buffers for the sweep→update chain of one
 // commodity at a time, sized for the largest member subgraph. Nothing
-// in it outlives the commodity it was filled for — the wave's only
+// in it outlives the commodity it was filled for — the chain's only
 // per-commodity output is the new φ row — so a worker reuses the same
 // few cache lines for every commodity it runs.
 type waveScratch struct {
 	rho    []float64
 	linkD  []float64
 	tagged []bool
-	// prev holds the commodity's φ_{k−1} row while the wave adds the
-	// heavy-ball term (mu > 0): the engine's spare routing holds it on
-	// entry, and seeding the new row overwrites it.
+	// prev holds the commodity's φ_{k−1} entries at its branch nodes'
+	// out-edges while the wave adds the heavy-ball term (mu > 0): the
+	// engine's spare routing holds them on entry, and seeding the new
+	// row overwrites them.
 	prev []float64
 }
 
 // arena owns one engine's wave workspaces and the worker pool that runs
 // the §5 waves. The paper's protocol phases are independent across
-// commodities — each commodity's marginal-cost wave reads only the
-// shared (read-only) usage and node prices and writes only its own φ
+// commodities — each commodity's marginal-cost wave and update read
+// only its own usage row and the node prices and write only its own φ
 // row — so the pool parallelizes them without changing a single bit of
 // the trajectory.
 type arena struct {
 	x *transform.Extended
 	// price is ε·D'_n at the global operating point per extended node,
 	// zero at every uncapacitated one: the engine writes it when it
-	// evaluates a routing (evaluate), the stationarity check refills it.
+	// evaluates a routing (evaluate), CheckStationarity with
+	// fillNodePrices.
 	price   []float64
 	scratch []waveScratch // one per worker
 	cursor  atomic.Int64  // next commodity for the pool to claim
@@ -65,18 +67,32 @@ func newArena(x *transform.Extended, workers int) *arena {
 	return a
 }
 
-// runWave executes, for every commodity against the evaluated usage u,
-// the marginal-cost sweep with the loop-freedom tags (when blocking is
-// true) and the routing update Γ, plus, with mu > 0, the heavy-ball
-// term mu·(φ_k − φ_{k−1}), writing each commodity's new φ row into next
-// (after seeding it with the current row, so next is a full routing
-// even though the engine double-buffers instead of cloning). With
-// mu > 0, next must hold φ_{k−1} on entry.
-// With more than one worker commodities are processed concurrently by a
-// bounded pool; no floating-point value crosses between commodities, so
-// the result is bitwise-identical to the sequential execution.
-// a.price must hold u's node prices.
-func (a *arena) runWave(u *flow.Usage, eta, mu float64, blocking bool, next *flow.Routing) {
+// runWave is one iteration's pass over the commodities against the
+// evaluated usage u, whose node prices a.price holds. For each
+// commodity j, in order, it runs the marginal-cost sweep with the
+// loop-freedom tags (when blocking is true), the routing update Γ into
+// next's row j — plus, with mu > 0, the heavy-ball term
+// mu·(φ_k − φ_{k−1}), for which next must hold φ_{k−1} on entry — and
+// then the flow forecast of that new row into u itself: T[j] is
+// overwritten only once row j's sweep and Γ have read it, and FNode,
+// which the sweep never reads (the prices already summarize it), is
+// cleared before the first row. The same visit writes the new row's
+// admitted rate into admitted and adds its utility and utility-loss
+// terms, in commodity order, to the sums it returns. On return u is
+// the forecast of next (u.R is next) and one node pass (evaluate)
+// judges it.
+//
+// next must equal u.R at every entry outside a branch node's
+// out-edges: Γ writes only those (see gamma).
+//
+// With more than one worker the sweeps and Γ run concurrently on a
+// bounded pool, and the forecasts follow in one serial pass in
+// commodity order. No floating-point value crosses between commodities
+// in the parallel part, and the serial part adds into FNode and the two
+// sums in the sequential order, so the result is bitwise-identical to
+// the sequential execution.
+func (a *arena) runWave(u *flow.Usage, eta, mu float64, blocking bool, next *flow.Routing, admitted []float64) (utility, loss float64) {
+	clear(u.FNode)
 	if len(a.scratch) > 1 {
 		a.cursor.Store(0)
 		var wg sync.WaitGroup
@@ -85,38 +101,50 @@ func (a *arena) runWave(u *flow.Usage, eta, mu float64, blocking bool, next *flo
 			w := &a.scratch[i]
 			go func() {
 				defer wg.Done()
-				a.work(w, &a.cursor, u, eta, mu, blocking, next)
+				for {
+					j := int(a.cursor.Add(1)) - 1
+					if j >= len(a.x.Sub) {
+						return
+					}
+					a.update(w, u, j, eta, mu, blocking, next)
+				}
 			}()
 		}
 		wg.Wait()
+		for j := range a.x.Sub {
+			u.ForecastRow(next, j)
+			utility, loss = measureRow(u, next, j, admitted, utility, loss)
+		}
 	} else {
-		a.work(&a.scratch[0], nil, u, eta, mu, blocking, next)
+		w := &a.scratch[0]
+		for j := range a.x.Sub {
+			a.update(w, u, j, eta, mu, blocking, next)
+			u.ForecastRow(next, j)
+			utility, loss = measureRow(u, next, j, admitted, utility, loss)
+		}
 	}
+	u.R = next
+	return utility, loss
 }
 
-// work runs the wave chain of the commodities one worker gets: those it
-// claims from cursor, or all of them in order when cursor is nil (the
-// single-worker path, which stays free of atomics and allocation).
-func (a *arena) work(w *waveScratch, cursor *atomic.Int64, u *flow.Usage, eta, mu float64, blocking bool, next *flow.Routing) {
+// update runs commodity j's sweep and Γ in the worker scratch w,
+// writing the new φ row into next.
+func (a *arena) update(w *waveScratch, u *flow.Usage, j int, eta, mu float64, blocking bool, next *flow.Routing) {
 	var tagged []bool
 	if blocking {
 		tagged = w.tagged
 	}
-	for j := 0; ; j++ {
-		if cursor != nil {
-			j = int(cursor.Add(1)) - 1
-		}
-		if j >= len(a.x.Sub) {
-			return
-		}
-		sweep(u, j, a.price, w.rho, w.linkD, tagged, eta)
-		row := next.Phi[j]
-		var prev []float64
-		if mu > 0 {
-			prev = w.prev[:len(row)]
-			copy(prev, row)
-		}
-		copy(row, u.R.Phi[j])
-		gamma(u, j, w.linkD, tagged, eta, mu, prev, row)
-	}
+	sweep(u, j, a.price, w.rho, w.linkD, tagged, eta)
+	gamma(u, j, w.linkD, tagged, eta, mu, w.prev, next.Phi[j])
+}
+
+// measureRow adds routing r's commodity j, whose forecast u.T[j]
+// holds, to a measurement in progress: a_j into admitted[j], U_j(a_j)
+// to utility and Y_j(λ_j − a_j) to loss — the operands Usage.Utility
+// and Usage.UtilityLoss add, so sums over j in order are theirs bit for
+// bit.
+func measureRow(u *flow.Usage, r *flow.Routing, j int, admitted []float64, utility, loss float64) (float64, float64) {
+	a := r.AdmittedRate(j)
+	admitted[j] = a
+	return utility + r.X.Commodities[j].Utility.Value(a), loss + u.RowLoss(r, j)
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/flow"
 	"repro/internal/transform"
@@ -38,10 +37,11 @@ type Config struct {
 	// it (shard.Config.Serving); the blocking tests ablate it.
 	DisableBlocking bool
 	// Workers bounds the worker pool that runs the per-commodity §5
-	// waves concurrently (the phases are independent across commodities,
-	// mirroring the paper's distributed execution). Zero or negative
-	// means GOMAXPROCS. Any value produces the same trajectory bit for
-	// bit; Workers: 1 runs the waves inline.
+	// sweeps and updates concurrently (the phases are independent across
+	// commodities, mirroring the paper's distributed execution); the
+	// forecasts of their results then follow serially. Zero or negative
+	// means 1, which runs each commodity's whole pass inline. Any value
+	// produces the same trajectory bit for bit.
 	Workers int
 }
 
@@ -50,7 +50,7 @@ func (c *Config) setDefaults() {
 		c.Eta = 0.04
 	}
 	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
+		c.Workers = 1
 	}
 }
 
@@ -93,20 +93,30 @@ type Engine struct {
 
 	// Iteration workspaces, allocated once: the evaluated usage (current
 	// for R while forecasted is set), the spare routing Step swaps with R
-	// (double-buffering in place of the old per-step Clone), the wave
-	// arena, and the buffer behind StepInfo.Admitted.
+	// (double-buffering in place of the old per-step Clone; it equals R
+	// at every entry Γ does not write), and the wave arena.
 	u          *flow.Usage
 	forecasted bool
 	spare      *flow.Routing
 	arena      *arena
-	admitted   []float64
+
+	// The measures of R, while measured is set: a_j per commodity (the
+	// buffer behind StepInfo.Admitted), Σ_j U_j(a_j), and the utility
+	// loss Y. They depend on the routing and on the commodities, not on
+	// External. The wave measures its proposal into spareAdmitted, which
+	// accept swaps in.
+	measured      bool
+	admitted      []float64
+	spareAdmitted []float64
+	utility, loss float64
 
 	// The carried evaluation: while carried is set, cost and feasible
 	// are A and f ≤ C of the usage in u, and arena.price holds its node
-	// prices, all under the External installed when they were made. The
-	// backtrack that accepts a routing computes them (it has to judge
-	// it anyway), so the next Step reads them instead of walking the
-	// nodes again. carried implies forecasted.
+	// prices, all under the External installed when they were made. One
+	// node pass (evaluate) makes them: after an accepted backtracking
+	// step, which has to judge its proposal anyway, or in the first
+	// Step or Stationarity call that finds them missing. carried
+	// implies forecasted and measured.
 	carried  bool
 	cost     float64
 	feasible bool
@@ -145,10 +155,11 @@ func newEngine(x *transform.Extended, r *flow.Routing, cfg Config) *Engine {
 	cfg.setDefaults()
 	return &Engine{
 		X: x, R: r, cfg: cfg, eta: cfg.Eta,
-		u:        flow.NewUsage(x),
-		spare:    flow.NewZero(x),
-		arena:    newArena(x, cfg.Workers),
-		admitted: make([]float64, x.NumCommodities()),
+		u:             flow.NewUsage(x),
+		spare:         r.Clone(),
+		arena:         newArena(x, cfg.Workers),
+		admitted:      make([]float64, x.NumCommodities()),
+		spareAdmitted: make([]float64, x.NumCommodities()),
 	}
 }
 
@@ -188,25 +199,27 @@ func Carry(x *transform.Extended, r *flow.Routing, cfg Config) (*Engine, error) 
 // Restart makes the engine what NewFrom(e.X, e.Routing(), cfg) would
 // return with cfg.Eta set to e.Eta(), without the copies: for after e.X
 // was reparameterized in place (transform.Extended.Reparameterize). The
-// routing carries over, its forecast under the old parameters is
-// dropped, the counters start again and so does Backtrack's run of
-// descents, but the step scale stays where step control has moved it.
+// routing carries over, its forecast and its measures under the old
+// parameters are dropped, the counters start again and so does
+// Backtrack's run of descents, but the step scale stays where step
+// control has moved it.
 // The momentum resets too: the last step was taken under the old
 // parameters. The trajectory from here is the one a rebuilt, rebound
 // engine started at that η would take, bit for bit, in both step modes.
 func (e *Engine) Restart() {
-	e.forecasted, e.carried, e.heavy = false, false, false
+	e.forecasted, e.measured, e.carried, e.heavy = false, false, false, false
 	e.descents, e.backtracks = 0, 0
 	e.stats = Stats{}
 }
 
 // ExternalChanged tells the engine that e.X.External may have been
-// rewritten since it last stepped. The flows of its routing stand — they
-// do not depend on External — but the cost, feasibility and node prices
-// it carried from its last accepted step were taken at the old global
-// operating point and are dropped. The momentum is kept: the routing's
-// last step is still its last step, and a coordinator's turns would
-// otherwise restart it every 25 iterations. Whoever rewrites External
+// rewritten since it last stepped. The flows of its routing stand, and
+// so do its admitted rates, utility and utility loss — none depends on
+// External — but the cost, feasibility and node prices it carried were
+// taken at the old global operating point and are dropped: the next
+// Step or Stationarity makes one node pass, nothing more. The momentum
+// is kept: the routing's last step is still its last step, and a
+// coordinator's turns would otherwise restart it every 25 iterations. Whoever rewrites External
 // in place between steps calls it before the next one; a coordinator
 // calls it at the start of every turn.
 func (e *Engine) ExternalChanged() { e.carried = false }
@@ -242,33 +255,58 @@ func (e *Engine) Usage() *flow.Usage {
 
 // Stationarity evaluates Theorem 2's conditions (CheckStationarity) at
 // the current routing on the engine's workspaces, allocating nothing.
-// The forecast it needs is kept for the next Step.
+// The forecast and the evaluation it needs are kept for the next Step.
 func (e *Engine) Stationarity() StationarityReport {
-	return e.arena.stationarity(e.Usage())
+	e.measure()
+	return e.arena.stationarity(e.u)
 }
 
-// Step executes one full iteration — forecast, marginal-cost wave with
-// tagging, routing update — and returns the pre-update measurements.
-// Under Config.Backtrack the update is a proposal: it is kept only if
-// it does not raise the cost, and η adapts either way. All iteration
-// state lives in workspaces allocated at construction, so the
-// steady-state step performs no heap allocation.
-func (e *Engine) Step() StepInfo {
+// measure brings the engine's view of R up to date: the forecast in u,
+// the measures, and the node pass — cost, feasibility, node prices —
+// each only when it is missing.
+func (e *Engine) measure() {
 	u := e.Usage()
-	info := e.measure(u)
+	if !e.measured {
+		e.utility, e.loss = 0, 0
+		for j := range e.admitted {
+			e.utility, e.loss = measureRow(u, e.R, j, e.admitted, e.utility, e.loss)
+		}
+		e.measured = true
+	}
+	if !e.carried {
+		e.cost, e.feasible = evaluate(u, e.loss, e.arena.price)
+		e.carried = true
+	}
+}
+
+// Step executes one full iteration — the marginal-cost wave with
+// tagging, the routing update and the flow forecast of its result, per
+// commodity — and returns the measurements of the routing it started
+// from. Under Config.Backtrack the update is a proposal: it is kept
+// only if it does not raise the cost, and η adapts either way. All
+// iteration state lives in workspaces allocated at construction, so
+// the steady-state step performs no heap allocation.
+func (e *Engine) Step() StepInfo {
+	e.measure()
+	info := StepInfo{
+		Iteration: e.stats.Iterations,
+		Utility:   e.utility,
+		Cost:      e.cost,
+		Admitted:  e.admitted,
+		Feasible:  e.feasible,
+	}
 
 	next := e.spare
 	mu := 0.0
 	if e.heavy {
 		mu = e.cfg.Momentum
 	}
-	e.arena.runWave(u, e.eta, mu, !e.cfg.DisableBlocking, next)
+	utility, loss := e.arena.runWave(e.u, e.eta, mu, !e.cfg.DisableBlocking, next, e.spareAdmitted)
 	e.carried = false
 	if e.cfg.Backtrack {
-		e.backtrack(next, info.Cost)
+		e.backtrack(next, utility, loss, info.Cost)
 	} else {
-		e.accept(next)
-		e.forecasted = false
+		e.accept(next, utility, loss)
 	}
 	// Forecast wave mirrors the marginal wave downstream: same message
 	// count, same depth.
@@ -278,23 +316,23 @@ func (e *Engine) Step() StepInfo {
 	return info
 }
 
-// backtrack forecasts the proposed routing next into the engine's one
-// usage workspace, evaluates it in one node pass (evaluate),
-// and keeps it only if it does not raise cost, the cost at the current
-// routing; η grows after a run of kept steps and halves on a rejected
-// one. A kept proposal keeps its forecast and its evaluation — cost,
+// backtrack judges the proposed routing next, which the wave has left
+// forecast in the engine's one usage workspace with its utility and
+// utility loss, in one node pass (evaluate), and keeps it only if it
+// does not raise cost, the cost at the current routing; η grows after
+// a run of kept steps and halves on a rejected one. A kept proposal
+// keeps its forecast, its measures and its evaluation — cost,
 // feasibility, node prices — so the next Step computes none of them
-// again; a rejected one leaves the workspace and the prices holding a
-// routing the engine does not have, and the next Step forecasts and
-// prices the current routing again and steps it without momentum (a
-// rejection restarts the heavy-ball history). One forecast and one node
-// pass per accepted step, and a second workspace saved for the price of
-// one extra forecast per rejection.
-func (e *Engine) backtrack(next *flow.Routing, cost float64) {
-	flow.EvaluateInto(e.u, next)
-	proposed, feasible := evaluate(e.u, e.arena.price)
+// again. A rejected one leaves the workspace and the prices holding a
+// routing the engine does not have: the next Step forecasts the current
+// routing again and makes one node pass (its measures stand), and steps
+// it without momentum (a rejection restarts the heavy-ball history).
+// One forecast and one node pass per accepted step, and a second
+// workspace saved for the price of one extra forecast per rejection.
+func (e *Engine) backtrack(next *flow.Routing, utility, loss, cost float64) {
+	proposed, feasible := evaluate(e.u, loss, e.arena.price)
 	if proposed <= cost+1e-12 {
-		e.accept(next)
+		e.accept(next, utility, loss)
 		e.carried, e.cost, e.feasible = true, proposed, feasible
 		e.descents++
 		if e.descents >= growAfter {
@@ -313,30 +351,15 @@ func (e *Engine) backtrack(next *flow.Routing, cost float64) {
 	}
 }
 
-// accept makes the proposal next the engine's routing, and the one it
-// replaces the spare: the heavy-ball φ_{k−1} of the next step.
-func (e *Engine) accept(next *flow.Routing) {
+// accept makes the proposal next, forecast in u with the given
+// measures, the engine's routing, and the one it replaces the spare:
+// the heavy-ball φ_{k−1} of the next step.
+func (e *Engine) accept(next *flow.Routing, utility, loss float64) {
 	e.spare, e.R = e.R, next
+	e.admitted, e.spareAdmitted = e.spareAdmitted, e.admitted
+	e.utility, e.loss = utility, loss
+	e.forecasted, e.measured = true, true
 	e.heavy = e.cfg.Momentum > 0
-}
-
-// measure reads the StepInfo of the routing u holds and leaves its
-// node prices in the arena for the wave: from the carried evaluation
-// when there is one, from one evaluate pass otherwise.
-func (e *Engine) measure(u *flow.Usage) StepInfo {
-	for j := range e.admitted {
-		e.admitted[j] = u.AdmittedRate(j)
-	}
-	if !e.carried {
-		e.cost, e.feasible = evaluate(u, e.arena.price)
-	}
-	return StepInfo{
-		Iteration: e.stats.Iterations,
-		Utility:   u.Utility(),
-		Cost:      e.cost,
-		Admitted:  e.admitted,
-		Feasible:  e.feasible,
-	}
 }
 
 // ErrDiverged is returned by Run when the iteration has genuinely

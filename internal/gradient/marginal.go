@@ -7,16 +7,19 @@
 // synchronous schedule:
 //
 //  1. flow forecast: solve the flow-balance equations under the current
-//     routing set (internal/flow.Evaluate);
+//     routing set (internal/flow);
 //  2. marginal-cost wave: compute ∂A/∂r_i(j) from the sinks upstream
 //     (eq. 9) together with the per-link marginals of eq. 10/13 and
 //     the loop-freedom tags of eq. 18;
 //  3. routing update Γ: shift routing fraction from expensive links to
 //     each node's best unblocked link (eqs. 14–17).
 //
-// All per-commodity state is held in the commodity's Subgraph local
-// indexing (transform.Subgraph), so one commodity's wave costs O(its
-// member edges) in both time and memory.
+// The phases are per commodity, and the engine runs them that way: one
+// visit per commodity runs its wave and Γ, then forecasts the new row,
+// the next iteration's phase 1, while the commodity's state is still in
+// cache. All per-commodity state is held in the commodity's Subgraph
+// local indexing (transform.Subgraph), so one commodity's visit costs
+// O(its member edges) in both time and memory.
 //
 // The synchronous engine is deterministic. Every node's wave step waits
 // for all of its inputs, so the protocol's result is a function of
@@ -97,6 +100,7 @@ func sweep(u *flow.Usage, j int, price, rho, linkD []float64, tagged []bool, eta
 	sg := &x.Sub[j]
 	phi, t := u.R.Phi[j], u.T[j]
 	beta, cost, head, nodes := sg.Beta, sg.Cost, sg.Head, sg.Nodes
+	outIdx, outEdges := sg.CSR()
 	sink, diff := sg.Sink, sg.DiffLink
 	// U'_j(λ_j − f_e) on the difference link reads only the forecast, so
 	// it is evaluated once per commodity, not inside the edge loop.
@@ -113,15 +117,15 @@ func sweep(u *flow.Usage, j int, price, rho, linkD []float64, tagged []bool, eta
 		// at its tail i: from eq. 11, ∂A_i/∂f_e is the barrier derivative
 		// ε·D'_i(f_i) everywhere except on a difference link, where the
 		// utility-loss derivative U'_j(λ_j − f_e) joins it.
-		outs := sg.Out(ln)
+		outs := outEdges[outIdx[ln]:outIdx[ln+1]]
 		p := price[nodes[ln]]
 		r := 0.0
 		for _, le := range outs {
-			var loss float64
+			direct := p
 			if le == diff {
-				loss = diffLoss
+				direct += diffLoss
 			}
-			d := (p+loss)*cost[le] + beta[le]*rho[head[le]]
+			d := direct*cost[le] + beta[le]*rho[head[le]]
 			linkD[le] = d
 			r += phi[le] * d
 		}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/flow"
 	"repro/internal/graph"
+	"repro/internal/utility"
 )
 
 // fillNodePrices sets price[n] = ε·D'_n(f_n + External_n) for every
@@ -32,14 +33,23 @@ func nodePrices(u *flow.Usage) []float64 {
 }
 
 // evaluate is the one pass over the nodes that judges a forecast usage
-// u: it returns A = Y + ε·D — the operands Usage.TotalCost adds, in its
-// order — and the feasibility Usage.Feasible reports, and leaves price
-// holding u's node prices, as fillNodePrices would. The load
-// z = f_n + External_n is formed once per capacitated node for all
-// three. The caller must be done reading price.
-func evaluate(u *flow.Usage, price []float64) (cost float64, feasible bool) {
+// u whose utility loss Y is loss: it returns A = Y + ε·D — the operands
+// Usage.TotalCost adds, in its order — and the feasibility
+// Usage.Feasible reports, and leaves price holding u's node prices, as
+// fillNodePrices would. The load z = f_n + External_n is formed once
+// per capacitated node for all three. The caller must be done reading
+// price.
+//
+// The reciprocal barrier, transform.Build's default and the only one
+// the server runs, is called on its concrete type, so the compiler
+// inlines D and D' into the loop instead of making two interface calls
+// per capacitated node (half the pass's time on a J=10k shard); any
+// other barrier goes through the interface. Both calls compute the same
+// doubles.
+func evaluate(u *flow.Usage, loss float64, price []float64) (cost float64, feasible bool) {
 	x := u.R.X
 	ext, eps, pen := x.External, x.Epsilon, x.Penalty
+	_, recip := pen.(utility.Reciprocal)
 	penalty := 0.0
 	feasible = true
 	for n, z := range u.FNode[:x.SharedNodes] {
@@ -51,11 +61,17 @@ func evaluate(u *flow.Usage, price []float64) (cost float64, feasible bool) {
 		if n < len(ext) {
 			z += ext[n]
 		}
-		penalty += eps * pen.Value(z, c)
-		price[n] = eps * pen.Deriv(z, c)
+		var v, d float64
+		if recip {
+			v, d = utility.Reciprocal{}.Value(z, c), utility.Reciprocal{}.Deriv(z, c)
+		} else {
+			v, d = pen.Value(z, c), pen.Deriv(z, c)
+		}
+		penalty += eps * v
+		price[n] = eps * d
 		if z > c+1e-9 {
 			feasible = false
 		}
 	}
-	return u.UtilityLoss() + penalty, feasible
+	return loss + penalty, feasible
 }

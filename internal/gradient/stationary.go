@@ -41,16 +41,18 @@ const (
 // the workspaces it already owns; this form serves one-off diagnostics
 // on a usage that no engine holds.
 func CheckStationarity(u *flow.Usage) StationarityReport {
-	return newArena(u.R.X, 1).stationarity(u)
+	a := newArena(u.R.X, 1)
+	fillNodePrices(u, a.price)
+	return a.stationarity(u)
 }
 
-// stationarity runs the convergence test on the arena's workspaces: the
-// node prices, then per commodity the marginal sweep (tagging off) and
-// the residuals of eqs. 12 and 13. It allocates nothing, so convergence
-// detection grounded in the paper's optimality theory rather than in
-// utility deltas costs an iteration loop about one extra wave.
+// stationarity runs the convergence test on the arena's workspaces,
+// whose price vector must hold u's node prices: per commodity the
+// marginal sweep (tagging off) and the residuals of eqs. 12 and 13. It
+// allocates nothing, so convergence detection grounded in the paper's
+// optimality theory rather than in utility deltas costs an iteration
+// loop about one extra wave.
 func (a *arena) stationarity(u *flow.Usage) StationarityReport {
-	fillNodePrices(u, a.price)
 	rho, linkD := a.scratch[0].rho, a.scratch[0].linkD
 	rep := StationarityReport{WorstNode: graph.Invalid, WorstCommodity: -1}
 	for j := range a.x.Sub {

@@ -9,7 +9,7 @@ import (
 
 // gamma performs the §5 routing update Γ (eqs. 14–17) for commodity j,
 // writing the new routing variables of every node that has a choice
-// into next, whose row the caller has seeded with the current one.
+// into next, which must equal the current row everywhere else.
 // tagged uses commodity j's local node indexing (nil: blocking off).
 //
 // At each node the fraction routed over every non-best unblocked link
@@ -22,18 +22,29 @@ import (
 // Only Subgraph.Branch nodes are visited. At a node with a single
 // member out-edge the update is the identity: that edge is the best
 // link and receives φ + 0, or — when it is blocked or its marginal is
-// not finite — updateNode returns before writing; either way the
-// seeded value stands. Nodes update independently (each reads the old
-// row and writes only its own out-edges), so the visiting order is
+// not finite — updateNode returns before writing; either way the value
+// already in next, the current one, stands. At a branch node gamma
+// first seeds next's entries with the current ones, so next becomes
+// the full new row. Nodes update independently (each reads the old row
+// and writes only its own out-edges), so the visiting order is
 // immaterial.
 //
-// prev, with mu > 0, is commodity j's φ_{k−1} row, and each node's
-// proposal moves by heavyBall's term in the same pass.
+// With mu > 0, next holds commodity j's φ_{k−1} row on entry: gamma
+// saves each branch node's entries into prev (local edge indexing)
+// before seeding them, and moves the node's proposal by heavyBall's
+// term in the same pass.
 func gamma(u *flow.Usage, j int, linkD []float64, tagged []bool, eta, mu float64, prev, next []float64) {
 	sg := &u.R.X.Sub[j]
 	phi, t := u.R.Phi[j], u.T[j]
+	outIdx, outEdges := sg.CSR()
 	for _, ln := range sg.Branch() {
-		outs := sg.Out(ln)
+		outs := outEdges[outIdx[ln]:outIdx[ln+1]]
+		for _, le := range outs {
+			if mu > 0 {
+				prev[le] = next[le]
+			}
+			next[le] = phi[le]
+		}
 		updateNode(sg, phi, linkD, tagged, eta, next, outs, t[ln])
 		if mu > 0 {
 			heavyBall(phi, prev, mu, next, outs)

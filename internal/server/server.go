@@ -56,7 +56,7 @@ type Options struct {
 	MaxIters      int     // default 4000
 	StationaryTol float64 // default 1e-3; <0 disables early stopping
 	// Workers bounds the solver's per-commodity wave pool
-	// (gradient.Config.Workers); 0 means GOMAXPROCS.
+	// (gradient.Config.Workers); 0 means 1.
 	Workers int
 	// PaperMode solves as §5 states it — fixed η, the loop-freedom tags,
 	// φ carried as it is across a decision and a cold start whenever the

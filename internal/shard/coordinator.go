@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"errors"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -30,9 +29,10 @@ type Config struct {
 	Eta           float64 // step scale η; 0 → 0.04
 	MaxIters      int     // per-solve budget, summed over shards; 0 → 4000
 	StationaryTol float64 // Theorem-2 tolerance; 0 → 1e-3, <0 disables
-	// Workers bounds each shard engine's wave pool. 0 → GOMAXPROCS:
-	// shards take turns, so the one engine stepping has every P (every
-	// value yields the same trajectory).
+	// Workers bounds each shard engine's wave pool. 0 → 1: on the
+	// two-vCPU reference box a second worker made the serving step
+	// slower, not faster (EXPERIMENTS.md). Every value yields the same
+	// trajectory.
 	Workers int
 
 	// Serving selects the step mode the admission server runs by
@@ -85,7 +85,7 @@ func (c *Config) setDefaults() {
 		c.StationaryTol = 1e-3
 	}
 	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
+		c.Workers = 1
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}

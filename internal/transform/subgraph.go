@@ -92,6 +92,12 @@ func (s *Subgraph) Out(l int32) []int32 {
 	return s.outEdges[s.outIdx[l]:s.outIdx[l+1]]
 }
 
+// CSR returns the out-adjacency Out slices: the out-edges of local
+// node l are outEdges[outIdx[l]:outIdx[l+1]]. Hot loops that visit
+// every node hold the two arrays in locals instead of going through
+// the header per node. Callers must not modify them.
+func (s *Subgraph) CSR() (outIdx, outEdges []int32) { return s.outIdx, s.outEdges }
+
 // In returns the local in-edge indexes of local node l in ascending
 // global edge-ID order. The slice aliases the CSR arrays; callers must
 // not modify it.
