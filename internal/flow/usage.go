@@ -251,8 +251,16 @@ func (u *Usage) UtilityLoss() float64 {
 // ForecastRow(r, j), or EvaluateInto with r).
 func (u *Usage) RowLoss(r *Routing, j int) float64 {
 	x := r.X
-	sg := &x.Sub[j]
-	return x.LossValue(j, x.Commodities[j].DiffLink, u.perEdge(r, j, sg, sg.DiffLink, sg.Cost))
+	return x.LossValue(j, x.Commodities[j].DiffLink, u.DiffFlow(r, j))
+}
+
+// DiffFlow returns the flow on commodity j's difference link under
+// routing r, the rejected rate λ_j − a_j as the forward sweep computed
+// it: the argument RowLoss passes to Y_j. T[j] must hold r's forecast,
+// as for RowLoss.
+func (u *Usage) DiffFlow(r *Routing, j int) float64 {
+	sg := &r.X.Sub[j]
+	return u.perEdge(r, j, sg, sg.DiffLink, sg.Cost)
 }
 
 // PenaltyCost returns ε·D = Σ_i ε·D_i(f_i), summed in ascending node

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/flow"
 	"repro/internal/transform"
+	"repro/internal/utility"
 )
 
 // waveScratch is one worker's buffers for the sweep→update chain of one
@@ -140,11 +141,18 @@ func (a *arena) update(w *waveScratch, u *flow.Usage, j int, eta, mu float64, bl
 
 // measureRow adds routing r's commodity j, whose forecast u.T[j]
 // holds, to a measurement in progress: a_j into admitted[j], U_j(a_j)
-// to utility and Y_j(λ_j − a_j) to loss — the operands Usage.Utility
-// and Usage.UtilityLoss add, so sums over j in order are theirs bit for
-// bit.
-func measureRow(u *flow.Usage, r *flow.Routing, j int, admitted []float64, utility, loss float64) (float64, float64) {
+// to sum and Y_j(λ_j − a_j) to loss — the operands Usage.Utility and
+// Usage.UtilityLoss add, so sums over j in order are theirs bit for
+// bit. A Linear utility, the family of the paper's §6 throughput
+// objective, is called on its concrete type (the same doubles, without
+// three interface calls); every other family goes through the
+// interface.
+func measureRow(u *flow.Usage, r *flow.Routing, j int, admitted []float64, sum, loss float64) (float64, float64) {
 	a := r.AdmittedRate(j)
 	admitted[j] = a
-	return utility + r.X.Commodities[j].Utility.Value(a), loss + u.RowLoss(r, j)
+	c := &r.X.Commodities[j]
+	if lin, ok := c.Utility.(utility.Linear); ok {
+		return sum + lin.Value(a), loss + c.Loss.LinearValue(lin, u.DiffFlow(r, j))
+	}
+	return sum + c.Utility.Value(a), loss + u.RowLoss(r, j)
 }

@@ -34,6 +34,7 @@ import (
 	"repro/internal/flow"
 	"repro/internal/graph"
 	"repro/internal/transform"
+	"repro/internal/utility"
 )
 
 // Marginals holds the first-order information of one iteration for one
@@ -104,13 +105,29 @@ func sweep(u *flow.Usage, j int, price, rho, linkD []float64, tagged []bool, eta
 	sink, diff := sg.Sink, sg.DiffLink
 	// U'_j(λ_j − f_e) on the difference link reads only the forecast, so
 	// it is evaluated once per commodity, not inside the edge loop.
-	diffLoss := x.Commodities[j].Loss.Deriv(u.EdgeFlow(j, diff))
+	// A Linear U' is its slope whatever the flow, so for that family
+	// the sweep reads the slope off the concrete type and skips the
+	// forecast read and the interface calls (as evaluate does for the
+	// reciprocal barrier); Loss.Deriv would return the same double.
+	var diffLoss float64
+	if lin, ok := x.Commodities[j].Loss.U.(utility.Linear); ok {
+		diffLoss = lin.Slope
+	} else {
+		diffLoss = x.Commodities[j].Loss.Deriv(u.EdgeFlow(j, diff))
+	}
+	// last and lastRho are the node visited just before and the ρ it
+	// got. A node whose one out-edge leads there — every chain node —
+	// takes its head's ρ from lastRho instead of reloading the rho[]
+	// entry just stored, which takes that store-to-load round trip off
+	// the sweep's chain of dependent operations. Same operand, same bits.
+	last, lastRho := int32(-1), 0.0
 	for _, ln := range sg.RevTopo() {
 		if ln == sink {
 			rho[ln] = 0 // convention ∂A/∂r_j(j) = 0
 			if tagged != nil {
 				tagged[ln] = false
 			}
+			last, lastRho = ln, 0
 			continue
 		}
 		// ∂A_i/∂f_e·c_e(j), the direct cost of one more unit over edge e
@@ -120,16 +137,28 @@ func sweep(u *flow.Usage, j int, price, rho, linkD []float64, tagged []bool, eta
 		outs := outEdges[outIdx[ln]:outIdx[ln+1]]
 		p := price[nodes[ln]]
 		r := 0.0
-		for _, le := range outs {
+		if len(outs) == 1 && head[outs[0]] == last {
+			le := outs[0]
 			direct := p
 			if le == diff {
 				direct += diffLoss
 			}
-			d := direct*cost[le] + beta[le]*rho[head[le]]
+			d := direct*cost[le] + beta[le]*lastRho
 			linkD[le] = d
 			r += phi[le] * d
+		} else {
+			for _, le := range outs {
+				direct := p
+				if le == diff {
+					direct += diffLoss
+				}
+				d := direct*cost[le] + beta[le]*rho[head[le]]
+				linkD[le] = d
+				r += phi[le] * d
+			}
 		}
 		rho[ln] = r
+		last, lastRho = ln, r
 		if tagged != nil {
 			tagged[ln] = tagNode(outs, phi, beta, head, rho, linkD, tagged, r, t[ln], eta)
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/randnet"
 	"repro/internal/stream"
 	"repro/internal/transform"
+	"repro/internal/utility"
 )
 
 // The reference step: Engine.Step under Config.Backtrack as it ran
@@ -191,21 +192,101 @@ func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bi
 // (with the turn-start Engine.ExternalChanged it makes), and a
 // reparameterization followed by Engine.Restart. It does so without
 // momentum and with the serving mode's heavy-ball μ 0.9.
+//
+// Two more instances license the sweep's carried ρ and the wave's
+// concrete-type utility calls. "branched" is a layered instance whose
+// member DAGs fork, so within one reverse order a node's one out-edge
+// may or may not lead to the node visited just before it: the sweep
+// takes the carried ρ at some and reloads it at others. "mixed" gives
+// the sparse chains Linear, Log and Sqrt utilities in turn, so the
+// Linear path and the interface path both run in every wave.
 func TestServingStepMatchesReferenceStep(t *testing.T) {
 	sparse, err := randnet.GenerateSparse(randnet.Config{Seed: 13, Nodes: 48, Layers: 6, Commodities: 1200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var subset []int
-	for gi := range sparse.Commodities {
-		if gi%4 == 0 {
-			subset = append(subset, gi)
-		}
-	}
-	x, err := transform.Build(sparse, transform.Options{Epsilon: 0.2, Commodities: subset})
+	branched, err := randnet.Generate(randnet.Config{Seed: 5, Nodes: 40, Layers: 5, Commodities: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mixed, err := randnet.GenerateSparse(randnet.Config{Seed: 13, Nodes: 48, Layers: 6, Commodities: 1200,
+		Utility: func(j int) utility.Function {
+			switch j % 3 {
+			case 0:
+				return utility.Linear{Slope: 1}
+			case 1:
+				return utility.Log{Weight: 40, Scale: 10}
+			default:
+				return utility.Sqrt{Weight: 10, Shift: 1}
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inst := range []struct {
+		prefix string
+		p      *stream.Problem
+		every  int  // the shard holds every every-th commodity
+		forks  bool // some single-out-edge node's head was not visited last
+		mixes  bool // Linear and non-Linear utilities
+	}{{"", sparse, 4, false, false}, {"branched,", branched, 1, true, false}, {"mixed,", mixed, 4, false, true}} {
+		var subset []int
+		for gi := range inst.p.Commodities {
+			if gi%inst.every == 0 {
+				subset = append(subset, gi)
+			}
+		}
+		x, err := transform.Build(inst.p, transform.Options{Epsilon: 0.2, Commodities: subset})
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch carried, reloaded := chainLinks(x); {
+		case carried == 0:
+			t.Fatalf("%q: no node's one out-edge leads to the node visited before it", inst.prefix)
+		case inst.forks && reloaded == 0:
+			t.Fatalf("%q: all %d single-out-edge nodes lead to the node visited before them", inst.prefix, carried)
+		}
+		if inst.mixes {
+			linear := 0
+			for _, c := range x.Commodities {
+				if _, ok := c.Utility.(utility.Linear); ok {
+					linear++
+				}
+			}
+			if linear == 0 || linear == len(x.Commodities) {
+				t.Fatalf("%q: %d of %d commodities Linear; the case needs both paths", inst.prefix, linear, len(x.Commodities))
+			}
+		}
+		servingStepParity(t, inst.prefix, x, inst.p, subset)
+	}
+}
+
+// chainLinks counts, over every commodity's reverse topological order,
+// the nodes with one member out-edge whose head is the node visited
+// just before (the sweep carries its ρ) and those whose head is not
+// (the sweep reloads it).
+func chainLinks(x *transform.Extended) (carried, reloaded int) {
+	for j := range x.Sub {
+		sg := &x.Sub[j]
+		last := int32(-1)
+		for _, ln := range sg.RevTopo() {
+			if outs := sg.Out(ln); len(outs) == 1 {
+				if sg.Head[outs[0]] == last {
+					carried++
+				} else {
+					reloaded++
+				}
+			}
+			last = ln
+		}
+	}
+	return carried, reloaded
+}
+
+// servingStepParity runs TestServingStepMatchesReferenceStep's cases on
+// x, the shard of p0 that holds the commodities in subset, naming each
+// subtest after prefix.
+func servingStepParity(t *testing.T, prefix string, x *transform.Extended, p0 *stream.Problem, subset []int) {
 	ext := make([]float64, x.SharedNodes)
 	x.SetExternal(ext)
 	// setExternal rewrites the installed vector in place: turn k loads
@@ -228,7 +309,7 @@ func TestServingStepMatchesReferenceStep(t *testing.T) {
 		if tc.mu > 0 {
 			name = fmt.Sprintf("mu=%v,workers=%d", tc.mu, tc.workers)
 		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(prefix+name, func(t *testing.T) {
 			const eta0 = 0.5
 			eng := New(x, Config{Eta: eta0, Backtrack: true, DisableBlocking: true, Momentum: tc.mu, Workers: tc.workers})
 			ref := &refStepper{x: x, r: flow.NewInitial(x), eta: eta0, mu: tc.mu}
@@ -275,7 +356,7 @@ func TestServingStepMatchesReferenceStep(t *testing.T) {
 			turns(6)
 			rejected := ref.backtracks
 			// A capacity cut and a rate change, installed in place.
-			p := sparse.Clone()
+			p := p0.Clone()
 			for i, kind := range p.Net.Kinds {
 				if kind == stream.Processing {
 					if err := p.Net.SetCapacity(p.Net.Names[i], p.Net.Capacity[i]/2); err != nil {
@@ -307,7 +388,7 @@ func TestServingStepMatchesReferenceStep(t *testing.T) {
 			t.Logf("%d steps: %d accepted, %d rejected, %d measured infeasible", step, accepted, rejected, infeasible)
 
 			// Put the problem back for the next worker count.
-			x.Reparameterize(sparse, subset)
+			x.Reparameterize(p0, subset)
 			setExternal(0)
 		})
 	}

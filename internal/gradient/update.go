@@ -134,7 +134,7 @@ func updateNode(sg *transform.Subgraph, phi, linkD []float64, tagged []bool, eta
 		a := linkD[le] - bestD // eq. 15
 		var delta float64
 		if t > 0 {
-			delta = math.Min(phi[le], eta*a/t) // eq. 16
+			delta = min(phi[le], eta*a/t) // eq. 16
 		} else {
 			delta = phi[le] // t → 0 limit: empty every non-best link
 		}

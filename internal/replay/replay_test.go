@@ -288,6 +288,32 @@ func TestVerifyJournalFromBeforeServerApply(t *testing.T) {
 	}
 }
 
+// TestVerifyServingJournalFromBeforeCarriedRho replays a journal the
+// default serving step recorded at the last commit before the sweep
+// carried ρ down a chain and the wave called Linear utilities on their
+// concrete type (`cmd/loadgen -scenario examples/scenarios/churn.json
+// -run -journal`, one shard; the boot checkpoint reads
+// "serving":true). churn-parent is a paper-mode recording, so this is
+// the checked-in trajectory that pins the serving step — backtracking,
+// heavy ball, rate-space warm starts — across kernel changes: every
+// digest must match bit for bit.
+func TestVerifyServingJournalFromBeforeCarriedRho(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("journal was recorded on amd64")
+	}
+	rep, err := Verify("testdata/churn-serving-parent", Options{Timeout: waitBudget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range rep.Mismatches {
+		t.Errorf("mismatch: %s", m)
+	}
+	if rep.Mutations != 30 || rep.Digests != 25 || rep.Truncated {
+		t.Fatalf("replayed %d mutations, %d digests (truncated %v); the recording holds 30 and 25",
+			rep.Mutations, rep.Digests, rep.Truncated)
+	}
+}
+
 // TestVerifyTwoFieldPatch: a PATCH that sets rate and utility commits
 // as one group but journals one record per revision, and the periodic
 // checkpoint that falls due inside the group (CheckpointEvery is 2, the

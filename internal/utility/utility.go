@@ -143,6 +143,15 @@ func (y Loss) Value(x float64) float64 {
 	return y.U.Value(y.Lambda) - y.U.Value(y.Lambda-x)
 }
 
+// LinearValue is Value for a loss whose U is the Linear l: the same
+// operations in the same order, with l's two calls inlined instead of
+// made through the interface. The §5 engine's wave calls it once per
+// commodity per iteration.
+func (y Loss) LinearValue(l Linear, x float64) float64 {
+	x = clamp(x, 0, y.Lambda)
+	return l.Value(y.Lambda) - l.Value(y.Lambda-x)
+}
+
 // Deriv returns Y'(x) = U'(λ−x); at x = λ−a this equals U'(a), the
 // marginal utility of admission the gradient algorithm balances against
 // the marginal network cost.
