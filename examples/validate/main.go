@@ -91,14 +91,14 @@ func run() error {
 func pathString(x *transform.Extended, p flow.PathFlow) string {
 	s := ""
 	for _, n := range p.Nodes {
-		switch x.Kinds[n] {
+		switch x.Kind(n) {
 		case transform.Bandwidth, transform.Dummy:
 			continue
 		}
 		if s != "" {
 			s += "→"
 		}
-		s += x.Names[n]
+		s += x.Name(n)
 	}
 	return s
 }

@@ -119,7 +119,7 @@ func New(x *transform.Extended, cfg Config) *Engine {
 		X:              x,
 		cfg:            cfg,
 		q:              make([][]float64, nc),
-		at:             make([][]visit, x.G.NumNodes()),
+		at:             make([][]visit, x.NumNodes()),
 		gSink:          make([]float64, nc),
 		weight:         make([]float64, nc),
 		totalDelivered: make([]float64, nc),
@@ -180,10 +180,10 @@ func (e *Engine) Step() StepInfo {
 
 	delivered := make([]float64, nc)
 	messages := 0
-	for n := 0; n < x.G.NumNodes(); n++ {
+	for n := 0; n < x.NumNodes(); n++ {
 		node := graph.NodeID(n)
 		capacity := x.Capacity[n]
-		if x.G.OutDegree(node) == 0 {
+		if x.OutDegree(node) == 0 {
 			continue
 		}
 
@@ -292,7 +292,7 @@ func (e *Engine) Run(n, sampleEvery int) []StepInfo {
 // Buffers exposes a copy of the commodity-j buffer levels indexed by
 // extended node ID (for tests); non-member nodes report zero.
 func (e *Engine) Buffers(j int) []float64 {
-	out := make([]float64, e.X.G.NumNodes())
+	out := make([]float64, e.X.NumNodes())
 	for ln, n := range e.X.Sub[j].Nodes {
 		out[n] = e.q[j][ln]
 	}

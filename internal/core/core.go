@@ -305,12 +305,11 @@ func Explain(p *stream.Problem, x *transform.Extended, u *flow.Usage) []Commodit
 // resourceName maps an extended node back to the original server or
 // link it stands for; ok is false for dummy-layer nodes.
 func resourceName(p *stream.Problem, x *transform.Extended, n graph.NodeID) (name, kind string, ok bool) {
-	switch x.Kinds[n] {
+	switch x.Kind(n) {
 	case transform.Proc:
-		return x.Names[n], "server", true
+		return x.Name(n), "server", true
 	case transform.Bandwidth:
-		orig := x.OrigEdge[x.G.Out(n)[0]]
-		edge := p.Net.G.Edge(orig)
+		edge := p.Net.G.Edge(x.Link(n))
 		return p.Net.Names[edge.From] + "->" + p.Net.Names[edge.To], "link", true
 	}
 	return "", "", false

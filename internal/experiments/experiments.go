@@ -560,20 +560,20 @@ func RunE6(seed int64, gammas []float64, scale Scale) ([]E6Row, error) {
 		}
 		row := E6Row{Gamma: gamma, Optimal: ref.Utility}
 		// Count binding resources at the LP optimum.
-		usage := make([]float64, x.G.NumNodes())
+		usage := make([]float64, x.NumNodes())
 		for j := range x.Commodities {
 			sg := &x.Sub[j]
 			for le, e := range sg.Edges {
 				usage[sg.Nodes[sg.Tail[le]]] += ref.EdgeInput[j][e] * sg.Cost[le]
 			}
 		}
-		for n := 0; n < x.G.NumNodes(); n++ {
+		for n := 0; n < x.NumNodes(); n++ {
 			capn := x.Capacity[n]
 			if math.IsInf(capn, 1) {
 				continue
 			}
 			if usage[n] >= 0.99*capn {
-				if x.Kinds[n] == transform.Bandwidth {
+				if x.Kind(graph.NodeID(n)) == transform.Bandwidth {
 					row.NetBound++
 				} else {
 					row.CPUBound++

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/gradient"
+	"repro/internal/graph"
 	"repro/internal/randnet"
 	"repro/internal/refopt"
 	"repro/internal/stream"
@@ -72,7 +73,7 @@ func runE8One(seed int64, eps float64, scale Scale) (*E8Row, error) {
 	// Fail the busiest server (highest absolute usage).
 	worst, worstUsage := -1, 0.0
 	for n, f := range sol.FNode {
-		if x.Kinds[n] != transform.Proc {
+		if x.Kind(graph.NodeID(n)) != transform.Proc {
 			continue
 		}
 		if f > worstUsage {
@@ -100,7 +101,7 @@ func runE8One(seed int64, eps float64, scale Scale) (*E8Row, error) {
 
 	row := &E8Row{
 		Epsilon:       eps,
-		FailedNode:    x.Names[worst],
+		FailedNode:    x.Name(graph.NodeID(worst)),
 		PreUtility:    sol.Utility(),
 		PostOptimal:   ref.Utility,
 		FeasibleIters: -1,

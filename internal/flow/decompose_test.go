@@ -44,6 +44,7 @@ func TestDecomposePathsAreConnected(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	rt := randomRouting(x, r)
 	u := Evaluate(rt)
+	g := extendedGraph(x)
 	for j := range x.Commodities {
 		c := &x.Commodities[j]
 		paths, err := DecomposePaths(u, j)
@@ -58,7 +59,7 @@ func TestDecomposePathsAreConnected(t *testing.T) {
 				t.Fatalf("path %v does not run dummy→sink", p.Nodes)
 			}
 			for i := 0; i+1 < len(p.Nodes); i++ {
-				e := x.G.EdgeBetween(p.Nodes[i], p.Nodes[i+1])
+				e := g.EdgeBetween(p.Nodes[i], p.Nodes[i+1])
 				if e == graph.Invalid || x.Sub[j].LocalEdge(e) < 0 {
 					t.Fatalf("path hop %d→%d not a member edge", p.Nodes[i], p.Nodes[i+1])
 				}
@@ -112,6 +113,7 @@ func TestQuickDecomposeCoversAllEdgesWithinBound(t *testing.T) {
 		r := rand.New(rand.NewSource(seed ^ 0x70))
 		rt := randomRouting(x, r)
 		u := Evaluate(rt)
+		g := extendedGraph(x)
 		for j := range x.Commodities {
 			paths, err := DecomposePaths(u, j)
 			if err != nil {
@@ -119,22 +121,22 @@ func TestQuickDecomposeCoversAllEdgesWithinBound(t *testing.T) {
 				return false
 			}
 			// Classic decomposition bound: at most |E| paths.
-			if len(paths) > x.G.NumEdges() {
+			if len(paths) > x.NumEdges() {
 				return false
 			}
 			// Reconstruct per-edge input rates from the paths and
 			// compare with the evaluation.
-			rebuilt := make([]float64, x.G.NumEdges())
+			rebuilt := make([]float64, x.NumEdges())
 			for _, p := range paths {
 				carried := p.Rate // source units
 				for i := 0; i+1 < len(p.Nodes); i++ {
-					e := x.G.EdgeBetween(p.Nodes[i], p.Nodes[i+1])
+					e := g.EdgeBetween(p.Nodes[i], p.Nodes[i+1])
 					rebuilt[e] += carried
 					carried *= x.Sub[j].Beta[x.Sub[j].LocalEdge(e)]
 				}
 			}
 			for _, e := range x.Sub[j].Edges {
-				tail := x.G.Edge(e).From
+				tail := x.Edge(e).From
 				want := u.TAt(j, tail) * rt.At(j, e)
 				if math.Abs(rebuilt[e]-want) > 1e-6*(1+want) {
 					t.Logf("seed %d commodity %d edge %d: rebuilt %g, want %g", seed, j, e, rebuilt[e], want)

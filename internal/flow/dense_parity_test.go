@@ -27,7 +27,8 @@ type denseUsage struct {
 func denseEvaluate(t *testing.T, r *Routing) *denseUsage {
 	t.Helper()
 	x := r.X
-	nn, ne := x.G.NumNodes(), x.G.NumEdges()
+	g := extendedGraph(x)
+	nn, ne := x.NumNodes(), x.NumEdges()
 	nc := x.NumCommodities()
 	d := &denseUsage{
 		T:      make([][]float64, nc),
@@ -40,7 +41,7 @@ func denseEvaluate(t *testing.T, r *Routing) *denseUsage {
 		d.FEdge[j] = make([]float64, ne)
 		d.Arrive[j] = make([]float64, ne)
 		c := &x.Commodities[j]
-		topo, err := x.G.TopoSortFiltered(func(e graph.EdgeID) bool { return x.Sub[j].LocalEdge(e) >= 0 })
+		topo, err := g.TopoSortFiltered(func(e graph.EdgeID) bool { return x.Sub[j].LocalEdge(e) >= 0 })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +51,7 @@ func denseEvaluate(t *testing.T, r *Routing) *denseUsage {
 			if tn == 0 || n == c.Sink {
 				continue
 			}
-			for _, e := range x.G.Out(n) {
+			for _, e := range g.Out(n) {
 				le := x.Sub[j].LocalEdge(e)
 				if le < 0 {
 					continue
@@ -63,7 +64,7 @@ func denseEvaluate(t *testing.T, r *Routing) *denseUsage {
 				d.FEdge[j][e] = f
 				a := tn * p * x.Sub[j].Beta[le]
 				d.Arrive[j][e] = a
-				d.T[j][x.G.Edge(e).To] += a
+				d.T[j][x.Edge(e).To] += a
 				d.FNode[n] += f
 			}
 		}
@@ -138,7 +139,7 @@ func TestSparseEvaluateMatchesDenseReferenceBitwise(t *testing.T) {
 					// Non-member rows of the dense reference must be
 					// zero — the sparse layout cannot even represent
 					// flow there.
-					for e := 0; e < x.G.NumEdges(); e++ {
+					for e := 0; e < x.NumEdges(); e++ {
 						if sg.LocalEdge(graph.EdgeID(e)) < 0 && d.FEdge[j][e] != 0 {
 							t.Fatalf("dense reference put flow on non-member edge %d", e)
 						}
@@ -169,7 +170,7 @@ func TestFNodeIsEdgeFlowSumBitwise(t *testing.T) {
 					r.SetAt(j, c.DiffLink, 1-frac)
 				}
 				u := Evaluate(r)
-				sum := make([]float64, x.G.NumNodes())
+				sum := make([]float64, x.NumNodes())
 				for j := range x.Commodities {
 					sg := &x.Sub[j]
 					for _, ln := range sg.Topo {

@@ -80,7 +80,7 @@ func TestInitialInteriorUniform(t *testing.T) {
 	// src has two member out-edges (toward bw nodes of e1, e2).
 	src := x.Commodities[0].Source
 	var phis []float64
-	for _, e := range x.G.Out(src) {
+	for _, e := range extendedGraph(x).Out(src) {
 		if x.Sub[0].LocalEdge(e) >= 0 {
 			phis = append(phis, r.At(0, e))
 		}
@@ -108,7 +108,7 @@ func TestValidateCatchesBadRouting(t *testing.T) {
 	// phi on a non-member edge is unrepresentable in the sparse rows:
 	// SetAt must refuse it outright.
 	r = NewInitial(x)
-	for e := 0; e < x.G.NumEdges(); e++ {
+	for e := 0; e < x.NumEdges(); e++ {
 		if x.Sub[0].LocalEdge(graph.EdgeID(e)) < 0 {
 			func() {
 				defer func() {
@@ -137,7 +137,7 @@ func setSplit(x *transform.Extended, r *Routing, admit, viaA float64) {
 
 func memberOuts(x *transform.Extended, j int, n graph.NodeID) []graph.EdgeID {
 	var outs []graph.EdgeID
-	for _, e := range x.G.Out(n) {
+	for _, e := range extendedGraph(x).Out(n) {
 		if x.Sub[j].LocalEdge(e) >= 0 {
 			outs = append(outs, e)
 		}
@@ -172,10 +172,23 @@ func TestEvaluateFlowBalanceWithShrinkage(t *testing.T) {
 	}
 }
 
+// extendedGraph lays x's §3 graph out as a graph.Graph, edge IDs kept,
+// for tests that walk its adjacency.
+func extendedGraph(x *transform.Extended) *graph.Graph {
+	g := graph.New(x.NumNodes(), x.NumEdges())
+	g.AddNodes(x.NumNodes())
+	for e := range graph.EdgeID(x.NumEdges()) {
+		if _, err := g.AddEdge(x.Edge(e).From, x.Edge(e).To); err != nil {
+			panic(err)
+		}
+	}
+	return g
+}
+
 func nodeByName(x *transform.Extended, name string) (graph.NodeID, bool) {
-	for n, got := range x.Names {
-		if got == name {
-			return graph.NodeID(n), true
+	for n := range graph.NodeID(x.NumNodes()) {
+		if x.Name(n) == name {
+			return n, true
 		}
 	}
 	return graph.Invalid, false

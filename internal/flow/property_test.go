@@ -41,16 +41,17 @@ func randomInstance(t testing.TB, seed int64) *transform.Extended {
 // member out-edges, random positive fractions normalized to one.
 func randomRouting(x *transform.Extended, r *rand.Rand) *Routing {
 	rt := NewZero(x)
+	g := extendedGraph(x)
 	for j := range x.Commodities {
 		sg := &x.Sub[j]
 		sink := x.Commodities[j].Sink
-		for n := 0; n < x.G.NumNodes(); n++ {
+		for n := 0; n < x.NumNodes(); n++ {
 			node := graph.NodeID(n)
 			if node == sink {
 				continue
 			}
 			var outs []graph.EdgeID
-			for _, e := range x.G.Out(node) {
+			for _, e := range g.Out(node) {
 				if x.Sub[j].LocalEdge(e) >= 0 {
 					outs = append(outs, e)
 				}
@@ -85,21 +86,22 @@ func TestQuickFlowConservation(t *testing.T) {
 			return false
 		}
 		u := Evaluate(rt)
+		g := extendedGraph(x)
 		for j := range x.Commodities {
 			c := &x.Commodities[j]
-			for n := 0; n < x.G.NumNodes(); n++ {
+			for n := 0; n < x.NumNodes(); n++ {
 				node := graph.NodeID(n)
 				if node == c.Sink {
 					continue
 				}
 				out := 0.0
-				for _, e := range x.G.Out(node) {
+				for _, e := range g.Out(node) {
 					if x.Sub[j].LocalEdge(e) >= 0 {
 						out += u.TAt(j, node) * rt.At(j, e)
 					}
 				}
 				in := 0.0
-				for _, e := range x.G.In(node) {
+				for _, e := range g.In(node) {
 					if x.Sub[j].LocalEdge(e) >= 0 {
 						in += u.ArriveAt(j, e)
 					}
@@ -157,7 +159,7 @@ func TestQuickDeliveredMatchesPotential(t *testing.T) {
 // commodity's sparse subgraph and scattering to extended node IDs.
 func potentials(x *transform.Extended, j int) []float64 {
 	sg := &x.Sub[j]
-	g := make([]float64, x.G.NumNodes())
+	g := make([]float64, x.NumNodes())
 	lg := make([]float64, sg.NumNodes())
 	lg[sg.Dummy] = 1
 	for _, ln := range sg.Topo {
@@ -208,11 +210,11 @@ func TestQuickFNodeAggregation(t *testing.T) {
 		r := rand.New(rand.NewSource(seed ^ 0xcc))
 		rt := randomRouting(x, r)
 		u := Evaluate(rt)
-		sum := make([]float64, x.G.NumNodes())
+		sum := make([]float64, x.NumNodes())
 		for j := range x.Commodities {
 			sg := &x.Sub[j]
 			for le, e := range sg.Edges {
-				sum[x.G.Edge(e).From] += u.EdgeFlow(j, int32(le))
+				sum[x.Edge(e).From] += u.EdgeFlow(j, int32(le))
 			}
 		}
 		for n := range sum {

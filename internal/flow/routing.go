@@ -134,13 +134,9 @@ func (r *Routing) Rebind(x *transform.Extended) (*Routing, error) {
 		return nil, fmt.Errorf("%w: target has %d commodities, routing was built for %d",
 			ErrTopologyChanged, nx, nr)
 	}
-	if nx, nr := x.G.NumNodes(), r.X.G.NumNodes(); nx != nr {
-		return nil, fmt.Errorf("%w: target has %d extended nodes, routing was built for %d",
-			ErrTopologyChanged, nx, nr)
-	}
-	if nx, nr := x.G.NumEdges(), r.X.G.NumEdges(); nx != nr {
-		return nil, fmt.Errorf("%w: target has %d extended edges, routing was built for %d",
-			ErrTopologyChanged, nx, nr)
+	if nx, nr := x.NumNodes(), r.X.NumNodes(); nx != nr || x.NumEdges() != r.X.NumEdges() {
+		return nil, fmt.Errorf("%w: target has %d extended nodes and %d edges, routing was built for %d and %d",
+			ErrTopologyChanged, nx, x.NumEdges(), nr, r.X.NumEdges())
 	}
 	for j := range x.Sub {
 		if !slices.Equal(x.Sub[j].Edges, r.X.Sub[j].Edges) {
@@ -223,7 +219,7 @@ func (r *Routing) Validate() error {
 				sum += r.Phi[j][le]
 			}
 			if hasMember && math.Abs(sum-1) > 1e-6 {
-				return fmt.Errorf("flow: commodity %d node %q: phi sums to %g", j, x.Names[sg.Nodes[l]], sum)
+				return fmt.Errorf("flow: commodity %d node %q: phi sums to %g", j, x.Name(sg.Nodes[l]), sum)
 			}
 		}
 	}

@@ -43,7 +43,7 @@ func NewUsage(x *transform.Extended) *Usage {
 	}
 	u := &Usage{
 		T:     make([][]float64, nc),
-		FNode: make([]float64, x.G.NumNodes()),
+		FNode: make([]float64, x.NumNodes()),
 		x:     x,
 	}
 	back := make([]float64, totalN)
@@ -77,7 +77,7 @@ func (u *Usage) checkShape(x *transform.Extended) error {
 	if u.x == x {
 		return nil
 	}
-	nc, nn := x.NumCommodities(), x.G.NumNodes()
+	nc, nn := x.NumCommodities(), x.NumNodes()
 	if len(u.T) != nc {
 		return shapeErr("workspace has %d commodity rows, problem has %d", len(u.T), nc)
 	}

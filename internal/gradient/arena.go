@@ -48,7 +48,7 @@ type arena struct {
 }
 
 func newArena(x *transform.Extended, workers int) *arena {
-	a := &arena{x: x, price: make([]float64, x.G.NumNodes())}
+	a := &arena{x: x, price: make([]float64, x.NumNodes())}
 	maxN, maxE := 0, 0
 	for j := range x.Sub {
 		sg := &x.Sub[j]

@@ -43,7 +43,7 @@ func TestAttributeCapacityConstrained(t *testing.T) {
 	if top.Price <= 0 {
 		t.Fatalf("binding node has non-positive shadow price: %+v", top)
 	}
-	if name := u.R.X.Names[top.Node]; name != "src" {
+	if name := u.R.X.Name(top.Node); name != "src" {
 		t.Fatalf("bottleneck should be the tight server src, got %q (util %.3f)", name, top.Utilization)
 	}
 	if top.Utilization <= 0.5 || top.Utilization > 1.01 {
@@ -91,7 +91,7 @@ func TestAttributeAllPicksTheTightPath(t *testing.T) {
 	}
 	found := false
 	for _, bn := range all[0].Binding {
-		if u.R.X.Names[bn.Node] == "a" {
+		if u.R.X.Name(bn.Node) == "a" {
 			found = true
 			if bn.Price <= 0 {
 				t.Fatalf("tight server a has zero price: %+v", bn)

@@ -84,7 +84,7 @@ func TestMarginalMatchesFiniteDifference(t *testing.T) {
 	r.SetAt(0, c.DiffLink, 0.4)
 	src := c.Source
 	var srcOuts []graph.EdgeID
-	for _, e := range x.G.Out(src) {
+	for _, e := range extendedGraph(x).Out(src) {
 		if x.Sub[0].LocalEdge(e) >= 0 {
 			srcOuts = append(srcOuts, e)
 		}
@@ -98,7 +98,7 @@ func TestMarginalMatchesFiniteDifference(t *testing.T) {
 	const h = 1e-7
 	base := u.TotalCost()
 	for _, e := range x.Sub[0].Edges {
-		tail := x.G.Edge(e).From
+		tail := x.Edge(e).From
 		ti := u.TAt(0, tail)
 		if ti == 0 {
 			continue // derivative information is 0·d; skip
@@ -109,7 +109,7 @@ func TestMarginalMatchesFiniteDifference(t *testing.T) {
 		want := ti * m.LinkDAt(sg, e)
 		if math.Abs(got-want) > 1e-3*(1+math.Abs(want)) {
 			t.Errorf("edge %d (%s→%s): dA/dphi = %g, analytic %g",
-				e, x.Names[x.G.Edge(e).From], x.Names[x.G.Edge(e).To], got, want)
+				e, x.Name(x.Edge(e).From), x.Name(x.Edge(e).To), got, want)
 		}
 	}
 }
@@ -128,20 +128,21 @@ func TestRhoZeroAtSinkAndCompositionality(t *testing.T) {
 	if m.RhoAt(sg, c.Sink) != 0 {
 		t.Fatalf("rho(sink) = %g, want 0", m.RhoAt(sg, c.Sink))
 	}
-	for n := 0; n < x.G.NumNodes(); n++ {
+	g := extendedGraph(x)
+	for n := 0; n < x.NumNodes(); n++ {
 		node := graph.NodeID(n)
 		if node == c.Sink {
 			continue
 		}
 		sum, any := 0.0, false
-		for _, e := range x.G.Out(node) {
+		for _, e := range g.Out(node) {
 			if x.Sub[0].LocalEdge(e) >= 0 {
 				sum += r.At(0, e) * m.LinkDAt(sg, e)
 				any = true
 			}
 		}
 		if any && math.Abs(m.RhoAt(sg, node)-sum) > 1e-12 {
-			t.Fatalf("rho(%s) = %g, want %g", x.Names[n], m.RhoAt(sg, node), sum)
+			t.Fatalf("rho(%s) = %g, want %g", x.Name(node), m.RhoAt(sg, node), sum)
 		}
 	}
 }
@@ -244,7 +245,7 @@ func TestSplitsMatchBarrierOptimum(t *testing.T) {
 	u := e.Solution()
 	aNode := graph.NodeID(1) // server "a"
 	bNode := graph.NodeID(2) // server "b"
-	if x.Names[aNode] != "a" || x.Names[bNode] != "b" {
+	if x.Name(aNode) != "a" || x.Name(bNode) != "b" {
 		t.Fatal("node naming assumption broken")
 	}
 	admitted := u.AdmittedRate(0)
@@ -265,6 +266,19 @@ func TestSplitsMatchBarrierOptimum(t *testing.T) {
 // paper's O(L) round analysis (§6): the number of edges on the longest
 // path of the kept subgraph, by dynamic programming over its topological
 // order.
+// extendedGraph lays x's §3 graph out as a graph.Graph, edge IDs kept,
+// for tests that walk its adjacency.
+func extendedGraph(x *transform.Extended) *graph.Graph {
+	g := graph.New(x.NumNodes(), x.NumEdges())
+	g.AddNodes(x.NumNodes())
+	for e := range graph.EdgeID(x.NumEdges()) {
+		if _, err := g.AddEdge(x.Edge(e).From, x.Edge(e).To); err != nil {
+			panic(err)
+		}
+	}
+	return g
+}
+
 func longestPath(t *testing.T, g *graph.Graph, keep func(graph.EdgeID) bool) int {
 	t.Helper()
 	order, err := g.TopoSortFiltered(keep)
@@ -321,14 +335,15 @@ func TestStatsAccounting(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			x := tc.x
 			members, depth := 0, 0
+			g := extendedGraph(x)
 			for j := range x.Sub {
 				member := func(e graph.EdgeID) bool { return x.Sub[j].LocalEdge(e) >= 0 }
-				for e := 0; e < x.G.NumEdges(); e++ {
+				for e := 0; e < x.NumEdges(); e++ {
 					if member(graph.EdgeID(e)) {
 						members++
 					}
 				}
-				depth = max(depth, longestPath(t, x.G, member))
+				depth = max(depth, longestPath(t, g, member))
 			}
 			if tc.want != [2]int{} && tc.want != [2]int{2 * members, 2 * depth} {
 				t.Fatalf("oracle counts (%d, %d), hand count %v", 2*members, 2*depth, tc.want)

@@ -421,9 +421,9 @@ func diamond(t *testing.T, penalty utility.Penalty, capB float64) *transform.Ext
 func TestKernelShortcutCases(t *testing.T) {
 	// localNode resolves a node name to commodity 0's local index.
 	localNode := func(x *transform.Extended, name string) int32 {
-		for n, nm := range x.Names {
-			if nm == name {
-				return x.Sub[0].LocalNode(graph.NodeID(n))
+		for n := range graph.NodeID(x.NumNodes()) {
+			if x.Name(n) == name {
+				return x.Sub[0].LocalNode(n)
 			}
 		}
 		t.Fatalf("no node %q", name)
@@ -466,7 +466,7 @@ func TestKernelShortcutCases(t *testing.T) {
 		x := diamond(t, utility.None{}, 40)
 		for n, p := range nodePrices(flow.Evaluate(admit(x, 0.5))) {
 			if p != 0 {
-				t.Fatalf("node %s priced %v without a barrier", x.Names[n], p)
+				t.Fatalf("node %s priced %v without a barrier", x.Name(graph.NodeID(n)), p)
 			}
 		}
 		checkKernelParity(t, x, admit(x, 0.5), 0.05, true, 50, nil)

@@ -84,7 +84,7 @@ func (s *refStepper) step() StepInfo {
 	for j := range info.Admitted {
 		info.Admitted[j] = u.AdmittedRate(j)
 	}
-	price := make([]float64, x.G.NumNodes())
+	price := make([]float64, x.NumNodes())
 	for n := range price {
 		price[n] = x.PenaltyDeriv(graph.NodeID(n), u.FNode[n])
 	}

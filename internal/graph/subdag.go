@@ -2,7 +2,7 @@ package graph
 
 import "slices"
 
-// SubDAG is a sparse local index of an edge subset of a Graph — one
+// SubDAG is a sparse local index of an edge subset of a graph — one
 // commodity's G_j (§2) — and the two structural questions asked of it:
 // a topological order and reachability. Local node and edge indexes are
 // assigned in ascending global-ID order, so Nodes and Edges double as
@@ -82,16 +82,19 @@ func resized[T any](s []T, n int) []T {
 	return slices.Grow(s[:0], n)[:n]
 }
 
+// Endpoints is a graph Index can read edge ends from, stored or computed.
+type Endpoints interface{ Edge(EdgeID) Edge }
+
 // Index points the index at the given edges of g, which must be
 // strictly ascending: it derives the member node set, the local
 // endpoints and both CSR adjacencies. edges is retained as Edges, not
 // copied, and may be a prefix of the previous call's (re-indexing after
 // the caller dropped some).
-func (ix *SubDAG) Index(g *Graph, edges []EdgeID) {
+func (ix *SubDAG) Index(g Endpoints, edges []EdgeID) {
 	ix.Edges = edges
 	ix.ends = ix.ends[:0]
 	for _, e := range edges {
-		ed := g.edges[e]
+		ed := g.Edge(e)
 		ix.ends = append(ix.ends, ed.From, ed.To)
 	}
 	slices.Sort(ix.ends)
@@ -104,7 +107,7 @@ func (ix *SubDAG) Index(g *Graph, edges []EdgeID) {
 	nn, ne := len(ix.Nodes), len(edges)
 	ix.Tail, ix.Head = resized(ix.Tail, ne), resized(ix.Head, ne)
 	for le, e := range edges {
-		ed := g.edges[e]
+		ed := g.Edge(e)
 		ix.Tail[le] = ix.LocalNode(ed.From)
 		ix.Head[le] = ix.LocalNode(ed.To)
 	}

@@ -170,17 +170,16 @@ func (r *Recorder) ShardAdvance(shard int, seconds float64, iterations, commodit
 		"shard", label).Set(float64(commodities))
 }
 
-// BuildFootprint records the resident bytes of a shard's latest
-// extended-problem build (transform.Extended.BuildBytes: graph, shared
-// tables, and the per-commodity sparse subgraphs). The coordinator calls
-// this once per shard rebuild and the per-shard series add up to the
-// solver's memory footprint.
+// BuildFootprint records the bytes of the per-commodity sparse subgraphs
+// in a shard's latest build (transform.Extended.BuildBytes); the build's
+// capacity vector and commodity records and the engines are not counted.
+// The coordinator calls this once per shard rebuild.
 func (r *Recorder) BuildFootprint(shard int, bytes int64) {
 	if r == nil {
 		return
 	}
 	r.reg.Gauge("streamopt_build_bytes",
-		"Bytes held by the latest extended-problem build (sparse per-commodity subgraphs included).",
+		"Bytes held by the per-commodity sparse subgraphs of the latest extended-problem build.",
 		"shard", strconv.Itoa(shard)).Set(float64(bytes))
 }
 

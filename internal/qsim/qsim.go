@@ -105,7 +105,7 @@ func Run(r *flow.Routing, cfg Config) (*Result, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	nn := x.G.NumNodes()
+	nn := x.NumNodes()
 	nc := x.NumCommodities()
 	q := make([][]float64, nc)
 	at := make([][]visit, nn)
@@ -147,7 +147,7 @@ func Run(r *flow.Routing, cfg Config) (*Result, error) {
 		}
 		for n := 0; n < nn; n++ {
 			node := graph.NodeID(n)
-			if x.G.OutDegree(node) == 0 {
+			if x.OutDegree(node) == 0 {
 				continue
 			}
 			// Demand if every queue were fully forwarded this tick.

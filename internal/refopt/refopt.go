@@ -57,7 +57,7 @@ func Solve(x *transform.Extended, opts Options) (*Result, error) {
 		opts.Segments = DefaultSegments
 	}
 
-	ne := x.G.NumEdges()
+	ne := x.NumEdges()
 	nc := x.NumCommodities()
 
 	// Variable layout: per commodity, one y variable per member edge
@@ -165,15 +165,15 @@ func Solve(x *transform.Extended, opts Options) (*Result, error) {
 	// capRow[n] records each capacity constraint's LP row so the dual
 	// values can be read back as per-node shadow prices.
 	type visit struct{ j, ln int32 }
-	at := make([][]visit, x.G.NumNodes())
+	at := make([][]visit, x.NumNodes())
 	for j := 0; j < nc; j++ {
 		for ln, n := range x.Sub[j].Nodes {
 			at[n] = append(at[n], visit{j: int32(j), ln: int32(ln)})
 		}
 	}
-	capRow := make([]int, x.G.NumNodes())
+	capRow := make([]int, x.NumNodes())
 	nRows := countRows(p)
-	for n := 0; n < x.G.NumNodes(); n++ {
+	for n := 0; n < x.NumNodes(); n++ {
 		capRow[n] = -1
 		capn := x.Capacity[n]
 		if math.IsInf(capn, 1) {
@@ -204,7 +204,7 @@ func Solve(x *transform.Extended, opts Options) (*Result, error) {
 	res := &Result{
 		Admitted:    make([]float64, nc),
 		EdgeInput:   make([][]float64, nc),
-		ShadowPrice: make([]float64, x.G.NumNodes()),
+		ShadowPrice: make([]float64, x.NumNodes()),
 	}
 	for n, row := range capRow {
 		if row >= 0 {

@@ -266,11 +266,11 @@ func TestShadowPriceOnBindingBottleneck(t *testing.T) {
 	// more source units, each worth 1.
 	x := buildChain(t, 10, 1e6, 20, 1, 2, utility.Linear{Slope: 1})
 	res := solve(t, x)
-	src, _ := x.G.NumNodes(), 0
+	src, _ := x.NumNodes(), 0
 	_ = src
 	var price float64
-	for n := 0; n < x.G.NumNodes(); n++ {
-		if x.Names[n] == "src" {
+	for n := 0; n < x.NumNodes(); n++ {
+		if x.Name(graph.NodeID(n)) == "src" {
 			price = res.ShadowPrice[n]
 		}
 	}
@@ -304,7 +304,7 @@ func TestShadowPricePredictsCapacityValue(t *testing.T) {
 	base := solve(t, x)
 	best, bestPrice := -1, 0.0
 	for n, price := range base.ShadowPrice {
-		if x.Kinds[n] == transform.Proc && price > bestPrice {
+		if x.Kind(graph.NodeID(n)) == transform.Proc && price > bestPrice {
 			best, bestPrice = n, price
 		}
 	}

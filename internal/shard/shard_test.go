@@ -341,10 +341,10 @@ func TestSubsetBuildSharedPrefix(t *testing.T) {
 	if full.SharedNodes != sub.SharedNodes {
 		t.Fatalf("SharedNodes %d vs %d", full.SharedNodes, sub.SharedNodes)
 	}
-	for n := 0; n < full.SharedNodes; n++ {
-		if full.Names[n] != sub.Names[n] || full.Kinds[n] != sub.Kinds[n] || full.Capacity[n] != sub.Capacity[n] {
+	for n := range graph.NodeID(full.SharedNodes) {
+		if full.Name(n) != sub.Name(n) || full.Kind(n) != sub.Kind(n) || full.Capacity[n] != sub.Capacity[n] {
 			t.Fatalf("shared prefix diverges at node %d: %q/%v/%v vs %q/%v/%v",
-				n, full.Names[n], full.Kinds[n], full.Capacity[n], sub.Names[n], sub.Kinds[n], sub.Capacity[n])
+				n, full.Name(n), full.Kind(n), full.Capacity[n], sub.Name(n), sub.Kind(n), sub.Capacity[n])
 		}
 	}
 	if got := len(sub.Commodities); got != 2 {

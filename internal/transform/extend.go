@@ -72,11 +72,12 @@ type Commodity struct {
 	DiffLink  graph.EdgeID // (s̄_j, sink_j)
 }
 
-// Extended is the transformed problem instance.
+// Extended is the transformed problem instance. Its graph is computed,
+// not stored: nodes 0..N-1 are the original nodes, node N+e is link e's
+// bandwidth node and node N+M+j commodity j's dummy; edges 2e and 2e+1
+// are link e's halves, edges 2M+2j and 2M+2j+1 commodity j's input and
+// difference links.
 type Extended struct {
-	G     *graph.Graph
-	Names []string
-	Kinds []NodeKind
 	// Capacity per node; +Inf for dummy nodes and sinks.
 	Capacity []float64
 	// Penalty is the barrier family D; Epsilon scales it (cost = ε·D).
@@ -111,10 +112,12 @@ type Extended struct {
 	// it through Sub[j].LocalEdge.
 	Sub []Subgraph
 
-	// OrigEdge maps extended edge -> the original physical edge it
-	// derives from (graph.Invalid for dummy links). Original nodes keep
-	// their IDs.
-	OrigEdge []graph.EdgeID
+	// net, names and kinds are the network topology Build read, shared
+	// with the problem and read only below its N = len(names) nodes and
+	// M = SharedNodes−N links: a network only grows, by appending.
+	net   *graph.Graph
+	names []string
+	kinds []stream.NodeKind
 
 	// src[j] is the stream commodity Commodities[j] was built from (or
 	// last reparameterized to), and capacity and bandwidth the network
@@ -168,85 +171,36 @@ func Build(p *stream.Problem, opts Options) (*Extended, error) {
 
 	og := p.Net.G
 	n, m := og.NumNodes(), og.NumEdges()
-	j := len(p.Commodities)
-	if incl != nil {
-		j = len(incl)
-	}
-	x := &Extended{
-		G:           graph.New(n+m+j, 2*m+2*j),
-		Penalty:     opts.Penalty,
-		Epsilon:     opts.Epsilon,
-		SharedNodes: n + m,
-		capacity:    p.Net.Capacity,
-		bandwidth:   p.Net.Bandwidth,
-	}
-
-	addNode := func(name string, kind NodeKind, capacity float64) graph.NodeID {
-		id := x.G.AddNode()
-		x.Names = append(x.Names, name)
-		x.Kinds = append(x.Kinds, kind)
-		x.Capacity = append(x.Capacity, capacity)
-		return id
-	}
-	addEdge := func(from, to graph.NodeID, orig graph.EdgeID) (graph.EdgeID, error) {
-		e, err := x.G.AddEdge(from, to)
-		if err != nil {
-			return graph.Invalid, err
-		}
-		x.OrigEdge = append(x.OrigEdge, orig)
-		return e, nil
-	}
-
-	// Original nodes first, preserving IDs.
-	for i := 0; i < n; i++ {
-		kind := Proc
-		capacity := p.Net.Capacity[i]
-		if p.Net.Kinds[i] == stream.Sink {
-			kind = SinkNode
-			capacity = math.Inf(1)
-		}
-		addNode(p.Net.Names[i], kind, capacity)
-	}
-
-	// Bandwidth nodes: one per physical edge, capacity B_ik.
-	bwNode := make([]graph.NodeID, m)
-	procHalf := make([]graph.EdgeID, m) // (i, n_ik)
-	wireHalf := make([]graph.EdgeID, m) // (n_ik, k)
-	for e := 0; e < m; e++ {
-		edge := og.Edge(graph.EdgeID(e))
-		name := fmt.Sprintf("bw:%s>%s", p.Net.Names[edge.From], p.Net.Names[edge.To])
-		bwNode[e] = addNode(name, Bandwidth, p.Net.Bandwidth[e])
-		var err error
-		if procHalf[e], err = addEdge(edge.From, bwNode[e], graph.EdgeID(e)); err != nil {
-			return nil, err
-		}
-		if wireHalf[e], err = addEdge(bwNode[e], edge.To, graph.EdgeID(e)); err != nil {
-			return nil, err
-		}
-	}
-
 	order := incl
 	if order == nil {
-		order = make([]int, j)
+		order = make([]int, len(p.Commodities))
 		for i := range order {
 			order[i] = i
 		}
 	}
+	j := len(order)
+	x := &Extended{
+		Capacity:    make([]float64, n+m+j),
+		Penalty:     opts.Penalty,
+		Epsilon:     opts.Epsilon,
+		SharedNodes: n + m,
+		Commodities: make([]Commodity, j),
+		net:         og,
+		names:       p.Net.Names[:n:n],
+		kinds:       p.Net.Kinds[:n:n],
+		src:         make([]*stream.Commodity, j),
+	}
+	for i := range x.Capacity {
+		x.Capacity[i] = math.Inf(1) // what sinks and dummy nodes keep
+	}
+	x.setCapacities(p.Net)
 
 	// Dummy nodes and links: one super-source per included commodity.
-	for _, gi := range order {
+	for ci, gi := range order {
 		c := p.Commodities[gi]
-		d := addNode("dummy:"+c.Name, Dummy, math.Inf(1))
-		input, err := addEdge(d, c.Source, graph.Invalid)
-		if err != nil {
-			return nil, err
-		}
-		diff, err := addEdge(d, c.SinkID, graph.Invalid)
-		if err != nil {
-			return nil, err
-		}
-		x.src = append(x.src, c)
-		x.Commodities = append(x.Commodities, Commodity{
+		d := graph.NodeID(n + m + ci)
+		x.src[ci] = c
+		x.Commodities[ci] = Commodity{
 			Name:      c.Name,
 			Dummy:     d,
 			Source:    c.Source,
@@ -254,9 +208,9 @@ func Build(p *stream.Problem, opts Options) (*Extended, error) {
 			MaxRate:   c.MaxRate,
 			Utility:   c.Utility,
 			Loss:      utility.Loss{U: c.Utility, Lambda: c.MaxRate},
-			InputLink: input,
-			DiffLink:  diff,
-		})
+			InputLink: graph.EdgeID(2*m + 2*ci),
+			DiffLink:  graph.EdgeID(2*m + 2*ci + 1),
+		}
 	}
 
 	// Per-commodity sparse subgraphs: parameters, trim, topo order, and
@@ -266,9 +220,9 @@ func Build(p *stream.Problem, opts Options) (*Extended, error) {
 	// links use β=1, c=1 so the difference-link usage equals the
 	// rejected rate.
 	x.Sub = make([]Subgraph, j)
-	b := newBuilder(x.G, p.Commodities, order)
+	b := newBuilder(x, p.Commodities, order)
 	for ci, gi := range order {
-		if err := b.build(&x.Commodities[ci], p.Commodities[gi], procHalf, wireHalf); err != nil {
+		if err := b.build(&x.Commodities[ci], p.Commodities[gi]); err != nil {
 			return nil, err
 		}
 		b.commit(&x.Sub[ci])
@@ -304,7 +258,9 @@ const (
 // place to the problem x was built or reparameterized from is invisible
 // to it: hand Changes a new version or a Clone.
 func (x *Extended) Changes(p *stream.Problem, incl []int) (Change, error) {
-	if len(incl) != len(x.src) || !x.sameNetwork(p.Net) {
+	g, n := p.Net.G, len(x.names)
+	if len(incl) != len(x.src) || g.NumNodes() != n || g.NumEdges() != x.SharedNodes-n ||
+		!x.sameNetwork(g, p.Net.Names, p.Net.Kinds) {
 		return Structure, nil
 	}
 	change := Unchanged
@@ -336,23 +292,19 @@ func sameVector(a, b []float64) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// sameNetwork reports whether net has the topology x's shared node
-// prefix was laid out from: the same nodes by name and kind, the same
-// links in the same order.
-func (x *Extended) sameNetwork(net *stream.Network) bool {
-	n, m := net.G.NumNodes(), net.G.NumEdges()
-	if n+m != x.SharedNodes || 2*m+2*len(x.Commodities) != x.G.NumEdges() {
-		return false
+// sameNetwork reports whether g, names and kinds start with the N nodes
+// and M links x was laid out from; problem versions share the very ones.
+func (x *Extended) sameNetwork(g *graph.Graph, names []string, kinds []stream.NodeKind) bool {
+	if g == x.net {
+		return true
 	}
-	for i := 0; i < n; i++ {
-		if net.Names[i] != x.Names[i] || (net.Kinds[i] == stream.Sink) != (x.Kinds[i] == SinkNode) {
+	for i := range x.names {
+		if names[i] != x.names[i] || kinds[i] != x.kinds[i] {
 			return false
 		}
 	}
-	for e := 0; e < m; e++ {
-		// Link e became (from, n_ik) and (n_ik, to), in that order.
-		link := net.G.Edge(graph.EdgeID(e))
-		if x.G.Edge(graph.EdgeID(2*e)).From != link.From || x.G.Edge(graph.EdgeID(2*e+1)).To != link.To {
+	for e := range graph.EdgeID(x.SharedNodes - len(x.names)) {
+		if g.Edge(e) != x.net.Edge(e) {
 			return false
 		}
 	}
@@ -365,14 +317,7 @@ func (x *Extended) sameNetwork(net *stream.Network) bool {
 // and each commodity's offered rate, utility and loss. Everything a
 // routing or a workspace is shaped by stays.
 func (x *Extended) Reparameterize(p *stream.Problem, incl []int) {
-	n := p.Net.G.NumNodes()
-	for i, kind := range p.Net.Kinds {
-		if kind != stream.Sink {
-			x.Capacity[i] = p.Net.Capacity[i]
-		}
-	}
-	copy(x.Capacity[n:x.SharedNodes], p.Net.Bandwidth)
-	x.capacity, x.bandwidth = p.Net.Capacity, p.Net.Bandwidth
+	x.setCapacities(p.Net)
 	for j, gi := range incl {
 		c := p.Commodities[gi]
 		if c == x.src[j] {
@@ -383,6 +328,18 @@ func (x *Extended) Reparameterize(p *stream.Problem, incl []int) {
 		xc.MaxRate, xc.Utility = c.MaxRate, c.Utility
 		xc.Loss = utility.Loss{U: c.Utility, Lambda: c.MaxRate}
 	}
+}
+
+// setCapacities installs net's server capacities and link bandwidths on
+// the original and bandwidth nodes; sinks keep theirs.
+func (x *Extended) setCapacities(net *stream.Network) {
+	for i, kind := range x.kinds {
+		if kind != stream.Sink {
+			x.Capacity[i] = net.Capacity[i]
+		}
+	}
+	copy(x.Capacity[len(x.kinds):x.SharedNodes], net.Bandwidth)
+	x.capacity, x.bandwidth = net.Capacity, net.Bandwidth
 }
 
 // Continues maps each commodity of x to the commodity of prev it
@@ -398,14 +355,8 @@ func (x *Extended) Continues(prev *Extended) []int {
 	for j := range out {
 		out[j] = -1
 	}
-	m2 := x.G.NumEdges() - 2*len(x.Commodities)
-	if x.SharedNodes != prev.SharedNodes || prev.G.NumEdges()-2*len(prev.Commodities) != m2 {
+	if x.SharedNodes != prev.SharedNodes || len(x.names) != len(prev.names) || !x.sameNetwork(prev.net, prev.names, prev.kinds) {
 		return out
-	}
-	for e := 0; e < m2; e++ {
-		if x.G.Edge(graph.EdgeID(e)) != prev.G.Edge(graph.EdgeID(e)) {
-			return out
-		}
 	}
 	at := make(map[string]int, len(prev.Commodities))
 	for k := range prev.Commodities {
@@ -439,9 +390,76 @@ func (x *Extended) BuildBytes() int64 {
 // NumCommodities reports the number of commodities.
 func (x *Extended) NumCommodities() int { return len(x.Commodities) }
 
-// IsDiffLink reports whether edge e is the difference link of commodity j.
-func (x *Extended) IsDiffLink(j int, e graph.EdgeID) bool {
-	return x.Commodities[j].DiffLink == e
+// NumNodes reports the extended node count N+M+J.
+func (x *Extended) NumNodes() int { return x.SharedNodes + len(x.Commodities) }
+
+// NumEdges reports the extended edge count 2M+2J.
+func (x *Extended) NumEdges() int { return 2 * (x.NumNodes() - len(x.names)) }
+
+// Edge returns the endpoints of extended edge e.
+func (x *Extended) Edge(e graph.EdgeID) graph.Edge {
+	if m2 := 2 * (x.SharedNodes - len(x.names)); int(e) >= m2 {
+		c := &x.Commodities[(int(e)-m2)/2]
+		if e%2 == 0 {
+			return graph.Edge{From: c.Dummy, To: c.Source}
+		}
+		return graph.Edge{From: c.Dummy, To: c.Sink}
+	}
+	link, bw := x.net.Edge(e/2), graph.NodeID(len(x.names))+graph.NodeID(e/2)
+	if e%2 == 0 {
+		return graph.Edge{From: link.From, To: bw}
+	}
+	return graph.Edge{From: bw, To: link.To}
+}
+
+// Link returns the link bandwidth node n stands for.
+func (x *Extended) Link(n graph.NodeID) graph.EdgeID { return graph.EdgeID(int(n) - len(x.names)) }
+
+// OrigEdge returns the link edge e is a half of, or graph.Invalid.
+func (x *Extended) OrigEdge(e graph.EdgeID) graph.EdgeID {
+	if int(e) < 2*(x.SharedNodes-len(x.names)) {
+		return e / 2
+	}
+	return graph.Invalid
+}
+
+// Kind classifies extended node n.
+func (x *Extended) Kind(n graph.NodeID) NodeKind {
+	switch {
+	case int(n) >= x.SharedNodes:
+		return Dummy
+	case int(n) >= len(x.kinds):
+		return Bandwidth
+	case x.kinds[n] == stream.Sink:
+		return SinkNode
+	}
+	return Proc
+}
+
+// Name returns extended node n's name: an original node's own, bw:i>k
+// for the bandwidth node of link (i,k), dummy:S for commodity S's dummy.
+func (x *Extended) Name(n graph.NodeID) string {
+	switch {
+	case int(n) >= x.SharedNodes:
+		return "dummy:" + x.Commodities[int(n)-x.SharedNodes].Name
+	case int(n) >= len(x.names):
+		link := x.net.Edge(x.Link(n))
+		return "bw:" + x.names[link.From] + ">" + x.names[link.To]
+	}
+	return x.names[n]
+}
+
+// OutDegree reports how many extended edges leave n: for an original
+// node, its links but those added after Build (they have larger IDs).
+func (x *Extended) OutDegree(n graph.NodeID) int {
+	switch {
+	case int(n) >= x.SharedNodes:
+		return 2
+	case int(n) >= len(x.names):
+		return 1
+	}
+	d, _ := slices.BinarySearch(x.net.Out(n), graph.EdgeID(x.SharedNodes-len(x.names)))
+	return d
 }
 
 // PenaltyValue returns ε·D_i(z + External_i) for node i, zero for
@@ -495,7 +513,7 @@ func (x *Extended) SetExternal(ext []float64) { x.External = ext }
 // LossValue returns Y_(i,k)(z): the utility loss when edge e carries z,
 // nonzero only on difference links (eq. 1).
 func (x *Extended) LossValue(j int, e graph.EdgeID, z float64) float64 {
-	if !x.IsDiffLink(j, e) {
+	if x.Commodities[j].DiffLink != e {
 		return 0
 	}
 	return x.Commodities[j].Loss.Value(z)
@@ -503,7 +521,7 @@ func (x *Extended) LossValue(j int, e graph.EdgeID, z float64) float64 {
 
 // LossDeriv returns Y'_(i,k)(z) — eq. (11)'s U'_k(λ_k − f_ik) branch.
 func (x *Extended) LossDeriv(j int, e graph.EdgeID, z float64) float64 {
-	if !x.IsDiffLink(j, e) {
+	if x.Commodities[j].DiffLink != e {
 		return 0
 	}
 	return x.Commodities[j].Loss.Deriv(z)

@@ -42,6 +42,19 @@ func twoPathProblem(t *testing.T) *stream.Problem {
 	return p
 }
 
+// extendedGraph lays x's §3 graph out as a graph.Graph, edge IDs kept,
+// for tests that walk its adjacency.
+func extendedGraph(x *Extended) *graph.Graph {
+	g := graph.New(x.NumNodes(), x.NumEdges())
+	g.AddNodes(x.NumNodes())
+	for e := range graph.EdgeID(x.NumEdges()) {
+		if _, err := g.AddEdge(x.Edge(e).From, x.Edge(e).To); err != nil {
+			panic(err)
+		}
+	}
+	return g
+}
+
 func mustBuild(t *testing.T, p *stream.Problem, opts Options) *Extended {
 	t.Helper()
 	x, err := Build(p, opts)
@@ -56,10 +69,10 @@ func TestBuildSizesMatchPaperFormula(t *testing.T) {
 	p := twoPathProblem(t)
 	n, m, j := p.Net.G.NumNodes(), p.Net.G.NumEdges(), len(p.Commodities)
 	x := mustBuild(t, p, Options{})
-	if got, want := x.G.NumNodes(), n+m+j; got != want {
+	if got, want := x.NumNodes(), n+m+j; got != want {
 		t.Fatalf("extended nodes = %d, want N+M+J = %d", got, want)
 	}
-	if got, want := x.G.NumEdges(), 2*m+2*j; got != want {
+	if got, want := x.NumEdges(), 2*m+2*j; got != want {
 		t.Fatalf("extended edges = %d, want 2M+2J = %d", got, want)
 	}
 }
@@ -68,8 +81,8 @@ func TestBuildPreservesOriginalNodeIDs(t *testing.T) {
 	p := twoPathProblem(t)
 	x := mustBuild(t, p, Options{})
 	for i := 0; i < p.Net.G.NumNodes(); i++ {
-		if x.Names[i] != p.Net.Names[i] {
-			t.Fatalf("node %d renamed %q -> %q", i, p.Net.Names[i], x.Names[i])
+		if x.Name(graph.NodeID(i)) != p.Net.Names[i] {
+			t.Fatalf("node %d renamed %q -> %q", i, p.Net.Names[i], x.Name(graph.NodeID(i)))
 		}
 	}
 }
@@ -78,25 +91,26 @@ func TestBandwidthNodes(t *testing.T) {
 	p := twoPathProblem(t)
 	x := mustBuild(t, p, Options{})
 	og := p.Net.G
+	g := extendedGraph(x)
 	count := 0
-	for n := 0; n < x.G.NumNodes(); n++ {
-		if x.Kinds[n] != Bandwidth {
+	for n := 0; n < x.NumNodes(); n++ {
+		node := graph.NodeID(n)
+		if x.Kind(node) != Bandwidth {
 			continue
 		}
 		count++
-		node := graph.NodeID(n)
 		// Exactly one in and one out edge, same original edge.
-		if x.G.InDegree(node) != 1 || x.G.OutDegree(node) != 1 {
-			t.Fatalf("bandwidth node %q degree in=%d out=%d", x.Names[n], x.G.InDegree(node), x.G.OutDegree(node))
+		if g.InDegree(node) != 1 || g.OutDegree(node) != 1 {
+			t.Fatalf("bandwidth node %q degree in=%d out=%d", x.Name(node), g.InDegree(node), g.OutDegree(node))
 		}
-		in, out := x.G.In(node)[0], x.G.Out(node)[0]
-		if x.OrigEdge[in] != x.OrigEdge[out] {
-			t.Fatalf("bandwidth node %q spans different original edges", x.Names[n])
+		in, out := g.In(node)[0], g.Out(node)[0]
+		if x.OrigEdge(in) != x.OrigEdge(out) {
+			t.Fatalf("bandwidth node %q spans different original edges", x.Name(node))
 		}
 		// Capacity equals the original bandwidth.
-		orig := x.OrigEdge[in]
+		orig := x.OrigEdge(in)
 		if x.Capacity[n] != p.Net.Bandwidth[orig] {
-			t.Fatalf("bandwidth node %q capacity %g, want %g", x.Names[n], x.Capacity[n], p.Net.Bandwidth[orig])
+			t.Fatalf("bandwidth node %q capacity %g, want %g", x.Name(node), x.Capacity[n], p.Net.Bandwidth[orig])
 		}
 		// The wire half transfers one-for-one: β = c = 1.
 		sg := &x.Sub[0]
@@ -120,16 +134,16 @@ func TestDummyNodes(t *testing.T) {
 	x := mustBuild(t, p, Options{})
 	for j := range x.Commodities {
 		c := &x.Commodities[j]
-		if x.Kinds[c.Dummy] != Dummy {
-			t.Fatalf("dummy node kind = %v", x.Kinds[c.Dummy])
+		if x.Kind(c.Dummy) != Dummy {
+			t.Fatalf("dummy node kind = %v", x.Kind(c.Dummy))
 		}
 		if !math.IsInf(x.Capacity[c.Dummy], 1) {
 			t.Fatalf("dummy capacity = %g, want +Inf", x.Capacity[c.Dummy])
 		}
-		if x.G.Edge(c.InputLink).From != c.Dummy || x.G.Edge(c.InputLink).To != c.Source {
+		if x.Edge(c.InputLink).From != c.Dummy || x.Edge(c.InputLink).To != c.Source {
 			t.Fatal("input link endpoints wrong")
 		}
-		if x.G.Edge(c.DiffLink).From != c.Dummy || x.G.Edge(c.DiffLink).To != c.Sink {
+		if x.Edge(c.DiffLink).From != c.Dummy || x.Edge(c.DiffLink).To != c.Sink {
 			t.Fatal("difference link endpoints wrong")
 		}
 		// Both dummy links carry flow one-for-one.
@@ -198,8 +212,9 @@ func TestLossOnDiffLinkOnly(t *testing.T) {
 func TestMemberSubgraphsAreDAGs(t *testing.T) {
 	p := twoPathProblem(t)
 	x := mustBuild(t, p, Options{})
+	g := extendedGraph(x)
 	for j := range x.Commodities {
-		if _, err := x.G.TopoSortFiltered(func(e graph.EdgeID) bool { return x.Sub[j].LocalEdge(e) >= 0 }); err != nil {
+		if _, err := g.TopoSortFiltered(func(e graph.EdgeID) bool { return x.Sub[j].LocalEdge(e) >= 0 }); err != nil {
 			t.Fatalf("commodity %d member subgraph: %v", j, err)
 		}
 		if len(x.Sub[j].Topo) != x.Sub[j].NumNodes() {
@@ -232,8 +247,8 @@ func TestTrimDropsDeadEnds(t *testing.T) {
 	x := mustBuild(t, p, Options{})
 	// Find the proc half of the dead-end edge: src -> bw:src>b.
 	deadEnds := 0
-	for e := 0; e < x.G.NumEdges(); e++ {
-		if x.OrigEdge[e] == e3 && x.Sub[0].LocalEdge(graph.EdgeID(e)) >= 0 {
+	for e := 0; e < x.NumEdges(); e++ {
+		if x.OrigEdge(graph.EdgeID(e)) == e3 && x.Sub[0].LocalEdge(graph.EdgeID(e)) >= 0 {
 			deadEnds++
 		}
 	}
@@ -269,17 +284,18 @@ func TestSubgraphAdjacencyMatchesFilteredScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := mustBuild(t, p, Options{})
+	g := extendedGraph(x)
 	for j := range x.Commodities {
 		sg := &x.Sub[j]
-		for n := 0; n < x.G.NumNodes(); n++ {
+		for n := 0; n < x.NumNodes(); n++ {
 			node := graph.NodeID(n)
 			var wantOut, wantIn []graph.EdgeID
-			for _, e := range x.G.Out(node) {
+			for _, e := range g.Out(node) {
 				if x.Sub[j].LocalEdge(e) >= 0 {
 					wantOut = append(wantOut, e)
 				}
 			}
-			for _, e := range x.G.In(node) {
+			for _, e := range g.In(node) {
 				if x.Sub[j].LocalEdge(e) >= 0 {
 					wantIn = append(wantIn, e)
 				}
@@ -327,7 +343,7 @@ func TestLocalGlobalRoundTrip(t *testing.T) {
 				t.Fatalf("commodity %d: LocalNode(Nodes[%d]=%d) = %d", j, ln, n, got)
 			}
 		}
-		for e := 0; e < x.G.NumEdges(); e++ {
+		for e := 0; e < x.NumEdges(); e++ {
 			le := sg.LocalEdge(graph.EdgeID(e))
 			if le >= 0 && sg.Edges[le] != graph.EdgeID(e) {
 				t.Fatalf("commodity %d edge %d: round trip gives %d", j, e, sg.Edges[le])
@@ -347,9 +363,10 @@ func TestLocalTopoMatchesFilteredSort(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := mustBuild(t, p, Options{})
+	g := extendedGraph(x)
 	for j := range x.Commodities {
 		sg := &x.Sub[j]
-		full, err := x.G.TopoSortFiltered(func(e graph.EdgeID) bool { return x.Sub[j].LocalEdge(e) >= 0 })
+		full, err := g.TopoSortFiltered(func(e graph.EdgeID) bool { return x.Sub[j].LocalEdge(e) >= 0 })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -196,4 +196,9 @@ func TestContinues(t *testing.T) {
 			t.Errorf("%s: member edges laid out unlike those of the commodity it continues", n)
 		}
 	}
+	// A deep copy of the network is a different topology by identity
+	// only: the pairs are found by comparing it.
+	if got, want := mustBuild(t, p.Clone(), Options{}).Continues(prev), x.Continues(prev); !slices.Equal(got, want) {
+		t.Errorf("on a cloned network Continues = %v, want %v", got, want)
+	}
 }

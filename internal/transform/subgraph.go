@@ -2,6 +2,7 @@ package transform
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/stream"
@@ -25,7 +26,7 @@ import (
 // it can never delay or advance a member node's indegree — so the
 // min-global-ID-first local sort visits member nodes in the same
 // relative order the filtered full-graph sort does. Out lists are in
-// ascending global edge-ID order, matching a filtered G.Out scan.
+// ascending global edge-ID order, matching a filtered out-edge scan.
 // Floating-point accumulation over (Topo, Out) is therefore
 // bit-identical to the dense-table scan it replaced.
 //
@@ -178,7 +179,7 @@ func (s *Subgraph) Bytes() int64 {
 // a dozen small ones per commodity, and each commodity's arrays end up
 // contiguous.
 type builder struct {
-	g *graph.Graph
+	x *Extended // the endpoints of the extended edges
 
 	ix    graph.SubDAG   // the member subgraph's structure
 	s     Subgraph       // Beta, Cost and the orders of the commodity under construction
@@ -204,14 +205,14 @@ type subgraphDims struct{ nodes, edges, branch int }
 // two dummy links) is exact unless the trim drops something; nodes are
 // bounded through nn ≤ ne+1, which holds for any subgraph whose every
 // node lies on a dummy→sink path.
-func newBuilder(g *graph.Graph, cs []*stream.Commodity, order []int) *builder {
+func newBuilder(x *Extended, cs []*stream.Commodity, order []int) *builder {
 	ne := 0
 	for _, gi := range order {
 		ne += 2*len(cs[gi].Edges) + 2
 	}
 	nn := ne + len(order)
 	return &builder{
-		g:     g,
+		x:     x,
 		i32:   make([]int32, 0, 5*nn+4*ne),
 		f64:   make([]float64, 0, 2*ne),
 		nodes: make([]graph.NodeID, 0, nn),
@@ -227,17 +228,17 @@ func newBuilder(g *graph.Graph, cs []*stream.Commodity, order []int) *builder {
 // strand at a dead end and violate flow balance), then local topo
 // order, CSR adjacency and the distinguished local indexes. Cost is
 // O(k log k) in the commodity's own edge count.
-func (b *builder) build(xc *Commodity, sc *stream.Commodity, procHalf, wireHalf []graph.EdgeID) error {
+func (b *builder) build(xc *Commodity, sc *stream.Commodity) error {
 	s, ix := &b.s, &b.ix
 
-	// Candidate member edges in ascending extended-ID order: the
-	// (procHalf, wireHalf) pairs follow physical edge order, and the
+	// Candidate member edges in ascending extended-ID order: link e's
+	// halves (i, n_ik) and (n_ik, k) are edges 2e and 2e+1, and the
 	// dummy links have the largest IDs of all.
 	b.phys = sc.SortedEdges(b.phys)
 	b.ext, s.Beta, s.Cost = b.ext[:0], s.Beta[:0], s.Cost[:0]
 	for _, e := range b.phys {
 		params := sc.Edges[e]
-		b.ext = append(b.ext, procHalf[e], wireHalf[e])
+		b.ext = append(b.ext, 2*e, 2*e+1)
 		s.Beta = append(s.Beta, params.Beta, 1)
 		s.Cost = append(s.Cost, params.Cost, 1)
 	}
@@ -245,13 +246,8 @@ func (b *builder) build(xc *Commodity, sc *stream.Commodity, procHalf, wireHalf 
 	s.Beta = append(s.Beta, 1, 1)
 	s.Cost = append(s.Cost, 1, 1)
 
-	ix.Index(b.g, b.ext)
-	dummy := ix.LocalNode(xc.Dummy)
-	sink := ix.LocalNode(xc.Sink)
-	if dummy < 0 || sink < 0 {
-		return fmt.Errorf("transform: commodity %q: dummy or sink not in member subgraph", xc.Name)
-	}
-	b.trim(dummy, sink)
+	ix.Index(b.x, b.ext)
+	b.trim(ix.LocalNode(xc.Dummy), ix.LocalNode(xc.Sink))
 	if err := b.topoSort(); err != nil {
 		return fmt.Errorf("transform: commodity %q: %w", xc.Name, err)
 	}
@@ -265,15 +261,6 @@ func (b *builder) build(xc *Commodity, sc *stream.Commodity, procHalf, wireHalf 
 		return fmt.Errorf("transform: commodity %q: dummy links trimmed away (sink unreachable?)", xc.Name)
 	}
 	return nil
-}
-
-// resized returns s with length n, reusing its backing array when it is
-// large enough. The contents are unspecified.
-func resized[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // trim drops the edges that cannot carry dummy→sink flow — those whose
@@ -295,7 +282,7 @@ func (b *builder) trim(dummy, sink int32) {
 		return
 	}
 	b.ext, s.Beta, s.Cost = b.ext[:kept], s.Beta[:kept], s.Cost[:kept]
-	ix.Index(b.g, b.ext)
+	ix.Index(b.x, b.ext)
 }
 
 // topoSort computes Topo/revTopo from the shared index, then the two
@@ -308,13 +295,10 @@ func (b *builder) topoSort() error {
 	if s.Topo, err = ix.Topo(s.Topo); err != nil {
 		return err
 	}
-	nn := len(s.Topo)
-	s.revTopo = resized(s.revTopo, nn)
-	for i, l := range s.Topo {
-		s.revTopo[nn-1-i] = l
-	}
+	s.revTopo = append(s.revTopo[:0], s.Topo...)
+	slices.Reverse(s.revTopo)
 
-	b.depth = resized(b.depth, nn)
+	b.depth = slices.Grow(b.depth[:0], len(s.Topo))[:len(s.Topo)]
 	clear(b.depth)
 	s.branch, s.depth = s.branch[:0], 0
 	for _, l := range s.Topo {
