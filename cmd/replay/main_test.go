@@ -152,8 +152,10 @@ func TestRealMainExitsNonzeroOnMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := journal.CopyTo(w, recs); err != nil {
-		t.Fatal(err)
+	for _, rec := range recs {
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -108,7 +108,6 @@ type Engine struct {
 
 	iter           int
 	totalDelivered []float64 // source units per commodity
-	totalMessages  int
 }
 
 // New prepares a back-pressure engine.
@@ -258,7 +257,6 @@ func (e *Engine) Step() StepInfo {
 	}
 
 	e.iter++
-	e.totalMessages += messages
 	cum := 0.0
 	for j := 0; j < nc; j++ {
 		e.totalDelivered[j] += delivered[j]
@@ -270,43 +268,4 @@ func (e *Engine) Step() StepInfo {
 		Cumulative: cum / float64(e.iter),
 		Messages:   messages,
 	}
-}
-
-// Run executes n iterations, recording every sampleEvery-th StepInfo
-// (sampleEvery ≤ 1 records all); the final iteration is always
-// recorded.
-func (e *Engine) Run(n, sampleEvery int) []StepInfo {
-	if sampleEvery < 1 {
-		sampleEvery = 1
-	}
-	var trace []StepInfo
-	for i := 0; i < n; i++ {
-		info := e.Step()
-		if i%sampleEvery == 0 || i == n-1 {
-			trace = append(trace, info)
-		}
-	}
-	return trace
-}
-
-// Buffers exposes a copy of the commodity-j buffer levels indexed by
-// extended node ID (for tests); non-member nodes report zero.
-func (e *Engine) Buffers(j int) []float64 {
-	out := make([]float64, e.X.NumNodes())
-	for ln, n := range e.X.Sub[j].Nodes {
-		out[n] = e.q[j][ln]
-	}
-	return out
-}
-
-// TotalMessages reports buffer-level exchanges across all iterations.
-func (e *Engine) TotalMessages() int { return e.totalMessages }
-
-// AverageRate returns the long-run admitted/delivered rate of commodity
-// j in source units per iteration.
-func (e *Engine) AverageRate(j int) float64 {
-	if e.iter == 0 {
-		return 0
-	}
-	return e.totalDelivered[j] / float64(e.iter)
 }

@@ -33,8 +33,8 @@ func TestDecomposeRatesSumToLambda(t *testing.T) {
 		if math.Abs(total-lambda) > 1e-6*(1+lambda) {
 			t.Fatalf("commodity %d: path rates sum to %g, want λ = %g", j, total, lambda)
 		}
-		if math.Abs(rejected-u.RejectedRate(j)) > 1e-6*(1+lambda) {
-			t.Fatalf("commodity %d: rejected paths carry %g, want %g", j, rejected, u.RejectedRate(j))
+		if want := lambda - u.AdmittedRate(j); math.Abs(rejected-want) > 1e-6*(1+lambda) {
+			t.Fatalf("commodity %d: rejected paths carry %g, want λ − a = %g", j, rejected, want)
 		}
 	}
 }

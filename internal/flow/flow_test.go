@@ -62,7 +62,7 @@ func TestNewInitialRoutesEverythingToDiffLink(t *testing.T) {
 	if got := u.AdmittedRate(0); got != 0 {
 		t.Fatalf("admitted = %g, want 0", got)
 	}
-	if got := u.RejectedRate(0); got != 5 {
+	if got := c.MaxRate - u.AdmittedRate(0); got != 5 {
 		t.Fatalf("rejected = %g, want 5", got)
 	}
 	if got := u.Utility(); got != 0 {

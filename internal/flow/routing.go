@@ -10,7 +10,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/graph"
 	"repro/internal/transform"
 )
 
@@ -19,7 +18,7 @@ import (
 // (X.Sub[j] local edge indexing) that is processed over it. Rows are
 // sized by each commodity's member edge count — O(member), not O(ne) —
 // and sum to one over the member out-edges of every node that can carry
-// commodity-j traffic. Callers holding global edge IDs use At/SetAt.
+// commodity-j traffic.
 type Routing struct {
 	X   *transform.Extended
 	Phi [][]float64
@@ -74,28 +73,6 @@ func (r *Routing) initialRow(j int) {
 			r.Phi[j][le] = 1 / float64(len(outs))
 		}
 	}
-}
-
-// At returns φ for commodity j on extended edge e, zero when e is not a
-// member edge. O(log member edges) — a convenience for cold paths and
-// tests; hot loops index Phi[j] locally.
-func (r *Routing) At(j int, e graph.EdgeID) float64 {
-	if le := r.X.Sub[j].LocalEdge(e); le >= 0 {
-		return r.Phi[j][le]
-	}
-	return 0
-}
-
-// SetAt sets φ for commodity j on extended edge e, which must be a
-// member edge (panics otherwise — a fraction on a non-member edge can
-// never be represented, matching the old dense tables where it was a
-// validation error).
-func (r *Routing) SetAt(j int, e graph.EdgeID, v float64) {
-	le := r.X.Sub[j].LocalEdge(e)
-	if le < 0 {
-		panic(fmt.Sprintf("flow: SetAt: edge %d is not a member edge of commodity %d", e, j))
-	}
-	r.Phi[j][le] = v
 }
 
 // AdmittedRate returns a_j: the rate commodity j's dummy node sends

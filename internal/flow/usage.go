@@ -16,7 +16,7 @@ import (
 // local node indexing, and FNode, which spans the full extended node
 // range because it accumulates cross-commodity flow at shared nodes.
 // Per-edge quantities are derived from T and the routing on demand
-// (EdgeFlow, ArriveAt), bit for bit what the forward sweep computed.
+// (EdgeFlow), bit for bit what the forward sweep computed.
 type Usage struct {
 	R *Routing
 	// T[j][ln] is t_n(j): the expected commodity-j traffic rate at
@@ -199,34 +199,9 @@ func (u *Usage) perEdge(r *Routing, j int, sg *transform.Subgraph, le int32, k [
 	return tn * p * k[le]
 }
 
-// TAt returns t_n(j) for extended node n, zero when n is not a member
-// node. O(log member nodes) — for cold paths and tests.
-func (u *Usage) TAt(j int, n graph.NodeID) float64 {
-	if ln := u.R.X.Sub[j].LocalNode(n); ln >= 0 {
-		return u.T[j][ln]
-	}
-	return 0
-}
-
-// ArriveAt returns the flow commodity j delivers to the head of
-// extended edge e, zero when e is not a member edge. O(log member
-// edges).
-func (u *Usage) ArriveAt(j int, e graph.EdgeID) float64 {
-	if le := u.R.X.Sub[j].LocalEdge(e); le >= 0 {
-		return u.arrive(j, le)
-	}
-	return 0
-}
-
 // AdmittedRate returns a_j: the rate the dummy node sends into the real
 // network over the input link.
 func (u *Usage) AdmittedRate(j int) float64 { return u.R.AdmittedRate(j) }
-
-// RejectedRate returns λ_j − a_j, the flow on the difference link.
-func (u *Usage) RejectedRate(j int) float64 {
-	x := u.R.X
-	return x.Commodities[j].MaxRate * u.R.Phi[j][x.Sub[j].DiffLink]
-}
 
 // Utility returns Σ_j U_j(a_j), the quantity the paper maximizes.
 func (u *Usage) Utility() float64 {
@@ -276,7 +251,11 @@ func (u *Usage) PenaltyCost() float64 {
 }
 
 // TotalCost returns A = Y + ε·D, the objective the routing problem
-// minimizes (§3).
+// minimizes (§3). No solver path calls it: the engines fuse this sum
+// into their wave (gradient's evaluate and measureRow), and it is the
+// reference their carried cost is compared against bit for bit
+// (gradient's TestCarriedStateMatchesFreshEvaluation and the reference
+// step loops in step_parity_test.go and adaptive_test.go).
 func (u *Usage) TotalCost() float64 {
 	return u.UtilityLoss() + u.PenaltyCost()
 }
@@ -349,19 +328,4 @@ func MergeShared(dst []float64, parts ...[]float64) {
 // convention as Usage.Feasible, restricted to the shared nodes).
 func FeasibleShared(x *transform.Extended, merged []float64) (ok bool, slack float64) {
 	return feasible(x, merged, nil)
-}
-
-// DeliveredRate returns the flow arriving at commodity j's sink through
-// the real network (excluding the difference link), in sink units: this
-// is g_sink(j)·a_j when Property 1 holds.
-func (u *Usage) DeliveredRate(j int) float64 {
-	sg := &u.R.X.Sub[j]
-	total := 0.0
-	for _, le := range sg.In(sg.Sink) {
-		if le == sg.DiffLink {
-			continue
-		}
-		total += u.arrive(j, le)
-	}
-	return total
 }

@@ -15,7 +15,7 @@ import (
 // derivative ε·D'_i(f_i) is each resource's local congestion (shadow)
 // price, and at an optimal operating point the marginal utility of one
 // more admitted unit, U'_j(a_j), equals the marginal cost of carrying
-// it (Theorem 2). Attribute packages those signals per commodity.
+// it (Theorem 2). AttributeAll packages those signals per commodity.
 
 // BindingNode is one capacity-constrained resource carrying commodity-j
 // traffic whose congestion price is materially shaping the solution.
@@ -69,15 +69,8 @@ const (
 	minFlow            = 1e-9
 )
 
-// Attribute explains commodity j at the evaluated operating point u.
-// Cost: pricing every node plus one marginal-cost wave; AttributeAll
-// prices the nodes once for all commodities.
-func Attribute(u *flow.Usage, j int) Attribution {
-	return attribute(u, j, nodePrices(u))
-}
-
-// attribute is Attribute against precomputed node prices
-// (fillNodePrices): O(member edges).
+// attribute explains commodity j at the evaluated operating point u
+// against precomputed node prices (fillNodePrices): O(member edges).
 func attribute(u *flow.Usage, j int, price []float64) Attribution {
 	x := u.R.X
 	c := &x.Commodities[j]
@@ -141,7 +134,9 @@ func attribute(u *flow.Usage, j int, price []float64) Attribution {
 	return at
 }
 
-// AttributeAll runs Attribute for every commodity.
+// AttributeAll explains every commodity at the evaluated operating
+// point u. Cost: pricing every node once plus one marginal-cost wave per
+// commodity.
 func AttributeAll(u *flow.Usage) []Attribution {
 	out := make([]Attribution, u.R.X.NumCommodities())
 	price := nodePrices(u)

@@ -29,7 +29,7 @@ func TestAttributeCapacityConstrained(t *testing.T) {
 	eng := New(x, Config{Eta: 0.04})
 	u := solveToConvergence(t, eng, 8000)
 
-	at := Attribute(u, 0)
+	at := AttributeAll(u)[0]
 	if at.Offered != 20 {
 		t.Fatalf("offered = %g, want 20", at.Offered)
 	}
@@ -65,7 +65,7 @@ func TestAttributeUnconstrained(t *testing.T) {
 	eng := New(x, Config{Eta: 0.04})
 	u := solveToConvergence(t, eng, 6000)
 
-	at := Attribute(u, 0)
+	at := AttributeAll(u)[0]
 	if at.Admitted < at.Offered-0.05 {
 		t.Fatalf("uncongested instance should admit ~everything: %g of %g", at.Admitted, at.Offered)
 	}

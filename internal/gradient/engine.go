@@ -231,10 +231,6 @@ func (e *Engine) Stats() Stats { return e.stats }
 // backtracking has moved it.
 func (e *Engine) Eta() float64 { return e.eta }
 
-// Backtracks counts the steps rejected so far (always zero without
-// Config.Backtrack).
-func (e *Engine) Backtracks() int { return e.backtracks }
-
 // Routing exposes the current routing variables (not a copy). The
 // engine double-buffers its routing, so the returned set is only valid
 // until the next Step; callers that need a durable snapshot Clone it.

@@ -72,6 +72,21 @@ func twoPath(t *testing.T, lambda float64, util utility.Function) *transform.Ext
 	return x
 }
 
+// phi points at φ for commodity j on extended edge e, which must be a
+// member edge of r's commodity j.
+func phi(r *flow.Routing, j int, e graph.EdgeID) *float64 {
+	return &r.Phi[j][r.X.Sub[j].LocalEdge(e)]
+}
+
+// tAt returns t_n(j) for extended node n, zero when n is not a member
+// node.
+func tAt(u *flow.Usage, j int, n graph.NodeID) float64 {
+	if ln := u.R.X.Sub[j].LocalNode(n); ln >= 0 {
+		return u.T[j][ln]
+	}
+	return 0
+}
+
 func TestMarginalMatchesFiniteDifference(t *testing.T) {
 	// Eq. (10): ∂A/∂φ_ik(j) = t_i(j)·LinkD[e]. Verify by bumping φ on
 	// every member edge and differencing the total cost.
@@ -80,8 +95,8 @@ func TestMarginalMatchesFiniteDifference(t *testing.T) {
 	// A non-trivial interior point: admit 60%, lean 70/30 toward a.
 	c := &x.Commodities[0]
 	sg := &x.Sub[0]
-	r.SetAt(0, c.InputLink, 0.6)
-	r.SetAt(0, c.DiffLink, 0.4)
+	*phi(r, 0, c.InputLink) = 0.6
+	*phi(r, 0, c.DiffLink) = 0.4
 	src := c.Source
 	var srcOuts []graph.EdgeID
 	for _, e := range extendedGraph(x).Out(src) {
@@ -89,8 +104,8 @@ func TestMarginalMatchesFiniteDifference(t *testing.T) {
 			srcOuts = append(srcOuts, e)
 		}
 	}
-	r.SetAt(0, srcOuts[0], 0.7)
-	r.SetAt(0, srcOuts[1], 0.3)
+	*phi(r, 0, srcOuts[0]) = 0.7
+	*phi(r, 0, srcOuts[1]) = 0.3
 
 	u := flow.Evaluate(r)
 	m := ComputeMarginals(u, 0)
@@ -99,12 +114,12 @@ func TestMarginalMatchesFiniteDifference(t *testing.T) {
 	base := u.TotalCost()
 	for _, e := range x.Sub[0].Edges {
 		tail := x.Edge(e).From
-		ti := u.TAt(0, tail)
+		ti := tAt(u, 0, tail)
 		if ti == 0 {
 			continue // derivative information is 0·d; skip
 		}
 		bumped := r.Clone()
-		bumped.SetAt(0, e, bumped.At(0, e)+h)
+		*phi(bumped, 0, e) += h
 		got := (flow.Evaluate(bumped).TotalCost() - base) / h
 		want := ti * m.LinkDAt(sg, e)
 		if math.Abs(got-want) > 1e-3*(1+math.Abs(want)) {
@@ -120,8 +135,8 @@ func TestRhoZeroAtSinkAndCompositionality(t *testing.T) {
 	r := flow.NewInitial(x)
 	c := &x.Commodities[0]
 	sg := &x.Sub[0]
-	r.SetAt(0, c.InputLink, 0.5)
-	r.SetAt(0, c.DiffLink, 0.5)
+	*phi(r, 0, c.InputLink) = 0.5
+	*phi(r, 0, c.DiffLink) = 0.5
 	u := flow.Evaluate(r)
 	m := ComputeMarginals(u, 0)
 
@@ -137,7 +152,7 @@ func TestRhoZeroAtSinkAndCompositionality(t *testing.T) {
 		sum, any := 0.0, false
 		for _, e := range g.Out(node) {
 			if x.Sub[0].LocalEdge(e) >= 0 {
-				sum += r.At(0, e) * m.LinkDAt(sg, e)
+				sum += *phi(r, 0, e) * m.LinkDAt(sg, e)
 				any = true
 			}
 		}
@@ -154,8 +169,8 @@ func TestDiffLinkMarginalIsMarginalUtility(t *testing.T) {
 	x := twoPath(t, lambda, util)
 	r := flow.NewInitial(x)
 	c := &x.Commodities[0]
-	r.SetAt(0, c.InputLink, 0.25)
-	r.SetAt(0, c.DiffLink, 0.75)
+	*phi(r, 0, c.InputLink) = 0.25
+	*phi(r, 0, c.DiffLink) = 0.75
 	u := flow.Evaluate(r)
 	m := ComputeMarginals(u, 0)
 	admitted := 0.25 * lambda
@@ -253,7 +268,7 @@ func TestSplitsMatchBarrierOptimum(t *testing.T) {
 		t.Fatalf("admitted = %g, want ≈ λ = 20", admitted)
 	}
 	wantA := (20 + 12*math.Sqrt(3)) / (3 + math.Sqrt(3))
-	ta, tb := u.TAt(0, aNode), u.TAt(0, bNode)
+	ta, tb := tAt(u, 0, aNode), tAt(u, 0, bNode)
 	if math.Abs(ta-wantA) > 0.15 {
 		t.Fatalf("t(a) = %g, want barrier optimum ≈ %g", ta, wantA)
 	}

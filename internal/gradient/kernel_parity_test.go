@@ -46,7 +46,7 @@ func refComputeMarginals(u *flow.Usage, j int) refMarginals {
 			head := sg.Head[le]
 			var loss float64
 			if le == sg.DiffLink {
-				loss = x.LossDeriv(j, x.Commodities[j].DiffLink, u.EdgeFlow(j, le))
+				loss = x.Commodities[j].Loss.Deriv(u.EdgeFlow(j, le))
 			}
 			dAdf := x.PenaltyDeriv(n, u.FNode[n]) + loss
 			d := dAdf*sg.Cost[le] + sg.Beta[le]*m.rho[head]

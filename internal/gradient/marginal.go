@@ -32,8 +32,6 @@ package gradient
 
 import (
 	"repro/internal/flow"
-	"repro/internal/graph"
-	"repro/internal/transform"
 	"repro/internal/utility"
 )
 
@@ -57,16 +55,10 @@ type Marginals struct {
 	Messages int
 }
 
-// ComputeMarginals runs the marginal-cost wave for commodity j on the
-// evaluated usage u: the allocating, single-commodity diagnostic form
-// of the sweep the engines run every iteration (tagging off). It prices
-// every extended node first, so callers after all commodities at once
-// use CheckStationarity or AttributeAll, which price the nodes once.
-func ComputeMarginals(u *flow.Usage, j int) *Marginals {
-	return marginalsAt(u, j, nodePrices(u))
-}
-
-// marginalsAt is ComputeMarginals against precomputed node prices.
+// marginalsAt runs the marginal-cost wave for commodity j on the
+// evaluated usage u against precomputed node prices: the allocating,
+// single-commodity diagnostic form of the sweep the engines run every
+// iteration (tagging off).
 func marginalsAt(u *flow.Usage, j int, price []float64) *Marginals {
 	sg := &u.R.X.Sub[j]
 	m := &Marginals{
@@ -163,22 +155,4 @@ func sweep(u *flow.Usage, j int, price, rho, linkD []float64, tagged []bool, eta
 			tagged[ln] = tagNode(outs, phi, beta, head, rho, linkD, tagged, r, t[ln], eta)
 		}
 	}
-}
-
-// RhoAt reads Rho by extended node ID (zero for non-member nodes).
-// O(log member nodes); diagnostics and tests only — hot loops index the
-// local arrays directly.
-func (m *Marginals) RhoAt(sg *transform.Subgraph, n graph.NodeID) float64 {
-	if ln := sg.LocalNode(n); ln >= 0 {
-		return m.Rho[ln]
-	}
-	return 0
-}
-
-// LinkDAt reads LinkD by extended edge ID (zero for non-member edges).
-func (m *Marginals) LinkDAt(sg *transform.Subgraph, e graph.EdgeID) float64 {
-	if le := sg.LocalEdge(e); le >= 0 {
-		return m.LinkD[le]
-	}
-	return 0
 }

@@ -13,6 +13,13 @@ var ErrCycle = errors.New("graph: cycle detected")
 // wide graphs (many simultaneous zero-indegree nodes — e.g. thousands
 // of commodity sources) keep the whole width in the frontier, so a
 // linear-scan pop would make the sort quadratic.
+//
+// No solver path calls it: the solver walks SubDAG.Topo. It is the
+// full-graph reference tests check the sparse order against: graph's
+// TestQuickSubDAGMatchesFilteredGraph, transform's
+// TestLocalTopoMatchesFilteredSort, flow's dense reference sweep
+// (TestSparseEvaluateMatchesDenseReferenceBitwise) and gradient's
+// longest-path oracle (TestStatsAccounting).
 func (g *Graph) TopoSortFiltered(keep func(EdgeID) bool) ([]NodeID, error) {
 	n := g.NumNodes()
 	indeg := make([]int, n)

@@ -116,7 +116,10 @@ func (g *Graph) EdgeBetween(from, to NodeID) EdgeID {
 func (g *Graph) Out(n NodeID) []EdgeID { return g.out[n] }
 
 // In returns the IDs of edges entering n. The slice is owned by the
-// graph; callers must not modify it.
+// graph; callers must not modify it. No solver path reads in-edges of a
+// full graph: it is the reference the in-adjacency parity tests compare
+// SubDAG.In (TestQuickSubDAGMatchesFilteredGraph) and transform's
+// Subgraph.In (TestSubgraphAdjacencyMatchesFilteredScan) against.
 func (g *Graph) In(n NodeID) []EdgeID { return g.in[n] }
 
 // OutDegree reports the number of edges leaving n.

@@ -369,47 +369,37 @@ func TestApplyOps(t *testing.T) {
 	}
 }
 
-// TestCopyToPreservesClocks proves the fixture-rewrite hook keeps the
-// original timestamps, so a rewritten journal replays with the recorded
-// timeline.
-func TestCopyToPreservesClocks(t *testing.T) {
-	src := t.TempDir()
-	w, err := Create(src, Options{Fsync: FsyncNever})
+// TestAppendKeepsNonZeroClocks: Append stamps only zero clocks, so
+// re-appending read records (a rewritten fixture journal) keeps the
+// recorded timeline.
+func TestAppendKeepsNonZeroClocks(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Create(dir, Options{Fsync: FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(Record{Kind: KindMutation, Rev: 1, Mutation: &Mutation{Op: OpRemoveCommodity, Target: "x"}}); err != nil {
-		t.Fatal(err)
+	kept := Record{Kind: KindMutation, Rev: 1, WallUnixNano: 1234, MonoNanos: 56, Mutation: &Mutation{Op: OpRemoveCommodity, Target: "x"}}
+	stamped := Record{Kind: KindMutation, Rev: 2, Mutation: &Mutation{Op: OpRemoveCommodity, Target: "y"}}
+	for _, rec := range []Record{kept, stamped} {
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	orig, err := ReadDir(src)
+	read, err := ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	dst := t.TempDir()
-	w2, err := Create(dst, Options{Fsync: FsyncNever})
-	if err != nil {
-		t.Fatal(err)
+	if len(read.Records) != 2 {
+		t.Fatalf("read %d records, want 2", len(read.Records))
 	}
-	if err := CopyTo(w2, orig.Records); err != nil {
-		t.Fatal(err)
+	if got := read.Records[0]; got.WallUnixNano != 1234 || got.MonoNanos != 56 {
+		t.Fatalf("non-zero clocks restamped: wall %d mono %d", got.WallUnixNano, got.MonoNanos)
 	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	copied, err := ReadDir(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(copied.Records) != 1 {
-		t.Fatalf("copied %d records", len(copied.Records))
-	}
-	if copied.Records[0].WallUnixNano != orig.Records[0].WallUnixNano ||
-		copied.Records[0].MonoNanos != orig.Records[0].MonoNanos {
-		t.Fatal("CopyTo restamped clocks")
+	if got := read.Records[1]; got.WallUnixNano == 0 {
+		t.Fatal("zero wall clock not stamped")
 	}
 }
 

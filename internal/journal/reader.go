@@ -304,16 +304,3 @@ func Recover(dir string) (*Recovered, error) {
 	}
 	return out, nil
 }
-
-// CopyTo re-appends records through a fresh writer — the test hook for
-// building fixture journals (e.g. deliberately corrupting one digest to
-// prove the replay verifier pinpoints it). Timestamps are preserved:
-// Append only stamps zero clocks.
-func CopyTo(w *Writer, recs []Record) error {
-	for _, r := range recs {
-		if err := w.Append(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}

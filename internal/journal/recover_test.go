@@ -499,8 +499,10 @@ func copyJournal(t *testing.T, recs []Record) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CopyTo(w, recs); err != nil {
-		t.Fatal(err)
+	for _, rec := range recs {
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

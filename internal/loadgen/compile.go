@@ -285,7 +285,3 @@ func (c *Compiled) EventStreamHash() (string, error) {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:]), nil
 }
-
-// Mutations counts the driver-visible mutations in the stream (every
-// event is exactly one problem mutation).
-func (c *Compiled) Mutations() int { return len(c.Events) }

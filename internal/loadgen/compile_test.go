@@ -82,9 +82,6 @@ func TestCompileEventInvariants(t *testing.T) {
 	if len(c.Base.Commodities) != 0 {
 		t.Fatalf("base problem has %d commodities, want 0", len(c.Base.Commodities))
 	}
-	if c.Mutations() != len(c.Events) {
-		t.Fatal("Mutations() disagrees with event count")
-	}
 	arrived := map[string]bool{}
 	departed := map[string]bool{}
 	for i, e := range c.Events {

@@ -46,8 +46,8 @@ func TestDriveFlashCrowdInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mutations != c.Mutations() {
-		t.Fatalf("applied %d mutations, compiled %d", res.Mutations, c.Mutations())
+	if res.Mutations != len(c.Events) {
+		t.Fatalf("applied %d mutations, compiled %d", res.Mutations, len(c.Events))
 	}
 	if res.Final.Generation == 0 || !res.Final.Feasible {
 		t.Fatalf("final observation %+v: want a feasible published snapshot", res.Final)

@@ -179,12 +179,6 @@ func ParseScenario(data []byte) (*Scenario, error) {
 	return &sc, nil
 }
 
-// Marshal renders the scenario back to its canonical indented JSON
-// form; Parse∘Marshal is stable (round-trip tested).
-func (sc *Scenario) Marshal() ([]byte, error) {
-	return json.MarshalIndent(sc, "", "  ")
-}
-
 // setDefaults fills the documented defaults in place.
 func (sc *Scenario) setDefaults() {
 	if sc.Network.Nodes == 0 {

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,7 +10,7 @@ import (
 )
 
 // Every bundled scenario must parse, validate, compile, and re-marshal
-// stably (Marshal∘Parse∘Marshal is a fixed point).
+// stably (indented JSON ∘ Parse ∘ indented JSON is a fixed point).
 func TestExampleScenariosRoundTrip(t *testing.T) {
 	paths, err := filepath.Glob("../../examples/scenarios/*.json")
 	if err != nil {
@@ -28,7 +29,7 @@ func TestExampleScenariosRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			first, err := sc.Marshal()
+			first, err := json.MarshalIndent(sc, "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -36,7 +37,7 @@ func TestExampleScenariosRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("re-parse of marshaled form: %v", err)
 			}
-			second, err := sc2.Marshal()
+			second, err := json.MarshalIndent(sc2, "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}

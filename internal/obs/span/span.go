@@ -61,31 +61,6 @@ func (c Context) TraceHex() string {
 	return hex.EncodeToString(c.Trace[:])
 }
 
-// SpanHex renders the span ID as 16 lowercase hex characters, or ""
-// for the zero span.
-func (c Context) SpanHex() string {
-	if c.Span == (SpanID{}) {
-		return ""
-	}
-	return hex.EncodeToString(c.Span[:])
-}
-
-// Traceparent renders the context in the W3C `traceparent` header form
-// (version 00): 00-<trace-id>-<span-id>-<flags>.
-func (c Context) Traceparent() string {
-	b := make([]byte, 0, 55)
-	b = append(b, '0', '0', '-')
-	b = hex.AppendEncode(b, c.Trace[:])
-	b = append(b, '-')
-	b = hex.AppendEncode(b, c.Span[:])
-	b = append(b, '-')
-	if c.Flags < 0x10 {
-		b = append(b, '0')
-	}
-	b = strconv.AppendUint(b, uint64(c.Flags), 16)
-	return string(b)
-}
-
 // ParseTraceparent parses a W3C `traceparent` header value:
 //
 //	version "-" trace-id "-" parent-id "-" trace-flags

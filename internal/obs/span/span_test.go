@@ -1,6 +1,7 @@
 package span
 
 import (
+	"encoding/hex"
 	"fmt"
 	"math"
 	"strings"
@@ -50,8 +51,8 @@ func TestParseTraceparent(t *testing.T) {
 				if !ctx.Valid() {
 					t.Fatalf("parsed context not valid: %+v", ctx)
 				}
-				if ctx.TraceHex() != goodTrace || ctx.SpanHex() != goodParent {
-					t.Errorf("IDs = %s/%s, want %s/%s", ctx.TraceHex(), ctx.SpanHex(), goodTrace, goodParent)
+				if spanHex := hex.EncodeToString(ctx.Span[:]); ctx.TraceHex() != goodTrace || spanHex != goodParent {
+					t.Errorf("IDs = %s/%s, want %s/%s", ctx.TraceHex(), spanHex, goodTrace, goodParent)
 				}
 			} else {
 				if err == nil {
@@ -165,8 +166,8 @@ func TestSpanLifecycle(t *testing.T) {
 		t.Errorf("order = %s,%s; want solve,decision", spans[0].Name, spans[1].Name)
 	}
 	got := spans[0]
-	if got.Parent != rctx.SpanHex() {
-		t.Errorf("child parent = %q, want %q", got.Parent, rctx.SpanHex())
+	if want := hex.EncodeToString(rctx.Span[:]); got.Parent != want {
+		t.Errorf("child parent = %q, want %q", got.Parent, want)
 	}
 	want := map[string]string{"kind": "set_max_rate", "rev": "7", "rate": "2.5", "warm": "true"}
 	for k, v := range want {

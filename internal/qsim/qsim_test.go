@@ -63,7 +63,7 @@ func TestDeliveredMatchesAdmittedRates(t *testing.T) {
 		if math.Abs(got-want) > 0.05*(1+want) {
 			t.Fatalf("commodity %d: simulated delivery %g, optimizer admitted %g", j, got, want)
 		}
-		wantDrop := u.RejectedRate(j)
+		wantDrop := x.Commodities[j].MaxRate - want
 		if math.Abs(res.Dropped[j]-wantDrop) > 0.05*(1+wantDrop) {
 			t.Fatalf("commodity %d: simulated drop %g, optimizer rejected %g", j, res.Dropped[j], wantDrop)
 		}
@@ -76,9 +76,9 @@ func TestOverloadedRoutingGrowsQueues(t *testing.T) {
 	x, _ := solvedInstance(t, 2)
 	r := flow.NewInitial(x)
 	for j := range x.Commodities {
-		c := &x.Commodities[j]
-		r.SetAt(j, c.InputLink, 1)
-		r.SetAt(j, c.DiffLink, 0)
+		sg := &x.Sub[j]
+		r.Phi[j][sg.InputLink] = 1
+		r.Phi[j][sg.DiffLink] = 0
 	}
 	// Verify this routing is actually infeasible (it admits λ ≫ C).
 	if ok, _ := flow.Evaluate(r).Feasible(); ok {
@@ -140,8 +140,9 @@ func TestDeterministicWithSeed(t *testing.T) {
 
 func TestRejectsInvalidRouting(t *testing.T) {
 	x, r := solvedInstance(t, 4)
-	r.SetAt(0, x.Commodities[0].InputLink, 0.5) // break the simplex
-	r.SetAt(0, x.Commodities[0].DiffLink, 0.2)
+	sg := &x.Sub[0]
+	r.Phi[0][sg.InputLink] = 0.5 // break the simplex
+	r.Phi[0][sg.DiffLink] = 0.2
 	if _, err := Run(r, Config{Ticks: 100}); err == nil {
 		t.Fatal("invalid routing accepted")
 	}

@@ -488,8 +488,10 @@ func TestVerifyPinpointsCorruptedDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := journal.CopyTo(w, recs); err != nil {
-		t.Fatal(err)
+	for _, rec := range recs {
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -611,8 +613,10 @@ func copyJournal(t *testing.T, recs []journal.Record) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := journal.CopyTo(w, recs); err != nil {
-		t.Fatal(err)
+	for _, rec := range recs {
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

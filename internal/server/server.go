@@ -289,6 +289,10 @@ type Server struct {
 	coord *shard.Coordinator
 
 	snap atomic.Pointer[Snapshot]
+	// published is closed, and replaced, by every publish after it
+	// stores the new snapshot: WaitForGeneration reads it before it
+	// reads snap, so it cannot miss the store it waits for.
+	published atomic.Pointer[chan struct{}]
 
 	histMu sync.Mutex
 	hist   []GenerationRecord // the last HistoryCap generations, oldest first
@@ -382,6 +386,8 @@ func New(p *stream.Problem, opts Options) (*Server, error) {
 		cancel:  cancel,
 		done:    make(chan struct{}),
 	}
+	published := make(chan struct{})
+	s.published.Store(&published)
 	if opts.CaptureDir != "" {
 		s.captureSeq.Store(lastCaptureSeq(opts.CaptureDir))
 	}
@@ -661,23 +667,6 @@ func (s *Server) SetCapacity(node string, capacity float64) (int64, error) {
 	return s.Apply(journal.SetCapacity(node, capacity))
 }
 
-// SetBandwidth changes a link's bandwidth.
-func (s *Server) SetBandwidth(from, to string, bandwidth float64) (int64, error) {
-	return s.Apply(journal.SetBandwidth(from, to, bandwidth))
-}
-
-// ScaleCapacity multiplies a node's capacity by factor — the E8
-// failure-injection idiom (0.25 models a three-quarter outage, a later
-// 4.0 restores it).
-func (s *Server) ScaleCapacity(node string, factor float64) (int64, error) {
-	return s.Apply(journal.ScaleCapacity(node, factor))
-}
-
-// ScaleBandwidth multiplies a link's bandwidth by factor.
-func (s *Server) ScaleBandwidth(from, to string, factor float64) (int64, error) {
-	return s.Apply(journal.ScaleBandwidth(from, to, factor))
-}
-
 // loop is the solver goroutine: wait for a mutation, coalesce the
 // burst, solve, publish, repeat. A gated server waits for a gate token
 // instead and solves at once: its wake channel is never read.
@@ -935,6 +924,8 @@ func (s *Server) publish(snap *Snapshot, batch []*decision, solveSpan *span.Acti
 	solveSpan.SetAttrInt("generation", snap.Generation)
 	solveSpan.End()
 	s.snap.Store(snap)
+	next := make(chan struct{})
+	close(*s.published.Swap(&next))
 
 	if s.opts.SLO > 0 && maxLat > s.opts.SLO.Seconds() {
 		s.maybeCapture("slo_breach", fmt.Sprintf(
@@ -1050,7 +1041,8 @@ func (s *Server) Flips() []AdmissionFlip {
 }
 
 // WaitForGeneration blocks until a snapshot with Generation ≥ gen is
-// published, or the timeout expires. Mutating and then waiting for
+// published, or the timeout expires. Each publish wakes the waiters;
+// nothing polls. Mutating and then waiting for
 // (previous generation)+1 is the read-your-write recipe tests and
 // scripted demos use; a coalesced burst of mutations still lands in
 // that one next generation.
@@ -1064,19 +1056,20 @@ func (s *Server) Flips() []AdmissionFlip {
 // is returned alongside it, so callers can degrade to stale-but-safe
 // reads instead of losing the state they already had.
 func (s *Server) WaitForGeneration(gen int64, timeout time.Duration) (*Snapshot, error) {
-	deadline := time.Now().Add(timeout)
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	for {
+		published := *s.published.Load()
 		snap := s.snap.Load()
 		if snap != nil && snap.Generation >= gen {
 			return snap, nil
 		}
-		if time.Now().After(deadline) {
-			return snap, fmt.Errorf("server: no snapshot generation ≥ %d within %v", gen, timeout)
-		}
 		select {
+		case <-published:
+		case <-deadline.C:
+			return s.snap.Load(), fmt.Errorf("server: no snapshot generation ≥ %d within %v", gen, timeout)
 		case <-s.ctx.Done():
 			return s.snap.Load(), fmt.Errorf("server: closed while waiting for generation %d", gen)
-		case <-time.After(time.Millisecond):
 		}
 	}
 }

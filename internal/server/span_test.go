@@ -532,6 +532,41 @@ func TestWaitForGenerationTimeoutReturnsLatest(t *testing.T) {
 	}
 }
 
+// TestCloseWakesWaiter: a waiter blocked on a generation that never
+// comes returns when the server closes, long before its timeout, with
+// the closed error and the latest snapshot.
+func TestCloseWakesWaiter(t *testing.T) {
+	s, _ := startServer(t, nil)
+	first, err := s.WaitForGeneration(1, waitBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		snap *Snapshot
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		snap, err := s.WaitForGeneration(first.Generation+1000, time.Hour)
+		done <- result{snap, err}
+	}()
+	time.Sleep(10 * time.Millisecond)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-done:
+		if r.err == nil || !strings.Contains(r.err.Error(), "closed") {
+			t.Fatalf("waiter error = %v, want the closed error", r.err)
+		}
+		if r.snap != s.Snapshot() || r.snap.Generation < first.Generation {
+			t.Fatalf("waiter returned %+v, want the latest snapshot (generation ≥ %d)", r.snap, first.Generation)
+		}
+	case <-time.After(waitBudget):
+		t.Fatal("Close did not wake the waiter")
+	}
+}
+
 // TestWaitForGenerationPublishRace interleaves waiters with concurrent
 // publishes; under -race (CI runs this package with -count=5) it
 // doubles as the publish/wait memory-safety check.

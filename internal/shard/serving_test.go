@@ -350,15 +350,21 @@ func TestTurnStartDropsCarriedEvaluation(t *testing.T) {
 		t.Fatalf("solve: %d iterations, err %v", res.Iterations, res.Err)
 	}
 
-	// Solve's sweeps, written out with every iteration its own step.
+	// Solve's sweeps, written out with every iteration its own step. A
+	// step that lowers η is one step control rejected.
 	ctx := context.Background()
 	anyX := want.runners[0].x
+	rejected := 0
 	for spent := 0; spent < cfg.MaxIters; {
 		for _, r := range want.runners {
 			n := min(exchangeEvery, cfg.MaxIters-spent)
 			for i := 0; i < n; i++ {
 				r.eng.ExternalChanged()
+				eta := r.eng.Eta()
 				r.advance(ctx, 1)
+				if r.eng.Eta() < eta {
+					rejected++
+				}
 			}
 			spent += n
 			want.merge()
@@ -366,13 +372,11 @@ func TestTurnStartDropsCarriedEvaluation(t *testing.T) {
 		}
 	}
 
-	rejected := 0
 	for s, g := range got.runners {
 		w := want.runners[s]
 		if g.eng == nil || w.eng == nil {
 			t.Fatalf("shard %d has no engine", s)
 		}
-		rejected += w.eng.Backtracks()
 		gu, wu := g.eng.Usage(), w.eng.Usage()
 		if gu.Utility() != wu.Utility() {
 			t.Fatalf("shard %d: utility %v, one-step turns %v", s, gu.Utility(), wu.Utility())

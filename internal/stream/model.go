@@ -146,12 +146,6 @@ type Commodity struct {
 	Edges map[graph.EdgeID]EdgeParams
 }
 
-// UsesEdge reports whether edge e belongs to the commodity's subgraph.
-func (c *Commodity) UsesEdge(e graph.EdgeID) bool {
-	_, ok := c.Edges[e]
-	return ok
-}
-
 // SortedEdges appends the edges of the commodity's subgraph to buf[:0]
 // in ascending edge-ID order — the deterministic walk of Edges that
 // validation, the transform and the JSON encoding share.
@@ -382,32 +376,6 @@ func (c *Commodity) ValidateUtility() error {
 		return fmt.Errorf("%w: commodity %q: %v", errValidate, c.Name, err)
 	}
 	return nil
-}
-
-// Potentials computes the node potentials g_n(j) of §2: the product of
-// β along any path from the source to n. It returns an error if two
-// paths disagree, i.e. Property 1 is violated. Unreachable nodes get
-// potential 1, matching the paper's convention. The sweep runs on a
-// sparse local index of the commodity's subgraph and scatters into the
-// full-width result, so it costs O(member), not O(n+m).
-func (p *Problem) Potentials(c *Commodity) ([]float64, error) {
-	var v commodityView
-	if err := v.load(p.Net.G, c); err != nil {
-		return nil, err
-	}
-	if err := v.potentials(p, c); err != nil {
-		return nil, err
-	}
-	pot := make([]float64, p.Net.G.NumNodes())
-	for i := range pot {
-		pot[i] = 1
-	}
-	for l, n := range v.ix.Nodes {
-		if v.reach[l] {
-			pot[n] = v.pot[l]
-		}
-	}
-	return pot, nil
 }
 
 func relDiff(a, b float64) float64 {

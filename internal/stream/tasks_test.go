@@ -66,7 +66,7 @@ func TestFigure1Topology(t *testing.T) {
 		if e == graph.Invalid {
 			t.Fatalf("missing link %s->%s", w[0], w[1])
 		}
-		if !s1.UsesEdge(e) {
+		if _, ok := s1.Edges[e]; !ok {
 			t.Fatalf("S1 does not use %s->%s", w[0], w[1])
 		}
 	}
@@ -85,7 +85,7 @@ func TestFigure1Topology(t *testing.T) {
 	}
 	for _, w := range wantS2 {
 		e := p.Net.G.EdgeBetween(id(w[0]), id(w[1]))
-		if e == graph.Invalid || !s2.UsesEdge(e) {
+		if _, ok := s2.Edges[e]; e == graph.Invalid || !ok {
 			t.Fatalf("S2 missing %s->%s", w[0], w[1])
 		}
 	}

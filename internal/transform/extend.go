@@ -415,14 +415,6 @@ func (x *Extended) Edge(e graph.EdgeID) graph.Edge {
 // Link returns the link bandwidth node n stands for.
 func (x *Extended) Link(n graph.NodeID) graph.EdgeID { return graph.EdgeID(int(n) - len(x.names)) }
 
-// OrigEdge returns the link edge e is a half of, or graph.Invalid.
-func (x *Extended) OrigEdge(e graph.EdgeID) graph.EdgeID {
-	if int(e) < 2*(x.SharedNodes-len(x.names)) {
-		return e / 2
-	}
-	return graph.Invalid
-}
-
 // Kind classifies extended node n.
 func (x *Extended) Kind(n graph.NodeID) NodeKind {
 	switch {
@@ -517,12 +509,4 @@ func (x *Extended) LossValue(j int, e graph.EdgeID, z float64) float64 {
 		return 0
 	}
 	return x.Commodities[j].Loss.Value(z)
-}
-
-// LossDeriv returns Y'_(i,k)(z) — eq. (11)'s U'_k(λ_k − f_ik) branch.
-func (x *Extended) LossDeriv(j int, e graph.EdgeID, z float64) float64 {
-	if x.Commodities[j].DiffLink != e {
-		return 0
-	}
-	return x.Commodities[j].Loss.Deriv(z)
 }

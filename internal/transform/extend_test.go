@@ -201,10 +201,10 @@ func TestLossOnDiffLinkOnly(t *testing.T) {
 	if got := x.LossValue(0, c.DiffLink, 2); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("LossValue(diff, 2) = %g, want 2", got)
 	}
-	if got := x.LossDeriv(0, c.DiffLink, 2); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("LossDeriv(diff, 2) = %g, want 1", got)
+	if got := c.Loss.Deriv(2); math.Abs(got-1) > 1e-12 {
+		t.Fatalf("Loss.Deriv(2) = %g, want 1", got)
 	}
-	if x.LossValue(0, c.InputLink, 2) != 0 || x.LossDeriv(0, c.InputLink, 2) != 0 {
+	if x.LossValue(0, c.InputLink, 2) != 0 {
 		t.Fatal("loss nonzero on input link")
 	}
 }
