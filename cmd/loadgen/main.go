@@ -1,11 +1,13 @@
 // Command loadgen compiles declarative workload scenarios into
-// deterministic event streams and drives them against the admission
-// service.
+// deterministic scripts of journal mutations and drives them against
+// the admission service.
 //
 // Modes (pick one):
 //
-//	-events   print the compiled event stream as JSONL (pure, seeded:
-//	          the same scenario and -scale always print identical bytes)
+//	-events   print the compiled mutations as JSONL, one per line: the
+//	          epoch and the journal wire form (op, target, payload).
+//	          Pure and seeded: the same scenario and -scale always print
+//	          identical bytes
 //	-base     print the scenario's base network (no commodities) as
 //	          instance JSON, suitable for `admissiond -in`
 //	-run      drive the scenario once and print the run result
@@ -62,7 +64,7 @@ func main() {
 	var cfg config
 	flag.StringVar(&cfg.scenario, "scenario", "", "scenario JSON path (required)")
 	flag.Float64Var(&cfg.scale, "scale", 1, "offered-load scale factor for -events/-run")
-	flag.BoolVar(&cfg.events, "events", false, "print the compiled event stream as JSONL and exit")
+	flag.BoolVar(&cfg.events, "events", false, "print the compiled mutations as JSONL and exit")
 	flag.BoolVar(&cfg.base, "base", false, "print the scenario's base network as instance JSON (for admissiond -in)")
 	flag.BoolVar(&cfg.run, "run", false, "drive the scenario once and print the run result")
 	flag.BoolVar(&cfg.sweep, "sweep", false, "sweep offered load and print the saturation report")

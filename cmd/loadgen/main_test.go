@@ -115,8 +115,9 @@ func TestBadFlagCombos(t *testing.T) {
 }
 
 // TestRunJournalRecordsReplayableTrajectory drives a run through the
-// flight recorder and verifies the journal replays with zero
-// trajectory mismatches and carries the compiled stream's identity.
+// flight recorder and verifies the journal's mutation records are the
+// compiled script, in order, that it replays with zero trajectory
+// mismatches, and that it carries the compiled stream's identity.
 func TestRunJournalRecordsReplayableTrajectory(t *testing.T) {
 	jdir := filepath.Join(t.TempDir(), "journal")
 	run(t, config{
@@ -151,6 +152,30 @@ func TestRunJournalRecordsReplayableTrajectory(t *testing.T) {
 	}
 	if got := log.StreamSHA(); got != wantSHA {
 		t.Fatalf("journal header stream SHA = %q, compiled stream = %q", got, wantSHA)
+	}
+	var want []journal.Mutation
+	for _, ep := range c.Epochs {
+		for _, m := range ep.Mutations {
+			if err := m.Encode(); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, m)
+		}
+	}
+	var got []*journal.Mutation
+	for _, r := range log.Records {
+		if r.Kind == journal.KindMutation {
+			got = append(got, r.Mutation)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("journal holds %d mutation records, compiled %d", len(got), len(want))
+	}
+	for i, m := range got {
+		if m.Op != want[i].Op || m.Target != want[i].Target || !bytes.Equal(m.Payload, want[i].Payload) {
+			t.Fatalf("mutation record %d is %s %s %s, compiled %s %s %s",
+				i, m.Op, m.Target, m.Payload, want[i].Op, want[i].Target, want[i].Payload)
+		}
 	}
 
 	rep, err := replay.Verify(jdir, replay.Options{Timeout: 30 * time.Second})

@@ -18,7 +18,6 @@ import (
 	"repro/internal/refopt"
 	"repro/internal/stream"
 	"repro/internal/transform"
-	"repro/internal/utility"
 )
 
 func referenceInstance(t testing.TB) *transform.Extended {
@@ -126,36 +125,6 @@ func TestEndToEndPlanSurvivesQueueReplay(t *testing.T) {
 			t.Fatalf("commodity %d: queue replay delivered %g, plan admitted %g",
 				j, res.Delivered[j], want)
 		}
-	}
-}
-
-func TestEndToEndPenaltyFamiliesAgree(t *testing.T) {
-	// DESIGN.md ablation: the barrier family changes the path to the
-	// optimum but not the neighborhood it lands in (both are convex
-	// barriers with the same pole).
-	p, err := randnet.Generate(randnet.Config{Seed: 2, Nodes: 20, Commodities: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := make(map[string]float64, 2)
-	for _, pen := range []utility.Penalty{utility.Reciprocal{}, utility.LogBarrier{}} {
-		x, err := transform.Build(p, transform.Options{Epsilon: 0.2, Penalty: pen})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := gradient.New(x, gradient.Config{Backtrack: true})
-		if _, err := eng.Run(8000, nil); err != nil {
-			t.Fatal(err)
-		}
-		last := eng.Usage()
-		if ok, _ := last.Feasible(); !ok {
-			t.Fatalf("%s: infeasible fixed point", pen.Name())
-		}
-		results[pen.Name()] = last.Utility()
-	}
-	a, b := results["reciprocal"], results["log"]
-	if math.Abs(a-b) > 0.15*(1+math.Max(a, b)) {
-		t.Fatalf("penalty families land far apart: reciprocal %g, log %g", a, b)
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"repro/internal/refopt"
 	"repro/internal/stream"
 	"repro/internal/transform"
-	"repro/internal/utility"
 )
 
 // Algorithm selects the solver.
@@ -51,8 +50,7 @@ type Options struct {
 	Algorithm Algorithm // default Gradient
 
 	// Shared transformation knobs (§3).
-	Epsilon float64         // penalty coefficient ε; default 0.2
-	Penalty utility.Penalty // barrier family; default reciprocal
+	Epsilon float64 // penalty coefficient ε; default 0.2
 
 	// Iteration budget; default 5000.
 	MaxIters int
@@ -187,10 +185,7 @@ func Solve(p *stream.Problem, opts Options) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("%w: %q", ErrUnknownAlgorithm, opts.Algorithm)
 	}
-	x, err := transform.Build(p, transform.Options{
-		Penalty: opts.Penalty,
-		Epsilon: opts.Epsilon,
-	})
+	x, err := transform.Build(p, transform.Options{Epsilon: opts.Epsilon})
 	if err != nil {
 		return nil, err
 	}

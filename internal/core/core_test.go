@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/gradient"
 	"repro/internal/stream"
-	"repro/internal/utility"
 )
 
 func figure1(t *testing.T) *stream.Problem {
@@ -206,12 +205,6 @@ func TestSolveExplain(t *testing.T) {
 	}
 }
 
-// nanBarrier makes every cost NaN, the one state the iteration cannot
-// recover from in either step mode.
-type nanBarrier struct{ utility.Reciprocal }
-
-func (nanBarrier) Value(z, c float64) float64 { return math.NaN() }
-
 // TestStationaryTolStopsEarly holds both step modes of the one gradient
 // loop to the same contract: Theorem 2 stationarity ends the run early,
 // the trace still ends where the run stopped, the protocol accounting is
@@ -242,7 +235,9 @@ func TestStationaryTolStopsEarly(t *testing.T) {
 				t.Fatalf("protocol accounting empty: %d messages, %d rounds", res.Messages, res.Rounds)
 			}
 
-			_, err = Solve(figure1(t), Options{Algorithm: alg, MaxIters: 500, Penalty: nanBarrier{}})
+			// A NaN ε makes every cost and price NaN, the one state the
+			// iteration cannot recover from in either step mode.
+			_, err = Solve(figure1(t), Options{Algorithm: alg, MaxIters: 500, Epsilon: math.NaN()})
 			if !errors.Is(err, gradient.ErrDiverged) {
 				t.Fatalf("NaN cost: err = %v, want ErrDiverged", err)
 			}

@@ -60,7 +60,7 @@ func TestDecomposePathsAreConnected(t *testing.T) {
 			}
 			for i := 0; i+1 < len(p.Nodes); i++ {
 				e := g.EdgeBetween(p.Nodes[i], p.Nodes[i+1])
-				if e == graph.Invalid || x.Sub[j].LocalEdge(e) < 0 {
+				if e == graph.Invalid || graph.Local(x.Sub[j].Edges, e) < 0 {
 					t.Fatalf("path hop %d→%d not a member edge", p.Nodes[i], p.Nodes[i+1])
 				}
 			}
@@ -132,7 +132,7 @@ func TestQuickDecomposeCoversAllEdgesWithinBound(t *testing.T) {
 				for i := 0; i+1 < len(p.Nodes); i++ {
 					e := g.EdgeBetween(p.Nodes[i], p.Nodes[i+1])
 					rebuilt[e] += carried
-					carried *= x.Sub[j].Beta[x.Sub[j].LocalEdge(e)]
+					carried *= x.Sub[j].Beta[graph.Local(x.Sub[j].Edges, e)]
 				}
 			}
 			for _, e := range x.Sub[j].Edges {

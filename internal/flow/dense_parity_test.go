@@ -41,7 +41,7 @@ func denseEvaluate(t *testing.T, r *Routing) *denseUsage {
 		d.FEdge[j] = make([]float64, ne)
 		d.Arrive[j] = make([]float64, ne)
 		c := &x.Commodities[j]
-		topo, err := g.TopoSortFiltered(func(e graph.EdgeID) bool { return x.Sub[j].LocalEdge(e) >= 0 })
+		topo, err := g.TopoSortFiltered(func(e graph.EdgeID) bool { return graph.Local(x.Sub[j].Edges, e) >= 0 })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func denseEvaluate(t *testing.T, r *Routing) *denseUsage {
 				continue
 			}
 			for _, e := range g.Out(n) {
-				le := x.Sub[j].LocalEdge(e)
+				le := graph.Local(x.Sub[j].Edges, e)
 				if le < 0 {
 					continue
 				}
@@ -140,7 +140,7 @@ func TestSparseEvaluateMatchesDenseReferenceBitwise(t *testing.T) {
 					// zero — the sparse layout cannot even represent
 					// flow there.
 					for e := 0; e < x.NumEdges(); e++ {
-						if sg.LocalEdge(graph.EdgeID(e)) < 0 && d.FEdge[j][e] != 0 {
+						if graph.Local(sg.Edges, graph.EdgeID(e)) < 0 && d.FEdge[j][e] != 0 {
 							t.Fatalf("dense reference put flow on non-member edge %d", e)
 						}
 					}

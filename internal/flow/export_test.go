@@ -13,7 +13,7 @@ import (
 // At returns φ for commodity j on extended edge e, zero when e is not a
 // member edge.
 func (r *Routing) At(j int, e graph.EdgeID) float64 {
-	if le := r.X.Sub[j].LocalEdge(e); le >= 0 {
+	if le := graph.Local(r.X.Sub[j].Edges, e); le >= 0 {
 		return r.Phi[j][le]
 	}
 	return 0
@@ -22,7 +22,7 @@ func (r *Routing) At(j int, e graph.EdgeID) float64 {
 // SetAt sets φ for commodity j on extended edge e, which must be a
 // member edge: a fraction on a non-member edge cannot be represented.
 func (r *Routing) SetAt(j int, e graph.EdgeID, v float64) {
-	le := r.X.Sub[j].LocalEdge(e)
+	le := graph.Local(r.X.Sub[j].Edges, e)
 	if le < 0 {
 		panic(fmt.Sprintf("flow: SetAt: edge %d is not a member edge of commodity %d", e, j))
 	}
@@ -32,7 +32,7 @@ func (r *Routing) SetAt(j int, e graph.EdgeID, v float64) {
 // TAt returns t_n(j) for extended node n, zero when n is not a member
 // node.
 func (u *Usage) TAt(j int, n graph.NodeID) float64 {
-	if ln := u.R.X.Sub[j].LocalNode(n); ln >= 0 {
+	if ln := graph.Local(u.R.X.Sub[j].Nodes, n); ln >= 0 {
 		return u.T[j][ln]
 	}
 	return 0
@@ -41,7 +41,7 @@ func (u *Usage) TAt(j int, n graph.NodeID) float64 {
 // ArriveAt returns the flow commodity j delivers to the head of
 // extended edge e, zero when e is not a member edge.
 func (u *Usage) ArriveAt(j int, e graph.EdgeID) float64 {
-	if le := u.R.X.Sub[j].LocalEdge(e); le >= 0 {
+	if le := graph.Local(u.R.X.Sub[j].Edges, e); le >= 0 {
 		return u.arrive(j, le)
 	}
 	return 0

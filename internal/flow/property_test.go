@@ -52,7 +52,7 @@ func randomRouting(x *transform.Extended, r *rand.Rand) *Routing {
 			}
 			var outs []graph.EdgeID
 			for _, e := range g.Out(node) {
-				if x.Sub[j].LocalEdge(e) >= 0 {
+				if graph.Local(x.Sub[j].Edges, e) >= 0 {
 					outs = append(outs, e)
 				}
 			}
@@ -66,7 +66,7 @@ func randomRouting(x *transform.Extended, r *rand.Rand) *Routing {
 				total += weights[i]
 			}
 			for i, e := range outs {
-				rt.Phi[j][sg.LocalEdge(e)] = weights[i] / total
+				rt.Phi[j][graph.Local(sg.Edges, e)] = weights[i] / total
 			}
 		}
 	}
@@ -96,13 +96,13 @@ func TestQuickFlowConservation(t *testing.T) {
 				}
 				out := 0.0
 				for _, e := range g.Out(node) {
-					if x.Sub[j].LocalEdge(e) >= 0 {
+					if graph.Local(x.Sub[j].Edges, e) >= 0 {
 						out += u.TAt(j, node) * rt.At(j, e)
 					}
 				}
 				in := 0.0
 				for _, e := range g.In(node) {
-					if x.Sub[j].LocalEdge(e) >= 0 {
+					if graph.Local(x.Sub[j].Edges, e) >= 0 {
 						in += u.ArriveAt(j, e)
 					}
 				}

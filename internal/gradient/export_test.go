@@ -14,7 +14,7 @@ func ComputeMarginals(u *flow.Usage, j int) *Marginals {
 
 // RhoAt reads Rho by extended node ID (zero for non-member nodes).
 func (m *Marginals) RhoAt(sg *transform.Subgraph, n graph.NodeID) float64 {
-	if ln := sg.LocalNode(n); ln >= 0 {
+	if ln := graph.Local(sg.Nodes, n); ln >= 0 {
 		return m.Rho[ln]
 	}
 	return 0
@@ -22,7 +22,7 @@ func (m *Marginals) RhoAt(sg *transform.Subgraph, n graph.NodeID) float64 {
 
 // LinkDAt reads LinkD by extended edge ID (zero for non-member edges).
 func (m *Marginals) LinkDAt(sg *transform.Subgraph, e graph.EdgeID) float64 {
-	if le := sg.LocalEdge(e); le >= 0 {
+	if le := graph.Local(sg.Edges, e); le >= 0 {
 		return m.LinkD[le]
 	}
 	return 0

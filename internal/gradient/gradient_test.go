@@ -75,13 +75,13 @@ func twoPath(t *testing.T, lambda float64, util utility.Function) *transform.Ext
 // phi points at φ for commodity j on extended edge e, which must be a
 // member edge of r's commodity j.
 func phi(r *flow.Routing, j int, e graph.EdgeID) *float64 {
-	return &r.Phi[j][r.X.Sub[j].LocalEdge(e)]
+	return &r.Phi[j][graph.Local(r.X.Sub[j].Edges, e)]
 }
 
 // tAt returns t_n(j) for extended node n, zero when n is not a member
 // node.
 func tAt(u *flow.Usage, j int, n graph.NodeID) float64 {
-	if ln := u.R.X.Sub[j].LocalNode(n); ln >= 0 {
+	if ln := graph.Local(u.R.X.Sub[j].Nodes, n); ln >= 0 {
 		return u.T[j][ln]
 	}
 	return 0
@@ -100,7 +100,7 @@ func TestMarginalMatchesFiniteDifference(t *testing.T) {
 	src := c.Source
 	var srcOuts []graph.EdgeID
 	for _, e := range extendedGraph(x).Out(src) {
-		if x.Sub[0].LocalEdge(e) >= 0 {
+		if graph.Local(x.Sub[0].Edges, e) >= 0 {
 			srcOuts = append(srcOuts, e)
 		}
 	}
@@ -151,7 +151,7 @@ func TestRhoZeroAtSinkAndCompositionality(t *testing.T) {
 		}
 		sum, any := 0.0, false
 		for _, e := range g.Out(node) {
-			if x.Sub[0].LocalEdge(e) >= 0 {
+			if graph.Local(x.Sub[0].Edges, e) >= 0 {
 				sum += *phi(r, 0, e) * m.LinkDAt(sg, e)
 				any = true
 			}
@@ -352,7 +352,7 @@ func TestStatsAccounting(t *testing.T) {
 			members, depth := 0, 0
 			g := extendedGraph(x)
 			for j := range x.Sub {
-				member := func(e graph.EdgeID) bool { return x.Sub[j].LocalEdge(e) >= 0 }
+				member := func(e graph.EdgeID) bool { return graph.Local(x.Sub[j].Edges, e) >= 0 }
 				for e := 0; e < x.NumEdges(); e++ {
 					if member(graph.EdgeID(e)) {
 						members++

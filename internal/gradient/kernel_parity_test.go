@@ -366,22 +366,9 @@ func TestKernelMatchesReferenceWave(t *testing.T) {
 	}
 }
 
-// unclamped is a barrier whose derivative is +Inf at and past capacity —
-// what Penalty forbids production barriers to be — so a capacity
-// overshoot puts non-finite marginals on the wave.
-type unclamped struct{ utility.Reciprocal }
-
-func (unclamped) Deriv(z, c float64) float64 {
-	if z >= c {
-		return math.Inf(1)
-	}
-	d := c - z
-	return 1 / (d * d)
-}
-
 // diamond builds src → {a, b} → sink plus a cross link a → b, so a and
 // every bandwidth node have one member out-edge, src and the dummy two.
-func diamond(t *testing.T, penalty utility.Penalty, capB float64) *transform.Extended {
+func diamond(t *testing.T, capB float64) *transform.Extended {
 	t.Helper()
 	net := stream.NewNetwork()
 	src, _ := net.AddServer("src", 50)
@@ -406,7 +393,7 @@ func diamond(t *testing.T, penalty utility.Penalty, capB float64) *transform.Ext
 			t.Fatal(err)
 		}
 	}
-	x, err := transform.Build(p, transform.Options{Epsilon: 0.2, Penalty: penalty})
+	x, err := transform.Build(p, transform.Options{Epsilon: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +410,7 @@ func TestKernelShortcutCases(t *testing.T) {
 	localNode := func(x *transform.Extended, name string) int32 {
 		for n := range graph.NodeID(x.NumNodes()) {
 			if x.Name(n) == name {
-				return x.Sub[0].LocalNode(n)
+				return graph.Local(x.Sub[0].Nodes, n)
 			}
 		}
 		t.Fatalf("no node %q", name)
@@ -437,11 +424,12 @@ func TestKernelShortcutCases(t *testing.T) {
 	}
 
 	t.Run("single out-edge with φ=0 toward a tagged head", func(t *testing.T) {
-		// Without a barrier every price is zero, so each traffic-carrying
-		// single-out-edge node sits exactly on the improper-link boundary
-		// and tags; the tag propagates up to bw:a>b, whose tail a has had
-		// its only φ zeroed by hand.
-		x := diamond(t, utility.None{}, 40)
+		// Without a barrier (ε = 0) every price is zero, so each
+		// traffic-carrying single-out-edge node sits exactly on the
+		// improper-link boundary and tags; the tag propagates up to
+		// bw:a>b, whose tail a has had its only φ zeroed by hand.
+		x := diamond(t, 40)
+		x.Epsilon = 0
 		sg := &x.Sub[0]
 		r := admit(x, 0.5)
 		a := localNode(x, "a")
@@ -463,7 +451,8 @@ func TestKernelShortcutCases(t *testing.T) {
 	})
 
 	t.Run("uncapacitated nodes price at zero", func(t *testing.T) {
-		x := diamond(t, utility.None{}, 40)
+		x := diamond(t, 40)
+		x.Epsilon = 0 // no barrier
 		for n, p := range nodePrices(flow.Evaluate(admit(x, 0.5))) {
 			if p != 0 {
 				t.Fatalf("node %s priced %v without a barrier", x.Name(graph.NodeID(n)), p)
@@ -471,7 +460,7 @@ func TestKernelShortcutCases(t *testing.T) {
 		}
 		checkKernelParity(t, x, admit(x, 0.5), 0.05, true, 50, nil)
 		// With the default barrier the dummy and the sink still do.
-		x = diamond(t, nil, 40)
+		x = diamond(t, 40)
 		price := nodePrices(flow.Evaluate(admit(x, 0.5)))
 		c := &x.Commodities[0]
 		if price[c.Dummy] != 0 || price[c.Sink] != 0 || price[c.Source] == 0 {
@@ -480,10 +469,16 @@ func TestKernelShortcutCases(t *testing.T) {
 	})
 
 	t.Run("LinkD=+Inf during a capacity overshoot", func(t *testing.T) {
-		// b's capacity is below what the even split sends it, and the
-		// barrier here does not clamp: b prices at +Inf, so do the
-		// marginals of every link into and out of it.
-		x := diamond(t, unclamped{}, 4)
+		// b's capacity is zero, below what the even split sends it, so
+		// the clamp leaves nothing under the barrier: b prices at
+		// D'(0) = 1/0² = +Inf, and so do the marginals of every link into
+		// and out of it.
+		x := diamond(t, 4)
+		for n := range graph.NodeID(x.NumNodes()) {
+			if x.Name(n) == "b" {
+				x.Capacity[n] = 0
+			}
+		}
 		sg := &x.Sub[0]
 		r := admit(x, 1)
 		ref := refIterate(r, 0.05, true)
@@ -503,7 +498,7 @@ func TestKernelShortcutCases(t *testing.T) {
 	t.Run("t=0 nodes", func(t *testing.T) {
 		// Everything rejected: no node past the dummy carries traffic, so
 		// Γ at src takes the t → 0 limit and no tag can fire.
-		x := diamond(t, nil, 40)
+		x := diamond(t, 40)
 		r := flow.NewInitial(x)
 		ref := refIterate(r, 0.05, true)
 		src := x.Sub[0].Source

@@ -40,16 +40,11 @@ func nodePrices(u *flow.Usage) []float64 {
 // per capacitated node for all three. The caller must be done reading
 // price.
 //
-// The reciprocal barrier, transform.Build's default and the only one
-// the server runs, is called on its concrete type, so the compiler
-// inlines D and D' into the loop instead of making two interface calls
-// per capacitated node (half the pass's time on a J=10k shard); any
-// other barrier goes through the interface. Both calls compute the same
-// doubles.
+// The barrier is called on its concrete type, utility.Reciprocal, so the
+// compiler inlines D and D' into the loop.
 func evaluate(u *flow.Usage, loss float64, price []float64) (cost float64, feasible bool) {
 	x := u.R.X
-	ext, eps, pen := x.External, x.Epsilon, x.Penalty
-	_, recip := pen.(utility.Reciprocal)
+	ext, eps := x.External, x.Epsilon
 	penalty := 0.0
 	feasible = true
 	for n, z := range u.FNode[:x.SharedNodes] {
@@ -61,14 +56,8 @@ func evaluate(u *flow.Usage, loss float64, price []float64) (cost float64, feasi
 		if n < len(ext) {
 			z += ext[n]
 		}
-		var v, d float64
-		if recip {
-			v, d = utility.Reciprocal{}.Value(z, c), utility.Reciprocal{}.Deriv(z, c)
-		} else {
-			v, d = pen.Value(z, c), pen.Deriv(z, c)
-		}
-		penalty += eps * v
-		price[n] = eps * d
+		penalty += eps * utility.Reciprocal{}.Value(z, c)
+		price[n] = eps * utility.Reciprocal{}.Deriv(z, c)
 		if z > c+1e-9 {
 			feasible = false
 		}

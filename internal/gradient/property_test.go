@@ -135,19 +135,43 @@ func TestQuickAdmissionWithinOffered(t *testing.T) {
 	}
 }
 
-// TestQuickStationaryPointSatisfiesOptimalityCondition: after long
-// convergence, Theorem 2's necessary condition holds approximately —
+// TestQuickStationaryPointSatisfiesOptimalityCondition: once the engine
+// has converged, Theorem 2's necessary condition holds approximately —
 // at every node carrying traffic, every used out-link's marginal is
 // within tolerance of the node's minimum marginal. The adaptive engine
 // is used because a fixed η limit-cycles on the steepest random
 // instances (see T2), where no stationary point is ever reached.
+//
+// Convergence is measured, not assumed from a step budget: the engine
+// steps until Stationarity().MaxUsedGap ≤ 1e-2, checked every 50 steps,
+// and the case fails with its seed and gap if 50 000 steps do not get
+// there. The seeds are fixed, and the named one is an instance that
+// needs about 9 300 steps (its gap is 0.40 at 4 000). The target is not
+// tighter because the last decades drain sublinearly on some instances:
+// seed 5577006791947779410 reaches 1e-2 in 1 550 steps but still reads
+// 2e-3 after 50 000.
 func TestQuickStationaryPointSatisfiesOptimalityCondition(t *testing.T) {
+	const (
+		gapTol   = 1e-2
+		every    = 50
+		maxSteps = 50_000
+	)
 	f := func(seed int64) bool {
 		x := randomExtended(t, seed)
 		eng := New(x, Config{Backtrack: true})
-		if _, err := eng.Run(4000, nil); err != nil {
-			t.Log(err)
-			return false
+		for steps := 0; ; steps += every {
+			gap := eng.Stationarity().MaxUsedGap
+			if gap <= gapTol {
+				break
+			}
+			if steps >= maxSteps {
+				t.Logf("seed %d: MaxUsedGap %.3g after %d steps, want ≤ %g", seed, gap, steps, gapTol)
+				return false
+			}
+			if _, err := eng.Run(every, nil); err != nil {
+				t.Logf("seed %d: %v", seed, err)
+				return false
+			}
 		}
 		u := flow.Evaluate(eng.Routing())
 		for j := range x.Commodities {
@@ -168,9 +192,7 @@ func TestQuickStationaryPointSatisfiesOptimalityCondition(t *testing.T) {
 					if u.R.Phi[j][le] < 1e-3 {
 						continue
 					}
-					// Used links must be near-optimal (eq. 12). The
-					// tolerance is loose: finite η stops short of the
-					// exact stationary point.
+					// Used links must be near-optimal (eq. 12).
 					if m.LinkD[le] > min+0.35*(1+min) {
 						t.Logf("seed %d commodity %d node %d: used link %d marginal %g, min %g",
 							seed, j, node, sg.Edges[le], m.LinkD[le], min)
@@ -181,7 +203,11 @@ func TestQuickStationaryPointSatisfiesOptimalityCondition(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
+	const slowSeed = 9045377917532414361
+	if !f(slowSeed) {
+		t.Fatalf("seed %d", int64(slowSeed))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 8, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"sort"
 
+	"repro/internal/journal"
 	"repro/internal/randnet"
 	"repro/internal/stream"
 	"repro/internal/utility"
@@ -17,30 +19,8 @@ import (
 // requires λ > 0, so processes that dip to zero clamp here.
 const minRate = 1e-3
 
-// Event is one compiled scenario action. The stream is totally ordered
-// by (Epoch, Seq); Seq is the global position, so sorting is never
-// needed. The JSON encoding is canonical: compiling the same scenario
-// at the same scale always produces byte-identical streams.
-type Event struct {
-	Epoch int `json:"epoch"`
-	Seq   int `json:"seq"`
-	// Kind is one of "arrive", "rate", "depart", "scale_capacity",
-	// "set_capacity", "scale_bandwidth", "set_bandwidth".
-	Kind      string  `json:"kind"`
-	Commodity string  `json:"commodity,omitempty"`
-	Rate      float64 `json:"rate,omitempty"`
-	// Spec is the full commodity JSON an arrival admits (the problem
-	// schema's "commodities" element form).
-	Spec   json.RawMessage `json:"spec,omitempty"`
-	Node   string          `json:"node,omitempty"`
-	From   string          `json:"from,omitempty"`
-	To     string          `json:"to,omitempty"`
-	Factor float64         `json:"factor,omitempty"`
-	Value  float64         `json:"value,omitempty"`
-}
-
 // Compiled is one scenario rendered to a concrete base problem and a
-// deterministic event stream at a given offered-load scale factor.
+// deterministic mutation script at a given offered-load scale factor.
 type Compiled struct {
 	Scenario *Scenario
 	// Scale multiplied every offered rate (the saturation sweep's
@@ -50,8 +30,22 @@ type Compiled struct {
 	// problem a fresh server starts from. Every sink and link a later
 	// arrival needs already exists.
 	Base *stream.Problem
-	// Events is the stream, ordered by (Epoch, Seq).
-	Events []Event
+	// Epochs is the script, one entry per scenario epoch.
+	Epochs []Epoch
+}
+
+// Epoch is one epoch of the script: the mutations the server receives,
+// in order, and the driver-side view of the problem after them.
+type Epoch struct {
+	// Mutations are the epoch's arrivals (AddCommodity), then one
+	// SetRates of its rate changes when there are any, then its faults,
+	// then its departures (RemoveCommodity).
+	Mutations []journal.Mutation
+	// Changes is what the epoch counts toward RunResult.Mutations: one
+	// per mutation, except that a batch of k rates counts k.
+	Changes int
+	Active  int     // commodities present after the epoch
+	Offered float64 // Σλ over them, summed in name order
 }
 
 // member is one cohort member's compiled lifecycle.
@@ -63,7 +57,7 @@ type member struct {
 	current float64 // last emitted rate
 }
 
-// Compile renders the scenario to its event stream at the given scale
+// Compile renders the scenario to its mutation script at the given scale
 // factor (≤ 0 means 1). Everything downstream of the scenario seed is
 // deterministic: the generated network, each member's arrival and
 // departure epochs, and every rate draw.
@@ -166,13 +160,9 @@ func Compile(sc *Scenario, scale float64) (*Compiled, error) {
 	}
 
 	c := &Compiled{Scenario: sc, Scale: scale, Base: base}
-	seq := 0
-	push := func(e Event) {
-		e.Seq = seq
-		seq++
-		c.Events = append(c.Events, e)
-	}
+	offered := map[string]float64{} // λ by present commodity
 	for epoch := 0; epoch < sc.Epochs; epoch++ {
+		var ep Epoch
 		for _, m := range members {
 			if m.arrive != epoch || m.depart <= epoch {
 				continue
@@ -186,29 +176,42 @@ func Compile(sc *Scenario, scale float64) (*Compiled, error) {
 				return nil, fmt.Errorf("loadgen: scenario %q: %s: %w", sc.Name, m.name, err)
 			}
 			m.current = r
-			push(Event{Epoch: epoch, Kind: "arrive", Commodity: m.name, Rate: r, Spec: spec})
+			offered[m.name] = r
+			ep.Mutations = append(ep.Mutations, journal.AddCommodity(spec))
 		}
+		rates := map[string]float64{}
 		for _, m := range members {
 			if epoch <= m.arrive || epoch >= m.depart {
 				continue
 			}
 			if r := scaledRate(m.proc, epoch, scale); r != m.current {
 				m.current = r
-				push(Event{Epoch: epoch, Kind: "rate", Commodity: m.name, Rate: r})
+				offered[m.name] = r
+				rates[m.name] = r
 			}
 		}
+		if len(rates) > 0 {
+			ep.Mutations = append(ep.Mutations, journal.SetRates(rates))
+		}
 		for _, f := range sc.Faults {
-			if f.At != epoch {
-				continue
+			if f.At == epoch {
+				fm, _ := f.mutation() // Validate accepted it
+				ep.Mutations = append(ep.Mutations, fm)
 			}
-			push(Event{Epoch: epoch, Kind: f.Kind, Node: f.Node,
-				From: f.From, To: f.To, Factor: f.Factor, Value: f.Value})
 		}
 		for _, m := range members {
 			if m.depart == epoch && m.arrive < epoch {
-				push(Event{Epoch: epoch, Kind: "depart", Commodity: m.name})
+				delete(offered, m.name)
+				ep.Mutations = append(ep.Mutations, journal.RemoveCommodity(m.name))
 			}
 		}
+		ep.Changes = len(ep.Mutations)
+		if len(rates) > 0 {
+			ep.Changes += len(rates) - 1 // the batch counts each of its rates
+		}
+		ep.Active = len(offered)
+		ep.Offered = sum(offered)
+		c.Epochs = append(c.Epochs, ep)
 	}
 	return c, nil
 }
@@ -259,20 +262,44 @@ func scaledRate(p workload.Process, epoch int, scale float64) float64 {
 	return r
 }
 
-// EventStreamJSONL renders the stream as one JSON object per line —
-// the canonical byte-identical form (same scenario, seed, and scale ⇒
-// same bytes, always).
+// EventStreamJSONL renders the script as one JSON object per line: the
+// epoch and the mutation's journal wire form (op, target, encoded
+// payload). It is the canonical byte-identical form: same scenario,
+// seed, and scale ⇒ same bytes, always.
 func (c *Compiled) EventStreamJSONL() ([]byte, error) {
 	var out []byte
-	for _, e := range c.Events {
-		line, err := json.Marshal(e)
-		if err != nil {
-			return nil, err
+	for epoch, ep := range c.Epochs {
+		for _, m := range ep.Mutations {
+			if err := m.Encode(); err != nil { // on the copy: the script stays as built
+				return nil, err
+			}
+			line, err := json.Marshal(struct {
+				Epoch int `json:"epoch"`
+				journal.Mutation
+			}{epoch, m})
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, line...)
+			out = append(out, '\n')
 		}
-		out = append(out, line...)
-		out = append(out, '\n')
 	}
 	return out, nil
+}
+
+// sum is Σ of the map's values in name order, so the float addition is
+// reproducible run to run.
+func sum(m map[string]float64) float64 {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	total := 0.0
+	for _, name := range names {
+		total += m[name]
+	}
+	return total
 }
 
 // EventStreamHash is the hex SHA-256 of EventStreamJSONL — what sweep

@@ -2,8 +2,11 @@ package loadgen
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"testing"
+
+	"repro/internal/journal"
 )
 
 func loadScenario(t *testing.T, name string) *Scenario {
@@ -50,7 +53,7 @@ func TestCompileIsByteIdentical(t *testing.T) {
 			}
 
 			// A different scale must change the stream (rates scale) but
-			// not its shape (same event count, same kinds in order).
+			// not its shape (same ops on the same targets in each epoch).
 			c, err := Compile(loadScenario(t, name), 2)
 			if err != nil {
 				t.Fatal(err)
@@ -59,21 +62,30 @@ func TestCompileIsByteIdentical(t *testing.T) {
 			if bytes.Equal(ja, jc) {
 				t.Fatal("scale 2 compiled to the same stream as scale 1")
 			}
-			if len(a.Events) != len(c.Events) {
-				t.Fatalf("scale changed event count: %d vs %d", len(a.Events), len(c.Events))
+			if len(a.Epochs) != len(c.Epochs) {
+				t.Fatalf("scale changed the epoch count: %d vs %d", len(a.Epochs), len(c.Epochs))
 			}
-			for i := range a.Events {
-				if a.Events[i].Kind != c.Events[i].Kind || a.Events[i].Commodity != c.Events[i].Commodity {
-					t.Fatalf("scale changed event shape at %d", i)
+			for e := range a.Epochs {
+				ma, mc := a.Epochs[e].Mutations, c.Epochs[e].Mutations
+				if len(ma) != len(mc) {
+					t.Fatalf("scale changed epoch %d's mutation count: %d vs %d", e, len(ma), len(mc))
+				}
+				for i := range ma {
+					if ma[i].Op != mc[i].Op || ma[i].Target != mc[i].Target {
+						t.Fatalf("scale changed epoch %d mutation %d: %s %s vs %s %s",
+							e, i, ma[i].Op, ma[i].Target, mc[i].Op, mc[i].Target)
+					}
 				}
 			}
 		})
 	}
 }
 
-// Structural invariants of a compiled stream: ordered by (epoch, seq),
-// arrivals precede any other event for the commodity, departures are
-// final, and the base problem starts empty.
+// Structural invariants of a compiled script: one entry per epoch, an
+// epoch's mutations in the order arrivals, one rate batch, faults,
+// departures; arrivals precede any other mutation for the commodity,
+// departures are final, the base problem starts empty, and each
+// epoch's bookkeeping (Changes, Active, Offered) matches its mutations.
 func TestCompileEventInvariants(t *testing.T) {
 	c, err := Compile(loadScenario(t, "flashcrowd.json"), 1)
 	if err != nil {
@@ -82,42 +94,83 @@ func TestCompileEventInvariants(t *testing.T) {
 	if len(c.Base.Commodities) != 0 {
 		t.Fatalf("base problem has %d commodities, want 0", len(c.Base.Commodities))
 	}
+	if len(c.Epochs) != c.Scenario.Epochs {
+		t.Fatalf("%d compiled epochs, want %d", len(c.Epochs), c.Scenario.Epochs)
+	}
+	rank := map[string]int{
+		journal.OpAddCommodity:    0,
+		journal.OpSetRates:        1,
+		journal.OpScaleCapacity:   2,
+		journal.OpSetCapacity:     2,
+		journal.OpScaleBandwidth:  2,
+		journal.OpSetBandwidth:    2,
+		journal.OpRemoveCommodity: 3,
+	}
 	arrived := map[string]bool{}
 	departed := map[string]bool{}
-	for i, e := range c.Events {
-		if e.Seq != i {
-			t.Fatalf("event %d has seq %d", i, e.Seq)
+	offered := map[string]float64{}
+	for e, ep := range c.Epochs {
+		changes, last, batches := 0, 0, 0
+		for i := range ep.Mutations {
+			m := &ep.Mutations[i]
+			r, ok := rank[m.Op]
+			if !ok {
+				t.Fatalf("epoch %d: unexpected op %q", e, m.Op)
+			}
+			if r < last {
+				t.Fatalf("epoch %d: %s after a later-ranked op", e, m.Op)
+			}
+			last = r
+			changes++
+			switch m.Op {
+			case journal.OpAddCommodity:
+				if arrived[m.Target] {
+					t.Fatalf("%s arrived twice", m.Target)
+				}
+				var spec struct {
+					MaxRate float64 `json:"maxRate"`
+				}
+				if err := json.Unmarshal(m.Payload, &spec); err != nil {
+					t.Fatalf("%s arrival spec: %v", m.Target, err)
+				}
+				if spec.MaxRate <= 0 {
+					t.Fatalf("%s arrival rate %g", m.Target, spec.MaxRate)
+				}
+				arrived[m.Target] = true
+				offered[m.Target] = spec.MaxRate
+			case journal.OpSetRates:
+				batches++
+				pl, err := journal.Decode[journal.RatesPayload](m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(pl.Rates) == 0 {
+					t.Fatalf("epoch %d: empty rate batch", e)
+				}
+				for name, rate := range pl.Rates {
+					if !arrived[name] || departed[name] {
+						t.Fatalf("rate change for absent commodity %s", name)
+					}
+					if rate <= 0 {
+						t.Fatalf("%s rate %g", name, rate)
+					}
+					offered[name] = rate
+				}
+				changes += len(pl.Rates) - 1
+			case journal.OpRemoveCommodity:
+				if !arrived[m.Target] || departed[m.Target] {
+					t.Fatalf("departure of absent commodity %s", m.Target)
+				}
+				departed[m.Target] = true
+				delete(offered, m.Target)
+			}
 		}
-		if i > 0 && e.Epoch < c.Events[i-1].Epoch {
-			t.Fatalf("event %d epoch %d precedes %d", i, e.Epoch, c.Events[i-1].Epoch)
+		if batches > 1 {
+			t.Fatalf("epoch %d has %d rate batches, want at most 1", e, batches)
 		}
-		if e.Epoch < 0 || e.Epoch >= c.Scenario.Epochs {
-			t.Fatalf("event %d epoch %d outside horizon", i, e.Epoch)
-		}
-		switch e.Kind {
-		case "arrive":
-			if arrived[e.Commodity] {
-				t.Fatalf("%s arrived twice", e.Commodity)
-			}
-			if len(e.Spec) == 0 {
-				t.Fatalf("%s arrival carries no spec", e.Commodity)
-			}
-			if e.Rate <= 0 {
-				t.Fatalf("%s arrival rate %g", e.Commodity, e.Rate)
-			}
-			arrived[e.Commodity] = true
-		case "rate":
-			if !arrived[e.Commodity] || departed[e.Commodity] {
-				t.Fatalf("rate event for absent commodity %s", e.Commodity)
-			}
-			if e.Rate <= 0 {
-				t.Fatalf("%s rate %g", e.Commodity, e.Rate)
-			}
-		case "depart":
-			if !arrived[e.Commodity] || departed[e.Commodity] {
-				t.Fatalf("depart event for absent commodity %s", e.Commodity)
-			}
-			departed[e.Commodity] = true
+		if ep.Changes != changes || ep.Active != len(offered) || ep.Offered != sum(offered) {
+			t.Fatalf("epoch %d bookkeeping %d/%d/%g, mutations say %d/%d/%g",
+				e, ep.Changes, ep.Active, ep.Offered, changes, len(offered), sum(offered))
 		}
 	}
 	// flashcrowd: 3 baseline members arrive at 0, 5 crowd members in the
@@ -130,29 +183,35 @@ func TestCompileEventInvariants(t *testing.T) {
 	}
 }
 
-// Arrival specs must admit cleanly onto the base problem — the driver
-// depends on every compiled spec validating against the substrate.
+// Every compiled mutation must apply, in order, onto the base problem:
+// the driver depends on the whole script validating against the
+// substrate, for every bundled scenario.
 func TestCompiledArrivalsAdmit(t *testing.T) {
-	c, err := Compile(loadScenario(t, "churn.json"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := c.Base.Clone()
-	admitted := 0
-	for _, e := range c.Events {
-		switch e.Kind {
-		case "arrive":
-			if _, err := p.AddCommodityFromJSON(e.Spec); err != nil {
-				t.Fatalf("arrival %s failed to admit: %v", e.Commodity, err)
+	for _, name := range []string{"flashcrowd.json", "diurnal.json", "churn.json"} {
+		t.Run(name, func(t *testing.T) {
+			c, err := Compile(loadScenario(t, name), 1)
+			if err != nil {
+				t.Fatal(err)
 			}
-			admitted++
-		case "depart":
-			if !p.RemoveCommodity(e.Commodity) {
-				t.Fatalf("depart %s: not present", e.Commodity)
+			p := c.Base.Clone()
+			admitted := 0
+			for e, ep := range c.Epochs {
+				for i := range ep.Mutations {
+					m := ep.Mutations[i]
+					if err := journal.Apply(p, &m); err != nil {
+						t.Fatalf("epoch %d: %s %s: %v", e, m.Op, m.Target, err)
+					}
+					if m.Op == journal.OpAddCommodity {
+						admitted++
+					}
+				}
+				if len(p.Commodities) != ep.Active {
+					t.Fatalf("epoch %d: %d commodities after applying, bookkeeping says %d", e, len(p.Commodities), ep.Active)
+				}
 			}
-		}
-	}
-	if admitted == 0 {
-		t.Fatal("churn scenario compiled no arrivals")
+			if admitted == 0 {
+				t.Fatal("scenario compiled no arrivals")
+			}
+		})
 	}
 }

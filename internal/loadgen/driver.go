@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
 	"time"
 
 	"repro/internal/journal"
@@ -34,7 +33,7 @@ func (o Observation) AdmittedFrac() float64 {
 	return o.Admitted / o.Offered
 }
 
-// Backend is where compiled events land. Two implementations: InProc
+// Backend is where compiled mutations land. Two implementations: InProc
 // (a *server.Server in the same process — deterministic tests,
 // throughput benchmarks) and HTTP (a live admissiond).
 type Backend interface {
@@ -87,19 +86,11 @@ func observe(snap *server.Snapshot) Observation {
 
 // HTTP drives a live admissiond over its REST API.
 type HTTP struct {
-	Base   string // e.g. "http://localhost:8080"
-	Client *http.Client
+	Base string // e.g. "http://localhost:8080"
 }
 
 // httpPoll is how often HTTP.WaitForGeneration reads the snapshot.
 const httpPoll = 10 * time.Millisecond
-
-func (b HTTP) client() *http.Client {
-	if b.Client != nil {
-		return b.Client
-	}
-	return http.DefaultClient
-}
 
 // do sends one mutation and returns the server revision it produced.
 func (b HTTP) do(method, path string, body []byte) (int64, error) {
@@ -110,7 +101,7 @@ func (b HTTP) do(method, path string, body []byte) (int64, error) {
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := b.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, err
 	}
@@ -177,7 +168,7 @@ func (b HTTP) send(err error, method, path string, body any) (int64, error) {
 }
 
 func (b HTTP) Observe() (Observation, error) {
-	resp, err := b.client().Get(b.Base + "/v1/snapshot")
+	resp, err := http.DefaultClient.Get(b.Base + "/v1/snapshot")
 	if err != nil {
 		return Observation{}, err
 	}
@@ -272,103 +263,42 @@ type RunResult struct {
 	Final Observation `json:"final"`
 }
 
-// Run drives one compiled scenario against a backend, epoch by epoch:
-// arrivals and faults apply individually, an epoch's rate changes
-// coalesce into one SetRates batch, departures apply individually.
-// Events apply in compiled order, so a run is as deterministic as the
-// backend lets it be.
+// Run drives one compiled scenario against a backend, epoch by epoch,
+// applying each mutation as compiled. The script is fixed, so a run is
+// as deterministic as the backend lets it be.
 func Run(c *Compiled, be Backend, opts DriverOptions) (*RunResult, error) {
 	if opts.SyncTimeout <= 0 {
 		opts.SyncTimeout = 10 * time.Second
 	}
 	res := &RunResult{}
-	offered := map[string]float64{} // driver-side view of λ by commodity
 	var lastRev int64
 	start := time.Now()
-	cursor := 0
 	syncDue := 0
-	for epoch := 0; epoch < c.Scenario.Epochs; epoch++ {
+	for epoch, ep := range c.Epochs {
 		if opts.RealTime && c.Scenario.EpochMillis > 0 {
 			wakeAt := start.Add(time.Duration(epoch*c.Scenario.EpochMillis) * time.Millisecond)
 			if d := time.Until(wakeAt); d > 0 {
 				time.Sleep(d)
 			}
 		}
-		applied := 0
-		rates := map[string]float64{}
-		flushRates := func() error {
-			if len(rates) == 0 {
-				return nil
-			}
-			rev, err := be.Apply(journal.SetRates(rates))
+		epochStart := time.Now()
+		for i, m := range ep.Mutations {
+			rev, err := be.Apply(m)
 			if err != nil {
-				return err
+				return nil, fmt.Errorf("loadgen: epoch %d mutation %d (%s %s): %w", epoch, i, m.Op, m.Target, err)
 			}
 			lastRev = rev
-			applied += len(rates)
-			for name, r := range rates {
-				offered[name] = r
-			}
-			rates = map[string]float64{}
-			return nil
-		}
-		epochStart := time.Now()
-		for ; cursor < len(c.Events) && c.Events[cursor].Epoch == epoch; cursor++ {
-			e := c.Events[cursor]
-			var m journal.Mutation
-			switch e.Kind {
-			case "rate":
-				// Batched; flushed before any non-rate event so the
-				// backend sees the compiled order.
-				rates[e.Commodity] = e.Rate
-				continue
-			case "arrive":
-				m = journal.AddCommodity(e.Spec)
-			case "depart":
-				m = journal.RemoveCommodity(e.Commodity)
-			case "scale_capacity":
-				m = journal.ScaleCapacity(e.Node, e.Factor)
-			case "set_capacity":
-				m = journal.SetCapacity(e.Node, e.Value)
-			case "scale_bandwidth":
-				m = journal.ScaleBandwidth(e.From, e.To, e.Factor)
-			case "set_bandwidth":
-				m = journal.SetBandwidth(e.From, e.To, e.Value)
-			default:
-				return nil, fmt.Errorf("loadgen: epoch %d seq %d: unknown event kind %q", e.Epoch, e.Seq, e.Kind)
-			}
-			err := flushRates()
-			var rev int64
-			if err == nil {
-				rev, err = be.Apply(m)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("loadgen: epoch %d seq %d: %w", e.Epoch, e.Seq, err)
-			}
-			switch e.Kind {
-			case "arrive":
-				offered[e.Commodity] = e.Rate
-			case "depart":
-				delete(offered, e.Commodity)
-			}
-			if rev > 0 {
-				lastRev = rev
-			}
-			applied++
-		}
-		if err := flushRates(); err != nil {
-			return nil, fmt.Errorf("loadgen: epoch %d: %w", epoch, err)
 		}
 
 		sample := EpochSample{
 			Epoch:          epoch,
-			Active:         len(offered),
-			Mutations:      applied,
-			Offered:        sum(offered),
+			Active:         ep.Active,
+			Mutations:      ep.Changes,
+			Offered:        ep.Offered,
 			LatencySeconds: -1,
 		}
-		if applied > 0 {
-			res.Mutations += applied
+		if ep.Changes > 0 {
+			res.Mutations += ep.Changes
 			syncDue++
 			if opts.SyncEvery > 0 && syncDue >= opts.SyncEvery {
 				syncDue = 0
@@ -398,18 +328,4 @@ func Run(c *Compiled, be Backend, opts DriverOptions) (*RunResult, error) {
 		res.MutationsPerSec = float64(res.Mutations) / res.Seconds
 	}
 	return res, nil
-}
-
-func sum(m map[string]float64) float64 {
-	// Deterministic order so float addition is reproducible run to run.
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	total := 0.0
-	for _, name := range names {
-		total += m[name]
-	}
-	return total
 }

@@ -46,8 +46,12 @@ func TestDriveFlashCrowdInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mutations != len(c.Events) {
-		t.Fatalf("applied %d mutations, compiled %d", res.Mutations, len(c.Events))
+	compiled := 0
+	for _, ep := range c.Epochs {
+		compiled += ep.Changes
+	}
+	if res.Mutations != compiled {
+		t.Fatalf("applied %d mutations, compiled %d", res.Mutations, compiled)
 	}
 	if res.Final.Generation == 0 || !res.Final.Feasible {
 		t.Fatalf("final observation %+v: want a feasible published snapshot", res.Final)
@@ -160,13 +164,8 @@ func TestHTTPBackendMirrorsTheRoutes(t *testing.T) {
 	}
 	const name = "q?x/y z"
 	var spec map[string]any
-	for _, e := range c.Events {
-		if e.Kind == "arrive" {
-			if err := json.Unmarshal(e.Spec, &spec); err != nil {
-				t.Fatal(err)
-			}
-			break
-		}
+	if err := json.Unmarshal(c.Epochs[0].Mutations[0].Payload, &spec); err != nil {
+		t.Fatal(err) // churn's first mutation is an arrival
 	}
 	spec["name"] = name
 	specJSON, err := json.Marshal(spec)

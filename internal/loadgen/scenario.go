@@ -3,15 +3,16 @@
 // of commodities with arrival/departure processes, per-epoch rate
 // trajectories drawn from internal/workload, weighted α-fair priority
 // classes, and scripted node/link fault injection — into deterministic
-// event streams, drives them against a live server (in-process or over
-// HTTP) on a virtual clock, and sweeps offered load to locate the
-// saturation knee where admission control starts rejecting.
+// scripts of journal mutations, drives them against a live server
+// (in-process or over HTTP) on a virtual clock, and sweeps offered load
+// to locate the saturation knee where admission control starts
+// rejecting.
 //
 // The paper's premise (§1) is bursty, unpredictable stream rates that
 // force admission control; this package is the harness that produces
 // those rates reproducibly. Everything is a pure function of the
 // scenario (including its seed): the same scenario always compiles to
-// a byte-identical event stream, so saturation sweeps and CI smoke
+// a byte-identical mutation script, so saturation sweeps and CI smoke
 // runs are exactly replayable.
 package loadgen
 
@@ -20,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/journal"
 	"repro/internal/workload"
 )
 
@@ -147,12 +149,11 @@ type RateSpec struct {
 	Sigma  float64 `json:"sigma,omitempty"`
 }
 
-// FaultSpec is one scripted capacity/bandwidth event.
-//
-// Kinds: "scale_capacity" (Node, Factor), "set_capacity" (Node,
-// Value), "scale_bandwidth" (From, To, Factor), "set_bandwidth"
-// (From, To, Value). Node names follow randnet's n00, n01, ...
-// convention.
+// FaultSpec is one scripted capacity/bandwidth change. Its kind is the
+// journal op it compiles to: "scale_capacity" (Node, Factor),
+// "set_capacity" (Node, Value), "scale_bandwidth" (From, To, Factor),
+// "set_bandwidth" (From, To, Value). Node names follow randnet's n00,
+// n01, ... convention.
 type FaultSpec struct {
 	At     int     `json:"at"`
 	Kind   string  `json:"kind"`
@@ -161,6 +162,34 @@ type FaultSpec struct {
 	To     string  `json:"to,omitempty"`
 	Factor float64 `json:"factor,omitempty"`
 	Value  float64 `json:"value,omitempty"`
+}
+
+// mutation is the fault as the journal op its kind names, or why the
+// spec does not make one.
+func (f FaultSpec) mutation() (journal.Mutation, error) {
+	switch f.Kind {
+	case journal.OpScaleCapacity:
+		if f.Node != "" && f.Factor > 0 {
+			return journal.ScaleCapacity(f.Node, f.Factor), nil
+		}
+		return journal.Mutation{}, fmt.Errorf("scale_capacity needs node and positive factor")
+	case journal.OpSetCapacity:
+		if f.Node != "" && f.Value > 0 {
+			return journal.SetCapacity(f.Node, f.Value), nil
+		}
+		return journal.Mutation{}, fmt.Errorf("set_capacity needs node and positive value")
+	case journal.OpScaleBandwidth:
+		if f.From != "" && f.To != "" && f.Factor > 0 {
+			return journal.ScaleBandwidth(f.From, f.To, f.Factor), nil
+		}
+		return journal.Mutation{}, fmt.Errorf("scale_bandwidth needs from, to, and positive factor")
+	case journal.OpSetBandwidth:
+		if f.From != "" && f.To != "" && f.Value > 0 {
+			return journal.SetBandwidth(f.From, f.To, f.Value), nil
+		}
+		return journal.Mutation{}, fmt.Errorf("set_bandwidth needs from, to, and positive value")
+	}
+	return journal.Mutation{}, fmt.Errorf("unknown kind %q (want scale_capacity, set_capacity, scale_bandwidth, or set_bandwidth)", f.Kind)
 }
 
 // ParseScenario decodes and validates a scenario. Unknown fields are
@@ -265,26 +294,8 @@ func (sc *Scenario) Validate() error {
 		if f.At < 0 || f.At >= sc.Epochs {
 			return fmt.Errorf("loadgen: scenario %q: fault %d: at=%d outside [0,%d)", sc.Name, i, f.At, sc.Epochs)
 		}
-		switch f.Kind {
-		case "scale_capacity":
-			if f.Node == "" || f.Factor <= 0 {
-				return fmt.Errorf("loadgen: scenario %q: fault %d: scale_capacity needs node and positive factor", sc.Name, i)
-			}
-		case "set_capacity":
-			if f.Node == "" || f.Value <= 0 {
-				return fmt.Errorf("loadgen: scenario %q: fault %d: set_capacity needs node and positive value", sc.Name, i)
-			}
-		case "scale_bandwidth":
-			if f.From == "" || f.To == "" || f.Factor <= 0 {
-				return fmt.Errorf("loadgen: scenario %q: fault %d: scale_bandwidth needs from, to, and positive factor", sc.Name, i)
-			}
-		case "set_bandwidth":
-			if f.From == "" || f.To == "" || f.Value <= 0 {
-				return fmt.Errorf("loadgen: scenario %q: fault %d: set_bandwidth needs from, to, and positive value", sc.Name, i)
-			}
-		default:
-			return fmt.Errorf("loadgen: scenario %q: fault %d: unknown kind %q (want scale_capacity, set_capacity, scale_bandwidth, or set_bandwidth)",
-				sc.Name, i, f.Kind)
+		if _, err := f.mutation(); err != nil {
+			return fmt.Errorf("loadgen: scenario %q: fault %d: %w", sc.Name, i, err)
 		}
 	}
 	return nil

@@ -12,6 +12,7 @@ import (
 	"repro/internal/randnet"
 	"repro/internal/stream"
 	"repro/internal/transform"
+	"repro/internal/utility"
 )
 
 func TestPlaceStable(t *testing.T) {
@@ -382,7 +383,7 @@ func TestExternalUsageShiftsPrices(t *testing.T) {
 	ext[node] = 2.5
 	x.SetExternal(ext)
 	shifted := x.PenaltyDeriv(graph.NodeID(node), 1.0)
-	direct := x.Epsilon * x.Penalty.Deriv(3.5, x.Capacity[node])
+	direct := x.Epsilon * utility.Reciprocal{}.Deriv(3.5, x.Capacity[node])
 	if shifted != direct {
 		t.Fatalf("external price %v != direct evaluation %v", shifted, direct)
 	}

@@ -39,10 +39,8 @@ type ServerSpec struct {
 type AssemblySpec struct {
 	Servers []ServerSpec
 	Streams []StreamSpec
-	// LinkBandwidth returns the bandwidth of a link; links are created
-	// lazily as stream stages require them. Nil means DefaultBandwidth.
-	LinkBandwidth func(from, to string) float64
-	// DefaultBandwidth is used when LinkBandwidth is nil.
+	// DefaultBandwidth is every link's bandwidth; links are created
+	// lazily as stream stages require them. Zero or negative means 1e9.
 	DefaultBandwidth float64
 }
 
@@ -53,10 +51,6 @@ type AssemblySpec struct {
 func Assemble(spec AssemblySpec) (*Problem, error) {
 	if spec.DefaultBandwidth <= 0 {
 		spec.DefaultBandwidth = 1e9
-	}
-	bw := spec.LinkBandwidth
-	if bw == nil {
-		bw = func(_, _ string) float64 { return spec.DefaultBandwidth }
 	}
 
 	net := NewNetwork()
@@ -109,7 +103,7 @@ func Assemble(spec AssemblySpec) (*Problem, error) {
 				for _, to := range next {
 					e := net.G.EdgeBetween(from, to)
 					if e == graph.Invalid {
-						e, err = net.AddLink(from, to, bw(net.Names[from], net.Names[to]))
+						e, err = net.AddLink(from, to, spec.DefaultBandwidth)
 						if err != nil {
 							return nil, err
 						}

@@ -179,12 +179,7 @@ func TestAssembleCustomBandwidth(t *testing.T) {
 			MaxRate: 1,
 			Utility: utility.Linear{Slope: 1},
 		}},
-		LinkBandwidth: func(from, to string) float64 {
-			if from == "x" && to == "y" {
-				return 42
-			}
-			return 7
-		},
+		DefaultBandwidth: 42,
 	})
 	if err != nil {
 		t.Fatal(err)

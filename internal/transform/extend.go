@@ -8,7 +8,7 @@
 //     over a dummy difference link (s̄_j, sink_j) whose cost is the
 //     utility loss Y (Figure 3, eq. 1);
 //  3. capacity constraints move into the objective through convex
-//     barrier penalties ε·D_i (Penalty).
+//     barrier penalties ε·D_i (utility.Reciprocal).
 //
 // The result is the routing problem min A = Y + ε·D that internal/flow,
 // internal/gradient and internal/backpressure operate on.
@@ -80,8 +80,7 @@ type Commodity struct {
 type Extended struct {
 	// Capacity per node; +Inf for dummy nodes and sinks.
 	Capacity []float64
-	// Penalty is the barrier family D; Epsilon scales it (cost = ε·D).
-	Penalty utility.Penalty
+	// Epsilon scales the barrier D = utility.Reciprocal (cost = ε·D).
 	Epsilon float64
 
 	Commodities []Commodity
@@ -109,7 +108,7 @@ type Extended struct {
 	// indexing: parameters, topo order, and adjacency over only the
 	// edges the commodity can use, trimmed to dummy→sink paths. This is
 	// the only per-commodity representation; a global edge ID maps into
-	// it through Sub[j].LocalEdge.
+	// it through graph.Local(Sub[j].Edges, e).
 	Sub []Subgraph
 
 	// net, names and kinds are the network topology Build read, shared
@@ -129,9 +128,6 @@ type Extended struct {
 
 // Options configures the transformation.
 type Options struct {
-	// Penalty is the barrier family; nil means utility.Reciprocal (the
-	// paper's example D(z) = 1/(C−z)).
-	Penalty utility.Penalty
 	// Epsilon scales the penalty term (the paper's ε; §6 uses 0.2).
 	// Zero or negative means 0.2.
 	Epsilon float64
@@ -162,9 +158,6 @@ func Build(p *stream.Problem, opts Options) (*Extended, error) {
 	if err := p.ValidateSubset(incl); err != nil {
 		return nil, err
 	}
-	if opts.Penalty == nil {
-		opts.Penalty = utility.Reciprocal{}
-	}
 	if opts.Epsilon <= 0 {
 		opts.Epsilon = 0.2
 	}
@@ -181,7 +174,6 @@ func Build(p *stream.Problem, opts Options) (*Extended, error) {
 	j := len(order)
 	x := &Extended{
 		Capacity:    make([]float64, n+m+j),
-		Penalty:     opts.Penalty,
 		Epsilon:     opts.Epsilon,
 		SharedNodes: n + m,
 		Commodities: make([]Commodity, j),
@@ -466,7 +458,7 @@ func (x *Extended) PenaltyValue(i graph.NodeID, z float64) float64 {
 	if int(i) < len(x.External) {
 		z += x.External[i]
 	}
-	return x.Epsilon * x.Penalty.Value(z, c)
+	return x.Epsilon * utility.Reciprocal{}.Value(z, c)
 }
 
 // ShadowPrice returns ε·D'_i(z) for node i at a usage z that already
@@ -477,7 +469,7 @@ func (x *Extended) ShadowPrice(i graph.NodeID, z float64) float64 {
 	if math.IsInf(c, 1) {
 		return 0
 	}
-	return x.Epsilon * x.Penalty.Deriv(z, c)
+	return x.Epsilon * utility.Reciprocal{}.Deriv(z, c)
 }
 
 // PenaltyDeriv returns ε·D'_i(z + External_i) for node i, zero for

@@ -114,13 +114,13 @@ func TestBandwidthNodes(t *testing.T) {
 		}
 		// The wire half transfers one-for-one: β = c = 1.
 		sg := &x.Sub[0]
-		if le := sg.LocalEdge(out); sg.Beta[le] != 1 || sg.Cost[le] != 1 {
+		if le := graph.Local(sg.Edges, out); sg.Beta[le] != 1 || sg.Cost[le] != 1 {
 			t.Fatalf("wire half beta=%g cost=%g, want 1,1", sg.Beta[le], sg.Cost[le])
 		}
 		// The processing half inherits the original parameters.
 		edge := og.Edge(orig)
 		want := p.Commodities[0].Edges[orig]
-		if le := sg.LocalEdge(in); sg.Beta[le] != want.Beta || sg.Cost[le] != want.Cost {
+		if le := graph.Local(sg.Edges, in); sg.Beta[le] != want.Beta || sg.Cost[le] != want.Cost {
 			t.Fatalf("proc half (%d,%d) beta=%g cost=%g, want %+v", edge.From, edge.To, sg.Beta[le], sg.Cost[le], want)
 		}
 	}
@@ -148,7 +148,7 @@ func TestDummyNodes(t *testing.T) {
 		}
 		// Both dummy links carry flow one-for-one.
 		for _, e := range []graph.EdgeID{c.InputLink, c.DiffLink} {
-			if le := x.Sub[j].LocalEdge(e); x.Sub[j].Beta[le] != 1 || x.Sub[j].Cost[le] != 1 {
+			if le := graph.Local(x.Sub[j].Edges, e); x.Sub[j].Beta[le] != 1 || x.Sub[j].Cost[le] != 1 {
 				t.Fatalf("dummy link beta=%g cost=%g, want 1,1", x.Sub[j].Beta[le], x.Sub[j].Cost[le])
 			}
 		}
@@ -188,9 +188,6 @@ func TestDefaultOptions(t *testing.T) {
 	if x.Epsilon != 0.2 {
 		t.Fatalf("default epsilon = %g, want 0.2 (§6)", x.Epsilon)
 	}
-	if x.Penalty.Name() != "reciprocal" {
-		t.Fatalf("default penalty = %q, want reciprocal", x.Penalty.Name())
-	}
 }
 
 func TestLossOnDiffLinkOnly(t *testing.T) {
@@ -214,7 +211,7 @@ func TestMemberSubgraphsAreDAGs(t *testing.T) {
 	x := mustBuild(t, p, Options{})
 	g := extendedGraph(x)
 	for j := range x.Commodities {
-		if _, err := g.TopoSortFiltered(func(e graph.EdgeID) bool { return x.Sub[j].LocalEdge(e) >= 0 }); err != nil {
+		if _, err := g.TopoSortFiltered(func(e graph.EdgeID) bool { return graph.Local(x.Sub[j].Edges, e) >= 0 }); err != nil {
 			t.Fatalf("commodity %d member subgraph: %v", j, err)
 		}
 		if len(x.Sub[j].Topo) != x.Sub[j].NumNodes() {
@@ -248,7 +245,7 @@ func TestTrimDropsDeadEnds(t *testing.T) {
 	// Find the proc half of the dead-end edge: src -> bw:src>b.
 	deadEnds := 0
 	for e := 0; e < x.NumEdges(); e++ {
-		if x.OrigEdge(graph.EdgeID(e)) == e3 && x.Sub[0].LocalEdge(graph.EdgeID(e)) >= 0 {
+		if x.OrigEdge(graph.EdgeID(e)) == e3 && graph.Local(x.Sub[0].Edges, graph.EdgeID(e)) >= 0 {
 			deadEnds++
 		}
 	}
@@ -291,16 +288,16 @@ func TestSubgraphAdjacencyMatchesFilteredScan(t *testing.T) {
 			node := graph.NodeID(n)
 			var wantOut, wantIn []graph.EdgeID
 			for _, e := range g.Out(node) {
-				if x.Sub[j].LocalEdge(e) >= 0 {
+				if graph.Local(x.Sub[j].Edges, e) >= 0 {
 					wantOut = append(wantOut, e)
 				}
 			}
 			for _, e := range g.In(node) {
-				if x.Sub[j].LocalEdge(e) >= 0 {
+				if graph.Local(x.Sub[j].Edges, e) >= 0 {
 					wantIn = append(wantIn, e)
 				}
 			}
-			ln := sg.LocalNode(node)
+			ln := graph.Local(sg.Nodes, node)
 			var gotOut, gotIn []graph.EdgeID
 			if ln >= 0 {
 				for _, le := range sg.Out(ln) {
@@ -323,8 +320,8 @@ func TestSubgraphAdjacencyMatchesFilteredScan(t *testing.T) {
 }
 
 // TestLocalGlobalRoundTrip checks the local↔global index maps are exact
-// inverses: LocalEdge(Edges[le]) == le and LocalNode(Nodes[ln]) == ln
-// for every member element, and -1 for every non-member element.
+// inverses: graph.Local(Edges, Edges[le]) == le and
+// graph.Local(Nodes, Nodes[ln]) == ln for every member element, and -1 for every non-member element.
 func TestLocalGlobalRoundTrip(t *testing.T) {
 	p, err := randnet.Generate(randnet.Config{Seed: 11, Nodes: 24, Commodities: 4})
 	if err != nil {
@@ -334,17 +331,17 @@ func TestLocalGlobalRoundTrip(t *testing.T) {
 	for j := range x.Commodities {
 		sg := &x.Sub[j]
 		for le, e := range sg.Edges {
-			if got := sg.LocalEdge(e); got != int32(le) {
-				t.Fatalf("commodity %d: LocalEdge(Edges[%d]=%d) = %d", j, le, e, got)
+			if got := graph.Local(sg.Edges, e); got != int32(le) {
+				t.Fatalf("commodity %d: Local(Edges, Edges[%d]=%d) = %d", j, le, e, got)
 			}
 		}
 		for ln, n := range sg.Nodes {
-			if got := sg.LocalNode(n); got != int32(ln) {
-				t.Fatalf("commodity %d: LocalNode(Nodes[%d]=%d) = %d", j, ln, n, got)
+			if got := graph.Local(sg.Nodes, n); got != int32(ln) {
+				t.Fatalf("commodity %d: Local(Nodes, Nodes[%d]=%d) = %d", j, ln, n, got)
 			}
 		}
 		for e := 0; e < x.NumEdges(); e++ {
-			le := sg.LocalEdge(graph.EdgeID(e))
+			le := graph.Local(sg.Edges, graph.EdgeID(e))
 			if le >= 0 && sg.Edges[le] != graph.EdgeID(e) {
 				t.Fatalf("commodity %d edge %d: round trip gives %d", j, e, sg.Edges[le])
 			}
@@ -366,13 +363,13 @@ func TestLocalTopoMatchesFilteredSort(t *testing.T) {
 	g := extendedGraph(x)
 	for j := range x.Commodities {
 		sg := &x.Sub[j]
-		full, err := g.TopoSortFiltered(func(e graph.EdgeID) bool { return x.Sub[j].LocalEdge(e) >= 0 })
+		full, err := g.TopoSortFiltered(func(e graph.EdgeID) bool { return graph.Local(x.Sub[j].Edges, e) >= 0 })
 		if err != nil {
 			t.Fatal(err)
 		}
 		var want []graph.NodeID
 		for _, n := range full {
-			if sg.LocalNode(n) >= 0 {
+			if graph.Local(sg.Nodes, n) >= 0 {
 				want = append(want, n)
 			}
 		}

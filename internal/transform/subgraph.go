@@ -116,14 +116,6 @@ func (s *Subgraph) RevTopo() []int32 { return s.revTopo }
 // visits only these. Callers must not modify the slice.
 func (s *Subgraph) Branch() []int32 { return s.branch }
 
-// LocalNode returns the local index of extended node n, or -1 when n is
-// not a member node. O(log member nodes).
-func (s *Subgraph) LocalNode(n graph.NodeID) int32 { return graph.Local(s.Nodes, n) }
-
-// LocalEdge returns the local index of extended edge e, or -1 when e is
-// not a member edge. O(log member edges).
-func (s *Subgraph) LocalEdge(e graph.EdgeID) int32 { return graph.Local(s.Edges, e) }
-
 // Depth returns the number of edges on the longest member path — the L
 // in the paper's O(L) message-round analysis. A topology constant,
 // computed once by Build.

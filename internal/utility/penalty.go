@@ -2,34 +2,26 @@ package utility
 
 import "math"
 
-// Penalty is a convex, increasing barrier on node resource usage z with
-// capacity C: Value(z) → ∞ as z → C (§3). The gradient algorithm only
-// ever consumes Deriv; Value is used for cost reporting.
-//
-// Implementations must behave sanely past the barrier: a transient
-// routing overshoot can forecast z ≥ C, and the algorithm needs a very
-// large — but finite and still increasing — derivative there to push
-// the flow back out rather than NaN-poisoning the iteration. See
-// DESIGN.md §6 ("barrier derivative clamping").
-type Penalty interface {
-	// Value returns D(z) given capacity c. +Inf for z ≥ c is allowed.
-	Value(z, c float64) float64
-	// Deriv returns D'(z) given capacity c, finite for all z ≥ 0.
-	Deriv(z, c float64) float64
-	// Name identifies the barrier family.
-	Name() string
-}
-
 // barrierMargin is the fraction of capacity below C at which derivative
 // evaluation is clamped: D' is evaluated at min(z, C·(1−barrierMargin)).
 const barrierMargin = 1e-6
 
-// Reciprocal is the paper's example barrier D(z) = 1/(C−z).
+// Reciprocal is the node barrier every solve runs, the paper's example
+// D(z) = 1/(C−z) (§3): a convex, increasing penalty on node resource
+// usage z with capacity C, D(z) → ∞ as z → C. The gradient algorithm
+// consumes Deriv; Value is used for cost reporting.
+//
+// Deriv behaves sanely past the barrier: a transient routing overshoot
+// can forecast z ≥ C, and the algorithm needs a very large — but finite
+// and still increasing — derivative there to push the flow back out
+// rather than NaN-poisoning the iteration. See DESIGN.md §6 ("barrier
+// derivative clamping").
 type Reciprocal struct{}
 
-// Value implements Penalty. It subtracts the empty-system offset 1/C so
-// that an idle node contributes zero cost, which makes reported costs
-// comparable across topologies; derivatives are unaffected.
+// Value returns D(z) given capacity c, +Inf for z ≥ c. It subtracts the
+// empty-system offset 1/C so that an idle node contributes zero cost,
+// which makes reported costs comparable across topologies; derivatives
+// are unaffected.
 func (Reciprocal) Value(z, c float64) float64 {
 	if z >= c {
 		return math.Inf(1)
@@ -37,50 +29,13 @@ func (Reciprocal) Value(z, c float64) float64 {
 	return 1/(c-z) - 1/c
 }
 
-// Deriv implements Penalty: D'(z) = 1/(C−z)², clamped near the barrier.
+// Deriv returns D'(z) = 1/(C−z)² given capacity c, clamped near the
+// barrier.
 func (Reciprocal) Deriv(z, c float64) float64 {
 	z = clampUsage(z, c)
 	d := c - z
 	return 1 / (d * d)
 }
-
-// Name implements Penalty.
-func (Reciprocal) Name() string { return "reciprocal" }
-
-// LogBarrier is D(z) = −log(1 − z/C), the classic interior-point
-// barrier; gentler than Reciprocal far from capacity.
-type LogBarrier struct{}
-
-// Value implements Penalty.
-func (LogBarrier) Value(z, c float64) float64 {
-	if z >= c {
-		return math.Inf(1)
-	}
-	return -math.Log(1 - z/c)
-}
-
-// Deriv implements Penalty: D'(z) = 1/(C−z), clamped near the barrier.
-func (LogBarrier) Deriv(z, c float64) float64 {
-	z = clampUsage(z, c)
-	return 1 / (c - z)
-}
-
-// Name implements Penalty.
-func (LogBarrier) Name() string { return "log" }
-
-// None is the absence of a barrier: both Value and Deriv are zero. It
-// exists for dummy nodes (infinite capacity ⇒ no penalty) and for
-// ablations that disable barriers entirely.
-type None struct{}
-
-// Value implements Penalty.
-func (None) Value(float64, float64) float64 { return 0 }
-
-// Deriv implements Penalty.
-func (None) Deriv(float64, float64) float64 { return 0 }
-
-// Name implements Penalty.
-func (None) Name() string { return "none" }
 
 // clampUsage limits z to just below capacity so barrier derivatives stay
 // finite under transient overshoot.

@@ -204,61 +204,38 @@ func TestReciprocalPenalty(t *testing.T) {
 	}
 }
 
-func TestLogBarrierPenalty(t *testing.T) {
-	var p LogBarrier
-	if got := p.Value(0, 10); got != 0 {
-		t.Fatalf("D(0) = %g, want 0", got)
-	}
-	if !math.IsInf(p.Value(10, 10), 1) {
-		t.Fatal("D(C) should be +Inf")
-	}
-	if got, want := p.Deriv(5, 10), 0.2; !approxEq(got, want, 1e-12) {
-		t.Fatalf("D'(5) = %g, want %g", got, want)
-	}
-}
-
 func TestPenaltyDerivFiniteAtAndPastBarrier(t *testing.T) {
-	for _, p := range []Penalty{Reciprocal{}, LogBarrier{}} {
-		for _, z := range []float64{9.999999, 10, 11, 1e6} {
-			d := p.Deriv(z, 10)
-			if math.IsInf(d, 0) || math.IsNaN(d) {
-				t.Errorf("%s: D'(%g) = %g, want finite", p.Name(), z, d)
-			}
-			if d <= 0 {
-				t.Errorf("%s: D'(%g) = %g, want > 0", p.Name(), z, d)
-			}
+	var p Reciprocal
+	for _, z := range []float64{9.999999, 10, 11, 1e6} {
+		d := p.Deriv(z, 10)
+		if math.IsInf(d, 0) || math.IsNaN(d) {
+			t.Errorf("D'(%g) = %g, want finite", z, d)
+		}
+		if d <= 0 {
+			t.Errorf("D'(%g) = %g, want > 0", z, d)
 		}
 	}
 }
 
 func TestPenaltyDerivMonotone(t *testing.T) {
-	for _, p := range []Penalty{Reciprocal{}, LogBarrier{}} {
-		prev := 0.0
-		for z := 0.0; z < 9.9; z += 0.1 {
-			d := p.Deriv(z, 10)
-			if d < prev {
-				t.Fatalf("%s: D' decreased at z=%g", p.Name(), z)
-			}
-			prev = d
+	var p Reciprocal
+	prev := 0.0
+	for z := 0.0; z < 9.9; z += 0.1 {
+		d := p.Deriv(z, 10)
+		if d < prev {
+			t.Fatalf("D' decreased at z=%g", z)
 		}
+		prev = d
 	}
 }
 
 func TestPenaltyDerivMatchesValue(t *testing.T) {
-	for _, p := range []Penalty{Reciprocal{}, LogBarrier{}} {
-		for _, z := range []float64{1, 4, 8, 9.5} {
-			want := numDeriv(func(x float64) float64 { return p.Value(x, 10) }, z, 1e-7)
-			got := p.Deriv(z, 10)
-			if !approxEq(got, want, 1e-3) {
-				t.Errorf("%s: D'(%g) = %g, numeric %g", p.Name(), z, got, want)
-			}
+	var p Reciprocal
+	for _, z := range []float64{1, 4, 8, 9.5} {
+		want := numDeriv(func(x float64) float64 { return p.Value(x, 10) }, z, 1e-7)
+		got := p.Deriv(z, 10)
+		if !approxEq(got, want, 1e-3) {
+			t.Errorf("D'(%g) = %g, numeric %g", z, got, want)
 		}
-	}
-}
-
-func TestNonePenalty(t *testing.T) {
-	var p None
-	if p.Value(5, 10) != 0 || p.Deriv(5, 10) != 0 {
-		t.Fatal("None penalty must be identically zero")
 	}
 }
