@@ -265,47 +265,104 @@ func solveGradient(p *stream.Problem, x *transform.Extended, opts Options, res *
 	return nil
 }
 
-// Explain maps gradient.AttributeAll back onto the original network:
-// one entry per commodity with its admission marginals and its binding
-// servers/links named as the operator knows them. The admission server
-// publishes this per snapshot (the /explain endpoint); Solve embeds it
-// in Result.Explain when Options.Explain is set.
+// Explain maps the per-commodity bottleneck attribution
+// (gradient.Attributor) back onto the original network: one entry per
+// commodity with its admission marginals and its binding servers/links
+// named as the operator knows them. Solve embeds it in Result.Explain
+// when Options.Explain is set; the admission server publishes the same
+// per snapshot (the /explain endpoint) through ExplainParts.
 func Explain(p *stream.Problem, x *transform.Extended, u *flow.Usage) []CommodityExplain {
-	out := make([]CommodityExplain, 0, x.NumCommodities())
-	for _, at := range gradient.AttributeAll(u) {
-		ce := CommodityExplain{
-			Name:            x.Commodities[at.Commodity].Name,
-			Offered:         at.Offered,
-			Admitted:        at.Admitted,
-			Utility:         at.Utility,
-			MarginalUtility: at.MarginalUtility,
-			PathCost:        at.PathCost,
-			Gap:             at.Gap,
-		}
-		for _, bn := range at.Binding {
-			name, kind, ok := resourceName(p, x, bn.Node)
-			if !ok {
-				continue // dummy-layer node; never capacitated
-			}
-			ce.Binding = append(ce.Binding, ExplainBinding{
-				Name: name, Kind: kind,
-				Utilization: bn.Utilization, Price: bn.Price,
-			})
-		}
-		out = append(out, ce)
-	}
+	out := make([]CommodityExplain, x.NumCommodities())
+	ExplainParts(out, p, ExplainPart{X: x, U: u})
 	return out
 }
 
+// ExplainPart is one build's share of an explanation: the build, its
+// evaluated usage, and the index into the output of each of its
+// commodities (nil: commodity j at index j).
+type ExplainPart struct {
+	X      *transform.Extended
+	U      *flow.Usage
+	Global []int
+}
+
+// ExplainParts writes the attribution of every commodity of the parts,
+// builds over p such as the shards of a sharded solve, into out. It
+// prices each part's nodes once and runs every commodity's wave through
+// one reused scratch, keeping the bindings in a scratch list. Then it
+// cuts every commodity's Binding from one array of exactly their total,
+// so the output holds no spare entry and explaining J commodities makes
+// no allocation per commodity or per binding. A commodity with no
+// binding resource keeps a nil Binding, which marshals as null.
+func ExplainParts(out []CommodityExplain, p *stream.Problem, parts ...ExplainPart) {
+	var (
+		attr  gradient.Attributor
+		at    gradient.Attribution
+		nodes = make([]gradient.BindingNode, 0, len(out)) // every binding, in part and commodity order
+		count = make([]int32, len(out))                   // bindings per output entry
+	)
+	for _, pt := range parts {
+		attr.Reset(pt.U)
+		for j := range pt.X.Commodities {
+			attr.Attribute(j, &at)
+			gi := pt.index(j)
+			out[gi] = CommodityExplain{
+				Name:            pt.X.Commodities[j].Name,
+				Offered:         at.Offered,
+				Admitted:        at.Admitted,
+				Utility:         at.Utility,
+				MarginalUtility: at.MarginalUtility,
+				PathCost:        at.PathCost,
+				Gap:             at.Gap,
+			}
+			nodes = append(nodes, at.Binding...)
+			count[gi] = int32(len(at.Binding))
+		}
+	}
+	if len(nodes) == 0 {
+		return
+	}
+	all := make([]ExplainBinding, len(nodes))
+	k := 0
+	for _, pt := range parts {
+		for j := range pt.X.Commodities {
+			gi := pt.index(j)
+			n := int(count[gi])
+			if n == 0 {
+				continue
+			}
+			run := all[k : k+n : k+n]
+			for i, bn := range nodes[k : k+n] {
+				// A binding is a capacitated node: a server or a link.
+				name, kind, _ := resourceName(p, pt.X, bn.Node)
+				run[i] = ExplainBinding{
+					Name: name, Kind: kind,
+					Utilization: bn.Utilization, Price: bn.Price,
+				}
+			}
+			out[gi].Binding = run
+			k += n
+		}
+	}
+}
+
+// index is where the part's commodity j goes in the output.
+func (pt *ExplainPart) index(j int) int {
+	if pt.Global == nil {
+		return j
+	}
+	return pt.Global[j]
+}
+
 // resourceName maps an extended node back to the original server or
-// link it stands for; ok is false for dummy-layer nodes.
+// link it stands for; ok is false for dummy-layer nodes and sinks. Both
+// names come from the network's own tables, shared by every report.
 func resourceName(p *stream.Problem, x *transform.Extended, n graph.NodeID) (name, kind string, ok bool) {
 	switch x.Kind(n) {
 	case transform.Proc:
 		return x.Name(n), "server", true
 	case transform.Bandwidth:
-		edge := p.Net.G.Edge(x.Link(n))
-		return p.Net.Names[edge.From] + "->" + p.Net.Names[edge.To], "link", true
+		return p.Net.LinkName(x.Link(n)), "link", true
 	}
 	return "", "", false
 }
@@ -324,19 +381,29 @@ func UsageReport(p *stream.Problem, x *transform.Extended, u *flow.Usage) []Node
 // global usage (the admission server publishes that per snapshot). x
 // may be any build over the same network — the prefix layout is
 // identical across subset builds; usage must not exceed x.SharedNodes.
+// The report is sized once: its only allocation is itself.
 func UsageReportShared(p *stream.Problem, x *transform.Extended, usage []float64) []NodeUsage {
-	var report []NodeUsage
-	for n, f := range usage {
-		name, kind, ok := resourceName(p, x, graph.NodeID(n))
+	n := 0
+	for i := range usage {
+		if k := x.Kind(graph.NodeID(i)); k == transform.Proc || k == transform.Bandwidth {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	report := make([]NodeUsage, 0, n)
+	for i, f := range usage {
+		name, kind, ok := resourceName(p, x, graph.NodeID(i))
 		if !ok {
 			continue
 		}
 		report = append(report, NodeUsage{
 			Name:        name,
 			Kind:        kind,
-			Capacity:    x.Capacity[n],
+			Capacity:    x.Capacity[i],
 			Usage:       f,
-			Utilization: f / x.Capacity[n],
+			Utilization: f / x.Capacity[i],
 		})
 	}
 	return report

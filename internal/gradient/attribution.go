@@ -2,7 +2,7 @@ package gradient
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/flow"
 	"repro/internal/graph"
@@ -15,14 +15,15 @@ import (
 // derivative ε·D'_i(f_i) is each resource's local congestion (shadow)
 // price, and at an optimal operating point the marginal utility of one
 // more admitted unit, U'_j(a_j), equals the marginal cost of carrying
-// it (Theorem 2). AttributeAll packages those signals per commodity.
+// it (Theorem 2). An Attributor packages those signals per commodity.
 
 // BindingNode is one capacity-constrained resource carrying commodity-j
 // traffic whose congestion price is materially shaping the solution.
 type BindingNode struct {
 	// Node is the extended-graph node (a Proc or Bandwidth node).
 	Node graph.NodeID
-	// Utilization is f_i/C_i at the operating point.
+	// Utilization is f_i/C_i at the global operating point: f_i counts
+	// the flow other shards route through the node (External) too.
 	Utilization float64
 	// Price is ε·D'_i(f_i): the marginal cost this resource adds per
 	// unit of flow through it — the barrier's live shadow price.
@@ -31,7 +32,6 @@ type BindingNode struct {
 
 // Attribution explains one commodity's admission decision.
 type Attribution struct {
-	Commodity int
 	// Offered is λ_j; Admitted is a_j; Utility is U_j(a_j).
 	Offered  float64
 	Admitted float64
@@ -69,22 +69,69 @@ const (
 	minFlow            = 1e-9
 )
 
-// attribute explains commodity j at the evaluated operating point u
-// against precomputed node prices (fillNodePrices): O(member edges).
-func attribute(u *flow.Usage, j int, price []float64) Attribution {
+// Attributor explains the commodities of one evaluated operating point
+// one at a time. Reset prices every node once and sizes the wave's
+// scratch to the largest commodity; Attribute then runs one commodity's
+// marginal-cost wave through that scratch and writes into the caller's
+// Attribution, so explaining J commodities allocates nothing per
+// commodity. The zero value is ready for Reset.
+type Attributor struct {
+	u          *flow.Usage
+	price      []float64 // node prices at u (fillNodePrices); zero past SharedNodes
+	rho, linkD []float64 // one commodity's wave, in its local indexing
+}
+
+// Reset points the attributor at the evaluated usage u: it prices u's
+// nodes and grows the scratch to fit every commodity of u's build.
+// Vectors long enough already are reused.
+func (a *Attributor) Reset(u *flow.Usage) {
+	a.u = u
+	x := u.R.X
+	n := len(u.FNode)
+	if cap(a.price) < n {
+		a.price = make([]float64, n)
+	} else {
+		a.price = a.price[:n]
+		clear(a.price[x.SharedNodes:])
+	}
+	fillNodePrices(u, a.price)
+	nodes, edges := 0, 0
+	for j := range x.Sub {
+		nodes, edges = max(nodes, x.Sub[j].NumNodes()), max(edges, x.Sub[j].NumEdges())
+	}
+	if cap(a.rho) < nodes {
+		a.rho = make([]float64, nodes)
+	}
+	if cap(a.linkD) < edges {
+		a.linkD = make([]float64, edges)
+	}
+}
+
+// Attribute explains commodity j at the usage of the last Reset into
+// at: O(member edges). at.Binding is overwritten in place, reusing its
+// backing array, so a caller that keeps the bindings copies them out
+// before the next call.
+func (a *Attributor) Attribute(j int, at *Attribution) {
+	u := a.u
 	x := u.R.X
 	c := &x.Commodities[j]
 	sg := &x.Sub[j]
-	m := marginalsAt(u, j, price)
-	a := u.AdmittedRate(j)
+	rho, linkD := a.rho[:sg.NumNodes()], a.linkD[:sg.NumEdges()]
+	if cap(at.Binding) < len(rho) {
+		// A binding is a member node: one array of the largest
+		// commodity's node count holds any commodity's list.
+		at.Binding = make([]BindingNode, 0, cap(a.rho))
+	}
+	sweep(u, j, a.price, rho, linkD, nil, 0)
+	adm := u.AdmittedRate(j)
 
-	at := Attribution{
-		Commodity:       j,
+	*at = Attribution{
 		Offered:         c.MaxRate,
-		Admitted:        a,
-		Utility:         c.Utility.Value(a),
-		MarginalUtility: c.Utility.Deriv(a),
-		PathCost:        m.LinkD[sg.InputLink],
+		Admitted:        adm,
+		Utility:         c.Utility.Value(adm),
+		MarginalUtility: c.Utility.Deriv(adm),
+		PathCost:        linkD[sg.InputLink],
+		Binding:         at.Binding[:0],
 	}
 	at.Gap = at.MarginalUtility - at.PathCost
 
@@ -92,7 +139,10 @@ func attribute(u *flow.Usage, j int, price []float64) Attribution {
 	// node's commodity-j throughput is Σ_{e∈out(n)} EdgeFlow(j, e).
 	// (Ascending local index = ascending global ID; non-member nodes
 	// carry no commodity-j flow, so restricting the walk loses nothing.)
-	var worst *BindingNode
+	// A node's load is its global one, own flow plus what other shards
+	// route through it, the load its price is taken at.
+	var worst BindingNode
+	found := false
 	for ln := int32(0); ln < int32(sg.NumNodes()); ln++ {
 		node := sg.Nodes[ln]
 		capacity := x.Capacity[node]
@@ -106,14 +156,17 @@ func attribute(u *flow.Usage, j int, price []float64) Attribution {
 		if used <= minFlow {
 			continue
 		}
+		load := u.FNode[node]
+		if int(node) < len(x.External) {
+			load += x.External[node]
+		}
 		bn := BindingNode{
 			Node:        node,
-			Utilization: u.FNode[node] / capacity,
-			Price:       price[node],
+			Utilization: load / capacity,
+			Price:       a.price[node],
 		}
-		if worst == nil || bn.Price > worst.Price {
-			w := bn
-			worst = &w
+		if !found || bn.Price > worst.Price {
+			worst, found = bn, true
 		}
 		priced := at.PathCost >= BindingPriceShare*at.MarginalUtility &&
 			at.PathCost > 0 && bn.Price >= BindingPriceShare*at.PathCost
@@ -125,23 +178,16 @@ func attribute(u *flow.Usage, j int, price []float64) Attribution {
 	// capacity-limited somewhere: if the thresholds caught nothing (flat
 	// prices spread along a long path), blame the priciest used node so
 	// the operator always gets a bottleneck to look at.
-	if len(at.Binding) == 0 && worst != nil && at.Admitted < at.Offered-1e-6 {
-		at.Binding = append(at.Binding, *worst)
+	if len(at.Binding) == 0 && found && at.Admitted < at.Offered-1e-6 {
+		at.Binding = append(at.Binding, worst)
 	}
-	sort.Slice(at.Binding, func(a, b int) bool {
-		return at.Binding[a].Price > at.Binding[b].Price
+	slices.SortFunc(at.Binding, func(p, q BindingNode) int {
+		switch {
+		case p.Price > q.Price:
+			return -1
+		case p.Price < q.Price:
+			return 1
+		}
+		return 0
 	})
-	return at
-}
-
-// AttributeAll explains every commodity at the evaluated operating
-// point u. Cost: pricing every node once plus one marginal-cost wave per
-// commodity.
-func AttributeAll(u *flow.Usage) []Attribution {
-	out := make([]Attribution, u.R.X.NumCommodities())
-	price := nodePrices(u)
-	for j := range out {
-		out[j] = attribute(u, j, price)
-	}
-	return out
 }

@@ -6,10 +6,44 @@ import (
 	"repro/internal/transform"
 )
 
+// Marginals holds one commodity's marginal-cost wave, indexed by its
+// Subgraph local node/edge indexes.
+type Marginals struct {
+	// Rho[ln] is ∂A/∂r_n(j): the marginal cost of injecting one more
+	// unit of commodity-j traffic at member node ln (eq. 9); zero at
+	// the sink.
+	Rho []float64
+	// LinkD[le] is the per-link marginal of eqs. (10) and (13):
+	// ∂A_i/∂f_e·c_e(j) + β_e(j)·Rho[head(e)], per member edge.
+	LinkD []float64
+}
+
 // ComputeMarginals runs the marginal-cost wave for commodity j on the
 // evaluated usage u, pricing every extended node first.
 func ComputeMarginals(u *flow.Usage, j int) *Marginals {
-	return marginalsAt(u, j, nodePrices(u))
+	sg := &u.R.X.Sub[j]
+	m := &Marginals{Rho: make([]float64, sg.NumNodes()), LinkD: make([]float64, sg.NumEdges())}
+	sweep(u, j, nodePrices(u), m.Rho, m.LinkD, nil, 0)
+	return m
+}
+
+// nodePrices is fillNodePrices into a fresh vector.
+func nodePrices(u *flow.Usage) []float64 {
+	price := make([]float64, len(u.FNode))
+	fillNodePrices(u, price)
+	return price
+}
+
+// AttributeAll explains every commodity at the evaluated usage u, each
+// with a Binding slice of its own.
+func AttributeAll(u *flow.Usage) []Attribution {
+	var a Attributor
+	a.Reset(u)
+	out := make([]Attribution, u.R.X.NumCommodities())
+	for j := range out {
+		a.Attribute(j, &out[j])
+	}
+	return out
 }
 
 // RhoAt reads Rho by extended node ID (zero for non-member nodes).

@@ -35,42 +35,6 @@ import (
 	"repro/internal/utility"
 )
 
-// Marginals holds the first-order information of one iteration for one
-// commodity, indexed by the commodity's Subgraph local node/edge
-// indexes.
-type Marginals struct {
-	// Rho[ln] is ∂A/∂r_n(j): the marginal cost of injecting one more
-	// unit of commodity-j traffic at member node ln (eq. 9); zero at
-	// the sink.
-	Rho []float64
-	// LinkD[le] is the per-link marginal of eqs. (10) and (13):
-	// ∂A_i/∂f_e·c_e(j) + β_e(j)·Rho[head(e)], per member edge.
-	LinkD []float64
-	// Rounds is the number of sequential message-exchange steps the
-	// upstream wave needs: the depth of the member DAG — the L in the
-	// paper's O(L) analysis.
-	Rounds int
-	// Messages counts the rho broadcasts the wave sends (one per member
-	// edge, tail <- head).
-	Messages int
-}
-
-// marginalsAt runs the marginal-cost wave for commodity j on the
-// evaluated usage u against precomputed node prices: the allocating,
-// single-commodity diagnostic form of the sweep the engines run every
-// iteration (tagging off).
-func marginalsAt(u *flow.Usage, j int, price []float64) *Marginals {
-	sg := &u.R.X.Sub[j]
-	m := &Marginals{
-		Rho:      make([]float64, sg.NumNodes()),
-		LinkD:    make([]float64, sg.NumEdges()),
-		Rounds:   sg.Depth(),
-		Messages: sg.NumEdges(),
-	}
-	sweep(u, j, price, m.Rho, m.LinkD, nil, 0)
-	return m
-}
-
 // sweep is the one upstream pass of an iteration over commodity j: the
 // marginal-cost wave of eqs. 9–13 and, when tagged is non-nil, the
 // loop-freedom tags of eq. 18 (see tagNode), both in reverse
@@ -80,9 +44,9 @@ func marginalsAt(u *flow.Usage, j int, price []float64) *Marginals {
 // and tags, visited earlier, so the two protocols share the visit.
 //
 // price[n] is ε·D'_n at the global operating point for every extended
-// node (nodePrices): it depends on the node alone, not on the commodity
-// or the edge, so it is computed once per iteration instead of once per
-// member edge. rho and tagged (local node indexing) and linkD (local
+// node (fillNodePrices): it depends on the node alone, not on the
+// commodity or the edge, so it is computed once per iteration instead of
+// once per member edge. rho and tagged (local node indexing) and linkD (local
 // edge indexing) are fully overwritten.
 //
 // The wave sends one ρ broadcast per member edge and takes as many

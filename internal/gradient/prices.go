@@ -25,13 +25,6 @@ func fillNodePrices(u *flow.Usage, price []float64) {
 	}
 }
 
-// nodePrices is fillNodePrices into a fresh vector.
-func nodePrices(u *flow.Usage) []float64 {
-	price := make([]float64, len(u.FNode))
-	fillNodePrices(u, price)
-	return price
-}
-
 // evaluate is the one pass over the nodes that judges a forecast usage
 // u whose utility loss Y is loss: it returns A = Y + ε·D — the operands
 // Usage.TotalCost adds, in its order — and the feasibility

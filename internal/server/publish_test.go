@@ -1,0 +1,109 @@
+package server
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"repro/internal/randnet"
+)
+
+// TestPublishedBodiesArePinned pins the bytes of GET /explain and GET
+// /v1/usage after the first publish of a J=1k one-engine server, on the
+// benchmark's sparse instance and solver settings. The hashes were
+// taken before the publish path stopped allocating per commodity and
+// per entry (lean attribution, one name table per network): the
+// snapshot it builds is the same, down to a Binding with no entries
+// marshalling as null.
+func TestPublishedBodiesArePinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// The bodies carry floats bit for bit, and compilers for other
+		// architectures may fuse the solver's multiply-adds.
+		t.Skip("hashes were taken on amd64")
+	}
+	p, err := randnet.GenerateSparse(randnet.Config{Seed: 13, Nodes: 48, Layers: 6, Commodities: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(p, Options{Workers: 1, Eta: 0.005, MaxIters: 400, StationaryTol: 5e-3, Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.WaitForGeneration(1, waitBudget); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler(nil)
+	for path, want := range map[string]string{
+		"/explain":  "96df91fba2bf5a6da40f45aa609ce5016b4d6b0f0af027fd9b3dea87af8e1db4",
+		"/v1/usage": "baac394116741bf21f64acaf6d83c78adc4a1ffd0731d5b31a4476d3e29835e3",
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, rec.Code)
+		}
+		sum := sha256.Sum256(rec.Body.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("GET %s body (%d bytes) hashes to %s, want %s", path, rec.Body.Len(), got, want)
+		}
+	}
+}
+
+// mapDiffFlips is DiffFlips in its plain form: every previous state
+// looked up by name.
+func mapDiffFlips(prev, next *Snapshot) []AdmissionFlip {
+	was := make(map[string]bool, len(prev.Commodities))
+	for _, c := range prev.Commodities {
+		was[c.Name] = !rejected(c.Admitted, c.Offered)
+	}
+	var flips []AdmissionFlip
+	for _, c := range next.Commodities {
+		admitted := !rejected(c.Admitted, c.Offered)
+		if before, known := was[c.Name]; known && before != admitted {
+			flips = append(flips, AdmissionFlip{
+				Generation: next.Generation, Commodity: c.Name,
+				Admitted: admitted, Rate: c.Admitted, Offered: c.Offered,
+			})
+		}
+	}
+	return flips
+}
+
+// TestDiffFlipsMatchesTheMapForm: walking the two snapshots in step
+// while their names line up, and by name after a membership change,
+// finds the flips the by-name lookup finds, in the same order.
+func TestDiffFlipsMatchesTheMapForm(t *testing.T) {
+	st := func(name string, admitted float64) CommodityStatus {
+		return CommodityStatus{Name: name, Offered: 10, Admitted: admitted}
+	}
+	prev := []CommodityStatus{st("a", 5), st("b", 0), st("c", 5), st("d", 0), st("e", 5)}
+	for _, tc := range []struct {
+		name string
+		next []CommodityStatus
+	}{
+		{"same order", []CommodityStatus{st("a", 0), st("b", 5), st("c", 5), st("d", 0), st("e", 0)}},
+		{"departure", []CommodityStatus{st("a", 0), st("b", 5), st("d", 5), st("e", 0)}},
+		{"departure of the last", []CommodityStatus{st("a", 0), st("b", 5), st("c", 0), st("d", 5)}},
+		{"arrival", []CommodityStatus{st("a", 5), st("b", 5), st("c", 0), st("d", 0), st("e", 0), st("f", 0)}},
+		{"departure and re-arrival", []CommodityStatus{st("a", 0), st("b", 0), st("d", 5), st("e", 5), st("c", 0)}},
+		{"empty", nil},
+	} {
+		p := &Snapshot{Generation: 6, Commodities: prev}
+		n := &Snapshot{Generation: 7, Commodities: tc.next}
+		got, want := DiffFlips(p, n), mapDiffFlips(p, n)
+		if len(want) == 0 && tc.name != "empty" {
+			t.Fatalf("%s: the case flips nothing", tc.name)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: DiffFlips = %+v, want %+v", tc.name, got, want)
+		}
+	}
+	if DiffFlips(nil, &Snapshot{Commodities: prev}) != nil {
+		t.Error("DiffFlips with no previous snapshot found flips")
+	}
+}

@@ -937,28 +937,45 @@ func (s *Server) publish(snap *Snapshot, batch []*decision, solveSpan *span.Acti
 // consecutive snapshots, in next's commodity order. Trace and At are
 // left zero; the live server stamps them when recording, and the
 // replay verifier compares the (commodity, direction) sequence.
+//
+// A commodity is matched to its previous state by name. Every rate or
+// capacity decision keeps the commodity order, so the two lists are
+// walked in step while their names line up; only the part after the
+// first mismatch — a membership change — is matched through a map,
+// built from prev's remaining entries (names are unique in a snapshot,
+// so a name of next's remainder can only be found there).
 func DiffFlips(prev, next *Snapshot) []AdmissionFlip {
 	if prev == nil {
 		return nil
 	}
-	was := make(map[string]bool, len(prev.Commodities))
-	for _, c := range prev.Commodities {
-		was[c.Name] = !rejected(c.Admitted, c.Offered)
-	}
 	var flips []AdmissionFlip
-	for _, c := range next.Commodities {
-		admitted := !rejected(c.Admitted, c.Offered)
-		before, known := was[c.Name]
-		if !known || before == admitted {
-			continue
+	flip := func(c CommodityStatus, before bool) {
+		if admitted := !rejected(c.Admitted, c.Offered); admitted != before {
+			flips = append(flips, AdmissionFlip{
+				Generation: next.Generation,
+				Commodity:  c.Name,
+				Admitted:   admitted,
+				Rate:       c.Admitted,
+				Offered:    c.Offered,
+			})
 		}
-		flips = append(flips, AdmissionFlip{
-			Generation: next.Generation,
-			Commodity:  c.Name,
-			Admitted:   admitted,
-			Rate:       c.Admitted,
-			Offered:    c.Offered,
-		})
+	}
+	was, now := prev.Commodities, next.Commodities
+	i := 0
+	for ; i < len(was) && i < len(now) && was[i].Name == now[i].Name; i++ {
+		flip(now[i], !rejected(was[i].Admitted, was[i].Offered))
+	}
+	if i == len(was) || i == len(now) {
+		return flips
+	}
+	before := make(map[string]bool, len(was)-i)
+	for _, c := range was[i:] {
+		before[c.Name] = !rejected(c.Admitted, c.Offered)
+	}
+	for _, c := range now[i:] {
+		if b, known := before[c.Name]; known {
+			flip(c, b)
+		}
 	}
 	return flips
 }

@@ -628,23 +628,22 @@ func (c *Coordinator) UsageReport() []core.NodeUsage {
 	return nil
 }
 
-// Explain stitches the per-shard bottleneck attributions into global
-// commodity order. Each shard attributes at its own final evaluation,
-// whose marginals already price congestion at the merged operating
-// point through the external term.
+// Explain writes every shard's bottleneck attribution straight into one
+// slice in global commodity order. Each shard attributes at its own
+// final evaluation, whose marginals and loads already count the merged
+// operating point through the external term.
 func (c *Coordinator) Explain() []core.CommodityExplain {
 	if c.p == nil {
 		return nil
 	}
-	out := make([]core.CommodityExplain, len(c.p.Commodities))
+	parts := make([]core.ExplainPart, 0, len(c.runners))
 	for _, r := range c.runners {
-		if r.eng == nil {
-			continue
-		}
-		for j, ce := range core.Explain(c.p, r.x, r.eng.Usage()) {
-			out[r.global[j]] = ce
+		if r.eng != nil {
+			parts = append(parts, core.ExplainPart{X: r.x, U: r.eng.Usage(), Global: r.global})
 		}
 	}
+	out := make([]core.CommodityExplain, len(c.p.Commodities))
+	core.ExplainParts(out, c.p, parts...)
 	return out
 }
 

@@ -52,6 +52,7 @@ func (n *Network) Clone() *Network {
 		Capacity:  append([]float64(nil), n.Capacity...),
 		Bandwidth: append([]float64(nil), n.Bandwidth...),
 		byName:    make(map[string]graph.NodeID, len(n.byName)),
+		linkNames: append([]string(nil), n.linkNames...),
 	}
 	for name, id := range n.byName {
 		c.byName[name] = id

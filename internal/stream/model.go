@@ -48,11 +48,14 @@ type Network struct {
 	Bandwidth []float64 // per edge
 
 	byName map[string]graph.NodeID
+	// linkNames[e] is link e's resource name (LinkName), made once when
+	// the link is added and shared by every version and every report.
+	linkNames []string
 
 	// Set on the network of a Problem.NewVersion: the topology (G, Names,
-	// Kinds, byName) and, until this network writes one, the Capacity and
-	// Bandwidth vectors belong to an older version too. Writers copy what
-	// is shared first.
+	// Kinds, byName, linkNames) and, until this network writes one, the
+	// Capacity and Bandwidth vectors belong to an older version too.
+	// Writers copy what is shared first.
 	sharedTopology, sharedCapacity, sharedBandwidth bool
 }
 
@@ -106,8 +109,14 @@ func (n *Network) AddLink(from, to graph.NodeID, bandwidth float64) (graph.EdgeI
 		return graph.Invalid, err
 	}
 	n.Bandwidth = append(n.Bandwidth, bandwidth)
+	n.linkNames = append(n.linkNames, n.Names[from]+"->"+n.Names[to])
 	return e, nil
 }
+
+// LinkName returns link e's resource name, "from->to" by its end nodes'
+// names: the one string per link that every usage report and
+// attribution naming it shares.
+func (n *Network) LinkName(e graph.EdgeID) string { return n.linkNames[e] }
 
 // NodeByName looks a node up by name.
 func (n *Network) NodeByName(name string) (graph.NodeID, bool) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/utility"
@@ -347,5 +348,39 @@ func TestMarshalWalksOwnEdgesInEdgeIDOrder(t *testing.T) {
 	}
 	if got := mustMarshal(t, p); !bytes.Equal(got, want) {
 		t.Fatalf("MarshalJSON:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestLinkNamesFollowTheTopology: every link's resource name is
+// "from->to", made once by AddLink. A version shares its predecessor's
+// strings, a Clone copies the table, and a link a version adds is named
+// in that version only.
+func TestLinkNamesFollowTheTopology(t *testing.T) {
+	p := figure1ForClone(t)
+	for e := 0; e < p.Net.G.NumEdges(); e++ {
+		edge := p.Net.G.Edge(graph.EdgeID(e))
+		if got, want := p.Net.LinkName(graph.EdgeID(e)), p.Net.Names[edge.From]+"->"+p.Net.Names[edge.To]; got != want {
+			t.Fatalf("link %d is named %q, want %q", e, got, want)
+		}
+	}
+	v, c := p.NewVersion(), p.Clone()
+	if unsafe.StringData(v.Net.LinkName(0)) != unsafe.StringData(p.Net.LinkName(0)) ||
+		unsafe.StringData(c.Net.LinkName(0)) != unsafe.StringData(p.Net.LinkName(0)) {
+		t.Fatal("a version or a clone made a link name of its own")
+	}
+	id, err := v.Net.AddServer("extra", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, _ := v.Net.NodeByName("server1")
+	e, err := v.Net.AddLink(s1, id, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v.Net.LinkName(e); got != "server1->extra" {
+		t.Fatalf("the added link is named %q", got)
+	}
+	if int(e) < len(p.Net.linkNames) {
+		t.Fatal("adding a link to a version grew its predecessor's name table")
 	}
 }
