@@ -150,13 +150,12 @@ func servingShardEngine(b *testing.B) *gradient.Engine {
 // the new row) and one node pass — on the scale ladder. ns/member-edge
 // is the complexity check: it should not move between the rungs. The
 // serving rung is the step the admission server runs
-// (servingShardEngine). Its backtracking engine settles after about
-// 2 000 steps and then rejects every step, each of which forecasts the
-// routing again; keep -benchtime at a few hundred iterations to price
-// accepted steps. A CPU profile of 1 500 serving steps on the 2-vCPU
-// reference box splits a step into the marginal sweep (≈ 40 %), the
-// forecast of the new row (≈ 18 %), Γ with the heavy-ball term
-// (≈ 11 %), the node pass (≈ 10 %) and the row measures (≈ 4 %).
+// (servingShardEngine), 20 steps from its cold start, where the screen
+// skips almost nothing; serving-warm is the same engine 1 000 steps in,
+// where the screen skips the share of rows it skips in steady state.
+// The backtracking engine settles after about 2 000 steps and then rejects
+// every step, each of which forecasts the routing again; keep
+// -benchtime at a few hundred iterations to price accepted steps.
 func BenchmarkStepSparse(b *testing.B) {
 	for _, rung := range []struct {
 		name string
@@ -165,6 +164,13 @@ func BenchmarkStepSparse(b *testing.B) {
 		{"J=1k", func(b *testing.B) *gradient.Engine { return sparseEngine(b, 1000) }},
 		{"J=10k", func(b *testing.B) *gradient.Engine { return sparseEngine(b, 10000) }},
 		{"serving", servingShardEngine},
+		{"serving-warm", func(b *testing.B) *gradient.Engine {
+			eng := servingShardEngine(b)
+			for i := 0; i < 1000; i++ {
+				eng.Step()
+			}
+			return eng
+		}},
 	} {
 		b.Run(rung.name, func(b *testing.B) {
 			eng := rung.eng(b)

@@ -318,9 +318,9 @@ func busiestServer(base string) (string, error) {
 	defer resp.Body.Close()
 	var out struct {
 		Usage []struct {
-			Name        string  `json:"Name"`
-			Kind        string  `json:"Kind"`
-			Utilization float64 `json:"Utilization"`
+			Name        string  `json:"name"`
+			Kind        string  `json:"kind"`
+			Utilization float64 `json:"utilization"`
 		} `json:"usage"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {

@@ -94,11 +94,11 @@ type TracePoint struct {
 
 // NodeUsage reports one original-network element's allocation.
 type NodeUsage struct {
-	Name        string
-	Kind        string // "server" or "link"
-	Capacity    float64
-	Usage       float64
-	Utilization float64 // Usage/Capacity
+	Name        string  `json:"name"`
+	Kind        string  `json:"kind"` // "server" or "link"
+	Capacity    float64 `json:"capacity"`
+	Usage       float64 `json:"usage"`
+	Utilization float64 `json:"utilization"` // Usage/Capacity
 }
 
 // ResourcePrice is the shadow price of one original-network resource at

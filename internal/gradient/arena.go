@@ -41,13 +41,25 @@ type arena struct {
 	scratch []waveScratch // one per worker
 	cursor  atomic.Int64  // next commodity for the pool to claim
 
+	// The screen of the serving step (screen.go), nil in the paper
+	// mode: per row its state and its width W_j (0 until first needed),
+	// and drift, Π, the running sum over node passes of the largest
+	// price change, rounded up. skipped marks the rows a pooled wave
+	// screens, one bit per row.
+	screen  []rowScreen
+	widths  []float32
+	drift   float64
+	skipped []uint64
+
 	// messages and rounds are what one marginal-cost wave costs the
 	// distributed protocol: one ρ broadcast per member edge, and as many
 	// sequential rounds as the deepest member DAG. Topology constants.
 	messages, rounds int
 }
 
-func newArena(x *transform.Extended, workers int) *arena {
+// newArena sizes the wave workspaces of x for the given worker count,
+// and the screen too when screened is set (the serving mode).
+func newArena(x *transform.Extended, workers int, screened bool) *arena {
 	a := &arena{x: x, price: make([]float64, x.NumNodes())}
 	maxN, maxE := 0, 0
 	for j := range x.Sub {
@@ -63,6 +75,13 @@ func newArena(x *transform.Extended, workers int) *arena {
 			linkD:  make([]float64, maxE),
 			tagged: make([]bool, maxN),
 			prev:   make([]float64, maxE),
+		}
+	}
+	if screened {
+		a.screen = make([]rowScreen, len(x.Sub))
+		a.widths = make([]float32, len(x.Sub))
+		if len(a.scratch) > 1 {
+			a.skipped = make([]uint64, (len(x.Sub)+63)/64)
 		}
 	}
 	return a
@@ -84,17 +103,29 @@ func newArena(x *transform.Extended, workers int) *arena {
 // judges it.
 //
 // next must equal u.R at every entry outside a branch node's
-// out-edges: Γ writes only those (see gamma).
+// out-edges: Γ writes only those (see gamma). In the serving mode a
+// row the screen skips (screen.go) is not swept: next already holds it,
+// from holds its admitted rate (u.R's measures), and reuse adds what
+// its visit would have added.
 //
 // With more than one worker the sweeps and Γ run concurrently on a
 // bounded pool, and the forecasts follow in one serial pass in
 // commodity order. No floating-point value crosses between commodities
 // in the parallel part, and the serial part adds into FNode and the two
 // sums in the sequential order, so the result is bitwise-identical to
-// the sequential execution.
-func (a *arena) runWave(u *flow.Usage, eta, mu float64, blocking bool, next *flow.Routing, admitted []float64) (utility, loss float64) {
+// the sequential execution. The rows to skip are marked before the pool
+// starts, since the pool rewrites the screen.
+func (a *arena) runWave(u *flow.Usage, eta, mu float64, blocking bool, next *flow.Routing, from, admitted []float64) (utility, loss float64) {
 	clear(u.FNode)
 	if len(a.scratch) > 1 {
+		if a.skipped != nil {
+			clear(a.skipped)
+			for j := range a.screen {
+				if a.skips(j) {
+					a.skipped[j/64] |= 1 << (j % 64)
+				}
+			}
+		}
 		a.cursor.Store(0)
 		var wg sync.WaitGroup
 		wg.Add(len(a.scratch))
@@ -107,29 +138,49 @@ func (a *arena) runWave(u *flow.Usage, eta, mu float64, blocking bool, next *flo
 					if j >= len(a.x.Sub) {
 						return
 					}
-					a.update(w, u, j, eta, mu, blocking, next)
+					if !a.pooledSkip(j) {
+						a.update(w, u, j, eta, mu, blocking, next)
+					}
 				}
 			}()
 		}
 		wg.Wait()
 		for j := range a.x.Sub {
-			u.ForecastRow(next, j)
-			utility, loss = measureRow(u, next, j, admitted, utility, loss)
+			var uj, yj float64
+			if a.pooledSkip(j) {
+				uj, yj = a.reuse(u, j, next, from, admitted)
+			} else {
+				u.ForecastRow(next, j)
+				uj, yj = a.measure(u, next, j, admitted)
+			}
+			utility, loss = utility+uj, loss+yj
 		}
 	} else {
 		w := &a.scratch[0]
 		for j := range a.x.Sub {
-			a.update(w, u, j, eta, mu, blocking, next)
-			u.ForecastRow(next, j)
-			utility, loss = measureRow(u, next, j, admitted, utility, loss)
+			var uj, yj float64
+			if a.screen != nil && a.skips(j) {
+				uj, yj = a.reuse(u, j, next, from, admitted)
+			} else {
+				a.update(w, u, j, eta, mu, blocking, next)
+				u.ForecastRow(next, j)
+				uj, yj = a.measure(u, next, j, admitted)
+			}
+			utility, loss = utility+uj, loss+yj
 		}
 	}
 	u.R = next
 	return utility, loss
 }
 
+// pooledSkip reports whether the pooled wave in progress skips row j.
+func (a *arena) pooledSkip(j int) bool {
+	return a.skipped != nil && a.skipped[j/64]&(1<<(j%64)) != 0
+}
+
 // update runs commodity j's sweep and Γ in the worker scratch w,
-// writing the new φ row into next.
+// writing the new φ row into next, and in the serving mode the row's
+// new screen bound.
 func (a *arena) update(w *waveScratch, u *flow.Usage, j int, eta, mu float64, blocking bool, next *flow.Routing) {
 	var tagged []bool
 	if blocking {
@@ -137,22 +188,38 @@ func (a *arena) update(w *waveScratch, u *flow.Usage, j int, eta, mu float64, bl
 	}
 	sweep(u, j, a.price, w.rho, w.linkD, tagged, eta)
 	gamma(u, j, w.linkD, tagged, eta, mu, w.prev, next.Phi[j])
+	if a.screen != nil {
+		a.screen[j].s = a.rescreen(w, u, j, next.Phi[j])
+	}
 }
 
-// measureRow adds routing r's commodity j, whose forecast u.T[j]
-// holds, to a measurement in progress: a_j into admitted[j], U_j(a_j)
-// to sum and Y_j(λ_j − a_j) to loss — the operands Usage.Utility and
+// measure is measureRow for the wave's swept row j, whose new forecast
+// u holds. In the serving mode it also keeps what reuse needs of the
+// row: its two terms and the usage its forecast left at its dummy node.
+func (a *arena) measure(u *flow.Usage, r *flow.Routing, j int, admitted []float64) (uj, yj float64) {
+	uj, yj = measureRow(u, r, j, admitted)
+	if a.screen != nil {
+		c := &a.screen[j]
+		c.u, c.y, c.dummy = uj, yj, u.FNode[a.x.SharedNodes+j]
+	}
+	return uj, yj
+}
+
+// measureRow measures routing r's commodity j, whose forecast u.T[j]
+// holds: a_j into admitted[j], and its terms of a measurement, U_j(a_j)
+// and Y_j(λ_j − a_j) — the operands Usage.Utility and
 // Usage.UtilityLoss add, so sums over j in order are theirs bit for
-// bit. A Linear utility, the family of the paper's §6 throughput
-// objective, is called on its concrete type (the same doubles, without
-// three interface calls); every other family goes through the
-// interface.
-func measureRow(u *flow.Usage, r *flow.Routing, j int, admitted []float64, sum, loss float64) (float64, float64) {
+// bit. Each term is rounded on its own (the conversions), so a sum that
+// adds a recorded term gets the bits it would have got from the call. A
+// Linear utility, the family of the paper's §6 throughput objective, is
+// called on its concrete type (the same doubles, without three
+// interface calls); every other family goes through the interface.
+func measureRow(u *flow.Usage, r *flow.Routing, j int, admitted []float64) (uj, yj float64) {
 	a := r.AdmittedRate(j)
 	admitted[j] = a
 	c := &r.X.Commodities[j]
 	if lin, ok := c.Utility.(utility.Linear); ok {
-		return sum + lin.Value(a), loss + c.Loss.LinearValue(lin, u.DiffFlow(r, j))
+		return float64(lin.Value(a)), float64(c.Loss.LinearValue(lin, u.DiffFlow(r, j)))
 	}
-	return sum + c.Utility.Value(a), loss + u.RowLoss(r, j)
+	return c.Utility.Value(a), u.RowLoss(r, j)
 }

@@ -34,7 +34,9 @@ type Config struct {
 	Momentum float64
 	// DisableBlocking turns the loop-freedom tagging protocol off.
 	// Safe here because member subgraphs are DAGs. The serving mode sets
-	// it (shard.Config.Serving); the blocking tests ablate it.
+	// it (shard.Config.Serving); the blocking tests ablate it. It also
+	// turns on the screened step (screen.go): a row Γ would return bit
+	// for bit is not swept, and the trajectory stays the unscreened one.
 	DisableBlocking bool
 	// Workers bounds the worker pool that runs the per-commodity §5
 	// sweeps and updates concurrently (the phases are independent across
@@ -157,7 +159,7 @@ func newEngine(x *transform.Extended, r *flow.Routing, cfg Config) *Engine {
 		X: x, R: r, cfg: cfg, eta: cfg.Eta,
 		u:             flow.NewUsage(x),
 		spare:         r.Clone(),
-		arena:         newArena(x, cfg.Workers),
+		arena:         newArena(x, cfg.Workers, cfg.DisableBlocking),
 		admitted:      make([]float64, x.NumCommodities()),
 		spareAdmitted: make([]float64, x.NumCommodities()),
 	}
@@ -204,12 +206,14 @@ func Carry(x *transform.Extended, r *flow.Routing, cfg Config) (*Engine, error) 
 // Backtrack's run of descents, but the step scale stays where step
 // control has moved it.
 // The momentum resets too: the last step was taken under the old
-// parameters. The trajectory from here is the one a rebuilt, rebound
-// engine started at that η would take, bit for bit, in both step modes.
+// parameters, and so does the screen: the next step sweeps every row.
+// The trajectory from here is the one a rebuilt, rebound engine started
+// at that η would take, bit for bit, in both step modes.
 func (e *Engine) Restart() {
 	e.forecasted, e.measured, e.carried, e.heavy = false, false, false, false
 	e.descents, e.backtracks = 0, 0
 	e.stats = Stats{}
+	e.arena.unscreen()
 }
 
 // ExternalChanged tells the engine that e.X.External may have been
@@ -217,7 +221,9 @@ func (e *Engine) Restart() {
 // so do its admitted rates, utility and utility loss — none depends on
 // External — but the cost, feasibility and node prices it carried were
 // taken at the old global operating point and are dropped: the next
-// Step or Stationarity makes one node pass, nothing more. The momentum
+// Step or Stationarity makes one node pass, nothing more. That pass
+// adds the price change to the screen's drift, so the screen needs no
+// reset. The momentum
 // is kept: the routing's last step is still its last step, and a
 // coordinator's turns would otherwise restart it every 25 iterations. Whoever rewrites External
 // in place between steps calls it before the next one; a coordinator
@@ -265,12 +271,13 @@ func (e *Engine) measure() {
 	if !e.measured {
 		e.utility, e.loss = 0, 0
 		for j := range e.admitted {
-			e.utility, e.loss = measureRow(u, e.R, j, e.admitted, e.utility, e.loss)
+			uj, yj := measureRow(u, e.R, j, e.admitted)
+			e.utility, e.loss = e.utility+uj, e.loss+yj
 		}
 		e.measured = true
 	}
 	if !e.carried {
-		e.cost, e.feasible = evaluate(u, e.loss, e.arena.price)
+		e.cost, e.feasible = e.arena.evaluate(u, e.loss)
 		e.carried = true
 	}
 }
@@ -297,7 +304,7 @@ func (e *Engine) Step() StepInfo {
 	if e.heavy {
 		mu = e.cfg.Momentum
 	}
-	utility, loss := e.arena.runWave(e.u, e.eta, mu, !e.cfg.DisableBlocking, next, e.spareAdmitted)
+	utility, loss := e.arena.runWave(e.u, e.eta, mu, !e.cfg.DisableBlocking, next, e.admitted, e.spareAdmitted)
 	e.carried = false
 	if e.cfg.Backtrack {
 		e.backtrack(next, utility, loss, info.Cost)
@@ -326,7 +333,7 @@ func (e *Engine) Step() StepInfo {
 // One forecast and one node pass per accepted step, and a second
 // workspace saved for the price of one extra forecast per rejection.
 func (e *Engine) backtrack(next *flow.Routing, utility, loss, cost float64) {
-	proposed, feasible := evaluate(e.u, loss, e.arena.price)
+	proposed, feasible := e.arena.evaluate(e.u, loss)
 	if proposed <= cost+1e-12 {
 		e.accept(next, utility, loss)
 		e.carried, e.cost, e.feasible = true, proposed, feasible

@@ -65,3 +65,17 @@ func (m *Marginals) LinkDAt(sg *transform.Subgraph, e graph.EdgeID) float64 {
 // Backtracks counts the steps rejected so far (always zero without
 // Config.Backtrack).
 func (e *Engine) Backtracks() int { return e.backtracks }
+
+// Screened counts the rows the next Step's wave skips. It first brings
+// the engine's view of its routing up to date, as that Step would, so
+// the count is the wave's own and the trajectory does not change.
+func (e *Engine) Screened() int {
+	e.measure()
+	n := 0
+	for j := range e.arena.screen {
+		if e.arena.skips(j) {
+			n++
+		}
+	}
+	return n
+}

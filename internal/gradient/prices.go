@@ -28,32 +28,38 @@ func fillNodePrices(u *flow.Usage, price []float64) {
 // evaluate is the one pass over the nodes that judges a forecast usage
 // u whose utility loss Y is loss: it returns A = Y + ε·D — the operands
 // Usage.TotalCost adds, in its order — and the feasibility
-// Usage.Feasible reports, and leaves price holding u's node prices, as
-// fillNodePrices would. The load z = f_n + External_n is formed once
+// Usage.Feasible reports, and leaves a.price holding u's node prices,
+// as fillNodePrices would. The load z = f_n + External_n is formed once
 // per capacitated node for all three. The caller must be done reading
-// price.
+// a.price. The same loop adds the largest price change to the screen's
+// drift, rounded up (a NaN price makes the drift NaN, which screens
+// nothing).
 //
 // The barrier is called on its concrete type, utility.Reciprocal, so the
 // compiler inlines D and D' into the loop.
-func evaluate(u *flow.Usage, loss float64, price []float64) (cost float64, feasible bool) {
+func (a *arena) evaluate(u *flow.Usage, loss float64) (cost float64, feasible bool) {
 	x := u.R.X
-	ext, eps := x.External, x.Epsilon
-	penalty := 0.0
+	ext, eps, price := x.External, x.Epsilon, a.price
+	penalty, moved := 0.0, 0.0
 	feasible = true
 	for n, z := range u.FNode[:x.SharedNodes] {
-		c := x.Capacity[n]
-		if math.IsInf(c, 1) {
-			price[n] = 0
-			continue
+		c, p := x.Capacity[n], 0.0
+		if !math.IsInf(c, 1) {
+			if n < len(ext) {
+				z += ext[n]
+			}
+			penalty += eps * utility.Reciprocal{}.Value(z, c)
+			p = eps * utility.Reciprocal{}.Deriv(z, c)
+			if z > c+1e-9 {
+				feasible = false
+			}
 		}
-		if n < len(ext) {
-			z += ext[n]
+		if d := math.Abs(p - price[n]); !(d <= moved) {
+			moved = d
 		}
-		penalty += eps * utility.Reciprocal{}.Value(z, c)
-		price[n] = eps * utility.Reciprocal{}.Deriv(z, c)
-		if z > c+1e-9 {
-			feasible = false
-		}
+		price[n] = p
 	}
+	// Scaling by 1 + 2⁻⁵¹ rounds the sum up by at least one ulp.
+	a.drift = (a.drift + moved) * (1 + 0x1p-51)
 	return loss + penalty, feasible
 }

@@ -1,0 +1,298 @@
+package gradient
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"repro/internal/flow"
+	"repro/internal/randnet"
+	"repro/internal/stream"
+	"repro/internal/transform"
+	"repro/internal/utility"
+)
+
+// TestScreenSkipsOnlyRowsGammaKeeps is the screen's soundness check:
+// before every step of a serving engine, each row the screen is about
+// to skip is one a full sweep and Γ — heavy-ball term included — would
+// return bit for bit; after it, the forecast the wave left is a fresh
+// one's, dummy nodes included; and at every turn start Engine.Stationarity, which
+// skips the screened rows, reports exactly what CheckStationarity
+// reports on a fresh forecast. External usage is rewritten in place
+// every 25 steps, the way a coordinator's turns rewrite it. The
+// instances are random layered networks (randomExtended), the branched
+// instance of TestServingStepMatchesReferenceStep, and a small sparse
+// instance, with and without momentum. The layered networks settle in
+// the interior of their simplices, where nothing is screened, so two in
+// three of the random ones' commodities are polarized toward rejection
+// or full admission, and every one of the branched instance's toward
+// rejection (polarize): while any of its commodities moves, the prices
+// move too fast for its deep rows' screens. The screen must skip rows on the layered networks and on
+// the sparse instance, or the check checks nothing there.
+func TestScreenSkipsOnlyRowsGammaKeeps(t *testing.T) {
+	type instance struct {
+		name string
+		x    *transform.Extended
+	}
+	var cases []instance
+	for seed := int64(1); seed <= 10; seed++ {
+		x := randomExtended(t, seed)
+		polarize(x, []float64{1e-3, 20, 0}, int(seed))
+		cases = append(cases, instance{fmt.Sprintf("random%d", seed), x})
+	}
+	branched, err := randnet.Generate(randnet.Config{Seed: 5, Nodes: 40, Layers: 5, Commodities: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse, err := randnet.GenerateSparse(randnet.Config{Seed: 13, Nodes: 48, Layers: 6, Commodities: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []struct {
+		name string
+		p    *stream.Problem
+	}{{"branched", branched}, {"sparse", sparse}} {
+		x, err := transform.Build(p.p, transform.Options{Epsilon: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.name == "branched" {
+			polarize(x, []float64{1e-3}, 0)
+		}
+		cases = append(cases, instance{p.name, x})
+	}
+	screened := map[string]int{}
+	for _, c := range cases {
+		group := strings.TrimRight(c.name, "0123456789")
+		for _, mu := range []float64{0, 0.9} {
+			n := screenSoundness(t, fmt.Sprintf("%s,mu=%v", c.name, mu), c.x, mu)
+			t.Logf("%s mu=%v: %d row-steps screened", c.name, mu, n)
+			screened[group] += n
+		}
+	}
+	for _, group := range []string{"random", "branched", "sparse"} {
+		if screened[group] == 0 {
+			t.Errorf("the screen skipped no row on the %s instances", group)
+		}
+	}
+}
+
+// polarize rescales the utility of commodity j of x to scale times the
+// marginal cost of its input link on the idle network, scale the
+// (j+k)-th of scales, cyclically: at 1/1000 it stays rejected, at 20 it
+// is admitted until the barrier binds, and 0 keeps its utility.
+func polarize(x *transform.Extended, scales []float64, k int) {
+	u := flow.Evaluate(flow.NewInitial(x))
+	for j := range x.Commodities {
+		scale := scales[(j+k)%len(scales)]
+		if scale == 0 {
+			continue
+		}
+		c := &x.Commodities[j]
+		c.Utility = utility.Linear{Slope: scale * ComputeMarginals(u, j).LinkD[x.Sub[j].InputLink]}
+		c.Loss = utility.Loss{U: c.Utility, Lambda: c.MaxRate}
+	}
+}
+
+// screenSoundness runs TestScreenSkipsOnlyRowsGammaKeeps's check for
+// 400 steps of a serving engine on x and returns how many row-steps the
+// screen skipped.
+func screenSoundness(t *testing.T, name string, x *transform.Extended, mu float64) (screened int) {
+	t.Helper()
+	ext := make([]float64, x.SharedNodes)
+	x.SetExternal(ext)
+	defer x.SetExternal(nil)
+	e := New(x, Config{Eta: 0.5, Backtrack: true, DisableBlocking: true, Momentum: mu})
+	for step := 0; step < 400; step++ {
+		if step%25 == 0 {
+			turn := step / 25
+			for i := range ext {
+				if c := x.Capacity[i]; !math.IsInf(c, 1) {
+					ext[i] = c * 0.05 * float64((i+3*turn)%9) / 8
+				}
+			}
+			e.ExternalChanged()
+			if got, want := e.Stationarity(), CheckStationarity(flow.Evaluate(e.R)); !sameReport(got, want) {
+				t.Fatalf("%s step %d: Stationarity %+v, CheckStationarity %+v", name, step, got, want)
+			}
+		}
+		e.measure()
+		for j := range x.Sub {
+			if !e.arena.skips(j) {
+				continue
+			}
+			screened++
+			if k := sameBits(fullGamma(e, j), e.R.Phi[j]); k >= 0 {
+				t.Fatalf("%s step %d: row %d screened, but Γ moves φ[%d] off %v", name, step, j, k, e.R.Phi[j][k])
+			}
+		}
+		e.Step()
+		got, want := e.Usage(), flow.Evaluate(e.R)
+		if k := sameBits(got.FNode, want.FNode); k >= 0 {
+			t.Fatalf("%s step %d: FNode[%d] = %v, fresh forecast %v", name, step, k, got.FNode[k], want.FNode[k])
+		}
+		for j := range want.T {
+			if k := sameBits(got.T[j], want.T[j]); k >= 0 {
+				t.Fatalf("%s step %d: T[%d][%d] = %v, fresh forecast %v", name, step, j, k, got.T[j][k], want.T[j][k])
+			}
+		}
+	}
+	return screened
+}
+
+// fullGamma is the row Step's wave would propose for commodity j if it
+// swept it: the sweep at the engine's current prices, then Γ and the
+// heavy-ball term into a copy of the spare routing's row, as
+// arena.update runs them.
+func fullGamma(e *Engine, j int) []float64 {
+	sg := &e.X.Sub[j]
+	rho, linkD := make([]float64, sg.NumNodes()), make([]float64, sg.NumEdges())
+	sweep(e.u, j, e.arena.price, rho, linkD, nil, e.eta)
+	next := append([]float64(nil), e.spare.Phi[j]...)
+	mu := 0.0
+	if e.heavy {
+		mu = e.cfg.Momentum
+	}
+	gamma(e.u, j, linkD, nil, e.eta, mu, make([]float64, sg.NumEdges()), next)
+	return next
+}
+
+// sameReport compares two stationarity reports field by field, the
+// floats bit for bit.
+func sameReport(a, b StationarityReport) bool {
+	return sameFloat(a.MaxUsedGap, b.MaxUsedGap) && sameFloat(a.MaxSufficientViolation, b.MaxSufficientViolation) &&
+		a.WorstNode == b.WorstNode && a.WorstCommodity == b.WorstCommodity
+}
+
+// quietEngine is a serving engine on a small sparse instance whose
+// every commodity values admission at 1/1000 of its input link's
+// marginal cost on the idle network, so every row stays rejected, no
+// price moves, and from the second step on the screen skips every row
+// it can. The commodity with index tie instead values admission three
+// ulps under that cost, a near tie the rounding guard must sweep; -1
+// makes none. Every commodity is built as an explicit subset, so the
+// problem can be reparameterized.
+func quietEngine(t *testing.T, tie int) (*Engine, *stream.Problem, []int) {
+	t.Helper()
+	p, err := randnet.GenerateSparse(randnet.Config{Seed: 13, Nodes: 48, Layers: 6, Commodities: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]int, len(p.Commodities))
+	for gi := range all {
+		all[gi] = gi
+	}
+	x, err := transform.Build(p, transform.Options{Epsilon: 0.2, Commodities: all})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(x, Config{Eta: 0.5, Backtrack: true, DisableBlocking: true, Momentum: 0.9})
+	e.measure()
+	for j := range x.Sub {
+		sg := &x.Sub[j]
+		rho, linkD := make([]float64, sg.NumNodes()), make([]float64, sg.NumEdges())
+		sweep(e.u, j, e.arena.price, rho, linkD, nil, 0)
+		slope := linkD[sg.InputLink] / 1000
+		if j == tie {
+			slope = linkD[sg.InputLink]
+			for range 3 {
+				slope = math.Nextafter(slope, 0)
+			}
+		}
+		c := &x.Commodities[j]
+		c.Utility = utility.Linear{Slope: slope}
+		c.Loss = utility.Loss{U: c.Utility, Lambda: c.MaxRate}
+	}
+	e.Restart()
+	return e, p, all
+}
+
+// TestScreenGuardSweepsNearTies builds a row whose best link leads the
+// next by three ulps (quietEngine's tie): it stays rejected, so Γ
+// returns it unchanged, and its margin is positive, so only the
+// rounding guard keeps the screen from skipping it. Every other row is
+// skipped, which shows the screen is on.
+func TestScreenGuardSweepsNearTies(t *testing.T) {
+	const tie = 3
+	e, _, _ := quietEngine(t, tie)
+	for step := 0; step < 3; step++ {
+		e.Step()
+		if n := e.Screened(); e.arena.skips(tie) || n != len(e.X.Sub)-1 {
+			t.Fatalf("step %d: %d rows screened, the near tie among them: %v; want every row but the tie",
+				step, n, e.arena.skips(tie))
+		}
+		if a := e.admitted[tie]; a != 0 {
+			t.Fatalf("step %d: the near-tie commodity admits %v", step, a)
+		}
+	}
+}
+
+// TestScreenedStationarityVisitsRowsAboveOne puts one more than the
+// commodity's whole mass, 1 + 2⁻⁵², on a rejected row's difference
+// link. Γ keeps it there and the wave skips the row, but its ρ rounds
+// above its best link's marginal, so its eq.-13 residual is positive:
+// Engine.Stationarity must still visit it and report what a fresh
+// CheckStationarity does.
+func TestScreenedStationarityVisitsRowsAboveOne(t *testing.T) {
+	const heavy = 5
+	e, _, _ := quietEngine(t, -1)
+	sg := &e.X.Sub[heavy]
+	e.R.Phi[heavy][sg.DiffLink] = math.Nextafter(1, 2)
+	e.spare.Phi[heavy][sg.DiffLink] = math.Nextafter(1, 2)
+	e.Restart()
+	for step := 0; step < 3; step++ {
+		e.Step()
+		got, want := e.Stationarity(), CheckStationarity(flow.Evaluate(e.R))
+		if !sameReport(got, want) {
+			t.Fatalf("step %d: Stationarity %+v, CheckStationarity %+v", step, got, want)
+		}
+		if !e.arena.skips(heavy) || !(want.MaxSufficientViolation > 0) {
+			t.Fatalf("step %d: row screened %v, residual %v; the case needs a screened row with a positive residual",
+				step, e.arena.skips(heavy), want.MaxSufficientViolation)
+		}
+	}
+}
+
+// TestRestartSweepsEveryRow doubles the offered rate of a screened,
+// rejected commodity, which moves no price, so the drift alone would
+// leave the row screened with its old dummy-node usage and utility
+// loss. Restart must drop every screen: the measures the next steps
+// carry are a fresh evaluation's, bit for bit.
+func TestRestartSweepsEveryRow(t *testing.T) {
+	const doubled = 7
+	e, p0, all := quietEngine(t, -1)
+	for range 3 {
+		e.Step()
+	}
+	if e.Screened(); !e.arena.skips(doubled) || e.admitted[doubled] != 0 {
+		t.Fatalf("row %d: screened %v, admitted %v; the case needs a screened rejected row",
+			doubled, e.arena.skips(doubled), e.admitted[doubled])
+	}
+	p := p0.Clone()
+	c := p.Commodities[doubled]
+	if err := p.SetMaxRate(c.Name, 2*c.MaxRate); err != nil {
+		t.Fatal(err)
+	}
+	// quietEngine's utilities live on the extended problem alone: carry
+	// them over the reparameterization.
+	u := e.X.Commodities[doubled].Utility
+	e.X.Reparameterize(p, all)
+	for j := range e.X.Commodities {
+		xc := &e.X.Commodities[j]
+		if j == doubled {
+			xc.Utility = u
+		}
+		xc.Loss = utility.Loss{U: xc.Utility, Lambda: xc.MaxRate}
+	}
+	e.Restart()
+	for step := 0; step < 3; step++ {
+		r := e.R.Clone()
+		info := e.Step()
+		want := flow.Evaluate(r)
+		if !sameFloat(info.Utility, want.Utility()) || !sameFloat(info.Cost, want.TotalCost()) {
+			t.Fatalf("step %d: utility %v cost %v, fresh evaluation %v %v",
+				step, info.Utility, info.Cost, want.Utility(), want.TotalCost())
+		}
+	}
+}

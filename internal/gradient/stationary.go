@@ -41,7 +41,7 @@ const (
 // the workspaces it already owns; this form serves one-off diagnostics
 // on a usage that no engine holds.
 func CheckStationarity(u *flow.Usage) StationarityReport {
-	a := newArena(u.R.X, 1)
+	a := newArena(u.R.X, 1, false)
 	fillNodePrices(u, a.price)
 	return a.stationarity(u)
 }
@@ -51,11 +51,17 @@ func CheckStationarity(u *flow.Usage) StationarityReport {
 // marginal sweep (tagging off) and the residuals of eqs. 12 and 13. It
 // allocates nothing, so convergence detection grounded in the paper's
 // optimality theory rather than in utility deltas costs an iteration
-// loop about one extra wave.
+// loop about one extra wave. It skips the rows the screen holds with a
+// positive bound: each sits at a vertex whose best links keep their
+// lead, so its used-link gaps are exactly 0 and its eq.-13 residuals
+// at most 0, and neither can raise a maximum that starts at 0.
 func (a *arena) stationarity(u *flow.Usage) StationarityReport {
 	rho, linkD := a.scratch[0].rho, a.scratch[0].linkD
 	rep := StationarityReport{WorstNode: graph.Invalid, WorstCommodity: -1}
 	for j := range a.x.Sub {
+		if a.screen != nil && a.drift < a.screen[j].s {
+			continue
+		}
 		sweep(u, j, a.price, rho, linkD, nil, 0)
 		sg := &a.x.Sub[j]
 		phi, t := u.R.Phi[j], u.T[j]

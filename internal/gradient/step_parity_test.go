@@ -191,7 +191,11 @@ func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bi
 // place between turns of 25 steps the way a coordinator rewrites it
 // (with the turn-start Engine.ExternalChanged it makes), and a
 // reparameterization followed by Engine.Restart. It does so without
-// momentum and with the serving mode's heavy-ball μ 0.9.
+// momentum and with the serving mode's heavy-ball μ 0.9. On the sparse
+// instances it runs long enough for the screen to skip rows before the
+// reparameterization and again after the Restart, and fails if it skips
+// none; the branched instance's rows do not reach the vertices the
+// screen needs.
 //
 // Two more instances license the sweep's carried ρ and the wave's
 // concrete-type utility calls. "branched" is a layered instance whose
@@ -257,7 +261,7 @@ func TestServingStepMatchesReferenceStep(t *testing.T) {
 				t.Fatalf("%q: %d of %d commodities Linear; the case needs both paths", inst.prefix, linear, len(x.Commodities))
 			}
 		}
-		servingStepParity(t, inst.prefix, x, inst.p, subset)
+		servingStepParity(t, inst.prefix, x, inst.p, subset, !inst.forks)
 	}
 }
 
@@ -285,8 +289,9 @@ func chainLinks(x *transform.Extended) (carried, reloaded int) {
 
 // servingStepParity runs TestServingStepMatchesReferenceStep's cases on
 // x, the shard of p0 that holds the commodities in subset, naming each
-// subtest after prefix.
-func servingStepParity(t *testing.T, prefix string, x *transform.Extended, p0 *stream.Problem, subset []int) {
+// subtest after prefix. With screens set the screen must skip rows both
+// before the reparameterization and after the Restart that follows it.
+func servingStepParity(t *testing.T, prefix string, x *transform.Extended, p0 *stream.Problem, subset []int, screens bool) {
 	ext := make([]float64, x.SharedNodes)
 	x.SetExternal(ext)
 	// setExternal rewrites the installed vector in place: turn k loads
@@ -313,13 +318,14 @@ func servingStepParity(t *testing.T, prefix string, x *transform.Extended, p0 *s
 			const eta0 = 0.5
 			eng := New(x, Config{Eta: eta0, Backtrack: true, DisableBlocking: true, Momentum: tc.mu, Workers: tc.workers})
 			ref := &refStepper{x: x, r: flow.NewInitial(x), eta: eta0, mu: tc.mu}
-			accepted, infeasible, step := 0, 0, 0
+			accepted, infeasible, step, screened := 0, 0, 0, 0
 			turns := func(n int) {
 				t.Helper()
 				for turn := 0; turn < n; turn++ {
 					setExternal(step/25 + 1)
 					eng.ExternalChanged()
 					for i := 0; i < 25; i++ {
+						screened += eng.Screened()
 						got := eng.Step()
 						before := ref.backtracks
 						want := ref.step()
@@ -353,7 +359,8 @@ func servingStepParity(t *testing.T, prefix string, x *transform.Extended, p0 *s
 				}
 			}
 
-			turns(6)
+			turns(8)
+			screenedBefore := screened
 			rejected := ref.backtracks
 			// A capacity cut and a rate change, installed in place.
 			p := p0.Clone()
@@ -375,7 +382,7 @@ func servingStepParity(t *testing.T, prefix string, x *transform.Extended, p0 *s
 			x.Reparameterize(p, subset)
 			eng.Restart()
 			ref.restart()
-			turns(4)
+			turns(6)
 			rejected += ref.backtracks
 
 			if accepted == 0 || rejected == 0 {
@@ -385,7 +392,12 @@ func servingStepParity(t *testing.T, prefix string, x *transform.Extended, p0 *s
 				t.Fatalf("heavy-ball node updates: %d pushed, %d restarted, %d clipped; the case needs all three",
 					ref.pushed, ref.restarted, ref.clipped)
 			}
-			t.Logf("%d steps: %d accepted, %d rejected, %d measured infeasible", step, accepted, rejected, infeasible)
+			if screens && (screenedBefore == 0 || screened == screenedBefore) {
+				t.Fatalf("%d row-steps screened before the cut and %d after: the case needs both",
+					screenedBefore, screened-screenedBefore)
+			}
+			t.Logf("%d steps: %d accepted, %d rejected, %d measured infeasible, %d row-steps screened",
+				step, accepted, rejected, infeasible, screened)
 
 			// Put the problem back for the next worker count.
 			x.Reparameterize(p0, subset)
