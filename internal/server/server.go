@@ -20,6 +20,10 @@
 // mutations replace the pointer, they never alias an in-flight solve or
 // marshal — and a mutation costs what it
 // touches plus one pointer per commodity, not a copy of the problem.
+// The one version ever written again is one no reader got: a version
+// replaced before its pointer left the mutex lends its pointer slice to
+// the next one (stream.Problem.NewVersionReusing), so a burst of
+// mutations between two solves allocates no O(J) slice per call.
 // The solver converges and
 // publishes an immutable Snapshot through an atomic pointer. Reads are
 // lock-free and always see a complete snapshot — never a torn one — even
@@ -278,6 +282,12 @@ type Server struct {
 	rev         int64           // bumped per accepted mutation
 	pending     []*decision     // traced mutations awaiting a snapshot; under mu
 	journalMuts int             // mutations journaled since boot; drives periodic checkpoints
+	// problemOut is set once problem's pointer has left mu (see
+	// installedLocked). A replaced version that never left it is spare:
+	// nothing else can read it, so the next mutation builds its version
+	// in spare's commodity slice instead of allocating an O(J) one.
+	problemOut bool
+	spare      *stream.Problem
 	// checkpoints queues due periodic checkpoints, in revision order, to
 	// the goroutine that writes them; sent to and closed under mu. Nil
 	// when periodic checkpoints are off and once Close has begun.
@@ -481,9 +491,16 @@ func (s *Server) Rev() int64 {
 // read holds the write-path mutex; the O(J) marshal runs outside it.
 func (s *Server) ProblemJSON() ([]byte, error) {
 	s.mu.Lock()
-	p := s.problem
+	p := s.installedLocked()
 	s.mu.Unlock()
 	return p.MarshalJSON()
+}
+
+// installedLocked returns the installed problem for a reader outside
+// mu, which rules it out as a spare. Callers hold s.mu.
+func (s *Server) installedLocked() *stream.Problem {
+	s.problemOut = true
+	return s.problem
 }
 
 // signal wakes the solver; non-blocking because wake is 1-buffered and
@@ -526,13 +543,22 @@ func (s *Server) Apply(m journal.Mutation) (int64, error) {
 func (s *Server) mutate(ing ingress, ms ...journal.Mutation) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	next := s.problem.NewVersion()
+	var next *stream.Problem
+	if s.spare != nil {
+		next, s.spare = s.problem.NewVersionReusing(s.spare), nil
+	} else {
+		next = s.problem.NewVersion()
+	}
 	for i := range ms {
 		if err := journal.Apply(next, &ms[i]); err != nil {
+			s.spare = next
 			return s.rev, err
 		}
 	}
-	s.problem = next
+	if !s.problemOut {
+		s.spare = s.problem
+	}
+	s.problem, s.problemOut = next, false
 	journaled := s.journalMuts
 	for _, m := range ms {
 		s.rev++
@@ -545,7 +571,7 @@ func (s *Server) mutate(ing ingress, ms ...journal.Mutation) (int64, error) {
 	// is s.problem the state at s.rev. The mutex only orders it; the
 	// checkpoint goroutine marshals and appends it.
 	if every := s.opts.CheckpointEvery; s.checkpoints != nil && s.journalMuts/every > journaled/every {
-		s.checkpoints <- checkpoint{p: s.problem, rev: s.rev}
+		s.checkpoints <- checkpoint{p: s.installedLocked(), rev: s.rev}
 	}
 	s.signal()
 	return s.rev, nil
@@ -742,7 +768,7 @@ func (s *Server) debounce() {
 // mutation's decision trace.
 func (s *Server) solveOnce() {
 	s.mu.Lock()
-	p := s.problem
+	p := s.installedLocked()
 	rev := s.rev
 	// Every pending decision has rev ≤ s.rev, so this solve will
 	// incorporate all of them: take the whole batch.

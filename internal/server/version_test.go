@@ -62,6 +62,36 @@ func randomMutation(rng *rand.Rand, names, nodes []string, specs map[string][]by
 	}
 }
 
+func marshalProblem(t *testing.T, p *stream.Problem) []byte {
+	t.Helper()
+	b, err := p.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// mutationTargets lists what randomMutation draws from: p's commodity
+// names, its processing nodes and each commodity's encoded spec.
+func mutationTargets(t *testing.T, p *stream.Problem) (names, nodes []string, specs map[string][]byte) {
+	t.Helper()
+	specs = map[string][]byte{}
+	for _, c := range p.Commodities {
+		names = append(names, c.Name)
+		spec, err := p.MarshalCommodityJSON(c.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs[c.Name] = spec
+	}
+	for i, kind := range p.Net.Kinds {
+		if kind == stream.Processing {
+			nodes = append(nodes, p.Net.Names[i])
+		}
+	}
+	return names, nodes, specs
+}
+
 // TestVersionIsolation is the write path's sharing held to its contract,
 // as a property over random mutation sequences: all nine ops, rejected
 // ones among them, alone and in mutate's all-or-nothing groups, at 1 and
@@ -79,27 +109,8 @@ func TestVersionIsolation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			marshal := func(p *stream.Problem) []byte {
-				t.Helper()
-				b, err := p.MarshalJSON()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return b
-			}
-			var names, nodes []string
-			specs := map[string][]byte{}
-			for _, c := range p.Commodities {
-				names = append(names, c.Name)
-				if specs[c.Name], err = p.MarshalCommodityJSON(c.Name); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i, kind := range p.Net.Kinds {
-				if kind == stream.Processing {
-					nodes = append(nodes, p.Net.Names[i])
-				}
-			}
+			marshal := func(p *stream.Problem) []byte { return marshalProblem(t, p) }
+			names, nodes, specs := mutationTargets(t, p)
 			handed := marshal(p)
 
 			opts := shardedOptions(shards)
@@ -130,7 +141,7 @@ func TestVersionIsolation(t *testing.T) {
 			installed := func() *stream.Problem {
 				s.mu.Lock()
 				defer s.mu.Unlock()
-				return s.problem
+				return s.installedLocked()
 			}
 			type version struct {
 				p     *stream.Problem
@@ -269,5 +280,90 @@ func TestMutationAllocatesWhatItTouches(t *testing.T) {
 	}
 	if objects[0] != objects[1] {
 		t.Errorf("objects per SetMaxRate grow with J: %d at 1k, %d at 8k", objects[0], objects[1])
+	}
+}
+
+// TestUnreadVersionsLendTheirSlice: a version replaced before any
+// reader got it lends its commodity slice to a later version, and a
+// version a reader got never moves, over random mutation groups,
+// rejected ones among them. The solver is gated shut, so the only
+// readers are the test's: every fourth version is read, the rest are
+// peeked at under the mutex, which leaves them spare.
+func TestUnreadVersionsLendTheirSlice(t *testing.T) {
+	p, err := randnet.Generate(randnet.Config{Seed: 5, Nodes: 32, Layers: 4, Commodities: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, nodes, specs := mutationTargets(t, p)
+	opts := shardedOptions(1)
+	opts.SolveGate = make(chan struct{})
+	s, err := New(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	installed := func(read bool) *stream.Problem {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if read {
+			return s.installedLocked()
+		}
+		return s.problem
+	}
+	type version struct {
+		p     *stream.Problem
+		bytes []byte
+	}
+	var kept []version
+	unread := map[**stream.Commodity]bool{} // slices of versions no reader got
+	ref := p.Clone()
+	rng := rand.New(rand.NewSource(3))
+	lent, accepted := 0, 0
+	for step := 0; step < 300; step++ {
+		before := installed(false)
+		beforeBytes := marshalProblem(t, before)
+		group := make([]journal.Mutation, 1+rng.Intn(3)*rng.Intn(2))
+		for i := range group {
+			group[i] = randomMutation(rng, names, nodes, specs, ref)
+		}
+		next, ok := ref.Clone(), true
+		for i := range group {
+			if journal.Apply(next, &group[i]) != nil {
+				ok = false
+				break
+			}
+		}
+		if _, err := s.mutate(ingress{}, group...); (err == nil) != ok {
+			t.Fatalf("step %d: server says %v, the reference accepted: %v", step, err, ok)
+		}
+		after := installed(false)
+		if !ok {
+			if after != before || !bytes.Equal(marshalProblem(t, after), beforeBytes) {
+				t.Fatalf("step %d: a rejected group changed the installed version", step)
+			}
+			continue
+		}
+		accepted++
+		ref = next
+		if len(after.Commodities) > 0 && unread[&after.Commodities[0]] {
+			lent++
+		}
+		if accepted%4 == 0 {
+			after = installed(true)
+			kept = append(kept, version{after, marshalProblem(t, after)})
+		} else if len(after.Commodities) > 0 {
+			unread[&after.Commodities[0]] = true
+		}
+	}
+	for i, v := range kept {
+		if !bytes.Equal(marshalProblem(t, v.p), v.bytes) {
+			t.Fatalf("read version %d of %d moved after it was read", i, len(kept))
+		}
+	}
+	if !bytes.Equal(marshalProblem(t, installed(true)), marshalProblem(t, ref)) {
+		t.Fatal("the installed problem differs from the deep-cloned reference")
+	}
+	if lent < accepted/3 {
+		t.Fatalf("%d of %d accepted groups built in an unread version's slice: spares are not reused", lent, accepted)
 	}
 }

@@ -102,11 +102,28 @@ func (p *Problem) Clone() *Problem {
 // is not written, now or by any edit of the result; whoever still edits
 // p in place afterwards changes what the result shares.
 func (p *Problem) NewVersion() *Problem {
+	return p.newVersion(slices.Clone(p.Commodities))
+}
+
+// NewVersionReusing is NewVersion with the result's commodity pointer
+// slice built in spare's backing array, so a version costs no O(J)
+// allocation while that array is long enough. spare must be a version
+// that nothing reads now or will read again: its Commodities slice is
+// overwritten, while the *Commodity values it points at, which older
+// versions share, are not touched.
+func (p *Problem) NewVersionReusing(spare *Problem) *Problem {
+	if n := len(p.Commodities); len(spare.Commodities) > n {
+		clear(spare.Commodities[n:]) // keep no stale commodity alive
+	}
+	return p.newVersion(append(spare.Commodities[:0], p.Commodities...))
+}
+
+func (p *Problem) newVersion(commodities []*Commodity) *Problem {
 	net := *p.Net
 	net.sharedTopology, net.sharedCapacity, net.sharedBandwidth = true, true, true
 	return &Problem{
 		Net:         &net,
-		Commodities: slices.Clone(p.Commodities),
+		Commodities: commodities,
 		byName:      p.byName,
 		bySink:      p.bySink,
 		sharedIndex: true,

@@ -173,6 +173,43 @@ func TestNewVersionSharesWhatItDoesNotWrite(t *testing.T) {
 	}
 }
 
+// TestNewVersionReusingBuildsInTheSpare: a version built in a spare's
+// slice equals its predecessor, writes into that slice and nowhere
+// else, and leaves no pointer of the spare's behind its own length.
+func TestNewVersionReusingBuildsInTheSpare(t *testing.T) {
+	p := figure1WithSpareSink(t)
+	before := mustMarshal(t, p)
+	spare := p.NewVersion()
+	if _, err := spare.AddCommodityFromJSON(s3Spec(t, spare)); err != nil {
+		t.Fatal(err)
+	}
+	held := spare.Commodities[:cap(spare.Commodities)]
+	v := p.NewVersionReusing(spare)
+	if !bytes.Equal(mustMarshal(t, v), before) {
+		t.Fatal("a version built in a spare does not equal its predecessor")
+	}
+	if &v.Commodities[0] != &held[0] {
+		t.Fatal("the version did not build in the spare's slice")
+	}
+	for i := len(v.Commodities); i < len(held); i++ {
+		if held[i] != nil {
+			t.Fatalf("slot %d behind the version still holds the spare's commodity", i)
+		}
+	}
+	if err := v.SetMaxRate("S1", 42); err != nil {
+		t.Fatal(err)
+	}
+	if !v.RemoveCommodity("S2") {
+		t.Fatal("S2 not found")
+	}
+	if !bytes.Equal(mustMarshal(t, p), before) || p.Commodities[0].MaxRate == 42 {
+		t.Fatal("editing a version built in a spare moved its predecessor")
+	}
+	if err := v.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestOwnedProblemIsEditedInPlace: what parsing, generating or Clone
 // returns owns its commodities, and a *Commodity held across a setter
 // sees the edit, as callers outside the server rely on.
