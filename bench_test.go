@@ -103,7 +103,7 @@ func sparseEngine(b *testing.B, commodities int) *gradient.Engine {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := gradient.New(x, gradient.Config{Eta: 0.005, Workers: 1})
+	eng := gradient.New(x, gradient.Config{Eta: 0.005})
 	for i := 0; i < 20; i++ {
 		eng.Step()
 	}
@@ -138,17 +138,17 @@ func servingShardEngine(b *testing.B) *gradient.Engine {
 		}
 	}
 	x.SetExternal(ext)
-	eng := gradient.New(x, gradient.Config{Eta: 0.04, Backtrack: true, DisableBlocking: true, Momentum: shard.ServingMomentum, Workers: 1})
+	eng := gradient.New(x, gradient.Config{Eta: 0.04, Backtrack: true, DisableBlocking: true, Momentum: shard.ServingMomentum})
 	for i := 0; i < 20; i++ {
 		eng.Step()
 	}
 	return eng
 }
 
-// BenchmarkStepSparse prices one single-worker Engine.Step — one pass
-// per commodity (marginal/tag sweep, Γ, the forecast and measures of
-// the new row) and one node pass — on the scale ladder. ns/member-edge
-// is the complexity check: it should not move between the rungs. The
+// BenchmarkStepSparse prices one Engine.Step — one pass per commodity
+// (marginal/tag sweep, Γ, the forecast and measures of the new row) and
+// one node pass — on the scale ladder. ns/member-edge is the complexity
+// check: it should not move between the rungs. The
 // serving rung is the step the admission server runs
 // (servingShardEngine), 20 steps from its cold start, where the screen
 // skips almost nothing; serving-warm is the same engine 1 000 steps in,

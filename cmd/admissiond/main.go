@@ -58,7 +58,6 @@ type cliConfig struct {
 	eta           float64
 	eps           float64
 	iters         int
-	workers       int
 	stationaryTol float64
 	debounce      time.Duration
 
@@ -97,7 +96,6 @@ func main() {
 	flag.Float64Var(&cfg.eta, "eta", 0.04, "gradient step scale η: where step control starts a cold solve")
 	flag.Float64Var(&cfg.eps, "eps", 0.2, "penalty coefficient ε")
 	flag.IntVar(&cfg.iters, "iters", 4000, "per-solve iteration budget, summed over shards")
-	flag.IntVar(&cfg.workers, "workers", 0, "worker-pool bound for the per-commodity gradient waves (0 = 1)")
 	flag.Float64Var(&cfg.stationaryTol, "stationary-tol", 1e-3, "Theorem-2 stationarity tolerance ending a solve early (<0 disables)")
 	flag.DurationVar(&cfg.debounce, "debounce", 25*time.Millisecond, "mutation coalescing window before a re-solve")
 	flag.IntVar(&cfg.shards, "shards", 1, "solver shards commodities are partitioned across; they take turns (1 = one shard owns every commodity, nothing to exchange)")
@@ -140,7 +138,6 @@ var recordedFlags = map[string]func(o, rec *server.Options){
 	"eta":            func(o, rec *server.Options) { o.Eta = rec.Eta },
 	"iters":          func(o, rec *server.Options) { o.MaxIters = rec.MaxIters },
 	"stationary-tol": func(o, rec *server.Options) { o.StationaryTol = rec.StationaryTol },
-	"workers":        func(o, rec *server.Options) { o.Workers = rec.Workers },
 	"shards":         func(o, rec *server.Options) { o.Shards = rec.Shards },
 	"placement-salt": func(o, rec *server.Options) { o.PlacementSalt = rec.PlacementSalt },
 }
@@ -154,7 +151,6 @@ func realMain(cfg cliConfig) error {
 		Epsilon:         cfg.eps,
 		Eta:             cfg.eta,
 		MaxIters:        cfg.iters,
-		Workers:         cfg.workers,
 		StationaryTol:   cfg.stationaryTol,
 		Shards:          cfg.shards,
 		PlacementSalt:   cfg.placementSalt,

@@ -33,7 +33,6 @@ type cliConfig struct {
 	iters   int
 	eta     float64
 	eps     float64
-	workers int
 	ref     bool
 	topN    int
 	trace   bool
@@ -50,7 +49,6 @@ func main() {
 	flag.IntVar(&cfg.iters, "iters", 0, "iteration budget (0 = algorithm default)")
 	flag.Float64Var(&cfg.eta, "eta", 0.04, "gradient step scale η")
 	flag.Float64Var(&cfg.eps, "eps", 0.2, "penalty coefficient ε")
-	flag.IntVar(&cfg.workers, "workers", 0, "worker-pool bound for the per-commodity gradient waves (0 = 1)")
 	flag.BoolVar(&cfg.ref, "ref", false, "also compute the LP reference optimum")
 	flag.IntVar(&cfg.topN, "top", 10, "show the N most utilized resources")
 	flag.BoolVar(&cfg.trace, "trace", false, "print the convergence trace")
@@ -82,7 +80,6 @@ func realMain(cfg cliConfig) error {
 		MaxIters:      cfg.iters,
 		Eta:           cfg.eta,
 		Epsilon:       cfg.eps,
-		Workers:       cfg.workers,
 		WithReference: cfg.ref,
 		SampleEvery:   cfg.sample,
 		Explain:       cfg.explain,

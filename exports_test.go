@@ -57,20 +57,7 @@ func TestEveryExportHasABinaryCaller(t *testing.T) {
 	used := map[string]bool{}
 	fset := token.NewFileSet()
 	for _, root := range binaryTrees {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() && d.Name() == "testdata" {
-				return filepath.SkipDir
-			}
-			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
+		parseNonTest(t, fset, root, func(path string, f *ast.File) {
 			declared := map[*ast.Ident]bool{}
 			add := func(recv string, id *ast.Ident) {
 				declared[id] = true
@@ -105,11 +92,7 @@ func TestEveryExportHasABinaryCaller(t *testing.T) {
 				}
 				return true
 			})
-			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	flagged := map[string]bool{}
@@ -131,6 +114,32 @@ func TestEveryExportHasABinaryCaller(t *testing.T) {
 		if !flagged[key] {
 			t.Errorf("allowlist entry %s is stale: the guard does not flag it", key)
 		}
+	}
+}
+
+// parseNonTest parses every non-test Go file under root into fset,
+// testdata excluded, and calls fn with its path and syntax tree.
+func parseNonTest(t *testing.T, fset *token.FileSet, root string, fn func(path string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(path, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

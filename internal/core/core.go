@@ -66,10 +66,6 @@ type Options struct {
 
 	// Gradient knobs (§5).
 	Eta float64 // step scale η; default 0.04
-	// Workers bounds the engine's per-commodity wave pool
-	// (gradient.Config.Workers); zero means 1. The trajectory
-	// is identical for any value.
-	Workers int
 
 	// Reference knobs.
 	Segments int
@@ -224,7 +220,6 @@ func solveGradient(p *stream.Problem, x *transform.Extended, opts Options, res *
 	eng := gradient.New(x, gradient.Config{
 		Eta:       opts.Eta,
 		Backtrack: opts.Algorithm == GradientAdaptive,
-		Workers:   opts.Workers,
 	})
 	var det gradient.DivergenceDetector
 	var last TracePoint

@@ -114,50 +114,48 @@ func TestBacktrackingMatchesReferenceLoop(t *testing.T) {
 	}
 	for _, in := range instances {
 		for _, eta0 := range []float64{0.04, 50} {
-			for _, workers := range []int{1, 4} {
-				e := New(in.x, Config{Eta: eta0, Backtrack: true, Workers: workers})
+			e := New(in.x, Config{Eta: eta0, Backtrack: true})
 
-				r := flow.NewInitial(in.x)
-				eta, descents, backtracks := eta0, 0, 0
-				cost := flow.Evaluate(r).TotalCost()
-				for i := 0; i < 300; i++ {
-					e.Step()
+			r := flow.NewInitial(in.x)
+			eta, descents, backtracks := eta0, 0, 0
+			cost := flow.Evaluate(r).TotalCost()
+			for i := 0; i < 300; i++ {
+				e.Step()
 
-					proposer, err := NewFrom(in.x, r, Config{Eta: eta, Workers: 1})
-					if err != nil {
-						t.Fatal(err)
-					}
-					proposer.Step()
-					if c := proposer.Usage().TotalCost(); c <= cost+1e-12 {
-						r, cost = proposer.Routing(), c
-						if descents++; descents >= 20 {
-							descents = 0
-							if eta*1.05 <= 1 {
-								eta *= 1.05
-							}
-						}
-					} else {
-						backtracks++
+				proposer, err := NewFrom(in.x, r, Config{Eta: eta})
+				if err != nil {
+					t.Fatal(err)
+				}
+				proposer.Step()
+				if c := proposer.Usage().TotalCost(); c <= cost+1e-12 {
+					r, cost = proposer.Routing(), c
+					if descents++; descents >= 20 {
 						descents = 0
-						if eta*0.5 >= 1e-5 {
-							eta *= 0.5
+						if eta*1.05 <= 1 {
+							eta *= 1.05
 						}
 					}
+				} else {
+					backtracks++
+					descents = 0
+					if eta*0.5 >= 1e-5 {
+						eta *= 0.5
+					}
+				}
 
-					if e.Eta() != eta || e.Backtracks() != backtracks {
-						t.Fatalf("%s eta0=%g workers=%d step %d: eta %v backtracks %d, reference %v %d",
-							in.name, eta0, workers, i, e.Eta(), e.Backtracks(), eta, backtracks)
-					}
-					for j := range r.Phi {
-						if k := sameBits(e.Routing().Phi[j], r.Phi[j]); k >= 0 {
-							t.Fatalf("%s eta0=%g workers=%d step %d: φ[%d][%d] = %v, reference %v",
-								in.name, eta0, workers, i, j, k, e.Routing().Phi[j][k], r.Phi[j][k])
-						}
+				if e.Eta() != eta || e.Backtracks() != backtracks {
+					t.Fatalf("%s eta0=%g step %d: eta %v backtracks %d, reference %v %d",
+						in.name, eta0, i, e.Eta(), e.Backtracks(), eta, backtracks)
+				}
+				for j := range r.Phi {
+					if k := sameBits(e.Routing().Phi[j], r.Phi[j]); k >= 0 {
+						t.Fatalf("%s eta0=%g step %d: φ[%d][%d] = %v, reference %v",
+							in.name, eta0, i, j, k, e.Routing().Phi[j][k], r.Phi[j][k])
 					}
 				}
-				if eta0 == 50 && backtracks == 0 {
-					t.Fatalf("%s: hostile eta never backtracked; the test exercised one branch only", in.name)
-				}
+			}
+			if eta0 == 50 && backtracks == 0 {
+				t.Fatalf("%s: hostile eta never backtracked; the test exercised one branch only", in.name)
 			}
 		}
 	}

@@ -1,0 +1,97 @@
+package gradient
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/randnet"
+	"repro/internal/transform"
+)
+
+// buildInstance generates a randnet problem and its extended form.
+func buildInstance(t *testing.T, cfg randnet.Config) *transform.Extended {
+	t.Helper()
+	p, err := randnet.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := transform.Build(p, transform.Options{Epsilon: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+// TestStepSteadyStateAllocs pins the workspace contract of the iterate
+// layer: neither Step nor the periodic convergence test on the engine's
+// workspaces allocates.
+func TestStepSteadyStateAllocs(t *testing.T) {
+	x := buildInstance(t, randnet.Config{Seed: 2, Nodes: 40, Commodities: 3})
+	e := New(x, Config{})
+	for i := 0; i < 10; i++ {
+		e.Step() // warm up past any lazy growth
+	}
+	if allocs := testing.AllocsPerRun(100, func() { e.Step() }); allocs != 0 {
+		t.Fatalf("Step allocates %v objects per run in steady state, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { e.Step(); e.Stationarity() }); allocs != 0 {
+		t.Fatalf("Step + Stationarity allocate %v objects per run, want 0", allocs)
+	}
+	// Backtracking swaps between two usage workspaces; it allocates
+	// neither on a kept step nor on a rejected one (η 50 forces both).
+	b := New(x, Config{Eta: 50, Backtrack: true})
+	for i := 0; i < 10; i++ {
+		b.Step()
+	}
+	if allocs := testing.AllocsPerRun(100, func() { b.Step() }); allocs != 0 {
+		t.Fatalf("backtracking Step allocates %v objects per run, want 0", allocs)
+	}
+	if b.Backtracks() == 0 || b.Backtracks() == b.Stats().Iterations {
+		t.Fatalf("%d of %d steps rejected; want both branches measured", b.Backtracks(), b.Stats().Iterations)
+	}
+	// The server's serving step: backtracking without the tags and with
+	// the heavy-ball term, priced against the external usage of the
+	// other shards, carrying each accepted routing's evaluation into the
+	// next step. It is measured from a cold start and again once the
+	// screen skips rows: the wave then reuses their terms (arena.reuse)
+	// in place of a sweep, and the stationarity check passes them by.
+	// The count of screened row-steps shows the measured steps did.
+	p, err := randnet.GenerateSparse(randnet.Config{Seed: 13, Nodes: 48, Layers: 6, Commodities: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sx, err := transform.Build(p, transform.Options{Epsilon: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := make([]float64, sx.SharedNodes)
+	for n, c := range sx.Capacity[:sx.SharedNodes] {
+		if !math.IsInf(c, 1) {
+			ext[n] = c / 4
+		}
+	}
+	sx.SetExternal(ext)
+	s := New(sx, Config{Eta: 0.04, Backtrack: true, DisableBlocking: true, Momentum: 0.9})
+	for i := 0; i < 10; i++ {
+		s.Step()
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.Step() }); allocs != 0 {
+		t.Fatalf("serving Step allocates %v objects per run, want 0", allocs)
+	}
+	for i := 0; s.Screened() == 0; i++ {
+		if i == 2000 {
+			t.Fatal("the screen skipped no row in 2000 serving steps")
+		}
+		s.Step()
+	}
+	screened := 0
+	if allocs := testing.AllocsPerRun(100, func() { screened += s.Screened(); s.Step() }); allocs != 0 {
+		t.Fatalf("screened serving Step allocates %v objects per run, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { screened += s.Screened(); s.Step(); s.Stationarity() }); allocs != 0 {
+		t.Fatalf("screened serving Step + Stationarity allocate %v objects per run, want 0", allocs)
+	}
+	if screened == 0 {
+		t.Fatal("no measured step skipped a row; want the screened path measured")
+	}
+}

@@ -1,18 +1,15 @@
 package gradient
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/flow"
 	"repro/internal/transform"
 	"repro/internal/utility"
 )
 
-// waveScratch is one worker's buffers for the sweep→update chain of one
+// waveScratch holds the buffers for the sweep→update chain of one
 // commodity at a time, sized for the largest member subgraph. Nothing
 // in it outlives the commodity it was filled for — the chain's only
-// per-commodity output is the new φ row — so a worker reuses the same
+// per-commodity output is the new φ row — so the wave reuses the same
 // few cache lines for every commodity it runs.
 type waveScratch struct {
 	rho    []float64
@@ -25,12 +22,11 @@ type waveScratch struct {
 	prev []float64
 }
 
-// arena owns one engine's wave workspaces and the worker pool that runs
-// the §5 waves. The paper's protocol phases are independent across
-// commodities — each commodity's marginal-cost wave and update read
-// only its own usage row and the node prices and write only its own φ
-// row — so the pool parallelizes them without changing a single bit of
-// the trajectory.
+// arena owns one engine's §5 wave workspaces. The paper's protocol
+// phases are independent across commodities — each commodity's
+// marginal-cost wave and update read only its own usage row and the
+// node prices and write only its own φ row — so one workspace serves
+// every commodity in turn.
 type arena struct {
 	x *transform.Extended
 	// price is ε·D'_n at the global operating point per extended node,
@@ -38,18 +34,15 @@ type arena struct {
 	// evaluates a routing (evaluate), CheckStationarity with
 	// fillNodePrices.
 	price   []float64
-	scratch []waveScratch // one per worker
-	cursor  atomic.Int64  // next commodity for the pool to claim
+	scratch waveScratch
 
 	// The screen of the serving step (screen.go), nil in the paper
 	// mode: per row its state and its width W_j (0 until first needed),
 	// and drift, Π, the running sum over node passes of the largest
-	// price change, rounded up. skipped marks the rows a pooled wave
-	// screens, one bit per row.
-	screen  []rowScreen
-	widths  []float32
-	drift   float64
-	skipped []uint64
+	// price change, rounded up.
+	screen []rowScreen
+	widths []float32
+	drift  float64
 
 	// messages and rounds are what one marginal-cost wave costs the
 	// distributed protocol: one ρ broadcast per member edge, and as many
@@ -57,9 +50,9 @@ type arena struct {
 	messages, rounds int
 }
 
-// newArena sizes the wave workspaces of x for the given worker count,
-// and the screen too when screened is set (the serving mode).
-func newArena(x *transform.Extended, workers int, screened bool) *arena {
+// newArena sizes the wave workspace of x, and the screen too when
+// screened is set (the serving mode).
+func newArena(x *transform.Extended, screened bool) *arena {
 	a := &arena{x: x, price: make([]float64, x.NumNodes())}
 	maxN, maxE := 0, 0
 	for j := range x.Sub {
@@ -68,21 +61,15 @@ func newArena(x *transform.Extended, workers int, screened bool) *arena {
 		a.messages += sg.NumEdges()
 		a.rounds = max(a.rounds, sg.Depth())
 	}
-	a.scratch = make([]waveScratch, max(1, min(workers, len(x.Sub))))
-	for i := range a.scratch {
-		a.scratch[i] = waveScratch{
-			rho:    make([]float64, maxN),
-			linkD:  make([]float64, maxE),
-			tagged: make([]bool, maxN),
-			prev:   make([]float64, maxE),
-		}
+	a.scratch = waveScratch{
+		rho:    make([]float64, maxN),
+		linkD:  make([]float64, maxE),
+		tagged: make([]bool, maxN),
+		prev:   make([]float64, maxE),
 	}
 	if screened {
 		a.screen = make([]rowScreen, len(x.Sub))
 		a.widths = make([]float32, len(x.Sub))
-		if len(a.scratch) > 1 {
-			a.skipped = make([]uint64, (len(x.Sub)+63)/64)
-		}
 	}
 	return a
 }
@@ -107,81 +94,28 @@ func newArena(x *transform.Extended, workers int, screened bool) *arena {
 // row the screen skips (screen.go) is not swept: next already holds it,
 // from holds its admitted rate (u.R's measures), and reuse adds what
 // its visit would have added.
-//
-// With more than one worker the sweeps and Γ run concurrently on a
-// bounded pool, and the forecasts follow in one serial pass in
-// commodity order. No floating-point value crosses between commodities
-// in the parallel part, and the serial part adds into FNode and the two
-// sums in the sequential order, so the result is bitwise-identical to
-// the sequential execution. The rows to skip are marked before the pool
-// starts, since the pool rewrites the screen.
 func (a *arena) runWave(u *flow.Usage, eta, mu float64, blocking bool, next *flow.Routing, from, admitted []float64) (utility, loss float64) {
 	clear(u.FNode)
-	if len(a.scratch) > 1 {
-		if a.skipped != nil {
-			clear(a.skipped)
-			for j := range a.screen {
-				if a.skips(j) {
-					a.skipped[j/64] |= 1 << (j % 64)
-				}
-			}
+	for j := range a.x.Sub {
+		var uj, yj float64
+		if a.screen != nil && a.skips(j) {
+			uj, yj = a.reuse(u, j, next, from, admitted)
+		} else {
+			a.update(u, j, eta, mu, blocking, next)
+			u.ForecastRow(next, j)
+			uj, yj = a.measure(u, next, j, admitted)
 		}
-		a.cursor.Store(0)
-		var wg sync.WaitGroup
-		wg.Add(len(a.scratch))
-		for i := range a.scratch {
-			w := &a.scratch[i]
-			go func() {
-				defer wg.Done()
-				for {
-					j := int(a.cursor.Add(1)) - 1
-					if j >= len(a.x.Sub) {
-						return
-					}
-					if !a.pooledSkip(j) {
-						a.update(w, u, j, eta, mu, blocking, next)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		for j := range a.x.Sub {
-			var uj, yj float64
-			if a.pooledSkip(j) {
-				uj, yj = a.reuse(u, j, next, from, admitted)
-			} else {
-				u.ForecastRow(next, j)
-				uj, yj = a.measure(u, next, j, admitted)
-			}
-			utility, loss = utility+uj, loss+yj
-		}
-	} else {
-		w := &a.scratch[0]
-		for j := range a.x.Sub {
-			var uj, yj float64
-			if a.screen != nil && a.skips(j) {
-				uj, yj = a.reuse(u, j, next, from, admitted)
-			} else {
-				a.update(w, u, j, eta, mu, blocking, next)
-				u.ForecastRow(next, j)
-				uj, yj = a.measure(u, next, j, admitted)
-			}
-			utility, loss = utility+uj, loss+yj
-		}
+		utility, loss = utility+uj, loss+yj
 	}
 	u.R = next
 	return utility, loss
 }
 
-// pooledSkip reports whether the pooled wave in progress skips row j.
-func (a *arena) pooledSkip(j int) bool {
-	return a.skipped != nil && a.skipped[j/64]&(1<<(j%64)) != 0
-}
-
-// update runs commodity j's sweep and Γ in the worker scratch w,
+// update runs commodity j's sweep and Γ in the arena's scratch,
 // writing the new φ row into next, and in the serving mode the row's
 // new screen bound.
-func (a *arena) update(w *waveScratch, u *flow.Usage, j int, eta, mu float64, blocking bool, next *flow.Routing) {
+func (a *arena) update(u *flow.Usage, j int, eta, mu float64, blocking bool, next *flow.Routing) {
+	w := &a.scratch
 	var tagged []bool
 	if blocking {
 		tagged = w.tagged
@@ -189,7 +123,7 @@ func (a *arena) update(w *waveScratch, u *flow.Usage, j int, eta, mu float64, bl
 	sweep(u, j, a.price, w.rho, w.linkD, tagged, eta)
 	gamma(u, j, w.linkD, tagged, eta, mu, w.prev, next.Phi[j])
 	if a.screen != nil {
-		a.screen[j].s = a.rescreen(w, u, j, next.Phi[j])
+		a.screen[j].s = a.rescreen(u, j, next.Phi[j])
 	}
 }
 

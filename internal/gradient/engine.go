@@ -38,21 +38,14 @@ type Config struct {
 	// turns on the screened step (screen.go): a row Γ would return bit
 	// for bit is not swept, and the trajectory stays the unscreened one.
 	DisableBlocking bool
-	// Workers bounds the worker pool that runs the per-commodity §5
-	// sweeps and updates concurrently (the phases are independent across
-	// commodities, mirroring the paper's distributed execution); the
-	// forecasts of their results then follow serially. Zero or negative
-	// means 1, which runs each commodity's whole pass inline. Any value
-	// produces the same trajectory bit for bit.
+	// Deprecated: ignored. Each commodity's §5 pass runs inline on the
+	// caller's goroutine. Only bench/trace.go's mirror pass sets it.
 	Workers int
 }
 
 func (c *Config) setDefaults() {
 	if c.Eta <= 0 {
 		c.Eta = 0.04
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
 	}
 }
 
@@ -159,7 +152,7 @@ func newEngine(x *transform.Extended, r *flow.Routing, cfg Config) *Engine {
 		X: x, R: r, cfg: cfg, eta: cfg.Eta,
 		u:             flow.NewUsage(x),
 		spare:         r.Clone(),
-		arena:         newArena(x, cfg.Workers, cfg.DisableBlocking),
+		arena:         newArena(x, cfg.DisableBlocking),
 		admitted:      make([]float64, x.NumCommodities()),
 		spareAdmitted: make([]float64, x.NumCommodities()),
 	}

@@ -195,21 +195,17 @@ func sameBits(a, b []float64) int {
 	return -1
 }
 
-// checkKernelParity steps engines with Workers 1 and 4 from start in
-// lockstep with the reference wave and compares, every iteration: the φ
-// rows going in, the fused sweep's ρ, per-link marginals and tag
-// vectors on the same evaluation, and the accumulated protocol
-// accounting. perturb (optional) runs between iterations, for callers
-// that move the external usage the way a price exchange does.
+// checkKernelParity steps an engine from start in lockstep with the
+// reference wave and compares, every iteration: the φ rows going in,
+// the fused sweep's ρ, per-link marginals and tag vectors on the same
+// evaluation, and the accumulated protocol accounting. perturb
+// (optional) runs between iterations, for callers that move the
+// external usage the way a price exchange does.
 func checkKernelParity(t *testing.T, x *transform.Extended, start *flow.Routing, eta float64, blocking bool, iters int, perturb func(i int)) {
 	t.Helper()
-	var engines []*Engine
-	for _, workers := range []int{1, 4} {
-		e, err := NewFrom(x, start, Config{Eta: eta, DisableBlocking: !blocking, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines = append(engines, e)
+	e, err := NewFrom(x, start, Config{Eta: eta, DisableBlocking: !blocking})
+	if err != nil {
+		t.Fatal(err)
 	}
 	r, err := start.Rebind(x)
 	if err != nil {
@@ -269,26 +265,22 @@ func checkKernelParity(t *testing.T, x *transform.Extended, start *flow.Routing,
 		want.Iterations++
 		want.Messages += 2 * ref.messages
 		want.Rounds += 2 * ref.rounds
-		for _, e := range engines {
-			for j := range x.Sub {
-				if k := sameBits(e.R.Phi[j], r.Phi[j]); k >= 0 {
-					t.Fatalf("iteration %d workers=%d commodity %d: φ[%d] = %v, reference %v",
-						i, e.cfg.Workers, j, k, e.R.Phi[j][k], r.Phi[j][k])
-				}
+		for j := range x.Sub {
+			if k := sameBits(e.R.Phi[j], r.Phi[j]); k >= 0 {
+				t.Fatalf("iteration %d commodity %d: φ[%d] = %v, reference %v",
+					i, j, k, e.R.Phi[j][k], r.Phi[j][k])
 			}
-			e.Step()
-			if e.Stats() != want {
-				t.Fatalf("iteration %d workers=%d: stats %+v, reference %+v", i, e.cfg.Workers, e.Stats(), want)
-			}
+		}
+		e.Step()
+		if e.Stats() != want {
+			t.Fatalf("iteration %d: stats %+v, reference %+v", i, e.Stats(), want)
 		}
 		r = ref.next
 	}
-	for _, e := range engines {
-		for j := range x.Sub {
-			if k := sameBits(e.R.Phi[j], r.Phi[j]); k >= 0 {
-				t.Fatalf("after %d iterations workers=%d commodity %d: φ[%d] = %v, reference %v",
-					iters, e.cfg.Workers, j, k, e.R.Phi[j][k], r.Phi[j][k])
-			}
+	for j := range x.Sub {
+		if k := sameBits(e.R.Phi[j], r.Phi[j]); k >= 0 {
+			t.Fatalf("after %d iterations commodity %d: φ[%d] = %v, reference %v",
+				iters, j, k, e.R.Phi[j][k], r.Phi[j][k])
 		}
 	}
 }

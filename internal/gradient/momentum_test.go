@@ -107,7 +107,7 @@ func TestMomentumReachesStationarity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(x, Config{Eta: 0.005, Backtrack: true, DisableBlocking: true, Momentum: 0.9, Workers: 2})
+	e := New(x, Config{Eta: 0.005, Backtrack: true, DisableBlocking: true, Momentum: 0.9})
 	for it := 100; it <= 2000; it += 100 {
 		for i := 0; i < 100; i++ {
 			e.Step()

@@ -72,13 +72,14 @@ func (a *arena) unscreen() {
 }
 
 // rescreen returns row j's screen bound after its sweep and Γ, which
-// left the row's link marginals in w.linkD and its proposal in next:
-// ±(Π + m_j/W_j), rounded down, when the proposal is the current row
-// bit for bit and every branch node holds all its mass on a best link
-// that leads the next one by more than the rounding guard; else 0.
-func (a *arena) rescreen(w *waveScratch, u *flow.Usage, j int, next []float64) float64 {
+// left the row's link marginals in the scratch's linkD and its proposal
+// in next: ±(Π + m_j/W_j), rounded down, when the proposal is the
+// current row bit for bit and every branch node holds all its mass on a
+// best link that leads the next one by more than the rounding guard;
+// else 0.
+func (a *arena) rescreen(u *flow.Usage, j int, next []float64) float64 {
 	sg := &a.x.Sub[j]
-	phi, linkD := u.R.Phi[j], w.linkD
+	phi, linkD := u.R.Phi[j], a.scratch.linkD
 	outIdx, outEdges := sg.CSR()
 	margin, exact := math.Inf(1), true
 	for _, ln := range sg.Branch() {
@@ -117,25 +118,25 @@ func (a *arena) rescreen(w *waveScratch, u *flow.Usage, j int, next []float64) f
 	}
 
 	// Scaling by 1 − 2⁻⁵¹ rounds the sum down by at least one ulp.
-	s := (a.drift + margin/a.width(w, j)*(1-screenGuard)) * (1 - 0x1p-51)
+	s := (a.drift + margin/a.width(j)*(1-screenGuard)) * (1 - 0x1p-51)
 	if !exact {
 		return -s
 	}
 	return s
 }
 
-// width returns W_j, computed at the row's first screening (in w.rho,
-// which the sweep and Γ are done with) and kept rounded up to a
-// float32: a topology constant, and any upper bound keeps the screen
-// safe. A row whose marginals no price reaches keeps the smallest
-// float32 rather than 0, which marks a width not yet computed.
-func (a *arena) width(w *waveScratch, j int) float64 {
+// width returns W_j, computed at the row's first screening (in the
+// scratch's rho, which the sweep and Γ are done with) and kept rounded
+// up to a float32: a topology constant, and any upper bound keeps the
+// screen safe. A row whose marginals no price reaches keeps the
+// smallest float32 rather than 0, which marks a width not yet computed.
+func (a *arena) width(j int) float64 {
 	if wj := a.widths[j]; wj > 0 {
 		return float64(wj)
 	}
 	sg := &a.x.Sub[j]
 	outIdx, outEdges := sg.CSR()
-	reach := w.rho
+	reach := a.scratch.rho
 	for _, ln := range sg.RevTopo() {
 		s := 0.0
 		for _, le := range outEdges[outIdx[ln]:outIdx[ln+1]] {

@@ -41,7 +41,7 @@ const (
 // the workspaces it already owns; this form serves one-off diagnostics
 // on a usage that no engine holds.
 func CheckStationarity(u *flow.Usage) StationarityReport {
-	a := newArena(u.R.X, 1, false)
+	a := newArena(u.R.X, false)
 	fillNodePrices(u, a.price)
 	return a.stationarity(u)
 }
@@ -56,7 +56,7 @@ func CheckStationarity(u *flow.Usage) StationarityReport {
 // lead, so its used-link gaps are exactly 0 and its eq.-13 residuals
 // at most 0, and neither can raise a maximum that starts at 0.
 func (a *arena) stationarity(u *flow.Usage) StationarityReport {
-	rho, linkD := a.scratch[0].rho, a.scratch[0].linkD
+	rho, linkD := a.scratch.rho, a.scratch.linkD
 	rep := StationarityReport{WorstNode: graph.Invalid, WorstCommodity: -1}
 	for j := range a.x.Sub {
 		if a.screen != nil && a.drift < a.screen[j].s {

@@ -66,7 +66,7 @@ func TestStationarityZeroGapAtFixedPoint(t *testing.T) {
 // trajectory.
 func TestEngineStationarityMatchesCheck(t *testing.T) {
 	x := randomExtended(t, 31)
-	checked, plain := New(x, Config{Workers: 1}), New(x, Config{Workers: 1})
+	checked, plain := New(x, Config{}), New(x, Config{})
 	for i := 0; i < 120; i++ {
 		checked.Step()
 		plain.Step()

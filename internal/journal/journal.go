@@ -110,9 +110,6 @@ type SolverParams struct {
 	Eta           float64 `json:"eta"`
 	MaxIters      int     `json:"maxIters"`
 	StationaryTol float64 `json:"stationaryTol"`
-	// Workers is informational: PR 4 guarantees bitwise-identical
-	// trajectories at any worker count.
-	Workers int `json:"workers,omitempty"`
 	// Serving records the serving step mode (shard.Config.Serving).
 	// Omitted — every journal from before the mode existed — means the
 	// paper mode.

@@ -7,8 +7,8 @@
 // server boot (journal.Log.Runs, the partition journal.Recover reads
 // too); a journal that does not begin with one is refused. For each
 // run the verifier starts a cold server with the recorded solver
-// parameters, worker count included, and an external solve gate that
-// alone clocks its solves, then walks the run's records in file order
+// parameters and an external solve gate that alone clocks its solves,
+// then walks the run's records in file order
 // as fast as it can: mutations queue up; a digest record flushes every
 // queued mutation with revision ≤ the digest's, admits exactly one
 // solve through the gate, and compares the published snapshot's digest

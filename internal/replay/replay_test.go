@@ -2,7 +2,9 @@ package replay
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -296,22 +298,73 @@ func TestVerifyJournalFromBeforeServerApply(t *testing.T) {
 // "serving":true). churn-parent is a paper-mode recording, so this is
 // the checked-in trajectory that pins the serving step — backtracking,
 // heavy ball, rate-space warm starts — across kernel changes: every
-// digest must match bit for bit.
+// digest must match bit for bit. A copy whose restart checkpoint also
+// records "workers":4, as every journal of a daemon run with the
+// retired -workers 4 does, must recover to the same state and replay
+// just as clean.
 func TestVerifyServingJournalFromBeforeCarriedRho(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("journal was recorded on amd64")
 	}
-	rep, err := Verify("testdata/churn-serving-parent", Options{Timeout: waitBudget})
+	const dir = "testdata/churn-serving-parent"
+	want, err := journal.Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range rep.Mismatches {
-		t.Errorf("mismatch: %s", m)
+	for _, tc := range []struct{ name, dir string }{
+		{"as-recorded", dir},
+		{"workers=4", withSolverKey(t, dir, `"workers":4`)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := journal.Recover(tc.dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *got.Solver != *want.Solver || got.Rev != want.Rev {
+				t.Fatalf("recovered solver %+v at rev %d, recording %+v at rev %d", *got.Solver, got.Rev, *want.Solver, want.Rev)
+			}
+			rep, err := Verify(tc.dir, Options{Timeout: waitBudget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range rep.Mismatches {
+				t.Errorf("mismatch: %s", m)
+			}
+			if rep.Mutations != 30 || rep.Digests != 25 || rep.Truncated {
+				t.Fatalf("replayed %d mutations, %d digests (truncated %v); the recording holds 30 and 25",
+					rep.Mutations, rep.Digests, rep.Truncated)
+			}
+		})
 	}
-	if rep.Mutations != 30 || rep.Digests != 25 || rep.Truncated {
-		t.Fatalf("replayed %d mutations, %d digests (truncated %v); the recording holds 30 and 25",
-			rep.Mutations, rep.Digests, rep.Truncated)
+}
+
+// withSolverKey copies the one-segment journal in dir to a temporary
+// directory, adding the JSON member kv to the solver parameters of its
+// restart checkpoints and framing each record again.
+func withSolverKey(t *testing.T, dir, kv string) string {
+	t.Helper()
+	const seg = "journal-00000000.wal"
+	data, err := os.ReadFile(filepath.Join(dir, seg))
+	if err != nil {
+		t.Fatal(err)
 	}
+	var framed []byte
+	for off := 0; off < len(data); {
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		payload := bytes.Replace(data[off+8:off+8+n], []byte(`"solver":{`), []byte(`"solver":{`+kv+`,`), 1)
+		off += 8 + n
+		framed = binary.LittleEndian.AppendUint32(framed, uint32(len(payload)))
+		framed = binary.LittleEndian.AppendUint32(framed, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+		framed = append(framed, payload...)
+	}
+	if !bytes.Contains(framed, []byte(kv)) {
+		t.Fatalf("%s has no restart checkpoint with solver parameters", dir)
+	}
+	out := t.TempDir()
+	if err := os.WriteFile(filepath.Join(out, seg), framed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestVerifyTwoFieldPatch: a PATCH that sets rate and utility commits

@@ -188,7 +188,7 @@ func TestJournalCarriesClientTrace(t *testing.T) {
 
 func TestSolverOptionsRoundTrip(t *testing.T) {
 	want := Options{
-		Epsilon: 0.1, Eta: 0.03, MaxIters: 123, StationaryTol: 5e-3, Workers: 3, PaperMode: true,
+		Epsilon: 0.1, Eta: 0.03, MaxIters: 123, StationaryTol: 5e-3, PaperMode: true,
 		Shards: 4, PlacementSalt: 7,
 	}
 	if got := SolverOptions(want.solverParams()); !reflect.DeepEqual(got, want) {

@@ -31,7 +31,7 @@ func TestPublishedBodiesArePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(p, Options{Workers: 1, Eta: 0.005, MaxIters: 400, StationaryTol: 5e-3, Logf: func(string, ...any) {}})
+	s, err := New(p, Options{Eta: 0.005, MaxIters: 400, StationaryTol: 5e-3, Logf: func(string, ...any) {}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,8 @@ type Options struct {
 	Eta           float64 // default 0.04
 	MaxIters      int     // default 4000
 	StationaryTol float64 // default 1e-3; <0 disables early stopping
-	// Workers bounds the solver's per-commodity wave pool
-	// (gradient.Config.Workers); 0 means 1.
+	// Deprecated: ignored. The solver runs its waves on its own
+	// goroutine. Only bench/workloads.go's base options set it.
 	Workers int
 	// PaperMode solves as §5 states it — fixed η, the loop-freedom tags,
 	// φ carried as it is across a decision and a cold start whenever the
@@ -168,7 +168,6 @@ func SolverOptions(sp *journal.SolverParams) Options {
 		Eta:           sp.Eta,
 		MaxIters:      sp.MaxIters,
 		StationaryTol: sp.StationaryTol,
-		Workers:       sp.Workers,
 		PaperMode:     !sp.Serving,
 		momentum:      sp.Momentum,
 		Shards:        sp.Shards,
@@ -188,7 +187,6 @@ func (o *Options) solverParams() *journal.SolverParams {
 		Eta:           o.Eta,
 		MaxIters:      o.MaxIters,
 		StationaryTol: o.StationaryTol,
-		Workers:       o.Workers,
 		Serving:       !o.PaperMode,
 		Shards:        o.Shards,
 		PlacementSalt: o.PlacementSalt,
@@ -408,7 +406,6 @@ func New(p *stream.Problem, opts Options) (*Server, error) {
 		Eta:           opts.Eta,
 		MaxIters:      opts.MaxIters,
 		StationaryTol: opts.StationaryTol,
-		Workers:       opts.Workers,
 		Serving:       !opts.PaperMode,
 		Momentum:      opts.momentum,
 		Recorder:      opts.Recorder,

@@ -29,10 +29,8 @@ type Config struct {
 	Eta           float64 // step scale η; 0 → 0.04
 	MaxIters      int     // per-solve budget, summed over shards; 0 → 4000
 	StationaryTol float64 // Theorem-2 tolerance; 0 → 1e-3, <0 disables
-	// Workers bounds each shard engine's wave pool. 0 → 1: on the
-	// two-vCPU reference box a second worker made the serving step
-	// slower, not faster (EXPERIMENTS.md). Every value yields the same
-	// trajectory.
+	// Deprecated: ignored. Each shard engine runs its waves on the
+	// caller's goroutine. Only bench/trace.go's shard pass sets it.
 	Workers int
 
 	// Serving selects the step mode the admission server runs by
@@ -83,9 +81,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.StationaryTol == 0 {
 		c.StationaryTol = 1e-3
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -356,7 +351,7 @@ func (r *runner) bind(p *stream.Problem) (warm bool, fallback error) {
 
 	// Engines step unobserved: what a solve reports is the
 	// coordinator's per-turn ShardAdvance and per-sweep PriceExchange.
-	gcfg := gradient.Config{Eta: r.cfg.Eta, Workers: r.cfg.Workers}
+	gcfg := gradient.Config{Eta: r.cfg.Eta}
 	warmStart := newFrom
 	if r.cfg.Serving {
 		gcfg.Backtrack, gcfg.DisableBlocking = true, true

@@ -43,7 +43,7 @@ func TestPublishAllocationBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := gradient.New(x, gradient.Config{Eta: 0.005, Workers: 1})
+		eng := gradient.New(x, gradient.Config{Eta: 0.005})
 		for i := 0; i < 100; i++ {
 			eng.Step()
 		}

@@ -140,7 +140,7 @@ func TestRateSpaceWarmStart(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := New(Config{Shards: 1, Serving: true, StationaryTol: inst.tol, MaxIters: 4000, Workers: 1})
+			c := New(Config{Shards: 1, Serving: true, StationaryTol: inst.tol, MaxIters: 4000})
 			if _, err := c.Apply(p, []bool{true}); err != nil {
 				t.Fatal(err)
 			}
@@ -304,7 +304,7 @@ func TestServingRunsWithoutTags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(Config{Shards: 1, Serving: true, Workers: 1})
+	c := New(Config{Shards: 1, Serving: true})
 	if _, err := c.Apply(p, []bool{true}); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestServingRunsWithoutTags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tagged := gradient.New(x, gradient.Config{Backtrack: true, Workers: 1})
+	tagged := gradient.New(x, gradient.Config{Backtrack: true})
 	if _, err := tagged.Run(res.Iterations, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestTurnStartDropsCarriedEvaluation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Stationarity checks off: every turn spends its 25 iterations.
-	cfg := Config{Shards: 2, Salt: 7, Eta: 0.5, MaxIters: 300, StationaryTol: -1, Workers: 1, Serving: true}
+	cfg := Config{Shards: 2, Salt: 7, Eta: 0.5, MaxIters: 300, StationaryTol: -1, Serving: true}
 	got, want := New(cfg), New(cfg)
 	for _, c := range []*Coordinator{got, want} {
 		if _, err := c.Apply(p, nil); err != nil {
