@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/randnet"
@@ -85,9 +86,25 @@ func TestEvaluateIntoDoesNotAllocate(t *testing.T) {
 	x := buildRandnet(t, 11)
 	r := admitSome(x, 0.5)
 	ws := NewUsage(x)
-	if allocs := testing.AllocsPerRun(100, func() { EvaluateInto(ws, r) }); allocs != 0 {
-		t.Fatalf("EvaluateInto allocates %v objects per run, want 0", allocs)
+	if n := mallocs(100, func() { EvaluateInto(ws, r) }); n != 0 {
+		t.Fatalf("EvaluateInto allocates %d objects in 100 runs, want 0", n)
 	}
+}
+
+// mallocs counts the heap allocations of runs calls of f after one
+// warm-up call, at GOMAXPROCS 1 as testing.AllocsPerRun measures, in
+// total: AllocsPerRun's integer mean reads a few allocations spread
+// over many runs as 0.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 func TestEvaluateIntoRejectsWrongShape(t *testing.T) {

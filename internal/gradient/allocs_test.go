@@ -2,6 +2,7 @@ package gradient
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/randnet"
@@ -24,18 +25,18 @@ func buildInstance(t *testing.T, cfg randnet.Config) *transform.Extended {
 
 // TestStepSteadyStateAllocs pins the workspace contract of the iterate
 // layer: neither Step nor the periodic convergence test on the engine's
-// workspaces allocates.
+// workspaces allocates, not once in a measured loop.
 func TestStepSteadyStateAllocs(t *testing.T) {
 	x := buildInstance(t, randnet.Config{Seed: 2, Nodes: 40, Commodities: 3})
 	e := New(x, Config{})
 	for i := 0; i < 10; i++ {
 		e.Step() // warm up past any lazy growth
 	}
-	if allocs := testing.AllocsPerRun(100, func() { e.Step() }); allocs != 0 {
-		t.Fatalf("Step allocates %v objects per run in steady state, want 0", allocs)
+	if n := mallocs(100, func() { e.Step() }); n != 0 {
+		t.Fatalf("Step allocates %d objects in 100 steady-state runs, want 0", n)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { e.Step(); e.Stationarity() }); allocs != 0 {
-		t.Fatalf("Step + Stationarity allocate %v objects per run, want 0", allocs)
+	if n := mallocs(100, func() { e.Step(); e.Stationarity() }); n != 0 {
+		t.Fatalf("Step + Stationarity allocate %d objects in 100 runs, want 0", n)
 	}
 	// Backtracking swaps between two usage workspaces; it allocates
 	// neither on a kept step nor on a rejected one (η 50 forces both).
@@ -43,8 +44,8 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		b.Step()
 	}
-	if allocs := testing.AllocsPerRun(100, func() { b.Step() }); allocs != 0 {
-		t.Fatalf("backtracking Step allocates %v objects per run, want 0", allocs)
+	if n := mallocs(100, func() { b.Step() }); n != 0 {
+		t.Fatalf("backtracking Step allocates %d objects in 100 runs, want 0", n)
 	}
 	if b.Backtracks() == 0 || b.Backtracks() == b.Stats().Iterations {
 		t.Fatalf("%d of %d steps rejected; want both branches measured", b.Backtracks(), b.Stats().Iterations)
@@ -75,8 +76,8 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Step()
 	}
-	if allocs := testing.AllocsPerRun(100, func() { s.Step() }); allocs != 0 {
-		t.Fatalf("serving Step allocates %v objects per run, want 0", allocs)
+	if n := mallocs(100, func() { s.Step() }); n != 0 {
+		t.Fatalf("serving Step allocates %d objects in 100 runs, want 0", n)
 	}
 	for i := 0; s.Screened() == 0; i++ {
 		if i == 2000 {
@@ -85,13 +86,29 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 		s.Step()
 	}
 	screened := 0
-	if allocs := testing.AllocsPerRun(100, func() { screened += s.Screened(); s.Step() }); allocs != 0 {
-		t.Fatalf("screened serving Step allocates %v objects per run, want 0", allocs)
+	if n := mallocs(100, func() { screened += s.Screened(); s.Step() }); n != 0 {
+		t.Fatalf("screened serving Step allocates %d objects in 100 runs, want 0", n)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { screened += s.Screened(); s.Step(); s.Stationarity() }); allocs != 0 {
-		t.Fatalf("screened serving Step + Stationarity allocate %v objects per run, want 0", allocs)
+	if n := mallocs(100, func() { screened += s.Screened(); s.Step(); s.Stationarity() }); n != 0 {
+		t.Fatalf("screened serving Step + Stationarity allocate %d objects in 100 runs, want 0", n)
 	}
 	if screened == 0 {
 		t.Fatal("no measured step skipped a row; want the screened path measured")
 	}
+}
+
+// mallocs counts the heap allocations of runs calls of f after one
+// warm-up call, at GOMAXPROCS 1 as testing.AllocsPerRun measures, in
+// total: AllocsPerRun's integer mean reads a few allocations spread
+// over many runs as 0.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
+	"repro/internal/shard"
 )
 
 // startJournaledServer builds a server writing through a journal in a
@@ -191,8 +192,19 @@ func TestSolverOptionsRoundTrip(t *testing.T) {
 		Epsilon: 0.1, Eta: 0.03, MaxIters: 123, StationaryTol: 5e-3, PaperMode: true,
 		Shards: 4, PlacementSalt: 7,
 	}
-	if got := SolverOptions(want.solverParams()); !reflect.DeepEqual(got, want) {
+	if got := SolverOptions(want.solverParams(shard.New(want.shardConfig()))); !reflect.DeepEqual(got, want) {
 		t.Fatalf("SolverOptions(solverParams(%+v)) = %+v", want, got)
+	}
+	// Unset knobs record the coordinator's defaults, the values journals
+	// have always recorded for them.
+	var zero Options
+	got := zero.solverParams(shard.New(zero.shardConfig()))
+	wantParams := &journal.SolverParams{
+		Epsilon: 0.2, Eta: 0.04, MaxIters: 4000, StationaryTol: 1e-3,
+		Serving: true, Momentum: shard.ServingMomentum,
+	}
+	if !reflect.DeepEqual(got, wantParams) {
+		t.Fatalf("default options record %+v, want %+v", got, wantParams)
 	}
 }
 

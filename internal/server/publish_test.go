@@ -3,12 +3,16 @@ package server
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/randnet"
 )
 
@@ -107,5 +111,96 @@ func TestDiffFlipsMatchesTheMapForm(t *testing.T) {
 	}
 	if DiffFlips(nil, &Snapshot{Commodities: prev}) != nil {
 		t.Error("DiffFlips with no previous snapshot found flips")
+	}
+}
+
+// TestStatusRowsAreTheExplanation: through an arrival, a departure, a
+// rate batch and a capacity cut and its restore, at one shard and at
+// four, every published snapshot's status row gi carries the name and
+// the bits of the offered rate, admitted rate and utility of
+// explanation entry gi, one row per commodity of the problem solved.
+func TestStatusRowsAreTheExplanation(t *testing.T) {
+	p, err := randnet.GenerateSparse(randnet.Config{Seed: 13, Nodes: 48, Layers: 6, Commodities: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			gate := make(chan struct{})
+			s, err := New(p, Options{
+				Shards: shards, PlacementSalt: 7, MaxIters: 200, StationaryTol: 5e-3,
+				SolveGate: gate, Logf: func(string, ...any) {},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			var gen int64
+			// solve publishes the next generation and checks it holds
+			// j commodities.
+			solve := func(label string, j int) *Snapshot {
+				t.Helper()
+				select {
+				case gate <- struct{}{}:
+				case <-time.After(waitBudget):
+					t.Fatalf("%s: gate token not taken", label)
+				}
+				gen++
+				snap, err := s.WaitForGeneration(gen, waitBudget)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if len(snap.Commodities) != j || len(snap.Explain) != j {
+					t.Fatalf("%s: %d status rows and %d explanations, want %d", label, len(snap.Commodities), len(snap.Explain), j)
+				}
+				for gi, row := range snap.Commodities {
+					e := snap.Explain[gi]
+					if row.Name != e.Name || math.Float64bits(row.Offered) != math.Float64bits(e.Offered) ||
+						math.Float64bits(row.Admitted) != math.Float64bits(e.Admitted) ||
+						math.Float64bits(row.Utility) != math.Float64bits(e.Utility) {
+						t.Fatalf("%s: row %d %+v, explanation %q offered %v admitted %v utility %v",
+							label, gi, row, e.Name, e.Offered, e.Admitted, e.Utility)
+					}
+				}
+				return snap
+			}
+			must := func(_ int64, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			boot := solve("boot", 300)
+			first := p.Commodities[0].Name
+			spec, err := p.MarshalCommodityJSON(first)
+			if err != nil {
+				t.Fatal(err)
+			}
+			must(s.RemoveCommodity(first))
+			solve("departure", 299)
+			must(s.AddCommodityJSON(spec))
+			solve("arrival", 300)
+			rates := map[string]float64{}
+			for _, cm := range p.Commodities[:40] {
+				rates[cm.Name] = 1.5 * cm.MaxRate
+			}
+			must(s.SetMaxRates(rates))
+			solve("rate batch", 300)
+			// Cut the busiest server to a quarter, then restore it.
+			busy := core.NodeUsage{}
+			for _, u := range boot.Usage {
+				if u.Kind == "server" && u.Utilization > busy.Utilization {
+					busy = u
+				}
+			}
+			if busy.Utilization == 0 {
+				t.Fatal("the boot snapshot loads no server")
+			}
+			must(s.SetCapacity(busy.Name, busy.Capacity/4))
+			solve("capacity cut", 300)
+			must(s.SetCapacity(busy.Name, busy.Capacity))
+			solve("capacity restore", 300)
+		})
 	}
 }

@@ -179,40 +179,46 @@ func SolverOptions(sp *journal.SolverParams) Options {
 	return o
 }
 
-// solverParams is what New records of o in the restart checkpoint;
-// SolverOptions maps it back.
-func (o *Options) solverParams() *journal.SolverParams {
-	sp := &journal.SolverParams{
+// shardConfig is the coordinator o asks for; the coordinator fills in
+// the solver defaults.
+func (o *Options) shardConfig() shard.Config {
+	return shard.Config{
+		Shards:        o.Shards,
+		Salt:          o.PlacementSalt,
 		Epsilon:       o.Epsilon,
 		Eta:           o.Eta,
 		MaxIters:      o.MaxIters,
 		StationaryTol: o.StationaryTol,
 		Serving:       !o.PaperMode,
-		Shards:        o.Shards,
-		PlacementSalt: o.PlacementSalt,
+		Momentum:      o.momentum,
+		Recorder:      o.Recorder,
+		Logf:          o.Logf,
 	}
-	if !o.PaperMode {
-		sp.Momentum = max(o.momentum, 0)
+}
+
+// solverParams is what New records in the restart checkpoint: the
+// knobs coordinator c runs with, and the shard count as o gives it (an
+// unset count stays unrecorded). SolverOptions maps it back.
+func (o *Options) solverParams(c *shard.Coordinator) *journal.SolverParams {
+	cfg := c.Config()
+	sp := &journal.SolverParams{
+		Epsilon:       cfg.Epsilon,
+		Eta:           cfg.Eta,
+		MaxIters:      cfg.MaxIters,
+		StationaryTol: cfg.StationaryTol,
+		Serving:       cfg.Serving,
+		Shards:        o.Shards,
+		PlacementSalt: cfg.Salt,
+	}
+	if cfg.Serving {
+		sp.Momentum = max(cfg.Momentum, 0)
 	}
 	return sp
 }
 
+// setDefaults fills in the server's own defaults; the solver's are
+// shard.Config's.
 func (o *Options) setDefaults() {
-	if o.Epsilon <= 0 {
-		o.Epsilon = 0.2
-	}
-	if o.Eta <= 0 {
-		o.Eta = 0.04
-	}
-	if o.momentum == 0 {
-		o.momentum = shard.ServingMomentum
-	}
-	if o.MaxIters <= 0 {
-		o.MaxIters = 4000
-	}
-	if o.StationaryTol == 0 {
-		o.StationaryTol = 1e-3
-	}
 	if o.Debounce == 0 {
 		o.Debounce = 25 * time.Millisecond
 	}
@@ -259,8 +265,8 @@ type Snapshot struct {
 	// Utility is Σ_j U_j(a_j); Feasible whether f_i ≤ C_i everywhere.
 	Utility  float64 `json:"utility"`
 	Feasible bool    `json:"feasible"`
-	// Commodities reports per-commodity admission; Usage per-resource
-	// allocation on the original network.
+	// Commodities reports per-commodity admission, row gi copied from
+	// Explain[gi]; Usage per-resource allocation on the original network.
 	Commodities []CommodityStatus `json:"commodities"`
 	Usage       []core.NodeUsage  `json:"usage"`
 	// Explain is the per-commodity bottleneck attribution at this
@@ -399,18 +405,7 @@ func New(p *stream.Problem, opts Options) (*Server, error) {
 	if opts.CaptureDir != "" {
 		s.captureSeq.Store(lastCaptureSeq(opts.CaptureDir))
 	}
-	s.coord = shard.New(shard.Config{
-		Shards:        opts.Shards,
-		Salt:          opts.PlacementSalt,
-		Epsilon:       opts.Epsilon,
-		Eta:           opts.Eta,
-		MaxIters:      opts.MaxIters,
-		StationaryTol: opts.StationaryTol,
-		Serving:       !opts.PaperMode,
-		Momentum:      opts.momentum,
-		Recorder:      opts.Recorder,
-		Logf:          opts.Logf,
-	})
+	s.coord = shard.New(opts.shardConfig())
 	if len(p.Commodities) > 0 {
 		s.rev = 1
 		s.signal()
@@ -430,7 +425,7 @@ func New(p *stream.Problem, opts Options) (*Server, error) {
 			Checkpoint: &journal.Checkpoint{
 				Problem: pj,
 				Restart: true,
-				Solver:  opts.solverParams(),
+				Solver:  opts.solverParams(s.coord),
 			},
 		}
 		if err := opts.Journal.Append(rec); err != nil {
@@ -849,7 +844,7 @@ func (s *Server) solveOnce() {
 		s.maybeCapture("divergence", fmt.Sprintf("rev %d: %v", rev, res.Err))
 	}
 
-	states := s.coord.Commodities()
+	explain := s.coord.Explain()
 	snap := &Snapshot{
 		Rev:          rev,
 		Warm:         warm,
@@ -859,17 +854,14 @@ func (s *Server) solveOnce() {
 		SolveSeconds: time.Since(start).Seconds(),
 		Utility:      res.Utility,
 		Feasible:     res.Feasible,
-		Commodities:  make([]CommodityStatus, len(states)),
+		Commodities:  make([]CommodityStatus, len(explain)),
 		Usage:        s.coord.UsageReport(),
-		Explain:      s.coord.Explain(),
+		Explain:      explain,
 	}
-	for gi, cs := range states {
-		snap.Commodities[gi] = CommodityStatus{
-			Name:     cs.Name,
-			Offered:  cs.Offered,
-			Admitted: cs.Admitted,
-			Utility:  p.Commodities[gi].Utility.Value(cs.Admitted),
-		}
+	// The status rows are the explanation's projection: the solve's one
+	// read of each commodity.
+	for gi, e := range explain {
+		snap.Commodities[gi] = CommodityStatus{Name: e.Name, Offered: e.Offered, Admitted: e.Admitted, Utility: e.Utility}
 	}
 	s.publish(snap, batch, solveSpan)
 }

@@ -13,8 +13,9 @@ import (
 	"repro/internal/transform"
 )
 
-// Config tunes a sharded solve. The zero value of the solver knobs
-// reproduces the admission server's defaults; Shards must be ≥ 1.
+// Config tunes a sharded solve. A zero solver knob takes the default
+// noted beside it; these are the admission server's solver defaults,
+// kept here alone. Shards below 1 means 1.
 type Config struct {
 	// Shards is the number of solver shards commodities are partitioned
 	// across.
@@ -85,14 +86,6 @@ func (c *Config) setDefaults() {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
-}
-
-// CommodityState is one commodity's admission outcome, stitched back
-// into global commodity order.
-type CommodityState struct {
-	Name     string
-	Offered  float64
-	Admitted float64
 }
 
 // Result is the outcome of one sharded solve.
@@ -179,6 +172,10 @@ func New(cfg Config) *Coordinator {
 
 // Shards returns the shard count.
 func (c *Coordinator) Shards() int { return c.cfg.Shards }
+
+// Config returns the configuration the coordinator runs with, its
+// defaults filled in.
+func (c *Coordinator) Config() Config { return c.cfg }
 
 // Clear drops every shard's engine and subset — the zero-commodity
 // state. The next Apply rebuilds every shard it examines.
@@ -590,28 +587,6 @@ func (c *Coordinator) updateExternals(anyX *transform.Extended) (moved bool, max
 	return moved, maxDelta
 }
 
-// Commodities stitches per-commodity admission state back into the
-// global commodity order of the problem last Applied.
-func (c *Coordinator) Commodities() []CommodityState {
-	if c.p == nil {
-		return nil
-	}
-	out := make([]CommodityState, len(c.p.Commodities))
-	for gi, cm := range c.p.Commodities {
-		out[gi] = CommodityState{Name: cm.Name, Offered: cm.MaxRate}
-	}
-	for _, r := range c.runners {
-		if r.eng == nil {
-			continue
-		}
-		u := r.eng.Usage()
-		for j, gi := range r.global {
-			out[gi].Admitted = u.AdmittedRate(j)
-		}
-	}
-	return out
-}
-
 // UsageReport maps the merged global usage back onto the original
 // network.
 func (c *Coordinator) UsageReport() []core.NodeUsage {
@@ -626,7 +601,9 @@ func (c *Coordinator) UsageReport() []core.NodeUsage {
 // Explain writes every shard's bottleneck attribution straight into one
 // slice in global commodity order. Each shard attributes at its own
 // final evaluation, whose marginals and loads already count the merged
-// operating point through the external term.
+// operating point through the external term. Entry gi's name, offered
+// rate, admitted rate and utility are commodity gi's admission outcome
+// in the problem last applied: the one per-commodity read of a solve.
 func (c *Coordinator) Explain() []core.CommodityExplain {
 	if c.p == nil {
 		return nil

@@ -24,3 +24,22 @@ func (c *Coordinator) RebuildOnly() {
 		r.rebuildOnly = true
 	}
 }
+
+// commodityState is one commodity's admission outcome: its
+// explanation's name, offered rate and admitted rate.
+type commodityState struct {
+	Name     string
+	Offered  float64
+	Admitted float64
+}
+
+// commodities projects c.Explain() onto (name, offered, admitted), in
+// global commodity order.
+func (c *Coordinator) commodities() []commodityState {
+	ex := c.Explain()
+	out := make([]commodityState, len(ex))
+	for gi, e := range ex {
+		out[gi] = commodityState{Name: e.Name, Offered: e.Offered, Admitted: e.Admitted}
+	}
+	return out
+}

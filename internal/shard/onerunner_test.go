@@ -144,7 +144,7 @@ func TestOneRunnerMatchesReferenceLoop(t *testing.T) {
 					}
 					res := c.Solve(context.Background())
 					got = refResult{utility: res.Utility, iterations: res.Iterations, converged: res.Converged, warm: warm}
-					for _, cs := range c.Commodities() {
+					for _, cs := range c.commodities() {
 						got.admitted = append(got.admitted, cs.Admitted)
 					}
 				}
@@ -251,7 +251,7 @@ func TestSolveBeginningStationaryCostsNoIteration(t *testing.T) {
 	if res := c.Solve(context.Background()); !res.Converged || res.Iterations == 0 {
 		t.Fatalf("boot solve: converged %v after %d iterations", res.Converged, res.Iterations)
 	}
-	before := c.Commodities()
+	before := c.commodities()
 	if before[1].Admitted != 0 {
 		t.Fatalf("c2 admitted %v, want 0 (the case needs a rejected commodity)", before[1].Admitted)
 	}
@@ -268,7 +268,7 @@ func TestSolveBeginningStationaryCostsNoIteration(t *testing.T) {
 	if !warm || !res.Converged || res.Iterations != 0 {
 		t.Fatalf("re-solve: warm %v, converged %v, %d iterations; want warm, converged, 0", warm, res.Converged, res.Iterations)
 	}
-	after := c.Commodities()
+	after := c.commodities()
 	if after[0].Admitted != before[0].Admitted || after[1].Admitted != 0 || after[1].Offered != 6 {
 		t.Fatalf("operating point moved: %+v → %+v", before, after)
 	}
@@ -311,7 +311,7 @@ func TestStationarySweepIsFree(t *testing.T) {
 // TestStitchAfterRemovalUnderCleanShard: a departure shifts the global
 // index of every later commodity, including those on shards the
 // departure does not dirty. Their results must still land on the right
-// rows of Commodities() and Explain().
+// rows of Explain().
 func TestStitchAfterRemovalUnderCleanShard(t *testing.T) {
 	p, err := randnet.Generate(randnet.Config{Seed: 5, Nodes: 32, Layers: 4, Commodities: 8})
 	if err != nil {
@@ -325,7 +325,7 @@ func TestStitchAfterRemovalUnderCleanShard(t *testing.T) {
 	}
 	c.Solve(context.Background())
 	before := map[string]float64{}
-	for _, cs := range c.Commodities() {
+	for _, cs := range c.commodities() {
 		before[cs.Name] = cs.Admitted
 	}
 
@@ -351,7 +351,7 @@ func TestStitchAfterRemovalUnderCleanShard(t *testing.T) {
 
 	// Before any further iteration the clean shards still hold the rates
 	// they reported last; each must appear under its own name.
-	for gi, cs := range c.Commodities() {
+	for gi, cs := range c.commodities() {
 		if cs.Name != next.Commodities[gi].Name {
 			t.Fatalf("row %d is %q, want %q", gi, cs.Name, next.Commodities[gi].Name)
 		}
@@ -361,16 +361,24 @@ func TestStitchAfterRemovalUnderCleanShard(t *testing.T) {
 	}
 
 	c.Solve(context.Background())
-	states, explain := c.Commodities(), c.Explain()
-	if len(states) != len(next.Commodities) || len(explain) != len(next.Commodities) {
-		t.Fatalf("%d states and %d explanations for %d commodities", len(states), len(explain), len(next.Commodities))
+	explain := c.Explain()
+	if len(explain) != len(next.Commodities) {
+		t.Fatalf("%d explanations for %d commodities", len(explain), len(next.Commodities))
 	}
 	for gi, cm := range next.Commodities {
-		if states[gi].Name != cm.Name || explain[gi].Name != cm.Name {
-			t.Fatalf("row %d: state %q, explanation %q, want %q", gi, states[gi].Name, explain[gi].Name, cm.Name)
+		if explain[gi].Name != cm.Name {
+			t.Fatalf("row %d: explanation %q, want %q", gi, explain[gi].Name, cm.Name)
 		}
-		if explain[gi].Admitted != states[gi].Admitted {
-			t.Errorf("row %d (%s): explanation admits %v, state %v", gi, cm.Name, explain[gi].Admitted, states[gi].Admitted)
+	}
+	// Each row admits what the owning shard's engine admits.
+	for _, r := range c.runners {
+		if r.eng == nil {
+			continue
+		}
+		for j, gi := range r.global {
+			if a := r.eng.Usage().AdmittedRate(j); explain[gi].Admitted != a {
+				t.Errorf("row %d (%s): explanation admits %v, shard %d's engine %v", gi, explain[gi].Name, explain[gi].Admitted, r.id, a)
+			}
 		}
 	}
 }

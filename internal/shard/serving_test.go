@@ -149,9 +149,9 @@ func TestRateSpaceWarmStart(t *testing.T) {
 
 			// flows returns the forecast the engine would start from.
 			flows := func() []float64 { return slices.Clone(r.eng.Usage().FNode) }
-			change := func(label string, gi int, rate float64) (before, after []CommodityState, res Result) {
+			change := func(label string, gi int, rate float64) (before, after []commodityState, res Result) {
 				t.Helper()
-				before, f0 := c.Commodities(), flows()
+				before, f0 := c.commodities(), flows()
 				next := p.NewVersion()
 				if err := next.SetMaxRate(p.Commodities[gi].Name, rate); err != nil {
 					t.Fatal(err)
@@ -168,12 +168,12 @@ func TestRateSpaceWarmStart(t *testing.T) {
 					}
 				}
 				res = converged(t, c)
-				return before, c.Commodities(), res
+				return before, c.commodities(), res
 			}
 
 			// The first of each kind, in instance order.
 			var partial, admitted []int
-			for gi, cs := range c.Commodities() {
+			for gi, cs := range c.commodities() {
 				if cs.Admitted < cs.Offered*(1-1e-3) && len(partial) < 8 {
 					partial = append(partial, gi)
 				}
@@ -198,7 +198,7 @@ func TestRateSpaceWarmStart(t *testing.T) {
 			}
 			for _, gi := range admitted {
 				label := fmt.Sprintf("cut %s", p.Commodities[gi].Name)
-				a := c.Commodities()[gi].Admitted
+				a := c.commodities()[gi].Admitted
 				_, after, _ := change(label, gi, a/2)
 				if got := after[gi].Admitted; math.Abs(got-a/2) > 1e-9*a {
 					t.Errorf("%s below its admitted rate %v: admits %v, want %v", label, a, got, a/2)

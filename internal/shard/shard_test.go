@@ -210,8 +210,8 @@ func TestShardedDeterministic(t *testing.T) {
 		t.Fatalf("non-deterministic sharded solve: %+v vs %+v", a, b)
 	}
 	ca := solveShardedCoordinator(t, p, 4, 2000)
-	for gi, st := range ca.Commodities() {
-		cb := solveShardedCoordinator(t, p, 4, 2000).Commodities()[gi]
+	for gi, st := range ca.commodities() {
+		cb := solveShardedCoordinator(t, p, 4, 2000).commodities()[gi]
 		if st.Admitted != cb.Admitted {
 			t.Fatalf("commodity %q admitted %v vs %v", st.Name, st.Admitted, cb.Admitted)
 		}
@@ -250,8 +250,8 @@ func TestShardedReplayBitwiseIdentical(t *testing.T) {
 				if a.Utility != b.Utility || a.Iterations != b.Iterations || a.Rounds != b.Rounds {
 					t.Fatalf("shards=%d: replay drifted: %+v vs %+v", shards, a, b)
 				}
-				ca := solveShardedCoordinator(t, p, shards, 1500).Commodities()
-				cb := solveShardedCoordinator(t, p, shards, 1500).Commodities()
+				ca := solveShardedCoordinator(t, p, shards, 1500).commodities()
+				cb := solveShardedCoordinator(t, p, shards, 1500).commodities()
 				if len(ca) != len(cb) {
 					t.Fatalf("shards=%d: commodity count %d vs %d", shards, len(ca), len(cb))
 				}
