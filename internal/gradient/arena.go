@@ -36,13 +36,21 @@ type arena struct {
 	price   []float64
 	scratch waveScratch
 
+	// The node pass's bitset over the shared nodes (evaluate): the
+	// nodes with a finite capacity, the only ones priced. unscreen
+	// rebuilds it.
+	capped []uint64
+
 	// The screen of the serving step (screen.go), nil in the paper
-	// mode: per row its state and its width W_j (0 until first needed),
-	// and drift, Π, the running sum over node passes of the largest
-	// price change, rounded up.
+	// mode: per row its state, its width W_j (0 until first needed) and
+	// whether only a price fall can expire it (falls), and the running
+	// sums over node passes, rounded up, of the largest price change,
+	// drift (Π), and of the largest price fall, fall (Π⁻).
 	screen []rowScreen
 	widths []float32
+	falls  []bool
 	drift  float64
+	fall   float64
 
 	// messages and rounds are what one marginal-cost wave costs the
 	// distributed protocol: one ρ broadcast per member edge, and as many
@@ -70,7 +78,10 @@ func newArena(x *transform.Extended, screened bool) *arena {
 	if screened {
 		a.screen = make([]rowScreen, len(x.Sub))
 		a.widths = make([]float32, len(x.Sub))
+		a.falls = make([]bool, len(x.Sub))
 	}
+	a.capped = make([]uint64, (x.SharedNodes+63)/64)
+	a.indexCapped()
 	return a
 }
 
@@ -91,17 +102,17 @@ func newArena(x *transform.Extended, screened bool) *arena {
 //
 // next must equal u.R at every entry outside a branch node's
 // out-edges: Γ writes only those (see gamma). In the serving mode a
-// row the screen skips (screen.go) is not swept: next already holds it,
-// from holds its admitted rate (u.R's measures), and reuse adds what
-// its visit would have added.
+// row the screen skips (screen.go), or one update re-screens from its
+// sweep, is not updated: next already holds it, from holds its
+// admitted rate (u.R's measures), and reuse adds what its visit would
+// have added.
 func (a *arena) runWave(u *flow.Usage, eta, mu float64, blocking bool, next *flow.Routing, from, admitted []float64) (utility, loss float64) {
 	clear(u.FNode)
 	for j := range a.x.Sub {
 		var uj, yj float64
-		if a.screen != nil && a.skips(j) {
+		if a.screen != nil && a.skips(j) || a.update(u, j, eta, mu, blocking, next) {
 			uj, yj = a.reuse(u, j, next, from, admitted)
 		} else {
-			a.update(u, j, eta, mu, blocking, next)
 			u.ForecastRow(next, j)
 			uj, yj = a.measure(u, next, j, admitted)
 		}
@@ -113,18 +124,29 @@ func (a *arena) runWave(u *flow.Usage, eta, mu float64, blocking bool, next *flo
 
 // update runs commodity j's sweep and Γ in the arena's scratch,
 // writing the new φ row into next, and in the serving mode the row's
-// new screen bound.
-func (a *arena) update(u *flow.Usage, j int, eta, mu float64, blocking bool, next *flow.Routing) {
+// new screen bound. A row whose screen expired while it was screened
+// is re-screened from its sweep first: if it still sits at its vertex
+// (rescreen of its current row), Γ would return it bit for bit — its
+// spare row is R's, so the heavy-ball term is 0 — and update reports
+// true without running Γ. Otherwise Γ runs on that sweep's marginals
+// and the row stays unscreened: rescreen of Γ's proposal checks the
+// current row as the failed check did, and more.
+func (a *arena) update(u *flow.Usage, j int, eta, mu float64, blocking bool, next *flow.Routing) (kept bool) {
 	w := &a.scratch
 	var tagged []bool
 	if blocking {
 		tagged = w.tagged
 	}
 	sweep(u, j, a.price, w.rho, w.linkD, tagged, eta)
-	gamma(u, j, w.linkD, tagged, eta, mu, w.prev, next.Phi[j])
-	if a.screen != nil {
-		a.screen[j].s = a.rescreen(u, j, next.Phi[j])
+	expired := a.screen != nil && a.screen[j].s != 0
+	if expired && a.rescreen(u, j, u.R.Phi[j]) {
+		return true
 	}
+	gamma(u, j, w.linkD, tagged, eta, mu, w.prev, next.Phi[j])
+	if a.screen != nil && !expired {
+		a.rescreen(u, j, next.Phi[j])
+	}
+	return false
 }
 
 // measure is measureRow for the wave's swept row j, whose new forecast

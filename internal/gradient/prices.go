@@ -2,6 +2,7 @@ package gradient
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/flow"
 	"repro/internal/graph"
@@ -29,37 +30,59 @@ func fillNodePrices(u *flow.Usage, price []float64) {
 // u whose utility loss Y is loss: it returns A = Y + ε·D — the operands
 // Usage.TotalCost adds, in its order — and the feasibility
 // Usage.Feasible reports, and leaves a.price holding u's node prices,
-// as fillNodePrices would. The load z = f_n + External_n is formed once
-// per capacitated node for all three. The caller must be done reading
-// a.price. The same loop adds the largest price change to the screen's
-// drift, rounded up (a NaN price makes the drift NaN, which screens
-// nothing).
+// as fillNodePrices would. It visits only the capacitated shared nodes
+// (a.capped), in ascending order; every other node's price is 0 for
+// good. The load z = f_n + External_n is formed once per node for all
+// three. The caller must be done reading a.price. The same loop adds
+// the largest price change to the screen's drift Π and the largest
+// price fall to Π⁻, each rounded up (a NaN price makes both NaN, which
+// screens nothing).
 //
 // The barrier is called on its concrete type, utility.Reciprocal, so the
 // compiler inlines D and D' into the loop.
 func (a *arena) evaluate(u *flow.Usage, loss float64) (cost float64, feasible bool) {
 	x := u.R.X
 	ext, eps, price := x.External, x.Epsilon, a.price
-	penalty, moved := 0.0, 0.0
+	penalty, moved, fell := 0.0, 0.0, 0.0
 	feasible = true
-	for n, z := range u.FNode[:x.SharedNodes] {
-		c, p := x.Capacity[n], 0.0
-		if !math.IsInf(c, 1) {
+	for w, word := range a.capped {
+		for ; word != 0; word &= word - 1 {
+			n := w*64 + bits.TrailingZeros64(word)
+			z, c := u.FNode[n], x.Capacity[n]
 			if n < len(ext) {
 				z += ext[n]
 			}
 			penalty += eps * utility.Reciprocal{}.Value(z, c)
-			p = eps * utility.Reciprocal{}.Deriv(z, c)
+			p := eps * utility.Reciprocal{}.Deriv(z, c)
 			if z > c+1e-9 {
 				feasible = false
 			}
+			d := p - price[n]
+			if !(math.Abs(d) <= moved) {
+				moved = math.Abs(d)
+			}
+			if !(-d <= fell) {
+				fell = -d
+			}
+			price[n] = p
 		}
-		if d := math.Abs(p - price[n]); !(d <= moved) {
-			moved = d
-		}
-		price[n] = p
 	}
-	// Scaling by 1 + 2⁻⁵¹ rounds the sum up by at least one ulp.
+	// Scaling by 1 + 2⁻⁵¹ rounds each sum up by at least one ulp.
 	a.drift = (a.drift + moved) * (1 + 0x1p-51)
+	a.fall = (a.fall + fell) * (1 + 0x1p-51)
 	return loss + penalty, feasible
+}
+
+// indexCapped marks x's capacitated shared nodes in a.capped and prices
+// every other node at 0, as evaluate would.
+func (a *arena) indexCapped() {
+	x := a.x
+	clear(a.capped)
+	for n, c := range x.Capacity[:x.SharedNodes] {
+		if math.IsInf(c, 1) {
+			a.price[n] = 0
+		} else {
+			a.capped[n/64] |= 1 << (n % 64)
+		}
+	}
 }

@@ -30,13 +30,21 @@ import (
 //   - arena.drift, Π, sums every node pass's largest price change
 //     (evaluate), so Π − Π_j bounds the price change since the sweep,
 //     and the row is skipped while Π < s_j = Π_j + m_j/W_j.
+//   - A row whose best link at every branch node is its difference
+//     link (a rejected row) waits only on price falls: that link's
+//     marginal is constant (it leads to the sink, V = 0), and the input
+//     link's is nondecreasing in every price while φ, c and β are ≥ 0.
+//     arena.fall, Π⁻, sums every node pass's largest price fall, and
+//     such a row is skipped while Π⁻ < s_j = Π⁻_j + m_j/W_j.
 //
 // A screened row is not read at all: its admitted rate comes from the
 // current measures, its utility and utility-loss terms and (while it
 // admits nothing) its dummy node's usage from the row's rowScreen, so
 // the trajectory is bitwise the unscreened one. A row that admits flow
 // is forecast again: its usage terms land in shared nodes, and FNode is
-// summed in commodity order.
+// summed in commodity order. A row whose screen expired is swept once;
+// if it still sits at its vertex it is screened again from that sweep
+// (arena.update) and added as a screened row is.
 
 // screenGuard is the screen's rounding guard: the share of the best and
 // second-best link marginals a margin must clear, and the share of
@@ -49,8 +57,8 @@ const screenGuard = 1e-9
 // wave adds in its place: 32 bytes per row.
 type rowScreen struct {
 	// s is the drift up to which the row is screened: the wave skips it
-	// while arena.drift < |s|, the stationarity check while
-	// arena.drift < s. A negative s marks a row whose sufficient-
+	// while its drift (arena.driftOf) < |s|, the stationarity check
+	// while that drift < s. A negative s marks a row whose sufficient-
 	// condition residual can round above 0 (a φ above 1, or a negative
 	// best marginal), so the check still visits it. Zero, the reset
 	// value, sweeps the row.
@@ -62,33 +70,52 @@ type rowScreen struct {
 }
 
 // skips reports whether the wave skips row j.
-func (a *arena) skips(j int) bool { return a.drift < math.Abs(a.screen[j].s) }
+func (a *arena) skips(j int) bool { return a.driftOf(j) < math.Abs(a.screen[j].s) }
 
-// unscreen makes the next wave sweep every row: after Restart, whose
-// parameters may move any marginal and any cached term.
-func (a *arena) unscreen() {
-	clear(a.screen)
-	a.drift = 0
+// driftOf is the drift row j's screen bound is set against: Π⁻ for a
+// row only a price fall can unscreen, else Π.
+func (a *arena) driftOf(j int) float64 {
+	if a.falls[j] {
+		return a.fall
+	}
+	return a.drift
 }
 
-// rescreen returns row j's screen bound after its sweep and Γ, which
-// left the row's link marginals in the scratch's linkD and its proposal
-// in next: ±(Π + m_j/W_j), rounded down, when the proposal is the
-// current row bit for bit and every branch node holds all its mass on a
-// best link that leads the next one by more than the rounding guard;
-// else 0.
-func (a *arena) rescreen(u *flow.Usage, j int, next []float64) float64 {
+// unscreen makes the next wave sweep every row and marks the capacitated
+// nodes afresh: after Restart, whose parameters may move any marginal,
+// any cached term and any capacity.
+func (a *arena) unscreen() {
+	clear(a.screen)
+	clear(a.falls)
+	a.drift, a.fall = 0, 0
+	a.indexCapped()
+}
+
+// rescreen sets row j's screen after a sweep, which left the row's
+// link marginals in the scratch's linkD, given the row next its update
+// leaves (Γ's proposal, or the current row itself when the wave
+// re-screens it from its sweep), and reports whether the row is
+// screened. The bound is ±(Π + m_j/W_j), rounded down, when next is the
+// current row bit for bit, every branch node holds all its mass on a
+// best link that leads the next one by more than the rounding guard,
+// and Γ — plus a zero heavy-ball term — would return the row bit for
+// bit: every other link's φ is +0 and the best link's positive and
+// finite. Else it is 0. A row whose best link is its difference link at
+// every branch node (a rejected row) is set against Π⁻ instead of Π.
+func (a *arena) rescreen(u *flow.Usage, j int, next []float64) bool {
+	c := &a.screen[j]
+	c.s, a.falls[j] = 0, false
 	sg := &a.x.Sub[j]
 	phi, linkD := u.R.Phi[j], a.scratch.linkD
 	outIdx, outEdges := sg.CSR()
-	margin, exact := math.Inf(1), true
+	margin, exact, falls := math.Inf(1), true, true
 	for _, ln := range sg.Branch() {
 		outs := outEdges[outIdx[ln]:outIdx[ln+1]]
 		best, bestD, second := int32(-1), math.Inf(1), math.Inf(1)
 		for _, le := range outs {
 			d := linkD[le]
 			if math.Float64bits(next[le]) != math.Float64bits(phi[le]) || math.IsNaN(d) {
-				return 0
+				return false
 			}
 			// updateNode's choice: the first smallest marginal.
 			if d < bestD {
@@ -97,32 +124,39 @@ func (a *arena) rescreen(u *flow.Usage, j int, next []float64) float64 {
 				second = d
 			}
 		}
+		if best < 0 || !(phi[best] > 0 && phi[best] <= math.MaxFloat64) {
+			return false
+		}
 		for _, le := range outs {
-			if le != best && phi[le] != 0 {
-				return 0
+			if le != best && math.Float64bits(phi[le]) != 0 {
+				return false
 			}
 		}
 		gap := second - bestD - screenGuard*(math.Abs(bestD)+math.Abs(second))
-		if best < 0 || !(gap > 0) {
-			return 0
+		if !(gap > 0) {
+			return false
 		}
 		margin = min(margin, gap)
 		exact = exact && bestD >= 0
+		falls = falls && best == sg.DiffLink
 	}
 	// Every φ ≤ 1 and nonnegative marginals make each node's ρ = Σ φ·d
 	// at a vertex round to at most its best d, so the row's eq.-13
 	// residuals are ≤ 0. (Only a dummy node's marginals can be negative:
-	// its difference link carries the loss derivative.)
+	// its difference link carries the loss derivative.) Every φ ≥ 0
+	// makes each ρ a nondecreasing function of the node prices.
 	for _, p := range phi {
 		exact = exact && p <= 1
+		falls = falls && p >= 0
 	}
 
 	// Scaling by 1 − 2⁻⁵¹ rounds the sum down by at least one ulp.
-	s := (a.drift + margin/a.width(j)*(1-screenGuard)) * (1 - 0x1p-51)
+	a.falls[j] = falls
+	c.s = (a.driftOf(j) + margin/a.width(j)*(1-screenGuard)) * (1 - 0x1p-51)
 	if !exact {
-		return -s
+		c.s = -c.s
 	}
-	return s
+	return true
 }
 
 // width returns W_j, computed at the row's first screening (in the

@@ -59,7 +59,7 @@ func (a *arena) stationarity(u *flow.Usage) StationarityReport {
 	rho, linkD := a.scratch.rho, a.scratch.linkD
 	rep := StationarityReport{WorstNode: graph.Invalid, WorstCommodity: -1}
 	for j := range a.x.Sub {
-		if a.screen != nil && a.drift < a.screen[j].s {
+		if a.screen != nil && a.driftOf(j) < a.screen[j].s {
 			continue
 		}
 		sweep(u, j, a.price, rho, linkD, nil, 0)
