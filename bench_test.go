@@ -186,7 +186,7 @@ func BenchmarkStepSparse(b *testing.B) {
 }
 
 // BenchmarkStationaritySparse prices the periodic convergence test of
-// the solve loops at J=1k: Theorem 2's residuals on the engine's own
+// the solve loops at J=1k: Theorem 2's eq.-12 gap on the engine's own
 // workspaces, forecast included (a Step in between invalidates it).
 func BenchmarkStationaritySparse(b *testing.B) {
 	eng := sparseEngine(b, 1000)

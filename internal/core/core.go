@@ -59,9 +59,9 @@ type Options struct {
 	SampleEvery int
 	// StationaryTol, when positive, stops the gradient algorithms once
 	// Theorem 2's necessary optimality condition holds within the
-	// tolerance (gradient.CheckStationarity's MaxUsedGap), checked
-	// every 50 iterations. Grounded convergence detection without a
-	// reference solve.
+	// tolerance (the eq.-12 gap gradient.CheckStationarity returns),
+	// checked every 50 iterations. Grounded convergence detection
+	// without a reference solve.
 	StationaryTol float64
 
 	// Gradient knobs (§5).
@@ -233,7 +233,7 @@ func solveGradient(p *stream.Problem, x *transform.Extended, opts Options, res *
 			return err
 		}
 		if opts.StationaryTol > 0 && i%50 == 49 {
-			if eng.Stationarity().MaxUsedGap <= opts.StationaryTol {
+			if eng.Stationarity() <= opts.StationaryTol {
 				break
 			}
 		}

@@ -12,7 +12,7 @@ import (
 func solveToConvergence(t *testing.T, eng *Engine, iters int) *flow.Usage {
 	t.Helper()
 	if _, err := eng.Run(iters, func(info StepInfo) bool {
-		return CheckStationarity(flow.Evaluate(eng.Routing())).MaxUsedGap < 1e-4
+		return CheckStationarity(flow.Evaluate(eng.Routing())) < 1e-4
 	}); err != nil {
 		t.Fatal(err)
 	}

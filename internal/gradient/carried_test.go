@@ -81,8 +81,8 @@ func TestCarriedStateMatchesFreshEvaluation(t *testing.T) {
 					setExternal(step/25 + 1)
 					e.ExternalChanged()
 					got, want := e.Stationarity(), CheckStationarity(flow.Evaluate(e.Routing()))
-					if got != want {
-						t.Fatalf("step %d: Stationarity %+v, fresh %+v", step, got, want)
+					if !sameFloat(got, want) {
+						t.Fatalf("step %d: Stationarity %v, fresh %v", step, got, want)
 					}
 					for i := 0; i < 25; i++ {
 						checkStep(t, e, step, onBranch)

@@ -248,10 +248,11 @@ func (e *Engine) Usage() *flow.Usage {
 	return e.u
 }
 
-// Stationarity evaluates Theorem 2's conditions (CheckStationarity) at
-// the current routing on the engine's workspaces, allocating nothing.
-// The forecast and the evaluation it needs are kept for the next Step.
-func (e *Engine) Stationarity() StationarityReport {
+// Stationarity returns the eq.-12 gap (CheckStationarity) at the
+// current routing, computed on the engine's workspaces, allocating
+// nothing. The forecast and the evaluation it needs are kept for the
+// next Step.
+func (e *Engine) Stationarity() float64 {
 	e.measure()
 	return e.arena.stationarity(e.u)
 }

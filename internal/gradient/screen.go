@@ -56,12 +56,9 @@ const screenGuard = 1e-9
 // rowScreen is one commodity row's screen state and what a screened
 // wave adds in its place: 32 bytes per row.
 type rowScreen struct {
-	// s is the drift up to which the row is screened: the wave skips it
-	// while its drift (arena.driftOf) < |s|, the stationarity check
-	// while that drift < s. A negative s marks a row whose sufficient-
-	// condition residual can round above 0 (a φ above 1, or a negative
-	// best marginal), so the check still visits it. Zero, the reset
-	// value, sweeps the row.
+	// s is the drift up to which the row is screened: the wave and the
+	// stationarity check skip it while its drift (arena.driftOf) < s.
+	// Zero, the reset value, sweeps the row.
 	s float64
 	// u and y are the U_j and Y_j terms measureRow returned for the row
 	// at its last sweep, and dummy the usage its forecast left at its
@@ -69,8 +66,8 @@ type rowScreen struct {
 	u, y, dummy float64
 }
 
-// skips reports whether the wave skips row j.
-func (a *arena) skips(j int) bool { return a.driftOf(j) < math.Abs(a.screen[j].s) }
+// skips reports whether the wave and the stationarity check skip row j.
+func (a *arena) skips(j int) bool { return a.driftOf(j) < a.screen[j].s }
 
 // driftOf is the drift row j's screen bound is set against: Π⁻ for a
 // row only a price fall can unscreen, else Π.
@@ -95,7 +92,7 @@ func (a *arena) unscreen() {
 // link marginals in the scratch's linkD, given the row next its update
 // leaves (Γ's proposal, or the current row itself when the wave
 // re-screens it from its sweep), and reports whether the row is
-// screened. The bound is ±(Π + m_j/W_j), rounded down, when next is the
+// screened. The bound is Π + m_j/W_j, rounded down, when next is the
 // current row bit for bit, every branch node holds all its mass on a
 // best link that leads the next one by more than the rounding guard,
 // and Γ — plus a zero heavy-ball term — would return the row bit for
@@ -108,7 +105,7 @@ func (a *arena) rescreen(u *flow.Usage, j int, next []float64) bool {
 	sg := &a.x.Sub[j]
 	phi, linkD := u.R.Phi[j], a.scratch.linkD
 	outIdx, outEdges := sg.CSR()
-	margin, exact, falls := math.Inf(1), true, true
+	margin, falls := math.Inf(1), true
 	for _, ln := range sg.Branch() {
 		outs := outEdges[outIdx[ln]:outIdx[ln+1]]
 		best, bestD, second := int32(-1), math.Inf(1), math.Inf(1)
@@ -137,25 +134,17 @@ func (a *arena) rescreen(u *flow.Usage, j int, next []float64) bool {
 			return false
 		}
 		margin = min(margin, gap)
-		exact = exact && bestD >= 0
 		falls = falls && best == sg.DiffLink
 	}
-	// Every φ ≤ 1 and nonnegative marginals make each node's ρ = Σ φ·d
-	// at a vertex round to at most its best d, so the row's eq.-13
-	// residuals are ≤ 0. (Only a dummy node's marginals can be negative:
-	// its difference link carries the loss derivative.) Every φ ≥ 0
-	// makes each ρ a nondecreasing function of the node prices.
+	// Every φ ≥ 0 makes each node's ρ = Σ φ·d a nondecreasing function
+	// of the node prices.
 	for _, p := range phi {
-		exact = exact && p <= 1
 		falls = falls && p >= 0
 	}
 
 	// Scaling by 1 − 2⁻⁵¹ rounds the sum down by at least one ulp.
 	a.falls[j] = falls
 	c.s = (a.driftOf(j) + margin/a.width(j)*(1-screenGuard)) * (1 - 0x1p-51)
-	if !exact {
-		c.s = -c.s
-	}
 	return true
 }
 

@@ -66,33 +66,8 @@ func (p *Problem) AddConstraint(coeffs map[int]float64, sense Sense, rhs float64
 	return nil
 }
 
-// Status classifies the solve outcome.
-type Status int
-
-// Solve outcomes.
-const (
-	Optimal Status = iota + 1
-	Infeasible
-	Unbounded
-)
-
-// String returns the status name.
-func (s Status) String() string {
-	switch s {
-	case Optimal:
-		return "optimal"
-	case Infeasible:
-		return "infeasible"
-	case Unbounded:
-		return "unbounded"
-	default:
-		return fmt.Sprintf("Status(%d)", int(s))
-	}
-}
-
-// Solution is the result of Solve when Status == Optimal.
+// Solution is the optimum Solve found.
 type Solution struct {
-	Status    Status
 	X         []float64
 	Objective float64
 	// Duals[i] is constraint i's dual value (shadow price): the rate at
@@ -116,21 +91,23 @@ const (
 	degenerateRun = 40
 )
 
-// Solve runs two-phase primal simplex.
+// Solve runs two-phase primal simplex. It returns a solution only at
+// an optimum; any other outcome is the error alone (ErrInfeasible,
+// ErrUnbounded, ErrStalled or an internal one).
 func Solve(p *Problem) (*Solution, error) {
 	t := newTableau(p)
 	if err := t.phase1(); err != nil {
-		return &Solution{Status: Infeasible}, err
+		return nil, err
 	}
 	if err := t.phase2(p.objective); err != nil {
-		return &Solution{Status: Unbounded}, err
+		return nil, err
 	}
 	x := t.extract(p.numVars)
 	obj := 0.0
 	for v, c := range p.objective {
 		obj += c * x[v]
 	}
-	return &Solution{Status: Optimal, X: x, Objective: obj, Duals: t.duals(p)}, nil
+	return &Solution{X: x, Objective: obj, Duals: t.duals(p)}, nil
 }
 
 // tableau is the dense simplex tableau: rows = constraints, columns =

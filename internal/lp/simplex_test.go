@@ -14,9 +14,6 @@ func mustSolve(t *testing.T, p *Problem) *Solution {
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	if s.Status != Optimal {
-		t.Fatalf("status = %v, want optimal", s.Status)
-	}
 	return s
 }
 
@@ -98,12 +95,8 @@ func TestInfeasible(t *testing.T) {
 	p.SetObjective(0, 1)
 	addC(t, p, map[int]float64{0: 1}, LE, 1)
 	addC(t, p, map[int]float64{0: 1}, GE, 2)
-	s, err := Solve(p)
-	if !errors.Is(err, ErrInfeasible) {
+	if _, err := Solve(p); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
-	}
-	if s.Status != Infeasible {
-		t.Fatalf("status = %v, want infeasible", s.Status)
 	}
 }
 
@@ -111,12 +104,8 @@ func TestUnbounded(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObjective(0, 1)
 	addC(t, p, map[int]float64{1: 1}, LE, 1)
-	s, err := Solve(p)
-	if !errors.Is(err, ErrUnbounded) {
+	if _, err := Solve(p); !errors.Is(err, ErrUnbounded) {
 		t.Fatalf("err = %v, want ErrUnbounded", err)
-	}
-	if s.Status != Unbounded {
-		t.Fatalf("status = %v, want unbounded", s.Status)
 	}
 }
 

@@ -509,7 +509,7 @@ func (r *runner) step(ctx context.Context, n int) (iters int) {
 	}
 	r.extMoved = false
 	tol := r.cfg.StationaryTol
-	if tol > 0 && r.eng.Stationarity().MaxUsedGap <= tol {
+	if tol > 0 && r.eng.Stationarity() <= tol {
 		r.stationary = true
 		r.capture()
 		return 0

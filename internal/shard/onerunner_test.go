@@ -59,7 +59,7 @@ func (s *refSolver) solve(t *testing.T, p *stream.Problem) refResult {
 	}
 	s.eng = eng
 	for {
-		if eng.Stationarity().MaxUsedGap <= s.tol {
+		if eng.Stationarity() <= s.tol {
 			res.converged = true
 			break
 		}

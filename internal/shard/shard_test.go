@@ -77,8 +77,7 @@ func solveUnsharded(t *testing.T, p *stream.Problem, eta, tol float64, maxIters 
 	for i := 0; i < maxIters; i++ {
 		eng.Step()
 		if i%25 == 24 {
-			rep := gradient.CheckStationarity(flow.Evaluate(eng.Routing()))
-			if rep.MaxUsedGap <= tol {
+			if gradient.CheckStationarity(flow.Evaluate(eng.Routing())) <= tol {
 				break
 			}
 		}

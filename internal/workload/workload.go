@@ -17,8 +17,6 @@ type Process interface {
 	// Rate returns λ for the given epoch; epochs are queried in
 	// nondecreasing order.
 	Rate(epoch int) float64
-	// Name identifies the process family.
-	Name() string
 }
 
 // Constant offers a fixed rate.
@@ -28,9 +26,6 @@ type Constant struct {
 
 // Rate implements Process.
 func (c Constant) Rate(int) float64 { return c.R }
-
-// Name implements Process.
-func (c Constant) Name() string { return "constant" }
 
 // Steps cycles through a fixed list of levels, holding each for Period
 // epochs. Useful for reproducible load steps.
@@ -55,9 +50,6 @@ func (s Steps) Rate(epoch int) float64 {
 	}
 	return s.Levels[(epoch/p)%len(s.Levels)]
 }
-
-// Name implements Process.
-func (s Steps) Name() string { return "steps" }
 
 // OnOff alternates between High (for OnLen epochs) and Low (for
 // OffLen): the classic bursty source.
@@ -85,9 +77,6 @@ func (o OnOff) Rate(epoch int) float64 {
 	}
 	return o.Low
 }
-
-// Name implements Process.
-func (o OnOff) Name() string { return "onoff" }
 
 // MMPP is a Markov-modulated rate process: it holds one of Rates and
 // jumps to a uniformly random other state with probability 1/MeanDwell
@@ -135,9 +124,6 @@ func (m *MMPP) Rate(epoch int) float64 {
 	return m.rates[m.state]
 }
 
-// Name implements Process.
-func (m *MMPP) Name() string { return "mmpp" }
-
 // Sine modulates smoothly between Base−Amp and Base+Amp with the given
 // period; a gentle diurnal-style load curve.
 type Sine struct {
@@ -157,9 +143,6 @@ func (s Sine) Rate(epoch int) float64 {
 	}
 	return v
 }
-
-// Name implements Process.
-func (s Sine) Name() string { return "sine" }
 
 // Spike is a one-shot flash crowd: Base rate until Start, a linear ramp
 // over Ramp epochs up to Peak, a hold of Hold epochs, a linear decay
@@ -196,9 +179,6 @@ func (s Spike) Rate(epoch int) float64 {
 	}
 	return s.Base
 }
-
-// Name implements Process.
-func (s Spike) Name() string { return "spike" }
 
 // Lognormal draws an independent heavy-tailed rate each epoch:
 // rate = Median·exp(Sigma·Z) with Z standard normal, so the median is
@@ -239,6 +219,3 @@ func (l *Lognormal) Rate(epoch int) float64 {
 	}
 	return l.last
 }
-
-// Name implements Process.
-func (l *Lognormal) Name() string { return "lognormal" }

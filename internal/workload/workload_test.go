@@ -112,22 +112,6 @@ func TestSineClampsNegative(t *testing.T) {
 	}
 }
 
-func TestNames(t *testing.T) {
-	for want, p := range map[string]Process{
-		"constant":  Constant{R: 1},
-		"steps":     Steps{Levels: []float64{1}},
-		"onoff":     OnOff{High: 1, Low: 0},
-		"mmpp":      NewMMPP([]float64{1}, 2, 1),
-		"sine":      Sine{Base: 1, Amp: 0, Period: 2},
-		"spike":     Spike{Base: 1, Peak: 2, Start: 0},
-		"lognormal": NewLognormal(1, 0.5, 1),
-	} {
-		if got := p.Name(); got != want {
-			t.Errorf("Name() = %q, want %q", got, want)
-		}
-	}
-}
-
 // Regression: Steps.Rate on a negative epoch used to index Levels with
 // a negative value ((epoch/p)%len keeps the dividend's sign) — a panic
 // for most epochs and the wrong phase for multiples of p·len.
@@ -252,7 +236,7 @@ func TestGoldenTrajectories(t *testing.T) {
 	for _, c := range cases {
 		for e := 0; e < n; e++ {
 			if got := c.proc.Rate(e); math.Abs(got-c.want[e]) > 1e-9 {
-				t.Errorf("%s: Rate(%d) = %g, want %g", c.proc.Name(), e, got, c.want[e])
+				t.Errorf("%T: Rate(%d) = %g, want %g", c.proc, e, got, c.want[e])
 			}
 		}
 	}
@@ -267,14 +251,14 @@ func TestGoldenTrajectories(t *testing.T) {
 		for e := range traj {
 			traj[e] = a.Rate(e)
 			if vb := b.Rate(e); vb != traj[e] {
-				t.Fatalf("%s: epoch %d diverged across instances (%g vs %g)",
-					a.Name(), e, traj[e], vb)
+				t.Fatalf("%T: epoch %d diverged across instances (%g vs %g)",
+					a, e, traj[e], vb)
 			}
 		}
 		c := mk()
 		for e := range traj {
 			if vc := c.Rate(e); vc != traj[e] {
-				t.Fatalf("%s: replay diverged at epoch %d", a.Name(), e)
+				t.Fatalf("%T: replay diverged at epoch %d", a, e)
 			}
 		}
 	}
