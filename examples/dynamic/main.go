@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -79,7 +80,7 @@ func run() error {
 		} else if eng, err = gradient.NewFrom(x, carried, gradient.Config{Eta: 0.1}); err != nil {
 			return err
 		}
-		if _, err := eng.Run(iterBudget, nil); err != nil {
+		if _, _, err := eng.Run(context.Background(), iterBudget, 0, new(gradient.DivergenceDetector), nil); err != nil {
 			return err
 		}
 		carried = eng.Routing()

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -36,7 +37,7 @@ func run() error {
 
 	// 1. Optimize.
 	eng := gradient.New(x, gradient.Config{Eta: 0.04})
-	if _, err := eng.Run(5000, nil); err != nil {
+	if _, _, err := eng.Run(context.Background(), 5000, 0, new(gradient.DivergenceDetector), nil); err != nil {
 		return err
 	}
 	sol := eng.Solution()

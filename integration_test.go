@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -45,7 +46,13 @@ func TestEndToEndAllSolversAgree(t *testing.T) {
 
 	// §6's criterion: the fixed-η gradient reaches 95% of the optimum
 	// in about 1 000 iterations on this instance.
-	_, hit, err := gradient.New(x, gradient.Config{Eta: 0.04}).RunToTarget(ref.Utility, 0.95, 20000)
+	hit := -1
+	_, _, err = gradient.New(x, gradient.Config{Eta: 0.04}).Run(context.Background(), 20000, 0, new(gradient.DivergenceDetector), func(info gradient.StepInfo) bool {
+		if info.Utility >= 0.95*ref.Utility {
+			hit = info.Iteration
+		}
+		return hit >= 0
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,13 +63,13 @@ func TestEndToEndAllSolversAgree(t *testing.T) {
 	// Gradient in both step modes must land in the same neighborhood
 	// below the LP optimum.
 	eng := gradient.New(x, gradient.Config{Eta: 0.04})
-	if _, err := eng.Run(5000, nil); err != nil {
+	if _, _, err := eng.Run(context.Background(), 5000, 0, new(gradient.DivergenceDetector), nil); err != nil {
 		t.Fatal(err)
 	}
 	fixed := eng.Solution().Utility()
 
 	ad := gradient.New(x, gradient.Config{Backtrack: true})
-	if _, err := ad.Run(5000, nil); err != nil {
+	if _, _, err := ad.Run(context.Background(), 5000, 0, new(gradient.DivergenceDetector), nil); err != nil {
 		t.Fatal(err)
 	}
 	adaptive := ad.Solution().Utility()
@@ -94,7 +101,7 @@ func TestEndToEndAllSolversAgree(t *testing.T) {
 func TestEndToEndPlanSurvivesQueueReplay(t *testing.T) {
 	x := referenceInstance(t)
 	eng := gradient.New(x, gradient.Config{Eta: 0.04})
-	if _, err := eng.Run(5000, nil); err != nil {
+	if _, _, err := eng.Run(context.Background(), 5000, 0, new(gradient.DivergenceDetector), nil); err != nil {
 		t.Fatal(err)
 	}
 	sol := eng.Solution()

@@ -14,6 +14,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -60,7 +61,7 @@ type Options struct {
 	// StationaryTol, when positive, stops the gradient algorithms once
 	// Theorem 2's necessary optimality condition holds within the
 	// tolerance (the eq.-12 gap gradient.CheckStationarity returns),
-	// checked every 50 iterations. Grounded convergence detection
+	// checked before the first step and every 50th. Grounded convergence detection
 	// without a reference solve.
 	StationaryTol float64
 
@@ -209,7 +210,7 @@ func Solve(p *stream.Problem, opts Options) (*Result, error) {
 // solveGradient runs the synchronous engine in either step mode:
 // opts.Algorithm picks fixed η or backtracking, everything else — the
 // trace, divergence detection, the early stop, the protocol accounting
-// — is one loop.
+// — is one Engine.Run, with the trace sampled by its observer.
 func solveGradient(p *stream.Problem, x *transform.Extended, opts Options, res *Result) error {
 	if opts.MaxIters <= 0 {
 		opts.MaxIters = 5000
@@ -221,26 +222,20 @@ func solveGradient(p *stream.Problem, x *transform.Extended, opts Options, res *
 		Eta:       opts.Eta,
 		Backtrack: opts.Algorithm == GradientAdaptive,
 	})
-	var det gradient.DivergenceDetector
 	var last TracePoint
-	for i := 0; i < opts.MaxIters; i++ {
-		info := eng.Step()
+	steps, _, err := eng.Run(context.Background(), opts.MaxIters, opts.StationaryTol, new(gradient.DivergenceDetector), func(info gradient.StepInfo) bool {
 		last = TracePoint{Iteration: info.Iteration, Utility: info.Utility, Cost: info.Cost}
-		if i%opts.SampleEvery == 0 {
+		if info.Iteration%opts.SampleEvery == 0 {
 			res.Trace = append(res.Trace, last)
 		}
-		if err := det.Observe(info); err != nil {
-			return err
-		}
-		if opts.StationaryTol > 0 && i%50 == 49 {
-			if eng.Stationarity() <= opts.StationaryTol {
-				break
-			}
-		}
+		return false
+	})
+	if err != nil {
+		return err
 	}
 	// The last iteration run is always sampled, whether the budget or the
 	// stationarity test ended the loop.
-	if res.Trace[len(res.Trace)-1].Iteration != last.Iteration {
+	if steps > 0 && res.Trace[len(res.Trace)-1].Iteration != last.Iteration {
 		res.Trace = append(res.Trace, last)
 	}
 	st := eng.Stats()

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/gradient"
 	"repro/internal/stream"
+	"repro/internal/utility"
 )
 
 func figure1(t *testing.T) *stream.Problem {
@@ -202,6 +203,38 @@ func TestSolveExplain(t *testing.T) {
 	}
 	if plain.Explain != nil {
 		t.Fatal("Explain populated without Options.Explain")
+	}
+}
+
+// TestSolveStartingStationaryCostsNoIteration: the optimum of a
+// commodity whose utility is too flat to pay for any capacity admits
+// nothing, which is where the cold start begins. With a tolerance the
+// check before the first step holds, so the solve runs no iteration,
+// in both step modes, and reports the empty trace it has.
+func TestSolveStartingStationaryCostsNoIteration(t *testing.T) {
+	net := stream.NewNetwork()
+	a, _ := net.AddServer("a", 2)
+	sink, _ := net.AddSink("t")
+	e, _ := net.AddLink(a, sink, 2)
+	p := stream.NewProblem(net)
+	c, err := p.AddCommodity("flat", a, sink, 1, utility.Linear{Slope: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SetEdge(c, e, stream.EdgeParams{Beta: 1, Cost: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []Algorithm{Gradient, GradientAdaptive} {
+		t.Run(string(alg), func(t *testing.T) {
+			res, err := Solve(p, Options{Algorithm: alg, MaxIters: 500, StationaryTol: 1e-3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Iterations != 0 || len(res.Trace) != 0 || res.Admitted[0] != 0 {
+				t.Fatalf("%d iterations, trace %+v, admitted %v; want 0 iterations, no trace, nothing admitted",
+					res.Iterations, res.Trace, res.Admitted)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -111,9 +112,10 @@ func RunF4(seed int64, scale Scale) (*F4Result, error) {
 		GradHit95: -1, BPHit95: -1, GradHit90: -1, BPHit90: -1,
 	}
 
+	// Figure 4 plots the whole budget: no divergence stop.
 	eng := gradient.New(x, gradient.Config{Eta: 0.04})
-	for i := 0; i < scale.GradIters; i++ {
-		info := eng.Step()
+	eng.Run(context.Background(), scale.GradIters, 0, nil, func(info gradient.StepInfo) bool {
+		i := info.Iteration
 		if logSampled(i) || i == scale.GradIters-1 {
 			res.Gradient = append(res.Gradient, Point{Iteration: i, Utility: info.Utility})
 		}
@@ -123,7 +125,8 @@ func RunF4(seed int64, scale Scale) (*F4Result, error) {
 		if res.GradHit90 < 0 && info.Utility >= 0.90*ref.Utility {
 			res.GradHit90 = i
 		}
-	}
+		return false
+	})
 
 	bp := backpressure.New(x, backpressure.Config{})
 	for i := 0; i < scale.BPIters; i++ {
@@ -204,22 +207,20 @@ func RunT2(seed int64, etas []float64, scale Scale) ([]T2Row, error) {
 	for _, eta := range etas {
 		eng := gradient.New(x, gradient.Config{Eta: eta})
 		row := T2Row{Eta: eta, Hit95: -1}
+		// A diverged row keeps the last finite point: Run observes a step
+		// only after the detector has passed it.
 		final := 0.0
-		var det gradient.DivergenceDetector
-		for i := 0; i < scale.GradIters; i++ {
-			info := eng.Step()
-			if det.Observe(info) != nil {
-				row.Diverged = true
-				break
-			}
+		_, _, err := eng.Run(context.Background(), scale.GradIters, 0, new(gradient.DivergenceDetector), func(info gradient.StepInfo) bool {
 			final = info.Utility
 			row.Feasible = info.Feasible
 			// Only a feasible point counts as having converged: a huge
 			// η can show utility above the optimum by overloading nodes.
 			if row.Hit95 < 0 && info.Feasible && info.Utility >= 0.95*ref.Utility {
-				row.Hit95 = i
+				row.Hit95 = info.Iteration
 			}
-		}
+			return false
+		})
+		row.Diverged = err != nil
 		row.FinalPct = final / ref.Utility
 		rows = append(rows, row)
 	}
@@ -300,10 +301,14 @@ func RunT3(seed int64, layerSweep []int, scale Scale) ([]T3Row, error) {
 			return nil, err
 		}
 		eng := gradient.New(x, gradient.Config{Eta: 0.04})
-		if _, hit, err := eng.RunToTarget(ref.Utility, 0.90, scale.GradIters); err == nil && hit >= 0 {
-			row.GradIters90 = hit
-			row.GradTotalRounds = hit * row.GradRoundsIter
-		}
+		eng.Run(context.Background(), scale.GradIters, 0, new(gradient.DivergenceDetector), func(info gradient.StepInfo) bool {
+			if info.Utility < 0.90*ref.Utility {
+				return false
+			}
+			row.GradIters90 = info.Iteration
+			row.GradTotalRounds = info.Iteration * row.GradRoundsIter
+			return true
+		})
 		for i := 1; i < scale.BPIters; i++ {
 			if bp.Step().Cumulative >= 0.90*ref.Utility {
 				row.BPIters90 = i
@@ -349,7 +354,7 @@ func RunT4(seed int64, epsilons []float64, scale Scale) ([]T4Row, error) {
 		// the budget by 0.2/ε relative to the §6 baseline.
 		iters := int(float64(scale.GradIters) * math.Max(1, 0.2/eps))
 		eng := gradient.New(x, gradient.Config{Eta: 0.04})
-		if _, err := eng.Run(iters, nil); err != nil {
+		if _, _, err := eng.Run(context.Background(), iters, 0, new(gradient.DivergenceDetector), nil); err != nil {
 			return nil, err
 		}
 		u := eng.Solution()
@@ -482,7 +487,7 @@ func RunE5(seed int64, scale Scale) (*E5Result, error) {
 	// than in the linear experiments; η scales down accordingly
 	// (§5's stability condition).
 	eng := gradient.New(x, gradient.Config{Eta: 0.01})
-	if _, err := eng.Run(scale.GradIters, nil); err != nil {
+	if _, _, err := eng.Run(context.Background(), scale.GradIters, 0, new(gradient.DivergenceDetector), nil); err != nil {
 		return nil, err
 	}
 	sol := eng.Solution()
@@ -590,7 +595,7 @@ func RunE6(seed int64, gammas []float64, scale Scale) ([]E6Row, error) {
 			iters = 400000
 		}
 		eng := gradient.New(x, gradient.Config{Eta: 0.04 * math.Pow(4, -gamma)})
-		if _, err := eng.Run(iters, nil); err != nil {
+		if _, _, err := eng.Run(context.Background(), iters, 0, new(gradient.DivergenceDetector), nil); err != nil {
 			return nil, err
 		}
 		row.GradUtility = eng.Solution().Utility()
@@ -655,10 +660,10 @@ func RunE7(seed int64, epochs, iterBudget int, scale Scale) ([]E7Epoch, error) {
 				return nil, err
 			}
 		}
-		if _, err := warm.Run(iterBudget, nil); err != nil {
+		if _, _, err := warm.Run(context.Background(), iterBudget, 0, new(gradient.DivergenceDetector), nil); err != nil {
 			return nil, err
 		}
-		if _, err := cold.Run(iterBudget, nil); err != nil {
+		if _, _, err := cold.Run(context.Background(), iterBudget, 0, new(gradient.DivergenceDetector), nil); err != nil {
 			return nil, err
 		}
 		out = append(out, E7Epoch{

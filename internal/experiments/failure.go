@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -65,7 +66,7 @@ func runE8One(seed int64, eps float64, scale Scale) (*E8Row, error) {
 
 	// Converge on the healthy network.
 	pre := gradient.New(x, gradient.Config{Eta: 0.04})
-	if _, err := pre.Run(scale.GradIters, nil); err != nil {
+	if _, _, err := pre.Run(context.Background(), scale.GradIters, 0, new(gradient.DivergenceDetector), nil); err != nil {
 		return nil, err
 	}
 	sol := pre.Solution()
@@ -130,19 +131,22 @@ func runE8One(seed int64, eps float64, scale Scale) (*E8Row, error) {
 // with utility ≥ target, returning the first feasible iteration and
 // the first feasible-and-at-target iteration (-1 on budget exhaustion).
 func runToFeasibleTarget(eng *gradient.Engine, target float64, budget int) (feasibleAt, targetAt int) {
+	// No divergence stop: a warm start that overloads the cut server
+	// starts at a non-finite cost, and the row counts the steps it takes
+	// to be feasible again.
 	feasibleAt, targetAt = -1, -1
-	for i := 0; i < budget; i++ {
-		info := eng.Step()
+	eng.Run(context.Background(), budget, 0, nil, func(info gradient.StepInfo) bool {
 		if !info.Feasible {
-			continue
+			return false
 		}
 		if feasibleAt < 0 {
-			feasibleAt = i
+			feasibleAt = info.Iteration
 		}
 		if info.Utility >= target {
-			targetAt = i
-			return feasibleAt, targetAt
+			targetAt = info.Iteration
+			return true
 		}
-	}
+		return false
+	})
 	return feasibleAt, targetAt
 }

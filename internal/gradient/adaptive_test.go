@@ -34,7 +34,7 @@ func TestAdaptiveSurvivesHostileInitialEta(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(x, Config{Eta: 50, Backtrack: true})
-	if _, err := e.Run(6000, nil); err != nil {
+	if err := run(e, 6000); err != nil {
 		t.Fatal(err)
 	}
 	if e.Backtracks() == 0 {
@@ -58,12 +58,12 @@ func TestAdaptiveMatchesFixedEtaQuality(t *testing.T) {
 	// step.
 	x := randomExtended(t, 23)
 	fixed := New(x, Config{Eta: 0.01})
-	traceFixed, err := fixed.Run(4000, nil)
+	traceFixed, err := traceRun(fixed, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	adaptive := New(x, Config{Backtrack: true})
-	if _, err := adaptive.Run(4000, nil); err != nil {
+	if err := run(adaptive, 4000); err != nil {
 		t.Fatal(err)
 	}
 	fixedU := traceFixed[len(traceFixed)-1].Utility
@@ -87,7 +87,7 @@ func TestAdaptiveEtaGrowsOnEasyInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(x, Config{Eta: 0.001, Backtrack: true})
-	if _, err := e.Run(2000, nil); err != nil {
+	if err := run(e, 2000); err != nil {
 		t.Fatal(err)
 	}
 	if e.Eta() <= 0.001 {

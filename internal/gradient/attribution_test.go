@@ -1,6 +1,7 @@
 package gradient
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 // solveToConvergence runs the engine until near-stationary.
 func solveToConvergence(t *testing.T, eng *Engine, iters int) *flow.Usage {
 	t.Helper()
-	if _, err := eng.Run(iters, func(info StepInfo) bool {
+	if _, _, err := eng.Run(context.Background(), iters, 0, new(DivergenceDetector), func(StepInfo) bool {
 		return CheckStationarity(flow.Evaluate(eng.Routing())) < 1e-4
 	}); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package gradient
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -75,7 +76,7 @@ type StepInfo struct {
 	Cost      float64 // A = Y + εD
 	// Admitted is a_j per commodity. It aliases a buffer the engine
 	// overwrites on its next Step; callers that keep a StepInfo across
-	// steps copy it (Engine.Run's trace does).
+	// steps copy it.
 	Admitted []float64
 	Feasible bool // f_i ≤ C_i at every node
 }
@@ -359,9 +360,9 @@ func (e *Engine) accept(next *flow.Routing, utility, loss float64) {
 	e.heavy = e.cfg.Momentum > 0
 }
 
-// ErrDiverged is returned by Run when the iteration has genuinely
-// diverged — η too large for the instance (§5's "danger of no
-// convergence").
+// ErrDiverged is what a DivergenceDetector reports, and Run returns,
+// when the iteration has genuinely diverged — η too large for the
+// instance (§5's "danger of no convergence").
 var ErrDiverged = errors.New("gradient: iteration diverged; reduce eta")
 
 // DivergenceDetector distinguishes real divergence from the transient
@@ -395,39 +396,38 @@ func (d *DivergenceDetector) Observe(info StepInfo) error {
 	return nil
 }
 
-// Run executes up to maxIters iterations, appending one StepInfo per
-// iteration to the returned trace. It stops early when stop (if
-// non-nil) returns true for the latest StepInfo.
-func (e *Engine) Run(maxIters int, stop func(StepInfo) bool) ([]StepInfo, error) {
-	trace := make([]StepInfo, 0, maxIters)
-	var det DivergenceDetector
-	for i := 0; i < maxIters; i++ {
-		info := e.Step()
-		info.Admitted = append([]float64(nil), info.Admitted...)
-		trace = append(trace, info)
-		if err := det.Observe(info); err != nil {
-			return trace, err
+// checkEvery is Run's Theorem-2 check cadence. A shard's turn runs at
+// most exchangeEvery = 25 steps, so it is checked only before its first.
+const checkEvery = 50
+
+// Run is the one loop that steps the engine to a stop. A Theorem-2
+// check (Stationarity ≤ tol, when tol > 0) comes before step i whenever
+// i%checkEvery == 0: always before the first step, even when budget is
+// 0, and never after the last. Within a step the order is: the check if
+// it is due, ctx, Step, det.Observe (when det is non-nil), then observe
+// (when non-nil). The run stops at the first of a passing check, budget
+// steps, a done ctx, an error from det, or observe returning true. It
+// returns the steps run, whether a check passed, and det's error; a
+// done ctx is not an error. det is the caller's, so a detector can
+// carry its streak across runs; nil turns divergence detection off.
+func (e *Engine) Run(ctx context.Context, budget int, tol float64, det *DivergenceDetector, observe func(StepInfo) bool) (steps int, stationary bool, err error) {
+	for ; ; steps++ {
+		if tol > 0 && steps%checkEvery == 0 && (steps == 0 || steps < budget) && e.Stationarity() <= tol {
+			return steps, true, nil
 		}
-		if stop != nil && stop(info) {
-			break
+		if steps >= budget || ctx.Err() != nil {
+			return steps, false, nil
+		}
+		info := e.Step()
+		if det != nil {
+			if err := det.Observe(info); err != nil {
+				return steps + 1, false, err
+			}
+		}
+		if observe != nil && observe(info) {
+			return steps + 1, false, nil
 		}
 	}
-	return trace, nil
-}
-
-// RunToTarget iterates until the measured utility reaches the given
-// fraction of target (e.g. 0.95 × the LP optimum, the paper's
-// convergence criterion in §6), or maxIters. It returns the trace and
-// the first iteration index reaching the target (-1 if never).
-func (e *Engine) RunToTarget(target, fraction float64, maxIters int) ([]StepInfo, int, error) {
-	hit := -1
-	trace, err := e.Run(maxIters, func(info StepInfo) bool {
-		if hit < 0 && info.Utility >= fraction*target {
-			hit = info.Iteration
-		}
-		return hit >= 0
-	})
-	return trace, hit, err
 }
 
 // Solution evaluates the current routing set.

@@ -1,6 +1,7 @@
 package gradient
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -13,6 +14,38 @@ import (
 	"repro/internal/transform"
 	"repro/internal/utility"
 )
+
+// run steps e up to n times under a fresh divergence detector.
+func run(e *Engine, n int) error {
+	_, _, err := e.Run(context.Background(), n, 0, new(DivergenceDetector), nil)
+	return err
+}
+
+// traceRun is run keeping what every step reported, Admitted copied.
+// A step the detector rejects is not in the trace.
+func traceRun(e *Engine, n int) ([]StepInfo, error) {
+	var trace []StepInfo
+	_, _, err := e.Run(context.Background(), n, 0, new(DivergenceDetector), func(info StepInfo) bool {
+		info.Admitted = append([]float64(nil), info.Admitted...)
+		trace = append(trace, info)
+		return false
+	})
+	return trace, err
+}
+
+// hitTarget is run until a step starts from utility ≥ target; it
+// returns that step's iteration, or -1 when the budget runs out first.
+func hitTarget(e *Engine, target float64, n int) (int, error) {
+	hit := -1
+	_, _, err := e.Run(context.Background(), n, 0, new(DivergenceDetector), func(info StepInfo) bool {
+		if info.Utility >= target {
+			hit = info.Iteration
+			return true
+		}
+		return false
+	})
+	return hit, err
+}
 
 // singlePath builds dummy → src → bw → sink with the given capacities
 // and offered rate, linear utility.
@@ -194,7 +227,7 @@ func TestConvergesToFullAdmissionWhenUnconstrained(t *testing.T) {
 	// Plenty of capacity: optimal admits everything (a* = λ = 5).
 	x := singlePath(t, 100, 100, 5)
 	e := New(x, Config{Eta: 0.5})
-	trace, err := e.Run(3000, nil)
+	trace, err := traceRun(e, 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +245,14 @@ func TestConvergesToBarrierOptimumWhenConstrained(t *testing.T) {
 	// Anneal: a large step reaches the neighborhood fast, then a small
 	// step settles the oscillation band (§5's speed/stability trade).
 	coarse := New(x, Config{Eta: 0.5})
-	if _, err := coarse.Run(3000, nil); err != nil {
+	if err := run(coarse, 3000); err != nil {
 		t.Fatal(err)
 	}
 	fine, err := NewFrom(x, coarse.Routing(), Config{Eta: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := fine.Run(3000, nil)
+	trace, err := traceRun(fine, 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +269,7 @@ func TestConvergesToBarrierOptimumWhenConstrained(t *testing.T) {
 func TestCostDecreasesMonotonically(t *testing.T) {
 	x := twoPath(t, 20, utility.Linear{Slope: 1})
 	e := New(x, Config{Eta: 0.04})
-	trace, err := e.Run(2000, nil)
+	trace, err := traceRun(e, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +287,7 @@ func TestSplitsMatchBarrierOptimum(t *testing.T) {
 	// (3t_a−20)² = 3(12−t_a)² ⇒ t_a ≈ 8.6188.
 	x := twoPath(t, 20, utility.Linear{Slope: 1})
 	e := New(x, Config{Eta: 0.2})
-	if _, err := e.Run(8000, nil); err != nil {
+	if err := run(e, 8000); err != nil {
 		t.Fatal(err)
 	}
 	u := e.Solution()
@@ -379,10 +412,21 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
+// TestRunToTarget: an observer that returns true ends the run right
+// after the step it observed, with no check passed and no error, so the
+// steps run are that step's iteration + 1 (experiment T3 counts
+// iterations to a target this way).
 func TestRunToTarget(t *testing.T) {
 	x := singlePath(t, 100, 100, 5)
 	e := New(x, Config{Eta: 0.5})
-	_, hit, err := e.RunToTarget(5.0, 0.95, 5000)
+	hit := -1
+	steps, stationary, err := e.Run(context.Background(), 5000, 0, new(DivergenceDetector), func(info StepInfo) bool {
+		if info.Utility >= 0.95*5.0 {
+			hit = info.Iteration
+			return true
+		}
+		return false
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,6 +435,70 @@ func TestRunToTarget(t *testing.T) {
 	}
 	if hit > 4000 {
 		t.Fatalf("took %d iterations, unexpectedly slow", hit)
+	}
+	if stationary || steps != hit+1 || e.Stats().Iterations != steps {
+		t.Fatalf("Run = (%d steps, stationary %v) with %d engine iterations, want %d steps, not stationary",
+			steps, stationary, e.Stats().Iterations, hit+1)
+	}
+}
+
+// TestRunCheckRule pins when Run checks Theorem 2: before step i
+// whenever i%checkEvery == 0, always before step 0 even at budget 0, never
+// after the last step. The gaps come from a reference engine that
+// checks before every step; checking does not move the trajectory.
+func TestRunCheckRule(t *testing.T) {
+	x := twoPath(t, 20, utility.Linear{Slope: 1})
+	const every, n = checkEvery, 400
+	ref := New(x, Config{Eta: 0.2})
+	gaps := make([]float64, n+1)
+	for i := range gaps {
+		gaps[i] = ref.Stationarity()
+		ref.Step()
+	}
+	// A tolerance reached between two checks; first is the check that
+	// sees it.
+	tol := gaps[5*every/2]
+	first := -1
+	for i := every; i < n; i += every {
+		if gaps[i] <= tol {
+			first = i
+			break
+		}
+	}
+	if gaps[0] <= tol || first <= 5*every/2 {
+		t.Fatalf("instance does not fit the test: gap %g at step 0, tolerance %g first seen at %d", gaps[0], tol, first)
+	}
+	for _, tc := range []struct {
+		name       string
+		budget     int
+		tol        float64
+		steps      int
+		stationary bool
+	}{
+		{"budget 0 still checks", 0, gaps[0], 0, true},
+		{"budget 0 check fails", 0, tol, 0, false},
+		{"stops at the first passing check", n, tol, first, true},
+		{"no check after the last step", first, tol, first, false},
+		{"the check before the last step", first + 1, tol, first, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(x, Config{Eta: 0.2})
+			steps, stationary, err := e.Run(context.Background(), tc.budget, tc.tol, new(DivergenceDetector), nil)
+			if err != nil || steps != tc.steps || stationary != tc.stationary {
+				t.Fatalf("Run = (%d, %v, %v), want (%d, %v, nil)", steps, stationary, err, tc.steps, tc.stationary)
+			}
+		})
+	}
+
+	// A done context stops the run before a step, after the check.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	e := New(x, Config{Eta: 0.2})
+	if steps, stationary, err := e.Run(ctx, n, gaps[0], nil, nil); steps != 0 || !stationary || err != nil {
+		t.Fatalf("cancelled, stationary start: Run = (%d, %v, %v), want (0, true, nil)", steps, stationary, err)
+	}
+	if steps, stationary, err := e.Run(ctx, n, tol, nil, nil); steps != 0 || stationary || err != nil {
+		t.Fatalf("cancelled: Run = (%d, %v, %v), want (0, false, nil)", steps, stationary, err)
 	}
 }
 
@@ -402,14 +510,14 @@ func TestLargeEtaDivergesOrOscillates(t *testing.T) {
 	x := twoPath(t, 20, utility.Linear{Slope: 1})
 
 	small := New(x, Config{Eta: 0.1})
-	traceS, err := small.Run(6000, nil)
+	traceS, err := traceRun(small, 6000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	goodCost := traceS[len(traceS)-1].Cost
 
 	big := New(x, Config{Eta: 1e4})
-	traceB, err := big.Run(6000, nil)
+	traceB, err := traceRun(big, 6000)
 	if err == nil {
 		finalCost := traceB[len(traceB)-1].Cost
 		if finalCost <= goodCost+0.05 {
@@ -424,11 +532,11 @@ func TestBlockingAblationSameOptimumOnDAG(t *testing.T) {
 	x := twoPath(t, 20, utility.Linear{Slope: 1})
 	withB := New(x, Config{Eta: 0.1})
 	without := New(x, Config{Eta: 0.1, DisableBlocking: true})
-	tb, err := withB.Run(5000, nil)
+	tb, err := traceRun(withB, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn, err := without.Run(5000, nil)
+	tn, err := traceRun(without, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,13 +551,13 @@ func TestWarmStartFasterThanCold(t *testing.T) {
 	// iterations than a cold start.
 	xA := twoPath(t, 18, utility.Linear{Slope: 1})
 	warmup := New(xA, Config{Eta: 0.2})
-	if _, err := warmup.Run(6000, nil); err != nil {
+	if err := run(warmup, 6000); err != nil {
 		t.Fatal(err)
 	}
 
 	xB := twoPath(t, 20, utility.Linear{Slope: 1})
 	cold := New(xB, Config{Eta: 0.2})
-	_, coldHit, err := cold.RunToTarget(18, 0.95, 20000)
+	coldHit, err := hitTarget(cold, 0.95*18, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +567,7 @@ func TestWarmStartFasterThanCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, warmHit, err := warm.RunToTarget(18, 0.95, 20000)
+	warmHit, err := hitTarget(warm, 0.95*18, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +582,7 @@ func TestWarmStartFasterThanCold(t *testing.T) {
 func TestUtilityApproachesLambdaNeverExceeds(t *testing.T) {
 	x := singlePath(t, 1000, 1000, 5)
 	e := New(x, Config{Eta: 1})
-	trace, err := e.Run(4000, nil)
+	trace, err := traceRun(e, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}

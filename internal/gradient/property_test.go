@@ -168,7 +168,7 @@ func TestQuickStationaryPointSatisfiesOptimalityCondition(t *testing.T) {
 				t.Logf("seed %d: gap %.3g after %d steps, want ≤ %g", seed, gap, steps, gapTol)
 				return false
 			}
-			if _, err := eng.Run(every, nil); err != nil {
+			if err := run(eng, every); err != nil {
 				t.Logf("seed %d: %v", seed, err)
 				return false
 			}

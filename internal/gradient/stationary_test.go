@@ -10,11 +10,11 @@ func TestStationarityImprovesWithConvergence(t *testing.T) {
 	x := randomExtended(t, 29)
 	eng := New(x, Config{Backtrack: true})
 
-	if _, err := eng.Run(50, nil); err != nil {
+	if err := run(eng, 50); err != nil {
 		t.Fatal(err)
 	}
 	early := CheckStationarity(flow.Evaluate(eng.Routing()))
-	if _, err := eng.Run(8000, nil); err != nil {
+	if err := run(eng, 8000); err != nil {
 		t.Fatal(err)
 	}
 	late := CheckStationarity(flow.Evaluate(eng.Routing()))
@@ -32,7 +32,7 @@ func TestStationarityZeroGapAtFixedPoint(t *testing.T) {
 	// capacity, fully converged — the used-link gap near zero.
 	x := singlePath(t, 1e6, 1e6, 5)
 	eng := New(x, Config{Eta: 1})
-	if _, err := eng.Run(4000, nil); err != nil {
+	if err := run(eng, 4000); err != nil {
 		t.Fatal(err)
 	}
 	if gap := CheckStationarity(flow.Evaluate(eng.Routing())); gap > 1e-3 {

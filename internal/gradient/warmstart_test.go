@@ -17,7 +17,7 @@ import (
 // if never reached).
 func iterationsToTarget(t *testing.T, eng *Engine, target, fraction float64, maxIters int) int {
 	t.Helper()
-	_, hit, err := eng.RunToTarget(target, fraction, maxIters)
+	hit, err := hitTarget(eng, fraction*target, maxIters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestWarmStartBeatsColdUnderRateUpdates(t *testing.T) {
 				t.Fatal(err)
 			}
 			pre := New(x0, Config{Eta: 0.04})
-			if _, err := pre.Run(preIters, nil); err != nil {
+			if err := run(pre, preIters); err != nil {
 				t.Fatal(err)
 			}
 
@@ -119,7 +119,7 @@ func TestNewFromTopologyChangeError(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := New(x0, Config{})
-	if _, err := eng.Run(10, nil); err != nil {
+	if err := run(eng, 10); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,7 @@
 package qsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -23,7 +24,7 @@ func solvedInstance(t *testing.T, seed int64) (*transform.Extended, *flow.Routin
 		t.Fatal(err)
 	}
 	eng := gradient.New(x, gradient.Config{Eta: 0.04})
-	if _, err := eng.Run(4000, nil); err != nil {
+	if _, _, err := eng.Run(context.Background(), 4000, 0, new(gradient.DivergenceDetector), nil); err != nil {
 		t.Fatal(err)
 	}
 	return x, eng.Routing()
@@ -167,7 +168,7 @@ func TestMoreHeadroomLessDelay(t *testing.T) {
 		if eps < 0.1 {
 			iters = 30000 // flatter landscape converges more slowly (T4)
 		}
-		if _, err := eng.Run(iters, nil); err != nil {
+		if _, _, err := eng.Run(context.Background(), iters, 0, new(gradient.DivergenceDetector), nil); err != nil {
 			t.Fatal(err)
 		}
 		res, err := Run(eng.Routing(), Config{Ticks: 6000, Arrivals: Poisson, Seed: 11})

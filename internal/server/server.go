@@ -844,6 +844,7 @@ func (s *Server) solveOnce() {
 		s.maybeCapture("divergence", fmt.Sprintf("rev %d: %v", rev, res.Err))
 	}
 
+	as := tr.Start("assemble", solveSpan.Context())
 	explain := s.coord.Explain()
 	snap := &Snapshot{
 		Rev:          rev,
@@ -863,6 +864,7 @@ func (s *Server) solveOnce() {
 	for gi, e := range explain {
 		snap.Commodities[gi] = CommodityStatus{Name: e.Name, Offered: e.Offered, Admitted: e.Admitted, Utility: e.Utility}
 	}
+	as.End()
 	s.publish(snap, batch, solveSpan)
 }
 

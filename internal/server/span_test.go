@@ -100,7 +100,7 @@ func testDecisionLifecycleSpans(t *testing.T, shards int) {
 		}
 		byName[sp.Name] = sp
 	}
-	for _, name := range []string{"decision", "ingress", "coalesce", "solve", "build", "engine_init", "iterate", "publish"} {
+	for _, name := range []string{"decision", "ingress", "coalesce", "solve", "build", "engine_init", "iterate", "assemble", "publish"} {
 		if _, ok := byName[name]; !ok {
 			t.Errorf("missing %q span in trace (got %d spans)", name, len(page.Spans))
 		}
@@ -120,7 +120,7 @@ func testDecisionLifecycleSpans(t *testing.T, shards int) {
 			t.Errorf("%s parent = %q, want decision %q", name, got, dec.ID)
 		}
 	}
-	for _, name := range []string{"build", "engine_init", "iterate", "publish"} {
+	for _, name := range []string{"build", "engine_init", "iterate", "assemble", "publish"} {
 		if got := byName[name].Parent; got != byName["solve"].ID {
 			t.Errorf("%s parent = %q, want solve %q", name, got, byName["solve"].ID)
 		}
@@ -265,7 +265,7 @@ func observe(t *testing.T, shards int) (spanAttrs map[string]map[string]bool, fa
 func TestObservationShardCountInvariant(t *testing.T) {
 	spans1, families1 := observe(t, 1)
 	spans4, families4 := observe(t, 4)
-	for _, name := range []string{"decision", "ingress", "coalesce", "solve", "build", "engine_init", "iterate", "publish"} {
+	for _, name := range []string{"decision", "ingress", "coalesce", "solve", "build", "engine_init", "iterate", "assemble", "publish"} {
 		if spans1[name] == nil {
 			t.Errorf("no %q span at 1 shard", name)
 		}

@@ -487,11 +487,13 @@ func (r *runner) advance(ctx context.Context, n int) int {
 	return n
 }
 
-// step checks Theorem-2 stationarity and, unless it holds, runs up to n
-// gradient iterations against the shard's current external-usage
-// vector, refreshing its usage summary. The check comes first, so a
-// solve that begins stationary costs no iteration. A shard that is
-// already stationary and whose external usage has not moved since skips
+// step is one Engine.Run of at most n gradient iterations against the
+// shard's current external-usage vector, refreshing its usage summary.
+// Run checks Theorem 2 before the first step, so a solve that begins
+// stationary costs no iteration and a turn after the budget is spent
+// still learns whether the shard is stationary; the runner's detector
+// carries its streak across a solve's turns. A shard that is already
+// stationary and whose external usage has not moved since skips
 // entirely. The flows are forecast once per routing: the engine keeps
 // the evaluation this step ends on for the check the next one starts
 // with (FNode does not depend on External; a rebuild installs a new
@@ -499,7 +501,7 @@ func (r *runner) advance(ctx context.Context, n int) int {
 // the cost, feasibility and node prices the engine carries from its
 // last accepted step — is dropped first: updateExternals rewrites ext
 // after every turn, by however little.
-func (r *runner) step(ctx context.Context, n int) (iters int) {
+func (r *runner) step(ctx context.Context, n int) int {
 	if r.eng == nil || r.diverged {
 		return 0
 	}
@@ -508,23 +510,12 @@ func (r *runner) step(ctx context.Context, n int) (iters int) {
 		return 0
 	}
 	r.extMoved = false
-	tol := r.cfg.StationaryTol
-	if tol > 0 && r.eng.Stationarity() <= tol {
-		r.stationary = true
-		r.capture()
-		return 0
-	}
-	r.stationary = false
-	for iters < n && ctx.Err() == nil {
-		info := r.eng.Step()
-		r.iters++
-		iters++
-		if err := r.det.Observe(info); err != nil {
-			r.diverged = true
-			r.divergeErr = err
-			r.cfg.Logf("shard %d: solve diverged: %v", r.id, err)
-			break
-		}
+	iters, stationary, err := r.eng.Run(ctx, n, r.cfg.StationaryTol, &r.det, nil)
+	r.iters += iters
+	r.stationary = stationary
+	if err != nil {
+		r.diverged, r.divergeErr = true, err
+		r.cfg.Logf("shard %d: solve diverged: %v", r.id, err)
 	}
 	r.capture()
 	return iters

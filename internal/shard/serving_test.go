@@ -315,7 +315,7 @@ func TestServingRunsWithoutTags(t *testing.T) {
 		t.Fatal(err)
 	}
 	tagged := gradient.New(x, gradient.Config{Backtrack: true})
-	if _, err := tagged.Run(res.Iterations, nil); err != nil {
+	if _, _, err := tagged.Run(context.Background(), res.Iterations, 0, new(gradient.DivergenceDetector), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got, trapped := res.Utility, tagged.Usage().Utility(); got < 1.02*trapped {
