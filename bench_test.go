@@ -123,8 +123,9 @@ func memberEdges(x *transform.Extended) int {
 // deployment as it steps: shard 0 of 4 (placement salt 7) of the
 // scale-ladder instance, external usage at a quarter of every capacity
 // standing in for the other three shards, and the serving step mode —
-// backtracking, no tags — run a few iterations past the cold start.
-func servingShardEngine(b *testing.B) *gradient.Engine {
+// backtracking, no tags — run a few iterations past the cold start. It
+// returns the external usage it installed on the engine too.
+func servingShardEngine(b *testing.B) (*gradient.Engine, []float64) {
 	b.Helper()
 	p := scale10kInstance(b)
 	x, err := transform.Build(p, transform.Options{Commodities: shard0(p)})
@@ -137,23 +138,23 @@ func servingShardEngine(b *testing.B) *gradient.Engine {
 			ext[n] = c / 4
 		}
 	}
-	x.SetExternal(ext)
 	eng := gradient.New(x, gradient.Config{Eta: 0.04, Backtrack: true, DisableBlocking: true, Momentum: shard.ServingMomentum})
+	eng.SetExternal(ext)
 	for i := 0; i < 20; i++ {
 		eng.Step()
 	}
-	return eng
+	return eng, ext
 }
 
 // servingWarmEngine is servingShardEngine 1 000 steps in, where the
 // screen skips the share of rows it skips in steady state.
-func servingWarmEngine(b *testing.B) *gradient.Engine {
+func servingWarmEngine(b *testing.B) (*gradient.Engine, []float64) {
 	b.Helper()
-	eng := servingShardEngine(b)
+	eng, ext := servingShardEngine(b)
 	for i := 0; i < 1000; i++ {
 		eng.Step()
 	}
-	return eng
+	return eng, ext
 }
 
 // BenchmarkStepSparse prices one Engine.Step — one pass per commodity
@@ -174,8 +175,8 @@ func BenchmarkStepSparse(b *testing.B) {
 	}{
 		{"J=1k", func(b *testing.B) *gradient.Engine { return sparseEngine(b, 1000) }},
 		{"J=10k", func(b *testing.B) *gradient.Engine { return sparseEngine(b, 10000) }},
-		{"serving", servingShardEngine},
-		{"serving-warm", servingWarmEngine},
+		{"serving", func(b *testing.B) *gradient.Engine { eng, _ := servingShardEngine(b); return eng }},
+		{"serving-warm", func(b *testing.B) *gradient.Engine { eng, _ := servingWarmEngine(b); return eng }},
 	} {
 		b.Run(rung.name, func(b *testing.B) {
 			eng := rung.eng(b)
@@ -195,26 +196,26 @@ func BenchmarkStepSparse(b *testing.B) {
 // engine's own workspaces, forecast included (a Step in between
 // invalidates it). The J=1k rung is a paper-mode engine, as core.Solve
 // steps it; serving-warm is the engine BenchmarkStepSparse/serving-warm
-// steps, checked as a shard's turn checks it: after
-// Engine.ExternalChanged, so the node pass is priced too, and with the
-// screen skipping the rows whose bound holds. Keep -benchtime at a few
-// hundred iterations, as for BenchmarkStepSparse.
+// steps, checked as a shard's turn checks it: after its external usage
+// is installed again (Engine.SetExternal), so the node pass is priced
+// too, and with the screen skipping the rows whose bound holds. Keep
+// -benchtime at a few hundred iterations, as for BenchmarkStepSparse.
 func BenchmarkStationaritySparse(b *testing.B) {
 	for _, rung := range []struct {
 		name string
-		eng  func(*testing.B) *gradient.Engine
+		eng  func(*testing.B) (*gradient.Engine, []float64)
 	}{
-		{"J=1k", func(b *testing.B) *gradient.Engine { return sparseEngine(b, 1000) }},
+		{"J=1k", func(b *testing.B) (*gradient.Engine, []float64) { return sparseEngine(b, 1000), nil }},
 		{"serving-warm", servingWarmEngine},
 	} {
 		b.Run(rung.name, func(b *testing.B) {
-			eng := rung.eng(b)
+			eng, ext := rung.eng(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				eng.Step()
-				eng.ExternalChanged()
+				eng.SetExternal(ext)
 				b.StartTimer()
 				eng.Stationarity()
 			}

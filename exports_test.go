@@ -117,6 +117,105 @@ func TestEveryExportHasABinaryCaller(t *testing.T) {
 	}
 }
 
+// optionAllowlist names the option fields kept with no setter in a
+// binary, keyed as TestEveryOptionHasASetter prints them,
+// "<dir>.<Type>.<Field>", with the reason. An entry the guard would not
+// flag fails the test.
+var optionAllowlist = map[string]string{
+	"internal/backpressure.Config.BufferCap": "the §6 baseline's source-buffer cap: its tests sweep it, the experiments run the default",
+	"internal/backpressure.Config.Damping":   "the §6 baseline's transfer damping: its tests sweep it (1 is the undamped variant), the experiments run the default",
+}
+
+// TestEveryOptionHasASetter fails on an exported field of an exported
+// struct type named *Options or *Config, declared in a non-test file
+// under internal/ or cmd/, that no non-test file of a binary tree sets
+// by name — as a composite-literal key, or on the left of an
+// assignment or an increment — other than the file declaring it. Such a
+// knob is one value in every binary: it becomes a constant, or it goes.
+// Like TestEveryExportHasABinaryCaller the check is by name, so it errs
+// towards silence: a field sharing its name with one set elsewhere
+// passes.
+func TestEveryOptionHasASetter(t *testing.T) {
+	type field struct{ key, file, name string }
+	var fields []field
+	setBy := map[string]map[string]bool{} // field name → files setting it
+	set := func(path string, e ast.Expr) {
+		var name string
+		switch e := e.(type) {
+		case *ast.Ident:
+			name = e.Name
+		case *ast.SelectorExpr:
+			name = e.Sel.Name
+		default:
+			return
+		}
+		if setBy[name] == nil {
+			setBy[name] = map[string]bool{}
+		}
+		setBy[name][path] = true
+	}
+	fset := token.NewFileSet()
+	for _, root := range binaryTrees {
+		parseNonTest(t, fset, root, func(path string, f *ast.File) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					st, ok := n.Type.(*ast.StructType)
+					name := n.Name.Name
+					if !ok || !apiTrees[root] || !n.Name.IsExported() ||
+						!strings.HasSuffix(name, "Options") && !strings.HasSuffix(name, "Config") {
+						break
+					}
+					for _, fl := range st.Fields.List {
+						for _, id := range fl.Names {
+							if id.IsExported() {
+								key := filepath.ToSlash(filepath.Dir(path)) + "." + name + "." + id.Name
+								fields = append(fields, field{key, path, id.Name})
+							}
+						}
+					}
+				case *ast.KeyValueExpr:
+					set(path, n.Key)
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if n.Tok != token.DEFINE {
+							set(path, lhs)
+						}
+					}
+				case *ast.IncDecStmt:
+					set(path, n.X)
+				}
+				return true
+			})
+		})
+	}
+
+	flagged := map[string]bool{}
+	var unset []string
+	for _, f := range fields {
+		elsewhere := false
+		for file := range setBy[f.name] {
+			elsewhere = elsewhere || file != f.file
+		}
+		if elsewhere {
+			continue
+		}
+		flagged[f.key] = true
+		if _, ok := optionAllowlist[f.key]; !ok {
+			unset = append(unset, f.file+": "+f.key)
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("option field, but no binary sets it: %s", u)
+	}
+	for key := range optionAllowlist {
+		if !flagged[key] {
+			t.Errorf("allowlist entry %s is stale: the guard does not flag it", key)
+		}
+	}
+}
+
 // parseNonTest parses every non-test Go file under root into fset,
 // testdata excluded, and calls fn with its path and syntax tree.
 func parseNonTest(t *testing.T, fset *token.FileSet, root string, fn func(path string, f *ast.File)) {

@@ -268,11 +268,13 @@ func Explain(p *stream.Problem, x *transform.Extended, u *flow.Usage) []Commodit
 }
 
 // ExplainPart is one build's share of an explanation: the build, its
-// evaluated usage, and the index into the output of each of its
-// commodities (nil: commodity j at index j).
+// evaluated usage, the flow other builds route through each shared node
+// (a shard's external usage; nil for one build), and the index into the
+// output of each of its commodities (nil: commodity j at index j).
 type ExplainPart struct {
 	X      *transform.Extended
 	U      *flow.Usage
+	Ext    []float64
 	Global []int
 }
 
@@ -292,7 +294,7 @@ func ExplainParts(out []CommodityExplain, p *stream.Problem, parts ...ExplainPar
 		count = make([]int32, len(out))                   // bindings per output entry
 	)
 	for _, pt := range parts {
-		attr.Reset(pt.U)
+		attr.Reset(pt.U, pt.Ext)
 		for j := range pt.X.Commodities {
 			attr.Attribute(j, &at)
 			gi := pt.index(j)

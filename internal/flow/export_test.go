@@ -53,11 +53,11 @@ func (u *Usage) ArriveAt(j int, e graph.EdgeID) float64 {
 func (u *Usage) DeliveredRate(j int) float64 {
 	sg := &u.R.X.Sub[j]
 	total := 0.0
-	for _, le := range sg.In(sg.Sink) {
-		if le == sg.DiffLink {
+	for le, h := range sg.Head {
+		if h != sg.Sink || int32(le) == sg.DiffLink {
 			continue
 		}
-		total += u.arrive(j, le)
+		total += u.arrive(j, int32(le))
 	}
 	return total
 }

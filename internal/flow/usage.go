@@ -262,27 +262,24 @@ func (u *Usage) TotalCost() float64 {
 
 // Feasible reports whether every capacitated node satisfies f_i ≤ C_i
 // (eq. 6), with slack reporting the minimum remaining headroom ratio
-// min_i (C_i − f_i)/C_i over capacitated nodes. Under sharding the
-// check is at the global operating point: own flow plus the external
-// usage installed on the extended problem (nil External adds nothing).
+// min_i (C_i − f_i)/C_i over capacitated nodes. It checks this build's
+// own flow; a sharded solve checks the merged usage (FeasibleShared).
 func (u *Usage) Feasible() (ok bool, slack float64) {
-	return feasible(u.R.X, u.FNode, u.R.X.External)
+	return FeasibleShared(u.R.X, u.FNode)
 }
 
-// feasible is the one feasibility loop: f_i = usage_i + ext_i against
-// C_i at every capacitated node of x that usage covers, in ascending
-// order. The capacitated nodes all lie in the shared prefix, so the
-// loop stops there. ext may be shorter than usage or nil; it adds
-// nothing where it has no entry.
-func feasible(x *transform.Extended, usage, ext []float64) (ok bool, slack float64) {
+// FeasibleShared is the one feasibility loop: usage_i against C_i at
+// every capacitated node of x that usage covers, in ascending order,
+// with Usage.Feasible's tolerance and slack convention. usage is a flow
+// evaluation's FNode or a merged global usage vector over the shared
+// node prefix; the capacitated nodes all lie in that prefix, so the
+// loop stops there.
+func FeasibleShared(x *transform.Extended, usage []float64) (ok bool, slack float64) {
 	ok, slack = true, 1.0
 	for n, f := range usage[:min(len(usage), x.SharedNodes)] {
 		c := x.Capacity[n]
 		if math.IsInf(c, 1) {
 			continue
-		}
-		if n < len(ext) {
-			f += ext[n]
 		}
 		s := (c - f) / c
 		if s < slack {
@@ -293,39 +290,4 @@ func feasible(x *transform.Extended, usage, ext []float64) (ok bool, slack float
 		}
 	}
 	return ok, slack
-}
-
-// SharedUsage copies this routing set's flow through the shared node
-// prefix (originals + bandwidth nodes) into dst, which must have length
-// X.SharedNodes. This is the usage summary a shard reports to the
-// shard coordinator: dummy-node flow is shard-private and
-// uncapacitated, so it never crosses the boundary.
-func (u *Usage) SharedUsage(dst []float64) {
-	if len(dst) != u.R.X.SharedNodes {
-		panic("flow: SharedUsage dst not sized to SharedNodes")
-	}
-	copy(dst, u.FNode[:len(dst)])
-}
-
-// MergeShared sums per-shard shared-usage vectors into dst, the global
-// congestion view over the shared node prefix. Parts are accumulated in
-// slice order so the reduction is deterministic for a fixed shard
-// ordering.
-func MergeShared(dst []float64, parts ...[]float64) {
-	clear(dst)
-	for _, p := range parts {
-		if len(p) != len(dst) {
-			panic("flow: MergeShared part length mismatch")
-		}
-		for i, v := range p {
-			dst[i] += v
-		}
-	}
-}
-
-// FeasibleShared reports feasibility of a merged global usage vector
-// against the shared-prefix capacities of x (same tolerance and slack
-// convention as Usage.Feasible, restricted to the shared nodes).
-func FeasibleShared(x *transform.Extended, merged []float64) (ok bool, slack float64) {
-	return feasible(x, merged, nil)
 }

@@ -71,8 +71,8 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 			ext[n] = c / 4
 		}
 	}
-	sx.SetExternal(ext)
 	s := New(sx, Config{Eta: 0.04, Backtrack: true, DisableBlocking: true, Momentum: 0.9})
+	s.SetExternal(ext)
 	for i := 0; i < 10; i++ {
 		s.Step()
 	}

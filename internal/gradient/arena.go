@@ -29,6 +29,11 @@ type waveScratch struct {
 // every commodity in turn.
 type arena struct {
 	x *transform.Extended
+	// ext is the flow other shards route through each shared node,
+	// installed by Engine.SetExternal and read, not copied: nil (or
+	// all zero) for a lone build. Every price and cost the arena takes
+	// is at f + ext.
+	ext []float64
 	// price is ε·D'_n at the global operating point per extended node,
 	// zero at every uncapacitated one: the engine writes it when it
 	// evaluates a routing (evaluate), CheckStationarity with

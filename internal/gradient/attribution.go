@@ -23,7 +23,7 @@ type BindingNode struct {
 	// Node is the extended-graph node (a Proc or Bandwidth node).
 	Node graph.NodeID
 	// Utilization is f_i/C_i at the global operating point: f_i counts
-	// the flow other shards route through the node (External) too.
+	// the flow other shards route through the node (Reset's ext) too.
 	Utilization float64
 	// Price is ε·D'_i(f_i): the marginal cost this resource adds per
 	// unit of flow through it — the barrier's live shadow price.
@@ -77,15 +77,18 @@ const (
 // commodity. The zero value is ready for Reset.
 type Attributor struct {
 	u          *flow.Usage
-	price      []float64 // node prices at u (fillNodePrices); zero past SharedNodes
+	ext        []float64 // other shards' flow per shared node, as Reset took it
+	price      []float64 // node prices at u+ext (fillNodePrices); zero past SharedNodes
 	rho, linkD []float64 // one commodity's wave, in its local indexing
 }
 
-// Reset points the attributor at the evaluated usage u: it prices u's
-// nodes and grows the scratch to fit every commodity of u's build.
-// Vectors long enough already are reused.
-func (a *Attributor) Reset(u *flow.Usage) {
-	a.u = u
+// Reset points the attributor at the evaluated usage u under the flow
+// ext other shards route through each shared node (nil: none, as for
+// one build; Engine.SetExternal): it prices u's nodes at u+ext and grows
+// the scratch to fit every commodity of u's build. Vectors long enough
+// already are reused. ext is retained, not copied.
+func (a *Attributor) Reset(u *flow.Usage, ext []float64) {
+	a.u, a.ext = u, ext
 	x := u.R.X
 	n := len(u.FNode)
 	if cap(a.price) < n {
@@ -94,7 +97,7 @@ func (a *Attributor) Reset(u *flow.Usage) {
 		a.price = a.price[:n]
 		clear(a.price[x.SharedNodes:])
 	}
-	fillNodePrices(u, a.price)
+	fillNodePrices(u, ext, a.price)
 	nodes, edges := 0, 0
 	for j := range x.Sub {
 		nodes, edges = max(nodes, x.Sub[j].NumNodes()), max(edges, x.Sub[j].NumEdges())
@@ -157,8 +160,8 @@ func (a *Attributor) Attribute(j int, at *Attribution) {
 			continue
 		}
 		load := u.FNode[node]
-		if int(node) < len(x.External) {
-			load += x.External[node]
+		if int(node) < len(a.ext) {
+			load += a.ext[node]
 		}
 		bn := BindingNode{
 			Node:        node,

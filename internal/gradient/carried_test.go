@@ -19,11 +19,12 @@ import (
 // bit for bit, so a rejected proposal's forecast may not stand; the
 // StepInfo must be a fresh evaluation of the routing the step started
 // from; and the spare must equal the routing off the branch nodes'
-// out-edges. Every turn start rewrites External in place and calls
-// ExternalChanged and Stationarity, whose report must be
-// CheckStationarity's on a fresh forecast. The run covers the serving
-// mode (backtracking, no tags, μ 0.9, an η large enough to be
-// rejected), the paper mode with tags, and a Reparameterize + Restart.
+// out-edges. Every turn start rewrites the external usage in place and
+// calls SetExternal and Stationarity, whose report must be
+// CheckStationarity's on a fresh forecast at the same external usage.
+// The run covers the serving mode (backtracking, no tags, μ 0.9, an η
+// large enough to be rejected), the paper mode with tags, and a
+// Reparameterize + Restart.
 // The subtest names keep a ",workers=1" suffix so that their IDs match
 // earlier test reports.
 func TestCarriedStateMatchesFreshEvaluation(t *testing.T) {
@@ -42,7 +43,6 @@ func TestCarriedStateMatchesFreshEvaluation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ext := make([]float64, x.SharedNodes)
-	x.SetExternal(ext)
 	setExternal := func(turn int) {
 		for i := range ext {
 			if c := x.Capacity[i]; !math.IsInf(c, 1) {
@@ -79,13 +79,13 @@ func TestCarriedStateMatchesFreshEvaluation(t *testing.T) {
 				t.Helper()
 				for turn := 0; turn < n; turn++ {
 					setExternal(step/25 + 1)
-					e.ExternalChanged()
-					got, want := e.Stationarity(), CheckStationarity(flow.Evaluate(e.Routing()))
+					e.SetExternal(ext)
+					got, want := e.Stationarity(), checkStationarityAt(flow.Evaluate(e.Routing()), ext)
 					if !sameFloat(got, want) {
 						t.Fatalf("step %d: Stationarity %v, fresh %v", step, got, want)
 					}
 					for i := 0; i < 25; i++ {
-						checkStep(t, e, step, onBranch)
+						checkStep(t, e, ext, step, onBranch)
 						step++
 					}
 				}
@@ -115,7 +115,7 @@ func TestCarriedStateMatchesFreshEvaluation(t *testing.T) {
 			rejected := e.Backtracks()
 			x.Reparameterize(p, subset)
 			defer x.Reparameterize(sparse, subset)
-			if a, cost := e.Routing().AdmittedRate(hot), flow.Evaluate(e.Routing()).TotalCost(); a == 0 || math.IsInf(cost, 0) {
+			if a, cost := e.Routing().AdmittedRate(hot), totalCostAt(flow.Evaluate(e.Routing()), ext); a == 0 || math.IsInf(cost, 0) {
 				t.Fatalf("after the reparameterization a_%d = %v and the cost is %v; the case needs a positive rate at a finite cost", hot, a, cost)
 			}
 			e.Restart()
@@ -129,20 +129,22 @@ func TestCarriedStateMatchesFreshEvaluation(t *testing.T) {
 	}
 }
 
-// checkStep runs one Step of e and checks it against fresh
-// evaluations (TestCarriedStateMatchesFreshEvaluation).
-func checkStep(t *testing.T, e *Engine, step int, onBranch [][]bool) {
+// checkStep runs one Step of e, whose external usage is ext, and checks
+// it against fresh evaluations (TestCarriedStateMatchesFreshEvaluation).
+func checkStep(t *testing.T, e *Engine, ext []float64, step int, onBranch [][]bool) {
 	t.Helper()
 	start := flow.Evaluate(e.Routing().Clone())
 	info := e.Step()
-	feasible, _ := start.Feasible()
-	if !sameFloat(info.Utility, start.Utility()) || !sameFloat(info.Cost, start.TotalCost()) || info.Feasible != feasible {
+	cost, feasible := totalCostAt(start, ext), feasibleAt(start, ext)
+	if !sameFloat(info.Utility, start.Utility()) || !sameFloat(info.Cost, cost) || info.Feasible != feasible {
 		t.Fatalf("step %d: StepInfo {%v %v %v}, fresh evaluation {%v %v %v}", step,
-			info.Utility, info.Cost, info.Feasible, start.Utility(), start.TotalCost(), feasible)
+			info.Utility, info.Cost, info.Feasible, start.Utility(), cost, feasible)
 	}
-	for j := range info.Admitted {
-		if a := start.AdmittedRate(j); !sameFloat(info.Admitted[j], a) {
-			t.Fatalf("step %d: admitted[%d] = %v, fresh %v", step, j, info.Admitted[j], a)
+	// The admitted rates the engine carries into its next Step are its
+	// routing's.
+	for j, a := range e.admitted {
+		if want := e.Routing().AdmittedRate(j); !sameFloat(a, want) {
+			t.Fatalf("step %d: carried admitted[%d] = %v, routing's %v", step, j, a, want)
 		}
 	}
 

@@ -74,11 +74,7 @@ type StepInfo struct {
 	Iteration int
 	Utility   float64 // Σ_j U_j(a_j)
 	Cost      float64 // A = Y + εD
-	// Admitted is a_j per commodity. It aliases a buffer the engine
-	// overwrites on its next Step; callers that keep a StepInfo across
-	// steps copy it.
-	Admitted []float64
-	Feasible bool // f_i ≤ C_i at every node
+	Feasible  bool    // f_i ≤ C_i at every node
 }
 
 // Engine runs the gradient-based algorithm synchronously.
@@ -96,11 +92,11 @@ type Engine struct {
 	spare      *flow.Routing
 	arena      *arena
 
-	// The measures of R, while measured is set: a_j per commodity (the
-	// buffer behind StepInfo.Admitted), Σ_j U_j(a_j), and the utility
-	// loss Y. They depend on the routing and on the commodities, not on
-	// External. The wave measures its proposal into spareAdmitted, which
-	// accept swaps in.
+	// The measures of R, while measured is set: a_j per commodity,
+	// Σ_j U_j(a_j), and the utility loss Y. They depend on the routing
+	// and on the commodities, not on the external usage (SetExternal).
+	// The wave measures its proposal into spareAdmitted, which accept
+	// swaps in; the screen reads both.
 	measured      bool
 	admitted      []float64
 	spareAdmitted []float64
@@ -108,11 +104,11 @@ type Engine struct {
 
 	// The carried evaluation: while carried is set, cost and feasible
 	// are A and f ≤ C of the usage in u, and arena.price holds its node
-	// prices, all under the External installed when they were made. One
-	// node pass (evaluate) makes them: after an accepted backtracking
-	// step, which has to judge its proposal anyway, or in the first
-	// Step or Stationarity call that finds them missing. carried
-	// implies forecasted and measured.
+	// prices, all under the external usage installed when they were
+	// made. One node pass (evaluate) makes them: after an accepted
+	// backtracking step, which has to judge its proposal anyway, or in
+	// the first Step or Stationarity call that finds them missing.
+	// carried implies forecasted and measured.
 	carried  bool
 	cost     float64
 	feasible bool
@@ -210,19 +206,24 @@ func (e *Engine) Restart() {
 	e.arena.unscreen()
 }
 
-// ExternalChanged tells the engine that e.X.External may have been
-// rewritten since it last stepped. The flows of its routing stand, and
-// so do its admitted rates, utility and utility loss — none depends on
-// External — but the cost, feasibility and node prices it carried were
-// taken at the old global operating point and are dropped: the next
-// Step or Stationarity makes one node pass, nothing more. That pass
-// adds the price change to the screen's drift, so the screen needs no
-// reset. The momentum
-// is kept: the routing's last step is still its last step, and a
-// coordinator's turns would otherwise restart it every 25 iterations. Whoever rewrites External
-// in place between steps calls it before the next one; a coordinator
-// calls it at the start of every turn.
-func (e *Engine) ExternalChanged() { e.carried = false }
+// SetExternal installs ext as the flow other shards route through each
+// shared node: every cost, feasibility test and node price the engine
+// takes from here on is at its own flow plus ext. ext is retained, not
+// copied, and may be shorter than X.SharedNodes (nil is none), so a
+// coordinator installs one vector per shard and rewrites it in place
+// between turns, calling SetExternal again before the next Step. The
+// flows of the routing stand, and so do its admitted rates, utility and
+// utility loss — none depends on ext — but the cost, feasibility and
+// node prices the engine carried were taken at the old global operating
+// point and are dropped: the next Step or Stationarity makes one node
+// pass, nothing more. That pass adds the price change to the screen's
+// drift, so the screen needs no reset. The momentum is kept: the
+// routing's last step is still its last step, and a coordinator's turns
+// would otherwise restart it every 25 iterations.
+func (e *Engine) SetExternal(ext []float64) {
+	e.arena.ext = ext
+	e.carried = false
+}
 
 // Stats returns protocol accounting accumulated so far.
 func (e *Engine) Stats() Stats { return e.stats }
@@ -290,7 +291,6 @@ func (e *Engine) Step() StepInfo {
 		Iteration: e.stats.Iterations,
 		Utility:   e.utility,
 		Cost:      e.cost,
-		Admitted:  e.admitted,
 		Feasible:  e.feasible,
 	}
 

@@ -21,16 +21,33 @@ func run(e *Engine, n int) error {
 	return err
 }
 
-// traceRun is run keeping what every step reported, Admitted copied.
-// A step the detector rejects is not in the trace.
-func traceRun(e *Engine, n int) ([]StepInfo, error) {
-	var trace []StepInfo
+// traced is what one step reported, with the admitted rates a_j of
+// the routing it started from.
+type traced struct {
+	StepInfo
+	Admitted []float64
+}
+
+// traceRun is run keeping what every step reported. A step the
+// detector rejects is not in the trace.
+func traceRun(e *Engine, n int) ([]traced, error) {
+	var trace []traced
+	admitted := admittedRates(e.Routing())
 	_, _, err := e.Run(context.Background(), n, 0, new(DivergenceDetector), func(info StepInfo) bool {
-		info.Admitted = append([]float64(nil), info.Admitted...)
-		trace = append(trace, info)
+		trace = append(trace, traced{info, admitted})
+		admitted = admittedRates(e.Routing())
 		return false
 	})
 	return trace, err
+}
+
+// admittedRates copies out a_j of every commodity of r.
+func admittedRates(r *flow.Routing) []float64 {
+	a := make([]float64, len(r.Phi))
+	for j := range a {
+		a[j] = r.AdmittedRate(j)
+	}
+	return a
 }
 
 // hitTarget is run until a step starts from utility ≥ target; it

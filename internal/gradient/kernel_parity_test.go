@@ -26,7 +26,7 @@ type refMarginals struct {
 	rounds, messages int
 }
 
-func refComputeMarginals(u *flow.Usage, j int) refMarginals {
+func refComputeMarginals(u *flow.Usage, ext []float64, j int) refMarginals {
 	x := u.R.X
 	sg := &x.Sub[j]
 	m := refMarginals{rho: make([]float64, sg.NumNodes()), linkD: make([]float64, sg.NumEdges())}
@@ -48,7 +48,7 @@ func refComputeMarginals(u *flow.Usage, j int) refMarginals {
 			if le == sg.DiffLink {
 				loss = x.Commodities[j].Loss.Deriv(u.EdgeFlow(j, le))
 			}
-			dAdf := x.PenaltyDeriv(n, u.FNode[n]) + loss
+			dAdf := x.ShadowPrice(n, loadAt(u, ext, int(n))) + loss
 			d := dAdf*sg.Cost[le] + sg.Beta[le]*m.rho[head]
 			m.linkD[le] = d
 			rho += phi[le] * d
@@ -167,12 +167,12 @@ type refWave struct {
 	rounds   int // max_j wave rounds
 }
 
-func refIterate(r *flow.Routing, eta float64, blocking bool) refWave {
+func refIterate(r *flow.Routing, ext []float64, eta float64, blocking bool) refWave {
 	u := flow.Evaluate(r)
 	nc := r.X.NumCommodities()
 	w := refWave{u: u, m: make([]refMarginals, nc), tagged: make([][]bool, nc), wrote: make([][]int32, nc), next: r.Clone()}
 	for j := 0; j < nc; j++ {
-		w.m[j] = refComputeMarginals(u, j)
+		w.m[j] = refComputeMarginals(u, ext, j)
 		if blocking {
 			w.tagged[j] = refComputeTags(u, j, w.m[j], eta)
 		}
@@ -200,8 +200,9 @@ func sameBits(a, b []float64) int {
 // the fused sweep's ρ, per-link marginals and tag vectors on the same
 // evaluation, and the accumulated protocol accounting. perturb
 // (optional) runs between iterations, for callers that move the
-// external usage the way a price exchange does.
-func checkKernelParity(t *testing.T, x *transform.Extended, start *flow.Routing, eta float64, blocking bool, iters int, perturb func(i int)) {
+// external usage ext the way a price exchange does; the engine gets ext
+// installed again after it (Engine.SetExternal).
+func checkKernelParity(t *testing.T, x *transform.Extended, ext []float64, start *flow.Routing, eta float64, blocking bool, iters int, perturb func(i int)) {
 	t.Helper()
 	e, err := NewFrom(x, start, Config{Eta: eta, DisableBlocking: !blocking})
 	if err != nil {
@@ -221,9 +222,10 @@ func checkKernelParity(t *testing.T, x *transform.Extended, start *flow.Routing,
 		if perturb != nil {
 			perturb(i)
 		}
-		ref := refIterate(r, eta, blocking)
+		e.SetExternal(ext)
+		ref := refIterate(r, ext, eta, blocking)
 
-		price := nodePrices(ref.u)
+		price := nodePrices(ref.u, ext)
 		for j := range x.Sub {
 			sg := &x.Sub[j]
 			rho, linkD := rhoBuf[:sg.NumNodes()], linkDBuf[:sg.NumEdges()]
@@ -324,7 +326,7 @@ func TestKernelMatchesReferenceWave(t *testing.T) {
 	for _, in := range instances {
 		for _, blocking := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%s/blocking=%v", in.name, blocking), func(t *testing.T) {
-				checkKernelParity(t, in.x, flow.NewInitial(in.x), in.eta, blocking, iters, nil)
+				checkKernelParity(t, in.x, nil, flow.NewInitial(in.x), in.eta, blocking, iters, nil)
 			})
 		}
 	}
@@ -344,10 +346,9 @@ func TestKernelMatchesReferenceWave(t *testing.T) {
 			ext[i] = c * 0.1 * float64(i%7+1) / 7
 		}
 	}
-	x.SetExternal(ext)
 	for _, blocking := range []bool{true, false} {
 		t.Run(fmt.Sprintf("shard-subset-external/blocking=%v", blocking), func(t *testing.T) {
-			checkKernelParity(t, x, flow.NewInitial(x), 0.005, blocking, iters, func(i int) {
+			checkKernelParity(t, x, ext, flow.NewInitial(x), 0.005, blocking, iters, func(i int) {
 				if i%25 == 24 {
 					for k := range ext {
 						ext[k] *= 1.02
@@ -430,7 +431,7 @@ func TestKernelShortcutCases(t *testing.T) {
 		}
 		le := sg.Out(a)[0]
 		r.Phi[0][le] = 0
-		ref := refIterate(r, 0.05, true)
+		ref := refIterate(r, nil, 0.05, true)
 		if !ref.tagged[0][sg.Head[le]] {
 			t.Fatal("head of a's out-edge is not tagged in the reference wave")
 		}
@@ -439,21 +440,21 @@ func TestKernelShortcutCases(t *testing.T) {
 				t.Fatal("reference Γ wrote at the blocked single-out-edge node")
 			}
 		}
-		checkKernelParity(t, x, r, 0.05, true, 50, nil)
+		checkKernelParity(t, x, nil, r, 0.05, true, 50, nil)
 	})
 
 	t.Run("uncapacitated nodes price at zero", func(t *testing.T) {
 		x := diamond(t, 40)
 		x.Epsilon = 0 // no barrier
-		for n, p := range nodePrices(flow.Evaluate(admit(x, 0.5))) {
+		for n, p := range nodePrices(flow.Evaluate(admit(x, 0.5)), nil) {
 			if p != 0 {
 				t.Fatalf("node %s priced %v without a barrier", x.Name(graph.NodeID(n)), p)
 			}
 		}
-		checkKernelParity(t, x, admit(x, 0.5), 0.05, true, 50, nil)
+		checkKernelParity(t, x, nil, admit(x, 0.5), 0.05, true, 50, nil)
 		// With the default barrier the dummy and the sink still do.
 		x = diamond(t, 40)
-		price := nodePrices(flow.Evaluate(admit(x, 0.5)))
+		price := nodePrices(flow.Evaluate(admit(x, 0.5)), nil)
 		c := &x.Commodities[0]
 		if price[c.Dummy] != 0 || price[c.Sink] != 0 || price[c.Source] == 0 {
 			t.Fatalf("prices dummy %v sink %v source %v", price[c.Dummy], price[c.Sink], price[c.Source])
@@ -473,7 +474,7 @@ func TestKernelShortcutCases(t *testing.T) {
 		}
 		sg := &x.Sub[0]
 		r := admit(x, 1)
-		ref := refIterate(r, 0.05, true)
+		ref := refIterate(r, nil, 0.05, true)
 		b := localNode(x, "b")
 		if !math.IsInf(ref.m[0].linkD[sg.Out(b)[0]], 1) {
 			t.Fatalf("LinkD out of b = %v, want +Inf", ref.m[0].linkD[sg.Out(b)[0]])
@@ -483,8 +484,8 @@ func TestKernelShortcutCases(t *testing.T) {
 				t.Fatal("reference Γ wrote at a node whose only marginal is +Inf")
 			}
 		}
-		checkKernelParity(t, x, r, 0.05, true, 50, nil)
-		checkKernelParity(t, x, r, 0.05, false, 50, nil)
+		checkKernelParity(t, x, nil, r, 0.05, true, 50, nil)
+		checkKernelParity(t, x, nil, r, 0.05, false, 50, nil)
 	})
 
 	t.Run("t=0 nodes", func(t *testing.T) {
@@ -492,7 +493,7 @@ func TestKernelShortcutCases(t *testing.T) {
 		// Γ at src takes the t → 0 limit and no tag can fire.
 		x := diamond(t, 40)
 		r := flow.NewInitial(x)
-		ref := refIterate(r, 0.05, true)
+		ref := refIterate(r, nil, 0.05, true)
 		src := x.Sub[0].Source
 		if ref.u.T[0][src] != 0 {
 			t.Fatalf("t(src) = %v at the all-rejected start", ref.u.T[0][src])
@@ -502,7 +503,7 @@ func TestKernelShortcutCases(t *testing.T) {
 				t.Fatalf("local node %d tagged with zero traffic", ln)
 			}
 		}
-		checkKernelParity(t, x, r, 0.05, true, 50, nil)
+		checkKernelParity(t, x, nil, r, 0.05, true, 50, nil)
 	})
 
 	t.Run("dummy is the only branch node", func(t *testing.T) {
@@ -511,7 +512,7 @@ func TestKernelShortcutCases(t *testing.T) {
 		if br := sg.Branch(); len(br) != 1 || br[0] != sg.Dummy {
 			t.Fatalf("branch list %v, want only the dummy (%d)", br, sg.Dummy)
 		}
-		checkKernelParity(t, x, flow.NewInitial(x), 0.5, true, 300, nil)
-		checkKernelParity(t, x, flow.NewInitial(x), 0.5, false, 300, nil)
+		checkKernelParity(t, x, nil, flow.NewInitial(x), 0.5, true, 300, nil)
+		checkKernelParity(t, x, nil, flow.NewInitial(x), 0.5, false, 300, nil)
 	})
 }

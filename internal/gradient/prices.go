@@ -9,20 +9,24 @@ import (
 	"repro/internal/utility"
 )
 
-// fillNodePrices sets price[n] = ε·D'_n(f_n + External_n) for every
+// fillNodePrices sets price[n] = ε·D'_n(f_n + ext_n) for every
 // extended node of the evaluated usage u: the barrier's shadow price at
-// the global operating point (a shard's own flow plus what the other
-// shards route through the node), zero at uncapacitated nodes. This is
-// the ∂A_i/∂f_e of eq. 11 off the difference links, a property of the
-// node alone, so the marginal wave, the stationarity check and the
-// bottleneck attribution all read it from one vector instead of
-// recomputing it per member edge. It walks the shared node prefix,
-// which holds every capacitated node; the dummy nodes past it are never
-// written, so price must hold zero there, as a fresh vector does.
-func fillNodePrices(u *flow.Usage, price []float64) {
+// the global operating point (a shard's own flow plus ext, what the
+// other shards route through the node; nil adds nothing), zero at
+// uncapacitated nodes. This is the ∂A_i/∂f_e of eq. 11 off the
+// difference links, a property of the node alone, so the marginal wave,
+// the stationarity check and the bottleneck attribution all read it
+// from one vector instead of recomputing it per member edge. It walks
+// the shared node prefix, which holds every capacitated node; the dummy
+// nodes past it are never written, so price must hold zero there, as a
+// fresh vector does.
+func fillNodePrices(u *flow.Usage, ext, price []float64) {
 	x := u.R.X
 	for n, f := range u.FNode[:x.SharedNodes] {
-		price[n] = x.PenaltyDeriv(graph.NodeID(n), f)
+		if n < len(ext) {
+			f += ext[n]
+		}
+		price[n] = x.ShadowPrice(graph.NodeID(n), f)
 	}
 }
 
@@ -32,7 +36,7 @@ func fillNodePrices(u *flow.Usage, price []float64) {
 // Usage.Feasible reports, and leaves a.price holding u's node prices,
 // as fillNodePrices would. It visits only the capacitated shared nodes
 // (a.capped), in ascending order; every other node's price is 0 for
-// good. The load z = f_n + External_n is formed once per node for all
+// good. The load z = f_n + ext_n (a.ext) is formed once per node for all
 // three. The caller must be done reading a.price. The same loop adds
 // the largest price change to the screen's drift Π and the largest
 // price fall to Π⁻, each rounded up (a NaN price makes both NaN, which
@@ -42,7 +46,7 @@ func fillNodePrices(u *flow.Usage, price []float64) {
 // compiler inlines D and D' into the loop.
 func (a *arena) evaluate(u *flow.Usage, loss float64) (cost float64, feasible bool) {
 	x := u.R.X
-	ext, eps, price := x.External, x.Epsilon, a.price
+	ext, eps, price := a.ext, x.Epsilon, a.price
 	penalty, moved, fell := 0.0, 0.0, 0.0
 	feasible = true
 	for w, word := range a.capped {

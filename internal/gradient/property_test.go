@@ -120,13 +120,13 @@ func TestQuickAdmissionWithinOffered(t *testing.T) {
 		x := randomExtended(t, seed)
 		eng := New(x, Config{Eta: 0.2})
 		for i := 0; i < 60; i++ {
-			info := eng.Step()
-			for j, a := range info.Admitted {
-				if a < -1e-9 || a > x.Commodities[j].MaxRate+1e-9 {
+			for j := range x.Commodities {
+				if a := eng.Routing().AdmittedRate(j); a < -1e-9 || a > x.Commodities[j].MaxRate+1e-9 {
 					t.Logf("seed %d iter %d: a_%d = %g of λ %g", seed, i, j, a, x.Commodities[j].MaxRate)
 					return false
 				}
 			}
+			eng.Step()
 		}
 		return true
 	}

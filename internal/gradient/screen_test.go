@@ -22,9 +22,10 @@ import (
 // bound is negative and the forecast the wave left is a fresh one's,
 // dummy nodes included; and at every turn start Engine.Stationarity,
 // which skips the screened rows, reports exactly what CheckStationarity
-// reports on a fresh forecast.
-// External usage is rewritten in place every 25 steps, the way a
-// coordinator's turns rewrite it. The instances are random layered
+// reports on a fresh forecast at the same external usage.
+// External usage is rewritten in place and installed again
+// (Engine.SetExternal) every 25 steps, the way a coordinator's turns
+// rewrite it. The instances are random layered
 // networks (randomExtended), the branched instance of
 // TestServingStepMatchesReferenceStep, and a small sparse instance,
 // with and without momentum. The layered networks settle in the
@@ -111,8 +112,6 @@ func polarize(x *transform.Extended, scales []float64, k int) {
 func screenSoundness(t *testing.T, name string, x *transform.Extended, mu float64) (screened, rescreened int) {
 	t.Helper()
 	ext := make([]float64, x.SharedNodes)
-	x.SetExternal(ext)
-	defer x.SetExternal(nil)
 	e := New(x, Config{Eta: 0.5, Backtrack: true, DisableBlocking: true, Momentum: mu})
 	for step := 0; step < 400; step++ {
 		if step%25 == 0 {
@@ -122,8 +121,8 @@ func screenSoundness(t *testing.T, name string, x *transform.Extended, mu float6
 					ext[i] = c * 0.05 * float64((i+3*turn)%9) / 8
 				}
 			}
-			e.ExternalChanged()
-			if got, want := e.Stationarity(), CheckStationarity(flow.Evaluate(e.R)); !sameFloat(got, want) {
+			e.SetExternal(ext)
+			if got, want := e.Stationarity(), checkStationarityAt(flow.Evaluate(e.R), ext); !sameFloat(got, want) {
 				t.Fatalf("%s step %d: Stationarity %v, CheckStationarity %v", name, step, got, want)
 			}
 		}
@@ -335,9 +334,7 @@ func TestScreenWaitsOnlyOnFalls(t *testing.T) {
 	e, _, _ := quietEngine(t, -1)
 	x := e.X
 	ext := make([]float64, x.SharedNodes)
-	x.SetExternal(ext)
-	defer x.SetExternal(nil)
-	e.ExternalChanged()
+	e.SetExternal(ext)
 	for range 3 {
 		e.Step()
 	}
@@ -360,7 +357,7 @@ func TestScreenWaitsOnlyOnFalls(t *testing.T) {
 				ext[n] = share * x.Capacity[n]
 			}
 		}
-		e.ExternalChanged()
+		e.SetExternal(ext)
 		e.Screened()
 		for _, n := range sg.Nodes {
 			rise = max(rise, e.arena.price[n]-before[n])
@@ -374,9 +371,9 @@ func TestScreenWaitsOnlyOnFalls(t *testing.T) {
 			r := e.R.Clone()
 			info := e.Step()
 			want := flow.Evaluate(r)
-			if !sameFloat(info.Utility, want.Utility()) || !sameFloat(info.Cost, want.TotalCost()) {
+			if cost := totalCostAt(want, ext); !sameFloat(info.Utility, want.Utility()) || !sameFloat(info.Cost, cost) {
 				t.Fatalf("%s, step %d: utility %v cost %v, fresh evaluation %v %v",
-					when, step, info.Utility, info.Cost, want.Utility(), want.TotalCost())
+					when, step, info.Utility, info.Cost, want.Utility(), cost)
 			}
 		}
 	}
@@ -441,9 +438,9 @@ func TestRestartRepricesIdleNodes(t *testing.T) {
 			t.Fatalf("step %d: cost %v, fresh evaluation %v", step, info.Cost, want.TotalCost())
 		}
 		e.measure()
-		if k := sameBits(e.arena.price, nodePrices(flow.Evaluate(e.R))); k >= 0 {
+		if k := sameBits(e.arena.price, nodePrices(flow.Evaluate(e.R), nil)); k >= 0 {
 			t.Fatalf("step %d: node %s priced %v, fresh evaluation %v",
-				step, e.X.Name(graph.NodeID(k)), e.arena.price[k], nodePrices(flow.Evaluate(e.R))[k])
+				step, e.X.Name(graph.NodeID(k)), e.arena.price[k], nodePrices(flow.Evaluate(e.R), nil)[k])
 		}
 	}
 }

@@ -21,10 +21,11 @@ const (
 // a stationary point. It runs in freshly allocated workspaces.
 // Iteration loops ask their engine instead (Engine.Stationarity), which
 // runs the same check on the workspaces it already owns; this form
-// serves one-off diagnostics on a usage that no engine holds.
+// serves one-off diagnostics on a usage that no engine holds, priced
+// at u's own flow: no other shard's flow is added.
 func CheckStationarity(u *flow.Usage) float64 {
 	a := newArena(u.R.X, false)
-	fillNodePrices(u, a.price)
+	fillNodePrices(u, nil, a.price)
 	return a.stationarity(u)
 }
 

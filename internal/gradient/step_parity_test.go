@@ -30,6 +30,7 @@ import (
 
 type refStepper struct {
 	x          *transform.Extended
+	ext        []float64 // the external usage, as the engine has it installed
 	r          *flow.Routing
 	eta        float64
 	descents   int
@@ -73,20 +74,15 @@ func refSweep(u *flow.Usage, j int, price, rho, linkD []float64) {
 func (s *refStepper) step() StepInfo {
 	x := s.x
 	u := flow.Evaluate(s.r)
-	feasible, _ := u.Feasible()
 	info := StepInfo{
 		Iteration: s.iter,
 		Utility:   u.Utility(),
-		Cost:      u.TotalCost(),
-		Admitted:  make([]float64, x.NumCommodities()),
-		Feasible:  feasible,
-	}
-	for j := range info.Admitted {
-		info.Admitted[j] = u.AdmittedRate(j)
+		Cost:      totalCostAt(u, s.ext),
+		Feasible:  feasibleAt(u, s.ext),
 	}
 	price := make([]float64, x.NumNodes())
 	for n := range price {
-		price[n] = x.PenaltyDeriv(graph.NodeID(n), u.FNode[n])
+		price[n] = x.ShadowPrice(graph.NodeID(n), loadAt(u, s.ext, n))
 	}
 	next := s.r.Clone()
 	for j := range x.Sub {
@@ -98,7 +94,7 @@ func (s *refStepper) step() StepInfo {
 			s.heavyBall(j, next.Phi[j])
 		}
 	}
-	if flow.Evaluate(next).TotalCost() <= info.Cost+1e-12 {
+	if totalCostAt(flow.Evaluate(next), s.ext) <= info.Cost+1e-12 {
 		s.prev, s.r = s.r, next
 		s.heavy = s.mu > 0
 		s.descents++
@@ -189,7 +185,7 @@ func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bi
 // StepInfo field, every φ row, η and the rejection count — through a
 // step scale large enough to be rejected, external usage rewritten in
 // place between turns of 25 steps the way a coordinator rewrites it
-// (with the turn-start Engine.ExternalChanged it makes), and a
+// (with the turn-start Engine.SetExternal it makes), and a
 // reparameterization followed by Engine.Restart. It does so without
 // momentum and with the serving mode's heavy-ball μ 0.9. On the sparse
 // instances it runs long enough for the screen to skip rows before the
@@ -293,7 +289,6 @@ func chainLinks(x *transform.Extended) (carried, reloaded int) {
 // before the reparameterization and after the Restart that follows it.
 func servingStepParity(t *testing.T, prefix string, x *transform.Extended, p0 *stream.Problem, subset []int, screens bool) {
 	ext := make([]float64, x.SharedNodes)
-	x.SetExternal(ext)
 	// setExternal rewrites the installed vector in place: turn k loads
 	// the capacitated nodes with a share of their capacity that rises
 	// and falls from turn to turn.
@@ -316,15 +311,18 @@ func servingStepParity(t *testing.T, prefix string, x *transform.Extended, p0 *s
 		t.Run(prefix+name, func(t *testing.T) {
 			const eta0 = 0.5
 			eng := New(x, Config{Eta: eta0, Backtrack: true, DisableBlocking: true, Momentum: mu})
-			ref := &refStepper{x: x, r: flow.NewInitial(x), eta: eta0, mu: mu}
+			ref := &refStepper{x: x, ext: ext, r: flow.NewInitial(x), eta: eta0, mu: mu}
 			accepted, infeasible, step, screened := 0, 0, 0, 0
 			turns := func(n int) {
 				t.Helper()
 				for turn := 0; turn < n; turn++ {
 					setExternal(step/25 + 1)
-					eng.ExternalChanged()
+					eng.SetExternal(ext)
 					for i := 0; i < 25; i++ {
 						screened += eng.Screened()
+						if k := sameBits(admittedRates(eng.Routing()), admittedRates(ref.r)); k >= 0 {
+							t.Fatalf("step %d: admitted[%d] = %v, reference %v", step, k, eng.Routing().AdmittedRate(k), ref.r.AdmittedRate(k))
+						}
 						got := eng.Step()
 						before := ref.backtracks
 						want := ref.step()
@@ -336,9 +334,6 @@ func servingStepParity(t *testing.T, prefix string, x *transform.Extended, p0 *s
 							t.Fatalf("step %d: StepInfo {%d %v %v %v}, reference {%d %v %v %v}", step,
 								got.Iteration, got.Utility, got.Cost, got.Feasible,
 								want.Iteration, want.Utility, want.Cost, want.Feasible)
-						}
-						if k := sameBits(got.Admitted, want.Admitted); k >= 0 {
-							t.Fatalf("step %d: admitted[%d] = %v, reference %v", step, k, got.Admitted[k], want.Admitted[k])
 						}
 						if eng.Eta() != ref.eta || eng.Backtracks() != ref.backtracks {
 							t.Fatalf("step %d: η %v after %d rejections, reference %v after %d",

@@ -19,7 +19,7 @@ type FsyncPolicy int
 
 const (
 	// FsyncInterval (the default) flushes+fsyncs when an append finds
-	// FsyncEvery elapsed since the last sync — bounded data loss at
+	// fsyncEvery elapsed since the last sync — bounded data loss at
 	// near-zero steady-state cost.
 	FsyncInterval FsyncPolicy = iota
 	// FsyncAlways fsyncs every append. Durable to the last record,
@@ -30,6 +30,9 @@ const (
 	// replay fixtures.
 	FsyncNever
 )
+
+// fsyncEvery is FsyncInterval's interval.
+const fsyncEvery = 100 * time.Millisecond
 
 // ParseFsyncPolicy maps the CLI spelling ("interval", "always",
 // "never") to a policy.
@@ -50,10 +53,8 @@ type Options struct {
 	// SegmentBytes rotates to a fresh segment once the current one
 	// exceeds this size. Default 64 MiB.
 	SegmentBytes int64
-	// Fsync is the durability policy; FsyncEvery is the interval for
-	// FsyncInterval (default 100ms).
-	Fsync      FsyncPolicy
-	FsyncEvery time.Duration
+	// Fsync is the durability policy.
+	Fsync FsyncPolicy
 	// StreamSHA is stamped into every segment header (see Header).
 	StreamSHA string
 	// Registry, when non-nil, receives the journal gauges/counters
@@ -65,9 +66,6 @@ type Options struct {
 func (o *Options) setDefaults() {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 64 << 20
-	}
-	if o.FsyncEvery <= 0 {
-		o.FsyncEvery = 100 * time.Millisecond
 	}
 }
 
@@ -250,7 +248,7 @@ func (w *Writer) writeLocked(frame []byte) error {
 	case FsyncAlways:
 		return w.syncLocked()
 	case FsyncInterval:
-		if time.Since(w.lastSync) >= w.opts.FsyncEvery {
+		if time.Since(w.lastSync) >= fsyncEvery {
 			return w.syncLocked()
 		}
 	}

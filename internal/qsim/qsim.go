@@ -33,11 +33,9 @@ const (
 
 // Config tunes a simulation run.
 type Config struct {
-	// Ticks is the simulated horizon; default 2000.
+	// Ticks is the simulated horizon; default 2000. Its first tenth is
+	// warm-up, excluded from averaged statistics.
 	Ticks int
-	// Warmup ticks are excluded from averaged statistics; default 10%
-	// of Ticks.
-	Warmup int
 	// Arrivals selects the arrival process; default Deterministic.
 	Arrivals Arrivals
 	// Seed drives the arrival randomness (Poisson only).
@@ -47,9 +45,6 @@ type Config struct {
 func (c *Config) setDefaults() {
 	if c.Ticks <= 0 {
 		c.Ticks = 2000
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = c.Ticks / 10
 	}
 	if c.Arrivals == 0 {
 		c.Arrivals = Deterministic
@@ -121,6 +116,7 @@ func Run(r *flow.Routing, cfg Config) (*Result, error) {
 		Dropped:   make([]float64, nc),
 	}
 	measured := 0
+	warmup := cfg.Ticks / 10
 
 	for tick := 0; tick < cfg.Ticks; tick++ {
 		// Arrivals + admission at the dummies.
@@ -134,7 +130,7 @@ func Run(r *flow.Routing, cfg Config) (*Result, error) {
 			admitted := amount * r.Phi[j][sg.InputLink]
 			dropped := amount - admitted
 			q[j][sg.Source] += admitted
-			if tick >= cfg.Warmup {
+			if tick >= warmup {
 				res.Dropped[j] += dropped
 			}
 		}
@@ -180,7 +176,7 @@ func Run(r *flow.Routing, cfg Config) (*Result, error) {
 					head := sg.Head[le]
 					out := xfer * sg.Beta[le]
 					if head == sg.Sink {
-						if tick >= cfg.Warmup {
+						if tick >= warmup {
 							res.Delivered[v.j] += out
 						}
 					} else {
@@ -196,7 +192,7 @@ func Run(r *flow.Routing, cfg Config) (*Result, error) {
 			}
 		}
 
-		if tick >= cfg.Warmup {
+		if tick >= warmup {
 			total := 0.0
 			for j := 0; j < nc; j++ {
 				for ln := range q[j] {

@@ -25,21 +25,8 @@ type Config struct {
 	Nodes       int // processing nodes; default 40
 	Commodities int // default 3
 	Layers      int // default 5
-	// EdgeProb is the probability of a link between nodes in adjacent
-	// layers; default 0.5. SkipProb is the probability of a link
-	// skipping one layer; default 0.15.
-	EdgeProb float64
-	SkipProb float64
-	// TaskFraction is the probability that an interior node hosts a
-	// given commodity's task (i.e. joins that commodity's DAG); default
-	// 0.7. A random source→sink chain is always force-hosted so every
-	// commodity is connected.
-	TaskFraction float64
-	// Capacity and bandwidth ranges; defaults U[1,100] (§6).
+	// Capacity range; default U[1,100] (§6).
 	CapMin, CapMax float64
-	BwMin, BwMax   float64
-	// Node-potential range for shrinkage factors; default U[1,10] (§6).
-	GMin, GMax float64
 	// Resource-consumption range; default U[1,5] (§6).
 	CostMin, CostMax float64
 	// Offered-rate range; the paper studies overload, so the default
@@ -51,6 +38,21 @@ type Config struct {
 	// Seed drives the deterministic generator.
 	Seed int64
 }
+
+// The generator's fixed shape: the probability of a link between nodes
+// in adjacent layers (edgeProb) and of one skipping a layer (skipProb);
+// the probability that an interior node hosts a given commodity's task,
+// joining that commodity's DAG (taskFraction; a random source→sink
+// chain is always force-hosted so every commodity is connected); the
+// bandwidth range U[1,100] and the node-potential range U[1,10] the
+// shrinkage factors derive from (§6).
+const (
+	edgeProb     = 0.5
+	skipProb     = 0.15
+	taskFraction = 0.7
+	bwMin, bwMax = 1, 100
+	gMin, gMax   = 1, 10
+)
 
 func (c *Config) setDefaults() {
 	setInt := func(p *int, v int) {
@@ -66,15 +68,8 @@ func (c *Config) setDefaults() {
 	setInt(&c.Nodes, 40)
 	setInt(&c.Commodities, 3)
 	setInt(&c.Layers, 5)
-	setF(&c.EdgeProb, 0.5)
-	setF(&c.SkipProb, 0.15)
-	setF(&c.TaskFraction, 0.7)
 	setF(&c.CapMin, 1)
 	setF(&c.CapMax, 100)
-	setF(&c.BwMin, 1)
-	setF(&c.BwMax, 100)
-	setF(&c.GMin, 1)
-	setF(&c.GMax, 10)
 	setF(&c.CostMin, 1)
 	setF(&c.CostMax, 5)
 	setF(&c.LambdaMin, 50)
@@ -114,20 +109,20 @@ func Generate(cfg Config) (*stream.Problem, error) {
 		layers[l] = append(layers[l], id)
 	}
 
-	// Forward links between adjacent layers (probability EdgeProb) and
-	// one-layer skips (SkipProb); then patch connectivity so every
+	// Forward links between adjacent layers (probability edgeProb) and
+	// one-layer skips (skipProb); then patch connectivity so every
 	// interior node has at least one in-link and one out-link.
 	addLink := func(from, to graph.NodeID) error {
 		if net.G.EdgeBetween(from, to) != graph.Invalid {
 			return nil
 		}
-		_, err := net.AddLink(from, to, uni(cfg.BwMin, cfg.BwMax))
+		_, err := net.AddLink(from, to, uni(bwMin, bwMax))
 		return err
 	}
 	for l := 0; l+1 < cfg.Layers; l++ {
 		for _, u := range layers[l] {
 			for _, v := range layers[l+1] {
-				if r.Float64() < cfg.EdgeProb {
+				if r.Float64() < edgeProb {
 					if err := addLink(u, v); err != nil {
 						return nil, err
 					}
@@ -135,7 +130,7 @@ func Generate(cfg Config) (*stream.Problem, error) {
 			}
 			if l+2 < cfg.Layers {
 				for _, v := range layers[l+2] {
-					if r.Float64() < cfg.SkipProb {
+					if r.Float64() < skipProb {
 						if err := addLink(u, v); err != nil {
 							return nil, err
 						}
@@ -183,7 +178,7 @@ func Generate(cfg Config) (*stream.Problem, error) {
 		}
 
 		// Hosting set: the source, a guaranteed random chain through
-		// the layers, and each remaining node with prob TaskFraction.
+		// the layers, and each remaining node with prob taskFraction.
 		hosts := make([]bool, net.G.NumNodes())
 		hosts[source] = true
 		hosts[sink] = true
@@ -205,18 +200,18 @@ func Generate(cfg Config) (*stream.Problem, error) {
 		}
 		for _, layer := range layers[1:] {
 			for _, u := range layer {
-				if !hosts[u] && r.Float64() < cfg.TaskFraction {
+				if !hosts[u] && r.Float64() < taskFraction {
 					hosts[u] = true
 				}
 			}
 		}
 
-		// Potentials g ~ U[GMin,GMax]; β_ik = g_k/g_i (Property 1 by
+		// Potentials g ~ U[gMin,gMax]; β_ik = g_k/g_i (Property 1 by
 		// construction). The source potential normalizes to 1
 		// implicitly since only ratios matter.
 		g := make([]float64, net.G.NumNodes())
 		for i := range g {
-			g[i] = uni(cfg.GMin, cfg.GMax)
+			g[i] = uni(gMin, gMax)
 		}
 		lambda := uni(cfg.LambdaMin, cfg.LambdaMax)
 		com, err := p.AddCommodity(name, source, sink, lambda, cfg.Utility(j))

@@ -19,9 +19,9 @@ import (
 // one exclusive first-layer source per commodity.
 //
 // Config is interpreted as in Generate except that Commodities is
-// unconstrained by Nodes, EdgeProb/SkipProb/TaskFraction are ignored
-// (links exist exactly where some commodity's chain needs them), and
-// sources are drawn with replacement from the first layer.
+// unconstrained by Nodes, the link and hosting probabilities play no
+// part (links exist exactly where some commodity's chain needs them),
+// and sources are drawn with replacement from the first layer.
 func GenerateSparse(cfg Config) (*stream.Problem, error) {
 	cfg.setDefaults()
 	if cfg.Layers < 2 {
@@ -47,7 +47,7 @@ func GenerateSparse(cfg Config) (*stream.Problem, error) {
 		if e := net.G.EdgeBetween(from, to); e != graph.Invalid {
 			return e, nil
 		}
-		return net.AddLink(from, to, uni(cfg.BwMin, cfg.BwMax))
+		return net.AddLink(from, to, uni(bwMin, bwMax))
 	}
 
 	p := stream.NewProblem(net)
@@ -78,7 +78,7 @@ func GenerateSparse(cfg Config) (*stream.Problem, error) {
 		// construction (trivially path-independent on a chain).
 		g := make([]float64, len(chain))
 		for i := range g {
-			g[i] = uni(cfg.GMin, cfg.GMax)
+			g[i] = uni(gMin, gMax)
 		}
 		for l, e := range edges {
 			params := stream.EdgeParams{

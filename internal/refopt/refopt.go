@@ -125,26 +125,30 @@ func Solve(x *transform.Extended, opts Options) (*Result, error) {
 
 	// Flow balance with shrinkage (eq. 7) per commodity per member node:
 	// Σ_out y_e − Σ_in β_e·y_e = r (λ_j at the dummy, 0 elsewhere,
-	// unconstrained at the sink). Ascending local node index visits the
-	// same nodes in the same order as the old full-graph scan (nodes
-	// without member edges produced no constraint rows there), so the LP
-	// rows — and therefore the dual indices — are unchanged.
+	// unconstrained at the sink). One pass over the member edges writes
+	// each edge's +1 into its tail's row and its −β into its head's; an
+	// edge's tail and head differ, so each coefficient is written once.
+	// Ascending local node index visits the same nodes in the same order
+	// as the old full-graph scan (nodes without member edges produced no
+	// constraint rows there), so the LP rows — and therefore the dual
+	// indices — are unchanged.
 	for j := 0; j < nc; j++ {
 		c := &x.Commodities[j]
 		sg := &x.Sub[j]
-		for ln := int32(0); ln < int32(sg.NumNodes()); ln++ {
-			if ln == sg.Sink {
+		rows := make([]map[int]float64, sg.NumNodes())
+		for ln := range rows {
+			rows[ln] = make(map[int]float64)
+		}
+		for le, v := range varOf[j] {
+			rows[sg.Tail[le]][v] += 1
+			rows[sg.Head[le]][v] -= sg.Beta[le]
+		}
+		for ln, coeffs := range rows {
+			if int32(ln) == sg.Sink {
 				continue
 			}
-			coeffs := make(map[int]float64)
-			for _, le := range sg.Out(ln) {
-				coeffs[varOf[j][le]] += 1
-			}
-			for _, le := range sg.In(ln) {
-				coeffs[varOf[j][le]] -= sg.Beta[le]
-			}
 			rhs := 0.0
-			if ln == sg.Dummy {
+			if int32(ln) == sg.Dummy {
 				rhs = c.MaxRate
 			}
 			if len(coeffs) == 0 {

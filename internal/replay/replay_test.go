@@ -81,6 +81,15 @@ func serverOptions() server.Options {
 	}
 }
 
+// paperOptions is serverOptions in the paper mode, which a server takes
+// only from a recorded journal's solver parameters (SolverOptions).
+func paperOptions() server.Options {
+	base := serverOptions()
+	opts := server.SolverOptions(&journal.SolverParams{MaxIters: base.MaxIters, StationaryTol: base.StationaryTol})
+	opts.Debounce, opts.Logf = base.Debounce, base.Logf
+	return opts
+}
+
 // record runs one journaled server lifetime in dir, applying mutate,
 // and returns the journal writer closed.
 func record(t *testing.T, dir string, p *stream.Problem, mutate func(s *server.Server)) {
@@ -441,11 +450,13 @@ func testVerifyShardedRecording(t *testing.T, shards int, traced, paper bool) {
 		t.Fatal(err)
 	}
 	opts := serverOptions()
+	if paper {
+		opts = paperOptions()
+	}
 	opts.Journal = jw
 	opts.CheckpointEvery = 2
 	opts.Shards = shards
 	opts.PlacementSalt = 7
-	opts.PaperMode = paper
 	if traced {
 		opts.Recorder = obs.NewRecorder(nil)
 		opts.Spans = span.New(256, opts.Recorder)

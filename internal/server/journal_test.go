@@ -188,9 +188,12 @@ func TestJournalCarriesClientTrace(t *testing.T) {
 }
 
 func TestSolverOptionsRoundTrip(t *testing.T) {
-	want := Options{
-		Epsilon: 0.1, Eta: 0.03, MaxIters: 123, StationaryTol: 5e-3, PaperMode: true,
+	want := SolverOptions(&journal.SolverParams{
+		Epsilon: 0.1, Eta: 0.03, MaxIters: 123, StationaryTol: 5e-3,
 		Shards: 4, PlacementSalt: 7,
+	})
+	if !want.paperMode {
+		t.Fatal("parameters without Serving did not select the paper mode")
 	}
 	if got := SolverOptions(want.solverParams(shard.New(want.shardConfig()))); !reflect.DeepEqual(got, want) {
 		t.Fatalf("SolverOptions(solverParams(%+v)) = %+v", want, got)

@@ -62,12 +62,13 @@ type Options struct {
 	// Deprecated: ignored. The solver runs its waves on its own
 	// goroutine. Only bench/workloads.go's base options set it.
 	Workers int
-	// PaperMode solves as §5 states it — fixed η, the loop-freedom tags,
+	// paperMode solves as §5 states it — fixed η, the loop-freedom tags,
 	// φ carried as it is across a decision and a cold start whenever the
 	// commodity set changed — instead of in the serving step mode
-	// (shard.Config.Serving), which is the default. Journals record the
-	// mode and replay boots the one they recorded.
-	PaperMode bool
+	// (shard.Config.Serving), which is the default. Only SolverOptions
+	// sets it: journals record the mode and replay boots the one they
+	// recorded.
+	paperMode bool
 	// momentum is the serving step's heavy-ball coefficient μ
 	// (shard.Config.Momentum): 0 means shard.ServingMomentum, <0 off. No
 	// caller sets it; SolverOptions restores it from a journal, so a
@@ -168,7 +169,7 @@ func SolverOptions(sp *journal.SolverParams) Options {
 		Eta:           sp.Eta,
 		MaxIters:      sp.MaxIters,
 		StationaryTol: sp.StationaryTol,
-		PaperMode:     !sp.Serving,
+		paperMode:     !sp.Serving,
 		momentum:      sp.Momentum,
 		Shards:        sp.Shards,
 		PlacementSalt: sp.PlacementSalt,
@@ -189,7 +190,7 @@ func (o *Options) shardConfig() shard.Config {
 		Eta:           o.Eta,
 		MaxIters:      o.MaxIters,
 		StationaryTol: o.StationaryTol,
-		Serving:       !o.PaperMode,
+		Serving:       !o.paperMode,
 		Momentum:      o.momentum,
 		Recorder:      o.Recorder,
 		Logf:          o.Logf,

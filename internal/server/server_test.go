@@ -217,8 +217,11 @@ func TestRateUpdateProducesNewWarmGeneration(t *testing.T) {
 // warm: TestSurvivorsStayWarm.)
 func TestCommodityArrivalAndDepartureColdStart(t *testing.T) {
 	rec := obs.NewRecorder(obs.NewRegistry())
-	opts := testOptions(rec)
-	opts.PaperMode = true
+	// A recorded journal's solver parameters are the one way to a
+	// paper-mode server (SolverOptions).
+	base := testOptions(rec)
+	opts := SolverOptions(&journal.SolverParams{MaxIters: base.MaxIters, StationaryTol: base.StationaryTol})
+	opts.Debounce, opts.Recorder, opts.Logf = base.Debounce, base.Recorder, base.Logf
 	s, ts := startServerWith(t, rec, opts)
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {

@@ -119,9 +119,8 @@ type Coordinator struct {
 	cfg     Config
 	p       *stream.Problem
 	runners []*runner
-	changed []*runner   // changed by the last Build's problem, awaiting Bind
-	merged  []float64   // shared-prefix usage; nil until the first Build
-	parts   [][]float64 // merge scratch, one entry per built runner
+	changed []*runner // changed by the last Build's problem, awaiting Bind
+	merged  []float64 // shared-prefix usage; nil until the first Build
 }
 
 // runner is one solver shard: its own subset transform and engine (the
@@ -143,7 +142,7 @@ type runner struct {
 	// problem, or nil when x only needs reparameterizing to p.
 	next *transform.Extended
 
-	ext []float64 // the other shards' usage, installed on x.External
+	ext []float64 // the other shards' usage, installed on eng (Engine.SetExternal)
 	// own is the shared usage after the shard's last turn. It is a copy,
 	// not a read of the engine, because a parameter-only rebind changes
 	// the engine's flows and the other shards must see the pre-change
@@ -336,7 +335,6 @@ func (r *runner) bind(p *stream.Problem) (warm bool, fallback error) {
 		r.ext = make([]float64, x.SharedNodes)
 		r.own = make([]float64, x.SharedNodes)
 	}
-	x.SetExternal(r.ext)
 	r.x = x
 
 	if len(x.Commodities) == 0 {
@@ -378,6 +376,7 @@ func (r *runner) bind(p *stream.Problem) (warm bool, fallback error) {
 	if !warm {
 		r.eng = gradient.New(x, gcfg)
 	}
+	r.eng.SetExternal(r.ext)
 	r.stationary = false
 	return warm, fallback
 }
@@ -496,16 +495,16 @@ func (r *runner) advance(ctx context.Context, n int) int {
 // stationary and whose external usage has not moved since skips
 // entirely. The flows are forecast once per routing: the engine keeps
 // the evaluation this step ends on for the check the next one starts
-// with (FNode does not depend on External; a rebuild installs a new
-// engine and with it a new forecast). What does depend on External —
-// the cost, feasibility and node prices the engine carries from its
-// last accepted step — is dropped first: updateExternals rewrites ext
-// after every turn, by however little.
+// with (FNode does not depend on ext; a rebuild installs a new engine
+// and with it a new forecast). What does depend on ext — the cost,
+// feasibility and node prices the engine carries from its last
+// accepted step — is dropped first, by installing ext again:
+// updateExternals rewrites it after every turn, by however little.
 func (r *runner) step(ctx context.Context, n int) int {
 	if r.eng == nil || r.diverged {
 		return 0
 	}
-	r.eng.ExternalChanged()
+	r.eng.SetExternal(r.ext)
 	if r.stationary && !r.extMoved {
 		return 0
 	}
@@ -522,19 +521,19 @@ func (r *runner) step(ctx context.Context, n int) int {
 }
 
 // capture refreshes the runner's shared-prefix usage from the engine's
-// evaluation of its current routing.
-func (r *runner) capture() { r.eng.Usage().SharedUsage(r.own) }
+// evaluation of its current routing. Dummy-node flow is shard-private
+// and uncapacitated, so it never crosses the boundary.
+func (r *runner) capture() { copy(r.own, r.eng.Usage().FNode[:r.x.SharedNodes]) }
 
 // merge folds the per-shard shared-prefix usage into the global
 // congestion view, in fixed shard order for a deterministic reduction.
 func (c *Coordinator) merge() {
-	c.parts = c.parts[:0]
+	clear(c.merged)
 	for _, r := range c.runners {
-		if r.own != nil {
-			c.parts = append(c.parts, r.own)
+		for i, v := range r.own {
+			c.merged[i] += v
 		}
 	}
-	flow.MergeShared(c.merged, c.parts...)
 }
 
 // usageTol is the relative per-node settle tolerance on external usage:
@@ -591,8 +590,8 @@ func (c *Coordinator) UsageReport() []core.NodeUsage {
 
 // Explain writes every shard's bottleneck attribution straight into one
 // slice in global commodity order. Each shard attributes at its own
-// final evaluation, whose marginals and loads already count the merged
-// operating point through the external term. Entry gi's name, offered
+// final evaluation under its external usage, so its marginals and
+// loads count the merged operating point. Entry gi's name, offered
 // rate, admitted rate and utility are commodity gi's admission outcome
 // in the problem last applied: the one per-commodity read of a solve.
 func (c *Coordinator) Explain() []core.CommodityExplain {
@@ -602,7 +601,7 @@ func (c *Coordinator) Explain() []core.CommodityExplain {
 	parts := make([]core.ExplainPart, 0, len(c.runners))
 	for _, r := range c.runners {
 		if r.eng != nil {
-			parts = append(parts, core.ExplainPart{X: r.x, U: r.eng.Usage(), Global: r.global})
+			parts = append(parts, core.ExplainPart{X: r.x, U: r.eng.Usage(), Ext: r.ext, Global: r.global})
 		}
 	}
 	out := make([]core.CommodityExplain, len(c.p.Commodities))

@@ -327,7 +327,7 @@ func TestServingRunsWithoutTags(t *testing.T) {
 // cost, feasibility and node prices of its last accepted step into the
 // next one, and they were taken at the external usage installed then.
 // Every turn rewrites the other shards' external usage, so a turn must
-// start by dropping them (runner.step's Engine.ExternalChanged). At two
+// start by dropping them (runner.step's Engine.SetExternal). At two
 // shards a solve must therefore equal, bit for bit, the same turns
 // driven one iteration at a time with the carried evaluation dropped
 // before every iteration — routing, utility and admitted rates per
@@ -359,7 +359,7 @@ func TestTurnStartDropsCarriedEvaluation(t *testing.T) {
 		for _, r := range want.runners {
 			n := min(exchangeEvery, cfg.MaxIters-spent)
 			for i := 0; i < n; i++ {
-				r.eng.ExternalChanged()
+				r.eng.SetExternal(r.ext)
 				eta := r.eng.Eta()
 				r.advance(ctx, 1)
 				if r.eng.Eta() < eta {

@@ -355,9 +355,11 @@ func TestSubsetBuildSharedPrefix(t *testing.T) {
 	}
 }
 
-// TestExternalUsageShiftsPrices: installing external usage on a subset
-// build must raise the barrier's marginal price exactly as if the flow
-// were local.
+// TestExternalUsageShiftsPrices: external usage installed on a shard's
+// engine (Engine.SetExternal) must price a node exactly as if the flow
+// were local. At the engine's own flow f, the node is priced
+// ε·D'(f + ext) — above its price at f alone — and loaded f + ext, and
+// the cost the next step reports counts the barrier at f + ext.
 func TestExternalUsageShiftsPrices(t *testing.T) {
 	p, err := randnet.Generate(randnet.Config{Seed: 9, Nodes: 16, Layers: 4, Commodities: 4})
 	if err != nil {
@@ -367,26 +369,53 @@ func TestExternalUsageShiftsPrices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var node int = -1
-	for n := 0; n < x.SharedNodes; n++ {
-		if !math.IsInf(x.Capacity[n], 1) {
+	eng := gradient.New(x, gradient.Config{})
+	if _, _, err := eng.Run(context.Background(), 200, 0, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	u := eng.Usage()
+	node := -1
+	for n, f := range u.FNode[:x.SharedNodes] {
+		if !math.IsInf(x.Capacity[n], 1) && f > 0 && (node < 0 || f > u.FNode[node]) {
 			node = n
-			break
 		}
 	}
 	if node < 0 {
-		t.Fatal("no capacitated shared node")
+		t.Fatal("no capacitated shared node carries flow")
 	}
-	base := x.PenaltyDeriv(graph.NodeID(node), 1.0)
+	f, c := u.FNode[node], x.Capacity[node]
 	ext := make([]float64, x.SharedNodes)
-	ext[node] = 2.5
-	x.SetExternal(ext)
-	shifted := x.PenaltyDeriv(graph.NodeID(node), 1.0)
-	direct := x.Epsilon * utility.Reciprocal{}.Deriv(3.5, x.Capacity[node])
-	if shifted != direct {
-		t.Fatalf("external price %v != direct evaluation %v", shifted, direct)
+	ext[node] = 0.95*c - f // past gradient.BindingUtilization, so the node binds
+	eng.SetExternal(ext)
+
+	var attr gradient.Attributor
+	var at gradient.Attribution
+	attr.Reset(eng.Usage(), ext)
+	attr.Attribute(0, &at)
+	var bound *gradient.BindingNode
+	for i := range at.Binding {
+		if at.Binding[i].Node == graph.NodeID(node) {
+			bound = &at.Binding[i]
+		}
 	}
-	if shifted <= base {
-		t.Fatalf("external usage did not raise the marginal price: %v <= %v", shifted, base)
+	if bound == nil {
+		t.Fatalf("node %s at utilization %v does not bind", x.Name(graph.NodeID(node)), (f+ext[node])/c)
+	}
+	direct := x.Epsilon * utility.Reciprocal{}.Deriv(f+ext[node], c)
+	if bound.Price != direct || bound.Utilization != (f+ext[node])/c {
+		t.Fatalf("external price %v at utilization %v, direct evaluation %v at %v",
+			bound.Price, bound.Utilization, direct, (f+ext[node])/c)
+	}
+	if base := x.ShadowPrice(graph.NodeID(node), f); direct <= base {
+		t.Fatalf("external usage did not raise the marginal price: %v <= %v", direct, base)
+	}
+
+	penalty := 0.0
+	for n := range x.SharedNodes {
+		penalty += x.PenaltyValue(graph.NodeID(n), u.FNode[n]+ext[n])
+	}
+	want := u.UtilityLoss() + penalty
+	if info := eng.Step(); info.Cost != want {
+		t.Fatalf("step cost %v under external usage, direct evaluation %v", info.Cost, want)
 	}
 }

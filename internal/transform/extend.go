@@ -96,14 +96,6 @@ type Extended struct {
 	// exactly zero.
 	SharedNodes int
 
-	// External[i] is flow through shared node i contributed by
-	// commodities outside this build (other shards). The barrier is
-	// evaluated at own + external usage, so the marginal wave prices
-	// congestion at the global operating point. Nil means zero external
-	// flow everywhere, and so does the all-zero vector a lone shard
-	// holds: f + 0 is f bit for bit.
-	External []float64
-
 	// Sub[j] is commodity j's member subgraph in compact local
 	// indexing: parameters, topo order, and adjacency over only the
 	// edges the commodity can use, trimmed to dummy→sink paths. This is
@@ -446,24 +438,19 @@ func (x *Extended) OutDegree(n graph.NodeID) int {
 	return d
 }
 
-// PenaltyValue returns ε·D_i(z + External_i) for node i, zero for
-// uncapacitated nodes (dummies and sinks). With External set (sharded
-// solves) the barrier is evaluated at the global operating point: own
-// flow z plus the flow other shards route through the same node.
+// PenaltyValue returns ε·D_i(z) for node i, zero for uncapacitated
+// nodes (dummies and sinks).
 func (x *Extended) PenaltyValue(i graph.NodeID, z float64) float64 {
 	c := x.Capacity[i]
 	if math.IsInf(c, 1) {
 		return 0
 	}
-	if int(i) < len(x.External) {
-		z += x.External[i]
-	}
 	return x.Epsilon * utility.Reciprocal{}.Value(z, c)
 }
 
-// ShadowPrice returns ε·D'_i(z) for node i at a usage z that already
-// is the global total — no External term is added — and zero for
-// uncapacitated nodes: the barrier's congestion price.
+// ShadowPrice returns ε·D'_i(z) for node i, zero for uncapacitated
+// nodes: the barrier's congestion price, the ∂A_i/∂f_ik of eq. (11)
+// for non-difference links.
 func (x *Extended) ShadowPrice(i graph.NodeID, z float64) float64 {
 	c := x.Capacity[i]
 	if math.IsInf(c, 1) {
@@ -471,28 +458,6 @@ func (x *Extended) ShadowPrice(i graph.NodeID, z float64) float64 {
 	}
 	return x.Epsilon * utility.Reciprocal{}.Deriv(z, c)
 }
-
-// PenaltyDeriv returns ε·D'_i(z + External_i) for node i, zero for
-// uncapacitated nodes. This is the ∂A_i/∂f_ik of eq. (11) for
-// non-difference links; under sharding it is the external-price term of
-// the marginal wave — congestion priced at global, not shard-local,
-// usage.
-func (x *Extended) PenaltyDeriv(i graph.NodeID, z float64) float64 {
-	if int(i) < len(x.External) {
-		z += x.External[i]
-	}
-	return x.ShadowPrice(i, z)
-}
-
-// SetExternal installs ext (length ≤ SharedNodes; usually exactly
-// SharedNodes) as the external-usage vector the barrier adds to own
-// flow. The slice is retained, not copied, so a coordinator can update
-// it in place between solve rounds as long as no wave is running; after
-// such a rewrite it calls gradient.Engine.ExternalChanged on every
-// engine bound to x before that engine's next Step, or the engine keeps
-// the cost, feasibility and node prices it took under the old values.
-// Nil restores the unsharded behaviour.
-func (x *Extended) SetExternal(ext []float64) { x.External = ext }
 
 // LossValue returns Y_(i,k)(z): the utility loss when edge e carries z,
 // nonzero only on difference links (eq. 1).

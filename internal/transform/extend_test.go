@@ -159,7 +159,7 @@ func TestPenaltyZeroOnUncapacitatedNodes(t *testing.T) {
 	p := twoPathProblem(t)
 	x := mustBuild(t, p, Options{Epsilon: 0.2})
 	d := x.Commodities[0].Dummy
-	if x.PenaltyValue(d, 1e12) != 0 || x.PenaltyDeriv(d, 1e12) != 0 {
+	if x.PenaltyValue(d, 1e12) != 0 || x.ShadowPrice(d, 1e12) != 0 {
 		t.Fatal("dummy node has nonzero penalty")
 	}
 	sink := x.Commodities[0].Sink
@@ -177,8 +177,8 @@ func TestPenaltyScaledByEpsilon(t *testing.T) {
 		t.Fatalf("PenaltyValue = %g, want %g", got, want)
 	}
 	wantD := 0.5 * (utility.Reciprocal{}).Deriv(5, 10)
-	if got := x.PenaltyDeriv(src, 5); math.Abs(got-wantD) > 1e-12 {
-		t.Fatalf("PenaltyDeriv = %g, want %g", got, wantD)
+	if got := x.ShadowPrice(src, 5); math.Abs(got-wantD) > 1e-12 {
+		t.Fatalf("ShadowPrice = %g, want %g", got, wantD)
 	}
 }
 
@@ -303,8 +303,12 @@ func TestSubgraphAdjacencyMatchesFilteredScan(t *testing.T) {
 				for _, le := range sg.Out(ln) {
 					gotOut = append(gotOut, sg.Edges[le])
 				}
-				for _, le := range sg.In(ln) {
-					gotIn = append(gotIn, sg.Edges[le])
+				// No in-edge index: the member edges whose head is ln,
+				// in ascending local (so global) order.
+				for le, h := range sg.Head {
+					if h == ln {
+						gotIn = append(gotIn, sg.Edges[le])
+					}
 				}
 			} else if len(wantOut) > 0 || len(wantIn) > 0 {
 				t.Fatalf("commodity %d node %d: not a member node but has member edges", j, n)
@@ -481,8 +485,7 @@ func TestSubgraphSlabsAreClipped(t *testing.T) {
 			"Tail": cap(sg.Tail) - len(sg.Tail), "Head": cap(sg.Head) - len(sg.Head),
 			"Topo": cap(sg.Topo) - len(sg.Topo), "RevTopo": cap(sg.RevTopo()) - len(sg.RevTopo()),
 			"Branch":   cap(sg.Branch()) - len(sg.Branch()),
-			"outEdges": cap(sg.outEdges) - len(sg.outEdges), "inEdges": cap(sg.inEdges) - len(sg.inEdges),
-			"outIdx": cap(sg.outIdx) - len(sg.outIdx), "inIdx": cap(sg.inIdx) - len(sg.inIdx),
+			"outEdges": cap(sg.outEdges) - len(sg.outEdges), "outIdx": cap(sg.outIdx) - len(sg.outIdx),
 		} {
 			if spare != 0 {
 				t.Fatalf("commodity %d: %s has %d spare capacity into the shared slab", j, name, spare)

@@ -63,11 +63,10 @@ type Subgraph struct {
 
 	// CSR adjacency over local indexes: the out-edges of local node l
 	// are outEdges[outIdx[l]:outIdx[l+1]], ascending (global) edge
-	// order; likewise inEdges/inIdx.
+	// order. No solver path walks in-edges; one that needs them scans
+	// Head.
 	outIdx   []int32
 	outEdges []int32
-	inIdx    []int32
-	inEdges  []int32
 
 	// Local node indexes of the commodity's distinguished nodes.
 	Dummy  int32
@@ -98,13 +97,6 @@ func (s *Subgraph) Out(l int32) []int32 {
 // every node hold the two arrays in locals instead of going through
 // the header per node. Callers must not modify them.
 func (s *Subgraph) CSR() (outIdx, outEdges []int32) { return s.outIdx, s.outEdges }
-
-// In returns the local in-edge indexes of local node l in ascending
-// global edge-ID order. The slice aliases the CSR arrays; callers must
-// not modify it.
-func (s *Subgraph) In(l int32) []int32 {
-	return s.inEdges[s.inIdx[l]:s.inIdx[l+1]]
-}
 
 // RevTopo returns the cached reverse of Topo, the processing order of
 // the upstream marginal-cost wave. Callers must not modify it.
@@ -158,7 +150,7 @@ func (s *Subgraph) Bytes() int64 {
 	n := int64(len(s.Nodes))*idSize + int64(len(s.Edges))*idSize
 	n += int64(len(s.Beta)+len(s.Cost)) * f64Size
 	n += int64(len(s.Tail)+len(s.Head)+len(s.Topo)+len(s.revTopo)+len(s.branch)) * i32Size
-	n += int64(len(s.outIdx)+len(s.outEdges)+len(s.inIdx)+len(s.inEdges)) * i32Size
+	n += int64(len(s.outIdx)+len(s.outEdges)) * i32Size
 	return n
 }
 
@@ -205,7 +197,7 @@ func newBuilder(x *Extended, cs []*stream.Commodity, order []int) *builder {
 	nn := ne + len(order)
 	return &builder{
 		x:     x,
-		i32:   make([]int32, 0, 5*nn+4*ne),
+		i32:   make([]int32, 0, 4*nn+3*ne),
 		f64:   make([]float64, 0, 2*ne),
 		nodes: make([]graph.NodeID, 0, nn),
 		edges: make([]graph.EdgeID, 0, ne),
@@ -325,8 +317,6 @@ func (b *builder) commit(dst *Subgraph) {
 	b.i32 = append(b.i32, s.branch...)
 	b.i32 = append(b.i32, s.Topo...)
 	b.i32 = append(b.i32, ix.Tail...)
-	b.i32 = append(b.i32, ix.InIdx...)
-	b.i32 = append(b.i32, ix.InEdges...)
 	b.f64 = append(b.f64, s.Cost...)
 	b.f64 = append(b.f64, s.Beta...)
 	b.nodes = append(b.nodes, ix.Nodes...)
@@ -347,8 +337,6 @@ func (b *builder) carve(sub []Subgraph) {
 		s.branch = take(&i32, d.branch)
 		s.Topo = take(&i32, d.nodes)
 		s.Tail = take(&i32, d.edges)
-		s.inIdx = take(&i32, d.nodes+1)
-		s.inEdges = take(&i32, d.edges)
 		s.Cost = take(&f64, d.edges)
 		s.Beta = take(&f64, d.edges)
 		s.Nodes = take(&nodes, d.nodes)
