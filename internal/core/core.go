@@ -242,7 +242,7 @@ func solveGradient(p *stream.Problem, x *transform.Extended, opts Options, res *
 	res.Iterations = st.Iterations
 	res.Messages = st.Messages
 	res.Rounds = st.Rounds
-	u := eng.Solution()
+	u := eng.Usage()
 	res.Utility = u.Utility()
 	res.Admitted = make([]float64, x.NumCommodities())
 	for j := range res.Admitted {
@@ -263,40 +263,38 @@ func solveGradient(p *stream.Problem, x *transform.Extended, opts Options, res *
 // per snapshot (the /explain endpoint) through ExplainParts.
 func Explain(p *stream.Problem, x *transform.Extended, u *flow.Usage) []CommodityExplain {
 	out := make([]CommodityExplain, x.NumCommodities())
-	ExplainParts(out, p, ExplainPart{X: x, U: u})
+	ExplainParts(out, p, ExplainPart{X: x, A: gradient.NewAttributor(u)})
 	return out
 }
 
-// ExplainPart is one build's share of an explanation: the build, its
-// evaluated usage, the flow other builds route through each shared node
-// (a shard's external usage; nil for one build), and the index into the
-// output of each of its commodities (nil: commodity j at index j).
+// ExplainPart is one build's share of an explanation: the build, the
+// attributor of its operating point (an engine's, Engine.Attributor,
+// priced under the flow other builds route through each shared node; or
+// a bare usage's, gradient.NewAttributor), and the index into the output
+// of each of its commodities (nil: commodity j at index j).
 type ExplainPart struct {
 	X      *transform.Extended
-	U      *flow.Usage
-	Ext    []float64
+	A      gradient.Attributor
 	Global []int
 }
 
 // ExplainParts writes the attribution of every commodity of the parts,
 // builds over p such as the shards of a sharded solve, into out. It
-// prices each part's nodes once and runs every commodity's wave through
-// one reused scratch, keeping the bindings in a scratch list. Then it
-// cuts every commodity's Binding from one array of exactly their total,
-// so the output holds no spare entry and explaining J commodities makes
-// no allocation per commodity or per binding. A commodity with no
+// runs every commodity's wave through its part's attributor, keeping
+// the bindings in a scratch list. Then it cuts every commodity's
+// Binding from one array of exactly their total, so the output holds no
+// spare entry and explaining J commodities makes no allocation per
+// commodity or per binding. A commodity with no
 // binding resource keeps a nil Binding, which marshals as null.
 func ExplainParts(out []CommodityExplain, p *stream.Problem, parts ...ExplainPart) {
 	var (
-		attr  gradient.Attributor
 		at    gradient.Attribution
 		nodes = make([]gradient.BindingNode, 0, len(out)) // every binding, in part and commodity order
 		count = make([]int32, len(out))                   // bindings per output entry
 	)
 	for _, pt := range parts {
-		attr.Reset(pt.U, pt.Ext)
 		for j := range pt.X.Commodities {
-			attr.Attribute(j, &at)
+			pt.A.Attribute(j, &at)
 			gi := pt.index(j)
 			out[gi] = CommodityExplain{
 				Name:            pt.X.Commodities[j].Name,

@@ -35,9 +35,8 @@ type arena struct {
 	// is at f + ext.
 	ext []float64
 	// price is ε·D'_n at the global operating point per extended node,
-	// zero at every uncapacitated one: the engine writes it when it
-	// evaluates a routing (evaluate), CheckStationarity with
-	// fillNodePrices.
+	// zero at every uncapacitated one: the node pass (evaluate) writes
+	// it, and is its only writer.
 	price   []float64
 	scratch waveScratch
 

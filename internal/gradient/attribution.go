@@ -23,7 +23,8 @@ type BindingNode struct {
 	// Node is the extended-graph node (a Proc or Bandwidth node).
 	Node graph.NodeID
 	// Utilization is f_i/C_i at the global operating point: f_i counts
-	// the flow other shards route through the node (Reset's ext) too.
+	// the flow other shards route through the node (Engine.SetExternal)
+	// too.
 	Utilization float64
 	// Price is ε·D'_i(f_i): the marginal cost this resource adds per
 	// unit of flow through it — the barrier's live shadow price.
@@ -70,60 +71,40 @@ const (
 )
 
 // Attributor explains the commodities of one evaluated operating point
-// one at a time. Reset prices every node once and sizes the wave's
-// scratch to the largest commodity; Attribute then runs one commodity's
-// marginal-cost wave through that scratch and writes into the caller's
-// Attribution, so explaining J commodities allocates nothing per
-// commodity. The zero value is ready for Reset.
+// one at a time: Attribute runs one commodity's marginal-cost wave
+// through the wave scratch of an arena whose node pass (evaluate) has
+// priced that point, and writes into the caller's Attribution, so
+// explaining J commodities allocates nothing per commodity. An engine's
+// Attributor reads the engine's own arena; NewAttributor prices a bare
+// usage in a fresh one.
 type Attributor struct {
-	u          *flow.Usage
-	ext        []float64 // other shards' flow per shared node, as Reset took it
-	price      []float64 // node prices at u+ext (fillNodePrices); zero past SharedNodes
-	rho, linkD []float64 // one commodity's wave, in its local indexing
+	u *flow.Usage
+	a *arena
 }
 
-// Reset points the attributor at the evaluated usage u under the flow
-// ext other shards route through each shared node (nil: none, as for
-// one build; Engine.SetExternal): it prices u's nodes at u+ext and grows
-// the scratch to fit every commodity of u's build. Vectors long enough
-// already are reused. ext is retained, not copied.
-func (a *Attributor) Reset(u *flow.Usage, ext []float64) {
-	a.u, a.ext = u, ext
-	x := u.R.X
-	n := len(u.FNode)
-	if cap(a.price) < n {
-		a.price = make([]float64, n)
-	} else {
-		a.price = a.price[:n]
-		clear(a.price[x.SharedNodes:])
-	}
-	fillNodePrices(u, ext, a.price)
-	nodes, edges := 0, 0
-	for j := range x.Sub {
-		nodes, edges = max(nodes, x.Sub[j].NumNodes()), max(edges, x.Sub[j].NumEdges())
-	}
-	if cap(a.rho) < nodes {
-		a.rho = make([]float64, nodes)
-	}
-	if cap(a.linkD) < edges {
-		a.linkD = make([]float64, edges)
-	}
+// NewAttributor prices the evaluated usage u at its own flow, no other
+// shard's flow added, in a fresh arena: for one-off explanations of a
+// usage that no engine holds (Engine.Attributor reads an engine's).
+func NewAttributor(u *flow.Usage) Attributor {
+	a := newArena(u.R.X, false)
+	a.evaluate(u, 0)
+	return Attributor{u: u, a: a}
 }
 
-// Attribute explains commodity j at the usage of the last Reset into
-// at: O(member edges). at.Binding is overwritten in place, reusing its
-// backing array, so a caller that keeps the bindings copies them out
-// before the next call.
-func (a *Attributor) Attribute(j int, at *Attribution) {
-	u := a.u
+// Attribute explains commodity j at the attributor's operating point
+// into at: O(member edges). at.Binding is overwritten in place, reusing
+// its backing array, so a caller that keeps the bindings copies them
+// out before the next call.
+func (r Attributor) Attribute(j int, at *Attribution) {
+	u, a := r.u, r.a
 	x := u.R.X
 	c := &x.Commodities[j]
 	sg := &x.Sub[j]
-	rho, linkD := a.rho[:sg.NumNodes()], a.linkD[:sg.NumEdges()]
+	rho, linkD := a.scratch.rho[:sg.NumNodes()], a.scratch.linkD[:sg.NumEdges()]
 	if cap(at.Binding) < len(rho) {
 		// A binding is a member node: one array of the largest
 		// commodity's node count holds any commodity's list.
-		at.Binding = make([]BindingNode, 0, cap(a.rho))
+		at.Binding = make([]BindingNode, 0, len(a.scratch.rho))
 	}
 	sweep(u, j, a.price, rho, linkD, nil, 0)
 	adm := u.AdmittedRate(j)

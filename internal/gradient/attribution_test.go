@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/flow"
+	"repro/internal/randnet"
+	"repro/internal/transform"
 	"repro/internal/utility"
 )
 
@@ -102,4 +104,64 @@ func TestAttributeAllPicksTheTightPath(t *testing.T) {
 	if !found {
 		t.Fatalf("tight server a missing from binding set: %+v", all[0].Binding)
 	}
+}
+
+// TestEngineAttributionMatchesBareUsage: an engine's attributor, which
+// explains in the engine's own workspaces at the prices its node pass
+// left, gives what a fresh attributor over a fresh evaluation of its
+// routing gives, bit for bit. The serving engine's η is large enough to
+// be rejected, and the check runs after accepted and after rejected
+// steps alike: a rejection leaves the proposal's forecast and prices in
+// the workspaces until the engine forecasts its routing again.
+func TestEngineAttributionMatchesBareUsage(t *testing.T) {
+	p, err := randnet.GenerateSparse(randnet.Config{Seed: 13, Nodes: 48, Layers: 6, Commodities: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := transform.Build(p, transform.Options{Epsilon: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(x, Config{Eta: 0.5, Backtrack: true, DisableBlocking: true, Momentum: 0.9})
+	var got, want Attribution
+	accepted, rejected, bindings := 0, 0, 0
+	for step := 0; step < 60; step++ {
+		before := e.Backtracks()
+		e.Step()
+		if e.Backtracks() > before {
+			rejected++
+		} else {
+			accepted++
+		}
+		engine, bare := e.Attributor(), NewAttributor(e.Solution())
+		for j := range x.Sub {
+			engine.Attribute(j, &got)
+			bare.Attribute(j, &want)
+			if !sameAttribution(&got, &want) {
+				t.Fatalf("step %d (rejected: %v), commodity %d: engine %+v, bare usage %+v",
+					step, e.Backtracks() > before, j, got, want)
+			}
+			bindings += len(got.Binding)
+		}
+	}
+	if accepted == 0 || rejected == 0 || bindings == 0 {
+		t.Fatalf("%d accepted and %d rejected steps, %d bindings; want both kinds of step and some bindings checked",
+			accepted, rejected, bindings)
+	}
+}
+
+// sameAttribution reports whether a and b agree bit for bit.
+func sameAttribution(a, b *Attribution) bool {
+	if !sameFloat(a.Offered, b.Offered) || !sameFloat(a.Admitted, b.Admitted) ||
+		!sameFloat(a.Utility, b.Utility) || !sameFloat(a.MarginalUtility, b.MarginalUtility) ||
+		!sameFloat(a.PathCost, b.PathCost) || !sameFloat(a.Gap, b.Gap) || len(a.Binding) != len(b.Binding) {
+		return false
+	}
+	for i, p := range a.Binding {
+		q := b.Binding[i]
+		if p.Node != q.Node || !sameFloat(p.Utilization, q.Utilization) || !sameFloat(p.Price, q.Price) {
+			return false
+		}
+	}
+	return true
 }

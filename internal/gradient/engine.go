@@ -107,7 +107,8 @@ type Engine struct {
 	// prices, all under the external usage installed when they were
 	// made. One node pass (evaluate) makes them: after an accepted
 	// backtracking step, which has to judge its proposal anyway, or in
-	// the first Step or Stationarity call that finds them missing.
+	// the first Step, Stationarity or Attributor call that finds them
+	// missing.
 	// carried implies forecasted and measured.
 	carried  bool
 	cost     float64
@@ -215,8 +216,8 @@ func (e *Engine) Restart() {
 // flows of the routing stand, and so do its admitted rates, utility and
 // utility loss — none depends on ext — but the cost, feasibility and
 // node prices the engine carried were taken at the old global operating
-// point and are dropped: the next Step or Stationarity makes one node
-// pass, nothing more. That pass adds the price change to the screen's
+// point and are dropped: the next Step, Stationarity or Attributor
+// makes one node pass, nothing more. That pass adds the price change to the screen's
 // drift, so the screen needs no reset. The momentum is kept: the
 // routing's last step is still its last step, and a coordinator's turns
 // would otherwise restart it every 25 iterations.
@@ -257,6 +258,16 @@ func (e *Engine) Usage() *flow.Usage {
 func (e *Engine) Stationarity() float64 {
 	e.measure()
 	return e.arena.stationarity(e.u)
+}
+
+// Attributor explains the current routing's commodities
+// (Attributor.Attribute) in the engine's own workspaces, priced by the
+// node pass the next Step would make, under the external usage last
+// installed (SetExternal): no allocation, and the trajectory does not
+// move. It is valid until the next Step, SetExternal or Restart.
+func (e *Engine) Attributor() Attributor {
+	e.measure()
+	return Attributor{u: e.u, a: e.arena}
 }
 
 // measure brings the engine's view of R up to date: the forecast in u,

@@ -27,11 +27,16 @@ func ComputeMarginals(u *flow.Usage, j int) *Marginals {
 	return m
 }
 
-// nodePrices is fillNodePrices into a fresh vector: u's node prices at
-// its own flow plus ext.
+// nodePrices is the reference for the engine's node pass
+// (arena.evaluate): u's node prices at its own flow plus ext, priced
+// node by node with transform.Extended.ShadowPrice, zero past the
+// shared prefix.
 func nodePrices(u *flow.Usage, ext []float64) []float64 {
+	x := u.R.X
 	price := make([]float64, len(u.FNode))
-	fillNodePrices(u, ext, price)
+	for n := range x.SharedNodes {
+		price[n] = x.ShadowPrice(graph.NodeID(n), loadAt(u, ext, n))
+	}
 	return price
 }
 
@@ -69,18 +74,18 @@ func feasibleAt(u *flow.Usage, ext []float64) bool {
 	return ok
 }
 
-// checkStationarityAt is CheckStationarity at u plus ext.
+// checkStationarityAt is CheckStationarity at u plus ext, priced by
+// the nodePrices reference.
 func checkStationarityAt(u *flow.Usage, ext []float64) float64 {
 	a := newArena(u.R.X, false)
-	fillNodePrices(u, ext, a.price)
+	copy(a.price, nodePrices(u, ext))
 	return a.stationarity(u)
 }
 
 // AttributeAll explains every commodity at the evaluated usage u, each
 // with a Binding slice of its own.
 func AttributeAll(u *flow.Usage) []Attribution {
-	var a Attributor
-	a.Reset(u, nil)
+	a := NewAttributor(u)
 	out := make([]Attribution, u.R.X.NumCommodities())
 	for j := range out {
 		a.Attribute(j, &out[j])

@@ -44,7 +44,7 @@ import (
 // and tags, visited earlier, so the two protocols share the visit.
 //
 // price[n] is ε·D'_n at the global operating point for every extended
-// node (fillNodePrices): it depends on the node alone, not on the
+// node (arena.evaluate): it depends on the node alone, not on the
 // commodity or the edge, so it is computed once per iteration instead of
 // once per member edge. rho and tagged (local node indexing) and linkD (local
 // edge indexing) are fully overwritten.

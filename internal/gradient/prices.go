@@ -5,42 +5,25 @@ import (
 	"math/bits"
 
 	"repro/internal/flow"
-	"repro/internal/graph"
 	"repro/internal/utility"
 )
-
-// fillNodePrices sets price[n] = ε·D'_n(f_n + ext_n) for every
-// extended node of the evaluated usage u: the barrier's shadow price at
-// the global operating point (a shard's own flow plus ext, what the
-// other shards route through the node; nil adds nothing), zero at
-// uncapacitated nodes. This is the ∂A_i/∂f_e of eq. 11 off the
-// difference links, a property of the node alone, so the marginal wave,
-// the stationarity check and the bottleneck attribution all read it
-// from one vector instead of recomputing it per member edge. It walks
-// the shared node prefix, which holds every capacitated node; the dummy
-// nodes past it are never written, so price must hold zero there, as a
-// fresh vector does.
-func fillNodePrices(u *flow.Usage, ext, price []float64) {
-	x := u.R.X
-	for n, f := range u.FNode[:x.SharedNodes] {
-		if n < len(ext) {
-			f += ext[n]
-		}
-		price[n] = x.ShadowPrice(graph.NodeID(n), f)
-	}
-}
 
 // evaluate is the one pass over the nodes that judges a forecast usage
 // u whose utility loss Y is loss: it returns A = Y + ε·D — the operands
 // Usage.TotalCost adds, in its order — and the feasibility
-// Usage.Feasible reports, and leaves a.price holding u's node prices,
-// as fillNodePrices would. It visits only the capacitated shared nodes
+// Usage.Feasible reports, and leaves a.price holding u's node prices:
+// price[n] = ε·D'_n(f_n + ext_n), the barrier's shadow price at the
+// global operating point (the double transform.Extended.ShadowPrice
+// returns at that load). That is the ∂A_i/∂f_e of eq. 11 off the
+// difference links, a property of the node alone, so the marginal wave,
+// the stationarity check and the bottleneck attribution all read it
+// from this one vector. It visits only the capacitated shared nodes
 // (a.capped), in ascending order; every other node's price is 0 for
-// good. The load z = f_n + ext_n (a.ext) is formed once per node for all
-// three. The caller must be done reading a.price. The same loop adds
-// the largest price change to the screen's drift Π and the largest
-// price fall to Π⁻, each rounded up (a NaN price makes both NaN, which
-// screens nothing).
+// good (indexCapped). The load z = f_n + ext_n (a.ext) is formed once
+// per node for all three. The caller must be done reading a.price. The
+// same loop adds the largest price change to the screen's drift Π and
+// the largest price fall to Π⁻, each rounded up (a NaN price makes both
+// NaN, which screens nothing).
 //
 // The barrier is called on its concrete type, utility.Reciprocal, so the
 // compiler inlines D and D' into the loop.

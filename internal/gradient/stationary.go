@@ -18,14 +18,14 @@ const (
 // routing every used link's marginal equals the node's minimum
 // marginal), as a convergence test: the largest (d_e − min_d)/(1+min_d)
 // over links with φ_e > MinPhi at nodes with t_i > MinTraffic, zero at
-// a stationary point. It runs in freshly allocated workspaces.
+// a stationary point. It runs in a fresh arena, priced by its own node
+// pass (evaluate) at u's own flow: no other shard's flow is added.
 // Iteration loops ask their engine instead (Engine.Stationarity), which
 // runs the same check on the workspaces it already owns; this form
-// serves one-off diagnostics on a usage that no engine holds, priced
-// at u's own flow: no other shard's flow is added.
+// serves one-off diagnostics on a usage that no engine holds.
 func CheckStationarity(u *flow.Usage) float64 {
 	a := newArena(u.R.X, false)
-	fillNodePrices(u, nil, a.price)
+	a.evaluate(u, 0)
 	return a.stationarity(u)
 }
 

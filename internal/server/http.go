@@ -254,7 +254,7 @@ func (s *Server) Handler(reg *obs.Registry) http.Handler {
 
 	mux.HandleFunc("POST /v1/nodes/{name}/capacity", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
-		abs, scale, ok := parseResize(w, r)
+		abs, scale, ok := parseResize(w, r, "capacity")
 		if !ok {
 			return
 		}
@@ -267,7 +267,7 @@ func (s *Server) Handler(reg *obs.Registry) http.Handler {
 
 	mux.HandleFunc("POST /v1/links/{from}/{to}/bandwidth", func(w http.ResponseWriter, r *http.Request) {
 		from, to := r.PathValue("from"), r.PathValue("to")
-		abs, scale, ok := parseResize(w, r)
+		abs, scale, ok := parseResize(w, r, "bandwidth")
 		if !ok {
 			return
 		}
@@ -376,25 +376,33 @@ func (h *HTTPServer) Addr() string { return h.ln.Addr().String() }
 // Close stops the listener and open connections.
 func (h *HTTPServer) Close() error { return h.http.Close() }
 
-// resize payload shared by the capacity and bandwidth endpoints:
-// exactly one of an absolute value or a multiplicative scale (the E8
-// failure-injection idiom, e.g. {"scale": 0.25} cuts to a quarter).
-func parseResize(w http.ResponseWriter, r *http.Request) (abs, scale float64, ok bool) {
+// parseResize reads the payload of the capacity and bandwidth routes:
+// exactly one of an absolute value, under the route's own field
+// ("capacity" or "bandwidth"), or a multiplicative scale (the E8
+// failure-injection idiom, e.g. {"scale": 0.25} cuts to a quarter). The
+// other route's field is refused, not read.
+func parseResize(w http.ResponseWriter, r *http.Request, field string) (abs, scale float64, ok bool) {
 	var in struct {
-		Capacity  float64 `json:"capacity"`
-		Bandwidth float64 `json:"bandwidth"`
-		Scale     float64 `json:"scale"`
+		Capacity  *float64 `json:"capacity"`
+		Bandwidth *float64 `json:"bandwidth"`
+		Scale     float64  `json:"scale"`
 	}
 	if !decodeBody(w, r, &in) {
 		return 0, 0, false
 	}
-	abs = in.Capacity
-	if in.Bandwidth != 0 {
-		abs = in.Bandwidth
+	own, other, otherField := in.Capacity, in.Bandwidth, "bandwidth"
+	if field == "bandwidth" {
+		own, other, otherField = in.Bandwidth, in.Capacity, "capacity"
+	}
+	if other != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("a %s route takes no %q field", field, otherField))
+		return 0, 0, false
+	}
+	if own != nil {
+		abs = *own
 	}
 	if (abs != 0) == (in.Scale != 0) {
-		writeError(w, http.StatusBadRequest,
-			errors.New("set exactly one of capacity/bandwidth or scale"))
+		writeError(w, http.StatusBadRequest, fmt.Errorf("set exactly one of %s or scale", field))
 		return 0, 0, false
 	}
 	return abs, in.Scale, true
@@ -402,9 +410,14 @@ func parseResize(w http.ResponseWriter, r *http.Request) (abs, scale float64, ok
 
 const maxBodyBytes = 1 << 20
 
+// readBody reads the request body, answering 400 itself when it cannot
+// or when the body exceeds maxBodyBytes.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
+		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+			err = fmt.Errorf("request body exceeds the %d-byte limit", maxBodyBytes)
+		}
 		writeError(w, http.StatusBadRequest, err)
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -49,39 +50,64 @@ func TestErrorEnvelope(t *testing.T) {
 		{"capacity no value", "POST", "/v1/nodes/a/capacity", `{}`, 400, "invalid_argument"},
 		{"capacity both values", "POST", "/v1/nodes/a/capacity", `{"capacity":5,"scale":2}`, 400, "invalid_argument"},
 		{"bandwidth unknown link", "POST", "/v1/links/a/ghost/bandwidth", `{"bandwidth":5}`, 404, "not_found"},
+		{"capacity route given bandwidth", "POST", "/v1/nodes/a/capacity", `{"bandwidth":5}`, 400, "invalid_argument"},
+		{"capacity route given both values", "POST", "/v1/nodes/a/capacity", `{"capacity":5,"bandwidth":7}`, 400, "invalid_argument"},
+		{"bandwidth route given capacity", "POST", "/v1/links/a/b/bandwidth", `{"capacity":7}`, 400, "invalid_argument"},
 		{"patch unknown utility type", "PATCH", "/v1/commodities/c1", `{"utility":{"type":"bogus"}}`, 400, "invalid_argument"},
 		{"patch negative rate, unknown in the name", "PATCH", "/v1/commodities/unknown-7", `{"maxRate":-3}`, 400, "invalid_argument"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			req, err := http.NewRequest(tc.method, base+tc.url, strings.NewReader(tc.body))
-			if err != nil {
-				t.Fatal(err)
+			status, code, message := errorEnvelope(t, tc.method, base+tc.url, tc.body)
+			if status != tc.want {
+				t.Fatalf("%s %s = %d (%s), want %d", tc.method, tc.url, status, message, tc.want)
 			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
+			if code != tc.wantCode {
+				t.Fatalf("%s %s code = %q, want %q (message: %s)", tc.method, tc.url, code, tc.wantCode, message)
 			}
-			defer resp.Body.Close()
-			var e struct {
-				Error struct {
-					Code    string `json:"code"`
-					Message string `json:"message"`
-				} `json:"error"`
-			}
-			dec := json.NewDecoder(resp.Body)
-			if err := dec.Decode(&e); err != nil {
-				t.Fatalf("%s %s: body is not a JSON error envelope: %v", tc.method, tc.url, err)
-			}
-			if resp.StatusCode != tc.want {
-				t.Fatalf("%s %s = %d (%s), want %d", tc.method, tc.url, resp.StatusCode, e.Error.Message, tc.want)
-			}
-			if e.Error.Code != tc.wantCode {
-				t.Fatalf("%s %s code = %q, want %q (message: %s)", tc.method, tc.url, e.Error.Code, tc.wantCode, e.Error.Message)
-			}
-			if e.Error.Message == "" {
+			if message == "" {
 				t.Fatalf("%s %s: envelope lacks a message", tc.method, tc.url)
 			}
 		})
 	}
+}
+
+// TestOversizedBodyNamesTheLimit: a body past maxBodyBytes is refused
+// with 400 invalid_argument and a message that names the limit, not
+// read up to the limit and reported as truncated JSON.
+func TestOversizedBodyNamesTheLimit(t *testing.T) {
+	_, ts := startServer(t, nil)
+	body := `{"maxRate":1,"pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	status, code, message := errorEnvelope(t, "PATCH", ts.URL+"/v1/commodities/c1", body)
+	if status != http.StatusBadRequest || code != "invalid_argument" {
+		t.Fatalf("oversized body = %d %q (%s), want 400 invalid_argument", status, code, message)
+	}
+	if limit := strconv.Itoa(maxBodyBytes); !strings.Contains(message, limit) {
+		t.Fatalf("message %q does not name the %s-byte limit", message, limit)
+	}
+}
+
+// errorEnvelope sends one request and decodes the error envelope of its
+// answer.
+func errorEnvelope(t *testing.T, method, url, body string) (status int, code, message string) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e struct {
+		Error struct {
+			Code    string `json:"code"`
+			Message string `json:"message"`
+		} `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatalf("%s %s: body is not a JSON error envelope: %v", method, url, err)
+	}
+	return resp.StatusCode, e.Error.Code, e.Error.Message
 }

@@ -589,11 +589,14 @@ func (c *Coordinator) UsageReport() []core.NodeUsage {
 }
 
 // Explain writes every shard's bottleneck attribution straight into one
-// slice in global commodity order. Each shard attributes at its own
-// final evaluation under its external usage, so its marginals and
-// loads count the merged operating point. Entry gi's name, offered
-// rate, admitted rate and utility are commodity gi's admission outcome
-// in the problem last applied: the one per-commodity read of a solve.
+// slice in global commodity order. Each shard attributes in its
+// engine's own workspaces under its external usage, so its marginals
+// and loads count the merged operating point. The usage is installed
+// again first: updateExternals rewrites it after every turn, and the
+// engine's carried prices may predate the last rewrite. Entry gi's
+// name, offered rate, admitted rate and utility are commodity gi's
+// admission outcome in the problem last applied: the one per-commodity
+// read of a solve.
 func (c *Coordinator) Explain() []core.CommodityExplain {
 	if c.p == nil {
 		return nil
@@ -601,7 +604,8 @@ func (c *Coordinator) Explain() []core.CommodityExplain {
 	parts := make([]core.ExplainPart, 0, len(c.runners))
 	for _, r := range c.runners {
 		if r.eng != nil {
-			parts = append(parts, core.ExplainPart{X: r.x, U: r.eng.Usage(), Ext: r.ext, Global: r.global})
+			r.eng.SetExternal(r.ext)
+			parts = append(parts, core.ExplainPart{X: r.x, A: r.eng.Attributor(), Global: r.global})
 		}
 	}
 	out := make([]core.CommodityExplain, len(c.p.Commodities))

@@ -296,13 +296,13 @@ func TestStationarySweepIsFree(t *testing.T) {
 			if res.Err != nil || !res.Converged {
 				t.Fatalf("cold solve: converged %v after %d iterations, err %v", res.Converged, res.Iterations, res.Err)
 			}
-			allocs := testing.AllocsPerRun(20, func() { res = c.Solve(context.Background()) })
+			allocs := mallocs(20, func() { res = c.Solve(context.Background()) })
 			if !res.Converged || res.Rounds != 1 || res.Iterations != 0 {
 				t.Fatalf("stationary solve: converged %v in %d rounds and %d iterations; want converged in 1 round, 0 iterations",
 					res.Converged, res.Rounds, res.Iterations)
 			}
 			if allocs != 0 {
-				t.Fatalf("stationary solve allocates %v objects, want 0", allocs)
+				t.Fatalf("20 stationary solves allocate %d objects, want 0", allocs)
 			}
 		})
 	}

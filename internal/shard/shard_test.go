@@ -388,10 +388,8 @@ func TestExternalUsageShiftsPrices(t *testing.T) {
 	ext[node] = 0.95*c - f // past gradient.BindingUtilization, so the node binds
 	eng.SetExternal(ext)
 
-	var attr gradient.Attributor
 	var at gradient.Attribution
-	attr.Reset(eng.Usage(), ext)
-	attr.Attribute(0, &at)
+	eng.Attributor().Attribute(0, &at)
 	var bound *gradient.BindingNode
 	for i := range at.Binding {
 		if at.Binding[i].Node == graph.NodeID(node) {
