@@ -191,15 +191,17 @@ func BenchmarkStepSparse(b *testing.B) {
 	}
 }
 
-// BenchmarkStationaritySparse prices the convergence test the solve
-// loops run before a block of steps: Theorem 2's eq.-12 gap on the
-// engine's own workspaces, forecast included (a Step in between
-// invalidates it). The J=1k rung is a paper-mode engine, as core.Solve
-// steps it; serving-warm is the engine BenchmarkStepSparse/serving-warm
-// steps, checked as a shard's turn checks it: after its external usage
-// is installed again (Engine.SetExternal), so the node pass is priced
-// too, and with the screen skipping the rows whose bound holds. Keep
-// -benchtime at a few hundred iterations, as for BenchmarkStepSparse.
+// BenchmarkStationaritySparse prices the convergence test a shard's
+// turn runs before its steps: Theorem 2's eq.-12 gap on the engine's
+// own workspaces, forecast included (a Step in between invalidates it),
+// swept in full as a passing check sweeps it (a failing one stops at
+// the first row past its tolerance). The J=1k rung is a paper-mode
+// engine, as a paper-mode shard steps it; serving-warm is the engine
+// BenchmarkStepSparse/serving-warm steps, checked as a shard's turn
+// checks it: after its external usage is installed again
+// (Engine.SetExternal), so the node pass is priced too, and with the
+// screen skipping the rows whose bound holds. Keep -benchtime at a few
+// hundred iterations, as for BenchmarkStepSparse.
 func BenchmarkStationaritySparse(b *testing.B) {
 	for _, rung := range []struct {
 		name string

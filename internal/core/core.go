@@ -53,17 +53,12 @@ type Options struct {
 	// Shared transformation knobs (§3).
 	Epsilon float64 // penalty coefficient ε; default 0.2
 
-	// Iteration budget; default 5000.
+	// Iteration budget, run in full: Solve has no early stop (the
+	// admission server's solves stop at Theorem 2); default 5000.
 	MaxIters int
 	// SampleEvery keeps every k-th trace point (and always the last
 	// iteration run); default keeps all.
 	SampleEvery int
-	// StationaryTol, when positive, stops the gradient algorithms once
-	// Theorem 2's necessary optimality condition holds within the
-	// tolerance (the eq.-12 gap gradient.CheckStationarity returns),
-	// checked before the first step and every 50th. Grounded convergence detection
-	// without a reference solve.
-	StationaryTol float64
 
 	// Gradient knobs (§5).
 	Eta float64 // step scale η; default 0.04
@@ -207,10 +202,11 @@ func Solve(p *stream.Problem, opts Options) (*Result, error) {
 	return res, solveGradient(p, x, opts, res)
 }
 
-// solveGradient runs the synchronous engine in either step mode:
-// opts.Algorithm picks fixed η or backtracking, everything else — the
-// trace, divergence detection, the early stop, the protocol accounting
-// — is one Engine.Run, with the trace sampled by its observer.
+// solveGradient runs the synchronous engine in either step mode for
+// its whole budget: opts.Algorithm picks fixed η or backtracking,
+// everything else — the trace, divergence detection, the protocol
+// accounting — is one Engine.Run, with the trace sampled by its
+// observer.
 func solveGradient(p *stream.Problem, x *transform.Extended, opts Options, res *Result) error {
 	if opts.MaxIters <= 0 {
 		opts.MaxIters = 5000
@@ -223,7 +219,7 @@ func solveGradient(p *stream.Problem, x *transform.Extended, opts Options, res *
 		Backtrack: opts.Algorithm == GradientAdaptive,
 	})
 	var last TracePoint
-	steps, _, err := eng.Run(context.Background(), opts.MaxIters, opts.StationaryTol, new(gradient.DivergenceDetector), func(info gradient.StepInfo) bool {
+	steps, _, err := eng.Run(context.Background(), opts.MaxIters, 0, new(gradient.DivergenceDetector), func(info gradient.StepInfo) bool {
 		last = TracePoint{Iteration: info.Iteration, Utility: info.Utility, Cost: info.Cost}
 		if info.Iteration%opts.SampleEvery == 0 {
 			res.Trace = append(res.Trace, last)
@@ -233,8 +229,7 @@ func solveGradient(p *stream.Problem, x *transform.Extended, opts Options, res *
 	if err != nil {
 		return err
 	}
-	// The last iteration run is always sampled, whether the budget or the
-	// stationarity test ended the loop.
+	// The last iteration run is always sampled.
 	if steps > 0 && res.Trace[len(res.Trace)-1].Iteration != last.Iteration {
 		res.Trace = append(res.Trace, last)
 	}

@@ -3,11 +3,11 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/gradient"
 	"repro/internal/stream"
-	"repro/internal/utility"
 )
 
 func figure1(t *testing.T) *stream.Problem {
@@ -206,60 +206,32 @@ func TestSolveExplain(t *testing.T) {
 	}
 }
 
-// TestSolveStartingStationaryCostsNoIteration: the optimum of a
-// commodity whose utility is too flat to pay for any capacity admits
-// nothing, which is where the cold start begins. With a tolerance the
-// check before the first step holds, so the solve runs no iteration,
-// in both step modes, and reports the empty trace it has.
-func TestSolveStartingStationaryCostsNoIteration(t *testing.T) {
-	net := stream.NewNetwork()
-	a, _ := net.AddServer("a", 2)
-	sink, _ := net.AddSink("t")
-	e, _ := net.AddLink(a, sink, 2)
-	p := stream.NewProblem(net)
-	c, err := p.AddCommodity("flat", a, sink, 1, utility.Linear{Slope: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SetEdge(c, e, stream.EdgeParams{Beta: 1, Cost: 1}); err != nil {
-		t.Fatal(err)
-	}
-	for _, alg := range []Algorithm{Gradient, GradientAdaptive} {
-		t.Run(string(alg), func(t *testing.T) {
-			res, err := Solve(p, Options{Algorithm: alg, MaxIters: 500, StationaryTol: 1e-3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Iterations != 0 || len(res.Trace) != 0 || res.Admitted[0] != 0 {
-				t.Fatalf("%d iterations, trace %+v, admitted %v; want 0 iterations, no trace, nothing admitted",
-					res.Iterations, res.Trace, res.Admitted)
-			}
-		})
-	}
-}
-
-// TestStationaryTolStopsEarly holds both step modes of the one gradient
-// loop to the same contract: Theorem 2 stationarity ends the run early,
-// the trace still ends where the run stopped, the protocol accounting is
-// filled in, and divergence is an error.
-func TestStationaryTolStopsEarly(t *testing.T) {
+// TestSolveRunsItsBudget holds both step modes of the one gradient
+// loop to the same contract: a solve runs its whole budget, the trace
+// ends at the last iteration run even between two samples, the protocol
+// accounting is filled in, and divergence is an error.
+func TestSolveRunsItsBudget(t *testing.T) {
+	const budget = 2500
 	for _, alg := range []Algorithm{Gradient, GradientAdaptive} {
 		t.Run(string(alg), func(t *testing.T) {
 			res, err := Solve(figure1(t), Options{
-				Algorithm:     alg,
-				MaxIters:      50000,
-				Eta:           0.2,
-				StationaryTol: 0.05,
-				SampleEvery:   1000,
+				Algorithm:   alg,
+				MaxIters:    budget,
+				Eta:         0.2,
+				SampleEvery: 1000,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Iterations >= 50000 {
-				t.Fatal("stationarity detection never fired")
+			if res.Iterations != budget {
+				t.Fatalf("%d iterations, want the budget %d", res.Iterations, budget)
 			}
-			if n := len(res.Trace); n < 2 || res.Trace[n-1].Iteration != res.Iterations-1 {
-				t.Fatalf("trace %+v does not end at the last iteration run (%d)", res.Trace, res.Iterations-1)
+			var at []int
+			for _, tp := range res.Trace {
+				at = append(at, tp.Iteration)
+			}
+			if want := []int{0, 1000, 2000, budget - 1}; !slices.Equal(at, want) {
+				t.Fatalf("trace at iterations %v, want %v", at, want)
 			}
 			if res.Utility <= 0 {
 				t.Fatalf("stopped at utility %g", res.Utility)

@@ -62,8 +62,9 @@ type arena struct {
 	messages, rounds int
 }
 
-// newArena sizes the wave workspace of x, and the screen too when
-// screened is set (the serving mode).
+// newArena sizes the sweeps' rho and linkD for x (newEngine adds the
+// wave's tagged and prev as its config needs them), and the screen too
+// when screened is set (the serving mode).
 func newArena(x *transform.Extended, screened bool) *arena {
 	a := &arena{x: x, price: make([]float64, x.NumNodes())}
 	maxN, maxE := 0, 0
@@ -73,12 +74,7 @@ func newArena(x *transform.Extended, screened bool) *arena {
 		a.messages += sg.NumEdges()
 		a.rounds = max(a.rounds, sg.Depth())
 	}
-	a.scratch = waveScratch{
-		rho:    make([]float64, maxN),
-		linkD:  make([]float64, maxE),
-		tagged: make([]bool, maxN),
-		prev:   make([]float64, maxE),
-	}
+	a.scratch = waveScratch{rho: make([]float64, maxN), linkD: make([]float64, maxE)}
 	if screened {
 		a.screen = make([]rowScreen, len(x.Sub))
 		a.widths = make([]float32, len(x.Sub))

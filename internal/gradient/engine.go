@@ -146,11 +146,18 @@ func New(x *transform.Extended, cfg Config) *Engine {
 
 func newEngine(x *transform.Extended, r *flow.Routing, cfg Config) *Engine {
 	cfg.setDefaults()
+	a := newArena(x, cfg.DisableBlocking)
+	if !cfg.DisableBlocking {
+		a.scratch.tagged = make([]bool, len(a.scratch.rho))
+	}
+	if cfg.Momentum > 0 {
+		a.scratch.prev = make([]float64, len(a.scratch.linkD))
+	}
 	return &Engine{
 		X: x, R: r, cfg: cfg, eta: cfg.Eta,
 		u:             flow.NewUsage(x),
 		spare:         r.Clone(),
-		arena:         newArena(x, cfg.DisableBlocking),
+		arena:         a,
 		admitted:      make([]float64, x.NumCommodities()),
 		spareAdmitted: make([]float64, x.NumCommodities()),
 	}
@@ -251,13 +258,13 @@ func (e *Engine) Usage() *flow.Usage {
 	return e.u
 }
 
-// Stationarity returns the eq.-12 gap (CheckStationarity) at the
+// Stationarity returns the full eq.-12 gap (CheckStationarity) at the
 // current routing, computed on the engine's workspaces, allocating
 // nothing. The forecast and the evaluation it needs are kept for the
 // next Step.
 func (e *Engine) Stationarity() float64 {
 	e.measure()
-	return e.arena.stationarity(e.u)
+	return e.arena.stationarity(e.u, math.Inf(1))
 }
 
 // Attributor explains the current routing's commodities
@@ -407,28 +414,23 @@ func (d *DivergenceDetector) Observe(info StepInfo) error {
 	return nil
 }
 
-// checkEvery is Run's Theorem-2 check cadence. A shard's turn runs at
-// most exchangeEvery = 25 steps, so it is checked only before its first.
-const checkEvery = 50
-
-// Run is the one loop that steps the engine to a stop. A Theorem-2
-// check (Stationarity ≤ tol, when tol > 0) comes before step i whenever
-// i%checkEvery == 0: always before the first step, even when budget is
-// 0, and never after the last. Within a step the order is: the check if
-// it is due, ctx, Step, det.Observe (when det is non-nil), then observe
-// (when non-nil). The run stops at the first of a passing check, budget
-// steps, a done ctx, an error from det, or observe returning true. It
-// returns the steps run, whether a check passed, and det's error; a
-// done ctx is not an error. det is the caller's, so a detector can
-// carry its streak across runs; nil turns divergence detection off.
+// Run is the one loop that steps the engine to a stop. When tol > 0 it
+// checks Theorem 2 (Stationarity ≤ tol) once, before the first step,
+// even when budget is 0; a caller that wants a check cadence runs its
+// budget in chunks, one Run each. Each step runs ctx, Step, det.Observe
+// (when det is non-nil), then observe (when non-nil). The run stops at
+// the first of a passing check, budget steps, a done ctx, an error
+// from det, or observe returning true. It returns the steps run,
+// whether the check passed, and det's error; a done ctx is not an
+// error. det is the caller's, so a detector can carry its streak across
+// runs; nil turns divergence detection off.
 func (e *Engine) Run(ctx context.Context, budget int, tol float64, det *DivergenceDetector, observe func(StepInfo) bool) (steps int, stationary bool, err error) {
-	for ; ; steps++ {
-		if tol > 0 && steps%checkEvery == 0 && (steps == 0 || steps < budget) && e.Stationarity() <= tol {
-			return steps, true, nil
+	if tol > 0 {
+		if e.measure(); e.arena.stationarity(e.u, tol) <= tol {
+			return 0, true, nil
 		}
-		if steps >= budget || ctx.Err() != nil {
-			return steps, false, nil
-		}
+	}
+	for ; steps < budget && ctx.Err() == nil; steps++ {
 		info := e.Step()
 		if det != nil {
 			if err := det.Observe(info); err != nil {
@@ -439,6 +441,7 @@ func (e *Engine) Run(ctx context.Context, budget int, tol float64, det *Divergen
 			return steps + 1, false, nil
 		}
 	}
+	return steps, false, nil
 }
 
 // Solution evaluates the current routing set.

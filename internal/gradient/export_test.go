@@ -1,6 +1,8 @@
 package gradient
 
 import (
+	"math"
+
 	"repro/internal/flow"
 	"repro/internal/graph"
 	"repro/internal/transform"
@@ -79,7 +81,7 @@ func feasibleAt(u *flow.Usage, ext []float64) bool {
 func checkStationarityAt(u *flow.Usage, ext []float64) float64 {
 	a := newArena(u.R.X, false)
 	copy(a.price, nodePrices(u, ext))
-	return a.stationarity(u)
+	return a.stationarity(u, math.Inf(1))
 }
 
 // AttributeAll explains every commodity at the evaluated usage u, each

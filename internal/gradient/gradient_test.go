@@ -459,31 +459,30 @@ func TestRunToTarget(t *testing.T) {
 	}
 }
 
-// TestRunCheckRule pins when Run checks Theorem 2: before step i
-// whenever i%checkEvery == 0, always before step 0 even at budget 0, never
-// after the last step. The gaps come from a reference engine that
-// checks before every step; checking does not move the trajectory.
+// TestRunCheckRule pins when Run checks Theorem 2: once, before the
+// first step, even at budget 0, and never again. A start that passes
+// runs no step; one that fails runs its whole budget, past the point a
+// later check would pass, on the trajectory an unchecked run takes. A
+// done ctx stops the run after the check, before a step. The gaps come
+// from a reference engine that checks before every step; checking does
+// not move the trajectory.
 func TestRunCheckRule(t *testing.T) {
 	x := twoPath(t, 20, utility.Linear{Slope: 1})
-	const every, n = checkEvery, 400
+	const n = 400
 	ref := New(x, Config{Eta: 0.2})
 	gaps := make([]float64, n+1)
 	for i := range gaps {
 		gaps[i] = ref.Stationarity()
 		ref.Step()
 	}
-	// A tolerance reached between two checks; first is the check that
-	// sees it.
-	tol := gaps[5*every/2]
-	first := -1
-	for i := every; i < n; i += every {
-		if gaps[i] <= tol {
-			first = i
-			break
-		}
+	// A tolerance the trajectory reaches halfway.
+	tol := gaps[n/2]
+	if gaps[0] <= tol {
+		t.Fatalf("instance does not fit the test: gap %g at step 0, tolerance %g", gaps[0], tol)
 	}
-	if gaps[0] <= tol || first <= 5*every/2 {
-		t.Fatalf("instance does not fit the test: gap %g at step 0, tolerance %g first seen at %d", gaps[0], tol, first)
+	unchecked := New(x, Config{Eta: 0.2})
+	if err := run(unchecked, n); err != nil {
+		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		name       string
@@ -494,15 +493,22 @@ func TestRunCheckRule(t *testing.T) {
 	}{
 		{"budget 0 still checks", 0, gaps[0], 0, true},
 		{"budget 0 check fails", 0, tol, 0, false},
-		{"stops at the first passing check", n, tol, first, true},
-		{"no check after the last step", first, tol, first, false},
-		{"the check before the last step", first + 1, tol, first, true},
+		{"stops at the first passing check", n, gaps[0], 0, true},
+		{"no check after the last step", n / 2, tol, n / 2, false},
+		{"a failing start runs its whole budget", n, tol, n, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := New(x, Config{Eta: 0.2})
 			steps, stationary, err := e.Run(context.Background(), tc.budget, tc.tol, new(DivergenceDetector), nil)
 			if err != nil || steps != tc.steps || stationary != tc.stationary {
 				t.Fatalf("Run = (%d, %v, %v), want (%d, %v, nil)", steps, stationary, err, tc.steps, tc.stationary)
+			}
+			if steps == n {
+				for j := range e.R.Phi {
+					if i := sameBits(e.R.Phi[j], unchecked.R.Phi[j]); i >= 0 {
+						t.Fatalf("commodity %d: φ[%d] = %v after a checked run, %v unchecked", j, i, e.R.Phi[j][i], unchecked.R.Phi[j][i])
+					}
+				}
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package gradient
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -208,6 +209,54 @@ func TestQuickStationaryPointSatisfiesOptimalityCondition(t *testing.T) {
 		t.Fatalf("seed %d", int64(slowSeed))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 8, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickRunVerdictIsTheFullGap: Run's one check stops sweeping at
+// the first row whose gap exceeds tol, and its verdict is still the
+// full gap's, Stationarity() ≤ tol, on paper and serving engines,
+// screened and unscreened, along random trajectories. The tolerances
+// straddle the gap, and one is the first positive row gap: an early
+// exit that also stopped on a gap equal to tol would pass there,
+// missing a larger gap in a later row.
+func TestQuickRunVerdictIsTheFullGap(t *testing.T) {
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"paper", Config{}},
+		{"paper,backtrack", Config{Backtrack: true}},
+		{"paper,screened", Config{DisableBlocking: true}},
+		{"serving", Config{Backtrack: true, Momentum: 0.9, DisableBlocking: true}},
+	}
+	f := func(seed int64) bool {
+		x := randomExtended(t, seed)
+		for _, c := range configs {
+			e := New(x, c.cfg)
+			for k := 0; k < 6; k++ {
+				gap := e.Stationarity()
+				first := e.arena.stationarity(e.u, 0)
+				for _, tol := range []float64{gap / 2, gap, math.Nextafter(gap, 0), 2 * gap, first} {
+					if !(tol > 0) {
+						continue
+					}
+					steps, stationary, err := e.Run(context.Background(), 0, tol, nil, nil)
+					if steps != 0 || err != nil || stationary != (gap <= tol) {
+						t.Logf("seed %d, %s, step %d: Run(0, %g) = (%d, %v, %v) at gap %g",
+							seed, c.name, e.Stats().Iterations, tol, steps, stationary, err, gap)
+						return false
+					}
+				}
+				if err := run(e, 20); err != nil {
+					t.Logf("seed %d, %s: %v", seed, c.name, err)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 10, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

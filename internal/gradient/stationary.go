@@ -26,7 +26,7 @@ const (
 func CheckStationarity(u *flow.Usage) float64 {
 	a := newArena(u.R.X, false)
 	a.evaluate(u, 0)
-	return a.stationarity(u)
+	return a.stationarity(u, math.Inf(1))
 }
 
 // stationarity runs the convergence test on the arena's workspaces,
@@ -34,11 +34,12 @@ func CheckStationarity(u *flow.Usage) float64 {
 // marginal sweep (tagging off) and the used-link gaps of eq. 12. It
 // allocates nothing, so convergence detection grounded in the paper's
 // optimality theory rather than in utility deltas costs an iteration
-// loop about one extra wave. It skips the rows the wave skips (skips):
+// loop at most one extra wave. It skips the rows the wave skips (skips):
 // each sits at a vertex whose best links keep a strict lead, so its
 // used-link gaps are exactly 0 (or −0), and none can raise a maximum
-// that starts at 0.
-func (a *arena) stationarity(u *flow.Usage) (maxGap float64) {
+// that starts at 0. It stops at the first row whose gap exceeds bound,
+// where a check's verdict (≤ bound) is settled; +Inf gives the full gap.
+func (a *arena) stationarity(u *flow.Usage, bound float64) (maxGap float64) {
 	rho, linkD := a.scratch.rho, a.scratch.linkD
 	for j := range a.x.Sub {
 		if a.screen != nil && a.skips(j) {
@@ -67,6 +68,9 @@ func (a *arena) stationarity(u *flow.Usage) (maxGap float64) {
 					maxGap = gap
 				}
 			}
+		}
+		if maxGap > bound {
+			return maxGap
 		}
 	}
 	return maxGap

@@ -209,19 +209,21 @@ func TestServingStepMatchesReferenceStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed, err := randnet.GenerateSparse(randnet.Config{Seed: 13, Nodes: 48, Layers: 6, Commodities: 1200,
-		Utility: func(j int) utility.Function {
-			switch j % 3 {
-			case 0:
-				return utility.Linear{Slope: 1}
-			case 1:
-				return utility.Log{Weight: 40, Scale: 10}
-			default:
-				return utility.Sqrt{Weight: 10, Shift: 1}
-			}
-		}})
+	mixed, err := randnet.GenerateSparse(randnet.Config{Seed: 13, Nodes: 48, Layers: 6, Commodities: 1200})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for j, c := range mixed.Commodities {
+		var u utility.Function = utility.Linear{Slope: 1}
+		switch j % 3 {
+		case 1:
+			u = utility.Log{Weight: 40, Scale: 10}
+		case 2:
+			u = utility.Sqrt{Weight: 10, Shift: 1}
+		}
+		if err := mixed.SetUtility(c.Name, u); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, inst := range []struct {
 		prefix string

@@ -232,10 +232,12 @@ func TestEnabledRecorderPerPublishAllocs(t *testing.T) {
 // mallocs counts the heap allocations of runs calls of f after one
 // warm-up call, at GOMAXPROCS 1 as testing.AllocsPerRun measures, in
 // total: AllocsPerRun's integer mean reads a few allocations spread
-// over many runs as 0.
+// over many runs as 0. A full GC after the warm-up call keeps a cycle
+// the warm-up started from allocating inside the measured window.
 func mallocs(runs int, f func()) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
+	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {

@@ -2,7 +2,9 @@
 // random network of processing nodes with capacities and bandwidths
 // drawn U[1,100], per-commodity shrinkage factors derived from node
 // potentials g ~ U[1,10] (so Property 1 holds by construction), and
-// resource consumption rates U[1,5].
+// resource consumption rates U[1,5]. Every commodity's utility is
+// linear with slope 1 (total throughput, §6); a caller that wants
+// another sets it after generating (stream.Problem.SetUtility).
 //
 // The paper does not specify the topology beyond "synthetic (random)
 // network containing 40 nodes" with per-commodity DAGs; we use layered
@@ -32,9 +34,6 @@ type Config struct {
 	// Offered-rate range; the paper studies overload, so the default
 	// U[50,100] typically exceeds what the network can carry.
 	LambdaMin, LambdaMax float64
-	// Utility selects each commodity's utility; default linear slope 1
-	// (total throughput, §6).
-	Utility func(j int) utility.Function
 	// Seed drives the deterministic generator.
 	Seed int64
 }
@@ -74,9 +73,6 @@ func (c *Config) setDefaults() {
 	setF(&c.CostMax, 5)
 	setF(&c.LambdaMin, 50)
 	setF(&c.LambdaMax, 100)
-	if c.Utility == nil {
-		c.Utility = func(int) utility.Function { return utility.Linear{Slope: 1} }
-	}
 }
 
 // Generate builds a random problem instance. The same Config (including
@@ -214,7 +210,7 @@ func Generate(cfg Config) (*stream.Problem, error) {
 			g[i] = uni(gMin, gMax)
 		}
 		lambda := uni(cfg.LambdaMin, cfg.LambdaMax)
-		com, err := p.AddCommodity(name, source, sink, lambda, cfg.Utility(j))
+		com, err := p.AddCommodity(name, source, sink, lambda, utility.Linear{Slope: 1})
 		if err != nil {
 			return nil, err
 		}

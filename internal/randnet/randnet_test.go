@@ -162,12 +162,20 @@ func TestGenerateTransformsCleanly(t *testing.T) {
 	}
 }
 
+// TestGenerateCustomUtility: every generated commodity values
+// throughput, and a caller gives it another utility after generating.
 func TestGenerateCustomUtility(t *testing.T) {
-	p, err := Generate(Config{Seed: 2, Utility: func(j int) utility.Function {
-		return utility.Log{Weight: float64(j + 1), Scale: 1}
-	}})
+	p, err := Generate(Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for j, c := range p.Commodities {
+		if c.Utility != (utility.Linear{Slope: 1}) {
+			t.Fatalf("commodity %d utility = %#v, want linear slope 1", j, c.Utility)
+		}
+		if err := p.SetUtility(c.Name, utility.Log{Weight: float64(j + 1), Scale: 1}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for j, c := range p.Commodities {
 		lg, ok := c.Utility.(utility.Log)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/stream"
+	"repro/internal/utility"
 )
 
 // GenerateSparse builds a many-commodity instance over a small shared
@@ -70,7 +71,7 @@ func GenerateSparse(cfg Config) (*stream.Problem, error) {
 			}
 			edges[l] = e
 		}
-		com, err := p.AddCommodity(name, chain[0], sink, uni(cfg.LambdaMin, cfg.LambdaMax), cfg.Utility(j))
+		com, err := p.AddCommodity(name, chain[0], sink, uni(cfg.LambdaMin, cfg.LambdaMax), utility.Linear{Slope: 1})
 		if err != nil {
 			return nil, err
 		}

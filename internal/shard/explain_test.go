@@ -39,14 +39,15 @@ func sparseCoordinator(t *testing.T, commodities int) (*stream.Problem, *Coordin
 // a fixed number of allocations, whatever J: each allocates its output
 // and a few scratch vectors, nothing per commodity and nothing per
 // entry. Counts, unlike timings, do not depend on the host. A bare
-// usage's explanation prices it in a fresh arena (13 allocations). The
-// coordinator explains every shard in its engine's own, so it allocates
-// only the output, the parts and the binding lists: 6 at J=1000, 7 at
-// J=250, where the binding list outgrows its first J entries once. Its
-// bound leaves one more for what the runtime allocates during a GC in
-// the loop.
+// usage's explanation prices it in a fresh arena, which holds the sweep
+// vectors and none of the wave's (11 allocations). The coordinator
+// explains every shard in its engine's own, so it allocates only the
+// output, the parts and the binding lists: 6 at J=1000, 7 at J=250,
+// where the binding list outgrows its first J entries once. The two
+// explanation bounds leave one more for what the runtime allocates
+// during a GC in the loop, which -race showed once in 65 runs.
 func TestPublishAllocationBudget(t *testing.T) {
-	const budget, explainBudget = 16, 8
+	const budget, bareExplainBudget, explainBudget = 16, 12, 8
 	for _, j := range []int{250, 1000} {
 		p, c := sparseCoordinator(t, j)
 		x, err := transform.Build(p, transform.Options{})
@@ -62,7 +63,7 @@ func TestPublishAllocationBudget(t *testing.T) {
 			f     func()
 			bound float64
 		}{
-			"core.Explain":            {func() { core.Explain(p, x, u) }, budget},
+			"core.Explain":            {func() { core.Explain(p, x, u) }, bareExplainBudget},
 			"core.UsageReport":        {func() { core.UsageReport(p, x, u) }, budget},
 			"Coordinator.Explain":     {func() { c.Explain() }, explainBudget},
 			"Coordinator.UsageReport": {func() { c.UsageReport() }, budget},
@@ -78,10 +79,12 @@ func TestPublishAllocationBudget(t *testing.T) {
 // mallocs counts the heap allocations of runs calls of f after one
 // warm-up call, at GOMAXPROCS 1 as testing.AllocsPerRun measures, in
 // total: AllocsPerRun's integer mean reads a few allocations spread
-// over many runs as 0.
+// over many runs as 0. A full GC after the warm-up call keeps a cycle
+// the warm-up started from allocating inside the measured window.
 func mallocs(runs int, f func()) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
+	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
