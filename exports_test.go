@@ -48,7 +48,7 @@ var stdInterfaces = []string{
 // reason. An entry the guard would not flag fails the test, so the list
 // cannot outlive its reasons.
 var exportAllowlist = map[string]string{
-	"internal/flow.Usage.TotalCost":           "parity reference: gradient's carried-state and reference-step tests compare the engine's fused cost with this unfused A = Y + εD bit for bit",
+	"internal/flow.Usage.TotalCost":           "parity reference: gradient's reference model forms this unfused A = Y + εD at f + ext to check the engine's fused cost bit for bit, and its finite-difference test differences it",
 	"internal/gradient.Engine.Stationarity":   "the full gap at an engine's point: Run's check stops at the first row past its tolerance, and shard's reference loop and the root BenchmarkStationaritySparse read the whole gap",
 	"internal/graph.Graph.In":                 "parity reference: graph's, flow's, transform's and stream's tests check in-edge lists and flow balance against this full-graph index",
 	"internal/graph.Graph.TopoSortFiltered":   "parity reference: graph's and transform's SubDAG tests, flow's dense reference sweep and gradient's longest-path oracle check the sparse order against this full-graph sort",

@@ -254,8 +254,8 @@ func (u *Usage) PenaltyCost() float64 {
 // minimizes (§3). No solver path calls it: the engines fuse this sum
 // into their wave (gradient's evaluate and measureRow), and it is the
 // reference their carried cost is compared against bit for bit
-// (gradient's TestCarriedStateMatchesFreshEvaluation and the reference
-// step loops in step_parity_test.go and adaptive_test.go).
+// (gradient's reference_test.go forms this sum at each node's load plus
+// the other shards' flow, and its finite-difference test uses it).
 func (u *Usage) TotalCost() float64 {
 	return u.UtilityLoss() + u.PenaltyCost()
 }

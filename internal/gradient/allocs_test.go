@@ -6,22 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/randnet"
-	"repro/internal/transform"
 )
-
-// buildInstance generates a randnet problem and its extended form.
-func buildInstance(t *testing.T, cfg randnet.Config) *transform.Extended {
-	t.Helper()
-	p, err := randnet.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := transform.Build(p, transform.Options{Epsilon: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return x
-}
 
 // TestStepSteadyStateAllocs pins the workspace contract of the iterate
 // layer: neither Step nor the periodic convergence test on the engine's
@@ -57,14 +42,7 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	// screen skips rows: the wave then reuses their terms (arena.reuse)
 	// in place of a sweep, and the stationarity check passes them by.
 	// The count of screened row-steps shows the measured steps did.
-	p, err := randnet.GenerateSparse(randnet.Config{Seed: 13, Nodes: 48, Layers: 6, Commodities: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sx, err := transform.Build(p, transform.Options{Epsilon: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sx := build(t, sparseProblem(t, 200), nil)
 	ext := make([]float64, sx.SharedNodes)
 	for n, c := range sx.Capacity[:sx.SharedNodes] {
 		if !math.IsInf(c, 1) {

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/flow"
-	"repro/internal/randnet"
-	"repro/internal/transform"
 	"repro/internal/utility"
 )
 
@@ -114,14 +112,7 @@ func TestAttributeAllPicksTheTightPath(t *testing.T) {
 // steps alike: a rejection leaves the proposal's forecast and prices in
 // the workspaces until the engine forecasts its routing again.
 func TestEngineAttributionMatchesBareUsage(t *testing.T) {
-	p, err := randnet.GenerateSparse(randnet.Config{Seed: 13, Nodes: 48, Layers: 6, Commodities: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := transform.Build(p, transform.Options{Epsilon: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := build(t, sparseProblem(t, 200), nil)
 	e := New(x, Config{Eta: 0.5, Backtrack: true, DisableBlocking: true, Momentum: 0.9})
 	var got, want Attribution
 	accepted, rejected, bindings := 0, 0, 0

@@ -1,8 +1,6 @@
 package gradient
 
 import (
-	"math"
-
 	"repro/internal/flow"
 	"repro/internal/graph"
 	"repro/internal/transform"
@@ -25,63 +23,8 @@ type Marginals struct {
 func ComputeMarginals(u *flow.Usage, j int) *Marginals {
 	sg := &u.R.X.Sub[j]
 	m := &Marginals{Rho: make([]float64, sg.NumNodes()), LinkD: make([]float64, sg.NumEdges())}
-	sweep(u, j, nodePrices(u, nil), m.Rho, m.LinkD, nil, 0)
+	sweep(u, j, refPrices(u, nil), m.Rho, m.LinkD, nil, 0)
 	return m
-}
-
-// nodePrices is the reference for the engine's node pass
-// (arena.evaluate): u's node prices at its own flow plus ext, priced
-// node by node with transform.Extended.ShadowPrice, zero past the
-// shared prefix.
-func nodePrices(u *flow.Usage, ext []float64) []float64 {
-	x := u.R.X
-	price := make([]float64, len(u.FNode))
-	for n := range x.SharedNodes {
-		price[n] = x.ShadowPrice(graph.NodeID(n), loadAt(u, ext, n))
-	}
-	return price
-}
-
-// The unfused references of an engine under external usage
-// (Engine.SetExternal): each adds ext to u's own flow with the same
-// expression the engine's node pass uses, so its result is the engine's
-// bit for bit. A nil ext is the plain Usage method's.
-
-// loadAt is node n's load at u plus ext: f_n + ext_n.
-func loadAt(u *flow.Usage, ext []float64, n int) float64 {
-	f := u.FNode[n]
-	if n < len(ext) {
-		f += ext[n]
-	}
-	return f
-}
-
-// totalCostAt is Usage.TotalCost at u plus ext: A = Y + Σ_i ε·D_i(f_i + ext_i).
-func totalCostAt(u *flow.Usage, ext []float64) float64 {
-	x := u.R.X
-	penalty := 0.0
-	for n := range x.SharedNodes {
-		penalty += x.PenaltyValue(graph.NodeID(n), loadAt(u, ext, n))
-	}
-	return u.UtilityLoss() + penalty
-}
-
-// feasibleAt is Usage.Feasible at u plus ext.
-func feasibleAt(u *flow.Usage, ext []float64) bool {
-	load := make([]float64, u.R.X.SharedNodes)
-	for n := range load {
-		load[n] = loadAt(u, ext, n)
-	}
-	ok, _ := flow.FeasibleShared(u.R.X, load)
-	return ok
-}
-
-// checkStationarityAt is CheckStationarity at u plus ext, priced by
-// the nodePrices reference.
-func checkStationarityAt(u *flow.Usage, ext []float64) float64 {
-	a := newArena(u.R.X, false)
-	copy(a.price, nodePrices(u, ext))
-	return a.stationarity(u, math.Inf(1))
 }
 
 // AttributeAll explains every commodity at the evaluated usage u, each

@@ -50,6 +50,38 @@ func admittedRates(r *flow.Routing) []float64 {
 	return a
 }
 
+// sameBits returns -1 when a and b hold the same bits at every index,
+// else the first index where they differ. Vectors of different lengths
+// fail t before any index is read.
+func sameBits(t testing.TB, a, b []float64) int {
+	if len(a) != len(b) {
+		t.Helper()
+		t.Fatalf("comparing %d entries with %d", len(a), len(b))
+	}
+	for i := range a {
+		if !sameFloat(a[i], b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// sameForecast fails t, the message led by what, unless got holds the
+// forecast want holds, FNode and every T row, bit for bit.
+func sameForecast(t testing.TB, what string, got, want *flow.Usage) {
+	t.Helper()
+	if k := sameBits(t, got.FNode, want.FNode); k >= 0 {
+		t.Fatalf("%s: FNode[%d] = %v, fresh forecast %v", what, k, got.FNode[k], want.FNode[k])
+	}
+	for j := range want.T {
+		if k := sameBits(t, got.T[j], want.T[j]); k >= 0 {
+			t.Fatalf("%s: T[%d][%d] = %v, fresh forecast %v", what, j, k, got.T[j][k], want.T[j][k])
+		}
+	}
+}
+
+func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
 // hitTarget is run until a step starts from utility ≥ target; it
 // returns that step's iteration, or -1 when the budget runs out first.
 func hitTarget(e *Engine, target float64, n int) (int, error) {
@@ -62,6 +94,45 @@ func hitTarget(e *Engine, target float64, n int) (int, error) {
 		return false
 	})
 	return hit, err
+}
+
+// generate is randnet.Generate(cfg), failing t on an error.
+func generate(t testing.TB, cfg randnet.Config) *stream.Problem {
+	t.Helper()
+	p, err := randnet.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// sparseProblem is the member of the sparse family the serving tests
+// share with the given number of commodities: randnet.GenerateSparse on
+// 48 nodes in 6 layers, seed 13.
+func sparseProblem(t testing.TB, commodities int) *stream.Problem {
+	t.Helper()
+	p, err := randnet.GenerateSparse(randnet.Config{Seed: 13, Nodes: 48, Layers: 6, Commodities: commodities})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// build is transform.Build of p at ε 0.2 over the commodities in
+// subset (nil: all of them, as an unnamed subset).
+func build(t testing.TB, p *stream.Problem, subset []int) *transform.Extended {
+	t.Helper()
+	x, err := transform.Build(p, transform.Options{Epsilon: 0.2, Commodities: subset})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+// buildInstance generates a randnet problem and its extended form.
+func buildInstance(t testing.TB, cfg randnet.Config) *transform.Extended {
+	t.Helper()
+	return build(t, generate(t, cfg), nil)
 }
 
 // singlePath builds dummy → src → bw → sink with the given capacities
@@ -80,11 +151,7 @@ func singlePath(t *testing.T, srcCap, bw, lambda float64) *transform.Extended {
 	if err := p.SetEdge(c, e, stream.EdgeParams{Beta: 1, Cost: 1}); err != nil {
 		t.Fatal(err)
 	}
-	x, err := transform.Build(p, transform.Options{Epsilon: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return x
+	return build(t, p, nil)
 }
 
 // twoPath builds src -> {a,b} -> sink with asymmetric costs so the
@@ -115,11 +182,7 @@ func twoPath(t *testing.T, lambda float64, util utility.Function) *transform.Ext
 			t.Fatal(err)
 		}
 	}
-	x, err := transform.Build(p, transform.Options{Epsilon: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return x
+	return build(t, p, nil)
 }
 
 // phi points at φ for commodity j on extended edge e, which must be a
@@ -383,16 +446,7 @@ func TestStatsAccounting(t *testing.T) {
 	// T3's depth sweep: two commodities on layered networks.
 	for _, seed := range []int64{1, 2, 3, 7} {
 		for _, layers := range []int{3, 6, 9, 12, 18, 24} {
-			p, err := randnet.Generate(randnet.Config{
-				Seed: seed, Nodes: max(40, 2*layers), Layers: layers, Commodities: 2,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			x, err := transform.Build(p, transform.Options{Epsilon: 0.2})
-			if err != nil {
-				t.Fatal(err)
-			}
+			x := buildInstance(t, randnet.Config{Seed: seed, Nodes: max(40, 2*layers), Layers: layers, Commodities: 2})
 			cases = append(cases, instance{name: fmt.Sprintf("seed=%d/layers=%d", seed, layers), x: x})
 		}
 	}
@@ -505,7 +559,7 @@ func TestRunCheckRule(t *testing.T) {
 			}
 			if steps == n {
 				for j := range e.R.Phi {
-					if i := sameBits(e.R.Phi[j], unchecked.R.Phi[j]); i >= 0 {
+					if i := sameBits(t, e.R.Phi[j], unchecked.R.Phi[j]); i >= 0 {
 						t.Fatalf("commodity %d: φ[%d] = %v after a checked run, %v unchecked", j, i, e.R.Phi[j][i], unchecked.R.Phi[j][i])
 					}
 				}
@@ -622,14 +676,7 @@ func TestBlockingScaleCorrectness(t *testing.T) {
 	// comparison permanently tags the routes commodity S2 needs and the
 	// iteration pins at ≈61% of the optimum; the scale-corrected test
 	// must reach what the no-blocking ablation reaches.
-	p, err := randnet.Generate(randnet.Config{Seed: 2, Nodes: 40, Layers: 9, Commodities: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := transform.Build(p, transform.Options{Epsilon: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := buildInstance(t, randnet.Config{Seed: 2, Nodes: 40, Layers: 9, Commodities: 2})
 	ref, err := refopt.Solve(x, refopt.Options{})
 	if err != nil {
 		t.Fatal(err)

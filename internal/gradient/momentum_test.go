@@ -5,9 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-
-	"repro/internal/randnet"
-	"repro/internal/transform"
 )
 
 // duchiProject is the sort-based Euclidean projection onto the simplex
@@ -85,7 +82,7 @@ func TestProjectMatchesSortBased(t *testing.T) {
 			case b < 0:
 				clip = []float64{a + b, 0}
 			}
-			if k := sameBits(v, clip); k >= 0 {
+			if k := sameBits(t, v, clip); k >= 0 {
 				t.Fatalf("trial %d: project(%v) = %v, clip %v", trial, in, v, clip)
 			}
 		}
@@ -99,14 +96,7 @@ func TestMomentumReachesStationarity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a few seconds of iterations")
 	}
-	p, err := randnet.GenerateSparse(randnet.Config{Seed: 13, Nodes: 48, Layers: 6, Commodities: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := transform.Build(p, transform.Options{Epsilon: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := build(t, sparseProblem(t, 1000), nil)
 	e := New(x, Config{Eta: 0.005, Backtrack: true, DisableBlocking: true, Momentum: 0.9})
 	for it := 100; it <= 2000; it += 100 {
 		for i := 0; i < 100; i++ {

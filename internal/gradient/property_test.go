@@ -21,20 +21,7 @@ func randomExtended(t testing.TB, seed int64) *transform.Extended {
 	if maxCom > 3 {
 		maxCom = 3
 	}
-	p, err := randnet.Generate(randnet.Config{
-		Seed:        seed,
-		Nodes:       nodes,
-		Commodities: 1 + r.Intn(maxCom),
-		Layers:      layers,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := transform.Build(p, transform.Options{Epsilon: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return x
+	return buildInstance(t, randnet.Config{Seed: seed, Nodes: nodes, Commodities: 1 + r.Intn(maxCom), Layers: layers})
 }
 
 // TestQuickGammaPreservesSimplex: after any number of update steps on

@@ -27,20 +27,10 @@ func TestRestartMatchesRebuildAndRebind(t *testing.T) {
 			name = "backtrack"
 		}
 		t.Run(name, func(t *testing.T) {
-			p, err := randnet.Generate(randnet.Config{Seed: 11, Nodes: 24, Commodities: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := generate(t, randnet.Config{Seed: 11, Nodes: 24, Commodities: 4})
 			all := []int{0, 1, 2, 3}
-			build := func(p *stream.Problem) *transform.Extended {
-				x, err := transform.Build(p, transform.Options{Epsilon: 0.2, Commodities: all})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return x
-			}
-			kept := New(build(p), cfg)
-			rebuilt := New(build(p), cfg)
+			kept := New(build(t, p, all), cfg)
+			rebuilt := New(build(t, p, all), cfg)
 			step := func(n int) {
 				t.Helper()
 				for i := 0; i < n; i++ {
@@ -104,9 +94,11 @@ func TestRestartMatchesRebuildAndRebind(t *testing.T) {
 				kept.Restart()
 				carried := cfg
 				carried.Eta = rebuilt.Eta()
-				if rebuilt, err = NewFrom(build(p), rebuilt.Routing(), carried); err != nil {
+				next, err := NewFrom(build(t, p, all), rebuilt.Routing(), carried)
+				if err != nil {
 					t.Fatal(err)
 				}
+				rebuilt = next
 				step(60)
 			}
 		})

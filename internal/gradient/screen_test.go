@@ -21,8 +21,8 @@ import (
 // sweep (an expired screen that the sweep renews); after it, no row's
 // bound is negative and the forecast the wave left is a fresh one's,
 // dummy nodes included; and at every turn start Engine.Stationarity,
-// which skips the screened rows, reports exactly what CheckStationarity
-// reports on a fresh forecast at the same external usage.
+// which skips the screened rows, reports exactly the reference model's
+// gap (refStationarity) on a fresh forecast at the same external usage.
 // External usage is rewritten in place and installed again
 // (Engine.SetExternal) every 25 steps, the way a coordinator's turns
 // rewrite it. The instances are random layered
@@ -48,22 +48,12 @@ func TestScreenSkipsOnlyRowsGammaKeeps(t *testing.T) {
 		polarize(x, []float64{1e-3, 20, 0}, int(seed))
 		cases = append(cases, instance{fmt.Sprintf("random%d", seed), x})
 	}
-	branched, err := randnet.Generate(randnet.Config{Seed: 5, Nodes: 40, Layers: 5, Commodities: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparse, err := randnet.GenerateSparse(randnet.Config{Seed: 13, Nodes: 48, Layers: 6, Commodities: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
+	branched, sparse := generate(t, randnet.Config{Seed: 5, Nodes: 40, Layers: 5, Commodities: 6}), sparseProblem(t, 200)
 	for _, p := range []struct {
 		name string
 		p    *stream.Problem
 	}{{"branched", branched}, {"sparse", sparse}} {
-		x, err := transform.Build(p.p, transform.Options{Epsilon: 0.2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		x := build(t, p.p, nil)
 		if p.name == "branched" {
 			polarize(x, []float64{1e-3}, 0)
 		}
@@ -111,19 +101,14 @@ func polarize(x *transform.Extended, scales []float64, k int) {
 // screen skipped and how many the wave re-screened from their sweep.
 func screenSoundness(t *testing.T, name string, x *transform.Extended, mu float64) (screened, rescreened int) {
 	t.Helper()
-	ext := make([]float64, x.SharedNodes)
+	ext, setExt := externalLoad(x, 3, 9)
 	e := New(x, Config{Eta: 0.5, Backtrack: true, DisableBlocking: true, Momentum: mu})
 	for step := 0; step < 400; step++ {
 		if step%25 == 0 {
-			turn := step / 25
-			for i := range ext {
-				if c := x.Capacity[i]; !math.IsInf(c, 1) {
-					ext[i] = c * 0.05 * float64((i+3*turn)%9) / 8
-				}
-			}
+			setExt(step / 25)
 			e.SetExternal(ext)
-			if got, want := e.Stationarity(), checkStationarityAt(flow.Evaluate(e.R), ext); !sameFloat(got, want) {
-				t.Fatalf("%s step %d: Stationarity %v, CheckStationarity %v", name, step, got, want)
+			if got, want := e.Stationarity(), refStationarity(flow.Evaluate(e.R), ext); !sameFloat(got, want) {
+				t.Fatalf("%s step %d: Stationarity %v, reference %v", name, step, got, want)
 			}
 		}
 		e.measure()
@@ -139,7 +124,7 @@ func screenSoundness(t *testing.T, name string, x *transform.Extended, mu float6
 				continue
 			}
 			screened++
-			if k := sameBits(fullGamma(e, j), e.R.Phi[j]); k >= 0 {
+			if k := sameBits(t, fullGamma(e, j), e.R.Phi[j]); k >= 0 {
 				t.Fatalf("%s step %d: row %d screened, but Γ moves φ[%d] off %v", name, step, j, k, e.R.Phi[j][k])
 			}
 		}
@@ -155,19 +140,11 @@ func screenSoundness(t *testing.T, name string, x *transform.Extended, mu float6
 				continue
 			}
 			rescreened++
-			if k := sameBits(g, before.Phi[j]); k >= 0 {
+			if k := sameBits(t, g, before.Phi[j]); k >= 0 {
 				t.Fatalf("%s step %d: row %d re-screened from its sweep, but Γ moves φ[%d] off %v", name, step, j, k, before.Phi[j][k])
 			}
 		}
-		got, want := e.Usage(), flow.Evaluate(e.R)
-		if k := sameBits(got.FNode, want.FNode); k >= 0 {
-			t.Fatalf("%s step %d: FNode[%d] = %v, fresh forecast %v", name, step, k, got.FNode[k], want.FNode[k])
-		}
-		for j := range want.T {
-			if k := sameBits(got.T[j], want.T[j]); k >= 0 {
-				t.Fatalf("%s step %d: T[%d][%d] = %v, fresh forecast %v", name, step, j, k, got.T[j][k], want.T[j][k])
-			}
-		}
+		sameForecast(t, fmt.Sprintf("%s step %d", name, step), e.Usage(), flow.Evaluate(e.R))
 	}
 	return screened, rescreened
 }
@@ -199,18 +176,12 @@ func fullGamma(e *Engine, j int) []float64 {
 // problem can be reparameterized.
 func quietEngine(t *testing.T, tie int) (*Engine, *stream.Problem, []int) {
 	t.Helper()
-	p, err := randnet.GenerateSparse(randnet.Config{Seed: 13, Nodes: 48, Layers: 6, Commodities: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := sparseProblem(t, 40)
 	all := make([]int, len(p.Commodities))
 	for gi := range all {
 		all[gi] = gi
 	}
-	x, err := transform.Build(p, transform.Options{Epsilon: 0.2, Commodities: all})
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := build(t, p, all)
 	e := New(x, Config{Eta: 0.5, Backtrack: true, DisableBlocking: true, Momentum: 0.9})
 	e.measure()
 	for j := range x.Sub {
@@ -280,14 +251,16 @@ func TestScreenedStationaritySkipsRowsAboveOne(t *testing.T) {
 // TestRestartSweepsEveryRow doubles the offered rate of a screened,
 // rejected commodity, which moves no price, so the drift alone would
 // leave the row screened with its old dummy-node usage and utility
-// loss. Restart must drop every screen: the measures the next steps
-// carry are a fresh evaluation's, bit for bit.
+// loss. Restart must drop every screen: the next steps are the
+// reference model's (lockstep), bit for bit.
 func TestRestartSweepsEveryRow(t *testing.T) {
 	const doubled = 7
-	e, p0, all := quietEngine(t, -1)
+	q, p0, all := quietEngine(t, -1)
+	l := newLockstep(t, q.X, q.cfg, nil, nil, nil)
 	for range 3 {
-		e.Step()
+		l.step()
 	}
+	e := l.e
 	if e.Screened(); !e.arena.skips(doubled) || e.admitted[doubled] != 0 {
 		t.Fatalf("row %d: screened %v, admitted %v; the case needs a screened rejected row",
 			doubled, e.arena.skips(doubled), e.admitted[doubled])
@@ -300,7 +273,7 @@ func TestRestartSweepsEveryRow(t *testing.T) {
 	// quietEngine's utilities live on the extended problem alone: carry
 	// them over the reparameterization.
 	u := e.X.Commodities[doubled].Utility
-	e.X.Reparameterize(p, all)
+	l.cut(p0, p, all)
 	for j := range e.X.Commodities {
 		xc := &e.X.Commodities[j]
 		if j == doubled {
@@ -308,15 +281,8 @@ func TestRestartSweepsEveryRow(t *testing.T) {
 		}
 		xc.Loss = utility.Loss{U: xc.Utility, Lambda: xc.MaxRate}
 	}
-	e.Restart()
-	for step := 0; step < 3; step++ {
-		r := e.R.Clone()
-		info := e.Step()
-		want := flow.Evaluate(r)
-		if !sameFloat(info.Utility, want.Utility()) || !sameFloat(info.Cost, want.TotalCost()) {
-			t.Fatalf("step %d: utility %v cost %v, fresh evaluation %v %v",
-				step, info.Utility, info.Cost, want.Utility(), want.TotalCost())
-		}
+	for range 3 {
+		l.step()
 	}
 }
 
@@ -325,19 +291,24 @@ func TestRestartSweepsEveryRow(t *testing.T) {
 // nondecreasing function of the node prices, so only a price fall can
 // close its margin. External usage on every capacitated node of a
 // screened rejected row raises those prices by more than the row's
-// price budget m_j/W_j: the row must stay screened, and the measures
-// the next steps carry must be a fresh evaluation's, bit for bit. The
-// same load taken off again lowers the prices by as much, which must
-// expire the screen: the next wave sweeps the row.
+// price budget m_j/W_j: the row must stay screened, and the next steps
+// must be the reference model's (lockstep), bit for bit. The same load
+// taken off again lowers the prices by as much, which must expire the
+// screen: the next wave sweeps the row.
 func TestScreenWaitsOnlyOnFalls(t *testing.T) {
 	const row = 7
-	e, _, _ := quietEngine(t, -1)
-	x := e.X
+	q, _, _ := quietEngine(t, -1)
+	x := q.X
 	ext := make([]float64, x.SharedNodes)
+	l := newLockstep(t, x, q.cfg, nil, ext, nil)
+	e := l.e
 	e.SetExternal(ext)
-	for range 3 {
-		e.Step()
+	steps := func() {
+		for range 3 {
+			l.step()
+		}
 	}
+	steps()
 	if e.Screened(); !e.arena.skips(row) || e.admitted[row] != 0 {
 		t.Fatalf("row %d: screened %v, admitted %v; the case needs a screened rejected row",
 			row, e.arena.skips(row), e.admitted[row])
@@ -365,18 +336,6 @@ func TestScreenWaitsOnlyOnFalls(t *testing.T) {
 		}
 		return rise, fall
 	}
-	fresh := func(when string) {
-		t.Helper()
-		for step := 0; step < 3; step++ {
-			r := e.R.Clone()
-			info := e.Step()
-			want := flow.Evaluate(r)
-			if cost := totalCostAt(want, ext); !sameFloat(info.Utility, want.Utility()) || !sameFloat(info.Cost, cost) {
-				t.Fatalf("%s, step %d: utility %v cost %v, fresh evaluation %v %v",
-					when, step, info.Utility, info.Cost, want.Utility(), cost)
-			}
-		}
-	}
 
 	if rise, _ := load(0.75); !(rise > budget) {
 		t.Fatalf("the load raises row %d's prices by at most %v, within its budget %v", row, rise, budget)
@@ -384,26 +343,28 @@ func TestScreenWaitsOnlyOnFalls(t *testing.T) {
 	if !e.arena.skips(row) {
 		t.Fatalf("row %d: risen prices expired its screen", row)
 	}
-	fresh("prices risen")
+	steps()
 	if _, fall := load(0); !(fall > budget) {
 		t.Fatalf("unloading lowers row %d's prices by at most %v, within its budget %v", row, fall, budget)
 	}
 	if e.arena.skips(row) {
 		t.Fatalf("row %d: fallen prices left it screened", row)
 	}
-	fresh("prices fallen")
+	steps()
 }
 
 // TestRestartRepricesIdleNodes halves the capacity of a node no flow
 // reaches, whose price and penalty term no load change has moved since
 // the engine started. Across Restart the node pass must price it under
 // its new capacity: the cost and the node prices the next steps carry
-// are a fresh evaluation's, bit for bit.
+// are the reference model's (lockstep), bit for bit.
 func TestRestartRepricesIdleNodes(t *testing.T) {
-	e, p0, all := quietEngine(t, -1)
+	q, p0, all := quietEngine(t, -1)
+	l := newLockstep(t, q.X, q.cfg, nil, nil, nil)
 	for range 3 {
-		e.Step()
+		l.step()
 	}
+	e := l.e
 	idle := -1
 	for n, f := range e.Usage().FNode[:e.X.SharedNodes] {
 		if f == 0 && e.X.Kind(graph.NodeID(n)) == transform.Proc && e.arena.price[n] != 0 {
@@ -424,24 +385,13 @@ func TestRestartRepricesIdleNodes(t *testing.T) {
 	for j, c := range e.X.Commodities {
 		utilities[j] = c.Utility
 	}
-	e.X.Reparameterize(p, all)
+	l.cut(p0, p, all)
 	for j := range e.X.Commodities {
 		c := &e.X.Commodities[j]
 		c.Utility, c.Loss = utilities[j], utility.Loss{U: utilities[j], Lambda: c.MaxRate}
 	}
-	e.Restart()
-	for step := 0; step < 3; step++ {
-		r := e.R.Clone()
-		info := e.Step()
-		want := flow.Evaluate(r)
-		if !sameFloat(info.Cost, want.TotalCost()) {
-			t.Fatalf("step %d: cost %v, fresh evaluation %v", step, info.Cost, want.TotalCost())
-		}
-		e.measure()
-		if k := sameBits(e.arena.price, nodePrices(flow.Evaluate(e.R), nil)); k >= 0 {
-			t.Fatalf("step %d: node %s priced %v, fresh evaluation %v",
-				step, e.X.Name(graph.NodeID(k)), e.arena.price[k], nodePrices(flow.Evaluate(e.R), nil)[k])
-		}
+	for range 4 {
+		l.step()
 	}
 }
 
@@ -456,18 +406,12 @@ func TestRestartRepricesIdleNodes(t *testing.T) {
 // counts the row-steps the wave reuses, skipped by the screen or
 // re-screened from their sweep.
 func TestScreenReusesMostRows(t *testing.T) {
-	p, err := randnet.GenerateSparse(randnet.Config{Seed: 13, Nodes: 48, Layers: 6, Commodities: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := sparseProblem(t, 1000)
 	all := make([]int, len(p.Commodities))
 	for gi := range all {
 		all[gi] = gi
 	}
-	x, err := transform.Build(p, transform.Options{Epsilon: 0.2, Commodities: all})
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := build(t, p, all)
 	e := New(x, Config{Eta: 0.005, Backtrack: true, DisableBlocking: true, Momentum: 0.9})
 	skipped, rescreened, steps := 0, 0, 0
 	solve := func() {

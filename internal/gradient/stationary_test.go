@@ -63,7 +63,7 @@ func TestEngineStationarityMatchesCheck(t *testing.T) {
 		}
 	}
 	for j := range x.Sub {
-		if k := sameBits(checked.R.Phi[j], plain.R.Phi[j]); k >= 0 {
+		if k := sameBits(t, checked.R.Phi[j], plain.R.Phi[j]); k >= 0 {
 			t.Fatalf("commodity %d: φ[%d] = %v with interleaved checks, %v without",
 				j, k, checked.R.Phi[j][k], plain.R.Phi[j][k])
 		}

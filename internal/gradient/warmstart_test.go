@@ -8,7 +8,6 @@ import (
 	"repro/internal/randnet"
 	"repro/internal/refopt"
 	"repro/internal/stream"
-	"repro/internal/transform"
 	"repro/internal/utility"
 )
 
@@ -54,22 +53,15 @@ func TestWarmStartBeatsColdUnderRateUpdates(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			gen := func() *stream.Problem {
-				p, err := randnet.Generate(randnet.Config{
+				return generate(t, randnet.Config{
 					Seed: tc.seed, Nodes: tc.nodes, Commodities: tc.commods,
 					CapMin: 20, CapMax: 60, CostMin: 1, CostMax: 3,
 					LambdaMin: 10, LambdaMax: 30,
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return p
 			}
 
 			// Converge on the original rates.
-			x0, err := transform.Build(gen(), transform.Options{Epsilon: 0.2})
-			if err != nil {
-				t.Fatal(err)
-			}
+			x0 := build(t, gen(), nil)
 			pre := New(x0, Config{Eta: 0.04})
 			if err := run(pre, preIters); err != nil {
 				t.Fatal(err)
@@ -80,10 +72,7 @@ func TestWarmStartBeatsColdUnderRateUpdates(t *testing.T) {
 			for j, mult := range tc.scale {
 				perturbed.Commodities[j].MaxRate *= mult
 			}
-			x1, err := transform.Build(perturbed, transform.Options{Epsilon: 0.2})
-			if err != nil {
-				t.Fatal(err)
-			}
+			x1 := build(t, perturbed, nil)
 			ref, err := refopt.Solve(x1, refopt.Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -110,14 +99,8 @@ func TestWarmStartBeatsColdUnderRateUpdates(t *testing.T) {
 // and the rebind error both matches flow.ErrTopologyChanged and names
 // the dimension that moved.
 func TestNewFromTopologyChangeError(t *testing.T) {
-	p, err := randnet.Generate(randnet.Config{Seed: 5, Nodes: 12, Commodities: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x0, err := transform.Build(p, transform.Options{Epsilon: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := generate(t, randnet.Config{Seed: 5, Nodes: 12, Commodities: 2})
+	x0 := build(t, p, nil)
 	eng := New(x0, Config{})
 	if err := run(eng, 10); err != nil {
 		t.Fatal(err)
@@ -141,10 +124,7 @@ func TestNewFromTopologyChangeError(t *testing.T) {
 	if err := p2.SetEdge(c, e, stream.EdgeParams{Beta: 1, Cost: 1}); err != nil {
 		t.Fatal(err)
 	}
-	x1, err := transform.Build(p2, transform.Options{Epsilon: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	x1 := build(t, p2, nil)
 
 	_, err = NewFrom(x1, eng.Routing(), Config{})
 	if err == nil {

@@ -50,11 +50,10 @@ import (
 // Options configures the service. The zero value is usable: paper
 // defaults for the solver, a 25 ms debounce window, no observability.
 type Options struct {
-	// Solver knobs (see core.Options): penalty coefficient ε, step
-	// scale η (in the serving mode, where step control starts a cold
-	// solve), per-solve iteration budget, and the Theorem-2
-	// stationarity tolerance that ends a solve early once the routing
-	// is optimal within tolerance.
+	// Solver knobs, passed to shard.Config, the one home of the serving
+	// defaults and their meaning: penalty coefficient ε, step scale η
+	// (where step control starts a cold solve), per-solve iteration
+	// budget, and the Theorem-2 tolerance that ends a solve early.
 	Epsilon       float64 // default 0.2
 	Eta           float64 // default 0.04
 	MaxIters      int     // default 4000

@@ -24,8 +24,8 @@ type Config struct {
 	// recorded (Shards, Salt) pair replays to the identical partition.
 	Salt uint64
 
-	// Solver knobs, matching server.Options / core.Options semantics.
-	// The barrier is the reciprocal one.
+	// Solver knobs: the one home of the serving defaults, which
+	// server.Options passes through. The barrier is the reciprocal one.
 	Epsilon       float64 // barrier coefficient ε; 0 → 0.2
 	Eta           float64 // step scale η; 0 → 0.04
 	MaxIters      int     // per-solve budget, summed over shards; 0 → 4000
