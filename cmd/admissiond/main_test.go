@@ -6,60 +6,30 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/journal"
 	"repro/internal/randnet"
+	"repro/internal/stream"
 )
 
 // TestAdmissiondEndToEnd boots the daemon on a small generated
 // topology, drives the public API over real HTTP — rate update,
 // failure injection, metrics scrape — and shuts it down gracefully.
 func TestAdmissiondEndToEnd(t *testing.T) {
-	p, err := randnet.Generate(randnet.Config{Seed: 5, Nodes: 12, Commodities: 2, Layers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := p.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := filepath.Join(t.TempDir(), "instance.json")
-	if err := os.WriteFile(in, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	addrCh := make(chan string, 1)
-	stop := make(chan struct{})
-	errCh := make(chan error, 1)
-	go func() {
-		errCh <- realMain(cliConfig{
-			in:            in,
-			addr:          "127.0.0.1:0",
-			eta:           0.04,
-			eps:           0.2,
-			iters:         2000,
-			stationaryTol: 1e-3,
-			debounce:      2 * time.Millisecond,
-			spanCap:       512,
-			historyCap:    16,
-			ready:         func(a string) { addrCh <- a },
-			stop:          stop,
-		})
-	}()
-
-	var base string
-	select {
-	case a := <-addrCh:
-		base = "http://" + a
-	case err := <-errCh:
-		t.Fatalf("daemon exited early: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("daemon never became ready")
-	}
+	in, _ := instance(t, 5, 12)
+	base, stop := daemon(t, cliConfig{
+		in:            in,
+		eta:           0.04,
+		eps:           0.2,
+		iters:         2000,
+		stationaryTol: 1e-3,
+		debounce:      2 * time.Millisecond,
+		spanCap:       512,
+		historyCap:    16,
+	})
 
 	// /healthz answers immediately; /readyz flips to 200 once the first
 	// snapshot publishes (the nightly soak's startup wait).
@@ -71,21 +41,7 @@ func TestAdmissiondEndToEnd(t *testing.T) {
 	if resp0.StatusCode != http.StatusOK {
 		t.Fatalf("GET /healthz status %d", resp0.StatusCode)
 	}
-	readyDeadline := time.Now().Add(30 * time.Second)
-	for {
-		resp0, err = http.Get(base + "/readyz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp0.Body.Close()
-		if resp0.StatusCode == http.StatusOK {
-			break
-		}
-		if time.Now().After(readyDeadline) {
-			t.Fatalf("GET /readyz never turned 200 (last %d)", resp0.StatusCode)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitReady(t, base)
 
 	waitSnapshot := func(minGen int64) map[string]any {
 		t.Helper()
@@ -258,319 +214,257 @@ func TestAdmissiondEndToEnd(t *testing.T) {
 	}
 
 	// Graceful shutdown drains and exits cleanly.
-	close(stop)
+	stop()
+}
+
+// instance writes randnet's instance at seed and node count, two
+// commodities on three layers, to a file and returns its path and the
+// problem.
+func instance(t *testing.T, seed int64, nodes int) (string, *stream.Problem) {
+	t.Helper()
+	p, err := randnet.Generate(randnet.Config{Seed: seed, Nodes: nodes, Commodities: 2, Layers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := p.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := filepath.Join(t.TempDir(), "instance.json")
+	if err := os.WriteFile(in, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return in, p
+}
+
+// daemon runs realMain with cfg on a loopback port until it serves and
+// returns its base URL and a stop that shuts it down gracefully and
+// fails t unless it exits cleanly.
+func daemon(t *testing.T, cfg cliConfig) (base string, stop func()) {
+	t.Helper()
+	addrCh := make(chan string, 1)
+	done := make(chan struct{})
+	errCh := make(chan error, 1)
+	cfg.addr, cfg.ready, cfg.stop = "127.0.0.1:0", func(a string) { addrCh <- a }, done
+	go func() { errCh <- realMain(cfg) }()
+	stop = func() {
+		t.Helper()
+		close(done)
+		select {
+		case err := <-errCh:
+			if err != nil {
+				t.Fatalf("daemon exited with error: %v", err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("daemon never exited")
+		}
+	}
 	select {
+	case a := <-addrCh:
+		return "http://" + a, stop
 	case err := <-errCh:
-		if err != nil {
-			t.Fatalf("daemon exited with error: %v", err)
-		}
+		t.Fatalf("daemon exited early: %v", err)
 	case <-time.After(30 * time.Second):
-		t.Fatal("daemon did not shut down")
+		t.Fatal("daemon never became ready")
 	}
+	panic("unreachable")
 }
 
-// TestAdmissiondJournalRecovery boots the daemon with a flight
-// recorder, mutates state over HTTP, restarts it against the same
-// journal directory, and asserts the mutated state survived.
-func TestAdmissiondJournalRecovery(t *testing.T) {
-	p, err := randnet.Generate(randnet.Config{Seed: 7, Nodes: 10, Commodities: 2, Layers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := p.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := filepath.Join(t.TempDir(), "instance.json")
-	if err := os.WriteFile(in, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	jdir := filepath.Join(t.TempDir(), "journal")
-	name := p.Commodities[0].Name
-
-	boot := func(in string) (base string, stop chan struct{}, errCh chan error) {
-		t.Helper()
-		addrCh := make(chan string, 1)
-		stop = make(chan struct{})
-		errCh = make(chan error, 1)
-		go func() {
-			errCh <- realMain(cliConfig{
-				in:              in,
-				addr:            "127.0.0.1:0",
-				eta:             0.04,
-				eps:             0.2,
-				iters:           2000,
-				stationaryTol:   1e-3,
-				debounce:        2 * time.Millisecond,
-				historyCap:      16,
-				journalDir:      jdir,
-				checkpointEvery: 4,
-				fsync:           "interval",
-				runtimeSample:   time.Second,
-				ready:           func(a string) { addrCh <- a },
-				stop:            stop,
-			})
-		}()
-		select {
-		case a := <-addrCh:
-			return "http://" + a, stop, errCh
-		case err := <-errCh:
-			t.Fatalf("daemon exited early: %v", err)
-		case <-time.After(30 * time.Second):
-			t.Fatal("daemon never became ready")
-		}
-		panic("unreachable")
-	}
-	shutdown := func(stop chan struct{}, errCh chan error) {
-		t.Helper()
-		close(stop)
-		select {
-		case err := <-errCh:
-			if err != nil {
-				t.Fatalf("daemon exited with error: %v", err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatal("daemon never exited")
-		}
-	}
-	maxRate := func(base string) float64 {
-		t.Helper()
-		resp, err := http.Get(base + "/v1/problem")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var prob struct {
-			Commodities []struct {
-				Name    string  `json:"name"`
-				MaxRate float64 `json:"maxRate"`
-			} `json:"commodities"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&prob); err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range prob.Commodities {
-			if c.Name == name {
-				return c.MaxRate
-			}
-		}
-		t.Fatalf("commodity %s missing from /v1/problem", name)
-		return 0
-	}
-
-	base, stop, errCh := boot(in)
-	req, err := http.NewRequest(http.MethodPatch, base+"/v1/commodities/"+name,
-		strings.NewReader(`{"maxRate": 3.5}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("PATCH status %d", resp.StatusCode)
-	}
-	if got := maxRate(base); got != 3.5 {
-		t.Fatalf("maxRate after PATCH = %v", got)
-	}
-	// The journal's metrics are live on /metrics.
-	mresp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbody := new(bytes.Buffer)
-	if _, err := mbody.ReadFrom(mresp.Body); err != nil {
-		t.Fatal(err)
-	}
-	mresp.Body.Close()
-	for _, want := range []string{"streamopt_journal_records_total", "streamopt_go_goroutines"} {
-		if !strings.Contains(mbody.String(), want) {
-			t.Fatalf("/metrics lacks %s", want)
-		}
-	}
-	shutdown(stop, errCh)
-
-	// Second boot: no -in; state must come from the journal.
-	base, stop, errCh = boot("")
-	if got := maxRate(base); got != 3.5 {
-		t.Fatalf("maxRate after recovery = %v, want 3.5", got)
-	}
-	shutdown(stop, errCh)
+// A recovery is two daemon lifetimes over one journal directory: the
+// first boots on instance(7, 10) with recoveryConfig and first's flags,
+// the second from the journal alone, with second's. serving checks
+// each while it serves (boot 1, then 2); afterwards the journal holds
+// one restart checkpoint per boot, and recorded checks their solver
+// parameters.
+type recovery struct {
+	first, second func(*cliConfig)
+	serving       func(t *testing.T, boot int, base, commodity string)
+	recorded      func(t *testing.T, first, second journal.SolverParams)
 }
 
-// TestAdmissiondShardTopologyRecovery journals a sharded daemon, then
-// reboots from the journal alone (no -shards flag): the restart
-// checkpoint's recorded topology must come back with the problem.
-func TestAdmissiondShardTopologyRecovery(t *testing.T) {
-	p, err := randnet.Generate(randnet.Config{Seed: 7, Nodes: 10, Commodities: 2, Layers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := p.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := filepath.Join(t.TempDir(), "instance.json")
-	if err := os.WriteFile(in, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	jdir := filepath.Join(t.TempDir(), "journal")
-
-	boot := func(in string, shards int) (base string, stop chan struct{}, errCh chan error) {
-		t.Helper()
-		addrCh := make(chan string, 1)
-		stop = make(chan struct{})
-		errCh = make(chan error, 1)
-		go func() {
-			errCh <- realMain(cliConfig{
-				in:              in,
-				addr:            "127.0.0.1:0",
-				eta:             0.04,
-				eps:             0.2,
-				iters:           2000,
-				stationaryTol:   1e-3,
-				debounce:        2 * time.Millisecond,
-				shards:          shards,
-				placementSalt:   3,
-				journalDir:      jdir,
-				checkpointEvery: 4,
-				fsync:           "interval",
-				ready:           func(a string) { addrCh <- a },
-				stop:            stop,
-			})
-		}()
-		select {
-		case a := <-addrCh:
-			return "http://" + a, stop, errCh
-		case err := <-errCh:
-			t.Fatalf("daemon exited early: %v", err)
-		case <-time.After(30 * time.Second):
-			t.Fatal("daemon never became ready")
-		}
-		panic("unreachable")
-	}
-	shardCount := func(base string) string {
-		t.Helper()
-		// One streamopt_shard_commodities series per shard appears once
-		// the first sharded solve publishes; poll past the boot solve.
-		deadline := time.Now().Add(15 * time.Second)
-		for {
-			resp, err := http.Get(base + "/metrics")
-			if err != nil {
-				t.Fatal(err)
-			}
-			body := new(bytes.Buffer)
-			_, err = body.ReadFrom(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n := strings.Count(body.String(), "\nstreamopt_shard_commodities{shard="); n > 0 {
-				return strconv.Itoa(n)
-			}
-			if time.Now().After(deadline) {
-				return ""
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-	}
-	shutdown := func(stop chan struct{}, errCh chan error) {
-		t.Helper()
-		close(stop)
-		select {
-		case err := <-errCh:
-			if err != nil {
-				t.Fatalf("daemon exited with error: %v", err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatal("daemon never exited")
-		}
-	}
-
-	base, stop, errCh := boot(in, 2)
-	if got := shardCount(base); got != "2" {
-		t.Fatalf("first boot shard count = %q, want 2", got)
-	}
-	shutdown(stop, errCh)
-
-	// Reboot from the journal alone: shards stays zero in the config
-	// (the operator passed no flags), so the topology must be adopted
-	// from the recorded restart checkpoint.
-	base, stop, errCh = boot("", 0)
-	if got := shardCount(base); got != "2" {
-		t.Fatalf("recovered shard count = %q, want 2 (topology not restored from journal)", got)
-	}
-	shutdown(stop, errCh)
+var recoveryConfig = cliConfig{
+	eta: 0.04, eps: 0.2, iters: 2000, stationaryTol: 1e-3, debounce: 2 * time.Millisecond,
+	checkpointEvery: 4, fsync: "interval",
 }
 
-// TestAdmissiondSolverSettingsRecovery journals a daemon started with
-// non-default solver flags at one shard, then reboots it the way an
-// operator would after a crash, with only -journal-dir: the new restart
-// checkpoint must record the solver the first boot ran, not the flag
-// defaults.
-func TestAdmissiondSolverSettingsRecovery(t *testing.T) {
-	p, err := randnet.Generate(randnet.Config{Seed: 7, Nodes: 10, Commodities: 2, Layers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := p.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := filepath.Join(t.TempDir(), "instance.json")
-	if err := os.WriteFile(in, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	jdir := filepath.Join(t.TempDir(), "journal")
+var recoveries = map[string]recovery{
+	// A flight recorder survives a restart: the rate PATCHed over HTTP
+	// in the first lifetime is the recovered state in the second, and
+	// the journal's metrics are live on /metrics.
+	"TestAdmissiondJournalRecovery": {
+		first:  func(c *cliConfig) { c.historyCap, c.runtimeSample = 16, time.Second },
+		second: func(c *cliConfig) { c.historyCap, c.runtimeSample = 16, time.Second },
+		serving: func(t *testing.T, boot int, base, name string) {
+			if boot == 1 {
+				req, err := http.NewRequest(http.MethodPatch, base+"/v1/commodities/"+name, strings.NewReader(`{"maxRate": 3.5}`))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("PATCH status %d", resp.StatusCode)
+				}
+				metrics := scrape(t, base)
+				for _, want := range []string{"streamopt_journal_records_total", "streamopt_go_goroutines"} {
+					if !strings.Contains(metrics, want) {
+						t.Fatalf("/metrics lacks %s", want)
+					}
+				}
+			}
+			if got := maxRate(t, base, name); got != 3.5 {
+				t.Fatalf("boot %d: maxRate = %v, want 3.5", boot, got)
+			}
+		},
+	},
+	// A sharded daemon rebooted from the journal alone (no -shards flag)
+	// takes the shard topology its restart checkpoint recorded.
+	"TestAdmissiondShardTopologyRecovery": {
+		first:  func(c *cliConfig) { c.shards, c.placementSalt = 2, 3 },
+		second: func(c *cliConfig) { c.placementSalt = 3 },
+		serving: func(t *testing.T, boot int, base, _ string) {
+			// Each shard's turn writes its streamopt_shard_commodities
+			// series, so all are there once the first solve publishes.
+			waitReady(t, base)
+			if n := strings.Count(scrape(t, base), "\nstreamopt_shard_commodities{shard="); n != 2 {
+				t.Fatalf("boot %d: shard count = %d, want 2", boot, n)
+			}
+		},
+		recorded: func(t *testing.T, first, second journal.SolverParams) {
+			if first.Shards != 2 || second != first {
+				t.Fatalf("restart checkpoints record %+v then %+v, want 2 shards twice", first, second)
+			}
+		},
+	},
+	// A daemon started with non-default solver flags at one shard and
+	// rebooted the way an operator would after a crash, with only
+	// -journal-dir, records on its new restart checkpoint the solver the
+	// first boot ran, not the flag defaults.
+	"TestAdmissiondSolverSettingsRecovery": {
+		first: func(c *cliConfig) {
+			c.shards, c.iters, c.eps, c.stationaryTol, c.checkpointEvery = 1, 123, 0.1, 5e-3, 256
+			c.flagSet = map[string]bool{"in": true, "shards": true, "iters": true, "eps": true, "stationary-tol": true, "journal-dir": true}
+		},
+		second: func(c *cliConfig) {
+			c.shards, c.iters, c.checkpointEvery = 1, 4000, 256
+			c.flagSet = map[string]bool{"journal-dir": true}
+		},
+		recorded: func(t *testing.T, first, second journal.SolverParams) {
+			if first.MaxIters != 123 || first.Epsilon != 0.1 || first.StationaryTol != 5e-3 {
+				t.Fatalf("first boot recorded %+v", first)
+			}
+			if second != first {
+				t.Fatalf("recovered boot recorded %+v, want the recording's %+v", second, first)
+			}
+		},
+	},
+}
 
-	// run boots the daemon with the flag defaults plus the flags named in
-	// set, and shuts it down as soon as it serves: the restart checkpoint
-	// is written at boot.
-	run := func(set map[string]bool, edit func(*cliConfig)) {
-		t.Helper()
-		cfg := cliConfig{
-			addr: "127.0.0.1:0", eta: 0.04, eps: 0.2, iters: 4000, stationaryTol: 1e-3,
-			debounce: 2 * time.Millisecond, shards: 1,
-			journalDir: jdir, checkpointEvery: 256, fsync: "interval", flagSet: set,
+func TestAdmissiondJournalRecovery(t *testing.T)        { checkRecovery(t) }
+func TestAdmissiondShardTopologyRecovery(t *testing.T)  { checkRecovery(t) }
+func TestAdmissiondSolverSettingsRecovery(t *testing.T) { checkRecovery(t) }
+
+// checkRecovery runs the calling test's row of recoveries.
+func checkRecovery(t *testing.T) {
+	row, ok := recoveries[t.Name()]
+	if !ok {
+		t.Fatal("no recovery row for this test")
+	}
+	in, p := instance(t, 7, 10)
+	jdir := filepath.Join(t.TempDir(), "journal")
+	for boot, edit := range []func(*cliConfig){row.first, row.second} {
+		cfg := recoveryConfig
+		cfg.journalDir = jdir
+		if boot == 0 {
+			cfg.in = in
 		}
 		edit(&cfg)
-		stop := make(chan struct{})
-		cfg.ready = func(string) { close(stop) }
-		cfg.stop = stop
-		errCh := make(chan error, 1)
-		go func() { errCh <- realMain(cfg) }()
-		select {
-		case err := <-errCh:
-			if err != nil {
-				t.Fatalf("daemon exited with error: %v", err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatal("daemon never exited")
+		base, stop := daemon(t, cfg)
+		if row.serving != nil {
+			row.serving(t, boot+1, base, p.Commodities[0].Name)
 		}
+		stop()
 	}
-	run(map[string]bool{"in": true, "shards": true, "iters": true, "eps": true, "stationary-tol": true, "journal-dir": true},
-		func(c *cliConfig) { c.in, c.shards, c.iters, c.eps, c.stationaryTol = in, 1, 123, 0.1, 5e-3 })
-	run(map[string]bool{"journal-dir": true}, func(*cliConfig) {})
 
 	log, err := journal.ReadDir(jdir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var boots []*journal.SolverParams
+	var boots []journal.SolverParams
 	for _, r := range log.Records {
 		if r.Kind == journal.KindCheckpoint && r.Checkpoint.Restart {
-			boots = append(boots, r.Checkpoint.Solver)
+			boots = append(boots, *r.Checkpoint.Solver)
 		}
 	}
 	if len(boots) != 2 {
 		t.Fatalf("journal holds %d restart checkpoints, want 2", len(boots))
 	}
-	if first := *boots[0]; first.MaxIters != 123 || first.Epsilon != 0.1 || first.StationaryTol != 5e-3 {
-		t.Fatalf("first boot recorded %+v", first)
+	if row.recorded != nil {
+		row.recorded(t, boots[0], boots[1])
 	}
-	if *boots[1] != *boots[0] {
-		t.Fatalf("recovered boot recorded %+v, want the recording's %+v", *boots[1], *boots[0])
+}
+
+// waitReady polls /readyz until it turns 200, once the first snapshot
+// publishes.
+func waitReady(t *testing.T, base string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		resp, err := http.Get(base + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("GET /readyz never turned 200 (last %d)", resp.StatusCode)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// scrape reads the daemon's /metrics.
+func scrape(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body := new(bytes.Buffer)
+	if _, err := body.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return "\n" + body.String()
+}
+
+// maxRate reads the named commodity's offered rate from /v1/problem.
+func maxRate(t *testing.T, base, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/problem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var prob struct {
+		Commodities []struct {
+			Name    string  `json:"name"`
+			MaxRate float64 `json:"maxRate"`
+		} `json:"commodities"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&prob); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range prob.Commodities {
+		if c.Name == name {
+			return c.MaxRate
+		}
+	}
+	t.Fatalf("commodity %s missing from /v1/problem", name)
+	return 0
 }

@@ -11,49 +11,16 @@ import (
 	"repro/internal/utility"
 )
 
-// toyProblem builds the same two-server chain the server tests use.
+// toyProblem parses the repository's toy fixture: servers a → b
+// (capacity 10), sinks t1 and t2, and one commodity c1: a→t1 at λ=8.
 func toyProblem(t *testing.T) *stream.Problem {
 	t.Helper()
-	net := stream.NewNetwork()
-	a, err := net.AddServer("a", 10)
+	data, err := os.ReadFile("../../testdata/toy-problem.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := net.AddServer("b", 10)
+	p, err := stream.ParseProblem(data)
 	if err != nil {
-		t.Fatal(err)
-	}
-	t1, err := net.AddSink("t1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := net.AddSink("t2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ab, err := net.AddLink(a, b, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bt1, err := net.AddLink(b, t1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.AddLink(b, t2, 10); err != nil {
-		t.Fatal(err)
-	}
-	p := stream.NewProblem(net)
-	c1, err := p.AddCommodity("c1", a, t1, 8, utility.Linear{Slope: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SetEdge(c1, ab, stream.EdgeParams{Beta: 1, Cost: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SetEdge(c1, bt1, stream.EdgeParams{Beta: 1, Cost: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	return p

@@ -4,30 +4,75 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/stream"
 )
 
-// writeJournal records a checkpoint of the toy problem plus mutations,
-// returning the directory.
-func writeJournal(t *testing.T, opts Options, muts []Mutation) string {
+// restart, periodic and mut sketch the records of a journal for build
+// to complete.
+func restart(rev int64, sp *SolverParams) Record {
+	return Record{Kind: KindCheckpoint, Rev: rev, Checkpoint: &Checkpoint{Restart: true, Solver: sp}}
+}
+
+func periodic(rev int64) Record {
+	return Record{Kind: KindCheckpoint, Rev: rev, Checkpoint: &Checkpoint{}}
+}
+
+func mut(m Mutation) Record { return Record{Kind: KindMutation, Mutation: &m} }
+
+// build completes a journal sketch over the toy problem. A restart
+// checkpoint records the problem as it stands — the toy problem, or
+// where the previous run left it — and revisions restart at its own;
+// each mutation takes the next revision and applies; a periodic
+// checkpoint records the problem as it stood right after the mutation
+// of its revision in its run.
+func build(t *testing.T, sketch ...Record) []Record {
+	t.Helper()
+	p := toyProblem(t)
+	var rev int64
+	at := map[int64]json.RawMessage{}
+	recs := make([]Record, len(sketch))
+	for i, r := range sketch {
+		if r.Kind == KindMutation {
+			m := *r.Mutation
+			if err := m.Encode(); err != nil {
+				t.Fatal(err)
+			}
+			if err := Apply(p, &m); err != nil {
+				t.Fatal(err)
+			}
+			rev++
+			r.Rev, r.Mutation = rev, &m
+			at[rev] = mustJSON(t, p)
+		} else {
+			if r.Checkpoint.Restart {
+				rev = r.Rev
+				at = map[int64]json.RawMessage{rev: mustJSON(t, p)}
+			}
+			cp := *r.Checkpoint
+			if cp.Problem = at[r.Rev]; cp.Problem == nil {
+				t.Fatalf("sketch checkpoints rev %d, which its run does not reach", r.Rev)
+			}
+			r.Checkpoint = &cp
+		}
+		recs[i] = r
+	}
+	return recs
+}
+
+// write writes recs through a fresh writer and returns the directory.
+func write(t *testing.T, recs []Record) string {
 	t.Helper()
 	dir := t.TempDir()
-	w, err := Create(dir, opts)
+	w, err := Create(dir, Options{Fsync: FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := toyProblem(t)
-	pj, err := json.Marshal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(Record{Kind: KindCheckpoint, Rev: 1, Checkpoint: &Checkpoint{Problem: pj, Restart: true}}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range muts {
-		if err := w.Append(Record{Kind: KindMutation, Rev: int64(i + 2), Mutation: &muts[i]}); err != nil {
+	for _, rec := range recs {
+		if err := w.Append(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -37,107 +82,95 @@ func writeJournal(t *testing.T, opts Options, muts []Mutation) string {
 	return dir
 }
 
-func TestRecoverRollsForward(t *testing.T) {
-	dir := writeJournal(t, Options{Fsync: FsyncNever}, []Mutation{
-		{Op: OpSetRate, Target: "c1", Payload: mustJSON(t, RatePayload{Rate: 3})},
-		{Op: OpSetCapacity, Target: "b", Payload: mustJSON(t, CapacityPayload{Capacity: 7})},
-	})
-	rec, err := Recover(dir)
+var (
+	// lateRun is one server run the way the background checkpoint writer
+	// can leave it: six mutations after a boot at rev 1, and the periodic
+	// checkpoint at rev 4 landing after the mutations at revs 5 and 6.
+	// The mutations mix absolute and relative writes, so a recovery that
+	// skips or repeats one shows in the problem's bytes.
+	lateRun = []Record{restart(1, nil),
+		mut(SetRate("c1", 3)), mut(ScaleCapacity("a", 0.5)), mut(SetCapacity("b", 7)),
+		mut(ScaleBandwidth("a", "b", 0.5)), mut(SetRate("c1", 5)), periodic(4), mut(ScaleCapacity("b", 0.5))}
+	// twoRuns is two runs of lateRun: the second boots from the first's
+	// final state, with revisions restarting at 1. The first run ends
+	// with a periodic checkpoint at rev 7, above every revision the
+	// second run reaches.
+	twoRuns = append(append(lateRun[:len(lateRun):len(lateRun)], periodic(7)), lateRun...)
+
+	sharded = &SolverParams{Epsilon: 0.2, Eta: 0.04, MaxIters: 100, Shards: 4, PlacementSalt: 7, PriceExchangeEvery: 25, PriceDamping: 0.5}
+)
+
+// recoveries holds, by test name, a journal sketch and what Recover
+// must make of it, or the error it fails with: the checkpoint it starts from, the
+// revision and mutation count it reaches, c1's rate, b's capacity and
+// the solver parameters of the newest run's restart checkpoint. The
+// problem must always equal rollForward's.
+var recoveries = map[string]struct {
+	sketch     []Record
+	cpRev, rev int64
+	applied    int
+	rate, capB float64
+	solver     *SolverParams
+	err        string // a failing row's error names this
+}{
+	"TestRecoverRollsForward": {sketch: []Record{restart(1, nil), mut(SetRate("c1", 3)), mut(SetCapacity("b", 7))},
+		cpRev: 1, rev: 3, applied: 2, rate: 3, capB: 7},
+	// A restart checkpoint carrying shard topology, then a plain one
+	// without: recovery starts from the plain one and still surfaces the
+	// topology, so a rebooting daemon can adopt it.
+	"TestRecoverSurfacesSolverParams": {sketch: []Record{restart(1, sharded), mut(SetCapacity("b", 7)), periodic(2)},
+		cpRev: 2, rev: 2, rate: 8, capB: 7, solver: sharded},
+	// Of two checkpoints, recovery rolls forward from the newest only.
+	"TestRecoverPrefersLastCheckpoint": {sketch: []Record{restart(1, nil), mut(SetRate("c1", 2)), periodic(2), mut(SetRate("c1", 9))},
+		cpRev: 2, rev: 3, applied: 1, rate: 9, capB: 10},
+	"TestRecoverRequiresCheckpoint": {sketch: []Record{mut(SetRate("c1", 3))}, err: "no checkpoint"},
+	// The checkpoint at rev 4 lands after the mutations at revs 5 and 6.
+	// Recovery starts from it and still applies them, then rev 7.
+	"TestRecoverLateCheckpoint": {sketch: lateRun, cpRev: 4, rev: 7, applied: 3, rate: 5, capB: 3.5},
+	// Revisions restart with each run, so the first run's checkpoint at
+	// rev 7 outranks every checkpoint of the second by revision, yet it
+	// must not govern the second run.
+	"TestRecoverIgnoresEarlierRunsCheckpoints": {sketch: twoRuns, cpRev: 4, rev: 7, applied: 3, rate: 5, capB: 3.5},
+}
+
+func TestRecoverRollsForward(t *testing.T)                  { checkRecovery(t) }
+func TestRecoverSurfacesSolverParams(t *testing.T)          { checkRecovery(t) }
+func TestRecoverPrefersLastCheckpoint(t *testing.T)         { checkRecovery(t) }
+func TestRecoverRequiresCheckpoint(t *testing.T)            { checkRecovery(t) }
+func TestRecoverLateCheckpoint(t *testing.T)                { checkRecovery(t) }
+func TestRecoverIgnoresEarlierRunsCheckpoints(t *testing.T) { checkRecovery(t) }
+
+// checkRecovery recovers the calling test's row of recoveries.
+func checkRecovery(t *testing.T) {
+	row, ok := recoveries[t.Name()]
+	if !ok {
+		t.Fatal("no recovery row for this test")
+	}
+	recs := build(t, row.sketch...)
+	rec, err := Recover(write(t, recs))
+	if row.err != "" {
+		if err == nil || !strings.Contains(err.Error(), row.err) {
+			t.Fatalf("Recover = %v, want an error naming %q", err, row.err)
+		}
+		return
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.CheckpointRev != 1 || rec.Rev != 3 || rec.MutationsApplied != 2 {
-		t.Fatalf("recovered cpRev=%d rev=%d applied=%d", rec.CheckpointRev, rec.Rev, rec.MutationsApplied)
+	if rec.CheckpointRev != row.cpRev || rec.Rev != row.rev || rec.MutationsApplied != row.applied {
+		t.Fatalf("recovered cpRev=%d rev=%d applied=%d, want %d, %d, %d",
+			rec.CheckpointRev, rec.Rev, rec.MutationsApplied, row.cpRev, row.rev, row.applied)
 	}
 	c, ok := rec.Problem.CommodityByName("c1")
-	if !ok || c.MaxRate != 3 {
-		t.Fatalf("recovered c1 = %+v", c)
+	b, _ := rec.Problem.Net.NodeByName("b")
+	if !ok || c.MaxRate != row.rate || rec.Problem.Net.Capacity[b] != row.capB {
+		t.Fatalf("recovered c1 %+v, capacity(b) %v; want rate %v, capacity %v", c, rec.Problem.Net.Capacity[b], row.rate, row.capB)
 	}
-	bID, _ := rec.Problem.Net.NodeByName("b")
-	if rec.Problem.Net.Capacity[bID] != 7 {
-		t.Fatalf("recovered capacity(b) = %v", rec.Problem.Net.Capacity[bID])
+	if !reflect.DeepEqual(rec.Solver, row.solver) {
+		t.Fatalf("recovered solver params %+v, want %+v", rec.Solver, row.solver)
 	}
-}
-
-// TestRecoverSurfacesSolverParams writes a restart checkpoint carrying
-// shard topology followed by a plain checkpoint without one, and makes
-// sure recovery surfaces the topology so a rebooting daemon can adopt
-// it.
-func TestRecoverSurfacesSolverParams(t *testing.T) {
-	dir := t.TempDir()
-	w, err := Create(dir, Options{Fsync: FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pj, err := json.Marshal(toyProblem(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := &SolverParams{Epsilon: 0.2, Eta: 0.04, MaxIters: 100, Shards: 4, PlacementSalt: 7, PriceExchangeEvery: 25, PriceDamping: 0.5}
-	if err := w.Append(Record{Kind: KindCheckpoint, Rev: 1, Checkpoint: &Checkpoint{Problem: pj, Restart: true, Solver: sp}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(Record{Kind: KindCheckpoint, Rev: 2, Checkpoint: &Checkpoint{Problem: pj}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.CheckpointRev != 2 {
-		t.Fatalf("recovered from checkpoint rev %d, want 2", rec.CheckpointRev)
-	}
-	if rec.Solver == nil || rec.Solver.Shards != 4 || rec.Solver.PlacementSalt != 7 {
-		t.Fatalf("recovered solver params = %+v, want shard topology from restart checkpoint", rec.Solver)
-	}
-}
-
-// TestRecoverPrefersLastCheckpoint writes two checkpoints and makes
-// sure recovery rolls forward from the newest one only.
-func TestRecoverPrefersLastCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	w, err := Create(dir, Options{Fsync: FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := toyProblem(t)
-	pj1, _ := json.Marshal(p)
-	if err := w.Append(Record{Kind: KindCheckpoint, Rev: 1, Checkpoint: &Checkpoint{Problem: pj1, Restart: true}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(Record{Kind: KindMutation, Rev: 2, Mutation: &Mutation{
-		Op: OpSetRate, Target: "c1", Payload: mustJSON(t, RatePayload{Rate: 2})}}); err != nil {
-		t.Fatal(err)
-	}
-	// Periodic checkpoint capturing the rate-2 state.
-	if err := Apply(p, &Mutation{Op: OpSetRate, Target: "c1", Payload: mustJSON(t, RatePayload{Rate: 2})}); err != nil {
-		t.Fatal(err)
-	}
-	pj2, _ := json.Marshal(p)
-	if err := w.Append(Record{Kind: KindCheckpoint, Rev: 2, Checkpoint: &Checkpoint{Problem: pj2}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(Record{Kind: KindMutation, Rev: 3, Mutation: &Mutation{
-		Op: OpSetRate, Target: "c1", Payload: mustJSON(t, RatePayload{Rate: 9})}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.CheckpointRev != 2 || rec.MutationsApplied != 1 || rec.Rev != 3 {
-		t.Fatalf("recovered cpRev=%d rev=%d applied=%d", rec.CheckpointRev, rec.Rev, rec.MutationsApplied)
-	}
-	c, _ := rec.Problem.CommodityByName("c1")
-	if c.MaxRate != 9 {
-		t.Fatalf("recovered MaxRate = %v, want 9", c.MaxRate)
+	if got, want := mustJSON(t, rec.Problem), rollForward(t, recs); string(got) != string(want) {
+		t.Fatalf("recovered problem\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -174,9 +207,7 @@ func TestTornTailTolerated(t *testing.T) {
 	}
 	for name, garbage := range cases {
 		t.Run(name, func(t *testing.T) {
-			dir := writeJournal(t, Options{Fsync: FsyncNever}, []Mutation{
-				{Op: OpSetRate, Target: "c1", Payload: mustJSON(t, RatePayload{Rate: 3})},
-			})
+			dir := write(t, build(t, restart(1, nil), mut(SetRate("c1", 3))))
 			appendGarbage(t, dir, 0, garbage)
 			log, err := ReadDir(dir)
 			if err != nil {
@@ -240,9 +271,7 @@ func TestMidJournalCorruptionFails(t *testing.T) {
 // Every restart must keep reading the full history — the tear healed
 // by a new-writer segment is a tolerated crash scar, not corruption.
 func TestCrashRestartCrashRecovers(t *testing.T) {
-	dir := writeJournal(t, Options{Fsync: FsyncNever}, []Mutation{
-		{Op: OpSetRate, Target: "c1", Payload: mustJSON(t, RatePayload{Rate: 3})},
-	})
+	dir := write(t, build(t, restart(1, nil), mut(SetRate("c1", 3))))
 	rate := 3.0
 	for crash := 0; crash < 3; crash++ {
 		appendGarbage(t, dir, crash, []byte{0x01, 0x02, 0x03}) // SIGKILL mid-append
@@ -301,9 +330,7 @@ func TestCrashRestartCrashRecovers(t *testing.T) {
 // segments are dropped as truncation; a mid-journal empty segment (a
 // crash-looped boot before a successful one) is skipped.
 func TestBootCrashEmptySegmentTolerated(t *testing.T) {
-	dir := writeJournal(t, Options{Fsync: FsyncNever}, []Mutation{
-		{Op: OpSetRate, Target: "c1", Payload: mustJSON(t, RatePayload{Rate: 3})},
-	})
+	dir := write(t, build(t, restart(1, nil), mut(SetRate("c1", 3))))
 	// Boot crash: segment 1 exists but holds nothing durable.
 	if err := os.WriteFile(filepath.Join(dir, SegmentName(1)), nil, 0o644); err != nil {
 		t.Fatal(err)
@@ -386,23 +413,6 @@ func TestRotationBoundaryRecovery(t *testing.T) {
 	}
 }
 
-func TestRecoverRequiresCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	w, err := Create(dir, Options{Fsync: FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(Record{Kind: KindMutation, Rev: 1, Mutation: &Mutation{Op: OpRemoveCommodity, Target: "x"}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Recover(dir); err == nil {
-		t.Fatal("recovery without a checkpoint accepted")
-	}
-}
-
 func TestHasJournal(t *testing.T) {
 	dir := t.TempDir()
 	ok, err := HasJournal(dir)
@@ -424,48 +434,6 @@ func TestHasJournal(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("after Create: HasJournal = %v, %v", ok, err)
 	}
-}
-
-// lateRun builds one server run the way the background checkpoint
-// writer can leave it: a restart checkpoint of boot at bootRev, six
-// mutations at bootRev+1…bootRev+6 in revision order, and the periodic
-// checkpoint at bootRev+3 landing after the mutations at bootRev+4 and
-// bootRev+5. The mutations mix absolute and relative writes, so a
-// recovery that skips or repeats one shows in the problem's bytes.
-func lateRun(t *testing.T, boot *stream.Problem, bootRev int64) []Record {
-	t.Helper()
-	muts := []Mutation{
-		SetRate("c1", 3),
-		ScaleCapacity("a", 0.5),
-		SetCapacity("b", 7),
-		ScaleBandwidth("a", "b", 0.5),
-		SetRate("c1", 5),
-		ScaleCapacity("b", 0.5),
-	}
-	p, err := stream.ParseProblem(mustJSON(t, boot))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := []Record{{Kind: KindCheckpoint, Rev: bootRev, Checkpoint: &Checkpoint{Problem: mustJSON(t, p), Restart: true}}}
-	var late Record
-	for i := range muts {
-		m := muts[i]
-		if err := m.Encode(); err != nil {
-			t.Fatal(err)
-		}
-		if err := Apply(p, &m); err != nil {
-			t.Fatal(err)
-		}
-		rev := bootRev + int64(i) + 1
-		recs = append(recs, Record{Kind: KindMutation, Rev: rev, Mutation: &m})
-		switch i {
-		case 2:
-			late = Record{Kind: KindCheckpoint, Rev: rev, Checkpoint: &Checkpoint{Problem: mustJSON(t, p)}}
-		case 4:
-			recs = append(recs, late)
-		}
-	}
-	return recs
 }
 
 // rollForward is what recovery of recs must yield: the newest run's
@@ -490,83 +458,14 @@ func rollForward(t *testing.T, recs []Record) []byte {
 	return mustJSON(t, p)
 }
 
-// copyJournal writes recs through a fresh writer and returns the
-// directory.
-func copyJournal(t *testing.T, recs []Record) string {
-	t.Helper()
-	dir := t.TempDir()
-	w, err := Create(dir, Options{Fsync: FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		if err := w.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return dir
-}
-
-// twoRuns is two server runs of lateRun: the second boots from the
-// first's final state, with revisions restarting at 1. The first run
-// ends with a periodic checkpoint at rev 7, above every revision the
-// second run reaches.
-func twoRuns(t *testing.T) []Record {
-	t.Helper()
-	first := lateRun(t, toyProblem(t), 1)
-	end, err := stream.ParseProblem(rollForward(t, first))
-	if err != nil {
-		t.Fatal(err)
-	}
-	first = append(first, Record{Kind: KindCheckpoint, Rev: 7, Checkpoint: &Checkpoint{Problem: mustJSON(t, end)}})
-	return append(first, lateRun(t, end, 1)...)
-}
-
-// TestRecoverLateCheckpoint: the checkpoint at rev 4 lands after the
-// mutations at revs 5 and 6. Recovery starts from it and still applies
-// them, then rev 7.
-func TestRecoverLateCheckpoint(t *testing.T) {
-	recs := lateRun(t, toyProblem(t), 1)
-	rec, err := Recover(copyJournal(t, recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.CheckpointRev != 4 || rec.MutationsApplied != 3 || rec.Rev != 7 {
-		t.Fatalf("recovered cpRev=%d rev=%d applied=%d, want 4, 7, 3", rec.CheckpointRev, rec.Rev, rec.MutationsApplied)
-	}
-	if got, want := mustJSON(t, rec.Problem), rollForward(t, recs); string(got) != string(want) {
-		t.Fatalf("recovered problem\n%s\nwant\n%s", got, want)
-	}
-}
-
-// TestRecoverIgnoresEarlierRunsCheckpoints: revisions restart with each
-// run, so the first run's checkpoint at rev 7 outranks every checkpoint
-// of the second by revision, yet it must not govern the second run.
-func TestRecoverIgnoresEarlierRunsCheckpoints(t *testing.T) {
-	recs := twoRuns(t)
-	rec, err := Recover(copyJournal(t, recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.CheckpointRev != 4 || rec.MutationsApplied != 3 || rec.Rev != 7 {
-		t.Fatalf("recovered cpRev=%d rev=%d applied=%d, want 4, 7, 3", rec.CheckpointRev, rec.Rev, rec.MutationsApplied)
-	}
-	if got, want := mustJSON(t, rec.Problem), rollForward(t, recs); string(got) != string(want) {
-		t.Fatalf("recovered problem\n%s\nwant\n%s", got, want)
-	}
-}
-
 // TestRecoverEveryPrefix cuts the two-run journal after every record —
 // what a crash can leave — and checks that recovery always equals the
 // newest run's boot checkpoint rolled forward through that prefix's
 // mutations alone.
 func TestRecoverEveryPrefix(t *testing.T) {
-	recs := twoRuns(t)
+	recs := build(t, twoRuns...)
 	for n := 1; n <= len(recs); n++ {
-		rec, err := Recover(copyJournal(t, recs[:n]))
+		rec, err := Recover(write(t, recs[:n]))
 		if err != nil {
 			t.Fatalf("cut after record %d: %v", n, err)
 		}
@@ -581,10 +480,10 @@ func TestRecoverEveryPrefix(t *testing.T) {
 // restart checkpoint opens the next run, and Recover reads only the
 // last.
 func TestRunsSplitAtRestartCheckpoints(t *testing.T) {
-	runs := twoRuns(t)
-	lead := lateRun(t, toyProblem(t), 1)[1:4] // a run cut off its restart checkpoint
+	runs := build(t, twoRuns...)
+	lead := build(t, lateRun...)[1:4] // a run cut off its restart checkpoint
 	recs := append(append([]Record{}, lead...), runs...)
-	dir := copyJournal(t, recs)
+	dir := write(t, recs)
 	log, err := ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -615,7 +514,7 @@ func TestRunsSplitAtRestartCheckpoints(t *testing.T) {
 	}
 
 	// With no restart marked, the whole journal is one run.
-	log, err = ReadDir(copyJournal(t, lead))
+	log, err = ReadDir(write(t, lead))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"repro/internal/journal"
@@ -21,13 +20,7 @@ func TestRoutesApplyTheirMutation(t *testing.T) {
 	// No token is ever sent: the solver stays parked, and only the write
 	// path runs.
 	opts.SolveGate = make(chan struct{})
-	s, err := New(toyProblem(t), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
-	ts := httptest.NewServer(s.Handler(nil))
-	t.Cleanup(ts.Close)
+	s, ts := start(t, opts)
 
 	const c2 = `{"name":"c2","source":"a","sink":"t2","maxRate":1,"utility":{"type":"linear","slope":1},` +
 		`"edges":[{"from":"a","to":"b","beta":1,"cost":1},{"from":"b","to":"t2","beta":1,"cost":1}]}`
@@ -90,7 +83,7 @@ func TestRoutesApplyTheirMutation(t *testing.T) {
 // the server rejects must change nothing — not commit the rate, bump
 // the revision and then answer 4xx.
 func TestPatchIsAllOrNothing(t *testing.T) {
-	s, ts := startServer(t, nil)
+	s, ts := start(t, testOptions(nil))
 	_, before := doReq(t, http.MethodGet, ts.URL+"/v1/problem", nil)
 	rev := s.Rev()
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -14,11 +13,7 @@ import (
 // wake) no matter how many commodities it touches, and the next
 // generation must reflect every rate in the batch.
 func TestSetMaxRatesBatchIsOneMutation(t *testing.T) {
-	s, err := New(toyProblem(t), testOptions(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s, _ := start(t, testOptions(nil))
 	if _, err := s.WaitForGeneration(1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +37,7 @@ func TestSetMaxRatesBatchIsOneMutation(t *testing.T) {
 // A batch containing any invalid entry must reject atomically: no rate
 // in the batch may be applied.
 func TestSetMaxRatesBatchIsAtomic(t *testing.T) {
-	s, err := New(toyProblem(t), testOptions(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s, _ := start(t, testOptions(nil))
 	if _, err := s.WaitForGeneration(1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -75,16 +66,10 @@ func TestSetMaxRatesBatchIsAtomic(t *testing.T) {
 }
 
 func TestBatchRatesHTTP(t *testing.T) {
-	s, err := New(toyProblem(t), testOptions(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s, ts := start(t, testOptions(nil))
 	if _, err := s.WaitForGeneration(1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler(nil))
-	defer ts.Close()
 
 	resp, err := http.Post(ts.URL+"/v1/rates", "application/json",
 		bytes.NewReader([]byte(`{"rates": {"c1": 5.25}}`)))

@@ -13,7 +13,7 @@ import (
 // malformed input → 400 invalid_argument, unknown targets → 404
 // not_found, duplicate names and claimed resources → 409 conflict.
 func TestErrorEnvelope(t *testing.T) {
-	s, ts := startServer(t, nil)
+	s, ts := start(t, testOptions(nil))
 	base := ts.URL
 
 	// toyProblem has commodity c1 (a→t1), servers a/b, sinks t1/t2. A
@@ -76,7 +76,7 @@ func TestErrorEnvelope(t *testing.T) {
 // with 400 invalid_argument and a message that names the limit, not
 // read up to the limit and reported as truncated JSON.
 func TestOversizedBodyNamesTheLimit(t *testing.T) {
-	_, ts := startServer(t, nil)
+	_, ts := start(t, testOptions(nil))
 	body := `{"maxRate":1,"pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`
 	status, code, message := errorEnvelope(t, "PATCH", ts.URL+"/v1/commodities/c1", body)
 	if status != http.StatusBadRequest || code != "invalid_argument" {

@@ -14,24 +14,13 @@ import (
 // parameter contract: malformed or unknown filters on GET /history and
 // GET /debug/spans answer 400, never a silently unfiltered 200.
 func TestQueryParamValidation(t *testing.T) {
-	rec := obs.NewRecorder(nil)
-	tracer := span.New(64, nil)
-	opts := testOptions(rec)
-	opts.Spans = tracer
-	s, err := New(toyProblem(t), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
-	h, err := s.Serve("127.0.0.1:0", rec.Registry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = h.Close() })
+	opts := testOptions(obs.NewRecorder(nil))
+	opts.Spans = span.New(64, nil)
+	s, ts := start(t, opts)
 	if _, err := s.WaitForGeneration(1, waitBudget); err != nil {
 		t.Fatal(err)
 	}
-	base := "http://" + h.Addr()
+	base := ts.URL
 
 	cases := []struct {
 		name string
@@ -89,17 +78,7 @@ func TestQueryParamValidation(t *testing.T) {
 // TestHistoryFilters drives a few generations and checks since/limit
 // semantics.
 func TestHistoryFilters(t *testing.T) {
-	rec := obs.NewRecorder(nil)
-	s, err := New(toyProblem(t), testOptions(rec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
-	h, err := s.Serve("127.0.0.1:0", rec.Registry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = h.Close() })
+	s, ts := start(t, testOptions(obs.NewRecorder(nil)))
 
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
@@ -119,7 +98,7 @@ func TestHistoryFilters(t *testing.T) {
 
 	get := func(url string) []HistoryEntry {
 		t.Helper()
-		resp, err := http.Get("http://" + h.Addr() + url)
+		resp, err := http.Get(ts.URL + url)
 		if err != nil {
 			t.Fatal(err)
 		}

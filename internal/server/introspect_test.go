@@ -22,7 +22,7 @@ type explainResponse struct {
 // shadow price — the acceptance criterion for /explain.
 func TestExplainEndpoint(t *testing.T) {
 	rec := obs.NewRecorder(obs.NewRegistry())
-	s, ts := startServer(t, rec)
+	s, ts := start(t, testOptions(rec))
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestExplainEndpoint(t *testing.T) {
 // TestHistoryEndpoint checks /history reports generation-over-generation
 // utility and admitted-rate diffs after a rate cut.
 func TestHistoryEndpoint(t *testing.T) {
-	s, ts := startServer(t, nil)
+	s, ts := start(t, testOptions(nil))
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestHistoryEndpoint(t *testing.T) {
 func TestHistoryRingBounded(t *testing.T) {
 	opts := testOptions(nil)
 	opts.HistoryCap = 3
-	s, ts := startServerWith(t, nil, opts)
+	s, ts := start(t, opts)
 	gen, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
 		t.Fatal(err)
@@ -241,11 +241,7 @@ func TestHistoryRingBounded(t *testing.T) {
 // snapshot (its Explain and Usage with it) is collected while its
 // generation is still retained.
 func TestHistoryDoesNotPinSnapshots(t *testing.T) {
-	s, err := New(toyProblem(t), testOptions(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s, _ := start(t, testOptions(nil))
 	freed := make(chan struct{})
 	func() {
 		first, err := s.WaitForGeneration(1, waitBudget)
@@ -285,7 +281,7 @@ func TestHistoryDoesNotPinSnapshots(t *testing.T) {
 // TestDebugTraceDisabled: the daemon keeps no per-iteration trace at any
 // shard count, so the endpoint that served one answers 404.
 func TestDebugTraceDisabled(t *testing.T) {
-	_, ts := startServer(t, nil)
+	_, ts := start(t, testOptions(nil))
 	resp, _ := doReq(t, http.MethodGet, ts.URL+"/debug/trace", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET /debug/trace: status %d, want 404", resp.StatusCode)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,27 +17,6 @@ import (
 	"repro/internal/obs/span"
 	"repro/internal/shard"
 )
-
-// startJournaledServer builds a server writing through a journal in a
-// temp dir, returning both plus the dir.
-func startJournaledServer(t *testing.T, opts Options) (*Server, *journal.Writer, string) {
-	t.Helper()
-	dir := t.TempDir()
-	jw, err := journal.Create(dir, journal.Options{Fsync: journal.FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Journal = jw
-	s, err := New(toyProblem(t), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		_ = s.Close()
-		_ = jw.Close()
-	})
-	return s, jw, dir
-}
 
 // newestRecords syncs the journal and reads its newest n records back
 // from disk, oldest first.
@@ -56,7 +34,9 @@ func newestRecords(t *testing.T, jw *journal.Writer, n int) []journal.Record {
 
 func TestServerJournalsTrajectory(t *testing.T) {
 	rec := obs.NewRecorder(nil)
-	s, jw, dir := startJournaledServer(t, testOptions(rec))
+	opts := journaled(t, testOptions(rec))
+	s, _ := start(t, opts)
+	jw, dir := opts.Journal, opts.Journal.Dir()
 
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
@@ -146,9 +126,9 @@ func TestServerJournalsTrajectory(t *testing.T) {
 func TestJournalCarriesClientTrace(t *testing.T) {
 	opts := testOptions(nil)
 	opts.Spans = span.New(256, nil)
-	s, jw, _ := startJournaledServer(t, opts)
-	ts := httptest.NewServer(s.Handler(nil))
-	t.Cleanup(ts.Close)
+	opts = journaled(t, opts)
+	s, ts := start(t, opts)
+	jw := opts.Journal
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +196,9 @@ func TestSolverOptionsRoundTrip(t *testing.T) {
 // to hide behind) finds g's digest the newest journal record and g the
 // newest history entry, so the solver is idle when a waiter acts.
 func TestSnapshotVisibleAfterItsDigest(t *testing.T) {
-	s, jw, _ := startJournaledServer(t, testOptions(nil))
+	opts := journaled(t, testOptions(nil))
+	s, _ := start(t, opts)
+	jw := opts.Journal
 	seen, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +229,9 @@ func TestServerPeriodicCheckpoints(t *testing.T) {
 	rec := obs.NewRecorder(nil)
 	opts := testOptions(rec)
 	opts.CheckpointEvery = 2
-	s, jw, dir := startJournaledServer(t, opts)
+	opts = journaled(t, opts)
+	s, _ := start(t, opts)
+	jw, dir := opts.Journal, opts.Journal.Dir()
 
 	if _, err := s.WaitForGeneration(1, waitBudget); err != nil {
 		t.Fatal(err)
@@ -290,7 +274,9 @@ func TestAnomalyCaptureOnSLOBreach(t *testing.T) {
 	opts := testOptions(rec)
 	opts.SLO = time.Nanosecond // every decision breaches
 	opts.CaptureDir = filepath.Join(t.TempDir(), "bundles")
-	s, jw, _ := startJournaledServer(t, opts)
+	opts = journaled(t, opts)
+	s, _ := start(t, opts)
+	jw := opts.Journal
 	h, err := s.Serve("127.0.0.1:0", rec.Registry())
 	if err != nil {
 		t.Fatal(err)
@@ -408,10 +394,7 @@ func TestCaptureSequenceSurvivesRestart(t *testing.T) {
 				}
 			}
 		}
-		s, err := New(toyProblem(t), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s, _ := start(t, opts)
 		if _, err := s.WaitForGeneration(1, waitBudget); err != nil {
 			t.Fatal(err)
 		}
@@ -446,9 +429,7 @@ func TestCaptureSequenceSurvivesRestart(t *testing.T) {
 }
 
 func TestBundlesEndpointDisabled(t *testing.T) {
-	rec := obs.NewRecorder(nil)
-	s, ts := startServer(t, rec)
-	_ = s
+	_, ts := start(t, testOptions(obs.NewRecorder(nil)))
 	resp, err := http.Get(ts.URL + "/debug/bundles")
 	if err != nil {
 		t.Fatal(err)

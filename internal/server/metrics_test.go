@@ -17,7 +17,7 @@ import (
 // retired per-sweep shard gauges — is there at all.
 func TestMetricsExposeOnlyWhatTheServerWrites(t *testing.T) {
 	rec := obs.NewRecorder(obs.NewRegistry())
-	s, _, ts := startTracedShardedServer(t, rec, 256, 2)
+	s, ts := start(t, traced(rec, 256, 2))
 	scrape := func() string {
 		t.Helper()
 		resp, body := doReq(t, "GET", ts.URL+"/metrics", nil)

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,54 +20,20 @@ import (
 	"repro/internal/utility"
 )
 
-// toyProblem builds a two-server chain with one active commodity and a
-// spare sink (t2) left free so tests can admit a second commodity at
-// runtime:
+// toyProblem parses the repository's toy fixture: a two-server chain
+// with one active commodity and a spare sink (t2) left free so tests
+// can admit a second commodity at runtime:
 //
 //	a ──► b ──► t1   (c1: a→t1, λ=8)
 //	      └───► t2   (free)
 func toyProblem(t *testing.T) *stream.Problem {
 	t.Helper()
-	net := stream.NewNetwork()
-	a, err := net.AddServer("a", 10)
+	data, err := os.ReadFile("../../testdata/toy-problem.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := net.AddServer("b", 10)
+	p, err := stream.ParseProblem(data)
 	if err != nil {
-		t.Fatal(err)
-	}
-	t1, err := net.AddSink("t1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := net.AddSink("t2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ab, err := net.AddLink(a, b, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bt1, err := net.AddLink(b, t1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.AddLink(b, t2, 10); err != nil {
-		t.Fatal(err)
-	}
-	p := stream.NewProblem(net)
-	c1, err := p.AddCommodity("c1", a, t1, 8, utility.Linear{Slope: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SetEdge(c1, ab, stream.EdgeParams{Beta: 1, Cost: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SetEdge(c1, bt1, stream.EdgeParams{Beta: 1, Cost: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	return p
@@ -84,13 +51,10 @@ func testOptions(rec *obs.Recorder) Options {
 
 const waitBudget = 20 * time.Second
 
-// startServer spins up the service plus an httptest front end.
-func startServer(t *testing.T, rec *obs.Recorder) (*Server, *httptest.Server) {
-	t.Helper()
-	return startServerWith(t, rec, testOptions(rec))
-}
-
-func startServerWith(t *testing.T, rec *obs.Recorder, opts Options) (*Server, *httptest.Server) {
+// start boots a server on the toy problem with opts, closed at
+// cleanup, behind an httptest front end that serves its Handler on
+// opts.Recorder's registry.
+func start(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(toyProblem(t), opts)
 	if err != nil {
@@ -98,12 +62,25 @@ func startServerWith(t *testing.T, rec *obs.Recorder, opts Options) (*Server, *h
 	}
 	t.Cleanup(func() { _ = s.Close() })
 	var reg *obs.Registry
-	if rec != nil {
-		reg = rec.Registry()
+	if opts.Recorder != nil {
+		reg = opts.Recorder.Registry()
 	}
 	ts := httptest.NewServer(s.Handler(reg))
 	t.Cleanup(ts.Close)
 	return s, ts
+}
+
+// journaled is opts writing through a journal in a temporary directory.
+// Its cleanup, registered before start's, closes it after the server.
+func journaled(t *testing.T, opts Options) Options {
+	t.Helper()
+	jw, err := journal.Create(t.TempDir(), journal.Options{Fsync: journal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = jw.Close() })
+	opts.Journal = jw
+	return opts
 }
 
 func doReq(t *testing.T, method, url string, body any) (*http.Response, []byte) {
@@ -140,7 +117,7 @@ func doReq(t *testing.T, method, url string, body any) (*http.Response, []byte) 
 // warm start, with the obs counters distinguishing warm from cold.
 func TestRateUpdateProducesNewWarmGeneration(t *testing.T) {
 	rec := obs.NewRecorder(obs.NewRegistry())
-	s, ts := startServer(t, rec)
+	s, ts := start(t, testOptions(rec))
 
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
@@ -222,7 +199,7 @@ func TestCommodityArrivalAndDepartureColdStart(t *testing.T) {
 	base := testOptions(rec)
 	opts := SolverOptions(&journal.SolverParams{MaxIters: base.MaxIters, StationaryTol: base.StationaryTol})
 	opts.Debounce, opts.Recorder, opts.Logf = base.Debounce, base.Recorder, base.Logf
-	s, ts := startServerWith(t, rec, opts)
+	s, ts := start(t, opts)
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +256,7 @@ func TestCommodityArrivalAndDepartureColdStart(t *testing.T) {
 // it leaves in place, so an arrival, and a departure and an arrival
 // coalesced into one decision, both publish warm.
 func TestSurvivorsStayWarm(t *testing.T) {
-	s, _ := startServer(t, nil)
+	s, _ := start(t, testOptions(nil))
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +302,7 @@ func TestSurvivorsStayWarm(t *testing.T) {
 // capacity ({"scale":0.1}, the E8 idiom) and checks the next snapshot
 // admits less than before.
 func TestFailureInjectionReducesAdmission(t *testing.T) {
-	s, ts := startServer(t, nil)
+	s, ts := start(t, testOptions(nil))
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
 		t.Fatal(err)
@@ -357,7 +334,7 @@ func TestFailureInjectionReducesAdmission(t *testing.T) {
 // the sum of per-commodity utilities), and generations never go
 // backward on any one connection-free reader.
 func TestConcurrentReadsDuringSolves(t *testing.T) {
-	s, ts := startServer(t, nil)
+	s, ts := start(t, testOptions(nil))
 	if _, err := s.WaitForGeneration(1, waitBudget); err != nil {
 		t.Fatal(err)
 	}
@@ -438,16 +415,9 @@ func TestConcurrentReadsDuringSolves(t *testing.T) {
 // TestBurstCoalescing fires a burst of rate updates and checks the
 // debounce window folds them into far fewer solves than mutations.
 func TestBurstCoalescing(t *testing.T) {
-	s, err := New(toyProblem(t), Options{
-		MaxIters:      1500,
-		StationaryTol: 1e-3,
-		Debounce:      30 * time.Millisecond,
-		Logf:          func(string, ...any) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	opts := testOptions(nil)
+	opts.Debounce = 30 * time.Millisecond
+	s, _ := start(t, opts)
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
 		t.Fatal(err)
@@ -509,16 +479,11 @@ func TestDrainedSnapshotReadsTheEngines(t *testing.T) {
 			opts := testOptions(nil)
 			opts.Shards, opts.PlacementSalt = shards, 7
 			opts.Debounce = 300 * time.Millisecond
-			s, err := New(toyProblem(t), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s, _ := start(t, opts)
 			if _, err := s.WaitForGeneration(1, waitBudget); err != nil {
-				_ = s.Close()
 				t.Fatal(err)
 			}
 			if _, err := s.SetMaxRate("c1", 6); err != nil {
-				_ = s.Close()
 				t.Fatal(err)
 			}
 			// Let the solver take the wake-up into its debounce: a close
@@ -618,11 +583,7 @@ func TestSolveGateClocksTheLoop(t *testing.T) {
 	gate := make(chan struct{})
 	opts := testOptions(nil)
 	opts.SolveGate = gate
-	s, err := New(toyProblem(t), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
+	s, _ := start(t, opts)
 	// quiet waits out several debounces and checks nothing published
 	// past generation gen.
 	quiet := func(gen int64) {

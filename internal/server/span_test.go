@@ -17,29 +17,12 @@ import (
 	"repro/internal/obs/span"
 )
 
-// startTracedServer is startServer with decision-span tracing enabled.
-func startTracedServer(t *testing.T, rec *obs.Recorder, spanCap int) (*Server, *span.Tracer, *httptest.Server) {
-	return startTracedShardedServer(t, rec, spanCap, 1)
-}
-
-func startTracedShardedServer(t *testing.T, rec *obs.Recorder, spanCap, shards int) (*Server, *span.Tracer, *httptest.Server) {
-	t.Helper()
-	tr := span.New(spanCap, rec)
+// traced is testOptions(rec) with decision-span tracing into a ring of
+// spanCap spans, on shards shards.
+func traced(rec *obs.Recorder, spanCap, shards int) Options {
 	opts := testOptions(rec)
-	opts.Spans = tr
-	opts.Shards = shards
-	s, err := New(toyProblem(t), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
-	var reg *obs.Registry
-	if rec != nil {
-		reg = rec.Registry()
-	}
-	ts := httptest.NewServer(s.Handler(reg))
-	t.Cleanup(ts.Close)
-	return s, tr, ts
+	opts.Spans, opts.Shards = span.New(spanCap, rec), shards
+	return opts
 }
 
 const clientTraceparent = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
@@ -57,7 +40,9 @@ func TestDecisionLifecycleSpans(t *testing.T) {
 
 func testDecisionLifecycleSpans(t *testing.T, shards int) {
 	rec := obs.NewRecorder(obs.NewRegistry())
-	s, tr, ts := startTracedShardedServer(t, rec, 256, shards)
+	opts := traced(rec, 256, shards)
+	s, ts := start(t, opts)
+	tr := opts.Spans
 
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
@@ -211,7 +196,9 @@ func testDecisionLifecycleSpans(t *testing.T, shards int) {
 func observe(t *testing.T, shards int) (spanAttrs map[string]map[string]bool, families map[string]bool) {
 	t.Helper()
 	rec := obs.NewRecorder(obs.NewRegistry())
-	s, tr, _ := startTracedShardedServer(t, rec, 1024, shards)
+	opts := traced(rec, 1024, shards)
+	s, _ := start(t, opts)
+	tr := opts.Spans
 	snap, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +271,7 @@ func TestObservationShardCountInvariant(t *testing.T) {
 // TestSpansWithoutRecorder: span tracing alone conjures no Recorder, and
 // /debug/spans serves the decision tree all the same.
 func TestSpansWithoutRecorder(t *testing.T) {
-	s, _, ts := startTracedServer(t, nil, 256)
+	s, ts := start(t, traced(nil, 256, 1))
 	if s.opts.Recorder != nil {
 		t.Fatal("Options{Spans: t} created a Recorder the caller did not pass")
 	}
@@ -318,7 +305,9 @@ func TestSpansWithoutRecorder(t *testing.T) {
 // trace ID.
 func TestUntracedMutationStartsFreshTrace(t *testing.T) {
 	rec := obs.NewRecorder(obs.NewRegistry())
-	s, tr, ts := startTracedServer(t, rec, 256)
+	opts := traced(rec, 256, 1)
+	s, ts := start(t, opts)
+	tr := opts.Spans
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
 		t.Fatal(err)
@@ -357,7 +346,7 @@ func TestHealthAndReadyEndpoints(t *testing.T) {
 	}
 
 	// A served first snapshot flips readiness.
-	s, ts := startServer(t, nil)
+	s, ts := start(t, testOptions(nil))
 	if _, err := s.WaitForGeneration(1, waitBudget); err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +372,7 @@ func TestHealthAndReadyEndpoints(t *testing.T) {
 // trace ID.
 func TestAdmissionFlips(t *testing.T) {
 	rec := obs.NewRecorder(obs.NewRegistry())
-	s, _, ts := startTracedServer(t, rec, 256)
+	s, ts := start(t, traced(rec, 256, 1))
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
 		t.Fatal(err)
@@ -478,7 +467,7 @@ func TestAdmissionFlips(t *testing.T) {
 // histograms the middleware produces.
 func TestHTTPMiddlewareMetrics(t *testing.T) {
 	rec := obs.NewRecorder(obs.NewRegistry())
-	s, ts := startServer(t, rec)
+	s, ts := start(t, testOptions(rec))
 	if _, err := s.WaitForGeneration(1, waitBudget); err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +504,7 @@ func TestHTTPMiddlewareMetrics(t *testing.T) {
 // the error, so callers can degrade to stale-but-consistent data.
 func TestWaitForGenerationTimeoutReturnsLatest(t *testing.T) {
 	rec := obs.NewRecorder(obs.NewRegistry())
-	s, _ := startServer(t, rec)
+	s, _ := start(t, testOptions(rec))
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
 		t.Fatal(err)
@@ -536,7 +525,7 @@ func TestWaitForGenerationTimeoutReturnsLatest(t *testing.T) {
 // comes returns when the server closes, long before its timeout, with
 // the closed error and the latest snapshot.
 func TestCloseWakesWaiter(t *testing.T) {
-	s, _ := startServer(t, nil)
+	s, _ := start(t, testOptions(nil))
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
 		t.Fatal(err)
@@ -572,7 +561,7 @@ func TestCloseWakesWaiter(t *testing.T) {
 // doubles as the publish/wait memory-safety check.
 func TestWaitForGenerationPublishRace(t *testing.T) {
 	rec := obs.NewRecorder(obs.NewRegistry())
-	s, _ := startServer(t, rec)
+	s, _ := start(t, testOptions(rec))
 	first, err := s.WaitForGeneration(1, waitBudget)
 	if err != nil {
 		t.Fatal(err)
